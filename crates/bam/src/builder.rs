@@ -1,11 +1,10 @@
 //! One builder for both hosts.
 //!
 //! The paper's Listing-1 flow (`new` → `add_nvme_dev*` → `init_nvme` →
-//! `start*`) is order-sensitive, and the AGILE and BaM hosts each used to
-//! expose their own near-duplicate copy of it. [`HostBuilder`] replaces both
-//! call sequences with a single declarative construction API whose invalid
-//! orders are unrepresentable — `build()` runs the flow in the only valid
-//! order and returns a started host:
+//! `start`) on the generic [`agile_core::host::Host`] is order-sensitive.
+//! [`HostBuilder`] is a declarative construction API whose invalid orders
+//! are unrepresentable — `build()` runs the flow in the only valid order and
+//! returns a started host:
 //!
 //! ```
 //! use bam_baseline::HostBuilder;
@@ -27,12 +26,12 @@
 //! systems without duplicating setup.
 
 use crate::ctrl::BamConfig;
-use crate::host::BamHost;
+use crate::host::BamSystem;
 use agile_control::{ControlPolicy, SloSpec};
 use agile_core::config::AgileConfig;
-use agile_core::host::{AgileHost, GpuStorageHost};
+use agile_core::host::{AgileSystem, Host, HostSystem};
 use agile_core::qos::QosPolicy;
-use agile_metrics::{MetricsRegistry, WindowedSampler};
+use agile_metrics::{MetricsRegistry, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 use agile_sim::trace::TraceSink;
 use gpu_sim::{EngineSched, GpuConfig};
 use nvme_sim::{PageBacking, Placement};
@@ -44,30 +43,6 @@ struct DeviceSpec {
     backing: Option<Arc<dyn PageBacking>>,
 }
 
-/// Selects which system a [`HostBuilder`] constructs. Implemented by
-/// [`AgileSystem`] and [`BamSystem`]; not meant to be implemented outside
-/// this crate.
-pub trait HostSystem {
-    /// The system's configuration type.
-    type Config;
-    /// The host type `build()` returns.
-    type Host: GpuStorageHost;
-}
-
-/// Marker for [`HostBuilder::agile`].
-pub struct AgileSystem;
-impl HostSystem for AgileSystem {
-    type Config = AgileConfig;
-    type Host = AgileHost;
-}
-
-/// Marker for [`HostBuilder::bam`].
-pub struct BamSystem;
-impl HostSystem for BamSystem {
-    type Config = BamConfig;
-    type Host = BamHost;
-}
-
 /// Declarative construction of an AGILE or BaM host (see the module docs).
 pub struct HostBuilder<S: HostSystem> {
     gpu: GpuConfig,
@@ -77,7 +52,6 @@ pub struct HostBuilder<S: HostSystem> {
     placement: Placement,
     service_shards: usize,
     engine_sched: EngineSched,
-    barrier_spin_limit: Option<u32>,
     sink: Option<Arc<dyn TraceSink>>,
     qos: Option<Arc<dyn QosPolicy>>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -86,30 +60,10 @@ pub struct HostBuilder<S: HostSystem> {
     slos: Vec<SloSpec>,
 }
 
-/// Sampler window (cycles) auto-created when [`HostBuilder::control`] is
-/// requested without an explicit [`HostBuilder::metrics_sampler`] — matches
-/// the replay harness's default metrics window.
-const DEFAULT_CONTROL_WINDOW: u64 = 500_000;
-
 impl HostBuilder<AgileSystem> {
     /// Build an AGILE host (background service, asynchronous I/O API).
     pub fn agile(config: AgileConfig) -> Self {
-        HostBuilder {
-            gpu: GpuConfig::rtx_5000_ada(),
-            config,
-            devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            sink: None,
-            qos: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            slos: Vec::new(),
-        }
+        Self::new(config)
     }
 
     /// Scale the AGILE service out to `shards` shard-affine partitions —
@@ -170,22 +124,7 @@ impl HostBuilder<AgileSystem> {
 impl HostBuilder<BamSystem> {
     /// Build a BaM baseline host (no service, synchronous issue-then-poll).
     pub fn bam(config: BamConfig) -> Self {
-        HostBuilder {
-            gpu: GpuConfig::rtx_5000_ada(),
-            config,
-            devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            sink: None,
-            qos: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            slos: Vec::new(),
-        }
+        Self::new(config)
     }
 
     /// Split the software cache into `shards` set-range shards
@@ -205,6 +144,24 @@ impl HostBuilder<BamSystem> {
 }
 
 impl<S: HostSystem> HostBuilder<S> {
+    fn new(config: S::Config) -> Self {
+        HostBuilder {
+            gpu: GpuConfig::rtx_5000_ada(),
+            config,
+            devices: Vec::new(),
+            shards: 0,
+            placement: Placement::default(),
+            service_shards: 1,
+            engine_sched: EngineSched::default(),
+            sink: None,
+            qos: None,
+            metrics: None,
+            sampler: None,
+            control: None,
+            slos: Vec::new(),
+        }
+    }
+
     /// Simulated GPU to run on (default: the paper's RTX 5000 Ada).
     pub fn gpu(mut self, gpu: GpuConfig) -> Self {
         self.gpu = gpu;
@@ -275,16 +232,6 @@ impl<S: HostSystem> HostBuilder<S> {
         })
     }
 
-    /// Override the threaded engine's epoch-barrier spin limit (spins per
-    /// worker before falling back to `thread::yield_now`; see
-    /// [`gpu_sim::Engine::set_barrier_spin_limit`]). Host-CPU trade only —
-    /// simulated time is bit-identical at any setting. No effect under a
-    /// sequential scheduler.
-    pub fn barrier_spin_limit(mut self, limit: u32) -> Self {
-        self.barrier_spin_limit = Some(limit);
-        self
-    }
-
     /// Install a trace sink across the whole stack before the first kernel
     /// runs, so capture covers every event from time zero.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
@@ -321,7 +268,7 @@ impl<S: HostSystem> HostBuilder<S> {
 
     /// Enable the closed-loop control plane ([`agile_control::Controller`])
     /// under `policy`. Implies metrics: when no registry / sampler was
-    /// supplied, a registry and a [`DEFAULT_CONTROL_WINDOW`]-cycle sampler
+    /// supplied, a registry and a [`DEFAULT_WINDOW_CYCLES`]-cycle sampler
     /// are created automatically at build time. Pair with
     /// [`HostBuilder::slos`] to enforce per-tenant objectives.
     pub fn control(mut self, policy: ControlPolicy) -> Self {
@@ -336,32 +283,15 @@ impl<S: HostSystem> HostBuilder<S> {
         self
     }
 
-    /// Resolve the metrics registry / sampler pair, auto-creating both when
-    /// the control plane was requested without explicit instrumentation.
-    fn metrics_parts(
-        metrics: Option<Arc<MetricsRegistry>>,
-        sampler: Option<Arc<WindowedSampler>>,
-        control: bool,
-    ) -> (Option<Arc<MetricsRegistry>>, Option<Arc<WindowedSampler>>) {
-        if !control {
-            return (metrics, sampler);
-        }
-        let registry = metrics.unwrap_or_default();
-        let sampler = sampler
-            .unwrap_or_else(|| WindowedSampler::new(Arc::clone(&registry), DEFAULT_CONTROL_WINDOW));
-        (Some(registry), Some(sampler))
-    }
-}
-
-impl HostBuilder<AgileSystem> {
-    /// Construct, initialise and start the AGILE host (devices + queues
-    /// built, controller created, trace sink installed, service launched).
-    pub fn build(self) -> AgileHost {
+    /// Construct, initialise and start the host: devices + queues built,
+    /// controller created, trace sink / QoS / metrics / control plane
+    /// installed, engine ready and (on AGILE) the service launched.
+    pub fn build(self) -> Host<S> {
         assert!(
             !self.devices.is_empty(),
             "HostBuilder needs at least one device — call .devices(n, pages)"
         );
-        let mut host = AgileHost::new(self.gpu, self.config);
+        let mut host = Host::<S>::new(self.gpu, self.config);
         for dev in self.devices {
             match dev.backing {
                 Some(backing) => host.add_nvme_dev_with_backing(dev.pages, backing),
@@ -374,9 +304,6 @@ impl HostBuilder<AgileSystem> {
         host.set_placement(self.placement);
         host.set_service_shards(self.service_shards);
         host.set_engine_sched(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            host.set_barrier_spin_limit(limit);
-        }
         host.init_nvme();
         if let Some(sink) = self.sink {
             host.set_trace_sink(sink);
@@ -384,54 +311,15 @@ impl HostBuilder<AgileSystem> {
         if let Some(qos) = self.qos {
             host.set_qos_policy(qos);
         }
-        let (metrics, sampler) =
-            Self::metrics_parts(self.metrics, self.sampler, self.control.is_some());
-        if let Some(registry) = metrics {
-            host.set_metrics(registry);
+        // The control plane consumes sampler windows: create the registry /
+        // sampler pair when it was requested without explicit instruments.
+        let (mut metrics, mut sampler) = (self.metrics, self.sampler);
+        if self.control.is_some() {
+            let registry = metrics.get_or_insert_with(Default::default);
+            sampler.get_or_insert_with(|| {
+                WindowedSampler::new(Arc::clone(registry), DEFAULT_WINDOW_CYCLES)
+            });
         }
-        if let Some(sampler) = sampler {
-            host.set_metrics_sampler(sampler);
-        }
-        if let Some(policy) = self.control {
-            host.set_control(policy, self.slos);
-        }
-        host.start_agile();
-        host
-    }
-}
-
-impl HostBuilder<BamSystem> {
-    /// Construct, initialise and start the BaM host (devices + queues built,
-    /// controller created, trace sink installed, engine ready).
-    pub fn build(self) -> BamHost {
-        assert!(
-            !self.devices.is_empty(),
-            "HostBuilder needs at least one device — call .devices(n, pages)"
-        );
-        let mut host = BamHost::new(self.gpu, self.config);
-        for dev in self.devices {
-            match dev.backing {
-                Some(backing) => host.add_nvme_dev_with_backing(dev.pages, backing),
-                None => host.add_nvme_dev(dev.pages),
-            };
-        }
-        if self.shards > 0 {
-            host.set_shards(self.shards);
-        }
-        host.set_placement(self.placement);
-        host.set_engine_sched(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            host.set_barrier_spin_limit(limit);
-        }
-        host.init_nvme();
-        if let Some(sink) = self.sink {
-            host.set_trace_sink(sink);
-        }
-        if let Some(qos) = self.qos {
-            host.set_qos_policy(qos);
-        }
-        let (metrics, sampler) =
-            Self::metrics_parts(self.metrics, self.sampler, self.control.is_some());
         if let Some(registry) = metrics {
             host.set_metrics(registry);
         }

@@ -852,6 +852,24 @@ impl BamCtrl {
     }
 }
 
+impl agile_core::host::StorageCtrl for BamCtrl {
+    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
+        BamCtrl::set_trace_sink(self, sink)
+    }
+    fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
+        BamCtrl::trace_sink(self)
+    }
+    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
+        BamCtrl::set_qos_policy(self, policy)
+    }
+    fn qos_policy(&self) -> Option<&Arc<dyn QosPolicy>> {
+        BamCtrl::qos_policy(self)
+    }
+    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
+        BamCtrl::bind_metrics(self, registry)
+    }
+}
+
 impl agile_core::telemetry::CacheStatsProvider for BamCtrl {
     fn cache_stats(&self) -> agile_cache::CacheStats {
         self.cache().stats()

@@ -1,399 +1,54 @@
 //! Host-side setup for the BaM baseline.
 //!
-//! Mirrors [`agile_core::host::AgileHost`] minus the AGILE service: BaM has
-//! no background kernel, so `start()` only creates the GPU engine and bridges
-//! the storage topology into it. Both hosts implement
-//! [`agile_core::host::GpuStorageHost`], so the benchmark harness swaps
-//! systems by switching which `crate::HostBuilder` constructor it calls.
+//! [`BamHost`] is the same generic [`agile_core::host::Host`] the AGILE host
+//! is — identical topology, queue, trace, metrics and control wiring — over
+//! the [`BamSystem`] marker: BaM has no background kernel, so `start()`
+//! launches nothing, and its control plane sees only the WFQ weight knob
+//! (no prefetch pipeline, no service, a fixed clock cache).
 
 use crate::ctrl::{BamConfig, BamCtrl};
-use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
-use agile_core::control::QosWeights;
-use agile_core::host::{DeviceSsdBridge, GpuStorageHost};
-use agile_sim::trace::BufferedSink;
-use agile_core::qos::QosPolicy;
-use agile_core::telemetry::{CacheCollector, MetricsBridge, TopologyCollector};
-use agile_metrics::{MetricsRegistry, WindowedSampler};
-use agile_sim::trace::TraceSink;
-use agile_sim::Cycles;
-use gpu_sim::{
-    occupancy, Engine, EngineSched, ExecutionReport, GpuConfig, KernelFactory, LaunchConfig,
-};
-use nvme_sim::{
-    FlatArray, MemBacking, PageBacking, Placement, ShardedArray, SsdConfig, StorageTopology,
-};
+use agile_core::host::{Host, HostSystem};
+use agile_sim::costs::SsdCosts;
+use gpu_sim::Engine;
+use nvme_sim::{QueuePair, StorageTopology};
 use std::sync::Arc;
 
-/// Host-side owner of the BaM testbed.
-pub struct BamHost {
-    gpu: GpuConfig,
-    config: BamConfig,
-    pending_devices: Vec<(SsdConfig, Arc<dyn PageBacking>)>,
-    /// 0 = flat (single lock); ≥ 1 = sharded with that many lock shards.
-    shards: usize,
-    /// Placement seed of the striping layer (interleave by default).
-    placement: Placement,
-    /// Scheduling loop of the engine (event-driven ready-queue by default).
-    engine_sched: EngineSched,
-    /// Epoch-barrier spin limit override for threaded schedulers
-    /// (`None` = the engine's default).
-    barrier_spin_limit: Option<u32>,
-    topology: Option<Arc<dyn StorageTopology>>,
-    ctrl: Option<Arc<BamCtrl>>,
-    engine: Option<Engine>,
-    /// Optional metrics registry instrumenting the whole stack.
-    metrics: Option<Arc<MetricsRegistry>>,
-    /// Optional windowed sampler, bridged into the engine at start.
-    sampler: Option<Arc<WindowedSampler>>,
-    /// Pending control-plane request, consumed at [`BamHost::start`].
-    control: Option<(ControlPolicy, Vec<SloSpec>)>,
-    /// The live controller, once started with a control plane.
-    controller: Option<Arc<Controller>>,
-    /// Per-shard trace buffers, present only when a sink is installed under a
-    /// threaded engine; drained as epoch mailboxes at [`BamHost::start`].
-    trace_buffers: std::sync::Mutex<Vec<Arc<BufferedSink>>>,
-}
+/// Marker selecting the BaM baseline: no service, synchronous
+/// issue-then-poll.
+pub struct BamSystem;
 
-impl BamHost {
-    /// Create a host for the given GPU and BaM configuration.
-    pub fn new(gpu: GpuConfig, config: BamConfig) -> Self {
-        BamHost {
-            gpu,
-            config,
-            pending_devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            topology: None,
-            ctrl: None,
-            engine: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            controller: None,
-            trace_buffers: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether the configured engine scheduler actually runs worker threads.
-    fn threaded_engine(&self) -> bool {
-        matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1)
-    }
-
-    /// Select the engine's scheduling loop (default: the event-driven
-    /// ready-queue). Must be called before [`BamHost::start`].
-    pub fn set_engine_sched(&mut self, sched: EngineSched) {
-        assert!(
-            self.engine.is_none(),
-            "set_engine_sched must be called before start"
-        );
-        self.engine_sched = sched;
-    }
-
-    /// Override the threaded engine's epoch-barrier spin limit, mirroring
-    /// [`agile_core::host::AgileHost::set_barrier_spin_limit`]. Must be
-    /// called before [`BamHost::start`].
-    pub fn set_barrier_spin_limit(&mut self, limit: u32) {
-        assert!(
-            self.engine.is_none(),
-            "set_barrier_spin_limit must be called before start"
-        );
-        self.barrier_spin_limit = Some(limit);
-    }
-
-    /// Partition the storage into `shards` lock shards (build a
-    /// [`ShardedArray`] instead of the default single-lock [`FlatArray`]).
-    /// Must be called before [`BamHost::init_nvme`].
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.topology.is_none(),
-            "set_shards must be called before init_nvme"
-        );
-        self.shards = shards;
-    }
-
-    /// Select the striping layer's placement seed, mirroring
-    /// [`agile_core::host::AgileHost::set_placement`]. Must be called before
-    /// [`BamHost::init_nvme`].
-    pub fn set_placement(&mut self, placement: Placement) {
-        assert!(
-            self.topology.is_none(),
-            "set_placement must be called before init_nvme"
-        );
-        self.placement = placement;
-    }
-
-    /// Register an SSD with a default in-memory backing.
-    pub fn add_nvme_dev(&mut self, namespace_pages: u64) -> usize {
-        let id = self.pending_devices.len() as u32;
-        self.add_nvme_dev_with_backing(namespace_pages, Arc::new(MemBacking::new(id)))
-    }
-
-    /// Register an SSD with a caller-supplied backing.
-    pub fn add_nvme_dev_with_backing(
-        &mut self,
-        namespace_pages: u64,
-        backing: Arc<dyn PageBacking>,
-    ) -> usize {
-        assert!(self.topology.is_none(), "add devices before init_nvme");
-        let id = self.pending_devices.len() as u32;
-        let cfg = SsdConfig {
-            id,
-            costs: self.config.costs.ssd.clone(),
-            namespace_pages,
-            clock_ghz: self.gpu.clock_ghz,
-        };
-        self.pending_devices.push((cfg, backing));
-        id as usize
-    }
-
-    /// Build the storage topology and the BaM controller.
-    pub fn init_nvme(&mut self) {
-        assert!(!self.pending_devices.is_empty(), "no NVMe devices added");
-        assert!(self.topology.is_none(), "init_nvme called twice");
-        let parts = std::mem::take(&mut self.pending_devices);
-        let topology: Arc<dyn StorageTopology> = if self.shards == 0 {
-            Arc::new(FlatArray::from_parts(parts).with_placement(self.placement))
-        } else {
-            Arc::new(ShardedArray::from_parts(parts, self.shards).with_placement(self.placement))
-        };
-        let per_device_queues =
-            topology.register_queues(self.config.queue_pairs_per_ssd, self.config.queue_depth);
-        self.ctrl = Some(Arc::new(BamCtrl::with_topology(
-            self.config.clone(),
-            per_device_queues,
-            Arc::clone(&topology),
-        )));
-        self.topology = Some(topology);
-    }
-
-    /// The controller.
-    pub fn ctrl(&self) -> Arc<BamCtrl> {
-        Arc::clone(self.ctrl.as_ref().expect("init_nvme not called"))
-    }
-
-    /// Install one trace sink across the BaM stack (controller submit path,
-    /// software cache, every SSD's completion path), mirroring
-    /// [`agile_core::host::AgileHost::set_trace_sink`]. Call after
-    /// [`BamHost::init_nvme`]; the first sink installed wins.
-    pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        let ctrl_fresh = self.ctrl().set_trace_sink(Arc::clone(&sink));
-        let dev_fresh = if self.threaded_engine() {
-            let topology = self.topology();
-            let mut buffers = self.trace_buffers.lock().unwrap();
-            let mut all_fresh = true;
-            for dev in topology.device_advance_order() {
-                let buffered = Arc::new(BufferedSink::new(Arc::clone(&sink)));
-                let as_sink: Arc<dyn TraceSink> = Arc::clone(&buffered) as Arc<dyn TraceSink>;
-                if topology.set_device_trace_sink(dev, &as_sink) {
-                    buffers.push(buffered);
-                } else {
-                    all_fresh = false;
-                }
-            }
-            all_fresh
-        } else {
-            self.topology().set_trace_sink(&sink)
-        };
-        ctrl_fresh && dev_fresh
-    }
-
-    /// Install a QoS policy on the controller's tenant-attributed submission
-    /// path, mirroring [`agile_core::host::AgileHost::set_qos_policy`]. Call
-    /// after [`BamHost::init_nvme`]; the first policy installed wins.
-    pub fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        self.ctrl().set_qos_policy(policy)
-    }
-
-    /// Instrument the stack with `registry`, mirroring
-    /// [`agile_core::host::AgileHost::set_metrics`]: the controller's submit
-    /// path gains direct counters; cache / topology / device statistics are
-    /// exported through snapshot-time collectors. Call after
-    /// [`BamHost::init_nvme`] and before [`BamHost::start`].
-    pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        assert!(
-            self.ctrl.is_some(),
-            "set_metrics must be called after init_nvme"
-        );
-        assert!(
-            self.engine.is_none(),
-            "set_metrics must be called before start"
-        );
-        let ctrl = self.ctrl();
-        ctrl.bind_metrics(&registry);
-        registry.register_collector(Box::new(CacheCollector::new(ctrl)));
-        registry.register_collector(Box::new(TopologyCollector::new(self.topology())));
-        self.metrics = Some(registry);
-    }
-
-    /// Attach a windowed sampler, bridged into the engine as a passive
-    /// device at [`BamHost::start`]. Call before `start`.
-    pub fn set_metrics_sampler(&mut self, sampler: Arc<WindowedSampler>) {
-        assert!(
-            self.engine.is_none(),
-            "set_metrics_sampler must be called before start"
-        );
-        self.sampler = Some(sampler);
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
-    }
-
-    /// Request the closed-loop control plane, mirroring
-    /// [`agile_core::host::AgileHost::set_control`]. BaM has no prefetch
-    /// pipeline, no AGILE service and a fixed clock cache, so only the WFQ
-    /// weight knob is wired — the SLO loop runs, the others stay dormant.
-    /// Requires a sampler; call after any [`BamHost::set_qos_policy`].
-    pub fn set_control(&mut self, policy: ControlPolicy, slos: Vec<SloSpec>) {
-        assert!(
-            self.engine.is_none(),
-            "set_control must be called before start"
-        );
-        self.control = Some((policy, slos));
-    }
-
-    /// The live controller, when the host was started with a control plane.
-    pub fn controller(&self) -> Option<&Arc<Controller>> {
-        self.controller.as_ref()
-    }
-
-    /// The shared storage topology.
-    pub fn topology(&self) -> Arc<dyn StorageTopology> {
-        Arc::clone(self.topology.as_ref().expect("init_nvme not called"))
-    }
-
-    /// The backing of device `dev` (for dataset setup).
-    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
-        self.topology().backing(dev)
-    }
-
-    /// Create the GPU engine and attach the SSD bridge (no service to launch).
-    pub fn start(&mut self) {
-        assert!(self.ctrl.is_some(), "init_nvme must run before start");
-        let mut engine = Engine::new(self.gpu.clone());
-        engine.set_scheduler(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            engine.set_barrier_spin_limit(limit);
-        }
-        let topology = self.topology();
-        // Device-affine partition grain, mirroring AgileHost::start_agile:
-        // one bridge per storage device in shard-major advance order.
-        for dev in topology.device_advance_order() {
-            engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
-        }
-        {
-            let buffers = self.trace_buffers.lock().unwrap();
-            assert!(
-                !(self.threaded_engine()
-                    && self.ctrl().trace_sink().is_some()
-                    && buffers.is_empty()),
-                "trace sink installed before the ParallelShards scheduler was \
-                 selected; call set_engine_sched before set_trace_sink"
-            );
-            for buffered in buffers.iter() {
-                engine.add_mailbox(Arc::clone(buffered) as Arc<dyn gpu_sim::EpochMailbox>);
-            }
-        }
-        if let Some(registry) = &self.metrics {
-            engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
-        }
-        if let Some(sampler) = &self.sampler {
-            engine.add_device(Box::new(MetricsBridge::new(Arc::clone(sampler))));
-        }
-        if let Some((policy, slos)) = self.control.take() {
-            let sampler = self
-                .sampler
-                .as_ref()
-                .expect("set_control requires a windowed sampler (set_metrics_sampler)");
-            let ctrl = self.ctrl();
-            let knobs = KnobSet {
-                wfq: ctrl
-                    .qos_policy()
-                    .map(|p| QosWeights::new(Arc::clone(p)) as Arc<dyn TenantWeights>),
-                ..KnobSet::none()
-            };
-            let controller = Controller::new(
-                policy,
-                slos,
-                knobs,
-                Arc::clone(sampler),
-                self.gpu.clock_ghz,
-                self.metrics.as_ref(),
-            );
-            if let Some(sink) = ctrl.trace_sink() {
-                controller.set_trace_sink(Arc::clone(sink));
-            }
-            engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
-            self.controller = Some(controller);
-        }
-        self.engine = Some(engine);
-    }
-
-    /// Launch a user kernel and run to completion.
-    pub fn run_kernel(
-        &mut self,
-        launch: LaunchConfig,
-        factory: Box<dyn KernelFactory>,
-    ) -> ExecutionReport {
-        let engine = self.engine.as_mut().expect("start not called");
-        engine.launch(launch, factory);
-        engine.run()
-    }
-
-    /// Mutable engine access (deadlock-window tuning in tests).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        self.engine.as_mut().expect("start not called")
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Cycles {
-        self.engine
-            .as_ref()
-            .map(|e| e.now())
-            .unwrap_or(Cycles::ZERO)
-    }
-}
-
-impl GpuStorageHost for BamHost {
+impl HostSystem for BamSystem {
+    type Config = BamConfig;
     type Ctrl = BamCtrl;
+    type Services = ();
 
-    fn ctrl(&self) -> Arc<BamCtrl> {
-        BamHost::ctrl(self)
+    fn storage_params(config: &BamConfig) -> (&SsdCosts, usize, u32) {
+        (
+            &config.costs.ssd,
+            config.queue_pairs_per_ssd,
+            config.queue_depth,
+        )
     }
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        BamHost::set_trace_sink(self, sink)
+
+    fn new_ctrl(
+        config: BamConfig,
+        queues: Vec<Vec<Arc<QueuePair>>>,
+        topology: Arc<dyn StorageTopology>,
+    ) -> BamCtrl {
+        BamCtrl::with_topology(config, queues, topology)
     }
-    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        BamHost::set_qos_policy(self, policy)
-    }
-    fn topology(&self) -> Arc<dyn StorageTopology> {
-        BamHost::topology(self)
-    }
-    fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
-        occupancy(&self.gpu, launch)
-    }
-    fn run_kernel(
-        &mut self,
-        launch: LaunchConfig,
-        factory: Box<dyn KernelFactory>,
-    ) -> ExecutionReport {
-        BamHost::run_kernel(self, launch, factory)
-    }
-    fn now(&self) -> Cycles {
-        BamHost::now(self)
-    }
-    fn stop(&mut self) {
-        // BaM has no background service to stop.
-    }
+
+    fn launch_services(_host: &BamHost, _engine: &mut Engine) {}
 }
+
+/// Host-side owner of the BaM testbed.
+pub type BamHost = Host<BamSystem>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::SyncReadComputeKernel;
+    use gpu_sim::{GpuConfig, LaunchConfig};
 
     #[test]
     fn bam_host_runs_a_sync_kernel() {

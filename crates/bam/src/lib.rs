@@ -37,7 +37,8 @@ pub mod ctrl;
 pub mod host;
 pub mod kernels;
 
-pub use builder::{AgileSystem, BamSystem, HostBuilder, HostSystem};
+pub use agile_core::host::{AgileSystem, HostSystem};
+pub use builder::HostBuilder;
 pub use ctrl::{BamConfig, BamCtrl, BamStats};
-pub use host::BamHost;
+pub use host::{BamHost, BamSystem};
 pub use kernels::{NaiveAsyncKernel, SyncReadComputeKernel};

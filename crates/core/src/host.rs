@@ -1,40 +1,51 @@
 //! Host-side setup, execution and teardown — the Listing 1 flow.
 //!
+//! One generic [`Host`] owns the whole bring-up sequence for every system
+//! built on the shared substrates: the device list, the storage topology,
+//! queue registration, trace-sink fan-out, metrics / sampler / control
+//! bridging and the GPU engine. What differs between systems — how the
+//! controller is built, which control knobs it exposes and what background
+//! work `start` launches — is the [`HostSystem`] trait. [`AgileHost`] is
+//! `Host<AgileSystem>`; the BaM baseline's `BamHost` is the same struct over
+//! its own marker, so AGILE-vs-BaM comparisons share every line of wiring.
+//!
 //! [`AgileHost`] mirrors the paper's host API:
 //!
 //! | Listing 1 call | `AgileHost` method |
 //! |---|---|
-//! | `AGILE_HOST host(...)` | [`AgileHost::new`] |
+//! | `AGILE_HOST host(...)` | [`Host::new`] |
 //! | `host.setGPUCache(...)` / `setShareTable(...)` | fields of [`crate::config::AgileConfig`] |
-//! | `host.addNvmeDev(...)` | [`AgileHost::add_nvme_dev`] / [`AgileHost::add_nvme_dev_with_backing`] |
-//! | `host.initNvme()` | [`AgileHost::init_nvme`] |
-//! | `host.initializeAgile(...)` | part of [`AgileHost::init_nvme`] (controller construction) |
-//! | `host.configKernelParallelism(...)` / `queryOccupancy(...)` | [`AgileHost::query_occupancy`] |
-//! | `host.startAgile()` | [`AgileHost::start_agile`] |
-//! | `host.runKernel(kernel, args...)` | [`AgileHost::run_kernel`] |
-//! | `host.stopAgile()` | [`AgileHost::stop_agile`] |
-//! | `host.closeNvme()` | [`AgileHost::close_nvme`] |
+//! | `host.addNvmeDev(...)` | [`Host::add_nvme_dev`] / [`Host::add_nvme_dev_with_backing`] |
+//! | `host.initNvme()` | [`Host::init_nvme`] |
+//! | `host.initializeAgile(...)` | part of [`Host::init_nvme`] (controller construction) |
+//! | `host.configKernelParallelism(...)` / `queryOccupancy(...)` | [`Host::query_occupancy`] |
+//! | `host.startAgile()` | [`Host::start_agile`] |
+//! | `host.runKernel(kernel, args...)` | [`Host::run_kernel`] |
+//! | `host.stopAgile()` | [`Host::stop_agile`] |
+//! | `host.closeNvme()` | [`Host::close_nvme`] |
 //!
 //! New code should not drive this order-sensitive sequence by hand: build
 //! hosts through `bam_baseline::HostBuilder`, which runs the flow in the
-//! only valid order and returns a started host. The common surface both the
-//! AGILE host and the BaM baseline host expose afterwards is the
-//! [`GpuStorageHost`] trait, so AGILE-vs-BaM harness code is written once.
+//! only valid order and returns a started host. The surface a started host
+//! exposes to harness code is the [`GpuStorageHost`] trait.
 //!
 //! The host also owns the co-simulation plumbing: it builds a
 //! [`StorageTopology`] (a single-lock [`nvme_sim::FlatArray`], or a
-//! [`nvme_sim::ShardedArray`] when [`AgileHost::set_shards`] was called),
-//! bridges it into the GPU engine as an [`gpu_sim::ExternalDevice`], and
-//! launches the persistent AGILE service kernel before user kernels run.
+//! [`nvme_sim::ShardedArray`] when [`Host::set_shards`] was called) and
+//! bridges each of its devices into the GPU engine as an
+//! [`gpu_sim::ExternalDevice`].
 
 use crate::config::AgileConfig;
-use crate::control::knob_set;
+use crate::control::{knob_set, QosWeights};
 use crate::ctrl::AgileCtrl;
 use crate::qos::QosPolicy;
 use crate::service::{auto_service_warps, AgileServiceKernel, ServicePartition, ServiceSet};
-use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
-use agile_control::{ControlBridge, ControlPolicy, Controller, SloSpec};
+use crate::telemetry::{
+    CacheCollector, CacheStatsProvider, MetricsBridge, ServiceCollector, TopologyCollector,
+};
+use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
 use agile_metrics::{MetricsRegistry, WindowedSampler};
+use agile_sim::costs::SsdCosts;
 use agile_sim::trace::{BufferedSink, TraceSink};
 use agile_sim::Cycles;
 use gpu_sim::registers::agile_footprints;
@@ -43,25 +54,20 @@ use gpu_sim::{
     LaunchConfig,
 };
 use nvme_sim::{
-    FlatArray, MemBacking, PageBacking, Placement, ShardedArray, SsdConfig, StorageTopology,
+    FlatArray, MemBacking, PageBacking, Placement, QueuePair, ShardedArray, SsdConfig,
+    StorageTopology,
 };
 use std::sync::Arc;
 
-/// The common host surface shared by the AGILE host and the BaM baseline
-/// host: controller access, trace capture, kernel execution and storage
-/// introspection. Harness code (benchmarks, experiments, replay) written
-/// against this trait runs unchanged on either system.
+/// The surface a started host exposes to harness code: controller access,
+/// kernel execution and storage introspection. Benchmarks, experiments and
+/// replay written against this trait run unchanged on either system.
 pub trait GpuStorageHost {
     /// The system's controller type (`AgileCtrl` / `BamCtrl`).
     type Ctrl;
 
     /// The controller warp kernels hold an `Arc` to.
     fn ctrl(&self) -> Arc<Self::Ctrl>;
-
-    /// Install one trace sink across the whole stack (controller submit
-    /// path, software cache, every SSD's completion path). The first sink
-    /// installed wins; returns `false` if one was already present.
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool;
 
     /// Install a QoS policy arbitrating tenant-attributed SQ admission on the
     /// controller. The first policy installed wins; returns `false` if one
@@ -93,67 +99,14 @@ pub trait GpuStorageHost {
     fn stop(&mut self);
 }
 
-/// Bridges a storage topology into the GPU engine's device list.
-pub struct SsdBridge {
-    topology: Arc<dyn StorageTopology>,
-}
-
-impl SsdBridge {
-    /// Wrap a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>) -> Self {
-        SsdBridge { topology }
-    }
-}
-
-impl ExternalDevice for SsdBridge {
-    fn advance_to(&mut self, now: Cycles) {
-        self.topology.advance_to(now);
-    }
-    fn next_event_time(&mut self) -> Option<Cycles> {
-        self.topology.next_event_time()
-    }
-    fn quiescent(&self) -> bool {
-        self.topology.quiescent()
-    }
-}
-
-/// Bridges a single lock shard of a storage topology into the engine as a
-/// shard-affine device: one `ShardSsdBridge` per topology shard, registered
-/// in shard order so sequential schedulers advance shards exactly as the
-/// whole-topology [`SsdBridge`] did, and [`EngineSched::ParallelShards`] can
-/// partition them across worker threads.
-pub struct ShardSsdBridge {
-    topology: Arc<dyn StorageTopology>,
-    shard: usize,
-}
-
-impl ShardSsdBridge {
-    /// Wrap one shard of a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>, shard: usize) -> Self {
-        ShardSsdBridge { topology, shard }
-    }
-}
-
-impl ExternalDevice for ShardSsdBridge {
-    fn advance_to(&mut self, now: Cycles) {
-        self.topology.advance_shard_to(self.shard, now);
-    }
-    fn next_event_time(&mut self) -> Option<Cycles> {
-        self.topology.shard_next_event_time(self.shard)
-    }
-    fn quiescent(&self) -> bool {
-        self.topology.shard_quiescent(self.shard)
-    }
-}
-
 /// Bridges a single *storage device* of a topology into the engine — the
 /// device-affine partition grain. One `DeviceSsdBridge` per device,
 /// registered in [`StorageTopology::device_advance_order`] (shard-major)
-/// order so sequential schedulers advance devices exactly as the shard
-/// bridges did, while [`EngineSched::ParallelShards`] partitions work at
-/// device rather than lock-shard granularity — a `shards = 1` fleet no
-/// longer collapses onto one worker. Lock-shard state is only ever touched
-/// from the coordinator's submit path, so it stays single-writer.
+/// order so sequential schedulers advance devices in the golden-gated
+/// order, while [`EngineSched::ParallelShards`] partitions work at device
+/// rather than lock-shard granularity — a `shards = 1` fleet does not
+/// collapse onto one worker. Lock-shard state is only ever touched from the
+/// coordinator's submit path, so it stays single-writer.
 pub struct DeviceSsdBridge {
     topology: Arc<dyn StorageTopology>,
     dev: usize,
@@ -178,11 +131,176 @@ impl ExternalDevice for DeviceSsdBridge {
     }
 }
 
-/// The AGILE host: owns the GPU engine, the storage topology and the
-/// controller.
-pub struct AgileHost {
+/// What [`Host`] needs from a system's controller: the install-once trace,
+/// QoS and metrics hooks, plus the cache statistics behind
+/// [`CacheCollector`].
+pub trait StorageCtrl: CacheStatsProvider + 'static {
+    /// Install a trace sink on the submit path and the software cache; the
+    /// first one wins (returns `false` otherwise).
+    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool;
+    /// The installed trace sink, if any.
+    fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>>;
+    /// Install a QoS policy on the tenant-attributed submission path; the
+    /// first one wins (returns `false` otherwise).
+    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
+    /// The installed QoS policy, if any.
+    fn qos_policy(&self) -> Option<&Arc<dyn QosPolicy>>;
+    /// Install submit-path instruments bound to `registry`; the first
+    /// binding wins (returns `false` otherwise).
+    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool;
+}
+
+impl StorageCtrl for AgileCtrl {
+    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
+        AgileCtrl::set_trace_sink(self, sink)
+    }
+    fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
+        AgileCtrl::trace_sink(self)
+    }
+    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
+        AgileCtrl::set_qos_policy(self, policy)
+    }
+    fn qos_policy(&self) -> Option<&Arc<dyn QosPolicy>> {
+        AgileCtrl::qos_policy(self)
+    }
+    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
+        AgileCtrl::bind_metrics(self, registry)
+    }
+}
+
+/// The parts of host bring-up that differ between systems. Implemented by
+/// [`AgileSystem`] and the BaM baseline's marker; everything else is
+/// [`Host`].
+pub trait HostSystem: Sized {
+    /// The system's configuration type.
+    type Config: Clone;
+    /// The system's controller type.
+    type Ctrl: StorageCtrl;
+    /// What [`HostSystem::launch_services`] leaves running (AGILE's
+    /// [`ServiceSet`]; `()` for a system without background work).
+    type Services;
+
+    /// Reject configurations the system cannot run (panics).
+    fn validate(_config: &Self::Config) {}
+
+    /// The SSD cost model, queue pairs per SSD and queue depth of `config`.
+    fn storage_params(config: &Self::Config) -> (&SsdCosts, usize, u32);
+
+    /// Construct the controller over the registered queue pairs.
+    fn new_ctrl(
+        config: Self::Config,
+        queues: Vec<Vec<Arc<QueuePair>>>,
+        topology: Arc<dyn StorageTopology>,
+    ) -> Self::Ctrl;
+
+    /// The knobs a control plane may actuate on `ctrl`. The default wires
+    /// only the WFQ weight table (when a QoS policy is installed), which
+    /// every controller has; the other loops stay dormant.
+    fn knobs(ctrl: &Arc<Self::Ctrl>) -> KnobSet {
+        KnobSet {
+            wfq: ctrl
+                .qos_policy()
+                .map(|p| QosWeights::new(Arc::clone(p)) as Arc<dyn TenantWeights>),
+            ..KnobSet::none()
+        }
+    }
+
+    /// Launch the system's background kernels on the freshly built `engine`
+    /// (called last in [`Host::start`]).
+    fn launch_services(host: &Host<Self>, engine: &mut Engine) -> Self::Services;
+
+    /// Ask the background kernels to wind down.
+    fn stop_services(_ctrl: &Self::Ctrl) {}
+}
+
+/// Marker selecting AGILE: asynchronous device API plus the persistent
+/// service kernels of §3.2.
+pub struct AgileSystem;
+
+impl HostSystem for AgileSystem {
+    type Config = AgileConfig;
+    type Ctrl = AgileCtrl;
+    type Services = ServiceSet;
+
+    fn validate(config: &AgileConfig) {
+        assert!(
+            config.queue_depth.is_power_of_two() && config.queue_depth >= 32,
+            "queue depth must be a power of two ≥ 32 (warp-window polling)"
+        );
+    }
+
+    fn storage_params(config: &AgileConfig) -> (&SsdCosts, usize, u32) {
+        (
+            &config.costs.ssd,
+            config.queue_pairs_per_ssd,
+            config.queue_depth,
+        )
+    }
+
+    fn new_ctrl(
+        config: AgileConfig,
+        queues: Vec<Vec<Arc<QueuePair>>>,
+        topology: Arc<dyn StorageTopology>,
+    ) -> AgileCtrl {
+        AgileCtrl::with_topology(config, queues, topology)
+    }
+
+    /// Prefetch depth, idle backoff, WFQ weights and cache shares.
+    fn knobs(ctrl: &Arc<AgileCtrl>) -> KnobSet {
+        knob_set(ctrl)
+    }
+
+    /// One persistent kernel per service shard (see
+    /// [`Host::set_service_shards`]); each uses the configured
+    /// `service_blocks`/`service_warps` geometry, so scaling the service out
+    /// adds polling warps in proportion.
+    fn launch_services(host: &AgileHost, engine: &mut Engine) -> ServiceSet {
+        let ctrl = host.ctrl();
+        ctrl.reset_service_stop();
+        let set = ServiceSet::new(&ctrl, host.service_shards);
+        if let Some(registry) = &host.metrics {
+            registry.register_collector(Box::new(ServiceCollector::new(set.partitions().to_vec())));
+        }
+
+        let blocks = host.config.service_blocks.max(1);
+        for partition in set.partitions() {
+            // Fixed geometry by default (the paper's, bit-identical); with
+            // auto-sizing on, each partition derives its warp count from the
+            // CQs it owns, so scale-out does not multiply idle pollers.
+            let total_warps = if host.config.auto_service_warps {
+                auto_service_warps(partition.target_count())
+            } else {
+                host.config.service_warps.max(1)
+            };
+            let warps_per_block = total_warps.div_ceil(blocks);
+            let launch = LaunchConfig::new(blocks, warps_per_block * host.gpu.warp_size)
+                .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
+                .persistent();
+            engine.launch(
+                launch,
+                Box::new(AgileServiceKernel::new(
+                    Arc::clone(partition),
+                    warps_per_block,
+                    warps_per_block * blocks,
+                )),
+            );
+        }
+        set
+    }
+
+    fn stop_services(ctrl: &AgileCtrl) {
+        ctrl.request_service_stop();
+    }
+}
+
+/// The AGILE host: [`Host`] with the Listing-1 method names.
+pub type AgileHost = Host<AgileSystem>;
+
+/// Owns the GPU engine, the storage topology and the controller of one
+/// system under test.
+pub struct Host<S: HostSystem> {
     gpu: GpuConfig,
-    config: AgileConfig,
+    config: S::Config,
     pending_devices: Vec<(SsdConfig, Arc<dyn PageBacking>)>,
     /// 0 = flat (single lock); ≥ 1 = sharded with that many lock shards.
     shards: usize,
@@ -193,35 +311,26 @@ pub struct AgileHost {
     service_shards: usize,
     /// Scheduling loop of the engine (event-driven ready-queue by default).
     engine_sched: EngineSched,
-    /// Epoch-barrier spin limit override for threaded schedulers
-    /// (`None` = the engine's default).
-    barrier_spin_limit: Option<u32>,
     topology: Option<Arc<dyn StorageTopology>>,
-    ctrl: Option<Arc<AgileCtrl>>,
-    service: Option<ServiceSet>,
+    ctrl: Option<Arc<S::Ctrl>>,
+    services: Option<S::Services>,
+    /// Present from [`Host::start`] on.
     engine: Option<Engine>,
-    service_started: bool,
     /// Optional metrics registry instrumenting the whole stack.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Optional windowed sampler, bridged into the engine at start.
     sampler: Option<Arc<WindowedSampler>>,
-    /// Pending control-plane request, consumed at [`AgileHost::start_agile`].
+    /// Pending control-plane request, consumed at [`Host::start`].
     control: Option<(ControlPolicy, Vec<SloSpec>)>,
     /// The live controller, once started with a control plane.
     controller: Option<Arc<Controller>>,
-    /// Per-shard trace buffers, present only when a sink is installed under a
-    /// threaded engine; drained as epoch mailboxes at [`AgileHost::start_agile`].
-    trace_buffers: std::sync::Mutex<Vec<Arc<BufferedSink>>>,
 }
 
-impl AgileHost {
-    /// Create a host for the given GPU and AGILE configuration.
-    pub fn new(gpu: GpuConfig, config: AgileConfig) -> Self {
-        assert!(
-            config.queue_depth.is_power_of_two() && config.queue_depth >= 32,
-            "queue depth must be a power of two ≥ 32 (warp-window polling)"
-        );
-        AgileHost {
+impl<S: HostSystem> Host<S> {
+    /// Create a host for the given GPU and system configuration.
+    pub fn new(gpu: GpuConfig, config: S::Config) -> Self {
+        S::validate(&config);
+        Host {
             gpu,
             config,
             pending_devices: Vec::new(),
@@ -229,23 +338,31 @@ impl AgileHost {
             placement: Placement::default(),
             service_shards: 1,
             engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
             topology: None,
             ctrl: None,
-            service: None,
+            services: None,
             engine: None,
-            service_started: false,
             metrics: None,
             sampler: None,
             control: None,
             controller: None,
-            trace_buffers: std::sync::Mutex::new(Vec::new()),
         }
     }
 
-    /// Whether the configured engine scheduler actually runs worker threads.
-    fn threaded_engine(&self) -> bool {
-        matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1)
+    /// Panic unless `setter` is being called before [`Host::init_nvme`].
+    fn assert_before_init(&self, setter: &str) {
+        assert!(
+            self.topology.is_none(),
+            "{setter} must be called before init_nvme"
+        );
+    }
+
+    /// Panic unless `setter` is being called before [`Host::start`].
+    fn assert_before_start(&self, setter: &str) {
+        assert!(
+            self.engine.is_none(),
+            "{setter} must be called before start"
+        );
     }
 
     /// The GPU configuration.
@@ -253,75 +370,50 @@ impl AgileHost {
         &self.gpu
     }
 
-    /// The AGILE configuration.
-    pub fn config(&self) -> &AgileConfig {
+    /// The system configuration.
+    pub fn config(&self) -> &S::Config {
         &self.config
     }
 
     /// Partition the storage into `shards` lock shards (build a
     /// [`ShardedArray`] instead of the default single-lock [`FlatArray`]).
-    /// Must be called before [`AgileHost::init_nvme`].
+    /// Must be called before [`Host::init_nvme`].
     pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.topology.is_none(),
-            "set_shards must be called before init_nvme"
-        );
+        self.assert_before_init("set_shards");
         self.shards = shards;
     }
 
     /// Select the striping layer's placement seed
     /// ([`Placement::Interleave`] by default — the golden-guarded paper
-    /// layout). Must be called before [`AgileHost::init_nvme`].
+    /// layout). Must be called before [`Host::init_nvme`].
     pub fn set_placement(&mut self, placement: Placement) {
-        assert!(
-            self.topology.is_none(),
-            "set_placement must be called before init_nvme"
-        );
+        self.assert_before_init("set_placement");
         self.placement = placement;
     }
 
-    /// Scale the AGILE service out to `shards` shard-affine partitions, one
-    /// persistent kernel each (see [`crate::service::ServiceSet`]). The
-    /// default of 1 is the paper's single service, bit for bit. Must be
-    /// called before [`AgileHost::start_agile`].
+    /// Scale the system's background service out to `shards` shard-affine
+    /// partitions, one persistent kernel each (see
+    /// [`crate::service::ServiceSet`]). The default of 1 is the paper's
+    /// single service, bit for bit; BaM launches no service and ignores it.
+    /// Must be called before [`Host::start`].
     pub fn set_service_shards(&mut self, shards: usize) {
         assert!(shards >= 1, "the service needs at least one partition");
-        assert!(
-            !self.service_started,
-            "set_service_shards must be called before start_agile"
-        );
+        self.assert_before_start("set_service_shards");
         self.service_shards = shards;
     }
 
     /// Select the engine's scheduling loop (default: the event-driven
-    /// ready-queue). Must be called before [`AgileHost::start_agile`].
+    /// ready-queue). Must be called before [`Host::start`].
     pub fn set_engine_sched(&mut self, sched: EngineSched) {
-        assert!(
-            !self.service_started,
-            "set_engine_sched must be called before start_agile"
-        );
+        self.assert_before_start("set_engine_sched");
         self.engine_sched = sched;
-    }
-
-    /// Override the threaded engine's epoch-barrier spin limit (spins per
-    /// worker before falling back to `thread::yield_now`; see
-    /// [`gpu_sim::Engine::set_barrier_spin_limit`]). Purely a host-CPU
-    /// latency/throughput trade — simulated time is bit-identical at any
-    /// setting. Must be called before [`AgileHost::start_agile`].
-    pub fn set_barrier_spin_limit(&mut self, limit: u32) {
-        assert!(
-            !self.service_started,
-            "set_barrier_spin_limit must be called before start_agile"
-        );
-        self.barrier_spin_limit = Some(limit);
     }
 
     /// Register an SSD with `namespace_pages` 4 KiB pages and a default
     /// in-memory backing. Returns the device index.
     pub fn add_nvme_dev(&mut self, namespace_pages: u64) -> usize {
         let id = self.pending_devices.len() as u32;
-        let backing: Arc<dyn PageBacking> = Arc::new(MemBacking::new(id));
-        self.add_backed(namespace_pages, backing)
+        self.add_nvme_dev_with_backing(namespace_pages, Arc::new(MemBacking::new(id)))
     }
 
     /// Register an SSD with a caller-supplied backing (synthetic content,
@@ -331,18 +423,11 @@ impl AgileHost {
         namespace_pages: u64,
         backing: Arc<dyn PageBacking>,
     ) -> usize {
-        self.add_backed(namespace_pages, backing)
-    }
-
-    fn add_backed(&mut self, namespace_pages: u64, backing: Arc<dyn PageBacking>) -> usize {
-        assert!(
-            self.topology.is_none(),
-            "add_nvme_dev must be called before init_nvme"
-        );
+        self.assert_before_init("add_nvme_dev");
         let id = self.pending_devices.len() as u32;
         let cfg = SsdConfig {
             id,
-            costs: self.config.costs.ssd.clone(),
+            costs: S::storage_params(&self.config).0.clone(),
             namespace_pages,
             clock_ghz: self.gpu.clock_ghz,
         };
@@ -351,8 +436,8 @@ impl AgileHost {
     }
 
     /// Build the storage topology, create and register the I/O queue pairs
-    /// in (simulated) pinned GPU memory, and construct the AGILE controller
-    /// — `initNvme()` + `initializeAgile()` of Listing 1.
+    /// in (simulated) pinned GPU memory, and construct the controller —
+    /// `initNvme()` + `initializeAgile()` of Listing 1.
     pub fn init_nvme(&mut self) {
         assert!(!self.pending_devices.is_empty(), "no NVMe devices added");
         assert!(self.topology.is_none(), "init_nvme called twice");
@@ -362,57 +447,41 @@ impl AgileHost {
         } else {
             Arc::new(ShardedArray::from_parts(parts, self.shards).with_placement(self.placement))
         };
-        let per_device_queues =
-            topology.register_queues(self.config.queue_pairs_per_ssd, self.config.queue_depth);
-        self.ctrl = Some(Arc::new(AgileCtrl::with_topology(
+        let (_, queue_pairs, queue_depth) = S::storage_params(&self.config);
+        let queues = topology.register_queues(queue_pairs, queue_depth);
+        self.ctrl = Some(Arc::new(S::new_ctrl(
             self.config.clone(),
-            per_device_queues,
+            queues,
             Arc::clone(&topology),
         )));
         self.topology = Some(topology);
     }
 
-    /// The controller (available after [`AgileHost::init_nvme`]).
-    pub fn ctrl(&self) -> Arc<AgileCtrl> {
+    /// The controller (available after [`Host::init_nvme`]).
+    pub fn ctrl(&self) -> Arc<S::Ctrl> {
         Arc::clone(self.ctrl.as_ref().expect("init_nvme not called"))
     }
 
     /// Install one trace sink across the whole stack: the controller's
-    /// submit/doorbell path, the software cache's lookup path, and every
-    /// SSD's completion path. Call after [`AgileHost::init_nvme`]; the first
-    /// sink installed wins (returns `false` if one was already present).
+    /// submit/doorbell path and the software cache's lookup path now, every
+    /// SSD's completion path at [`Host::start`], where the engine scheduler
+    /// is final. Call after [`Host::init_nvme`] and before `start`, in any
+    /// order relative to [`Host::set_engine_sched`]; the first sink
+    /// installed wins (returns `false` if one was already present).
     /// Recording costs one atomic load per hook when enabled-but-absent.
     ///
     /// Under a threaded engine ([`EngineSched::ParallelShards`] with more
     /// than one thread) each *device*'s completion path records into a
     /// private [`BufferedSink`] drained into `sink` in fixed shard-major
     /// device order at every epoch boundary, so the merged event stream is
-    /// identical to a sequential run. Choose the scheduler (via
-    /// [`AgileHost::set_engine_sched`]) *before* installing the sink.
+    /// identical to a sequential run.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        let ctrl_fresh = self.ctrl().set_trace_sink(Arc::clone(&sink));
-        let dev_fresh = if self.threaded_engine() {
-            let topology = self.topology();
-            let mut buffers = self.trace_buffers.lock().unwrap();
-            let mut all_fresh = true;
-            for dev in topology.device_advance_order() {
-                let buffered = Arc::new(BufferedSink::new(Arc::clone(&sink)));
-                let as_sink: Arc<dyn TraceSink> = Arc::clone(&buffered) as Arc<dyn TraceSink>;
-                if topology.set_device_trace_sink(dev, &as_sink) {
-                    buffers.push(buffered);
-                } else {
-                    all_fresh = false;
-                }
-            }
-            all_fresh
-        } else {
-            self.topology().set_trace_sink(&sink)
-        };
-        ctrl_fresh && dev_fresh
+        self.assert_before_start("set_trace_sink");
+        self.ctrl().set_trace_sink(sink)
     }
 
     /// Install a QoS policy on the controller's tenant-attributed submission
-    /// path. Call after [`AgileHost::init_nvme`]; the first policy installed
+    /// path. Call after [`Host::init_nvme`]; the first policy installed
     /// wins (returns `false` otherwise). See [`crate::qos`].
     pub fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
         self.ctrl().set_qos_policy(policy)
@@ -421,18 +490,15 @@ impl AgileHost {
     /// Instrument the stack with `registry`: the controller's submit path
     /// gains direct counters, and the cache / topology / device statistics
     /// are exported through snapshot-time collectors (zero hot-path cost —
-    /// see [`crate::telemetry`]). Call after [`AgileHost::init_nvme`] and
-    /// before [`AgileHost::start_agile`] (the engine and service bind at
-    /// start). Without a registry every metrics hook is a no-op.
+    /// see [`crate::telemetry`]). Call after [`Host::init_nvme`] and before
+    /// [`Host::start`] (the engine and services bind at start). Without a
+    /// registry every metrics hook is a no-op.
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         assert!(
             self.ctrl.is_some(),
             "set_metrics must be called after init_nvme"
         );
-        assert!(
-            !self.service_started,
-            "set_metrics must be called before start_agile"
-        );
+        self.assert_before_start("set_metrics");
         let ctrl = self.ctrl();
         ctrl.bind_metrics(&registry);
         registry.register_collector(Box::new(CacheCollector::new(ctrl)));
@@ -441,14 +507,11 @@ impl AgileHost {
     }
 
     /// Attach a windowed sampler, bridged into the engine as a passive
-    /// device at [`AgileHost::start_agile`]: it observes the simulated clock
-    /// every scheduling round without perturbing event timing. Call before
-    /// `start_agile`.
+    /// device at [`Host::start`]: it observes the simulated clock every
+    /// scheduling round without perturbing event timing. Call before
+    /// `start`.
     pub fn set_metrics_sampler(&mut self, sampler: Arc<WindowedSampler>) {
-        assert!(
-            !self.service_started,
-            "set_metrics_sampler must be called before start_agile"
-        );
+        self.assert_before_start("set_metrics_sampler");
         self.sampler = Some(sampler);
     }
 
@@ -457,36 +520,23 @@ impl AgileHost {
         self.metrics.as_ref()
     }
 
-    /// Request the closed-loop control plane: at [`AgileHost::start_agile`]
-    /// a deterministic [`Controller`] is built over the installed sampler's
+    /// Request the closed-loop control plane: at [`Host::start`] a
+    /// deterministic [`Controller`] is built over the installed sampler's
     /// window stream (a sampler is required — install one with
-    /// [`AgileHost::set_metrics_sampler`]), actuating the full AGILE knob
-    /// set (prefetch depth, idle backoff, and — when a QoS policy / share
-    /// policy is installed — WFQ weights and cache shares) for the declared
-    /// `slos`, and bridged into the engine as a passive device. Call after
-    /// any [`AgileHost::set_qos_policy`] so the WFQ knob is picked up.
+    /// [`Host::set_metrics_sampler`]), actuating the system's
+    /// [`HostSystem::knobs`] for the declared `slos`, and bridged into the
+    /// engine as a passive device. AGILE wires prefetch depth, idle backoff,
+    /// WFQ weights and cache shares; BaM has no prefetch pipeline, no
+    /// service and a fixed clock cache, so only its WFQ loop runs. Call
+    /// after any [`Host::set_qos_policy`] so the WFQ knob is picked up.
     pub fn set_control(&mut self, policy: ControlPolicy, slos: Vec<SloSpec>) {
-        assert!(
-            !self.service_started,
-            "set_control must be called before start_agile"
-        );
+        self.assert_before_start("set_control");
         self.control = Some((policy, slos));
     }
 
     /// The live controller, when the host was started with a control plane.
     pub fn controller(&self) -> Option<&Arc<Controller>> {
         self.controller.as_ref()
-    }
-
-    /// The AGILE service set (available after [`AgileHost::start_agile`]).
-    pub fn service_set(&self) -> &ServiceSet {
-        self.service.as_ref().expect("start_agile not called")
-    }
-
-    /// The first service partition — the whole service when
-    /// `service_shards == 1` (available after [`AgileHost::start_agile`]).
-    pub fn service(&self) -> Arc<ServicePartition> {
-        Arc::clone(&self.service_set().partitions()[0])
     }
 
     /// The shared storage topology (for workload setup and statistics).
@@ -504,38 +554,40 @@ impl AgileHost {
         occupancy(&self.gpu, launch)
     }
 
-    /// Create the GPU engine, attach the SSD bridge and launch the
-    /// persistent AGILE service kernels — `startAgile()`. One kernel per
-    /// service shard (see [`AgileHost::set_service_shards`]); each kernel
-    /// uses the configured `service_blocks`/`service_warps` geometry, so
-    /// scaling the service out adds polling warps in proportion.
-    pub fn start_agile(&mut self) {
-        assert!(self.ctrl.is_some(), "init_nvme must run before start_agile");
-        assert!(!self.service_started, "start_agile called twice");
+    /// Create the GPU engine, bridge every storage device, the trace sink,
+    /// the metrics sampler and the control plane into it, then launch the
+    /// system's background services (AGILE's persistent service kernels;
+    /// nothing for BaM).
+    pub fn start(&mut self) {
+        assert!(self.ctrl.is_some(), "init_nvme must run before start");
+        assert!(self.engine.is_none(), "start called twice");
         let mut engine = Engine::new(self.gpu.clone());
         engine.set_scheduler(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            engine.set_barrier_spin_limit(limit);
-        }
         let topology = self.topology();
+        let ctrl = self.ctrl();
+        // Worker threads must not record into a shared sink in wall-clock
+        // order: each device then gets a private buffer, drained as an
+        // epoch mailbox in advance order.
+        let threaded = matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1);
+        let sink = ctrl.trace_sink();
         // Device-affine partition grain: one bridge per storage device, in
         // shard-major advance order (bit-identical to the sequential shard
         // walk), so ParallelShards spreads a shards=1 fleet across every
         // worker instead of leaving all but one idle.
         for dev in topology.device_advance_order() {
             engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
-        }
-        {
-            let buffers = self.trace_buffers.lock().unwrap();
-            assert!(
-                !(self.threaded_engine()
-                    && self.ctrl().trace_sink().is_some()
-                    && buffers.is_empty()),
-                "trace sink installed before the ParallelShards scheduler was \
-                 selected; call set_engine_sched before set_trace_sink"
-            );
-            for buffered in buffers.iter() {
-                engine.add_mailbox(Arc::clone(buffered) as Arc<dyn gpu_sim::EpochMailbox>);
+            match sink {
+                Some(sink) if threaded => {
+                    let buffered = Arc::new(BufferedSink::new(Arc::clone(sink)));
+                    let as_sink: Arc<dyn TraceSink> = buffered.clone();
+                    if topology.set_device_trace_sink(dev, &as_sink) {
+                        engine.add_mailbox(buffered);
+                    }
+                }
+                Some(sink) => {
+                    topology.set_device_trace_sink(dev, sink);
+                }
+                None => {}
             }
         }
         if let Some(registry) = &self.metrics {
@@ -549,60 +601,28 @@ impl AgileHost {
                 .sampler
                 .as_ref()
                 .expect("set_control requires a windowed sampler (set_metrics_sampler)");
-            let ctrl = self.ctrl();
             let controller = Controller::new(
                 policy,
                 slos,
-                knob_set(&ctrl),
+                S::knobs(&ctrl),
                 Arc::clone(sampler),
                 self.gpu.clock_ghz,
                 self.metrics.as_ref(),
             );
-            if let Some(sink) = ctrl.trace_sink() {
+            if let Some(sink) = sink {
                 controller.set_trace_sink(Arc::clone(sink));
             }
             engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
             self.controller = Some(controller);
         }
-
-        let ctrl = self.ctrl();
-        ctrl.reset_service_stop();
-        let set = ServiceSet::new(&ctrl, self.service_shards);
-        if let Some(registry) = &self.metrics {
-            registry.register_collector(Box::new(ServiceCollector::new(set.partitions().to_vec())));
-        }
-
-        let blocks = self.config.service_blocks.max(1);
-        for partition in set.partitions() {
-            // Fixed geometry by default (the paper's, bit-identical); with
-            // auto-sizing on, each partition derives its warp count from the
-            // CQs it owns, so scale-out does not multiply idle pollers.
-            let total_warps = if self.config.auto_service_warps {
-                auto_service_warps(partition.target_count())
-            } else {
-                self.config.service_warps.max(1)
-            };
-            let warps_per_block = total_warps.div_ceil(blocks);
-            let launch = LaunchConfig::new(blocks, warps_per_block * self.gpu.warp_size)
-                .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
-                .persistent();
-            engine.launch(
-                launch,
-                Box::new(AgileServiceKernel::new(
-                    Arc::clone(partition),
-                    warps_per_block,
-                    warps_per_block * blocks,
-                )),
-            );
-        }
-        self.service = Some(set);
+        self.services = Some(S::launch_services(self, &mut engine));
         self.engine = Some(engine);
-        self.service_started = true;
     }
 
-    /// Access the engine (advanced use: launching extra kernels directly).
+    /// Access the engine (advanced use: launching extra kernels directly,
+    /// deadlock-window tuning in tests).
     pub fn engine_mut(&mut self) -> &mut Engine {
-        self.engine.as_mut().expect("start_agile not called")
+        self.engine.as_mut().expect("start not called")
     }
 
     /// Launch a user kernel and run the co-simulation until it (and any other
@@ -614,30 +634,19 @@ impl AgileHost {
         launch: LaunchConfig,
         factory: Box<dyn KernelFactory>,
     ) -> ExecutionReport {
-        let engine = self.engine.as_mut().expect("start_agile not called");
+        let engine = self.engine_mut();
         engine.launch(launch, factory);
         engine.run()
     }
 
-    /// Ask the service kernel to stop — `stopAgile()`.
-    pub fn stop_agile(&mut self) {
+    /// Ask the system's background services to stop (no-op for BaM).
+    pub fn stop(&mut self) {
         if let Some(ctrl) = &self.ctrl {
-            ctrl.request_service_stop();
+            S::stop_services(ctrl);
         }
     }
 
-    /// Tear down the NVMe state — `closeNvme()`. (The simulated equivalents
-    /// of unbinding the driver: the queues and devices are dropped.)
-    pub fn close_nvme(&mut self) {
-        self.stop_agile();
-        self.engine = None;
-        self.service = None;
-        self.ctrl = None;
-        self.topology = None;
-        self.service_started = false;
-    }
-
-    /// Current simulated time of the engine (zero before `start_agile`).
+    /// Current simulated time of the engine (zero before [`Host::start`]).
     pub fn now(&self) -> Cycles {
         self.engine
             .as_ref()
@@ -646,36 +655,67 @@ impl AgileHost {
     }
 }
 
-impl GpuStorageHost for AgileHost {
-    type Ctrl = AgileCtrl;
-
-    fn ctrl(&self) -> Arc<AgileCtrl> {
-        AgileHost::ctrl(self)
+/// The Listing-1 names and the service accessors only AGILE has.
+impl Host<AgileSystem> {
+    /// `startAgile()` — [`Host::start`].
+    pub fn start_agile(&mut self) {
+        self.start();
     }
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        AgileHost::set_trace_sink(self, sink)
+
+    /// `stopAgile()` — [`Host::stop`].
+    pub fn stop_agile(&mut self) {
+        self.stop();
+    }
+
+    /// Tear down the NVMe state — `closeNvme()`. (The simulated equivalents
+    /// of unbinding the driver: the queues and devices are dropped.)
+    pub fn close_nvme(&mut self) {
+        self.stop();
+        self.engine = None;
+        self.services = None;
+        self.ctrl = None;
+        self.topology = None;
+    }
+
+    /// The AGILE service set (available after [`Host::start_agile`]).
+    pub fn service_set(&self) -> &ServiceSet {
+        self.services.as_ref().expect("start_agile not called")
+    }
+
+    /// The first service partition — the whole service when
+    /// `service_shards == 1` (available after [`Host::start_agile`]).
+    pub fn service(&self) -> Arc<ServicePartition> {
+        Arc::clone(&self.service_set().partitions()[0])
+    }
+}
+
+impl<S: HostSystem> GpuStorageHost for Host<S> {
+    type Ctrl = S::Ctrl;
+
+    fn ctrl(&self) -> Arc<S::Ctrl> {
+        Host::ctrl(self)
     }
     fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        AgileHost::set_qos_policy(self, policy)
+        Host::set_qos_policy(self, policy)
     }
     fn topology(&self) -> Arc<dyn StorageTopology> {
-        AgileHost::topology(self)
+        Host::topology(self)
     }
     fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
-        AgileHost::query_occupancy(self, launch)
+        Host::query_occupancy(self, launch)
     }
     fn run_kernel(
         &mut self,
         launch: LaunchConfig,
         factory: Box<dyn KernelFactory>,
     ) -> ExecutionReport {
-        AgileHost::run_kernel(self, launch, factory)
+        Host::run_kernel(self, launch, factory)
     }
     fn now(&self) -> Cycles {
-        AgileHost::now(self)
+        Host::now(self)
     }
     fn stop(&mut self) {
-        self.stop_agile();
+        Host::stop(self);
     }
 }
 

@@ -28,9 +28,9 @@
 //!   [`qos::QosPolicy`] ([`qos::Fifo`], deficit-round-robin
 //!   [`qos::WeightedFair`], [`qos::StrictPriority`]) that arbitrates SQ-slot
 //!   admission ahead of the Algorithm 2 critical section;
-//! * [`host`] — [`host::AgileHost`], the host-side setup/run/teardown flow of
-//!   Listing 1, plus the bridge that co-simulates the SSD array with the GPU
-//!   engine.
+//! * [`host`] — the generic [`host::Host`] (as [`host::AgileHost`], the
+//!   host-side setup/run/teardown flow of Listing 1), plus the bridge that
+//!   co-simulates the SSD array with the GPU engine.
 //!
 //! ## Example
 //!
@@ -75,7 +75,7 @@ pub mod transaction;
 pub use config::AgileConfig;
 pub use control::{knob_set, CacheShares, QosWeights};
 pub use ctrl::{AgileCtrl, ApiStats, CtrlMetrics, IssueOutcome, ReadOutcome};
-pub use host::{AgileHost, GpuStorageHost, ShardSsdBridge, SsdBridge};
+pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSystem, StorageCtrl};
 pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, StrictPriority, WeightError, WeightedFair,

@@ -37,8 +37,8 @@
 //! devices in the order *they* were added. That combined order is part of the
 //! determinism contract — reordering either list reorders device side effects
 //! (trace records, metric windows, control decisions) and breaks bit-identity
-//! with the golden traces. `add_shard_device` therefore `debug_assert`s that
-//! no passive device was registered yet.
+//! with the golden traces. The two tiers are kept in separate lists, so how
+//! `add_shard_device` and `add_device` calls interleave is immaterial.
 //!
 //! # Parallel shards: the two-phase epoch
 //!
@@ -531,10 +531,10 @@ impl Drop for ExitGuard<'_> {
 
 /// The worker side of the barrier: execute each published command on this
 /// worker's fixed bucket of shard devices, hand the bucket back on exit.
-fn worker_loop<'a>(
+fn worker_loop(
     slot: usize,
     mut bucket: Vec<(usize, Box<dyn ExternalDevice>)>,
-    shared: &'a ParShared,
+    shared: &ParShared,
 ) -> Vec<(usize, Box<dyn ExternalDevice>)> {
     let cell = &shared.cells[slot];
     let mut seen = 0u64;
@@ -557,7 +557,8 @@ fn worker_loop<'a>(
                 for (_, dev) in bucket.iter_mut() {
                     dev.advance_to(now);
                 }
-                cell.advances.fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                cell.advances
+                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
                 cell.done.store(seq, Ordering::Release);
             }
             CMD_NEXT => {
@@ -719,7 +720,10 @@ impl Engine {
     /// totals are unaffected because [`Engine::run`] always flushes the final
     /// partial interval before reporting.
     pub fn set_metrics_flush_interval(&mut self, rounds: u64) {
-        assert!(rounds > 0, "metrics flush interval must be at least 1 round");
+        assert!(
+            rounds > 0,
+            "metrics flush interval must be at least 1 round"
+        );
         self.metrics_flush_interval = rounds;
     }
 
@@ -778,17 +782,8 @@ impl Engine {
     /// array). Shard devices are advanced before every passive device, in
     /// the order they were added; under [`EngineSched::ParallelShards`] each
     /// one is pinned to worker `index % threads` for the whole run, which
-    /// preserves the add order inside every worker's bucket. All shard
-    /// devices must be registered before the first passive device — the
-    /// combined advance order is what the golden traces gate.
+    /// preserves the add order inside every worker's bucket.
     pub fn add_shard_device(&mut self, dev: Box<dyn ExternalDevice>) {
-        debug_assert!(
-            self.devices.is_empty(),
-            "determinism contract: all shard devices must be added before any \
-             passive device — the engine advances shard devices (in add \
-             order), then passive devices (in add order), and interleaved \
-             registration would silently reorder device side effects"
-        );
         self.shard_devices.push(dev);
     }
 
@@ -1775,9 +1770,12 @@ mod tests {
             let flag = Arc::new(AtomicU64::new(0));
             let mut eng = Engine::new(GpuConfig::tiny(2));
             eng.set_scheduler(sched);
-            for (start, period, fires) in
-                [(100, 313, 60), (150, 401, 50), (60, 257, 70), (220, 199, 90)]
-            {
+            for (start, period, fires) in [
+                (100, 313, 60),
+                (150, 401, 50),
+                (60, 257, 70),
+                (220, 199, 90),
+            ] {
                 eng.add_shard_device(Box::new(Ticker::new(
                     Arc::clone(&flag),
                     start,
@@ -1882,21 +1880,38 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "determinism contract")]
-    fn shard_devices_must_precede_passive_devices() {
+    fn registration_interleaving_does_not_reorder_advancement() {
+        // Shard and passive devices live in separate lists: registering
+        // passive, then shard, then passive still advances shard devices
+        // first, then mailboxes, then passive devices.
         let log = Arc::new(Mutex::new(Vec::new()));
+        let probe = |id: u32| {
+            Box::new(OrderProbe {
+                id,
+                log: Arc::clone(&log),
+                last: None,
+            })
+        };
         let mut eng = Engine::new(GpuConfig::tiny(1));
-        eng.add_device(Box::new(OrderProbe {
-            id: 10,
+        eng.add_device(probe(10));
+        eng.add_shard_device(probe(0));
+        eng.add_mailbox(Arc::new(ProbeMailbox {
+            id: 100,
             log: Arc::clone(&log),
-            last: None,
         }));
-        eng.add_shard_device(Box::new(OrderProbe {
-            id: 0,
-            log,
-            last: None,
-        }));
+        eng.add_shard_device(probe(1));
+        eng.add_device(probe(11));
+        eng.launch(
+            LaunchConfig::new(1, 32).with_registers(16),
+            Box::new(ComputeOnlyKernel {
+                cycles_per_warp: Cycles(10),
+                steps: 1,
+            }),
+        );
+        eng.run();
+        let log = log.lock().unwrap();
+        assert!(log.len() >= 5, "probe log too short: {log:?}");
+        assert_eq!(&log[..5], &[0, 1, 100, 10, 11]);
     }
 
     #[test]
@@ -1961,11 +1976,22 @@ mod tests {
         assert_eq!(snap.gauge("agile_engine_thread_count", Labels::NONE), 2);
         assert!(snap.counter("agile_engine_epoch_advances_total", Labels::NONE) >= report.rounds);
         let advances: u64 = (0..2)
-            .map(|t| snap.counter("agile_engine_thread_device_advances_total", Labels::partition(t)))
+            .map(|t| {
+                snap.counter(
+                    "agile_engine_thread_device_advances_total",
+                    Labels::partition(t),
+                )
+            })
             .sum();
         assert!(advances > 0, "workers must report their device advances");
-        assert_eq!(snap.gauge("agile_engine_thread_devices", Labels::partition(0)), 2);
-        assert_eq!(snap.gauge("agile_engine_thread_devices", Labels::partition(1)), 2);
+        assert_eq!(
+            snap.gauge("agile_engine_thread_devices", Labels::partition(0)),
+            2
+        );
+        assert_eq!(
+            snap.gauge("agile_engine_thread_devices", Labels::partition(1)),
+            2
+        );
     }
 
     #[test]
@@ -2007,7 +2033,12 @@ mod tests {
                 eng.set_barrier_spin_limit(limit);
             }
             for (start, period, fires) in [(100, 313, 40), (150, 401, 30), (60, 257, 50)] {
-                eng.add_shard_device(Box::new(Ticker::new(Arc::clone(&flag), start, period, fires)));
+                eng.add_shard_device(Box::new(Ticker::new(
+                    Arc::clone(&flag),
+                    start,
+                    period,
+                    fires,
+                )));
             }
             eng.launch(
                 LaunchConfig::new(2, 64).with_registers(16),

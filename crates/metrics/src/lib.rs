@@ -55,5 +55,5 @@ pub use registry::{
     Collector, Counter, CounterFamily, Gauge, GaugeFamily, Histo, HistoFamily, LabelDim, Labels,
     MetricsRegistry,
 };
-pub use sampler::{windows_to_json, WindowSample, WindowedSampler};
+pub use sampler::{windows_to_json, WindowSample, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 pub use snapshot::{HistoSnapshot, MetricValue, MetricsSnapshot, Sample};

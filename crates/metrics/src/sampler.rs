@@ -49,6 +49,11 @@ impl WindowSample {
     }
 }
 
+/// The window width (simulated cycles) used wherever a sampler is created
+/// without an explicit one: `HostBuilder::control`'s auto-created sampler
+/// and the replay harness's default metrics window.
+pub const DEFAULT_WINDOW_CYCLES: u64 = 500_000;
+
 struct SamplerState {
     prev: MetricsSnapshot,
     windows: Vec<WindowSample>,

@@ -408,55 +408,23 @@ pub trait StorageTopology: Send + Sync {
     /// True when every device is idle.
     fn quiescent(&self) -> bool;
 
-    /// Advance only lock shard `shard`'s devices to `now`. Shards are
-    /// mutually independent between advancement boundaries, so the engine
-    /// may call this concurrently for different shards; calling it for
-    /// shards `0..shard_count()` in order is exactly [`Self::advance_to`].
-    fn advance_shard_to(&self, shard: usize, now: Cycles);
-
-    /// Earliest pending event among shard `shard`'s devices.
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles>;
-
-    /// True when every device of shard `shard` is idle.
-    fn shard_quiescent(&self, shard: usize) -> bool;
-
-    /// Install a trace sink on shard `shard`'s device completion paths only
-    /// (per-shard buffering sinks predate the per-device seams below and are
-    /// kept for compatibility). Returns `false` if any of the shard's
-    /// devices already had one.
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool;
-
     /// Advance only global device `dev` to `now`. Devices are mutually
     /// independent between advancement boundaries, so the engine may call
     /// this concurrently for different devices; calling it for
     /// [`Self::device_advance_order`] in order is exactly
-    /// [`Self::advance_to`]. The default delegates to the owning shard —
-    /// behaviourally correct (advancing a shard twice to one `now` is
-    /// idempotent) but serialising; both in-repo topologies override with
-    /// true per-device seams.
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
-        self.advance_shard_to(self.shard_of(dev), now);
-    }
+    /// [`Self::advance_to`].
+    fn advance_device_to(&self, dev: usize, now: Cycles);
 
-    /// Earliest pending event on global device `dev` (default: the owning
-    /// shard's — conservative but correct for horizon computation).
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
-        self.shard_next_event_time(self.shard_of(dev))
-    }
+    /// Earliest pending event on global device `dev`.
+    fn device_next_event_time(&self, dev: usize) -> Option<Cycles>;
 
-    /// True when global device `dev` is idle (default: the owning shard).
-    fn device_quiescent(&self, dev: usize) -> bool {
-        self.shard_quiescent(self.shard_of(dev))
-    }
+    /// True when global device `dev` is idle.
+    fn device_quiescent(&self, dev: usize) -> bool;
 
     /// Install a trace sink on one device's completion path only (the
     /// threaded engine gives each device its own buffering sink). Returns
-    /// `false` if the device already had one. The default falls back to the
-    /// owning shard and is only correct for one-device-per-shard topologies;
-    /// both in-repo topologies override.
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set_shard_trace_sink(self.shard_of(dev), sink)
-    }
+    /// `false` if the device already had one.
+    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool;
 
     /// Global device indices in sequential advance order: shard 0's devices
     /// in increasing global order, then shard 1's, … — exactly the order
@@ -610,22 +578,6 @@ impl StorageTopology for FlatArray {
     fn quiescent(&self) -> bool {
         self.set.quiescent()
     }
-    fn advance_shard_to(&self, shard: usize, now: Cycles) {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.advance_to(now);
-    }
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles> {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.next_event_time()
-    }
-    fn shard_quiescent(&self, shard: usize) -> bool {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.quiescent()
-    }
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.set_trace_sink(sink)
-    }
     fn advance_device_to(&self, dev: usize, now: Cycles) {
         self.set.advance_device_to(dev, now);
     }
@@ -735,12 +687,6 @@ impl ShardedArray {
         self.placement = placement;
         self
     }
-
-    /// Global device indices of `shard`, in increasing global order (the
-    /// shard's historical slot order).
-    fn shard_members(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
-        (shard..self.set.len()).step_by(self.shard_count)
-    }
 }
 
 impl StorageTopology for ShardedArray {
@@ -761,15 +707,15 @@ impl StorageTopology for ShardedArray {
     }
     fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
         let mut all_fresh = true;
-        for shard in 0..self.shard_count {
-            all_fresh &= self.set_shard_trace_sink(shard, sink);
+        for dev in self.device_advance_order() {
+            all_fresh &= self.set.set_device_trace_sink(dev, sink);
         }
         all_fresh
     }
     fn advance_to(&self, now: Cycles) {
         // Shard-major, matching the trait contract and the golden traces.
-        for shard in 0..self.shard_count {
-            self.advance_shard_to(shard, now);
+        for dev in self.device_advance_order() {
+            self.set.advance_device_to(dev, now);
         }
     }
     fn next_event_time(&self) -> Option<Cycles> {
@@ -777,27 +723,6 @@ impl StorageTopology for ShardedArray {
     }
     fn quiescent(&self) -> bool {
         self.set.quiescent()
-    }
-    fn advance_shard_to(&self, shard: usize, now: Cycles) {
-        for dev in self.shard_members(shard) {
-            self.set.advance_device_to(dev, now);
-        }
-    }
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles> {
-        self.shard_members(shard)
-            .filter_map(|dev| self.set.device_next_event_time(dev))
-            .min()
-    }
-    fn shard_quiescent(&self, shard: usize) -> bool {
-        self.shard_members(shard)
-            .all(|dev| self.set.device_quiescent(dev))
-    }
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        let mut all_fresh = true;
-        for dev in self.shard_members(shard) {
-            all_fresh &= self.set.set_device_trace_sink(dev, sink);
-        }
-        all_fresh
     }
     fn advance_device_to(&self, dev: usize, now: Cycles) {
         self.set.advance_device_to(dev, now);
@@ -981,7 +906,10 @@ mod tests {
         let sharded = ShardedArray::new(5, 2);
         assert_eq!(sharded.device_advance_order(), vec![0, 2, 4, 1, 3]);
         // One shard (or a flat array) degenerates to global order.
-        assert_eq!(ShardedArray::new(4, 1).device_advance_order(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            ShardedArray::new(4, 1).device_advance_order(),
+            vec![0, 1, 2, 3]
+        );
         assert_eq!(FlatArray::new(3).device_advance_order(), vec![0, 1, 2]);
     }
 
@@ -1012,7 +940,9 @@ mod tests {
             let queues = topo.register_queues(1, 16);
             for (dev, qs) in queues.iter().enumerate() {
                 let lba = dev as u64 * 3;
-                assert!(qs[0].sq.write_slot(0, NvmeCommand::read(1, lba, DmaHandle::new())));
+                assert!(qs[0]
+                    .sq
+                    .write_slot(0, NvmeCommand::read(1, lba, DmaHandle::new())));
                 qs[0].sq_doorbell.ring(1, Cycles(0));
             }
             if per_device {
@@ -1022,7 +952,9 @@ mod tests {
             } else {
                 topo.advance_to(Cycles(4_000_000));
             }
-            let stats: Vec<u64> = (0..3).map(|d| topo.device_stats(d).reads_completed).collect();
+            let stats: Vec<u64> = (0..3)
+                .map(|d| topo.device_stats(d).reads_completed)
+                .collect();
             (topo.total_bytes_read(), topo.total_bytes_written(), stats)
         };
         assert_eq!(run(true), run(false));

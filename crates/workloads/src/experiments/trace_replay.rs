@@ -16,9 +16,11 @@ use agile_control::{ControlPolicy, ControlReport, SloSpec};
 use agile_core::config::CachePolicyKind;
 use agile_core::qos::{Fifo, QosPolicy, StrictPriority, WeightedFair};
 use agile_core::service::ServiceStats;
-use agile_core::{AgileConfig, GpuStorageHost};
+use agile_core::telemetry::CacheStatsProvider;
+use agile_core::{AgileConfig, Host, HostSystem};
 use agile_metrics::{
     windows_to_json, Labels, MetricsRegistry, MetricsSnapshot, WindowSample, WindowedSampler,
+    DEFAULT_WINDOW_CYCLES,
 };
 use agile_sim::trace::TraceSink;
 use agile_sim::units::SSD_PAGE_SIZE;
@@ -440,7 +442,7 @@ impl Default for ReplayConfig {
             engine_sched: EngineSched::EventQueue,
             engine_threads: 1,
             metrics: false,
-            metrics_window: 500_000,
+            metrics_window: DEFAULT_WINDOW_CYCLES,
             control: None,
             slos: Vec::new(),
         }
@@ -704,10 +706,48 @@ fn finish_report(
     }
 }
 
+/// One registry + sampler pair instrumenting whichever host runs.
+type Instruments = Option<(Arc<MetricsRegistry>, Arc<WindowedSampler>)>;
+
+/// The system-agnostic prologue: apply every knob both systems share to
+/// `builder` and return the started host.
+fn build_host<S: HostSystem>(
+    mut builder: HostBuilder<S>,
+    trace: &Trace,
+    cfg: &ReplayConfig,
+    sink: Option<Arc<dyn TraceSink>>,
+    instruments: &Instruments,
+) -> Host<S> {
+    builder = builder
+        .gpu(experiment_gpu())
+        .devices(
+            trace.meta.devices.max(1) as usize,
+            trace.meta.lba_space.max(1),
+        )
+        .engine_sched(cfg.engine_sched)
+        .placement(cfg.placement)
+        .qos(cfg.qos.policy());
+    if cfg.shards > 0 {
+        builder = builder.shards(cfg.shards);
+    }
+    if let Some(sink) = sink {
+        builder = builder.trace_sink(sink);
+    }
+    if let Some((registry, sampler)) = instruments {
+        builder = builder
+            .metrics(Arc::clone(registry))
+            .metrics_sampler(Arc::clone(sampler));
+    }
+    if let Some(policy) = &cfg.control {
+        builder = builder.control(policy.clone()).slos(cfg.slos.clone());
+    }
+    builder.build()
+}
+
 /// Drive the replay kernel on a started host — the system-agnostic half of
-/// the runner, written once against [`GpuStorageHost`].
-fn drive<H: GpuStorageHost>(
-    host: &mut H,
+/// the runner.
+fn drive<S: HostSystem>(
+    host: &mut Host<S>,
     launch: LaunchConfig,
     factory: Box<dyn gpu_sim::KernelFactory>,
     system: ReplaySystem,
@@ -728,6 +768,33 @@ fn drive<H: GpuStorageHost>(
     );
     out.lock_wait_cycles = host.topology().lock_wait_cycles();
     out
+}
+
+/// The system-agnostic epilogue: fold the cache, metrics and control-plane
+/// state of a finished run into `report`.
+fn fold_stack_state<S: HostSystem>(
+    host: &Host<S>,
+    cfg: &ReplayConfig,
+    instruments: &Instruments,
+    report: &mut ReplayReport,
+) {
+    let ctrl = host.ctrl();
+    report.cache_port_wait_cycles = ctrl.cache_port_wait_by_shard().iter().sum();
+    if cfg.tenant_warps {
+        report.tenant_cache = ctrl.cache_tenant_stats();
+    }
+    if let Some((registry, sampler)) = instruments {
+        sampler.finish(host.now().raw());
+        report.metrics = Some(MetricsReport {
+            snapshot: registry.snapshot(),
+            windows: sampler.windows(),
+            window_cycles: sampler.window_cycles(),
+            clock_ghz: experiment_gpu().clock_ghz,
+        });
+    }
+    // After `finish`: the controller's report drains the trailing partial
+    // window so late decisions and final knobs line up.
+    report.control = host.controller().map(|c| c.report());
 }
 
 /// Replay `trace` through `system`, optionally capturing a fresh event log
@@ -759,21 +826,16 @@ pub fn run_trace_replay_with_sink(
         "the BaM baseline hard-codes the clock cache policy; \
          pluggable eviction is AGILE-only"
     );
-    let devices = trace.meta.devices.max(1) as usize;
-    let pages = trace.meta.lba_space.max(1);
     let trace = Arc::new(trace.clone());
     let collector = Arc::new(ReplayCollector::new());
-    // One registry + sampler pair instruments whichever host runs; the
-    // replay collector mirrors its per-tenant accounting into the same
+    // The replay collector mirrors its per-tenant accounting into the same
     // registry so windowed IOPS/p99 series line up with the stack metrics.
-    let instruments = if cfg.metrics {
+    let instruments: Instruments = cfg.metrics.then(|| {
         let registry = MetricsRegistry::new();
         let sampler = WindowedSampler::new(Arc::clone(&registry), cfg.metrics_window);
         collector.bind_metrics(&registry);
-        Some((registry, sampler))
-    } else {
-        None
-    };
+        (registry, sampler)
+    });
     let params = TraceReplayParams {
         total_warps: cfg.total_warps,
         window: cfg.window,
@@ -793,30 +855,11 @@ pub fn run_trace_replay_with_sink(
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }
-            let mut builder = HostBuilder::agile(config)
-                .gpu(experiment_gpu())
-                .devices(devices, pages)
+            let builder = HostBuilder::agile(config)
                 .service_shards(cfg.service_shards)
-                .engine_sched(cfg.engine_sched)
-                .placement(cfg.placement)
                 .cache_policy(cfg.cache_policy)
-                .cache_shares(cfg.cache_shares.clone())
-                .qos(cfg.qos.policy());
-            if cfg.shards > 0 {
-                builder = builder.shards(cfg.shards);
-            }
-            if let Some(sink) = sink {
-                builder = builder.trace_sink(sink);
-            }
-            if let Some((registry, sampler)) = &instruments {
-                builder = builder
-                    .metrics(Arc::clone(registry))
-                    .metrics_sampler(Arc::clone(sampler));
-            }
-            if let Some(policy) = &cfg.control {
-                builder = builder.control(policy.clone()).slos(cfg.slos.clone());
-            }
-            let mut host = builder.build();
+                .cache_shares(cfg.cache_shares.clone());
+            let mut host = build_host(builder, &trace, cfg, sink, &instruments);
             let ctrl = host.ctrl();
             // Seed the live prefetch-depth cell before the controller's
             // first window so a controlled run starts from the requested
@@ -832,22 +875,7 @@ pub fn run_trace_replay_with_sink(
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
             report.service_stats = host.service_set().partition_stats();
             report.qos_deferrals = ctrl.stats().qos_deferrals;
-            report.cache_port_wait_cycles = ctrl.cache().port_wait_by_shard().iter().sum();
-            if cfg.tenant_warps {
-                report.tenant_cache = ctrl.cache().tenant_stats();
-            }
-            if let Some((registry, sampler)) = &instruments {
-                sampler.finish(host.now().raw());
-                report.metrics = Some(MetricsReport {
-                    snapshot: registry.snapshot(),
-                    windows: sampler.windows(),
-                    window_cycles: sampler.window_cycles(),
-                    clock_ghz: experiment_gpu().clock_ghz,
-                });
-            }
-            // After `finish`: the controller's report drains the trailing
-            // partial window so late decisions and final knobs line up.
-            report.control = host.controller().map(|c| c.report());
+            fold_stack_state(&host, cfg, &instruments, &mut report);
             report
         }
         ReplaySystem::Bam => {
@@ -859,27 +887,8 @@ pub fn run_trace_replay_with_sink(
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }
-            let mut builder = HostBuilder::bam(config)
-                .gpu(experiment_gpu())
-                .devices(devices, pages)
-                .engine_sched(cfg.engine_sched)
-                .placement(cfg.placement)
-                .qos(cfg.qos.policy());
-            if cfg.shards > 0 {
-                builder = builder.shards(cfg.shards);
-            }
-            if let Some(sink) = sink {
-                builder = builder.trace_sink(sink);
-            }
-            if let Some((registry, sampler)) = &instruments {
-                builder = builder
-                    .metrics(Arc::clone(registry))
-                    .metrics_sampler(Arc::clone(sampler));
-            }
-            if let Some(policy) = &cfg.control {
-                builder = builder.control(policy.clone()).slos(cfg.slos.clone());
-            }
-            let mut host = builder.build();
+            let builder = HostBuilder::bam(config);
+            let mut host = build_host(builder, &trace, cfg, sink, &instruments);
             let ctrl = host.ctrl();
             // BaM's polling lives in the user kernel: heavier footprint.
             let launch = LaunchConfig::new(blocks, 256).with_registers(56);
@@ -891,20 +900,7 @@ pub fn run_trace_replay_with_sink(
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
             report.qos_deferrals = ctrl.stats().qos_deferrals;
-            report.cache_port_wait_cycles = ctrl.cache().port_wait_by_shard().iter().sum();
-            if cfg.tenant_warps {
-                report.tenant_cache = ctrl.cache().tenant_stats();
-            }
-            if let Some((registry, sampler)) = &instruments {
-                sampler.finish(host.now().raw());
-                report.metrics = Some(MetricsReport {
-                    snapshot: registry.snapshot(),
-                    windows: sampler.windows(),
-                    window_cycles: sampler.window_cycles(),
-                    clock_ghz: experiment_gpu().clock_ghz,
-                });
-            }
-            report.control = host.controller().map(|c| c.report());
+            fold_stack_state(&host, cfg, &instruments, &mut report);
             report
         }
     }
