@@ -357,7 +357,7 @@ mod tests {
             .gpu(GpuConfig::tiny(2))
             .devices(2, 1 << 14)
             .build();
-        assert_eq!(host.ctrl().device_count(), 2);
+        assert_eq!(host.ctrl().io().device_count(), 2);
         assert_eq!(host.topology().shard_count(), 1);
         // start_agile already ran: the engine exists and reports time.
         assert_eq!(host.now().raw(), 0);
@@ -394,7 +394,7 @@ mod tests {
             .devices(1, 1 << 12)
             .backing(1 << 12, custom)
             .build();
-        assert_eq!(host.ctrl().device_count(), 2);
+        assert_eq!(host.ctrl().io().device_count(), 2);
         assert_eq!(host.backing(1).read(3), PageToken(0xC0FFEE));
     }
 
@@ -412,12 +412,18 @@ mod tests {
             .devices(1, 1 << 12)
             .qos(Arc::new(WeightedFair::from_weights(&[3, 1])))
             .build();
-        assert_eq!(host.ctrl().qos_policy().expect("installed").name(), "wfq");
+        assert_eq!(
+            host.ctrl().io().qos_policy().expect("installed").name(),
+            "wfq"
+        );
         let bam = HostBuilder::bam(BamConfig::small_test())
             .gpu(GpuConfig::tiny(1))
             .devices(1, 1 << 12)
             .qos(Arc::new(WeightedFair::new()))
             .build();
-        assert_eq!(bam.ctrl().qos_policy().expect("installed").name(), "wfq");
+        assert_eq!(
+            bam.ctrl().io().qos_policy().expect("installed").name(),
+            "wfq"
+        );
     }
 }

@@ -2,6 +2,7 @@
 //! deadlock demonstration.
 
 use crate::ctrl::BamCtrl;
+use agile_core::io_path::ReadOutcome;
 use agile_core::transaction::Barrier;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -49,7 +50,7 @@ struct SyncWarp {
 
 impl SyncWarp {
     fn pages(&self, lanes: u32) -> Vec<(u32, Lba)> {
-        let ndev = self.ctrl.device_count() as u64;
+        let ndev = self.ctrl.io().device_count() as u64;
         (0..lanes as u64)
             .map(|lane| {
                 let idx = self.warp_flat * self.iters as u64 * lanes as u64
@@ -69,12 +70,11 @@ impl WarpKernel for SyncWarp {
         match self.phase {
             SyncPhase::Read => {
                 let reqs = self.pages(ctx.lanes);
-                let (cost, ready) = self.ctrl.read_warp_sync(self.warp_flat, &reqs, ctx.now);
-                if ready.is_some() {
-                    self.phase = SyncPhase::Compute;
-                } else {
-                    self.phase = SyncPhase::Poll;
-                }
+                let (cost, outcome) = self.ctrl.read_warp_sync(self.warp_flat, &reqs, ctx.now);
+                self.phase = match outcome {
+                    ReadOutcome::Ready(_) => SyncPhase::Compute,
+                    ReadOutcome::Pending => SyncPhase::Poll,
+                };
                 WarpStep::Busy(cost)
             }
             SyncPhase::Poll => {
@@ -82,8 +82,8 @@ impl WarpKernel for SyncWarp {
                 // CQs until the data is resident, then re-reads.
                 let mut cost = Cycles(0);
                 let mut processed = 0;
-                for dev in 0..self.ctrl.device_count() {
-                    let (c, p) = self.ctrl.poll_once(self.warp_flat, dev);
+                for dev in 0..self.ctrl.io().device_count() {
+                    let (c, p) = self.ctrl.poll_once(self.warp_flat, dev, ctx.now);
                     cost += c;
                     processed += p;
                 }
@@ -195,7 +195,7 @@ impl WarpKernel for NaiveWarp {
                 };
             }
             // … the corrected kernel processes completions while it waits.
-            let (poll_cost, _) = self.ctrl.poll_once(self.warp_flat, 0);
+            let (poll_cost, _) = self.ctrl.poll_once(self.warp_flat, 0, ctx.now);
             return WarpStep::Busy(cost + poll_cost);
         }
         // Phase 2: wait for all own requests to complete.
@@ -203,7 +203,7 @@ impl WarpKernel for NaiveWarp {
             return WarpStep::Done;
         }
         if self.poll_while_stuck {
-            let (cost, processed) = self.ctrl.poll_once(self.warp_flat, 0);
+            let (cost, processed) = self.ctrl.poll_once(self.warp_flat, 0, ctx.now);
             if processed > 0 {
                 return WarpStep::Busy(cost);
             }

@@ -75,6 +75,7 @@ pub fn knob_set(ctrl: &Arc<AgileCtrl>) -> KnobSet {
         prefetch_depth: Some(ctrl.prefetch_depth_cell()),
         idle_backoff: Some(ctrl.idle_backoff_cell()),
         wfq: ctrl
+            .io()
             .qos_policy()
             .map(|p| QosWeights::new(Arc::clone(p)) as Arc<dyn TenantWeights>),
         cache_shares: Some(CacheShares::new(Arc::clone(ctrl)) as Arc<dyn TenantWeights>),

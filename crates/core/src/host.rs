@@ -38,11 +38,10 @@
 use crate::config::AgileConfig;
 use crate::control::{knob_set, QosWeights};
 use crate::ctrl::AgileCtrl;
+use crate::io_path::IoPath;
 use crate::qos::QosPolicy;
 use crate::service::{auto_service_warps, AgileServiceKernel, ServicePartition, ServiceSet};
-use crate::telemetry::{
-    CacheCollector, CacheStatsProvider, MetricsBridge, ServiceCollector, TopologyCollector,
-};
+use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
 use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
 use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::costs::SsdCosts;
@@ -131,41 +130,12 @@ impl ExternalDevice for DeviceSsdBridge {
     }
 }
 
-/// What [`Host`] needs from a system's controller: the install-once trace,
-/// QoS and metrics hooks, plus the cache statistics behind
-/// [`CacheCollector`].
-pub trait StorageCtrl: CacheStatsProvider + 'static {
-    /// Install a trace sink on the submit path and the software cache; the
-    /// first one wins (returns `false` otherwise).
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool;
-    /// The installed trace sink, if any.
-    fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>>;
-    /// Install a QoS policy on the tenant-attributed submission path; the
-    /// first one wins (returns `false` otherwise).
-    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
-    /// The installed QoS policy, if any.
-    fn qos_policy(&self) -> Option<&Arc<dyn QosPolicy>>;
-    /// Install submit-path instruments bound to `registry`; the first
-    /// binding wins (returns `false` otherwise).
-    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool;
-}
-
-impl StorageCtrl for AgileCtrl {
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        AgileCtrl::set_trace_sink(self, sink)
-    }
-    fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        AgileCtrl::trace_sink(self)
-    }
-    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        AgileCtrl::set_qos_policy(self, policy)
-    }
-    fn qos_policy(&self) -> Option<&Arc<dyn QosPolicy>> {
-        AgileCtrl::qos_policy(self)
-    }
-    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
-        AgileCtrl::bind_metrics(self, registry)
-    }
+/// What [`Host`] needs from a system's controller: its [`IoPath`], which
+/// carries the install-once trace, QoS and metrics hooks and the software
+/// cache behind [`CacheCollector`].
+pub trait StorageCtrl: Send + Sync + 'static {
+    /// The I/O path the controller stands on.
+    fn io(&self) -> &IoPath;
 }
 
 /// The parts of host bring-up that differ between systems. Implemented by
@@ -199,6 +169,7 @@ pub trait HostSystem: Sized {
     fn knobs(ctrl: &Arc<Self::Ctrl>) -> KnobSet {
         KnobSet {
             wfq: ctrl
+                .io()
                 .qos_policy()
                 .map(|p| QosWeights::new(Arc::clone(p)) as Arc<dyn TenantWeights>),
             ..KnobSet::none()
@@ -477,14 +448,14 @@ impl<S: HostSystem> Host<S> {
     /// identical to a sequential run.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
         self.assert_before_start("set_trace_sink");
-        self.ctrl().set_trace_sink(sink)
+        self.ctrl().io().set_trace_sink(sink)
     }
 
     /// Install a QoS policy on the controller's tenant-attributed submission
     /// path. Call after [`Host::init_nvme`]; the first policy installed
     /// wins (returns `false` otherwise). See [`crate::qos`].
     pub fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        self.ctrl().set_qos_policy(policy)
+        self.ctrl().io().set_qos_policy(policy)
     }
 
     /// Instrument the stack with `registry`: the controller's submit path
@@ -500,7 +471,7 @@ impl<S: HostSystem> Host<S> {
         );
         self.assert_before_start("set_metrics");
         let ctrl = self.ctrl();
-        ctrl.bind_metrics(&registry);
+        ctrl.io().bind_metrics(&registry);
         registry.register_collector(Box::new(CacheCollector::new(ctrl)));
         registry.register_collector(Box::new(TopologyCollector::new(self.topology())));
         self.metrics = Some(registry);
@@ -569,7 +540,7 @@ impl<S: HostSystem> Host<S> {
         // order: each device then gets a private buffer, drained as an
         // epoch mailbox in advance order.
         let threaded = matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1);
-        let sink = ctrl.trace_sink();
+        let sink = ctrl.io().trace_sink();
         // Device-affine partition grain: one bridge per storage device, in
         // shard-major advance order (bit-identical to the sequential shard
         // walk), so ParallelShards spreads a shards=1 fleet across every
@@ -730,7 +701,7 @@ mod tests {
         host.add_nvme_dev(1 << 16);
         host.add_nvme_dev(1 << 16);
         host.init_nvme();
-        assert_eq!(host.ctrl().device_count(), 2);
+        assert_eq!(host.ctrl().io().device_count(), 2);
         host.start_agile();
         let ctrl = host.ctrl();
         let launch = LaunchConfig::new(2, 64).with_registers(32);

@@ -6,7 +6,8 @@
 //! quickstart example: a prefetch → compute → consume pipeline and a simple
 //! asynchronous read-modify-write kernel over user buffers.
 
-use crate::ctrl::{AgileCtrl, ReadOutcome};
+use crate::ctrl::AgileCtrl;
+use crate::io_path::ReadOutcome;
 use crate::transaction::AgileBuf;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -134,7 +135,7 @@ impl KernelFactory for PrefetchComputeKernel {
             ctx_data: PipelineWarpCtx {
                 warp_flat,
                 iters: self.iters,
-                ndev: self.ctrl.device_count() as u64,
+                ndev: self.ctrl.io().device_count() as u64,
             },
             iter: 0,
             phase: PipelinePhase::PrefetchNext,
@@ -185,7 +186,7 @@ struct RmwWarp {
 
 impl RmwWarp {
     fn target(&self) -> (u32, Lba) {
-        let ndev = self.ctrl.device_count() as u64;
+        let ndev = self.ctrl.io().device_count() as u64;
         let idx = self.warp_flat * self.iters as u64 + self.iter as u64;
         ((idx % ndev) as u32, (idx / ndev) % self.pages_per_dev)
     }

@@ -20,8 +20,13 @@
 //! * [`service`] — the AGILE service with warp-centric CQ polling
 //!   (Algorithm 1, §3.2), scaled out as shard-affine
 //!   [`service::ServicePartition`]s under a [`service::ServiceSet`];
-//! * [`ctrl`] — the device-side API surface (`prefetch`, `asyncRead`,
-//!   `asyncWrite`, the array-like accessor) exposed to warp kernels (§3.5);
+//! * [`io_path`] — the I/O path under both controllers: the one
+//!   implementation of submit (QoS gate, SQ fail-over, trace stamping),
+//!   retire and cache-miss service that [`ctrl::AgileCtrl`] and the BaM
+//!   baseline's controller share, differing only in a per-call cost triple;
+//! * [`ctrl`] — AGILE's device-side API (`prefetch`, `asyncRead`,
+//!   `asyncWrite`, the array-like accessor wrappers, the Share Table and
+//!   the service's knobs) exposed to warp kernels (§3.5);
 //! * [`lockchain`] — the compile-time debug option that tracks per-thread
 //!   lock chains and reports circular dependencies (§3.5);
 //! * [`qos`] — QoS-aware submission scheduling across tenants: a pluggable
@@ -64,6 +69,7 @@ pub mod config;
 pub mod control;
 pub mod ctrl;
 pub mod host;
+pub mod io_path;
 pub mod kernels;
 pub mod lockchain;
 pub mod qos;
@@ -74,15 +80,14 @@ pub mod transaction;
 
 pub use config::AgileConfig;
 pub use control::{knob_set, CacheShares, QosWeights};
-pub use ctrl::{AgileCtrl, ApiStats, CtrlMetrics, IssueOutcome, ReadOutcome};
+pub use ctrl::{AgileCtrl, ApiStats, IssueOutcome};
 pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSystem, StorageCtrl};
+pub use io_path::{IoPath, IoStats, PageState, PathCosts, ReadOutcome, Traffic};
 pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, StrictPriority, WeightError, WeightedFair,
     MAX_ONLINE_WEIGHT,
 };
 pub use service::{partition_targets, ServicePartition, ServiceSet, ServiceStats};
-pub use telemetry::{
-    CacheCollector, CacheStatsProvider, MetricsBridge, ServiceCollector, TopologyCollector,
-};
+pub use telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
 pub use transaction::{AgileBuf, Barrier};

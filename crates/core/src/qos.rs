@@ -46,10 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Run one admission check against `policy`, recording a
-/// [`TraceEventKind::QosDefer`] event on deferral. The single gate both
-/// controllers call, so the decision flow and the trace-event shape cannot
-/// drift between the AGILE and BaM submission paths (the stats counters and
-/// cycle charging stay with the caller — they live in per-controller cells).
+/// [`TraceEventKind::QosDefer`] event on deferral. Called by
+/// [`crate::io_path::IoPath::submit`] — the one submission path of both the
+/// AGILE and BaM controllers — which does the stats and cycle charging.
 pub fn gate_admission(
     policy: &dyn QosPolicy,
     tenant: u32,

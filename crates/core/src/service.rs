@@ -34,8 +34,6 @@
 //! the set degenerates to exactly the paper's single service, bit for bit.
 
 use crate::ctrl::AgileCtrl;
-use crate::sq_protocol::AgileSq;
-use crate::transaction::Transaction;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::StorageTopology;
@@ -162,12 +160,7 @@ impl ServicePartition {
     /// Build a single partition over every CQ registered with the controller
     /// — the paper's one-kernel service.
     pub fn new(ctrl: Arc<AgileCtrl>) -> Arc<Self> {
-        let mut targets = Vec::new();
-        for dev in 0..ctrl.device_count() {
-            for q in 0..ctrl.device_queues(dev).len() {
-                targets.push((dev, q));
-            }
-        }
+        let targets = partition_targets(None, &ctrl.io().queues_per_device(), 1).remove(0);
         ServicePartition::for_targets(ctrl, 0, targets)
     }
 
@@ -226,7 +219,7 @@ impl ServicePartition {
     /// processed.
     pub fn poll_cq(&self, target_idx: usize, now: Cycles) -> u32 {
         let (dev, qidx) = self.targets[target_idx];
-        let sq: &Arc<AgileSq> = &self.ctrl.device_queues(dev)[qidx];
+        let sq = &self.ctrl.io().device_queues(dev)[qidx];
         let cq = &sq.queue_pair().cq;
         let depth = cq.depth();
         let mut cursor = self.cursors[target_idx].lock();
@@ -241,7 +234,12 @@ impl ServicePartition {
             }
             let idx = (cursor.window_start + lane) % depth;
             if let Some(cqe) = cq.poll_slot(idx, cursor.phase) {
-                self.process_completion(dev, cqe.sq_id as usize, cqe.cid, now);
+                // Release the SQE and finish the transaction (no poller
+                // identity: the service is not a tenant).
+                self.ctrl
+                    .io()
+                    .retire(dev, cqe.sq_id as usize, cqe.cid, None, now);
+                self.stats.completions.fetch_add(1, Ordering::Relaxed);
                 cursor.mask |= bit;
                 processed += 1;
             }
@@ -264,55 +262,6 @@ impl ServicePartition {
             cursor.window_start = next;
         }
         processed
-    }
-
-    /// Handle one completion: release the SQE and finish its transaction.
-    fn process_completion(&self, dev: usize, qidx: usize, cid: u16, now: Cycles) {
-        let sq = &self.ctrl.device_queues(dev)[qidx];
-        let txn = sq
-            .transactions()
-            .take(cid)
-            .expect("completion for a command with no transaction");
-        sq.release(cid);
-        self.stats.completions.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = self.ctrl.trace_sink() {
-            sink.record(
-                agile_sim::trace::TraceEvent::new(
-                    agile_sim::trace::TraceEventKind::ServiceCompletion,
-                    now.raw(),
-                )
-                .target(dev as u32, 0)
-                .queue(qidx as u16, cid),
-            );
-        }
-        match txn {
-            Transaction::CacheFill { line } => {
-                self.ctrl.cache().complete_fill(line);
-                self.ctrl.cache().unpin(line);
-            }
-            Transaction::WriteBack => {}
-            Transaction::UserRead { barrier, shared } => {
-                barrier.complete();
-                if let Some(s) = shared {
-                    s.mark_ready();
-                }
-            }
-            Transaction::UserWrite { barrier } => barrier.complete(),
-            Transaction::Raw {
-                barrier,
-                qos_tenant,
-                ..
-            } => {
-                barrier.complete();
-                // Return the in-flight QoS credit so the scheduler can admit
-                // the tenant's next submission.
-                if let Some(tenant) = qos_tenant {
-                    if let Some(qos) = self.ctrl.qos_policy() {
-                        qos.on_complete(tenant);
-                    }
-                }
-            }
-        }
     }
 
     /// One scheduling step of a service warp at sim time `now`: poll the next
@@ -427,10 +376,8 @@ impl ServiceSet {
     /// Partition the controller's CQs into `shards` shard-affine services
     /// (see [`partition_targets`] for the grouping rule).
     pub fn new(ctrl: &Arc<AgileCtrl>, shards: usize) -> Self {
-        let queues_per_device: Vec<usize> = (0..ctrl.device_count())
-            .map(|dev| ctrl.device_queues(dev).len())
-            .collect();
-        let parts = partition_targets(ctrl.topology(), &queues_per_device, shards);
+        let io = ctrl.io();
+        let parts = partition_targets(io.topology(), &io.queues_per_device(), shards);
         let partitions = parts
             .into_iter()
             .enumerate()
@@ -543,7 +490,12 @@ mod tests {
         assert_eq!(service.stats().completions, 3);
         // All SQ entries were recycled and no pins leaked.
         assert_eq!(ctrl.cache().total_pins(), 0);
-        let free: u32 = ctrl.device_queues(0).iter().map(|q| q.free_slots()).sum();
+        let free: u32 = ctrl
+            .io()
+            .device_queues(0)
+            .iter()
+            .map(|q| q.free_slots())
+            .sum();
         assert_eq!(free, 2 * 64);
     }
 

@@ -16,9 +16,8 @@
 //! cannot perturb replay timing — it merely observes the clock on scheduling
 //! rounds the engine was going to run anyway.
 
-use crate::ctrl::AgileCtrl;
+use crate::host::StorageCtrl;
 use crate::service::ServicePartition;
-use agile_cache::{CacheStats, TenantCacheStats};
 use agile_metrics::{Collector, Labels, MetricValue, Sample, WindowedSampler};
 use agile_sim::Cycles;
 use gpu_sim::ExternalDevice;
@@ -41,64 +40,24 @@ fn gauge(out: &mut Vec<Sample>, name: &str, labels: Labels, v: u64) {
     });
 }
 
-/// A controller that can report its software cache's statistics — the
-/// indirection letting [`CacheCollector`] serve both the AGILE controller
-/// and the BaM baseline's.
-pub trait CacheStatsProvider: Send + Sync {
-    /// Global cache counters.
-    fn cache_stats(&self) -> CacheStats;
-    /// Per-tenant counters, ordered by tenant id.
-    fn cache_tenant_stats(&self) -> Vec<TenantCacheStats>;
-    /// Per-shard counters, indexed by cache shard. The default reports the
-    /// whole cache as one shard (unsharded providers).
-    fn cache_shard_stats(&self) -> Vec<CacheStats> {
-        vec![self.cache_stats()]
-    }
-    /// Cycles queued on each cache shard's access port (empty or all-zero
-    /// when the port model is off).
-    fn cache_port_wait_by_shard(&self) -> Vec<u64> {
-        Vec::new()
-    }
-    /// Acquisitions of each cache shard's access port.
-    fn cache_port_acquires_by_shard(&self) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
-impl CacheStatsProvider for AgileCtrl {
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-    fn cache_tenant_stats(&self) -> Vec<TenantCacheStats> {
-        self.cache().tenant_stats()
-    }
-    fn cache_shard_stats(&self) -> Vec<CacheStats> {
-        self.cache().stats_by_shard()
-    }
-    fn cache_port_wait_by_shard(&self) -> Vec<u64> {
-        self.cache().port_wait_by_shard()
-    }
-    fn cache_port_acquires_by_shard(&self) -> Vec<u64> {
-        self.cache().port_acquires_by_shard()
-    }
-}
-
 /// Exports the software cache's global and per-tenant counters
-/// (`agile_cache_*`) from a controller's existing atomic cells.
+/// (`agile_cache_*`) from the existing atomic cells of a controller's cache
+/// (either system's: the cache is reached through [`StorageCtrl::io`]).
 pub struct CacheCollector {
-    ctrl: Arc<dyn CacheStatsProvider>,
+    ctrl: Arc<dyn StorageCtrl>,
 }
 
 impl CacheCollector {
     /// A collector over `ctrl`'s cache.
-    pub fn new(ctrl: Arc<dyn CacheStatsProvider>) -> Self {
+    pub fn new(ctrl: Arc<dyn StorageCtrl>) -> Self {
         CacheCollector { ctrl }
     }
 }
 
 impl Collector for CacheCollector {
     fn collect(&self, out: &mut Vec<Sample>) {
-        let s = self.ctrl.cache_stats();
+        let cache = self.ctrl.io().cache();
+        let s = cache.stats();
         counter(out, "agile_cache_hits_total", Labels::NONE, s.hits);
         counter(
             out,
@@ -120,7 +79,7 @@ impl Collector for CacheCollector {
             s.writebacks,
         );
         counter(out, "agile_cache_no_line_total", Labels::NONE, s.no_line);
-        for t in self.ctrl.cache_tenant_stats() {
+        for t in cache.tenant_stats() {
             let l = Labels::tenant(t.tenant);
             counter(out, "agile_cache_tenant_hits_total", l, t.hits);
             counter(out, "agile_cache_tenant_misses_total", l, t.misses);
@@ -131,7 +90,7 @@ impl Collector for CacheCollector {
         // Per-shard families only when the cache is actually sharded: the
         // single-shard rows would duplicate the aggregates above under a
         // different key.
-        let shards = self.ctrl.cache_shard_stats();
+        let shards = cache.stats_by_shard();
         if shards.len() > 1 {
             for (shard, s) in shards.into_iter().enumerate() {
                 let l = Labels::shard(shard as u32);
@@ -142,8 +101,8 @@ impl Collector for CacheCollector {
         }
         // Port contention, mirroring the submit path's `agile_submit_lock_*`
         // families: rows appear only once something was charged.
-        let waits = self.ctrl.cache_port_wait_by_shard();
-        let acquires = self.ctrl.cache_port_acquires_by_shard();
+        let waits = cache.port_wait_by_shard();
+        let acquires = cache.port_acquires_by_shard();
         if acquires.iter().any(|&n| n > 0) {
             for (shard, (wait, n)) in waits.into_iter().zip(acquires).enumerate() {
                 let l = Labels::shard(shard as u32);

@@ -145,8 +145,8 @@ impl BamAccessor {
 
 impl PageAccessor for BamAccessor {
     fn access(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> AccessResult {
-        let (mut cost, ready) = self.ctrl.read_warp_sync(warp, requests, now);
-        if ready.is_some() {
+        let (mut cost, outcome) = self.ctrl.read_warp_sync(warp, requests, now);
+        if matches!(outcome, ReadOutcome::Ready(_)) {
             return AccessResult {
                 cost,
                 ready: true,
@@ -155,8 +155,8 @@ impl PageAccessor for BamAccessor {
         }
         // Synchronous model: the warp immediately burns a polling pass over
         // every device it may have outstanding commands on.
-        for dev in 0..self.ctrl.device_count() {
-            let (poll_cost, _) = self.ctrl.poll_once(warp, dev);
+        for dev in 0..self.ctrl.io().device_count() {
+            let (poll_cost, _) = self.ctrl.poll_once(warp, dev, now);
             cost += poll_cost;
         }
         AccessResult {
@@ -182,6 +182,56 @@ mod tests {
         assert!(r.ready);
         assert_eq!(r.cost, Cycles(2 * acc.cycles_per_access));
         assert_eq!(acc.name(), "hbm");
+    }
+
+    /// Regression: BaM's user-thread polling used to stamp every
+    /// `ServiceCompletion` at simulated time 0, so a traced accessor run
+    /// showed completions *before* their own submits.
+    #[test]
+    fn traced_bam_accessor_completes_no_command_before_its_submit() {
+        use agile_sim::trace::TraceEventKind;
+        use agile_trace::MemorySink;
+        use bam_baseline::BamConfig;
+        use nvme_sim::{MemBacking, QueuePair, SsdConfig, SsdDevice};
+
+        let mut dev = SsdDevice::new(
+            SsdConfig::new(0).with_capacity_pages(1 << 16),
+            Arc::new(MemBacking::new(0)),
+        );
+        let qp = QueuePair::new(0, 64);
+        dev.register_queue_pair(Arc::clone(&qp));
+        let cfg = BamConfig::small_test().with_queue_pairs(1);
+        let acc = BamAccessor::new(Arc::new(BamCtrl::new(cfg, vec![vec![qp]])));
+        let sink = Arc::new(MemorySink::new());
+        assert!(acc.ctrl().io().set_trace_sink(sink.clone() as Arc<_>));
+
+        let reqs = [(0u32, 3u64), (0, 4)];
+        let mut now = Cycles(5_000);
+        while !acc.access(0, &reqs, now).ready {
+            now += Cycles(2_000);
+            assert!(now.raw() < 10_000_000, "the pages never arrived");
+            dev.advance_to(now);
+        }
+        let events = sink.take_events();
+        let submit_at = |cid| {
+            events
+                .iter()
+                .find(|e| e.kind == TraceEventKind::Submit && e.cid == cid)
+                .expect("every completion has a submit")
+                .at
+        };
+        let done: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::ServiceCompletion)
+            .collect();
+        assert_eq!(done.len(), 2, "both fills were retired by the accessor");
+        for e in done {
+            assert!(
+                e.at > submit_at(e.cid),
+                "completion at {} precedes its submit",
+                e.at
+            );
+        }
     }
 
     #[test]

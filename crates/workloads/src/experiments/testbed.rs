@@ -84,8 +84,8 @@ mod tests {
     #[test]
     fn testbeds_come_up() {
         let host = agile_testbed(AgileConfig::small_test(), 2, 1 << 16);
-        assert_eq!(host.ctrl().device_count(), 2);
+        assert_eq!(host.ctrl().io().device_count(), 2);
         let bam = bam_testbed(BamConfig::small_test(), 1, 1 << 16);
-        assert_eq!(bam.ctrl().device_count(), 1);
+        assert_eq!(bam.ctrl().io().device_count(), 1);
     }
 }

@@ -16,8 +16,7 @@ use agile_control::{ControlPolicy, ControlReport, SloSpec};
 use agile_core::config::CachePolicyKind;
 use agile_core::qos::{Fifo, QosPolicy, StrictPriority, WeightedFair};
 use agile_core::service::ServiceStats;
-use agile_core::telemetry::CacheStatsProvider;
-use agile_core::{AgileConfig, Host, HostSystem};
+use agile_core::{AgileConfig, Host, HostSystem, StorageCtrl};
 use agile_metrics::{
     windows_to_json, Labels, MetricsRegistry, MetricsSnapshot, WindowSample, WindowedSampler,
     DEFAULT_WINDOW_CYCLES,
@@ -779,9 +778,11 @@ fn fold_stack_state<S: HostSystem>(
     report: &mut ReplayReport,
 ) {
     let ctrl = host.ctrl();
-    report.cache_port_wait_cycles = ctrl.cache_port_wait_by_shard().iter().sum();
+    let io = ctrl.io();
+    report.qos_deferrals = io.stats().qos_deferrals;
+    report.cache_port_wait_cycles = io.cache().port_wait_by_shard().iter().sum();
     if cfg.tenant_warps {
-        report.tenant_cache = ctrl.cache_tenant_stats();
+        report.tenant_cache = io.cache().tenant_stats();
     }
     if let Some((registry, sampler)) = instruments {
         sampler.finish(host.now().raw());
@@ -874,7 +875,6 @@ pub fn run_trace_replay_with_sink(
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
             report.service_stats = host.service_set().partition_stats();
-            report.qos_deferrals = ctrl.stats().qos_deferrals;
             fold_stack_state(&host, cfg, &instruments, &mut report);
             report
         }
@@ -899,7 +899,6 @@ pub fn run_trace_replay_with_sink(
                 params,
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
-            report.qos_deferrals = ctrl.stats().qos_deferrals;
             fold_stack_state(&host, cfg, &instruments, &mut report);
             report
         }

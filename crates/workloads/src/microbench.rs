@@ -87,7 +87,7 @@ impl MicrobenchWarp {
     /// experiment touches a distinct page, so nothing is served from earlier
     /// iterations' residue and communication time is real.
     fn pages(&self, iter: u32, lanes: u32) -> Vec<(u32, Lba)> {
-        let ndev = self.accessor.ctrl().device_count() as u64;
+        let ndev = self.accessor.ctrl().io().device_count() as u64;
         (0..lanes as u64)
             .map(|lane| {
                 let idx = self.warp_flat * self.params.requests_per_thread as u64 * lanes as u64

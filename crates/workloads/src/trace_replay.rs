@@ -32,7 +32,7 @@
 //! bit-identical latency histograms and therefore byte-identical reports.
 
 use agile_core::transaction::Barrier;
-use agile_core::{AgileCtrl, IssueOutcome, ReadOutcome};
+use agile_core::{AgileCtrl, IoPath, ReadOutcome};
 use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
 use agile_sim::Cycles;
 use agile_trace::{LatencyHistogram, Trace, TraceOp};
@@ -175,7 +175,8 @@ pub struct TraceReplayParams {
     /// pressure mix, and removes the head-of-line coupling where one warp's
     /// stream interleaves every tenant. With partitioning on, each warp's
     /// single tenant is also what its cached-path accesses are attributed to
-    /// (`read_warp_as`/`write_warp_as`/`prefetch_warp_as`), so per-tenant
+    /// (the `tenant` argument of `IoPath::read_warp` / `write_warp` and
+    /// `AgileCtrl::prefetch_warp_as`), so per-tenant
     /// cache hit-rates and occupancies are exact. Requires at least one warp
     /// per tenant with ops. Off by default (the historical interleave, where
     /// cached accesses stay untenanted — no per-tenant cache accounting).
@@ -359,9 +360,14 @@ fn cursor_for(
     }
 }
 
-/// Fold a trace op's `(dev, lba)` into the striped global page space.
-fn global_page(op: &TraceOp, lba_space: u64) -> u64 {
-    op.dev as u64 * lba_space + op.lba
+/// Resolve `op`'s target: as recorded, or — with `stripe` — folded into the
+/// striped global page space and mapped back through the topology.
+fn target(io: &IoPath, trace: &Trace, stripe: bool, op: &TraceOp) -> (u32, u64) {
+    if stripe {
+        io.resolve_page(op.dev as u64 * trace.meta.lba_space + op.lba)
+    } else {
+        (op.dev, op.lba)
+    }
 }
 
 /// One in-flight replayed request.
@@ -444,18 +450,6 @@ impl AgileReplayWarp {
         });
     }
 
-    /// Resolve the op's target, optionally through the striping layer.
-    fn target(&self, op: &TraceOp) -> (u32, u64) {
-        if self.stripe {
-            self.ctrl
-                .resolve_page(global_page(op, self.trace.meta.lba_space))
-        } else {
-            (op.dev, op.lba)
-        }
-    }
-}
-
-impl AgileReplayWarp {
     /// Everything `step` does after the completion reap: the drain path and
     /// the issue loop. Split out so the parallel-planning commit can run it
     /// after applying (or re-validating) a plan-time reap.
@@ -493,10 +487,10 @@ impl AgileReplayWarp {
                 break;
             };
             let op: TraceOp = ops[idx];
-            let (dev, lba) = self.target(&op);
+            let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
             let barrier = Barrier::new();
-            let (c, outcome) = if op.write {
-                self.ctrl.raw_write_as(
+            let (c, issued) = if op.write {
+                self.ctrl.io().raw_write(
                     self.warp_flat,
                     op.tenant,
                     dev,
@@ -506,7 +500,7 @@ impl AgileReplayWarp {
                     ctx.now,
                 )
             } else {
-                self.ctrl.raw_read_as(
+                self.ctrl.io().raw_read(
                     self.warp_flat,
                     op.tenant,
                     dev,
@@ -517,25 +511,23 @@ impl AgileReplayWarp {
                 )
             };
             cost += c;
-            match outcome {
-                IssueOutcome::Issued | IssueOutcome::AlreadyAvailable => {
-                    // Charge the op's think time exactly once, on acceptance
-                    // (within one step the engine only sees the summed cost,
-                    // so pre- vs post-issue ordering is equivalent — but
-                    // charging on the attempt would re-bill every retry).
-                    cost += Cycles(op.gap as u64);
-                    self.outstanding.push(Inflight {
-                        barrier,
-                        issued_at: ctx.now.raw(),
-                        write: op.write,
-                        dev,
-                        tenant: op.tenant,
-                    });
-                    self.cursor.advance();
-                    issued_now += 1;
-                }
-                IssueOutcome::Retry => break,
+            if !issued {
+                break;
             }
+            // Charge the op's think time exactly once, on acceptance (within
+            // one step the engine only sees the summed cost, so pre- vs
+            // post-issue ordering is equivalent — but charging on the
+            // attempt would re-bill every retry).
+            cost += Cycles(op.gap as u64);
+            self.outstanding.push(Inflight {
+                barrier,
+                issued_at: ctx.now.raw(),
+                write: op.write,
+                dev,
+                tenant: op.tenant,
+            });
+            self.cursor.advance();
+            issued_now += 1;
         }
         if issued_now == 0 {
             // Every SQ full (or the QoS gate deferred this tenant): the
@@ -678,16 +670,6 @@ struct AgileCachedReplayWarp {
 }
 
 impl AgileCachedReplayWarp {
-    /// Resolve the op's target, optionally through the striping layer.
-    fn target(&self, op: &TraceOp) -> (u32, u64) {
-        if self.stripe {
-            self.ctrl
-                .resolve_page(global_page(op, self.trace.meta.lba_space))
-        } else {
-            (op.dev, op.lba)
-        }
-    }
-
     /// The tenant this warp's cache accesses are attributed to: the warp's
     /// single tenant under tenant partitioning, otherwise untenanted (no
     /// per-tenant accounting — attribution by warp id would be noise).
@@ -705,7 +687,7 @@ impl AgileCachedReplayWarp {
             };
             let op = ops[idx];
             if !op.write {
-                targets.push(self.target(&op));
+                targets.push(target(self.ctrl.io(), &self.trace, self.stripe, &op));
             }
         }
         targets
@@ -730,7 +712,7 @@ impl WarpKernel for AgileCachedReplayWarp {
                 if op.write {
                     self.batch_writes.push(op);
                 } else {
-                    let (dev, lba) = self.target(&op);
+                    let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
                     self.batch_reads.push((dev, lba, op.tenant));
                 }
             }
@@ -762,9 +744,9 @@ impl WarpKernel for AgileCachedReplayWarp {
         // Retire writes: write-allocate stores, retried until a line frees.
         let mut still_pending = Vec::new();
         for op in std::mem::take(&mut self.batch_writes) {
-            let (dev, lba) = self.target(&op);
+            let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
             let token = PageToken(lba ^ (op.tenant as u64) << 48);
-            let (c, ok) = self.ctrl.write_warp_as(
+            let (c, ok) = self.ctrl.io().write_warp(
                 self.warp_flat,
                 self.cache_tenant(),
                 dev,
@@ -795,7 +777,8 @@ impl WarpKernel for AgileCachedReplayWarp {
                 .collect();
             let (c, outcome) =
                 self.ctrl
-                    .read_warp_as(self.warp_flat, self.cache_tenant(), &requests, ctx.now);
+                    .io()
+                    .read_warp(self.warp_flat, self.cache_tenant(), &requests, ctx.now);
             cost += c;
             let latency = ctx.now.raw().saturating_sub(self.batch_started);
             match outcome {
@@ -896,18 +879,6 @@ struct BamReplayWarp {
     poll_rotation: u64,
 }
 
-impl BamReplayWarp {
-    /// Resolve the op's target, optionally through the striping layer.
-    fn target(&self, op: &TraceOp) -> (u32, u64) {
-        if self.stripe {
-            self.ctrl
-                .resolve_page(global_page(op, self.trace.meta.lba_space))
-        } else {
-            (op.dev, op.lba)
-        }
-    }
-}
-
 impl WarpKernel for BamReplayWarp {
     fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
         // Synchronous model: finish the in-flight request before the next one.
@@ -924,9 +895,9 @@ impl WarpKernel for BamReplayWarp {
             // The issuing thread itself must drive the completion path.
             let dev = inflight.dev as usize;
             self.poll_rotation += 1;
-            let (cost, _) =
-                self.ctrl
-                    .poll_once_at(self.warp_flat + self.poll_rotation, dev, ctx.now);
+            let (cost, _) = self
+                .ctrl
+                .poll_once(self.warp_flat + self.poll_rotation, dev, ctx.now);
             return WarpStep::Busy(cost.max(Cycles(500)));
         }
 
@@ -935,11 +906,11 @@ impl WarpKernel for BamReplayWarp {
             return WarpStep::Done;
         };
         let op: TraceOp = ops[idx];
-        let (dev, lba) = self.target(&op);
+        let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
         let mut cost = Cycles(0);
         let barrier = Barrier::new();
         let (c, ok) = if op.write {
-            self.ctrl.raw_write_as(
+            self.ctrl.io().raw_write(
                 self.warp_flat,
                 op.tenant,
                 dev,
@@ -949,7 +920,7 @@ impl WarpKernel for BamReplayWarp {
                 ctx.now,
             )
         } else {
-            self.ctrl.raw_read_as(
+            self.ctrl.io().raw_read(
                 self.warp_flat,
                 op.tenant,
                 dev,
@@ -978,7 +949,7 @@ impl WarpKernel for BamReplayWarp {
             self.poll_rotation += 1;
             let (poll_cost, _) =
                 self.ctrl
-                    .poll_once_at(self.warp_flat + self.poll_rotation, dev as usize, ctx.now);
+                    .poll_once(self.warp_flat + self.poll_rotation, dev as usize, ctx.now);
             WarpStep::Busy((cost + poll_cost).max(Cycles(500)))
         }
     }
@@ -1031,7 +1002,7 @@ impl KernelFactory for BamTraceReplayKernel {
 
 /// BaM cached-path replay: the same batched cache access as the AGILE
 /// variant, but synchronous — no prefetch lookahead, and the issuing warp
-/// drives its own completion processing through [`BamCtrl::poll_once_at`]
+/// drives its own completion processing through [`BamCtrl::poll_once`]
 /// (polling work and its cost live in the user kernel, §2.2).
 struct BamCachedReplayWarp {
     ctrl: Arc<BamCtrl>,
@@ -1052,16 +1023,6 @@ struct BamCachedReplayWarp {
 }
 
 impl BamCachedReplayWarp {
-    /// Resolve the op's target, optionally through the striping layer.
-    fn target(&self, op: &TraceOp) -> (u32, u64) {
-        if self.stripe {
-            self.ctrl
-                .resolve_page(global_page(op, self.trace.meta.lba_space))
-        } else {
-            (op.dev, op.lba)
-        }
-    }
-
     /// The tenant this warp's cache accesses are attributed to: the warp's
     /// single tenant under tenant partitioning, otherwise untenanted (no
     /// per-tenant accounting — attribution by warp id would be noise).
@@ -1087,7 +1048,7 @@ impl WarpKernel for BamCachedReplayWarp {
                 if op.write {
                     self.batch_writes.push(op);
                 } else {
-                    let (dev, lba) = self.target(&op);
+                    let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
                     self.batch_reads.push((dev, lba, op.tenant));
                 }
             }
@@ -1101,9 +1062,9 @@ impl WarpKernel for BamCachedReplayWarp {
         let mut retired_any = false;
         let mut still_pending = Vec::new();
         for op in std::mem::take(&mut self.batch_writes) {
-            let (dev, lba) = self.target(&op);
+            let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
             let token = PageToken(lba ^ (op.tenant as u64) << 48);
-            let (c, ok) = self.ctrl.write_warp_sync_as(
+            let (c, ok) = self.ctrl.io().write_warp(
                 self.warp_flat,
                 self.cache_tenant(),
                 dev,
@@ -1131,23 +1092,21 @@ impl WarpKernel for BamCachedReplayWarp {
                 .iter()
                 .map(|&(dev, lba, _)| (dev, lba))
                 .collect();
-            let (c, ready) = self.ctrl.read_warp_sync_as(
-                self.warp_flat,
-                self.cache_tenant(),
-                &requests,
-                ctx.now,
-            );
+            let (c, outcome) =
+                self.ctrl
+                    .io()
+                    .read_warp(self.warp_flat, self.cache_tenant(), &requests, ctx.now);
             cost += c;
             let latency = ctx.now.raw().saturating_sub(self.batch_started);
-            match ready {
-                Some(_) => {
+            match outcome {
+                ReadOutcome::Ready(_) => {
                     for &(_, _, tenant) in &self.batch_reads {
                         self.collector.record(tenant, latency, false);
                     }
                     self.batch_reads.clear();
                     retired_any = true;
                 }
-                None => {
+                ReadOutcome::Pending => {
                     // Per-lane retirement; see the AGILE variant for why.
                     {
                         let collector = &self.collector;
@@ -1173,7 +1132,7 @@ impl WarpKernel for BamCachedReplayWarp {
                     self.poll_rotation += 1;
                     let (poll_cost, processed) =
                         self.ctrl
-                            .poll_once_at(self.warp_flat + self.poll_rotation, dev, ctx.now);
+                            .poll_once(self.warp_flat + self.poll_rotation, dev, ctx.now);
                     cost += poll_cost;
                     if processed > 0 {
                         retired_any = true;
@@ -1189,13 +1148,11 @@ impl WarpKernel for BamCachedReplayWarp {
             // their completions in BaM) — poll before backing off, or a
             // write-only batch wedges the whole run.
             if let Some(op) = self.batch_writes.first() {
-                let (dev, _) = self.target(op);
+                let (dev, _) = target(self.ctrl.io(), &self.trace, self.stripe, op);
                 self.poll_rotation += 1;
-                let (poll_cost, processed) = self.ctrl.poll_once_at(
-                    self.warp_flat + self.poll_rotation,
-                    dev as usize,
-                    ctx.now,
-                );
+                let (poll_cost, processed) =
+                    self.ctrl
+                        .poll_once(self.warp_flat + self.poll_rotation, dev as usize, ctx.now);
                 if processed > 0 {
                     return WarpStep::Busy((cost + poll_cost).max(Cycles(1)));
                 }

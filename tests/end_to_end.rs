@@ -34,8 +34,8 @@ fn prefetch_pipeline_runs_and_hits_cache() {
     );
     assert_eq!(ctrl.cache().total_pins(), 0, "no cache pins may leak");
     // Every SQ entry must be recycled by the service.
-    for dev in 0..ctrl.device_count() {
-        for sq in ctrl.device_queues(dev) {
+    for dev in 0..ctrl.io().device_count() {
+        for sq in ctrl.io().device_queues(dev) {
             assert_eq!(sq.transactions().in_flight(), 0, "leaked transactions");
         }
     }
