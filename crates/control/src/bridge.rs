@@ -6,8 +6,8 @@ use gpu_sim::ExternalDevice;
 use std::sync::Arc;
 
 /// Bridges a [`Controller`] into the engine's scheduling loop, exactly like
-/// the metrics `MetricsBridge`: it never requests a wakeup and is always
-/// quiescent, so installing it cannot perturb event timing by itself — any
+/// the metrics `MetricsBridge`: it never requests a wakeup, so
+/// installing it cannot perturb event timing by itself — any
 /// behaviour change comes from the knobs the controller turns, which is the
 /// point. Polling every few rounds keeps the per-round cost to a counter
 /// increment while window boundaries are still picked up promptly.
@@ -39,8 +39,5 @@ impl ExternalDevice for ControlBridge {
     }
     fn next_event_time(&mut self) -> Option<Cycles> {
         None
-    }
-    fn quiescent(&self) -> bool {
-        true
     }
 }

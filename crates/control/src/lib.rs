@@ -29,8 +29,7 @@
 //!    first completion burst.
 //!
 //! The controller is bridged into the engine exactly like the metrics
-//! sampler: [`ControlBridge`] is a **passive** external device (no wakeups,
-//! always quiescent), so a run with the control plane *disabled* is
+//! sampler: [`ControlBridge`] is a **passive** external device (no wakeups), so a run with the control plane *disabled* is
 //! byte-identical to one without the crate present, and a run with it
 //! *enabled* is deterministic — same seed, same decision log.
 //!

@@ -125,9 +125,6 @@ impl ExternalDevice for DeviceSsdBridge {
     fn next_event_time(&mut self) -> Option<Cycles> {
         self.topology.device_next_event_time(self.dev)
     }
-    fn quiescent(&self) -> bool {
-        self.topology.device_quiescent(self.dev)
-    }
 }
 
 /// What [`Host`] needs from a system's controller: its [`IoPath`], which
@@ -736,6 +733,29 @@ mod tests {
         );
         assert!(!report.deadlocked);
         assert!(host.topology().total_bytes_read() > 0);
+    }
+
+    #[test]
+    fn dropping_a_metered_host_frees_the_registry() {
+        // The registry's collectors hold the controller and the controller's
+        // instruments come from the registry; that loop must not be made of
+        // strong references, or every metered host is leaked whole.
+        let registry = MetricsRegistry::new();
+        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
+        host.add_nvme_dev(1 << 16);
+        host.init_nvme();
+        host.set_metrics(Arc::clone(&registry));
+        host.start_agile();
+        let ctrl = host.ctrl();
+        let report = host.run_kernel(
+            LaunchConfig::new(2, 64).with_registers(32),
+            Box::new(PrefetchComputeKernel::new(ctrl.clone(), 4, 3_000)),
+        );
+        assert!(!report.deadlocked);
+        let (registry_alive, ctrl_alive) = (Arc::downgrade(&registry), Arc::downgrade(&ctrl));
+        drop((host, registry, ctrl));
+        assert!(registry_alive.upgrade().is_none(), "registry leaked");
+        assert!(ctrl_alive.upgrade().is_none(), "controller leaked");
     }
 
     #[test]

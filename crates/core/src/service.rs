@@ -95,6 +95,9 @@ struct CqPollState {
     phase: bool,
     /// Bit `i` set ⇒ entry `window_start + i` has been observed and processed.
     mask: u32,
+    /// CQEs this cursor has retired in total (free-running, wraps like
+    /// [`nvme_sim::CompletionQueue::total_posted`]).
+    retired: u32,
 }
 
 impl CqPollState {
@@ -103,6 +106,7 @@ impl CqPollState {
             window_start: 0,
             phase: true,
             mask: 0,
+            retired: 0,
         }
     }
 }
@@ -223,6 +227,13 @@ impl ServicePartition {
         let cq = &sq.queue_pair().cq;
         let depth = cq.depth();
         let mut cursor = self.cursors[target_idx].lock();
+        // The device posts CQEs in ring order and this cursor is the CQ's
+        // only consumer, so "posted == retired" proves the window holds
+        // nothing new: skip the 32 slot probes an idle visit would spend
+        // rediscovering that.
+        if cq.total_posted() == cursor.retired {
+            return 0;
+        }
         let mut processed = 0u32;
 
         // Each of the 32 "lanes" probes one entry of the window.
@@ -244,6 +255,7 @@ impl ServicePartition {
                 processed += 1;
             }
         }
+        cursor.retired = cursor.retired.wrapping_add(processed);
 
         // Window fully processed: ring the CQ head doorbell and move on.
         let full_mask = if window == 32 {
@@ -594,6 +606,43 @@ mod tests {
             service.stats().cq_doorbells >= 2,
             "at least two windows consumed"
         );
+    }
+
+    #[test]
+    fn completions_posted_beyond_the_window_are_still_found_in_order() {
+        // 40 CQEs land before the service looks once: 32 fill the current
+        // window, 8 lie beyond it. The posted-vs-retired shortcut must not
+        // hide those 8 once the first window is consumed.
+        let (ctrl, mut dev) = rig(1, 64);
+        let service = AgileService::new(Arc::clone(&ctrl));
+        assert_eq!(service.poll_cq(0, Cycles(0)), 0, "nothing posted yet");
+        let barriers: Vec<Barrier> = (0..40).map(|_| Barrier::new()).collect();
+        for (i, barrier) in barriers.iter().enumerate() {
+            let (_, o) =
+                ctrl.raw_read(0, 0, i as u64, DmaHandle::new(), barrier.clone(), Cycles(0));
+            assert_eq!(o, crate::ctrl::IssueOutcome::Issued);
+        }
+        let cq = Arc::clone(&ctrl.io().device_queues(0)[0].queue_pair().cq);
+        let mut now = Cycles(0);
+        while cq.total_posted() < 40 {
+            now += Cycles(10_000);
+            assert!(now.raw() < 50_000_000, "reads never completed");
+            dev.advance_to(now);
+        }
+        assert_eq!(service.stats().completions, 0);
+
+        assert_eq!(service.poll_cq(0, now), 32, "the whole first window");
+        assert_eq!(
+            (cq.head(), cq.occupancy()),
+            (32, 8),
+            "consumed in ring order"
+        );
+        assert_eq!(service.poll_cq(0, now), 8, "the entries beyond it");
+        assert_eq!(cq.head(), 32, "second window still open");
+        assert!(barriers.iter().all(Barrier::is_complete));
+        assert_eq!(service.poll_cq(0, now), 0, "posted == retired again");
+        let stats = service.stats();
+        assert_eq!((stats.completions, stats.cq_doorbells), (40, 1));
     }
 
     #[test]

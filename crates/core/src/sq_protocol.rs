@@ -315,9 +315,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(q.queue_pair().sq_doorbell.value(), 3);
-        let drained = q.queue_pair().sq_doorbell.drain();
         // Ring values are monotonically increasing ring indices.
-        let values: Vec<u32> = drained.iter().map(|(_, v)| *v).collect();
+        let mut values = Vec::new();
+        q.queue_pair().sq_doorbell.drain(|_, v| values.push(v));
         assert_eq!(values, vec![1, 2, 3]);
     }
 

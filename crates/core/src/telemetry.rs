@@ -12,8 +12,7 @@
 //!
 //! [`MetricsBridge`] connects a [`agile_metrics::WindowedSampler`] to the
 //! engine as a **passive** external device: it never schedules a wakeup
-//! (`next_event_time` is `None`) and is always quiescent, so installing it
-//! cannot perturb replay timing — it merely observes the clock on scheduling
+//! (`next_event_time` is `None`), so installing it cannot perturb replay timing — it merely observes the clock on scheduling
 //! rounds the engine was going to run anyway.
 
 use crate::host::StorageCtrl;
@@ -208,7 +207,7 @@ impl Collector for ServiceCollector {
 /// A passive [`ExternalDevice`] that feeds the simulated clock to a
 /// [`WindowedSampler`] every few engine scheduling rounds.
 ///
-/// It never requests a wakeup and reports quiescent, so the engine's event
+/// It never requests a wakeup, so the engine's event
 /// scheduling — and therefore the replay's timing — is identical with or
 /// without the bridge installed.
 pub struct MetricsBridge {
@@ -238,8 +237,5 @@ impl ExternalDevice for MetricsBridge {
     }
     fn next_event_time(&mut self) -> Option<Cycles> {
         None
-    }
-    fn quiescent(&self) -> bool {
-        true
     }
 }

@@ -219,8 +219,6 @@ pub trait ExternalDevice: Send {
     fn advance_to(&mut self, now: Cycles);
     /// Earliest pending internal event, if any.
     fn next_event_time(&mut self) -> Option<Cycles>;
-    /// True when the device has no in-flight work.
-    fn quiescent(&self) -> bool;
 }
 
 /// A per-partition buffer of cross-shard effects (in practice: trace records
@@ -374,6 +372,18 @@ struct PlanTask {
     ctx: WarpCtx,
     /// The owning worker's `plan_step` answer.
     planned: bool,
+}
+
+/// The per-round working sets of [`Engine::event_loop`], kept on the engine
+/// so a scheduling round allocates nothing once they have grown to size.
+#[derive(Default)]
+struct RoundBufs {
+    /// Due `(sm, slot)` warps of this round, in canonical order.
+    batch: Vec<(usize, usize)>,
+    /// `(sm, slot)` of the blocks that retired this round.
+    retired_blocks: Vec<(usize, usize)>,
+    /// Ready-queue entries of warps placed this round (still at ≤ now).
+    placed_now: Vec<(u64, usize, usize)>,
 }
 
 /// One worker's slot in the barrier, cache-line padded so the spin loops of
@@ -662,6 +672,8 @@ pub struct Engine {
     /// Planned warp steps committed per SM-affine worker partition (threaded
     /// runs; tallied deterministically on the coordinator).
     m_partition_steps: Vec<u64>,
+    /// Reused per-round buffers of the event loop.
+    bufs: RoundBufs,
 }
 
 impl Engine {
@@ -692,6 +704,7 @@ impl Engine {
             barrier_spin_limit: DEFAULT_SPIN_LIMIT,
             m_phase_ns: (0, 0, 0),
             m_partition_steps: Vec::new(),
+            bufs: RoundBufs::default(),
         }
     }
 
@@ -1144,7 +1157,18 @@ impl Engine {
             }
         }
 
-        while !self.all_user_kernels_complete() {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let RoundBufs {
+            batch,
+            retired_blocks,
+            placed_now,
+        } = &mut bufs;
+        // Plan-capable due warps handed to the workers (threaded runs only).
+        // Reused across rounds like `bufs`, but owned by the run: its raw
+        // pointers must not make `Engine` `!Send`.
+        let mut tasks: Vec<PlanTask> = Vec::new();
+        let mut complete = self.all_user_kernels_complete();
+        while !complete {
             self.rounds += 1;
             let now = self.clock.now();
             let depth = self.ready.len() as u64;
@@ -1163,7 +1187,7 @@ impl Engine {
             // 2. Pop every warp that is due and step the batch in SM/slot
             //    order — the exact order the scan scheduler visits warps, so
             //    equal-time steps interleave identically.
-            let mut batch: Vec<(usize, usize)> = Vec::new();
+            batch.clear();
             while let Some(&Reverse((t, sm_idx, widx))) = self.ready.peek() {
                 if t > now.raw() {
                     break;
@@ -1179,10 +1203,9 @@ impl Engine {
             // commit walk below then finalises every step in canonical
             // (sm, slot) order. A single capable warp gains nothing from a
             // barrier round trip, so the window only opens for two or more.
-            let mut tasks: Vec<PlanTask> = Vec::new();
             if driver.parallel_warps() && batch.len() >= 2 {
                 let mut prev: Option<(usize, usize)> = None;
-                for &(sm_idx, widx) in &batch {
+                for &(sm_idx, widx) in batch.iter() {
                     if prev == Some((sm_idx, widx)) {
                         continue; // duplicate heap entry: one plan per warp
                     }
@@ -1221,12 +1244,12 @@ impl Engine {
             // the epoch dirty so every later planned commit re-validates its
             // snapshot of shared state — snapshot, validate, retry.
             let mut progressed = false;
-            let mut retired_blocks: Vec<(usize, usize)> = Vec::new(); // (sm, slot)
+            retired_blocks.clear();
             let (mut steps, mut stale) = (0u64, 0u64);
             let t0 = time_phases.then(std::time::Instant::now);
             let mut epoch_clean = true;
             let mut ti = 0usize;
-            for (sm_idx, widx) in batch {
+            for &(sm_idx, widx) in batch.iter() {
                 let planned = match tasks.get(ti) {
                     Some(t) if t.sm == sm_idx && t.widx == widx => {
                         ti += 1;
@@ -1242,11 +1265,11 @@ impl Engine {
                 let (wake, progress) = match planned {
                     Some(true) => {
                         self.m_partition_steps[sm_idx % workers] += 1;
-                        self.commit_warp(sm_idx, widx, now, &mut retired_blocks, epoch_clean)
+                        self.commit_warp(sm_idx, widx, now, retired_blocks, epoch_clean)
                     }
                     _ => {
                         epoch_clean = false;
-                        self.step_warp(sm_idx, widx, now, &mut retired_blocks)
+                        self.step_warp(sm_idx, widx, now, retired_blocks)
                     }
                 };
                 if let Some(at) = wake {
@@ -1254,6 +1277,7 @@ impl Engine {
                 }
                 progressed |= progress;
             }
+            tasks.clear();
             if let Some(t0) = t0 {
                 self.m_phase_ns.2 += t0.elapsed().as_nanos() as u64;
             }
@@ -1277,7 +1301,8 @@ impl Engine {
                 break;
             }
 
-            if self.all_user_kernels_complete() {
+            complete = self.all_user_kernels_complete();
+            if complete {
                 break;
             }
 
@@ -1286,7 +1311,7 @@ impl Engine {
             //    at the next *visited* time point, which then must also
             //    consider device events (the scan scheduler would have woken
             //    there).
-            let mut placed_now: Vec<(u64, usize, usize)> = Vec::new();
+            placed_now.clear();
             while let Some(&Reverse(e)) = self.ready.peek() {
                 if e.0 > now.raw() {
                     break;
@@ -1296,7 +1321,7 @@ impl Engine {
             }
             let next_warp = self.ready.peek().map(|Reverse((t, _, _))| Cycles(*t));
             let need_dev_wake = !placed_now.is_empty() || next_warp.is_none();
-            for e in placed_now {
+            for &e in placed_now.iter() {
                 self.ready.push(Reverse(e));
             }
             let next_dev = if need_dev_wake {
@@ -1320,6 +1345,8 @@ impl Engine {
                 break;
             }
         }
+
+        self.bufs = bufs;
 
         // Final device sync so statistics reflect everything visible at the
         // end (and the mailboxes are fully drained).
@@ -1556,9 +1583,6 @@ mod tests {
         fn next_event_time(&mut self) -> Option<Cycles> {
             (!self.fired).then_some(self.at)
         }
-        fn quiescent(&self) -> bool {
-            self.fired
-        }
     }
 
     #[test]
@@ -1683,9 +1707,6 @@ mod tests {
         }
         fn next_event_time(&mut self) -> Option<Cycles> {
             (self.fired < self.fires).then_some(self.at)
-        }
-        fn quiescent(&self) -> bool {
-            self.fired >= self.fires
         }
     }
 
@@ -1817,9 +1838,6 @@ mod tests {
         }
         fn next_event_time(&mut self) -> Option<Cycles> {
             None
-        }
-        fn quiescent(&self) -> bool {
-            true
         }
     }
 
@@ -2220,6 +2238,14 @@ mod tests {
                 report.elapsed
             );
         }
+    }
+
+    #[test]
+    fn engine_stays_send() {
+        // Hosts own an engine and may be built on one thread and run on
+        // another; the reused round buffers must not cost that.
+        fn assert_send<T: Send>() {}
+        assert_send::<Engine>();
     }
 
     #[test]

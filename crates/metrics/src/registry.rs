@@ -12,7 +12,7 @@ use agile_trace::stats::{bucket_count, bucket_index};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 // ---------------------------------------------------------------------------
 // Labels
@@ -359,7 +359,7 @@ impl MetricsRegistry {
         CounterFamily {
             name,
             dim,
-            registry: Arc::clone(self),
+            registry: Arc::downgrade(self),
             cells: RwLock::new(BTreeMap::new()),
         }
     }
@@ -369,7 +369,7 @@ impl MetricsRegistry {
         GaugeFamily {
             name,
             dim,
-            registry: Arc::clone(self),
+            registry: Arc::downgrade(self),
             cells: RwLock::new(BTreeMap::new()),
         }
     }
@@ -379,7 +379,7 @@ impl MetricsRegistry {
         HistoFamily {
             name,
             dim,
-            registry: Arc::clone(self),
+            registry: Arc::downgrade(self),
             cells: RwLock::new(BTreeMap::new()),
         }
     }
@@ -422,7 +422,10 @@ macro_rules! family {
         pub struct $Family {
             name: &'static str,
             dim: LabelDim,
-            registry: Arc<MetricsRegistry>,
+            /// Weak: instrumented objects hold families, and the registry's
+            /// collectors hold those objects — a strong edge back would
+            /// leak the whole stack.
+            registry: Weak<MetricsRegistry>,
             cells: RwLock<BTreeMap<u32, $Instrument>>,
         }
 
@@ -434,7 +437,12 @@ macro_rules! family {
                 if let Some(c) = self.cells.read().get(&id) {
                     return c.clone();
                 }
-                let cell = self.registry.$register(self.name, self.dim.labels(id));
+                // Once the registry is gone nobody can read a new member;
+                // count into a detached cell.
+                let cell = match self.registry.upgrade() {
+                    Some(registry) => registry.$register(self.name, self.dim.labels(id)),
+                    None => $Instrument::default(),
+                };
                 self.cells.write().entry(id).or_insert(cell).clone()
             }
         }
@@ -500,6 +508,24 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.sub(9);
         assert_eq!(g.get(), 0);
+    }
+
+    #[test]
+    fn families_do_not_keep_the_registry_alive() {
+        let reg = MetricsRegistry::new();
+        let fam = reg.counter_family("agile_test_weak_total", LabelDim::Tenant);
+        fam.inc(1);
+        let weak = Arc::downgrade(&reg);
+        drop(reg);
+        assert!(
+            weak.upgrade().is_none(),
+            "a family must not own its registry"
+        );
+        // Known members keep counting; new ones count into detached cells.
+        fam.inc(1);
+        fam.inc(2);
+        assert_eq!(fam.with(1).get(), 2);
+        assert_eq!(fam.with(2).get(), 1);
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //!
 //! The device is advanced by the co-simulation engine via
 //! [`SsdDevice::advance_to`]; it never runs ahead of the GPU clock.
+//!
+//! The engine advances every device every round, and most of those advances
+//! find nothing to do. An advance has work only if a doorbell was rung since
+//! the last one, a completion is parked behind a full CQ, or a scheduled
+//! event has come due; the device keeps exactly that in its [`IdleGate`], so
+//! an idle advance is two atomic loads and changes no state.
 
 use crate::backing::PageBacking;
 use crate::queue::QueuePair;
@@ -26,6 +32,7 @@ use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::{Cycles, EventWheel};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Static configuration of one simulated SSD.
@@ -69,7 +76,7 @@ impl SsdConfig {
 ///
 /// Note: the unified registry exports these as `agile_device_*` labelled by
 /// device index; this struct stays for direct programmatic access.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceStats {
     /// Read commands completed.
     pub reads_completed: u64,
@@ -89,6 +96,60 @@ pub struct DeviceStats {
     pub doorbells: u64,
     /// Time of the last completion posted (cycles).
     pub last_completion: u64,
+}
+
+/// Whether advancing one device can do anything, readable without the
+/// device itself: shared by the [`SsdDevice`] (which maintains `next_due`),
+/// its registered doorbells (which count rings) and whoever advances the
+/// device (who reads [`IdleGate::idle_at`] before touching it).
+pub struct IdleGate {
+    /// Doorbell rings logged but not yet drained by the device.
+    pending_rings: AtomicU64,
+    /// Earliest time an advance has work absent new rings: the head of the
+    /// event heap, `0` ("always") while a completion is parked behind a full
+    /// CQ — only software consuming CQEs unparks it, and that rings nothing
+    /// the device can see — and `u64::MAX` when neither exists. Refreshed at
+    /// the end of every advance that got past the gate, the only place
+    /// events are scheduled, fired or parked.
+    next_due: AtomicU64,
+}
+
+impl Default for IdleGate {
+    fn default() -> Self {
+        IdleGate {
+            pending_rings: AtomicU64::new(0),
+            next_due: AtomicU64::new(u64::MAX),
+        }
+    }
+}
+
+impl IdleGate {
+    /// True when advancing the device to `now` would be a no-op.
+    pub fn idle_at(&self, now: Cycles) -> bool {
+        // Acquire pairs with the Release in `add_pending_rings` /
+        // `set_next_due`: whoever sees a count or watermark also sees the
+        // ring log entry or heap state it stands for.
+        now.raw() < self.next_due.load(Ordering::Acquire)
+            && self.pending_rings.load(Ordering::Acquire) == 0
+    }
+
+    /// Doorbell rings logged but not yet drained.
+    pub fn pending_rings(&self) -> u64 {
+        self.pending_rings.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn add_pending_rings(&self, n: u64) {
+        self.pending_rings.fetch_add(n, Ordering::Release);
+    }
+
+    pub(crate) fn sub_pending_rings(&self, n: u64) {
+        let before = self.pending_rings.fetch_sub(n, Ordering::Release);
+        debug_assert!(before >= n, "drained more rings than were counted");
+    }
+
+    fn set_next_due(&self, at: u64) {
+        self.next_due.store(at, Ordering::Release);
+    }
 }
 
 /// Per-SQ fetch cursor.
@@ -156,7 +217,13 @@ pub struct SsdDevice {
     /// Busy-until time per flash channel.
     channels: Vec<Cycles>,
     events: EventWheel<DeviceEvent>,
+    /// Reused buffer for the events one advance fires.
+    due: Vec<(Cycles, DeviceEvent)>,
+    /// Completions parked across all CQs (Σ `cq_cursors[..].parked.len()`).
+    parked_total: usize,
+    gate: Arc<IdleGate>,
     stats: DeviceStats,
+    /// Time of the last advance that got past the gate.
     now: Cycles,
     /// Optional trace recorder for the completion path.
     trace: OnceLock<Arc<dyn TraceSink>>,
@@ -174,6 +241,9 @@ impl SsdDevice {
             backing,
             channels,
             events: EventWheel::new(),
+            due: Vec::new(),
+            parked_total: 0,
+            gate: Arc::new(IdleGate::default()),
             stats: DeviceStats::default(),
             now: Cycles::ZERO,
             trace: OnceLock::new(),
@@ -196,6 +266,12 @@ impl SsdDevice {
         &self.stats
     }
 
+    /// The gate telling whether advancing this device can do anything; hold
+    /// a clone to ask without locking the device.
+    pub fn gate(&self) -> &Arc<IdleGate> {
+        &self.gate
+    }
+
     /// The page backing (shared with workload setup code).
     pub fn backing(&self) -> &Arc<dyn PageBacking> {
         &self.backing
@@ -209,6 +285,10 @@ impl SsdDevice {
             qp.id(),
             qid,
             "queue pair id must match its registration order"
+        );
+        assert!(
+            qp.sq_doorbell.attach(&self.gate),
+            "queue pair is already registered with a device"
         );
         self.qps.push(qp);
         self.sq_cursors.push(SqCursor::default());
@@ -228,24 +308,19 @@ impl SsdDevice {
 
     /// Earliest pending internal event, if any (used by the engine to skip
     /// idle time).
-    pub fn next_event_time(&mut self) -> Option<Cycles> {
+    pub fn next_event_time(&self) -> Option<Cycles> {
         self.events.peek_time()
     }
 
     /// True when no commands are in flight and no completions are parked.
     pub fn quiescent(&self) -> bool {
-        self.events.is_empty() && self.cq_cursors.iter().all(|c| c.parked.is_empty())
+        self.events.is_empty() && self.parked_total == 0
     }
 
     /// Commands currently in flight: scheduled completions plus completions
     /// parked behind a full CQ (the `agile_device_inflight` gauge).
     pub fn inflight(&self) -> u64 {
-        self.events.len() as u64
-            + self
-                .cq_cursors
-                .iter()
-                .map(|c| c.parked.len() as u64)
-                .sum::<u64>()
+        (self.events.len() + self.parked_total) as u64
     }
 
     fn ns_to_cycles(&self, ns: agile_sim::Nanos) -> Cycles {
@@ -253,70 +328,77 @@ impl SsdDevice {
     }
 
     /// Advance the device to time `now`: observe doorbells, fetch commands,
-    /// retire flash work and post completions.
+    /// retire flash work and post completions. Returns at once, having
+    /// changed nothing, when the [`IdleGate`] says there is nothing to do.
     pub fn advance_to(&mut self, now: Cycles) {
         debug_assert!(now >= self.now, "device clock moved backwards");
+        if self.gate.idle_at(now) {
+            return;
+        }
         self.now = now;
 
         // 1. Observe doorbell rings (SQ tails). The GPU side records the ring
         //    time; the controller notices after `command_fetch`.
-        for qid in 0..self.qps.len() {
-            let qp = Arc::clone(&self.qps[qid]);
-            for (ring_time, tail) in qp.sq_doorbell.drain() {
-                self.stats.doorbells += 1;
-                let visible = ring_time + self.ns_to_cycles(self.cfg.costs.command_fetch);
-                self.events.schedule(
-                    visible,
-                    DeviceEvent::FetchCommands {
-                        qid: qid as QueueId,
-                        tail,
-                    },
-                );
+        if self.gate.pending_rings() > 0 {
+            let fetch_delay = self.ns_to_cycles(self.cfg.costs.command_fetch);
+            let (events, stats) = (&mut self.events, &mut self.stats);
+            for (qid, qp) in self.qps.iter().enumerate() {
+                qp.sq_doorbell.drain(|ring_time, tail| {
+                    stats.doorbells += 1;
+                    events.schedule(
+                        ring_time + fetch_delay,
+                        DeviceEvent::FetchCommands {
+                            qid: qid as QueueId,
+                            tail,
+                        },
+                    );
+                });
             }
         }
 
         // 2. Retry parked completions first — CQ space may have been freed.
         self.drain_parked();
 
-        // 3. Fire due events.
-        let due = self.events.pop_ready(now);
-        for (at, ev) in due {
+        // 3. Fire due events. Events these schedule wait for the next
+        //    advance even when already due, hence the buffer.
+        let mut due = std::mem::take(&mut self.due);
+        self.events.pop_ready_into(now, &mut due);
+        for (at, ev) in due.drain(..) {
             match ev {
                 DeviceEvent::FetchCommands { qid, tail } => self.fetch_commands(qid, tail, at),
                 DeviceEvent::Complete(pending) => self.complete(pending, at),
             }
         }
+        self.due = due;
+
+        self.gate.set_next_due(if self.parked_total > 0 {
+            0
+        } else {
+            self.events.peek_time().map_or(u64::MAX, Cycles::raw)
+        });
     }
 
     /// Fetch commands from SQ `qid` up to ring index `tail`.
     fn fetch_commands(&mut self, qid: QueueId, tail: u32, at: Cycles) {
-        let qp = Arc::clone(&self.qps[qid as usize]);
-        let depth = qp.sq.depth();
+        let q = qid as usize;
+        let depth = self.qps[q].sq.depth();
         // Record the newest tail; fetch from our cursor to that tail.
-        {
-            let cur = &mut self.sq_cursors[qid as usize];
-            cur.tail = tail % depth;
-        }
+        self.sq_cursors[q].tail = tail % depth;
         loop {
-            let (fetch_head, tail) = {
-                let cur = &self.sq_cursors[qid as usize];
-                (cur.fetch_head, cur.tail)
-            };
+            let SqCursor { fetch_head, tail } = self.sq_cursors[q];
             if fetch_head == tail {
                 break;
             }
-            let Some(cmd) = qp.sq.take_slot(fetch_head) else {
+            let sq = &self.qps[q].sq;
+            let Some(cmd) = sq.take_slot(fetch_head) else {
                 // The doorbell ran ahead of the command becoming visible.
                 // Real hardware would read whatever bytes are there; AGILE's
                 // serialization protocol (Algorithm 2) exists precisely to
                 // prevent this. Treat it as "nothing to fetch yet".
                 break;
             };
-            qp.sq.advance_head();
-            {
-                let cur = &mut self.sq_cursors[qid as usize];
-                cur.fetch_head = (cur.fetch_head + 1) % depth;
-            }
+            sq.advance_head();
+            self.sq_cursors[q].fetch_head = (fetch_head + 1) % depth;
             self.schedule_command(qid, cmd, at);
         }
     }
@@ -408,14 +490,22 @@ impl SsdDevice {
         self.try_post(pending);
     }
 
+    /// Post `pending`, or park it behind a full CQ.
     fn try_post(&mut self, pending: PendingCompletion) {
         let qid = pending.qid as usize;
-        let qp = Arc::clone(&self.qps[qid]);
-        if qp.cq.is_full() {
+        if self.qps[qid].cq.is_full() {
             self.stats.cq_stalls += 1;
             self.cq_cursors[qid].parked.push_back(pending);
+            self.parked_total += 1;
             return;
         }
+        self.post(pending);
+    }
+
+    /// Post `pending` into its CQ, which the caller checked has room.
+    fn post(&mut self, pending: PendingCompletion) {
+        let qid = pending.qid as usize;
+        let cq = &self.qps[qid].cq;
         // Perform the "DMA" before the completion becomes visible, matching
         // hardware ordering guarantees.
         if let Some((dma, token)) = &pending.dma_token {
@@ -429,9 +519,9 @@ impl SsdDevice {
             status: pending.status,
             phase: cursor.phase,
         };
-        qp.cq.post(cursor.tail, cqe);
+        cq.post(cursor.tail, cqe);
         cursor.tail += 1;
-        if cursor.tail == qp.cq.depth() {
+        if cursor.tail == cq.depth() {
             cursor.tail = 0;
             cursor.phase = !cursor.phase;
         }
@@ -446,13 +536,16 @@ impl SsdDevice {
     }
 
     fn drain_parked(&mut self) {
+        if self.parked_total == 0 {
+            return;
+        }
         for qid in 0..self.qps.len() {
-            while let Some(pending) = self.cq_cursors[qid].parked.pop_front() {
-                if self.qps[qid].cq.is_full() {
-                    self.cq_cursors[qid].parked.push_front(pending);
+            while !self.qps[qid].cq.is_full() {
+                let Some(pending) = self.cq_cursors[qid].parked.pop_front() else {
                     break;
-                }
-                self.try_post(pending);
+                };
+                self.parked_total -= 1;
+                self.post(pending);
             }
         }
     }
@@ -602,6 +695,76 @@ mod tests {
         // Second pass ⇒ phase flipped to false.
         assert!(qp.cq.poll_slot(0, false).is_some());
         assert!(qp.cq.poll_slot(1, false).is_some());
+        assert!(dev.quiescent());
+    }
+
+    #[test]
+    fn parked_completion_posts_on_the_first_advance_after_consume() {
+        // The one state in which nothing the device can see changes and yet
+        // an advance has work: a completion parked behind a full CQ, with no
+        // event scheduled and no ring pending.
+        let (mut dev, qp) = make_device(2);
+        for i in 0..2u32 {
+            submit(
+                &qp,
+                i,
+                NvmeCommand::read(i as u16, i as u64, DmaHandle::new()),
+                Cycles(0),
+            );
+        }
+        let mut now = Cycles(0);
+        while !qp.cq.is_full() {
+            now += Cycles(1_000);
+            dev.advance_to(now);
+            assert!(now.raw() < 10_000_000, "reads never completed");
+        }
+        submit(&qp, 0, NvmeCommand::read(9, 9, DmaHandle::new()), now);
+        while dev.stats().cq_stalls == 0 {
+            now += Cycles(1_000);
+            dev.advance_to(now);
+            assert!(now.raw() < 20_000_000, "third read never parked");
+        }
+        assert_eq!(dev.next_event_time(), None, "heap is empty");
+        assert_eq!(dev.gate().pending_rings(), 0);
+        assert!(!dev.quiescent());
+        assert!(
+            !dev.gate().idle_at(now),
+            "a parked completion keeps the gate open"
+        );
+        // Advancing while the CQ stays full changes nothing.
+        for _ in 0..3 {
+            now += Cycles(1_000);
+            dev.advance_to(now);
+        }
+        assert_eq!(qp.cq.total_posted(), 2);
+        assert_eq!(dev.stats().cq_stalls, 1, "retries are not new stalls");
+
+        qp.cq.consume(1);
+        dev.advance_to(now);
+        assert_eq!(qp.cq.total_posted(), 3);
+        assert_eq!(qp.cq.poll_slot(0, false).map(|c| c.cid), Some(9));
+        assert!(dev.quiescent());
+        assert!(dev.gate().idle_at(now + Cycles(1 << 40)));
+    }
+
+    #[test]
+    fn ring_between_two_advances_at_the_same_time_is_fetched_by_the_second() {
+        let (mut dev, qp) = make_device(8);
+        let now = Cycles(1_000_000);
+        dev.advance_to(now);
+        assert!(dev.gate().idle_at(now));
+        // Rung long enough ago that the fetch is already due at `now`.
+        submit(&qp, 0, NvmeCommand::read(1, 5, DmaHandle::new()), Cycles(0));
+        assert!(!dev.gate().idle_at(now));
+        dev.advance_to(now);
+        assert_eq!(dev.stats().doorbells, 1);
+        assert!(!qp.sq.slot_occupied(0), "command was fetched");
+        assert_eq!(dev.stats().reads_completed, 1);
+        // The completion it scheduled is due too, and waits one more advance.
+        assert!(dev.next_event_time().is_some_and(|t| t <= now));
+        assert!(!dev.gate().idle_at(now));
+        dev.advance_to(now);
+        assert_eq!(qp.cq.poll_slot(0, true).map(|c| c.cid), Some(1));
         assert!(dev.quiescent());
     }
 

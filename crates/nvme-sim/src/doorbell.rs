@@ -7,16 +7,24 @@
 //! event queue the device model drains when the engine advances it: the value
 //! is visible immediately (like a posted MMIO write) but the device only acts
 //! on it after its command-fetch latency.
+//!
+//! Once its queue pair is registered, a doorbell also counts every ring into
+//! its device's [`IdleGate`], so the device learns that *some* doorbell has
+//! an unobserved ring from one atomic load instead of polling each register.
 
+use crate::device::IdleGate;
 use agile_sim::Cycles;
 use crossbeam::queue::SegQueue;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A single 32-bit doorbell register with a ring log.
 pub struct DoorbellRegister {
     value: AtomicU32,
     rings: SegQueue<(Cycles, u32)>,
     ring_count: AtomicU32,
+    /// The owning device's gate, attached when the queue pair is registered.
+    gate: OnceLock<Arc<IdleGate>>,
 }
 
 impl Default for DoorbellRegister {
@@ -32,12 +40,31 @@ impl DoorbellRegister {
             value: AtomicU32::new(0),
             rings: SegQueue::new(),
             ring_count: AtomicU32::new(0),
+            gate: OnceLock::new(),
         }
+    }
+
+    /// Count this doorbell's rings into `gate` from now on (rings already
+    /// logged are carried over). Called once, when the owning device
+    /// registers the queue pair — before the simulation rings anything
+    /// concurrently. Returns `false` if a gate was already attached.
+    pub(crate) fn attach(&self, gate: &Arc<IdleGate>) -> bool {
+        let fresh = self.gate.set(Arc::clone(gate)).is_ok();
+        if fresh {
+            gate.add_pending_rings(self.rings.len() as u64);
+        }
+        fresh
     }
 
     /// Ring the doorbell: store `value` at simulated time `now`.
     pub fn ring(&self, value: u32, now: Cycles) {
         self.value.store(value, Ordering::Release);
+        // Counted *before* it is logged: the gate's count may briefly run
+        // ahead of the log (one wasted device advance) but never behind it,
+        // so a logged ring is never invisible and the drain never underflows.
+        if let Some(gate) = self.gate.get() {
+            gate.add_pending_rings(1);
+        }
         self.rings.push((now, value));
         self.ring_count.fetch_add(1, Ordering::Relaxed);
     }
@@ -47,13 +74,19 @@ impl DoorbellRegister {
         self.value.load(Ordering::Acquire)
     }
 
-    /// Device side: drain all pending ring events in FIFO order.
-    pub fn drain(&self) -> Vec<(Cycles, u32)> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.rings.pop() {
-            out.push(ev);
+    /// Device side: hand every pending `(ring time, value)` to `sink` in
+    /// FIFO order.
+    pub fn drain(&self, mut sink: impl FnMut(Cycles, u32)) {
+        let mut drained = 0u64;
+        while let Some((at, value)) = self.rings.pop() {
+            sink(at, value);
+            drained += 1;
         }
-        out
+        if drained > 0 {
+            if let Some(gate) = self.gate.get() {
+                gate.sub_pending_rings(drained);
+            }
+        }
     }
 
     /// Total number of times the doorbell has been rung.
@@ -66,6 +99,12 @@ impl DoorbellRegister {
 mod tests {
     use super::*;
 
+    fn drain_all(db: &DoorbellRegister) -> Vec<(Cycles, u32)> {
+        let mut out = Vec::new();
+        db.drain(|at, value| out.push((at, value)));
+        out
+    }
+
     #[test]
     fn ring_and_drain() {
         let db = DoorbellRegister::new();
@@ -74,32 +113,79 @@ mod tests {
         db.ring(7, Cycles(200));
         assert_eq!(db.value(), 7);
         assert_eq!(db.ring_count(), 2);
-        let drained = db.drain();
-        assert_eq!(drained, vec![(Cycles(100), 3), (Cycles(200), 7)]);
-        assert!(db.drain().is_empty());
+        assert_eq!(drain_all(&db), vec![(Cycles(100), 3), (Cycles(200), 7)]);
+        assert!(drain_all(&db).is_empty());
         // Value persists after drain.
         assert_eq!(db.value(), 7);
     }
 
     #[test]
+    fn attach_carries_over_rings_logged_before_registration() {
+        let db = DoorbellRegister::new();
+        db.ring(1, Cycles(5));
+        let gate = Arc::new(IdleGate::default());
+        assert!(db.attach(&gate));
+        assert!(!db.attach(&gate), "the first gate wins");
+        assert_eq!(gate.pending_rings(), 1);
+        db.ring(2, Cycles(6));
+        assert_eq!(gate.pending_rings(), 2);
+        assert_eq!(drain_all(&db).len(), 2);
+        assert_eq!(gate.pending_rings(), 0);
+    }
+
+    #[test]
     fn concurrent_rings_are_all_observed() {
-        use std::sync::Arc;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
         use std::thread;
-        let db = Arc::new(DoorbellRegister::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let db = Arc::clone(&db);
-                thread::spawn(move || {
-                    for i in 0..100u32 {
-                        db.ring(t * 1000 + i, Cycles(i as u64));
-                    }
+        const RINGERS: u32 = 4;
+        const RINGS_EACH: u32 = 1_000;
+        let db = DoorbellRegister::new();
+        let gate = Arc::new(IdleGate::default());
+        db.attach(&gate);
+        let start = Barrier::new(RINGERS as usize + 1);
+        let ringing_done = AtomicBool::new(false);
+        // Four ringers race one drainer; the barrier releases all five at
+        // once so the drainer pops while rings are still being counted.
+        let drained = thread::scope(|scope| {
+            let ringers: Vec<_> = (0..RINGERS)
+                .map(|t| {
+                    let (db, start) = (&db, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..RINGS_EACH {
+                            db.ring(t * RINGS_EACH + i, Cycles(i as u64));
+                        }
+                    })
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(db.ring_count(), 400);
-        assert_eq!(db.drain().len(), 400);
+                .collect();
+            let drainer = scope.spawn(|| {
+                start.wait();
+                let mut seen = Vec::new();
+                loop {
+                    // Read the flag first: a drain that starts after the
+                    // last ring returned finds everything still logged.
+                    let last_pass = ringing_done.load(Ordering::Acquire);
+                    db.drain(|_, value| seen.push(value));
+                    // An underflow would wrap to a huge count.
+                    assert!(gate.pending_rings() <= (RINGERS * RINGS_EACH) as u64);
+                    if last_pass {
+                        return seen;
+                    }
+                }
+            });
+            for r in ringers {
+                r.join().expect("ringer panicked");
+            }
+            ringing_done.store(true, Ordering::Release);
+            drainer.join().expect("drainer panicked")
+        });
+        assert_eq!(db.ring_count(), RINGERS * RINGS_EACH);
+        // Every ring was drained exactly once.
+        let mut values = drained;
+        values.sort_unstable();
+        assert_eq!(values, (0..RINGERS * RINGS_EACH).collect::<Vec<_>>());
+        assert_eq!(gate.pending_rings(), 0);
+        assert!(drain_all(&db).is_empty());
     }
 }

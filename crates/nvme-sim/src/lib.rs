@@ -34,7 +34,7 @@ pub mod spec;
 pub mod topology;
 
 pub use backing::{MemBacking, PageBacking, SyntheticBacking, ZeroBacking};
-pub use device::{DeviceStats, SsdConfig, SsdDevice};
+pub use device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
 pub use doorbell::DoorbellRegister;
 pub use queue::{CompletionQueue, QueuePair, SubmissionQueue};
 pub use spec::{

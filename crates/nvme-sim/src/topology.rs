@@ -34,7 +34,7 @@
 //! [`StorageTopology`] implementations).
 
 use crate::backing::{MemBacking, PageBacking};
-use crate::device::{DeviceStats, SsdConfig, SsdDevice};
+use crate::device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
 use crate::queue::QueuePair;
 use crate::spec::{Lba, QueueId};
 use agile_sim::trace::TraceSink;
@@ -49,33 +49,44 @@ use std::sync::Arc;
 /// two workers advancing different devices of the *same* lock shard never
 /// contend (the shard lock is a submission-cost *model*, see
 /// [`TopologyLock`]; it is not a concurrency primitive here). All methods
-/// take `&self` and lock only the devices they touch.
+/// take `&self` and lock only the devices they touch — and advancing a device
+/// whose [`IdleGate`] says nothing can happen touches nothing at all.
 pub struct DeviceSet {
     devices: Vec<Mutex<SsdDevice>>,
+    /// Each device's gate, so an idle advance never takes the device lock.
+    gates: Vec<Arc<IdleGate>>,
+}
+
+/// `count` default-configured devices over token-only memory backings.
+fn default_parts(count: usize) -> Vec<(SsdConfig, Arc<dyn PageBacking>)> {
+    (0..count)
+        .map(|i| {
+            (
+                SsdConfig::new(i as u32),
+                Arc::new(MemBacking::new(i as u32)) as Arc<dyn PageBacking>,
+            )
+        })
+        .collect()
 }
 
 impl DeviceSet {
     /// Build `count` devices with default configuration and token-only memory
     /// backings.
     pub fn new(count: usize) -> Self {
-        let devices = (0..count)
-            .map(|i| {
-                Mutex::new(SsdDevice::new(
-                    SsdConfig::new(i as u32),
-                    Arc::new(MemBacking::new(i as u32)) as Arc<dyn PageBacking>,
-                ))
-            })
-            .collect();
-        DeviceSet { devices }
+        DeviceSet::from_parts(default_parts(count))
     }
 
     /// Build from explicit (config, backing) pairs.
     pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>) -> Self {
-        let devices = parts
+        let (devices, gates) = parts
             .into_iter()
-            .map(|(cfg, backing)| Mutex::new(SsdDevice::new(cfg, backing)))
-            .collect();
-        DeviceSet { devices }
+            .map(|(cfg, backing)| {
+                let dev = SsdDevice::new(cfg, backing);
+                let gate = Arc::clone(dev.gate());
+                (Mutex::new(dev), gate)
+            })
+            .unzip();
+        DeviceSet { devices, gates }
     }
 
     /// Number of devices.
@@ -135,16 +146,19 @@ impl DeviceSet {
 
     /// Advance every device to `now`, in device order.
     pub fn advance_to(&self, now: Cycles) {
-        for dev in &self.devices {
-            dev.lock().advance_to(now);
+        for idx in 0..self.devices.len() {
+            self.advance_device_to(idx, now);
         }
     }
 
     /// Advance only device `idx` to `now`. Devices are mutually independent
     /// between advancement boundaries, so callers may advance different
-    /// devices concurrently.
+    /// devices concurrently. An idle device (see [`IdleGate::idle_at`]) is
+    /// left untouched and unlocked.
     pub fn advance_device_to(&self, idx: usize, now: Cycles) {
-        self.devices[idx].lock().advance_to(now);
+        if !self.gates[idx].idle_at(now) {
+            self.devices[idx].lock().advance_to(now);
+        }
     }
 
     /// Earliest pending event across all devices.
@@ -163,11 +177,6 @@ impl DeviceSet {
     /// True when every device is idle.
     pub fn quiescent(&self) -> bool {
         self.devices.iter().all(|d| d.lock().quiescent())
-    }
-
-    /// True when device `idx` is idle.
-    pub fn device_quiescent(&self, idx: usize) -> bool {
-        self.devices[idx].lock().quiescent()
     }
 
     /// Round-robin device partitioning for `workers` engine workers:
@@ -418,9 +427,6 @@ pub trait StorageTopology: Send + Sync {
     /// Earliest pending event on global device `dev`.
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles>;
 
-    /// True when global device `dev` is idle.
-    fn device_quiescent(&self, dev: usize) -> bool;
-
     /// Install a trace sink on one device's completion path only (the
     /// threaded engine gives each device its own buffering sink). Returns
     /// `false` if the device already had one.
@@ -584,9 +590,6 @@ impl StorageTopology for FlatArray {
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
         self.set.device_next_event_time(dev)
     }
-    fn device_quiescent(&self, dev: usize) -> bool {
-        self.set.device_quiescent(dev)
-    }
     fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
         self.set.set_device_trace_sink(dev, sink)
     }
@@ -650,15 +653,7 @@ pub struct ShardedArray {
 impl ShardedArray {
     /// Build `count` default devices partitioned into `shards` shards.
     pub fn new(count: usize, shards: usize) -> Self {
-        let parts = (0..count)
-            .map(|i| {
-                (
-                    SsdConfig::new(i as u32),
-                    Arc::new(MemBacking::new(i as u32)) as Arc<dyn PageBacking>,
-                )
-            })
-            .collect();
-        ShardedArray::from_parts(parts, shards)
+        ShardedArray::from_parts(default_parts(count), shards)
     }
 
     /// Partition explicit (config, backing) pairs into `shards` shards,
@@ -729,9 +724,6 @@ impl StorageTopology for ShardedArray {
     }
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
         self.set.device_next_event_time(dev)
-    }
-    fn device_quiescent(&self, dev: usize) -> bool {
-        self.set.device_quiescent(dev)
     }
     fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
         self.set.set_device_trace_sink(dev, sink)

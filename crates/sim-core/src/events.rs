@@ -13,14 +13,9 @@ use crate::clock::Cycles;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Identifier returned when scheduling an event; can be used to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 struct Scheduled<E> {
     at: Cycles,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -45,13 +40,10 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A min-heap of timestamped events with deterministic tie-breaking and
-/// O(log n) cancellation (lazy deletion).
+/// A min-heap of timestamped events with deterministic tie-breaking.
 pub struct EventWheel<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    cancelled: std::collections::HashSet<EventId>,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> Default for EventWheel<E> {
@@ -65,94 +57,44 @@ impl<E> EventWheel<E> {
     pub fn new() -> Self {
         EventWheel {
             heap: BinaryHeap::new(),
-            cancelled: std::collections::HashSet::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
-    /// Number of live (not yet popped or cancelled) events.
+    /// Number of pending (not yet popped) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True when no live events remain.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: Cycles, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: Cycles, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.heap.push(Scheduled {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        self.live += 1;
-        id
+        self.heap.push(Scheduled { at, seq, payload });
     }
 
-    /// Cancel a previously scheduled event. Returns true if it was still live.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.cancelled.insert(id) {
-            // It may have already fired; only count it if it is still queued.
-            // We cannot cheaply check membership in the heap, so we adjust
-            // `live` lazily in `pop_ready`/`pop_next`. To keep `len` accurate
-            // we instead verify by scanning — acceptable because cancellation
-            // is rare (only used by tests and error paths).
-            let queued = self.heap.iter().any(|s| s.id == id);
-            if queued {
-                self.live -= 1;
-                return true;
-            }
-            self.cancelled.remove(&id);
-        }
-        false
-    }
-
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        self.skip_cancelled();
+    /// Timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<Cycles> {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// Pop the next live event regardless of time. Returns `(time, payload)`.
+    /// Pop the next event regardless of time. Returns `(time, payload)`.
     pub fn pop_next(&mut self) -> Option<(Cycles, E)> {
-        self.skip_cancelled();
-        let s = self.heap.pop()?;
-        self.live -= 1;
-        Some((s.at, s.payload))
+        self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// Pop every live event with timestamp ≤ `now`, in timestamp order.
-    pub fn pop_ready(&mut self, now: Cycles) -> Vec<(Cycles, E)> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_cancelled();
-            match self.heap.peek() {
-                Some(s) if s.at <= now => {
-                    let s = self.heap.pop().expect("peeked");
-                    self.live -= 1;
-                    out.push((s.at, s.payload));
-                }
-                _ => break,
-            }
-        }
-        out
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.id) {
-                let s = self.heap.pop().expect("peeked");
-                self.cancelled.remove(&s.id);
-            } else {
-                break;
-            }
+    /// Pop every event with timestamp ≤ `now` onto the end of `out`, in
+    /// timestamp order. Events scheduled while the caller works through
+    /// `out` stay queued until the next call, even when already due.
+    pub fn pop_ready_into(&mut self, now: Cycles, out: &mut Vec<(Cycles, E)>) {
+        while self.heap.peek().is_some_and(|s| s.at <= now) {
+            let s = self.heap.pop().expect("peeked");
+            out.push((s.at, s.payload));
         }
     }
 }
@@ -190,33 +132,15 @@ mod tests {
         let mut w = EventWheel::new();
         w.schedule(Cycles(10), "early");
         w.schedule(Cycles(100), "late");
-        let ready = w.pop_ready(Cycles(50));
+        let mut ready = Vec::new();
+        w.pop_ready_into(Cycles(50), &mut ready);
         assert_eq!(ready, vec![(Cycles(10), "early")]);
         assert_eq!(w.len(), 1);
-        let ready = w.pop_ready(Cycles(100));
-        assert_eq!(ready, vec![(Cycles(100), "late")]);
+        assert_eq!(w.peek_time(), Some(Cycles(100)));
+        w.pop_ready_into(Cycles(100), &mut ready);
+        assert_eq!(ready, vec![(Cycles(10), "early"), (Cycles(100), "late")]);
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn cancellation() {
-        let mut w = EventWheel::new();
-        let a = w.schedule(Cycles(10), "a");
-        let _b = w.schedule(Cycles(20), "b");
-        assert!(w.cancel(a));
-        assert!(!w.cancel(a));
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.peek_time(), Some(Cycles(20)));
-        assert_eq!(w.pop_next(), Some((Cycles(20), "b")));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut w = EventWheel::new();
-        let a = w.schedule(Cycles(1), "a");
-        w.schedule(Cycles(2), "b");
-        w.cancel(a);
-        assert_eq!(w.peek_time(), Some(Cycles(2)));
+        assert_eq!(w.peek_time(), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod trace;
 pub mod units;
 
 pub use clock::{Cycles, Nanos, SimClock, DEFAULT_GPU_CLOCK_GHZ};
-pub use events::{EventId, EventWheel};
+pub use events::EventWheel;
 pub use rng::{SimRng, ZipfSampler};
 pub use stats::{Counter, Histogram, RunningStats};
 pub use trace::{BufferedSink, NullSink, TraceEvent, TraceEventKind, TraceSink};

@@ -1,31 +1,39 @@
-//! Release-mode speedup gates for the threaded engine.
+//! Release-mode speedup checks for the threaded engine.
 //!
 //! CI runs this with `cargo test --release --test engine_parallel`. Two
-//! contracts, both on a machine with at least 4 usable cores:
+//! measurements, both on a machine with at least 4 usable cores:
 //!
-//! - `EngineSched::ParallelShards(4)` replays a large **sharded** workload
-//!   at least 1.3× faster than the sequential event-driven scheduler (the
-//!   device-phase gate: per-device advancement dominates and the workers
-//!   divide it).
+//! - `EngineSched::ParallelShards(4)` against the sequential event-driven
+//!   scheduler on a large **sharded** workload (the device phase). This was
+//!   a ≥ 1.3× gate premised on "per-device advancement dominates and the
+//!   workers divide it". What dominated was the sequential engine asking
+//!   idle SSDs every round whether anything had happened; PR 14 made that
+//!   question free, and with it most of what the workers divided: on this
+//!   replay the sequential device phase fell from ≈ 2 000 ns to ≈ 55 ns per
+//!   round (87 % → ≈ 20 % of the timed loop; 168 716 rounds, 8 SSDs, 2-core
+//!   dev box, temporary phase timer), less than one barrier round trip.
+//!   Even a free barrier would cap the speedup near 1.3× (Amdahl), so the
+//!   floor is no longer attainable and the speedup is **reported, not
+//!   asserted**. It could not be re-measured here (2 cores); ROADMAP carries
+//!   the follow-up.
 //! - The same scheduler replays a warp-dominated **single-shard** workload
 //!   at least 1.5× faster (the warp-phase gate: with one lock shard the
 //!   device phase is thin, so the win must come from phase-B parallel warp
 //!   planning plus device-affine phase-A partitioning — before those, this
-//!   shape left every worker idle).
+//!   shape left every worker idle). Still a gate: its premise is untouched.
 //!
-//! Both gates require bit-identical results (the identity half is asserted
+//! Both tests require bit-identical results (the identity half is asserted
 //! unconditionally; the golden/proptest suites pin it independently).
 //!
-//! Methodology mirrors `tests/metrics_overhead.rs`'s wall-clock fallback:
-//! each round runs sequential, parallel, parallel, sequential back-to-back,
-//! the pair ratio (s1+s2)/(p1+p2) cancels drift that is slow against a
-//! round, and the median over rounds sheds outliers. The two sequential
-//! runs bracketing each round run identical work, so any spread between
-//! them is pure environment noise; when that floor is too high to resolve
-//! the 1.3× margin the gate reports and skips rather than flapping. The
-//! gate also skips on machines without enough cores — a single-core runner
-//! degrades the spin barrier to yield-loops and *cannot* show a speedup —
-//! and in debug builds (unoptimised atomics are not what ships).
+//! Methodology: each round runs sequential, parallel, parallel, sequential
+//! back-to-back, the pair ratio (s1+s2)/(p1+p2) cancels drift that is slow
+//! against a round, and the median over rounds sheds outliers. The two
+//! sequential runs bracketing each round run identical work, so any spread
+//! between them is pure environment noise; when that floor is too high to
+//! resolve the margin the gate reports and skips rather than flapping. The
+//! measurements also skip on machines without enough cores — a single-core
+//! runner degrades the spin barrier to yield-loops and *cannot* show a
+//! speedup — and in debug builds (unoptimised atomics are not what ships).
 
 use agile_repro::gpu::EngineSched;
 use agile_repro::trace::TraceSpec;
@@ -35,8 +43,9 @@ use agile_repro::workloads::experiments::trace_replay::{
 use std::time::Instant;
 
 const THREADS: usize = 4;
-const SPEEDUP_FLOOR: f64 = 1.3;
 
+/// Bit-identity of the threaded sharded replay (asserted), and its speedup
+/// over the sequential scheduler (reported only — see the module docs).
 #[test]
 fn parallel_shards_speeds_up_the_sharded_replay() {
     if cfg!(debug_assertions) {
@@ -46,8 +55,8 @@ fn parallel_shards_speeds_up_the_sharded_replay() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // A sharded 8-SSD replay big enough that per-shard device work dominates
-    // the sequential wall clock (the component the threads divide).
+    // A sharded 8-SSD replay: the shape with the most per-device work for
+    // the threads to divide.
     let trace = TraceSpec::uniform("engine-par", 4242, 8, 1 << 16, 16_384).generate();
     let seq_cfg = ReplayConfig {
         total_warps: 256,
@@ -72,7 +81,7 @@ fn parallel_shards_speeds_up_the_sharded_replay() {
     if cores < THREADS {
         eprintln!(
             "engine_parallel: {cores} usable core(s) < {THREADS} threads; a \
-             speedup is physically impossible here, skipping the wall-clock gate"
+             speedup is physically impossible here, skipping the measurement"
         );
         return;
     }
@@ -109,18 +118,6 @@ fn parallel_shards_speeds_up_the_sharded_replay() {
         "engine_parallel: median speedup {speedup:.2}x at {THREADS} threads, \
          seq-vs-seq noise floor {:.2}%",
         noise_floor * 100.0
-    );
-    if noise_floor > 0.15 {
-        eprintln!(
-            "engine_parallel: environment noise exceeds the resolvable margin; \
-             skipping the wall-clock assertion"
-        );
-        return;
-    }
-    assert!(
-        speedup >= SPEEDUP_FLOOR,
-        "ParallelShards({THREADS}) speedup {speedup:.2}x is below the \
-         {SPEEDUP_FLOOR}x floor"
     );
 }
 
