@@ -11,7 +11,7 @@
 //! constants model BaM's lock-held critical sections).
 
 use agile_cache::{CacheConfig, ClockPolicy, ShardedCache, NO_TENANT};
-use agile_core::io_path::{IoPath, PathCosts, ReadOutcome};
+use agile_core::io_path::{IoPath, PathCosts, ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
 use agile_sim::costs::CostModel;
 use agile_sim::Cycles;
@@ -239,16 +239,18 @@ impl BamCtrl {
 
     /// Synchronous warp read: on a full hit returns the tokens; otherwise
     /// issues the missing fills and reports `Pending` — the warp must then
-    /// call [`BamCtrl::poll_once`] until the data lands and retry.
-    /// Untenanted ([`IoPath::read_warp`] with `NO_TENANT`): cache accounting
-    /// is skipped and trace events carry the sentinel (`u32::MAX`).
+    /// call [`BamCtrl::poll_once`] until the data lands and retry with the
+    /// same `wait`. Untenanted ([`IoPath::read_warp`] with `NO_TENANT`):
+    /// cache accounting is skipped and trace events carry the sentinel
+    /// (`u32::MAX`).
     pub fn read_warp_sync(
         &self,
         warp: u64,
         requests: &[(u32, Lba)],
         now: Cycles,
+        wait: &mut WarpWait,
     ) -> (Cycles, ReadOutcome) {
-        self.io.read_warp(warp, NO_TENANT, requests, now)
+        self.io.read_warp(warp, NO_TENANT, requests, now, wait)
     }
 
     /// Issue a raw (cache-bypassing) read; the caller polls until `barrier`
@@ -361,7 +363,8 @@ mod tests {
     fn sync_read_miss_then_poll_then_hit() {
         let (ctrl, mut dev) = rig(2, 64);
         let reqs = vec![(0u32, 5u64), (0, 6)];
-        let (_, outcome) = ctrl.read_warp_sync(0, &reqs, Cycles(0));
+        let mut wait = WarpWait::new();
+        let (_, outcome) = ctrl.read_warp_sync(0, &reqs, Cycles(0), &mut wait);
         assert_eq!(outcome, ReadOutcome::Pending, "first access must miss");
         // The user thread itself drives the completion path.
         let mut now = Cycles(0);
@@ -370,7 +373,7 @@ mod tests {
             now += Cycles(2_000);
             dev.advance_to(now);
             let _ = ctrl.poll_once(0, 0, now);
-            let (_, outcome) = ctrl.read_warp_sync(0, &reqs, now);
+            let (_, outcome) = ctrl.read_warp_sync(0, &reqs, now, &mut wait);
             if let ReadOutcome::Ready(tokens) = outcome {
                 assert_eq!(tokens.len(), 2);
                 assert_eq!(tokens[0], PageToken::pristine(0, 5));

@@ -2,7 +2,7 @@
 //! deadlock demonstration.
 
 use crate::ctrl::BamCtrl;
-use agile_core::io_path::ReadOutcome;
+use agile_core::io_path::{ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -46,6 +46,8 @@ struct SyncWarp {
     warp_flat: u64,
     iter: u32,
     phase: SyncPhase,
+    /// Carried across the polls of one read (see `IoPath::read_warp`).
+    wait: WarpWait,
 }
 
 impl SyncWarp {
@@ -70,7 +72,9 @@ impl WarpKernel for SyncWarp {
         match self.phase {
             SyncPhase::Read => {
                 let reqs = self.pages(ctx.lanes);
-                let (cost, outcome) = self.ctrl.read_warp_sync(self.warp_flat, &reqs, ctx.now);
+                let (cost, outcome) =
+                    self.ctrl
+                        .read_warp_sync(self.warp_flat, &reqs, ctx.now, &mut self.wait);
                 self.phase = match outcome {
                     ReadOutcome::Ready(_) => SyncPhase::Compute,
                     ReadOutcome::Pending => SyncPhase::Poll,
@@ -115,6 +119,7 @@ impl KernelFactory for SyncReadComputeKernel {
             warp_flat: block as u64 * 64 + warp as u64,
             iter: 0,
             phase: SyncPhase::Read,
+            wait: WarpWait::new(),
         })
     }
     fn name(&self) -> &str {

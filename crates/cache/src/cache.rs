@@ -32,6 +32,24 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LineId(pub u32);
 
+/// A waiter's claim on an in-flight reservation: `line` was `BUSY` in
+/// reservation `generation` when a lookup of some page found it
+/// ([`CacheLookup::Busy`]) or started it ([`CacheLookup::Miss`]).
+///
+/// A BUSY line is neither evictable nor re-taggable, so for as long as the
+/// line's state word still reads "BUSY, this generation" a lookup of that
+/// page would take the `Busy` arm again — which is what
+/// [`SoftwareCache::lookup_busy`] checks, with one load, in place of the
+/// lookup. Once the fill completes or is abandoned the ticket is dead for
+/// good: a later reservation of the same line carries a later generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BusyTicket {
+    /// The reserved line.
+    pub line: LineId,
+    /// The line's reservation generation at the lookup.
+    pub generation: u32,
+}
+
 /// Cache geometry and sizing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -73,7 +91,7 @@ impl CacheConfig {
 /// Note: for cross-layer observability prefer the unified registry, which
 /// exports these as `agile_cache_*` (snapshot-time collector, exporters,
 /// windowed series); this struct stays for direct programmatic access.
-#[derive(Debug, Default, Serialize, Deserialize, Clone)]
+#[derive(Debug, Default, Serialize, Deserialize, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hits on valid data.
     pub hits: u64,
@@ -116,6 +134,9 @@ pub enum CacheLookup {
     Busy {
         /// The line being filled.
         line: LineId,
+        /// The reservation generation of the fill in flight (see
+        /// [`BusyTicket`]).
+        generation: u32,
     },
     /// The caller now owns a BUSY, pinned line and must issue the NVMe read
     /// that fills it (then call [`SoftwareCache::complete_fill`]).
@@ -127,6 +148,9 @@ pub enum CacheLookup {
         /// If the victim held dirty data, the caller must also write this
         /// `(device, lba, token)` back to the SSD.
         writeback: Option<(u32, Lba, PageToken)>,
+        /// The reservation generation this lookup started (see
+        /// [`BusyTicket`]).
+        generation: u32,
     },
     /// Every way of the target set is pinned or busy; retry later.
     NoLineAvailable,
@@ -250,6 +274,19 @@ impl SoftwareCache {
     /// effectively free when no sink is installed.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
         self.trace.set(sink).is_ok()
+    }
+
+    /// Hold every set lock until the returned guards drop. Test seam: lets a
+    /// test show that a code path never wants a set lock.
+    #[doc(hidden)]
+    pub fn lock_all_sets(&self) -> impl Sized + '_ {
+        self.sets.iter().map(|set| set.lock()).collect::<Vec<_>>()
+    }
+
+    /// True once a trace sink is installed — the only time anything reads
+    /// the time hint.
+    pub fn has_trace_sink(&self) -> bool {
+        self.trace.get().is_some()
     }
 
     /// Publish the current sim time for trace timestamps. Controllers call
@@ -376,16 +413,16 @@ impl SoftwareCache {
                         }
                     }
                     LineState::Busy => {
-                        self.stats.busy_hits.fetch_add(1, Ordering::Relaxed);
-                        self.trace_lookup(TraceEventKind::CacheBusy, dev, lba, tenant);
+                        self.count_busy_hit(dev, lba, tenant);
                         CacheLookup::Busy {
                             line: self.line_id(set_idx, way_idx),
+                            generation: way.generation(),
                         }
                     }
                     LineState::Invalid => {
                         // Tag present but invalid (fill failed): re-reserve
                         // it, transferring ownership to the new requester.
-                        way.set_state(LineState::Busy);
+                        let generation = way.set_state(LineState::Busy);
                         way.pin();
                         self.transfer_owner(&mut meta, way_idx, tenant);
                         self.policy.on_fill(set_idx, way_idx);
@@ -396,6 +433,7 @@ impl SoftwareCache {
                             line: self.line_id(set_idx, way_idx),
                             dma: way.data.clone(),
                             writeback: None,
+                            generation,
                         }
                     }
                 };
@@ -407,7 +445,7 @@ impl SoftwareCache {
             let way = &self.ways[set_idx * self.assoc + way_idx];
             meta.tags[way_idx] = Some((dev, lba));
             meta.owners[way_idx] = tenant;
-            way.set_state(LineState::Busy);
+            let generation = way.set_state(LineState::Busy);
             way.pin();
             self.policy.on_fill(set_idx, way_idx);
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -417,6 +455,7 @@ impl SoftwareCache {
                 line: self.line_id(set_idx, way_idx),
                 dma: way.data.clone(),
                 writeback: None,
+                generation,
             };
         }
 
@@ -457,14 +496,37 @@ impl SoftwareCache {
         meta.owners[victim] = tenant;
         self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
         meta.tags[victim] = Some((dev, lba));
-        way.set_state(LineState::Busy);
+        let generation = way.set_state(LineState::Busy);
         way.pin();
         self.policy.on_fill(set_idx, victim);
         CacheLookup::Miss {
             line: self.line_id(set_idx, victim),
             dma: way.data.clone(),
             writeback,
+            generation,
         }
+    }
+
+    /// Everything a lookup that finds its page `BUSY` does: count the
+    /// coalesced request and trace it.
+    fn count_busy_hit(&self, dev: u32, lba: Lba, tenant: u32) {
+        self.stats.busy_hits.fetch_add(1, Ordering::Relaxed);
+        self.trace_lookup(TraceEventKind::CacheBusy, dev, lba, tenant);
+    }
+
+    /// [`SoftwareCache::lookup_or_reserve_as`] for a waiter that holds a
+    /// ticket for `(dev, lba)`: if the ticketed reservation is still in
+    /// flight the lookup would find the page `BUSY` again, so account exactly
+    /// that — same counter, same trace record — and return `true`, from one
+    /// load of the line's state word: no set lock, no tag scan. Returns
+    /// `false`, having done nothing, once the ticket is dead; the caller then
+    /// makes the real lookup.
+    pub fn lookup_busy(&self, ticket: BusyTicket, dev: u32, lba: Lba, tenant: u32) -> bool {
+        let waiting = self.way(ticket.line).busy_in(ticket.generation);
+        if waiting {
+            self.count_busy_hit(dev, lba, tenant);
+        }
+        waiting
     }
 
     /// Move ownership of `way_idx` (whose set lock the caller holds via
@@ -638,6 +700,7 @@ mod tests {
             line,
             dma,
             writeback,
+            ..
         } = c.lookup_or_reserve(0, 42)
         else {
             panic!("expected miss");
@@ -668,6 +731,99 @@ mod tests {
         assert_eq!(s.busy_hits, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(c.total_pins(), 0);
+    }
+
+    /// A one-line cache: every page maps to the same way, so a second page
+    /// can only come in by evicting the first.
+    fn one_line_cache() -> SoftwareCache {
+        SoftwareCache::new(
+            CacheConfig {
+                capacity_bytes: SSD_PAGE_SIZE,
+                line_size: SSD_PAGE_SIZE,
+                associativity: 1,
+            },
+            Box::new(ClockPolicy::new()),
+        )
+    }
+
+    #[test]
+    fn a_live_ticket_stands_in_for_the_busy_lookup() {
+        let c = one_line_cache();
+        let CacheLookup::Miss {
+            line, generation, ..
+        } = c.lookup_or_reserve(0, 1)
+        else {
+            panic!("expected miss");
+        };
+        let ticket = BusyTicket { line, generation };
+        // A second requester finds the same reservation.
+        let CacheLookup::Busy {
+            line: busy_line,
+            generation: busy_generation,
+        } = c.lookup_or_reserve(0, 1)
+        else {
+            panic!("expected busy");
+        };
+        assert_eq!((busy_line, busy_generation), (line, generation));
+        assert_eq!(c.stats().busy_hits, 1);
+        // While the fill is in flight the ticket accounts like the lookup.
+        assert!(c.lookup_busy(ticket, 0, 1, NO_TENANT));
+        assert_eq!(c.stats().busy_hits, 2);
+        // Once it lands the ticket is dead and costs nothing.
+        c.complete_fill(line);
+        c.unpin(line);
+        assert!(!c.lookup_busy(ticket, 0, 1, NO_TENANT));
+        assert_eq!(c.stats().busy_hits, 2);
+        // An abandoned reservation kills its ticket too.
+        let CacheLookup::Miss {
+            line, generation, ..
+        } = c.lookup_or_reserve(0, 2)
+        else {
+            panic!("expected eviction miss");
+        };
+        c.abort_fill(line);
+        assert!(!c.lookup_busy(BusyTicket { line, generation }, 0, 2, NO_TENANT));
+    }
+
+    #[test]
+    fn a_ticket_misses_once_its_line_is_reserved_for_another_page() {
+        // ABA: between two polls of a waiter the fill lands, the line is
+        // evicted and reserved again — BUSY again, but for another page.
+        let c = one_line_cache();
+        let CacheLookup::Miss {
+            line, generation, ..
+        } = c.lookup_or_reserve(0, 1)
+        else {
+            panic!("expected miss");
+        };
+        let stale = BusyTicket { line, generation };
+        c.complete_fill(line);
+        c.unpin(line);
+        let CacheLookup::Miss {
+            line: reused,
+            generation: next,
+            ..
+        } = c.lookup_or_reserve(0, 2)
+        else {
+            panic!("expected eviction miss");
+        };
+        assert_eq!(reused, line, "the only line there is");
+        assert_eq!(c.state(line), LineState::Busy);
+        assert_ne!(next, generation);
+        assert!(!c.lookup_busy(stale, 0, 1, NO_TENANT), "stale ticket hit");
+        assert_eq!(c.stats().busy_hits, 0);
+        // The real lookup of the old page finds no line it could take.
+        assert!(matches!(
+            c.lookup_or_reserve(0, 1),
+            CacheLookup::NoLineAvailable
+        ));
+        // The new reservation's own ticket is live.
+        let live = BusyTicket {
+            line,
+            generation: next,
+        };
+        assert!(c.lookup_busy(live, 0, 2, NO_TENANT));
+        assert_eq!(c.stats().busy_hits, 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod sharded;
 pub mod share_table;
 pub mod tenant;
 
-pub use cache::{CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
+pub use cache::{BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
 pub use line::LineState;
 pub use policy::{
     CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShareError, TenantShare,

@@ -12,6 +12,13 @@
 //! a line with pinned readers cannot be evicted, which is how AGILE keeps
 //! cache-hit accesses atomic with respect to eviction (§2.3.2) — and the
 //! per-line DMA slot the SSD writes the page token into.
+//!
+//! The state shares its word with a **reservation generation**: the state
+//! sits in the low two bits and the generation above them, bumped on every
+//! entry into `BUSY`. A BUSY line can be neither evicted nor re-tagged, so a
+//! waiter that remembers the generation it saw can tell from one load of the
+//! word that the fill it is waiting on is still the one in flight
+//! ([`Way::busy_in`]) — without the set lock or a tag scan.
 
 use nvme_sim::DmaHandle;
 use serde::{Deserialize, Serialize};
@@ -48,9 +55,25 @@ impl LineState {
     }
 }
 
+/// Bits of the state word holding the [`LineState`]; the rest is the
+/// reservation generation.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
+
+/// `word` moved to state `to`: entering `BUSY` starts the next generation
+/// (wrapping at 30 bits), any other state keeps the current one.
+fn with_state(word: u32, to: LineState) -> u32 {
+    let generation = word & !STATE_MASK;
+    match to {
+        LineState::Busy => generation.wrapping_add(1 << STATE_BITS) | to as u32,
+        _ => generation | to as u32,
+    }
+}
+
 /// One cache way (line): state word, pin count and DMA slot.
 #[derive(Debug)]
 pub struct Way {
+    /// [`LineState`] in the low [`STATE_BITS`], reservation generation above.
     state: AtomicU32,
     pins: AtomicU32,
     /// The 64-bit page-token slot NVMe reads DMA into (and writes DMA out of).
@@ -75,21 +98,39 @@ impl Way {
 
     /// Current state.
     pub fn state(&self) -> LineState {
-        LineState::from_u32(self.state.load(Ordering::Acquire))
+        LineState::from_u32(self.state.load(Ordering::Acquire) & STATE_MASK)
     }
 
     /// Unconditionally set the state (caller must hold the set lock or be the
-    /// unique owner of the in-flight transition).
-    pub fn set_state(&self, s: LineState) {
-        self.state.store(s as u32, Ordering::Release);
+    /// unique owner of the in-flight transition). Returns the line's
+    /// reservation generation, which setting `BUSY` has just advanced.
+    pub fn set_state(&self, s: LineState) -> u32 {
+        let word = with_state(self.state.load(Ordering::Relaxed), s);
+        self.state.store(word, Ordering::Release);
+        word >> STATE_BITS
     }
 
     /// Atomically transition `from → to`. Returns false if the current state
     /// was not `from`.
     pub fn transition(&self, from: LineState, to: LineState) -> bool {
         self.state
-            .compare_exchange(from as u32, to as u32, Ordering::AcqRel, Ordering::Acquire)
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                (word & STATE_MASK == from as u32).then(|| with_state(word, to))
+            })
             .is_ok()
+    }
+
+    /// The current reservation generation: how many times the line has
+    /// entered `BUSY` (modulo 2³⁰).
+    pub fn generation(&self) -> u32 {
+        self.state.load(Ordering::Acquire) >> STATE_BITS
+    }
+
+    /// True while the line is still `BUSY` in reservation `generation` —
+    /// the fill (or write-back) that started then has neither completed nor
+    /// been abandoned, so the line still holds the same tag. One load.
+    pub fn busy_in(&self, generation: u32) -> bool {
+        self.state.load(Ordering::Acquire) == generation << STATE_BITS | LineState::Busy as u32
     }
 
     /// Current pin count.
@@ -143,6 +184,47 @@ mod tests {
         assert!(w.transition(LineState::Busy, LineState::Ready));
         w.set_state(LineState::Modified);
         assert_eq!(w.state(), LineState::Modified);
+    }
+
+    #[test]
+    fn way_does_not_grow() {
+        // 524 288 of these back a 2 GiB cache: the generation lives in the
+        // state word so that a line stays 16 bytes.
+        assert_eq!(
+            std::mem::size_of::<Way>(),
+            2 * std::mem::size_of::<AtomicU32>() + std::mem::size_of::<DmaHandle>()
+        );
+    }
+
+    #[test]
+    fn every_entry_into_busy_starts_a_new_generation() {
+        let w = Way::new();
+        assert_eq!(w.generation(), 0);
+        assert_eq!(w.set_state(LineState::Busy), 1);
+        assert!(w.busy_in(1));
+        // Leaving BUSY keeps the generation but ends the reservation.
+        assert!(w.transition(LineState::Busy, LineState::Ready));
+        assert_eq!((w.state(), w.generation()), (LineState::Ready, 1));
+        assert!(!w.busy_in(1));
+        assert_eq!(w.set_state(LineState::Modified), 1);
+        // Re-reserved: BUSY again, but not the reservation ticket 1 names.
+        assert!(w.transition(LineState::Modified, LineState::Busy));
+        assert_eq!(w.state(), LineState::Busy);
+        assert!(!w.busy_in(1));
+        assert!(w.busy_in(2));
+        // A failed transition changes nothing.
+        assert!(!w.transition(LineState::Ready, LineState::Busy));
+        assert!(w.busy_in(2));
+    }
+
+    #[test]
+    fn generation_wraps_without_touching_the_state() {
+        let w = Way::new();
+        w.state.store(!STATE_MASK, Ordering::Relaxed); // the last generation, INVALID
+        assert_eq!(w.state(), LineState::Invalid);
+        assert_eq!(w.set_state(LineState::Busy), 0);
+        assert_eq!(w.state(), LineState::Busy);
+        assert!(w.busy_in(0));
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! cache-shard scaling gate, the bench sweep) opt into a nonzero hold to
 //! measure how splitting the port queue scales aggregate throughput.
 
-use crate::cache::{global_set_of, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
+use crate::cache::{
+    global_set_of, BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache,
+};
 use crate::line::{LineState, Way};
 use crate::policy::{CachePolicy, ShareError};
 use crate::tenant::{TenantCacheStats, TenantTable};
@@ -152,17 +154,20 @@ impl ShardedCache {
                 line: self.globalize(shard, line),
                 token,
             },
-            CacheLookup::Busy { line } => CacheLookup::Busy {
+            CacheLookup::Busy { line, generation } => CacheLookup::Busy {
                 line: self.globalize(shard, line),
+                generation,
             },
             CacheLookup::Miss {
                 line,
                 dma,
                 writeback,
+                generation,
             } => CacheLookup::Miss {
                 line: self.globalize(shard, line),
                 dma,
                 writeback,
+                generation,
             },
             CacheLookup::NoLineAvailable => CacheLookup::NoLineAvailable,
         }
@@ -207,11 +212,26 @@ impl ShardedCache {
         all
     }
 
+    /// Hold every set lock of every shard; see
+    /// [`SoftwareCache::lock_all_sets`].
+    #[doc(hidden)]
+    pub fn lock_all_sets(&self) -> impl Sized + '_ {
+        self.shards
+            .iter()
+            .map(SoftwareCache::lock_all_sets)
+            .collect::<Vec<_>>()
+    }
+
     /// Publish the current sim time to every shard for trace timestamps.
+    /// Only trace records read it, so without a sink (installed on every
+    /// shard or on none) nothing is stored; a sink installed later sees the
+    /// hint of the first call after it.
     #[inline]
     pub fn set_time_hint(&self, now: u64) {
-        for shard in &self.shards {
-            shard.set_time_hint(now);
+        if self.shards[0].has_trace_sink() {
+            for shard in &self.shards {
+                shard.set_time_hint(now);
+            }
         }
     }
 
@@ -297,6 +317,14 @@ impl ShardedCache {
         let shard = self.shard_of(dev, lba);
         let lookup = self.shards[shard].lookup_or_reserve_as(dev, lba, tenant);
         self.map_lookup(shard, lookup)
+    }
+
+    /// Re-account a lookup whose ticketed fill is still in flight, from one
+    /// load of the line's state word; see [`SoftwareCache::lookup_busy`].
+    pub fn lookup_busy(&self, ticket: BusyTicket, dev: u32, lba: Lba, tenant: u32) -> bool {
+        let (shard, line) = self.locate(ticket.line);
+        let local = BusyTicket { line, ..ticket };
+        self.shards[shard].lookup_busy(local, dev, lba, tenant)
     }
 
     /// Probe without reserving; see [`SoftwareCache::peek`].
@@ -458,6 +486,65 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn tickets_route_to_the_shard_that_owns_the_line() {
+        let c = sharded(64, 4, 4);
+        // Reserve pages until some reservation lands outside shard 0, so the
+        // ticket's line id really is a global one.
+        let (lba, ticket) = (0..64u64)
+            .find_map(|lba| match c.lookup_or_reserve(0, lba) {
+                CacheLookup::Miss {
+                    line, generation, ..
+                } if line.0 as usize >= c.lines_per_shard => {
+                    Some((lba, BusyTicket { line, generation }))
+                }
+                _ => None,
+            })
+            .expect("64 pages over 4 shards reach a shard other than 0");
+        let before = c.stats_by_shard();
+        assert!(c.lookup_busy(ticket, 0, lba, crate::NO_TENANT));
+        let after = c.stats_by_shard();
+        let shard = ticket.line.0 as usize / c.lines_per_shard;
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(a.busy_hits - b.busy_hits, (i == shard) as u64);
+        }
+        c.complete_fill(ticket.line);
+        assert!(!c.lookup_busy(ticket, 0, lba, crate::NO_TENANT));
+    }
+
+    #[test]
+    fn time_hint_is_published_only_to_a_sink_and_a_late_sink_sees_it() {
+        use agile_sim::trace::{TraceEvent, TraceSink};
+        #[derive(Default)]
+        struct Log(Mutex<Vec<TraceEvent>>);
+        impl TraceSink for Log {
+            fn record(&self, ev: TraceEvent) {
+                self.0.lock().push(ev);
+            }
+        }
+        let c = sharded(64, 4, 4);
+        let lookup = |lba| {
+            if let CacheLookup::Hit { line, .. } = c.lookup_or_reserve(0, lba) {
+                c.unpin(line);
+            }
+        };
+        // No sink: the hint goes nowhere, lookups work as ever.
+        c.set_time_hint(1_000);
+        assert!(c.preload(0, 1, PageToken(1)));
+        // A sink installed mid-run has seen no hint yet …
+        let log = Arc::new(Log::default());
+        assert!(c.set_trace_sink(log.clone()));
+        lookup(1);
+        // … and from then on stamps with the hint of each call, on whichever
+        // shard the lookup lands.
+        for (now, lba) in [(2_000u64, 1u64), (3_000, 2), (4_000, 40)] {
+            c.set_time_hint(now);
+            lookup(lba);
+        }
+        let stamps: Vec<u64> = log.0.lock().iter().map(|ev| ev.at).collect();
+        assert_eq!(stamps, [0, 2_000, 3_000, 4_000]);
     }
 
     #[test]

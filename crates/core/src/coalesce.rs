@@ -15,7 +15,7 @@
 use nvme_sim::Lba;
 
 /// Result of coalescing one warp's worth of requests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoalescedRequests {
     /// The unique `(device, LBA)` pairs, in first-appearance order.
     pub unique: Vec<(u32, Lba)>,
@@ -31,8 +31,23 @@ pub struct CoalescedRequests {
 /// thread to forward the request" behaviour of the paper. The warp size is
 /// small (32), so a linear scan beats hashing.
 pub fn coalesce_warp(requests: &[(u32, Lba)]) -> CoalescedRequests {
-    let mut unique: Vec<(u32, Lba)> = Vec::with_capacity(requests.len());
-    let mut lane_to_unique = Vec::with_capacity(requests.len());
+    let mut out = CoalescedRequests::default();
+    coalesce_warp_into(requests, &mut out);
+    out
+}
+
+/// [`coalesce_warp`] into `out`, reusing its buffers.
+pub fn coalesce_warp_into(requests: &[(u32, Lba)], out: &mut CoalescedRequests) {
+    let CoalescedRequests {
+        unique,
+        lane_to_unique,
+        eliminated,
+    } = out;
+    unique.clear();
+    lane_to_unique.clear();
+    // One allocation each for a fresh `out`, none for a reused one.
+    unique.reserve(requests.len());
+    lane_to_unique.reserve(requests.len());
     for &req in requests {
         match unique.iter().position(|&u| u == req) {
             Some(idx) => lane_to_unique.push(idx),
@@ -42,12 +57,7 @@ pub fn coalesce_warp(requests: &[(u32, Lba)]) -> CoalescedRequests {
             }
         }
     }
-    let eliminated = requests.len() - unique.len();
-    CoalescedRequests {
-        unique,
-        lane_to_unique,
-        eliminated,
-    }
+    *eliminated = requests.len() - unique.len();
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! the background service.
 
 use crate::config::{AgileConfig, CachePolicyKind};
-use crate::io_path::{IoPath, PageState, PathCosts, ReadOutcome, Traffic};
+use crate::io_path::{IoPath, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait};
 use crate::lockchain::LockRegistry;
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
@@ -297,13 +297,15 @@ impl AgileCtrl {
         now: Cycles,
     ) -> (Cycles, Vec<(u32, Lba)>) {
         self.prefetch_calls.fetch_add(1, Ordering::Relaxed);
-        let (cost, coalesced, pages) = self.io.lookup_warp(warp, tenant, requests, now);
-        let retry = coalesced
-            .unique
-            .into_iter()
-            .zip(pages)
-            .filter(|&(_, state)| state == PageState::NotStarted)
-            .map(|(req, _)| req)
+        // Fire and forget: nothing waits on a prefetch, so no state is kept.
+        let mut wait = WarpWait::new();
+        let cost = self.io.lookup_warp(warp, tenant, requests, now, &mut wait);
+        let retry = wait
+            .unique()
+            .iter()
+            .zip(wait.pages())
+            .filter(|&(_, &state)| state == PageState::NotStarted)
+            .map(|(&req, _)| req)
             .collect();
         (cost, retry)
     }
@@ -314,21 +316,23 @@ impl AgileCtrl {
 
     /// Array-like synchronous read for one warp: returns the tokens for all
     /// lanes if everything is resident, otherwise issues the missing fills
-    /// and asks the caller to retry. Untenanted ([`IoPath::read_warp`] with
-    /// `NO_TENANT`): cache accounting is skipped and trace events carry the
-    /// sentinel (`u32::MAX`).
+    /// and asks the caller to retry with the same `wait`. Untenanted
+    /// ([`IoPath::read_warp`] with `NO_TENANT`): cache accounting is skipped
+    /// and trace events carry the sentinel (`u32::MAX`).
     pub fn read_warp(
         &self,
         warp: u64,
         requests: &[(u32, Lba)],
         now: Cycles,
+        wait: &mut WarpWait,
     ) -> (Cycles, ReadOutcome) {
-        self.io.read_warp(warp, NO_TENANT, requests, now)
+        self.io.read_warp(warp, NO_TENANT, requests, now, wait)
     }
 
     /// Store one page through the software cache (array-like write),
     /// untenanted ([`IoPath::write_warp`] with `NO_TENANT`). Returns the
-    /// cost and whether the store landed (false = retry later).
+    /// cost and whether the store landed (false = retry later, with the
+    /// same `wait`).
     pub fn write_warp(
         &self,
         warp: u64,
@@ -336,8 +340,10 @@ impl AgileCtrl {
         lba: Lba,
         token: PageToken,
         now: Cycles,
+        wait: &mut LineWait,
     ) -> (Cycles, bool) {
-        self.io.write_warp(warp, NO_TENANT, dev, lba, token, now)
+        self.io
+            .write_warp(warp, NO_TENANT, dev, lba, token, now, wait)
     }
 
     // ------------------------------------------------------------------
@@ -459,7 +465,8 @@ impl AgileCtrl {
         }
 
         // Keep the cache coherent with the new data (write-allocate update).
-        let (c_cost, _stored) = self.write_warp(warp, dev, lba, token, now);
+        let (c_cost, _stored) =
+            self.write_warp(warp, dev, lba, token, now, &mut LineWait::default());
         cost += c_cost;
 
         // If the Share Table tracks this source, record the modification so
@@ -594,7 +601,7 @@ mod tests {
     fn read_warp_becomes_ready_after_manual_fill() {
         let ctrl = ctrl_with_queues(1, 1, 64);
         let reqs = vec![(0u32, 3u64), (0, 4)];
-        let (_, outcome) = ctrl.read_warp(0, &reqs, Cycles(0));
+        let (_, outcome) = ctrl.read_warp(0, &reqs, Cycles(0), &mut WarpWait::new());
         assert_eq!(outcome, ReadOutcome::Pending);
         // Simulate the service completing the fills: find the reserved lines
         // via the transaction table and complete them.
@@ -611,7 +618,7 @@ mod tests {
                 }
             }
         }
-        let (_, outcome) = ctrl.read_warp(0, &reqs, Cycles(0));
+        let (_, outcome) = ctrl.read_warp(0, &reqs, Cycles(0), &mut WarpWait::new());
         match outcome {
             ReadOutcome::Ready(tokens) => assert_eq!(tokens.len(), 2),
             ReadOutcome::Pending => panic!("expected ready after fills completed"),
@@ -676,10 +683,10 @@ mod tests {
     #[test]
     fn write_warp_allocates_and_marks_dirty() {
         let ctrl = ctrl_with_queues(1, 1, 16);
-        let (_, ok) = ctrl.write_warp(0, 0, 77, PageToken(55), Cycles(0));
+        let (_, ok) = ctrl.write_warp(0, 0, 77, PageToken(55), Cycles(0), &mut LineWait::default());
         assert!(ok);
         assert_eq!(ctrl.cache().peek(0, 77), Some(PageToken(55)));
-        let (_, outcome) = ctrl.read_warp(0, &[(0, 77)], Cycles(0));
+        let (_, outcome) = ctrl.read_warp(0, &[(0, 77)], Cycles(0), &mut WarpWait::new());
         assert!(matches!(outcome, ReadOutcome::Ready(t) if t[0] == PageToken(55)));
     }
 }

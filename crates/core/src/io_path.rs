@@ -20,18 +20,22 @@
 //! * **miss service** — the one write-back-or-reinstate, then
 //!   fill-or-abort routine, and on it the cached warp lookup
 //!   ([`IoPath::lookup_warp`]), array-like read ([`IoPath::read_warp`]) and
-//!   write-allocate store ([`IoPath::write_warp`]).
+//!   write-allocate store ([`IoPath::write_warp`]). A warp that has to retry
+//!   such a call carries its [`WarpWait`] / [`LineWait`] from one attempt to
+//!   the next: pages it found `BUSY` are then re-checked by ticket — one load
+//!   of the line's state word each, accounted exactly like the lookup — and
+//!   only the rest go through the cache again.
 //!
 //! The per-system difference is data fixed at construction: a [`PathCosts`]
 //! triple derived from [`ApiCosts`]. No method ever holds a lock across a
 //! wait; each returns a cycle cost (charged to the calling warp as busy
 //! time) plus an outcome that may ask the caller to retry later.
 
-use crate::coalesce::{coalesce_warp, CoalescedRequests};
+use crate::coalesce::{coalesce_warp_into, CoalescedRequests};
 use crate::qos::{gate_admission, QosDecision, QosPolicy};
 use crate::sq_protocol::AgileSq;
 use crate::transaction::{Barrier, Transaction};
-use agile_cache::{CacheLookup, LineId, ShardedCache};
+use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache};
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -99,16 +103,110 @@ pub enum ReadOutcome {
 pub enum PageState {
     /// The page is resident.
     Ready(PageToken),
-    /// A fill is in flight — just issued, or coalesced onto an earlier one.
-    InFlight,
+    /// A fill is in flight — just issued, or coalesced onto an earlier one;
+    /// the ticket names its reservation.
+    InFlight(BusyTicket),
     /// Nothing could be started (no cache line, or every SQ full): the
     /// request has to be made again.
     NotStarted,
 }
 
+/// What a warp remembers between attempts of one cached warp access
+/// ([`IoPath::lookup_warp`] / [`IoPath::read_warp`]): the request it made,
+/// how it coalesced, and for every unique page what the last attempt found —
+/// with a [`BusyTicket`] where that was a fill in flight.
+///
+/// Purely a cache: the next attempt re-checks each ticket against the line's
+/// state word and falls back to a real lookup for any page whose ticket is
+/// dead or that had none, and a different request starts over. A fresh value on
+/// every call is therefore always correct, just slower; a carried one makes
+/// a retry whose pages are all still in flight free of set locks, tag scans,
+/// coalescing and allocation.
+#[derive(Debug, Default)]
+pub struct WarpWait {
+    /// The request of the last attempt, as it coalesced.
+    coalesced: CoalescedRequests,
+    /// Per unique request: what the last attempt found or started.
+    pages: Vec<PageState>,
+}
+
+impl WarpWait {
+    /// Wait state for a warp that has not asked for anything yet.
+    pub fn new() -> Self {
+        WarpWait::default()
+    }
+
+    /// [`WarpWait::new`] with room for requests of up to `lanes` lanes, so
+    /// that nothing is allocated when the first one arrives.
+    pub fn with_lanes(lanes: usize) -> Self {
+        WarpWait {
+            coalesced: CoalescedRequests {
+                unique: Vec::with_capacity(lanes),
+                lane_to_unique: Vec::with_capacity(lanes),
+                eliminated: 0,
+            },
+            pages: Vec::with_capacity(lanes),
+        }
+    }
+
+    /// Point the state at `requests`: kept as is when they are what the last
+    /// attempt asked for, recoalesced with every ticket dropped otherwise.
+    fn aim(&mut self, requests: &[(u32, Lba)]) {
+        // `unique[lane_to_unique[lane]]` is the last attempt's request.
+        let CoalescedRequests {
+            unique,
+            lane_to_unique,
+            ..
+        } = &self.coalesced;
+        let same = requests.len() == lane_to_unique.len()
+            && requests
+                .iter()
+                .zip(lane_to_unique)
+                .all(|(r, &u)| *r == unique[u]);
+        if !same {
+            coalesce_warp_into(requests, &mut self.coalesced);
+            self.pages.clear();
+            self.pages
+                .resize(self.coalesced.unique.len(), PageState::NotStarted);
+        }
+    }
+
+    /// The unique `(device, LBA)` pairs of the last attempt, in
+    /// first-appearance order.
+    pub fn unique(&self) -> &[(u32, Lba)] {
+        &self.coalesced.unique
+    }
+
+    /// What the last attempt found for each entry of [`WarpWait::unique`].
+    pub fn pages(&self) -> &[PageState] {
+        &self.pages
+    }
+
+    /// True when the last attempt found at least one page resident. When it
+    /// found none, no lane of the request can be served yet.
+    pub fn any_ready(&self) -> bool {
+        self.pages.iter().any(|p| matches!(p, PageState::Ready(_)))
+    }
+
+    /// Per-lane tokens of the last attempt, if every page was resident.
+    fn lane_tokens(&self) -> Option<Vec<PageToken>> {
+        let token = |&u: &usize| match self.pages[u] {
+            PageState::Ready(token) => Some(token),
+            _ => None,
+        };
+        self.coalesced.lane_to_unique.iter().map(token).collect()
+    }
+}
+
+/// What a warp remembers between attempts of one [`IoPath::write_warp`]:
+/// the fill the store found in its way, if any. Belongs to that one store —
+/// the ticket says nothing about any other page.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineWait(Option<BusyTicket>);
+
 /// The statistics both controllers keep (each adds its own categories in
 /// `ApiStats` / `BamStats`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Array-like warp reads.
     pub read_calls: u64,
@@ -638,42 +736,56 @@ impl IoPath {
 
     /// Look one warp's requests up in the software cache, coalesced
     /// (§3.3.2), issuing a fill for every miss that can be started. Returns
-    /// the cycle cost, the coalescing map and the state of each *unique*
-    /// request. Cache hits/misses and filled lines are attributed to
-    /// `tenant` (`agile_cache::NO_TENANT` skips the accounting); the fills
-    /// and write-backs themselves are system traffic.
+    /// the cycle cost; the unique requests and the state of each are left in
+    /// `wait` ([`WarpWait::unique`], [`WarpWait::pages`]). Cache hits/misses
+    /// and filled lines are attributed to `tenant` (`agile_cache::NO_TENANT`
+    /// skips the accounting); the fills and write-backs themselves are
+    /// system traffic.
+    ///
+    /// `wait` carries the previous attempt of the same request, if there was
+    /// one: a page whose ticketed fill is still in flight is accounted as the
+    /// BUSY lookup it would be without being looked up.
     pub fn lookup_warp(
         &self,
         warp: u64,
         tenant: u32,
         requests: &[(u32, Lba)],
         now: Cycles,
-    ) -> (Cycles, CoalescedRequests, Vec<PageState>) {
+        wait: &mut WarpWait,
+    ) -> Cycles {
         self.cache.set_time_hint(now.raw());
-        let coalesced = coalesce_warp(requests);
-        bump(&self.stats.warp_coalesced, coalesced.eliminated as u64);
+        wait.aim(requests);
+        bump(&self.stats.warp_coalesced, wait.coalesced.eliminated as u64);
         let mut cost = Cycles(self.gpu.warp_primitive);
-        let mut pages = Vec::with_capacity(coalesced.unique.len());
-        for &(dev, lba) in &coalesced.unique {
+        let mut coalesced_onto = 0;
+        for (i, &(dev, lba)) in wait.coalesced.unique.iter().enumerate() {
             // The shard's access port: FIFO queue wait + hold, exactly like
             // the submit path's array lock. Free when unmodeled (hold 0).
             cost += Cycles(self.cache.port_acquire(dev, lba, now.raw()));
-            pages.push(match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
+            if let PageState::InFlight(ticket) = wait.pages[i] {
+                if self.cache.lookup_busy(ticket, dev, lba, tenant) {
+                    cost += Cycles(self.costs.cache_hit);
+                    coalesced_onto += 1;
+                    continue;
+                }
+            }
+            wait.pages[i] = match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
                 CacheLookup::Hit { line, token } => {
                     cost += Cycles(self.costs.cache_hit);
                     bump(&self.stats.cache_hits, 1);
                     self.cache.unpin(line);
                     PageState::Ready(token)
                 }
-                CacheLookup::Busy { .. } => {
+                CacheLookup::Busy { line, generation } => {
                     cost += Cycles(self.costs.cache_hit);
-                    bump(&self.stats.cache_coalesced, 1);
-                    PageState::InFlight
+                    coalesced_onto += 1;
+                    PageState::InFlight(BusyTicket { line, generation })
                 }
                 CacheLookup::Miss {
                     line,
                     dma,
                     writeback,
+                    generation,
                 } => {
                     cost += Cycles(self.costs.cache_miss);
                     bump(&self.stats.cache_misses, 1);
@@ -681,7 +793,7 @@ impl IoPath {
                         self.service_miss(warp, line, Some((dev, lba, dma)), writeback, now);
                     cost += io_cost;
                     if started {
-                        PageState::InFlight
+                        PageState::InFlight(BusyTicket { line, generation })
                     } else {
                         PageState::NotStarted
                     }
@@ -690,46 +802,43 @@ impl IoPath {
                     cost += Cycles(self.costs.cache_miss);
                     PageState::NotStarted
                 }
-            });
+            };
         }
+        bump(&self.stats.cache_coalesced, coalesced_onto);
         self.charge_cache(cost);
-        (cost, coalesced, pages)
+        cost
     }
 
     /// Array-like synchronous read for one warp: returns the tokens for all
     /// lanes if everything is resident, otherwise issues the missing fills
-    /// and asks the caller to retry (AGILE's service, or on BaM the caller's
-    /// own polling, lands them in between). Tenant attribution as in
-    /// [`IoPath::lookup_warp`].
+    /// and asks the caller to retry with the same `wait` (AGILE's service,
+    /// or on BaM the caller's own polling, lands them in between). Tenant
+    /// attribution and `wait` as in [`IoPath::lookup_warp`].
     pub fn read_warp(
         &self,
         warp: u64,
         tenant: u32,
         requests: &[(u32, Lba)],
         now: Cycles,
+        wait: &mut WarpWait,
     ) -> (Cycles, ReadOutcome) {
         bump(&self.stats.read_calls, 1);
-        let (cost, coalesced, pages) = self.lookup_warp(warp, tenant, requests, now);
-        let per_lane = coalesced
-            .lane_to_unique
-            .iter()
-            .map(|&u| match pages[u] {
-                PageState::Ready(token) => Some(token),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>();
-        (
-            cost,
-            per_lane.map_or(ReadOutcome::Pending, ReadOutcome::Ready),
-        )
+        let cost = self.lookup_warp(warp, tenant, requests, now, wait);
+        let outcome = wait
+            .lane_tokens()
+            .map_or(ReadOutcome::Pending, ReadOutcome::Ready);
+        (cost, outcome)
     }
 
     /// Store one page through the software cache (array-like write): the
     /// line is updated (write-allocate, no fetch of the old contents) and
     /// marked dirty; the write-back to flash happens on eviction. Evicting a
     /// dirty victim issues its write-back first, exactly like the read path.
-    /// Returns the cost and whether the store landed (false = retry later).
-    /// Tenant attribution as in [`IoPath::lookup_warp`].
+    /// Returns the cost and whether the store landed (false = retry later,
+    /// with the same `wait`: a store blocked behind a fill that is still in
+    /// flight is then re-accounted without a lookup). Tenant attribution as
+    /// in [`IoPath::lookup_warp`].
+    #[allow(clippy::too_many_arguments)]
     pub fn write_warp(
         &self,
         warp: u64,
@@ -738,28 +847,43 @@ impl IoPath {
         lba: Lba,
         token: PageToken,
         now: Cycles,
+        wait: &mut LineWait,
     ) -> (Cycles, bool) {
         self.cache.set_time_hint(now.raw());
         let mut cost = Cycles(self.cache.port_acquire(dev, lba, now.raw()));
-        let stored = match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
-            CacheLookup::Hit { line, .. } => {
-                cost += Cycles(self.costs.cache_hit);
-                Some(line)
-            }
-            CacheLookup::Miss {
-                line, writeback, ..
-            } => {
-                cost += Cycles(self.costs.cache_miss);
-                let (wb_cost, ok) = self.service_miss(warp, line, None, writeback, now);
-                cost += wb_cost;
-                ok.then(|| {
-                    self.cache.complete_fill(line);
-                    line
-                })
-            }
-            CacheLookup::Busy { .. } | CacheLookup::NoLineAvailable => {
-                cost += Cycles(self.costs.cache_miss);
-                None
+        let blocked = wait
+            .0
+            .is_some_and(|ticket| self.cache.lookup_busy(ticket, dev, lba, tenant));
+        let stored = if blocked {
+            cost += Cycles(self.costs.cache_miss);
+            None
+        } else {
+            wait.0 = None;
+            match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
+                CacheLookup::Hit { line, .. } => {
+                    cost += Cycles(self.costs.cache_hit);
+                    Some(line)
+                }
+                CacheLookup::Miss {
+                    line, writeback, ..
+                } => {
+                    cost += Cycles(self.costs.cache_miss);
+                    let (wb_cost, ok) = self.service_miss(warp, line, None, writeback, now);
+                    cost += wb_cost;
+                    ok.then(|| {
+                        self.cache.complete_fill(line);
+                        line
+                    })
+                }
+                CacheLookup::Busy { line, generation } => {
+                    cost += Cycles(self.costs.cache_miss);
+                    wait.0 = Some(BusyTicket { line, generation });
+                    None
+                }
+                CacheLookup::NoLineAvailable => {
+                    cost += Cycles(self.costs.cache_miss);
+                    None
+                }
             }
         };
         if let Some(line) = stored {
@@ -829,8 +953,9 @@ mod tests {
         assert!(!raw(&io, 0, 99, 0));
         assert_eq!(io.stats().sq_full_retries, 1);
         // A miss that cannot issue its fill must not wedge the cache line.
-        let (_, _, pages) = io.lookup_warp(0, NO_TENANT, &[(0, 123)], Cycles(0));
-        assert_eq!(pages, vec![PageState::NotStarted]);
+        let mut wait = WarpWait::new();
+        io.lookup_warp(0, NO_TENANT, &[(0, 123)], Cycles(0), &mut wait);
+        assert_eq!(wait.pages(), [PageState::NotStarted]);
         assert_eq!(io.cache().total_pins(), 0, "aborted fill must unpin");
     }
 
@@ -889,7 +1014,8 @@ mod tests {
     fn read_miss_then_retire_then_hit() {
         let (io, mut dev) = rig(2, 64);
         let reqs = vec![(0u32, 5u64), (0, 6)];
-        let (_, outcome) = io.read_warp(0, NO_TENANT, &reqs, Cycles(0));
+        let mut wait = WarpWait::new();
+        let (_, outcome) = io.read_warp(0, NO_TENANT, &reqs, Cycles(0), &mut wait);
         assert_eq!(outcome, ReadOutcome::Pending, "first access must miss");
         assert_eq!(io.stats().cache_misses, 2);
         // Both fills went to warp 0's home SQ; play the completion side.
@@ -906,7 +1032,7 @@ mod tests {
             };
             io.retire(0, 0, cqe.cid, None, now);
         }
-        let (_, outcome) = io.read_warp(0, NO_TENANT, &reqs, now);
+        let (_, outcome) = io.read_warp(0, NO_TENANT, &reqs, now, &mut wait);
         assert_eq!(
             outcome,
             ReadOutcome::Ready(vec![PageToken::pristine(0, 5), PageToken::pristine(0, 6)])

@@ -7,7 +7,7 @@
 //! asynchronous read-modify-write kernel over user buffers.
 
 use crate::ctrl::AgileCtrl;
-use crate::io_path::ReadOutcome;
+use crate::io_path::{ReadOutcome, WarpWait};
 use crate::transaction::AgileBuf;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -53,6 +53,8 @@ struct PipelineWarp {
     iter: u32,
     phase: PipelinePhase,
     pending_prefetch: Vec<(u32, Lba)>,
+    /// Carried across the polls of one read (see `IoPath::read_warp`).
+    wait: WarpWait,
 }
 
 struct PipelineWarpCtx {
@@ -108,7 +110,7 @@ impl WarpKernel for PipelineWarp {
                 let reqs = (self.pages)(&self.ctx_data, self.iter, ctx.lanes);
                 let (cost, outcome) =
                     self.parent
-                        .read_warp(self.ctx_data.warp_flat, &reqs, ctx.now);
+                        .read_warp(self.ctx_data.warp_flat, &reqs, ctx.now, &mut self.wait);
                 match outcome {
                     ReadOutcome::Ready(_) => {
                         self.iter += 1;
@@ -140,6 +142,7 @@ impl KernelFactory for PrefetchComputeKernel {
             iter: 0,
             phase: PipelinePhase::PrefetchNext,
             pending_prefetch: Vec::new(),
+            wait: WarpWait::new(),
         })
     }
     fn name(&self) -> &str {

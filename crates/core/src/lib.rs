@@ -82,7 +82,9 @@ pub use config::AgileConfig;
 pub use control::{knob_set, CacheShares, QosWeights};
 pub use ctrl::{AgileCtrl, ApiStats, IssueOutcome};
 pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSystem, StorageCtrl};
-pub use io_path::{IoPath, IoStats, PageState, PathCosts, ReadOutcome, Traffic};
+pub use io_path::{
+    IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
+};
 pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, StrictPriority, WeightError, WeightedFair,

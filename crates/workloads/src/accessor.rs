@@ -15,10 +15,12 @@
 //! cost of the attempt and whether every requested page is now resident. The
 //! kernel retries (after `retry_hint`) until the access succeeds.
 
-use agile_core::{AgileCtrl, ReadOutcome};
+use agile_core::{AgileCtrl, ReadOutcome, WarpWait};
 use agile_sim::Cycles;
 use bam_baseline::BamCtrl;
 use nvme_sim::Lba;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Result of one warp-granular access attempt.
@@ -83,15 +85,33 @@ impl PageAccessor for HbmAccessor {
     }
 }
 
+/// The [`WarpWait`] of every warp behind one shared accessor.
+/// [`PageAccessor::access`] is stateless and shared by all warps of a
+/// kernel, so the accessor keeps what each warp carries from one attempt to
+/// its retry, keyed by warp id.
+#[derive(Default)]
+struct WaitTable(Mutex<HashMap<u64, WarpWait>>);
+
+impl WaitTable {
+    /// Run one attempt of `warp` with its wait state.
+    fn with<R>(&self, warp: u64, attempt: impl FnOnce(&mut WarpWait) -> R) -> R {
+        attempt(self.0.lock().entry(warp).or_default())
+    }
+}
+
 /// Accesses served through the AGILE controller (asynchronous path).
 pub struct AgileAccessor {
     ctrl: Arc<AgileCtrl>,
+    waits: WaitTable,
 }
 
 impl AgileAccessor {
     /// Wrap an AGILE controller.
     pub fn new(ctrl: Arc<AgileCtrl>) -> Self {
-        AgileAccessor { ctrl }
+        AgileAccessor {
+            ctrl,
+            waits: WaitTable::default(),
+        }
     }
 
     /// The wrapped controller.
@@ -102,7 +122,9 @@ impl AgileAccessor {
 
 impl PageAccessor for AgileAccessor {
     fn access(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> AccessResult {
-        let (cost, outcome) = self.ctrl.read_warp(warp, requests, now);
+        let (cost, outcome) = self
+            .waits
+            .with(warp, |wait| self.ctrl.read_warp(warp, requests, now, wait));
         match outcome {
             ReadOutcome::Ready(_) => AccessResult {
                 cost,
@@ -129,12 +151,16 @@ impl PageAccessor for AgileAccessor {
 /// polls completions itself while it waits.
 pub struct BamAccessor {
     ctrl: Arc<BamCtrl>,
+    waits: WaitTable,
 }
 
 impl BamAccessor {
     /// Wrap a BaM controller.
     pub fn new(ctrl: Arc<BamCtrl>) -> Self {
-        BamAccessor { ctrl }
+        BamAccessor {
+            ctrl,
+            waits: WaitTable::default(),
+        }
     }
 
     /// The wrapped controller.
@@ -145,7 +171,9 @@ impl BamAccessor {
 
 impl PageAccessor for BamAccessor {
     fn access(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> AccessResult {
-        let (mut cost, outcome) = self.ctrl.read_warp_sync(warp, requests, now);
+        let (mut cost, outcome) = self.waits.with(warp, |wait| {
+            self.ctrl.read_warp_sync(warp, requests, now, wait)
+        });
         if matches!(outcome, ReadOutcome::Ready(_)) {
             return AccessResult {
                 cost,

@@ -11,12 +11,12 @@ use crate::experiments::testbed::experiment_gpu;
 use crate::trace_replay::{
     AgileTraceReplayKernel, BamTraceReplayKernel, ReplayCollector, ReplayPath, TraceReplayParams,
 };
-use agile_cache::TenantCacheStats;
+use agile_cache::{CacheStats, TenantCacheStats};
 use agile_control::{ControlPolicy, ControlReport, SloSpec};
 use agile_core::config::CachePolicyKind;
 use agile_core::qos::{Fifo, QosPolicy, StrictPriority, WeightedFair};
 use agile_core::service::ServiceStats;
-use agile_core::{AgileConfig, Host, HostSystem, StorageCtrl};
+use agile_core::{AgileConfig, Host, HostSystem, IoStats, StorageCtrl};
 use agile_metrics::{
     windows_to_json, Labels, MetricsRegistry, MetricsSnapshot, WindowSample, WindowedSampler,
     DEFAULT_WINDOW_CYCLES,
@@ -223,6 +223,11 @@ pub struct ReplayReport {
     /// Total cycles warps spent queued on cache-shard access ports (always
     /// 0 when the port model is off).
     pub cache_port_wait_cycles: u64,
+    /// The I/O path's end-of-run counters (not part of the summary).
+    pub io_stats: IoStats,
+    /// The software cache's end-of-run counters, summed over its shards (not
+    /// part of the summary).
+    pub cache_stats: CacheStats,
     /// Metrics capture, present when [`ReplayConfig::with_metrics`] was set.
     pub metrics: Option<MetricsReport>,
     /// Closed-loop control capture (decision log + final knob values),
@@ -700,6 +705,8 @@ fn finish_report(
         lock_wait_cycles: 0,
         cache_shards: cfg.cache_shards.max(1),
         cache_port_wait_cycles: 0,
+        io_stats: IoStats::default(),
+        cache_stats: CacheStats::default(),
         metrics: None,
         control: None,
     }
@@ -779,7 +786,9 @@ fn fold_stack_state<S: HostSystem>(
 ) {
     let ctrl = host.ctrl();
     let io = ctrl.io();
-    report.qos_deferrals = io.stats().qos_deferrals;
+    report.io_stats = io.stats();
+    report.qos_deferrals = report.io_stats.qos_deferrals;
+    report.cache_stats = io.cache().stats();
     report.cache_port_wait_cycles = io.cache().port_wait_by_shard().iter().sum();
     if cfg.tenant_warps {
         report.tenant_cache = io.cache().tenant_stats();

@@ -32,7 +32,7 @@
 //! bit-identical latency histograms and therefore byte-identical reports.
 
 use agile_core::transaction::Barrier;
-use agile_core::{AgileCtrl, IoPath, ReadOutcome};
+use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
 use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
 use agile_sim::Cycles;
 use agile_trace::{LatencyHistogram, Trace, TraceOp};
@@ -626,16 +626,15 @@ impl KernelFactory for AgileTraceReplayKernel {
             }),
             ReplayPath::Cached => Box::new(AgileCachedReplayWarp {
                 ctrl: Arc::clone(&self.ctrl),
-                trace: Arc::clone(&self.trace),
-                collector: Arc::clone(&self.collector),
-                cursor,
-                warp_flat,
-                tenant,
-                stripe: self.params.stripe,
+                batch: CachedBatch::new(
+                    Arc::clone(&self.trace),
+                    Arc::clone(&self.collector),
+                    cursor,
+                    warp_flat,
+                    tenant,
+                    self.params.stripe,
+                ),
                 prefetch_depth: self.ctrl.prefetch_depth_cell(),
-                batch_reads: Vec::new(),
-                batch_writes: Vec::new(),
-                batch_started: 0,
             }),
         }
     }
@@ -644,12 +643,27 @@ impl KernelFactory for AgileTraceReplayKernel {
     }
 }
 
-/// AGILE cached-path replay: batches of up to one warp-width of ops go
-/// through the software cache (write-allocate stores, array-like reads with
-/// retry), with the *next* batch's reads prefetched ahead so fills overlap
-/// with consumption — the asynchronous pipeline of §3.5.
-struct AgileCachedReplayWarp {
-    ctrl: Arc<AgileCtrl>,
+/// Lanes of the warps these kernels launch (256-thread blocks of 8 warps): a
+/// batch holds at most this many ops. Its buffers are sized for that when the
+/// warp is created, so a launch allocates them side by side instead of
+/// scattering them through the run as batches grow — which fragmented the
+/// heap enough to read as +0.4 MB of peak RSS on the cached replays.
+const BATCH_LANES: usize = 32;
+
+/// One store of the current batch that has not landed yet.
+struct PendingWrite {
+    /// Index of the op in the trace.
+    op: u32,
+    /// Carried across the polls of this store (see `IoPath::write_warp`).
+    wait: LineWait,
+}
+
+/// The batch a cached-path replay warp is working through — up to one
+/// warp-width of ops pulled off its cursor, retired through the software
+/// cache (write-allocate stores, array-like reads) over as many polls as it
+/// takes. Both systems replay through it; they differ in what happens
+/// around a poll (AGILE prefetches ahead, BaM polls its own CQs).
+struct CachedBatch {
     trace: Arc<Trace>,
     collector: Arc<ReplayCollector>,
     cursor: OpCursor,
@@ -658,18 +672,41 @@ struct AgileCachedReplayWarp {
     /// on the historical interleave (warp-as-tenant attribution).
     tenant: Option<u32>,
     stripe: bool,
-    /// Live prefetch depth in batches of lookahead (0 = none, 1 = the
-    /// historical default). Loaded from the controller's shared cell at
-    /// every batch boundary, so an online control plane retunes the
-    /// pipeline mid-run; without one the cell simply never changes.
-    prefetch_depth: Arc<AtomicU32>,
-    /// Pending reads of the current batch: (device, lba, tenant).
-    batch_reads: Vec<(u32, u64, u32)>,
-    batch_writes: Vec<TraceOp>,
-    batch_started: u64,
+    /// Targets of the pending reads — what `read_warp` is asked …
+    reads: Vec<(u32, u64)>,
+    /// … and, in step with them, the tenant each op is recorded under.
+    read_tenants: Vec<u32>,
+    /// Carried across the polls of `reads` (see `IoPath::read_warp`).
+    read_wait: WarpWait,
+    writes: Vec<PendingWrite>,
+    /// When the batch became eligible: the base of its ops' latencies.
+    started: u64,
 }
 
-impl AgileCachedReplayWarp {
+impl CachedBatch {
+    fn new(
+        trace: Arc<Trace>,
+        collector: Arc<ReplayCollector>,
+        cursor: OpCursor,
+        warp_flat: u64,
+        tenant: Option<u32>,
+        stripe: bool,
+    ) -> Self {
+        CachedBatch {
+            trace,
+            collector,
+            cursor,
+            warp_flat,
+            tenant,
+            stripe,
+            reads: Vec::with_capacity(BATCH_LANES),
+            read_tenants: Vec::with_capacity(BATCH_LANES),
+            read_wait: WarpWait::with_lanes(BATCH_LANES),
+            writes: Vec::with_capacity(BATCH_LANES),
+            started: 0,
+        }
+    }
+
     /// The tenant this warp's cache accesses are attributed to: the warp's
     /// single tenant under tenant partitioning, otherwise untenanted (no
     /// per-tenant accounting — attribution by warp id would be noise).
@@ -677,141 +714,146 @@ impl AgileCachedReplayWarp {
         self.tenant.unwrap_or(agile_cache::NO_TENANT)
     }
 
-    /// Read targets of the up-to-`lanes` ops ahead of the cursor (prefetch).
-    fn lookahead_reads(&self, lanes: u32) -> Vec<(u32, u64)> {
-        let ops = &self.trace.ops;
-        let mut targets = Vec::new();
-        for k in 0..lanes as usize {
-            let Some(idx) = self.cursor.peek_ahead(k) else {
+    /// True when every op of the batch has retired.
+    fn is_empty(&self) -> bool {
+        self.reads.is_empty() && self.writes.is_empty()
+    }
+
+    /// Pull the next batch off the cursor and return its think time, or
+    /// `None` when the warp's ops are exhausted.
+    fn pull(&mut self, io: &IoPath, ctx: &WarpCtx) -> Option<Cycles> {
+        self.cursor.peek()?;
+        let mut cost = Cycles(0);
+        for _ in 0..ctx.lanes {
+            let Some(idx) = self.cursor.peek() else {
                 break;
             };
-            let op = ops[idx];
-            if !op.write {
-                targets.push(target(self.ctrl.io(), &self.trace, self.stripe, &op));
+            let op = self.trace.ops[idx];
+            self.cursor.advance();
+            cost += Cycles(op.gap as u64);
+            if op.write {
+                self.writes.push(PendingWrite {
+                    op: idx as u32,
+                    wait: LineWait::default(),
+                });
+            } else {
+                self.reads.push(target(io, &self.trace, self.stripe, &op));
+                self.read_tenants.push(op.tenant);
             }
         }
-        targets
+        // Latency is measured from *eligibility* (after the batch's think
+        // time has elapsed), matching the raw path's submit-time stamp —
+        // otherwise bursty traces would fold their idle gaps into the
+        // cached-path percentiles.
+        self.started = ctx.now.raw() + cost.raw();
+        Some(cost)
     }
+
+    /// Read targets of the up-to-`lanes` ops ahead of the cursor (prefetch).
+    fn lookahead_reads(&self, io: &IoPath, lanes: u32) -> Vec<(u32, u64)> {
+        (0..lanes as usize)
+            .map_while(|k| self.cursor.peek_ahead(k))
+            .map(|idx| self.trace.ops[idx])
+            .filter(|op| !op.write)
+            .map(|op| target(io, &self.trace, self.stripe, &op))
+            .collect()
+    }
+
+    /// The device the oldest pending store targets.
+    fn first_write_dev(&self, io: &IoPath) -> Option<u32> {
+        let op = self.trace.ops[self.writes.first()?.op as usize];
+        Some(target(io, &self.trace, self.stripe, &op).0)
+    }
+
+    /// One attempt at everything still pending: returns the cycles it cost
+    /// and whether any op retired.
+    fn poll(&mut self, io: &IoPath, now: Cycles) -> (Cycles, bool) {
+        let (warp, tenant) = (self.warp_flat, self.cache_tenant());
+        let (trace, stripe, collector) = (&self.trace, self.stripe, &self.collector);
+        let latency = now.raw().saturating_sub(self.started);
+        let mut cost = Cycles(0);
+        // Retire writes: write-allocate stores, retried until a line frees.
+        let writes_before = self.writes.len();
+        self.writes.retain_mut(|w| {
+            let op = trace.ops[w.op as usize];
+            let (dev, lba) = target(io, trace, stripe, &op);
+            let token = PageToken(lba ^ (op.tenant as u64) << 48);
+            let (c, ok) = io.write_warp(warp, tenant, dev, lba, token, now, &mut w.wait);
+            cost += c;
+            if ok {
+                collector.record(op.tenant, latency, true);
+            }
+            !ok
+        });
+        // Retire reads: array-like warp access, retried until the lanes hit.
+        let reads_before = self.reads.len();
+        if reads_before > 0 {
+            let (c, outcome) = io.read_warp(warp, tenant, &self.reads, now, &mut self.read_wait);
+            cost += c;
+            // Retire lanes whose pages are already resident (per-lane
+            // predication). Without this, a working set far larger than the
+            // cache can thrash forever: concurrent warps evict each other's
+            // lines before any warp sees all of its lanes resident at once.
+            // When the attempt found no page resident there is no such lane.
+            let all = outcome != ReadOutcome::Pending;
+            if all || self.read_wait.any_ready() {
+                let mut kept = 0;
+                for lane in 0..reads_before {
+                    let (dev, lba) = self.reads[lane];
+                    if all || io.cache().peek(dev, lba).is_some() {
+                        collector.record(self.read_tenants[lane], latency, false);
+                    } else {
+                        self.reads[kept] = (dev, lba);
+                        self.read_tenants[kept] = self.read_tenants[lane];
+                        kept += 1;
+                    }
+                }
+                self.reads.truncate(kept);
+                self.read_tenants.truncate(kept);
+            }
+        }
+        let retired_any = self.writes.len() < writes_before || self.reads.len() < reads_before;
+        (cost, retired_any)
+    }
+}
+
+/// AGILE cached-path replay: each [`CachedBatch`] goes through the software
+/// cache with the *next* batch's reads prefetched ahead so fills overlap
+/// with consumption — the asynchronous pipeline of §3.5.
+struct AgileCachedReplayWarp {
+    ctrl: Arc<AgileCtrl>,
+    batch: CachedBatch,
+    /// Live prefetch depth in batches of lookahead (0 = none, 1 = the
+    /// historical default). Loaded from the controller's shared cell at
+    /// every batch boundary, so an online control plane retunes the
+    /// pipeline mid-run; without one the cell simply never changes.
+    prefetch_depth: Arc<AtomicU32>,
 }
 
 impl WarpKernel for AgileCachedReplayWarp {
     fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+        let io = self.ctrl.io();
         // Pull the next batch when the current one is fully retired.
-        if self.batch_reads.is_empty() && self.batch_writes.is_empty() {
-            if self.cursor.peek().is_none() {
+        if self.batch.is_empty() {
+            let Some(mut cost) = self.batch.pull(io, ctx) else {
                 return WarpStep::Done;
-            }
-            let mut cost = Cycles(0);
-            for _ in 0..ctx.lanes {
-                let Some(idx) = self.cursor.peek() else {
-                    break;
-                };
-                let op = self.trace.ops[idx];
-                self.cursor.advance();
-                cost += Cycles(op.gap as u64);
-                if op.write {
-                    self.batch_writes.push(op);
-                } else {
-                    let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
-                    self.batch_reads.push((dev, lba, op.tenant));
-                }
-            }
-            // Latency is measured from *eligibility* (after the batch's
-            // think time has elapsed), matching the raw path's submit-time
-            // stamp — otherwise bursty traces would fold their idle gaps
-            // into the cached-path percentiles.
-            self.batch_started = ctx.now.raw() + cost.raw();
+            };
             // Prefetch the following `prefetch_depth` batches so their fills
             // overlap this batch's consumption (depth 0 = demand fills only).
             let depth = self.prefetch_depth.load(Ordering::Relaxed);
-            if depth > 0 {
-                let lookahead = self.lookahead_reads(ctx.lanes * depth);
-                if !lookahead.is_empty() {
-                    let (c, _retry) = self.ctrl.prefetch_warp_as(
-                        self.warp_flat,
-                        self.cache_tenant(),
-                        &lookahead,
-                        ctx.now,
-                    );
-                    cost += c;
-                }
+            let lookahead = self.batch.lookahead_reads(io, ctx.lanes * depth);
+            if !lookahead.is_empty() {
+                let (c, _retry) = self.ctrl.prefetch_warp_as(
+                    self.batch.warp_flat,
+                    self.batch.cache_tenant(),
+                    &lookahead,
+                    ctx.now,
+                );
+                cost += c;
             }
             return WarpStep::Busy(cost.max(Cycles(1)));
         }
-
-        let mut cost = Cycles(0);
-        let mut retired_any = false;
-        // Retire writes: write-allocate stores, retried until a line frees.
-        let mut still_pending = Vec::new();
-        for op in std::mem::take(&mut self.batch_writes) {
-            let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
-            let token = PageToken(lba ^ (op.tenant as u64) << 48);
-            let (c, ok) = self.ctrl.io().write_warp(
-                self.warp_flat,
-                self.cache_tenant(),
-                dev,
-                lba,
-                token,
-                ctx.now,
-            );
-            cost += c;
-            if ok {
-                self.collector.record(
-                    op.tenant,
-                    ctx.now.raw().saturating_sub(self.batch_started),
-                    true,
-                );
-                retired_any = true;
-            } else {
-                still_pending.push(op);
-            }
-        }
-        self.batch_writes = still_pending;
-
-        // Retire reads: array-like warp access, retried until the lanes hit.
-        if !self.batch_reads.is_empty() {
-            let requests: Vec<(u32, u64)> = self
-                .batch_reads
-                .iter()
-                .map(|&(dev, lba, _)| (dev, lba))
-                .collect();
-            let (c, outcome) =
-                self.ctrl
-                    .io()
-                    .read_warp(self.warp_flat, self.cache_tenant(), &requests, ctx.now);
-            cost += c;
-            let latency = ctx.now.raw().saturating_sub(self.batch_started);
-            match outcome {
-                ReadOutcome::Ready(_) => {
-                    for &(_, _, tenant) in &self.batch_reads {
-                        self.collector.record(tenant, latency, false);
-                    }
-                    self.batch_reads.clear();
-                    retired_any = true;
-                }
-                ReadOutcome::Pending => {
-                    // Retire lanes whose pages are already resident (per-lane
-                    // predication). Without this, a working set far larger
-                    // than the cache can thrash forever: concurrent warps
-                    // evict each other's lines before any warp sees all of
-                    // its lanes resident simultaneously.
-                    let collector = &self.collector;
-                    let cache = self.ctrl.cache();
-                    let before = self.batch_reads.len();
-                    self.batch_reads.retain(|&(dev, lba, tenant)| {
-                        if cache.peek(dev, lba).is_some() {
-                            collector.record(tenant, latency, false);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if self.batch_reads.len() < before {
-                        retired_any = true;
-                    }
-                }
-            }
-        }
+        let (cost, retired_any) = self.batch.poll(io, ctx.now);
         if retired_any {
             WarpStep::Busy(cost.max(Cycles(1)))
         } else {
@@ -982,15 +1024,14 @@ impl KernelFactory for BamTraceReplayKernel {
             }),
             ReplayPath::Cached => Box::new(BamCachedReplayWarp {
                 ctrl: Arc::clone(&self.ctrl),
-                trace: Arc::clone(&self.trace),
-                collector: Arc::clone(&self.collector),
-                cursor,
-                warp_flat,
-                tenant,
-                stripe: self.params.stripe,
-                batch_reads: Vec::new(),
-                batch_writes: Vec::new(),
-                batch_started: 0,
+                batch: CachedBatch::new(
+                    Arc::clone(&self.trace),
+                    Arc::clone(&self.collector),
+                    cursor,
+                    warp_flat,
+                    tenant,
+                    self.params.stripe,
+                ),
                 poll_rotation: 0,
             }),
         }
@@ -1000,168 +1041,59 @@ impl KernelFactory for BamTraceReplayKernel {
     }
 }
 
-/// BaM cached-path replay: the same batched cache access as the AGILE
-/// variant, but synchronous — no prefetch lookahead, and the issuing warp
-/// drives its own completion processing through [`BamCtrl::poll_once`]
-/// (polling work and its cost live in the user kernel, §2.2).
+/// BaM cached-path replay: the same [`CachedBatch`] as the AGILE variant,
+/// but synchronous — no prefetch lookahead, and the issuing warp drives its
+/// own completion processing through [`BamCtrl::poll_once`] (polling work
+/// and its cost live in the user kernel, §2.2).
 struct BamCachedReplayWarp {
     ctrl: Arc<BamCtrl>,
-    trace: Arc<Trace>,
-    collector: Arc<ReplayCollector>,
-    cursor: OpCursor,
-    warp_flat: u64,
-    /// Single tenant of this warp's ops under tenant partitioning; `None`
-    /// on the historical interleave (warp-as-tenant attribution).
-    tenant: Option<u32>,
-    stripe: bool,
-    /// Pending reads of the current batch: (device, lba, tenant).
-    batch_reads: Vec<(u32, u64, u32)>,
-    batch_writes: Vec<TraceOp>,
-    batch_started: u64,
+    batch: CachedBatch,
     /// See [`BamReplayWarp::poll_rotation`].
     poll_rotation: u64,
 }
 
 impl BamCachedReplayWarp {
-    /// The tenant this warp's cache accesses are attributed to: the warp's
-    /// single tenant under tenant partitioning, otherwise untenanted (no
-    /// per-tenant accounting — attribution by warp id would be noise).
-    fn cache_tenant(&self) -> u32 {
-        self.tenant.unwrap_or(agile_cache::NO_TENANT)
+    /// Process completions of `dev` on this warp's next CQ in rotation.
+    fn poll_cq(&mut self, dev: u32, now: Cycles) -> (Cycles, u32) {
+        self.poll_rotation += 1;
+        self.ctrl
+            .poll_once(self.batch.warp_flat + self.poll_rotation, dev as usize, now)
     }
 }
 
 impl WarpKernel for BamCachedReplayWarp {
     fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
-        if self.batch_reads.is_empty() && self.batch_writes.is_empty() {
-            if self.cursor.peek().is_none() {
-                return WarpStep::Done;
-            }
-            let mut cost = Cycles(0);
-            for _ in 0..ctx.lanes {
-                let Some(idx) = self.cursor.peek() else {
-                    break;
-                };
-                let op = self.trace.ops[idx];
-                self.cursor.advance();
-                cost += Cycles(op.gap as u64);
-                if op.write {
-                    self.batch_writes.push(op);
-                } else {
-                    let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
-                    self.batch_reads.push((dev, lba, op.tenant));
-                }
-            }
-            // Measure latency from eligibility (after the batch's think
-            // time), matching the raw path's submit-time stamp.
-            self.batch_started = ctx.now.raw() + cost.raw();
-            return WarpStep::Busy(cost.max(Cycles(1)));
+        if self.batch.is_empty() {
+            return match self.batch.pull(self.ctrl.io(), ctx) {
+                Some(cost) => WarpStep::Busy(cost.max(Cycles(1))),
+                None => WarpStep::Done,
+            };
         }
-
-        let mut cost = Cycles(0);
-        let mut retired_any = false;
-        let mut still_pending = Vec::new();
-        for op in std::mem::take(&mut self.batch_writes) {
-            let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
-            let token = PageToken(lba ^ (op.tenant as u64) << 48);
-            let (c, ok) = self.ctrl.io().write_warp(
-                self.warp_flat,
-                self.cache_tenant(),
-                dev,
-                lba,
-                token,
-                ctx.now,
-            );
-            cost += c;
-            if ok {
-                self.collector.record(
-                    op.tenant,
-                    ctx.now.raw().saturating_sub(self.batch_started),
-                    true,
-                );
-                retired_any = true;
-            } else {
-                still_pending.push(op);
-            }
-        }
-        self.batch_writes = still_pending;
-
-        if !self.batch_reads.is_empty() {
-            let requests: Vec<(u32, u64)> = self
-                .batch_reads
-                .iter()
-                .map(|&(dev, lba, _)| (dev, lba))
-                .collect();
-            let (c, outcome) =
-                self.ctrl
-                    .io()
-                    .read_warp(self.warp_flat, self.cache_tenant(), &requests, ctx.now);
-            cost += c;
-            let latency = ctx.now.raw().saturating_sub(self.batch_started);
-            match outcome {
-                ReadOutcome::Ready(_) => {
-                    for &(_, _, tenant) in &self.batch_reads {
-                        self.collector.record(tenant, latency, false);
-                    }
-                    self.batch_reads.clear();
-                    retired_any = true;
-                }
-                ReadOutcome::Pending => {
-                    // Per-lane retirement; see the AGILE variant for why.
-                    {
-                        let collector = &self.collector;
-                        let cache = self.ctrl.cache();
-                        let before = self.batch_reads.len();
-                        self.batch_reads.retain(|&(dev, lba, tenant)| {
-                            if cache.peek(dev, lba).is_some() {
-                                collector.record(tenant, latency, false);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        if self.batch_reads.len() < before {
-                            retired_any = true;
-                        }
-                    }
-                    if self.batch_reads.is_empty() {
-                        return WarpStep::Busy(cost.max(Cycles(1)));
-                    }
-                    // No service in BaM: this warp must poll the CQ itself.
-                    let dev = self.batch_reads[0].0 as usize;
-                    self.poll_rotation += 1;
-                    let (poll_cost, processed) =
-                        self.ctrl
-                            .poll_once(self.warp_flat + self.poll_rotation, dev, ctx.now);
-                    cost += poll_cost;
-                    if processed > 0 {
-                        retired_any = true;
-                    }
-                }
-            }
+        let (mut cost, mut retired_any) = self.batch.poll(self.ctrl.io(), ctx.now);
+        // No service in BaM: with reads still out, this warp must poll the
+        // CQ itself.
+        if let Some(&(dev, _)) = self.batch.reads.first() {
+            let (poll_cost, processed) = self.poll_cq(dev, ctx.now);
+            cost += poll_cost;
+            retired_any |= processed > 0;
         }
         if retired_any {
-            WarpStep::Busy(cost.max(Cycles(1)))
-        } else {
-            // Blocked writes can be waiting on SQEs that only user polling
-            // recycles (write-backs fill the SQs and nobody else processes
-            // their completions in BaM) — poll before backing off, or a
-            // write-only batch wedges the whole run.
-            if let Some(op) = self.batch_writes.first() {
-                let (dev, _) = target(self.ctrl.io(), &self.trace, self.stripe, op);
-                self.poll_rotation += 1;
-                let (poll_cost, processed) =
-                    self.ctrl
-                        .poll_once(self.warp_flat + self.poll_rotation, dev as usize, ctx.now);
-                if processed > 0 {
-                    return WarpStep::Busy((cost + poll_cost).max(Cycles(1)));
-                }
+            return WarpStep::Busy(cost.max(Cycles(1)));
+        }
+        // Blocked writes can be waiting on SQEs that only user polling
+        // recycles (write-backs fill the SQs and nobody else processes
+        // their completions in BaM) — poll before backing off, or a
+        // write-only batch wedges the whole run.
+        if let Some(dev) = self.batch.first_write_dev(self.ctrl.io()) {
+            let (poll_cost, processed) = self.poll_cq(dev, ctx.now);
+            if processed > 0 {
+                return WarpStep::Busy((cost + poll_cost).max(Cycles(1)));
             }
-            // Nothing landed yet; idle-poll backoff (flash is tens of µs
-            // away, so probing every few hundred cycles only burns rounds).
-            WarpStep::Stall {
-                retry_after: Cycles(2_000),
-            }
+        }
+        // Nothing landed yet; idle-poll backoff (flash is tens of µs away,
+        // so probing every few hundred cycles only burns rounds).
+        WarpStep::Stall {
+            retry_after: Cycles(2_000),
         }
     }
 }

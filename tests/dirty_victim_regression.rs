@@ -16,7 +16,9 @@
 //! the access succeeds once SQ pressure lifts.
 
 use agile_repro::agile::transaction::Transaction;
-use agile_repro::agile::{AgileConfig, AgileCtrl, IoPath, ReadOutcome, StorageCtrl};
+use agile_repro::agile::{
+    AgileConfig, AgileCtrl, IoPath, LineWait, ReadOutcome, StorageCtrl, WarpWait,
+};
 use agile_repro::bam::{BamConfig, BamCtrl};
 use agile_repro::cache::{LineId, LineState, NO_TENANT};
 use agile_repro::nvme::{DmaHandle, PageToken, QueuePair};
@@ -76,17 +78,33 @@ fn rows() -> Vec<Row> {
         row("AGILE read_warp", a2.clone(), {
             Box::new(move |now| {
                 fill_went_out(a2.io(), || {
-                    assert_eq!(a2.read_warp(0, &[NEW], now).1, ReadOutcome::Pending);
+                    assert_eq!(
+                        a2.read_warp(0, &[NEW], now, &mut WarpWait::new()).1,
+                        ReadOutcome::Pending
+                    );
                 })
             })
         }),
         row("AGILE write_warp", a3.clone(), {
-            Box::new(move |now| a3.write_warp(0, NEW.0, NEW.1, PageToken(0xBEEF), now).1)
+            Box::new(move |now| {
+                a3.write_warp(
+                    0,
+                    NEW.0,
+                    NEW.1,
+                    PageToken(0xBEEF),
+                    now,
+                    &mut LineWait::default(),
+                )
+                .1
+            })
         }),
         row("BaM read_warp_sync", b1.clone(), {
             Box::new(move |now| {
                 fill_went_out(b1.io(), || {
-                    assert_eq!(b1.read_warp_sync(0, &[NEW], now).1, ReadOutcome::Pending);
+                    assert_eq!(
+                        b1.read_warp_sync(0, &[NEW], now, &mut WarpWait::new()).1,
+                        ReadOutcome::Pending
+                    );
                 })
             })
         }),
@@ -94,7 +112,15 @@ fn rows() -> Vec<Row> {
         row("BaM io().write_warp as tenant 3", b2.clone(), {
             Box::new(move |now| {
                 b2.io()
-                    .write_warp(0, 3, NEW.0, NEW.1, PageToken(0xBEEF), now)
+                    .write_warp(
+                        0,
+                        3,
+                        NEW.0,
+                        NEW.1,
+                        PageToken(0xBEEF),
+                        now,
+                        &mut LineWait::default(),
+                    )
                     .1
             })
         }),
@@ -113,7 +139,15 @@ fn dirty_victim_survives_write_back_issue_failure() {
 
         // Dirty all 8 ways of the single set with distinct tokens.
         for lba in 1..=8u64 {
-            let (_, ok) = io.write_warp(0, NO_TENANT, 0, lba, dirty_token(lba), Cycles(0));
+            let (_, ok) = io.write_warp(
+                0,
+                NO_TENANT,
+                0,
+                lba,
+                dirty_token(lba),
+                Cycles(0),
+                &mut LineWait::default(),
+            );
             assert!(ok, "{name}: priming store to lba {lba} must land");
             assert_eq!(cache.peek(0, lba), Some(dirty_token(lba)));
         }
@@ -156,7 +190,8 @@ fn dirty_victim_survives_write_back_issue_failure() {
         // issued (the SQ is still full, so a refill would be observable as
         // a retry, not a Ready).
         for lba in 1..=8u64 {
-            let (_, outcome) = io.read_warp(0, NO_TENANT, &[(0, lba)], Cycles(0));
+            let (_, outcome) =
+                io.read_warp(0, NO_TENANT, &[(0, lba)], Cycles(0), &mut WarpWait::new());
             assert_eq!(
                 outcome,
                 ReadOutcome::Ready(vec![dirty_token(lba)]),

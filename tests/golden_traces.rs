@@ -12,11 +12,12 @@
 //! cargo test --test golden_traces -- --ignored regenerate --nocapture
 //! ```
 
-use agile_repro::trace::{Trace, TraceSpec};
+use agile_repro::trace::{AddressPattern, MemorySink, TenantSpec, Trace, TraceSpec};
 use agile_repro::workloads::experiments::trace_replay::{
-    run_trace_replay, QosSpec, ReplayConfig, ReplaySystem,
+    run_trace_replay, run_trace_replay_with_sink, QosSpec, ReplayConfig, ReplaySystem,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn data_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data")
@@ -88,6 +89,71 @@ fn golden_qos_summaries(trace: &Trace) -> Vec<String> {
             format!("golden_qos {}", report.summary())
         })
         .collect()
+}
+
+/// The golden cached-path workload: 512 ops, half of them stores, uniform
+/// over 1024 pages — 8× the 128-line cache — on 8 warps, so BUSY waits,
+/// dirty evictions, write-backs and `NoLineAvailable` retries all occur.
+/// The raw-path goldens above never enter the cache.
+fn golden_cached_spec() -> TraceSpec {
+    TraceSpec {
+        name: "golden-cached".to_string(),
+        seed: 505,
+        devices: 2,
+        lba_space: 1 << 9,
+        tenants: vec![TenantSpec::new(512, AddressPattern::Uniform, 0.5, 200)],
+    }
+}
+
+/// Four lines per system: the summary, the I/O path's counters, the cache's
+/// counters and the length of the captured event log.
+fn golden_cached_lines(trace: &Trace) -> Vec<String> {
+    let cfg = ReplayConfig {
+        total_warps: 8,
+        ..ReplayConfig::quick()
+    }
+    .cached()
+    .with_cache_bytes(512 << 10);
+    let mut lines = Vec::new();
+    for system in [ReplaySystem::Agile, ReplaySystem::Bam] {
+        let sink = Arc::new(MemorySink::new());
+        let report = run_trace_replay_with_sink(trace, system, &cfg, Some(sink.clone() as Arc<_>));
+        assert!(!report.deadlocked, "golden_cached deadlocked on {system:?}");
+        let name = report.system;
+        lines.push(format!("golden_cached {}", report.summary()));
+        lines.push(format!("golden_cached {name} {:?}", report.io_stats));
+        lines.push(format!("golden_cached {name} {:?}", report.cache_stats));
+        lines.push(format!(
+            "golden_cached {name} events={}",
+            sink.take_events().len()
+        ));
+    }
+    lines
+}
+
+#[test]
+fn golden_cached_trace_replays_byte_identically() {
+    let dir = data_dir();
+    let bytes = std::fs::read(dir.join("golden_cached.trace"))
+        .expect("tests/data/golden_cached.trace is checked in");
+    let trace = Trace::from_bytes(&bytes).expect("golden cached trace parses");
+    assert_eq!(
+        trace,
+        golden_cached_spec().generate(),
+        "golden_cached: generator or format drifted from the checked-in binary"
+    );
+    let expected = std::fs::read_to_string(dir.join("golden_cached_summary.txt"))
+        .expect("tests/data/golden_cached_summary.txt is checked in");
+    let actual: String = golden_cached_lines(&trace)
+        .into_iter()
+        .map(|l| l + "\n")
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "cached-path replay drifted from tests/data/golden_cached_summary.txt — \
+         if intentional, regenerate with: \
+         cargo test --test golden_traces -- --ignored regenerate --nocapture"
+    );
 }
 
 #[test]
@@ -198,5 +264,14 @@ fn regenerate() {
         .collect();
     std::fs::write(dir.join("golden_qos_summary.txt"), &qos_summaries)
         .expect("write qos summaries");
-    println!("regenerated tests/data:\n{summaries}{qos_summaries}");
+    let cached_trace = golden_cached_spec().generate();
+    std::fs::write(dir.join("golden_cached.trace"), cached_trace.to_bytes())
+        .expect("write golden cached trace");
+    let cached_summaries: String = golden_cached_lines(&cached_trace)
+        .into_iter()
+        .map(|l| l + "\n")
+        .collect();
+    std::fs::write(dir.join("golden_cached_summary.txt"), &cached_summaries)
+        .expect("write cached summaries");
+    println!("regenerated tests/data:\n{summaries}{qos_summaries}{cached_summaries}");
 }
