@@ -6,38 +6,36 @@ use gpu_sim::ExternalDevice;
 use std::sync::Arc;
 
 /// Bridges a [`Controller`] into the engine's scheduling loop, exactly like
-/// the metrics `MetricsBridge`: it never requests a wakeup, so
-/// installing it cannot perturb event timing by itself — any
-/// behaviour change comes from the knobs the controller turns, which is the
-/// point. Polling every few rounds keeps the per-round cost to a counter
-/// increment while window boundaries are still picked up promptly.
+/// the metrics `MetricsBridge`: its one event is the next window boundary of
+/// the controller's sampler, so the controller runs on each window the
+/// moment it closes and its decisions are a function of simulated time
+/// alone — not of how many rounds the scheduler happened to run. The round
+/// at a boundary steps no warp; any behaviour change comes from the knobs
+/// the controller turns, which is the point.
 pub struct ControlBridge {
     controller: Arc<Controller>,
-    rounds: u32,
+    /// The boundary this bridge polls at next. Kept here because the metrics
+    /// bridge, advanced first, has already moved the sampler past it by the
+    /// time this bridge sees the same round.
+    due: u64,
 }
 
 impl ControlBridge {
-    /// Scheduling rounds between controller polls (matches the metrics
-    /// bridge's cadence so the two observe the same boundaries).
-    const POLL_EVERY: u32 = 32;
-
     /// A bridge driving `controller`.
     pub fn new(controller: Arc<Controller>) -> Self {
-        ControlBridge {
-            controller,
-            rounds: 0,
-        }
+        let due = controller.next_window_boundary();
+        ControlBridge { controller, due }
     }
 }
 
 impl ExternalDevice for ControlBridge {
     fn advance_to(&mut self, now: Cycles) {
-        self.rounds += 1;
-        if self.rounds.is_multiple_of(Self::POLL_EVERY) {
+        if now.raw() >= self.due {
             self.controller.poll(now.raw());
+            self.due = self.controller.next_window_boundary();
         }
     }
     fn next_event_time(&mut self) -> Option<Cycles> {
-        None
+        Some(Cycles(self.due))
     }
 }

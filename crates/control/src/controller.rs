@@ -69,9 +69,9 @@ struct CtrlState {
 /// [`Controller::new`], bridge into the engine with
 /// [`crate::ControlBridge`], read the outcome with [`Controller::report`].
 ///
-/// All state lives behind one mutex taken only when the bridge polls (every
-/// few engine rounds) — the hot paths never see the controller; they read
-/// the atomic knob cells it writes.
+/// All state lives behind one mutex taken only when a metric window closes —
+/// the hot paths never see the controller; they read the atomic knob cells
+/// it writes.
 pub struct Controller {
     policy: ControlPolicy,
     knobs: KnobSet,
@@ -159,6 +159,12 @@ impl Controller {
     pub fn poll(&self, now: u64) {
         self.sampler.observe(now);
         self.drain();
+    }
+
+    /// When the window the controller acts on next closes (the sampler's
+    /// next boundary): the bridge's only event.
+    pub fn next_window_boundary(&self) -> u64 {
+        self.sampler.next_boundary()
     }
 
     /// Consume windows already emitted by the sampler without advancing it

@@ -475,9 +475,9 @@ impl<S: HostSystem> Host<S> {
     }
 
     /// Attach a windowed sampler, bridged into the engine as a passive
-    /// device at [`Host::start`]: it observes the simulated clock every
-    /// scheduling round without perturbing event timing. Call before
-    /// `start`.
+    /// device at [`Host::start`]: the engine visits every window boundary
+    /// and the window closes exactly there (the extra rounds step no warp).
+    /// Call before `start`.
     pub fn set_metrics_sampler(&mut self, sampler: Arc<WindowedSampler>) {
         self.assert_before_start("set_metrics_sampler");
         self.sampler = Some(sampler);

@@ -11,9 +11,13 @@
 //! one atomic load.
 //!
 //! [`MetricsBridge`] connects a [`agile_metrics::WindowedSampler`] to the
-//! engine as a **passive** external device: it never schedules a wakeup
-//! (`next_event_time` is `None`), so installing it cannot perturb replay timing — it merely observes the clock on scheduling
-//! rounds the engine was going to run anyway.
+//! engine as a **passive** external device whose one event is the sampler's
+//! next window boundary: the engine runs a round exactly there and the
+//! window closes on the boundary, not on whichever round happened to follow
+//! it. The extra rounds step no warp and advance the SSDs to a time they
+//! would have been advanced through anyway, so a metered replay still
+//! simulates what an unmetered one does; what the bridge no longer does is
+//! tie the window contents to the scheduler's round count.
 
 use crate::host::StorageCtrl;
 use crate::service::ServicePartition;
@@ -205,37 +209,27 @@ impl Collector for ServiceCollector {
 }
 
 /// A passive [`ExternalDevice`] that feeds the simulated clock to a
-/// [`WindowedSampler`] every few engine scheduling rounds.
-///
-/// It never requests a wakeup, so the engine's event
-/// scheduling — and therefore the replay's timing — is identical with or
-/// without the bridge installed.
+/// [`WindowedSampler`]. Its next event is the sampler's next window
+/// boundary, so the engine visits every boundary and each window closes
+/// exactly on it — the series does not depend on how many rounds the
+/// scheduler runs.
 pub struct MetricsBridge {
     sampler: Arc<WindowedSampler>,
-    rounds: u32,
 }
 
 impl MetricsBridge {
-    /// How many scheduling rounds pass between sampler observations. Window
-    /// boundaries are still detected — just up to this many rounds late,
-    /// which at typical round lengths is a tiny fraction of any sane window
-    /// — while the per-round cost drops to a counter increment.
-    const OBSERVE_EVERY: u32 = 32;
-
     /// A bridge driving `sampler`.
     pub fn new(sampler: Arc<WindowedSampler>) -> Self {
-        MetricsBridge { sampler, rounds: 0 }
+        MetricsBridge { sampler }
     }
 }
 
 impl ExternalDevice for MetricsBridge {
     fn advance_to(&mut self, now: Cycles) {
-        self.rounds += 1;
-        if self.rounds.is_multiple_of(Self::OBSERVE_EVERY) {
-            self.sampler.observe(now.raw());
-        }
+        // One relaxed load unless a boundary was reached.
+        self.sampler.observe(now.raw());
     }
     fn next_event_time(&mut self) -> Option<Cycles> {
-        None
+        Some(Cycles(self.sampler.next_boundary()))
     }
 }

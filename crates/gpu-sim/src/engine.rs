@@ -1024,15 +1024,22 @@ impl Engine {
         }
     }
 
-    /// Earliest pending device event strictly after `now` across both tiers.
-    fn next_device_event(&mut self, driver: &mut dyn DeviceDriver, now: Cycles) -> Option<Cycles> {
-        let shard = driver.next_event_after(now);
-        let passive = self
-            .devices
+    /// Earliest pending passive-device event strictly after `now`. Passive
+    /// devices are observers with a schedule of their own (a metric window
+    /// closing): the event loop visits these times on every round, so what
+    /// they observe does not depend on when warps happen to wake.
+    fn next_passive_event(&mut self, now: Cycles) -> Option<Cycles> {
+        self.devices
             .iter_mut()
             .filter_map(|d| d.next_event_time())
             .filter(|&t| t > now)
-            .min();
+            .min()
+    }
+
+    /// Earliest pending device event strictly after `now` across both tiers.
+    fn next_device_event(&mut self, driver: &mut dyn DeviceDriver, now: Cycles) -> Option<Cycles> {
+        let shard = driver.next_event_after(now);
+        let passive = self.next_passive_event(now);
         match (shard, passive) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
@@ -1327,7 +1334,7 @@ impl Engine {
             let next_dev = if need_dev_wake {
                 self.next_device_event(driver, now)
             } else {
-                None
+                self.next_passive_event(now)
             };
             let next = match (next_warp, next_dev) {
                 (Some(a), Some(b)) => a.min(b),
@@ -1719,7 +1726,7 @@ mod tests {
             let flag = Arc::new(AtomicU64::new(0));
             let mut eng = Engine::new(GpuConfig::tiny(2));
             eng.set_scheduler(sched);
-            eng.add_device(Box::new(Ticker::new(Arc::clone(&flag), 100, 313, 100)));
+            eng.add_shard_device(Box::new(Ticker::new(Arc::clone(&flag), 100, 313, 100)));
             eng.launch(
                 LaunchConfig::new(2, 64).with_registers(16),
                 Box::new(WaitingKernel { flag }),

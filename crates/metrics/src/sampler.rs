@@ -1,19 +1,20 @@
 //! Windowed time-series sampling driven by the *simulated* clock.
 //!
-//! The sampler is a passive observer: the host's engine calls
-//! [`WindowedSampler::observe`] with the current simulated time on every
-//! scheduling round (through a bridge device that never schedules wakeups of
-//! its own, so installing it cannot perturb replay timing). Whenever the
-//! clock crosses a window boundary the registry is snapshotted and the delta
-//! against the previous snapshot becomes that window's [`WindowSample`]:
-//! counters become per-window increments, histograms become the window's
-//! latency distribution (p50/p95/p99 via bucket deltas), gauges keep their
-//! end-of-window value.
+//! The sampler is an observer: the host's engine calls
+//! [`WindowedSampler::observe`] with the current simulated time through a
+//! bridge device whose only event is the next window boundary
+//! ([`WindowedSampler::next_boundary`]), so the engine schedules a round
+//! exactly there. Whenever the clock reaches a window boundary the registry
+//! is snapshotted and the delta against the previous snapshot becomes that
+//! window's [`WindowSample`]: counters become per-window increments,
+//! histograms become the window's latency distribution (p50/p95/p99 via
+//! bucket deltas), gauges keep their end-of-window value.
 //!
-//! Window edges are observed at the first engine round **at or after** each
-//! boundary — activity between the boundary and that round smears into the
-//! earlier window. Engine rounds are deterministic, so the smear is too:
-//! identical runs produce identical series (pinned by the determinism test).
+//! A window therefore holds exactly what happened in `[start, end)` on the
+//! simulated clock, whichever scheduler ran the engine and however many
+//! rounds it took. A caller that observes late (a hand-driven test, say)
+//! still gets one window per boundary crossed, with the activity since the
+//! previous observation in the first of them.
 
 use crate::registry::MetricsRegistry;
 use crate::snapshot::MetricsSnapshot;
@@ -90,6 +91,12 @@ impl WindowedSampler {
     /// Window width in cycles.
     pub fn window_cycles(&self) -> u64 {
         self.window
+    }
+
+    /// The simulated time at which the next window closes: the first
+    /// [`WindowedSampler::observe`] at or after it emits that window.
+    pub fn next_boundary(&self) -> u64 {
+        self.next_boundary.load(Ordering::Relaxed)
     }
 
     /// Observe the simulated clock at `now` cycles; emits one window per
