@@ -4,6 +4,7 @@
 use crate::ctrl::BamCtrl;
 use agile_core::io_path::{ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
+use agile_sim::wake::{Wait, WaitReason};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::{DmaHandle, Lba};
@@ -97,6 +98,7 @@ impl WarpKernel for SyncWarp {
                 } else {
                     WarpStep::Stall {
                         retry_after: cost.max(Cycles(1_500)),
+                        wait: Wait::polling(WaitReason::Completion),
                     }
                 }
             }
@@ -197,6 +199,7 @@ impl WarpKernel for NaiveWarp {
             if !self.poll_while_stuck {
                 return WarpStep::Stall {
                     retry_after: Cycles(2_000),
+                    wait: Wait::polling(WaitReason::Submit),
                 };
             }
             // … the corrected kernel processes completions while it waits.
@@ -215,6 +218,7 @@ impl WarpKernel for NaiveWarp {
         }
         WarpStep::Stall {
             retry_after: Cycles(2_000),
+            wait: Wait::polling(WaitReason::Barrier),
         }
     }
 }

@@ -514,6 +514,24 @@ impl SoftwareCache {
         self.trace_lookup(TraceEventKind::CacheBusy, dev, lba, tenant);
     }
 
+    /// Account `polls` lookups that found their page `BUSY` and that a
+    /// sleeping waiter did not make (see [`crate::ShardedCache::settle_busy_polls`]).
+    pub(crate) fn add_busy_hits(&self, polls: u64) {
+        self.stats.busy_hits.fetch_add(polls, Ordering::Relaxed);
+    }
+
+    /// The `CacheBusy` record of a lookup at sim time `at` (a skipped poll
+    /// is traced with the time it would have been made at, not the hint).
+    pub(crate) fn trace_busy_at(&self, at: u64, dev: u32, lba: Lba, tenant: u32) {
+        if let Some(sink) = self.trace.get() {
+            sink.record(
+                TraceEvent::new(TraceEventKind::CacheBusy, at)
+                    .target(dev, lba)
+                    .tenant(tenant),
+            );
+        }
+    }
+
     /// [`SoftwareCache::lookup_or_reserve_as`] for a waiter that holds a
     /// ticket for `(dev, lba)`: if the ticketed reservation is still in
     /// flight the lookup would find the page `BUSY` again, so account exactly

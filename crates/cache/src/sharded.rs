@@ -37,9 +37,11 @@ use crate::line::{LineState, Way};
 use crate::policy::{CachePolicy, ShareError};
 use crate::tenant::{TenantCacheStats, TenantTable};
 use agile_sim::trace::TraceSink;
+use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{Lba, PageToken};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// FIFO occupancy of one shard's access port (see
 /// [`ShardedCache::port_acquire`]).
@@ -51,6 +53,118 @@ struct PortState {
     wait_cycles: u64,
     /// Total acquisitions.
     acquires: u64,
+}
+
+/// The sleepers waiting for `BUSY` lines to leave that state: `(ticket,
+/// sleeper)` entries chained by line into a fixed set of buckets, each entry
+/// removed — and its sleeper notified — by the first
+/// [`ShardedCache::complete_fill`] / [`abort_fill`](ShardedCache::abort_fill)
+/// / [`reinstate_victim`](ShardedCache::reinstate_victim) of its line.
+/// Several warps may wait on one line; an entry whose sleeper was woken by
+/// something else in the meantime just notifies nobody.
+struct LineWatchers {
+    hub: Arc<WakeHub>,
+    /// Live entries, so the fill path of a cache nobody sleeps on pays one
+    /// load. Raised *before* a watcher checks its ticket and read *after* a
+    /// fill changes the state word (both `SeqCst`): either the fill sees
+    /// the entry or the watcher sees the dead ticket.
+    len: AtomicUsize,
+    table: Mutex<WatchTable>,
+}
+
+/// The entries themselves: one slab, chained into buckets by index, freed
+/// slots recycled — two allocations however many lines are waited on (a
+/// `Vec` per bucket scattered hundreds of small ones through the heap and
+/// showed as peak RSS on the 5 MB replays).
+struct WatchTable {
+    /// First entry of each bucket ([`WatchTable::NIL`]: empty).
+    heads: Box<[u32]>,
+    entries: Vec<WatchEntry>,
+    /// First recycled slot.
+    free: u32,
+}
+
+struct WatchEntry {
+    ticket: BusyTicket,
+    sleeper: SleeperId,
+    next: u32,
+}
+
+impl WatchTable {
+    const NIL: u32 = u32::MAX;
+    /// Enough buckets that the lines a thousand warps wait on spread thin.
+    const BUCKETS: usize = 512;
+
+    fn new() -> Self {
+        WatchTable {
+            heads: vec![Self::NIL; Self::BUCKETS].into_boxed_slice(),
+            // Room for what a cached replay's warps wait on at once (64 warps
+            // × a warp-width of pages), taken in one piece: grown by doubling
+            // in mid-run the slab left a trail of holes in the heap.
+            entries: Vec::with_capacity(2048),
+            free: Self::NIL,
+        }
+    }
+
+    fn bucket(line: LineId) -> usize {
+        line.0 as usize % Self::BUCKETS
+    }
+
+    /// Add `(ticket, sleeper)`; `false` if it was there already.
+    fn insert(&mut self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
+        let bucket = Self::bucket(ticket.line);
+        let mut at = self.heads[bucket];
+        while at != Self::NIL {
+            let entry = &self.entries[at as usize];
+            if entry.ticket == ticket && entry.sleeper == sleeper {
+                return false;
+            }
+            at = entry.next;
+        }
+        let entry = WatchEntry {
+            ticket,
+            sleeper,
+            next: self.heads[bucket],
+        };
+        let slot = self.free;
+        if slot == Self::NIL {
+            self.entries.push(entry);
+            self.heads[bucket] = self.entries.len() as u32 - 1;
+        } else {
+            self.free = self.entries[slot as usize].next;
+            self.entries[slot as usize] = entry;
+            self.heads[bucket] = slot;
+        }
+        true
+    }
+
+    /// Remove every entry of `line`, handing its sleeper to `woken`;
+    /// returns how many there were.
+    fn take_line(&mut self, line: LineId, mut woken: impl FnMut(SleeperId)) -> usize {
+        let bucket = Self::bucket(line);
+        let (mut taken, mut prev, mut at) = (0, Self::NIL, self.heads[bucket]);
+        while at != Self::NIL {
+            let WatchEntry {
+                ticket,
+                sleeper,
+                next,
+            } = self.entries[at as usize];
+            if ticket.line == line {
+                woken(sleeper);
+                taken += 1;
+                match prev {
+                    Self::NIL => self.heads[bucket] = next,
+                    prev => self.entries[prev as usize].next = next,
+                }
+                self.entries[at as usize].next = self.free;
+                self.free = at;
+            } else {
+                prev = at;
+            }
+            at = next;
+        }
+        taken
+    }
 }
 
 /// N independent [`SoftwareCache`] shards presenting one logical cache.
@@ -73,6 +187,11 @@ pub struct ShardedCache {
     /// One access port per shard; only charged when `port_hold > 0`.
     ports: Vec<Mutex<PortState>>,
     port_hold: u64,
+    /// Installed by [`ShardedCache::set_wake_hub`]; built on it by the first
+    /// [`ShardedCache::watch_line`], so a cache nobody sleeps on (the BaM
+    /// side, whose warps poll their own CQs) carries no table.
+    wake_hub: OnceLock<Arc<WakeHub>>,
+    watchers: OnceLock<LineWatchers>,
 }
 
 impl ShardedCache {
@@ -119,6 +238,8 @@ impl ShardedCache {
             lines_per_shard: sets_per_shard * assoc,
             tenants,
             port_hold,
+            wake_hub: OnceLock::new(),
+            watchers: OnceLock::new(),
         }
     }
 
@@ -133,7 +254,7 @@ impl ShardedCache {
     }
 
     /// Shard owning `(dev, lba)` — the high bits of the logical set index.
-    fn shard_of(&self, dev: u32, lba: Lba) -> usize {
+    pub fn shard_of(&self, dev: u32, lba: Lba) -> usize {
         global_set_of(dev, lba, self.total_sets) / self.sets_per_shard
     }
 
@@ -228,7 +349,7 @@ impl ShardedCache {
     /// hint of the first call after it.
     #[inline]
     pub fn set_time_hint(&self, now: u64) {
-        if self.shards[0].has_trace_sink() {
+        if self.has_trace_sink() {
             for shard in &self.shards {
                 shard.set_time_hint(now);
             }
@@ -327,21 +448,114 @@ impl ShardedCache {
         self.shards[shard].lookup_busy(local, dev, lba, tenant)
     }
 
+    /// Let waiters sleep on `BUSY` lines: from now on
+    /// [`ShardedCache::watch_line`] registers sleepers of `hub`. Returns
+    /// `false` if a hub was already installed (the first one wins).
+    pub fn set_wake_hub(&self, hub: Arc<WakeHub>) -> bool {
+        self.wake_hub.set(hub).is_ok()
+    }
+
+    /// Notify `sleeper` when the reservation `ticket` names ends — its fill
+    /// completes or is aborted, or the dirty victim is reinstated. Returns
+    /// `false`, having registered nothing, when it already has ended (or no
+    /// hub is installed): the caller must then look the page up, not sleep.
+    /// Registering the same `(ticket, sleeper)` again is a no-op.
+    pub fn watch_line(&self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
+        let Some(hub) = self.wake_hub.get() else {
+            return false;
+        };
+        let watchers = self.watchers.get_or_init(|| LineWatchers {
+            hub: Arc::clone(hub),
+            len: AtomicUsize::new(0),
+            table: Mutex::new(WatchTable::new()),
+        });
+        watchers.len.fetch_add(1, Ordering::SeqCst);
+        let mut table = watchers.table.lock();
+        let live = self.way(ticket.line).busy_in(ticket.generation);
+        if !(live && table.insert(ticket, sleeper)) {
+            watchers.len.fetch_sub(1, Ordering::SeqCst);
+        }
+        live
+    }
+
+    /// `line` just left `BUSY`: wake whoever waited for that.
+    fn line_settled(&self, line: LineId) {
+        let Some(watchers) = self.watchers.get() else {
+            return;
+        };
+        if watchers.len.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let taken = watchers
+            .table
+            .lock()
+            .take_line(line, |sleeper| watchers.hub.notify(sleeper));
+        watchers.len.fetch_sub(taken, Ordering::SeqCst);
+    }
+
+    /// True once a trace sink is installed (on every shard, or on none).
+    pub fn has_trace_sink(&self) -> bool {
+        self.shards[0].has_trace_sink()
+    }
+
+    /// Account, in the counters, the lookups a sleeping waiter skipped:
+    /// `polls` polls, each of which would have found `busy_by_shard[s]`
+    /// pages of shard `s` (see [`ShardedCache::shard_of`]) still `BUSY` — as
+    /// many busy hits as [`ShardedCache::lookup_busy`] would have counted.
+    pub fn settle_busy_hits(&self, busy_by_shard: &[u32], polls: u64) {
+        for (shard, &pages) in self.shards.iter().zip(busy_by_shard) {
+            if pages != 0 {
+                shard.add_busy_hits(pages as u64 * polls);
+            }
+        }
+    }
+
+    /// The trace side of [`ShardedCache::settle_busy_hits`]: the `CacheBusy`
+    /// record of every skipped lookup of `pages` — `polls` polls at `first`,
+    /// `first + every`, … — poll by poll, page by page, each stamped with
+    /// the time of its poll. Nothing without a sink.
+    pub fn trace_busy_polls(
+        &self,
+        pages: &[(u32, Lba)],
+        tenant: u32,
+        first: u64,
+        every: u64,
+        polls: u64,
+    ) {
+        if !self.has_trace_sink() {
+            return;
+        }
+        for poll in 0..polls {
+            for &(dev, lba) in pages {
+                self.shards[self.shard_of(dev, lba)].trace_busy_at(
+                    first + poll * every,
+                    dev,
+                    lba,
+                    tenant,
+                );
+            }
+        }
+    }
+
     /// Probe without reserving; see [`SoftwareCache::peek`].
     pub fn peek(&self, dev: u32, lba: Lba) -> Option<PageToken> {
         self.shards[self.shard_of(dev, lba)].peek(dev, lba)
     }
 
     /// Mark a reserved line filled; see [`SoftwareCache::complete_fill`].
+    /// Sleepers watching the line ([`ShardedCache::watch_line`]) are
+    /// notified — here and in the two ways a reservation can be abandoned.
     pub fn complete_fill(&self, line: LineId) {
         let (shard, local) = self.locate(line);
         self.shards[shard].complete_fill(local);
+        self.line_settled(line);
     }
 
     /// Abandon a reservation; see [`SoftwareCache::abort_fill`].
     pub fn abort_fill(&self, line: LineId) {
         let (shard, local) = self.locate(line);
         self.shards[shard].abort_fill(local);
+        self.line_settled(line);
     }
 
     /// Re-install a dirty victim whose write-back could not issue; see
@@ -349,6 +563,7 @@ impl ShardedCache {
     pub fn reinstate_victim(&self, line: LineId, dev: u32, lba: Lba, token: PageToken) {
         let (shard, local) = self.locate(line);
         self.shards[shard].reinstate_victim(local, dev, lba, token);
+        self.line_settled(line);
     }
 
     /// Store `token` into the line and mark it dirty.
@@ -623,5 +838,138 @@ mod tests {
         let c = sharded(16, 4, 16);
         assert_eq!(c.num_shards(), 4);
         assert_eq!(c.num_lines(), 16);
+    }
+
+    struct NoBooks;
+    impl agile_sim::wake::SkippedPolls for NoBooks {
+        fn settle(&self, _: SleeperId, _: agile_sim::Cycles, _: agile_sim::Cycles, _: u64) {}
+    }
+
+    /// A 4-line cache in two shards with a hub and `n` parked-able sleepers.
+    fn watched_cache(n: usize) -> (ShardedCache, Arc<WakeHub>, Vec<SleeperId>) {
+        let cache = ShardedCache::new(cfg(4, 2), 2, 0, || Box::new(ClockPolicy::new()));
+        let hub = WakeHub::new();
+        assert!(cache.set_wake_hub(Arc::clone(&hub)));
+        let nobody =
+            std::sync::Weak::<NoBooks>::new() as std::sync::Weak<dyn agile_sim::wake::SkippedPolls>;
+        let sleepers = (0..n).map(|_| hub.register(nobody.clone())).collect();
+        (cache, hub, sleepers)
+    }
+
+    fn reserve(cache: &ShardedCache, lba: Lba) -> BusyTicket {
+        match cache.lookup_or_reserve(0, lba) {
+            CacheLookup::Miss {
+                line, generation, ..
+            } => BusyTicket { line, generation },
+            other => panic!("expected a miss, got {other:?}"),
+        }
+    }
+
+    fn fired(hub: &WakeHub) -> Vec<SleeperId> {
+        let mut out = Vec::new();
+        hub.drain_fired(&mut out);
+        out
+    }
+
+    #[test]
+    fn every_way_out_of_busy_notifies_the_lines_watchers_once() {
+        let (cache, hub, s) = watched_cache(3);
+        let tickets = [reserve(&cache, 1), reserve(&cache, 2), reserve(&cache, 3)];
+        for (ticket, &sleeper) in tickets.iter().zip(&s) {
+            assert!(cache.watch_line(*ticket, sleeper));
+            assert!(cache.watch_line(*ticket, sleeper), "idempotent");
+            hub.park(sleeper);
+        }
+        cache.complete_fill(tickets[0].line);
+        assert_eq!(fired(&hub), [s[0]]);
+        cache.abort_fill(tickets[1].line);
+        assert_eq!(fired(&hub), [s[1]]);
+        cache.reinstate_victim(tickets[2].line, 0, 9, PageToken(9));
+        assert_eq!(fired(&hub), [s[2]]);
+        // A reservation that has ended cannot be slept on.
+        assert!(!cache.watch_line(tickets[0], s[0]));
+    }
+
+    #[test]
+    fn a_line_reserved_again_does_not_wake_the_old_tickets_sleeper_twice() {
+        // ABA: the watched fill lands (one wake), the line is evicted and
+        // reserved for another page at a later generation, and that fill
+        // lands too. The first ticket's sleeper — asleep again, on something
+        // else — must not hear about the second.
+        let cache = ShardedCache::new(cfg(1, 1), 1, 0, || Box::new(ClockPolicy::new()));
+        let hub = WakeHub::new();
+        cache.set_wake_hub(Arc::clone(&hub));
+        let nobody =
+            std::sync::Weak::<NoBooks>::new() as std::sync::Weak<dyn agile_sim::wake::SkippedPolls>;
+        let (old, new) = (hub.register(nobody.clone()), hub.register(nobody));
+        let first = reserve(&cache, 1);
+        assert!(cache.watch_line(first, old));
+        hub.park(old);
+        cache.complete_fill(first.line);
+        cache.unpin(first.line);
+        assert_eq!(fired(&hub), [old]);
+
+        let second = reserve(&cache, 2);
+        assert_eq!(second.line, first.line, "the one line, re-reserved");
+        assert_ne!(second.generation, first.generation);
+        assert!(!cache.watch_line(first, old), "the old ticket is dead");
+        assert!(cache.watch_line(second, new));
+        hub.park(old);
+        hub.park(new);
+        cache.complete_fill(second.line);
+        assert_eq!(fired(&hub), [new], "only the second ticket's sleeper");
+    }
+
+    #[test]
+    fn settled_busy_polls_count_and_trace_like_the_lookups_they_replace() {
+        use agile_sim::trace::{TraceEvent, TraceEventKind};
+        #[derive(Default)]
+        struct Log(Mutex<Vec<TraceEvent>>);
+        impl TraceSink for Log {
+            fn record(&self, ev: TraceEvent) {
+                self.0.lock().push(ev);
+            }
+        }
+        let (cache, _hub, _s) = watched_cache(0);
+        let log = Arc::new(Log::default());
+        cache.set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>);
+        let pages = [(0u32, 1u64), (0, 2)];
+        for &(_, lba) in &pages {
+            reserve(&cache, lba);
+        }
+        let before = cache.stats_by_shard();
+        log.0.lock().clear();
+        let mut busy_by_shard = vec![0; cache.num_shards()];
+        for &(dev, lba) in &pages {
+            busy_by_shard[cache.shard_of(dev, lba)] += 1;
+        }
+        cache.settle_busy_hits(&busy_by_shard, 3);
+        cache.trace_busy_polls(&pages, 7, 1_000, 500, 3);
+        let after = cache.stats_by_shard();
+        let hits: u64 = after
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| a.busy_hits - b.busy_hits)
+            .sum();
+        assert_eq!(hits, 6, "three polls of two pages");
+        let records: Vec<_> = log
+            .0
+            .lock()
+            .iter()
+            .map(|e| (e.kind, e.at, e.lba, e.tenant))
+            .collect();
+        let busy = TraceEventKind::CacheBusy;
+        assert_eq!(
+            records,
+            [
+                (busy, 1_000, 1, 7),
+                (busy, 1_000, 2, 7),
+                (busy, 1_500, 1, 7),
+                (busy, 1_500, 2, 7),
+                (busy, 2_000, 1, 7),
+                (busy, 2_000, 2, 7),
+            ],
+            "poll by poll, page by page, each at its poll's time"
+        );
     }
 }

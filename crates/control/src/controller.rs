@@ -100,7 +100,7 @@ impl Controller {
         let backoff_base = knobs
             .idle_backoff
             .as_ref()
-            .map(|c| c.load(Ordering::Relaxed).max(1))
+            .map(|c| c.load().max(1))
             .unwrap_or(1);
         if let Some(i) = &instruments {
             if let Some(cell) = &knobs.prefetch_depth {
@@ -189,11 +189,7 @@ impl Controller {
                 .prefetch_depth
                 .as_ref()
                 .map(|c| c.load(Ordering::Relaxed)),
-            idle_backoff: self
-                .knobs
-                .idle_backoff
-                .as_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
+            idle_backoff: self.knobs.idle_backoff.as_ref().map(|c| c.load()),
             ..KnobValues::default()
         };
         for (&t, _) in state.tenants.iter() {
@@ -444,7 +440,7 @@ impl Controller {
             .map(|s| s.value.as_u64())
             .sum();
         let cell = self.knobs.idle_backoff.as_ref().unwrap();
-        let current = cell.load(Ordering::Relaxed);
+        let current = cell.load();
         let (new, reason) = if completions == 0 {
             if state.idle_streak < self.policy.max_backoff_doublings {
                 state.idle_streak += 1;
@@ -461,7 +457,7 @@ impl Controller {
         if new == current {
             return;
         }
-        cell.store(new, Ordering::Relaxed);
+        cell.store(new);
         if let Some(i) = &self.instruments {
             i.idle_backoff.set(new);
         }
@@ -518,7 +514,8 @@ impl SaturatingShl for u64 {
 mod tests {
     use super::*;
     use crate::knobs::{KnobError, TenantWeights};
-    use std::sync::atomic::{AtomicU32, AtomicU64};
+    use agile_sim::wake::WatchedU64;
+    use std::sync::atomic::AtomicU32;
 
     struct TestWeights(Mutex<BTreeMap<u32, u64>>);
 
@@ -699,7 +696,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let comp = reg.counter("agile_service_completions_total", Labels::partition(0));
         let sampler = WindowedSampler::new(Arc::clone(&reg), 1000);
-        let backoff = Arc::new(AtomicU64::new(500));
+        let backoff = Arc::new(WatchedU64::new(500));
         let ctrl = Controller::new(
             ControlPolicy::backoff_only(),
             Vec::new(),
@@ -715,11 +712,11 @@ mod tests {
         for i in 1..=3u64 {
             ctrl.poll(i * 1_000);
         }
-        assert_eq!(backoff.load(Ordering::Relaxed), 4_000);
+        assert_eq!(backoff.load(), 4_000);
         // A completion burst snaps straight back to base.
         comp.add(10);
         ctrl.poll(4_000);
-        assert_eq!(backoff.load(Ordering::Relaxed), 500);
+        assert_eq!(backoff.load(), 500);
         let decisions = ctrl.report();
         let moves: Vec<(u64, u64)> = decisions
             .decisions_for(Knob::IdleBackoff)
@@ -737,7 +734,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let sampler = WindowedSampler::new(Arc::clone(&reg), 1000);
         let depth = Arc::new(AtomicU32::new(3));
-        let backoff = Arc::new(AtomicU64::new(750));
+        let backoff = Arc::new(WatchedU64::new(750));
         let wfq = TestWeights::new(&[(2, 9)]);
         let ctrl = Controller::new(
             ControlPolicy::all(),

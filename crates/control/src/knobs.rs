@@ -1,8 +1,9 @@
 //! The actuation surface: what the controller can turn, expressed without
 //! depending on the layers that own the knobs.
 
+use agile_sim::wake::WatchedU64;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 /// Why an online knob update was refused.
@@ -88,8 +89,9 @@ impl fmt::Display for Knob {
 pub struct KnobSet {
     /// The cached-path prefetch-depth cell warps read at each batch boundary.
     pub prefetch_depth: Option<Arc<AtomicU32>>,
-    /// The idle-backoff cell service partitions read at each idle round.
-    pub idle_backoff: Option<Arc<AtomicU64>>,
+    /// The idle-backoff cell service partitions read at each idle round (a
+    /// store also wakes the service warps sleeping on the old value).
+    pub idle_backoff: Option<Arc<WatchedU64>>,
     /// The WFQ policy's online weight table.
     pub wfq: Option<Arc<dyn TenantWeights>>,
     /// The cache's tenant-share table (mirrors WFQ adjustments so a boosted

@@ -34,6 +34,7 @@ use agile_cache::{
     CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShardedCache, ShareTable,
     TenantShare, NO_TENANT,
 };
+use agile_sim::wake::{SleeperId, Wait, WatchList, WatchedU64};
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, NvmeCommand, PageToken, QueuePair, StorageTopology};
 use serde::{Deserialize, Serialize};
@@ -105,6 +106,8 @@ pub struct AgileCtrl {
     share_table: Option<ShareTable>,
     lock_registry: Option<LockRegistry>,
     stop_service: AtomicBool,
+    /// Service warps asleep on empty CQs: a stop request has to reach them.
+    stop_watchers: WatchList,
     prefetch_calls: AtomicU64,
     async_calls: AtomicU64,
     /// Live cached-path prefetch depth in batches of lookahead (1 = the
@@ -113,8 +116,9 @@ pub struct AgileCtrl {
     prefetch_depth: Arc<AtomicU32>,
     /// Live idle backoff of the AGILE service sweeps in cycles. Partitions
     /// clone the `Arc` at construction and read it per idle round, so an
-    /// online exponential-backoff controller reaches every partition.
-    idle_backoff: Arc<AtomicU64>,
+    /// online exponential-backoff controller reaches every partition — and,
+    /// the cell being watched, every service warp asleep on the old value.
+    idle_backoff: Arc<WatchedU64>,
 }
 
 fn build_policy(cfg: &AgileConfig) -> Box<dyn CachePolicy> {
@@ -177,10 +181,11 @@ impl AgileCtrl {
             share_table,
             lock_registry,
             stop_service: AtomicBool::new(false),
+            stop_watchers: WatchList::new(),
             prefetch_calls: AtomicU64::new(0),
             async_calls: AtomicU64::new(0),
             prefetch_depth: Arc::new(AtomicU32::new(1)),
-            idle_backoff: Arc::new(AtomicU64::new(idle_backoff)),
+            idle_backoff: Arc::new(WatchedU64::new(idle_backoff)),
         }
     }
 
@@ -222,8 +227,10 @@ impl AgileCtrl {
 
     /// The shared idle-backoff cell read by every service partition at each
     /// idle round. Seeded from `agile_service_idle_backoff`; the control
-    /// plane may scale it online (exponential backoff under idleness).
-    pub fn idle_backoff_cell(&self) -> Arc<AtomicU64> {
+    /// plane may scale it online (exponential backoff under idleness). A
+    /// store wakes the service warps sleeping on empty queues, which pick
+    /// the new interval up at their next grid point, as a polling warp would.
+    pub fn idle_backoff_cell(&self) -> Arc<WatchedU64> {
         Arc::clone(&self.idle_backoff)
     }
 
@@ -374,7 +381,7 @@ impl AgileCtrl {
                 cost += Cycles(api.agile_cache_hit);
                 if shared.is_ready() {
                     buf.store(shared.token());
-                    buf.barrier.complete();
+                    buf.barrier.complete(self.io.wake_hub());
                     // We only needed a copy of the data; drop our reference.
                     let _ = st.release(dev, lba);
                     self.io.charge_cache(cost);
@@ -393,7 +400,7 @@ impl AgileCtrl {
             cost += Cycles(api.agile_cache_hit);
             self.io.count_cache_hit();
             buf.store(token);
-            buf.barrier.complete();
+            buf.barrier.complete(self.io.wake_hub());
             self.io.charge_cache(cost);
             return (cost, IssueOutcome::AlreadyAvailable);
         }
@@ -526,13 +533,34 @@ impl AgileCtrl {
         (cost, barrier.is_complete())
     }
 
+    /// The wait descriptor for a warp that has nothing to do until one of
+    /// its own `barriers` completes ([`IoPath::park_on_barriers`]);
+    /// `probes_per_poll` is how many [`AgileCtrl::poll_barrier`] calls each
+    /// of its polls makes while it waits, so the skipped ones are charged.
+    pub fn park_on_barriers<'a>(
+        &self,
+        sleeper: &mut Option<SleeperId>,
+        barriers: impl Iterator<Item = &'a Barrier>,
+        probes_per_poll: u64,
+    ) -> Wait {
+        let probing = Cycles(self.cfg.costs.api.agile_barrier_probe * probes_per_poll);
+        self.io.park_on_barriers(sleeper, barriers, probing)
+    }
+
     // ------------------------------------------------------------------
     // Service control
     // ------------------------------------------------------------------
 
     /// Ask the service kernel to stop (host-side `stopAgile()`).
     pub fn request_service_stop(&self) {
-        self.stop_service.store(true, Ordering::Release);
+        self.stop_service.store(true, Ordering::SeqCst);
+        self.stop_watchers.notify_all();
+    }
+
+    /// The sleepers a stop request wakes (service warps register here
+    /// before they sleep on empty queues).
+    pub(crate) fn stop_watchers(&self) -> &WatchList {
+        &self.stop_watchers
     }
 
     /// Re-arm the service (between host-side runs).
@@ -636,7 +664,7 @@ mod tests {
         let txn = sq.transactions().take(0).expect("in flight");
         if let Transaction::UserRead { barrier, shared } = txn {
             a.dma.store(PageToken(0xAA));
-            barrier.complete();
+            barrier.complete(&agile_sim::WakeHub::default());
             if let Some(s) = shared {
                 s.mark_ready();
             }

@@ -533,6 +533,8 @@ impl<S: HostSystem> Host<S> {
         engine.set_scheduler(self.engine_sched);
         let topology = self.topology();
         let ctrl = self.ctrl();
+        // Warps waiting on this stack sleep in its hub; the engine wakes them.
+        engine.set_wake_hub(Arc::clone(ctrl.io().wake_hub()));
         // Worker threads must not record into a shared sink in wall-clock
         // order: each device then gets a private buffer, drained as an
         // epoch mailbox in advance order.
@@ -777,6 +779,63 @@ mod tests {
             host.service().stats().completions > 0,
             "the auto-sized service must process completions"
         );
+    }
+
+    #[test]
+    fn a_warp_asleep_on_a_barrier_nobody_completes_is_reported_with_its_reason() {
+        use crate::transaction::Barrier;
+        use agile_sim::wake::{SleeperId, WaitReason};
+        use gpu_sim::{WarpCtx, WarpKernel, WarpStep};
+
+        /// Waits on a barrier no command was ever issued for.
+        struct Orphan(Arc<AgileCtrl>);
+        struct OrphanWarp(Arc<AgileCtrl>, Barrier, Option<SleeperId>);
+        impl KernelFactory for Orphan {
+            fn create_warp(&self, _b: u32, _w: u32) -> Box<dyn WarpKernel> {
+                Box::new(OrphanWarp(Arc::clone(&self.0), Barrier::new(), None))
+            }
+            fn name(&self) -> &str {
+                "orphan"
+            }
+        }
+        impl WarpKernel for OrphanWarp {
+            fn step(&mut self, _ctx: &WarpCtx) -> WarpStep {
+                WarpStep::Stall {
+                    retry_after: Cycles(2_000),
+                    wait: self
+                        .0
+                        .park_on_barriers(&mut self.2, std::iter::once(&self.1), 1),
+                }
+            }
+        }
+
+        for sched in [EngineSched::EventQueue, EngineSched::ParallelShards(2)] {
+            let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
+            host.add_nvme_dev(1 << 16);
+            host.set_engine_sched(sched);
+            host.init_nvme();
+            host.start_agile();
+            let ctrl = host.ctrl();
+            let report = host.run_kernel(
+                LaunchConfig::new(1, 32).with_registers(32),
+                Box::new(Orphan(Arc::clone(&ctrl))),
+            );
+            // The warp and both service warps are asleep and the SSD has
+            // nothing in flight: flagged on the spot, not a window later.
+            assert!(report.deadlocked, "{sched:?}");
+            assert!(report.elapsed < Cycles(10_000), "{sched:?}");
+            let reasons: Vec<WaitReason> = report.stalled.iter().map(|&(_, why)| why).collect();
+            assert_eq!(
+                reasons,
+                [
+                    WaitReason::ServiceIdle,
+                    WaitReason::ServiceIdle,
+                    WaitReason::Barrier
+                ],
+                "{sched:?}: {:?}",
+                report.stalled
+            );
+        }
     }
 
     #[test]

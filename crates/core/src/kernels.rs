@@ -9,6 +9,8 @@
 use crate::ctrl::AgileCtrl;
 use crate::io_path::{ReadOutcome, WarpWait};
 use crate::transaction::AgileBuf;
+use agile_cache::NO_TENANT;
+use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::Lba;
@@ -55,6 +57,8 @@ struct PipelineWarp {
     pending_prefetch: Vec<(u32, Lba)>,
     /// Carried across the polls of one read (see `IoPath::read_warp`).
     wait: WarpWait,
+    /// What the warp sleeps on while all its pages are in flight.
+    sleeper: Option<SleeperId>,
 }
 
 struct PipelineWarpCtx {
@@ -117,9 +121,20 @@ impl WarpKernel for PipelineWarp {
                         self.phase = PipelinePhase::PrefetchNext;
                         WarpStep::Busy(cost)
                     }
-                    ReadOutcome::Pending => WarpStep::Stall {
-                        retry_after: Cycles(IO_POLL_INTERVAL).max(cost),
-                    },
+                    ReadOutcome::Pending => {
+                        let io = self.parent.io();
+                        let retry_after = Cycles(IO_POLL_INTERVAL).max(cost);
+                        let repoll = io.repoll_cost(Some(&self.wait), 0);
+                        let wait = io
+                            .park_on_fills(
+                                &mut self.sleeper,
+                                NO_TENANT,
+                                Some(&self.wait),
+                                std::iter::empty(),
+                            )
+                            .only_if(Cycles(IO_POLL_INTERVAL).max(repoll) == retry_after);
+                        WarpStep::Stall { retry_after, wait }
+                    }
                 }
             }
         }
@@ -143,6 +158,7 @@ impl KernelFactory for PrefetchComputeKernel {
             phase: PipelinePhase::PrefetchNext,
             pending_prefetch: Vec::new(),
             wait: WarpWait::new(),
+            sleeper: None,
         })
     }
     fn name(&self) -> &str {
@@ -185,6 +201,8 @@ struct RmwWarp {
     iter: u32,
     phase: RmwPhase,
     buf: AgileBuf,
+    /// What the warp sleeps on while its read is in flight.
+    sleeper: Option<SleeperId>,
 }
 
 impl RmwWarp {
@@ -217,6 +235,7 @@ impl WarpKernel for RmwWarp {
                     }
                     crate::ctrl::IssueOutcome::Retry => WarpStep::Stall {
                         retry_after: Cycles(IO_POLL_INTERVAL),
+                        wait: Wait::polling(WaitReason::Submit),
                     },
                 }
             }
@@ -228,6 +247,11 @@ impl WarpKernel for RmwWarp {
                 } else {
                     WarpStep::Stall {
                         retry_after: Cycles(IO_POLL_INTERVAL),
+                        wait: self.ctrl.park_on_barriers(
+                            &mut self.sleeper,
+                            std::iter::once(&self.buf.barrier),
+                            1,
+                        ),
                     }
                 }
             }
@@ -242,6 +266,7 @@ impl WarpKernel for RmwWarp {
                 match outcome {
                     crate::ctrl::IssueOutcome::Retry => WarpStep::Stall {
                         retry_after: Cycles(IO_POLL_INTERVAL),
+                        wait: Wait::polling(WaitReason::Submit),
                     },
                     _ => {
                         self.iter += 1;
@@ -264,6 +289,7 @@ impl KernelFactory for AsyncReadModifyWriteKernel {
             iter: 0,
             phase: RmwPhase::IssueRead,
             buf: AgileBuf::new(),
+            sleeper: None,
         })
     }
     fn name(&self) -> &str {

@@ -32,14 +32,27 @@
 //! targets, so completion processing scales with the storage side instead of
 //! funnelling through one kernel's rotation. With one shard (the default)
 //! the set degenerates to exactly the paper's single service, bit for bit.
+//!
+//! ## Idle sweeps sleep
+//!
+//! A sweep that finds nothing backs off for `idle_backoff` cycles and looks
+//! at the next CQ of its rotation. Once **every** CQ of a warp's rotation
+//! holds nothing new (posted = retired) those sweeps are pure — each would
+//! count one idle round, advance the rotation and back off again — so the
+//! warp returns a parkable stall instead: its sleeper watches those CQs, the
+//! idle-backoff cell and the stop flag, the engine wakes it at the first
+//! point of its backoff grid at or after a completion is posted (or the cell
+//! written), and the sweeps it slept through are added to `idle_rounds` and
+//! to its rotation in bulk.
 
 use crate::ctrl::AgileCtrl;
+use agile_sim::wake::{SkippedPolls, SleeperId, Wait, WaitReason, WatchedU64};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::StorageTopology;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Partition the `(device, queue-pair)` CQ targets of a storage stack into
 /// `shards` shard-affine groups.
@@ -115,7 +128,7 @@ impl CqPollState {
 ///
 /// Note: the unified registry exports these as `agile_service_*` labelled
 /// by partition; this struct stays for direct programmatic access.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Completions processed.
     pub completions: u64,
@@ -153,7 +166,7 @@ pub struct ServicePartition {
     /// Seeded from `costs.api.agile_service_idle_backoff`; the cell is
     /// shared with the controller so a control plane can retune it online —
     /// partitions load it once per idle round.
-    idle_backoff: Arc<AtomicU64>,
+    idle_backoff: Arc<WatchedU64>,
 }
 
 /// The pre-scale-out name of [`ServicePartition`]; a single partition over
@@ -222,9 +235,8 @@ impl ServicePartition {
     /// (Algorithm 1) at sim time `now`. Returns the number of completions
     /// processed.
     pub fn poll_cq(&self, target_idx: usize, now: Cycles) -> u32 {
-        let (dev, qidx) = self.targets[target_idx];
-        let sq = &self.ctrl.io().device_queues(dev)[qidx];
-        let cq = &sq.queue_pair().cq;
+        let (dev, _) = self.targets[target_idx];
+        let cq = self.cq(target_idx);
         let depth = cq.depth();
         let mut cursor = self.cursors[target_idx].lock();
         // The device posts CQEs in ring order and this cursor is the CQ's
@@ -285,20 +297,63 @@ impl ServicePartition {
         offset: usize,
         now: Cycles,
     ) -> Cycles {
+        self.sweep(rotation, stride, offset, now).0
+    }
+
+    /// [`ServicePartition::service_step`], also saying whether the sweep was
+    /// idle (polled a CQ and found nothing).
+    fn sweep(
+        &self,
+        rotation: &mut usize,
+        stride: usize,
+        offset: usize,
+        now: Cycles,
+    ) -> (Cycles, bool) {
         if self.targets.is_empty() {
-            return Cycles(self.idle_backoff.load(Ordering::Relaxed).max(1));
+            return (Cycles(self.idle_backoff.load().max(1)), false);
         }
         let idx = (offset + *rotation * stride) % self.targets.len();
         *rotation += 1;
         let processed = self.poll_cq(idx, now);
         if processed > 0 {
             self.stats.busy_rounds.fetch_add(1, Ordering::Relaxed);
-            Cycles(self.poll_round_cost)
+            (Cycles(self.poll_round_cost), false)
         } else {
             self.stats.idle_rounds.fetch_add(1, Ordering::Relaxed);
-            let backoff = self.idle_backoff.load(Ordering::Relaxed).max(1);
-            Cycles(self.poll_round_cost.max(backoff))
+            let backoff = self.idle_backoff.load().max(1);
+            (Cycles(self.poll_round_cost.max(backoff)), true)
         }
+    }
+
+    /// True when none of the CQs `rotation` (target indices) holds a
+    /// completion its cursor has not retired: every sweep over them is idle
+    /// until the device posts to one.
+    fn all_retired(&self, rotation: &[usize]) -> bool {
+        rotation
+            .iter()
+            .all(|&idx| self.cq(idx).total_posted() == self.cursors[idx].lock().retired)
+    }
+
+    /// The CQ behind target `idx`.
+    fn cq(&self, idx: usize) -> &nvme_sim::CompletionQueue {
+        let (dev, qidx) = self.targets[idx];
+        &self.ctrl.io().device_queues(dev)[qidx].queue_pair().cq
+    }
+
+    /// Register a sleeper for a warp sweeping `rotation`: notified by a post
+    /// to any of those CQs, a store to the idle-backoff cell (its grid
+    /// changes) and a stop request; its skipped sweeps are idle rounds of
+    /// this partition.
+    fn sleeper_for(self: &Arc<Self>, rotation: &[usize]) -> SleeperId {
+        let hub = self.ctrl.io().wake_hub();
+        let settler: Weak<dyn SkippedPolls> = Arc::downgrade(self) as Weak<_>;
+        let sleeper = hub.register(settler);
+        for &idx in rotation {
+            self.cq(idx).watchers().watch(hub, sleeper);
+        }
+        self.idle_backoff.watchers().watch(hub, sleeper);
+        self.ctrl.stop_watchers().watch(hub, sleeper);
+        sleeper
     }
 
     /// The controller this service works for.
@@ -337,11 +392,25 @@ impl AgileServiceKernel {
     }
 }
 
+/// Every skipped sweep of a sleeping service warp found nothing.
+impl SkippedPolls for ServicePartition {
+    fn settle(&self, _sleeper: SleeperId, _first: Cycles, _every: Cycles, polls: u64) {
+        self.stats.idle_rounds.fetch_add(polls, Ordering::Relaxed);
+    }
+}
+
 struct ServiceWarp {
     service: Arc<ServicePartition>,
     rotation: usize,
     stride: usize,
     offset: usize,
+    /// The distinct target indices this warp's rotation visits.
+    visits: Vec<usize>,
+    /// Registered the first time the warp has nothing to sweep for.
+    sleeper: Option<SleeperId>,
+    /// `(when, backoff)` of the idle sweep after which the warp offered to
+    /// sleep: the sweeps between then and its next step were skipped.
+    dozed: Option<(Cycles, Cycles)>,
 }
 
 impl WarpKernel for ServiceWarp {
@@ -349,21 +418,50 @@ impl WarpKernel for ServiceWarp {
         if self.service.ctrl().service_stop_requested() {
             return WarpStep::Done;
         }
-        let cost = self
-            .service
-            .service_step(&mut self.rotation, self.stride, self.offset, ctx.now);
-        WarpStep::Busy(cost)
+        if let Some((since, every)) = self.dozed.take() {
+            // Woken on its own grid, `k` intervals on: the `k − 1` sweeps in
+            // between each moved the rotation on by one (their idle rounds
+            // are settled through the hub).
+            let intervals = (ctx.now - since).raw() / every.raw();
+            self.rotation += intervals.saturating_sub(1) as usize;
+        }
+        let (cost, idle) =
+            self.service
+                .sweep(&mut self.rotation, self.stride, self.offset, ctx.now);
+        if !(idle && self.service.all_retired(&self.visits)) {
+            return WarpStep::Busy(cost);
+        }
+        let sleeper = *self
+            .sleeper
+            .get_or_insert_with(|| self.service.sleeper_for(&self.visits));
+        self.dozed = Some((ctx.now, cost));
+        WarpStep::Stall {
+            retry_after: cost,
+            wait: Wait::parked(WaitReason::ServiceIdle, sleeper),
+        }
     }
 }
 
 impl KernelFactory for AgileServiceKernel {
     fn create_warp(&self, block: u32, warp: u32) -> Box<dyn WarpKernel> {
         let flat = block * self.warps_per_block + warp;
+        let (stride, offset) = (self.total_warps as usize, flat as usize);
+        // The rotation `offset + r · stride (mod targets)` is periodic: it
+        // comes back to its first target after at most `targets` sweeps.
+        let targets = self.service.target_count();
+        let mut visits: Vec<usize> = (0..targets)
+            .map(|r| (offset + r * stride) % targets)
+            .collect();
+        visits.sort_unstable();
+        visits.dedup();
         Box::new(ServiceWarp {
             service: Arc::clone(&self.service),
             rotation: 0,
-            stride: self.total_warps as usize,
-            offset: flat as usize,
+            stride,
+            offset,
+            visits,
+            sleeper: None,
+            dozed: None,
         })
     }
     fn name(&self) -> &str {
@@ -738,14 +836,9 @@ mod tests {
         assert_eq!(set.partition_stats()[1].completions, 0);
     }
 
-    #[test]
-    fn service_kernel_factory_stops_on_request() {
-        let (ctrl, _dev) = rig(1, 16);
-        let service = AgileService::new(Arc::clone(&ctrl));
-        let factory = AgileServiceKernel::new(Arc::clone(&service), 1, 2);
-        let mut warp = factory.create_warp(0, 0);
-        let ctx = WarpCtx {
-            now: Cycles(0),
+    fn ctx_at(now: u64) -> WarpCtx {
+        WarpCtx {
+            now: Cycles(now),
             warp: gpu_sim::WarpId {
                 kernel: gpu_sim::KernelId(0),
                 block: 0,
@@ -753,8 +846,95 @@ mod tests {
             },
             lanes: 32,
             clock_ghz: 2.5,
+        }
+    }
+
+    #[test]
+    fn an_idle_service_warp_sleeps_until_a_post_the_backoff_cell_or_a_stop() {
+        let (ctrl, mut dev) = rig(4, 64);
+        let service = AgileService::new(Arc::clone(&ctrl));
+        let hub = Arc::clone(ctrl.io().wake_hub());
+        // One warp of two: its rotation visits CQs 0 and 2.
+        let factory = AgileServiceKernel::new(Arc::clone(&service), 2, 2);
+        let mut warp = factory.create_warp(0, 0);
+        let backoff = ctrl.idle_backoff_cell().load();
+        let (retry_after, sleeper) = match warp.step(&ctx_at(0)) {
+            WarpStep::Stall { retry_after, wait } => {
+                assert_eq!(wait.reason, WaitReason::ServiceIdle);
+                (retry_after, wait.sleeper.expect("every CQ is empty"))
+            }
+            other => panic!("expected an idle stall, got {other:?}"),
         };
-        assert!(matches!(warp.step(&ctx), WarpStep::Busy(_)));
+        assert_eq!(retry_after, Cycles(backoff), "the grid is the backoff");
+        let mut fired = Vec::new();
+
+        // 1. A write to the backoff cell: the grid changes, so the warp is
+        //    woken to pick the new interval up at its next grid point.
+        hub.park(sleeper);
+        ctrl.idle_backoff_cell().store(4 * backoff);
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [sleeper]);
+        // The engine settles the three sweeps it slept through and steps it
+        // on its grid, four intervals on; the rotation moved with them.
+        hub.settle(sleeper, Cycles(backoff), Cycles(backoff), 3);
+        assert_eq!(service.stats().idle_rounds, 1 + 3);
+        match warp.step(&ctx_at(4 * backoff)) {
+            WarpStep::Stall { retry_after, wait } => {
+                assert_eq!(retry_after, Cycles(4 * backoff), "the new interval");
+                assert_eq!(wait.sleeper, Some(sleeper));
+            }
+            other => panic!("expected an idle stall, got {other:?}"),
+        }
+        assert_eq!(service.stats().idle_rounds, 5);
+
+        // 2. A completion posted to a CQ of its rotation (queue 2: warp 2
+        //    homes there), not to one of the other warp's (queue 1).
+        hub.park(sleeper);
+        let issue = |warp: u64| {
+            let (_, o) = ctrl.raw_read(warp, 0, 7, DmaHandle::new(), Barrier::new(), Cycles(0));
+            assert_eq!(o, crate::ctrl::IssueOutcome::Issued);
+        };
+        issue(1);
+        let mut now = Cycles(0);
+        let posted = |q: usize| ctrl.io().device_queues(0)[q].queue_pair().cq.total_posted();
+        while posted(1) == 0 {
+            now += Cycles(10_000);
+            dev.advance_to(now);
+        }
+        assert!(!hub.has_fired(), "queue 1 is the other warp's");
+        issue(2);
+        while posted(2) == 0 {
+            now += Cycles(10_000);
+            dev.advance_to(now);
+        }
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [sleeper]);
+        // With a completion waiting in its rotation the warp keeps sweeping.
+        let woke_at = (now.raw() / (4 * backoff) + 1) * 4 * backoff;
+        assert!(matches!(warp.step(&ctx_at(woke_at)), WarpStep::Busy(_)));
+
+        // 3. A stop request.
+        hub.park(sleeper);
+        ctrl.request_service_stop();
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [sleeper]);
+        assert!(matches!(
+            warp.step(&ctx_at(woke_at + 4 * backoff)),
+            WarpStep::Done
+        ));
+    }
+
+    #[test]
+    fn service_kernel_factory_stops_on_request() {
+        let (ctrl, _dev) = rig(1, 16);
+        let service = AgileService::new(Arc::clone(&ctrl));
+        let factory = AgileServiceKernel::new(Arc::clone(&service), 1, 2);
+        let mut warp = factory.create_warp(0, 0);
+        let ctx = ctx_at(0);
+        assert!(
+            matches!(warp.step(&ctx), WarpStep::Stall { .. }),
+            "empty CQs"
+        );
         ctrl.request_service_stop();
         assert!(matches!(warp.step(&ctx), WarpStep::Done));
         assert_eq!(factory.name(), "agile-service");

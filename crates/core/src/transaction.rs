@@ -15,6 +15,7 @@
 
 use agile_cache::LineId;
 use agile_cache::SharedBuf;
+use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{DmaHandle, Lba, PageToken};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -24,34 +25,57 @@ use std::sync::Arc;
 ///
 /// The barrier starts *armed* (pending). The AGILE service clears it when the
 /// transaction's completion has been processed; the user thread polls
-/// [`Barrier::is_complete`].
+/// [`Barrier::is_complete`] — or, when polling it is all the thread would do,
+/// registers a sleeper with [`Barrier::watch`] and is woken by the
+/// completion instead.
 #[derive(Debug, Clone, Default)]
 pub struct Barrier {
-    flag: Arc<AtomicU32>,
+    cell: Arc<BarrierCell>,
+}
+
+#[derive(Debug, Default)]
+struct BarrierCell {
+    flag: AtomicU32,
+    /// The sleeper to notify on completion, as `id + 1` (0: nobody). One
+    /// slot is enough: a barrier belongs to the one warp that issued it.
+    waiter: AtomicU32,
 }
 
 impl Barrier {
     /// A new, armed barrier.
     pub fn new() -> Self {
-        Barrier {
-            flag: Arc::new(AtomicU32::new(0)),
-        }
+        Barrier::default()
     }
 
     /// True once the transaction completed.
     pub fn is_complete(&self) -> bool {
-        self.flag.load(Ordering::Acquire) == 1
+        self.cell.flag.load(Ordering::SeqCst) == 1
     }
 
-    /// Mark the transaction complete (service side).
-    pub fn complete(&self) {
-        self.flag.store(1, Ordering::Release);
+    /// Mark the transaction complete (service side) and notify, through
+    /// `hub`, the sleeper watching the barrier, if any.
+    pub fn complete(&self, hub: &WakeHub) {
+        self.cell.flag.store(1, Ordering::SeqCst);
+        // Flag first, then the waiter — the mirror of `watch`, so either
+        // this sees the sleeper or `watch` sees the barrier complete.
+        match self.cell.waiter.swap(0, Ordering::SeqCst) {
+            0 => {}
+            id => hub.notify(SleeperId(id - 1)),
+        }
+    }
+
+    /// Have [`Barrier::complete`] notify `sleeper`. Returns `false` when the
+    /// barrier is complete already: the caller must not sleep on it.
+    pub fn watch(&self, sleeper: SleeperId) -> bool {
+        self.cell.waiter.store(sleeper.0 + 1, Ordering::SeqCst);
+        !self.is_complete()
     }
 
     /// Re-arm the barrier for reuse (buffers are commonly reused across
     /// epochs; real AGILE reuses the `AgileBufPtr` the same way).
     pub fn reset(&self) {
-        self.flag.store(0, Ordering::Release);
+        self.cell.waiter.store(0, Ordering::SeqCst);
+        self.cell.flag.store(0, Ordering::SeqCst);
     }
 }
 
@@ -192,10 +216,32 @@ mod tests {
         let b = Barrier::new();
         assert!(!b.is_complete());
         let alias = b.clone();
-        alias.complete();
+        alias.complete(&WakeHub::default());
         assert!(b.is_complete());
         b.reset();
         assert!(!b.is_complete());
+    }
+
+    #[test]
+    fn completing_a_watched_barrier_notifies_its_sleeper_once() {
+        use agile_sim::wake::SkippedPolls;
+        let hub = WakeHub::new();
+        let nobody: std::sync::Weak<dyn SkippedPolls> = std::sync::Weak::<Unsettled>::new();
+        let sleeper = hub.register(nobody);
+        let b = Barrier::new();
+        assert!(b.watch(sleeper), "armed: may sleep on it");
+        hub.park(sleeper);
+        b.complete(&hub);
+        b.complete(&hub);
+        let mut fired = Vec::new();
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [sleeper]);
+        assert!(!b.watch(sleeper), "complete: nothing to sleep on");
+    }
+
+    struct Unsettled;
+    impl agile_sim::wake::SkippedPolls for Unsettled {
+        fn settle(&self, _: SleeperId, _: agile_sim::Cycles, _: agile_sim::Cycles, _: u64) {}
     }
 
     #[test]
@@ -203,7 +249,7 @@ mod tests {
         let buf = AgileBuf::with_token(PageToken(5));
         assert_eq!(buf.token(), PageToken(5));
         assert!(!buf.is_ready());
-        buf.barrier.complete();
+        buf.barrier.complete(&WakeHub::default());
         assert!(buf.is_ready());
         buf.store(PageToken(6));
         assert_eq!(buf.token(), PageToken(6));
@@ -242,7 +288,7 @@ mod tests {
         };
         // Completing through the transaction's clone is visible via the buffer.
         if let Transaction::UserRead { barrier, .. } = &t {
-            barrier.complete();
+            barrier.complete(&WakeHub::default());
         }
         assert!(buf.is_ready());
     }

@@ -17,6 +17,7 @@ use agile_core::{
 };
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
+use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use nvme_sim::{Lba, MemBacking, PageToken, QueuePair, SsdConfig, SsdDevice};
 use proptest::prelude::*;
@@ -424,4 +425,217 @@ fn a_ticketed_stalled_poll_takes_no_set_lock() {
         .read_warp(0, 1, &STALLED_READ, Cycles(0), &mut fresh);
     assert_eq!(outcome, ReadOutcome::Pending);
     assert_eq!(rig.ctrl.cache().stats().busy_hits - before, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Sleeping through the polls: settled = made
+// ---------------------------------------------------------------------------
+
+fn event_key(e: &TraceEvent) -> (u64, u8, u32, u64, u32, u16, u16, bool) {
+    (
+        e.at,
+        e.kind as u8,
+        e.dev,
+        e.lba,
+        e.tenant,
+        e.queue,
+        e.cid,
+        e.write,
+    )
+}
+
+/// Put the stalled warp to sleep the way a kernel would after an attempt
+/// that retired nothing. Returns its sleeper.
+fn park_stalled(io: &IoPath, read_wait: &WarpWait, store_wait: &LineWait) -> SleeperId {
+    let mut sleeper = None;
+    let wait = io.park_on_fills(
+        &mut sleeper,
+        1,
+        Some(read_wait),
+        std::iter::once((STALLED_STORE, store_wait)),
+    );
+    assert_eq!(wait.reason, WaitReason::CacheFill);
+    assert_eq!(wait.sleeper, sleeper, "every pending page is in flight");
+    sleeper.expect("parkable")
+}
+
+#[test]
+fn settling_skipped_polls_is_making_them() {
+    // One warp really makes POLLS polls; its twin sleeps through them and
+    // has them settled in one call. Counters, per-shard cache statistics
+    // and the capture come out the same (record for record; a settled poll
+    // lists the blocked store before the read's pages, as the replay warp
+    // polls them, where `poll_stalled` reads first).
+    let (polled, mut read_wait, mut store_wait) = stalled_warp();
+    poll_stalled(polled.ctrl.io(), &mut read_wait, &mut store_wait);
+
+    let (parked, read_wait, store_wait) = stalled_warp();
+    let io = parked.ctrl.io();
+    let sleeper = park_stalled(io, &read_wait, &store_wait);
+    io.wake_hub()
+        .settle(sleeper, Cycles(2_000), Cycles(2_000), POLLS);
+
+    assert_eq!(io.stats(), polled.ctrl.io().stats());
+    assert_eq!(
+        io.cache().stats_by_shard(),
+        polled.ctrl.cache().stats_by_shard()
+    );
+    let capture = |rig: &Rig| {
+        let mut keys: Vec<_> = rig.log.0.lock().unwrap().iter().map(event_key).collect();
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(capture(&parked), capture(&polled));
+    // And what the warp would be re-polled at is what each poll cost.
+    assert_eq!(
+        io.repoll_cost(Some(&read_wait), 1).raw() * POLLS,
+        io.stats().cache_cycles - stalled_warp().0.ctrl.io().stats().cache_cycles
+    );
+}
+
+#[test]
+fn a_wait_with_anything_but_fills_in_flight_is_polled() {
+    let (rig, read_wait, store_wait) = stalled_warp();
+    let io = rig.ctrl.io();
+    let mut sleeper = None;
+    // A store that found no line to wait behind has to be retried for real.
+    let unblocked = LineWait::default();
+    let wait = io.park_on_fills(
+        &mut sleeper,
+        1,
+        Some(&read_wait),
+        [(STALLED_STORE, &store_wait), ((0, 20), &unblocked)].into_iter(),
+    );
+    assert_eq!(wait, Wait::polling(WaitReason::CacheLine));
+    // So has a read one of whose pages is resident (the lookup of a
+    // resident page touches the replacement policy).
+    let mut mixed = WarpWait::new();
+    assert!(rig.ctrl.cache().preload(1, 11, PageToken(3)));
+    io.read_warp(0, 1, &[(0, 3), (1, 11)], Cycles(0), &mut mixed);
+    let wait = io.park_on_fills(&mut sleeper, 1, Some(&mixed), std::iter::empty());
+    assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
+    // And with the cache port modeled every attempt moves its queue.
+    let ported = Rig::new(1, 50, true);
+    let mut wait_state = WarpWait::new();
+    let io = ported.ctrl.io();
+    io.read_warp(0, 1, &STALLED_READ, Cycles(0), &mut wait_state);
+    let wait = io.park_on_fills(&mut None, 1, Some(&wait_state), std::iter::empty());
+    assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
+}
+
+#[test]
+fn two_warps_asleep_on_one_line_are_both_woken_by_its_fill() {
+    let mut rig = Rig::new(1, 0, true);
+    let (mut first, mut second) = (WarpWait::new(), WarpWait::new());
+    let page = [(0u32, 5u64)];
+    let hub = Arc::clone(rig.ctrl.io().wake_hub());
+    let sleepers: Vec<SleeperId> = [(0u64, &mut first), (1, &mut second)]
+        .into_iter()
+        .map(|(warp, wait)| {
+            let io = rig.ctrl.io();
+            let (_, outcome) = io.read_warp(warp, NO_TENANT, &page, Cycles(0), wait);
+            assert_eq!(outcome, ReadOutcome::Pending);
+            let mut sleeper = None;
+            let parked = io.park_on_fills(&mut sleeper, NO_TENANT, Some(wait), std::iter::empty());
+            assert!(
+                parked.sleeper.is_some(),
+                "one issued the fill, one found it BUSY"
+            );
+            hub.park(sleeper.unwrap());
+            sleeper.unwrap()
+        })
+        .collect();
+    assert!(!hub.has_fired());
+    // The device completes the read; the service retires it.
+    let mut now = Cycles(0);
+    while rig.service.stats().completions == 0 {
+        now += Cycles(2_000);
+        assert!(now.raw() < 10_000_000, "the fill never completed");
+        for dev in &mut rig.devices {
+            dev.advance_to(now);
+        }
+        for target in 0..rig.service.target_count() {
+            rig.service.poll_cq(target, now);
+        }
+    }
+    let mut fired = Vec::new();
+    hub.drain_fired(&mut fired);
+    assert_eq!(fired, sleepers, "both, in id order, once each");
+    // The line's waiter entries are gone with the fill: nothing fires twice.
+    for &sleeper in &sleepers {
+        hub.park(sleeper);
+    }
+    rig.ctrl.cache().preload(0, 6, PageToken(1));
+    assert!(!hub.has_fired());
+}
+
+#[test]
+fn park_notify_wake_allocates_nothing_in_steady_state() {
+    let (rig, read_wait, store_wait) = stalled_warp();
+    let io = rig.ctrl.io();
+    let hub = Arc::clone(io.wake_hub());
+    rig.log.0.lock().unwrap().reserve(8 * POLLS as usize);
+    let mut fired = Vec::with_capacity(4);
+    let mut sleeper = None;
+    let mut cycle = |k: u64| {
+        // The kernel parks, the engine parks it, a producer notifies, the
+        // engine drains and settles the polls in between.
+        let wait = io.park_on_fills(
+            &mut sleeper,
+            1,
+            Some(&read_wait),
+            std::iter::once((STALLED_STORE, &store_wait)),
+        );
+        let id = wait.sleeper.expect("parkable");
+        hub.park(id);
+        hub.notify(id);
+        assert!(hub.has_fired());
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [id]);
+        hub.settle(id, Cycles(k * 10_000), Cycles(2_000), 3);
+    };
+    // Warm-up: the sleeper is registered, its recipe slot and the watcher
+    // buckets get their capacity.
+    cycle(0);
+    let before = allocations();
+    for k in 1..=200 {
+        cycle(k);
+    }
+    // The real producer path too: the fill of one watched line ends.
+    let PageState::InFlight(ticket) = read_wait.pages()[0] else {
+        panic!("in flight");
+    };
+    hub.park(sleeper.unwrap());
+    io.cache().abort_fill(ticket.line);
+    assert!(hub.has_fired(), "the watcher on that line was notified");
+    assert_eq!(allocations() - before, 0);
+    let boxed = std::hint::black_box(Box::new(before));
+    assert_eq!(allocations() - before, 1, "the counter is live");
+    drop(boxed);
+}
+
+#[test]
+fn a_sleeper_that_is_asleep_is_not_offered_to_a_second_warp() {
+    // Two warps sharing one wait slot (an accessor table keyed by a warp
+    // index that a rounded-up launch aliases): the first sleeps on it, the
+    // second is told to poll, and gets it once the first has been woken.
+    let (rig, read_wait, store_wait) = stalled_warp();
+    let io = rig.ctrl.io();
+    let hub = Arc::clone(io.wake_hub());
+    let mut slot = None;
+    let offer = |slot: &mut Option<SleeperId>| {
+        io.park_on_fills(
+            slot,
+            1,
+            Some(&read_wait),
+            std::iter::once((STALLED_STORE, &store_wait)),
+        )
+    };
+    let first = offer(&mut slot);
+    hub.park(first.sleeper.expect("parkable"));
+    assert_eq!(offer(&mut slot), Wait::polling(WaitReason::CacheFill));
+    hub.notify(slot.unwrap());
+    let mut fired = Vec::new();
+    hub.drain_fired(&mut fired);
+    assert_eq!(offer(&mut slot), first);
 }

@@ -13,16 +13,52 @@
 //!
 //! Scheduling is **event-driven** ([`EngineSched::EventQueue`], the default):
 //! warps live in a min-heap ready-queue keyed on `ready_at`, re-enqueued on
-//! every `Busy`/`Stall` — a persistent kernel's idle backoff is just a timer
-//! event like any other — so a round costs O(ready warps · log W) instead of
-//! a scan over every resident warp, and rounds fire only at warp wake times:
-//! device events (`next_event_time`) no longer force empty rounds, because a
-//! discrete-event device advanced straight to the next warp wake produces the
-//! same completions it would have produced stepwise. The pre-refactor
-//! scheduler is kept as [`EngineSched::FullScan`] for equivalence tests and
-//! wall-time comparisons; both schedulers step the same warps at the same
-//! simulated times in the same order, so reports are bit-identical — only
-//! `rounds` (and wall time) differ.
+//! every `Busy` and every polled `Stall`, so a round costs O(ready warps ·
+//! log W) instead of a scan over every resident warp, and rounds fire only
+//! at warp wake times: shard-device events (`next_event_time`) do not force
+//! empty rounds, because a discrete-event device advanced straight to the
+//! next warp wake produces the same completions it would have produced
+//! stepwise. (Passive devices — observers with a schedule of their own, such
+//! as a metric window closing — are visited at their event times always.)
+//! The pre-refactor scheduler is kept as [`EngineSched::FullScan`] for
+//! equivalence tests and wall-time comparisons; both schedulers step the
+//! same warps at the same simulated times in the same order, so reports are
+//! bit-identical — only `rounds` (and wall time) differ.
+//!
+//! # Polling vs waiting
+//!
+//! A stalled warp asks to be re-polled every `retry_after` cycles. Most of
+//! those polls learn nothing, and with a wake hub attached
+//! ([`Engine::set_wake_hub`]) the event-driven schedulers do not make them:
+//! a warp whose [`WarpStep::Stall`] carries a parkable wait descriptor
+//! (`Wait::parked` — the kernel vouches that its re-polls are *pure* until
+//! its sleeper is notified, and has registered the sleeper with everything
+//! that can end the wait) leaves the ready queue and **sleeps**. What wakes
+//! it is the producer: `IoPath::retire` completing its barrier or its cache
+//! fill, an aborted fill or reinstated victim, a completion posted to a CQ
+//! an idle service warp watches, a write to the service's idle-backoff cell,
+//! a stop request. The engine drains the notified sleepers after the device
+//! phase and after every warp step — sorted by sleeper id, never in arrival
+//! order, so a notification from a worker thread cannot reorder anything —
+//! and re-arms each at the **first point of its own retry grid at or after
+//! the event**: the poll that would have been the first to notice. In the
+//! event's own cycle that is "now" only if the warp sorts after the
+//! notifying warp in `(sm, slot)` order (polling would have stepped it after
+//! the event; it joins the round's commit walk in order); a device event
+//! precedes every warp of its round. The polls in between are **settled in
+//! bulk**: `k × retry_after` stall cycles and `k` steps on the engine's own
+//! books, and whatever the polls themselves would have counted through the
+//! sleeper's `SkippedPolls` — before any passive device that is due observes
+//! the counters, and up to the end of the run for warps still asleep then.
+//! Every wake time, counter and trace record is therefore what polling would
+//! have produced; `FullScan`, which never parks, is the reference the
+//! parking schedulers are tested against (`tests/park_differential.rs`).
+//! Two things follow for the loop itself: while a warp sleeps on a wait only
+//! a *device* can end (an idle service warp), rounds also visit shard-device
+//! event times — its wake point is the first of its grid after the
+//! completion, so the clock may not jump past that; and a warp placed in
+//! mid-run steps at the next time a polling scheduler would have run a
+//! round, sleepers' polls included.
 //!
 //! # Determinism contract: device order
 //!
@@ -83,16 +119,23 @@
 //! queue, bit for bit.
 //!
 //! The engine also watches for livelock: if no warp makes forward progress
-//! (`Busy` or `Done`) for a configurable window while kernels are still
-//! incomplete, it stops and flags the run as deadlocked — this is how the
-//! repository demonstrates the queue deadlock of paper §2.3.1 on the
-//! synchronous baseline, and its absence under AGILE.
+//! (`Busy`, `Done`, or a sleeper being woken) for a configurable window while
+//! kernels are still incomplete **and no device has work in flight** (a long
+//! device latency is slow, not stuck), it stops and flags the run as
+//! deadlocked — this is how the repository demonstrates the queue deadlock of
+//! paper §2.3.1 on the synchronous baseline, and its absence under AGILE.
+//! With sleepers there is a case that needs no window: every live warp is
+//! asleep and no device has anything pending, so nothing can ever notify
+//! anyone; that is flagged at once. Either way the report lists each stalled
+//! warp with the reason its last wait descriptor gave
+//! ([`ExecutionReport::stalled`]).
 
 use crate::config::GpuConfig;
 use crate::kernel::{
     occupancy, KernelFactory, KernelId, LaunchConfig, WarpCtx, WarpId, WarpKernel, WarpStep,
 };
-use crate::sm::{ResidentWarp, SmState};
+use crate::sm::{Parked, ResidentWarp, SmState};
+use agile_sim::wake::{SleeperId, WaitReason, WakeHub};
 use agile_sim::{Cycles, SimClock};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -107,7 +150,8 @@ pub enum EngineSched {
     #[default]
     EventQueue,
     /// The pre-ready-queue scheduler: every round scans every resident warp
-    /// and wakes at every device event. Kept for equivalence tests and
+    /// and wakes at every device event, and every stall is polled — it never
+    /// parks a warp. Kept as the reference for equivalence tests and
     /// wall-time comparisons; behaviourally identical, just O(warps)/round.
     FullScan,
     /// The event-queue loop with shard devices advanced by up to `n` OS
@@ -249,9 +293,12 @@ pub struct KernelReport {
     pub warps: u64,
     /// Sum of busy cycles across warps.
     pub busy_cycles: u64,
-    /// Sum of stall cycles across warps.
+    /// Sum of stall cycles across warps (the polls a sleeping warp skipped
+    /// count as if they had been made).
     pub stall_cycles: u64,
-    /// Total `step` invocations.
+    /// Total `step` invocations, skipped polls included — what a polling
+    /// scheduler would have made (the steps really executed are the
+    /// `agile_engine_warp_steps_total` instrument).
     pub steps: u64,
     /// Time the last (non-persistent) block of the kernel retired; zero for
     /// persistent kernels that were still running when the engine stopped.
@@ -273,8 +320,14 @@ pub struct ExecutionReport {
     /// True when the engine detected a lack of forward progress (deadlock /
     /// livelock) and aborted the run.
     pub deadlocked: bool,
-    /// Number of engine scheduling rounds executed.
+    /// Number of engine scheduling rounds executed. A round the event loop
+    /// runs only because a passive device asked for that time (a metric
+    /// window closing) schedules nothing and is not counted, so an
+    /// instrumented run reports the rounds of the bare one.
     pub rounds: u64,
+    /// When `deadlocked`: every unfinished warp whose last step was a stall,
+    /// with what it was waiting for, in `(sm, slot)` order. Empty otherwise.
+    pub stalled: Vec<(WarpId, WaitReason)>,
 }
 
 impl ExecutionReport {
@@ -674,6 +727,28 @@ pub struct Engine {
     m_partition_steps: Vec<u64>,
     /// Reused per-round buffers of the event loop.
     bufs: RoundBufs,
+    /// The wake hub of the storage stack, when one is attached: warps whose
+    /// stall names a sleeper of it are parked instead of polled.
+    hub: Option<std::sync::Arc<WakeHub>>,
+    /// True while the running loop parks (the event loop with a hub); the
+    /// scan scheduler polls every stall.
+    parking: bool,
+    /// `(sm, slot)` of the warp each sleeper was last parked for, by id.
+    sleeper_warp: Vec<(usize, usize)>,
+    /// Warps currently parked, and how many of them wait on a device event
+    /// ([`WaitReason::ends_on_device_event`]).
+    parked: usize,
+    parked_on_devices: usize,
+    /// Reused buffer for [`WakeHub::drain_fired`].
+    fired: Vec<SleeperId>,
+    /// A sleeper was woken since the loop last looked: something it waited
+    /// for happened, which is forward progress as far as the no-progress
+    /// window is concerned (a polled warp would have refreshed the window
+    /// on the way, round by round, while the device was still working).
+    woke: bool,
+    /// Warps woken for the current cycle in the middle of its commit walk:
+    /// stepped in `(sm, slot)` order with the rest of the batch.
+    woken_now: BinaryHeap<Reverse<(usize, usize)>>,
 }
 
 impl Engine {
@@ -705,6 +780,14 @@ impl Engine {
             m_phase_ns: (0, 0, 0),
             m_partition_steps: Vec::new(),
             bufs: RoundBufs::default(),
+            hub: None,
+            parking: false,
+            sleeper_warp: Vec::new(),
+            parked: 0,
+            parked_on_devices: 0,
+            fired: Vec::new(),
+            woke: false,
+            woken_now: BinaryHeap::new(),
         }
     }
 
@@ -748,6 +831,16 @@ impl Engine {
     /// every setting; only wall time changes.
     pub fn set_barrier_spin_limit(&mut self, limit: u32) {
         self.barrier_spin_limit = limit;
+    }
+
+    /// Attach the wake hub of the storage stack this engine co-simulates.
+    /// From then on the event-driven schedulers *park* a warp whose stall
+    /// names a sleeper of `hub` ([`agile_sim::wake::Wait::parked`]) instead
+    /// of re-polling it: see [`WarpStep::Stall`] for the contract and the
+    /// module docs for the wake rule. Without a hub (and always under
+    /// [`EngineSched::FullScan`]) every stall is polled.
+    pub fn set_wake_hub(&mut self, hub: std::sync::Arc<WakeHub>) {
+        self.hub = Some(hub);
     }
 
     /// Select the scheduling loop (default: [`EngineSched::EventQueue`]).
@@ -899,6 +992,8 @@ impl Engine {
                 state,
                 plan_capable,
                 ready_at: self.clock.now(),
+                wait: None,
+                parked: None,
                 done: false,
                 busy: Cycles::ZERO,
                 stall: Cycles::ZERO,
@@ -1013,15 +1108,179 @@ impl Engine {
     }
 
     /// One epoch boundary: shard devices to the horizon, buffered cross-
-    /// shard effects in shard order, then the passive observers.
+    /// shard effects in shard order, then the passive observers. Sleepers
+    /// the devices notified (completions they posted) are woken before the
+    /// observers run, and the polls every still-parked warp skipped before
+    /// `now` are settled before an observer that is due looks at the
+    /// counters — a window closing at `now` holds what polling would have
+    /// counted by then. Sleepers an observer notified (a knob it wrote) are
+    /// woken last. All of them may still be stepped in this round: devices
+    /// come before every warp.
     fn advance_devices(&mut self, driver: &mut dyn DeviceDriver, now: Cycles) {
         driver.advance_to(now);
         for mailbox in &self.mailboxes {
             mailbox.drain();
         }
+        self.wake_fired(now, None);
+        if self.devices.is_empty() {
+            return;
+        }
+        if self.parked > 0
+            && self
+                .devices
+                .iter_mut()
+                .any(|d| d.next_event_time().is_some_and(|t| t <= now))
+        {
+            self.settle_parked(now, false);
+        }
         for dev in &mut self.devices {
             dev.advance_to(now);
         }
+        self.wake_fired(now, None);
+    }
+
+    /// Wake every sleeper notified since the last call. `notifier` is the
+    /// `(sm, slot)` of the warp whose step did the notifying, `None` when it
+    /// was a device (devices advance before any warp of the round steps).
+    ///
+    /// A woken warp is re-armed at the **first point of its own retry grid at
+    /// or after `now`** — the poll that would have been the first to see the
+    /// event. That point may be `now` itself only if polling would have
+    /// stepped the warp *after* the event in this cycle: always for a device
+    /// event, and for a warp's event only when the sleeper sorts after the
+    /// notifier in `(sm, slot)` order; otherwise its poll at `now` came first
+    /// and found nothing, and it wakes one interval later. The polls before
+    /// the wake point are settled here.
+    fn wake_fired(&mut self, now: Cycles, notifier: Option<(usize, usize)>) {
+        let Some(hub) = self.hub.as_ref().filter(|hub| hub.has_fired()) else {
+            return;
+        };
+        let mut fired = std::mem::take(&mut self.fired);
+        hub.drain_fired(&mut fired);
+        for &id in &fired {
+            let Some(&(sm_idx, widx)) = self.sleeper_warp.get(id.0 as usize) else {
+                continue;
+            };
+            let Some(w) = self
+                .sms
+                .get_mut(sm_idx)
+                .and_then(|sm| sm.warps.get_mut(widx))
+            else {
+                continue;
+            };
+            // A sleeper fired between runs may belong to a warp that has
+            // been woken (scheduler switch) or moved (compaction) since.
+            let Some(p) = w.parked.filter(|p| p.sleeper == id) else {
+                continue;
+            };
+            let every = p.every.raw();
+            let mut k = (now - p.since).raw().div_ceil(every).max(p.settled + 1);
+            let on_grid = p.since.raw() + k * every == now.raw();
+            if on_grid && notifier.is_some_and(|n| (sm_idx, widx) < n) {
+                k += 1;
+            }
+            Self::account_skipped(w, &mut self.kernels, hub, &p, k - 1);
+            let on_devices = w.wait.is_some_and(|w| w.reason.ends_on_device_event());
+            w.parked = None;
+            w.ready_at = p.since + p.every * k;
+            self.woke = true;
+            self.parked -= 1;
+            self.parked_on_devices -= on_devices as usize;
+            if w.ready_at == now && notifier.is_some() {
+                self.woken_now.push(Reverse((sm_idx, widx)));
+            } else {
+                self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx)));
+            }
+        }
+        self.fired = fired;
+    }
+
+    /// Account grid points `p.settled + 1 ..= through` of a parked warp as
+    /// polls it made: the engine's own books (`k × retry_after` stall cycles,
+    /// `k` steps — what stepping it would have added) and, through the hub,
+    /// whatever the polls themselves would have counted.
+    fn account_skipped(
+        w: &mut ResidentWarp,
+        kernels: &mut [KernelInstance],
+        hub: &WakeHub,
+        p: &Parked,
+        through: u64,
+    ) {
+        let polls = through.saturating_sub(p.settled);
+        if polls == 0 {
+            return;
+        }
+        let stall = p.every * polls;
+        w.stall += stall;
+        w.steps += polls;
+        let kernel = &mut kernels[w.kernel_idx];
+        kernel.stall += stall;
+        kernel.steps += polls;
+        let first = p.since + p.every * (p.settled + 1);
+        hub.settle(p.sleeper, first, p.every, polls);
+    }
+
+    /// Settle the polls every parked warp has skipped so far: those strictly
+    /// before `now` (what an observer looking at the start of round `now`
+    /// would see), or — `inclusive`, at the end of a run — up to and
+    /// including `now`, since the last round steps every warp that is due.
+    fn settle_parked(&mut self, now: Cycles, inclusive: bool) {
+        let Some(hub) = self.hub.as_ref().filter(|_| self.parked > 0) else {
+            return;
+        };
+        for sm in &mut self.sms {
+            for w in &mut sm.warps {
+                let Some(mut p) = w.parked else {
+                    continue;
+                };
+                let elapsed = (now - p.since).raw();
+                let through = if inclusive {
+                    elapsed / p.every.raw()
+                } else {
+                    elapsed.saturating_sub(1) / p.every.raw()
+                };
+                Self::account_skipped(w, &mut self.kernels, hub, &p, through);
+                p.settled = p.settled.max(through);
+                w.parked = Some(p);
+            }
+        }
+    }
+
+    /// The earliest retry-grid point after `now` of any parked warp: when a
+    /// polling scheduler would next run a round on their account.
+    fn next_parked_poll(&self, now: Cycles) -> Option<Cycles> {
+        if self.parked == 0 {
+            return None;
+        }
+        self.sms
+            .iter()
+            .flat_map(|sm| sm.warps.iter())
+            .filter_map(|w| w.parked)
+            .map(|p| p.since + p.every * ((now - p.since).raw() / p.every.raw() + 1))
+            .min()
+    }
+
+    /// Put every parked warp back on its polling schedule (the scan
+    /// scheduler does not park, and may be selected between runs).
+    fn unpark_all(&mut self, now: Cycles) {
+        let Some(hub) = self.hub.as_ref().filter(|_| self.parked > 0) else {
+            return;
+        };
+        for sm in &mut self.sms {
+            for w in &mut sm.warps {
+                let Some(p) = w.parked.take() else {
+                    continue;
+                };
+                let k = (now - p.since)
+                    .raw()
+                    .div_ceil(p.every.raw())
+                    .max(p.settled + 1);
+                Self::account_skipped(w, &mut self.kernels, hub, &p, k - 1);
+                w.ready_at = p.since + p.every * k;
+            }
+        }
+        self.parked = 0;
+        self.parked_on_devices = 0;
     }
 
     /// Earliest pending passive-device event strictly after `now`. Passive
@@ -1048,9 +1307,9 @@ impl Engine {
     }
 
     /// Step one warp at `now`, updating warp/kernel accounting. Returns the
-    /// warp's next wake time (`None` once it retired) and whether the step
-    /// counted as forward progress. Shared by both schedulers so they cannot
-    /// drift behaviourally.
+    /// warp's next wake time (`None` once it retired, or was parked) and
+    /// whether the step counted as forward progress. Shared by both
+    /// schedulers so they cannot drift behaviourally.
     fn step_warp(
         &mut self,
         sm_idx: usize,
@@ -1104,16 +1363,37 @@ impl Engine {
             WarpStep::Busy(c) => {
                 let c = c.max(Cycles(1));
                 w.ready_at = now + c;
+                w.wait = None;
                 w.busy += c;
                 self.kernels[w.kernel_idx].busy += c;
                 (Some(w.ready_at), true)
             }
-            WarpStep::Stall { retry_after } => {
+            WarpStep::Stall { retry_after, wait } => {
                 let r = retry_after.max(Cycles(1));
-                w.ready_at = now + r;
                 w.stall += r;
                 self.kernels[w.kernel_idx].stall += r;
-                (Some(w.ready_at), false)
+                w.wait = Some(wait);
+                let sleeper = wait.sleeper.filter(|_| self.parking);
+                if let (Some(id), Some(hub)) = (sleeper, &self.hub) {
+                    // Pure retries: off the ready queue until notified.
+                    w.parked = Some(Parked {
+                        since: now,
+                        every: r,
+                        settled: 0,
+                        sleeper: id,
+                    });
+                    if self.sleeper_warp.len() <= id.0 as usize {
+                        self.sleeper_warp.resize(id.0 as usize + 1, (0, 0));
+                    }
+                    self.sleeper_warp[id.0 as usize] = (sm_idx, widx);
+                    self.parked += 1;
+                    self.parked_on_devices += wait.reason.ends_on_device_event() as usize;
+                    hub.park(id);
+                    (None, false)
+                } else {
+                    w.ready_at = now + r;
+                    (Some(w.ready_at), false)
+                }
             }
             WarpStep::Done => {
                 w.done = true;
@@ -1152,14 +1432,19 @@ impl Engine {
         for sm in &mut self.sms {
             sm.compact();
         }
+        self.parking = self.hub.is_some();
         // Rebuild the queue from the live warps: `launch()` may have placed
         // blocks since the last run, the compaction above shifted slots, and
-        // a previous `FullScan` run does not maintain the heap.
+        // a previous `FullScan` run does not maintain the heap. Warps still
+        // parked from an earlier run (persistent kernels) stay asleep; only
+        // where their sleepers point moved with the compaction.
         self.ready.clear();
         for (sm_idx, sm) in self.sms.iter().enumerate() {
             for (widx, w) in sm.warps.iter().enumerate() {
-                if !w.done {
-                    self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx)));
+                match w.parked {
+                    Some(p) => self.sleeper_warp[p.sleeper.0 as usize] = (sm_idx, widx),
+                    None if !w.done => self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx))),
+                    None => {}
                 }
             }
         }
@@ -1175,8 +1460,13 @@ impl Engine {
         // pointers must not make `Engine` `!Send`.
         let mut tasks: Vec<PlanTask> = Vec::new();
         let mut complete = self.all_user_kernels_complete();
+        // Set when the loop advances to a time only a passive device asked
+        // for: that round lets an observer see its window boundary and
+        // schedules nothing, so it is not counted — instrumenting a run does
+        // not change how many rounds it reports.
+        let mut observer_round = false;
         while !complete {
-            self.rounds += 1;
+            self.rounds += !std::mem::take(&mut observer_round) as u64;
             let now = self.clock.now();
             let depth = self.ready.len() as u64;
             if depth > self.m_ready_hw {
@@ -1256,7 +1546,27 @@ impl Engine {
             let t0 = time_phases.then(std::time::Instant::now);
             let mut epoch_clean = true;
             let mut ti = 0usize;
-            for &(sm_idx, widx) in batch.iter() {
+            let mut due = batch.iter().copied().peekable();
+            loop {
+                // The next warp in (sm, slot) order: from the batch, or one a
+                // step of this walk woke for this very cycle (it sorts after
+                // its notifier, so the merged walk is still canonical).
+                let woken = self.woken_now.peek().map(|&Reverse(at)| at);
+                let (sm_idx, widx) = match (due.peek().copied(), woken) {
+                    (Some(b), Some(w)) if w < b => {
+                        self.woken_now.pop();
+                        w
+                    }
+                    (Some(b), _) => {
+                        due.next();
+                        b
+                    }
+                    (None, Some(w)) => {
+                        self.woken_now.pop();
+                        w
+                    }
+                    (None, None) => break,
+                };
                 let planned = match tasks.get(ti) {
                     Some(t) if t.sm == sm_idx && t.widx == widx => {
                         ti += 1;
@@ -1283,8 +1593,12 @@ impl Engine {
                     self.ready.push(Reverse((at.raw(), sm_idx, widx)));
                 }
                 progressed |= progress;
+                // Sleepers this step notified (a retire completed their
+                // fill or barrier).
+                self.wake_fired(now, Some((sm_idx, widx)));
             }
             tasks.clear();
+            progressed |= std::mem::take(&mut self.woke);
             if let Some(t0) = t0 {
                 self.m_phase_ns.2 += t0.elapsed().as_nanos() as u64;
             }
@@ -1304,8 +1618,11 @@ impl Engine {
             if progressed {
                 last_progress = now;
             } else if now.saturating_sub(last_progress) > self.deadlock_window {
-                deadlocked = true;
-                break;
+                if self.no_progress_is_deadlock(driver, now) {
+                    deadlocked = true;
+                    break;
+                }
+                last_progress = now;
             }
 
             complete = self.all_user_kernels_complete();
@@ -1317,7 +1634,9 @@ impl Engine {
             //    warps placed this round: like the scan scheduler, they step
             //    at the next *visited* time point, which then must also
             //    consider device events (the scan scheduler would have woken
-            //    there).
+            //    there). So must a round with a warp asleep on a device
+            //    event: its wake point is the first of its grid at or after
+            //    the completion, so the loop may not jump past that.
             placed_now.clear();
             while let Some(&Reverse(e)) = self.ready.peek() {
                 if e.0 > now.raw() {
@@ -1327,21 +1646,42 @@ impl Engine {
                 placed_now.push(e);
             }
             let next_warp = self.ready.peek().map(|Reverse((t, _, _))| Cycles(*t));
-            let need_dev_wake = !placed_now.is_empty() || next_warp.is_none();
+            let nothing_scheduled = placed_now.is_empty() && next_warp.is_none();
+            let need_dev_wake =
+                !placed_now.is_empty() || next_warp.is_none() || self.parked_on_devices > 0;
             for &e in placed_now.iter() {
                 self.ready.push(Reverse(e));
             }
-            let next_dev = if need_dev_wake {
-                self.next_device_event(driver, now)
+            let next_shard = if need_dev_wake {
+                driver.next_event_after(now)
             } else {
-                self.next_passive_event(now)
+                None
             };
-            let next = match (next_warp, next_dev) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => now + Cycles(1),
+            if nothing_scheduled && self.parked > 0 && next_shard.is_none() {
+                // Every live warp sleeps and the storage is quiet: nothing
+                // will ever notify anyone. No need to wait out the window.
+                deadlocked = true;
+                break;
+            }
+            // Warps placed this round step at the next time a polling
+            // scheduler would visit — which may be a poll of a warp that is
+            // asleep here.
+            let parked_poll = if placed_now.is_empty() {
+                None
+            } else {
+                self.next_parked_poll(now)
             };
+            let next_passive = self.next_passive_event(now);
+            let scheduling = [next_warp, next_shard, parked_poll];
+            let next = scheduling
+                .into_iter()
+                .chain([next_passive])
+                .flatten()
+                .min()
+                .unwrap_or(now + Cycles(1));
+            observer_round = placed_now.is_empty()
+                && next_passive == Some(next)
+                && !scheduling.contains(&Some(next));
             if next <= now {
                 self.clock.advance(Cycles(1));
             } else {
@@ -1355,11 +1695,22 @@ impl Engine {
 
         self.bufs = bufs;
 
-        // Final device sync so statistics reflect everything visible at the
+        // The last round stepped every warp that was due, so the warps still
+        // asleep skipped their polls up to and including `now`. Then the
+        // final device sync, so statistics reflect everything visible at the
         // end (and the mailboxes are fully drained).
         let now = self.clock.now();
+        self.settle_parked(now, true);
         self.advance_devices(driver, now);
         self.finish_run(start, deadlocked)
+    }
+
+    /// The no-progress window has run out: is that a deadlock? Not while a
+    /// device still has work in flight — a long device latency with every
+    /// warp waiting on it (and the service asleep until the completion
+    /// posts) is slow, not stuck.
+    fn no_progress_is_deadlock(&mut self, driver: &mut dyn DeviceDriver, now: Cycles) -> bool {
+        driver.next_event_after(now).is_none()
     }
 
     /// The pre-ready-queue scheduler: every round scans every resident warp
@@ -1373,6 +1724,10 @@ impl Engine {
         let start = self.clock.now();
         let mut last_progress = self.clock.now();
         let mut deadlocked = false;
+        // The scan polls every stall: it is the reference the parking
+        // schedulers are held to.
+        self.parking = false;
+        self.unpark_all(start);
 
         while !self.all_user_kernels_complete() {
             self.rounds += 1;
@@ -1415,8 +1770,11 @@ impl Engine {
             if progressed {
                 last_progress = now;
             } else if now.saturating_sub(last_progress) > self.deadlock_window {
-                deadlocked = true;
-                break;
+                if self.no_progress_is_deadlock(driver, now) {
+                    deadlocked = true;
+                    break;
+                }
+                last_progress = now;
             }
 
             if self.all_user_kernels_complete() {
@@ -1483,7 +1841,22 @@ impl Engine {
                 .collect(),
             deadlocked,
             rounds: self.rounds,
+            stalled: if deadlocked {
+                self.stall_report()
+            } else {
+                Vec::new()
+            },
         }
+    }
+
+    /// Every unfinished warp whose last step was a stall, with its reason.
+    fn stall_report(&self) -> Vec<(WarpId, WaitReason)> {
+        self.sms
+            .iter()
+            .flat_map(|sm| sm.warps.iter())
+            .filter(|w| !w.done)
+            .filter_map(|w| Some((w.id, w.wait?.reason)))
+            .collect()
     }
 }
 
@@ -1491,6 +1864,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::kernel::ComputeOnlyKernel;
+    use agile_sim::wake::Wait;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -1558,6 +1932,7 @@ mod tests {
             } else {
                 WarpStep::Stall {
                     retry_after: Cycles(100),
+                    wait: Wait::default(),
                 }
             }
         }
@@ -1748,6 +2123,59 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_passive_observer_is_visited_on_time_without_adding_rounds() {
+        // A passive device with a schedule of its own (a metric window) is
+        // advanced at exactly its event times, yet the run reports the
+        // rounds — and everything else — of the run without it.
+        struct Observer {
+            every: u64,
+            next: u64,
+            seen: Arc<Mutex<Vec<u64>>>,
+        }
+        impl ExternalDevice for Observer {
+            fn advance_to(&mut self, now: Cycles) {
+                if now.raw() >= self.next {
+                    self.seen.lock().unwrap().push(now.raw());
+                    self.next += self.every;
+                }
+            }
+            fn next_event_time(&mut self) -> Option<Cycles> {
+                Some(Cycles(self.next))
+            }
+        }
+        let run = |observe: bool| {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let flag = Arc::new(AtomicU64::new(0));
+            let mut eng = Engine::new(GpuConfig::tiny(1));
+            eng.add_shard_device(Box::new(FlagDevice {
+                flag: Arc::clone(&flag),
+                at: Cycles(1_030),
+                fired: false,
+            }));
+            if observe {
+                eng.add_device(Box::new(Observer {
+                    every: 250,
+                    next: 250,
+                    seen: Arc::clone(&seen),
+                }));
+            }
+            eng.launch(
+                LaunchConfig::new(1, 32).with_registers(16),
+                Box::new(WaitingKernel { flag }),
+            );
+            let report = eng.run();
+            let seen = seen.lock().unwrap().clone();
+            (report.elapsed, report.rounds, report.kernels[0].steps, seen)
+        };
+        let (bare, observed) = (run(false), run(true));
+        assert_eq!(observed.3, [250, 500, 750, 1_000], "each boundary, on time");
+        assert_eq!(
+            (bare.0, bare.1, bare.2),
+            (observed.0, observed.1, observed.2)
+        );
+    }
+
     /// `WaitingWarp` waits for the flag to reach 1; with `n` tickers each
     /// contributing one increment once exhausted, wait for all of them.
     struct WaitingAllKernel {
@@ -1770,6 +2198,7 @@ mod tests {
             } else {
                 WarpStep::Stall {
                     retry_after: Cycles(97),
+                    wait: Wait::default(),
                 }
             }
         }
@@ -2245,6 +2674,377 @@ mod tests {
                 report.elapsed
             );
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Parking: the wake rule, settlement, the deadlock rule
+    // ------------------------------------------------------------------
+
+    use agile_sim::wake::{SkippedPolls, WatchList};
+    use std::sync::Weak;
+
+    /// A flag warps wait on, what watches it, and the books of one test:
+    /// polls made or settled per sleeper, and when each wait ended.
+    #[derive(Default)]
+    struct Rig {
+        flag: AtomicU64,
+        watchers: WatchList,
+        polls: Mutex<Vec<Settled>>,
+        woke: Mutex<Vec<(u32, u64)>>,
+    }
+
+    /// One `SkippedPolls::settle` call: `(sleeper, first, every, polls)`.
+    type Settled = (u32, u64, u64, u64);
+
+    impl SkippedPolls for Rig {
+        fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
+            self.polls
+                .lock()
+                .unwrap()
+                .push((sleeper.0, first.raw(), every.raw(), polls));
+        }
+    }
+
+    /// Waits for `rig.flag`, re-polling every `every`, asleep meanwhile.
+    struct Sleeper {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        id: SleeperId,
+        every: u64,
+        reason: WaitReason,
+    }
+
+    impl crate::kernel::WarpKernel for Sleeper {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            if self.rig.flag.load(Ordering::SeqCst) != 0 {
+                self.rig
+                    .woke
+                    .lock()
+                    .unwrap()
+                    .push((self.id.0, ctx.now.raw()));
+                return WarpStep::Done;
+            }
+            self.rig.watchers.watch(&self.hub, self.id);
+            WarpStep::Stall {
+                retry_after: Cycles(self.every),
+                wait: Wait::parked(self.reason, self.id),
+            }
+        }
+    }
+
+    /// One block per entry of `every`; registers a sleeper per warp.
+    struct Sleepers {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        every: Vec<u64>,
+        reason: WaitReason,
+    }
+
+    impl KernelFactory for Sleepers {
+        fn create_warp(&self, block: u32, _w: u32) -> Box<dyn crate::kernel::WarpKernel> {
+            let settler: Weak<dyn SkippedPolls> = Arc::downgrade(&self.rig) as Weak<_>;
+            Box::new(Sleeper {
+                rig: Arc::clone(&self.rig),
+                hub: Arc::clone(&self.hub),
+                id: self.hub.register(settler),
+                every: self.every[block as usize],
+                reason: self.reason,
+            })
+        }
+        fn name(&self) -> &str {
+            "sleepers"
+        }
+    }
+
+    /// Busy for `after` cycles, then raises the flag and notifies.
+    struct Raiser {
+        rig: Arc<Rig>,
+        after: u64,
+    }
+    struct RaiserWarp {
+        rig: Arc<Rig>,
+        after: u64,
+        waited: bool,
+    }
+    impl crate::kernel::WarpKernel for RaiserWarp {
+        fn step(&mut self, _ctx: &WarpCtx) -> WarpStep {
+            if !self.waited {
+                self.waited = true;
+                return WarpStep::Busy(Cycles(self.after));
+            }
+            self.rig.flag.store(1, Ordering::SeqCst);
+            self.rig.watchers.notify_all();
+            WarpStep::Done
+        }
+    }
+    impl KernelFactory for Raiser {
+        fn create_warp(&self, _b: u32, _w: u32) -> Box<dyn crate::kernel::WarpKernel> {
+            Box::new(RaiserWarp {
+                rig: Arc::clone(&self.rig),
+                after: self.after,
+                waited: false,
+            })
+        }
+        fn name(&self) -> &str {
+            "raiser"
+        }
+    }
+
+    /// One sleeper (grid 100, 200, …) and one raiser firing at `raise_at`,
+    /// the sleeper on the SM before (`sleeper_first`) or after the raiser's.
+    /// Returns when the sleeper saw the flag, the settled polls and rounds.
+    fn wake_case(
+        sched: EngineSched,
+        sleeper_first: bool,
+        raise_at: u64,
+    ) -> (u64, Vec<Settled>, u64) {
+        let rig = Arc::new(Rig::default());
+        let hub = WakeHub::new();
+        let mut eng = Engine::new(GpuConfig::tiny(2));
+        eng.set_scheduler(sched);
+        eng.set_wake_hub(Arc::clone(&hub));
+        let one_block = LaunchConfig::new(1, 32).with_registers(16);
+        let sleepers = Box::new(Sleepers {
+            rig: Arc::clone(&rig),
+            hub,
+            every: vec![100],
+            reason: WaitReason::Barrier,
+        });
+        let raiser = Box::new(Raiser {
+            rig: Arc::clone(&rig),
+            after: raise_at,
+        });
+        // The first block launched lands on SM 0, the second on SM 1.
+        if sleeper_first {
+            eng.launch(one_block.clone(), sleepers);
+            eng.launch(one_block, raiser);
+        } else {
+            eng.launch(one_block.clone(), raiser);
+            eng.launch(one_block, sleepers);
+        }
+        let report = eng.run();
+        assert!(!report.deadlocked);
+        let woke = rig.woke.lock().unwrap()[0].1;
+        let polls = rig.polls.lock().unwrap().clone();
+        (woke, polls, report.rounds)
+    }
+
+    #[test]
+    fn an_event_between_grid_points_wakes_at_the_next_one() {
+        for sleeper_first in [false, true] {
+            let (woke, polls, rounds) = wake_case(EngineSched::EventQueue, sleeper_first, 250);
+            assert_eq!(woke, 300, "first grid point at or after 250");
+            // Polls at 100 and 200 were skipped: settled in one go.
+            assert_eq!(polls, [(0, 100, 100, 2)]);
+            assert_eq!(rounds, 3, "t = 0, the event, the wake");
+            let polled = wake_case(EngineSched::FullScan, sleeper_first, 250);
+            assert_eq!((polled.0, polled.1.len()), (300, 0), "the scan polls");
+        }
+    }
+
+    #[test]
+    fn an_event_on_a_grid_point_wakes_that_cycle_only_after_the_notifier() {
+        // The raiser fires at 300, exactly a grid point of the sleeper.
+        // Sleeper on the later SM: polling would step it after the raiser
+        // in that round, so it sees the flag at 300 …
+        let (woke, polls, _) = wake_case(EngineSched::EventQueue, false, 300);
+        assert_eq!(woke, 300);
+        assert_eq!(polls, [(0, 100, 100, 2)], "polls at 100 and 200 skipped");
+        // … sleeper on the earlier SM: its poll at 300 came first and found
+        // nothing (it is one of the skipped ones); it sees the flag at 400.
+        let (woke, polls, _) = wake_case(EngineSched::EventQueue, true, 300);
+        assert_eq!(woke, 400);
+        assert_eq!(polls, [(0, 100, 100, 3)], "100, 200 and 300 skipped");
+        // Exactly what the scan does by polling.
+        assert_eq!(wake_case(EngineSched::FullScan, false, 300).0, 300);
+        assert_eq!(wake_case(EngineSched::FullScan, true, 300).0, 400);
+    }
+
+    #[test]
+    fn parked_warps_keep_the_books_a_polled_run_keeps() {
+        let run = |sched| {
+            let rig = Arc::new(Rig::default());
+            let hub = WakeHub::new();
+            let mut eng = Engine::new(GpuConfig::tiny(2));
+            eng.set_scheduler(sched);
+            eng.set_wake_hub(Arc::clone(&hub));
+            eng.launch(
+                LaunchConfig::new(3, 32).with_registers(16),
+                Box::new(Sleepers {
+                    rig: Arc::clone(&rig),
+                    hub,
+                    every: vec![70, 110, 130],
+                    reason: WaitReason::Barrier,
+                }),
+            );
+            eng.launch(
+                LaunchConfig::new(1, 32).with_registers(16),
+                Box::new(Raiser {
+                    rig: Arc::clone(&rig),
+                    after: 1_000,
+                }),
+            );
+            let report = eng.run();
+            let mut woke = rig.woke.lock().unwrap().clone();
+            woke.sort_unstable();
+            let k = &report.kernels[0];
+            (report.elapsed, k.steps, k.stall_cycles, woke, report.rounds)
+        };
+        let parked = run(EngineSched::EventQueue);
+        let polled = run(EngineSched::FullScan);
+        assert_eq!(parked.3, [(0, 1_050), (1, 1_100), (2, 1_040)]);
+        assert_eq!(
+            (parked.0, parked.1, parked.2, &parked.3),
+            (polled.0, polled.1, polled.2, &polled.3),
+            "elapsed, steps and stall cycles include the skipped polls"
+        );
+        assert!(parked.4 * 4 < polled.4, "{} vs {}", parked.4, polled.4);
+        assert_eq!(run(EngineSched::ParallelShards(2)), parked);
+    }
+
+    #[test]
+    fn all_warps_asleep_and_nothing_pending_is_a_deadlock_with_reasons() {
+        for sched in [EngineSched::EventQueue, EngineSched::ParallelShards(2)] {
+            let rig = Arc::new(Rig::default());
+            let hub = WakeHub::new();
+            let mut eng = Engine::new(GpuConfig::tiny(2));
+            eng.set_scheduler(sched);
+            eng.set_wake_hub(Arc::clone(&hub));
+            eng.launch(
+                LaunchConfig::new(2, 32).with_registers(16),
+                Box::new(Sleepers {
+                    rig,
+                    hub,
+                    every: vec![500, 700],
+                    reason: WaitReason::Barrier,
+                }),
+            );
+            let report = eng.run();
+            assert!(report.deadlocked, "{sched:?}");
+            // Nobody will ever raise the flag: flagged at once, not after
+            // the 50 M-cycle window.
+            assert_eq!(report.elapsed, Cycles::ZERO, "{sched:?}");
+            let warp = |block| WarpId {
+                kernel: KernelId(0),
+                block,
+                warp: 0,
+            };
+            assert_eq!(
+                report.stalled,
+                [
+                    (warp(0), WaitReason::Barrier),
+                    (warp(1), WaitReason::Barrier)
+                ],
+                "{sched:?}"
+            );
+        }
+        // A run that completes reports no stalled warps.
+        assert!(wake_case(EngineSched::EventQueue, true, 250).1.len() == 1);
+    }
+
+    /// A device whose one completion, at `at`, raises the flag.
+    struct SlowDevice {
+        rig: Arc<Rig>,
+        at: Cycles,
+        done: bool,
+    }
+    impl ExternalDevice for SlowDevice {
+        fn advance_to(&mut self, now: Cycles) {
+            if !self.done && now >= self.at {
+                self.done = true;
+                self.rig.flag.store(1, Ordering::SeqCst);
+                self.rig.watchers.notify_all();
+            }
+        }
+        fn next_event_time(&mut self) -> Option<Cycles> {
+            (!self.done).then_some(self.at)
+        }
+    }
+
+    #[test]
+    fn a_device_slower_than_the_deadlock_window_is_not_a_deadlock() {
+        // Every warp sleeps on a completion ten windows away: slow, not
+        // stuck — under every scheduler, parked or polled.
+        for sched in [
+            EngineSched::EventQueue,
+            EngineSched::FullScan,
+            EngineSched::ParallelShards(2),
+        ] {
+            let rig = Arc::new(Rig::default());
+            let hub = WakeHub::new();
+            let mut eng = Engine::new(GpuConfig::tiny(2));
+            eng.set_scheduler(sched);
+            eng.set_wake_hub(Arc::clone(&hub));
+            eng.set_deadlock_window(Cycles(10_000));
+            eng.add_shard_device(Box::new(SlowDevice {
+                rig: Arc::clone(&rig),
+                at: Cycles(100_050),
+                done: false,
+            }));
+            eng.launch(
+                LaunchConfig::new(1, 32).with_registers(16),
+                Box::new(Sleepers {
+                    rig: Arc::clone(&rig),
+                    hub,
+                    every: vec![1_000],
+                    reason: WaitReason::ServiceIdle,
+                }),
+            );
+            let report = eng.run();
+            assert!(!report.deadlocked, "{sched:?}");
+            assert!(report.stalled.is_empty());
+            // Woken on its own grid, at the first point after the event.
+            assert_eq!(*rig.woke.lock().unwrap(), [(0, 101_000)], "{sched:?}");
+            if sched != EngineSched::FullScan {
+                assert_eq!(report.rounds, 3, "t = 0, the event, the wake");
+            }
+        }
+    }
+
+    #[test]
+    fn sleepers_survive_from_one_run_to_the_next() {
+        // A persistent kernel's warp falls asleep in one run and is woken,
+        // on the grid it started then, by an event in a later one.
+        let rig = Arc::new(Rig::default());
+        let hub = WakeHub::new();
+        let mut eng = Engine::new(GpuConfig::tiny(2));
+        eng.set_wake_hub(Arc::clone(&hub));
+        eng.launch(
+            LaunchConfig::new(1, 32).with_registers(16).persistent(),
+            Box::new(Sleepers {
+                rig: Arc::clone(&rig),
+                hub,
+                every: vec![300],
+                reason: WaitReason::Barrier,
+            }),
+        );
+        let compute = |cycles| {
+            Box::new(ComputeOnlyKernel {
+                cycles_per_warp: Cycles(cycles),
+                steps: 1,
+            })
+        };
+        let one_block = LaunchConfig::new(1, 32).with_registers(16);
+        eng.launch(one_block.clone(), compute(1_000));
+        let first = eng.run();
+        assert_eq!(first.elapsed, Cycles(1_000));
+        // The run ended at 1 000: the polls at 300, 600 and 900 are settled.
+        assert_eq!(*rig.polls.lock().unwrap(), [(0, 300, 300, 3)]);
+        eng.launch(
+            one_block.clone(),
+            Box::new(Raiser {
+                rig: Arc::clone(&rig),
+                after: 400,
+            }),
+        );
+        eng.launch(one_block, compute(2_000));
+        eng.run();
+        // Raised at 1 400: the sleeper's grid (…, 1 200, 1 500) says 1 500.
+        assert_eq!(*rig.woke.lock().unwrap(), [(0, 1_500)]);
+        assert_eq!(
+            *rig.polls.lock().unwrap(),
+            [(0, 300, 300, 3), (0, 1_200, 300, 1)]
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! that the warp is stalled and when it should be re-polled.
 
 use crate::config::GpuConfig;
+use agile_sim::wake::Wait;
 use agile_sim::Cycles;
 use serde::{Deserialize, Serialize};
 
@@ -133,11 +134,42 @@ pub enum WarpStep {
     /// cycles; it will not be stepped again until that time has elapsed.
     Busy(Cycles),
     /// The warp cannot make progress (waiting on an I/O barrier, a BUSY cache
-    /// line, a lock, …). `retry_after` is the poll interval after which the
-    /// scheduler should step it again; it must be at least one cycle.
+    /// line, a lock, …).
+    ///
+    /// # Polling vs waiting
+    ///
+    /// `retry_after` defines the warp's **retry grid**: the times `t + k ·
+    /// retry_after` (`t` = this step, `k ≥ 1`) at which a polling scheduler
+    /// would step it again. `wait` says what to do about them:
+    ///
+    /// * [`Wait::polling`] — step the warp at every grid point. Required
+    ///   whenever a retry is *impure*: it may submit a command, take the
+    ///   array lock, reserve or evict a cache line, consume a completion —
+    ///   anything another warp could observe.
+    /// * [`Wait::parked`] — the retries are **pure** until one of the things
+    ///   the warp registered its sleeper with happens: each would find the
+    ///   same state, return this same stall, and move nothing but counters
+    ///   (and trace records) whose increments the sleeper's
+    ///   [`agile_sim::wake::SkippedPolls`] can add afterwards. The engine may
+    ///   then keep the warp **off the ready queue** until its sleeper is
+    ///   notified, wakes it at the first grid point at or after the event —
+    ///   in the event's own cycle only if the warp sorts after the notifying
+    ///   warp in `(sm, slot)` order, i.e. only if polling would have stepped
+    ///   it after the event too — and settles the skipped polls in bulk. The
+    ///   kernel must have registered the sleeper with **every** producer
+    ///   that can end the wait before returning; a wake-up for any other
+    ///   reason is harmless (the warp is simply polled at a grid point).
+    ///
+    /// A parked warp is indistinguishable, in simulated time and in every
+    /// counter, from one that was polled — [`crate::EngineSched::FullScan`]
+    /// never parks and is the reference the parked schedulers are tested
+    /// against.
     Stall {
-        /// Cycles to wait before re-polling this warp.
+        /// Cycles to wait before re-polling this warp (the grid spacing); it
+        /// must be at least one cycle.
         retry_after: Cycles,
+        /// Why the warp waits, and whether it may sleep meanwhile.
+        wait: Wait,
     },
     /// The warp has retired.
     Done,

@@ -34,6 +34,7 @@ pub mod kernel;
 pub mod registers;
 pub mod sm;
 
+pub use agile_sim::wake::{SleeperId, Wait, WaitReason, WakeHub};
 pub use config::GpuConfig;
 pub use engine::{
     Engine, EngineMetrics, EngineSched, EpochMailbox, ExecutionReport, ExternalDevice, KernelReport,

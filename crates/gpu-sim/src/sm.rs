@@ -9,7 +9,23 @@
 
 use crate::kernel::{WarpId, WarpKernel};
 use crate::GpuConfig;
+use agile_sim::wake::{SleeperId, Wait};
 use agile_sim::Cycles;
+
+/// A warp the engine keeps off the ready queue: it stalled with a parkable
+/// [`Wait`] and sleeps until its sleeper is notified. Its retry grid is
+/// `since + k · every`, `k ≥ 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parked {
+    /// When the warp made the poll that parked it.
+    pub since: Cycles,
+    /// Grid spacing (the stall's `retry_after`).
+    pub every: Cycles,
+    /// Grid points `1..=settled` are already accounted as skipped polls.
+    pub settled: u64,
+    /// The sleeper that wakes it.
+    pub sleeper: SleeperId,
+}
 
 /// One warp resident on an SM.
 pub struct ResidentWarp {
@@ -24,15 +40,22 @@ pub struct ResidentWarp {
     /// Cached [`WarpKernel::parallel_capable`] answer, sampled at placement
     /// so the epoch hot path never pays a virtual call for serial kernels.
     pub plan_capable: bool,
-    /// Next time the scheduler may step this warp.
+    /// Next time the scheduler may step this warp (meaningless while
+    /// `parked`).
     pub ready_at: Cycles,
+    /// The wait descriptor of the warp's last step when that was a stall
+    /// (what a stall report prints); `None` after a busy step.
+    pub wait: Option<Wait>,
+    /// Set while the warp sleeps off the ready queue.
+    pub parked: Option<Parked>,
     /// True once the warp returned [`crate::kernel::WarpStep::Done`].
     pub done: bool,
     /// Accumulated busy time.
     pub busy: Cycles,
-    /// Accumulated stall time (the sum of the retry intervals it requested).
+    /// Accumulated stall time (the sum of the retry intervals it requested,
+    /// or would have requested at the polls it slept through).
     pub stall: Cycles,
-    /// Number of `step` calls.
+    /// Number of `step` calls, polls slept through included.
     pub steps: u64,
 }
 
@@ -206,6 +229,8 @@ mod tests {
                 state: Box::new(NopWarp),
                 plan_capable: false,
                 ready_at: Cycles::ZERO,
+                wait: None,
+                parked: None,
                 done: false,
                 busy: Cycles::ZERO,
                 stall: Cycles::ZERO,
@@ -235,6 +260,8 @@ mod tests {
                 state: Box::new(NopWarp),
                 plan_capable: false,
                 ready_at: Cycles::ZERO,
+                wait: None,
+                parked: None,
                 done: true,
                 busy: Cycles::ZERO,
                 stall: Cycles::ZERO,

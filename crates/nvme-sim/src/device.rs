@@ -105,6 +105,12 @@ pub struct DeviceStats {
 pub struct IdleGate {
     /// Doorbell rings logged but not yet drained by the device.
     pending_rings: AtomicU64,
+    /// Time of the earliest ring logged since the device last began
+    /// draining (`u64::MAX`: none) — meaningful while `pending_rings > 0`.
+    /// The device acts on a ring one command-fetch latency later, whenever
+    /// it is drained before that; this is what lets
+    /// [`SsdDevice::next_event_time`] announce that moment.
+    first_ring: AtomicU64,
     /// Earliest time an advance has work absent new rings: the head of the
     /// event heap, `0` ("always") while a completion is parked behind a full
     /// CQ — only software consuming CQEs unparks it, and that rings nothing
@@ -118,6 +124,7 @@ impl Default for IdleGate {
     fn default() -> Self {
         IdleGate {
             pending_rings: AtomicU64::new(0),
+            first_ring: AtomicU64::new(u64::MAX),
             next_due: AtomicU64::new(u64::MAX),
         }
     }
@@ -138,8 +145,15 @@ impl IdleGate {
         self.pending_rings.load(Ordering::Acquire)
     }
 
-    pub(crate) fn add_pending_rings(&self, n: u64) {
+    /// Count `n` rings, the earliest made at `at`.
+    pub(crate) fn add_pending_rings(&self, n: u64, at: Cycles) {
+        self.first_ring.fetch_min(at.raw(), Ordering::Release);
         self.pending_rings.fetch_add(n, Ordering::Release);
+    }
+
+    /// Time of the earliest undrained ring, if there is one.
+    fn first_pending_ring(&self) -> Option<Cycles> {
+        (self.pending_rings() > 0).then(|| Cycles(self.first_ring.load(Ordering::Acquire)))
     }
 
     pub(crate) fn sub_pending_rings(&self, n: u64) {
@@ -197,6 +211,9 @@ struct PendingCompletion {
     lba: u64,
     /// True when the command was a write (trace records).
     write: bool,
+    /// When the device finishes the command (the time of its completion
+    /// event; what the `DeviceCompletion` record is stamped with).
+    done_at: Cycles,
 }
 
 /// Internal device events.
@@ -307,9 +324,20 @@ impl SsdDevice {
     }
 
     /// Earliest pending internal event, if any (used by the engine to skip
-    /// idle time).
+    /// idle time): the head of the event heap, or — for a doorbell ring the
+    /// device has not looked at yet — the moment it will fetch the command.
+    /// An engine that advances the device at each of these times sees it
+    /// behave exactly as one that advances it every few hundred cycles.
     pub fn next_event_time(&self) -> Option<Cycles> {
-        self.events.peek_time()
+        let fetch = self
+            .gate
+            .first_pending_ring()
+            .map(|ring| ring + self.ns_to_cycles(self.cfg.costs.command_fetch));
+        match (self.events.peek_time(), fetch) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        }
     }
 
     /// True when no commands are in flight and no completions are parked.
@@ -340,6 +368,10 @@ impl SsdDevice {
         // 1. Observe doorbell rings (SQ tails). The GPU side records the ring
         //    time; the controller notices after `command_fetch`.
         if self.gate.pending_rings() > 0 {
+            // Rings logged from here on are the next drain's; one that slips
+            // into this drain leaves a stale (too early) time behind, which
+            // costs one advance and is then overwritten.
+            self.gate.first_ring.store(u64::MAX, Ordering::Release);
             let fetch_delay = self.ns_to_cycles(self.cfg.costs.command_fetch);
             let (events, stats) = (&mut self.events, &mut self.stats);
             for (qid, qp) in self.qps.iter().enumerate() {
@@ -467,6 +499,7 @@ impl SsdDevice {
                 dma_token: if status.is_ok() { dma_token } else { None },
                 lba: cmd.slba,
                 write: cmd.opcode == Opcode::Write,
+                done_at: completion_at,
             }),
         );
 
@@ -502,7 +535,11 @@ impl SsdDevice {
         self.post(pending);
     }
 
-    /// Post `pending` into its CQ, which the caller checked has room.
+    /// Post `pending` into its CQ, which the caller checked has room. The
+    /// `DeviceCompletion` record carries the time the device finished the
+    /// command (`pending.done_at`), not the time of the advance that got to
+    /// post it, so a capture does not depend on how often the engine looks
+    /// at the device.
     fn post(&mut self, pending: PendingCompletion) {
         let qid = pending.qid as usize;
         let cq = &self.qps[qid].cq;
@@ -527,7 +564,7 @@ impl SsdDevice {
         }
         if let Some(sink) = self.trace.get() {
             sink.record(
-                TraceEvent::new(TraceEventKind::DeviceCompletion, self.now.raw())
+                TraceEvent::new(TraceEventKind::DeviceCompletion, pending.done_at.raw())
                     .target(self.cfg.id, pending.lba)
                     .queue(pending.qid, pending.cid)
                     .write(pending.write),
@@ -569,6 +606,45 @@ mod tests {
     fn submit(qp: &QueuePair, slot: u32, cmd: NvmeCommand, now: Cycles) {
         assert!(qp.sq.write_slot(slot, cmd));
         qp.sq_doorbell.ring((slot + 1) % qp.depth(), now);
+    }
+
+    #[test]
+    fn advancing_only_at_announced_event_times_is_advancing_all_the_time() {
+        // An engine whose warps all sleep advances the device only at the
+        // times `next_event_time` announces. That has to include the moment
+        // a doorbell ring it has not looked at yet turns into a fetch, or
+        // the command would sit unseen until some later advance.
+        let run = |event_driven: bool| {
+            let (mut dev, qp) = make_device(16);
+            submit(
+                &qp,
+                0,
+                NvmeCommand::read(0, 5, DmaHandle::new()),
+                Cycles(1_000),
+            );
+            submit(
+                &qp,
+                1,
+                NvmeCommand::read(1, 6, DmaHandle::new()),
+                Cycles(1_700),
+            );
+            let mut now = Cycles(1_700);
+            let mut advances = 0;
+            while qp.cq.total_posted() < 2 {
+                now = if event_driven {
+                    dev.next_event_time().expect("work is pending")
+                } else {
+                    now + Cycles(100)
+                };
+                dev.advance_to(now);
+                advances += 1;
+                assert!(advances < 1_000_000);
+            }
+            (dev.stats().last_completion, advances)
+        };
+        let (at, advances) = run(true);
+        assert_eq!(at, run(false).0, "same completion time");
+        assert!(advances <= 4, "two fetches, two completions: {advances}");
     }
 
     /// Poll until a completion with the expected phase shows up at `idx`.

@@ -50,8 +50,9 @@ impl DoorbellRegister {
     /// concurrently. Returns `false` if a gate was already attached.
     pub(crate) fn attach(&self, gate: &Arc<IdleGate>) -> bool {
         let fresh = self.gate.set(Arc::clone(gate)).is_ok();
-        if fresh {
-            gate.add_pending_rings(self.rings.len() as u64);
+        if fresh && !self.rings.is_empty() {
+            // Their times are in the log, not here: "as early as possible".
+            gate.add_pending_rings(self.rings.len() as u64, Cycles(0));
         }
         fresh
     }
@@ -63,7 +64,7 @@ impl DoorbellRegister {
         // ahead of the log (one wasted device advance) but never behind it,
         // so a logged ring is never invisible and the drain never underflows.
         if let Some(gate) = self.gate.get() {
-            gate.add_pending_rings(1);
+            gate.add_pending_rings(1, now);
         }
         self.rings.push((now, value));
         self.ring_count.fetch_add(1, Ordering::Relaxed);

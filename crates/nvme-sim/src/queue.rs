@@ -12,6 +12,7 @@
 
 use crate::doorbell::DoorbellRegister;
 use crate::spec::{NvmeCommand, NvmeCompletion, QueueId};
+use agile_sim::wake::WatchList;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -114,6 +115,9 @@ pub struct CompletionQueue {
     posted: AtomicU32,
     /// Number of entries software has consumed in total (free-running).
     consumed: AtomicU32,
+    /// Pollers asleep until something is posted here (a service warp that
+    /// found every CQ of its rotation empty).
+    watchers: WatchList,
 }
 
 impl CompletionQueue {
@@ -127,7 +131,15 @@ impl CompletionQueue {
             head: AtomicU32::new(0),
             posted: AtomicU32::new(0),
             consumed: AtomicU32::new(0),
+            watchers: WatchList::new(),
         }
+    }
+
+    /// The sleepers notified by every [`CompletionQueue::post`]. A poller
+    /// that registers here may stop polling while the queue holds nothing
+    /// new for it (`total_posted` equals what it has retired).
+    pub fn watchers(&self) -> &WatchList {
+        &self.watchers
     }
 
     /// Queue identifier.
@@ -165,6 +177,8 @@ impl CompletionQueue {
         );
         *slot = Some(cqe);
         self.posted.fetch_add(1, Ordering::AcqRel);
+        drop(slot);
+        self.watchers.notify_all();
     }
 
     /// Poller side: read the completion in slot `idx` if its phase matches
@@ -300,6 +314,35 @@ mod tests {
         assert_eq!(cq.occupancy(), 0);
         assert_eq!(cq.head(), 2);
         assert_eq!(cq.total_posted(), 2);
+    }
+
+    #[test]
+    fn a_post_notifies_the_watchers_of_that_cq_only() {
+        use agile_sim::wake::{SkippedPolls, WakeHub};
+        let hub = WakeHub::new();
+        let nobody = std::sync::Weak::<Silent>::new() as std::sync::Weak<dyn SkippedPolls>;
+        let (a, b) = (hub.register(nobody.clone()), hub.register(nobody));
+        let (watched, other) = (CompletionQueue::new(0, 4), CompletionQueue::new(1, 4));
+        watched.watchers().watch(&hub, a);
+        other.watchers().watch(&hub, b);
+        hub.park(a);
+        hub.park(b);
+        watched.post(0, cqe(1, true));
+        let mut fired = Vec::new();
+        hub.drain_fired(&mut fired);
+        assert_eq!(fired, [a]);
+    }
+
+    struct Silent;
+    impl agile_sim::wake::SkippedPolls for Silent {
+        fn settle(
+            &self,
+            _: agile_sim::wake::SleeperId,
+            _: agile_sim::Cycles,
+            _: agile_sim::Cycles,
+            _: u64,
+        ) {
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * lightweight statistics containers used by the benchmark harnesses
 //!   ([`stats`]),
 //! * the single, documented table of cost-model constants used by the GPU and
-//!   SSD simulators ([`costs`]), and
-//! * size/time unit helpers ([`units`]).
+//!   SSD simulators ([`costs`]),
+//! * size/time unit helpers ([`units`]), and
+//! * the wait descriptors and producer-notified wake hub that let a stalled
+//!   warp sleep until the event that ends its wait ([`wake`]).
 //!
 //! Everything here is pure, `no_std`-friendly in spirit (though we use `std`),
 //! and deterministic: two runs with the same seed and parameters produce
@@ -30,9 +32,11 @@ pub mod rng;
 pub mod stats;
 pub mod trace;
 pub mod units;
+pub mod wake;
 
 pub use clock::{Cycles, Nanos, SimClock, DEFAULT_GPU_CLOCK_GHZ};
 pub use events::EventWheel;
 pub use rng::{SimRng, ZipfSampler};
 pub use stats::{Counter, Histogram, RunningStats};
 pub use trace::{BufferedSink, NullSink, TraceEvent, TraceEventKind, TraceSink};
+pub use wake::{SkippedPolls, SleeperId, Wait, WaitReason, WakeHub, WatchList, WatchedU64};

@@ -13,9 +13,13 @@
 //!
 //! An accessor call is warp-granular and non-blocking: it returns the cycle
 //! cost of the attempt and whether every requested page is now resident. The
-//! kernel retries (after `retry_hint`) until the access succeeds.
+//! kernel retries (after `retry_hint`) until the access succeeds — or, when
+//! the accessor says the retries would only find the same fills in flight
+//! ([`AccessResult::wait`]), sleeps until one of them lands.
 
+use agile_cache::NO_TENANT;
 use agile_core::{AgileCtrl, ReadOutcome, WarpWait};
+use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use bam_baseline::BamCtrl;
 use nvme_sim::Lba;
@@ -32,6 +36,11 @@ pub struct AccessResult {
     pub ready: bool,
     /// Suggested wait before retrying when `ready` is false.
     pub retry_hint: Cycles,
+    /// When `ready` is false: what the warp waits for, for the kernel to
+    /// pass on in its `WarpStep::Stall`. Parkable when every retry at
+    /// `retry_hint` — or at `retry_hint.max(cost)`, the two spacings kernels
+    /// use — would find the same fills still in flight at this same cost.
+    pub wait: Wait,
 }
 
 /// A warp-granular page access path.
@@ -78,6 +87,7 @@ impl PageAccessor for HbmAccessor {
             cost: Cycles(self.cycles_per_access * unique.max(1)),
             ready: true,
             retry_hint: Cycles(1),
+            wait: Wait::default(),
         }
     }
     fn name(&self) -> &'static str {
@@ -85,16 +95,23 @@ impl PageAccessor for HbmAccessor {
     }
 }
 
-/// The [`WarpWait`] of every warp behind one shared accessor.
-/// [`PageAccessor::access`] is stateless and shared by all warps of a
-/// kernel, so the accessor keeps what each warp carries from one attempt to
-/// its retry, keyed by warp id.
+/// What one warp carries from an attempt to its retry: the [`WarpWait`] of
+/// its read and the sleeper it parks on.
 #[derive(Default)]
-struct WaitTable(Mutex<HashMap<u64, WarpWait>>);
+struct WarpSlot {
+    wait: WarpWait,
+    sleeper: Option<SleeperId>,
+}
+
+/// The [`WarpSlot`] of every warp behind one shared accessor.
+/// [`PageAccessor::access`] is stateless and shared by all warps of a
+/// kernel, so the accessor keeps each warp's state, keyed by warp id.
+#[derive(Default)]
+struct WaitTable(Mutex<HashMap<u64, WarpSlot>>);
 
 impl WaitTable {
-    /// Run one attempt of `warp` with its wait state.
-    fn with<R>(&self, warp: u64, attempt: impl FnOnce(&mut WarpWait) -> R) -> R {
+    /// Run one attempt of `warp` with its state.
+    fn with<R>(&self, warp: u64, attempt: impl FnOnce(&mut WarpSlot) -> R) -> R {
         attempt(self.0.lock().entry(warp).or_default())
     }
 }
@@ -122,21 +139,37 @@ impl AgileAccessor {
 
 impl PageAccessor for AgileAccessor {
     fn access(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> AccessResult {
-        let (cost, outcome) = self
-            .waits
-            .with(warp, |wait| self.ctrl.read_warp(warp, requests, now, wait));
-        match outcome {
-            ReadOutcome::Ready(_) => AccessResult {
-                cost,
-                ready: true,
-                retry_hint: Cycles(1),
-            },
-            ReadOutcome::Pending => AccessResult {
+        self.waits.with(warp, |slot| {
+            let (cost, outcome) = self.ctrl.read_warp(warp, requests, now, &mut slot.wait);
+            if matches!(outcome, ReadOutcome::Ready(_)) {
+                return AccessResult {
+                    cost,
+                    ready: true,
+                    retry_hint: Cycles(1),
+                    wait: Wait::default(),
+                };
+            }
+            let io = self.ctrl.io();
+            let retry_hint = Cycles(1_500);
+            // Sleep only from an attempt that cost what the retries will:
+            // one that issued fills is followed by a longer interval than
+            // the ones after it under `retry_hint.max(cost)`.
+            let repoll = io.repoll_cost(Some(&slot.wait), 0);
+            let wait = io
+                .park_on_fills(
+                    &mut slot.sleeper,
+                    NO_TENANT,
+                    Some(&slot.wait),
+                    std::iter::empty(),
+                )
+                .only_if(retry_hint.max(cost) == retry_hint.max(repoll));
+            AccessResult {
                 cost,
                 ready: false,
-                retry_hint: Cycles(1_500),
-            },
-        }
+                retry_hint,
+                wait,
+            }
+        })
     }
     fn prefetch(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> Cycles {
         let (cost, _retry) = self.ctrl.prefetch_warp(warp, requests, now);
@@ -171,14 +204,16 @@ impl BamAccessor {
 
 impl PageAccessor for BamAccessor {
     fn access(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> AccessResult {
-        let (mut cost, outcome) = self.waits.with(warp, |wait| {
-            self.ctrl.read_warp_sync(warp, requests, now, wait)
+        let (mut cost, outcome) = self.waits.with(warp, |slot| {
+            self.ctrl
+                .read_warp_sync(warp, requests, now, &mut slot.wait)
         });
         if matches!(outcome, ReadOutcome::Ready(_)) {
             return AccessResult {
                 cost,
                 ready: true,
                 retry_hint: Cycles(1),
+                wait: Wait::default(),
             };
         }
         // Synchronous model: the warp immediately burns a polling pass over
@@ -187,10 +222,12 @@ impl PageAccessor for BamAccessor {
             let (poll_cost, _) = self.ctrl.poll_once(warp, dev, now);
             cost += poll_cost;
         }
+        // Every retry polls the CQs again: never a wait to sleep through.
         AccessResult {
             cost,
             ready: false,
             retry_hint: Cycles(1_500),
+            wait: Wait::polling(WaitReason::Completion),
         }
     }
     fn name(&self) -> &'static str {
@@ -260,6 +297,47 @@ mod tests {
                 e.at
             );
         }
+    }
+
+    /// A kernel that re-polls every `retry_hint.max(cost)` may only sleep
+    /// from an attempt that cost what its retries will cost.
+    #[test]
+    fn agile_accessor_offers_sleep_only_on_the_uniform_part_of_the_retry_grid() {
+        use agile_core::AgileConfig;
+        use nvme_sim::QueuePair;
+
+        let cfg = AgileConfig::small_test().with_queue_pairs(2);
+        let queues = (0..2u16).map(|q| QueuePair::new(q, 64)).collect();
+        let acc = AgileAccessor::new(Arc::new(AgileCtrl::new(cfg, vec![queues])));
+        let io = acc.ctrl().io();
+
+        // 16 pages: the attempt that issues the fills costs far more than
+        // the retries that find them in flight, and both exceed the hint.
+        let wide: Vec<(u32, Lba)> = (0..16).map(|lba| (0, lba)).collect();
+        let first = acc.access(0, &wide, Cycles(0));
+        assert!(!first.ready);
+        assert_eq!(first.wait, Wait::polling(WaitReason::CacheFill));
+        let retry = acc.access(0, &wide, first.retry_hint.max(first.cost));
+        assert!(retry.cost > retry.retry_hint && retry.cost < first.cost);
+        assert!(
+            retry.wait.sleeper.is_some(),
+            "from here on the grid is even"
+        );
+        assert_eq!(
+            retry.cost,
+            acc.waits
+                .with(0, |slot| io.repoll_cost(Some(&slot.wait), 0))
+        );
+
+        // One page: even the issuing attempt stays under the hint, so the
+        // interval is the hint from the start and the warp sleeps at once.
+        let first = acc.access(1, &[(0, 40)], Cycles(0));
+        assert!(first.cost <= first.retry_hint);
+        assert!(first.wait.sleeper.is_some());
+        assert_ne!(
+            first.wait.sleeper, retry.wait.sleeper,
+            "one sleeper per warp"
+        );
     }
 
     #[test]

@@ -201,6 +201,7 @@ impl WarpKernel for DlrmWarp {
                 } else {
                     WarpStep::Stall {
                         retry_after: r.retry_hint.max(r.cost),
+                        wait: r.wait,
                     }
                 }
             }

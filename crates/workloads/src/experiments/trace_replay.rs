@@ -228,6 +228,8 @@ pub struct ReplayReport {
     /// The software cache's end-of-run counters, summed over its shards (not
     /// part of the summary).
     pub cache_stats: CacheStats,
+    /// The same per cache shard, in shard order (not part of the summary).
+    pub cache_shard_stats: Vec<CacheStats>,
     /// Metrics capture, present when [`ReplayConfig::with_metrics`] was set.
     pub metrics: Option<MetricsReport>,
     /// Closed-loop control capture (decision log + final knob values),
@@ -707,6 +709,7 @@ fn finish_report(
         cache_port_wait_cycles: 0,
         io_stats: IoStats::default(),
         cache_stats: CacheStats::default(),
+        cache_shard_stats: Vec::new(),
         metrics: None,
         control: None,
     }
@@ -789,6 +792,7 @@ fn fold_stack_state<S: HostSystem>(
     report.io_stats = io.stats();
     report.qos_deferrals = report.io_stats.qos_deferrals;
     report.cache_stats = io.cache().stats();
+    report.cache_shard_stats = io.cache().stats_by_shard();
     report.cache_port_wait_cycles = io.cache().port_wait_by_shard().iter().sum();
     if cfg.tenant_warps {
         report.tenant_cache = io.cache().tenant_stats();

@@ -97,6 +97,10 @@ struct BfsWarp {
     cycles_per_edge: u64,
     /// Cursor into this warp's slice of the frontier.
     pos: usize,
+    /// The adjacency pages of the vertex at `pages_of`, kept across the
+    /// polls of that vertex.
+    pages_of: Option<usize>,
+    pages: Vec<(u32, nvme_sim::Lba)>,
     /// Local buffer of discovered vertices, flushed on completion.
     discovered: Vec<u32>,
 }
@@ -127,12 +131,17 @@ impl WarpKernel for BfsWarp {
             return WarpStep::Done;
         }
         let v = self.vertex_at(self.pos);
-        let pages = self.state.graph.col_pages_of(v);
-        if !pages.is_empty() {
-            let r = self.accessor.access(self.warp_flat, &pages, ctx.now);
+        // A vertex's page list is built once, not on every poll of it.
+        if self.pages_of != Some(self.pos) {
+            self.pages = self.state.graph.col_pages_of(v);
+            self.pages_of = Some(self.pos);
+        }
+        if !self.pages.is_empty() {
+            let r = self.accessor.access(self.warp_flat, &self.pages, ctx.now);
             if !r.ready {
                 return WarpStep::Stall {
                     retry_after: r.retry_hint,
+                    wait: r.wait,
                 };
             }
             // Adjacency data is resident: relax the neighbours.
@@ -170,6 +179,8 @@ impl KernelFactory for BfsLevelKernel {
             total_warps: self.total_warps,
             cycles_per_edge: self.cycles_per_edge,
             pos: 0,
+            pages_of: None,
+            pages: Vec::new(),
             discovered: Vec::new(),
         })
     }

@@ -83,8 +83,11 @@ struct SpmvWarp {
     stream_values: bool,
     /// Next row (in this warp's strided sequence) to process.
     next_row: u64,
-    /// Rows processed per step (one lane each).
-    rows_per_step: u64,
+    /// The batch starting at row `batch_of`: its rows and the pages they
+    /// need, kept across the polls of that batch.
+    batch_of: Option<u64>,
+    rows: Vec<u32>,
+    pages: Vec<(u32, nvme_sim::Lba)>,
 }
 
 impl WarpKernel for SpmvWarp {
@@ -94,33 +97,39 @@ impl WarpKernel for SpmvWarp {
             return WarpStep::Done;
         }
         // This step handles up to `lanes` rows: row ids are strided by the
-        // total warp count (standard row-per-thread mapping).
-        let mut rows = Vec::with_capacity(self.rows_per_step as usize);
-        let mut r = self.next_row;
-        while rows.len() < ctx.lanes as usize && r < n {
-            rows.push(r as u32);
-            r += self.total_warps;
-        }
-        // Gather the pages all these rows need.
-        let mut pages = Vec::new();
-        for &row in &rows {
-            pages.extend(self.state.graph.col_pages_of(row));
-            if self.stream_values {
-                pages.extend(self.state.graph.val_pages_of(row));
+        // total warp count (standard row-per-thread mapping). The batch and
+        // the pages it needs are built once, not on every poll of it.
+        if self.batch_of != Some(self.next_row) {
+            self.batch_of = Some(self.next_row);
+            self.rows.clear();
+            self.pages.clear();
+            let mut r = self.next_row;
+            while self.rows.len() < ctx.lanes as usize && r < n {
+                self.rows.push(r as u32);
+                r += self.total_warps;
+            }
+            for &row in &self.rows {
+                self.pages.extend(self.state.graph.col_pages_of(row));
+                if self.stream_values {
+                    self.pages.extend(self.state.graph.val_pages_of(row));
+                }
             }
         }
+        let (rows, pages) = (&self.rows, &self.pages);
+        let r = self.next_row + rows.len() as u64 * self.total_warps;
         if !pages.is_empty() {
-            let res = self.accessor.access(self.warp_flat, &pages, ctx.now);
+            let res = self.accessor.access(self.warp_flat, pages, ctx.now);
             if !res.ready {
                 return WarpStep::Stall {
                     retry_after: res.retry_hint,
+                    wait: res.wait,
                 };
             }
             // Data resident: do the real arithmetic.
             let mut nnz = 0u64;
             {
                 let mut y = self.state.y.lock();
-                for &row in &rows {
+                for &row in rows {
                     let mut acc = 0.0f32;
                     for (&c, &w) in self
                         .state
@@ -155,7 +164,9 @@ impl KernelFactory for SpmvKernel {
             cycles_per_nnz: self.cycles_per_nnz,
             stream_values: self.stream_values,
             next_row: warp_flat,
-            rows_per_step: 32,
+            batch_of: None,
+            rows: Vec::with_capacity(32),
+            pages: Vec::new(),
         })
     }
     fn name(&self) -> &str {

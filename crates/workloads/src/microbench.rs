@@ -80,25 +80,55 @@ struct MicrobenchWarp {
     warp_flat: u64,
     iter: u32,
     phase: Phase,
+    /// The request vectors of the iteration being fetched and of the one
+    /// prefetched ahead of it, each built once (a fetch is polled many
+    /// times, and usually asks for what an earlier prefetch asked for).
+    fetching: IterPages,
+    ahead: IterPages,
 }
 
-impl MicrobenchWarp {
+/// The pages of one iteration, once built.
+#[derive(Default)]
+struct IterPages {
+    iter: Option<u32>,
+    pages: Vec<(u32, Lba)>,
+}
+
+/// Which page lane `lane` of iteration `iter` of one warp touches.
+#[derive(Clone, Copy)]
+struct PageMap {
+    warp_flat: u64,
+    requests_per_thread: u64,
+    pages_per_dev: u64,
+    devices: u64,
+}
+
+impl IterPages {
     /// Unique pages per (warp, iteration, lane): every access in the whole
     /// experiment touches a distinct page, so nothing is served from earlier
     /// iterations' residue and communication time is real.
-    fn pages(&self, iter: u32, lanes: u32) -> Vec<(u32, Lba)> {
-        let ndev = self.accessor.ctrl().io().device_count() as u64;
-        (0..lanes as u64)
-            .map(|lane| {
-                let idx = self.warp_flat * self.params.requests_per_thread as u64 * lanes as u64
-                    + iter as u64 * lanes as u64
-                    + lane;
-                (
-                    (idx % ndev) as u32,
-                    (idx / ndev) % self.params.pages_per_dev,
-                )
-            })
-            .collect()
+    fn build(&mut self, map: PageMap, iter: u32, lanes: u32) {
+        let lanes = lanes as u64;
+        self.iter = Some(iter);
+        self.pages.clear();
+        self.pages.extend((0..lanes).map(|lane| {
+            let idx = map.warp_flat * map.requests_per_thread * lanes + iter as u64 * lanes + lane;
+            (
+                (idx % map.devices) as u32,
+                (idx / map.devices) % map.pages_per_dev,
+            )
+        }));
+    }
+}
+
+impl MicrobenchWarp {
+    fn page_map(&self) -> PageMap {
+        PageMap {
+            warp_flat: self.warp_flat,
+            requests_per_thread: self.params.requests_per_thread as u64,
+            pages_per_dev: self.params.pages_per_dev,
+            devices: self.accessor.ctrl().io().device_count() as u64,
+        }
     }
 }
 
@@ -114,8 +144,10 @@ impl WarpKernel for MicrobenchWarp {
                 let target = if self.iter == 0 { 0 } else { self.iter + 1 };
                 let mut cost = Cycles(1);
                 if self.params.asynchronous && target < self.params.requests_per_thread {
-                    let reqs = self.pages(target, ctx.lanes);
-                    cost = self.accessor.prefetch(self.warp_flat, &reqs, ctx.now);
+                    self.ahead.build(self.page_map(), target, ctx.lanes);
+                    cost = self
+                        .accessor
+                        .prefetch(self.warp_flat, &self.ahead.pages, ctx.now);
                 }
                 self.phase = Phase::Compute;
                 WarpStep::Busy(cost)
@@ -129,8 +161,16 @@ impl WarpKernel for MicrobenchWarp {
                 }
             }
             Phase::Fetch => {
-                let reqs = self.pages(self.iter, ctx.lanes);
-                let r = self.accessor.access(self.warp_flat, &reqs, ctx.now);
+                if self.fetching.iter != Some(self.iter) {
+                    if self.ahead.iter == Some(self.iter) {
+                        std::mem::swap(&mut self.fetching, &mut self.ahead);
+                    } else {
+                        self.fetching.build(self.page_map(), self.iter, ctx.lanes);
+                    }
+                }
+                let r = self
+                    .accessor
+                    .access(self.warp_flat, &self.fetching.pages, ctx.now);
                 if r.ready {
                     self.iter += 1;
                     self.phase = Phase::Prefetch;
@@ -138,6 +178,7 @@ impl WarpKernel for MicrobenchWarp {
                 } else {
                     WarpStep::Stall {
                         retry_after: r.retry_hint.max(r.cost),
+                        wait: r.wait,
                     }
                 }
             }
@@ -157,6 +198,8 @@ impl KernelFactory for MicrobenchKernel {
             } else {
                 Phase::Compute
             },
+            fetching: IterPages::default(),
+            ahead: IterPages::default(),
         })
     }
     fn name(&self) -> &str {

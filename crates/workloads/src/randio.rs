@@ -9,6 +9,7 @@
 
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IssueOutcome};
+use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::{Cycles, SimRng};
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::{DmaHandle, PageToken};
@@ -66,6 +67,8 @@ struct RandIoWarp {
     outstanding: Vec<Barrier>,
     /// Maximum outstanding requests per warp before it pauses to drain.
     window: usize,
+    /// What the warp sleeps on while it can only wait for its own requests.
+    sleeper: Option<SleeperId>,
 }
 
 impl RandIoWarp {
@@ -97,15 +100,22 @@ impl WarpKernel for RandIoWarp {
                 self.outstanding.swap_remove(0);
                 return WarpStep::Busy(cost);
             }
+            // Until one of them completes every poll is this same probe.
             return WarpStep::Stall {
                 retry_after: Cycles(2_000),
+                wait: self
+                    .ctrl
+                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter(), 1),
             };
         }
 
         if self.outstanding.len() >= self.window {
-            // Too many in flight: give the SSDs a moment.
+            // Too many in flight: nothing to do until one completes.
             return WarpStep::Stall {
                 retry_after: Cycles(2_000),
+                wait: self
+                    .ctrl
+                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter(), 0),
             };
         }
 
@@ -150,6 +160,7 @@ impl WarpKernel for RandIoWarp {
             // nothing processed completions).
             WarpStep::Stall {
                 retry_after: Cycles(3_000),
+                wait: Wait::polling(WaitReason::Submit),
             }
         } else {
             WarpStep::Busy(cost)
@@ -172,6 +183,7 @@ impl KernelFactory for RandIoKernel {
             issued: 0,
             outstanding: Vec::new(),
             window: 128,
+            sleeper: None,
         })
     }
     fn name(&self) -> &str {

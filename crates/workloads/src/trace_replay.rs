@@ -34,6 +34,7 @@
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
 use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
+use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use agile_trace::{LatencyHistogram, Trace, TraceOp};
 use bam_baseline::BamCtrl;
@@ -431,9 +432,23 @@ struct AgileReplayWarp {
     window: usize,
     stripe: bool,
     outstanding: Vec<Inflight>,
+    /// What the warp sleeps on while it can only wait for its own requests.
+    sleeper: Option<SleeperId>,
 }
 
 impl AgileReplayWarp {
+    /// The wait of a warp with nothing to do until one of its outstanding
+    /// requests completes; `probes` barrier probes per poll meanwhile.
+    fn await_completion(&mut self, probes: u64) -> WarpStep {
+        let barriers = self.outstanding.iter().map(|inflight| &inflight.barrier);
+        WarpStep::Stall {
+            retry_after: Cycles(2_000),
+            wait: self
+                .ctrl
+                .park_on_barriers(&mut self.sleeper, barriers, probes),
+        }
+    }
+
     fn reap(&mut self, now: Cycles) {
         let collector = &self.collector;
         self.outstanding.retain(|inflight| {
@@ -464,16 +479,12 @@ impl AgileReplayWarp {
             return if self.outstanding[0].barrier.is_complete() {
                 WarpStep::Busy(cost)
             } else {
-                WarpStep::Stall {
-                    retry_after: Cycles(2_000),
-                }
+                self.await_completion(1)
             };
         }
 
         if self.outstanding.len() >= self.window {
-            return WarpStep::Stall {
-                retry_after: Cycles(2_000),
-            };
+            return self.await_completion(0);
         }
 
         // Issue up to one warp-width of ops this step.
@@ -534,6 +545,7 @@ impl AgileReplayWarp {
             // AGILE service keeps recycling entries; retry later.
             WarpStep::Stall {
                 retry_after: Cycles(3_000),
+                wait: Wait::polling(WaitReason::Submit),
             }
         } else {
             WarpStep::Busy(cost.max(Cycles(1)))
@@ -623,6 +635,7 @@ impl KernelFactory for AgileTraceReplayKernel {
                 window: self.params.window.max(1),
                 stripe: self.params.stripe,
                 outstanding: Vec::new(),
+                sleeper: None,
             }),
             ReplayPath::Cached => Box::new(AgileCachedReplayWarp {
                 ctrl: Arc::clone(&self.ctrl),
@@ -681,6 +694,8 @@ struct CachedBatch {
     writes: Vec<PendingWrite>,
     /// When the batch became eligible: the base of its ops' latencies.
     started: u64,
+    /// What the warp sleeps on while everything pending is in flight.
+    sleeper: Option<SleeperId>,
 }
 
 impl CachedBatch {
@@ -704,6 +719,7 @@ impl CachedBatch {
             read_wait: WarpWait::with_lanes(BATCH_LANES),
             writes: Vec::with_capacity(BATCH_LANES),
             started: 0,
+            sleeper: None,
         }
     }
 
@@ -817,6 +833,21 @@ impl CachedBatch {
     }
 }
 
+impl CachedBatch {
+    /// The wait of a warp whose [`CachedBatch::poll`] just retired nothing:
+    /// parkable when every pending read page and every pending store is
+    /// behind a fill in flight (see [`IoPath::park_on_fills`]).
+    fn wait(&mut self, io: &IoPath) -> Wait {
+        let (trace, stripe, tenant) = (&self.trace, self.stripe, self.cache_tenant());
+        let writes = self.writes.iter().map(|w| {
+            let op = trace.ops[w.op as usize];
+            (target(io, trace, stripe, &op), &w.wait)
+        });
+        let reads = (!self.reads.is_empty()).then_some(&self.read_wait);
+        io.park_on_fills(&mut self.sleeper, tenant, reads, writes)
+    }
+}
+
 /// AGILE cached-path replay: each [`CachedBatch`] goes through the software
 /// cache with the *next* batch's reads prefetched ahead so fills overlap
 /// with consumption — the asynchronous pipeline of §3.5.
@@ -861,9 +892,11 @@ impl WarpKernel for AgileCachedReplayWarp {
             // re-probing every few hundred cycles, so the engine advances in
             // device-latency-sized strides. The service keeps working; the
             // cadence matches the BaM variant's poll loop so measured
-            // latencies stay comparable.
+            // latencies stay comparable. With everything pending in flight
+            // the re-probes would all find that again: sleep through them.
             WarpStep::Stall {
                 retry_after: Cycles(2_000),
+                wait: self.batch.wait(io),
             }
         }
     }
@@ -1091,9 +1124,11 @@ impl WarpKernel for BamCachedReplayWarp {
             }
         }
         // Nothing landed yet; idle-poll backoff (flash is tens of µs away,
-        // so probing every few hundred cycles only burns rounds).
+        // so probing every few hundred cycles only burns rounds). Every
+        // retry polls this warp's CQs: not a wait to sleep through.
         WarpStep::Stall {
             retry_after: Cycles(2_000),
+            wait: Wait::polling(WaitReason::Completion),
         }
     }
 }

@@ -99,6 +99,9 @@ struct VectorMeanWarp {
     total_warps: u64,
     cycles_per_elem: u64,
     next_page: u64,
+    /// The batch starting at page `batch_of`, kept across its polls.
+    batch_of: Option<u64>,
+    pages: Vec<(u32, nvme_sim::Lba)>,
     local_sum: f64,
 }
 
@@ -110,17 +113,23 @@ impl WarpKernel for VectorMeanWarp {
             self.local_sum = 0.0;
             return WarpStep::Done;
         }
-        // Each lane takes one page (strided by the warp count).
-        let mut pages = Vec::with_capacity(ctx.lanes as usize);
-        let mut p = self.next_page;
-        while pages.len() < ctx.lanes as usize && p < total_pages {
-            pages.push((self.state.dev, self.state.base_lba + p));
-            p += self.total_warps;
+        // Each lane takes one page (strided by the warp count); the batch is
+        // built once, not on every poll of it.
+        if self.batch_of != Some(self.next_page) {
+            self.batch_of = Some(self.next_page);
+            self.pages.clear();
+            let mut p = self.next_page;
+            while self.pages.len() < ctx.lanes as usize && p < total_pages {
+                self.pages.push((self.state.dev, self.state.base_lba + p));
+                p += self.total_warps;
+            }
         }
-        let r = self.accessor.access(self.warp_flat, &pages, ctx.now);
+        let p = self.next_page + self.pages.len() as u64 * self.total_warps;
+        let r = self.accessor.access(self.warp_flat, &self.pages, ctx.now);
         if !r.ready {
             return WarpStep::Stall {
                 retry_after: r.retry_hint,
+                wait: r.wait,
             };
         }
         // Sum the elements of the pages this warp just loaded.
@@ -150,6 +159,8 @@ impl KernelFactory for VectorMeanKernel {
             total_warps: self.total_warps,
             cycles_per_elem: self.cycles_per_elem,
             next_page: warp_flat,
+            batch_of: None,
+            pages: Vec::new(),
             local_sum: 0.0,
         })
     }

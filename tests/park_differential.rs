@@ -1,0 +1,518 @@
+//! Parked vs polled: the differential that pins warp parking.
+//!
+//! `EngineSched::EventQueue` keeps a warp whose stall is parkable off the
+//! ready queue until the event that ends its wait, wakes it on its own retry
+//! grid and settles the polls it skipped in bulk; `EngineSched::FullScan`
+//! never parks and really makes every one of those polls. The two must be
+//! indistinguishable: same report, same `IoStats`, same per-shard
+//! `CacheStats`, same `ServiceStats`, same latencies, and — with a recording
+//! sink installed — the same *multiset* of trace events (a settled poll's
+//! `CacheBusy` record is written when it is settled, so the log order may
+//! differ; nothing else may). `ParallelShards(2)` parks like the event queue
+//! and must match it record for record, in order.
+//!
+//! The cases are random replays shaped to reach the hard paths: a raw replay
+//! with a small window over one short SQ (window-full and drain waits,
+//! SQ-full retries), a cached replay with 50 % writes over 8× the cache and
+//! 32 SQ slots for 32 warps (blocked stores, `abort_fill`,
+//! `reinstate_victim`), a tenant-partitioned cached replay, and an accessor
+//! kernel (the CTC micro-benchmark) whose retry interval depends on what the
+//! attempt cost. A failure prints the case, which reproduces it.
+//!
+//! On the storage stack an event lands *exactly* on a sleeper's grid point
+//! perhaps once in a thousand wakes, so the wake rule itself is also driven
+//! on a bare engine by synthetic waiters and notifiers whose intervals make
+//! that the common case (`synthetic`, at the end).
+//!
+//! Mutation check (done by hand, release build): waking a sleeper in the
+//! notifier's own cycle regardless of `(sm, slot)` order fails
+//! `parked_and_polled_synthetic_waits_are_indistinguishable`; dropping the
+//! bulk `rotation` advance of a woken service warp fails
+//! `parked_and_polled_replays_are_indistinguishable` (and the accessor test).
+
+use agile_repro::agile::AgileConfig;
+use agile_repro::bam::HostBuilder;
+use agile_repro::gpu::{EngineSched, GpuConfig, LaunchConfig};
+use agile_repro::sim::TraceEvent;
+use agile_repro::trace::{AddressPattern, MemorySink, TenantSpec, TraceSpec};
+use agile_repro::workloads::experiments::trace_replay::{
+    run_trace_replay_with_sink, ReplayConfig, ReplayReport, ReplaySystem,
+};
+use agile_repro::workloads::microbench::{MicrobenchKernel, MicrobenchParams};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Everything about a trace event, as a sortable key.
+type EventKey = (u64, u8, u32, u64, u32, u16, u16, bool);
+
+fn keys(events: &[TraceEvent]) -> Vec<EventKey> {
+    events
+        .iter()
+        .map(|e| {
+            (
+                e.at,
+                e.kind as u8,
+                e.dev,
+                e.lba,
+                e.tenant,
+                e.queue,
+                e.cid,
+                e.write,
+            )
+        })
+        .collect()
+}
+
+fn sorted(mut keys: Vec<EventKey>) -> Vec<EventKey> {
+    keys.sort_unstable();
+    keys
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Raw path, window 4, one 32-deep SQ per device.
+    Raw,
+    /// Cached path, 50 % writes, working set 8× a 128-line cache.
+    CachedWriteMix,
+    /// Cached path, three tenants, warps partitioned by tenant.
+    CachedTenants,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    shape: Shape,
+    seed: u64,
+    ops: u64,
+    cache_shards: usize,
+    sink: bool,
+}
+
+fn case_of(pick: u8, seed: u64) -> Case {
+    Case {
+        shape: [Shape::Raw, Shape::CachedWriteMix, Shape::CachedTenants][pick as usize % 3],
+        seed,
+        ops: 256 + seed % 512,
+        cache_shards: if pick & 4 == 0 { 1 } else { 4 },
+        sink: pick & 8 == 0,
+    }
+}
+
+fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
+    let Case {
+        shape, seed, ops, ..
+    } = case;
+    let (spec, cfg) = match shape {
+        Shape::Raw => (
+            TraceSpec::multi_tenant("diff-raw", seed, 2, 1 << 12, ops),
+            ReplayConfig {
+                total_warps: 48,
+                window: 4,
+                queue_pairs: 1,
+                queue_depth: 32,
+                ..ReplayConfig::default()
+            },
+        ),
+        Shape::CachedWriteMix => (
+            TraceSpec {
+                name: "diff-writemix".to_string(),
+                seed,
+                devices: 1,
+                lba_space: 1 << 10,
+                tenants: vec![TenantSpec::new(ops, AddressPattern::Uniform, 0.5, 100)],
+            },
+            ReplayConfig {
+                total_warps: 32,
+                queue_pairs: 1,
+                queue_depth: 32,
+                cache_bytes: Some(128 * 4096),
+                ..ReplayConfig::default()
+            }
+            .cached(),
+        ),
+        Shape::CachedTenants => (
+            TraceSpec::multi_tenant("diff-tenants", seed, 2, 1 << 11, ops),
+            ReplayConfig {
+                total_warps: 24,
+                queue_pairs: 2,
+                queue_depth: 32,
+                cache_bytes: Some(256 * 4096),
+                ..ReplayConfig::default()
+            }
+            .cached()
+            .tenant_partitioned(),
+        ),
+    };
+    let cfg = cfg.with_cache_shards(case.cache_shards);
+    let cfg = match sched {
+        EngineSched::ParallelShards(n) => cfg.with_engine_threads(n),
+        sched => cfg.with_engine_sched(sched),
+    };
+    let sink = case.sink.then(|| Arc::new(MemorySink::new()));
+    let report = run_trace_replay_with_sink(
+        &spec.generate(),
+        ReplaySystem::Agile,
+        &cfg,
+        sink.clone().map(|s| s as Arc<_>),
+    );
+    (report, sink.map_or(Vec::new(), |s| keys(&s.take_events())))
+}
+
+/// Everything two replays of one case must agree on, whatever the scheduler.
+fn assert_same_replay(case: Case, a: &ReplayReport, b: &ReplayReport) {
+    let untag = |s: String| s.replace(" engine_threads=2", "");
+    assert_eq!(untag(a.summary()), untag(b.summary()), "{case:?}");
+    assert_eq!(a.elapsed_cycles, b.elapsed_cycles, "{case:?}");
+    assert_eq!(a.mean_us.to_bits(), b.mean_us.to_bits(), "{case:?}");
+    assert_eq!(a.io_stats, b.io_stats, "{case:?}");
+    assert_eq!(a.cache_shard_stats, b.cache_shard_stats, "{case:?}");
+    assert_eq!(a.service_stats, b.service_stats, "{case:?}");
+    assert_eq!(a.tenant_cache, b.tenant_cache, "{case:?}");
+    assert_eq!(a.lock_wait_cycles, b.lock_wait_cycles, "{case:?}");
+    assert!(!a.deadlocked && !b.deadlocked, "{case:?}");
+}
+
+fn differential(case: Case) {
+    let (parked, parked_events) = replay(case, EngineSched::EventQueue);
+    let (polled, polled_events) = replay(case, EngineSched::FullScan);
+    assert_same_replay(case, &parked, &polled);
+    assert!(
+        sorted(parked_events.clone()) == sorted(polled_events),
+        "{case:?}: the captures differ as multisets"
+    );
+    assert!(
+        parked.engine_rounds < polled.engine_rounds,
+        "{case:?}: nothing was parked?"
+    );
+    // The threaded scheduler parks exactly like the event queue: same
+    // records, same order.
+    let (threaded, threaded_events) = replay(case, EngineSched::ParallelShards(2));
+    assert_same_replay(case, &parked, &threaded);
+    assert_eq!(parked.engine_rounds, threaded.engine_rounds, "{case:?}");
+    assert!(parked_events == threaded_events, "{case:?}: capture order");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 96 }))]
+
+    #[test]
+    fn parked_and_polled_replays_are_indistinguishable(pick in any::<u8>(), seed in any::<u64>()) {
+        differential(case_of(pick, seed));
+    }
+}
+
+/// The shapes really reach what they were built to reach (so a green
+/// differential means something).
+#[test]
+fn the_cases_reach_the_hard_paths() {
+    let raw = Case {
+        shape: Shape::Raw,
+        seed: 11,
+        ops: 768,
+        cache_shards: 1,
+        sink: true,
+    };
+    differential(raw);
+    let (report, _) = replay(raw, EngineSched::EventQueue);
+    assert!(report.io_stats.sq_full_retries > 0, "SQ-full retries");
+
+    let writemix = Case {
+        shape: Shape::CachedWriteMix,
+        seed: 12,
+        ops: 768,
+        cache_shards: 4,
+        sink: true,
+    };
+    differential(writemix);
+    let (report, events) = replay(writemix, EngineSched::EventQueue);
+    let io = &report.io_stats;
+    assert!(io.writebacks > 0, "dirty victims are written back");
+    assert!(io.sq_full_retries > 0, "fills and write-backs are refused");
+    assert!(report.cache_stats.busy_hits > 0, "waits on fills in flight");
+    assert!(
+        report.service_stats[0].idle_rounds > 0,
+        "the service sweeps idle"
+    );
+    assert!(!events.is_empty());
+}
+
+/// An accessor kernel: its retry interval is `hint.max(cost)`, so it may only
+/// sleep from an attempt that cost what the retries will.
+#[test]
+fn parked_and_polled_accessor_kernels_are_indistinguishable() {
+    let run = |sched: EngineSched, asynchronous: bool| {
+        let sink = Arc::new(MemorySink::new());
+        let config = AgileConfig::small_test()
+            .with_queue_pairs(4)
+            .with_queue_depth(64);
+        let mut host = HostBuilder::agile(config)
+            .gpu(GpuConfig::tiny(4))
+            .devices(2, 1 << 16)
+            .engine_sched(sched)
+            .trace_sink(sink.clone() as Arc<_>)
+            .build();
+        let kernel = MicrobenchKernel::new(
+            host.ctrl(),
+            MicrobenchParams {
+                requests_per_thread: 6,
+                compute_cycles: 40_000,
+                pages_per_dev: 1 << 15,
+                asynchronous,
+            },
+        );
+        let report = host.run_kernel(
+            LaunchConfig::new(2, 128).with_registers(40),
+            Box::new(kernel),
+        );
+        assert!(!report.deadlocked);
+        let ctrl = host.ctrl();
+        let service = host.service_set().partition_stats();
+        (
+            (
+                report.elapsed,
+                report.kernels[1].stall_cycles,
+                report.kernels[1].steps,
+            ),
+            (ctrl.io().stats(), ctrl.cache().stats_by_shard(), service),
+            report.rounds,
+            sorted(keys(&sink.take_events())),
+        )
+    };
+    for asynchronous in [false, true] {
+        let parked = run(EngineSched::EventQueue, asynchronous);
+        let polled = run(EngineSched::FullScan, asynchronous);
+        assert_eq!(parked.0, polled.0, "times and the engine's own books");
+        assert_eq!(parked.1, polled.1, "stack counters");
+        assert!(parked.3 == polled.3, "captures differ as multisets");
+        assert!(parked.2 < polled.2, "nothing was parked?");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The wake rule itself, on a bare engine
+// ---------------------------------------------------------------------------
+
+/// Synthetic waiters and notifiers with small retry intervals and busy
+/// times drawn from a handful of round values, so that an event landing
+/// *exactly* on a sleeper's grid point — with the sleeper sorting before or
+/// after the notifier — happens all the time instead of once in a thousand
+/// wakes. What the storage stack cannot make frequent, this does.
+mod synthetic {
+    use agile_repro::gpu::{
+        Engine, EngineSched, ExecutionReport, GpuConfig, KernelFactory, LaunchConfig, WarpCtx,
+        WarpKernel, WarpStep,
+    };
+    use agile_repro::sim::wake::{SkippedPolls, SleeperId, Wait, WaitReason, WakeHub, WatchList};
+    use agile_repro::sim::Cycles;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, Weak};
+
+    /// Counters the notifiers bump and the waiters wait on.
+    pub struct World {
+        hub: Arc<WakeHub>,
+        flags: Vec<AtomicU64>,
+        watchers: Vec<WatchList>,
+        /// Polls each waiter made or was settled for, by sleeper id.
+        pub polls: Vec<AtomicU64>,
+        /// `(time, waiter)` of every wait that ended, in step order.
+        pub log: Mutex<Vec<(u64, u32)>>,
+    }
+
+    impl SkippedPolls for World {
+        fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
+            assert!(first.raw() > 0 && every.raw() > 0);
+            self.polls[sleeper.0 as usize].fetch_add(polls, Ordering::Relaxed);
+        }
+    }
+
+    /// One notifier step: stay busy this long, then bump this flag.
+    type Bump = (u64, usize);
+    /// One wait: until `flag >= target`, re-polling every `retry`, then busy.
+    type WaitFor = (usize, u64, u64, u64);
+
+    pub struct Script {
+        pub notifiers: Vec<Vec<Bump>>,
+        pub waiters: Vec<Vec<WaitFor>>,
+        pub notifiers_first: bool,
+    }
+
+    /// A script from `seed`: 4 flags, up to 6 notifier and 10 waiter warps.
+    pub fn script(seed: u64) -> Script {
+        let mut state = seed | 1;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        const BUSY: [u64; 4] = [100, 200, 300, 600];
+        const RETRY: [u64; 4] = [100, 200, 300, 400];
+        let mut totals = [0u64; 4];
+        let notifiers: Vec<Vec<Bump>> = (0..2 + next(5))
+            .map(|_| {
+                (0..4 + next(12))
+                    .map(|_| {
+                        let flag = next(4) as usize;
+                        totals[flag] += 1;
+                        (BUSY[next(4) as usize], flag)
+                    })
+                    .collect()
+            })
+            .collect();
+        let waiters = (0..2 + next(9))
+            .map(|_| {
+                (0..1 + next(5))
+                    .filter_map(|_| {
+                        let flag = next(4) as usize;
+                        (totals[flag] > 0).then(|| {
+                            (
+                                flag,
+                                1 + next(totals[flag]),
+                                RETRY[next(4) as usize],
+                                BUSY[next(4) as usize],
+                            )
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        Script {
+            notifiers,
+            waiters,
+            notifiers_first: next(2) == 0,
+        }
+    }
+
+    struct Notifiers(Arc<World>, Vec<Vec<Bump>>);
+    struct Notifier(Arc<World>, Vec<Bump>, usize);
+
+    impl KernelFactory for Notifiers {
+        fn create_warp(&self, block: u32, _warp: u32) -> Box<dyn WarpKernel> {
+            Box::new(Notifier(
+                Arc::clone(&self.0),
+                self.1[block as usize].clone(),
+                0,
+            ))
+        }
+    }
+
+    impl WarpKernel for Notifier {
+        fn step(&mut self, _ctx: &WarpCtx) -> WarpStep {
+            let Some(&(busy, flag)) = self.1.get(self.2) else {
+                return WarpStep::Done;
+            };
+            self.2 += 1;
+            self.0.flags[flag].fetch_add(1, Ordering::SeqCst);
+            self.0.watchers[flag].notify_all();
+            WarpStep::Busy(Cycles(busy))
+        }
+    }
+
+    struct Waiters(Arc<World>, Vec<Vec<WaitFor>>);
+    struct Waiter {
+        world: Arc<World>,
+        waits: Vec<WaitFor>,
+        at: usize,
+        id: u32,
+        sleeper: SleeperId,
+    }
+
+    impl KernelFactory for Waiters {
+        fn create_warp(&self, block: u32, _warp: u32) -> Box<dyn WarpKernel> {
+            Box::new(Waiter {
+                world: Arc::clone(&self.0),
+                waits: self.1[block as usize].clone(),
+                at: 0,
+                id: block,
+                // Registered in `run`, in block order.
+                sleeper: SleeperId(block),
+            })
+        }
+    }
+
+    impl WarpKernel for Waiter {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let Some(&(flag, target, retry, busy)) = self.waits.get(self.at) else {
+                return WarpStep::Done;
+            };
+            let world = &self.world;
+            if world.flags[flag].load(Ordering::SeqCst) >= target {
+                self.at += 1;
+                world.log.lock().unwrap().push((ctx.now.raw(), self.id));
+                return WarpStep::Busy(Cycles(busy));
+            }
+            // A pure poll: one count, nothing else.
+            world.polls[self.sleeper.0 as usize].fetch_add(1, Ordering::Relaxed);
+            world.watchers[flag].watch(&world.hub, self.sleeper);
+            WarpStep::Stall {
+                retry_after: Cycles(retry),
+                wait: Wait::parked(WaitReason::Barrier, self.sleeper),
+            }
+        }
+    }
+
+    pub fn run(script: &Script, sched: EngineSched) -> (ExecutionReport, Arc<World>) {
+        let hub = WakeHub::new();
+        let world = Arc::new(World {
+            hub: Arc::clone(&hub),
+            flags: (0..4).map(|_| AtomicU64::new(0)).collect(),
+            watchers: (0..4).map(|_| WatchList::new()).collect(),
+            polls: script.waiters.iter().map(|_| AtomicU64::new(0)).collect(),
+            log: Mutex::new(Vec::new()),
+        });
+        for _ in &script.waiters {
+            let settler: Weak<dyn SkippedPolls> = Arc::downgrade(&world) as Weak<_>;
+            hub.register(settler);
+        }
+        let mut engine = Engine::new(GpuConfig::tiny(3));
+        engine.set_scheduler(sched);
+        engine.set_wake_hub(hub);
+        let launch = |n: usize| LaunchConfig::new(n as u32, 32).with_registers(16);
+        let notifiers = Box::new(Notifiers(Arc::clone(&world), script.notifiers.clone()));
+        let waiters = Box::new(Waiters(Arc::clone(&world), script.waiters.clone()));
+        if script.notifiers_first {
+            engine.launch(launch(script.notifiers.len()), notifiers);
+            engine.launch(launch(script.waiters.len()), waiters);
+        } else {
+            engine.launch(launch(script.waiters.len()), waiters);
+            engine.launch(launch(script.notifiers.len()), notifiers);
+        }
+        (engine.run(), world)
+    }
+}
+
+fn synthetic_differential(seed: u64) {
+    let script = synthetic::script(seed);
+    let view = |sched| {
+        let (report, world) = synthetic::run(&script, sched);
+        assert!(!report.deadlocked, "seed {seed}");
+        let kernels: Vec<_> = report
+            .kernels
+            .iter()
+            .map(|k| (k.steps, k.busy_cycles, k.stall_cycles, k.completed_at))
+            .collect();
+        let polls: Vec<u64> = world
+            .polls
+            .iter()
+            .map(|p| p.load(std::sync::atomic::Ordering::Relaxed))
+            .collect();
+        let log = world.log.lock().unwrap().clone();
+        (report.elapsed, kernels, polls, log, report.rounds)
+    };
+    let parked = view(EngineSched::EventQueue);
+    let polled = view(EngineSched::FullScan);
+    assert_eq!(parked.0, polled.0, "seed {seed}: elapsed");
+    assert_eq!(parked.1, polled.1, "seed {seed}: the engine's books");
+    assert_eq!(parked.2, polled.2, "seed {seed}: polls made + settled");
+    assert_eq!(parked.3, polled.3, "seed {seed}: when each wait ended");
+    let threaded = view(EngineSched::ParallelShards(2));
+    assert_eq!(parked, threaded, "seed {seed}: threaded run");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
+
+    #[test]
+    fn parked_and_polled_synthetic_waits_are_indistinguishable(seed in any::<u64>()) {
+        synthetic_differential(seed);
+    }
+}
