@@ -219,19 +219,6 @@ impl<S: HostSystem> HostBuilder<S> {
         self
     }
 
-    /// Run the engine's shard-affine devices on `n` OS threads
-    /// ([`EngineSched::ParallelShards`]); `1` selects the sequential
-    /// event-driven scheduler. Every thread count produces bit-identical
-    /// results — threads only change wall-clock time.
-    pub fn engine_threads(self, n: usize) -> Self {
-        assert!(n >= 1, "engine_threads requires at least one thread");
-        self.engine_sched(if n == 1 {
-            EngineSched::EventQueue
-        } else {
-            EngineSched::ParallelShards(n)
-        })
-    }
-
     /// Install a trace sink across the whole stack before the first kernel
     /// runs, so capture covers every event from time zero.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {

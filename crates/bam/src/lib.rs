@@ -29,6 +29,7 @@
 //! GPU engine detects and reports. The integration tests show the identical
 //! workload running to completion under AGILE.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

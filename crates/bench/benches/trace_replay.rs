@@ -454,61 +454,6 @@ fn main() {
         format!("{:.1}x", wall_ms[1] / wall_ms[0]),
     )]);
 
-    print_header(
-        "Engine threads",
-        "the same replay on 1/2/4 OS threads (ParallelShards) at 4 and 1 lock \
-         shards: bit-identical simulated results, wall time is the delta",
-    );
-    // Workers are device-affine and the epoch plans due warps in SM-affine
-    // partitions, so both the multi-shard fleet and the single-shard
-    // configuration (all its devices on one lock) have parallel work.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for shards in [4usize, 1] {
-        let threaded_base = ReplayConfig {
-            total_warps: 1024,
-            window: 8,
-            ..ReplayConfig::default()
-        }
-        .sharded(shards);
-        let mut seq_ms = 0.0f64;
-        for threads in [1usize, 2, 4] {
-            if threads > cores {
-                // Oversubscribed workers degrade the spin barrier to
-                // yield-loops and measure the OS scheduler, not the engine.
-                print_row(&[
-                    ("shards", shards.to_string()),
-                    ("threads", threads.to_string()),
-                    ("skipped", format!("only {cores} usable core(s)")),
-                ]);
-                continue;
-            }
-            let cfg = threaded_base.clone().with_engine_threads(threads);
-            let (r, ms) = timed_run(&trace, ReplaySystem::Agile, &cfg);
-            if threads == 1 {
-                seq_ms = ms;
-            }
-            json.push(
-                "engine-threads",
-                format!("shards{shards}/threads{threads}"),
-                r.iops,
-                ms,
-            );
-            print_row(&[
-                ("system", r.system.to_string()),
-                ("shards", shards.to_string()),
-                ("threads", threads.to_string()),
-                ("ops", r.ops.to_string()),
-                ("iops", format!("{:.0}", r.iops)),
-                ("rounds", r.engine_rounds.to_string()),
-                ("wall_ms", format!("{:.0}", ms)),
-                ("speedup", format!("{:.2}x", seq_ms / ms)),
-                ("deadlocked", r.deadlocked.to_string()),
-            ]);
-        }
-    }
-
     if let Some(path) = json_path() {
         json.write(&path);
     }

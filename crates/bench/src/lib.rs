@@ -12,6 +12,7 @@
 //! the harness binaries; all experiment logic lives in `agile-workloads` so
 //! that the integration tests can run scaled-down versions of the same code.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -29,6 +29,7 @@
 //!   logical cache to tenants and the control plane;
 //! * [`share_table`] — the MOESI-inspired [`share_table::ShareTable`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

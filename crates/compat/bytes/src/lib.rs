@@ -1,6 +1,7 @@
 //! Minimal `bytes::Bytes` shim: an immutable, cheaply clonable byte buffer
 //! backed by `Arc<[u8]>`. Only the slice the workspace uses is implemented.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Deref;

@@ -6,6 +6,7 @@
 //! calibrate-then-measure wall-clock loop instead of criterion's statistics
 //! engine. Honors `AGILE_BENCH_QUICK=1` by shrinking the measurement window.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

@@ -2,6 +2,7 @@
 //! `VecDeque`. The simulator's doorbell rings are low-rate, so the lock is
 //! never contended enough to matter.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Concurrent queues.

@@ -6,6 +6,7 @@
 //! Poisoning is ignored — a panic while holding a lock simply hands the next
 //! locker the current value, which matches `parking_lot` semantics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -8,6 +8,7 @@
 //! stream, so every run explores the identical inputs (no shrinking — a
 //! failing case prints its case index, which reproduces it exactly).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Per-test configuration, mirroring `proptest::test_runner::Config`.

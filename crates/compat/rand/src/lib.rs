@@ -1,6 +1,7 @@
 //! Minimal `rand` shim: the [`RngCore`] trait the workspace's deterministic
 //! generator implements so it stays composable with ecosystem code.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -6,6 +6,7 @@
 //! codecs instead). This shim provides the two marker traits and re-exports
 //! the no-op derives, which is all the annotations need to compile.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};

@@ -4,6 +4,8 @@
 //! nothing actually serializes through serde (the trace subsystem has its own
 //! explicit binary/JSON codecs) — so the derives expand to nothing.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// Accept `#[derive(Serialize)]` and expand to nothing.

@@ -39,6 +39,7 @@
 //! the [`TenantWeights`] trait and raw atomic cells in a [`KnobSet`] —
 //! `agile-core` supplies the adapters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

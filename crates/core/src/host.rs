@@ -45,7 +45,7 @@ use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, Topology
 use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
 use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::costs::SsdCosts;
-use agile_sim::trace::{BufferedSink, TraceSink};
+use agile_sim::trace::TraceSink;
 use agile_sim::Cycles;
 use gpu_sim::registers::agile_footprints;
 use gpu_sim::{
@@ -98,14 +98,10 @@ pub trait GpuStorageHost {
     fn stop(&mut self);
 }
 
-/// Bridges a single *storage device* of a topology into the engine — the
-/// device-affine partition grain. One `DeviceSsdBridge` per device,
-/// registered in [`StorageTopology::device_advance_order`] (shard-major)
-/// order so sequential schedulers advance devices in the golden-gated
-/// order, while [`EngineSched::ParallelShards`] partitions work at device
-/// rather than lock-shard granularity — a `shards = 1` fleet does not
-/// collapse onto one worker. Lock-shard state is only ever touched from the
-/// coordinator's submit path, so it stays single-writer.
+/// Bridges a single *storage device* of a topology into the engine. One
+/// `DeviceSsdBridge` per device, registered in
+/// [`StorageTopology::device_advance_order`] (shard-major) order, which is
+/// the golden-gated order the engine advances devices in.
 pub struct DeviceSsdBridge {
     topology: Arc<dyn StorageTopology>,
     dev: usize,
@@ -432,17 +428,10 @@ impl<S: HostSystem> Host<S> {
 
     /// Install one trace sink across the whole stack: the controller's
     /// submit/doorbell path and the software cache's lookup path now, every
-    /// SSD's completion path at [`Host::start`], where the engine scheduler
-    /// is final. Call after [`Host::init_nvme`] and before `start`, in any
-    /// order relative to [`Host::set_engine_sched`]; the first sink
-    /// installed wins (returns `false` if one was already present).
-    /// Recording costs one atomic load per hook when enabled-but-absent.
-    ///
-    /// Under a threaded engine ([`EngineSched::ParallelShards`] with more
-    /// than one thread) each *device*'s completion path records into a
-    /// private [`BufferedSink`] drained into `sink` in fixed shard-major
-    /// device order at every epoch boundary, so the merged event stream is
-    /// identical to a sequential run.
+    /// SSD's completion path at [`Host::start`]. Call after
+    /// [`Host::init_nvme`] and before `start`; the first sink installed wins
+    /// (returns `false` if one was already present). Recording costs one
+    /// atomic load per hook when enabled-but-absent.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
         self.assert_before_start("set_trace_sink");
         self.ctrl().io().set_trace_sink(sink)
@@ -535,30 +524,13 @@ impl<S: HostSystem> Host<S> {
         let ctrl = self.ctrl();
         // Warps waiting on this stack sleep in its hub; the engine wakes them.
         engine.set_wake_hub(Arc::clone(ctrl.io().wake_hub()));
-        // Worker threads must not record into a shared sink in wall-clock
-        // order: each device then gets a private buffer, drained as an
-        // epoch mailbox in advance order.
-        let threaded = matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1);
         let sink = ctrl.io().trace_sink();
-        // Device-affine partition grain: one bridge per storage device, in
-        // shard-major advance order (bit-identical to the sequential shard
-        // walk), so ParallelShards spreads a shards=1 fleet across every
-        // worker instead of leaving all but one idle.
+        if let Some(sink) = sink {
+            topology.set_trace_sink(sink);
+        }
+        // One bridge per storage device, in shard-major advance order.
         for dev in topology.device_advance_order() {
             engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
-            match sink {
-                Some(sink) if threaded => {
-                    let buffered = Arc::new(BufferedSink::new(Arc::clone(sink)));
-                    let as_sink: Arc<dyn TraceSink> = buffered.clone();
-                    if topology.set_device_trace_sink(dev, &as_sink) {
-                        engine.add_mailbox(buffered);
-                    }
-                }
-                Some(sink) => {
-                    topology.set_device_trace_sink(dev, sink);
-                }
-                None => {}
-            }
         }
         if let Some(registry) = &self.metrics {
             engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
@@ -809,33 +781,32 @@ mod tests {
             }
         }
 
-        for sched in [EngineSched::EventQueue, EngineSched::ParallelShards(2)] {
-            let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-            host.add_nvme_dev(1 << 16);
-            host.set_engine_sched(sched);
-            host.init_nvme();
-            host.start_agile();
-            let ctrl = host.ctrl();
-            let report = host.run_kernel(
-                LaunchConfig::new(1, 32).with_registers(32),
-                Box::new(Orphan(Arc::clone(&ctrl))),
-            );
-            // The warp and both service warps are asleep and the SSD has
-            // nothing in flight: flagged on the spot, not a window later.
-            assert!(report.deadlocked, "{sched:?}");
-            assert!(report.elapsed < Cycles(10_000), "{sched:?}");
-            let reasons: Vec<WaitReason> = report.stalled.iter().map(|&(_, why)| why).collect();
-            assert_eq!(
-                reasons,
-                [
-                    WaitReason::ServiceIdle,
-                    WaitReason::ServiceIdle,
-                    WaitReason::Barrier
-                ],
-                "{sched:?}: {:?}",
-                report.stalled
-            );
-        }
+        // The default `EventQueue`: `FullScan` never parks, so it would wait
+        // out the window instead.
+        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
+        host.add_nvme_dev(1 << 16);
+        host.init_nvme();
+        host.start_agile();
+        let ctrl = host.ctrl();
+        let report = host.run_kernel(
+            LaunchConfig::new(1, 32).with_registers(32),
+            Box::new(Orphan(Arc::clone(&ctrl))),
+        );
+        // The warp and both service warps are asleep and the SSD has nothing
+        // in flight: flagged on the spot, not a window later.
+        assert!(report.deadlocked);
+        assert!(report.elapsed < Cycles(10_000));
+        let reasons: Vec<WaitReason> = report.stalled.iter().map(|&(_, why)| why).collect();
+        assert_eq!(
+            reasons,
+            [
+                WaitReason::ServiceIdle,
+                WaitReason::ServiceIdle,
+                WaitReason::Barrier
+            ],
+            "{:?}",
+            report.stalled
+        );
     }
 
     #[test]

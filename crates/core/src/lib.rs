@@ -61,6 +61,7 @@
 //! host.stop_agile();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -162,7 +162,7 @@ pub enum WarpStep {
     ///
     /// A parked warp is indistinguishable, in simulated time and in every
     /// counter, from one that was polled — [`crate::EngineSched::FullScan`]
-    /// never parks and is the reference the parked schedulers are tested
+    /// never parks and is the reference the parking scheduler is tested
     /// against.
     Stall {
         /// Cycles to wait before re-polling this warp (the grid spacing); it
@@ -195,58 +195,23 @@ pub struct WarpCtx {
 /// Implementations hold whatever state the warp needs across steps (loop
 /// indices, outstanding transaction barriers, …) plus `Arc`s to the shared
 /// structures (AGILE controller, caches, queues).
-///
-/// # The parallel warp phase (plan / commit)
-///
-/// The threaded engine (`EngineSched::ParallelShards`) splits each epoch in
-/// two: phase A advances device partitions on the workers, phase B lets the
-/// workers *plan* the due warps' steps in SM-affine partitions while the
-/// coordinator is parked at the barrier, then the coordinator *commits* every
-/// step in canonical `(sm, slot)` order. A kernel opts in by returning `true`
-/// from [`parallel_capable`](Self::parallel_capable) and implementing the
-/// plan/commit pair; everything else keeps running serially through
-/// [`step`](Self::step) on the coordinator, bit-identically to the sequential
-/// schedulers.
-///
-/// The contract a plan must honour:
-///
-/// - `plan_step` runs concurrently with other warps' plans (never with the
-///   coordinator, never with phase A). It may read warp-local state freely,
-///   and shared state only where every mutation of that state happens in
-///   *serial-class* warp steps (e.g. I/O barrier completions, which only the
-///   service/polling warps flip) — the engine invalidates the snapshot when
-///   any serial-class warp steps in the same epoch. It must not mutate shared
-///   state except through commutative collectors whose final snapshot is
-///   order-independent.
-/// - `commit_step` runs on the coordinator in canonical order and must
-///   produce exactly the [`WarpStep`] and side effects `step` would have
-///   produced at that position. When `epoch_clean` is `false`, a warp that
-///   stepped serially earlier in the same epoch may have mutated what the
-///   plan observed: the kernel must re-validate (typically a cheap re-scan)
-///   and fall back to re-deriving the step — snapshot, validate, retry.
 pub trait WarpKernel: Send {
     /// Execute the warp's next slice of work.
     fn step(&mut self, ctx: &WarpCtx) -> WarpStep;
 
-    /// True when this kernel participates in the threaded engine's parallel
-    /// warp phase. Sampled once, when the warp is placed on an SM.
+    // Unused: nothing in this workspace implements or calls the next three.
+    // They keep these signatures only because `benchmark/src/decorate.rs`
+    // forwards them and the benchmark package is frozen against this crate's
+    // API; delete them together with those forwards (see ROADMAP).
+    #[doc(hidden)]
     fn parallel_capable(&self) -> bool {
         false
     }
-
-    /// Run the read-mostly prefix of the next step on a worker thread and
-    /// stash the resulting plan in warp-local state. Returns `true` when a
-    /// plan was recorded (the engine will call
-    /// [`commit_step`](Self::commit_step)); `false` declines this step, and
-    /// the engine falls back to a plain serial [`step`](Self::step).
+    #[doc(hidden)]
     fn plan_step(&mut self, _ctx: &WarpCtx) -> bool {
         false
     }
-
-    /// Commit a previously planned step on the coordinator. `epoch_clean` is
-    /// `false` when any warp stepped serially earlier in this epoch's commit
-    /// walk — the plan's snapshot of shared state may be stale and must be
-    /// re-validated. The default ignores any plan and re-derives everything.
+    #[doc(hidden)]
     fn commit_step(&mut self, ctx: &WarpCtx, _epoch_clean: bool) -> WarpStep {
         self.step(ctx)
     }

@@ -25,6 +25,7 @@
 //! hint), or completion. The AGILE and BaM device-side libraries expose
 //! non-blocking APIs that fit this model naturally.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -37,7 +38,7 @@ pub mod sm;
 pub use agile_sim::wake::{SleeperId, Wait, WaitReason, WakeHub};
 pub use config::GpuConfig;
 pub use engine::{
-    Engine, EngineMetrics, EngineSched, EpochMailbox, ExecutionReport, ExternalDevice, KernelReport,
+    Engine, EngineMetrics, EngineSched, ExecutionReport, ExternalDevice, KernelReport,
 };
 pub use kernel::{
     occupancy, KernelFactory, KernelId, LaunchConfig, WarpCtx, WarpId, WarpKernel, WarpStep,

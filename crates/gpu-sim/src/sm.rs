@@ -37,9 +37,6 @@ pub struct ResidentWarp {
     pub block_slot: usize,
     /// The warp's state machine.
     pub state: Box<dyn WarpKernel>,
-    /// Cached [`WarpKernel::parallel_capable`] answer, sampled at placement
-    /// so the epoch hot path never pays a virtual call for serial kernels.
-    pub plan_capable: bool,
     /// Next time the scheduler may step this warp (meaningless while
     /// `parked`).
     pub ready_at: Cycles,
@@ -227,7 +224,6 @@ mod tests {
                 kernel_idx: 0,
                 block_slot: slot,
                 state: Box::new(NopWarp),
-                plan_capable: false,
                 ready_at: Cycles::ZERO,
                 wait: None,
                 parked: None,
@@ -258,7 +254,6 @@ mod tests {
                 kernel_idx: 0,
                 block_slot: slot,
                 state: Box::new(NopWarp),
-                plan_capable: false,
                 ready_at: Cycles::ZERO,
                 wait: None,
                 parked: None,

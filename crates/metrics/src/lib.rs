@@ -46,6 +46,8 @@
 //! ≤ 1/32), so percentiles computed from registry snapshots agree with the
 //! replay reports.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod registry;
 pub mod sampler;

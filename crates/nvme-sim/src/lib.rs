@@ -23,6 +23,7 @@
 //! with the device through `Arc`s, exactly as the real system shares them
 //! through GPU HBM exposed over PCIe BARs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

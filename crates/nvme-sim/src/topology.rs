@@ -45,12 +45,12 @@ use std::sync::Arc;
 /// A set of SSDs addressed by device index, each behind its **own** mutex —
 /// the building block both [`StorageTopology`] implementations are made of.
 ///
-/// Per-device locking is what makes device-affine engine partitioning pay:
-/// two workers advancing different devices of the *same* lock shard never
-/// contend (the shard lock is a submission-cost *model*, see
-/// [`TopologyLock`]; it is not a concurrency primitive here). All methods
-/// take `&self` and lock only the devices they touch — and advancing a device
-/// whose [`IdleGate`] says nothing can happen touches nothing at all.
+/// The mutex is what lets one topology be shared (`Arc`, `&self` methods)
+/// between the engine's device bridges and the controllers' submit paths; the
+/// shard lock is a submission-cost *model* (see [`TopologyLock`]), not a
+/// concurrency primitive. Methods lock only the devices they touch — and
+/// advancing a device whose [`IdleGate`] says nothing can happen touches
+/// nothing at all.
 pub struct DeviceSet {
     devices: Vec<Mutex<SsdDevice>>,
     /// Each device's gate, so an idle advance never takes the device lock.
@@ -137,13 +137,6 @@ impl DeviceSet {
         all_fresh
     }
 
-    /// Install a trace sink on one device's completion path only (the
-    /// threaded engine gives each device its own buffering sink). Returns
-    /// `false` if the device already had one.
-    pub fn set_device_trace_sink(&self, idx: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.devices[idx].lock().set_trace_sink(Arc::clone(sink))
-    }
-
     /// Advance every device to `now`, in device order.
     pub fn advance_to(&self, now: Cycles) {
         for idx in 0..self.devices.len() {
@@ -177,22 +170,6 @@ impl DeviceSet {
     /// True when every device is idle.
     pub fn quiescent(&self) -> bool {
         self.devices.iter().all(|d| d.lock().quiescent())
-    }
-
-    /// Round-robin device partitioning for `workers` engine workers:
-    /// position `i` of `order` lands in partition `i % workers` — the
-    /// device-affine buckets the threaded engine pins to its worker threads
-    /// (`order` is normally [`StorageTopology::device_advance_order`]).
-    /// Partitions scale with fleet size, not lock-shard count: a one-shard
-    /// topology still spreads its devices across every worker.
-    pub fn partition_devices(&self, workers: usize, order: &[usize]) -> Vec<Vec<usize>> {
-        let workers = workers.max(1);
-        let mut parts: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, &dev) in order.iter().enumerate() {
-            debug_assert!(dev < self.devices.len());
-            parts[i % workers].push(dev);
-        }
-        parts
     }
 
     /// Interleaved placement used by the scaling experiments: request `i`
@@ -417,9 +394,7 @@ pub trait StorageTopology: Send + Sync {
     /// True when every device is idle.
     fn quiescent(&self) -> bool;
 
-    /// Advance only global device `dev` to `now`. Devices are mutually
-    /// independent between advancement boundaries, so the engine may call
-    /// this concurrently for different devices; calling it for
+    /// Advance only global device `dev` to `now`. Calling it for
     /// [`Self::device_advance_order`] in order is exactly
     /// [`Self::advance_to`].
     fn advance_device_to(&self, dev: usize, now: Cycles);
@@ -427,17 +402,11 @@ pub trait StorageTopology: Send + Sync {
     /// Earliest pending event on global device `dev`.
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles>;
 
-    /// Install a trace sink on one device's completion path only (the
-    /// threaded engine gives each device its own buffering sink). Returns
-    /// `false` if the device already had one.
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool;
-
     /// Global device indices in sequential advance order: shard 0's devices
     /// in increasing global order, then shard 1's, … — exactly the order
     /// [`Self::advance_to`] visits devices. Per-device engine bridges
-    /// registered in this order reproduce the sequential event stream byte
-    /// for byte, which is what keeps the golden traces green at any worker
-    /// count.
+    /// registered in this order reproduce that event stream byte for byte,
+    /// which is what keeps the golden traces green.
     fn device_advance_order(&self) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.device_count());
         for s in 0..self.shard_count() {
@@ -502,8 +471,7 @@ pub trait StorageTopology: Send + Sync {
 
 /// Every device behind one *modeled* lock — the original `SsdArray`
 /// behaviour. The devices themselves sit behind per-device mutexes (see
-/// [`DeviceSet`]), so even a one-shard array fans out across the threaded
-/// engine's workers.
+/// [`DeviceSet`]).
 pub struct FlatArray {
     set: DeviceSet,
     lock: TopologyLock,
@@ -589,9 +557,6 @@ impl StorageTopology for FlatArray {
     }
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
         self.set.device_next_event_time(dev)
-    }
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_device_trace_sink(dev, sink)
     }
     fn total_bytes_read(&self) -> u64 {
         self.set.total_bytes_read()
@@ -701,11 +666,7 @@ impl StorageTopology for ShardedArray {
         Arc::clone(self.set.device(dev).backing())
     }
     fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
-        let mut all_fresh = true;
-        for dev in self.device_advance_order() {
-            all_fresh &= self.set.set_device_trace_sink(dev, sink);
-        }
-        all_fresh
+        self.set.set_trace_sink(sink)
     }
     fn advance_to(&self, now: Cycles) {
         // Shard-major, matching the trait contract and the golden traces.
@@ -724,9 +685,6 @@ impl StorageTopology for ShardedArray {
     }
     fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
         self.set.device_next_event_time(dev)
-    }
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_device_trace_sink(dev, sink)
     }
     fn total_bytes_read(&self) -> u64 {
         self.set.total_bytes_read()
@@ -903,24 +861,6 @@ mod tests {
             vec![0, 1, 2, 3]
         );
         assert_eq!(FlatArray::new(3).device_advance_order(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn partition_devices_round_robins_order_positions() {
-        let set = DeviceSet::new(5);
-        // Order positions (not device ids) are dealt round-robin, so each
-        // worker gets a contiguous-in-time slice of the advance schedule.
-        let order = vec![0, 2, 4, 1, 3];
-        assert_eq!(
-            set.partition_devices(2, &order),
-            vec![vec![0, 4, 3], vec![2, 1]]
-        );
-        // More workers than devices leaves the tail buckets empty.
-        let parts = set.partition_devices(8, &order);
-        assert_eq!(parts.len(), 8);
-        assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 3);
-        // A single worker owns everything, in advance order.
-        assert_eq!(set.partition_devices(1, &order), vec![order.clone()]);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! bit-identical results. That determinism is what makes the paper's figures
 //! reproducible as tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -38,5 +39,5 @@ pub use clock::{Cycles, Nanos, SimClock, DEFAULT_GPU_CLOCK_GHZ};
 pub use events::EventWheel;
 pub use rng::{SimRng, ZipfSampler};
 pub use stats::{Counter, Histogram, RunningStats};
-pub use trace::{BufferedSink, NullSink, TraceEvent, TraceEventKind, TraceSink};
+pub use trace::{NullSink, TraceEvent, TraceEventKind, TraceSink};
 pub use wake::{SkippedPolls, SleeperId, Wait, WaitReason, WakeHub, WatchList, WatchedU64};

@@ -183,61 +183,6 @@ impl TraceSink for NullSink {
     fn record(&self, _ev: TraceEvent) {}
 }
 
-/// An order-preserving staging buffer in front of another sink.
-///
-/// Producers running off the coordinating thread (one storage shard's device
-/// advancing on an engine worker) record into the buffer; `flush()` forwards
-/// everything to the inner sink in record order. The engine drains one
-/// `BufferedSink` per shard, in shard order, at every epoch boundary, which
-/// reproduces — byte for byte — the event order a sequential run records
-/// directly. Unflushed events are forwarded on drop so no tail is lost when
-/// a host is torn down without a final drain.
-pub struct BufferedSink {
-    inner: std::sync::Arc<dyn TraceSink>,
-    buf: std::sync::Mutex<Vec<TraceEvent>>,
-}
-
-impl BufferedSink {
-    /// Buffer in front of `inner`.
-    pub fn new(inner: std::sync::Arc<dyn TraceSink>) -> Self {
-        BufferedSink {
-            inner,
-            buf: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Forward every buffered event to the inner sink, preserving order.
-    pub fn flush(&self) {
-        let drained: Vec<TraceEvent> = {
-            let mut buf = self.buf.lock().unwrap();
-            if buf.is_empty() {
-                return;
-            }
-            std::mem::take(&mut *buf)
-        };
-        for ev in drained {
-            self.inner.record(ev);
-        }
-    }
-
-    /// Number of events currently staged.
-    pub fn pending(&self) -> usize {
-        self.buf.lock().unwrap().len()
-    }
-}
-
-impl TraceSink for BufferedSink {
-    fn record(&self, ev: TraceEvent) {
-        self.buf.lock().unwrap().push(ev);
-    }
-}
-
-impl Drop for BufferedSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,42 +215,5 @@ mod tests {
     fn null_sink_accepts_events() {
         let sink = NullSink;
         sink.record(TraceEvent::new(TraceEventKind::CacheHit, 0));
-    }
-
-    /// Sink recording events into a shared vector, for buffering tests.
-    struct VecSink(std::sync::Mutex<Vec<TraceEvent>>);
-    impl TraceSink for VecSink {
-        fn record(&self, ev: TraceEvent) {
-            self.0.lock().unwrap().push(ev);
-        }
-    }
-
-    #[test]
-    fn buffered_sink_preserves_order_across_flushes() {
-        let inner = std::sync::Arc::new(VecSink(std::sync::Mutex::new(Vec::new())));
-        let buffered = BufferedSink::new(inner.clone() as std::sync::Arc<dyn TraceSink>);
-        for at in 0..5 {
-            buffered.record(TraceEvent::new(TraceEventKind::Submit, at));
-        }
-        assert_eq!(buffered.pending(), 5);
-        assert!(inner.0.lock().unwrap().is_empty(), "nothing before flush");
-        buffered.flush();
-        assert_eq!(buffered.pending(), 0);
-        for at in 5..8 {
-            buffered.record(TraceEvent::new(TraceEventKind::Doorbell, at));
-        }
-        buffered.flush();
-        let seen: Vec<u64> = inner.0.lock().unwrap().iter().map(|e| e.at).collect();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn buffered_sink_flushes_tail_on_drop() {
-        let inner = std::sync::Arc::new(VecSink(std::sync::Mutex::new(Vec::new())));
-        {
-            let buffered = BufferedSink::new(inner.clone() as std::sync::Arc<dyn TraceSink>);
-            buffered.record(TraceEvent::new(TraceEventKind::CacheHit, 7));
-        }
-        assert_eq!(inner.0.lock().unwrap().len(), 1);
     }
 }

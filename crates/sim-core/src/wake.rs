@@ -25,10 +25,10 @@
 //!   may watch it for good (a completion queue, a knob cell);
 //! * [`WatchedU64`] — an atomic cell that notifies its watchers on a store.
 //!
-//! Notifications may come from any thread (device models advance on worker
-//! threads under the threaded engine); parking and draining happen on the
-//! engine's coordinating thread. The engine drains fired sleepers sorted by
-//! id, never in arrival order, so thread timing cannot reorder wake-ups.
+//! Producers notify from inside a device advance or a warp step; the engine
+//! parks and drains between them. It drains fired sleepers sorted by id,
+//! never in arrival order, so which producer notified first cannot reorder
+//! wake-ups.
 
 use crate::clock::Cycles;
 use serde::{Deserialize, Serialize};
@@ -233,7 +233,7 @@ impl WakeHub {
 
     /// Engine side: move the fired sleepers into `into` (cleared first),
     /// **sorted by id** — the order they are woken in must not depend on
-    /// which thread notified first — and return them to idle.
+    /// which producer notified first — and return them to idle.
     pub fn drain_fired(&self, into: &mut Vec<SleeperId>) {
         into.clear();
         {

@@ -40,6 +40,7 @@
 //! assert_eq!(back, trace);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

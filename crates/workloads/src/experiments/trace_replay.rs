@@ -207,11 +207,6 @@ pub struct ReplayReport {
     /// Engine scheduling rounds of the run (not part of the summary: both
     /// engine schedulers replay bit-identically, rounds is what differs).
     pub engine_rounds: u64,
-    /// Engine worker threads the run was configured with via
-    /// [`ReplayConfig::with_engine_threads`] (1 = sequential; appears in the
-    /// summary only when > 1, since every thread count replays
-    /// bit-identically and the tag is pure provenance).
-    pub engine_threads: usize,
     /// Submissions the QoS scheduler deferred at least once (always 0 under
     /// FIFO, which never defers).
     pub qos_deferrals: u64,
@@ -273,12 +268,6 @@ impl ReplayReport {
         }
         if self.service_shards > 1 {
             s.push_str(&format!(" service_shards={}", self.service_shards));
-        }
-        // The threaded-engine tag is provenance, not behaviour: results are
-        // bit-identical at any thread count, so it prints only when the run
-        // explicitly asked for threads and the goldens stay byte-identical.
-        if self.engine_threads > 1 {
-            s.push_str(&format!(" engine_threads={}", self.engine_threads));
         }
         // qos_deferrals appears only when the scheduler actually deferred —
         // FIFO never defers, so the pre-QoS goldens stay byte-identical.
@@ -405,10 +394,6 @@ pub struct ReplayConfig {
     /// Engine scheduling loop (event-driven ready-queue by default; the
     /// legacy full scan replays bit-identically but visits more rounds).
     pub engine_sched: EngineSched,
-    /// Engine worker threads (1 = sequential). Set via
-    /// [`ReplayConfig::with_engine_threads`], which also selects the matching
-    /// scheduler; any value replays bit-identically.
-    pub engine_threads: usize,
     /// Instrument the run with a metrics registry + windowed sampler and
     /// attach the capture to [`ReplayReport::metrics`]. Off by default —
     /// un-instrumented replays are byte-identical to the pre-metrics stack
@@ -446,7 +431,6 @@ impl Default for ReplayConfig {
             tenant_warps: false,
             service_shards: 1,
             engine_sched: EngineSched::EventQueue,
-            engine_threads: 1,
             metrics: false,
             metrics_window: DEFAULT_WINDOW_CYCLES,
             control: None,
@@ -500,20 +484,6 @@ impl ReplayConfig {
     /// comparisons; both loops replay bit-identically).
     pub fn with_engine_sched(mut self, sched: EngineSched) -> Self {
         self.engine_sched = sched;
-        self
-    }
-
-    /// Run the engine's shard-affine devices on `n` OS threads (1 = the
-    /// sequential event-driven scheduler). Results are bit-identical at any
-    /// thread count; the summary gains an `engine_threads=N` tag when n > 1.
-    pub fn with_engine_threads(mut self, n: usize) -> Self {
-        assert!(n >= 1, "with_engine_threads requires at least one thread");
-        self.engine_threads = n;
-        self.engine_sched = if n == 1 {
-            EngineSched::EventQueue
-        } else {
-            EngineSched::ParallelShards(n)
-        };
         self
     }
 
@@ -702,7 +672,6 @@ fn finish_report(
         service_shards: cfg.service_shards,
         service_stats: Vec::new(),
         engine_rounds,
-        engine_threads: cfg.engine_threads,
         qos_deferrals: 0,
         lock_wait_cycles: 0,
         cache_shards: cfg.cache_shards.max(1),

@@ -24,6 +24,7 @@
 //!   replay), used by the benchmark harness, the integration tests and the
 //!   examples.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

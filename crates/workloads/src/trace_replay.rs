@@ -464,11 +464,11 @@ impl AgileReplayWarp {
             }
         });
     }
+}
 
-    /// Everything `step` does after the completion reap: the drain path and
-    /// the issue loop. Split out so the parallel-planning commit can run it
-    /// after applying (or re-validating) a plan-time reap.
-    fn issue_phase(&mut self, ctx: &WarpCtx) -> WarpStep {
+impl WarpKernel for AgileReplayWarp {
+    fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+        self.reap(ctx.now);
         let ops = &self.trace.ops;
         if self.cursor.peek().is_none() {
             // Everything issued; drain the stragglers.
@@ -550,42 +550,6 @@ impl AgileReplayWarp {
         } else {
             WarpStep::Busy(cost.max(Cycles(1)))
         }
-    }
-}
-
-impl WarpKernel for AgileReplayWarp {
-    fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
-        self.reap(ctx.now);
-        self.issue_phase(ctx)
-    }
-
-    fn parallel_capable(&self) -> bool {
-        true
-    }
-
-    /// The plan is the completion reap: scan this warp's outstanding window
-    /// (atomic barrier loads) and record finished requests into the
-    /// commutative [`ReplayCollector`]. Everything touched is warp-local
-    /// except the collector, whose aggregates are order-independent, and
-    /// barrier completion is monotone — a request observed complete here is
-    /// still complete at commit time.
-    fn plan_step(&mut self, ctx: &WarpCtx) -> bool {
-        self.reap(ctx.now);
-        true
-    }
-
-    /// Commit = validate the plan, then the serial issue/drain phase. On a
-    /// clean epoch the plan-time reap *is* the reap `step` would have done
-    /// (only planned commits ran before this one in canonical order, and
-    /// those never complete another warp's barriers). On a dirty epoch a
-    /// serial-class step may have completed more of this warp's requests
-    /// since the plan, so re-reap — the retained entries were untouched and
-    /// the already-reaped ones stay valid by monotonicity.
-    fn commit_step(&mut self, ctx: &WarpCtx, epoch_clean: bool) -> WarpStep {
-        if !epoch_clean {
-            self.reap(ctx.now);
-        }
-        self.issue_phase(ctx)
     }
 }
 

@@ -13,7 +13,6 @@
 //! cargo run --release --example trace_replay
 //! cargo run --release --example trace_replay -- --metrics-json metrics.json
 //! cargo run --release --example trace_replay -- --metrics-prom metrics.prom
-//! cargo run --release --example trace_replay -- --threads 4
 //! ```
 //!
 //! With `--metrics-json <path>`, the AGILE replay is re-run with the metrics
@@ -22,10 +21,7 @@
 //! end-of-run registry snapshot is written as Prometheus text exposition
 //! instead (both flags may be given; the instrumented run happens once). The
 //! instrumented run's summary is asserted byte-identical to the bare run —
-//! observing the stack does not perturb it. With `--threads N` (N > 1), the
-//! sharded topology replay is re-run on N engine worker threads
-//! (`EngineSched::ParallelShards`) and its stats are asserted bit-identical
-//! to the sequential run — threads change wall-clock time, never results.
+//! observing the stack does not perturb it.
 
 use agile_repro::trace::{decode_events, encode_events, MemorySink, Trace, TraceSpec};
 use agile_repro::workloads::experiments::trace_replay::{
@@ -34,7 +30,7 @@ use agile_repro::workloads::experiments::trace_replay::{
 use std::sync::Arc;
 
 fn main() {
-    let (metrics_json, metrics_prom, threads) = parse_args();
+    let (metrics_json, metrics_prom) = parse_args();
 
     // --- 1. Synthesize a zipfian multi-tenant workload -------------------
     // Tenant 0: zipf(0.99) hot-set reader; tenant 1: uniform mixed
@@ -107,28 +103,6 @@ fn main() {
         sharded.iops / flat.iops
     );
 
-    // --- 3d. Optional threaded engine (--threads N) ----------------------
-    // The same sharded replay on N OS threads: bit-identical results (the
-    // epoch/mailbox protocol guarantees it; asserted here), different wall
-    // clock.
-    if threads > 1 {
-        let threaded_cfg = sharded_cfg.clone().with_engine_threads(threads);
-        let start = std::time::Instant::now();
-        let threaded = run_trace_replay(&topo_trace, ReplaySystem::Agile, &threaded_cfg);
-        let wall = start.elapsed();
-        println!("{}", threaded.summary());
-        assert_eq!(
-            (threaded.ops, threaded.elapsed_cycles, threaded.p99_us),
-            (sharded.ops, sharded.elapsed_cycles, sharded.p99_us),
-            "a threaded engine must replay bit-identically"
-        );
-        println!(
-            "threaded engine: {} threads replayed bit-identically in {:.0}ms wall ✓",
-            threads,
-            wall.as_secs_f64() * 1e3
-        );
-    }
-
     // --- 4. Determinism: same trace + same seed ⇒ byte-identical stats ---
     let again = run_trace_replay(&trace, ReplaySystem::Agile, &cfg);
     assert_eq!(
@@ -188,12 +162,11 @@ fn main() {
     println!("done.");
 }
 
-/// Parse `--metrics-json <path>`, `--metrics-prom <path>` and `--threads <n>`.
-fn parse_args() -> (Option<String>, Option<String>, usize) {
+/// Parse `--metrics-json <path>` and `--metrics-prom <path>`.
+fn parse_args() -> (Option<String>, Option<String>) {
     let mut args = std::env::args().skip(1);
     let mut json = None;
     let mut prom = None;
-    let mut threads = 1;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--metrics-json" => {
@@ -202,20 +175,11 @@ fn parse_args() -> (Option<String>, Option<String>, usize) {
             "--metrics-prom" => {
                 prom = Some(args.next().expect("--metrics-prom takes a path"));
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads takes a count")
-                    .parse()
-                    .expect("--threads takes a positive integer");
-                assert!(threads >= 1, "--threads takes a positive integer");
-            }
             other => panic!(
                 "unknown argument `{other}` \
-                 (supported: --metrics-json <path>, --metrics-prom <path>, \
-                 --threads <n>)"
+                 (supported: --metrics-json <path>, --metrics-prom <path>)"
             ),
         }
     }
-    (json, prom, threads)
+    (json, prom)
 }

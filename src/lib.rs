@@ -22,6 +22,7 @@
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for paper-vs-measured results of every figure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use agile_cache as cache;

@@ -187,33 +187,6 @@ fn golden_traces_replay_byte_identically() {
 }
 
 #[test]
-fn parallel_shards_one_matches_the_goldens_byte_for_byte() {
-    // `ParallelShards(1)` is contractually *the sequential scheduler*: one
-    // worker falls back to the event-driven loop, so it must reproduce the
-    // checked-in golden summaries byte for byte — the same gate the
-    // sequential engine passes, not merely self-consistency.
-    use agile_repro::gpu::EngineSched;
-    let dir = data_dir();
-    let expected = std::fs::read_to_string(dir.join("golden_summaries.txt"))
-        .expect("tests/data/golden_summaries.txt is checked in");
-    let cfg = ReplayConfig::quick().with_engine_sched(EngineSched::ParallelShards(1));
-    let mut actual = String::new();
-    for (stem, spec) in golden_specs() {
-        let trace = spec.generate();
-        for system in [ReplaySystem::Agile, ReplaySystem::Bam] {
-            let report = run_trace_replay(&trace, system, &cfg);
-            assert!(!report.deadlocked, "{stem} deadlocked on {system:?}");
-            actual.push_str(&format!("{stem} {}\n", report.summary()));
-        }
-    }
-    assert_eq!(
-        actual, expected,
-        "ParallelShards(1) must replay the goldens byte-identically to the \
-         sequential engine"
-    );
-}
-
-#[test]
 fn golden_qos_trace_replays_byte_identically() {
     let dir = data_dir();
     let bytes = std::fs::read(dir.join("golden_qos.trace"))

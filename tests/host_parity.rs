@@ -12,7 +12,7 @@ use agile_repro::agile::transaction::{Barrier, Transaction};
 use agile_repro::agile::{AgileConfig, AgileCtrl, Host, HostSystem, IoPath, StorageCtrl, Traffic};
 use agile_repro::bam::{BamConfig, BamCtrl, HostBuilder, SyncReadComputeKernel};
 use agile_repro::control::ControlPolicy;
-use agile_repro::gpu::{EngineSched, GpuConfig, KernelFactory, LaunchConfig};
+use agile_repro::gpu::{GpuConfig, KernelFactory, LaunchConfig};
 use agile_repro::metrics::MetricsRegistry;
 use agile_repro::nvme::{DmaHandle, NvmeCommand, PageToken, QueuePair};
 use agile_repro::sim::trace::{TraceEvent, TraceEventKind};
@@ -45,37 +45,6 @@ fn contract<S: HostSystem>(
     // Flat and sharded topologies come up with the right lock partitioning.
     assert_eq!(base().build().topology().shard_count(), 1);
     assert_eq!(base().shards(2).build().topology().shard_count(), 2);
-
-    // A capture is event-for-event identical at any engine thread count.
-    let capture = |threads: usize| -> Vec<TraceEvent> {
-        let sink = Arc::new(MemorySink::new());
-        let mut host = base()
-            .shards(2)
-            .engine_threads(threads)
-            .trace_sink(sink.clone() as Arc<_>)
-            .build();
-        run(&mut host);
-        sink.take_events()
-    };
-    let sequential = capture(1);
-    assert!(!sequential.is_empty(), "capture must record events");
-    assert_eq!(sequential, capture(2), "threaded capture must match");
-
-    // Regression: installing the sink *before* selecting a threaded
-    // scheduler used to panic at start; the device-side sinks are now wired
-    // at start, so the order is free and the merged log is the same.
-    let sink = Arc::new(MemorySink::new());
-    let mut host = Host::<S>::new(GpuConfig::tiny(4), config.clone());
-    for _ in 0..DEVICES {
-        host.add_nvme_dev(PAGES);
-    }
-    host.set_shards(2);
-    host.init_nvme();
-    assert!(host.set_trace_sink(sink.clone() as Arc<_>));
-    host.set_engine_sched(EngineSched::ParallelShards(2));
-    host.start();
-    run(&mut host);
-    assert_eq!(sequential, sink.take_events(), "sink-then-scheduler order");
 
     // `.metrics(reg)` registers the cache and topology collector families.
     let registry = MetricsRegistry::new();

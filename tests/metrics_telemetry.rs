@@ -7,11 +7,13 @@
 //! replaying with metrics on produces the byte-identical summary of the
 //! un-instrumented run.
 
+use agile_repro::control::{ControlPolicy, SloSpec};
 use agile_repro::metrics::{windows_to_json, Labels, MetricsSnapshot};
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, QosSpec, ReplayConfig, ReplaySystem,
 };
+use std::collections::BTreeSet;
 
 fn noisy_cfg(qos: QosSpec) -> ReplayConfig {
     ReplayConfig {
@@ -226,4 +228,75 @@ fn lock_wait_surfaces_only_for_sharded_topologies() {
         .map(|s| s.value.as_u64())
         .sum();
     assert_eq!(wait, sharded.lock_wait_cycles);
+}
+
+/// `a_{x,y}_b` → `a_x_b`, `a_y_b` (the catalogue's shorthand; one group).
+fn expand_braces(name: &str) -> Vec<String> {
+    match (name.find('{'), name.find('}')) {
+        (Some(open), Some(close)) if open < close => name[open + 1..close]
+            .split(',')
+            .map(|alt| format!("{}{}{}", &name[..open], alt, &name[close + 1..]))
+            .collect(),
+        _ => vec![name.to_string()],
+    }
+}
+
+/// Every `agile_*` metric name the README spells, shorthand expanded. A
+/// back-ticked span counts when it is made of name characters only, so paths
+/// (`agile_core::host`) and placeholders (`agile_<layer>_<what>`) do not; a
+/// trailing `*` is kept and marks a prefix.
+fn readme_names(readme: &str) -> BTreeSet<String> {
+    readme
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| span.starts_with("agile_"))
+        .filter(|span| {
+            span.chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "_{},*".contains(c))
+        })
+        .flat_map(expand_braces)
+        .collect()
+}
+
+#[test]
+fn readme_catalogue_and_registry_name_the_same_families() {
+    let catalogue = readme_names(include_str!("../README.md"));
+
+    // The full stack: cached path, tenant-partitioned warps with cache
+    // shares, sharded topology and service, metrics, control with an SLO.
+    let trace = TraceSpec::noisy_neighbor("metrics-drift", 23, 2, 1 << 12, 768).generate();
+    let cfg = noisy_cfg(QosSpec::Fifo)
+        .cached()
+        .sharded(2)
+        .service_sharded(2)
+        .tenant_share(vec![1, 1])
+        .with_metrics()
+        .with_control(ControlPolicy::all())
+        .with_slos(vec![SloSpec::p99(0, 500.0)]);
+    let report = run_trace_replay(&trace, ReplaySystem::Agile, &cfg);
+    assert!(!report.deadlocked);
+    let snapshot = report.metrics.expect("metrics captured").snapshot;
+    let registered: BTreeSet<String> = snapshot.samples.iter().map(|s| s.name.clone()).collect();
+
+    let uncatalogued: Vec<_> = registered.difference(&catalogue).collect();
+    assert!(
+        uncatalogued.is_empty(),
+        "registered on a full-stack run but missing from README's metric catalogue: \
+         {uncatalogued:?}"
+    );
+    // The engine registers its whole family unconditionally, so there the
+    // README must not name (or glob) anything the run did not register.
+    let dead: Vec<_> = catalogue
+        .iter()
+        .filter(|name| name.starts_with("agile_engine_"))
+        .filter(|name| match name.strip_suffix('*') {
+            Some(prefix) => !registered.iter().any(|r| r.starts_with(prefix)),
+            None => !registered.contains(*name),
+        })
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "README names engine metric families nothing registers: {dead:?}"
+    );
 }

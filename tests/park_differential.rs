@@ -8,8 +8,7 @@
 //! `CacheStats`, same `ServiceStats`, same latencies, and — with a recording
 //! sink installed — the same *multiset* of trace events (a settled poll's
 //! `CacheBusy` record is written when it is settled, so the log order may
-//! differ; nothing else may). `ParallelShards(2)` parks like the event queue
-//! and must match it record for record, in order.
+//! differ; nothing else may).
 //!
 //! The cases are random replays shaped to reach the hard paths: a raw replay
 //! with a small window over one short SQ (window-full and drain waits,
@@ -142,11 +141,9 @@ fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
             .tenant_partitioned(),
         ),
     };
-    let cfg = cfg.with_cache_shards(case.cache_shards);
-    let cfg = match sched {
-        EngineSched::ParallelShards(n) => cfg.with_engine_threads(n),
-        sched => cfg.with_engine_sched(sched),
-    };
+    let cfg = cfg
+        .with_cache_shards(case.cache_shards)
+        .with_engine_sched(sched);
     let sink = case.sink.then(|| Arc::new(MemorySink::new()));
     let report = run_trace_replay_with_sink(
         &spec.generate(),
@@ -159,8 +156,7 @@ fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
 
 /// Everything two replays of one case must agree on, whatever the scheduler.
 fn assert_same_replay(case: Case, a: &ReplayReport, b: &ReplayReport) {
-    let untag = |s: String| s.replace(" engine_threads=2", "");
-    assert_eq!(untag(a.summary()), untag(b.summary()), "{case:?}");
+    assert_eq!(a.summary(), b.summary(), "{case:?}");
     assert_eq!(a.elapsed_cycles, b.elapsed_cycles, "{case:?}");
     assert_eq!(a.mean_us.to_bits(), b.mean_us.to_bits(), "{case:?}");
     assert_eq!(a.io_stats, b.io_stats, "{case:?}");
@@ -176,19 +172,13 @@ fn differential(case: Case) {
     let (polled, polled_events) = replay(case, EngineSched::FullScan);
     assert_same_replay(case, &parked, &polled);
     assert!(
-        sorted(parked_events.clone()) == sorted(polled_events),
+        sorted(parked_events) == sorted(polled_events),
         "{case:?}: the captures differ as multisets"
     );
     assert!(
         parked.engine_rounds < polled.engine_rounds,
         "{case:?}: nothing was parked?"
     );
-    // The threaded scheduler parks exactly like the event queue: same
-    // records, same order.
-    let (threaded, threaded_events) = replay(case, EngineSched::ParallelShards(2));
-    assert_same_replay(case, &parked, &threaded);
-    assert_eq!(parked.engine_rounds, threaded.engine_rounds, "{case:?}");
-    assert!(parked_events == threaded_events, "{case:?}: capture order");
 }
 
 proptest! {
@@ -496,7 +486,7 @@ fn synthetic_differential(seed: u64) {
             .map(|p| p.load(std::sync::atomic::Ordering::Relaxed))
             .collect();
         let log = world.log.lock().unwrap().clone();
-        (report.elapsed, kernels, polls, log, report.rounds)
+        (report.elapsed, kernels, polls, log)
     };
     let parked = view(EngineSched::EventQueue);
     let polled = view(EngineSched::FullScan);
@@ -504,8 +494,6 @@ fn synthetic_differential(seed: u64) {
     assert_eq!(parked.1, polled.1, "seed {seed}: the engine's books");
     assert_eq!(parked.2, polled.2, "seed {seed}: polls made + settled");
     assert_eq!(parked.3, polled.3, "seed {seed}: when each wait ended");
-    let threaded = view(EngineSched::ParallelShards(2));
-    assert_eq!(parked, threaded, "seed {seed}: threaded run");
 }
 
 proptest! {

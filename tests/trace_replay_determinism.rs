@@ -149,12 +149,12 @@ fn cache_path_records_through_the_same_hook() {
 }
 
 mod engine_scheduler_equivalence {
-    //! The engine's determinism contract, property-tested end to end:
-    //! `ParallelShards(n)` must replay bit-identically to the sequential
-    //! `EventQueue` (and the legacy `FullScan`) for every thread count, on
-    //! random synthetic traces, with the metrics *and* control bridges
-    //! enabled — the configurations where a reordered epoch would actually
-    //! show up (windowed counters, controller decisions, latency tails).
+    //! The engine's determinism contract, property-tested end to end: the
+    //! parking `EventQueue` must replay bit-identically to the never-parking
+    //! `FullScan` on random synthetic traces, with the metrics *and* control
+    //! bridges enabled — the configurations where a reordered round would
+    //! actually show up (windowed counters, controller decisions, latency
+    //! tails).
 
     use super::*;
     use agile_repro::control::{ControlPolicy, SloSpec};
@@ -163,18 +163,13 @@ mod engine_scheduler_equivalence {
     use agile_repro::workloads::experiments::trace_replay::ReplayReport;
     use proptest::prelude::*;
 
-    /// Metric samples of a run minus the parallel-only engine families
-    /// (`agile_engine_epoch_*` / `agile_engine_thread_*` /
-    /// `agile_engine_phase_*` / `agile_engine_warp_partition_*`), which by
-    /// design exist only on threaded runs (and the phase timers measure host
-    /// wall-clock, never deterministic). Everything else — replay counters,
-    /// cache/topology telemetry, controller gauges — must match sample for
-    /// sample, value for value. With `engine_internals` false the remaining
-    /// `agile_engine_*` scheduler introspection (rounds, ready-queue high
-    /// water) is dropped too: `FullScan` legitimately visits different
-    /// rounds and has no ready queue, while `ParallelShards` must match
-    /// `EventQueue` on them exactly.
-    fn comparable_samples(report: &ReplayReport, engine_internals: bool) -> Vec<Sample> {
+    /// Metric samples of a run minus the `agile_engine_*` scheduler
+    /// introspection (rounds, executed steps, ready-queue high water), on
+    /// which `FullScan` legitimately differs: it visits more rounds and has
+    /// no ready queue. Everything else — replay counters, cache/topology
+    /// telemetry, controller gauges — must match sample for sample, value
+    /// for value.
+    fn comparable_samples(report: &ReplayReport) -> Vec<Sample> {
         report
             .metrics
             .as_ref()
@@ -182,13 +177,7 @@ mod engine_scheduler_equivalence {
             .snapshot
             .samples
             .iter()
-            .filter(|s| {
-                !s.name.starts_with("agile_engine_epoch_")
-                    && !s.name.starts_with("agile_engine_thread_")
-                    && !s.name.starts_with("agile_engine_phase_")
-                    && !s.name.starts_with("agile_engine_warp_partition_")
-                    && (engine_internals || !s.name.starts_with("agile_engine_"))
-            })
+            .filter(|s| !s.name.starts_with("agile_engine_"))
             .cloned()
             .collect()
     }
@@ -207,7 +196,7 @@ mod engine_scheduler_equivalence {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
-        fn parallel_shards_replays_bit_identically(
+        fn event_queue_replays_like_full_scan(
             seed in 1u64..=u64::MAX / 2,
             ops in 256u64..=512,
             devices in 2u32..=4,
@@ -215,103 +204,34 @@ mod engine_scheduler_equivalence {
             let trace = TraceSpec::multi_tenant(
                 "engine-equiv", seed, devices, 1 << 14, ops,
             ).generate();
-            // shards=4 exercises the multi-shard fleet; shards=1 is the
-            // previously idle-worker configuration, where device-affine
-            // partitioning now spreads the single lock shard's devices
-            // (and parallel warp planning) across every worker.
+            // A multi-shard fleet and the single lock shard.
             for shards in [4usize, 1] {
-                let baseline = run_trace_replay(
+                let run = |sched| run_trace_replay(
                     &trace,
                     ReplaySystem::Agile,
-                    &instrumented_config(EngineSched::EventQueue, shards),
+                    &instrumented_config(sched, shards),
                 );
-                prop_assert!(!baseline.deadlocked);
-                let base_summary = baseline.summary();
-                let base_decisions = baseline
+                let decisions = |report: &ReplayReport| report
                     .control
                     .as_ref()
                     .map(|c| (c.windows_seen, c.decisions.clone()));
-
-                // FullScan is behaviourally identical but its scheduler
-                // introspection (rounds, ready-queue high water)
-                // legitimately differs; ParallelShards must match
-                // EventQueue on everything.
-                let mut variants = vec![(
-                    "FullScan".to_string(),
-                    instrumented_config(EngineSched::FullScan, shards),
-                    false,
-                )];
-                for n in [1usize, 2, 4] {
-                    variants.push((
-                        format!("ParallelShards({n})"),
-                        instrumented_config(EngineSched::ParallelShards(n), shards),
-                        true,
-                    ));
-                }
-                for (name, cfg, engine_internals) in variants {
-                    let run = run_trace_replay(&trace, ReplaySystem::Agile, &cfg);
-                    prop_assert!(!run.deadlocked, "{name} deadlocked (shards={shards})");
-                    prop_assert_eq!(
-                        run.summary(), base_summary.clone(),
-                        "{} summary must be byte-identical to EventQueue (shards={})",
-                        &name, shards
-                    );
-                    prop_assert_eq!(
-                        comparable_samples(&run, engine_internals),
-                        comparable_samples(&baseline, engine_internals),
-                        "{} metrics snapshot must be bit-identical (shards={})",
-                        &name, shards
-                    );
-                    let decisions = run
-                        .control
-                        .as_ref()
-                        .map(|c| (c.windows_seen, c.decisions.clone()));
-                    prop_assert_eq!(
-                        decisions, base_decisions.clone(),
-                        "{} controller decision log must be identical (shards={})",
-                        &name, shards
-                    );
-                }
+                let event = run(EngineSched::EventQueue);
+                let scan = run(EngineSched::FullScan);
+                prop_assert!(!event.deadlocked && !scan.deadlocked, "shards={}", shards);
+                prop_assert_eq!(
+                    scan.summary(), event.summary(),
+                    "summaries must be byte-identical (shards={})", shards
+                );
+                prop_assert_eq!(
+                    comparable_samples(&scan), comparable_samples(&event),
+                    "metrics snapshots must be bit-identical (shards={})", shards
+                );
+                prop_assert_eq!(
+                    decisions(&scan), decisions(&event),
+                    "controller decision logs must be identical (shards={})", shards
+                );
             }
         }
-    }
-
-    #[test]
-    fn threaded_capture_merges_into_the_sequential_event_order() {
-        // The epoch-mailbox protocol's strongest observable claim: a trace
-        // captured under `ParallelShards(2)` is the *same event log*, byte
-        // for byte, as a sequential capture — per-shard buffers drain in
-        // fixed shard order at epoch boundaries, so even event *interleaving*
-        // is deterministic and thread-count-invariant.
-        let trace = small_trace();
-        let logs: Vec<_> = [
-            EngineSched::EventQueue,
-            EngineSched::ParallelShards(2),
-            EngineSched::ParallelShards(4),
-        ]
-        .into_iter()
-        .map(|sched| {
-            let cfg = ReplayConfig::quick().sharded(4).with_engine_sched(sched);
-            let sink = Arc::new(MemorySink::new());
-            let report = run_trace_replay_with_sink(
-                &trace,
-                ReplaySystem::Agile,
-                &cfg,
-                Some(sink.clone() as Arc<_>),
-            );
-            assert!(!report.deadlocked);
-            sink.take_events()
-        })
-        .collect();
-        assert!(!logs[0].is_empty(), "capture must record events");
-        assert_eq!(
-            logs[0], logs[1],
-            "ParallelShards(2) must capture the sequential event log"
-        );
-        assert_eq!(
-            logs[0], logs[2],
-            "ParallelShards(4) must capture the sequential event log"
-        );
     }
 }
 
