@@ -96,7 +96,8 @@ pub struct CacheStats {
     /// Hits on valid data.
     pub hits: u64,
     /// Lookups that found the line BUSY (request coalesced onto an in-flight
-    /// fill — the second-level coalescing of §3.3.2).
+    /// fill — the second-level coalescing of §3.3.2). Counts the lookups
+    /// executed: a waiter asleep on the fill makes none.
     pub busy_hits: u64,
     /// Misses where a line was reserved.
     pub misses: u64,
@@ -512,24 +513,6 @@ impl SoftwareCache {
     fn count_busy_hit(&self, dev: u32, lba: Lba, tenant: u32) {
         self.stats.busy_hits.fetch_add(1, Ordering::Relaxed);
         self.trace_lookup(TraceEventKind::CacheBusy, dev, lba, tenant);
-    }
-
-    /// Account `polls` lookups that found their page `BUSY` and that a
-    /// sleeping waiter did not make (see [`crate::ShardedCache::settle_busy_polls`]).
-    pub(crate) fn add_busy_hits(&self, polls: u64) {
-        self.stats.busy_hits.fetch_add(polls, Ordering::Relaxed);
-    }
-
-    /// The `CacheBusy` record of a lookup at sim time `at` (a skipped poll
-    /// is traced with the time it would have been made at, not the hint).
-    pub(crate) fn trace_busy_at(&self, at: u64, dev: u32, lba: Lba, tenant: u32) {
-        if let Some(sink) = self.trace.get() {
-            sink.record(
-                TraceEvent::new(TraceEventKind::CacheBusy, at)
-                    .target(dev, lba)
-                    .tenant(tenant),
-            );
-        }
     }
 
     /// [`SoftwareCache::lookup_or_reserve_as`] for a waiter that holds a

@@ -254,7 +254,7 @@ impl ShardedCache {
     }
 
     /// Shard owning `(dev, lba)` — the high bits of the logical set index.
-    pub fn shard_of(&self, dev: u32, lba: Lba) -> usize {
+    fn shard_of(&self, dev: u32, lba: Lba) -> usize {
         global_set_of(dev, lba, self.total_sets) / self.sets_per_shard
     }
 
@@ -349,7 +349,7 @@ impl ShardedCache {
     /// hint of the first call after it.
     #[inline]
     pub fn set_time_hint(&self, now: u64) {
-        if self.has_trace_sink() {
+        if self.shards[0].has_trace_sink() {
             for shard in &self.shards {
                 shard.set_time_hint(now);
             }
@@ -491,50 +491,6 @@ impl ShardedCache {
             .lock()
             .take_line(line, |sleeper| watchers.hub.notify(sleeper));
         watchers.len.fetch_sub(taken, Ordering::SeqCst);
-    }
-
-    /// True once a trace sink is installed (on every shard, or on none).
-    pub fn has_trace_sink(&self) -> bool {
-        self.shards[0].has_trace_sink()
-    }
-
-    /// Account, in the counters, the lookups a sleeping waiter skipped:
-    /// `polls` polls, each of which would have found `busy_by_shard[s]`
-    /// pages of shard `s` (see [`ShardedCache::shard_of`]) still `BUSY` — as
-    /// many busy hits as [`ShardedCache::lookup_busy`] would have counted.
-    pub fn settle_busy_hits(&self, busy_by_shard: &[u32], polls: u64) {
-        for (shard, &pages) in self.shards.iter().zip(busy_by_shard) {
-            if pages != 0 {
-                shard.add_busy_hits(pages as u64 * polls);
-            }
-        }
-    }
-
-    /// The trace side of [`ShardedCache::settle_busy_hits`]: the `CacheBusy`
-    /// record of every skipped lookup of `pages` — `polls` polls at `first`,
-    /// `first + every`, … — poll by poll, page by page, each stamped with
-    /// the time of its poll. Nothing without a sink.
-    pub fn trace_busy_polls(
-        &self,
-        pages: &[(u32, Lba)],
-        tenant: u32,
-        first: u64,
-        every: u64,
-        polls: u64,
-    ) {
-        if !self.has_trace_sink() {
-            return;
-        }
-        for poll in 0..polls {
-            for &(dev, lba) in pages {
-                self.shards[self.shard_of(dev, lba)].trace_busy_at(
-                    first + poll * every,
-                    dev,
-                    lba,
-                    tenant,
-                );
-            }
-        }
     }
 
     /// Probe without reserving; see [`SoftwareCache::peek`].
@@ -840,19 +796,12 @@ mod tests {
         assert_eq!(c.num_lines(), 16);
     }
 
-    struct NoBooks;
-    impl agile_sim::wake::SkippedPolls for NoBooks {
-        fn settle(&self, _: SleeperId, _: agile_sim::Cycles, _: agile_sim::Cycles, _: u64) {}
-    }
-
     /// A 4-line cache in two shards with a hub and `n` parked-able sleepers.
     fn watched_cache(n: usize) -> (ShardedCache, Arc<WakeHub>, Vec<SleeperId>) {
         let cache = ShardedCache::new(cfg(4, 2), 2, 0, || Box::new(ClockPolicy::new()));
         let hub = WakeHub::new();
         assert!(cache.set_wake_hub(Arc::clone(&hub)));
-        let nobody =
-            std::sync::Weak::<NoBooks>::new() as std::sync::Weak<dyn agile_sim::wake::SkippedPolls>;
-        let sleepers = (0..n).map(|_| hub.register(nobody.clone())).collect();
+        let sleepers = (0..n).map(|_| hub.register()).collect();
         (cache, hub, sleepers)
     }
 
@@ -899,9 +848,7 @@ mod tests {
         let cache = ShardedCache::new(cfg(1, 1), 1, 0, || Box::new(ClockPolicy::new()));
         let hub = WakeHub::new();
         cache.set_wake_hub(Arc::clone(&hub));
-        let nobody =
-            std::sync::Weak::<NoBooks>::new() as std::sync::Weak<dyn agile_sim::wake::SkippedPolls>;
-        let (old, new) = (hub.register(nobody.clone()), hub.register(nobody));
+        let (old, new) = (hub.register(), hub.register());
         let first = reserve(&cache, 1);
         assert!(cache.watch_line(first, old));
         hub.park(old);
@@ -918,58 +865,5 @@ mod tests {
         hub.park(new);
         cache.complete_fill(second.line);
         assert_eq!(fired(&hub), [new], "only the second ticket's sleeper");
-    }
-
-    #[test]
-    fn settled_busy_polls_count_and_trace_like_the_lookups_they_replace() {
-        use agile_sim::trace::{TraceEvent, TraceEventKind};
-        #[derive(Default)]
-        struct Log(Mutex<Vec<TraceEvent>>);
-        impl TraceSink for Log {
-            fn record(&self, ev: TraceEvent) {
-                self.0.lock().push(ev);
-            }
-        }
-        let (cache, _hub, _s) = watched_cache(0);
-        let log = Arc::new(Log::default());
-        cache.set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>);
-        let pages = [(0u32, 1u64), (0, 2)];
-        for &(_, lba) in &pages {
-            reserve(&cache, lba);
-        }
-        let before = cache.stats_by_shard();
-        log.0.lock().clear();
-        let mut busy_by_shard = vec![0; cache.num_shards()];
-        for &(dev, lba) in &pages {
-            busy_by_shard[cache.shard_of(dev, lba)] += 1;
-        }
-        cache.settle_busy_hits(&busy_by_shard, 3);
-        cache.trace_busy_polls(&pages, 7, 1_000, 500, 3);
-        let after = cache.stats_by_shard();
-        let hits: u64 = after
-            .iter()
-            .zip(&before)
-            .map(|(a, b)| a.busy_hits - b.busy_hits)
-            .sum();
-        assert_eq!(hits, 6, "three polls of two pages");
-        let records: Vec<_> = log
-            .0
-            .lock()
-            .iter()
-            .map(|e| (e.kind, e.at, e.lba, e.tenant))
-            .collect();
-        let busy = TraceEventKind::CacheBusy;
-        assert_eq!(
-            records,
-            [
-                (busy, 1_000, 1, 7),
-                (busy, 1_000, 2, 7),
-                (busy, 1_500, 1, 7),
-                (busy, 1_500, 2, 7),
-                (busy, 2_000, 1, 7),
-                (busy, 2_000, 2, 7),
-            ],
-            "poll by poll, page by page, each at its poll's time"
-        );
     }
 }

@@ -34,7 +34,7 @@ use agile_cache::{
     CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShardedCache, ShareTable,
     TenantShare, NO_TENANT,
 };
-use agile_sim::wake::{SleeperId, Wait, WatchList, WatchedU64};
+use agile_sim::wake::{WatchList, WatchedU64};
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, NvmeCommand, PageToken, QueuePair, StorageTopology};
 use serde::{Deserialize, Serialize};
@@ -531,20 +531,6 @@ impl AgileCtrl {
         let cost = Cycles(self.cfg.costs.api.agile_barrier_probe);
         self.io.charge_io(cost);
         (cost, barrier.is_complete())
-    }
-
-    /// The wait descriptor for a warp that has nothing to do until one of
-    /// its own `barriers` completes ([`IoPath::park_on_barriers`]);
-    /// `probes_per_poll` is how many [`AgileCtrl::poll_barrier`] calls each
-    /// of its polls makes while it waits, so the skipped ones are charged.
-    pub fn park_on_barriers<'a>(
-        &self,
-        sleeper: &mut Option<SleeperId>,
-        barriers: impl Iterator<Item = &'a Barrier>,
-        probes_per_poll: u64,
-    ) -> Wait {
-        let probing = Cycles(self.cfg.costs.api.agile_barrier_probe * probes_per_poll);
-        self.io.park_on_barriers(sleeper, barriers, probing)
     }
 
     // ------------------------------------------------------------------

@@ -776,7 +776,8 @@ mod tests {
                     retry_after: Cycles(2_000),
                     wait: self
                         .0
-                        .park_on_barriers(&mut self.2, std::iter::once(&self.1), 1),
+                        .io()
+                        .park_on_barriers(&mut self.2, std::iter::once(&self.1)),
                 }
             }
         }

@@ -29,8 +29,8 @@
 //!   [`IoPath::park_on_barriers`]) — when such a retry would find every page
 //!   it wants still in flight (or every barrier still armed) it is *pure*:
 //!   the caller gets a parkable [`Wait`], its sleeper is registered on the
-//!   lines or barriers, [`IoPath::retire`] notifies it, and the polls it
-//!   skips are added to the counters (and the capture) in bulk.
+//!   lines or barriers, and [`IoPath::retire`] notifies it. The polls it
+//!   sleeps through are never made, so they count nowhere.
 //!
 //! The per-system difference is data fixed at construction: a [`PathCosts`]
 //! triple derived from [`ApiCosts`]. No method ever holds a lock across a
@@ -45,12 +45,11 @@ use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache};
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
-use agile_sim::wake::{SkippedPolls, SleeperId, Wait, WaitReason, WakeHub};
+use agile_sim::wake::{SleeperId, Wait, WaitReason, WakeHub};
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, StorageTopology};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// The per-call API costs of one system — the only thing about the I/O path
 /// the two libraries do differently. Derived from [`ApiCosts`] at
@@ -213,7 +212,10 @@ impl WarpWait {
 pub struct LineWait(Option<BusyTicket>);
 
 /// The statistics both controllers keep (each adds its own categories in
-/// `ApiStats` / `BamStats`).
+/// `ApiStats` / `BamStats`). They count the calls that were executed: a warp
+/// asleep on a wait makes none, so with parking `read_calls`, both
+/// coalescing counters and the cycle charges are at most what polling
+/// counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Array-like warp reads.
@@ -268,73 +270,22 @@ struct SubmitMetrics {
     qos_deferrals: CounterFamily,
 }
 
-/// What every pure poll of one sleeping warp would have moved.
-#[derive(Default)]
-struct PollRecipe {
-    /// How many pages of each cache shard a poll finds `BUSY` again.
-    busy_by_shard: Vec<u32>,
-    /// Those pages, in lookup order (blocked stores first, then the read's
-    /// unique pages), and the tenant the lookups are attributed to — kept
-    /// only while a trace sink is installed, for the polls' records.
-    traced: Vec<(u32, Lba)>,
-    tenant: u32,
-    read_calls: u64,
-    warp_coalesced: u64,
-    cache_coalesced: u64,
-    cache_cycles: u64,
-    io_cycles: u64,
-}
-
-/// The recipes of the warps asleep on this path, and what settling them
-/// touches. Shared with the wake hub, which calls back into it when the
-/// engine accounts a sleeper's skipped polls.
-struct ParkedPolls {
-    cache: Arc<ShardedCache>,
-    stats: Arc<IoStatCells>,
-    /// By sleeper id; a slot is (re)written each time its sleeper parks.
-    recipes: Mutex<Vec<PollRecipe>>,
-}
-
-impl SkippedPolls for ParkedPolls {
-    fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
-        let recipes = self.recipes.lock();
-        let Some(recipe) = recipes.get(sleeper.0 as usize) else {
-            return;
-        };
-        let stats = &self.stats;
-        bump(&stats.read_calls, recipe.read_calls * polls);
-        bump(&stats.warp_coalesced, recipe.warp_coalesced * polls);
-        bump(&stats.cache_coalesced, recipe.cache_coalesced * polls);
-        bump(&stats.cache_cycles, recipe.cache_cycles * polls);
-        bump(&stats.io_cycles, recipe.io_cycles * polls);
-        self.cache.settle_busy_hits(&recipe.busy_by_shard, polls);
-        self.cache.trace_busy_polls(
-            &recipe.traced,
-            recipe.tenant,
-            first.raw(),
-            every.raw(),
-            polls,
-        );
-    }
-}
-
 /// The shared submit / retire / miss-service path (see the module docs).
 pub struct IoPath {
     costs: PathCosts,
     gpu: GpuCosts,
-    cache: Arc<ShardedCache>,
+    cache: ShardedCache,
     /// Per device, per queue pair.
     devices: Vec<Vec<Arc<AgileSq>>>,
     /// The storage topology behind the queues: striping map plus the modeled
     /// array lock charged on every submission. `None` in bare-queue unit
     /// rigs, in which case submissions pay no lock cost.
     topology: Option<Arc<dyn StorageTopology>>,
-    stats: Arc<IoStatCells>,
+    stats: IoStatCells,
     /// Where warps waiting on this path sleep: notified by
     /// [`IoPath::retire`] and the cache's fill paths, drained by the engine
     /// the host attaches it to.
     hub: Arc<WakeHub>,
-    parked: Arc<ParkedPolls>,
     /// Optional trace recorder for the submit/doorbell/completion paths.
     trace: OnceLock<Arc<dyn TraceSink>>,
     /// Optional QoS policy arbitrating tenant-attributed SQ admission.
@@ -365,21 +316,14 @@ impl IoPath {
             })
             .collect();
         let hub = WakeHub::new();
-        let cache = Arc::new(cache);
         cache.set_wake_hub(Arc::clone(&hub));
-        let stats = Arc::new(IoStatCells::default());
         IoPath {
             costs,
             gpu,
-            parked: Arc::new(ParkedPolls {
-                cache: Arc::clone(&cache),
-                stats: Arc::clone(&stats),
-                recipes: Mutex::new(Vec::new()),
-            }),
             cache,
             devices,
             topology,
-            stats,
+            stats: IoStatCells::default(),
             hub,
             trace: OnceLock::new(),
             qos: OnceLock::new(),
@@ -986,64 +930,30 @@ impl IoPath {
     /// the kernel's warp index, which a rounded-up launch can alias) puts
     /// only the first of them to sleep, and the other polls.
     fn sleeper(&self, slot: &mut Option<SleeperId>) -> Option<SleeperId> {
-        let id = *slot.get_or_insert_with(|| {
-            let settler: Weak<dyn SkippedPolls> = Arc::downgrade(&self.parked) as Weak<_>;
-            self.hub.register(settler)
-        });
+        let id = *slot.get_or_insert_with(|| self.hub.register());
         (!self.hub.is_asleep(id)).then_some(id)
     }
 
-    /// Write down what each skipped poll of `sleeper` moves (see
-    /// [`PollRecipe`]); `fill` gets the slot with its counters zeroed and
-    /// its page lists emptied.
-    fn record_recipe(&self, sleeper: SleeperId, fill: impl FnOnce(&mut PollRecipe)) {
-        let mut recipes = self.parked.recipes.lock();
-        let idx = sleeper.0 as usize;
-        if recipes.len() <= idx {
-            // Like the hub's slots: room for a kernel's worth at once.
-            let room = (idx + 1).max(128) - recipes.len();
-            recipes.reserve(room);
-            recipes.resize_with(idx + 1, PollRecipe::default);
-        }
-        let recipe = &mut recipes[idx];
-        // Zero the counters, keep the lists' capacity.
-        *recipe = PollRecipe {
-            busy_by_shard: std::mem::take(&mut recipe.busy_by_shard),
-            traced: std::mem::take(&mut recipe.traced),
-            ..PollRecipe::default()
-        };
-        recipe.busy_by_shard.clear();
-        recipe.traced.clear();
-        fill(recipe);
-    }
-
-    /// What each further attempt of a warp costs while everything it waits
-    /// for stays in flight: `reads`' pages (if a read is pending) looked up
-    /// `BUSY` again, `blocked_writes` stores found blocked again. (With the
-    /// cache port unmodeled; a modeled port makes every attempt different,
-    /// and such waits are never parked.)
-    pub fn repoll_cost(&self, reads: Option<&WarpWait>, blocked_writes: usize) -> Cycles {
-        let reads = reads.map_or(0, |wait| {
-            self.gpu.warp_primitive + self.costs.cache_hit * wait.pages().len() as u64
-        });
-        Cycles(reads + self.costs.cache_miss * blocked_writes as u64)
+    /// What each further attempt of a pending read costs while everything it
+    /// waits for stays in flight: `read`'s pages looked up `BUSY` again.
+    /// (With the cache port unmodeled; a modeled port makes every attempt
+    /// different, and such waits are never parked.)
+    pub fn repoll_cost(&self, read: &WarpWait) -> Cycles {
+        Cycles(self.gpu.warp_primitive + self.costs.cache_hit * read.pages().len() as u64)
     }
 
     /// The wait descriptor for a warp whose cached accesses just retired
     /// nothing: `reads` is the state its pending [`IoPath::read_warp`] left
-    /// (`None` when it has no read pending), `writes` its stores that did
-    /// not land, each with its target.
+    /// (`None` when it has no read pending), `writes` the wait state of its
+    /// stores that did not land.
     ///
     /// When every pending page holds a live ticket — each read page
     /// [`PageState::InFlight`], each store blocked behind a fill — the next
     /// attempt, and every one after it until one of those reservations ends,
     /// would do nothing but find them `BUSY` again at a known cost. The
     /// result is then a **parkable** wait: `sleeper` (registered on first
-    /// use, one per warp) watches every such line, and the polls the warp
-    /// skips are accounted afterwards exactly as the attempts would have —
-    /// `read_calls`, both coalescing counters, cache cycles, a busy hit and
-    /// a `CacheBusy` record per page per poll. Anything else — a page that
-    /// is resident, or that could not be started; a modeled cache port,
+    /// use, one per warp) watches every such line. Anything else — a page
+    /// that is resident, or that could not be started; a modeled cache port,
     /// whose queue every attempt moves — is a wait that has to be polled.
     ///
     /// A caller whose retry interval depends on the attempt's cost must also
@@ -1052,34 +962,30 @@ impl IoPath {
     pub fn park_on_fills<'a>(
         &self,
         sleeper: &mut Option<SleeperId>,
-        tenant: u32,
         reads: Option<&WarpWait>,
-        writes: impl Iterator<Item = ((u32, Lba), &'a LineWait)> + Clone,
+        writes: impl Iterator<Item = &'a LineWait> + Clone,
     ) -> Wait {
         let read_pages = reads.map_or(&[][..], |wait| wait.pages());
         let reads_in_flight = read_pages
             .iter()
             .all(|p| matches!(p, PageState::InFlight(_)));
-        let writes_blocked = writes.clone().all(|(_, wait)| wait.0.is_some());
+        let writes_blocked = writes.clone().all(|wait| wait.0.is_some());
         if read_pages.contains(&PageState::NotStarted) || !writes_blocked {
             return Wait::polling(WaitReason::CacheLine);
         }
-        let blocked_writes = writes.clone().count();
-        let nothing_pending = read_pages.is_empty() && blocked_writes == 0;
+        let nothing_pending = read_pages.is_empty() && writes.clone().next().is_none();
         if !reads_in_flight || nothing_pending || self.cache.port_hold() != 0 {
             return Wait::polling(WaitReason::CacheFill);
         }
         let Some(id) = self.sleeper(sleeper) else {
             return Wait::polling(WaitReason::CacheFill);
         };
-        let tickets =
-            writes
-                .clone()
-                .filter_map(|(_, wait)| wait.0)
-                .chain(read_pages.iter().filter_map(|p| match p {
-                    PageState::InFlight(ticket) => Some(*ticket),
-                    _ => None,
-                }));
+        let tickets = writes
+            .filter_map(|wait| wait.0)
+            .chain(read_pages.iter().filter_map(|p| match p {
+                PageState::InFlight(ticket) => Some(*ticket),
+                _ => None,
+            }));
         for ticket in tickets {
             if !self.cache.watch_line(ticket, id) {
                 // The reservation ended since the attempt looked: the next
@@ -1087,41 +993,17 @@ impl IoPath {
                 return Wait::polling(WaitReason::CacheFill);
             }
         }
-        let repoll = self.repoll_cost(reads, blocked_writes);
-        let traced = self.cache.has_trace_sink();
-        self.record_recipe(id, |recipe| {
-            recipe.tenant = tenant;
-            recipe.cache_cycles = repoll.raw();
-            recipe.busy_by_shard.resize(self.cache.num_shards(), 0);
-            let reads = reads.map(|wait| {
-                recipe.read_calls = 1;
-                recipe.warp_coalesced = wait.coalesced.eliminated as u64;
-                recipe.cache_coalesced = read_pages.len() as u64;
-                wait.unique()
-            });
-            let pages = writes
-                .map(|(target, _)| target)
-                .chain(reads.unwrap_or_default().iter().copied());
-            for (dev, lba) in pages {
-                recipe.busy_by_shard[self.cache.shard_of(dev, lba)] += 1;
-                if traced {
-                    recipe.traced.push((dev, lba));
-                }
-            }
-        });
         Wait::parked(WaitReason::CacheFill, id)
     }
 
     /// The wait descriptor for a warp that can do nothing until one of its
     /// own `barriers` completes (its request window is full, or it is
     /// draining): parkable, with `sleeper` watching every barrier, unless
-    /// one has completed already. Each poll the warp skips is accounted as
-    /// `io_cycles_per_poll` of barrier probing.
+    /// one has completed already.
     pub fn park_on_barriers<'a>(
         &self,
         sleeper: &mut Option<SleeperId>,
         barriers: impl Iterator<Item = &'a Barrier>,
-        io_cycles_per_poll: Cycles,
     ) -> Wait {
         let Some(id) = self.sleeper(sleeper) else {
             return Wait::polling(WaitReason::Barrier);
@@ -1136,7 +1018,6 @@ impl IoPath {
         if watched == 0 {
             return Wait::polling(WaitReason::Barrier);
         }
-        self.record_recipe(id, |recipe| recipe.io_cycles = io_cycles_per_poll.raw());
         Wait::parked(WaitReason::Barrier, id)
     }
 }

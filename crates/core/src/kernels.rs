@@ -9,7 +9,6 @@
 use crate::ctrl::AgileCtrl;
 use crate::io_path::{ReadOutcome, WarpWait};
 use crate::transaction::AgileBuf;
-use agile_cache::NO_TENANT;
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -124,14 +123,9 @@ impl WarpKernel for PipelineWarp {
                     ReadOutcome::Pending => {
                         let io = self.parent.io();
                         let retry_after = Cycles(IO_POLL_INTERVAL).max(cost);
-                        let repoll = io.repoll_cost(Some(&self.wait), 0);
+                        let repoll = io.repoll_cost(&self.wait);
                         let wait = io
-                            .park_on_fills(
-                                &mut self.sleeper,
-                                NO_TENANT,
-                                Some(&self.wait),
-                                std::iter::empty(),
-                            )
+                            .park_on_fills(&mut self.sleeper, Some(&self.wait), std::iter::empty())
                             .only_if(Cycles(IO_POLL_INTERVAL).max(repoll) == retry_after);
                         WarpStep::Stall { retry_after, wait }
                     }
@@ -247,10 +241,9 @@ impl WarpKernel for RmwWarp {
                 } else {
                     WarpStep::Stall {
                         retry_after: Cycles(IO_POLL_INTERVAL),
-                        wait: self.ctrl.park_on_barriers(
+                        wait: self.ctrl.io().park_on_barriers(
                             &mut self.sleeper,
                             std::iter::once(&self.buf.barrier),
-                            1,
                         ),
                     }
                 }

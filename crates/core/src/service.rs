@@ -40,19 +40,20 @@
 //! holds nothing new (posted = retired) those sweeps are pure — each would
 //! count one idle round, advance the rotation and back off again — so the
 //! warp returns a parkable stall instead: its sleeper watches those CQs, the
-//! idle-backoff cell and the stop flag, the engine wakes it at the first
+//! idle-backoff cell and the stop flag, and the engine wakes it at the first
 //! point of its backoff grid at or after a completion is posted (or the cell
-//! written), and the sweeps it slept through are added to `idle_rounds` and
-//! to its rotation in bulk.
+//! written). The sweeps it slept through move its rotation on in bulk — the
+//! rotation decides which CQ it polls next, so that is simulated behaviour —
+//! but are not counted: `idle_rounds` counts the idle sweeps executed.
 
 use crate::ctrl::AgileCtrl;
-use agile_sim::wake::{SkippedPolls, SleeperId, Wait, WaitReason, WatchedU64};
+use agile_sim::wake::{SleeperId, Wait, WaitReason, WatchedU64};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::StorageTopology;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Partition the `(device, queue-pair)` CQ targets of a storage stack into
 /// `shards` shard-affine groups.
@@ -134,7 +135,8 @@ pub struct ServiceStats {
     pub completions: u64,
     /// CQ head-doorbell updates (windows consumed).
     pub cq_doorbells: u64,
-    /// Poll rounds that found no new completion.
+    /// Poll rounds executed that found no new completion (the sweeps of a
+    /// sleeping service warp are not made, so not counted).
     pub idle_rounds: u64,
     /// Poll rounds that found at least one completion.
     pub busy_rounds: u64,
@@ -342,12 +344,10 @@ impl ServicePartition {
 
     /// Register a sleeper for a warp sweeping `rotation`: notified by a post
     /// to any of those CQs, a store to the idle-backoff cell (its grid
-    /// changes) and a stop request; its skipped sweeps are idle rounds of
-    /// this partition.
-    fn sleeper_for(self: &Arc<Self>, rotation: &[usize]) -> SleeperId {
+    /// changes) and a stop request.
+    fn sleeper_for(&self, rotation: &[usize]) -> SleeperId {
         let hub = self.ctrl.io().wake_hub();
-        let settler: Weak<dyn SkippedPolls> = Arc::downgrade(self) as Weak<_>;
-        let sleeper = hub.register(settler);
+        let sleeper = hub.register();
         for &idx in rotation {
             self.cq(idx).watchers().watch(hub, sleeper);
         }
@@ -392,13 +392,6 @@ impl AgileServiceKernel {
     }
 }
 
-/// Every skipped sweep of a sleeping service warp found nothing.
-impl SkippedPolls for ServicePartition {
-    fn settle(&self, _sleeper: SleeperId, _first: Cycles, _every: Cycles, polls: u64) {
-        self.stats.idle_rounds.fetch_add(polls, Ordering::Relaxed);
-    }
-}
-
 struct ServiceWarp {
     service: Arc<ServicePartition>,
     rotation: usize,
@@ -419,9 +412,8 @@ impl WarpKernel for ServiceWarp {
             return WarpStep::Done;
         }
         if let Some((since, every)) = self.dozed.take() {
-            // Woken on its own grid, `k` intervals on: the `k − 1` sweeps in
-            // between each moved the rotation on by one (their idle rounds
-            // are settled through the hub).
+            // Woken on its own grid, `k` intervals on: each of the `k − 1`
+            // sweeps in between would have moved the rotation on by one.
             let intervals = (ctx.now - since).raw() / every.raw();
             self.rotation += intervals.saturating_sub(1) as usize;
         }
@@ -874,10 +866,8 @@ mod tests {
         ctrl.idle_backoff_cell().store(4 * backoff);
         hub.drain_fired(&mut fired);
         assert_eq!(fired, [sleeper]);
-        // The engine settles the three sweeps it slept through and steps it
-        // on its grid, four intervals on; the rotation moved with them.
-        hub.settle(sleeper, Cycles(backoff), Cycles(backoff), 3);
-        assert_eq!(service.stats().idle_rounds, 1 + 3);
+        // The engine steps it on its grid, four intervals on; the rotation
+        // moves with the three sweeps it slept through, which count nowhere.
         match warp.step(&ctx_at(4 * backoff)) {
             WarpStep::Stall { retry_after, wait } => {
                 assert_eq!(retry_after, Cycles(4 * backoff), "the new interval");
@@ -885,7 +875,7 @@ mod tests {
             }
             other => panic!("expected an idle stall, got {other:?}"),
         }
-        assert_eq!(service.stats().idle_rounds, 5);
+        assert_eq!(service.stats().idle_rounds, 2, "the sweeps made");
 
         // 2. A completion posted to a CQ of its rotation (queue 2: warp 2
         //    homes there), not to one of the other warp's (queue 1).

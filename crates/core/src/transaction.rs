@@ -224,10 +224,8 @@ mod tests {
 
     #[test]
     fn completing_a_watched_barrier_notifies_its_sleeper_once() {
-        use agile_sim::wake::SkippedPolls;
         let hub = WakeHub::new();
-        let nobody: std::sync::Weak<dyn SkippedPolls> = std::sync::Weak::<Unsettled>::new();
-        let sleeper = hub.register(nobody);
+        let sleeper = hub.register();
         let b = Barrier::new();
         assert!(b.watch(sleeper), "armed: may sleep on it");
         hub.park(sleeper);
@@ -237,11 +235,6 @@ mod tests {
         hub.drain_fired(&mut fired);
         assert_eq!(fired, [sleeper]);
         assert!(!b.watch(sleeper), "complete: nothing to sleep on");
-    }
-
-    struct Unsettled;
-    impl agile_sim::wake::SkippedPolls for Unsettled {
-        fn settle(&self, _: SleeperId, _: agile_sim::Cycles, _: agile_sim::Cycles, _: u64) {}
     }
 
     #[test]

@@ -391,9 +391,22 @@ fn a_ticketed_stalled_poll_allocates_nothing() {
     assert_eq!(io.warp_coalesced - io_before.warp_coalesced, POLLS);
     assert_eq!(cache.busy_hits - cache_before.busy_hits, 4 * POLLS);
     assert_eq!(cache.misses, cache_before.misses);
-    let log = rig.log.0.lock().unwrap();
-    assert_eq!(log.len() - events_before, 4 * POLLS as usize);
-    assert_eq!(log.last().map(|ev| ev.at), Some(POLLS * 2_000));
+    {
+        let log = rig.log.0.lock().unwrap();
+        assert_eq!(log.len() - events_before, 4 * POLLS as usize);
+        assert_eq!(log.last().map(|ev| ev.at), Some(POLLS * 2_000));
+    }
+
+    // What a sleeping reader's retry interval is judged by is what one more
+    // read costs.
+    let io = rig.ctrl.io();
+    let cycles = io.stats().cache_cycles;
+    let now = Cycles((POLLS + 1) * 2_000);
+    io.read_warp(0, 1, &STALLED_READ, now, &mut read_wait);
+    assert_eq!(
+        io.stats().cache_cycles - cycles,
+        io.repoll_cost(&read_wait).raw()
+    );
 }
 
 #[test]
@@ -428,70 +441,8 @@ fn a_ticketed_stalled_poll_takes_no_set_lock() {
 }
 
 // ---------------------------------------------------------------------------
-// Sleeping through the polls: settled = made
+// Sleeping on fills
 // ---------------------------------------------------------------------------
-
-fn event_key(e: &TraceEvent) -> (u64, u8, u32, u64, u32, u16, u16, bool) {
-    (
-        e.at,
-        e.kind as u8,
-        e.dev,
-        e.lba,
-        e.tenant,
-        e.queue,
-        e.cid,
-        e.write,
-    )
-}
-
-/// Put the stalled warp to sleep the way a kernel would after an attempt
-/// that retired nothing. Returns its sleeper.
-fn park_stalled(io: &IoPath, read_wait: &WarpWait, store_wait: &LineWait) -> SleeperId {
-    let mut sleeper = None;
-    let wait = io.park_on_fills(
-        &mut sleeper,
-        1,
-        Some(read_wait),
-        std::iter::once((STALLED_STORE, store_wait)),
-    );
-    assert_eq!(wait.reason, WaitReason::CacheFill);
-    assert_eq!(wait.sleeper, sleeper, "every pending page is in flight");
-    sleeper.expect("parkable")
-}
-
-#[test]
-fn settling_skipped_polls_is_making_them() {
-    // One warp really makes POLLS polls; its twin sleeps through them and
-    // has them settled in one call. Counters, per-shard cache statistics
-    // and the capture come out the same (record for record; a settled poll
-    // lists the blocked store before the read's pages, as the replay warp
-    // polls them, where `poll_stalled` reads first).
-    let (polled, mut read_wait, mut store_wait) = stalled_warp();
-    poll_stalled(polled.ctrl.io(), &mut read_wait, &mut store_wait);
-
-    let (parked, read_wait, store_wait) = stalled_warp();
-    let io = parked.ctrl.io();
-    let sleeper = park_stalled(io, &read_wait, &store_wait);
-    io.wake_hub()
-        .settle(sleeper, Cycles(2_000), Cycles(2_000), POLLS);
-
-    assert_eq!(io.stats(), polled.ctrl.io().stats());
-    assert_eq!(
-        io.cache().stats_by_shard(),
-        polled.ctrl.cache().stats_by_shard()
-    );
-    let capture = |rig: &Rig| {
-        let mut keys: Vec<_> = rig.log.0.lock().unwrap().iter().map(event_key).collect();
-        keys.sort_unstable();
-        keys
-    };
-    assert_eq!(capture(&parked), capture(&polled));
-    // And what the warp would be re-polled at is what each poll cost.
-    assert_eq!(
-        io.repoll_cost(Some(&read_wait), 1).raw() * POLLS,
-        io.stats().cache_cycles - stalled_warp().0.ctrl.io().stats().cache_cycles
-    );
-}
 
 #[test]
 fn a_wait_with_anything_but_fills_in_flight_is_polled() {
@@ -502,9 +453,8 @@ fn a_wait_with_anything_but_fills_in_flight_is_polled() {
     let unblocked = LineWait::default();
     let wait = io.park_on_fills(
         &mut sleeper,
-        1,
         Some(&read_wait),
-        [(STALLED_STORE, &store_wait), ((0, 20), &unblocked)].into_iter(),
+        [&store_wait, &unblocked].into_iter(),
     );
     assert_eq!(wait, Wait::polling(WaitReason::CacheLine));
     // So has a read one of whose pages is resident (the lookup of a
@@ -512,14 +462,14 @@ fn a_wait_with_anything_but_fills_in_flight_is_polled() {
     let mut mixed = WarpWait::new();
     assert!(rig.ctrl.cache().preload(1, 11, PageToken(3)));
     io.read_warp(0, 1, &[(0, 3), (1, 11)], Cycles(0), &mut mixed);
-    let wait = io.park_on_fills(&mut sleeper, 1, Some(&mixed), std::iter::empty());
+    let wait = io.park_on_fills(&mut sleeper, Some(&mixed), std::iter::empty());
     assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
     // And with the cache port modeled every attempt moves its queue.
     let ported = Rig::new(1, 50, true);
     let mut wait_state = WarpWait::new();
     let io = ported.ctrl.io();
     io.read_warp(0, 1, &STALLED_READ, Cycles(0), &mut wait_state);
-    let wait = io.park_on_fills(&mut None, 1, Some(&wait_state), std::iter::empty());
+    let wait = io.park_on_fills(&mut None, Some(&wait_state), std::iter::empty());
     assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
 }
 
@@ -536,7 +486,7 @@ fn two_warps_asleep_on_one_line_are_both_woken_by_its_fill() {
             let (_, outcome) = io.read_warp(warp, NO_TENANT, &page, Cycles(0), wait);
             assert_eq!(outcome, ReadOutcome::Pending);
             let mut sleeper = None;
-            let parked = io.park_on_fills(&mut sleeper, NO_TENANT, Some(wait), std::iter::empty());
+            let parked = io.park_on_fills(&mut sleeper, Some(wait), std::iter::empty());
             assert!(
                 parked.sleeper.is_some(),
                 "one issued the fill, one found it BUSY"
@@ -577,29 +527,23 @@ fn park_notify_wake_allocates_nothing_in_steady_state() {
     rig.log.0.lock().unwrap().reserve(8 * POLLS as usize);
     let mut fired = Vec::with_capacity(4);
     let mut sleeper = None;
-    let mut cycle = |k: u64| {
+    let mut cycle = || {
         // The kernel parks, the engine parks it, a producer notifies, the
-        // engine drains and settles the polls in between.
-        let wait = io.park_on_fills(
-            &mut sleeper,
-            1,
-            Some(&read_wait),
-            std::iter::once((STALLED_STORE, &store_wait)),
-        );
+        // engine drains.
+        let wait = io.park_on_fills(&mut sleeper, Some(&read_wait), std::iter::once(&store_wait));
         let id = wait.sleeper.expect("parkable");
         hub.park(id);
         hub.notify(id);
         assert!(hub.has_fired());
         hub.drain_fired(&mut fired);
         assert_eq!(fired, [id]);
-        hub.settle(id, Cycles(k * 10_000), Cycles(2_000), 3);
     };
-    // Warm-up: the sleeper is registered, its recipe slot and the watcher
-    // buckets get their capacity.
-    cycle(0);
+    // Warm-up: the sleeper is registered and the watcher buckets get their
+    // capacity.
+    cycle();
     let before = allocations();
-    for k in 1..=200 {
-        cycle(k);
+    for _ in 0..200 {
+        cycle();
     }
     // The real producer path too: the fill of one watched line ends.
     let PageState::InFlight(ticket) = read_wait.pages()[0] else {
@@ -624,12 +568,7 @@ fn a_sleeper_that_is_asleep_is_not_offered_to_a_second_warp() {
     let hub = Arc::clone(io.wake_hub());
     let mut slot = None;
     let offer = |slot: &mut Option<SleeperId>| {
-        io.park_on_fills(
-            slot,
-            1,
-            Some(&read_wait),
-            std::iter::once((STALLED_STORE, &store_wait)),
-        )
+        io.park_on_fills(slot, Some(&read_wait), std::iter::once(&store_wait))
     };
     let first = offer(&mut slot);
     hub.park(first.sleeper.expect("parkable"));

@@ -148,22 +148,23 @@ pub enum WarpStep {
     ///   anything another warp could observe.
     /// * [`Wait::parked`] — the retries are **pure** until one of the things
     ///   the warp registered its sleeper with happens: each would find the
-    ///   same state, return this same stall, and move nothing but counters
-    ///   (and trace records) whose increments the sleeper's
-    ///   [`agile_sim::wake::SkippedPolls`] can add afterwards. The engine may
-    ///   then keep the warp **off the ready queue** until its sleeper is
-    ///   notified, wakes it at the first grid point at or after the event —
-    ///   in the event's own cycle only if the warp sorts after the notifying
-    ///   warp in `(sm, slot)` order, i.e. only if polling would have stepped
-    ///   it after the event too — and settles the skipped polls in bulk. The
-    ///   kernel must have registered the sleeper with **every** producer
-    ///   that can end the wait before returning; a wake-up for any other
-    ///   reason is harmless (the warp is simply polled at a grid point).
+    ///   same state, return this same stall, and move nothing but the
+    ///   warp's own poll counters and trace records. The engine may then
+    ///   keep the warp **off the ready queue** until its sleeper is
+    ///   notified and wake it at the first grid point at or after the event
+    ///   — in the event's own cycle only if the warp sorts after the
+    ///   notifying warp in `(sm, slot)` order, i.e. only if polling would
+    ///   have stepped it after the event too. The polls in between are not
+    ///   made, so they count nowhere; their `retry_after`s still count as
+    ///   stall time. The kernel must have registered the sleeper with
+    ///   **every** producer that can end the wait before returning; a
+    ///   wake-up for any other reason is harmless (the warp is simply polled
+    ///   at a grid point).
     ///
-    /// A parked warp is indistinguishable, in simulated time and in every
-    /// counter, from one that was polled — [`crate::EngineSched::FullScan`]
-    /// never parks and is the reference the parking scheduler is tested
-    /// against.
+    /// A parked warp is indistinguishable in simulated time from one that
+    /// was polled, and its poll counts are at most the polled ones —
+    /// [`crate::EngineSched::FullScan`] never parks and is the reference the
+    /// parking scheduler is tested against.
     Stall {
         /// Cycles to wait before re-polling this warp (the grid spacing); it
         /// must be at least one cycle.

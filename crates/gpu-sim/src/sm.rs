@@ -17,12 +17,11 @@ use agile_sim::Cycles;
 /// `since + k · every`, `k ≥ 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parked {
-    /// When the warp made the poll that parked it.
+    /// The last grid point whose stall time is booked: the poll that parked
+    /// the warp, or the end of a run it slept through.
     pub since: Cycles,
     /// Grid spacing (the stall's `retry_after`).
     pub every: Cycles,
-    /// Grid points `1..=settled` are already accounted as skipped polls.
-    pub settled: u64,
     /// The sleeper that wakes it.
     pub sleeper: SleeperId,
 }
@@ -47,13 +46,6 @@ pub struct ResidentWarp {
     pub parked: Option<Parked>,
     /// True once the warp returned [`crate::kernel::WarpStep::Done`].
     pub done: bool,
-    /// Accumulated busy time.
-    pub busy: Cycles,
-    /// Accumulated stall time (the sum of the retry intervals it requested,
-    /// or would have requested at the polls it slept through).
-    pub stall: Cycles,
-    /// Number of `step` calls, polls slept through included.
-    pub steps: u64,
 }
 
 /// One thread block resident on an SM.
@@ -228,9 +220,6 @@ mod tests {
                 wait: None,
                 parked: None,
                 done: false,
-                busy: Cycles::ZERO,
-                stall: Cycles::ZERO,
-                steps: 0,
             });
         }
         assert!(!sm.warp_retired(slot));
@@ -258,9 +247,6 @@ mod tests {
                 wait: None,
                 parked: None,
                 done: true,
-                busy: Cycles::ZERO,
-                stall: Cycles::ZERO,
-                steps: 1,
             });
         }
         // Retire only block 0.

@@ -318,10 +318,9 @@ mod tests {
 
     #[test]
     fn a_post_notifies_the_watchers_of_that_cq_only() {
-        use agile_sim::wake::{SkippedPolls, WakeHub};
+        use agile_sim::wake::WakeHub;
         let hub = WakeHub::new();
-        let nobody = std::sync::Weak::<Silent>::new() as std::sync::Weak<dyn SkippedPolls>;
-        let (a, b) = (hub.register(nobody.clone()), hub.register(nobody));
+        let (a, b) = (hub.register(), hub.register());
         let (watched, other) = (CompletionQueue::new(0, 4), CompletionQueue::new(1, 4));
         watched.watchers().watch(&hub, a);
         other.watchers().watch(&hub, b);
@@ -331,18 +330,6 @@ mod tests {
         let mut fired = Vec::new();
         hub.drain_fired(&mut fired);
         assert_eq!(fired, [a]);
-    }
-
-    struct Silent;
-    impl agile_sim::wake::SkippedPolls for Silent {
-        fn settle(
-            &self,
-            _: agile_sim::wake::SleeperId,
-            _: agile_sim::Cycles,
-            _: agile_sim::Cycles,
-            _: u64,
-        ) {
-        }
     }
 
     #[test]

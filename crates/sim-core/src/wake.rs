@@ -4,15 +4,16 @@
 //! A simulated warp that cannot make progress returns a stall and asks to be
 //! re-polled after an interval. Most such re-polls learn nothing: the fill is
 //! still in flight, the barrier still armed, the completion queue still
-//! empty. When a re-poll is *pure* — it changes nothing but counters whose
-//! increments are known in advance — the warp can instead **park**: it
+//! empty. When a re-poll is *pure* — it changes nothing but its own poll
+//! counters and trace records — the warp can instead **park**: it
 //! registers a [`SleeperId`] with whatever will end its wait, names it in the
 //! [`Wait`] descriptor of its stall, and the engine keeps it off the ready
 //! queue until the producer calls [`WakeHub::notify`]. The engine then wakes
 //! it at the first point of its own retry grid at or after the event, which
-//! is when polling would first have noticed, and the polls it skipped are
-//! accounted in bulk through [`SkippedPolls`] — so a parked run and a polled
-//! run produce the same times, counters and trace records.
+//! is when polling would first have noticed — so a parked run and a polled
+//! run produce the same simulated times. The polls it skipped are simply not
+//! made: **times are simulated, counts are executed**, so a poll counter or
+//! trace record of a parked run counts only the polls that ran.
 //!
 //! The pieces:
 //!
@@ -30,10 +31,9 @@
 //! never in arrival order, so which producer notified first cannot reorder
 //! wake-ups.
 
-use crate::clock::Cycles;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Why a warp stalled. Carried by every stall so a stall report can say what
 /// each stuck warp was waiting for.
@@ -79,10 +79,10 @@ pub struct Wait {
     /// Why the warp cannot make progress.
     pub reason: WaitReason,
     /// Set when the warp registered this sleeper with everything that can
-    /// end the wait **and** re-polling before that changes nothing the
-    /// sleeper's [`SkippedPolls`] cannot account afterwards. The engine may
-    /// then leave the warp off the ready queue until the sleeper is
-    /// notified. `None`: the warp must really be re-polled.
+    /// end the wait **and** re-polling before that changes nothing but its
+    /// own poll counters and trace records. The engine may then leave the
+    /// warp off the ready queue until the sleeper is notified, and those
+    /// polls are never made. `None`: the warp must really be re-polled.
     pub sleeper: Option<SleeperId>,
 }
 
@@ -118,22 +118,9 @@ impl Wait {
     }
 }
 
-/// Accounts the polls a parked sleeper did not make. Implemented by whoever
-/// owns the counters a poll would have moved; must leave them exactly as
-/// `polls` real polls at `first`, `first + every`, … would have.
-pub trait SkippedPolls: Send + Sync {
-    /// `sleeper` skipped `polls` polls, the first at `first`, `every` apart.
-    fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64);
-}
-
 const IDLE: u8 = 0;
 const PARKED: u8 = 1;
 const FIRED: u8 = 2;
-
-struct Slot {
-    state: AtomicU8,
-    settler: Weak<dyn SkippedPolls>,
-}
 
 /// Sleeper registry and fired list of one simulated host.
 ///
@@ -144,7 +131,8 @@ struct Slot {
 /// [`drain_fired`](WakeHub::drain_fired) hands the list to the engine and
 /// returns those sleepers to `IDLE`.
 pub struct WakeHub {
-    slots: RwLock<Vec<Slot>>,
+    /// Each sleeper's state, by id.
+    slots: RwLock<Vec<AtomicU8>>,
     fired: Mutex<Vec<SleeperId>>,
     /// Length of `fired`, so the engine's per-step check is one load.
     pending: AtomicUsize,
@@ -174,28 +162,22 @@ impl WakeHub {
         Arc::new(WakeHub::default())
     }
 
-    /// Register a sleeper whose skipped polls `settler` accounts. Done once
-    /// per warp, not per wait.
-    pub fn register(&self, settler: Weak<dyn SkippedPolls>) -> SleeperId {
+    /// Register a sleeper. Done once per warp, not per wait.
+    pub fn register(&self) -> SleeperId {
         let mut slots = self.slots.write().expect("wake hub poisoned");
         if slots.capacity() == 0 {
             // Sleepers register one by one in mid-run; take room for a
             // kernel's worth at once instead of doubling through the heap.
             slots.reserve(128);
         }
-        slots.push(Slot {
-            state: AtomicU8::new(IDLE),
-            settler,
-        });
+        slots.push(AtomicU8::new(IDLE));
         SleeperId(slots.len() as u32 - 1)
     }
 
     /// Engine side: `sleeper`'s warp has left the ready queue.
     pub fn park(&self, sleeper: SleeperId) {
         let slots = self.slots.read().expect("wake hub poisoned");
-        slots[sleeper.0 as usize]
-            .state
-            .store(PARKED, Ordering::SeqCst);
+        slots[sleeper.0 as usize].store(PARKED, Ordering::SeqCst);
     }
 
     /// True while `sleeper`'s warp is off the ready queue (parked, or
@@ -204,7 +186,7 @@ impl WakeHub {
     /// to a second warp.
     pub fn is_asleep(&self, sleeper: SleeperId) -> bool {
         let slots = self.slots.read().expect("wake hub poisoned");
-        slots[sleeper.0 as usize].state.load(Ordering::SeqCst) != IDLE
+        slots[sleeper.0 as usize].load(Ordering::SeqCst) != IDLE
     }
 
     /// Producer side: something `sleeper` watches happened. Fires it if it
@@ -213,7 +195,6 @@ impl WakeHub {
         let fired = {
             let slots = self.slots.read().expect("wake hub poisoned");
             slots[sleeper.0 as usize]
-                .state
                 .compare_exchange(PARKED, FIRED, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         };
@@ -244,19 +225,7 @@ impl WakeHub {
         into.sort_unstable();
         let slots = self.slots.read().expect("wake hub poisoned");
         for id in into.iter() {
-            slots[id.0 as usize].state.store(IDLE, Ordering::SeqCst);
-        }
-    }
-
-    /// Account `polls` skipped polls of `sleeper` through its settler (a
-    /// settler that is already gone has no counters left to keep exact).
-    pub fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
-        let settler = {
-            let slots = self.slots.read().expect("wake hub poisoned");
-            slots[sleeper.0 as usize].settler.upgrade()
-        };
-        if let Some(settler) = settler {
-            settler.settle(sleeper, first, every, polls);
+            slots[id.0 as usize].store(IDLE, Ordering::SeqCst);
         }
     }
 }
@@ -342,28 +311,15 @@ mod tests {
     use super::*;
     use std::sync::Barrier as ThreadBarrier;
 
-    struct Ledger(Mutex<Vec<(u32, u64, u64, u64)>>);
-
-    impl SkippedPolls for Ledger {
-        fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
-            self.0
-                .lock()
-                .unwrap()
-                .push((sleeper.0, first.raw(), every.raw(), polls));
-        }
-    }
-
-    fn hub_with(n: usize) -> (Arc<WakeHub>, Arc<Ledger>, Vec<SleeperId>) {
+    fn hub_with(n: usize) -> (Arc<WakeHub>, Vec<SleeperId>) {
         let hub = WakeHub::new();
-        let ledger = Arc::new(Ledger(Mutex::new(Vec::new())));
-        let weak: Weak<dyn SkippedPolls> = Arc::downgrade(&(ledger.clone() as Arc<_>));
-        let ids = (0..n).map(|_| hub.register(weak.clone())).collect();
-        (hub, ledger, ids)
+        let ids = (0..n).map(|_| hub.register()).collect();
+        (hub, ids)
     }
 
     #[test]
     fn only_a_parked_sleeper_fires_and_only_once() {
-        let (hub, _ledger, ids) = hub_with(2);
+        let (hub, ids) = hub_with(2);
         let mut fired = Vec::new();
         hub.notify(ids[0]);
         assert!(!hub.has_fired(), "an idle sleeper ignores notifications");
@@ -383,7 +339,7 @@ mod tests {
 
     #[test]
     fn fired_sleepers_drain_in_id_order_not_arrival_order() {
-        let (hub, _ledger, ids) = hub_with(4);
+        let (hub, ids) = hub_with(4);
         for &id in &ids {
             hub.park(id);
         }
@@ -396,17 +352,8 @@ mod tests {
     }
 
     #[test]
-    fn settle_reaches_the_registered_settler_until_it_is_dropped() {
-        let (hub, ledger, ids) = hub_with(1);
-        hub.settle(ids[0], Cycles(2_000), Cycles(1_000), 3);
-        assert_eq!(*ledger.0.lock().unwrap(), [(0, 2_000, 1_000, 3)]);
-        drop(ledger);
-        hub.settle(ids[0], Cycles(9_000), Cycles(1_000), 1);
-    }
-
-    #[test]
     fn watched_cell_notifies_its_watchers_on_store() {
-        let (hub, _ledger, ids) = hub_with(2);
+        let (hub, ids) = hub_with(2);
         let cell = WatchedU64::new(1_000);
         cell.watchers().watch(&hub, ids[1]);
         cell.watchers().watch(&hub, ids[1]);
@@ -426,7 +373,7 @@ mod tests {
         const NOTIFIERS: usize = 4;
         const SLEEPERS: usize = 64;
         const ROUNDS: usize = 200;
-        let (hub, _ledger, ids) = hub_with(SLEEPERS);
+        let (hub, ids) = hub_with(SLEEPERS);
         let start = Arc::new(ThreadBarrier::new(NOTIFIERS + 1));
         let round = Arc::new(AtomicUsize::new(0));
         let woken = std::thread::scope(|scope| {

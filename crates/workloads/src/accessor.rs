@@ -17,7 +17,6 @@
 //! the accessor says the retries would only find the same fills in flight
 //! ([`AccessResult::wait`]), sleeps until one of them lands.
 
-use agile_cache::NO_TENANT;
 use agile_core::{AgileCtrl, ReadOutcome, WarpWait};
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
@@ -154,14 +153,9 @@ impl PageAccessor for AgileAccessor {
             // Sleep only from an attempt that cost what the retries will:
             // one that issued fills is followed by a longer interval than
             // the ones after it under `retry_hint.max(cost)`.
-            let repoll = io.repoll_cost(Some(&slot.wait), 0);
+            let repoll = io.repoll_cost(&slot.wait);
             let wait = io
-                .park_on_fills(
-                    &mut slot.sleeper,
-                    NO_TENANT,
-                    Some(&slot.wait),
-                    std::iter::empty(),
-                )
+                .park_on_fills(&mut slot.sleeper, Some(&slot.wait), std::iter::empty())
                 .only_if(retry_hint.max(cost) == retry_hint.max(repoll));
             AccessResult {
                 cost,
@@ -325,8 +319,7 @@ mod tests {
         );
         assert_eq!(
             retry.cost,
-            acc.waits
-                .with(0, |slot| io.repoll_cost(Some(&slot.wait), 0))
+            acc.waits.with(0, |slot| io.repoll_cost(&slot.wait))
         );
 
         // One page: even the issuing attempt stays under the hint, so the

@@ -205,7 +205,9 @@ pub struct ReplayReport {
     /// Per-shard AGILE service statistics, in shard order (empty for BaM).
     pub service_stats: Vec<ServiceStats>,
     /// Engine scheduling rounds of the run (not part of the summary: both
-    /// engine schedulers replay bit-identically, rounds is what differs).
+    /// engine schedulers replay the same simulated times; rounds, and the
+    /// polls counted in `io_stats`, `cache_stats` and `service_stats`, are
+    /// what differs).
     pub engine_rounds: u64,
     /// Submissions the QoS scheduler deferred at least once (always 0 under
     /// FIFO, which never defers).

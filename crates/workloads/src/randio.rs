@@ -105,7 +105,8 @@ impl WarpKernel for RandIoWarp {
                 retry_after: Cycles(2_000),
                 wait: self
                     .ctrl
-                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter(), 1),
+                    .io()
+                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter()),
             };
         }
 
@@ -115,7 +116,8 @@ impl WarpKernel for RandIoWarp {
                 retry_after: Cycles(2_000),
                 wait: self
                     .ctrl
-                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter(), 0),
+                    .io()
+                    .park_on_barriers(&mut self.sleeper, self.outstanding.iter()),
             };
         }
 

@@ -438,14 +438,12 @@ struct AgileReplayWarp {
 
 impl AgileReplayWarp {
     /// The wait of a warp with nothing to do until one of its outstanding
-    /// requests completes; `probes` barrier probes per poll meanwhile.
-    fn await_completion(&mut self, probes: u64) -> WarpStep {
+    /// requests completes.
+    fn await_completion(&mut self) -> WarpStep {
         let barriers = self.outstanding.iter().map(|inflight| &inflight.barrier);
         WarpStep::Stall {
             retry_after: Cycles(2_000),
-            wait: self
-                .ctrl
-                .park_on_barriers(&mut self.sleeper, barriers, probes),
+            wait: self.ctrl.io().park_on_barriers(&mut self.sleeper, barriers),
         }
     }
 
@@ -479,12 +477,12 @@ impl WarpKernel for AgileReplayWarp {
             return if self.outstanding[0].barrier.is_complete() {
                 WarpStep::Busy(cost)
             } else {
-                self.await_completion(1)
+                self.await_completion()
             };
         }
 
         if self.outstanding.len() >= self.window {
-            return self.await_completion(0);
+            return self.await_completion();
         }
 
         // Issue up to one warp-width of ops this step.
@@ -802,13 +800,9 @@ impl CachedBatch {
     /// parkable when every pending read page and every pending store is
     /// behind a fill in flight (see [`IoPath::park_on_fills`]).
     fn wait(&mut self, io: &IoPath) -> Wait {
-        let (trace, stripe, tenant) = (&self.trace, self.stripe, self.cache_tenant());
-        let writes = self.writes.iter().map(|w| {
-            let op = trace.ops[w.op as usize];
-            (target(io, trace, stripe, &op), &w.wait)
-        });
+        let writes = self.writes.iter().map(|w| &w.wait);
         let reads = (!self.reads.is_empty()).then_some(&self.read_wait);
-        io.park_on_fills(&mut self.sleeper, tenant, reads, writes)
+        io.park_on_fills(&mut self.sleeper, reads, writes)
     }
 }
 

@@ -1,14 +1,17 @@
 //! Parked vs polled: the differential that pins warp parking.
 //!
 //! `EngineSched::EventQueue` keeps a warp whose stall is parkable off the
-//! ready queue until the event that ends its wait, wakes it on its own retry
-//! grid and settles the polls it skipped in bulk; `EngineSched::FullScan`
-//! never parks and really makes every one of those polls. The two must be
-//! indistinguishable: same report, same `IoStats`, same per-shard
-//! `CacheStats`, same `ServiceStats`, same latencies, and — with a recording
-//! sink installed — the same *multiset* of trace events (a settled poll's
-//! `CacheBusy` record is written when it is settled, so the log order may
-//! differ; nothing else may).
+//! ready queue until the event that ends its wait and wakes it on its own
+//! retry grid; `EngineSched::FullScan` never parks and really makes every
+//! one of those polls. The rule is *times are simulated, counts are
+//! executed*: the two must agree on every simulated time — report,
+//! latencies, stall cycles — and on every counter that is not a poll count,
+//! while the poll counts (`IoStats::{read_calls, warp_coalesced,
+//! cache_coalesced, cache_cycles, io_cycles}`, `CacheStats::busy_hits`,
+//! `ServiceStats::idle_rounds`, `KernelReport::steps`) of the parked run may
+//! only be lower. With a recording sink installed the captures are the same
+//! *multiset* of events apart from `CacheBusy` records, and the parked run's
+//! `CacheBusy` records are a sub-multiset of the polled run's.
 //!
 //! The cases are random replays shaped to reach the hard paths: a raw replay
 //! with a small window over one short SQ (window-full and drain waits,
@@ -23,22 +26,25 @@
 //! on a bare engine by synthetic waiters and notifiers whose intervals make
 //! that the common case (`synthetic`, at the end).
 //!
-//! Mutation check (done by hand, release build): waking a sleeper in the
+//! Mutation check (done by hand, release build; repeated under "counts ≤"
+//! when settlement was deleted, with the same result): waking a sleeper in the
 //! notifier's own cycle regardless of `(sm, slot)` order fails
 //! `parked_and_polled_synthetic_waits_are_indistinguishable`; dropping the
 //! bulk `rotation` advance of a woken service warp fails
 //! `parked_and_polled_replays_are_indistinguishable` (and the accessor test).
 
-use agile_repro::agile::AgileConfig;
+use agile_repro::agile::{AgileConfig, IoStats, ServiceStats};
 use agile_repro::bam::HostBuilder;
+use agile_repro::cache::CacheStats;
 use agile_repro::gpu::{EngineSched, GpuConfig, LaunchConfig};
-use agile_repro::sim::TraceEvent;
+use agile_repro::sim::{TraceEvent, TraceEventKind};
 use agile_repro::trace::{AddressPattern, MemorySink, TenantSpec, TraceSpec};
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay_with_sink, ReplayConfig, ReplayReport, ReplaySystem,
 };
 use agile_repro::workloads::microbench::{MicrobenchKernel, MicrobenchParams};
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 /// Everything about a trace event, as a sortable key.
@@ -65,6 +71,87 @@ fn keys(events: &[TraceEvent]) -> Vec<EventKey> {
 fn sorted(mut keys: Vec<EventKey>) -> Vec<EventKey> {
     keys.sort_unstable();
     keys
+}
+
+/// A parked and a polled capture: the same multiset apart from `CacheBusy`
+/// records, of which the parked run's are a sub-multiset of the polled run's.
+fn assert_captures(case: impl Debug, parked: Vec<EventKey>, polled: Vec<EventKey>) {
+    let busy = |k: &EventKey| k.1 == TraceEventKind::CacheBusy as u8;
+    let split =
+        |keys: Vec<EventKey>| -> (Vec<_>, Vec<_>) { sorted(keys).into_iter().partition(busy) };
+    let ((parked_busy, parked_rest), (polled_busy, polled_rest)) = (split(parked), split(polled));
+    assert!(
+        parked_rest == polled_rest,
+        "{case:?}: the captures differ beyond CacheBusy"
+    );
+    // Both sorted: each parked record must be found, in order, in the rest
+    // of the polled ones.
+    let mut polled_busy = polled_busy.iter();
+    assert!(
+        parked_busy.iter().all(|k| polled_busy.any(|p| p == k)),
+        "{case:?}: a parked CacheBusy record the polled run does not have"
+    );
+}
+
+/// `stats` with its poll counts zeroed, and those counts.
+fn io_polls(s: &IoStats) -> (IoStats, Vec<u64>) {
+    let polls = vec![
+        s.read_calls,
+        s.warp_coalesced,
+        s.cache_coalesced,
+        s.cache_cycles,
+        s.io_cycles,
+    ];
+    let rest = IoStats {
+        read_calls: 0,
+        warp_coalesced: 0,
+        cache_coalesced: 0,
+        cache_cycles: 0,
+        io_cycles: 0,
+        ..s.clone()
+    };
+    (rest, polls)
+}
+
+/// The same for the cache's per-shard counters.
+fn cache_polls(shards: &[CacheStats]) -> (Vec<CacheStats>, Vec<u64>) {
+    let rest = shards
+        .iter()
+        .map(|s| CacheStats {
+            busy_hits: 0,
+            ..s.clone()
+        })
+        .collect();
+    (rest, shards.iter().map(|s| s.busy_hits).collect())
+}
+
+/// The same for the service partitions'.
+fn service_polls(parts: &[ServiceStats]) -> (Vec<ServiceStats>, Vec<u64>) {
+    let rest = parts
+        .iter()
+        .map(|s| ServiceStats {
+            idle_rounds: 0,
+            ..s.clone()
+        })
+        .collect();
+    (rest, parts.iter().map(|s| s.idle_rounds).collect())
+}
+
+/// Times equal, counts ≤: everything but the poll counts is equal, and each
+/// poll count of the parked run is at most the polled run's.
+fn assert_counts<T: PartialEq + Debug>(
+    case: impl Debug,
+    parked: (T, Vec<u64>),
+    polled: (T, Vec<u64>),
+) {
+    assert_eq!(parked.0, polled.0, "{case:?}");
+    assert_eq!(parked.1.len(), polled.1.len(), "{case:?}");
+    assert!(
+        parked.1.iter().zip(&polled.1).all(|(a, b)| a <= b),
+        "{case:?}: parked polls {:?} > polled {:?}",
+        parked.1,
+        polled.1
+    );
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -154,14 +241,18 @@ fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
     (report, sink.map_or(Vec::new(), |s| keys(&s.take_events())))
 }
 
-/// Everything two replays of one case must agree on, whatever the scheduler.
-fn assert_same_replay(case: Case, a: &ReplayReport, b: &ReplayReport) {
+/// What a parked and a polled replay of one case must agree on: times
+/// equal, counts ≤.
+fn assert_same_replay(case: Case, parked: &ReplayReport, polled: &ReplayReport) {
+    let (a, b) = (parked, polled);
     assert_eq!(a.summary(), b.summary(), "{case:?}");
     assert_eq!(a.elapsed_cycles, b.elapsed_cycles, "{case:?}");
     assert_eq!(a.mean_us.to_bits(), b.mean_us.to_bits(), "{case:?}");
-    assert_eq!(a.io_stats, b.io_stats, "{case:?}");
-    assert_eq!(a.cache_shard_stats, b.cache_shard_stats, "{case:?}");
-    assert_eq!(a.service_stats, b.service_stats, "{case:?}");
+    assert_counts(case, io_polls(&a.io_stats), io_polls(&b.io_stats));
+    let cache = |r: &ReplayReport| cache_polls(&r.cache_shard_stats);
+    assert_counts(case, cache(a), cache(b));
+    let service = |r: &ReplayReport| service_polls(&r.service_stats);
+    assert_counts(case, service(a), service(b));
     assert_eq!(a.tenant_cache, b.tenant_cache, "{case:?}");
     assert_eq!(a.lock_wait_cycles, b.lock_wait_cycles, "{case:?}");
     assert!(!a.deadlocked && !b.deadlocked, "{case:?}");
@@ -171,10 +262,7 @@ fn differential(case: Case) {
     let (parked, parked_events) = replay(case, EngineSched::EventQueue);
     let (polled, polled_events) = replay(case, EngineSched::FullScan);
     assert_same_replay(case, &parked, &polled);
-    assert!(
-        sorted(parked_events) == sorted(polled_events),
-        "{case:?}: the captures differ as multisets"
-    );
+    assert_captures(case, parked_events, polled_events);
     assert!(
         parked.engine_rounds < polled.engine_rounds,
         "{case:?}: nothing was parked?"
@@ -255,25 +343,30 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
         );
         assert!(!report.deadlocked);
         let ctrl = host.ctrl();
-        let service = host.service_set().partition_stats();
+        let kernel = &report.kernels[1];
         (
+            (report.elapsed, kernel.stall_cycles),
+            kernel.steps,
             (
-                report.elapsed,
-                report.kernels[1].stall_cycles,
-                report.kernels[1].steps,
+                io_polls(&ctrl.io().stats()),
+                cache_polls(&ctrl.cache().stats_by_shard()),
+                service_polls(&host.service_set().partition_stats()),
             ),
-            (ctrl.io().stats(), ctrl.cache().stats_by_shard(), service),
             report.rounds,
-            sorted(keys(&sink.take_events())),
+            keys(&sink.take_events()),
         )
     };
     for asynchronous in [false, true] {
         let parked = run(EngineSched::EventQueue, asynchronous);
         let polled = run(EngineSched::FullScan, asynchronous);
-        assert_eq!(parked.0, polled.0, "times and the engine's own books");
-        assert_eq!(parked.1, polled.1, "stack counters");
-        assert!(parked.3 == polled.3, "captures differ as multisets");
-        assert!(parked.2 < polled.2, "nothing was parked?");
+        assert_eq!(parked.0, polled.0, "elapsed and stall cycles");
+        assert!(parked.1 < polled.1, "steps count what ran");
+        let ((io, cache, service), polled_counts) = (parked.2, polled.2);
+        assert_counts(asynchronous, io, polled_counts.0);
+        assert_counts(asynchronous, cache, polled_counts.1);
+        assert_counts(asynchronous, service, polled_counts.2);
+        assert!(parked.3 < polled.3, "nothing was parked?");
+        assert_captures(asynchronous, parked.4, polled.4);
     }
 }
 
@@ -291,27 +384,20 @@ mod synthetic {
         Engine, EngineSched, ExecutionReport, GpuConfig, KernelFactory, LaunchConfig, WarpCtx,
         WarpKernel, WarpStep,
     };
-    use agile_repro::sim::wake::{SkippedPolls, SleeperId, Wait, WaitReason, WakeHub, WatchList};
+    use agile_repro::sim::wake::{SleeperId, Wait, WaitReason, WakeHub, WatchList};
     use agile_repro::sim::Cycles;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, Weak};
+    use std::sync::{Arc, Mutex};
 
     /// Counters the notifiers bump and the waiters wait on.
     pub struct World {
         hub: Arc<WakeHub>,
         flags: Vec<AtomicU64>,
         watchers: Vec<WatchList>,
-        /// Polls each waiter made or was settled for, by sleeper id.
+        /// Polls each waiter made, by sleeper id.
         pub polls: Vec<AtomicU64>,
         /// `(time, waiter)` of every wait that ended, in step order.
         pub log: Mutex<Vec<(u64, u32)>>,
-    }
-
-    impl SkippedPolls for World {
-        fn settle(&self, sleeper: SleeperId, first: Cycles, every: Cycles, polls: u64) {
-            assert!(first.raw() > 0 && every.raw() > 0);
-            self.polls[sleeper.0 as usize].fetch_add(polls, Ordering::Relaxed);
-        }
     }
 
     /// One notifier step: stay busy this long, then bump this flag.
@@ -450,8 +536,7 @@ mod synthetic {
             log: Mutex::new(Vec::new()),
         });
         for _ in &script.waiters {
-            let settler: Weak<dyn SkippedPolls> = Arc::downgrade(&world) as Weak<_>;
-            hub.register(settler);
+            hub.register();
         }
         let mut engine = Engine::new(GpuConfig::tiny(3));
         engine.set_scheduler(sched);
@@ -475,25 +560,23 @@ fn synthetic_differential(seed: u64) {
     let view = |sched| {
         let (report, world) = synthetic::run(&script, sched);
         assert!(!report.deadlocked, "seed {seed}");
-        let kernels: Vec<_> = report
+        // The times: busy / stall cycles, completions, when each wait ended.
+        let times: Vec<_> = report
             .kernels
             .iter()
-            .map(|k| (k.steps, k.busy_cycles, k.stall_cycles, k.completed_at))
-            .collect();
-        let polls: Vec<u64> = world
-            .polls
-            .iter()
-            .map(|p| p.load(std::sync::atomic::Ordering::Relaxed))
+            .map(|k| (k.busy_cycles, k.stall_cycles, k.completed_at))
             .collect();
         let log = world.log.lock().unwrap().clone();
-        (report.elapsed, kernels, polls, log)
+        // The poll counts: steps per kernel, polls per waiter.
+        let made = world.polls.iter();
+        let polls = (report.kernels.iter().map(|k| k.steps))
+            .chain(made.map(|p| p.load(std::sync::atomic::Ordering::Relaxed)))
+            .collect();
+        ((report.elapsed, times, log), polls)
     };
     let parked = view(EngineSched::EventQueue);
     let polled = view(EngineSched::FullScan);
-    assert_eq!(parked.0, polled.0, "seed {seed}: elapsed");
-    assert_eq!(parked.1, polled.1, "seed {seed}: the engine's books");
-    assert_eq!(parked.2, polled.2, "seed {seed}: polls made + settled");
-    assert_eq!(parked.3, polled.3, "seed {seed}: when each wait ended");
+    assert_counts(format_args!("seed {seed}"), parked, polled);
 }
 
 proptest! {

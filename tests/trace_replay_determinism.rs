@@ -151,10 +151,10 @@ fn cache_path_records_through_the_same_hook() {
 mod engine_scheduler_equivalence {
     //! The engine's determinism contract, property-tested end to end: the
     //! parking `EventQueue` must replay bit-identically to the never-parking
-    //! `FullScan` on random synthetic traces, with the metrics *and* control
-    //! bridges enabled — the configurations where a reordered round would
-    //! actually show up (windowed counters, controller decisions, latency
-    //! tails).
+    //! `FullScan` on random synthetic traces — apart from the polls it never
+    //! made — with the metrics *and* control bridges enabled — the
+    //! configurations where a reordered round would actually show up
+    //! (windowed counters, controller decisions, latency tails).
 
     use super::*;
     use agile_repro::control::{ControlPolicy, SloSpec};
@@ -163,13 +163,20 @@ mod engine_scheduler_equivalence {
     use agile_repro::workloads::experiments::trace_replay::ReplayReport;
     use proptest::prelude::*;
 
-    /// Metric samples of a run minus the `agile_engine_*` scheduler
-    /// introspection (rounds, executed steps, ready-queue high water), on
-    /// which `FullScan` legitimately differs: it visits more rounds and has
-    /// no ready queue. Everything else — replay counters, cache/topology
-    /// telemetry, controller gauges — must match sample for sample, value
-    /// for value.
-    fn comparable_samples(report: &ReplayReport) -> Vec<Sample> {
+    /// Poll counts: lookups that found a line BUSY and idle service sweeps
+    /// count what ran, so a parked run makes at most the polled run's.
+    const POLL_COUNTS: [&str; 2] = [
+        "agile_cache_busy_hits_total",
+        "agile_service_idle_rounds_total",
+    ];
+
+    /// Metric samples of a run split into the poll counts and the rest,
+    /// minus the `agile_engine_*` scheduler introspection (rounds, executed
+    /// steps, ready-queue high water), on which `FullScan` legitimately
+    /// differs: it visits more rounds and has no ready queue. The rest —
+    /// replay counters, cache/topology telemetry, controller gauges — must
+    /// match sample for sample, value for value.
+    fn comparable_samples(report: &ReplayReport) -> (Vec<Sample>, Vec<Sample>) {
         report
             .metrics
             .as_ref()
@@ -179,7 +186,7 @@ mod engine_scheduler_equivalence {
             .iter()
             .filter(|s| !s.name.starts_with("agile_engine_"))
             .cloned()
-            .collect()
+            .partition(|s| POLL_COUNTS.contains(&s.name.as_str()))
     }
 
     fn instrumented_config(sched: EngineSched, shards: usize) -> ReplayConfig {
@@ -222,10 +229,21 @@ mod engine_scheduler_equivalence {
                     scan.summary(), event.summary(),
                     "summaries must be byte-identical (shards={})", shards
                 );
+                let ((scan_polls, scan_rest), (event_polls, event_rest)) =
+                    (comparable_samples(&scan), comparable_samples(&event));
                 prop_assert_eq!(
-                    comparable_samples(&scan), comparable_samples(&event),
+                    scan_rest, event_rest,
                     "metrics snapshots must be bit-identical (shards={})", shards
                 );
+                prop_assert_eq!(scan_polls.len(), event_polls.len());
+                for (s, e) in scan_polls.iter().zip(&event_polls) {
+                    prop_assert_eq!((&s.name, s.labels), (&e.name, e.labels));
+                    prop_assert!(
+                        e.value.as_u64() <= s.value.as_u64(),
+                        "{} parked {:?} > polled {:?} (shards={})",
+                        s.name, e.value, s.value, shards
+                    );
+                }
                 prop_assert_eq!(
                     decisions(&scan), decisions(&event),
                     "controller decision logs must be identical (shards={})", shards
