@@ -103,43 +103,12 @@ impl HostBuilder<AgileSystem> {
         self.config.auto_service_warps = true;
         self
     }
-
-    /// Split the software cache into `shards` set-range shards
-    /// ([`agile_cache::ShardedCache`], clamped to ≥ 1). Structural only at
-    /// the default port hold of 0 — any shard count replays bit-identically;
-    /// pair with [`HostBuilder::cache_port_hold`] for contention studies.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config = self.config.with_cache_shards(shards);
-        self
-    }
-
-    /// Model cache-port contention: each cached lookup holds its shard's
-    /// access port for `cycles` (0, the default, disables the model).
-    pub fn cache_port_hold(mut self, cycles: u64) -> Self {
-        self.config = self.config.with_cache_port_hold(cycles);
-        self
-    }
 }
 
 impl HostBuilder<BamSystem> {
     /// Build a BaM baseline host (no service, synchronous issue-then-poll).
     pub fn bam(config: BamConfig) -> Self {
         Self::new(config)
-    }
-
-    /// Split the software cache into `shards` set-range shards
-    /// ([`agile_cache::ShardedCache`], clamped to ≥ 1) — same semantics as
-    /// the AGILE variant, so shard sweeps compare both systems fairly.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config = self.config.with_cache_shards(shards);
-        self
-    }
-
-    /// Model cache-port contention: each cached lookup holds its shard's
-    /// access port for `cycles` (0, the default, disables the model).
-    pub fn cache_port_hold(mut self, cycles: u64) -> Self {
-        self.config = self.config.with_cache_port_hold(cycles);
-        self
     }
 }
 

@@ -10,7 +10,7 @@
 //! user-thread CQ scan below) and what each call costs (the `bam_*` cost
 //! constants model BaM's lock-held critical sections).
 
-use agile_cache::{CacheConfig, ClockPolicy, ShardedCache, NO_TENANT};
+use agile_cache::{CacheConfig, ClockPolicy, ShardedCache, SoftwareCache, NO_TENANT};
 use agile_core::io_path::{IoPath, PathCosts, ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
 use agile_sim::costs::CostModel;
@@ -28,16 +28,9 @@ pub struct BamConfig {
     pub queue_pairs_per_ssd: usize,
     /// Queue depth.
     pub queue_depth: u32,
-    /// Software cache capacity in bytes (clock policy, fixed).
+    /// Capacity in bytes of the software cache: one set-associative,
+    /// clock-managed cache (the policy is fixed).
     pub cache_bytes: u64,
-    /// Set-range shards of the software cache (≥ 1). Purely structural at
-    /// the default `cache_port_hold` of 0 — any shard count replays
-    /// bit-identically (same hash over the logical set space).
-    pub cache_shards: usize,
-    /// Modeled cycles one lookup holds its cache shard's access port
-    /// ([`agile_cache::ShardedCache::port_acquire`]); 0 (default) disables
-    /// the port model.
-    pub cache_port_hold: u64,
     /// Shared cost model.
     pub costs: CostModel,
 }
@@ -49,8 +42,6 @@ impl BamConfig {
             queue_pairs_per_ssd: 128,
             queue_depth: 256,
             cache_bytes: 2 * agile_sim::units::GIB,
-            cache_shards: 1,
-            cache_port_hold: 0,
             costs: CostModel::default(),
         }
     }
@@ -61,8 +52,6 @@ impl BamConfig {
             queue_pairs_per_ssd: 4,
             queue_depth: 64,
             cache_bytes: 4 * agile_sim::units::MIB,
-            cache_shards: 1,
-            cache_port_hold: 0,
             costs: CostModel::default(),
         }
     }
@@ -82,20 +71,6 @@ impl BamConfig {
     /// Override cache capacity.
     pub fn with_cache_bytes(mut self, bytes: u64) -> Self {
         self.cache_bytes = bytes;
-        self
-    }
-
-    /// Split the software cache into `shards` set-range shards (clamped to
-    /// ≥ 1).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
-    /// Model cache-port contention: each lookup holds its shard's access
-    /// port for `cycles` (0 disables the model).
-    pub fn with_cache_port_hold(mut self, cycles: u64) -> Self {
-        self.cache_port_hold = cycles;
         self
     }
 }
@@ -169,11 +144,9 @@ impl BamCtrl {
         device_queues: Vec<Vec<Arc<QueuePair>>>,
         topology: Option<Arc<dyn StorageTopology>>,
     ) -> Self {
-        let cache = ShardedCache::new(
+        let cache = SoftwareCache::new(
             CacheConfig::with_capacity(cfg.cache_bytes),
-            cfg.cache_shards.max(1),
-            cfg.cache_port_hold,
-            || Box::new(ClockPolicy::new()),
+            Box::new(ClockPolicy::new()),
         );
         let cq_cursors = device_queues
             .iter()
@@ -215,7 +188,8 @@ impl BamCtrl {
         &self.io
     }
 
-    /// The (clock-managed, possibly set-range-sharded) software cache.
+    /// The clock-managed software cache, under the old name the benchmark
+    /// package spells (it derefs to the one [`SoftwareCache`]).
     pub fn cache(&self) -> &ShardedCache {
         self.io.cache()
     }

@@ -12,10 +12,7 @@
 //! `WeightedFair` without collapsing aggregate IOPS. A fourth section scales
 //! the AGILE *service* out: aggregate IOPS vs `service_shards` × storage
 //! shards at 8 SSDs, on a CQ-wide rig where the single service's visit
-//! period is the slot-recycle ceiling. A fifth section scales the software
-//! *cache* out: aggregate IOPS vs `cache_shards` at 32–64 SSDs with the
-//! access-port contention model on, where the flat cache's single port
-//! serializes every cached lookup. The final section compares the two
+//! period is the slot-recycle ceiling. The final section compares the two
 //! engine schedulers on the same large replay: bit-identical simulated
 //! results, with the ready-queue cutting wall time and rounds.
 
@@ -358,48 +355,6 @@ fn main() {
                 ("p99_us", format!("{:.2}", r.p99_us)),
                 ("iops", format!("{:.0}", r.iops)),
                 ("svc_completions", svc_completions.join("/")),
-                ("deadlocked", r.deadlocked.to_string()),
-            ]);
-        }
-    }
-
-    print_header(
-        "Cache-shard scale-out",
-        "AGILE cached-path aggregate IOPS vs cache_shards at 32-64 SSDs with \
-         the access-port model on (600-cycle hold: one shard = one serialized \
-         port, the ceiling set-range sharding removes)",
-    );
-    let cache_ops: u64 = if quick_mode() { 8_192 } else { 16_384 };
-    let cache_devices: &[u32] = if quick_mode() { &[32] } else { &[32, 64] };
-    for &devices in cache_devices {
-        let trace = TraceSpec::uniform("cache-scale", seed, devices, 1 << 14, cache_ops).generate();
-        for cache_shards in [1usize, 2, 4, 8] {
-            let cfg = ReplayConfig {
-                total_warps: 32,
-                window: 8,
-                queue_pairs: 4,
-                queue_depth: 32,
-                ..ReplayConfig::quick()
-            }
-            .cached()
-            .sharded(4)
-            .with_cache_shards(cache_shards)
-            .with_cache_port_hold(600);
-            let (r, wall_ms) = timed_run(&trace, ReplaySystem::Agile, &cfg);
-            json.push(
-                "cache-scale",
-                format!("devices{devices}/shards{cache_shards}"),
-                r.iops,
-                wall_ms,
-            );
-            print_row(&[
-                ("devices", devices.to_string()),
-                ("cache_shards", cache_shards.to_string()),
-                ("ops", r.ops.to_string()),
-                ("p50_us", format!("{:.2}", r.p50_us)),
-                ("p99_us", format!("{:.2}", r.p99_us)),
-                ("iops", format!("{:.0}", r.iops)),
-                ("port_wait_cycles", r.cache_port_wait_cycles.to_string()),
                 ("deadlocked", r.deadlocked.to_string()),
             ]);
         }

@@ -16,12 +16,18 @@
 //! warp state machine retries later, which is what eliminates the
 //! cache-eviction deadlock of §2.3.2. A successful `Hit`/`Miss` pins the line
 //! for the caller; the caller unpins when it has consumed the data.
+//!
+//! A waiter that would only find its page `BUSY` again can sleep instead:
+//! [`SoftwareCache::watch_line`] registers it on the line, and the first
+//! fill, abort or reinstatement of that reservation wakes it.
 
 use crate::line::{LineState, Way};
 use crate::policy::CachePolicy;
 use crate::tenant::{TenantCacheStats, TenantTable, NO_TENANT};
+use crate::watch::LineWatchers;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
+use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{DmaHandle, Lba, PageToken};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -171,29 +177,13 @@ struct SetMeta {
     displaced: Vec<u32>,
 }
 
-/// Global set index of `(dev, lba)` in a cache of `total_sets` sets — the
-/// one address hash [`SoftwareCache`] and the sharded router agree on. Mixes
-/// device and LBA so multi-SSD striping spreads across sets.
-pub(crate) fn global_set_of(dev: u32, lba: Lba, total_sets: usize) -> usize {
-    let mut z = (dev as u64) << 56 ^ lba ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize % total_sets
-}
-
-/// The software cache.
+/// The software cache: one set-associative cache with a lock per set, one
+/// replacement policy and one per-tenant accounting table.
 pub struct SoftwareCache {
     cfg: CacheConfig,
     sets: Vec<Mutex<SetMeta>>,
     ways: Vec<Way>,
     assoc: usize,
-    /// Set count of the logical cache this instance belongs to. Equals
-    /// `sets.len()` for a standalone cache; larger when this instance is one
-    /// shard of a [`crate::ShardedCache`], whose router assigns it global
-    /// sets `[set_base, set_base + sets.len())`.
-    global_sets: usize,
-    /// First global set owned by this instance (0 when standalone).
-    set_base: usize,
     policy: Box<dyn CachePolicy>,
     stats: StatsCells,
     /// Per-tenant accounting (hits/misses/fills/evictions + live occupancy),
@@ -205,50 +195,27 @@ pub struct SoftwareCache {
     /// no clock, so controllers publish it before lookups — see
     /// [`SoftwareCache::set_time_hint`]).
     trace_now: AtomicU64,
+    /// Installed by [`SoftwareCache::set_wake_hub`]; built on it by the first
+    /// [`SoftwareCache::watch_line`], so a cache nobody sleeps on (the BaM
+    /// side, whose warps poll their own CQs) carries no table.
+    wake_hub: OnceLock<Arc<WakeHub>>,
+    watchers: OnceLock<LineWatchers>,
 }
 
 impl SoftwareCache {
     /// Build a cache with the given geometry and replacement policy.
-    pub fn new(cfg: CacheConfig, policy: Box<dyn CachePolicy>) -> Self {
-        let num_sets = cfg.num_sets();
-        Self::for_shard(
-            cfg,
-            policy,
-            Arc::new(TenantTable::new()),
-            num_sets,
-            0,
-            num_sets,
-        )
-    }
-
-    /// Build one shard of a larger logical cache: this instance owns global
-    /// sets `[set_base, set_base + local_sets)` of a cache with
-    /// `global_sets` sets, shares the per-tenant accounting `tenants` table
-    /// with its sibling shards, and its policy sizes global quotas over the
-    /// whole logical line count ([`CachePolicy::bind_global_lines`]). With
-    /// `global_sets == local_sets` and `set_base == 0` this is exactly
-    /// [`SoftwareCache::new`].
-    pub(crate) fn for_shard(
-        cfg: CacheConfig,
-        mut policy: Box<dyn CachePolicy>,
-        tenants: Arc<TenantTable>,
-        global_sets: usize,
-        set_base: usize,
-        local_sets: usize,
-    ) -> Self {
+    pub fn new(cfg: CacheConfig, mut policy: Box<dyn CachePolicy>) -> Self {
         assert_eq!(
             cfg.line_size, SSD_PAGE_SIZE,
             "cache lines must match the SSD page size (§2.3.3)"
         );
         assert!(cfg.associativity > 0, "associativity must be positive");
-        let assoc = cfg.associativity as usize;
-        policy.configure(local_sets, assoc);
-        if global_sets != local_sets {
-            policy.bind_global_lines((global_sets * assoc) as u64);
-        }
+        let (num_sets, assoc) = (cfg.num_sets(), cfg.associativity as usize);
+        let tenants = Arc::new(TenantTable::new());
+        policy.configure(num_sets, assoc);
         policy.bind_tenants(Arc::clone(&tenants));
         SoftwareCache {
-            sets: (0..local_sets)
+            sets: (0..num_sets)
                 .map(|_| {
                     Mutex::new(SetMeta {
                         tags: vec![None; assoc],
@@ -257,16 +224,16 @@ impl SoftwareCache {
                     })
                 })
                 .collect(),
-            ways: (0..local_sets * assoc).map(|_| Way::new()).collect(),
+            ways: (0..num_sets * assoc).map(|_| Way::new()).collect(),
             assoc,
-            global_sets,
-            set_base,
             policy,
             stats: StatsCells::default(),
             tenants,
             cfg,
             trace: OnceLock::new(),
             trace_now: AtomicU64::new(0),
+            wake_hub: OnceLock::new(),
+            watchers: OnceLock::new(),
         }
     }
 
@@ -291,11 +258,14 @@ impl SoftwareCache {
     }
 
     /// Publish the current sim time for trace timestamps. Controllers call
-    /// this at API entry so cache events carry meaningful clocks; the store
-    /// is relaxed and costs one instruction.
+    /// this at API entry so cache events carry meaningful clocks. Only trace
+    /// records read it, so without a sink nothing is stored; a sink installed
+    /// later sees the hint of the first call after it.
     #[inline]
     pub fn set_time_hint(&self, now: u64) {
-        self.trace_now.store(now, Ordering::Relaxed);
+        if self.has_trace_sink() {
+            self.trace_now.store(now, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -363,11 +333,13 @@ impl SoftwareCache {
         }
     }
 
+    /// Set index of `(dev, lba)`. Mixes device and LBA so multi-SSD striping
+    /// spreads across sets.
     fn set_of(&self, dev: u32, lba: Lba) -> usize {
-        // Hash into the *logical* set space, then rebase into this
-        // instance's range — standalone caches have `set_base == 0` and
-        // `global_sets == sets.len()`, so this is the plain hash.
-        global_set_of(dev, lba, self.global_sets) - self.set_base
+        let mut z = (dev as u64) << 56 ^ lba ^ 0x9E37_79B9_7F4A_7C15;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize % self.sets.len()
     }
 
     fn line_id(&self, set: usize, way: usize) -> LineId {
@@ -530,6 +502,34 @@ impl SoftwareCache {
         waiting
     }
 
+    /// Let waiters sleep on `BUSY` lines: from now on
+    /// [`SoftwareCache::watch_line`] registers sleepers of `hub`. Returns
+    /// `false` if a hub was already installed (the first one wins).
+    pub fn set_wake_hub(&self, hub: Arc<WakeHub>) -> bool {
+        self.wake_hub.set(hub).is_ok()
+    }
+
+    /// Notify `sleeper` when the reservation `ticket` names ends — its fill
+    /// completes or is aborted, or the dirty victim is reinstated. Returns
+    /// `false`, having registered nothing, when it already has ended (or no
+    /// hub is installed): the caller must then look the page up, not sleep.
+    /// Registering the same `(ticket, sleeper)` again is a no-op.
+    pub fn watch_line(&self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
+        let Some(hub) = self.wake_hub.get() else {
+            return false;
+        };
+        self.watchers
+            .get_or_init(|| LineWatchers::new(Arc::clone(hub)))
+            .watch(ticket, sleeper, self.way(ticket.line))
+    }
+
+    /// `line` just left `BUSY`: wake whoever waited for that.
+    fn line_settled(&self, line: LineId) {
+        if let Some(watchers) = self.watchers.get() {
+            watchers.settled(line);
+        }
+    }
+
     /// Move ownership of `way_idx` (whose set lock the caller holds via
     /// `meta`) to `tenant`, keeping the occupancy gauges balanced.
     fn transfer_owner(&self, meta: &mut SetMeta, way_idx: usize, tenant: u32) {
@@ -559,11 +559,14 @@ impl SoftwareCache {
     }
 
     /// Mark a reserved (BUSY) line as filled: the NVMe read completed and the
-    /// DMA slot now holds the page token. `BUSY → READY`.
+    /// DMA slot now holds the page token. `BUSY → READY`. Sleepers watching
+    /// the line ([`SoftwareCache::watch_line`]) are notified — here and in
+    /// the two ways a reservation can be abandoned.
     pub fn complete_fill(&self, line: LineId) {
         let way = self.way(line);
         let ok = way.transition(LineState::Busy, LineState::Ready);
         debug_assert!(ok, "complete_fill on a line that was not BUSY");
+        self.line_settled(line);
     }
 
     /// Abandon a reservation made by [`SoftwareCache::lookup_or_reserve`]
@@ -580,6 +583,7 @@ impl SoftwareCache {
         let ok = way.transition(LineState::Busy, LineState::Invalid);
         debug_assert!(ok, "abort_fill on a line that was not BUSY");
         way.unpin();
+        self.line_settled(line);
     }
 
     /// Abandon a reservation whose dirty victim's write-back could not be
@@ -620,6 +624,8 @@ impl SoftwareCache {
         way.data.store(token);
         way.set_state(LineState::Modified);
         way.unpin();
+        drop(meta);
+        self.line_settled(line);
     }
 
     /// Store `token` into the line and mark it dirty (`MODIFIED`).
@@ -1081,6 +1087,177 @@ mod tests {
             assert_eq!(cfg.num_lines(), cfg.num_sets() * assoc as usize);
             assert!(cfg.num_sets() >= 1, "one-set floor");
         }
+    }
+
+    fn cfg(lines: u64, assoc: u32) -> CacheConfig {
+        CacheConfig {
+            capacity_bytes: lines * SSD_PAGE_SIZE,
+            line_size: SSD_PAGE_SIZE,
+            associativity: assoc,
+        }
+    }
+
+    fn clock(lines: u64, assoc: u32) -> SoftwareCache {
+        SoftwareCache::new(cfg(lines, assoc), Box::new(ClockPolicy::new()))
+    }
+
+    #[test]
+    fn time_hint_is_published_only_to_a_sink_and_a_late_sink_sees_it() {
+        use agile_sim::trace::{TraceEvent, TraceSink};
+        #[derive(Default)]
+        struct Log(Mutex<Vec<TraceEvent>>);
+        impl TraceSink for Log {
+            fn record(&self, ev: TraceEvent) {
+                self.0.lock().push(ev);
+            }
+        }
+        let c = clock(64, 4);
+        let lookup = |lba| {
+            if let CacheLookup::Hit { line, .. } = c.lookup_or_reserve(0, lba) {
+                c.unpin(line);
+            }
+        };
+        // No sink: the hint goes nowhere, lookups work as ever.
+        c.set_time_hint(1_000);
+        assert!(c.preload(0, 1, PageToken(1)));
+        // A sink installed mid-run has seen no hint yet …
+        let log = Arc::new(Log::default());
+        assert!(c.set_trace_sink(log.clone()));
+        lookup(1);
+        // … and from then on stamps with the hint of each call.
+        for (now, lba) in [(2_000u64, 1u64), (3_000, 2), (4_000, 40)] {
+            c.set_time_hint(now);
+            lookup(lba);
+        }
+        let stamps: Vec<u64> = log.0.lock().iter().map(|ev| ev.at).collect();
+        assert_eq!(stamps, [0, 2_000, 3_000, 4_000]);
+    }
+
+    #[test]
+    fn line_ids_round_trip_through_every_accessor() {
+        let c = clock(64, 4);
+        assert!(c.preload(0, 42, PageToken(7)));
+        let CacheLookup::Hit { line, token } = c.lookup_or_reserve(0, 42) else {
+            panic!("expected hit");
+        };
+        assert_eq!(token, PageToken(7));
+        assert_eq!(c.read(line), PageToken(7));
+        assert_eq!(c.state(line), LineState::Ready);
+        c.store(line, PageToken(8));
+        assert_eq!(c.state(line), LineState::Modified);
+        c.unpin(line);
+        assert_eq!(c.total_pins(), 0);
+        assert_eq!(c.peek(0, 42), Some(PageToken(8)));
+    }
+
+    #[test]
+    fn tenant_accounting_and_share_updates_use_one_table() {
+        use crate::policy::TenantShare;
+        let c = SoftwareCache::new(cfg(64, 4), Box::new(TenantShare::new()));
+        // Fill lines from many addresses (landing in different sets) as two
+        // tenants; the table must aggregate across sets.
+        for lba in 0..24u64 {
+            let tenant = (lba % 2) as u32;
+            match c.lookup_or_reserve_as(0, lba, tenant) {
+                CacheLookup::Miss { line, dma, .. } => {
+                    dma.store(PageToken(lba));
+                    c.complete_fill(line);
+                    c.unpin(line);
+                }
+                CacheLookup::Hit { line, .. } => c.unpin(line),
+                _ => {}
+            }
+        }
+        let stats = c.tenant_stats();
+        assert_eq!(stats.len(), 2);
+        assert_eq!(
+            stats.iter().map(|t| t.occupancy).sum::<u64>(),
+            c.tenant_table().total_occupancy()
+        );
+        assert_eq!(stats[0].fills + stats[1].fills, 24);
+        // A share update reaches the policy and reads back.
+        assert_eq!(c.set_tenant_share(0, 3), Ok(3));
+        assert_eq!(c.tenant_share(0), Some(3));
+    }
+
+    #[test]
+    fn share_updates_on_oblivious_policies_are_unsupported() {
+        let c = clock(64, 4);
+        assert_eq!(
+            c.set_tenant_share(0, 2),
+            Err(crate::policy::ShareError::Unsupported)
+        );
+    }
+
+    /// A 4-line cache with a hub and `n` parked-able sleepers.
+    fn watched_cache(n: usize) -> (SoftwareCache, Arc<WakeHub>, Vec<SleeperId>) {
+        let cache = clock(4, 2);
+        let hub = WakeHub::new();
+        assert!(cache.set_wake_hub(Arc::clone(&hub)));
+        let sleepers = (0..n).map(|_| hub.register()).collect();
+        (cache, hub, sleepers)
+    }
+
+    fn reserve(cache: &SoftwareCache, lba: Lba) -> BusyTicket {
+        match cache.lookup_or_reserve(0, lba) {
+            CacheLookup::Miss {
+                line, generation, ..
+            } => BusyTicket { line, generation },
+            other => panic!("expected a miss, got {other:?}"),
+        }
+    }
+
+    fn fired(hub: &WakeHub) -> Vec<SleeperId> {
+        let mut out = Vec::new();
+        hub.drain_fired(&mut out);
+        out
+    }
+
+    #[test]
+    fn every_way_out_of_busy_notifies_the_lines_watchers_once() {
+        let (cache, hub, s) = watched_cache(3);
+        let tickets = [reserve(&cache, 1), reserve(&cache, 2), reserve(&cache, 3)];
+        for (ticket, &sleeper) in tickets.iter().zip(&s) {
+            assert!(cache.watch_line(*ticket, sleeper));
+            assert!(cache.watch_line(*ticket, sleeper), "idempotent");
+            hub.park(sleeper);
+        }
+        cache.complete_fill(tickets[0].line);
+        assert_eq!(fired(&hub), [s[0]]);
+        cache.abort_fill(tickets[1].line);
+        assert_eq!(fired(&hub), [s[1]]);
+        cache.reinstate_victim(tickets[2].line, 0, 9, PageToken(9));
+        assert_eq!(fired(&hub), [s[2]]);
+        // A reservation that has ended cannot be slept on.
+        assert!(!cache.watch_line(tickets[0], s[0]));
+    }
+
+    #[test]
+    fn a_line_reserved_again_does_not_wake_the_old_tickets_sleeper_twice() {
+        // ABA: the watched fill lands (one wake), the line is evicted and
+        // reserved for another page at a later generation, and that fill
+        // lands too. The first ticket's sleeper — asleep again, on something
+        // else — must not hear about the second.
+        let cache = clock(1, 1);
+        let hub = WakeHub::new();
+        cache.set_wake_hub(Arc::clone(&hub));
+        let (old, new) = (hub.register(), hub.register());
+        let first = reserve(&cache, 1);
+        assert!(cache.watch_line(first, old));
+        hub.park(old);
+        cache.complete_fill(first.line);
+        cache.unpin(first.line);
+        assert_eq!(fired(&hub), [old]);
+
+        let second = reserve(&cache, 2);
+        assert_eq!(second.line, first.line, "the one line, re-reserved");
+        assert_ne!(second.generation, first.generation);
+        assert!(!cache.watch_line(first, old), "the old ticket is dead");
+        assert!(cache.watch_line(second, new));
+        hub.park(old);
+        hub.park(new);
+        cache.complete_fill(second.line);
+        assert_eq!(fired(&hub), [new], "only the second ticket's sleeper");
     }
 
     #[test]

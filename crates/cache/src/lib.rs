@@ -23,10 +23,10 @@
 //!   Random implementations and the tenant-aware [`policy::TenantShare`];
 //! * [`tenant`] — per-tenant accounting (hits/misses/fills/evictions and
 //!   live occupancy) shared between the cache and tenant-aware policies;
-//! * [`cache`] — the set-associative [`cache::SoftwareCache`];
-//! * [`sharded`] — the set-range [`sharded::ShardedCache`] that splits the
-//!   logical set space across N independent caches while presenting one
-//!   logical cache to tenants and the control plane;
+//! * [`cache`] — the set-associative [`cache::SoftwareCache`], with the
+//!   table of sleepers waiting for its `BUSY` lines;
+//! * [`sharded`] — [`sharded::ShardedCache`], the old name of that cache
+//!   the benchmark package still spells;
 //! * [`share_table`] — the MOESI-inspired [`share_table::ShareTable`].
 
 #![forbid(unsafe_code)]
@@ -39,6 +39,7 @@ pub mod policy;
 pub mod sharded;
 pub mod share_table;
 pub mod tenant;
+mod watch;
 
 pub use cache::{BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
 pub use line::LineState;

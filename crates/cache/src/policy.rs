@@ -67,17 +67,6 @@ pub trait CachePolicy: Send + Sync {
         let _ = tenants;
     }
 
-    /// Called by a cache that is one shard of a larger logical cache, after
-    /// [`CachePolicy::configure`], with the **logical** total line count.
-    /// Quota-keeping policies size per-tenant shares over this count instead
-    /// of the shard-local one `configure` saw: every shard then enforces the
-    /// same global quota against the (shared) global occupancy gauges, so
-    /// per-shard rounding cannot strand lines. Tenant-oblivious policies
-    /// ignore it (the default).
-    fn bind_global_lines(&mut self, total_lines: u64) {
-        let _ = total_lines;
-    }
-
     /// A hit on `(set, way)` was served.
     fn on_access(&self, set: usize, way: usize);
 
@@ -360,11 +349,8 @@ pub struct TenantShare {
     /// victim path takes it shared once per choice.
     weights: RwLock<BTreeMap<u32, u64>>,
     default_weight: u64,
-    /// Total lines quotas are computed over: sets × associativity from
-    /// `configure`, overridden with the logical line count by
-    /// [`CachePolicy::bind_global_lines`] when this policy serves one shard
-    /// of a sharded cache (occupancy gauges are global there too, so quota
-    /// and gauge stay in the same unit).
+    /// Total lines quotas are computed over: the cache's sets ×
+    /// associativity, from `configure`.
     total_lines: u64,
     /// Live per-tenant occupancy view, bound by the owning cache.
     tenants: Option<Arc<TenantTable>>,
@@ -422,9 +408,6 @@ impl CachePolicy for TenantShare {
     }
     fn bind_tenants(&mut self, tenants: Arc<TenantTable>) {
         self.tenants = Some(tenants);
-    }
-    fn bind_global_lines(&mut self, total_lines: u64) {
-        self.total_lines = total_lines;
     }
     fn on_access(&self, set: usize, way: usize) {
         self.inner.on_access(set, way);
@@ -691,90 +674,6 @@ mod tests {
             Err(ShareError::Unsupported)
         );
         assert_eq!(configured(LruPolicy::new()).share(0), None);
-    }
-
-    #[test]
-    fn bind_global_lines_overrides_the_local_quota_base() {
-        let table = Arc::new(TenantTable::new());
-        let mut p = TenantShare::from_weights(&[1, 1]);
-        // One shard of a 4-shard cache: 4 local sets of a 16-set logical
-        // cache, 4-way. Quotas must be computed over the 64 logical lines.
-        p.configure(4, 4);
-        p.bind_global_lines(64);
-        p.bind_tenants(Arc::clone(&table));
-        // Tenant 0 holds 20 of 64 lines (global gauge) — under its 32-line
-        // global share, so nothing is over quota and eviction falls back to
-        // plain clock. With a shard-local base (16 lines ⇒ share 8) it would
-        // wrongly be over.
-        for _ in 0..20 {
-            table.occupy(0);
-        }
-        for _ in 0..4 {
-            table.occupy(1);
-        }
-        let evictable = vec![true; 4];
-        let owners = vec![0, 1, 0, 1];
-        let mut saw_tenant1_victim = false;
-        for _ in 0..20 {
-            let v = p.choose_victim(0, &evictable, &owners).unwrap();
-            saw_tenant1_victim |= v == 1 || v == 3;
-        }
-        assert!(
-            saw_tenant1_victim,
-            "with global quotas nobody is over share, so plain clock must \
-             also rotate through tenant 1's ways"
-        );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// Sharding must not strand quota lines: splitting a cache of `lines`
-        /// lines into `shards` set-range shards and computing each shard's
-        /// quota locally (`⌊local × w / W⌋`, one-line floor) loses at most
-        /// one line of quota per shard to rounding — Σ per-shard quotas ≥
-        /// global quota − shards. The implemented design does strictly
-        /// better: [`CachePolicy::bind_global_lines`] makes every shard
-        /// enforce the *global* quota against the shared occupancy gauges,
-        /// so no quota is lost at all.
-        #[test]
-        fn per_shard_quota_rounding_strands_at_most_one_line_per_shard(
-            sets in 1usize..512,
-            assoc in 1usize..16,
-            shards in 1usize..16,
-            weight in 1u64..64,
-            active_weight_extra in 0u64..64,
-        ) {
-            let active_weight = weight + active_weight_extra;
-            let lines = (sets * assoc) as u64;
-            let global_quota =
-                ((lines as u128 * weight as u128) / active_weight as u128).max(1) as u64;
-            let sets_per_shard = sets.div_ceil(shards);
-            let mut covered = 0usize;
-            let mut local_quota_sum = 0u64;
-            let mut shard_count = 0u64;
-            while covered < sets {
-                let local_sets = sets_per_shard.min(sets - covered);
-                let local_lines = (local_sets * assoc) as u64;
-                local_quota_sum += ((local_lines as u128 * weight as u128)
-                    / active_weight as u128)
-                    .max(1) as u64;
-                covered += local_sets;
-                shard_count += 1;
-            }
-            proptest::prop_assert!(
-                local_quota_sum >= global_quota.saturating_sub(shard_count),
-                "local quotas {} vs global {} over {} shards",
-                local_quota_sum, global_quota, shard_count
-            );
-
-            // The shipped design: every shard binds the global line count, so
-            // each enforces exactly the global quota — zero stranding.
-            let mut p = TenantShare::new();
-            p.configure(sets_per_shard.min(sets), assoc);
-            p.bind_global_lines(lines);
-            proptest::prop_assert_eq!(p.total_lines, lines);
-        }
     }
 
     #[test]

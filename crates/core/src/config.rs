@@ -38,7 +38,8 @@ pub struct AgileConfig {
     pub queue_pairs_per_ssd: usize,
     /// Depth (entries) of each SQ/CQ.
     pub queue_depth: u32,
-    /// Software-cache geometry.
+    /// Geometry of the software cache: one set-associative cache with a
+    /// lock per set (§3.4).
     pub cache: CacheConfig,
     /// Replacement policy.
     pub cache_policy: CachePolicyKind,
@@ -46,16 +47,6 @@ pub struct AgileConfig {
     /// [`CachePolicyKind::TenantShare`] (tenants beyond the slice weigh 1;
     /// empty = equal shares). Ignored by the tenant-oblivious policies.
     pub cache_shares: Vec<u64>,
-    /// Set-range shards of the software cache (≥ 1). Sharding is purely
-    /// structural — the `(dev, lba) → set` hash spans the logical cache, so
-    /// any shard count replays bit-identically — unless `cache_port_hold`
-    /// models port contention.
-    pub cache_shards: usize,
-    /// Modeled cycles one lookup holds its cache shard's access port
-    /// ([`agile_cache::ShardedCache::port_acquire`]); 0 (default) disables
-    /// the port model. Contention studies set this to measure how splitting
-    /// the port across shards scales aggregate throughput.
-    pub cache_port_hold: u64,
     /// Enable the Share Table (coherent user buffers, §3.4.1).
     pub share_table_enabled: bool,
     /// Maximum entries the Share Table tracks (0 = unbounded).
@@ -85,8 +76,6 @@ impl AgileConfig {
             cache: CacheConfig::with_capacity(2 * GIB),
             cache_policy: CachePolicyKind::Clock,
             cache_shares: Vec::new(),
-            cache_shards: 1,
-            cache_port_hold: 0,
             share_table_enabled: true,
             share_table_capacity: 0,
             service_warps: 8,
@@ -106,8 +95,6 @@ impl AgileConfig {
             cache: CacheConfig::with_capacity(4 * MIB),
             cache_policy: CachePolicyKind::Clock,
             cache_shares: Vec::new(),
-            cache_shards: 1,
-            cache_port_hold: 0,
             share_table_enabled: true,
             share_table_capacity: 0,
             service_warps: 2,
@@ -146,20 +133,6 @@ impl AgileConfig {
     /// [`CachePolicyKind::TenantShare`] (indexed by tenant id).
     pub fn with_cache_shares(mut self, shares: Vec<u64>) -> Self {
         self.cache_shares = shares;
-        self
-    }
-
-    /// Split the software cache into `shards` set-range shards (clamped to
-    /// ≥ 1).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
-    /// Model cache-port contention: each lookup holds its shard's access
-    /// port for `cycles` (0 disables the model).
-    pub fn with_cache_port_hold(mut self, cycles: u64) -> Self {
-        self.cache_port_hold = cycles;
         self
     }
 
@@ -223,12 +196,8 @@ mod tests {
             .with_cache_policy(CachePolicyKind::Lru)
             .with_share_table(false)
             .with_lock_chain_debug(true)
-            .with_service_warps(0)
-            .with_cache_shards(0)
-            .with_cache_port_hold(600);
+            .with_service_warps(0);
         assert_eq!(c.queue_pairs_per_ssd, 2);
-        assert_eq!(c.cache_shards, 1, "cache shards are clamped to ≥ 1");
-        assert_eq!(c.cache_port_hold, 600);
         assert_eq!(c.queue_depth, 32);
         assert_eq!(c.cache.capacity_bytes, MIB);
         assert_eq!(c.cache_policy, CachePolicyKind::Lru);

@@ -32,7 +32,7 @@ use crate::lockchain::LockRegistry;
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
     CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShardedCache, ShareTable,
-    TenantShare, NO_TENANT,
+    SoftwareCache, TenantShare, NO_TENANT,
 };
 use agile_sim::wake::{WatchList, WatchedU64};
 use agile_sim::Cycles;
@@ -157,16 +157,10 @@ impl AgileCtrl {
         device_queues: Vec<Vec<Arc<QueuePair>>>,
         topology: Option<Arc<dyn StorageTopology>>,
     ) -> Self {
-        let cache = ShardedCache::new(
-            cfg.cache.clone(),
-            cfg.cache_shards.max(1),
-            cfg.cache_port_hold,
-            || build_policy(&cfg),
-        );
         let io = IoPath::new(
             PathCosts::agile(&cfg.costs.api),
             cfg.costs.gpu.clone(),
-            cache,
+            SoftwareCache::new(cfg.cache.clone(), build_policy(&cfg)),
             device_queues,
             topology,
         );
@@ -200,9 +194,8 @@ impl AgileCtrl {
         &self.io
     }
 
-    /// The software cache (exposed for preloading and statistics). One
-    /// logical cache split across `cache_shards` set ranges; `cache_shards=1`
-    /// is the historical single cache, bit-for-bit.
+    /// The software cache (exposed for preloading and statistics): one
+    /// [`SoftwareCache`], under the old name the benchmark package spells.
     pub fn cache(&self) -> &ShardedCache {
         self.io.cache()
     }
@@ -394,8 +387,7 @@ impl AgileCtrl {
             }
         }
 
-        // 2. Software cache (pay the shard's access port when modeled).
-        cost += Cycles(cache.port_acquire(dev, lba, now.raw()));
+        // 2. Software cache.
         if let Some(token) = cache.peek(dev, lba) {
             cost += Cycles(api.agile_cache_hit);
             self.io.count_cache_hit();

@@ -41,7 +41,7 @@ use crate::coalesce::{coalesce_warp_into, CoalescedRequests};
 use crate::qos::{gate_admission, QosDecision, QosPolicy};
 use crate::sq_protocol::AgileSq;
 use crate::transaction::{Barrier, Transaction};
-use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache};
+use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache};
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -303,7 +303,7 @@ impl IoPath {
     pub fn new(
         costs: PathCosts,
         gpu: GpuCosts,
-        cache: ShardedCache,
+        cache: SoftwareCache,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
         topology: Option<Arc<dyn StorageTopology>>,
     ) -> Self {
@@ -320,7 +320,7 @@ impl IoPath {
         IoPath {
             costs,
             gpu,
-            cache,
+            cache: cache.into(),
             devices,
             topology,
             stats: IoStatCells::default(),
@@ -386,8 +386,8 @@ impl IoPath {
         self.trace.get()
     }
 
-    /// The software cache. One logical cache split across set-range shards;
-    /// one shard is the historical single cache, bit-for-bit.
+    /// The software cache, under the old name the benchmark package spells
+    /// (it derefs to the one [`SoftwareCache`]).
     pub fn cache(&self) -> &ShardedCache {
         &self.cache
     }
@@ -783,9 +783,6 @@ impl IoPath {
         let mut cost = Cycles(self.gpu.warp_primitive);
         let mut coalesced_onto = 0;
         for (i, &(dev, lba)) in wait.coalesced.unique.iter().enumerate() {
-            // The shard's access port: FIFO queue wait + hold, exactly like
-            // the submit path's array lock. Free when unmodeled (hold 0).
-            cost += Cycles(self.cache.port_acquire(dev, lba, now.raw()));
             if let PageState::InFlight(ticket) = wait.pages[i] {
                 if self.cache.lookup_busy(ticket, dev, lba, tenant) {
                     cost += Cycles(self.costs.cache_hit);
@@ -874,7 +871,7 @@ impl IoPath {
         wait: &mut LineWait,
     ) -> (Cycles, bool) {
         self.cache.set_time_hint(now.raw());
-        let mut cost = Cycles(self.cache.port_acquire(dev, lba, now.raw()));
+        let mut cost = Cycles::ZERO;
         let blocked = wait
             .0
             .is_some_and(|ticket| self.cache.lookup_busy(ticket, dev, lba, tenant));
@@ -936,8 +933,6 @@ impl IoPath {
 
     /// What each further attempt of a pending read costs while everything it
     /// waits for stays in flight: `read`'s pages looked up `BUSY` again.
-    /// (With the cache port unmodeled; a modeled port makes every attempt
-    /// different, and such waits are never parked.)
     pub fn repoll_cost(&self, read: &WarpWait) -> Cycles {
         Cycles(self.gpu.warp_primitive + self.costs.cache_hit * read.pages().len() as u64)
     }
@@ -953,8 +948,8 @@ impl IoPath {
     /// would do nothing but find them `BUSY` again at a known cost. The
     /// result is then a **parkable** wait: `sleeper` (registered on first
     /// use, one per warp) watches every such line. Anything else — a page
-    /// that is resident, or that could not be started; a modeled cache port,
-    /// whose queue every attempt moves — is a wait that has to be polled.
+    /// that is resident, or that could not be started — is a wait that has
+    /// to be polled.
     ///
     /// A caller whose retry interval depends on the attempt's cost must also
     /// check that this attempt cost what the skipped ones would
@@ -974,7 +969,7 @@ impl IoPath {
             return Wait::polling(WaitReason::CacheLine);
         }
         let nothing_pending = read_pages.is_empty() && writes.clone().next().is_none();
-        if !reads_in_flight || nothing_pending || self.cache.port_hold() != 0 {
+        if !reads_in_flight || nothing_pending {
             return Wait::polling(WaitReason::CacheFill);
         }
         let Some(id) = self.sleeper(sleeper) else {
@@ -1042,11 +1037,9 @@ mod tests {
                 qp
             })
             .collect();
-        let cache = ShardedCache::new(
+        let cache = SoftwareCache::new(
             CacheConfig::with_capacity(4 * agile_sim::units::MIB),
-            1,
-            0,
-            || Box::new(ClockPolicy::new()),
+            Box::new(ClockPolicy::new()),
         );
         let io = IoPath::new(
             PathCosts::agile(&ApiCosts::default()),

@@ -30,9 +30,9 @@
 //! * [`lockchain`] — the compile-time debug option that tracks per-thread
 //!   lock chains and reports circular dependencies (§3.5);
 //! * [`qos`] — QoS-aware submission scheduling across tenants: a pluggable
-//!   [`qos::QosPolicy`] ([`qos::Fifo`], deficit-round-robin
-//!   [`qos::WeightedFair`], [`qos::StrictPriority`]) that arbitrates SQ-slot
-//!   admission ahead of the Algorithm 2 critical section;
+//!   [`qos::QosPolicy`] ([`qos::Fifo`] or deficit-round-robin
+//!   [`qos::WeightedFair`]) that arbitrates SQ-slot admission ahead of the
+//!   Algorithm 2 critical section;
 //! * [`host`] — the generic [`host::Host`] (as [`host::AgileHost`], the
 //!   host-side setup/run/teardown flow of Listing 1), plus the bridge that
 //!   co-simulates the SSD array with the GPU engine.
@@ -88,8 +88,7 @@ pub use io_path::{
 };
 pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
-    Fifo, QosDecision, QosPolicy, QosTenantStats, StrictPriority, WeightError, WeightedFair,
-    MAX_ONLINE_WEIGHT,
+    Fifo, QosDecision, QosPolicy, QosTenantStats, WeightError, WeightedFair, MAX_ONLINE_WEIGHT,
 };
 pub use service::{partition_targets, ServicePartition, ServiceSet, ServiceStats};
 pub use telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};

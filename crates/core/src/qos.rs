@@ -11,7 +11,7 @@
 //! retries later — so the non-blocking structure of the protocol (no lock held
 //! across a wait, Figure 1 cannot form) is untouched.
 //!
-//! Three policies ship:
+//! Two policies ship:
 //!
 //! * [`Fifo`] — admit everything; **bit-identical** to the pre-QoS stack
 //!   (asserted by the golden-trace suite). This is the default when no policy
@@ -26,9 +26,6 @@
 //!   (property-tested in `tests/qos_fairness.rs`) while a tenant with no
 //!   active competitors inherits the whole capacity — the gate stays
 //!   work-conserving.
-//! * [`StrictPriority`] — a tenant defers whenever any strictly
-//!   higher-priority tenant has attempted an admission recently. Simple and
-//!   starvation-prone by design (that is what "strict" means).
 //!
 //! Only **tenant-attributed** submissions are arbitrated (the `*_as` entry
 //! points of [`crate::AgileCtrl`] / `bam_baseline::BamCtrl`). Cache-internal
@@ -39,7 +36,7 @@
 
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::Cycles;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +80,7 @@ pub enum WeightError {
     /// controller bug — it could zero the active-weight denominator — so the
     /// update path refuses it outright instead of guessing.
     Zero,
-    /// The policy keeps no per-tenant weights (`Fifo`, `StrictPriority`).
+    /// The policy keeps no per-tenant weights (`Fifo`).
     Unsupported,
 }
 
@@ -130,7 +127,7 @@ pub struct QosTenantStats {
 /// given a deterministic sequence of `admit`/`refund`/`on_complete` calls —
 /// replay determinism and the golden-trace suite depend on it.
 pub trait QosPolicy: Send + Sync {
-    /// Short lowercase policy name used in reports (`fifo`, `wfq`, `prio`).
+    /// Short lowercase policy name used in reports (`fifo`, `wfq`).
     fn name(&self) -> &'static str;
 
     /// May the submission from `tenant` proceed at sim time `now`?
@@ -447,117 +444,6 @@ impl QosPolicy for WeightedFair {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Strict priority
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct PrioTenant {
-    /// Priority class; **lower values are more important**.
-    class: u32,
-    /// Sim time of the last admission attempt; `None` until the first one,
-    /// so a configured-but-silent important tenant does not preempt anyone.
-    last_seen: Option<u64>,
-    admitted: u64,
-    deferred: u64,
-}
-
-/// Strict priority classes: a submission defers whenever any tenant of a
-/// strictly more important class (lower class value) attempted an admission
-/// within the activity window. Lower classes can starve — by design.
-#[derive(Debug)]
-pub struct StrictPriority {
-    default_class: u32,
-    idle_window: u64,
-    state: Mutex<BTreeMap<u32, PrioTenant>>,
-}
-
-impl StrictPriority {
-    /// Priorities indexed by tenant id (class 0 is the most important);
-    /// tenants beyond the slice get the lowest configured importance + 1.
-    pub fn from_classes(classes: &[u32]) -> Self {
-        let default_class = classes.iter().copied().max().unwrap_or(0) + 1;
-        let state = classes
-            .iter()
-            .enumerate()
-            .map(|(tenant, &class)| {
-                (
-                    tenant as u32,
-                    PrioTenant {
-                        class,
-                        last_seen: None,
-                        admitted: 0,
-                        deferred: 0,
-                    },
-                )
-            })
-            .collect();
-        StrictPriority {
-            default_class,
-            idle_window: 200_000,
-            state: Mutex::new(state),
-        }
-    }
-
-    /// Override the activity window.
-    pub fn with_idle_window(mut self, cycles: u64) -> Self {
-        self.idle_window = cycles.max(1);
-        self
-    }
-}
-
-impl QosPolicy for StrictPriority {
-    fn name(&self) -> &'static str {
-        "prio"
-    }
-
-    fn admit(&self, tenant: u32, now: Cycles) -> QosDecision {
-        let mut state = self.state.lock();
-        let default_class = self.default_class;
-        let entry = state.entry(tenant).or_insert(PrioTenant {
-            class: default_class,
-            last_seen: None,
-            admitted: 0,
-            deferred: 0,
-        });
-        entry.last_seen = Some(now.raw());
-        let class = entry.class;
-        let horizon = now.raw().saturating_sub(self.idle_window);
-        let preempted = state.iter().any(|(&t, s)| {
-            t != tenant && s.class < class && s.last_seen.is_some_and(|at| at >= horizon)
-        });
-        let entry = state.get_mut(&tenant).expect("inserted above");
-        if preempted {
-            entry.deferred += 1;
-            QosDecision::Defer
-        } else {
-            entry.admitted += 1;
-            QosDecision::Admit
-        }
-    }
-
-    fn refund(&self, tenant: u32) {
-        let mut state = self.state.lock();
-        if let Some(s) = state.get_mut(&tenant) {
-            s.admitted = s.admitted.saturating_sub(1);
-        }
-    }
-
-    fn tenant_stats(&self) -> Vec<QosTenantStats> {
-        let state = self.state.lock();
-        state
-            .iter()
-            .map(|(&tenant, s)| QosTenantStats {
-                tenant,
-                weight: 1,
-                admitted: s.admitted,
-                deferred: s.deferred,
-                in_flight: 0,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,14 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_priority_silent_important_tenant_does_not_preempt() {
-        let p = StrictPriority::from_classes(&[0, 1]);
-        // Class-0 tenant 0 is configured but never submits: tenant 1 must
-        // not be deferred behind the phantom, even near time zero.
-        assert_eq!(p.admit(1, Cycles(5)), QosDecision::Admit);
-    }
-
-    #[test]
     fn wfq_refund_returns_credit_and_admission() {
         let p = WeightedFair::new();
         p.bind(1);
@@ -698,20 +576,6 @@ mod tests {
         assert_eq!(stats[0].in_flight, 0);
         // The returned credit is immediately usable.
         assert_eq!(p.admit(0, Cycles(1)), QosDecision::Admit);
-    }
-
-    #[test]
-    fn strict_priority_defers_behind_active_higher_class() {
-        let p = StrictPriority::from_classes(&[0, 1]).with_idle_window(1_000);
-        // Tenant 0 (class 0) is active.
-        assert_eq!(p.admit(0, Cycles(100)), QosDecision::Admit);
-        // Tenant 1 (class 1) must defer while tenant 0 is within the window…
-        assert_eq!(p.admit(1, Cycles(200)), QosDecision::Defer);
-        // …and proceeds once tenant 0 has gone idle.
-        assert_eq!(p.admit(1, Cycles(5_000)), QosDecision::Admit);
-        let stats = p.tenant_stats();
-        assert_eq!(stats[1].deferred, 1);
-        assert_eq!(stats[1].admitted, 1);
     }
 
     #[test]
@@ -749,18 +613,5 @@ mod tests {
     fn fifo_and_prio_report_weights_unsupported() {
         assert_eq!(Fifo.set_weight(0, 2), Err(WeightError::Unsupported));
         assert_eq!(Fifo.weight(0), None);
-        let p = StrictPriority::from_classes(&[0, 1]);
-        assert_eq!(p.set_weight(1, 2), Err(WeightError::Unsupported));
-    }
-
-    #[test]
-    fn strict_priority_unknown_tenants_rank_last() {
-        let p = StrictPriority::from_classes(&[0]);
-        assert_eq!(p.admit(0, Cycles(0)), QosDecision::Admit);
-        assert_eq!(
-            p.admit(7, Cycles(1)),
-            QosDecision::Defer,
-            "unconfigured tenants are least important"
-        );
     }
 }

@@ -90,29 +90,6 @@ impl Collector for CacheCollector {
             counter(out, "agile_cache_tenant_evictions_total", l, t.evictions);
             gauge(out, "agile_cache_tenant_occupancy", l, t.occupancy);
         }
-        // Per-shard families only when the cache is actually sharded: the
-        // single-shard rows would duplicate the aggregates above under a
-        // different key.
-        let shards = cache.stats_by_shard();
-        if shards.len() > 1 {
-            for (shard, s) in shards.into_iter().enumerate() {
-                let l = Labels::shard(shard as u32);
-                counter(out, "agile_cache_shard_hits_total", l, s.hits);
-                counter(out, "agile_cache_shard_misses_total", l, s.misses);
-                counter(out, "agile_cache_shard_evictions_total", l, s.evictions);
-            }
-        }
-        // Port contention, mirroring the submit path's `agile_submit_lock_*`
-        // families: rows appear only once something was charged.
-        let waits = cache.port_wait_by_shard();
-        let acquires = cache.port_acquires_by_shard();
-        if acquires.iter().any(|&n| n > 0) {
-            for (shard, (wait, n)) in waits.into_iter().zip(acquires).enumerate() {
-                let l = Labels::shard(shard as u32);
-                counter(out, "agile_cache_port_wait_cycles_total", l, wait);
-                counter(out, "agile_cache_port_acquires_total", l, n);
-            }
-        }
     }
 }
 

@@ -58,9 +58,7 @@ struct Observed {
     /// Cost and result of every call, in script order.
     calls: Vec<(u64, String)>,
     io: IoStats,
-    cache_by_shard: Vec<CacheStats>,
-    port_wait: Vec<u64>,
-    port_acquires: Vec<u64>,
+    cache: CacheStats,
     pins: u64,
     trace: Vec<TraceEvent>,
 }
@@ -99,13 +97,11 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(cache_shards: usize, port_hold: u64, carry: bool) -> Self {
+    fn new(carry: bool) -> Self {
         let mut cfg = AgileConfig::small_test()
             .with_queue_pairs(QUEUES)
-            .with_queue_depth(DEPTH)
-            .with_cache_shards(cache_shards)
-            .with_cache_port_hold(port_hold);
-        // 16 lines, 2-way: eight sets, so four shards own two sets each.
+            .with_queue_depth(DEPTH);
+        // 16 lines, 2-way: eight sets.
         cfg.cache = CacheConfig {
             capacity_bytes: 16 * SSD_PAGE_SIZE,
             line_size: SSD_PAGE_SIZE,
@@ -129,7 +125,6 @@ impl Rig {
             queues.push(qps);
         }
         let ctrl = Arc::new(AgileCtrl::new(cfg, queues));
-        assert_eq!(ctrl.cache().num_shards(), cache_shards);
         let log = Arc::new(TraceLog::default());
         assert!(ctrl
             .io()
@@ -206,8 +201,8 @@ impl Rig {
     }
 }
 
-fn run(script: &[Step], cache_shards: usize, port_hold: u64, carry: bool) -> Observed {
-    let mut rig = Rig::new(cache_shards, port_hold, carry);
+fn run(script: &[Step], carry: bool) -> Observed {
+    let mut rig = Rig::new(carry);
     let mut now = Cycles(0);
     let mut calls = Vec::new();
     for &step in script {
@@ -225,17 +220,11 @@ fn run(script: &[Step], cache_shards: usize, port_hold: u64, carry: bool) -> Obs
     Observed {
         calls,
         io: rig.ctrl.io().stats(),
-        cache_by_shard: cache.stats_by_shard(),
-        port_wait: cache.port_wait_by_shard(),
-        port_acquires: cache.port_acquires_by_shard(),
+        cache: cache.stats(),
         pins: cache.total_pins(),
         trace,
     }
 }
-
-/// Every combination the issue names: cache shards 1 and 4, port model off
-/// and on, always with a recording sink.
-const GEOMETRIES: [(usize, u64); 4] = [(1, 0), (4, 0), (1, 150), (4, 150)];
 
 proptest! {
     // The release-mode CI step runs the larger count.
@@ -245,11 +234,7 @@ proptest! {
     fn carried_wait_state_changes_nothing_observable(
         script in collection::vec((0u64..40_000, any::<u8>(), any::<u8>(), any::<u8>()), 1..160),
     ) {
-        for (cache_shards, port_hold) in GEOMETRIES {
-            let carried = run(&script, cache_shards, port_hold, true);
-            let fresh = run(&script, cache_shards, port_hold, false);
-            prop_assert_eq!(&carried, &fresh);
-        }
+        prop_assert_eq!(run(&script, true), run(&script, false));
     }
 }
 
@@ -277,18 +262,14 @@ fn generated_scripts_do_reach_the_hard_paths() {
             )
         })
         .collect();
-    for (cache_shards, port_hold) in GEOMETRIES {
-        let carried = run(&script, cache_shards, port_hold, true);
-        let io = &carried.io;
-        assert!(io.cache_coalesced > 50, "BUSY waits: {io:?}");
-        assert!(io.sq_full_retries > 0, "SQ-full aborts: {io:?}");
-        assert!(io.writebacks > 0, "dirty evictions: {io:?}");
-        let sum =
-            |field: fn(&CacheStats) -> u64| carried.cache_by_shard.iter().map(field).sum::<u64>();
-        assert!(sum(|s| s.no_line) > 0, "NoLineAvailable");
-        assert!(sum(|s| s.hits) > 0, "hits");
-        assert_eq!(carried, run(&script, cache_shards, port_hold, false));
-    }
+    let carried = run(&script, true);
+    let io = &carried.io;
+    assert!(io.cache_coalesced > 50, "BUSY waits: {io:?}");
+    assert!(io.sq_full_retries > 0, "SQ-full aborts: {io:?}");
+    assert!(io.writebacks > 0, "dirty evictions: {io:?}");
+    assert!(carried.cache.no_line > 0, "NoLineAvailable");
+    assert!(carried.cache.hits > 0, "hits");
+    assert_eq!(carried, run(&script, false));
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +318,7 @@ const POLLS: u64 = 1_000;
 /// flight (no device ever completes them) and its store is blocked behind
 /// one of them. Returns the rig and the wait state of both.
 fn stalled_warp() -> (Rig, WarpWait, LineWait) {
-    let rig = Rig::new(4, 0, true);
+    let rig = Rig::new(true);
     let io = rig.ctrl.io();
     let mut read_wait = WarpWait::new();
     let (_, outcome) = io.read_warp(0, 1, &STALLED_READ, Cycles(0), &mut read_wait);
@@ -412,7 +393,7 @@ fn a_ticketed_stalled_poll_allocates_nothing() {
 #[test]
 fn a_ticketed_stalled_poll_takes_no_set_lock() {
     let (rig, mut read_wait, mut store_wait) = stalled_warp();
-    // Hold every set lock of every shard while another thread polls: a
+    // Hold every set lock while another thread polls: a
     // ticketed poll returns without ever wanting one.
     let (tx, rx) = std::sync::mpsc::channel();
     let io = rig.ctrl.io();
@@ -464,18 +445,11 @@ fn a_wait_with_anything_but_fills_in_flight_is_polled() {
     io.read_warp(0, 1, &[(0, 3), (1, 11)], Cycles(0), &mut mixed);
     let wait = io.park_on_fills(&mut sleeper, Some(&mixed), std::iter::empty());
     assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
-    // And with the cache port modeled every attempt moves its queue.
-    let ported = Rig::new(1, 50, true);
-    let mut wait_state = WarpWait::new();
-    let io = ported.ctrl.io();
-    io.read_warp(0, 1, &STALLED_READ, Cycles(0), &mut wait_state);
-    let wait = io.park_on_fills(&mut None, Some(&wait_state), std::iter::empty());
-    assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
 }
 
 #[test]
 fn two_warps_asleep_on_one_line_are_both_woken_by_its_fill() {
-    let mut rig = Rig::new(1, 0, true);
+    let mut rig = Rig::new(true);
     let (mut first, mut second) = (WarpWait::new(), WarpWait::new());
     let page = [(0u32, 5u64)];
     let hub = Arc::clone(rig.ctrl.io().wake_hub());

@@ -81,7 +81,7 @@ fn warps_for(cfg: &DlrmConfig) -> u64 {
 /// left out: they would miss in steady state too, and they are the
 /// communication the asynchronous mode gets to overlap. EXPERIMENTS.md
 /// records this deviation.
-fn prewarm(cache: &agile_cache::ShardedCache, trace: &DlrmTrace) {
+fn prewarm(cache: &agile_cache::SoftwareCache, trace: &DlrmTrace) {
     use std::collections::HashMap;
     let mut freq: HashMap<(u32, u64), u64> = HashMap::new();
     for e in 0..trace.epochs() {

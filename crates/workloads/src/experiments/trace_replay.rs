@@ -14,7 +14,7 @@ use crate::trace_replay::{
 use agile_cache::{CacheStats, TenantCacheStats};
 use agile_control::{ControlPolicy, ControlReport, SloSpec};
 use agile_core::config::CachePolicyKind;
-use agile_core::qos::{Fifo, QosPolicy, StrictPriority, WeightedFair};
+use agile_core::qos::{Fifo, QosPolicy, WeightedFair};
 use agile_core::service::ServiceStats;
 use agile_core::{AgileConfig, Host, HostSystem, IoStats, StorageCtrl};
 use agile_metrics::{
@@ -38,9 +38,6 @@ pub enum QosSpec {
     /// Deficit-round-robin weighted fair queueing; weights indexed by tenant
     /// id (missing tenants weigh 1).
     WeightedFair(Vec<u64>),
-    /// Strict priority classes indexed by tenant id (class 0 is the most
-    /// important; missing tenants rank last).
-    StrictPriority(Vec<u32>),
 }
 
 impl QosSpec {
@@ -49,7 +46,6 @@ impl QosSpec {
         match self {
             QosSpec::Fifo => "fifo",
             QosSpec::WeightedFair(_) => "wfq",
-            QosSpec::StrictPriority(_) => "prio",
         }
     }
 
@@ -58,7 +54,6 @@ impl QosSpec {
         match self {
             QosSpec::Fifo => Arc::new(Fifo),
             QosSpec::WeightedFair(weights) => Arc::new(WeightedFair::from_weights(weights)),
-            QosSpec::StrictPriority(classes) => Arc::new(StrictPriority::from_classes(classes)),
         }
     }
 }
@@ -214,19 +209,10 @@ pub struct ReplayReport {
     pub qos_deferrals: u64,
     /// Total cycles warps spent queued on the topology's lock shards.
     pub lock_wait_cycles: u64,
-    /// Set-range shards of the software cache the run was built with (1 =
-    /// the flat cache, bit-identical to the pre-sharding stack).
-    pub cache_shards: usize,
-    /// Total cycles warps spent queued on cache-shard access ports (always
-    /// 0 when the port model is off).
-    pub cache_port_wait_cycles: u64,
     /// The I/O path's end-of-run counters (not part of the summary).
     pub io_stats: IoStats,
-    /// The software cache's end-of-run counters, summed over its shards (not
-    /// part of the summary).
+    /// The software cache's end-of-run counters (not part of the summary).
     pub cache_stats: CacheStats,
-    /// The same per cache shard, in shard order (not part of the summary).
-    pub cache_shard_stats: Vec<CacheStats>,
     /// Metrics capture, present when [`ReplayConfig::with_metrics`] was set.
     pub metrics: Option<MetricsReport>,
     /// Closed-loop control capture (decision log + final knob values),
@@ -283,16 +269,6 @@ impl ReplayReport {
         // shards is exactly the comparison the number exists for.
         if self.shards > 1 && self.lock_wait_cycles > 0 {
             s.push_str(&format!(" lock_wait={}", self.lock_wait_cycles));
-        }
-        // Cache sharding prints only when actually sharded: the default of 1
-        // is contractually byte-identical to the flat cache, goldens
-        // included. Port wait follows the lock_wait rule — only for genuine
-        // multi-shard runs where splitting the port is the comparison.
-        if self.cache_shards > 1 {
-            s.push_str(&format!(" cache_shards={}", self.cache_shards));
-            if self.cache_port_wait_cycles > 0 {
-                s.push_str(&format!(" cache_port_wait={}", self.cache_port_wait_cycles));
-            }
         }
         for t in &self.tenants {
             s.push_str(&format!(
@@ -378,13 +354,6 @@ pub struct ReplayConfig {
     /// Software-cache capacity override in bytes (`None` keeps each
     /// system's scaled-down default, 4 MiB). Applies to both systems.
     pub cache_bytes: Option<u64>,
-    /// Set-range shards of the software cache (≥ 1; applies to both
-    /// systems). Purely structural at the default `cache_port_hold` of 0 —
-    /// any shard count replays bit-identically.
-    pub cache_shards: usize,
-    /// Modeled cycles one cached lookup holds its shard's access port
-    /// (0 = port model off).
-    pub cache_port_hold: u64,
     /// Partition warps by tenant (each warp replays one tenant's ops) — the
     /// per-tenant virtual queues a QoS policy arbitrates. See
     /// [`TraceReplayParams::tenant_warps`].
@@ -428,8 +397,6 @@ impl Default for ReplayConfig {
             cache_shares: Vec::new(),
             prefetch_depth: 1,
             cache_bytes: None,
-            cache_shards: 1,
-            cache_port_hold: 0,
             tenant_warps: false,
             service_shards: 1,
             engine_sched: EngineSched::EventQueue,
@@ -499,13 +466,6 @@ impl ReplayConfig {
         self
     }
 
-    /// Schedule SQ admission with strict priority classes (`classes` indexed
-    /// by tenant id, 0 most important).
-    pub fn strict_priority(mut self, classes: Vec<u32>) -> Self {
-        self.qos = QosSpec::StrictPriority(classes);
-        self
-    }
-
     /// Partition warps by tenant (one tenant per warp; a tenant's ops strided
     /// across its warps), the replay-side realisation of per-tenant virtual
     /// queues.
@@ -572,22 +532,6 @@ impl ReplayConfig {
     /// (`None` keeps the scaled-down 4 MiB default).
     pub fn with_cache_bytes(mut self, bytes: u64) -> Self {
         self.cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Split the software cache into `shards` set-range shards (clamped to
-    /// ≥ 1; both systems). Pair with [`ReplayConfig::with_cache_port_hold`]
-    /// to model the port contention sharding relieves — without it the
-    /// split is purely structural and replays bit-identically.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
-    /// Model cache-port contention: each cached lookup holds its shard's
-    /// access port for `cycles` (0 disables the model).
-    pub fn with_cache_port_hold(mut self, cycles: u64) -> Self {
-        self.cache_port_hold = cycles;
         self
     }
 
@@ -676,11 +620,8 @@ fn finish_report(
         engine_rounds,
         qos_deferrals: 0,
         lock_wait_cycles: 0,
-        cache_shards: cfg.cache_shards.max(1),
-        cache_port_wait_cycles: 0,
         io_stats: IoStats::default(),
         cache_stats: CacheStats::default(),
-        cache_shard_stats: Vec::new(),
         metrics: None,
         control: None,
     }
@@ -763,8 +704,6 @@ fn fold_stack_state<S: HostSystem>(
     report.io_stats = io.stats();
     report.qos_deferrals = report.io_stats.qos_deferrals;
     report.cache_stats = io.cache().stats();
-    report.cache_shard_stats = io.cache().stats_by_shard();
-    report.cache_port_wait_cycles = io.cache().port_wait_by_shard().iter().sum();
     if cfg.tenant_warps {
         report.tenant_cache = io.cache().tenant_stats();
     }
@@ -834,9 +773,7 @@ pub fn run_trace_replay_with_sink(
         ReplaySystem::Agile => {
             let mut config = AgileConfig::small_test()
                 .with_queue_pairs(cfg.queue_pairs)
-                .with_queue_depth(cfg.queue_depth)
-                .with_cache_shards(cfg.cache_shards)
-                .with_cache_port_hold(cfg.cache_port_hold);
+                .with_queue_depth(cfg.queue_depth);
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }
@@ -865,9 +802,7 @@ pub fn run_trace_replay_with_sink(
         ReplaySystem::Bam => {
             let mut config = BamConfig::small_test()
                 .with_queue_pairs(cfg.queue_pairs)
-                .with_queue_depth(cfg.queue_depth)
-                .with_cache_shards(cfg.cache_shards)
-                .with_cache_port_hold(cfg.cache_port_hold);
+                .with_queue_depth(cfg.queue_depth);
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }

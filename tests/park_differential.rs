@@ -113,16 +113,13 @@ fn io_polls(s: &IoStats) -> (IoStats, Vec<u64>) {
     (rest, polls)
 }
 
-/// The same for the cache's per-shard counters.
-fn cache_polls(shards: &[CacheStats]) -> (Vec<CacheStats>, Vec<u64>) {
-    let rest = shards
-        .iter()
-        .map(|s| CacheStats {
-            busy_hits: 0,
-            ..s.clone()
-        })
-        .collect();
-    (rest, shards.iter().map(|s| s.busy_hits).collect())
+/// The same for the cache's counters.
+fn cache_polls(s: &CacheStats) -> (CacheStats, Vec<u64>) {
+    let rest = CacheStats {
+        busy_hits: 0,
+        ..s.clone()
+    };
+    (rest, vec![s.busy_hits])
 }
 
 /// The same for the service partitions'.
@@ -169,7 +166,6 @@ struct Case {
     shape: Shape,
     seed: u64,
     ops: u64,
-    cache_shards: usize,
     sink: bool,
 }
 
@@ -178,7 +174,6 @@ fn case_of(pick: u8, seed: u64) -> Case {
         shape: [Shape::Raw, Shape::CachedWriteMix, Shape::CachedTenants][pick as usize % 3],
         seed,
         ops: 256 + seed % 512,
-        cache_shards: if pick & 4 == 0 { 1 } else { 4 },
         sink: pick & 8 == 0,
     }
 }
@@ -228,9 +223,7 @@ fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
             .tenant_partitioned(),
         ),
     };
-    let cfg = cfg
-        .with_cache_shards(case.cache_shards)
-        .with_engine_sched(sched);
+    let cfg = cfg.with_engine_sched(sched);
     let sink = case.sink.then(|| Arc::new(MemorySink::new()));
     let report = run_trace_replay_with_sink(
         &spec.generate(),
@@ -249,7 +242,7 @@ fn assert_same_replay(case: Case, parked: &ReplayReport, polled: &ReplayReport) 
     assert_eq!(a.elapsed_cycles, b.elapsed_cycles, "{case:?}");
     assert_eq!(a.mean_us.to_bits(), b.mean_us.to_bits(), "{case:?}");
     assert_counts(case, io_polls(&a.io_stats), io_polls(&b.io_stats));
-    let cache = |r: &ReplayReport| cache_polls(&r.cache_shard_stats);
+    let cache = |r: &ReplayReport| cache_polls(&r.cache_stats);
     assert_counts(case, cache(a), cache(b));
     let service = |r: &ReplayReport| service_polls(&r.service_stats);
     assert_counts(case, service(a), service(b));
@@ -286,7 +279,6 @@ fn the_cases_reach_the_hard_paths() {
         shape: Shape::Raw,
         seed: 11,
         ops: 768,
-        cache_shards: 1,
         sink: true,
     };
     differential(raw);
@@ -297,7 +289,6 @@ fn the_cases_reach_the_hard_paths() {
         shape: Shape::CachedWriteMix,
         seed: 12,
         ops: 768,
-        cache_shards: 4,
         sink: true,
     };
     differential(writemix);
@@ -349,7 +340,7 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
             kernel.steps,
             (
                 io_polls(&ctrl.io().stats()),
-                cache_polls(&ctrl.cache().stats_by_shard()),
+                cache_polls(&ctrl.cache().stats()),
                 service_polls(&host.service_set().partition_stats()),
             ),
             report.rounds,

@@ -60,32 +60,6 @@ fn noisy_neighbor_victim_p99_improves_under_wfq_without_iops_collapse() {
     );
 }
 
-#[test]
-fn strict_priority_replay_protects_the_important_tenant() {
-    // The victim (tenant 1) is the important class 0; the noisy tenant is
-    // class 1 and must yield whenever the victim is active — more aggressive
-    // than WFQ, and allowed to starve the noisy tenant while the victim runs.
-    let trace = TraceSpec::noisy_neighbor("nn-prio", 0x906, 2, 1 << 12, 2_048).generate();
-    let fifo = run_trace_replay(&trace, ReplaySystem::Agile, &contended_config());
-    let prio = run_trace_replay(
-        &trace,
-        ReplaySystem::Agile,
-        &contended_config().strict_priority(vec![1, 0]),
-    );
-    assert!(
-        !prio.deadlocked,
-        "deferred tenants must not wedge the replay"
-    );
-    assert_eq!(prio.ops, 2_048, "every op still completes exactly once");
-    assert!(
-        prio.tenants[1].p99_us < fifo.tenants[1].p99_us,
-        "class-0 victim p99 must improve under strict priority \
-         (fifo {:.2}us vs prio {:.2}us)",
-        fifo.tenants[1].p99_us,
-        prio.tenants[1].p99_us
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
