@@ -187,7 +187,9 @@ fn main() {
     let qos_ops: u64 = if quick_mode() { 4_096 } else { 16_384 };
     let trace = TraceSpec::noisy_neighbor("noisy-neighbor", seed, 2, 1 << 12, qos_ops).generate();
     // Few queue resources + demand-proportional tenant warps ⇒ the noisy
-    // tenant keeps every SQ saturated and the victim's tail shows it.
+    // tenant keeps every SQ saturated. Latency runs from admission, so the
+    // per-tenant p99s show the shared device queue; the policy decides when
+    // each tenant is admitted.
     let contended = ReplayConfig {
         total_warps: 32,
         window: 32,

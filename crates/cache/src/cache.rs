@@ -1209,7 +1209,7 @@ mod tests {
 
     fn fired(hub: &WakeHub) -> Vec<SleeperId> {
         let mut out = Vec::new();
-        hub.drain_fired(&mut out);
+        hub.drain(&mut out, &mut Vec::new());
         out
     }
 

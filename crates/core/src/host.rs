@@ -32,8 +32,7 @@
 //! The host also owns the co-simulation plumbing: it builds a
 //! [`StorageTopology`] (a single-lock [`nvme_sim::FlatArray`], or a
 //! [`nvme_sim::ShardedArray`] when [`Host::set_shards`] was called) and
-//! bridges each of its devices into the GPU engine as an
-//! [`gpu_sim::ExternalDevice`].
+//! bridges it into the GPU engine as one [`gpu_sim::ExternalDevice`].
 
 use crate::config::AgileConfig;
 use crate::control::{knob_set, QosWeights};
@@ -98,28 +97,24 @@ pub trait GpuStorageHost {
     fn stop(&mut self);
 }
 
-/// Bridges a single *storage device* of a topology into the engine. One
-/// `DeviceSsdBridge` per device, registered in
-/// [`StorageTopology::device_advance_order`] (shard-major) order, which is
-/// the golden-gated order the engine advances devices in.
-pub struct DeviceSsdBridge {
+/// Bridges the whole storage topology into the engine as its one shard
+/// device. [`StorageTopology::advance_to`] visits the devices shard-major,
+/// the golden-gated order, and the engine wakes the sleepers they notified
+/// only after all of them — as it did with one bridge per device.
+struct TopologyBridge {
     topology: Arc<dyn StorageTopology>,
-    dev: usize,
+    /// The time of the last advance: the engine asks for the next event
+    /// after it, device by device.
+    now: Cycles,
 }
 
-impl DeviceSsdBridge {
-    /// Wrap one device of a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>, dev: usize) -> Self {
-        DeviceSsdBridge { topology, dev }
-    }
-}
-
-impl ExternalDevice for DeviceSsdBridge {
+impl ExternalDevice for TopologyBridge {
     fn advance_to(&mut self, now: Cycles) {
-        self.topology.advance_device_to(self.dev, now);
+        self.now = now;
+        self.topology.advance_to(now);
     }
     fn next_event_time(&mut self) -> Option<Cycles> {
-        self.topology.device_next_event_time(self.dev)
+        self.topology.next_event_after(self.now)
     }
 }
 
@@ -528,10 +523,10 @@ impl<S: HostSystem> Host<S> {
         if let Some(sink) = sink {
             topology.set_trace_sink(sink);
         }
-        // One bridge per storage device, in shard-major advance order.
-        for dev in topology.device_advance_order() {
-            engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
-        }
+        engine.add_shard_device(Box::new(TopologyBridge {
+            topology: Arc::clone(&topology),
+            now: Cycles::ZERO,
+        }));
         if let Some(registry) = &self.metrics {
             engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
         }

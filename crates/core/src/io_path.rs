@@ -7,10 +7,12 @@
 //! the software cache, the install-once trace / QoS / metrics hooks and the
 //! statistics both systems report. On top of that state it provides
 //!
-//! * **submit** ([`IoPath::submit`]) — QoS gate → array-lock charge → the
-//!   "pick an SQ by thread index, move to the next SQ when full" placement
-//!   of §3.3.1 → `Submit`/`Doorbell` trace stamping → refund when every SQ
-//!   was full. [`Traffic`] says whether the command is tenant traffic
+//! * **submit** ([`IoPath::submit`]) — QoS gate → the "pick an SQ by thread
+//!   index, move to the next SQ when full" placement of §3.3.1 → array-lock
+//!   charge on the claimed slot → `Submit`/`Doorbell` trace stamping, or a
+//!   refund when every SQ was full. Only a submission that found a free
+//!   tail takes the lock, so a refused one costs its probes and moves
+//!   nothing else. [`Traffic`] says whether the command is tenant traffic
 //!   (arbitrated) or system traffic (cache fills and write-backs, exempt);
 //! * **raw I/O** ([`IoPath::raw_read`] / [`IoPath::raw_write`]) — the
 //!   cache-bypassing path of the bandwidth experiments;
@@ -26,11 +28,13 @@
 //!   of the line's state word each, accounted exactly like the lookup — and
 //!   only the rest go through the cache again;
 //! * **sleeping on a wait** ([`IoPath::park_on_fills`] /
-//!   [`IoPath::park_on_barriers`]) — when such a retry would find every page
-//!   it wants still in flight (or every barrier still armed) it is *pure*:
-//!   the caller gets a parkable [`Wait`], its sleeper is registered on the
-//!   lines or barriers, and [`IoPath::retire`] notifies it. The polls it
-//!   sleeps through are never made, so they count nowhere.
+//!   [`IoPath::park_on_barriers`] / [`IoPath::park_on_submit`]) — when such
+//!   a retry would find every page it wants still in flight, every barrier
+//!   still armed, or every SQ of its device still full, it is *pure*: the
+//!   caller gets a parkable [`Wait`], its sleeper is registered on the lines
+//!   or barriers (or the device's counting queue), and [`IoPath::retire`]
+//!   notifies it (or grants the queue the slots a release frees). The polls
+//!   it sleeps through are never made, so they count nowhere.
 //!
 //! The per-system difference is data fixed at construction: a [`PathCosts`]
 //! triple derived from [`ApiCosts`]. No method ever holds a lock across a
@@ -45,7 +49,7 @@ use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache};
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
-use agile_sim::wake::{SleeperId, Wait, WaitReason, WakeHub};
+use agile_sim::wake::{SleeperId, Wait, WaitQueue, WaitReason, WakeHub};
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, StorageTopology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,14 +282,18 @@ pub struct IoPath {
     /// Per device, per queue pair.
     devices: Vec<Vec<Arc<AgileSq>>>,
     /// The storage topology behind the queues: striping map plus the modeled
-    /// array lock charged on every submission. `None` in bare-queue unit
-    /// rigs, in which case submissions pay no lock cost.
+    /// array lock charged on every submission that claims a slot. `None` in
+    /// bare-queue unit rigs, in which case submissions pay no lock cost.
     topology: Option<Arc<dyn StorageTopology>>,
     stats: IoStatCells,
     /// Where warps waiting on this path sleep: notified by
     /// [`IoPath::retire`] and the cache's fill paths, drained by the engine
     /// the host attaches it to.
     hub: Arc<WakeHub>,
+    /// Per device, the hub's counting queue of warps waiting for an SQ slot
+    /// ([`IoPath::park_on_submit`]); [`IoPath::retire`] grants it the slots
+    /// a release makes claimable.
+    sq_waiters: Vec<WaitQueue>,
     /// Optional trace recorder for the submit/doorbell/completion paths.
     trace: OnceLock<Arc<dyn TraceSink>>,
     /// Optional QoS policy arbitrating tenant-attributed SQ admission.
@@ -314,9 +322,10 @@ impl IoPath {
                     .map(|qp| Arc::new(AgileSq::new(qp)))
                     .collect()
             })
-            .collect();
+            .collect::<Vec<Vec<_>>>();
         let hub = WakeHub::new();
         cache.set_wake_hub(Arc::clone(&hub));
+        let sq_waiters = devices.iter().map(|_| hub.register_queue()).collect();
         IoPath {
             costs,
             gpu,
@@ -325,6 +334,7 @@ impl IoPath {
             topology,
             stats: IoStatCells::default(),
             hub,
+            sq_waiters,
             trace: OnceLock::new(),
             qos: OnceLock::new(),
             metrics: OnceLock::new(),
@@ -480,7 +490,8 @@ impl IoPath {
     /// and reports failure exactly like an SQ-full outcome, so callers retry
     /// through their existing back-off paths; an admission that then finds
     /// every SQ full is refunded to the policy. [`Traffic::System`] skips
-    /// the gate.
+    /// the gate. The array lock is charged only to a submission that claimed
+    /// a slot.
     pub fn submit(
         &self,
         dev: usize,
@@ -530,21 +541,28 @@ impl IoPath {
         let n = sqs.len();
         let start = (warp as usize) % n;
         let mut cost = Cycles(self.costs.issue);
-        // The array lock guarding SQ-slot allocation + doorbell update: FIFO
-        // wait behind earlier holders on this device's shard, then the hold.
-        if let Some(topology) = &self.topology {
-            cost += topology.lock_acquire(dev, warp, now);
-        }
         for attempt in 0..n {
             let sq = &sqs[(start + attempt) % n];
-            // `Transaction` is cheap to clone (an Arc flag and small ids);
-            // the clone handed to a full queue is simply dropped.
-            let Some(receipt) = sq.try_issue(&build, txn.clone(), now) else {
-                // This SQ is full: pay a probe and move to the next one
-                // ("simply increasing the index of the target SQ").
+            // A full SQ costs one probe and no claim: move to the next one
+            // ("simply increasing the index of the target SQ"). The
+            // `Transaction` clone (an Arc flag and small ids) is made only
+            // for a queue with a free tail.
+            let receipt = if sq.is_full() {
+                None
+            } else {
+                sq.try_issue(&build, txn.clone(), now)
+            };
+            let Some(receipt) = receipt else {
                 cost += Cycles(gpu.poll_iteration);
                 continue;
             };
+            // The array lock guarding SQ-slot allocation + doorbell update,
+            // taken by a submission that found a free tail and only then:
+            // FIFO wait behind earlier holders on this device's shard, then
+            // the hold.
+            if let Some(topology) = &self.topology {
+                cost += topology.lock_acquire(dev, warp, now);
+            }
             if receipt.rang_doorbell {
                 cost += Cycles(gpu.doorbell_write);
             }
@@ -577,12 +595,29 @@ impl IoPath {
             }
             return (cost, true);
         }
+        self.refuse(cost)
+    }
+
+    /// Account a submission every SQ refused, after probes that cost `cost`.
+    fn refuse(&self, cost: Cycles) -> (Cycles, bool) {
         bump(&self.stats.sq_full_retries, 1);
         if let Some(m) = self.metrics.get() {
             m.sq_full_retries.inc();
         }
         self.charge_io(cost);
         (cost, false)
+    }
+
+    /// True when an installed QoS policy arbitrates tenant submissions (one
+    /// that [`admits_all`](QosPolicy::admits_all) does not count): an
+    /// attempt then moves policy state even when it is refused.
+    fn gated(&self) -> bool {
+        self.qos.get().is_some_and(|qos| !qos.admits_all())
+    }
+
+    /// True when no SQ of `dev` can take a command.
+    fn all_full(&self, dev: usize) -> bool {
+        self.devices[dev].iter().all(|sq| sq.is_full())
     }
 
     // ------------------------------------------------------------------
@@ -628,6 +663,22 @@ impl IoPath {
         })
     }
 
+    /// A raw submission to `dev` that is sure to be refused, accounted
+    /// without being built: when no QoS policy gates submissions and every
+    /// SQ of `dev` is full, count and charge the attempt exactly as
+    /// [`IoPath::raw_read`] / [`IoPath::raw_write`] would and return its
+    /// cost. `None` otherwise — make the real call. Lets a warp skip
+    /// allocating a barrier and a command for an attempt that cannot issue.
+    pub fn raw_refusal(&self, dev: u32) -> Option<Cycles> {
+        let dev = dev as usize;
+        if self.gated() || !self.all_full(dev) {
+            return None;
+        }
+        bump(&self.stats.raw_calls, 1);
+        let probes = Cycles(self.gpu.poll_iteration) * self.devices[dev].len() as u64;
+        Some(self.refuse(Cycles(self.costs.issue) + probes).0)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn raw(
         &self,
@@ -655,7 +706,9 @@ impl IoPath {
     /// Handle the completion of command `cid` on queue pair `qidx` of device
     /// `dev`: release the SQE and finish its transaction. `poller` is the
     /// identity stamped on the `ServiceCompletion` trace event — `None` for
-    /// the AGILE service, the polling warp for a BaM user thread.
+    /// the AGILE service, the polling warp for a BaM user thread. While
+    /// warps wait for an SQ slot of `dev`, the slots the release makes
+    /// claimable are granted to them ([`IoPath::park_on_submit`]).
     pub fn retire(&self, dev: usize, qidx: usize, cid: u16, poller: Option<u32>, now: Cycles) {
         let sq = &self.devices[dev][qidx];
         let txn = sq
@@ -663,6 +716,10 @@ impl IoPath {
             .take(cid)
             .expect("completion for a command with no transaction");
         sq.release(cid);
+        let waiters = &self.sq_waiters[dev];
+        if waiters.waiters() > 0 {
+            self.hub.grant(waiters, sq.tail_gain(cid));
+        }
         if let Some(sink) = self.trace.get() {
             let ev = TraceEvent::new(TraceEventKind::ServiceCompletion, now.raw())
                 .target(dev as u32, 0)
@@ -1015,6 +1072,40 @@ impl IoPath {
         }
         Wait::parked(WaitReason::Barrier, id)
     }
+
+    /// The wait descriptor for a warp whose submission to `dev` every SQ of
+    /// `dev` just refused, and which can do nothing else until it submits —
+    /// apart from reaping its own outstanding `barriers`.
+    ///
+    /// Its next attempt, and every one after it until an SQ slot of `dev`
+    /// is released or one of those barriers completes, finds the same full
+    /// queues at the same cost: the result is a **parkable** wait in `dev`'s
+    /// counting queue, with `sleeper` also watching every barrier, and
+    /// [`IoPath::retire`] grants the queue each slot a release makes
+    /// claimable. Polled instead when a QoS policy gates submissions (a
+    /// gated attempt moves policy state), when `dev` can take a command
+    /// after all, or when a barrier has completed already (the next attempt
+    /// reaps it).
+    pub fn park_on_submit<'a>(
+        &self,
+        sleeper: &mut Option<SleeperId>,
+        dev: usize,
+        barriers: impl Iterator<Item = &'a Barrier>,
+    ) -> Wait {
+        let polled = Wait::polling(WaitReason::Submit);
+        if self.gated() || !self.all_full(dev) {
+            return polled;
+        }
+        let Some(id) = self.sleeper(sleeper) else {
+            return polled;
+        };
+        for barrier in barriers {
+            if !barrier.watch(id) {
+                return polled;
+            }
+        }
+        Wait::parked(WaitReason::Submit, id).queued(self.sq_waiters[dev].id())
+    }
 }
 
 #[cfg(test)]
@@ -1077,6 +1168,89 @@ mod tests {
         io.lookup_warp(0, NO_TENANT, &[(0, 123)], Cycles(0), &mut wait);
         assert_eq!(wait.pages(), [PageState::NotStarted]);
         assert_eq!(io.cache().total_pins(), 0, "aborted fill must unpin");
+    }
+
+    #[test]
+    fn a_refused_submission_waits_in_its_devices_queue_until_a_release() {
+        let (io, _dev) = rig(2, 4); // 8 slots
+        let mut sleeper = None;
+        assert!(io.raw_refusal(0).is_none(), "slots are free");
+        assert_eq!(
+            io.park_on_submit(&mut sleeper, 0, std::iter::empty()),
+            Wait::polling(WaitReason::Submit),
+            "a device that can take a command is no reason to sleep"
+        );
+        for lba in 0..8 {
+            assert!(raw(&io, 0, lba, 0));
+        }
+        // Refused without a command being built, accounted as the real call.
+        let before = io.stats();
+        let cost = io.raw_refusal(0).expect("every SQ full");
+        let after = io.stats();
+        assert_eq!(
+            io.raw_read(0, 0, 0, 9, DmaHandle::new(), Barrier::new(), Cycles(0)),
+            (cost, false)
+        );
+        assert_eq!(
+            io.stats().raw_calls - after.raw_calls,
+            after.raw_calls - before.raw_calls
+        );
+        assert_eq!(io.stats().sq_full_retries, before.sq_full_retries + 2);
+        assert_eq!(io.stats().io_cycles - after.io_cycles, cost.raw());
+
+        // A barrier that completed already means the next attempt reaps:
+        // poll. Otherwise sleep in device 0's queue, watching the barriers.
+        let done = Barrier::new();
+        done.complete(io.wake_hub());
+        let armed = Barrier::new();
+        let polled = io.park_on_submit(&mut sleeper, 0, [&armed, &done].into_iter());
+        assert_eq!(polled, Wait::polling(WaitReason::Submit));
+        let wait = io.park_on_submit(&mut sleeper, 0, std::iter::once(&armed));
+        let queue = io.wake_hub().queue(wait.queue.expect("queued"));
+        assert_eq!(wait.sleeper, sleeper);
+        assert_eq!(wait.reason, WaitReason::Submit);
+
+        // Releases grant what they make claimable, only while somebody waits.
+        let drain = || {
+            let mut grants = Vec::new();
+            io.wake_hub().drain(&mut Vec::new(), &mut grants);
+            grants
+        };
+        io.retire(0, 0, 1, None, Cycles(10));
+        assert!(drain().is_empty(), "nobody waits yet");
+        queue.join();
+        io.retire(0, 0, 2, None, Cycles(20));
+        assert!(
+            drain().is_empty(),
+            "slot 2 is behind slot 0: nothing claimable"
+        );
+        io.retire(0, 0, 0, None, Cycles(30));
+        assert_eq!(drain(), [(queue.id(), 3)], "slots 0, 1 and 2");
+    }
+
+    #[test]
+    fn only_a_gating_qos_policy_keeps_a_refused_submission_polling() {
+        for (policy, sleeps) in [
+            (Arc::new(Fifo) as Arc<dyn QosPolicy>, true),
+            (Arc::new(WeightedFair::new()), false),
+        ] {
+            let (io, _dev) = rig(1, 2);
+            assert!(io.set_qos_policy(policy));
+            for i in 0..2u64 {
+                let (_, ok) = io.submit(
+                    0,
+                    0,
+                    Traffic::System,
+                    |cid| NvmeCommand::read(cid, i, DmaHandle::new()),
+                    Transaction::WriteBack,
+                    Cycles(0),
+                );
+                assert!(ok);
+            }
+            assert_eq!(io.raw_refusal(0).is_some(), sleeps);
+            let wait = io.park_on_submit(&mut None, 0, std::iter::empty());
+            assert_eq!(wait.sleeper.is_some(), sleeps);
+        }
     }
 
     #[test]

@@ -139,6 +139,14 @@ pub trait QosPolicy: Send + Sync {
     /// against the tenant's share.
     fn refund(&self, tenant: u32);
 
+    /// True when [`admit`](QosPolicy::admit) admits every submission and
+    /// keeps no state, nor does [`refund`](QosPolicy::refund) (`Fifo`):
+    /// gating through the policy then changes nothing, so a submission
+    /// refused for a full SQ is as pure a retry as with no policy at all.
+    fn admits_all(&self) -> bool {
+        false
+    }
+
     /// Tell the policy how many SQ slots exist in total (devices × queue
     /// pairs × depth). Called once when the policy is installed on a
     /// controller; occupancy-tracking policies size their shares from it.
@@ -194,6 +202,9 @@ impl QosPolicy for Fifo {
         QosDecision::Admit
     }
     fn refund(&self, _tenant: u32) {}
+    fn admits_all(&self) -> bool {
+        true
+    }
     fn tenant_stats(&self) -> Vec<QosTenantStats> {
         Vec::new()
     }

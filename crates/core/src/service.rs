@@ -52,7 +52,7 @@ use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::StorageTopology;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Partition the `(device, queue-pair)` CQ targets of a storage stack into
@@ -109,19 +109,32 @@ struct CqPollState {
     phase: bool,
     /// Bit `i` set ⇒ entry `window_start + i` has been observed and processed.
     mask: u32,
-    /// CQEs this cursor has retired in total (free-running, wraps like
-    /// [`nvme_sim::CompletionQueue::total_posted`]).
-    retired: u32,
 }
 
-impl CqPollState {
+/// One CQ's poll cursor, and how many CQEs it has retired in total
+/// (free-running, wraps like [`nvme_sim::CompletionQueue::total_posted`]) —
+/// readable without the cursor's lock, so a sweep of a CQ that holds nothing
+/// new takes no lock.
+struct CqCursor {
+    state: Mutex<CqPollState>,
+    retired: AtomicU32,
+}
+
+impl CqCursor {
     fn new() -> Self {
-        CqPollState {
-            window_start: 0,
-            phase: true,
-            mask: 0,
-            retired: 0,
+        CqCursor {
+            state: Mutex::new(CqPollState {
+                window_start: 0,
+                phase: true,
+                mask: 0,
+            }),
+            retired: AtomicU32::new(0),
         }
+    }
+
+    /// True when every CQE posted to `cq` has been retired.
+    fn caught_up(&self, cq: &nvme_sim::CompletionQueue) -> bool {
+        cq.total_posted() == self.retired.load(Ordering::Acquire)
     }
 }
 
@@ -159,7 +172,7 @@ pub struct ServicePartition {
     shard: usize,
     /// `(device, queue-pair)` flattened list of CQs this partition polls.
     targets: Vec<(usize, usize)>,
-    cursors: Vec<Mutex<CqPollState>>,
+    cursors: Vec<CqCursor>,
     stats: ServiceStatCells,
     /// Cycles a poll round costs when it found completions.
     poll_round_cost: u64,
@@ -190,10 +203,7 @@ impl ServicePartition {
         shard: usize,
         targets: Vec<(usize, usize)>,
     ) -> Arc<Self> {
-        let cursors = targets
-            .iter()
-            .map(|_| Mutex::new(CqPollState::new()))
-            .collect();
+        let cursors = targets.iter().map(|_| CqCursor::new()).collect();
         let api = &ctrl.config().costs.api;
         let poll_round_cost = api.agile_service_poll_round;
         let idle_backoff = ctrl.idle_backoff_cell();
@@ -240,19 +250,29 @@ impl ServicePartition {
         let (dev, _) = self.targets[target_idx];
         let cq = self.cq(target_idx);
         let depth = cq.depth();
-        let mut cursor = self.cursors[target_idx].lock();
         // The device posts CQEs in ring order and this cursor is the CQ's
         // only consumer, so "posted == retired" proves the window holds
         // nothing new: skip the 32 slot probes an idle visit would spend
-        // rediscovering that.
-        if cq.total_posted() == cursor.retired {
+        // rediscovering that. `posted` counts the CQEs not retired yet.
+        let retired = &self.cursors[target_idx].retired;
+        let posted = cq
+            .total_posted()
+            .wrapping_sub(retired.load(Ordering::Acquire));
+        if posted == 0 {
             return 0;
         }
+        let mut cursor = self.cursors[target_idx].state.lock();
         let mut processed = 0u32;
 
-        // Each of the 32 "lanes" probes one entry of the window.
+        // Each of the 32 "lanes" probes one entry of the window. The entries
+        // not retired yet follow the retired ones in ring order, so once
+        // all `posted` of them are found the remaining lanes would find
+        // nothing.
         let window = 32.min(depth);
         for lane in 0..window {
+            if processed == posted {
+                break;
+            }
             let bit = 1u32 << lane;
             if cursor.mask & bit != 0 {
                 continue;
@@ -269,7 +289,7 @@ impl ServicePartition {
                 processed += 1;
             }
         }
-        cursor.retired = cursor.retired.wrapping_add(processed);
+        retired.fetch_add(processed, Ordering::AcqRel);
 
         // Window fully processed: ring the CQ head doorbell and move on.
         let full_mask = if window == 32 {
@@ -333,7 +353,7 @@ impl ServicePartition {
     fn all_retired(&self, rotation: &[usize]) -> bool {
         rotation
             .iter()
-            .all(|&idx| self.cq(idx).total_posted() == self.cursors[idx].lock().retired)
+            .all(|&idx| self.cursors[idx].caught_up(self.cq(idx)))
     }
 
     /// The CQ behind target `idx`.
@@ -864,7 +884,7 @@ mod tests {
         //    woken to pick the new interval up at its next grid point.
         hub.park(sleeper);
         ctrl.idle_backoff_cell().store(4 * backoff);
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [sleeper]);
         // The engine steps it on its grid, four intervals on; the rotation
         // moves with the three sweeps it slept through, which count nowhere.
@@ -897,7 +917,7 @@ mod tests {
             now += Cycles(10_000);
             dev.advance_to(now);
         }
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [sleeper]);
         // With a completion waiting in its rotation the warp keeps sweeping.
         let woke_at = (now.raw() / (4 * backoff) + 1) * 4 * backoff;
@@ -906,7 +926,7 @@ mod tests {
         // 3. A stop request.
         hub.park(sleeper);
         ctrl.request_service_stop();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [sleeper]);
         assert!(matches!(
             warp.step(&ctx_at(woke_at + 4 * backoff)),

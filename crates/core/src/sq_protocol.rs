@@ -137,6 +137,39 @@ impl AgileSq {
             .count() as u32
     }
 
+    /// True when no command can be issued: the entry at the allocation
+    /// cursor has not been recycled yet (`check_full()` of
+    /// [`AgileSq::try_issue`], without trying).
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        let cur = self.alloc_cursor.load(Ordering::Acquire);
+        self.states[(cur % self.depth as u64) as usize].load(Ordering::Acquire)
+            != SqeState::Empty as u32
+    }
+
+    /// How many more commands [`AgileSq::try_issue`] can take in a row now
+    /// than before slot `cid` was [`release`](AgileSq::release)d: the
+    /// growth of the run of `EMPTY` entries starting at the allocation
+    /// cursor. Zero when `cid` is not on that run — a release out of ring
+    /// order frees an entry nobody can claim until the entries before it
+    /// are released too.
+    pub fn tail_gain(&self, cid: u16) -> u32 {
+        let depth = self.depth as u64;
+        let cursor = self.alloc_cursor.load(Ordering::Acquire);
+        // Ring distance from the cursor to the released entry: the run it
+        // extends, if any, was exactly that long before the release, and
+        // now goes on through `cid` and the empty entries after it.
+        let before = (cid as u64 + depth - cursor % depth) % depth;
+        let empty = |t: &u64| {
+            self.states[((cursor + t) % depth) as usize].load(Ordering::Acquire)
+                == SqeState::Empty as u32
+        };
+        if !(0..before).all(|t| empty(&t)) {
+            return 0;
+        }
+        (before..depth).take_while(empty).count() as u32
+    }
+
     /// Attempt to issue one command (Algorithm 2).
     ///
     /// `build` receives the CID and produces the command; `txn` describes what
@@ -345,6 +378,75 @@ mod tests {
         assert!(q
             .try_issue(read_cmd, Transaction::WriteBack, Cycles(0))
             .is_some());
+    }
+
+    /// A queue of `depth` with every slot issued and fetched by the device.
+    fn full_sq(depth: u32) -> AgileSq {
+        let q = sq(depth);
+        for _ in 0..depth {
+            q.try_issue(read_cmd, Transaction::WriteBack, Cycles(0))
+                .unwrap();
+        }
+        for slot in 0..depth {
+            let _ = q.queue_pair().sq.take_slot(slot);
+            let _ = q.transactions().take(slot as u16);
+        }
+        assert!(q.is_full());
+        q
+    }
+
+    /// Release `cid` and report its tail gain.
+    fn release(q: &AgileSq, cid: u16) -> u32 {
+        q.release(cid);
+        q.tail_gain(cid)
+    }
+
+    #[test]
+    fn tail_gain_counts_what_a_release_makes_claimable() {
+        // Out of ring order: nothing is claimable until the cursor's entry
+        // is back, and then the whole run is — a full run of `depth`.
+        let q = full_sq(4);
+        assert_eq!(release(&q, 2), 0);
+        assert_eq!(release(&q, 1), 0);
+        assert!(q.is_full());
+        assert_eq!(release(&q, 0), 3, "0, 1 and 2");
+        assert_eq!(release(&q, 3), 1);
+        assert_eq!(q.free_slots(), 4);
+        for _ in 0..4 {
+            assert!(!q.is_full());
+            q.try_issue(read_cmd, Transaction::WriteBack, Cycles(0))
+                .unwrap();
+        }
+        assert!(q.is_full());
+
+        // A release that extends the run at its end, one beyond a gap, and
+        // the one closing the gap.
+        let q = full_sq(8);
+        assert_eq!(release(&q, 0), 1);
+        assert_eq!(release(&q, 1), 1, "extends the run");
+        assert_eq!(release(&q, 3), 0, "beyond the run: 2 is still issued");
+        assert_eq!(release(&q, 2), 2, "2 and 3");
+    }
+
+    #[test]
+    fn tail_gain_follows_the_cursor_around_the_ring() {
+        let q = full_sq(4);
+        assert_eq!(release(&q, 0), 1);
+        assert_eq!(release(&q, 1), 1);
+        // Re-issue into 0 and 1: the cursor wraps to slot 2.
+        for cid in [0u16, 1] {
+            let r = q
+                .try_issue(read_cmd, Transaction::WriteBack, Cycles(0))
+                .unwrap();
+            assert_eq!(r.cid, cid);
+            let _ = q.queue_pair().sq.take_slot(cid as u32);
+            let _ = q.transactions().take(cid);
+        }
+        assert_eq!(release(&q, 3), 0);
+        assert_eq!(release(&q, 2), 2, "2 and 3, from the wrapped cursor");
+        assert_eq!(release(&q, 0), 1, "past the end of the ring");
+        assert_eq!(release(&q, 1), 1);
+        assert_eq!(q.free_slots(), 4);
     }
 
     #[test]

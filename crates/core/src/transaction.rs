@@ -67,7 +67,12 @@ impl Barrier {
     /// Have [`Barrier::complete`] notify `sleeper`. Returns `false` when the
     /// barrier is complete already: the caller must not sleep on it.
     pub fn watch(&self, sleeper: SleeperId) -> bool {
-        self.cell.waiter.store(sleeper.0 + 1, Ordering::SeqCst);
+        // A warp re-parking on the barriers it watched last time finds
+        // itself in the slot already: only a store can be saved, never the
+        // check.
+        if self.cell.waiter.load(Ordering::SeqCst) != sleeper.0 + 1 {
+            self.cell.waiter.store(sleeper.0 + 1, Ordering::SeqCst);
+        }
         !self.is_complete()
     }
 
@@ -232,7 +237,7 @@ mod tests {
         b.complete(&hub);
         b.complete(&hub);
         let mut fired = Vec::new();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [sleeper]);
         assert!(!b.watch(sleeper), "complete: nothing to sleep on");
     }

@@ -483,7 +483,7 @@ fn two_warps_asleep_on_one_line_are_both_woken_by_its_fill() {
         }
     }
     let mut fired = Vec::new();
-    hub.drain_fired(&mut fired);
+    hub.drain(&mut fired, &mut Vec::new());
     assert_eq!(fired, sleepers, "both, in id order, once each");
     // The line's waiter entries are gone with the fill: nothing fires twice.
     for &sleeper in &sleepers {
@@ -509,7 +509,7 @@ fn park_notify_wake_allocates_nothing_in_steady_state() {
         hub.park(id);
         hub.notify(id);
         assert!(hub.has_fired());
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [id]);
     };
     // Warm-up: the sleeper is registered and the watcher buckets get their
@@ -549,6 +549,6 @@ fn a_sleeper_that_is_asleep_is_not_offered_to_a_second_warp() {
     assert_eq!(offer(&mut slot), Wait::polling(WaitReason::CacheFill));
     hub.notify(slot.unwrap());
     let mut fired = Vec::new();
-    hub.drain_fired(&mut fired);
+    hub.drain(&mut fired, &mut Vec::new());
     assert_eq!(offer(&mut slot), first);
 }

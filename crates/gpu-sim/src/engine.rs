@@ -55,6 +55,20 @@
 //! what polling would have produced, and every poll count at most that;
 //! `FullScan`, which never parks, is the reference the parking scheduler is
 //! tested against (`tests/park_differential.rs`).
+//!
+//! A wait may also name a **counting queue** of the hub (`Wait::queued`: a
+//! submission refused because every SQ of a device was full). Such a wait
+//! ends when its sleeper is notified *or* when it is handed one unit the
+//! producer granted to the queue (`WakeHub::grant`: SQ slots a release made
+//! claimable). The engine keeps each queue's parked warps ordered by the
+//! phase of their retry grid (`since mod every`, then `(sm, slot)`; a queue's
+//! waiters share one interval, and a warp that would bring another one
+//! polls instead), and hands each granted unit to the waiter whose wake
+//! point by the rule above comes first — the warp a polling run would have
+//! served. It wakes through the same code as a notified sleeper and goes
+//! back to idle in the hub; a waiter woken by its own sleeper leaves the
+//! queue first. The index is rebuilt where the sleepers' positions are (run
+//! start, after compaction) and emptied when `FullScan` unparks everything.
 //! Two things follow for the loop itself: while a warp sleeps on a wait only
 //! a *device* can end (an idle service warp), rounds also visit shard-device
 //! event times — its wake point is the first of its grid after the
@@ -90,8 +104,9 @@
 
 use crate::config::GpuConfig;
 use crate::kernel::{occupancy, KernelFactory, KernelId, LaunchConfig, WarpCtx, WarpId, WarpStep};
+use crate::queue_index::QueueWaiters;
 use crate::sm::{Parked, ResidentWarp, SmState};
-use agile_sim::wake::{SleeperId, WaitReason, WakeHub};
+use agile_sim::wake::{QueueId, SleeperId, Wait, WaitReason, WakeHub};
 use agile_sim::{Cycles, SimClock};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -289,8 +304,12 @@ pub struct Engine {
     /// ([`WaitReason::ends_on_device_event`]).
     parked: usize,
     parked_on_devices: usize,
-    /// Reused buffer for [`WakeHub::drain_fired`].
+    /// Reused buffers for [`WakeHub::drain`].
     fired: Vec<SleeperId>,
+    grants: Vec<(QueueId, u32)>,
+    /// The parked warps of each counting queue, by queue id (created when
+    /// the first warp parks in it).
+    queues: Vec<Option<QueueWaiters>>,
     /// A sleeper was woken since the loop last looked: something it waited
     /// for happened, which is forward progress as far as the no-progress
     /// window is concerned (a polled warp would have refreshed the window
@@ -331,6 +350,8 @@ impl Engine {
             parked: 0,
             parked_on_devices: 0,
             fired: Vec::new(),
+            grants: Vec::new(),
+            queues: Vec::new(),
             woke: false,
             woken_now: BinaryHeap::new(),
         }
@@ -559,48 +580,103 @@ impl Engine {
     /// notifier in `(sm, slot)` order; otherwise its poll at `now` came first
     /// and found nothing, and it wakes one interval later. The stall time of
     /// the polls before the wake point is booked here.
+    ///
+    /// Then the units granted to counting queues: each wakes, by the same
+    /// rule, the waiter of that queue whose wake point would come first —
+    /// ties in `(sm, slot)` order — which is the warp a polling run would
+    /// have served the unit to. A waiter woken by its own sleeper leaves its
+    /// queue first, so no unit is spent on a warp that is awake anyway.
     fn wake_fired(&mut self, now: Cycles, notifier: Option<(usize, usize)>) {
         let Some(hub) = self.hub.as_ref().filter(|hub| hub.has_fired()) else {
             return;
         };
         let mut fired = std::mem::take(&mut self.fired);
-        hub.drain_fired(&mut fired);
+        let mut grants = std::mem::take(&mut self.grants);
+        hub.drain(&mut fired, &mut grants);
         for &id in &fired {
             let Some(&(sm_idx, widx)) = self.sleeper_warp.get(id.0 as usize) else {
                 continue;
             };
-            let Some(w) = self
+            // A sleeper fired between runs may belong to a warp that has
+            // been woken (scheduler switch) or moved (compaction) since.
+            let Some(p) = self
                 .sms
-                .get_mut(sm_idx)
-                .and_then(|sm| sm.warps.get_mut(widx))
+                .get(sm_idx)
+                .and_then(|sm| sm.warps.get(widx))
+                .and_then(|w| w.parked)
+                .filter(|p| p.sleeper == id)
             else {
                 continue;
             };
-            // A sleeper fired between runs may belong to a warp that has
-            // been woken (scheduler switch) or moved (compaction) since.
-            let Some(p) = w.parked.filter(|p| p.sleeper == id) else {
-                continue;
-            };
-            let every = p.every.raw();
-            let mut k = (now - p.since).raw().div_ceil(every).max(1);
-            let on_grid = p.since.raw() + k * every == now.raw();
-            if on_grid && notifier.is_some_and(|n| (sm_idx, widx) < n) {
-                k += 1;
-            }
-            self.kernels[w.kernel_idx].stall += p.every * (k - 1);
-            let on_devices = w.wait.is_some_and(|w| w.reason.ends_on_device_event());
-            w.parked = None;
-            w.ready_at = p.since + p.every * k;
-            self.woke = true;
-            self.parked -= 1;
-            self.parked_on_devices -= on_devices as usize;
-            if w.ready_at == now && notifier.is_some() {
-                self.woken_now.push(Reverse((sm_idx, widx)));
-            } else {
-                self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx)));
+            self.leave_queue(p, sm_idx, widx);
+            self.wake(sm_idx, widx, p, now, notifier);
+        }
+        for &(queue, units) in &grants {
+            for _ in 0..units {
+                let waiters = self
+                    .queues
+                    .get_mut(queue.0 as usize)
+                    .and_then(Option::as_mut);
+                let Some((sm_idx, widx)) = waiters.and_then(|w| w.next(now, notifier)) else {
+                    break;
+                };
+                let p = self.sms[sm_idx].warps[widx]
+                    .parked
+                    .expect("a queue waiter is parked");
+                self.leave_queue(p, sm_idx, widx);
+                if let Some(hub) = &self.hub {
+                    hub.unpark(p.sleeper);
+                }
+                self.wake(sm_idx, widx, p, now, notifier);
             }
         }
         self.fired = fired;
+        self.grants = grants;
+    }
+
+    /// Re-arm the parked warp `(sm_idx, widx)` at the first point of its
+    /// retry grid at or after `now` that polling would have seen the event
+    /// at (see [`Engine::wake_fired`]), booking the stall time before it.
+    fn wake(
+        &mut self,
+        sm_idx: usize,
+        widx: usize,
+        p: Parked,
+        now: Cycles,
+        notifier: Option<(usize, usize)>,
+    ) {
+        let w = &mut self.sms[sm_idx].warps[widx];
+        let every = p.every.raw();
+        let mut k = (now - p.since).raw().div_ceil(every).max(1);
+        let on_grid = p.since.raw() + k * every == now.raw();
+        if on_grid && notifier.is_some_and(|n| (sm_idx, widx) < n) {
+            k += 1;
+        }
+        self.kernels[w.kernel_idx].stall += p.every * (k - 1);
+        let on_devices = w.wait.is_some_and(|w| w.reason.ends_on_device_event());
+        w.parked = None;
+        w.ready_at = p.since + p.every * k;
+        self.woke = true;
+        self.parked -= 1;
+        self.parked_on_devices -= on_devices as usize;
+        if w.ready_at == now && notifier.is_some() {
+            self.woken_now.push(Reverse((sm_idx, widx)));
+        } else {
+            self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx)));
+        }
+    }
+
+    /// Take the parked warp `(sm_idx, widx)` out of the counting queue it
+    /// waits in, if any.
+    fn leave_queue(&mut self, p: Parked, sm_idx: usize, widx: usize) {
+        let Some(queue) = p.queue else {
+            return;
+        };
+        let waiters = self.queues[queue.0 as usize]
+            .as_mut()
+            .expect("a queue somebody waits in");
+        waiters.remove(p.since, sm_idx, widx);
+        waiters.handle.leave();
     }
 
     /// The end of a run: a warp still asleep would have been polled at every
@@ -646,6 +722,14 @@ impl Engine {
                 let k = (now - p.since).raw().div_ceil(p.every.raw()).max(1);
                 self.kernels[w.kernel_idx].stall += p.every * (k - 1);
                 w.ready_at = p.since + p.every * k;
+                if let Some(hub) = &self.hub {
+                    hub.unpark(p.sleeper);
+                }
+            }
+        }
+        for waiters in self.queues.iter_mut().flatten() {
+            for _ in 0..waiters.clear() {
+                waiters.handle.leave();
             }
         }
         self.parked = 0;
@@ -713,25 +797,11 @@ impl Engine {
                 let r = retry_after.max(Cycles(1));
                 self.kernels[w.kernel_idx].stall += r;
                 w.wait = Some(wait);
-                let sleeper = wait.sleeper.filter(|_| self.parking);
-                if let (Some(id), Some(hub)) = (sleeper, &self.hub) {
-                    // Pure retries: off the ready queue until notified.
-                    w.parked = Some(Parked {
-                        since: now,
-                        every: r,
-                        sleeper: id,
-                    });
-                    if self.sleeper_warp.len() <= id.0 as usize {
-                        self.sleeper_warp.resize(id.0 as usize + 1, (0, 0));
-                    }
-                    self.sleeper_warp[id.0 as usize] = (sm_idx, widx);
-                    self.parked += 1;
-                    self.parked_on_devices += wait.reason.ends_on_device_event() as usize;
-                    hub.park(id);
+                w.ready_at = now + r;
+                if self.parking && self.park(sm_idx, widx, wait, now, r) {
                     (None, false)
                 } else {
-                    w.ready_at = now + r;
-                    (Some(w.ready_at), false)
+                    (Some(now + r), false)
                 }
             }
             WarpStep::Done => {
@@ -748,6 +818,46 @@ impl Engine {
                 (None, true)
             }
         }
+    }
+
+    /// Park the warp `(sm_idx, widx)`, which stalled at `now` with `wait`
+    /// asking to be retried every `every`, if `wait` is parkable: off the
+    /// ready queue until its sleeper is notified (or, for a queued wait, a
+    /// unit of its queue is handed to it). False when it has to be polled
+    /// instead — no sleeper, or a queue whose waiters retry on another
+    /// interval (the queue's order of waiters holds for one interval only).
+    fn park(&mut self, sm_idx: usize, widx: usize, wait: Wait, now: Cycles, every: Cycles) -> bool {
+        let (Some(id), Some(hub)) = (wait.sleeper, &self.hub) else {
+            return false;
+        };
+        if let Some(queue) = wait.queue {
+            let slot = queue.0 as usize;
+            if self.queues.len() <= slot {
+                self.queues.resize_with(slot + 1, || None);
+            }
+            let waiters =
+                self.queues[slot].get_or_insert_with(|| QueueWaiters::new(hub.queue(queue)));
+            if !waiters.accepts(every.raw()) {
+                return false;
+            }
+            waiters.insert(now, sm_idx, widx);
+            waiters.handle.join();
+        }
+        // Pure retries: off the ready queue until notified.
+        self.sms[sm_idx].warps[widx].parked = Some(Parked {
+            since: now,
+            every,
+            sleeper: id,
+            queue: wait.queue,
+        });
+        if self.sleeper_warp.len() <= id.0 as usize {
+            self.sleeper_warp.resize(id.0 as usize + 1, (0, 0));
+        }
+        self.sleeper_warp[id.0 as usize] = (sm_idx, widx);
+        self.parked += 1;
+        self.parked_on_devices += wait.reason.ends_on_device_event() as usize;
+        hub.park(id);
+        true
     }
 
     /// The event-driven scheduler: warps wake out of the ready-queue, rounds
@@ -772,12 +882,23 @@ impl Engine {
         // blocks since the last run, the compaction above shifted slots, and
         // a previous `FullScan` run does not maintain the heap. Warps still
         // parked from an earlier run (persistent kernels) stay asleep; only
-        // where their sleepers point moved with the compaction.
+        // where their sleepers point, and their place in their queues, moved
+        // with the compaction.
         self.ready.clear();
+        for waiters in self.queues.iter_mut().flatten() {
+            waiters.clear();
+        }
         for (sm_idx, sm) in self.sms.iter().enumerate() {
             for (widx, w) in sm.warps.iter().enumerate() {
                 match w.parked {
-                    Some(p) => self.sleeper_warp[p.sleeper.0 as usize] = (sm_idx, widx),
+                    Some(p) => {
+                        self.sleeper_warp[p.sleeper.0 as usize] = (sm_idx, widx);
+                        if let Some(queue) = p.queue {
+                            if let Some(waiters) = &mut self.queues[queue.0 as usize] {
+                                waiters.insert(p.since, sm_idx, widx);
+                            }
+                        }
+                    }
                     None if !w.done => self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx))),
                     None => {}
                 }
@@ -1920,6 +2041,281 @@ mod tests {
             assert_eq!(*rig.woke.lock().unwrap(), [(0, 1_500)], "{sched:?}");
             assert_eq!(second.kernels[0].stall_cycles, 1_500, "{sched:?}");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Counting queues: which waiter a granted unit wakes
+    // ------------------------------------------------------------------
+
+    use agile_sim::wake::WaitQueue;
+
+    /// Busy for `delay` (which sets its grid's phase), then parks in `queue`
+    /// once, retrying every `retry`; its next step logs `(sleeper, now)` to `rig.woke`, whether the hub
+    /// still had it asleep, and ends. Also wakes on `rig.watchers`.
+    struct QueueWaiter {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        queue: QueueId,
+        id: SleeperId,
+        delay: u64,
+        retry: u64,
+        asleep_when_woken: Arc<Mutex<Vec<bool>>>,
+        state: u8,
+    }
+
+    impl crate::kernel::WarpKernel for QueueWaiter {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            self.state += 1;
+            match self.state {
+                1 => WarpStep::Busy(Cycles(self.delay)),
+                2 => {
+                    self.rig.watchers.watch(&self.hub, self.id);
+                    WarpStep::Stall {
+                        retry_after: Cycles(self.retry),
+                        wait: Wait::parked(WaitReason::Submit, self.id).queued(self.queue),
+                    }
+                }
+                _ => {
+                    let asleep = self.hub.is_asleep(self.id);
+                    self.asleep_when_woken.lock().unwrap().push(asleep);
+                    let woke = (self.id.0, ctx.now.raw());
+                    self.rig.woke.lock().unwrap().push(woke);
+                    WarpStep::Done
+                }
+            }
+        }
+    }
+
+    /// One `QueueWaiter` block per entry of `delays` (sleeper ids in block
+    /// order), plus whether each was asleep in the hub when it stepped again.
+    struct QueueWaiters {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        queue: QueueId,
+        delays: Vec<u64>,
+        retry: u64,
+        asleep_when_woken: Arc<Mutex<Vec<bool>>>,
+    }
+
+    impl KernelFactory for QueueWaiters {
+        fn create_warp(&self, block: u32, _w: u32) -> Box<dyn crate::kernel::WarpKernel> {
+            Box::new(QueueWaiter {
+                rig: Arc::clone(&self.rig),
+                hub: Arc::clone(&self.hub),
+                queue: self.queue,
+                id: self.hub.register(),
+                delay: self.delays[block as usize],
+                retry: self.retry,
+                asleep_when_woken: Arc::clone(&self.asleep_when_woken),
+                state: 0,
+            })
+        }
+        fn name(&self) -> &str {
+            "queue-waiters"
+        }
+    }
+
+    /// Grants `units` to the queue at each `(time, units)` of its script.
+    struct Granter {
+        hub: Arc<WakeHub>,
+        queue: WaitQueue,
+        script: Vec<(u64, u32)>,
+    }
+    struct GranterWarp(Arc<WakeHub>, WaitQueue, Vec<(u64, u32)>, usize);
+
+    impl crate::kernel::WarpKernel for GranterWarp {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let GranterWarp(hub, queue, script, next) = self;
+            if let Some(&(at, units)) = script.get(*next) {
+                if ctx.now.raw() >= at {
+                    hub.grant(queue, units);
+                    *next += 1;
+                }
+            }
+            match script.get(*next) {
+                Some(&(at, _)) => WarpStep::Busy(Cycles(at - ctx.now.raw())),
+                None => WarpStep::Done,
+            }
+        }
+    }
+
+    impl KernelFactory for Granter {
+        fn create_warp(&self, _b: u32, _w: u32) -> Box<dyn crate::kernel::WarpKernel> {
+            Box::new(GranterWarp(
+                Arc::clone(&self.hub),
+                self.queue.clone(),
+                self.script.clone(),
+                0,
+            ))
+        }
+        fn name(&self) -> &str {
+            "granter"
+        }
+    }
+
+    /// A queue world: an engine with a hub, one counting queue, waiters on
+    /// the SMs before the granter's (`waiters_first`) or after it.
+    struct QueueRig {
+        eng: Engine,
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        queue: WaitQueue,
+        asleep_when_woken: Arc<Mutex<Vec<bool>>>,
+    }
+
+    impl QueueRig {
+        fn new(sched: EngineSched) -> Self {
+            let hub = WakeHub::new();
+            let mut eng = Engine::new(GpuConfig::tiny(8));
+            eng.set_scheduler(sched);
+            eng.set_wake_hub(Arc::clone(&hub));
+            QueueRig {
+                eng,
+                rig: Arc::new(Rig::default()),
+                queue: hub.register_queue(),
+                hub,
+                asleep_when_woken: Arc::default(),
+            }
+        }
+
+        fn waiters(&mut self, delays: &[u64], retry: u64, persistent: bool) {
+            let launch = LaunchConfig::new(delays.len() as u32, 32).with_registers(16);
+            self.eng.launch(
+                if persistent {
+                    launch.persistent()
+                } else {
+                    launch
+                },
+                Box::new(QueueWaiters {
+                    rig: Arc::clone(&self.rig),
+                    hub: Arc::clone(&self.hub),
+                    queue: self.queue.id(),
+                    delays: delays.to_vec(),
+                    retry,
+                    asleep_when_woken: Arc::clone(&self.asleep_when_woken),
+                }),
+            );
+        }
+
+        fn granter(&mut self, script: &[(u64, u32)]) {
+            self.eng.launch(
+                LaunchConfig::new(1, 32).with_registers(16),
+                Box::new(Granter {
+                    hub: Arc::clone(&self.hub),
+                    queue: self.queue.clone(),
+                    script: script.to_vec(),
+                }),
+            );
+        }
+
+        /// `(sleeper, time)` of every wake so far, in wake order.
+        fn woke(&self) -> Vec<(u32, u64)> {
+            self.rig.woke.lock().unwrap().clone()
+        }
+    }
+
+    #[test]
+    fn a_grant_of_n_wakes_the_n_waiters_whose_grids_come_first() {
+        let mut q = QueueRig::new(EngineSched::EventQueue);
+        // Grids 100 + 1 000 k, 300 + …, 500 + …, 700 + ….
+        q.waiters(&[100, 300, 500, 700], 1_000, false);
+        // Two units at 1 400: polls at 1 500 and 1 700 come first; the rest
+        // at 4 400 (polls at 5 100 and 5 300).
+        q.granter(&[(1_400, 2), (4_400, 10)]);
+        let report = q.eng.run();
+        assert!(!report.deadlocked);
+        assert_eq!(q.woke(), [(2, 1_500), (3, 1_700), (0, 5_100), (1, 5_300)]);
+        assert_eq!(q.queue.waiters(), 0);
+        // Every waiter was back to idle in the hub when it stepped.
+        assert_eq!(*q.asleep_when_woken.lock().unwrap(), [false; 4]);
+        // Steps: the busy one, the parking one and the woken one each.
+        assert_eq!(report.kernel("queue-waiters").unwrap().steps, 4 * 3);
+    }
+
+    #[test]
+    fn a_grant_on_a_grid_point_serves_that_waiter_only_after_the_notifier() {
+        // Waiter 0 polls on 1 300 (exactly the grant), waiter 1 on 1 350.
+        for waiters_first in [true, false] {
+            let mut q = QueueRig::new(EngineSched::EventQueue);
+            if waiters_first {
+                q.waiters(&[300, 350], 1_000, false);
+                q.granter(&[(1_300, 1), (5_000, 1)]);
+            } else {
+                q.granter(&[(1_300, 1), (5_000, 1)]);
+                q.waiters(&[300, 350], 1_000, false);
+            }
+            assert!(!q.eng.run().deadlocked);
+            let woke = q.woke();
+            if waiters_first {
+                // Waiter 0 polled at 1 300 before the grant: the unit is
+                // waiter 1's at 1 350; waiter 0's at 5 300.
+                assert_eq!(woke, [(1, 1_350), (0, 5_300)]);
+            } else {
+                // Waiter 0 polls at 1 300 after the granter: it takes it.
+                assert_eq!(woke, [(0, 1_300), (1, 5_350)]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiter_woken_by_its_sleeper_leaves_the_queue() {
+        let mut q = QueueRig::new(EngineSched::EventQueue);
+        q.waiters(&[100, 300], 1_000, false);
+        q.eng.launch(
+            LaunchConfig::new(1, 32).with_registers(16),
+            Box::new(Raiser {
+                rig: Arc::clone(&q.rig),
+                after: 1_050,
+            }),
+        );
+        // The raise at 1 050 wakes both at their grids (1 100, 1 300); the
+        // grant at 1 200 finds only waiter 1, already awake: nobody in the
+        // queue, so it is dropped.
+        q.granter(&[(1_200, 1)]);
+        assert!(!q.eng.run().deadlocked);
+        assert_eq!(q.woke(), [(0, 1_100), (1, 1_300)]);
+        assert_eq!(q.queue.waiters(), 0);
+    }
+
+    #[test]
+    fn a_grant_before_anybody_waits_is_dropped() {
+        let mut q = QueueRig::new(EngineSched::EventQueue);
+        q.waiters(&[100], 1_000, false);
+        // The grant at 50 comes before the waiter parks at 100.
+        q.granter(&[(50, 3), (2_500, 1)]);
+        assert!(!q.eng.run().deadlocked);
+        assert_eq!(q.woke(), [(0, 3_100)]);
+    }
+
+    #[test]
+    fn queue_waiters_survive_a_second_run_and_leave_for_a_full_scan() {
+        let compute = |cycles| {
+            Box::new(ComputeOnlyKernel {
+                cycles_per_warp: Cycles(cycles),
+                steps: 1,
+            })
+        };
+        let one_block = LaunchConfig::new(1, 32).with_registers(16);
+        let mut q = QueueRig::new(EngineSched::EventQueue);
+        q.waiters(&[100, 200], 1_000, true);
+        q.eng.launch(one_block.clone(), compute(1_000));
+        assert_eq!(q.eng.run().elapsed, Cycles(1_000));
+        assert_eq!(q.queue.waiters(), 2, "both asleep in the queue");
+        // The next run grants one unit at 1 650: waiter 0 (grid …, 2 100)
+        // before waiter 1 (…, 2 200).
+        q.granter(&[(1_650, 1)]);
+        q.eng.launch(one_block.clone(), compute(2_000));
+        q.eng.run();
+        assert_eq!(q.woke(), [(0, 2_100)]);
+        assert_eq!(q.queue.waiters(), 1);
+        // A full scan polls waiter 1 on its grid instead, out of the queue
+        // and idle in the hub.
+        q.eng.set_scheduler(EngineSched::FullScan);
+        q.eng.launch(one_block, compute(1_000));
+        q.eng.run();
+        assert_eq!(q.queue.waiters(), 0);
+        assert_eq!(q.woke(), [(0, 2_100), (1, 3_200)]);
+        assert_eq!(*q.asleep_when_woken.lock().unwrap(), [false, false]);
     }
 
     #[test]

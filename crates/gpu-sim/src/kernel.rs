@@ -160,6 +160,11 @@ pub enum WarpStep {
     ///   **every** producer that can end the wait before returning; a
     ///   wake-up for any other reason is harmless (the warp is simply polled
     ///   at a grid point).
+    /// * [`Wait::queued`] on a parked wait — the retries are also ended by
+    ///   a unit granted to a counting queue of the hub (an SQ slot of a
+    ///   full device): each granted unit wakes, by the same rule, the one
+    ///   waiter whose grid reaches a poll first. A queue's waiters share one
+    ///   grid interval; a warp on another one is polled.
     ///
     /// A parked warp is indistinguishable in simulated time from one that
     /// was polled, and its poll counts are at most the polled ones —

@@ -32,6 +32,7 @@
 pub mod config;
 pub mod engine;
 pub mod kernel;
+mod queue_index;
 pub mod registers;
 pub mod sm;
 

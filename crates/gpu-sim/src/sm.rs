@@ -9,7 +9,7 @@
 
 use crate::kernel::{WarpId, WarpKernel};
 use crate::GpuConfig;
-use agile_sim::wake::{SleeperId, Wait};
+use agile_sim::wake::{QueueId, SleeperId, Wait};
 use agile_sim::Cycles;
 
 /// A warp the engine keeps off the ready queue: it stalled with a parkable
@@ -24,6 +24,8 @@ pub struct Parked {
     pub every: Cycles,
     /// The sleeper that wakes it.
     pub sleeper: SleeperId,
+    /// The counting queue it also waits in ([`Wait::queued`]).
+    pub queue: Option<QueueId>,
 }
 
 /// One warp resident on an SM.

@@ -118,19 +118,46 @@ pub struct IdleGate {
     /// the end of every advance that got past the gate, the only place
     /// events are scheduled, fired or parked.
     next_due: AtomicU64,
+    /// The head of the event heap (`u64::MAX`: empty), refreshed with
+    /// `next_due`.
+    heap_head: AtomicU64,
+    /// The device's command-fetch latency in cycles: how long after a ring
+    /// it acts on it.
+    fetch_delay: u64,
 }
 
 impl Default for IdleGate {
     fn default() -> Self {
-        IdleGate {
-            pending_rings: AtomicU64::new(0),
-            first_ring: AtomicU64::new(u64::MAX),
-            next_due: AtomicU64::new(u64::MAX),
-        }
+        IdleGate::with_fetch_delay(Cycles::ZERO)
     }
 }
 
 impl IdleGate {
+    /// The gate of a device that fetches a rung command `fetch_delay` after
+    /// the ring.
+    pub fn with_fetch_delay(fetch_delay: Cycles) -> Self {
+        IdleGate {
+            pending_rings: AtomicU64::new(0),
+            first_ring: AtomicU64::new(u64::MAX),
+            next_due: AtomicU64::new(u64::MAX),
+            heap_head: AtomicU64::new(u64::MAX),
+            fetch_delay: fetch_delay.raw(),
+        }
+    }
+
+    /// [`SsdDevice::next_event_time`], read without the device: the head of
+    /// the event heap, or the fetch of a ring the device has not looked at
+    /// yet, whichever comes first. Equal to the device's own answer between
+    /// advances (property-tested in `tests/idle_gate.rs`).
+    pub fn next_event_time(&self) -> Option<Cycles> {
+        let heap = self.heap_head.load(Ordering::Acquire);
+        let fetch = self
+            .first_pending_ring()
+            .map_or(u64::MAX, |ring| ring.raw() + self.fetch_delay);
+        let next = heap.min(fetch);
+        (next != u64::MAX).then_some(Cycles(next))
+    }
+
     /// True when advancing the device to `now` would be a no-op.
     pub fn idle_at(&self, now: Cycles) -> bool {
         // Acquire pairs with the Release in `add_pending_rings` /
@@ -161,8 +188,12 @@ impl IdleGate {
         debug_assert!(before >= n, "drained more rings than were counted");
     }
 
-    fn set_next_due(&self, at: u64) {
-        self.next_due.store(at, Ordering::Release);
+    /// End of an advance: record the heap head (`u64::MAX`: empty) and
+    /// whether a completion is parked behind a full CQ.
+    fn refresh(&self, heap_head: u64, parked: bool) {
+        self.heap_head.store(heap_head, Ordering::Release);
+        self.next_due
+            .store(if parked { 0 } else { heap_head }, Ordering::Release);
     }
 }
 
@@ -250,6 +281,7 @@ impl SsdDevice {
     /// Create a device with the given backing store.
     pub fn new(cfg: SsdConfig, backing: Arc<dyn PageBacking>) -> Self {
         let channels = vec![Cycles::ZERO; cfg.costs.channels as usize];
+        let fetch_delay = cfg.costs.command_fetch.to_cycles(cfg.clock_ghz);
         SsdDevice {
             cfg,
             qps: Vec::new(),
@@ -260,7 +292,7 @@ impl SsdDevice {
             events: EventWheel::new(),
             due: Vec::new(),
             parked_total: 0,
-            gate: Arc::new(IdleGate::default()),
+            gate: Arc::new(IdleGate::with_fetch_delay(fetch_delay)),
             stats: DeviceStats::default(),
             now: Cycles::ZERO,
             trace: OnceLock::new(),
@@ -403,11 +435,10 @@ impl SsdDevice {
         }
         self.due = due;
 
-        self.gate.set_next_due(if self.parked_total > 0 {
-            0
-        } else {
-            self.events.peek_time().map_or(u64::MAX, Cycles::raw)
-        });
+        self.gate.refresh(
+            self.events.peek_time().map_or(u64::MAX, Cycles::raw),
+            self.parked_total > 0,
+        );
     }
 
     /// Fetch commands from SQ `qid` up to ring index `tail`.

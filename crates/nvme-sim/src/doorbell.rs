@@ -23,6 +23,9 @@ pub struct DoorbellRegister {
     value: AtomicU32,
     rings: SegQueue<(Cycles, u32)>,
     ring_count: AtomicU32,
+    /// Rings logged and not drained yet (counted before logging, like the
+    /// gate's count), so draining a register nobody rang takes no lock.
+    pending: AtomicU32,
     /// The owning device's gate, attached when the queue pair is registered.
     gate: OnceLock<Arc<IdleGate>>,
 }
@@ -40,6 +43,7 @@ impl DoorbellRegister {
             value: AtomicU32::new(0),
             rings: SegQueue::new(),
             ring_count: AtomicU32::new(0),
+            pending: AtomicU32::new(0),
             gate: OnceLock::new(),
         }
     }
@@ -66,6 +70,7 @@ impl DoorbellRegister {
         if let Some(gate) = self.gate.get() {
             gate.add_pending_rings(1, now);
         }
+        self.pending.fetch_add(1, Ordering::AcqRel);
         self.rings.push((now, value));
         self.ring_count.fetch_add(1, Ordering::Relaxed);
     }
@@ -78,12 +83,16 @@ impl DoorbellRegister {
     /// Device side: hand every pending `(ring time, value)` to `sink` in
     /// FIFO order.
     pub fn drain(&self, mut sink: impl FnMut(Cycles, u32)) {
+        if self.pending.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut drained = 0u64;
         while let Some((at, value)) = self.rings.pop() {
             sink(at, value);
             drained += 1;
         }
         if drained > 0 {
+            self.pending.fetch_sub(drained as u32, Ordering::AcqRel);
             if let Some(gate) = self.gate.get() {
                 gate.sub_pending_rings(drained);
             }

@@ -328,7 +328,7 @@ mod tests {
         hub.park(b);
         watched.post(0, cqe(1, true));
         let mut fired = Vec::new();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [a]);
     }
 

@@ -46,7 +46,7 @@ use std::sync::Arc;
 /// the building block both [`StorageTopology`] implementations are made of.
 ///
 /// The mutex is what lets one topology be shared (`Arc`, `&self` methods)
-/// between the engine's device bridges and the controllers' submit paths; the
+/// between the engine's topology bridge and the controllers' submit paths; the
 /// shard lock is a submission-cost *model* (see [`TopologyLock`]), not a
 /// concurrency primitive. Methods lock only the devices they touch — and
 /// advancing a device whose [`IdleGate`] says nothing can happen touches
@@ -154,17 +154,21 @@ impl DeviceSet {
         }
     }
 
-    /// Earliest pending event across all devices.
+    /// Earliest pending event across all devices. Like every next-event
+    /// query here it reads the devices' [`IdleGate`]s and takes no lock.
     pub fn next_event_time(&self) -> Option<Cycles> {
-        self.devices
-            .iter()
-            .filter_map(|d| d.lock().next_event_time())
-            .min()
+        self.gates.iter().filter_map(|g| g.next_event_time()).min()
     }
 
-    /// Earliest pending event on device `idx`.
-    pub fn device_next_event_time(&self, idx: usize) -> Option<Cycles> {
-        self.devices[idx].lock().next_event_time()
+    /// Earliest pending event strictly after `now`, device by device: a
+    /// device whose next event is at or before `now` (one fired events
+    /// scheduled while firing) does not hide another device's later one.
+    pub fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
+        self.gates
+            .iter()
+            .filter_map(|g| g.next_event_time())
+            .filter(|&t| t > now)
+            .min()
     }
 
     /// True when every device is idle.
@@ -385,39 +389,20 @@ pub trait StorageTopology: Send + Sync {
     /// `false` if any device already had one.
     fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool;
 
-    /// Advance every device to `now` (co-simulation).
+    /// Advance every device to `now` (co-simulation), shard-major: shard
+    /// 0's devices in increasing global order, then shard 1's, … — the order
+    /// that is part of what keeps the golden traces green.
     fn advance_to(&self, now: Cycles);
 
     /// Earliest pending event across all devices.
     fn next_event_time(&self) -> Option<Cycles>;
 
+    /// Earliest pending event strictly after `now`, taken device by device
+    /// (what an engine advancing the topology to `now` waits for next).
+    fn next_event_after(&self, now: Cycles) -> Option<Cycles>;
+
     /// True when every device is idle.
     fn quiescent(&self) -> bool;
-
-    /// Advance only global device `dev` to `now`. Calling it for
-    /// [`Self::device_advance_order`] in order is exactly
-    /// [`Self::advance_to`].
-    fn advance_device_to(&self, dev: usize, now: Cycles);
-
-    /// Earliest pending event on global device `dev`.
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles>;
-
-    /// Global device indices in sequential advance order: shard 0's devices
-    /// in increasing global order, then shard 1's, … — exactly the order
-    /// [`Self::advance_to`] visits devices. Per-device engine bridges
-    /// registered in this order reproduce that event stream byte for byte,
-    /// which is what keeps the golden traces green.
-    fn device_advance_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.device_count());
-        for s in 0..self.shard_count() {
-            for d in 0..self.device_count() {
-                if self.shard_of(d) == s {
-                    order.push(d);
-                }
-            }
-        }
-        order
-    }
 
     /// Sum of bytes read across devices.
     fn total_bytes_read(&self) -> u64;
@@ -549,14 +534,11 @@ impl StorageTopology for FlatArray {
     fn next_event_time(&self) -> Option<Cycles> {
         self.set.next_event_time()
     }
+    fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
+        self.set.next_event_after(now)
+    }
     fn quiescent(&self) -> bool {
         self.set.quiescent()
-    }
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
-        self.set.advance_device_to(dev, now);
-    }
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
-        self.set.device_next_event_time(dev)
     }
     fn total_bytes_read(&self) -> u64 {
         self.set.total_bytes_read()
@@ -613,6 +595,9 @@ pub struct ShardedArray {
     lock: TopologyLock,
     global_pages: u64,
     placement: Placement,
+    /// The shard-major order [`StorageTopology::advance_to`] visits the
+    /// devices in, computed once: every engine round walks it.
+    advance_order: Vec<usize>,
 }
 
 impl ShardedArray {
@@ -626,12 +611,16 @@ impl ShardedArray {
     pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>, shards: usize) -> Self {
         assert!(shards >= 1, "a sharded array needs at least one shard");
         let set = DeviceSet::from_parts(parts);
+        let advance_order = (0..shards)
+            .flat_map(|s| (s..set.len()).step_by(shards))
+            .collect();
         ShardedArray {
             global_pages: set.len() as u64 * set.min_namespace_pages(),
             set,
             shard_count: shards,
             lock: TopologyLock::new(shards, DEFAULT_LOCK_HOLD_CYCLES),
             placement: Placement::default(),
+            advance_order,
         }
     }
 
@@ -670,21 +659,18 @@ impl StorageTopology for ShardedArray {
     }
     fn advance_to(&self, now: Cycles) {
         // Shard-major, matching the trait contract and the golden traces.
-        for dev in self.device_advance_order() {
+        for &dev in &self.advance_order {
             self.set.advance_device_to(dev, now);
         }
     }
     fn next_event_time(&self) -> Option<Cycles> {
         self.set.next_event_time()
     }
+    fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
+        self.set.next_event_after(now)
+    }
     fn quiescent(&self) -> bool {
         self.set.quiescent()
-    }
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
-        self.set.advance_device_to(dev, now);
-    }
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
-        self.set.device_next_event_time(dev)
     }
     fn total_bytes_read(&self) -> u64 {
         self.set.total_bytes_read()
@@ -853,20 +839,16 @@ mod tests {
     #[test]
     fn device_advance_order_is_shard_major() {
         // Shard-major order: shard 0's devices in global order, then shard 1's.
-        let sharded = ShardedArray::new(5, 2);
-        assert_eq!(sharded.device_advance_order(), vec![0, 2, 4, 1, 3]);
-        // One shard (or a flat array) degenerates to global order.
-        assert_eq!(
-            ShardedArray::new(4, 1).device_advance_order(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(FlatArray::new(3).device_advance_order(), vec![0, 1, 2]);
+        assert_eq!(ShardedArray::new(5, 2).advance_order, [0, 2, 4, 1, 3]);
+        // One shard degenerates to global order.
+        assert_eq!(ShardedArray::new(4, 1).advance_order, [0, 1, 2, 3]);
     }
 
     #[test]
     fn per_device_advancement_matches_whole_set_advancement() {
-        // Advancing devices one by one through the per-device seam must leave
-        // the topology in the same externally visible state as advance_to.
+        // Advancing the devices one by one, in any order, must leave the
+        // topology in the same externally visible state as advance_to: the
+        // devices are independent, so the order only shapes the event stream.
         let run = |per_device: bool| -> (u64, u64, Vec<u64>) {
             let topo = ShardedArray::new(3, 2);
             let queues = topo.register_queues(1, 16);
@@ -878,8 +860,8 @@ mod tests {
                 qs[0].sq_doorbell.ring(1, Cycles(0));
             }
             if per_device {
-                for dev in topo.device_advance_order() {
-                    topo.advance_device_to(dev, Cycles(4_000_000));
+                for dev in (0..3).rev() {
+                    topo.set.advance_device_to(dev, Cycles(4_000_000));
                 }
             } else {
                 topo.advance_to(Cycles(4_000_000));

@@ -229,6 +229,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The gate's lock-free `next_event_time` — what `DeviceSet` reports to
+    /// the engine — is the device's own, after every software action and
+    /// every advance, including rings the device has not drained yet and
+    /// advances that leave events due.
+    #[test]
+    fn the_gate_reads_the_devices_next_event_time(
+        script in collection::vec((0u64..20_000, any::<u8>(), any::<u8>()), 1..150),
+    ) {
+        let mut dev = SsdDevice::new(
+            SsdConfig::new(0).with_capacity_pages(64),
+            Arc::new(MemBacking::new(0)),
+        );
+        let mut sw: Vec<Software> = (0..QUEUES)
+            .map(|q| {
+                let qp = QueuePair::new(q as u16, DEPTH);
+                dev.register_queue_pair(Arc::clone(&qp));
+                Software { qp, sq_tail: 0, next_cid: 0, cq_idx: 0, cq_phase: true }
+            })
+            .collect();
+        let (mut now, mut cqes) = (Cycles(0), Vec::new());
+        for (dt, action, arg) in script {
+            now += Cycles(dt);
+            let q = &mut sw[arg as usize % QUEUES];
+            match action % 4 {
+                0 | 1 => {
+                    q.submit(|cid| NvmeCommand::read(cid, arg as u64 % 64, DmaHandle::new()), now);
+                }
+                2 => q.reap(now, &mut cqes),
+                _ => {}
+            }
+            prop_assert_eq!(dev.gate().next_event_time(), dev.next_event_time());
+            // Sometimes the device is not looked at before the next action.
+            if action & 0x10 == 0 {
+                dev.advance_to(now);
+                prop_assert_eq!(dev.gate().next_event_time(), dev.next_event_time());
+            }
+        }
+    }
+}
+
 #[test]
 fn generated_scripts_do_reach_the_parked_path() {
     // Guard the property's coverage claim: with a 4-deep CQ reaped only now
@@ -309,9 +352,7 @@ fn idle_advance_allocates_nothing() {
     for _ in 0..10_000 {
         now += Cycles(1_000);
         topology.advance_to(now);
-        for dev in 0..3 {
-            topology.advance_device_to(dev, now);
-        }
+        topology.with_set(|set| (0..3).for_each(|dev| set.advance_device_to(dev, now)));
     }
     assert_eq!(allocations() - before, 0);
 

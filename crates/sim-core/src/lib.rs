@@ -40,4 +40,4 @@ pub use events::EventWheel;
 pub use rng::{SimRng, ZipfSampler};
 pub use stats::{Counter, Histogram, RunningStats};
 pub use trace::{NullSink, TraceEvent, TraceEventKind, TraceSink};
-pub use wake::{SleeperId, Wait, WaitReason, WakeHub, WatchList, WatchedU64};
+pub use wake::{QueueId, SleeperId, Wait, WaitQueue, WaitReason, WakeHub, WatchList, WatchedU64};

@@ -22,6 +22,11 @@
 //!   parked, its sleeper;
 //! * [`WakeHub`] — one per simulated host: sleeper registration, the
 //!   parked/fired state machine and the fired list the engine drains;
+//! * [`WaitQueue`] — a *counting* wait queue of a hub, for waits that end
+//!   when units of a shared resource free up (a slot of a full submission
+//!   queue): the producer [`grant`](WakeHub::grant)s units instead of
+//!   notifying sleepers, and the engine hands each unit to the one parked
+//!   warp polling would have served first;
 //! * [`WatchList`] — the waiter list an object embeds when several sleepers
 //!   may watch it for good (a completion queue, a knob cell);
 //! * [`WatchedU64`] — an atomic cell that notifies its watchers on a store.
@@ -30,10 +35,21 @@
 //! parks and drains between them. It drains fired sleepers sorted by id,
 //! never in arrival order, so which producer notified first cannot reorder
 //! wake-ups.
+//!
+//! **Counting queues.** Notifying every sleeper of a queue each time a unit
+//! frees up would be polling again: a few hundred warps may wait for one
+//! submission queue, and a slot frees up about once per retry interval. A
+//! grant of `n` units instead wakes the `n` waiters whose retry grids reach
+//! a poll first — in the granting cycle only those that sort after the
+//! granting warp in `(sm, slot)` order, as for a notification. Each of them
+//! would have found a unit; any waiter after them would have found the
+//! units taken, unless one of the woken warps finds less than it wanted, and
+//! then it simply parks again. Waking a superset of the warps polling would
+//! serve is always safe; waking fewer would not be.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Why a warp stalled. Carried by every stall so a stall report can say what
 /// each stuck warp was waiting for.
@@ -72,6 +88,10 @@ impl WaitReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SleeperId(pub u32);
 
+/// Handle of one counting [`WaitQueue`] of a [`WakeHub`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct QueueId(pub u32);
+
 /// The wait descriptor of a stall: the reason, and the sleeper to park when
 /// the re-polls this stall asks for are pure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,6 +104,9 @@ pub struct Wait {
     /// warp off the ready queue until the sleeper is notified, and those
     /// polls are never made. `None`: the warp must really be re-polled.
     pub sleeper: Option<SleeperId>,
+    /// Set on a parked wait that a unit granted to this counting queue also
+    /// ends (see [`Wait::queued`]).
+    pub queue: Option<QueueId>,
 }
 
 impl Wait {
@@ -92,6 +115,7 @@ impl Wait {
         Wait {
             reason,
             sleeper: None,
+            queue: None,
         }
     }
 
@@ -101,6 +125,18 @@ impl Wait {
         Wait {
             reason,
             sleeper: Some(sleeper),
+            queue: None,
+        }
+    }
+
+    /// This parked wait, also ended by one unit granted to `queue`: the warp
+    /// waits for a unit of the resource the queue counts, and its re-polls
+    /// are pure until one is granted (or its sleeper is notified). The engine
+    /// hands each granted unit to one waiter; see the module docs.
+    pub const fn queued(self, queue: QueueId) -> Self {
+        Wait {
+            queue: Some(queue),
+            ..self
         }
     }
 
@@ -118,9 +154,57 @@ impl Wait {
     }
 }
 
+/// Length of the first chunk of sleeper slots (each next one is twice as
+/// long), and how many chunks there are: room for about 2^31 sleepers.
+const FIRST_CHUNK: u32 = 128;
+const CHUNKS: usize = 24;
+
+/// The chunk holding the slot of sleeper `id`, and where in it.
+#[inline]
+fn chunk_of(id: u32) -> (usize, usize) {
+    let q = id / FIRST_CHUNK + 1;
+    let chunk = (u32::BITS - 1 - q.leading_zeros()) as usize;
+    (chunk, (id - FIRST_CHUNK * ((1 << chunk) - 1)) as usize)
+}
+
 const IDLE: u8 = 0;
 const PARKED: u8 = 1;
 const FIRED: u8 = 2;
+
+/// A counting wait queue of a [`WakeHub`]: the producer's handle (it asks
+/// [`WaitQueue::waiters`] before computing a grant, and passes it to
+/// [`WakeHub::grant`]) and the engine's (it counts the warps it parks in the
+/// queue). Cloning shares the queue.
+#[derive(Debug, Clone)]
+pub struct WaitQueue {
+    id: QueueId,
+    waiters: Arc<AtomicUsize>,
+}
+
+impl WaitQueue {
+    /// The id a [`Wait::queued`] names this queue by.
+    pub fn id(&self) -> QueueId {
+        self.id
+    }
+
+    /// How many warps are parked in the queue. One load: producers skip the
+    /// grant of a queue nobody waits on.
+    #[inline]
+    pub fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::Acquire)
+    }
+
+    /// Engine side: a warp was parked in the queue.
+    pub fn join(&self) {
+        self.waiters.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Engine side: a warp parked in the queue was woken.
+    pub fn leave(&self) {
+        let before = self.waiters.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(before > 0, "left a wait queue nobody waited in");
+    }
+}
 
 /// Sleeper registry and fired list of one simulated host.
 ///
@@ -128,14 +212,29 @@ const FIRED: u8 = 2;
 /// [`notify`](WakeHub::notify) moves a `PARKED` sleeper to `FIRED` and onto
 /// the fired list exactly once (notifications of idle or already fired
 /// sleepers are dropped, so a stale watcher entry cannot wake anyone twice);
-/// [`drain_fired`](WakeHub::drain_fired) hands the list to the engine and
-/// returns those sleepers to `IDLE`.
+/// [`drain`](WakeHub::drain) hands the list to the engine and returns
+/// those sleepers to `IDLE`. A sleeper the engine wakes for a unit granted
+/// to its queue goes back to `IDLE` through [`unpark`](WakeHub::unpark).
 pub struct WakeHub {
-    /// Each sleeper's state, by id.
-    slots: RwLock<Vec<AtomicU8>>,
-    fired: Mutex<Vec<SleeperId>>,
-    /// Length of `fired`, so the engine's per-step check is one load.
+    /// Each sleeper's state, by id, in chunks of doubling length: chunk `k`
+    /// holds the ids from `FIRST_CHUNK · (2^k − 1)` on. A slot never moves,
+    /// so it is read without a lock.
+    slots: [OnceLock<Box<[AtomicU8]>>; CHUNKS],
+    /// Sleepers registered.
+    registered: AtomicU32,
+    /// The fired list and the grants not yet drained.
+    pending_wakes: Mutex<PendingWakes>,
+    /// Entries of `pending_wakes`, so the engine's per-step check is one
+    /// load.
     pending: AtomicUsize,
+    /// Every registered counting queue, by id.
+    queues: Mutex<Vec<WaitQueue>>,
+}
+
+#[derive(Default)]
+struct PendingWakes {
+    fired: Vec<SleeperId>,
+    grants: Vec<(QueueId, u32)>,
 }
 
 impl std::fmt::Debug for WakeHub {
@@ -149,9 +248,11 @@ impl std::fmt::Debug for WakeHub {
 impl Default for WakeHub {
     fn default() -> Self {
         WakeHub {
-            slots: RwLock::new(Vec::new()),
-            fired: Mutex::new(Vec::new()),
+            slots: std::array::from_fn(|_| OnceLock::new()),
+            registered: AtomicU32::new(0),
+            pending_wakes: Mutex::new(PendingWakes::default()),
             pending: AtomicUsize::new(0),
+            queues: Mutex::new(Vec::new()),
         }
     }
 }
@@ -164,20 +265,28 @@ impl WakeHub {
 
     /// Register a sleeper. Done once per warp, not per wait.
     pub fn register(&self) -> SleeperId {
-        let mut slots = self.slots.write().expect("wake hub poisoned");
-        if slots.capacity() == 0 {
-            // Sleepers register one by one in mid-run; take room for a
-            // kernel's worth at once instead of doubling through the heap.
-            slots.reserve(128);
-        }
-        slots.push(AtomicU8::new(IDLE));
-        SleeperId(slots.len() as u32 - 1)
+        let id = self.registered.fetch_add(1, Ordering::Relaxed);
+        let (chunk, _) = chunk_of(id);
+        self.slots[chunk].get_or_init(|| {
+            (0..FIRST_CHUNK << chunk)
+                .map(|_| AtomicU8::new(IDLE))
+                .collect()
+        });
+        SleeperId(id)
+    }
+
+    /// The state cell of `sleeper`.
+    #[inline]
+    fn slot(&self, sleeper: SleeperId) -> &AtomicU8 {
+        let (chunk, at) = chunk_of(sleeper.0);
+        &self.slots[chunk]
+            .get()
+            .expect("sleeper was never registered")[at]
     }
 
     /// Engine side: `sleeper`'s warp has left the ready queue.
     pub fn park(&self, sleeper: SleeperId) {
-        let slots = self.slots.read().expect("wake hub poisoned");
-        slots[sleeper.0 as usize].store(PARKED, Ordering::SeqCst);
+        self.slot(sleeper).store(PARKED, Ordering::SeqCst);
     }
 
     /// True while `sleeper`'s warp is off the ready queue (parked, or
@@ -185,48 +294,88 @@ impl WakeHub {
     /// hands out parkable waits must not offer one that is asleep already
     /// to a second warp.
     pub fn is_asleep(&self, sleeper: SleeperId) -> bool {
-        let slots = self.slots.read().expect("wake hub poisoned");
-        slots[sleeper.0 as usize].load(Ordering::SeqCst) != IDLE
+        self.slot(sleeper).load(Ordering::SeqCst) != IDLE
     }
 
     /// Producer side: something `sleeper` watches happened. Fires it if it
     /// is parked; otherwise does nothing.
     pub fn notify(&self, sleeper: SleeperId) {
-        let fired = {
-            let slots = self.slots.read().expect("wake hub poisoned");
-            slots[sleeper.0 as usize]
-                .compare_exchange(PARKED, FIRED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        };
+        let fired = self
+            .slot(sleeper)
+            .compare_exchange(PARKED, FIRED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
         if fired {
-            let mut list = self.fired.lock().expect("wake hub poisoned");
-            list.push(sleeper);
-            self.pending.store(list.len(), Ordering::Release);
+            let mut pending = self.pending_wakes.lock().expect("wake hub poisoned");
+            pending.fired.push(sleeper);
+            self.pending.fetch_add(1, Ordering::Release);
         }
     }
 
-    /// True when [`drain_fired`](WakeHub::drain_fired) would return
-    /// something. One atomic load.
+    /// Engine side: `sleeper`, parked in a counting queue, is woken for a
+    /// unit granted to that queue — back to `IDLE`. (A sleeper fired in the
+    /// meantime is the fired list's, and stays as it is.)
+    pub fn unpark(&self, sleeper: SleeperId) {
+        let _ =
+            self.slot(sleeper)
+                .compare_exchange(PARKED, IDLE, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// True when [`drain`](WakeHub::drain) would return something. One
+    /// atomic load.
     #[inline]
     pub fn has_fired(&self) -> bool {
         self.pending.load(Ordering::Acquire) != 0
     }
 
-    /// Engine side: move the fired sleepers into `into` (cleared first),
+    /// Engine side: move the fired sleepers into `fired` (cleared first),
     /// **sorted by id** — the order they are woken in must not depend on
-    /// which producer notified first — and return them to idle.
-    pub fn drain_fired(&self, into: &mut Vec<SleeperId>) {
-        into.clear();
+    /// which producer notified first — and return them to idle; move the
+    /// grants made since the last drain into `grants` (cleared first), in
+    /// the order they were made.
+    pub fn drain(&self, fired: &mut Vec<SleeperId>, grants: &mut Vec<(QueueId, u32)>) {
+        fired.clear();
+        grants.clear();
         {
-            let mut list = self.fired.lock().expect("wake hub poisoned");
-            into.append(&mut list);
-            self.pending.store(0, Ordering::Release);
+            let mut pending = self.pending_wakes.lock().expect("wake hub poisoned");
+            fired.append(&mut pending.fired);
+            grants.append(&mut pending.grants);
+            self.pending
+                .fetch_sub(fired.len() + grants.len(), Ordering::Release);
         }
-        into.sort_unstable();
-        let slots = self.slots.read().expect("wake hub poisoned");
-        for id in into.iter() {
-            slots[id.0 as usize].store(IDLE, Ordering::SeqCst);
+        fired.sort_unstable();
+        for &id in fired.iter() {
+            self.slot(id).store(IDLE, Ordering::SeqCst);
         }
+    }
+
+    /// Register a counting wait queue. Done once per resource (one per
+    /// device's submission queues), before any warp waits in it.
+    pub fn register_queue(&self) -> WaitQueue {
+        let mut queues = self.queues.lock().expect("wake hub poisoned");
+        let queue = WaitQueue {
+            id: QueueId(queues.len() as u32),
+            waiters: Arc::new(AtomicUsize::new(0)),
+        };
+        queues.push(queue.clone());
+        queue
+    }
+
+    /// Engine side: the queue `id` names.
+    pub fn queue(&self, id: QueueId) -> WaitQueue {
+        self.queues.lock().expect("wake hub poisoned")[id.0 as usize].clone()
+    }
+
+    /// Producer side: `units` of what `queue` counts were freed. The engine
+    /// wakes one waiter per unit (see the module docs); units nobody waits
+    /// for are dropped — a warp that comes to the resource later finds them
+    /// free without waiting.
+    pub fn grant(&self, queue: &WaitQueue, units: u32) {
+        if units == 0 || queue.waiters() == 0 {
+            return;
+        }
+        let mut pending = self.pending_wakes.lock().expect("wake hub poisoned");
+        pending.grants.push((queue.id, units));
+        self.pending.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -327,13 +476,13 @@ mod tests {
         hub.notify(ids[0]);
         hub.notify(ids[0]);
         assert!(hub.has_fired() && hub.is_asleep(ids[0]));
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [ids[0]], "the second notification was dropped");
         assert!(!hub.is_asleep(ids[0]));
         assert!(!hub.has_fired());
         // Back to idle: a stale watcher entry firing later wakes nobody.
         hub.notify(ids[0]);
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert!(fired.is_empty());
     }
 
@@ -347,8 +496,62 @@ mod tests {
             hub.notify(ids[i]);
         }
         let mut fired = Vec::new();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, ids);
+    }
+
+    #[test]
+    fn sleepers_across_slot_chunks_keep_their_own_state() {
+        // Chunks of 128, 256, 512, … slots: ids on both sides of each seam.
+        let (hub, ids) = hub_with(1_000);
+        assert_eq!(chunk_of(127), (0, 127));
+        assert_eq!(chunk_of(128), (1, 0));
+        assert_eq!(chunk_of(383), (1, 255));
+        assert_eq!(chunk_of(384), (2, 0));
+        let seams = [0usize, 127, 128, 383, 384, 895, 896, 999];
+        for &i in &seams {
+            hub.park(ids[i]);
+        }
+        for &i in seams.iter().rev() {
+            hub.notify(ids[i]);
+        }
+        let mut fired = Vec::new();
+        hub.drain(&mut fired, &mut Vec::new());
+        assert_eq!(fired, seams.map(|i| ids[i]));
+        assert!(ids.iter().all(|&id| !hub.is_asleep(id)));
+    }
+
+    #[test]
+    fn grants_reach_only_queues_somebody_waits_in() {
+        let (hub, ids) = hub_with(1);
+        let (a, b) = (hub.register_queue(), hub.register_queue());
+        assert_eq!((a.id(), b.id()), (QueueId(0), QueueId(1)));
+        let mut grants = Vec::new();
+        hub.grant(&a, 3);
+        assert!(!hub.has_fired(), "nobody waits in the queue: dropped");
+        // The engine's handle is the producer's queue.
+        hub.queue(b.id()).join();
+        assert_eq!(b.waiters(), 1);
+        hub.grant(&b, 0);
+        hub.grant(&b, 2);
+        hub.grant(&b, 1);
+        assert!(hub.has_fired());
+        hub.drain(&mut Vec::new(), &mut grants);
+        assert_eq!(grants, [(b.id(), 2), (b.id(), 1)], "in grant order");
+        assert!(!hub.has_fired());
+        // A sleeper woken for a grant goes back to idle; one fired by a
+        // notification in the meantime stays the fired list's.
+        hub.park(ids[0]);
+        hub.unpark(ids[0]);
+        assert!(!hub.is_asleep(ids[0]));
+        hub.park(ids[0]);
+        hub.notify(ids[0]);
+        hub.unpark(ids[0]);
+        let mut fired = Vec::new();
+        hub.drain(&mut fired, &mut Vec::new());
+        assert_eq!(fired, [ids[0]]);
+        hub.queue(b.id()).leave();
+        assert_eq!(b.waiters(), 0);
     }
 
     #[test]
@@ -362,7 +565,7 @@ mod tests {
         cell.store(2_000);
         assert_eq!(cell.load(), 2_000);
         let mut fired = Vec::new();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert_eq!(fired, [ids[1]], "only the watcher, and only once");
     }
 
@@ -402,7 +605,7 @@ mod tests {
                 }
                 let mut seen = 0;
                 while seen < SLEEPERS {
-                    hub.drain_fired(&mut fired);
+                    hub.drain(&mut fired, &mut Vec::new());
                     assert!(fired.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
                     for id in &fired {
                         woken[id.0 as usize] += 1;
@@ -417,7 +620,7 @@ mod tests {
         });
         assert!(woken.iter().all(|&n| n == ROUNDS), "every park woke once");
         let mut fired = Vec::new();
-        hub.drain_fired(&mut fired);
+        hub.drain(&mut fired, &mut Vec::new());
         assert!(fired.is_empty(), "late notifications of idle sleepers drop");
     }
 }

@@ -488,6 +488,7 @@ impl WarpKernel for AgileReplayWarp {
         // Issue up to one warp-width of ops this step.
         let mut cost = Cycles(0);
         let mut issued_now = 0u32;
+        let mut refused_by = None;
         for _ in 0..ctx.lanes {
             if self.outstanding.len() >= self.window {
                 break;
@@ -497,6 +498,13 @@ impl WarpKernel for AgileReplayWarp {
             };
             let op: TraceOp = ops[idx];
             let (dev, lba) = target(self.ctrl.io(), &self.trace, self.stripe, &op);
+            // Every SQ of `dev` full: account the refusal without building
+            // the barrier and the command first.
+            if let Some(c) = self.ctrl.io().raw_refusal(dev) {
+                cost += c;
+                refused_by = Some(dev);
+                break;
+            }
             let barrier = Barrier::new();
             let (c, issued) = if op.write {
                 self.ctrl.io().raw_write(
@@ -521,6 +529,7 @@ impl WarpKernel for AgileReplayWarp {
             };
             cost += c;
             if !issued {
+                refused_by = Some(dev);
                 break;
             }
             // Charge the op's think time exactly once, on acceptance (within
@@ -538,15 +547,19 @@ impl WarpKernel for AgileReplayWarp {
             self.cursor.advance();
             issued_now += 1;
         }
-        if issued_now == 0 {
-            // Every SQ full (or the QoS gate deferred this tenant): the
-            // AGILE service keeps recycling entries; retry later.
-            WarpStep::Stall {
-                retry_after: Cycles(3_000),
-                wait: Wait::polling(WaitReason::Submit),
-            }
-        } else {
-            WarpStep::Busy(cost.max(Cycles(1)))
+        let Some(dev) = refused_by.filter(|_| issued_now == 0) else {
+            return WarpStep::Busy(cost.max(Cycles(1)));
+        };
+        // Every SQ full (or the QoS gate deferred this tenant): the AGILE
+        // service keeps recycling entries, so retry — asleep until a slot
+        // of that device frees up or a request completes.
+        let barriers = self.outstanding.iter().map(|inflight| &inflight.barrier);
+        WarpStep::Stall {
+            retry_after: Cycles(3_000),
+            wait: self
+                .ctrl
+                .io()
+                .park_on_submit(&mut self.sleeper, dev as usize, barriers),
         }
     }
 }

@@ -62,8 +62,7 @@ fn replay_summaries(stem: &str, trace: &Trace) -> Vec<String> {
 /// The golden QoS workload: the 9:1 noisy-neighbour mix replayed on AGILE
 /// under FIFO and under equal-weight WFQ, over saturated SQs with
 /// demand-proportional tenant warps. Two summary lines per regeneration —
-/// the checked-in pair documents the victim-tail improvement the scheduler
-/// is for.
+/// the checked-in pair pins both schedules, deferral count included.
 fn golden_qos_spec() -> TraceSpec {
     TraceSpec::noisy_neighbor("golden-qos", 404, 2, 1 << 12, 1_024)
 }
@@ -211,6 +210,20 @@ fn golden_qos_trace_replays_byte_identically() {
     );
 }
 
+/// Write `trace` to `path`, unless the file there already decodes to it:
+/// the golden tests compare decoded traces, and a binary written by an older
+/// wire-format version stays as it was checked in.
+fn write_trace(path: &Path, trace: &Trace) {
+    let current = std::fs::read(path).ok();
+    if current
+        .and_then(|bytes| Trace::from_bytes(&bytes).ok())
+        .as_ref()
+        != Some(trace)
+    {
+        std::fs::write(path, trace.to_bytes()).expect("write golden trace");
+    }
+}
+
 /// Regenerates the golden binaries and the expected-summary files.
 #[test]
 #[ignore = "writes tests/data — run explicitly to regenerate"]
@@ -220,8 +233,7 @@ fn regenerate() {
     let mut summaries = String::new();
     for (stem, spec) in golden_specs() {
         let trace = spec.generate();
-        std::fs::write(dir.join(format!("{stem}.trace")), trace.to_bytes())
-            .expect("write golden trace");
+        write_trace(&dir.join(format!("{stem}.trace")), &trace);
         for line in replay_summaries(stem, &trace) {
             summaries.push_str(&line);
             summaries.push('\n');
@@ -229,8 +241,7 @@ fn regenerate() {
     }
     std::fs::write(dir.join("golden_summaries.txt"), &summaries).expect("write summaries");
     let qos_trace = golden_qos_spec().generate();
-    std::fs::write(dir.join("golden_qos.trace"), qos_trace.to_bytes())
-        .expect("write golden qos trace");
+    write_trace(&dir.join("golden_qos.trace"), &qos_trace);
     let qos_summaries: String = golden_qos_summaries(&qos_trace)
         .into_iter()
         .map(|l| l + "\n")
@@ -238,8 +249,7 @@ fn regenerate() {
     std::fs::write(dir.join("golden_qos_summary.txt"), &qos_summaries)
         .expect("write qos summaries");
     let cached_trace = golden_cached_spec().generate();
-    std::fs::write(dir.join("golden_cached.trace"), cached_trace.to_bytes())
-        .expect("write golden cached trace");
+    write_trace(&dir.join("golden_cached.trace"), &cached_trace);
     let cached_summaries: String = golden_cached_lines(&cached_trace)
         .into_iter()
         .map(|l| l + "\n")

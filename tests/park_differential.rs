@@ -6,16 +6,18 @@
 //! one of those polls. The rule is *times are simulated, counts are
 //! executed*: the two must agree on every simulated time — report,
 //! latencies, stall cycles — and on every counter that is not a poll count,
-//! while the poll counts (`IoStats::{read_calls, warp_coalesced,
-//! cache_coalesced, cache_cycles, io_cycles}`, `CacheStats::busy_hits`,
-//! `ServiceStats::idle_rounds`, `KernelReport::steps`) of the parked run may
-//! only be lower. With a recording sink installed the captures are the same
+//! while the poll counts (`IoStats::{read_calls, raw_calls, warp_coalesced,
+//! cache_coalesced, sq_full_retries, cache_cycles, io_cycles}`,
+//! `CacheStats::busy_hits`, `ServiceStats::idle_rounds`,
+//! `KernelReport::steps`) of the parked run may only be lower. With a recording sink installed the captures are the same
 //! *multiset* of events apart from `CacheBusy` records, and the parked run's
 //! `CacheBusy` records are a sub-multiset of the polled run's.
 //!
 //! The cases are random replays shaped to reach the hard paths: a raw replay
 //! with a small window over one short SQ (window-full and drain waits,
-//! SQ-full retries), a cached replay with 50 % writes over 8× the cache and
+//! SQ-full retries), a raw replay with eight times the requests the SQs hold
+//! (warps asleep in the devices' submission queues, handed the slots each
+//! release frees), a cached replay with 50 % writes over 8× the cache and
 //! 32 SQ slots for 32 warps (blocked stores, `abort_fill`,
 //! `reinstate_victim`), a tenant-partitioned cached replay, and an accessor
 //! kernel (the CTC micro-benchmark) whose retry interval depends on what the
@@ -32,6 +34,12 @@
 //! `parked_and_polled_synthetic_waits_are_indistinguishable`; dropping the
 //! bulk `rotation` advance of a woken service warp fails
 //! `parked_and_polled_replays_are_indistinguishable` (and the accessor test).
+//! For the submission queues (release build): handing a granted slot to a
+//! waiter polling in the granting cycle regardless of `(sm, slot)` order, to
+//! the waiter polling *last* instead of first, or granting one slot fewer
+//! than a release frees each fail `parked_and_polled_replays_are_
+//! indistinguishable` on the `RawPressure` shape, which the other shapes do
+//! not pin.
 
 use agile_repro::agile::{AgileConfig, IoStats, ServiceStats};
 use agile_repro::bam::HostBuilder;
@@ -97,15 +105,19 @@ fn assert_captures(case: impl Debug, parked: Vec<EventKey>, polled: Vec<EventKey
 fn io_polls(s: &IoStats) -> (IoStats, Vec<u64>) {
     let polls = vec![
         s.read_calls,
+        s.raw_calls,
         s.warp_coalesced,
         s.cache_coalesced,
+        s.sq_full_retries,
         s.cache_cycles,
         s.io_cycles,
     ];
     let rest = IoStats {
         read_calls: 0,
+        raw_calls: 0,
         warp_coalesced: 0,
         cache_coalesced: 0,
+        sq_full_retries: 0,
         cache_cycles: 0,
         io_cycles: 0,
         ..s.clone()
@@ -155,6 +167,9 @@ fn assert_counts<T: PartialEq + Debug>(
 enum Shape {
     /// Raw path, window 4, one 32-deep SQ per device.
     Raw,
+    /// Raw path, 128 warps × window 8 over two 32-deep SQs per device:
+    /// eight times the requests the SQs hold.
+    RawPressure,
     /// Cached path, 50 % writes, working set 8× a 128-line cache.
     CachedWriteMix,
     /// Cached path, three tenants, warps partitioned by tenant.
@@ -170,8 +185,14 @@ struct Case {
 }
 
 fn case_of(pick: u8, seed: u64) -> Case {
+    let shapes = [
+        Shape::Raw,
+        Shape::RawPressure,
+        Shape::CachedWriteMix,
+        Shape::CachedTenants,
+    ];
     Case {
-        shape: [Shape::Raw, Shape::CachedWriteMix, Shape::CachedTenants][pick as usize % 3],
+        shape: shapes[pick as usize % 4],
         seed,
         ops: 256 + seed % 512,
         sink: pick & 8 == 0,
@@ -189,6 +210,16 @@ fn replay(case: Case, sched: EngineSched) -> (ReplayReport, Vec<EventKey>) {
                 total_warps: 48,
                 window: 4,
                 queue_pairs: 1,
+                queue_depth: 32,
+                ..ReplayConfig::default()
+            },
+        ),
+        Shape::RawPressure => (
+            TraceSpec::multi_tenant("diff-pressure", seed, 2, 1 << 12, ops),
+            ReplayConfig {
+                total_warps: 128,
+                window: 8,
+                queue_pairs: 2,
                 queue_depth: 32,
                 ..ReplayConfig::default()
             },
@@ -263,7 +294,7 @@ fn differential(case: Case) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 96 }))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 128 }))]
 
     #[test]
     fn parked_and_polled_replays_are_indistinguishable(pick in any::<u8>(), seed in any::<u64>()) {
@@ -284,6 +315,24 @@ fn the_cases_reach_the_hard_paths() {
     differential(raw);
     let (report, _) = replay(raw, EngineSched::EventQueue);
     assert!(report.io_stats.sq_full_retries > 0, "SQ-full retries");
+
+    let pressure = Case {
+        shape: Shape::RawPressure,
+        seed: 13,
+        ops: 768,
+        sink: true,
+    };
+    differential(pressure);
+    let (parked, _) = replay(pressure, EngineSched::EventQueue);
+    let (polled, _) = replay(pressure, EngineSched::FullScan);
+    let refused = |r: &ReplayReport| r.io_stats.sq_full_retries;
+    assert!(refused(&parked) > 0, "submissions are refused");
+    assert!(
+        refused(&parked) < refused(&polled),
+        "warps sleep in the submission queues ({} vs {} refusals)",
+        refused(&parked),
+        refused(&polled)
+    );
 
     let writemix = Case {
         shape: Shape::CachedWriteMix,
@@ -577,4 +626,286 @@ proptest! {
     fn parked_and_polled_synthetic_waits_are_indistinguishable(seed in any::<u64>()) {
         synthetic_differential(seed);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Counting queues, on a bare engine
+// ---------------------------------------------------------------------------
+
+/// Takers of a counted resource asleep in the hub's counting queue, and
+/// releasers freeing units and granting them, with round busy times and one
+/// shared retry interval — so that a grant lands *exactly* on a waiter's grid
+/// point, before or after the granting warp in `(sm, slot)` order, all the
+/// time. A release may also poke a taker (a request of its own completing),
+/// which it reaps at its next poll while it waits for units, as the raw
+/// replay warp does; and a taker that got some units but not all it wants
+/// is busy with them and then tries again, as the replay warp is after a
+/// step that issued some of its ops.
+mod synthetic_queue {
+    use agile_repro::gpu::{
+        Engine, EngineSched, ExecutionReport, GpuConfig, KernelFactory, LaunchConfig, WarpCtx,
+        WarpKernel, WarpStep,
+    };
+    use agile_repro::sim::wake::{SleeperId, Wait, WaitQueue, WaitReason, WakeHub, WatchList};
+    use agile_repro::sim::Cycles;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    /// The interval every taker retries at.
+    const RETRY: Cycles = Cycles(200);
+
+    pub struct World {
+        hub: Arc<WakeHub>,
+        queue: WaitQueue,
+        /// Units free to take.
+        free: AtomicU64,
+        /// Per taker: how often a release poked it, and who watches that.
+        pokes: Vec<AtomicU64>,
+        watchers: Vec<WatchList>,
+        /// Polls each taker made that took nothing and reaped nothing.
+        pub polls: Vec<AtomicU64>,
+        /// `(time, taker, units held or pokes reaped)` of everything a taker
+        /// did, in step order.
+        pub log: Mutex<Vec<(u64, u32, u64)>>,
+    }
+
+    /// One release: stay busy this long, then free this many units and poke
+    /// this taker, if any.
+    type Release = (u64, u32, Option<usize>);
+    /// One take: this many units, each costing this much work.
+    type Take = (u32, u64);
+
+    pub struct Script {
+        pub releasers: Vec<Vec<Release>>,
+        pub takers: Vec<Vec<Take>>,
+        pub releasers_first: bool,
+    }
+
+    /// A script from `seed`: up to 5 releaser and 10 taker warps, takers
+    /// wanting no more units than are released.
+    pub fn script(seed: u64) -> Script {
+        let mut state = seed | 1;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        const BUSY: [u64; 4] = [100, 200, 300, 600];
+        let takers = 2 + next(9) as usize;
+        let mut released = 0u64;
+        let releasers: Vec<Vec<Release>> = (0..1 + next(5))
+            .map(|_| {
+                (0..4 + next(16))
+                    .map(|_| {
+                        let units = 1 + next(3) as u32;
+                        released += units as u64;
+                        let poke = (next(3) == 0).then(|| next(takers as u64) as usize);
+                        (BUSY[next(4) as usize], units, poke)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut wanted = 0u64;
+        let takers = (0..takers)
+            .map(|_| {
+                (0..1 + next(4))
+                    .map_while(|_| {
+                        let units = 1 + next(3) as u32;
+                        wanted += units as u64;
+                        (wanted <= released).then(|| (units, BUSY[next(4) as usize]))
+                    })
+                    .collect()
+            })
+            .collect();
+        Script {
+            releasers,
+            takers,
+            releasers_first: next(2) == 0,
+        }
+    }
+
+    struct Releasers(Arc<World>, Vec<Vec<Release>>);
+    struct Releaser(Arc<World>, Vec<Release>, usize);
+
+    impl KernelFactory for Releasers {
+        fn create_warp(&self, block: u32, _warp: u32) -> Box<dyn WarpKernel> {
+            Box::new(Releaser(
+                Arc::clone(&self.0),
+                self.1[block as usize].clone(),
+                0,
+            ))
+        }
+    }
+
+    impl WarpKernel for Releaser {
+        fn step(&mut self, _ctx: &WarpCtx) -> WarpStep {
+            let Some(&(busy, units, poke)) = self.1.get(self.2) else {
+                return WarpStep::Done;
+            };
+            self.2 += 1;
+            let world = &self.0;
+            world.free.fetch_add(units as u64, Ordering::SeqCst);
+            world.hub.grant(&world.queue, units);
+            if let Some(taker) = poke {
+                world.pokes[taker].fetch_add(1, Ordering::SeqCst);
+                world.watchers[taker].notify_all();
+            }
+            WarpStep::Busy(Cycles(busy))
+        }
+    }
+
+    struct Takers(Arc<World>, Vec<Vec<Take>>);
+    struct Taker {
+        world: Arc<World>,
+        takes: Vec<Take>,
+        at: usize,
+        /// Units of the current take held so far.
+        held: u32,
+        /// Pokes reaped so far.
+        reaped: u64,
+        id: u32,
+        sleeper: SleeperId,
+    }
+
+    impl KernelFactory for Takers {
+        fn create_warp(&self, block: u32, _warp: u32) -> Box<dyn WarpKernel> {
+            Box::new(Taker {
+                world: Arc::clone(&self.0),
+                takes: self.1[block as usize].clone(),
+                at: 0,
+                held: 0,
+                reaped: 0,
+                id: block,
+                // Registered in `run`, in block order.
+                sleeper: SleeperId(block),
+            })
+        }
+    }
+
+    impl WarpKernel for Taker {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let world = Arc::clone(&self.world);
+            let log = |what: u64| {
+                let entry = (ctx.now.raw(), self.id, what);
+                world.log.lock().unwrap().push(entry);
+            };
+            let pokes = world.pokes[self.id as usize].load(Ordering::SeqCst);
+            let reaped = pokes > self.reaped;
+            if reaped {
+                self.reaped = pokes;
+                log(1_000 + pokes);
+            }
+            let Some(&(want, busy)) = self.takes.get(self.at) else {
+                return WarpStep::Done;
+            };
+            let mut work = Cycles::ZERO;
+            while self.held < want && world.free.load(Ordering::SeqCst) > 0 {
+                world.free.fetch_sub(1, Ordering::SeqCst);
+                self.held += 1;
+                work += Cycles(busy);
+                log(self.held as u64);
+            }
+            if self.held == want {
+                (self.at, self.held) = (self.at + 1, 0);
+                return WarpStep::Busy(work.max(Cycles(1)));
+            }
+            if work > Cycles::ZERO {
+                return WarpStep::Busy(work);
+            }
+            if !reaped {
+                // A pure poll: one count, nothing else.
+                world.polls[self.id as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            world.watchers[self.id as usize].watch(&world.hub, self.sleeper);
+            WarpStep::Stall {
+                retry_after: RETRY,
+                wait: Wait::parked(WaitReason::Submit, self.sleeper).queued(world.queue.id()),
+            }
+        }
+    }
+
+    pub fn run(script: &Script, sched: EngineSched) -> (ExecutionReport, Arc<World>) {
+        let hub = WakeHub::new();
+        let takers = script.takers.len();
+        let world = Arc::new(World {
+            queue: hub.register_queue(),
+            hub: Arc::clone(&hub),
+            free: AtomicU64::new(0),
+            pokes: (0..takers).map(|_| AtomicU64::new(0)).collect(),
+            watchers: (0..takers).map(|_| WatchList::new()).collect(),
+            polls: (0..takers).map(|_| AtomicU64::new(0)).collect(),
+            log: Mutex::new(Vec::new()),
+        });
+        for _ in 0..takers {
+            hub.register();
+        }
+        let mut engine = Engine::new(GpuConfig::tiny(3));
+        engine.set_scheduler(sched);
+        engine.set_wake_hub(hub);
+        let launch = |n: usize| LaunchConfig::new(n as u32, 32).with_registers(16);
+        let releasers = Box::new(Releasers(Arc::clone(&world), script.releasers.clone()));
+        let takers = Box::new(Takers(Arc::clone(&world), script.takers.clone()));
+        if script.releasers_first {
+            engine.launch(launch(script.releasers.len()), releasers);
+            engine.launch(launch(script.takers.len()), takers);
+        } else {
+            engine.launch(launch(script.takers.len()), takers);
+            engine.launch(launch(script.releasers.len()), releasers);
+        }
+        (engine.run(), world)
+    }
+}
+
+fn synthetic_queue_differential(seed: u64) {
+    let script = synthetic_queue::script(seed);
+    let view = |sched| {
+        let (report, world) = synthetic_queue::run(&script, sched);
+        assert!(!report.deadlocked, "seed {seed}");
+        let times: Vec<_> = report
+            .kernels
+            .iter()
+            .map(|k| (k.busy_cycles, k.stall_cycles, k.completed_at))
+            .collect();
+        let log = world.log.lock().unwrap().clone();
+        let made = world.polls.iter();
+        let polls = (report.kernels.iter().map(|k| k.steps))
+            .chain(made.map(|p| p.load(std::sync::atomic::Ordering::Relaxed)))
+            .collect();
+        ((report.elapsed, times, log), polls)
+    };
+    let parked = view(EngineSched::EventQueue);
+    let polled = view(EngineSched::FullScan);
+    assert_counts(format_args!("queue seed {seed}"), parked, polled);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
+
+    #[test]
+    fn parked_and_polled_queue_waits_are_indistinguishable(seed in any::<u64>()) {
+        synthetic_queue_differential(seed);
+    }
+}
+
+/// The scripts really put takers to sleep in the queue (so a green queue
+/// differential means something): empty polls are skipped.
+#[test]
+fn queue_scripts_park_their_takers() {
+    let polls = |sched| -> u64 {
+        (0..32)
+            .map(|seed| {
+                let (_, world) = synthetic_queue::run(&synthetic_queue::script(seed), sched);
+                let polls = world.polls.iter();
+                polls
+                    .map(|p| p.load(std::sync::atomic::Ordering::Relaxed))
+                    .sum::<u64>()
+            })
+            .sum()
+    };
+    let (parked, polled) = (polls(EngineSched::EventQueue), polls(EngineSched::FullScan));
+    assert!(
+        parked < polled,
+        "{parked} empty polls parked vs {polled} polled"
+    );
 }

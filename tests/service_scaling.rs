@@ -19,7 +19,7 @@
 use agile_repro::gpu::EngineSched;
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
-    run_trace_replay, ReplayConfig, ReplaySystem,
+    run_trace_replay, ReplayConfig, ReplayReport, ReplaySystem,
 };
 use proptest::prelude::*;
 
@@ -87,7 +87,9 @@ fn service_shards_4_beats_single_service_iops_at_8_ssds() {
 fn wfq_share_convergence_holds_with_service_shards_4() {
     // The QoS completion hook now fires from four services concurrently;
     // the sharded WeightedFair interior state must still converge the 9:1
-    // noisy-neighbour mix: victim p99 improves, nothing is lost.
+    // noisy-neighbour mix: the victim gets its share of the slots, so it
+    // drains its ops sooner (an op's latency runs from its admission, so
+    // its p99 is the shared device queue's either way), and nothing is lost.
     let trace = TraceSpec::noisy_neighbor("svc-qos", 0xBEE, 8, 1 << 12, 4_096).generate();
     let cfg = ReplayConfig {
         total_warps: 32,
@@ -98,7 +100,8 @@ fn wfq_share_convergence_holds_with_service_shards_4() {
     }
     .sharded(4)
     .service_sharded(4)
-    .tenant_partitioned();
+    .tenant_partitioned()
+    .with_metrics_window(50_000);
     let fifo = run_trace_replay(&trace, ReplaySystem::Agile, &cfg.clone());
     let wfq = run_trace_replay(&trace, ReplaySystem::Agile, &cfg.weighted_fair(vec![1, 1]));
     assert!(!fifo.deadlocked && !wfq.deadlocked);
@@ -107,12 +110,16 @@ fn wfq_share_convergence_holds_with_service_shards_4() {
         wfq.ops, 4_096,
         "no op may be lost under concurrent on_complete"
     );
+    // The window of 50 000 cycles in which the victim's last op completed.
+    let drained = |report: &ReplayReport| {
+        let iops = report.metrics.as_ref().unwrap().tenant_windowed_iops(1);
+        iops.iter().rposition(|&rate| rate > 0.0).unwrap()
+    };
+    let (victim_fifo, victim_wfq) = (drained(&fifo), drained(&wfq));
     assert!(
-        wfq.tenants[1].p99_us < fifo.tenants[1].p99_us,
-        "victim p99 must still improve under WFQ with 4 services \
-         (fifo {:.2}us vs wfq {:.2}us)",
-        fifo.tenants[1].p99_us,
-        wfq.tenants[1].p99_us
+        victim_wfq * 3 < victim_fifo * 2,
+        "the victim must still drain sooner under WFQ with 4 services \
+         (last op in window {victim_fifo} under fifo vs {victim_wfq} under wfq)"
     );
     assert!(
         wfq.iops >= fifo.iops * 0.9,

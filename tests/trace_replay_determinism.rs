@@ -163,11 +163,13 @@ mod engine_scheduler_equivalence {
     use agile_repro::workloads::experiments::trace_replay::ReplayReport;
     use proptest::prelude::*;
 
-    /// Poll counts: lookups that found a line BUSY and idle service sweeps
-    /// count what ran, so a parked run makes at most the polled run's.
-    const POLL_COUNTS: [&str; 2] = [
+    /// Poll counts: lookups that found a line BUSY, idle service sweeps and
+    /// submissions every SQ refused count what ran, so a parked run makes at
+    /// most the polled run's.
+    const POLL_COUNTS: [&str; 3] = [
         "agile_cache_busy_hits_total",
         "agile_service_idle_rounds_total",
+        "agile_submit_sq_full_retries_total",
     ];
 
     /// Metric samples of a run split into the poll counts and the rest,
