@@ -19,7 +19,12 @@
 //!
 //! A waiter that would only find its page `BUSY` again can sleep instead:
 //! [`SoftwareCache::watch_line`] registers it on the line, and the first
-//! fill, abort or reinstatement of that reservation wakes it.
+//! fill, abort or reinstatement of that reservation wakes it. One that would
+//! only find no line again — every way of its set `BUSY` —
+//! sleeps on all of them ([`SoftwareCache::watch_full_set`]). Because such
+//! waiters make fewer lookups than pollers, the pressure signal a controller
+//! reads is [`SoftwareCache::full_sets`], which counts a full set once until
+//! one of its ways settles, not [`CacheStats::no_line`], which counts lookups.
 
 use crate::line::{LineState, Way};
 use crate::policy::CachePolicy;
@@ -31,7 +36,7 @@ use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{DmaHandle, Lba, PageToken};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies one cache line (global way index).
@@ -112,6 +117,8 @@ pub struct CacheStats {
     /// Evictions of MODIFIED lines that required a write-back.
     pub writebacks: u64,
     /// Lookups that could not reserve any line (all ways pinned/busy).
+    /// Counts the lookups executed: a waiter asleep on a full set makes
+    /// none.
     pub no_line: u64,
 }
 
@@ -123,6 +130,7 @@ struct StatsCells {
     evictions: AtomicU64,
     writebacks: AtomicU64,
     no_line: AtomicU64,
+    full_sets: AtomicU64,
 }
 
 /// Result of a non-blocking cache lookup.
@@ -182,6 +190,9 @@ struct SetMeta {
 pub struct SoftwareCache {
     cfg: CacheConfig,
     sets: Vec<Mutex<SetMeta>>,
+    /// Per set: a lookup found it full since one of its ways last left
+    /// `BUSY` (see [`SoftwareCache::full_sets`]).
+    found_full: Vec<AtomicBool>,
     ways: Vec<Way>,
     assoc: usize,
     policy: Box<dyn CachePolicy>,
@@ -196,7 +207,7 @@ pub struct SoftwareCache {
     /// [`SoftwareCache::set_time_hint`]).
     trace_now: AtomicU64,
     /// Installed by [`SoftwareCache::set_wake_hub`]; built on it by the first
-    /// [`SoftwareCache::watch_line`], so a cache nobody sleeps on (the BaM
+    /// watch of a line or a full set, so a cache nobody sleeps on (the BaM
     /// side, whose warps poll their own CQs) carries no table.
     wake_hub: OnceLock<Arc<WakeHub>>,
     watchers: OnceLock<LineWatchers>,
@@ -224,6 +235,7 @@ impl SoftwareCache {
                     })
                 })
                 .collect(),
+            found_full: (0..num_sets).map(|_| AtomicBool::new(false)).collect(),
             ways: (0..num_sets * assoc).map(|_| Way::new()).collect(),
             assoc,
             policy,
@@ -331,6 +343,15 @@ impl SoftwareCache {
             writebacks: self.stats.writebacks.load(Ordering::Relaxed),
             no_line: self.stats.no_line.load(Ordering::Relaxed),
         }
+    }
+
+    /// Times a lookup found its set full ([`CacheLookup::NoLineAvailable`]),
+    /// counting each set once until one of its ways next leaves `BUSY`.
+    /// Retrying against a set no way has settled in since adds nothing, so a
+    /// waiter asleep on a full set and one polling it count the same — unlike
+    /// [`CacheStats::no_line`], which counts every lookup that ran.
+    pub fn full_sets(&self) -> u64 {
+        self.stats.full_sets.load(Ordering::Relaxed)
     }
 
     /// Set index of `(dev, lba)`. Mixes device and LBA so multi-SSD striping
@@ -445,6 +466,9 @@ impl SoftwareCache {
             // hit-rate signal the per-tenant stats exist for; the aggregate
             // `no_line` counter still records every occurrence.
             self.stats.no_line.fetch_add(1, Ordering::Relaxed);
+            if !self.found_full[set_idx].swap(true, Ordering::Relaxed) {
+                self.stats.full_sets.fetch_add(1, Ordering::Relaxed);
+            }
             self.trace_lookup(TraceEventKind::CacheNoLine, dev, lba, tenant);
             return CacheLookup::NoLineAvailable;
         };
@@ -503,7 +527,8 @@ impl SoftwareCache {
     }
 
     /// Let waiters sleep on `BUSY` lines: from now on
-    /// [`SoftwareCache::watch_line`] registers sleepers of `hub`. Returns
+    /// [`SoftwareCache::watch_line`] and [`SoftwareCache::watch_full_set`]
+    /// register sleepers of `hub`. Returns
     /// `false` if a hub was already installed (the first one wins).
     pub fn set_wake_hub(&self, hub: Arc<WakeHub>) -> bool {
         self.wake_hub.set(hub).is_ok()
@@ -515,16 +540,58 @@ impl SoftwareCache {
     /// hub is installed): the caller must then look the page up, not sleep.
     /// Registering the same `(ticket, sleeper)` again is a no-op.
     pub fn watch_line(&self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
-        let Some(hub) = self.wake_hub.get() else {
-            return false;
-        };
-        self.watchers
-            .get_or_init(|| LineWatchers::new(Arc::clone(hub)))
-            .watch(ticket, sleeper, self.way(ticket.line))
+        self.watchers()
+            .is_some_and(|watchers| watchers.watch(ticket, sleeper, self.way(ticket.line)))
     }
 
-    /// `line` just left `BUSY`: wake whoever waited for that.
+    /// Notify `sleeper` when any way of `(dev, lba)`'s set leaves `BUSY`, for
+    /// a waiter whose lookup of that page found no line. While every way of
+    /// the set is `BUSY` and none holds the page, a lookup of it finds
+    /// [`CacheLookup::NoLineAvailable`] again: a `BUSY` way is neither
+    /// evictable nor re-tagged, and it leaves `BUSY` only through
+    /// [`SoftwareCache::complete_fill`], [`SoftwareCache::abort_fill`] or
+    /// [`SoftwareCache::reinstate_victim`], which wake its watchers.
+    ///
+    /// Returns `false`, having registered nothing, when the page is tagged,
+    /// when some way is not `BUSY` (a pinned `READY` way frees up on an
+    /// unpin that notifies nobody, and a policy that refused an evictable
+    /// way may accept it later), or when no hub is installed: the caller
+    /// must then look the page up, not sleep.
+    pub fn watch_full_set(&self, dev: u32, lba: Lba, sleeper: SleeperId) -> bool {
+        let Some(watchers) = self.watchers() else {
+            return false;
+        };
+        let set_idx = self.set_of(dev, lba);
+        let meta = self.sets[set_idx].lock();
+        let ways = &self.ways[set_idx * self.assoc..][..self.assoc];
+        if meta.tags.contains(&Some((dev, lba)))
+            || ways.iter().any(|way| way.state() != LineState::Busy)
+        {
+            return false;
+        }
+        ways.iter().enumerate().all(|(way_idx, way)| {
+            let ticket = BusyTicket {
+                line: self.line_id(set_idx, way_idx),
+                generation: way.generation(),
+            };
+            watchers.watch(ticket, sleeper, way)
+        })
+    }
+
+    /// The watcher table, built on the installed hub the first time anybody
+    /// sleeps; `None` without a hub.
+    fn watchers(&self) -> Option<&LineWatchers> {
+        let hub = self.wake_hub.get()?;
+        Some(
+            self.watchers
+                .get_or_init(|| LineWatchers::new(Arc::clone(hub))),
+        )
+    }
+
+    /// `line` just left `BUSY`: wake whoever waited for that, and let the
+    /// next lookup that finds its set full count again.
     fn line_settled(&self, line: LineId) {
+        self.found_full[line.0 as usize / self.assoc].store(false, Ordering::Relaxed);
         if let Some(watchers) = self.watchers.get() {
             watchers.settled(line);
         }
@@ -560,8 +627,9 @@ impl SoftwareCache {
 
     /// Mark a reserved (BUSY) line as filled: the NVMe read completed and the
     /// DMA slot now holds the page token. `BUSY → READY`. Sleepers watching
-    /// the line ([`SoftwareCache::watch_line`]) are notified — here and in
-    /// the two ways a reservation can be abandoned.
+    /// the line ([`SoftwareCache::watch_line`], or its whole set through
+    /// [`SoftwareCache::watch_full_set`]) are notified — here and in the two
+    /// ways a reservation can be abandoned.
     pub fn complete_fill(&self, line: LineId) {
         let way = self.way(line);
         let ok = way.transition(LineState::Busy, LineState::Ready);
@@ -1258,6 +1326,148 @@ mod tests {
         hub.park(new);
         cache.complete_fill(second.line);
         assert_eq!(fired(&hub), [new], "only the second ticket's sleeper");
+    }
+
+    /// One set of four ways, each reserved for a fill in flight (pages 1–4),
+    /// so a lookup of page 9 finds no line; a hub and one sleeper.
+    fn full_set() -> (SoftwareCache, Arc<WakeHub>, SleeperId, [BusyTicket; 4]) {
+        let cache = clock(4, 4);
+        let hub = WakeHub::new();
+        assert!(cache.set_wake_hub(Arc::clone(&hub)));
+        let sleeper = hub.register();
+        let tickets = [1, 2, 3, 4].map(|lba| reserve(&cache, lba));
+        assert!(matches!(
+            cache.lookup_or_reserve(0, 9),
+            CacheLookup::NoLineAvailable
+        ));
+        (cache, hub, sleeper, tickets)
+    }
+
+    fn watcher_count(cache: &SoftwareCache) -> usize {
+        cache.watchers.get().map_or(0, LineWatchers::len)
+    }
+
+    #[test]
+    fn a_set_is_slept_on_only_while_every_way_is_busy_and_none_holds_the_page() {
+        // No hub: nobody could wake the sleeper.
+        let bare = clock(4, 4);
+        for lba in 1..=4 {
+            reserve(&bare, lba);
+        }
+        assert!(!bare.watch_full_set(0, 9, SleeperId(0)));
+
+        let (cache, _hub, s, tickets) = full_set();
+        // The page is tagged: its lookup finds its own fill, not a full set.
+        assert!(!cache.watch_full_set(0, 1, s));
+        // A way is READY but still pinned by its filler: still no line for
+        // page 9, but the unpin that frees the way notifies nobody.
+        cache.complete_fill(tickets[0].line);
+        assert!(matches!(
+            cache.lookup_or_reserve(0, 9),
+            CacheLookup::NoLineAvailable
+        ));
+        assert!(!cache.watch_full_set(0, 9, s));
+        // Unpinned, the way is evictable.
+        cache.unpin(tickets[0].line);
+        assert!(!cache.watch_full_set(0, 9, s));
+        assert_eq!(watcher_count(&cache), 0, "nothing was registered");
+    }
+
+    /// A policy that never picks a victim, evictable ways or not.
+    struct Refuse;
+
+    impl CachePolicy for Refuse {
+        fn name(&self) -> &str {
+            "refuse"
+        }
+        fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
+        fn on_access(&self, _set: usize, _way: usize) {}
+        fn on_fill(&self, _set: usize, _way: usize) {}
+        fn choose_victim(
+            &self,
+            _set: usize,
+            _evictable: &[bool],
+            _owners: &[u32],
+        ) -> Option<usize> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_policy_refusal_that_leaves_ways_evictable_is_not_slept_on() {
+        let cache = SoftwareCache::new(cfg(4, 4), Box::new(Refuse));
+        let hub = WakeHub::new();
+        assert!(cache.set_wake_hub(Arc::clone(&hub)));
+        let sleeper = hub.register();
+        for lba in 1..=4 {
+            assert!(cache.preload(0, lba, PageToken(lba)));
+        }
+        assert!(matches!(
+            cache.lookup_or_reserve(0, 9),
+            CacheLookup::NoLineAvailable
+        ));
+        // Policy state, not a way leaving BUSY, decides the next lookup.
+        assert!(!cache.watch_full_set(0, 9, sleeper));
+        assert_eq!(watcher_count(&cache), 0);
+    }
+
+    #[test]
+    fn every_way_out_of_busy_on_any_way_wakes_a_full_set_sleeper() {
+        for way in 0..4 {
+            for exit in ["complete", "abort", "reinstate"] {
+                let (cache, hub, s, tickets) = full_set();
+                assert!(cache.watch_full_set(0, 9, s));
+                assert!(cache.watch_full_set(0, 9, s), "idempotent");
+                assert_eq!(watcher_count(&cache), 4, "one entry per way");
+                hub.park(s);
+                let line = tickets[way].line;
+                match exit {
+                    "complete" => cache.complete_fill(line),
+                    "abort" => cache.abort_fill(line),
+                    _ => cache.reinstate_victim(line, 0, 50, PageToken(50)),
+                }
+                assert_eq!(fired(&hub), [s], "way {way}, {exit}");
+                // The other ways' entries leave with their own fills, which
+                // find the sleeper awake.
+                for other in tickets.iter().filter(|t| t.line != line) {
+                    cache.complete_fill(other.line);
+                }
+                assert_eq!(watcher_count(&cache), 0, "way {way}, {exit}");
+                assert!(fired(&hub).is_empty(), "woken once");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_set_counts_once_until_one_of_its_ways_settles() {
+        let no_line = |cache: &SoftwareCache, lba| {
+            assert!(matches!(
+                cache.lookup_or_reserve(0, lba),
+                CacheLookup::NoLineAvailable
+            ));
+        };
+        for exit in ["complete", "abort", "reinstate"] {
+            let (cache, _hub, _s, tickets) = full_set();
+            // Retries, of that page or another, find the same full set.
+            for lba in [9, 10, 9] {
+                no_line(&cache, lba);
+            }
+            assert_eq!((cache.stats().no_line, cache.full_sets()), (4, 1));
+            let line = tickets[0].line;
+            match exit {
+                "complete" => {
+                    cache.complete_fill(line);
+                    cache.unpin(line);
+                }
+                "abort" => cache.abort_fill(line),
+                _ => cache.reinstate_victim(line, 0, 50, PageToken(50)),
+            }
+            // The freed way is taken, and the set found full counts anew.
+            reserve(&cache, 9);
+            no_line(&cache, 10);
+            no_line(&cache, 10);
+            assert_eq!((cache.stats().no_line, cache.full_sets()), (6, 2), "{exit}");
+        }
     }
 
     #[test]

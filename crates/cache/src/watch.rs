@@ -56,6 +56,12 @@ impl LineWatchers {
             .take_line(line, |sleeper| self.hub.notify(sleeper));
         self.len.fetch_sub(taken, Ordering::SeqCst);
     }
+
+    /// Live entries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::SeqCst)
+    }
 }
 
 /// The entries themselves: one slab, chained into buckets by index, freed

@@ -232,7 +232,12 @@ impl Controller {
         }
         let hits = w.deltas.counter("agile_cache_hits_total", Labels::NONE);
         let misses = w.deltas.counter("agile_cache_misses_total", Labels::NONE);
-        let no_line = w.deltas.counter("agile_cache_no_line_total", Labels::NONE);
+        // Full sets, not no-line lookups: the latter grow with how often
+        // stalled warps retry, and a warp asleep on a full set retries
+        // less than one polling it.
+        let full_sets = w
+            .deltas
+            .counter("agile_cache_full_sets_total", Labels::NONE);
         let lookups = hits + misses;
         if lookups < self.policy.min_lookups {
             return; // no signal this window; hold votes
@@ -245,7 +250,7 @@ impl Controller {
         // accesses served without any fetch — the residency signal a
         // prefetcher cannot game.
         let hit_rate = hits.saturating_sub(misses) as f64 / hits.max(1) as f64;
-        let pressure = no_line as f64 / lookups as f64;
+        let pressure = full_sets as f64 / lookups as f64;
         if hit_rate < self.policy.hit_rate_low || pressure > self.policy.pressure_high {
             state.down_votes += 1;
             state.up_votes = 0;
@@ -261,12 +266,12 @@ impl Controller {
         let (new, reason) = if state.down_votes >= self.policy.vote_windows {
             (
                 depth / 2,
-                format!("hit_rate {hit_rate:.3}, no_line pressure {pressure:.3}"),
+                format!("hit_rate {hit_rate:.3}, full-set pressure {pressure:.3}"),
             )
         } else if state.up_votes >= self.policy.vote_windows {
             (
                 (depth + 1).min(self.policy.max_prefetch_depth),
-                format!("hit_rate {hit_rate:.3}, no_line pressure {pressure:.3}"),
+                format!("hit_rate {hit_rate:.3}, full-set pressure {pressure:.3}"),
             )
         } else {
             return;
@@ -538,14 +543,18 @@ mod tests {
         }
     }
 
-    fn registry_with_cache_counters(hits: u64, misses: u64, no_line: u64) -> Arc<MetricsRegistry> {
+    fn registry_with_cache_counters(
+        hits: u64,
+        misses: u64,
+        full_sets: u64,
+    ) -> Arc<MetricsRegistry> {
         let reg = MetricsRegistry::new();
         reg.counter("agile_cache_hits_total", Labels::NONE)
             .add(hits);
         reg.counter("agile_cache_misses_total", Labels::NONE)
             .add(misses);
-        reg.counter("agile_cache_no_line_total", Labels::NONE)
-            .add(no_line);
+        reg.counter("agile_cache_full_sets_total", Labels::NONE)
+            .add(full_sets);
         reg
     }
 
@@ -582,6 +591,46 @@ mod tests {
         assert_eq!(report.decisions.len(), 1);
         assert_eq!(report.decisions[0].knob, Knob::PrefetchDepth);
         assert_eq!((report.decisions[0].old, report.decisions[0].new), (4, 2));
+    }
+
+    #[test]
+    fn full_sets_not_no_line_retries_are_the_pressure() {
+        let reg = registry_with_cache_counters(0, 0, 0);
+        let sampler = WindowedSampler::new(Arc::clone(&reg), 1000);
+        // At the clamp, so healthy windows move nothing.
+        let depth = Arc::new(AtomicU32::new(8));
+        let ctrl = Controller::new(
+            ControlPolicy::prefetch_only(),
+            Vec::new(),
+            KnobSet {
+                prefetch_depth: Some(Arc::clone(&depth)),
+                ..KnobSet::none()
+            },
+            Arc::clone(&sampler),
+            1.0,
+            None,
+        );
+        let hits = reg.counter("agile_cache_hits_total", Labels::NONE);
+        let misses = reg.counter("agile_cache_misses_total", Labels::NONE);
+        let no_line = reg.counter("agile_cache_no_line_total", Labels::NONE);
+        let full_sets = reg.counter("agile_cache_full_sets_total", Labels::NONE);
+        // Warps retrying against a full set: many no-line lookups, one set.
+        for i in 1..=2u64 {
+            hits.add(95);
+            misses.add(5);
+            no_line.add(1_000);
+            full_sets.add(1);
+            ctrl.poll(i * 1_000);
+        }
+        assert_eq!(depth.load(Ordering::Relaxed), 8, "retries are not pressure");
+        // A fifth of the lookups find a set full: two down votes.
+        for i in 3..=4u64 {
+            hits.add(95);
+            misses.add(5);
+            full_sets.add(20);
+            ctrl.poll(i * 1_000);
+        }
+        assert_eq!(depth.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! 1. **Adaptive prefetch** — votes the cached-path prefetch depth down when
 //!    the windowed *demand* hit-rate (`(hits − misses) / hits`, the fraction
 //!    of accesses served without triggering any fetch — a signal prefetching
-//!    cannot inflate) collapses or `no_line` pressure spikes (the cache is
-//!    thrashing: speculation evicts useful lines), and back up when demand
+//!    cannot inflate) collapses or full-set pressure spikes (sets found with
+//!    no line to reserve, per lookup: the cache is thrashing, speculation
+//!    evicts useful lines), and back up when demand
 //!    hits dominate and lines are plentiful. Hysteresis (consecutive
 //!    agreeing windows) plus a cooldown keep it from flapping.
 //! 2. **SLO enforcement** — per declared [`SloSpec`], AIMD on the tenant's

@@ -59,10 +59,13 @@ pub struct ControlPolicy {
     pub hit_rate_low: f64,
     /// Demand hit-rate above this (with low pressure) votes the depth *up*.
     pub hit_rate_high: f64,
-    /// `no_line`-per-lookup above this votes the depth *down* regardless of
-    /// hit rate (speculation is starving demand fills of lines).
+    /// Full sets per lookup (`agile_cache_full_sets_total`: a set found with
+    /// no line to reserve, counted once until one of its ways settles, so
+    /// retries do not inflate it) above this votes the depth *down*
+    /// regardless of hit rate (speculation is starving demand fills of
+    /// lines).
     pub pressure_high: f64,
-    /// `no_line`-per-lookup must be below this for an *up* vote.
+    /// Full sets per lookup must be below this for an *up* vote.
     pub pressure_low: f64,
     /// Consecutive agreeing windows required before a knob moves
     /// (hysteresis).

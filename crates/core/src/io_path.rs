@@ -29,12 +29,15 @@
 //!   only the rest go through the cache again;
 //! * **sleeping on a wait** ([`IoPath::park_on_fills`] /
 //!   [`IoPath::park_on_barriers`] / [`IoPath::park_on_submit`]) — when such
-//!   a retry would find every page it wants still in flight, every barrier
-//!   still armed, or every SQ of its device still full, it is *pure*: the
-//!   caller gets a parkable [`Wait`], its sleeper is registered on the lines
-//!   or barriers (or the device's counting queue), and [`IoPath::retire`]
-//!   notifies it (or grants the queue the slots a release frees). The polls
-//!   it sleeps through are never made, so they count nowhere.
+//!   a retry would find every page it wants still in flight or still
+//!   without a line in a set whose every way is `BUSY`, every barrier still
+//!   armed, or every SQ of its device still full, it is *pure*: the caller
+//!   gets a parkable [`Wait`], its sleeper is registered on the lines (all
+//!   ways of such a set) or barriers (or the device's counting queue), and
+//!   whatever ends a reservation — [`IoPath::retire`], or a fill or
+//!   write-back the SQs refused — notifies it ([`IoPath::retire`] also
+//!   grants the queue the slots a release frees). The polls it sleeps
+//!   through are never made, so they count nowhere.
 //!
 //! The per-system difference is data fixed at construction: a [`PathCosts`]
 //! triple derived from [`ApiCosts`]. No method ever holds a lock across a
@@ -210,10 +213,24 @@ impl WarpWait {
 }
 
 /// What a warp remembers between attempts of one [`IoPath::write_warp`]:
-/// the fill the store found in its way, if any. Belongs to that one store —
-/// the ticket says nothing about any other page.
+/// what the store found in its way's set — a fill in flight for its page,
+/// or no line to take. Belongs to that one store: it says nothing about any
+/// other page.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LineWait(Option<BusyTicket>);
+pub struct LineWait(WaitsFor);
+
+/// What the next attempt at one pending page would find again, as long as
+/// nothing wakes its sleeper.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum WaitsFor {
+    /// Nothing known: the next attempt has real work to do.
+    #[default]
+    Nothing,
+    /// This fill in flight.
+    Fill(BusyTicket),
+    /// No line in the set of this `(device, LBA)`.
+    Line(u32, Lba),
+}
 
 /// The statistics both controllers keep (each adds its own categories in
 /// `ApiStats` / `BamStats`). They count the calls that were executed: a warp
@@ -929,14 +946,15 @@ impl IoPath {
     ) -> (Cycles, bool) {
         self.cache.set_time_hint(now.raw());
         let mut cost = Cycles::ZERO;
-        let blocked = wait
-            .0
-            .is_some_and(|ticket| self.cache.lookup_busy(ticket, dev, lba, tenant));
+        let blocked = match wait.0 {
+            WaitsFor::Fill(ticket) => self.cache.lookup_busy(ticket, dev, lba, tenant),
+            _ => false,
+        };
         let stored = if blocked {
             cost += Cycles(self.costs.cache_miss);
             None
         } else {
-            wait.0 = None;
+            wait.0 = WaitsFor::Nothing;
             match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
                 CacheLookup::Hit { line, .. } => {
                     cost += Cycles(self.costs.cache_hit);
@@ -955,11 +973,12 @@ impl IoPath {
                 }
                 CacheLookup::Busy { line, generation } => {
                     cost += Cycles(self.costs.cache_miss);
-                    wait.0 = Some(BusyTicket { line, generation });
+                    wait.0 = WaitsFor::Fill(BusyTicket { line, generation });
                     None
                 }
                 CacheLookup::NoLineAvailable => {
                     cost += Cycles(self.costs.cache_miss);
+                    wait.0 = WaitsFor::Line(dev, lba);
                     None
                 }
             }
@@ -989,9 +1008,14 @@ impl IoPath {
     }
 
     /// What each further attempt of a pending read costs while everything it
-    /// waits for stays in flight: `read`'s pages looked up `BUSY` again.
+    /// waits for stays as it is: `read`'s pages in flight looked up `BUSY`
+    /// again, and those that found no line looked up — and missed — again.
     pub fn repoll_cost(&self, read: &WarpWait) -> Cycles {
-        Cycles(self.gpu.warp_primitive + self.costs.cache_hit * read.pages().len() as u64)
+        let lookup = |page: &PageState| match page {
+            PageState::NotStarted => self.costs.cache_miss,
+            _ => self.costs.cache_hit,
+        };
+        Cycles(self.gpu.warp_primitive + read.pages().iter().map(lookup).sum::<u64>())
     }
 
     /// The wait descriptor for a warp whose cached accesses just retired
@@ -999,14 +1023,18 @@ impl IoPath {
     /// (`None` when it has no read pending), `writes` the wait state of its
     /// stores that did not land.
     ///
-    /// When every pending page holds a live ticket — each read page
-    /// [`PageState::InFlight`], each store blocked behind a fill — the next
+    /// Each pending page either holds a live ticket — a read page
+    /// [`PageState::InFlight`], a store blocked behind a fill — or found no
+    /// line in a set whose ways are all `BUSY`
+    /// ([`SoftwareCache::watch_full_set`]). When every one does, the next
     /// attempt, and every one after it until one of those reservations ends,
-    /// would do nothing but find them `BUSY` again at a known cost. The
-    /// result is then a **parkable** wait: `sleeper` (registered on first
-    /// use, one per warp) watches every such line. Anything else — a page
-    /// that is resident, or that could not be started — is a wait that has
-    /// to be polled.
+    /// would only find the same again at a known cost. The result is then a
+    /// **parkable** wait: `sleeper` (registered on first use, one per warp)
+    /// watches every such line. Anything else — a page that is resident, a
+    /// fill or write-back the SQs refused, a set with a way that is not
+    /// `BUSY` — is a wait that has to be polled. The reason is
+    /// [`WaitReason::CacheLine`] when some page waits for a line,
+    /// [`WaitReason::CacheFill`] otherwise.
     ///
     /// A caller whose retry interval depends on the attempt's cost must also
     /// check that this attempt cost what the skipped ones would
@@ -1017,35 +1045,46 @@ impl IoPath {
         reads: Option<&WarpWait>,
         writes: impl Iterator<Item = &'a LineWait> + Clone,
     ) -> Wait {
-        let read_pages = reads.map_or(&[][..], |wait| wait.pages());
-        let reads_in_flight = read_pages
+        let (unique, pages) =
+            reads.map_or((&[][..], &[][..]), |wait| (wait.unique(), wait.pages()));
+        let for_line = pages.contains(&PageState::NotStarted)
+            || writes
+                .clone()
+                .any(|wait| !matches!(wait.0, WaitsFor::Fill(_)));
+        let reason = if for_line {
+            WaitReason::CacheLine
+        } else {
+            WaitReason::CacheFill
+        };
+        let polled = Wait::polling(reason);
+        let read_waits = unique
             .iter()
-            .all(|p| matches!(p, PageState::InFlight(_)));
-        let writes_blocked = writes.clone().all(|wait| wait.0.is_some());
-        if read_pages.contains(&PageState::NotStarted) || !writes_blocked {
-            return Wait::polling(WaitReason::CacheLine);
-        }
-        let nothing_pending = read_pages.is_empty() && writes.clone().next().is_none();
-        if !reads_in_flight || nothing_pending {
-            return Wait::polling(WaitReason::CacheFill);
+            .zip(pages)
+            .map(|(&(dev, lba), page)| match *page {
+                PageState::InFlight(ticket) => WaitsFor::Fill(ticket),
+                PageState::NotStarted => WaitsFor::Line(dev, lba),
+                PageState::Ready(_) => WaitsFor::Nothing,
+            });
+        let mut waits = writes.map(|wait| wait.0).chain(read_waits);
+        if waits.clone().next().is_none() || waits.clone().any(|wait| wait == WaitsFor::Nothing) {
+            return polled;
         }
         let Some(id) = self.sleeper(sleeper) else {
-            return Wait::polling(WaitReason::CacheFill);
+            return polled;
         };
-        let tickets = writes
-            .filter_map(|wait| wait.0)
-            .chain(read_pages.iter().filter_map(|p| match p {
-                PageState::InFlight(ticket) => Some(*ticket),
-                _ => None,
-            }));
-        for ticket in tickets {
-            if !self.cache.watch_line(ticket, id) {
-                // The reservation ended since the attempt looked: the next
-                // attempt has real work to do.
-                return Wait::polling(WaitReason::CacheFill);
-            }
+        // A registration fails when its reservation ended (or its set got a
+        // way that is not BUSY) since the attempt looked: the next attempt
+        // has real work to do.
+        let watched = waits.all(|wait| match wait {
+            WaitsFor::Fill(ticket) => self.cache.watch_line(ticket, id),
+            WaitsFor::Line(dev, lba) => self.cache.watch_full_set(dev, lba, id),
+            WaitsFor::Nothing => false,
+        });
+        if watched {
+            Wait::parked(reason, id)
+        } else {
+            polled
         }
-        Wait::parked(WaitReason::CacheFill, id)
     }
 
     /// The wait descriptor for a warp that can do nothing until one of its

@@ -82,6 +82,12 @@ impl Collector for CacheCollector {
             s.writebacks,
         );
         counter(out, "agile_cache_no_line_total", Labels::NONE, s.no_line);
+        counter(
+            out,
+            "agile_cache_full_sets_total",
+            Labels::NONE,
+            cache.full_sets(),
+        );
         for t in cache.tenant_stats() {
             let l = Labels::tenant(t.tenant);
             counter(out, "agile_cache_tenant_hits_total", l, t.hits);

@@ -430,7 +430,8 @@ fn a_wait_with_anything_but_fills_in_flight_is_polled() {
     let (rig, read_wait, store_wait) = stalled_warp();
     let io = rig.ctrl.io();
     let mut sleeper = None;
-    // A store that found no line to wait behind has to be retried for real.
+    // A store with nothing to wait on (fresh, or its write-back refused) has
+    // to be retried for real.
     let unblocked = LineWait::default();
     let wait = io.park_on_fills(
         &mut sleeper,
@@ -445,6 +446,69 @@ fn a_wait_with_anything_but_fills_in_flight_is_polled() {
     io.read_warp(0, 1, &[(0, 3), (1, 11)], Cycles(0), &mut mixed);
     let wait = io.park_on_fills(&mut sleeper, Some(&mixed), std::iter::empty());
     assert_eq!(wait, Wait::polling(WaitReason::CacheFill));
+}
+
+#[test]
+fn a_batch_waiting_on_fills_and_full_sets_parks_for_a_line() {
+    // Sixteen pages over the sixteen lines, eight per device (as many as its
+    // SQs hold, so no fill is refused): every fill goes out but some set gets
+    // more than its two ways, and the pages left over find no line in a set
+    // whose every way is being filled.
+    let rig = Rig::new(true);
+    let io = rig.ctrl.io();
+    let pages: Vec<(u32, Lba)> = (0..16).map(|i| (i % 2, i as Lba / 2)).collect();
+    let mut read_wait = WarpWait::new();
+    let (cost, outcome) = io.read_warp(0, NO_TENANT, &pages, Cycles(0), &mut read_wait);
+    assert_eq!(outcome, ReadOutcome::Pending);
+    assert_eq!(io.stats().sq_full_retries, 0, "no fill was refused");
+    let not_started: Vec<(u32, Lba)> = read_wait
+        .unique()
+        .iter()
+        .zip(read_wait.pages())
+        .filter(|&(_, page)| *page == PageState::NotStarted)
+        .map(|(&target, _)| target)
+        .collect();
+    let started = read_wait.pages().len() - not_started.len();
+    assert!(!not_started.is_empty() && started > 0);
+
+    // A lookup that found no line costs a miss, one that found the fill in
+    // flight a hit; the next attempt costs the same, because it finds the
+    // same.
+    let costs = AgileConfig::small_test().costs;
+    let repoll = io.repoll_cost(&read_wait);
+    assert_eq!(
+        repoll.raw(),
+        costs.gpu.warp_primitive
+            + costs.api.agile_cache_miss * not_started.len() as u64
+            + costs.api.agile_cache_hit * started as u64
+    );
+    assert!(repoll < cost, "the first attempt issued the fills");
+    let cycles = io.stats().cache_cycles;
+    io.read_warp(0, NO_TENANT, &pages, Cycles(2_000), &mut read_wait);
+    assert_eq!(io.stats().cache_cycles - cycles, repoll.raw());
+
+    // A store to a page of a full set finds no line either.
+    let (dev, lba) = not_started[0];
+    let mut store_wait = LineWait::default();
+    let (_, stored) = io.write_warp(
+        0,
+        NO_TENANT,
+        dev,
+        lba,
+        PageToken(1),
+        Cycles(2_000),
+        &mut store_wait,
+    );
+    assert!(!stored);
+
+    let mut sleeper = None;
+    let wait = io.park_on_fills(&mut sleeper, Some(&read_wait), std::iter::once(&store_wait));
+    assert_eq!(wait.reason, WaitReason::CacheLine);
+    assert!(
+        wait.sleeper.is_some(),
+        "fills and full sets alike are slept on"
+    );
+    assert_eq!(wait.sleeper, sleeper);
 }
 
 #[test]

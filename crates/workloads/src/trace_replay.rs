@@ -811,7 +811,8 @@ impl CachedBatch {
 impl CachedBatch {
     /// The wait of a warp whose [`CachedBatch::poll`] just retired nothing:
     /// parkable when every pending read page and every pending store is
-    /// behind a fill in flight (see [`IoPath::park_on_fills`]).
+    /// behind a fill in flight or found no line in a set whose every way is
+    /// being filled (see [`IoPath::park_on_fills`]).
     fn wait(&mut self, io: &IoPath) -> Wait {
         let writes = self.writes.iter().map(|w| &w.wait);
         let reads = (!self.reads.is_empty()).then_some(&self.read_wait);
@@ -863,8 +864,9 @@ impl WarpKernel for AgileCachedReplayWarp {
             // re-probing every few hundred cycles, so the engine advances in
             // device-latency-sized strides. The service keeps working; the
             // cadence matches the BaM variant's poll loop so measured
-            // latencies stay comparable. With everything pending in flight
-            // the re-probes would all find that again: sleep through them.
+            // latencies stay comparable. With everything pending in flight,
+            // or waiting for a line of a set that is all in flight, the
+            // re-probes would all find that again: sleep through them.
             WarpStep::Stall {
                 retry_after: Cycles(2_000),
                 wait: self.batch.wait(io),

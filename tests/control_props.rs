@@ -41,7 +41,7 @@ impl TenantWeights for TestWeights {
 
 /// One synthetic metric window: cache counters plus the SLO tenant's
 /// completed ops and their (uniform) latency in cycles — as a plain
-/// `(hits, misses, no_line, ops, lat_cycles)` tuple so the tuple strategy
+/// `(hits, misses, full_sets, ops, lat_cycles)` tuple so the tuple strategy
 /// generates it directly.
 type Win = (u64, u64, u64, u64, u64);
 
@@ -76,13 +76,13 @@ fn drive(policy: &ControlPolicy, depth0: u32, stream: &[Win]) -> (String, u32, u
     );
     let hits = reg.counter("agile_cache_hits_total", Labels::NONE);
     let misses = reg.counter("agile_cache_misses_total", Labels::NONE);
-    let no_line = reg.counter("agile_cache_no_line_total", Labels::NONE);
+    let full_sets = reg.counter("agile_cache_full_sets_total", Labels::NONE);
     let ops = reg.counter("agile_replay_ops_total", Labels::tenant(1));
     let lat = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
     for (i, &(h, m, n, o, l)) in stream.iter().enumerate() {
         hits.add(h);
         misses.add(m);
-        no_line.add(n);
+        full_sets.add(n);
         for _ in 0..o {
             ops.inc();
             lat.record(l);
@@ -122,7 +122,7 @@ proptest! {
     fn prefetch_loop_converges_on_a_steady_signal(
         hits in 0..600u64,
         misses in 0..600u64,
-        no_line in 0..60u64,
+        full_sets in 0..60u64,
         depth0 in 0u32..=8,
     ) {
         const WINDOWS: usize = 64;
@@ -145,11 +145,11 @@ proptest! {
         );
         let h = reg.counter("agile_cache_hits_total", Labels::NONE);
         let m = reg.counter("agile_cache_misses_total", Labels::NONE);
-        let n = reg.counter("agile_cache_no_line_total", Labels::NONE);
+        let n = reg.counter("agile_cache_full_sets_total", Labels::NONE);
         for i in 0..WINDOWS as u64 {
             h.add(hits);
             m.add(misses);
-            n.add(no_line);
+            n.add(full_sets);
             ctrl.poll((i + 1) * 1_000);
         }
         let report = ctrl.report();

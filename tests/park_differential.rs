@@ -8,10 +8,11 @@
 //! latencies, stall cycles — and on every counter that is not a poll count,
 //! while the poll counts (`IoStats::{read_calls, raw_calls, warp_coalesced,
 //! cache_coalesced, sq_full_retries, cache_cycles, io_cycles}`,
-//! `CacheStats::busy_hits`, `ServiceStats::idle_rounds`,
-//! `KernelReport::steps`) of the parked run may only be lower. With a recording sink installed the captures are the same
-//! *multiset* of events apart from `CacheBusy` records, and the parked run's
-//! `CacheBusy` records are a sub-multiset of the polled run's.
+//! `CacheStats::{busy_hits, no_line}`, `ServiceStats::idle_rounds`,
+//! `KernelReport::steps`) of the parked run may only be lower. With a
+//! recording sink installed the captures are the same *multiset* of events
+//! apart from `CacheBusy` and `CacheNoLine` records, and the parked run's
+//! records of those two kinds are a sub-multiset of the polled run's.
 //!
 //! The cases are random replays shaped to reach the hard paths: a raw replay
 //! with a small window over one short SQ (window-full and drain waits,
@@ -19,9 +20,13 @@
 //! (warps asleep in the devices' submission queues, handed the slots each
 //! release frees), a cached replay with 50 % writes over 8× the cache and
 //! 32 SQ slots for 32 warps (blocked stores, `abort_fill`,
-//! `reinstate_victim`), a tenant-partitioned cached replay, and an accessor
+//! `reinstate_victim`), a tenant-partitioned cached replay, an accessor
 //! kernel (the CTC micro-benchmark) whose retry interval depends on what the
-//! attempt cost. A failure prints the case, which reproduces it.
+//! attempt cost, and a held-lines kernel (`held`) whose holders keep lines
+//! `READY` but pinned, or reserved, across warp steps — states the storage
+//! stack never leaves standing between two steps — beside readers and
+//! writers that sleep on fills and on the one set of an 8-line cache. A
+//! failure prints the case, which reproduces it.
 //!
 //! On the storage stack an event lands *exactly* on a sleeper's grid point
 //! perhaps once in a thousand wakes, so the wake rule itself is also driven
@@ -39,7 +44,14 @@
 //! the waiter polling *last* instead of first, or granting one slot fewer
 //! than a release frees each fail `parked_and_polled_replays_are_
 //! indistinguishable` on the `RawPressure` shape, which the other shapes do
-//! not pin.
+//! not pin. For full sets (release build): watching only all ways but one
+//! fails the cached replays and the held-lines tests (the accessor case
+//! passes). Parking on a set with a `READY` but pinned way, or dropping the
+//! notification from `reinstate_victim`, fails only the held-lines tests:
+//! on the storage stack every such pin, and every reservation that is
+//! aborted or reinstated, begins and ends inside one warp step, so only a
+//! holder that keeps it across steps lets a sleeper see it. Counting every
+//! no-line lookup as a full set fails the held-lines tests too.
 
 use agile_repro::agile::{AgileConfig, IoStats, ServiceStats};
 use agile_repro::bam::HostBuilder;
@@ -53,6 +65,7 @@ use agile_repro::workloads::experiments::trace_replay::{
 use agile_repro::workloads::microbench::{MicrobenchKernel, MicrobenchParams};
 use proptest::prelude::*;
 use std::fmt::Debug;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Everything about a trace event, as a sortable key.
@@ -81,23 +94,26 @@ fn sorted(mut keys: Vec<EventKey>) -> Vec<EventKey> {
     keys
 }
 
-/// A parked and a polled capture: the same multiset apart from `CacheBusy`
-/// records, of which the parked run's are a sub-multiset of the polled run's.
+/// A parked and a polled capture: the same multiset apart from the records of
+/// lookups a sleeping warp skips (`CacheBusy`, `CacheNoLine`), of which the
+/// parked run's are a sub-multiset of the polled run's.
 fn assert_captures(case: impl Debug, parked: Vec<EventKey>, polled: Vec<EventKey>) {
-    let busy = |k: &EventKey| k.1 == TraceEventKind::CacheBusy as u8;
+    let poll = |k: &EventKey| {
+        k.1 == TraceEventKind::CacheBusy as u8 || k.1 == TraceEventKind::CacheNoLine as u8
+    };
     let split =
-        |keys: Vec<EventKey>| -> (Vec<_>, Vec<_>) { sorted(keys).into_iter().partition(busy) };
-    let ((parked_busy, parked_rest), (polled_busy, polled_rest)) = (split(parked), split(polled));
+        |keys: Vec<EventKey>| -> (Vec<_>, Vec<_>) { sorted(keys).into_iter().partition(poll) };
+    let ((parked_polls, parked_rest), (polled_polls, polled_rest)) = (split(parked), split(polled));
     assert!(
         parked_rest == polled_rest,
-        "{case:?}: the captures differ beyond CacheBusy"
+        "{case:?}: the captures differ beyond CacheBusy / CacheNoLine"
     );
     // Both sorted: each parked record must be found, in order, in the rest
     // of the polled ones.
-    let mut polled_busy = polled_busy.iter();
+    let mut polled_polls = polled_polls.iter();
     assert!(
-        parked_busy.iter().all(|k| polled_busy.any(|p| p == k)),
-        "{case:?}: a parked CacheBusy record the polled run does not have"
+        parked_polls.iter().all(|k| polled_polls.any(|p| p == k)),
+        "{case:?}: a parked CacheBusy / CacheNoLine record the polled run does not have"
     );
 }
 
@@ -129,9 +145,10 @@ fn io_polls(s: &IoStats) -> (IoStats, Vec<u64>) {
 fn cache_polls(s: &CacheStats) -> (CacheStats, Vec<u64>) {
     let rest = CacheStats {
         busy_hits: 0,
+        no_line: 0,
         ..s.clone()
     };
-    (rest, vec![s.busy_hits])
+    (rest, vec![s.busy_hits, s.no_line])
 }
 
 /// The same for the service partitions'.
@@ -351,6 +368,16 @@ fn the_cases_reach_the_hard_paths() {
         "the service sweeps idle"
     );
     assert!(!events.is_empty());
+    // Only a warp asleep on a full set skips a lookup that finds no line.
+    let (polled, _) = replay(writemix, EngineSched::FullScan);
+    let no_line = |r: &ReplayReport| r.cache_stats.no_line;
+    assert!(no_line(&report) > 0, "lookups find no line");
+    assert!(
+        no_line(&report) < no_line(&polled),
+        "warps sleep on full sets ({} vs {} no-line lookups)",
+        no_line(&report),
+        no_line(&polled)
+    );
 }
 
 /// An accessor kernel: its retry interval is `hint.max(cost)`, so it may only
@@ -408,6 +435,322 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
         assert!(parked.3 < polled.3, "nothing was parked?");
         assert_captures(asynchronous, parked.4, polled.4);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Lines held across warp steps
+// ---------------------------------------------------------------------------
+
+/// Holders keep lines in states the storage stack never leaves standing
+/// across a warp step — `READY` but pinned, or reserved and given back a few
+/// steps later by `abort_fill` or by `reinstate_victim` — beside readers and
+/// writers that sleep on fills and full sets of the same small cache. A
+/// sleeper parked on a set a holder pins, or one nobody wakes when a holder
+/// gives its reservation back, oversleeps, and the times differ.
+mod held {
+    use agile_repro::agile::{AgileCtrl, LineWait, ReadOutcome, WarpWait};
+    use agile_repro::cache::{CacheLookup, LineId, NO_TENANT};
+    use agile_repro::gpu::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
+    use agile_repro::nvme::{Lba, PageToken};
+    use agile_repro::sim::wake::SleeperId;
+    use agile_repro::sim::Cycles;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    /// Blocks, and warps per block; the first warp of each block is a
+    /// holder.
+    pub const BLOCKS: u32 = 4;
+    pub const WARPS: u32 = 4;
+    /// Pages of the one device: three times the cache.
+    pub const PAGES: u64 = 24;
+    /// Accesses per reader or writer, holds per holder.
+    pub const ACCESSES: u32 = 16;
+    pub const HOLDS: u32 = 8;
+
+    /// What one run did, beyond the controller's own statistics.
+    #[derive(Default)]
+    pub struct Log {
+        /// `(time, warp, access)` of every access that completed.
+        pub done: Mutex<Vec<(u64, u32, u32)>>,
+        /// Holds of a `READY` line, aborted and reinstated reservations.
+        pub pins: AtomicU64,
+        pub aborts: AtomicU64,
+        pub reinstates: AtomicU64,
+    }
+
+    pub struct Kernel {
+        pub ctrl: Arc<AgileCtrl>,
+        pub seed: u64,
+        pub log: Arc<Log>,
+    }
+
+    /// A warp's own deterministic stream.
+    fn rng(seed: u64, warp: u32) -> impl FnMut(u64) -> u64 {
+        let mut state = (seed ^ (warp as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    impl KernelFactory for Kernel {
+        fn create_warp(&self, block: u32, warp: u32) -> Box<dyn WarpKernel> {
+            let id = block * WARPS + warp;
+            let mut next = rng(self.seed, id);
+            let (ctrl, log) = (Arc::clone(&self.ctrl), Arc::clone(&self.log));
+            if warp == 0 {
+                let holds = (0..HOLDS).map(|_| (next(PAGES), 1 + next(5))).collect();
+                Box::new(Holder {
+                    ctrl,
+                    log,
+                    holds,
+                    held: None,
+                })
+            } else {
+                let accesses = (0..ACCESSES).map(|_| (next(PAGES), next(2) == 0)).collect();
+                Box::new(Accessor {
+                    ctrl,
+                    log,
+                    id,
+                    accesses,
+                    at: 0,
+                    read: WarpWait::new(),
+                    write: LineWait::default(),
+                    sleeper: None,
+                })
+            }
+        }
+    }
+
+    /// Reads and writes one page at a time, sleeping like the cached replay.
+    struct Accessor {
+        ctrl: Arc<AgileCtrl>,
+        log: Arc<Log>,
+        id: u32,
+        /// `(page, is a write)`.
+        accesses: Vec<(Lba, bool)>,
+        at: usize,
+        read: WarpWait,
+        write: LineWait,
+        sleeper: Option<SleeperId>,
+    }
+
+    impl WarpKernel for Accessor {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let Some(&(lba, write)) = self.accesses.get(self.at) else {
+                return WarpStep::Done;
+            };
+            let (io, warp) = (self.ctrl.io(), self.id as u64);
+            let (cost, done) = if write {
+                let token = PageToken(lba << 8 | self.id as u64);
+                io.write_warp(warp, NO_TENANT, 0, lba, token, ctx.now, &mut self.write)
+            } else {
+                let (cost, outcome) =
+                    io.read_warp(warp, NO_TENANT, &[(0, lba)], ctx.now, &mut self.read);
+                (cost, outcome != ReadOutcome::Pending)
+            };
+            if !done {
+                let read = (!write).then_some(&self.read);
+                let writes = write.then_some(&self.write).into_iter();
+                return WarpStep::Stall {
+                    retry_after: Cycles(1_000),
+                    wait: io.park_on_fills(&mut self.sleeper, read, writes),
+                };
+            }
+            let access = self.at as u32;
+            self.log
+                .done
+                .lock()
+                .unwrap()
+                .push((ctx.now.raw(), self.id, access));
+            self.at += 1;
+            self.write = LineWait::default();
+            WarpStep::Busy(cost.max(Cycles(100)))
+        }
+    }
+
+    /// Takes a page's line for a few steps at a time, polling while it
+    /// cannot: pins it if resident, otherwise reserves it and gives the
+    /// reservation back — reinstating the dirty victim it evicted, if any.
+    struct Holder {
+        ctrl: Arc<AgileCtrl>,
+        log: Arc<Log>,
+        /// `(page, steps to hold it)`, last first.
+        holds: Vec<(Lba, u64)>,
+        held: Option<Held>,
+    }
+
+    /// A line a holder has, and how.
+    struct Held {
+        line: LineId,
+        /// Pinned `READY` (or `MODIFIED`), or reserved `BUSY`.
+        pinned: bool,
+        /// For a reservation: the dirty victim it evicted.
+        victim: Option<(u32, Lba, PageToken)>,
+        steps_left: u64,
+    }
+
+    impl WarpKernel for Holder {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let cache = self.ctrl.cache();
+            // Stamp this warp's own lookups, as the controller's entry points do.
+            cache.set_time_hint(ctx.now.raw());
+            if let Some(held) = self.held.as_mut() {
+                if held.steps_left > 0 {
+                    held.steps_left -= 1;
+                    return WarpStep::Busy(Cycles(500));
+                }
+                let counter = match (held.pinned, held.victim) {
+                    (true, _) => {
+                        cache.unpin(held.line);
+                        &self.log.pins
+                    }
+                    (false, Some((dev, lba, token))) => {
+                        cache.reinstate_victim(held.line, dev, lba, token);
+                        &self.log.reinstates
+                    }
+                    (false, None) => {
+                        cache.abort_fill(held.line);
+                        &self.log.aborts
+                    }
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.held = None;
+                return WarpStep::Busy(Cycles(200));
+            }
+            let Some(&(lba, steps_left)) = self.holds.last() else {
+                return WarpStep::Done;
+            };
+            let (line, pinned, victim) = match cache.lookup_or_reserve(0, lba) {
+                CacheLookup::Hit { line, .. } => (line, true, None),
+                CacheLookup::Miss {
+                    line, writeback, ..
+                } => (line, false, writeback),
+                CacheLookup::Busy { .. } | CacheLookup::NoLineAvailable => {
+                    return WarpStep::Busy(Cycles(300));
+                }
+            };
+            self.held = Some(Held {
+                line,
+                pinned,
+                victim,
+                steps_left,
+            });
+            self.holds.pop();
+            WarpStep::Busy(Cycles(200))
+        }
+    }
+}
+
+/// What one held-lines run did.
+struct HeldRun {
+    /// Elapsed cycles and the kernel's stall cycles.
+    times: (u64, u64),
+    /// `(time, warp, access)` of every completed access, sorted.
+    done: Vec<(u64, u32, u32)>,
+    io: (IoStats, Vec<u64>),
+    cache: (CacheStats, Vec<u64>),
+    full_sets: u64,
+    rounds: u64,
+    events: Vec<EventKey>,
+    /// Pins, aborts and reinstatements by the holders.
+    holds: [u64; 3],
+}
+
+fn held_lines(seed: u64, sched: EngineSched) -> HeldRun {
+    let sink = Arc::new(MemorySink::new());
+    let config = AgileConfig::small_test()
+        .with_queue_pairs(1)
+        .with_queue_depth(64)
+        .with_cache_bytes(8 * 4096);
+    let mut host = HostBuilder::agile(config)
+        .gpu(GpuConfig::tiny(4))
+        .devices(1, held::PAGES)
+        .engine_sched(sched)
+        .trace_sink(sink.clone() as Arc<_>)
+        .build();
+    // A run that stops making progress ends here and fails below.
+    host.engine_mut()
+        .set_max_cycles(agile_repro::sim::Cycles(20_000_000));
+    let log = Arc::new(held::Log::default());
+    let kernel = held::Kernel {
+        ctrl: host.ctrl(),
+        seed,
+        log: Arc::clone(&log),
+    };
+    let report = host.run_kernel(
+        LaunchConfig::new(held::BLOCKS, 32 * held::WARPS).with_registers(32),
+        Box::new(kernel),
+    );
+    assert!(!report.deadlocked, "seed {seed}: {:?}", report.stalled);
+    let ctrl = host.ctrl();
+    let mut done = std::mem::take(&mut *log.done.lock().unwrap());
+    done.sort_unstable();
+    let accessors = held::BLOCKS * (held::WARPS - 1);
+    assert_eq!(
+        done.len(),
+        (accessors * held::ACCESSES) as usize,
+        "seed {seed}: all done"
+    );
+    HeldRun {
+        times: (report.elapsed.raw(), report.kernels[1].stall_cycles),
+        done,
+        io: io_polls(&ctrl.io().stats()),
+        cache: cache_polls(&ctrl.cache().stats()),
+        full_sets: ctrl.cache().full_sets(),
+        rounds: report.rounds,
+        events: keys(&sink.take_events()),
+        holds: [&log.pins, &log.aborts, &log.reinstates].map(|n| n.load(Ordering::Relaxed)),
+    }
+}
+
+/// Times equal, counts ≤; returns the parked and the polled run's no-line
+/// lookups and the holders' tally.
+fn held_lines_differential(seed: u64) -> (u64, u64, [u64; 3]) {
+    let parked = held_lines(seed, EngineSched::EventQueue);
+    let polled = held_lines(seed, EngineSched::FullScan);
+    let no_line = (parked.cache.1[1], polled.cache.1[1]);
+    assert_eq!(
+        parked.times, polled.times,
+        "seed {seed}: elapsed and stall cycles"
+    );
+    assert_eq!(parked.done, polled.done, "seed {seed}: completion times");
+    assert_counts(seed, parked.io, polled.io);
+    assert_counts(seed, parked.cache, polled.cache);
+    assert_eq!(parked.full_sets, polled.full_sets, "seed {seed}: full sets");
+    assert!(
+        parked.rounds < polled.rounds,
+        "seed {seed}: nothing was parked?"
+    );
+    assert_captures(seed, parked.events, polled.events);
+    assert_eq!(parked.holds, polled.holds, "seed {seed}");
+    (no_line.0, no_line.1, parked.holds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 64 }))]
+
+    #[test]
+    fn parked_and_polled_held_lines_are_indistinguishable(seed in any::<u64>()) {
+        held_lines_differential(seed);
+    }
+}
+
+/// The holders do what they are there for, and readers and writers sleep
+/// on full sets beside them.
+#[test]
+fn held_lines_are_pinned_aborted_and_reinstated() {
+    let (parked, polled, [pins, aborts, reinstates]) = held_lines_differential(7);
+    assert!(
+        pins > 0 && aborts > 0 && reinstates > 0,
+        "pins {pins}, aborts {aborts}, reinstates {reinstates}"
+    );
+    assert!(
+        parked < polled,
+        "warps sleep on full sets ({parked} vs {polled} no-line lookups)"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -157,17 +157,18 @@ mod engine_scheduler_equivalence {
     //! (windowed counters, controller decisions, latency tails).
 
     use super::*;
-    use agile_repro::control::{ControlPolicy, SloSpec};
+    use agile_repro::control::{ControlPolicy, Knob, SloSpec};
     use agile_repro::gpu::EngineSched;
     use agile_repro::metrics::Sample;
     use agile_repro::workloads::experiments::trace_replay::ReplayReport;
     use proptest::prelude::*;
 
-    /// Poll counts: lookups that found a line BUSY, idle service sweeps and
-    /// submissions every SQ refused count what ran, so a parked run makes at
-    /// most the polled run's.
-    const POLL_COUNTS: [&str; 3] = [
+    /// Poll counts: lookups that found a line BUSY or no line at all, idle
+    /// service sweeps and submissions every SQ refused count what ran, so a
+    /// parked run makes at most the polled run's.
+    const POLL_COUNTS: [&str; 4] = [
         "agile_cache_busy_hits_total",
+        "agile_cache_no_line_total",
         "agile_service_idle_rounds_total",
         "agile_submit_sq_full_retries_total",
     ];
@@ -201,6 +202,70 @@ mod engine_scheduler_equivalence {
             .with_slos(vec![SloSpec::p99(0, 500.0)])
     }
 
+    /// A controlled cached replay whose cache (2 MiB, 64 sets) is small
+    /// enough that lookups find sets full and warps sleep on them, with
+    /// windows short enough for the prefetch loop to vote.
+    fn cached_config(sched: EngineSched) -> ReplayConfig {
+        ReplayConfig::quick()
+            .cached()
+            .with_cache_bytes(2 << 20)
+            .with_engine_sched(sched)
+            .with_metrics_window(100_000)
+            .with_control(ControlPolicy::all())
+    }
+
+    /// Replays `trace` under `config(sched)` on both schedulers and demands
+    /// identical summaries, metrics apart from the poll counts (parked ≤
+    /// polled) and decision logs. Returns the parked and the polled run.
+    fn assert_like_full_scan(
+        trace: &Trace,
+        config: impl Fn(EngineSched) -> ReplayConfig,
+        case: &str,
+    ) -> (ReplayReport, ReplayReport) {
+        let run = |sched| run_trace_replay(trace, ReplaySystem::Agile, &config(sched));
+        let decisions = |report: &ReplayReport| {
+            report
+                .control
+                .as_ref()
+                .map(|c| (c.windows_seen, c.decisions.clone()))
+        };
+        let event = run(EngineSched::EventQueue);
+        let scan = run(EngineSched::FullScan);
+        assert!(!event.deadlocked && !scan.deadlocked, "{}", case);
+        assert_eq!(
+            scan.summary(),
+            event.summary(),
+            "summaries must be byte-identical ({})",
+            case
+        );
+        let ((scan_polls, scan_rest), (event_polls, event_rest)) =
+            (comparable_samples(&scan), comparable_samples(&event));
+        assert_eq!(
+            scan_rest, event_rest,
+            "metrics snapshots must be bit-identical ({})",
+            case
+        );
+        assert_eq!(scan_polls.len(), event_polls.len());
+        for (s, e) in scan_polls.iter().zip(&event_polls) {
+            assert_eq!((&s.name, s.labels), (&e.name, e.labels));
+            assert!(
+                e.value.as_u64() <= s.value.as_u64(),
+                "{} parked {:?} > polled {:?} ({})",
+                s.name,
+                e.value,
+                s.value,
+                case
+            );
+        }
+        assert_eq!(
+            decisions(&scan),
+            decisions(&event),
+            "controller decision logs must be identical ({})",
+            case
+        );
+        (event, scan)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -215,43 +280,39 @@ mod engine_scheduler_equivalence {
             ).generate();
             // A multi-shard fleet and the single lock shard.
             for shards in [4usize, 1] {
-                let run = |sched| run_trace_replay(
+                assert_like_full_scan(
                     &trace,
-                    ReplaySystem::Agile,
-                    &instrumented_config(sched, shards),
-                );
-                let decisions = |report: &ReplayReport| report
-                    .control
-                    .as_ref()
-                    .map(|c| (c.windows_seen, c.decisions.clone()));
-                let event = run(EngineSched::EventQueue);
-                let scan = run(EngineSched::FullScan);
-                prop_assert!(!event.deadlocked && !scan.deadlocked, "shards={}", shards);
-                prop_assert_eq!(
-                    scan.summary(), event.summary(),
-                    "summaries must be byte-identical (shards={})", shards
-                );
-                let ((scan_polls, scan_rest), (event_polls, event_rest)) =
-                    (comparable_samples(&scan), comparable_samples(&event));
-                prop_assert_eq!(
-                    scan_rest, event_rest,
-                    "metrics snapshots must be bit-identical (shards={})", shards
-                );
-                prop_assert_eq!(scan_polls.len(), event_polls.len());
-                for (s, e) in scan_polls.iter().zip(&event_polls) {
-                    prop_assert_eq!((&s.name, s.labels), (&e.name, e.labels));
-                    prop_assert!(
-                        e.value.as_u64() <= s.value.as_u64(),
-                        "{} parked {:?} > polled {:?} (shards={})",
-                        s.name, e.value, s.value, shards
-                    );
-                }
-                prop_assert_eq!(
-                    decisions(&scan), decisions(&event),
-                    "controller decision logs must be identical (shards={})", shards
+                    |sched| instrumented_config(sched, shards),
+                    &format!("shards={shards}"),
                 );
             }
+            // The cached path, where the prefetch loop has a knob and reads
+            // cache pressure while warps sleep on full sets.
+            assert_like_full_scan(&trace, cached_config, "cached");
         }
+    }
+
+    /// The cached case above is only worth something if its warps do sleep
+    /// on full sets and the prefetch loop does move on what it reads: on this
+    /// trace the polled run makes ten times the parked run's no-line lookups
+    /// and the controller retunes the prefetch depth.
+    #[test]
+    fn the_cached_case_sleeps_on_full_sets_and_moves_the_prefetch_depth() {
+        let trace = TraceSpec::multi_tenant("engine-equiv", 2, 2, 1 << 14, 512).generate();
+        let (event, scan) = assert_like_full_scan(&trace, cached_config, "cached, seed 2");
+        let no_line = |r: &ReplayReport| r.cache_stats.no_line;
+        assert!(
+            no_line(&event) * 5 < no_line(&scan),
+            "warps sleep on full sets ({} vs {} no-line lookups)",
+            no_line(&event),
+            no_line(&scan)
+        );
+        let control = scan.control.expect("controlled run");
+        assert!(
+            !control.decisions_for(Knob::PrefetchDepth).is_empty(),
+            "the prefetch loop moves: {:?}",
+            control.decision_log()
+        );
     }
 }
 
