@@ -14,9 +14,8 @@
 //! let mut host = HostBuilder::agile(AgileConfig::small_test())
 //!     .gpu(GpuConfig::tiny(4))
 //!     .devices(2, 1 << 16)  // two SSDs of 2^16 pages
-//!     .shards(2)            // lock-partitioned ShardedArray topology
 //!     .build();
-//! assert_eq!(host.topology().shard_count(), 2);
+//! assert_eq!(host.topology().device_count(), 2);
 //! # let _ = &mut host;
 //! ```
 //!
@@ -34,7 +33,7 @@ use agile_core::qos::QosPolicy;
 use agile_metrics::{MetricsRegistry, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 use agile_sim::trace::TraceSink;
 use gpu_sim::{EngineSched, GpuConfig};
-use nvme_sim::{PageBacking, Placement};
+use nvme_sim::PageBacking;
 use std::sync::Arc;
 
 /// One device to be created at build time.
@@ -48,9 +47,6 @@ pub struct HostBuilder<S: HostSystem> {
     gpu: GpuConfig,
     config: S::Config,
     devices: Vec<DeviceSpec>,
-    shards: usize,
-    placement: Placement,
-    service_shards: usize,
     engine_sched: EngineSched,
     sink: Option<Arc<dyn TraceSink>>,
     qos: Option<Arc<dyn QosPolicy>>,
@@ -64,16 +60,6 @@ impl HostBuilder<AgileSystem> {
     /// Build an AGILE host (background service, asynchronous I/O API).
     pub fn agile(config: AgileConfig) -> Self {
         Self::new(config)
-    }
-
-    /// Scale the AGILE service out to `shards` shard-affine partitions —
-    /// one persistent kernel per partition, each polling the CQs of the
-    /// devices its storage shard owns ([`agile_core::service::ServiceSet`]).
-    /// The default of 1 is the paper's single service, bit for bit.
-    pub fn service_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "the service needs at least one partition");
-        self.service_shards = shards;
-        self
     }
 
     /// Select the software cache's replacement policy
@@ -95,14 +81,6 @@ impl HostBuilder<AgileSystem> {
         self.config.cache_shares = shares;
         self
     }
-
-    /// Auto-size each service partition's warp count from its CQ target
-    /// count ([`agile_core::service::auto_service_warps`]) instead of the
-    /// fixed `service_warps` geometry.
-    pub fn auto_service_warps(mut self) -> Self {
-        self.config.auto_service_warps = true;
-        self
-    }
 }
 
 impl HostBuilder<BamSystem> {
@@ -118,9 +96,6 @@ impl<S: HostSystem> HostBuilder<S> {
             gpu: GpuConfig::rtx_5000_ada(),
             config,
             devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
             engine_sched: EngineSched::default(),
             sink: None,
             qos: None,
@@ -159,26 +134,6 @@ impl<S: HostSystem> HostBuilder<S> {
         self
     }
 
-    /// Partition the storage into `shards` lock shards
-    /// ([`nvme_sim::ShardedArray`]); without this call the topology is the
-    /// single-lock [`nvme_sim::FlatArray`]. `shards(1)` behaves identically
-    /// to the flat array but exercises the sharded code path.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shards(0) is the flat array; pass ≥ 1");
-        self.shards = shards;
-        self
-    }
-
-    /// Select the striping layer's placement seed over
-    /// [`nvme_sim::StorageTopology::map_page`]: the default
-    /// [`Placement::Interleave`] is the paper's `g % devices` layout
-    /// (golden-guarded), [`Placement::Hash`] rotates each page row by a
-    /// hash for diagonal data-layout experiments.
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Select the engine's scheduling loop: the event-driven ready-queue
     /// (default) or the legacy full scan ([`gpu_sim::EngineSched`]). Both
     /// execute bit-identically; the scan exists for equivalence tests and
@@ -206,7 +161,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// Instrument the whole stack with a metrics registry
     /// ([`agile_metrics::MetricsRegistry`]): submit-path and engine counters
     /// plus snapshot-time collectors over the cache, topology, devices and
-    /// (on AGILE) service partitions. Without this call every metrics hook
+    /// (on AGILE) the service. Without this call every metrics hook
     /// is a no-op and replay output is byte-identical to an uninstrumented
     /// build.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
@@ -254,11 +209,6 @@ impl<S: HostSystem> HostBuilder<S> {
                 None => host.add_nvme_dev(dev.pages),
             };
         }
-        if self.shards > 0 {
-            host.set_shards(self.shards);
-        }
-        host.set_placement(self.placement);
-        host.set_service_shards(self.service_shards);
         host.set_engine_sched(self.engine_sched);
         host.init_nvme();
         if let Some(sink) = self.sink {
@@ -314,21 +264,20 @@ mod tests {
             .devices(2, 1 << 14)
             .build();
         assert_eq!(host.ctrl().io().device_count(), 2);
-        assert_eq!(host.topology().shard_count(), 1);
+        assert_eq!(host.topology().device_count(), 2);
         // start_agile already ran: the engine exists and reports time.
         assert_eq!(host.now().raw(), 0);
     }
 
     #[test]
-    fn builds_a_sharded_bam_host_with_sink() {
+    fn builds_a_bam_host_with_sink() {
         let sink = Arc::new(SubmitCounter::default());
         let mut host = HostBuilder::bam(BamConfig::small_test())
             .gpu(GpuConfig::tiny(2))
             .devices(4, 1 << 12)
-            .shards(4)
             .trace_sink(sink.clone() as Arc<_>)
             .build();
-        assert_eq!(host.topology().shard_count(), 4);
+        assert_eq!(host.topology().device_count(), 4);
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(1, 64).with_registers(56),

@@ -134,7 +134,7 @@ impl BamCtrl {
     pub fn with_topology(
         cfg: BamConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<StorageTopology>,
     ) -> Self {
         BamCtrl::build(cfg, device_queues, Some(topology))
     }
@@ -142,7 +142,7 @@ impl BamCtrl {
     fn build(
         cfg: BamConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Option<Arc<dyn StorageTopology>>,
+        topology: Option<Arc<StorageTopology>>,
     ) -> Self {
         let cache = SoftwareCache::new(
             CacheConfig::with_capacity(cfg.cache_bytes),
@@ -252,30 +252,6 @@ impl BamCtrl {
     /// processed.
     pub fn poll_once(&self, warp: u64, dev: usize, now: Cycles) -> (Cycles, u32) {
         let qidx = (warp as usize) % self.io.device_queues(dev).len();
-        self.poll_cq_at(warp, dev, qidx, now)
-    }
-
-    /// The shard-affine `(device, queue-pair)` partitioning the AGILE
-    /// [`agile_core::service::ServiceSet`] polls, computed with the same
-    /// rule ([`agile_core::service::partition_targets`]) over this
-    /// controller's topology — so a BaM harness can sweep exactly the CQ
-    /// set an AGILE service shard owns and scale-out comparisons stay
-    /// apples-to-apples. BaM remains thread-centric: the caller drives
-    /// [`BamCtrl::poll_cq_at`] over a partition itself; there is no
-    /// background kernel.
-    pub fn poll_targets(&self, shards: usize) -> Vec<Vec<(usize, usize)>> {
-        agile_core::service::partition_targets(
-            self.io.topology(),
-            &self.io.queues_per_device(),
-            shards,
-        )
-    }
-
-    /// One CQ polling pass over a *specific* queue pair — the partitioned
-    /// counterpart of [`BamCtrl::poll_once`], for callers iterating a
-    /// [`BamCtrl::poll_targets`] partition. `warp` identifies the polling
-    /// thread in trace capture only.
-    pub fn poll_cq_at(&self, warp: u64, dev: usize, qidx: usize, now: Cycles) -> (Cycles, u32) {
         let cq = &self.io.device_queues(dev)[qidx].queue_pair().cq;
         let depth = cq.depth();
         let mut cursor = self.cq_cursors[dev][qidx].lock();

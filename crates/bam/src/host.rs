@@ -33,7 +33,7 @@ impl HostSystem for BamSystem {
     fn new_ctrl(
         config: BamConfig,
         queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<StorageTopology>,
     ) -> BamCtrl {
         BamCtrl::with_topology(config, queues, topology)
     }

@@ -4,6 +4,7 @@
 use crate::ctrl::BamCtrl;
 use agile_core::io_path::{ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
+use agile_sim::costs::POLL_RETRY_CYCLES;
 use agile_sim::wake::{Wait, WaitReason};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -198,7 +199,7 @@ impl WarpKernel for NaiveWarp {
             // SQ full. The naive-async kernel just spins for a free SQE …
             if !self.poll_while_stuck {
                 return WarpStep::Stall {
-                    retry_after: Cycles(2_000),
+                    retry_after: Cycles(POLL_RETRY_CYCLES),
                     wait: Wait::polling(WaitReason::Submit),
                 };
             }
@@ -217,7 +218,7 @@ impl WarpKernel for NaiveWarp {
             }
         }
         WarpStep::Stall {
-            retry_after: Cycles(2_000),
+            retry_after: Cycles(POLL_RETRY_CYCLES),
             wait: Wait::polling(WaitReason::Barrier),
         }
     }

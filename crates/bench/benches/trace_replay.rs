@@ -3,16 +3,12 @@
 //!
 //! Three workload shapes (uniform, zipfian hot-set, multi-tenant mix) run on
 //! both systems; each row reports the latency distribution a serving stack
-//! would see, not just aggregate bandwidth. A second section compares the
-//! storage topologies at equal device count — the single-lock `FlatArray`
-//! against a `ShardedArray` (4 lock shards) — where the flat array's
-//! submission lock caps throughput and sharding restores the scaling. A
-//! third section evaluates the QoS scheduler on a 9:1 noisy-neighbour mix
-//! over saturated SQs: the victim tenant's p99 must improve under
-//! `WeightedFair` without collapsing aggregate IOPS. A fourth section scales
-//! the AGILE *service* out: aggregate IOPS vs `service_shards` × storage
-//! shards at 8 SSDs, on a CQ-wide rig where the single service's visit
-//! period is the slot-recycle ceiling. The final section compares the two
+//! would see, not just aggregate bandwidth. A second section runs the array
+//! at 8 SSDs, where the devices could serve more than its one submission
+//! lock admits: throughput sits at the lock's clock ÷ hold ceiling. A third
+//! section evaluates the QoS scheduler on a 9:1 noisy-neighbour mix over
+//! saturated SQs: the victim tenant's p99 must improve under `WeightedFair`
+//! without collapsing aggregate IOPS. The final section compares the two
 //! engine schedulers on the same large replay: bit-identical simulated
 //! results, with the ready-queue cutting wall time and rounds.
 
@@ -23,6 +19,7 @@ use agile_workloads::experiments::trace_replay::{
 };
 use agile_workloads::trace_replay::ReplayPath;
 use gpu_sim::EngineSched;
+use nvme_sim::DEFAULT_LOCK_HOLD_CYCLES;
 
 /// Machine-readable bench results, opted into with `--json <path>`
 /// (`cargo bench --bench trace_replay -- --json BENCH_trace_replay.json`):
@@ -142,42 +139,28 @@ fn main() {
     }
 
     print_header(
-        "Storage topology",
-        "FlatArray (one lock) vs ShardedArray (4 shards) at 8 SSDs, raw replay",
+        "Array lock ceiling",
+        "raw replay at 8 SSDs: one submission lock admits clock ÷ hold IOPS",
     );
     let devices = 8u32;
     let topo_ops: u64 = if quick_mode() { 4_096 } else { 16_384 };
     let trace = TraceSpec::uniform("topology", seed, devices, 1 << 14, topo_ops).generate();
+    let ceiling = agile_workloads::experiments::testbed::experiment_gpu().clock_ghz * 1e9
+        / DEFAULT_LOCK_HOLD_CYCLES as f64;
     for system in [ReplaySystem::Agile, ReplaySystem::Bam] {
-        for shards in [0usize, 4] {
-            let cfg = ReplayConfig {
-                shards,
-                ..ReplayConfig::default().striped()
-            };
-            let (r, wall_ms) = timed_run(&trace, system, &cfg);
-            let topo = if shards == 0 {
-                "flat".to_string()
-            } else {
-                format!("sharded/{shards}")
-            };
-            json.push(
-                "topology",
-                format!("{}/{topo}", r.system).to_lowercase(),
-                r.iops,
-                wall_ms,
-            );
-            print_row(&[
-                ("system", r.system.to_string()),
-                ("topology", topo),
-                ("devices", devices.to_string()),
-                ("ops", r.ops.to_string()),
-                ("p50_us", format!("{:.2}", r.p50_us)),
-                ("p99_us", format!("{:.2}", r.p99_us)),
-                ("iops", format!("{:.0}", r.iops)),
-                ("gbps", format!("{:.3}", r.gbps)),
-                ("deadlocked", r.deadlocked.to_string()),
-            ]);
-        }
+        let (r, wall_ms) = timed_run(&trace, system, &ReplayConfig::default().striped());
+        json.push("topology", r.system.to_lowercase(), r.iops, wall_ms);
+        print_row(&[
+            ("system", r.system.to_string()),
+            ("devices", devices.to_string()),
+            ("ops", r.ops.to_string()),
+            ("p50_us", format!("{:.2}", r.p50_us)),
+            ("p99_us", format!("{:.2}", r.p99_us)),
+            ("iops", format!("{:.0}", r.iops)),
+            ("of_ceiling", format!("{:.3}", r.iops / ceiling)),
+            ("gbps", format!("{:.3}", r.gbps)),
+            ("deadlocked", r.deadlocked.to_string()),
+        ]);
     }
 
     print_header(
@@ -318,49 +301,6 @@ fn main() {
         ("iops", format!("{:.0}", bam.iops)),
         ("deadlocked", bam.deadlocked.to_string()),
     ]);
-
-    print_header(
-        "Service scale-out",
-        "AGILE aggregate IOPS vs service_shards × storage shards at 8 SSDs \
-         (32 QPs/SSD: the single service's CQ visit period gates slot recycling)",
-    );
-    let svc_ops: u64 = if quick_mode() { 8_192 } else { 16_384 };
-    let trace = TraceSpec::uniform("svc-scale", seed, 8, 1 << 14, svc_ops).generate();
-    for storage_shards in [1usize, 4] {
-        for service_shards in [1usize, 2, 4] {
-            let cfg = ReplayConfig {
-                total_warps: 32,
-                window: 8,
-                queue_pairs: 32,
-                queue_depth: 32,
-                ..ReplayConfig::default()
-            }
-            .sharded(storage_shards)
-            .service_sharded(service_shards);
-            let (r, wall_ms) = timed_run(&trace, ReplaySystem::Agile, &cfg);
-            json.push(
-                "service-scale",
-                format!("storage{storage_shards}/service{service_shards}"),
-                r.iops,
-                wall_ms,
-            );
-            let svc_completions: Vec<String> = r
-                .service_stats
-                .iter()
-                .map(|s| s.completions.to_string())
-                .collect();
-            print_row(&[
-                ("storage_shards", storage_shards.to_string()),
-                ("service_shards", service_shards.to_string()),
-                ("ops", r.ops.to_string()),
-                ("p50_us", format!("{:.2}", r.p50_us)),
-                ("p99_us", format!("{:.2}", r.p99_us)),
-                ("iops", format!("{:.0}", r.iops)),
-                ("svc_completions", svc_completions.join("/")),
-                ("deadlocked", r.deadlocked.to_string()),
-            ]);
-        }
-    }
 
     print_header(
         "Engine scheduler",

@@ -19,8 +19,10 @@
 //!
 //! The table mirrors the interior-sharding discipline of
 //! `agile_core::qos::WeightedFair`: per-tenant all-atomic cells behind an
-//! append-only `RwLock` registry, so hot-path updates from many warps (and
-//! N service partitions) never serialize on one lock.
+//! append-only `RwLock` registry. That layout was built for N service
+//! partitions updating it concurrently; the service scale-out is deleted and
+//! the engine runs on one thread, so ROADMAP 5.1 queues collapsing the
+//! atomics to plain cells.
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};

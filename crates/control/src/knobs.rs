@@ -89,7 +89,7 @@ impl fmt::Display for Knob {
 pub struct KnobSet {
     /// The cached-path prefetch-depth cell warps read at each batch boundary.
     pub prefetch_depth: Option<Arc<AtomicU32>>,
-    /// The idle-backoff cell service partitions read at each idle round (a
+    /// The idle-backoff cell the service reads at each idle round (a
     /// store also wakes the service warps sleeping on the old value).
     pub idle_backoff: Option<Arc<WatchedU64>>,
     /// The WFQ policy's online weight table.

@@ -1,7 +1,7 @@
 //! # agile-control — the closed-loop SLO control plane
 //!
 //! AGILE's knobs — cached-path prefetch depth, WFQ tenant weights, cache
-//! shares, the service kernels' idle backoff — are all set once at install
+//! shares, the service kernel's idle backoff — are all set once at install
 //! time, which means every deployment has to be hand-tuned per workload mix
 //! (the PR-5 sweep showed prefetch depth 0 winning thrash-heavy mixes while
 //! depth 1+ wins with cache headroom: no single static setting is right).

@@ -53,11 +53,6 @@ pub struct AgileConfig {
     pub share_table_capacity: usize,
     /// Warps dedicated to the AGILE service kernel.
     pub service_warps: u32,
-    /// Derive each service partition's warp count from its CQ target count
-    /// ([`crate::service::auto_service_warps`]) instead of the fixed
-    /// `service_warps` geometry. Off by default (the paper's fixed geometry,
-    /// bit-identical).
-    pub auto_service_warps: bool,
     /// Thread blocks used by the service kernel (warps are split across them).
     pub service_blocks: u32,
     /// Enable the lock-chain deadlock-debug option (§3.5).
@@ -79,7 +74,6 @@ impl AgileConfig {
             share_table_enabled: true,
             share_table_capacity: 0,
             service_warps: 8,
-            auto_service_warps: false,
             service_blocks: 2,
             debug_lock_chain: false,
             costs: CostModel::default(),
@@ -98,7 +92,6 @@ impl AgileConfig {
             share_table_enabled: true,
             share_table_capacity: 0,
             service_warps: 2,
-            auto_service_warps: false,
             service_blocks: 1,
             debug_lock_chain: false,
             costs: CostModel::default(),
@@ -151,13 +144,6 @@ impl AgileConfig {
     /// Override the number of service warps.
     pub fn with_service_warps(mut self, warps: u32) -> Self {
         self.service_warps = warps.max(1);
-        self
-    }
-
-    /// Auto-size each service partition's warps from its CQ target count
-    /// (see [`crate::service::auto_service_warps`]).
-    pub fn with_auto_service_warps(mut self) -> Self {
-        self.auto_service_warps = true;
         self
     }
 

@@ -147,7 +147,7 @@ impl AgileCtrl {
     pub fn with_topology(
         cfg: AgileConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<StorageTopology>,
     ) -> Self {
         AgileCtrl::build(cfg, device_queues, Some(topology))
     }
@@ -155,7 +155,7 @@ impl AgileCtrl {
     fn build(
         cfg: AgileConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Option<Arc<dyn StorageTopology>>,
+        topology: Option<Arc<StorageTopology>>,
     ) -> Self {
         let io = IoPath::new(
             PathCosts::agile(&cfg.costs.api),
@@ -218,9 +218,9 @@ impl AgileCtrl {
         Arc::clone(&self.prefetch_depth)
     }
 
-    /// The shared idle-backoff cell read by every service partition at each
-    /// idle round. Seeded from `agile_service_idle_backoff`; the control
-    /// plane may scale it online (exponential backoff under idleness). A
+    /// The shared idle-backoff cell the service reads at each idle round.
+    /// Seeded from `agile_service_idle_backoff`; the control plane may
+    /// scale it online (exponential backoff under idleness). A
     /// store wakes the service warps sleeping on empty queues, which pick
     /// the new interval up at their next grid point, as a polling warp would.
     pub fn idle_backoff_cell(&self) -> Arc<WatchedU64> {

@@ -29,9 +29,8 @@
 //! only valid order and returns a started host. The surface a started host
 //! exposes to harness code is the [`GpuStorageHost`] trait.
 //!
-//! The host also owns the co-simulation plumbing: it builds a
-//! [`StorageTopology`] (a single-lock [`nvme_sim::FlatArray`], or a
-//! [`nvme_sim::ShardedArray`] when [`Host::set_shards`] was called) and
+//! The host also owns the co-simulation plumbing: it builds the one
+//! [`StorageTopology`] (every device behind one modeled array lock) and
 //! bridges it into the GPU engine as one [`gpu_sim::ExternalDevice`].
 
 use crate::config::AgileConfig;
@@ -39,7 +38,7 @@ use crate::control::{knob_set, QosWeights};
 use crate::ctrl::AgileCtrl;
 use crate::io_path::IoPath;
 use crate::qos::QosPolicy;
-use crate::service::{auto_service_warps, AgileServiceKernel, ServicePartition, ServiceSet};
+use crate::service::{AgileService, AgileServiceKernel};
 use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
 use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
 use agile_metrics::{MetricsRegistry, WindowedSampler};
@@ -51,10 +50,7 @@ use gpu_sim::{
     occupancy, Engine, EngineSched, ExecutionReport, ExternalDevice, GpuConfig, KernelFactory,
     LaunchConfig,
 };
-use nvme_sim::{
-    FlatArray, MemBacking, PageBacking, Placement, QueuePair, ShardedArray, SsdConfig,
-    StorageTopology,
-};
+use nvme_sim::{MemBacking, PageBacking, QueuePair, SsdConfig, StorageTopology};
 use std::sync::Arc;
 
 /// The surface a started host exposes to harness code: controller access,
@@ -73,7 +69,7 @@ pub trait GpuStorageHost {
     fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
 
     /// The storage topology (striping map, device statistics, lock model).
-    fn topology(&self) -> Arc<dyn StorageTopology>;
+    fn topology(&self) -> Arc<StorageTopology>;
 
     /// The page backing of device `dev` (for pre-populating datasets).
     fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
@@ -98,11 +94,11 @@ pub trait GpuStorageHost {
 }
 
 /// Bridges the whole storage topology into the engine as its one shard
-/// device. [`StorageTopology::advance_to`] visits the devices shard-major,
-/// the golden-gated order, and the engine wakes the sleepers they notified
-/// only after all of them — as it did with one bridge per device.
+/// device. [`StorageTopology::advance_to`] visits the devices in device
+/// order, the golden-gated order, and the engine wakes the sleepers they
+/// notified only after all of them — as it did with one bridge per device.
 struct TopologyBridge {
-    topology: Arc<dyn StorageTopology>,
+    topology: Arc<StorageTopology>,
     /// The time of the last advance: the engine asks for the next event
     /// after it, device by device.
     now: Cycles,
@@ -135,7 +131,7 @@ pub trait HostSystem: Sized {
     /// The system's controller type.
     type Ctrl: StorageCtrl;
     /// What [`HostSystem::launch_services`] leaves running (AGILE's
-    /// [`ServiceSet`]; `()` for a system without background work).
+    /// [`AgileService`]; `()` for a system without background work).
     type Services;
 
     /// Reject configurations the system cannot run (panics).
@@ -148,7 +144,7 @@ pub trait HostSystem: Sized {
     fn new_ctrl(
         config: Self::Config,
         queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<StorageTopology>,
     ) -> Self::Ctrl;
 
     /// The knobs a control plane may actuate on `ctrl`. The default wires
@@ -173,13 +169,13 @@ pub trait HostSystem: Sized {
 }
 
 /// Marker selecting AGILE: asynchronous device API plus the persistent
-/// service kernels of §3.2.
+/// service kernel of §3.2.
 pub struct AgileSystem;
 
 impl HostSystem for AgileSystem {
     type Config = AgileConfig;
     type Ctrl = AgileCtrl;
-    type Services = ServiceSet;
+    type Services = Arc<AgileService>;
 
     fn validate(config: &AgileConfig) {
         assert!(
@@ -199,7 +195,7 @@ impl HostSystem for AgileSystem {
     fn new_ctrl(
         config: AgileConfig,
         queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<StorageTopology>,
     ) -> AgileCtrl {
         AgileCtrl::with_topology(config, queues, topology)
     }
@@ -209,42 +205,29 @@ impl HostSystem for AgileSystem {
         knob_set(ctrl)
     }
 
-    /// One persistent kernel per service shard (see
-    /// [`Host::set_service_shards`]); each uses the configured
-    /// `service_blocks`/`service_warps` geometry, so scaling the service out
-    /// adds polling warps in proportion.
-    fn launch_services(host: &AgileHost, engine: &mut Engine) -> ServiceSet {
+    /// The one persistent service kernel, in the configured
+    /// `service_blocks` × `service_warps` geometry.
+    fn launch_services(host: &AgileHost, engine: &mut Engine) -> Arc<AgileService> {
         let ctrl = host.ctrl();
         ctrl.reset_service_stop();
-        let set = ServiceSet::new(&ctrl, host.service_shards);
+        let service = AgileService::new(ctrl);
         if let Some(registry) = &host.metrics {
-            registry.register_collector(Box::new(ServiceCollector::new(set.partitions().to_vec())));
+            registry.register_collector(Box::new(ServiceCollector::new(Arc::clone(&service))));
         }
-
         let blocks = host.config.service_blocks.max(1);
-        for partition in set.partitions() {
-            // Fixed geometry by default (the paper's, bit-identical); with
-            // auto-sizing on, each partition derives its warp count from the
-            // CQs it owns, so scale-out does not multiply idle pollers.
-            let total_warps = if host.config.auto_service_warps {
-                auto_service_warps(partition.target_count())
-            } else {
-                host.config.service_warps.max(1)
-            };
-            let warps_per_block = total_warps.div_ceil(blocks);
-            let launch = LaunchConfig::new(blocks, warps_per_block * host.gpu.warp_size)
-                .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
-                .persistent();
-            engine.launch(
-                launch,
-                Box::new(AgileServiceKernel::new(
-                    Arc::clone(partition),
-                    warps_per_block,
-                    warps_per_block * blocks,
-                )),
-            );
-        }
-        set
+        let warps_per_block = host.config.service_warps.max(1).div_ceil(blocks);
+        let launch = LaunchConfig::new(blocks, warps_per_block * host.gpu.warp_size)
+            .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
+            .persistent();
+        engine.launch(
+            launch,
+            Box::new(AgileServiceKernel::new(
+                Arc::clone(&service),
+                warps_per_block,
+                warps_per_block * blocks,
+            )),
+        );
+        service
     }
 
     fn stop_services(ctrl: &AgileCtrl) {
@@ -261,16 +244,9 @@ pub struct Host<S: HostSystem> {
     gpu: GpuConfig,
     config: S::Config,
     pending_devices: Vec<(SsdConfig, Arc<dyn PageBacking>)>,
-    /// 0 = flat (single lock); ≥ 1 = sharded with that many lock shards.
-    shards: usize,
-    /// Placement seed of the striping layer (interleave by default).
-    placement: Placement,
-    /// Shard-affine service partitions (one persistent kernel each);
-    /// 1 = the paper's single service, bit-identical.
-    service_shards: usize,
     /// Scheduling loop of the engine (event-driven ready-queue by default).
     engine_sched: EngineSched,
-    topology: Option<Arc<dyn StorageTopology>>,
+    topology: Option<Arc<StorageTopology>>,
     ctrl: Option<Arc<S::Ctrl>>,
     services: Option<S::Services>,
     /// Present from [`Host::start`] on.
@@ -293,9 +269,6 @@ impl<S: HostSystem> Host<S> {
             gpu,
             config,
             pending_devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
             engine_sched: EngineSched::default(),
             topology: None,
             ctrl: None,
@@ -332,33 +305,6 @@ impl<S: HostSystem> Host<S> {
     /// The system configuration.
     pub fn config(&self) -> &S::Config {
         &self.config
-    }
-
-    /// Partition the storage into `shards` lock shards (build a
-    /// [`ShardedArray`] instead of the default single-lock [`FlatArray`]).
-    /// Must be called before [`Host::init_nvme`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.assert_before_init("set_shards");
-        self.shards = shards;
-    }
-
-    /// Select the striping layer's placement seed
-    /// ([`Placement::Interleave`] by default — the golden-guarded paper
-    /// layout). Must be called before [`Host::init_nvme`].
-    pub fn set_placement(&mut self, placement: Placement) {
-        self.assert_before_init("set_placement");
-        self.placement = placement;
-    }
-
-    /// Scale the system's background service out to `shards` shard-affine
-    /// partitions, one persistent kernel each (see
-    /// [`crate::service::ServiceSet`]). The default of 1 is the paper's
-    /// single service, bit for bit; BaM launches no service and ignores it.
-    /// Must be called before [`Host::start`].
-    pub fn set_service_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "the service needs at least one partition");
-        self.assert_before_start("set_service_shards");
-        self.service_shards = shards;
     }
 
     /// Select the engine's scheduling loop (default: the event-driven
@@ -401,11 +347,7 @@ impl<S: HostSystem> Host<S> {
         assert!(!self.pending_devices.is_empty(), "no NVMe devices added");
         assert!(self.topology.is_none(), "init_nvme called twice");
         let parts = std::mem::take(&mut self.pending_devices);
-        let topology: Arc<dyn StorageTopology> = if self.shards == 0 {
-            Arc::new(FlatArray::from_parts(parts).with_placement(self.placement))
-        } else {
-            Arc::new(ShardedArray::from_parts(parts, self.shards).with_placement(self.placement))
-        };
+        let topology = Arc::new(StorageTopology::from_parts(parts));
         let (_, queue_pairs, queue_depth) = S::storage_params(&self.config);
         let queues = topology.register_queues(queue_pairs, queue_depth);
         self.ctrl = Some(Arc::new(S::new_ctrl(
@@ -492,7 +434,7 @@ impl<S: HostSystem> Host<S> {
     }
 
     /// The shared storage topology (for workload setup and statistics).
-    pub fn topology(&self) -> Arc<dyn StorageTopology> {
+    pub fn topology(&self) -> Arc<StorageTopology> {
         Arc::clone(self.topology.as_ref().expect("init_nvme not called"))
     }
 
@@ -508,7 +450,7 @@ impl<S: HostSystem> Host<S> {
 
     /// Create the GPU engine, bridge every storage device, the trace sink,
     /// the metrics sampler and the control plane into it, then launch the
-    /// system's background services (AGILE's persistent service kernels;
+    /// system's background services (AGILE's persistent service kernel;
     /// nothing for BaM).
     pub fn start(&mut self) {
         assert!(self.ctrl.is_some(), "init_nvme must run before start");
@@ -614,15 +556,9 @@ impl Host<AgileSystem> {
         self.topology = None;
     }
 
-    /// The AGILE service set (available after [`Host::start_agile`]).
-    pub fn service_set(&self) -> &ServiceSet {
-        self.services.as_ref().expect("start_agile not called")
-    }
-
-    /// The first service partition — the whole service when
-    /// `service_shards == 1` (available after [`Host::start_agile`]).
-    pub fn service(&self) -> Arc<ServicePartition> {
-        Arc::clone(&self.service_set().partitions()[0])
+    /// The AGILE service (available after [`Host::start_agile`]).
+    pub fn service(&self) -> Arc<AgileService> {
+        Arc::clone(self.services.as_ref().expect("start_agile not called"))
     }
 }
 
@@ -635,7 +571,7 @@ impl<S: HostSystem> GpuStorageHost for Host<S> {
     fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
         Host::set_qos_policy(self, policy)
     }
-    fn topology(&self) -> Arc<dyn StorageTopology> {
+    fn topology(&self) -> Arc<StorageTopology> {
         Host::topology(self)
     }
     fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
@@ -687,24 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_host_runs_the_same_kernel() {
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.add_nvme_dev(1 << 16);
-        host.set_shards(2);
-        host.init_nvme();
-        assert_eq!(host.topology().shard_count(), 2);
-        host.start_agile();
-        let ctrl = host.ctrl();
-        let report = host.run_kernel(
-            LaunchConfig::new(2, 64).with_registers(32),
-            Box::new(PrefetchComputeKernel::new(ctrl, 4, 3_000)),
-        );
-        assert!(!report.deadlocked);
-        assert!(host.topology().total_bytes_read() > 0);
-    }
-
-    #[test]
     fn dropping_a_metered_host_frees_the_registry() {
         // The registry's collectors hold the controller and the controller's
         // instruments come from the registry; that loop must not be made of
@@ -725,27 +643,6 @@ mod tests {
         drop((host, registry, ctrl));
         assert!(registry_alive.upgrade().is_none(), "registry leaked");
         assert!(ctrl_alive.upgrade().is_none(), "controller leaked");
-    }
-
-    #[test]
-    fn auto_sized_service_still_completes_fills() {
-        let mut host = AgileHost::new(
-            GpuConfig::tiny(4),
-            AgileConfig::small_test().with_auto_service_warps(),
-        );
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
-        let ctrl = host.ctrl();
-        let report = host.run_kernel(
-            LaunchConfig::new(2, 64).with_registers(32),
-            Box::new(PrefetchComputeKernel::new(ctrl.clone(), 4, 3_000)),
-        );
-        assert!(!report.deadlocked);
-        assert!(
-            host.service().stats().completions > 0,
-            "the auto-sized service must process completions"
-        );
     }
 
     #[test]
@@ -812,15 +709,6 @@ mod tests {
         host.add_nvme_dev(1024);
         host.init_nvme();
         host.add_nvme_dev(1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "before init_nvme")]
-    fn sharding_after_init_panics() {
-        let mut host = AgileHost::new(GpuConfig::tiny(1), AgileConfig::small_test());
-        host.add_nvme_dev(1024);
-        host.init_nvme();
-        host.set_shards(4);
     }
 
     #[test]

@@ -301,7 +301,7 @@ pub struct IoPath {
     /// The storage topology behind the queues: striping map plus the modeled
     /// array lock charged on every submission that claims a slot. `None` in
     /// bare-queue unit rigs, in which case submissions pay no lock cost.
-    topology: Option<Arc<dyn StorageTopology>>,
+    topology: Option<Arc<StorageTopology>>,
     stats: IoStatCells,
     /// Where warps waiting on this path sleep: notified by
     /// [`IoPath::retire`] and the cache's fill paths, drained by the engine
@@ -330,7 +330,7 @@ impl IoPath {
         gpu: GpuCosts,
         cache: SoftwareCache,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Option<Arc<dyn StorageTopology>>,
+        topology: Option<Arc<StorageTopology>>,
     ) -> Self {
         let devices = device_queues
             .into_iter()
@@ -442,7 +442,7 @@ impl IoPath {
     }
 
     /// The attached storage topology, if any.
-    pub fn topology(&self) -> Option<&Arc<dyn StorageTopology>> {
+    pub fn topology(&self) -> Option<&Arc<StorageTopology>> {
         self.topology.as_ref()
     }
 
@@ -575,10 +575,9 @@ impl IoPath {
             };
             // The array lock guarding SQ-slot allocation + doorbell update,
             // taken by a submission that found a free tail and only then:
-            // FIFO wait behind earlier holders on this device's shard, then
-            // the hold.
+            // FIFO wait behind earlier holders, then the hold.
             if let Some(topology) = &self.topology {
-                cost += topology.lock_acquire(dev, warp, now);
+                cost += topology.lock_acquire(warp, now);
             }
             if receipt.rang_doorbell {
                 cost += Cycles(gpu.doorbell_write);

@@ -18,8 +18,7 @@
 //!   and the serialized doorbell update of Algorithm 2 (§3.3.1);
 //! * [`coalesce`] — warp-level request coalescing (§3.3.2);
 //! * [`service`] — the AGILE service with warp-centric CQ polling
-//!   (Algorithm 1, §3.2), scaled out as shard-affine
-//!   [`service::ServicePartition`]s under a [`service::ServiceSet`];
+//!   (Algorithm 1, §3.2): one persistent kernel over every CQ;
 //! * [`io_path`] — the I/O path under both controllers: the one
 //!   implementation of submit (QoS gate, SQ fail-over, trace stamping),
 //!   retire and cache-miss service that [`ctrl::AgileCtrl`] and the BaM
@@ -90,6 +89,6 @@ pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, WeightError, WeightedFair, MAX_ONLINE_WEIGHT,
 };
-pub use service::{partition_targets, ServicePartition, ServiceSet, ServiceStats};
+pub use service::{AgileService, ServiceStats};
 pub use telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
 pub use transaction::{AgileBuf, Barrier};

@@ -216,7 +216,9 @@ impl QosPolicy for Fifo {
 
 /// Book-keeping of one tenant's virtual queue — all-atomic, so the
 /// completion hook can return credits without touching the tenant registry
-/// lock (N service partitions call [`QosPolicy::on_complete`] concurrently).
+/// lock. The atomics are left over from the deleted N-service design, whose
+/// partitions called [`QosPolicy::on_complete`] concurrently; the engine now
+/// runs one service on one thread (ROADMAP 5.1 follow-up: collapse them).
 #[derive(Debug)]
 struct WfTenant {
     weight: AtomicU64,
@@ -276,9 +278,10 @@ impl WfTenant {
 ///
 /// ## Interior sharding
 ///
-/// With shard-affine service scale-out ([`crate::service::ServiceSet`]) the
-/// completion hook fires from N service partitions concurrently, so the
-/// interior state is sharded per tenant: every hot counter lives in its
+/// The interior state is sharded per tenant, a design left over from the
+/// deleted N-service scale-out whose partitions fired the completion hook
+/// concurrently (nothing calls it concurrently now; ROADMAP 5.1 queues
+/// collapsing it to plain cells). Every hot counter lives in its
 /// tenant's [`WfTenant`] atomics, and the only lock is a registry `RwLock`
 /// taken shared on the hot paths (exclusive only to insert a never-seen
 /// tenant). Credit accounting stays linearizable — `in_flight` is spent

@@ -1,5 +1,4 @@
-//! The AGILE service: warp-centric completion-queue polling (§3.2),
-//! scaled out as shard-affine service partitions.
+//! The AGILE service: warp-centric completion-queue polling (§3.2).
 //!
 //! A small persistent kernel runs in the background on the GPU. Its warps
 //! rotate over the registered CQs in round-robin order; on each visit a warp
@@ -21,17 +20,8 @@
 //! waiting for will be freed regardless of what any user thread is doing,
 //! which eliminates the deadlock of Figure 1.
 //!
-//! ## Scale-out: shard-affine partitions
-//!
-//! The paper's service is a single kernel whose warps sweep *every* CQ —
-//! fine at 1–3 SSDs, the compute-side scalability ceiling at production
-//! device counts. [`ServiceSet`] splits the CQ space into N
-//! [`ServicePartition`]s along the storage topology's lock shards
-//! ([`nvme_sim::StorageTopology::shard_of`]): one persistent kernel per
-//! partition, each sweeping only its own shard's `(device, queue-pair)`
-//! targets, so completion processing scales with the storage side instead of
-//! funnelling through one kernel's rotation. With one shard (the default)
-//! the set degenerates to exactly the paper's single service, bit for bit.
+//! As in the paper there is one service kernel, and its warps share the
+//! sweep over *every* CQ of every device, in `(device, queue-pair)` order.
 //!
 //! ## Idle sweeps sleep
 //!
@@ -50,56 +40,9 @@ use crate::ctrl::AgileCtrl;
 use agile_sim::wake::{SleeperId, Wait, WaitReason, WatchedU64};
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
-use nvme_sim::StorageTopology;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Partition the `(device, queue-pair)` CQ targets of a storage stack into
-/// `shards` shard-affine groups.
-///
-/// When a topology with at least `shards` lock shards is attached, device
-/// `d` belongs to service partition `shard_of(d) % shards`, so every service
-/// keeps polling CQs whose submissions contend on the same storage shard —
-/// the compute-side mirror of the lock partitioning. With fewer storage
-/// shards than services (including the single-shard [`nvme_sim::FlatArray`])
-/// the grouping falls back to round-robin by device index, so no partition
-/// is left without work. Targets within a partition keep the global
-/// `(device asc, queue asc)` order; `shards == 1` therefore reproduces the
-/// historical single-service target list exactly.
-pub fn partition_targets(
-    topology: Option<&Arc<dyn StorageTopology>>,
-    queues_per_device: &[usize],
-    shards: usize,
-) -> Vec<Vec<(usize, usize)>> {
-    let n = shards.max(1);
-    let mut parts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (dev, &queues) in queues_per_device.iter().enumerate() {
-        let part = match topology {
-            Some(t) if n > 1 && t.shard_count() >= n => t.shard_of(dev) % n,
-            _ => dev % n,
-        };
-        for q in 0..queues {
-            parts[part].push((dev, q));
-        }
-    }
-    parts
-}
-
-/// Auto-sized warp count for a service partition polling `targets` CQs
-/// (the "Service geometry tuning" opener): one warp per 8 owned CQs keeps a
-/// warp's round-robin visit period — the SQE-recycle latency ceiling the
-/// scale-out work measured — bounded as the CQ space grows, while idle
-/// partitions do not burn polling warps they cannot use. Clamped to
-/// `[1, 32]`: at least one warp even for an empty partition (the kernel
-/// must exist to observe the stop flag), and at most one thread block's
-/// worth of warps so the launch geometry stays within one SM's occupancy.
-///
-/// Used when [`crate::config::AgileConfig::auto_service_warps`] is set; the
-/// default remains the paper's fixed `service_warps` geometry.
-pub fn auto_service_warps(targets: usize) -> u32 {
-    (targets.div_ceil(8) as u32).clamp(1, 32)
-}
 
 /// Poll cursor of one CQ (owned by the service).
 struct CqPollState {
@@ -140,8 +83,8 @@ impl CqCursor {
 
 /// Statistics of the service kernel.
 ///
-/// Note: the unified registry exports these as `agile_service_*` labelled
-/// by partition; this struct stays for direct programmatic access.
+/// Note: the unified registry exports these as `agile_service_*` (labelled
+/// `partition=0`); this struct stays for direct programmatic access.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Completions processed.
@@ -163,14 +106,11 @@ struct ServiceStatCells {
     busy_rounds: AtomicU64,
 }
 
-/// One shard-affine slice of the AGILE service: a poll cursor per owned CQ
-/// plus the completion-processing logic of Algorithm 1. The single-service
-/// configuration is simply a set with one partition owning every CQ.
-pub struct ServicePartition {
+/// The AGILE service: a poll cursor per CQ plus the completion-processing
+/// logic of Algorithm 1.
+pub struct AgileService {
     ctrl: Arc<AgileCtrl>,
-    /// Which service shard this partition is (index within its set).
-    shard: usize,
-    /// `(device, queue-pair)` flattened list of CQs this partition polls.
+    /// `(device, queue-pair)` flattened list of the CQs the service polls.
     targets: Vec<(usize, usize)>,
     cursors: Vec<CqCursor>,
     stats: ServiceStatCells,
@@ -180,52 +120,32 @@ pub struct ServicePartition {
     /// simulation cheap without changing behaviour: an idle poll loop).
     /// Seeded from `costs.api.agile_service_idle_backoff`; the cell is
     /// shared with the controller so a control plane can retune it online —
-    /// partitions load it once per idle round.
+    /// the service loads it once per idle round.
     idle_backoff: Arc<WatchedU64>,
 }
 
-/// The pre-scale-out name of [`ServicePartition`]; a single partition over
-/// every CQ is exactly the old `AgileService`.
-pub type AgileService = ServicePartition;
-
-impl ServicePartition {
-    /// Build a single partition over every CQ registered with the controller
-    /// — the paper's one-kernel service.
+impl AgileService {
+    /// Build the service over every CQ registered with the controller, in
+    /// `(device asc, queue asc)` order.
     pub fn new(ctrl: Arc<AgileCtrl>) -> Arc<Self> {
-        let targets = partition_targets(None, &ctrl.io().queues_per_device(), 1).remove(0);
-        ServicePartition::for_targets(ctrl, 0, targets)
-    }
-
-    /// Build partition `shard` over an explicit `(device, queue-pair)` target
-    /// list (normally computed by [`partition_targets`] via [`ServiceSet`]).
-    pub fn for_targets(
-        ctrl: Arc<AgileCtrl>,
-        shard: usize,
-        targets: Vec<(usize, usize)>,
-    ) -> Arc<Self> {
+        let targets: Vec<(usize, usize)> = ctrl
+            .io()
+            .queues_per_device()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(dev, queues)| (0..queues).map(move |q| (dev, q)))
+            .collect();
         let cursors = targets.iter().map(|_| CqCursor::new()).collect();
-        let api = &ctrl.config().costs.api;
-        let poll_round_cost = api.agile_service_poll_round;
+        let poll_round_cost = ctrl.config().costs.api.agile_service_poll_round;
         let idle_backoff = ctrl.idle_backoff_cell();
-        Arc::new(ServicePartition {
+        Arc::new(AgileService {
             ctrl,
-            shard,
             targets,
             cursors,
             stats: ServiceStatCells::default(),
             poll_round_cost,
             idle_backoff,
         })
-    }
-
-    /// Which service shard this partition is.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The `(device, queue-pair)` CQs this partition polls.
-    pub fn targets(&self) -> &[(usize, usize)] {
-        &self.targets
     }
 
     /// Number of CQs the service is responsible for.
@@ -322,7 +242,7 @@ impl ServicePartition {
         self.sweep(rotation, stride, offset, now).0
     }
 
-    /// [`ServicePartition::service_step`], also saying whether the sweep was
+    /// [`AgileService::service_step`], also saying whether the sweep was
     /// idle (polled a CQ and found nothing).
     fn sweep(
         &self,
@@ -382,38 +302,27 @@ impl ServicePartition {
     }
 }
 
-/// Kernel factory for one persistent AGILE service kernel (one per
-/// [`ServicePartition`]).
+/// Kernel factory for the persistent AGILE service kernel.
 pub struct AgileServiceKernel {
-    service: Arc<ServicePartition>,
+    service: Arc<AgileService>,
     warps_per_block: u32,
     total_warps: u32,
-    name: String,
 }
 
 impl AgileServiceKernel {
     /// Create the factory; `warps_per_block`/`total_warps` must match the
-    /// launch configuration used for the service kernel. Partition 0 keeps
-    /// the historical kernel name `agile-service`; higher shards are
-    /// suffixed (`agile-service-s1`, …) so per-kernel reports stay
-    /// distinguishable.
-    pub fn new(service: Arc<ServicePartition>, warps_per_block: u32, total_warps: u32) -> Self {
-        let name = if service.shard() == 0 {
-            "agile-service".to_string()
-        } else {
-            format!("agile-service-s{}", service.shard())
-        };
+    /// launch configuration used for the service kernel.
+    pub fn new(service: Arc<AgileService>, warps_per_block: u32, total_warps: u32) -> Self {
         AgileServiceKernel {
             service,
             warps_per_block,
             total_warps: total_warps.max(1),
-            name,
         }
     }
 }
 
 struct ServiceWarp {
-    service: Arc<ServicePartition>,
+    service: Arc<AgileService>,
     rotation: usize,
     stride: usize,
     offset: usize,
@@ -477,63 +386,7 @@ impl KernelFactory for AgileServiceKernel {
         })
     }
     fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ServiceSet: N shard-affine partitions
-// ---------------------------------------------------------------------------
-
-/// The scale-out service: N shard-affine [`ServicePartition`]s over one
-/// controller, one persistent kernel each (launched by
-/// `AgileHost::start_agile`). `shards == 1` is exactly the paper's single
-/// service — same target order, same kernel geometry, bit-identical
-/// behaviour (asserted by the golden-trace suite).
-pub struct ServiceSet {
-    partitions: Vec<Arc<ServicePartition>>,
-}
-
-impl ServiceSet {
-    /// Partition the controller's CQs into `shards` shard-affine services
-    /// (see [`partition_targets`] for the grouping rule).
-    pub fn new(ctrl: &Arc<AgileCtrl>, shards: usize) -> Self {
-        let io = ctrl.io();
-        let parts = partition_targets(io.topology(), &io.queues_per_device(), shards);
-        let partitions = parts
-            .into_iter()
-            .enumerate()
-            .map(|(shard, targets)| ServicePartition::for_targets(Arc::clone(ctrl), shard, targets))
-            .collect();
-        ServiceSet { partitions }
-    }
-
-    /// The partitions, in shard order.
-    pub fn partitions(&self) -> &[Arc<ServicePartition>] {
-        &self.partitions
-    }
-
-    /// Number of service shards.
-    pub fn shard_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Per-shard statistics snapshots, in shard order.
-    pub fn partition_stats(&self) -> Vec<ServiceStats> {
-        self.partitions.iter().map(|p| p.stats()).collect()
-    }
-
-    /// Aggregate statistics across every partition.
-    pub fn stats(&self) -> ServiceStats {
-        let mut total = ServiceStats::default();
-        for p in &self.partitions {
-            let s = p.stats();
-            total.completions += s.completions;
-            total.cq_doorbells += s.cq_doorbells;
-            total.idle_rounds += s.idle_rounds;
-            total.busy_rounds += s.busy_rounds;
-        }
-        total
+        "agile-service"
     }
 }
 
@@ -753,99 +606,6 @@ mod tests {
         assert_eq!(service.poll_cq(0, now), 0, "posted == retired again");
         let stats = service.stats();
         assert_eq!((stats.completions, stats.cq_doorbells), (40, 1));
-    }
-
-    #[test]
-    fn auto_service_warps_scale_with_the_cq_count() {
-        // One warp per 8 CQs, clamped to [1, 32].
-        assert_eq!(auto_service_warps(0), 1, "empty partitions keep one warp");
-        assert_eq!(auto_service_warps(1), 1);
-        assert_eq!(auto_service_warps(8), 1);
-        assert_eq!(auto_service_warps(9), 2);
-        assert_eq!(auto_service_warps(64), 8);
-        assert_eq!(auto_service_warps(128), 16, "paper default: 128 QPs/SSD");
-        assert_eq!(auto_service_warps(256), 32);
-        assert_eq!(auto_service_warps(10_000), 32, "clamped to one block");
-    }
-
-    #[test]
-    fn auto_service_warps_partition_math_composes_with_partition_targets() {
-        // 8 devices × 4 QPs split across 4 shard-affine partitions: each
-        // partition owns 8 CQs ⇒ 1 warp; the single-service fallback owns
-        // all 32 ⇒ 4 warps.
-        use nvme_sim::ShardedArray;
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(ShardedArray::new(8, 4));
-        let parts = partition_targets(Some(&topo), &[4; 8], 4);
-        for targets in &parts {
-            assert_eq!(auto_service_warps(targets.len()), 1);
-        }
-        let single = partition_targets(Some(&topo), &[4; 8], 1);
-        assert_eq!(auto_service_warps(single[0].len()), 4);
-    }
-
-    #[test]
-    fn partition_targets_one_shard_is_the_historical_target_list() {
-        // n = 1 must reproduce the single service's (dev asc, qp asc) sweep
-        // exactly — this is the order the pre-scale-out AgileService polled.
-        let parts = partition_targets(None, &[3, 3, 3], 1);
-        assert_eq!(parts.len(), 1);
-        let expected: Vec<(usize, usize)> =
-            (0..3).flat_map(|d| (0..3).map(move |q| (d, q))).collect();
-        assert_eq!(parts[0], expected);
-    }
-
-    #[test]
-    fn partition_targets_follow_storage_shards() {
-        use nvme_sim::ShardedArray;
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(ShardedArray::new(8, 4));
-        let parts = partition_targets(Some(&topo), &[2; 8], 4);
-        assert_eq!(parts.len(), 4);
-        for (service, targets) in parts.iter().enumerate() {
-            // Shard-affinity: every target's device maps to this service.
-            assert!(!targets.is_empty());
-            for &(dev, _) in targets {
-                assert_eq!(topo.shard_of(dev) % 4, service);
-            }
-        }
-        // Every CQ is owned exactly once.
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 16);
-    }
-
-    #[test]
-    fn partition_targets_fall_back_to_round_robin_on_flat_topology() {
-        use nvme_sim::FlatArray;
-        // One storage shard, four services: shard-affinity would starve
-        // three of them, so grouping falls back to device round-robin.
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(FlatArray::new(8));
-        let parts = partition_targets(Some(&topo), &[1; 8], 4);
-        for (service, targets) in parts.iter().enumerate() {
-            assert_eq!(targets.len(), 2, "service {service} must own work");
-            for &(dev, _) in targets {
-                assert_eq!(dev % 4, service);
-            }
-        }
-    }
-
-    #[test]
-    fn service_set_partitions_cover_all_cqs_and_aggregate_stats() {
-        let (ctrl, mut dev) = rig(4, 64);
-        let set = ServiceSet::new(&ctrl, 2);
-        assert_eq!(set.shard_count(), 2);
-        let owned: usize = set.partitions().iter().map(|p| p.target_count()).sum();
-        assert_eq!(owned, 4, "the partitions cover every CQ exactly once");
-        // Drive completions through partition 0 only (the bare rig has one
-        // device, so dev % 2 puts every CQ there) and check the aggregate.
-        let (_, retry) = ctrl.prefetch_warp(0, &[(0, 5), (0, 6)], Cycles(0));
-        assert!(retry.is_empty());
-        let p0 = Arc::clone(&set.partitions()[0]);
-        drive_until(&mut dev, &p0, {
-            let c = Arc::clone(&ctrl);
-            move || c.cache().peek(0, 5).is_some() && c.cache().peek(0, 6).is_some()
-        });
-        assert_eq!(set.stats().completions, 2);
-        assert_eq!(set.partition_stats()[0].completions, 2);
-        assert_eq!(set.partition_stats()[1].completions, 0);
     }
 
     fn ctx_at(now: u64) -> WarpCtx {

@@ -2,7 +2,7 @@
 //! [`agile_metrics`] registry.
 //!
 //! Layers that already keep relaxed-atomic counters (the software cache, the
-//! storage topology's lock and devices, the service partitions) are exported
+//! storage topology's lock and devices, the service) are exported
 //! through [`agile_metrics::Collector`]s polled only at snapshot time — the
 //! hot paths are untouched, which is what keeps instrumented replays
 //! byte-identical to uninstrumented ones. Only events with no existing
@@ -20,7 +20,7 @@
 //! tie the window contents to the scheduler's round count.
 
 use crate::host::StorageCtrl;
-use crate::service::ServicePartition;
+use crate::service::AgileService;
 use agile_metrics::{Collector, Labels, MetricValue, Sample, WindowedSampler};
 use agile_sim::Cycles;
 use gpu_sim::ExternalDevice;
@@ -100,42 +100,33 @@ impl Collector for CacheCollector {
 }
 
 /// Exports the storage topology's lock-contention counters
-/// (`agile_submit_lock_*` per shard) and per-device completion statistics
-/// (`agile_device_*`).
+/// (`agile_submit_lock_*`, labelled `shard=0`) and per-device completion
+/// statistics (`agile_device_*`).
 pub struct TopologyCollector {
-    topology: Arc<dyn StorageTopology>,
+    topology: Arc<StorageTopology>,
 }
 
 impl TopologyCollector {
     /// A collector over `topology`.
-    pub fn new(topology: Arc<dyn StorageTopology>) -> Self {
+    pub fn new(topology: Arc<StorageTopology>) -> Self {
         TopologyCollector { topology }
     }
 }
 
 impl Collector for TopologyCollector {
     fn collect(&self, out: &mut Vec<Sample>) {
-        for (shard, wait) in self.topology.lock_wait_by_shard().into_iter().enumerate() {
-            counter(
-                out,
-                "agile_submit_lock_wait_cycles_total",
-                Labels::shard(shard as u32),
-                wait,
-            );
-        }
-        for (shard, n) in self
-            .topology
-            .lock_acquires_by_shard()
-            .into_iter()
-            .enumerate()
-        {
-            counter(
-                out,
-                "agile_submit_lock_acquires_total",
-                Labels::shard(shard as u32),
-                n,
-            );
-        }
+        counter(
+            out,
+            "agile_submit_lock_wait_cycles_total",
+            Labels::shard(0),
+            self.topology.lock_wait_cycles(),
+        );
+        counter(
+            out,
+            "agile_submit_lock_acquires_total",
+            Labels::shard(0),
+            self.topology.lock_acquires(),
+        );
         for dev in 0..self.topology.device_count() {
             let s = self.topology.device_stats(dev);
             let l = Labels::device(dev as u32);
@@ -166,28 +157,27 @@ impl Collector for TopologyCollector {
     }
 }
 
-/// Exports per-partition AGILE-service counters (`agile_service_*`).
+/// Exports the AGILE service's counters (`agile_service_*`, labelled
+/// `partition=0`).
 pub struct ServiceCollector {
-    partitions: Vec<Arc<ServicePartition>>,
+    service: Arc<AgileService>,
 }
 
 impl ServiceCollector {
-    /// A collector over the given service partitions.
-    pub fn new(partitions: Vec<Arc<ServicePartition>>) -> Self {
-        ServiceCollector { partitions }
+    /// A collector over `service`.
+    pub fn new(service: Arc<AgileService>) -> Self {
+        ServiceCollector { service }
     }
 }
 
 impl Collector for ServiceCollector {
     fn collect(&self, out: &mut Vec<Sample>) {
-        for (idx, p) in self.partitions.iter().enumerate() {
-            let s = p.stats();
-            let l = Labels::partition(idx as u32);
-            counter(out, "agile_service_completions_total", l, s.completions);
-            counter(out, "agile_service_cq_doorbells_total", l, s.cq_doorbells);
-            counter(out, "agile_service_busy_rounds_total", l, s.busy_rounds);
-            counter(out, "agile_service_idle_rounds_total", l, s.idle_rounds);
-        }
+        let s = self.service.stats();
+        let l = Labels::partition(0);
+        counter(out, "agile_service_completions_total", l, s.completions);
+        counter(out, "agile_service_cq_doorbells_total", l, s.cq_doorbells);
+        counter(out, "agile_service_busy_rounds_total", l, s.busy_rounds);
+        counter(out, "agile_service_idle_rounds_total", l, s.idle_rounds);
     }
 }
 

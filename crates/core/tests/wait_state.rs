@@ -12,7 +12,7 @@
 
 use agile_cache::{CacheConfig, CacheStats, NO_TENANT};
 use agile_core::{
-    AgileConfig, AgileCtrl, IoPath, IoStats, LineWait, PageState, ReadOutcome, ServicePartition,
+    AgileConfig, AgileCtrl, AgileService, IoPath, IoStats, LineWait, PageState, ReadOutcome,
     WarpWait,
 };
 use agile_sim::trace::{TraceEvent, TraceSink};
@@ -85,7 +85,7 @@ fn tenant_of(arg: u8) -> u32 {
 
 struct Rig {
     ctrl: Arc<AgileCtrl>,
-    service: Arc<ServicePartition>,
+    service: Arc<AgileService>,
     devices: Vec<SsdDevice>,
     log: Arc<TraceLog>,
     /// Carry wait state from one attempt to the next (else: fresh each call).
@@ -130,7 +130,7 @@ impl Rig {
             .io()
             .set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>));
         Rig {
-            service: ServicePartition::new(Arc::clone(&ctrl)),
+            service: AgileService::new(Arc::clone(&ctrl)),
             ctrl,
             devices,
             log,

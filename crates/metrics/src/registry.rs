@@ -100,11 +100,11 @@ impl Labels {
 pub enum LabelDim {
     /// Keyed by tenant id.
     Tenant,
-    /// Keyed by lock shard.
+    /// Keyed by lock shard (the one array lock is `shard=0`).
     Shard,
     /// Keyed by device index.
     Device,
-    /// Keyed by service partition.
+    /// Keyed by service partition (the one service is `partition=0`).
     Partition,
 }
 

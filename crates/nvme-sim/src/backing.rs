@@ -11,7 +11,7 @@
 //!   the graph workloads (the CSR arrays genuinely live "on the SSD").
 //! * [`SyntheticBacking`] — page content is computed by a caller-supplied
 //!   function of the LBA. Used by the DLRM embedding tables, which would be
-//!   hundreds of gigabytes if materialised (DESIGN.md §2 substitution note).
+//!   hundreds of gigabytes if materialised.
 //!
 //! An optional byte-level payload store ([`MemBacking::with_payloads`]) keeps
 //! real 4 KiB buffers (via `bytes::Bytes`) for the small tests that verify

@@ -15,9 +15,8 @@
 //!   materialising 4 KiB buffers, while an optional byte-level backing
 //!   ([`backing::MemBacking`]) provides full-fidelity payloads for small
 //!   correctness tests ([`backing`]), and
-//! * the multi-SSD storage topologies ([`topology`]): a [`StorageTopology`]
-//!   trait with a single-lock [`FlatArray`] and a lock-partitioned
-//!   [`ShardedArray`], both sharing one page-striping layer.
+//! * the multi-SSD storage array ([`topology`]): [`StorageTopology`], every
+//!   device behind one modeled lock, with the page-striping layer.
 //!
 //! The GPU-side libraries (`agile-core`, `bam-baseline`) share the queue rings
 //! with the device through `Arc`s, exactly as the real system shares them
@@ -42,5 +41,5 @@ pub use spec::{
     CmdStatus, CommandId, DmaHandle, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken, QueueId,
 };
 pub use topology::{
-    DeviceSet, FlatArray, PageLocation, Placement, ShardedArray, StorageTopology, TopologyLock,
+    DeviceSet, PageLocation, StorageTopology, TopologyLock, DEFAULT_LOCK_HOLD_CYCLES,
 };

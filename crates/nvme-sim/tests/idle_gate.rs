@@ -13,8 +13,8 @@
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::Cycles;
 use nvme_sim::{
-    DeviceSet, DeviceStats, DmaHandle, FlatArray, MemBacking, NvmeCommand, NvmeCompletion,
-    PageToken, QueuePair, SsdConfig, SsdDevice, StorageTopology,
+    DeviceSet, DeviceStats, DmaHandle, MemBacking, NvmeCommand, NvmeCompletion, PageToken,
+    QueuePair, SsdConfig, SsdDevice, StorageTopology,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -327,7 +327,7 @@ fn allocations() -> u64 {
 
 /// One read through device 0 of `topology`, advanced until it has posted;
 /// returns the time reached. Leaves every device idle.
-fn one_read_to_completion(topology: &dyn StorageTopology, qp: &QueuePair) -> Cycles {
+fn one_read_to_completion(topology: &StorageTopology, qp: &QueuePair) -> Cycles {
     assert!(qp
         .sq
         .write_slot(0, NvmeCommand::read(1, 3, DmaHandle::new())));
@@ -344,7 +344,7 @@ fn one_read_to_completion(topology: &dyn StorageTopology, qp: &QueuePair) -> Cyc
 
 #[test]
 fn idle_advance_allocates_nothing() {
-    let topology = FlatArray::new(3);
+    let topology = StorageTopology::new(3);
     let queues = topology.register_queues(8, 64);
     let mut now = one_read_to_completion(&topology, &queues[0][0]);
 

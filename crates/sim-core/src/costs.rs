@@ -1,8 +1,8 @@
 //! The cost-model constants used by every simulator in the workspace.
 //!
 //! All latency / throughput assumptions made by the GPU and SSD models are
-//! collected here so that they can be audited and re-calibrated in one place
-//! (DESIGN.md §5). Each constant documents its provenance: either a public
+//! collected here so that they can be audited and re-calibrated in one place.
+//! Each constant documents its provenance: either a public
 //! datasheet number, a number reported in the AGILE paper, or an explicitly
 //! modelled value chosen to match the paper's qualitative behaviour.
 //!
@@ -13,6 +13,13 @@
 
 use crate::clock::{Cycles, Nanos};
 use serde::{Deserialize, Serialize};
+
+/// Cycles a warp with nothing to do but wait backs off before it polls again
+/// (its retry grid: flash is tens of µs away, so re-probing every few hundred
+/// cycles would only burn rounds). One calibrated value shared by every
+/// kernel's poll loop, AGILE and BaM alike, so measured latencies stay
+/// comparable.
+pub const POLL_RETRY_CYCLES: u64 = 2_000;
 
 /// GPU-side micro-operation costs, in core cycles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -135,8 +135,7 @@ impl RngCore for SimRng {
 ///
 /// DLRM embedding-table accesses follow a strongly skewed popularity
 /// distribution; the paper uses the Criteo click-logs categorical features,
-/// which we substitute with a Zipf-distributed synthetic trace (see
-/// DESIGN.md §2).
+/// which we substitute with a Zipf-distributed synthetic trace.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     n: u64,

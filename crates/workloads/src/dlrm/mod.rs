@@ -3,7 +3,7 @@
 //! The paper evaluates AGILE against BaM on Deep Learning Recommendation
 //! Model inference: the categorical-feature embedding tables live on the
 //! SSDs (they do not fit in GPU memory), the MLP compute runs on the GPU
-//! (cuBLAS in the paper, an analytic GEMM cost model here — see DESIGN.md),
+//! (cuBLAS in the paper, an analytic GEMM cost model here),
 //! and each inference epoch gathers `batch × tables` embedding rows before
 //! running the MLPs.
 //!

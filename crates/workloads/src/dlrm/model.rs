@@ -14,7 +14,7 @@
 //! vocabulary from the first three days of the 1 TB dataset; we substitute
 //! synthetic tables whose sizes put the aggregate footprint well above the
 //! 2 GiB software cache, so the cache and prefetch behaviour is exercised the
-//! same way (DESIGN.md §2).
+//! same way.
 
 use agile_sim::costs::CostModel;
 use agile_sim::units::SSD_PAGE_SIZE;

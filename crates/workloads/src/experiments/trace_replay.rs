@@ -26,7 +26,6 @@ use agile_sim::units::SSD_PAGE_SIZE;
 use agile_trace::Trace;
 use bam_baseline::{BamConfig, HostBuilder};
 use gpu_sim::{EngineSched, LaunchConfig};
-use nvme_sim::Placement;
 use std::sync::Arc;
 
 /// Which QoS policy a replay installs on the host's submission path.
@@ -156,8 +155,6 @@ pub struct ReplayReport {
     pub system: &'static str,
     /// Name from the trace metadata.
     pub trace_name: String,
-    /// Lock shards of the storage topology (0 = flat array).
-    pub shards: usize,
     /// Ops completed (reads + writes).
     pub ops: u64,
     /// Completed reads.
@@ -194,11 +191,8 @@ pub struct ReplayReport {
     /// runs, where each warp carries exactly one tenant and the attribution
     /// is exact; empty otherwise (warp-as-tenant attribution would be noise).
     pub tenant_cache: Vec<TenantCacheStats>,
-    /// Shard-affine service partitions the AGILE host ran (1 = the paper's
-    /// single service; BaM has no service and echoes the configured value).
-    pub service_shards: usize,
-    /// Per-shard AGILE service statistics, in shard order (empty for BaM).
-    pub service_stats: Vec<ServiceStats>,
+    /// The AGILE service's statistics (all zero for BaM, which has none).
+    pub service_stats: ServiceStats,
     /// Engine scheduling rounds of the run (not part of the summary: both
     /// engine schedulers replay the same simulated times; rounds, and the
     /// polls counted in `io_stats`, `cache_stats` and `service_stats`, are
@@ -207,7 +201,7 @@ pub struct ReplayReport {
     /// Submissions the QoS scheduler deferred at least once (always 0 under
     /// FIFO, which never defers).
     pub qos_deferrals: u64,
-    /// Total cycles warps spent queued on the topology's lock shards.
+    /// Total cycles warps spent queued on the topology's array lock.
     pub lock_wait_cycles: u64,
     /// The I/O path's end-of-run counters (not part of the summary).
     pub io_stats: IoStats,
@@ -226,10 +220,9 @@ impl ReplayReport {
     /// Per-tenant percentiles are appended in tenant-id order.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "{} trace={} shards={} ops={} reads={} writes={} p50={:.2}us p95={:.2}us p99={:.2}us mean={:.2}us iops={:.0} bw={:.3}GB/s deadlocked={}",
+            "{} trace={} ops={} reads={} writes={} p50={:.2}us p95={:.2}us p99={:.2}us mean={:.2}us iops={:.0} bw={:.3}GB/s deadlocked={}",
             self.system,
             self.trace_name,
-            self.shards,
             self.ops,
             self.reads,
             self.writes,
@@ -243,8 +236,8 @@ impl ReplayReport {
         );
         // The qos field is appended only for non-FIFO runs so the pre-QoS
         // golden summaries stay byte-identical (FIFO ⇒ no behaviour drift,
-        // and no format drift either). The same rule covers service_shards,
-        // cache_policy and prefetch_depth: the defaults print nothing.
+        // and no format drift either). The same rule covers cache_policy and
+        // prefetch_depth: the defaults print nothing.
         if self.qos != "fifo" {
             s.push_str(&format!(" qos={}", self.qos));
         }
@@ -254,21 +247,10 @@ impl ReplayReport {
         if self.prefetch_depth != 1 {
             s.push_str(&format!(" prefetch={}", self.prefetch_depth));
         }
-        if self.service_shards > 1 {
-            s.push_str(&format!(" service_shards={}", self.service_shards));
-        }
         // qos_deferrals appears only when the scheduler actually deferred —
         // FIFO never defers, so the pre-QoS goldens stay byte-identical.
         if self.qos_deferrals > 0 {
             s.push_str(&format!(" qos_deferrals={}", self.qos_deferrals));
-        }
-        // Lock wait is printed only for genuinely sharded topologies
-        // (shards > 1): the flat single-lock default always contends, so an
-        // unconditional field would invalidate every golden, and shards=1 is
-        // contractually byte-identical to flat — splitting contention across
-        // shards is exactly the comparison the number exists for.
-        if self.shards > 1 && self.lock_wait_cycles > 0 {
-            s.push_str(&format!(" lock_wait={}", self.lock_wait_cycles));
         }
         for t in &self.tenants {
             s.push_str(&format!(
@@ -288,14 +270,6 @@ impl ReplayReport {
                     t.hit_rate(),
                     t.evictions,
                     t.occupancy
-                ));
-            }
-        }
-        if self.service_shards > 1 {
-            for (shard, svc) in self.service_stats.iter().enumerate() {
-                s.push_str(&format!(
-                    " | svc{} completions={} doorbells={} busy={} idle={}",
-                    shard, svc.completions, svc.cq_doorbells, svc.busy_rounds, svc.idle_rounds
                 ));
             }
         }
@@ -329,16 +303,9 @@ pub struct ReplayConfig {
     pub queue_depth: u32,
     /// Which I/O path the replay drives (raw or through the software cache).
     pub path: ReplayPath,
-    /// Lock shards of the storage topology: 0 builds the single-lock
-    /// `FlatArray`, ≥ 1 a `ShardedArray` with that many shards.
-    pub shards: usize,
-    /// Route ops through the topology's page-striping layer (identical
-    /// device/page layout for flat and sharded, so comparisons isolate the
-    /// lock partitioning).
+    /// Route ops through the topology's page-striping layer (the paper's
+    /// interleave over one global page space).
     pub stripe: bool,
-    /// Placement seed of the striping layer (interleave = the golden-guarded
-    /// paper layout; only meaningful together with `stripe`).
-    pub placement: Placement,
     /// QoS policy installed on the host's submission path.
     pub qos: QosSpec,
     /// Cache replacement policy (AGILE only — BaM hard-codes clock, which is
@@ -358,10 +325,6 @@ pub struct ReplayConfig {
     /// per-tenant virtual queues a QoS policy arbitrates. See
     /// [`TraceReplayParams::tenant_warps`].
     pub tenant_warps: bool,
-    /// Shard-affine AGILE service partitions (one persistent kernel each);
-    /// 1 = the paper's single service, bit-identical. Ignored by BaM, which
-    /// has no background service.
-    pub service_shards: usize,
     /// Engine scheduling loop (event-driven ready-queue by default; the
     /// legacy full scan replays bit-identically but visits more rounds).
     pub engine_sched: EngineSched,
@@ -389,16 +352,13 @@ impl Default for ReplayConfig {
             queue_pairs: 8,
             queue_depth: 128,
             path: ReplayPath::Raw,
-            shards: 0,
             stripe: false,
-            placement: Placement::Interleave,
             qos: QosSpec::Fifo,
             cache_policy: CachePolicyKind::Clock,
             cache_shares: Vec::new(),
             prefetch_depth: 1,
             cache_bytes: None,
             tenant_warps: false,
-            service_shards: 1,
             engine_sched: EngineSched::EventQueue,
             metrics: false,
             metrics_window: DEFAULT_WINDOW_CYCLES,
@@ -426,26 +386,9 @@ impl ReplayConfig {
         self
     }
 
-    /// Shard the storage topology's lock into `shards` partitions and route
-    /// ops through the striping layer.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self.stripe = true;
-        self
-    }
-
-    /// Keep the flat single-lock topology but route ops through the striping
-    /// layer (the fair baseline for a sharded comparison).
+    /// Route ops through the topology's striping layer.
     pub fn striped(mut self) -> Self {
         self.stripe = true;
-        self
-    }
-
-    /// Scale the AGILE service out to `shards` shard-affine partitions
-    /// (one persistent kernel each). Pair with [`ReplayConfig::sharded`] so
-    /// each service has a storage shard to be affine to.
-    pub fn service_sharded(mut self, shards: usize) -> Self {
-        self.service_shards = shards.max(1);
         self
     }
 
@@ -535,13 +478,6 @@ impl ReplayConfig {
         self
     }
 
-    /// Select the striping layer's placement seed (pair with
-    /// [`ReplayConfig::striped`] / [`ReplayConfig::sharded`]).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Short lowercase cache-policy name for reports.
     pub fn cache_policy_name(&self) -> &'static str {
         match self.cache_policy {
@@ -584,7 +520,6 @@ fn finish_report(
     ReplayReport {
         system: system.name(),
         trace_name: trace.meta.name.clone(),
-        shards: cfg.shards,
         ops,
         reads: collector.reads(),
         writes: collector.writes(),
@@ -615,8 +550,7 @@ fn finish_report(
             1
         },
         tenant_cache: Vec::new(),
-        service_shards: cfg.service_shards,
-        service_stats: Vec::new(),
+        service_stats: ServiceStats::default(),
         engine_rounds,
         qos_deferrals: 0,
         lock_wait_cycles: 0,
@@ -646,11 +580,7 @@ fn build_host<S: HostSystem>(
             trace.meta.lba_space.max(1),
         )
         .engine_sched(cfg.engine_sched)
-        .placement(cfg.placement)
         .qos(cfg.qos.policy());
-    if cfg.shards > 0 {
-        builder = builder.shards(cfg.shards);
-    }
     if let Some(sink) = sink {
         builder = builder.trace_sink(sink);
     }
@@ -778,7 +708,6 @@ pub fn run_trace_replay_with_sink(
                 config = config.with_cache_bytes(bytes);
             }
             let builder = HostBuilder::agile(config)
-                .service_shards(cfg.service_shards)
                 .cache_policy(cfg.cache_policy)
                 .cache_shares(cfg.cache_shares.clone());
             let mut host = build_host(builder, &trace, cfg, sink, &instruments);
@@ -795,7 +724,7 @@ pub fn run_trace_replay_with_sink(
                 params,
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
-            report.service_stats = host.service_set().partition_stats();
+            report.service_stats = host.service().stats();
             fold_stack_state(&host, cfg, &instruments, &mut report);
             report
         }
@@ -1007,57 +936,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_one_is_identical_to_flat() {
-        // Same device count, same striped layout, one lock shard: the
-        // sharded topology must replay bit-identically to the flat array.
-        let trace = TraceSpec::multi_tenant("unit-shard1", 5, 4, 1 << 12, 800).generate();
-        let flat = ReplayConfig::quick().striped();
-        let sharded = ReplayConfig {
-            shards: 1,
-            ..ReplayConfig::quick().striped()
-        };
-        let a = run_trace_replay(&trace, ReplaySystem::Agile, &flat);
-        let b = run_trace_replay(&trace, ReplaySystem::Agile, &sharded);
-        assert!(!a.deadlocked);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
-        // Summaries differ only in the reported shard count.
-        assert_eq!(
-            a.summary().replace("shards=0", "shards=1"),
-            b.summary(),
-            "shards=1 must be bit-identical to the flat array"
-        );
-    }
-
-    #[test]
-    fn sharded_topology_outperforms_flat_at_equal_device_count() {
-        // 8 devices either way; the only difference is one lock vs four.
-        // At this device count the aggregate NVMe throughput exceeds what a
-        // single array lock can admit (~4M submissions/s), so the flat
-        // topology caps out while the sharded one keeps scaling — the
-        // ROADMAP's "SsdArray is a flat Vec" blocker made measurable.
-        let trace = TraceSpec::uniform("unit-shard-perf", 13, 8, 1 << 12, 2_048).generate();
-        let flat = ReplayConfig::quick().striped();
-        let sharded = ReplayConfig {
-            shards: 4,
-            ..ReplayConfig::quick().striped()
-        };
-        let f = run_trace_replay(&trace, ReplaySystem::Agile, &flat);
-        let s = run_trace_replay(&trace, ReplaySystem::Agile, &sharded);
-        assert!(!f.deadlocked && !s.deadlocked);
-        assert_eq!(f.ops, s.ops, "both topologies must complete the trace");
-        assert!(
-            s.iops > f.iops * 1.2,
-            "sharding the array lock must raise throughput (flat {:.0} vs sharded {:.0} IOPS)",
-            f.iops,
-            s.iops
-        );
-        assert!(
-            s.p99_us <= f.p99_us,
-            "sharding must not worsen tail latency (flat {:.2} vs sharded {:.2} us)",
-            f.p99_us,
-            s.p99_us
-        );
+    fn the_array_lock_caps_throughput_at_clock_over_hold() {
+        // At 8 and 16 SSDs the devices could serve more than one array lock
+        // admits, so the replay runs at — and never above — the lock's
+        // ceiling of clock ÷ hold submissions per second.
+        let ceiling = experiment_gpu().clock_ghz * 1e9 / nvme_sim::DEFAULT_LOCK_HOLD_CYCLES as f64;
+        for devices in [8u32, 16] {
+            let trace =
+                TraceSpec::uniform("unit-lock-ceiling", 13, devices, 1 << 12, 2_048).generate();
+            let report = run_trace_replay(&trace, ReplaySystem::Agile, &ReplayConfig::quick());
+            assert!(!report.deadlocked);
+            assert_eq!(report.ops, 2_048);
+            assert!(
+                report.iops <= ceiling && report.iops >= 0.95 * ceiling,
+                "{devices} SSDs: {:.0} IOPS against a lock ceiling of {ceiling:.0}",
+                report.iops
+            );
+        }
     }
 
     #[test]

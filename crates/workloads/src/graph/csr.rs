@@ -5,8 +5,7 @@
 //! of those arrays on the simulated SSD defines which pages each traversal
 //! step must pull through the storage stack. This mirrors how the real system
 //! works: the CSR arrays live on flash, and the kernels' access pattern over
-//! them is what stresses the cache and queue APIs (DESIGN.md §2 records this
-//! substitution).
+//! them is what stresses the cache and queue APIs.
 
 use agile_sim::units::SSD_PAGE_SIZE;
 use nvme_sim::Lba;

@@ -9,6 +9,7 @@
 
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IssueOutcome};
+use agile_sim::costs::POLL_RETRY_CYCLES;
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::{Cycles, SimRng};
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -102,7 +103,7 @@ impl WarpKernel for RandIoWarp {
             }
             // Until one of them completes every poll is this same probe.
             return WarpStep::Stall {
-                retry_after: Cycles(2_000),
+                retry_after: Cycles(POLL_RETRY_CYCLES),
                 wait: self
                     .ctrl
                     .io()
@@ -113,7 +114,7 @@ impl WarpKernel for RandIoWarp {
         if self.outstanding.len() >= self.window {
             // Too many in flight: nothing to do until one completes.
             return WarpStep::Stall {
-                retry_after: Cycles(2_000),
+                retry_after: Cycles(POLL_RETRY_CYCLES),
                 wait: self
                     .ctrl
                     .io()

@@ -34,6 +34,7 @@
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
 use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
+use agile_sim::costs::POLL_RETRY_CYCLES;
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use agile_trace::{LatencyHistogram, Trace, TraceOp};
@@ -442,7 +443,7 @@ impl AgileReplayWarp {
     fn await_completion(&mut self) -> WarpStep {
         let barriers = self.outstanding.iter().map(|inflight| &inflight.barrier);
         WarpStep::Stall {
-            retry_after: Cycles(2_000),
+            retry_after: Cycles(POLL_RETRY_CYCLES),
             wait: self.ctrl.io().park_on_barriers(&mut self.sleeper, barriers),
         }
     }
@@ -868,7 +869,7 @@ impl WarpKernel for AgileCachedReplayWarp {
             // or waiting for a line of a set that is all in flight, the
             // re-probes would all find that again: sleep through them.
             WarpStep::Stall {
-                retry_after: Cycles(2_000),
+                retry_after: Cycles(POLL_RETRY_CYCLES),
                 wait: self.batch.wait(io),
             }
         }
@@ -1100,7 +1101,7 @@ impl WarpKernel for BamCachedReplayWarp {
         // so probing every few hundred cycles only burns rounds). Every
         // retry polls this warp's CQs: not a wait to sleep through.
         WarpStep::Stall {
-            retry_after: Cycles(2_000),
+            retry_after: Cycles(POLL_RETRY_CYCLES),
             wait: Wait::polling(WaitReason::Completion),
         }
     }

@@ -19,8 +19,7 @@
 //!   (SIMT GPU model, NVMe SSD model, HBM software cache, discrete-event
 //!   core).
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for paper-vs-measured results of every figure.
+//! See `README.md` for a quickstart and the system inventory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

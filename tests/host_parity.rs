@@ -42,9 +42,13 @@ fn contract<S: HostSystem>(
         host.stop();
     };
 
-    // Flat and sharded topologies come up with the right lock partitioning.
-    assert_eq!(base().build().topology().shard_count(), 1);
-    assert_eq!(base().shards(2).build().topology().shard_count(), 2);
+    // The one array comes up with every device, its lock untouched.
+    let topology = base().build().topology();
+    assert_eq!(topology.device_count(), DEVICES);
+    assert_eq!(
+        (topology.lock_acquires(), topology.lock_wait_cycles()),
+        (0, 0)
+    );
 
     // `.metrics(reg)` registers the cache and topology collector families.
     let registry = MetricsRegistry::new();

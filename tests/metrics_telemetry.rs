@@ -187,47 +187,26 @@ fn qos_deferrals_surface_in_the_summary() {
 }
 
 #[test]
-fn lock_wait_surfaces_only_for_sharded_topologies() {
+fn lock_wait_family_matches_the_reports_lock_wait() {
     let trace = TraceSpec::uniform("metrics-topo", 13, 4, 1 << 13, 1_024).generate();
-    let flat = run_trace_replay(
+    let report = run_trace_replay(
         &trace,
         ReplaySystem::Agile,
-        &ReplayConfig::quick().striped(),
+        &ReplayConfig::quick().striped().with_metrics(),
     );
     assert!(
-        !flat.summary().contains("lock_wait="),
-        "flat default topology prints no lock_wait field (goldens)"
+        !report.summary().contains("lock_wait="),
+        "the summary prints no lock_wait field (goldens)"
     );
-    let one = run_trace_replay(
-        &trace,
-        ReplaySystem::Agile,
-        &ReplayConfig {
-            shards: 1,
-            ..ReplayConfig::quick().striped()
-        },
-    );
-    assert!(
-        !one.summary().contains("lock_wait="),
-        "shards=1 stays byte-identical to flat, so no lock_wait field"
-    );
-    let sharded = run_trace_replay(
-        &trace,
-        ReplaySystem::Agile,
-        &ReplayConfig::quick().sharded(2).with_metrics(),
-    );
-    if sharded.lock_wait_cycles > 0 {
-        assert!(sharded
-            .summary()
-            .contains(&format!(" lock_wait={}", sharded.lock_wait_cycles)));
-    }
-    // Whatever the contention, the registry's per-shard family must agree
-    // with the topology's own accounting.
-    let snap = sharded.metrics.expect("metrics captured").snapshot;
-    let wait: u64 = snap
+    assert!(report.lock_wait_cycles > 0, "four SSDs contend on the lock");
+    // The registry's family (one `shard=0` sample) must agree with the
+    // array's own accounting.
+    let snap = report.metrics.expect("metrics captured").snapshot;
+    let wait: Vec<(Labels, u64)> = snap
         .family("agile_submit_lock_wait_cycles_total")
-        .map(|s| s.value.as_u64())
-        .sum();
-    assert_eq!(wait, sharded.lock_wait_cycles);
+        .map(|s| (s.labels, s.value.as_u64()))
+        .collect();
+    assert_eq!(wait, [(Labels::shard(0), report.lock_wait_cycles)]);
 }
 
 /// `a_{x,y}_b` → `a_x_b`, `a_y_b` (the catalogue's shorthand; one group).
@@ -264,12 +243,10 @@ fn readme_catalogue_and_registry_name_the_same_families() {
     let catalogue = readme_names(include_str!("../README.md"));
 
     // The full stack: cached path, tenant-partitioned warps with cache
-    // shares, sharded topology and service, metrics, control with an SLO.
+    // shares, metrics, control with an SLO.
     let trace = TraceSpec::noisy_neighbor("metrics-drift", 23, 2, 1 << 12, 768).generate();
     let cfg = noisy_cfg(QosSpec::Fifo)
         .cached()
-        .sharded(2)
-        .service_sharded(2)
         .tenant_share(vec![1, 1])
         .with_metrics()
         .with_control(ControlPolicy::all())

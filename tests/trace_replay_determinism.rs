@@ -2,10 +2,12 @@
 //! the same trace + seed must yield byte-identical stats, on both systems,
 //! and a live AGILE run must produce a capturable, re-replayable event log.
 
+use agile_repro::gpu::EngineSched;
 use agile_repro::trace::{CountingSink, MemorySink, Trace, TraceEventKind, TraceSpec};
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, run_trace_replay_with_sink, ReplayConfig, ReplaySystem,
 };
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn small_trace() -> Trace {
@@ -29,7 +31,6 @@ fn ready_queue_engine_cuts_rounds_on_the_large_replay() {
     // to the legacy full scan while visiting strictly fewer rounds — warps
     // wake out of the ready-queue and device-event-only rounds are skipped,
     // so fewer (and far cheaper) rounds is the ready-queue actually engaged.
-    use agile_repro::gpu::EngineSched;
     let trace = TraceSpec::multi_tenant("det-rounds", 99, 4, 1 << 14, 4_096).generate();
     let cfg = ReplayConfig::quick();
     let scan_cfg = ReplayConfig::quick().with_engine_sched(EngineSched::FullScan);
@@ -158,10 +159,8 @@ mod engine_scheduler_equivalence {
 
     use super::*;
     use agile_repro::control::{ControlPolicy, Knob, SloSpec};
-    use agile_repro::gpu::EngineSched;
     use agile_repro::metrics::Sample;
     use agile_repro::workloads::experiments::trace_replay::ReplayReport;
-    use proptest::prelude::*;
 
     /// Poll counts: lookups that found a line BUSY or no line at all, idle
     /// service sweeps and submissions every SQ refused count what ran, so a
@@ -192,9 +191,9 @@ mod engine_scheduler_equivalence {
             .partition(|s| POLL_COUNTS.contains(&s.name.as_str()))
     }
 
-    fn instrumented_config(sched: EngineSched, shards: usize) -> ReplayConfig {
+    fn instrumented_config(sched: EngineSched) -> ReplayConfig {
         ReplayConfig::quick()
-            .sharded(shards)
+            .striped()
             .tenant_partitioned()
             .with_engine_sched(sched)
             .with_metrics()
@@ -278,14 +277,7 @@ mod engine_scheduler_equivalence {
             let trace = TraceSpec::multi_tenant(
                 "engine-equiv", seed, devices, 1 << 14, ops,
             ).generate();
-            // A multi-shard fleet and the single lock shard.
-            for shards in [4usize, 1] {
-                assert_like_full_scan(
-                    &trace,
-                    |sched| instrumented_config(sched, shards),
-                    &format!("shards={shards}"),
-                );
-            }
+            assert_like_full_scan(&trace, instrumented_config, "raw");
             // The cached path, where the prefetch loop has a knob and reads
             // cache pressure while warps sleep on full sets.
             assert_like_full_scan(&trace, cached_config, "cached");
@@ -313,6 +305,33 @@ mod engine_scheduler_equivalence {
             "the prefetch loop moves: {:?}",
             control.decision_log()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The default stack (one service, the event-queue scheduler) is
+    /// bit-identical to the pre-refactor stack (single service, full-scan
+    /// engine) on random multi-tenant traces, for both systems.
+    #[test]
+    fn default_stack_is_bit_identical_to_pre_refactor(seed in 0u64..1_000) {
+        let trace = TraceSpec::multi_tenant("svc-eq", seed, 2, 1 << 13, 512).generate();
+        let cfg = ReplayConfig::quick();
+        let legacy = ReplayConfig::quick().with_engine_sched(EngineSched::FullScan);
+        for system in [ReplaySystem::Agile, ReplaySystem::Bam] {
+            let new = run_trace_replay(&trace, system, &cfg);
+            let old = run_trace_replay(&trace, system, &legacy);
+            prop_assert_eq!(
+                new.summary(),
+                old.summary(),
+                "event-queue + the single service must match the full-scan single service"
+            );
+            prop_assert!(
+                new.engine_rounds <= old.engine_rounds,
+                "the ready-queue may not visit more rounds than the scan"
+            );
+        }
     }
 }
 
