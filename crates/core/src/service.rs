@@ -26,15 +26,33 @@
 //! ## Idle sweeps sleep
 //!
 //! A sweep that finds nothing backs off for `idle_backoff` cycles and looks
-//! at the next CQ of its rotation. Once **every** CQ of a warp's rotation
-//! holds nothing new (posted = retired) those sweeps are pure — each would
-//! count one idle round, advance the rotation and back off again — so the
-//! warp returns a parkable stall instead: its sleeper watches those CQs, the
-//! idle-backoff cell and the stop flag, and the engine wakes it at the first
-//! point of its backoff grid at or after a completion is posted (or the cell
-//! written). The sweeps it slept through move its rotation on in bulk — the
-//! rotation decides which CQ it polls next, so that is simulated behaviour —
-//! but are not counted: `idle_rounds` counts the idle sweeps executed.
+//! at the next CQ of its rotation. Such a sweep is pure — it counts one idle
+//! round, advances the rotation and backs off again — and a warp can tell in
+//! advance which of its next sweeps will be: the devices publish, per CQ, the
+//! earliest completion they have scheduled
+//! ([`nvme_sim::CompletionQueue::next_post`]), and a command they have not
+//! fetched yet posts no sooner than
+//! [`nvme_sim::StorageTopology::min_post_latency`] from now (the lookahead
+//! of Chandy & Misra's conservative simulation). So after every sweep the
+//! warp walks its future sweep times up to that horizon and
+//!
+//! * sleeps to the first one whose CQ holds a completion not retired yet or
+//!   one due by then (`WaitReason::ServiceAhead`: a deadline, on a sleeper
+//!   that watches only the idle-backoff cell and the stop flag, so the
+//!   engine need not visit device events for it);
+//! * finding none, with completions to retire further round its rotation,
+//!   sleeps up to the last sweep within the horizon and looks again there;
+//! * finding none and nothing to retire, sleeps until a completion is posted
+//!   to one of its CQs (`ServiceIdle`, on a second sleeper that also watches
+//!   those CQs: watch entries are for good).
+//!
+//! The engine wakes it at its deadline or at the first point of its grid at
+//! or after the event, so a sweep that found completions stalls with a busy
+//! prefix: busy for the sweep's cost, the grid starting after it. The sweeps
+//! it slept through move its rotation on in bulk — the rotation decides
+//! which CQ it polls next, so that is simulated behaviour — but are not
+//! counted: `idle_rounds` counts the idle sweeps executed, and the time they
+//! stand for is stall time in the service kernel's `KernelReport`.
 
 use crate::ctrl::AgileCtrl;
 use agile_sim::wake::{SleeperId, Wait, WaitReason, WatchedU64};
@@ -112,6 +130,8 @@ pub struct AgileService {
     ctrl: Arc<AgileCtrl>,
     /// `(device, queue-pair)` flattened list of the CQs the service polls.
     targets: Vec<(usize, usize)>,
+    /// The CQ of each target.
+    cqs: Vec<Arc<nvme_sim::CompletionQueue>>,
     cursors: Vec<CqCursor>,
     stats: ServiceStatCells,
     /// Cycles a poll round costs when it found completions.
@@ -122,6 +142,10 @@ pub struct AgileService {
     /// shared with the controller so a control plane can retune it online —
     /// the service loads it once per idle round.
     idle_backoff: Arc<WatchedU64>,
+    /// How far ahead the devices' schedule is complete
+    /// ([`nvme_sim::StorageTopology::min_post_latency`]; zero without a
+    /// topology, which leaves nothing to look ahead by).
+    lookahead: Cycles,
 }
 
 impl AgileService {
@@ -135,16 +159,26 @@ impl AgileService {
             .enumerate()
             .flat_map(|(dev, queues)| (0..queues).map(move |q| (dev, q)))
             .collect();
+        let cqs = targets
+            .iter()
+            .map(|&(dev, q)| Arc::clone(&ctrl.io().device_queues(dev)[q].queue_pair().cq))
+            .collect();
         let cursors = targets.iter().map(|_| CqCursor::new()).collect();
         let poll_round_cost = ctrl.config().costs.api.agile_service_poll_round;
         let idle_backoff = ctrl.idle_backoff_cell();
+        let lookahead = ctrl
+            .io()
+            .topology()
+            .map_or(Cycles::ZERO, |topology| topology.min_post_latency());
         Arc::new(AgileService {
             ctrl,
             targets,
+            cqs,
             cursors,
             stats: ServiceStatCells::default(),
             poll_round_cost,
             idle_backoff,
+            lookahead,
         })
     }
 
@@ -262,9 +296,48 @@ impl AgileService {
             (Cycles(self.poll_round_cost), false)
         } else {
             self.stats.idle_rounds.fetch_add(1, Ordering::Relaxed);
-            let backoff = self.idle_backoff.load().max(1);
-            (Cycles(self.poll_round_cost.max(backoff)), true)
+            (self.idle_cost(), true)
         }
+    }
+
+    /// What an idle sweep costs: the spacing of a service warp's sweeps
+    /// while they find nothing.
+    fn idle_cost(&self) -> Cycles {
+        Cycles(self.poll_round_cost.max(self.idle_backoff.load().max(1)))
+    }
+
+    /// The sweeps at `first`, `first + every`, … of a warp whose rotation
+    /// (`offset + r · stride`) is at `rotation`, read off the devices'
+    /// schedule as of `now`: `Ok` with the first of them that will find a
+    /// completion, if it comes before `now + lookahead`, and otherwise `Err`
+    /// with the last of them before that (all idle), if any.
+    ///
+    /// Exact because a completion the devices have not scheduled by `now`
+    /// posts at `now + lookahead` at the earliest, and one they have is
+    /// announced by its CQ's `next_post`. A CQ that holds completions not
+    /// retired yet is found by its next sweep.
+    fn first_busy_sweep(
+        &self,
+        (rotation, stride, offset): (usize, usize, usize),
+        first: Cycles,
+        every: Cycles,
+        now: Cycles,
+    ) -> Result<Cycles, Option<Cycles>> {
+        let horizon = now + self.lookahead;
+        let mut last = None;
+        let mut at = first;
+        let mut r = rotation;
+        while at < horizon {
+            let idx = (offset + r * stride) % self.targets.len();
+            let cq = self.cq(idx);
+            if !self.cursors[idx].caught_up(cq) || cq.next_post() <= at.raw() {
+                return Ok(at);
+            }
+            last = Some(at);
+            at += every;
+            r += 1;
+        }
+        Err(last)
     }
 
     /// True when none of the CQs `rotation` (target indices) holds a
@@ -278,13 +351,13 @@ impl AgileService {
 
     /// The CQ behind target `idx`.
     fn cq(&self, idx: usize) -> &nvme_sim::CompletionQueue {
-        let (dev, qidx) = self.targets[idx];
-        &self.ctrl.io().device_queues(dev)[qidx].queue_pair().cq
+        &self.cqs[idx]
     }
 
-    /// Register a sleeper for a warp sweeping `rotation`: notified by a post
-    /// to any of those CQs, a store to the idle-backoff cell (its grid
-    /// changes) and a stop request.
+    /// Register a sleeper notified by a store to the idle-backoff cell (the
+    /// grid changes) and a stop request, and — for a warp that sleeps until
+    /// a post — by a post to any CQ of `rotation`. Watch entries are for
+    /// good, so the two kinds of sleep need a sleeper each.
     fn sleeper_for(&self, rotation: &[usize]) -> SleeperId {
         let hub = self.ctrl.io().wake_hub();
         let sleeper = hub.register();
@@ -328,10 +401,13 @@ struct ServiceWarp {
     offset: usize,
     /// The distinct target indices this warp's rotation visits.
     visits: Vec<usize>,
-    /// Registered the first time the warp has nothing to sweep for.
-    sleeper: Option<SleeperId>,
-    /// `(when, backoff)` of the idle sweep after which the warp offered to
-    /// sleep: the sweeps between then and its next step were skipped.
+    /// The sleeper of a sleep to a deadline (watches the idle-backoff cell
+    /// and the stop flag), registered the first time it is needed.
+    ahead: Option<SleeperId>,
+    /// The sleeper of a sleep until a post (watches the rotation's CQs too).
+    idle: Option<SleeperId>,
+    /// `(first, every)` of the grid the warp offered to sleep on: the
+    /// sweeps from `first` up to its next step were skipped.
     dozed: Option<(Cycles, Cycles)>,
 }
 
@@ -340,25 +416,63 @@ impl WarpKernel for ServiceWarp {
         if self.service.ctrl().service_stop_requested() {
             return WarpStep::Done;
         }
-        if let Some((since, every)) = self.dozed.take() {
-            // Woken on its own grid, `k` intervals on: each of the `k − 1`
-            // sweeps in between would have moved the rotation on by one.
-            let intervals = (ctx.now - since).raw() / every.raw();
-            self.rotation += intervals.saturating_sub(1) as usize;
+        if let Some((first, every)) = self.dozed.take() {
+            // Woken on its own grid: each sweep it slept through would have
+            // moved the rotation on by one.
+            self.rotation += ((ctx.now - first).raw() / every.raw()) as usize;
         }
         let (cost, idle) =
             self.service
                 .sweep(&mut self.rotation, self.stride, self.offset, ctx.now);
-        if !(idle && self.service.all_retired(&self.visits)) {
+        if self.visits.is_empty() {
             return WarpStep::Busy(cost);
         }
-        let sleeper = *self
-            .sleeper
-            .get_or_insert_with(|| self.service.sleeper_for(&self.visits));
-        self.dozed = Some((ctx.now, cost));
+        // The sweeps to come: the next one when this one's cost is spent,
+        // then one every idle interval while they find nothing.
+        let (next, every) = (ctx.now + cost, self.service.idle_cost());
+        let rotation = (self.rotation, self.stride, self.offset);
+        let (reason, until) = match self
+            .service
+            .first_busy_sweep(rotation, next, every, ctx.now)
+        {
+            Ok(at) if at > next => (WaitReason::ServiceAhead, Some(at)),
+            // Nothing to retire and nothing due within the lookahead: sleep
+            // until a post.
+            Err(_) if self.service.all_retired(&self.visits) => (WaitReason::ServiceIdle, None),
+            // Completions to retire further on: sleep up to the last sweep
+            // known to be idle, and look again from there.
+            Err(Some(at)) if at > next => (WaitReason::ServiceAhead, Some(at)),
+            // The next sweep is the one to make. An idle sweep is stall
+            // time, as it is for the sweeps a sleeping warp skips.
+            _ if idle => {
+                return WarpStep::Stall {
+                    retry_after: cost,
+                    wait: Wait::polling(WaitReason::ServiceAhead),
+                }
+            }
+            _ => return WarpStep::Busy(cost),
+        };
+        let sleeper = match reason {
+            WaitReason::ServiceIdle => *self
+                .idle
+                .get_or_insert_with(|| self.service.sleeper_for(&self.visits)),
+            _ => *self
+                .ahead
+                .get_or_insert_with(|| self.service.sleeper_for(&[])),
+        };
+        let mut wait = Wait::parked(reason, sleeper);
+        if let Some(at) = until {
+            wait = wait.until(at);
+        }
+        if !idle {
+            // It found completions: busy until the next sweep, whose grid
+            // this is.
+            wait = wait.after_busy(next);
+        }
+        self.dozed = Some((next, every));
         WarpStep::Stall {
-            retry_after: cost,
-            wait: Wait::parked(WaitReason::ServiceIdle, sleeper),
+            retry_after: every,
+            wait,
         }
     }
 }
@@ -381,7 +495,8 @@ impl KernelFactory for AgileServiceKernel {
             stride,
             offset,
             visits,
-            sleeper: None,
+            ahead: None,
+            idle: None,
             dozed: None,
         })
     }
@@ -395,7 +510,9 @@ mod tests {
     use super::*;
     use crate::config::AgileConfig;
     use crate::transaction::{AgileBuf, Barrier};
-    use nvme_sim::{DmaHandle, MemBacking, PageToken, QueuePair, SsdConfig, SsdDevice};
+    use nvme_sim::{
+        DmaHandle, MemBacking, PageToken, QueuePair, SsdConfig, SsdDevice, StorageTopology,
+    };
 
     /// Build a ctrl + device pair wired through real queue pairs.
     fn rig(qps: usize, depth: u32) -> (Arc<AgileCtrl>, SsdDevice) {
@@ -621,77 +738,178 @@ mod tests {
         }
     }
 
+    /// The stall of `step`, or a panic.
+    fn stall(step: WarpStep) -> (Cycles, Wait) {
+        match step {
+            WarpStep::Stall { retry_after, wait } => (retry_after, wait),
+            other => panic!("expected a stall, got {other:?}"),
+        }
+    }
+
+    /// Step `warp` from `now` on, sweep by sweep, until the service has
+    /// made `completions`; returns that step and when it was made.
+    fn step_until(
+        warp: &mut dyn WarpKernel,
+        service: &AgileService,
+        completions: u64,
+        mut now: u64,
+    ) -> (WarpStep, u64) {
+        loop {
+            let step = warp.step(&ctx_at(now));
+            if service.stats().completions == completions {
+                return (step, now);
+            }
+            match step {
+                WarpStep::Busy(cost) => now += cost.raw(),
+                WarpStep::Stall { retry_after, wait } if wait.sleeper.is_none() => {
+                    now += retry_after.raw()
+                }
+                other => panic!("expected a sweep towards it, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn an_idle_service_warp_sleeps_until_a_post_the_backoff_cell_or_a_stop() {
-        let (ctrl, mut dev) = rig(4, 64);
+        // A ctrl over a storage topology, so the service looks ahead by the
+        // devices' `min_post_latency`.
+        let cfg = AgileConfig::small_test()
+            .with_queue_pairs(4)
+            .with_queue_depth(64);
+        let topology = Arc::new(StorageTopology::new(1));
+        let queues = topology.register_queues(4, 64);
+        let ctrl = Arc::new(AgileCtrl::with_topology(cfg, queues, Arc::clone(&topology)));
         let service = AgileService::new(Arc::clone(&ctrl));
         let hub = Arc::clone(ctrl.io().wake_hub());
+        let lookahead = topology.min_post_latency().raw();
+        let cq = |q: usize| Arc::clone(&ctrl.io().device_queues(0)[q].queue_pair().cq);
+        let issue = |warp: u64, now: u64| {
+            let read = ctrl.raw_read(warp, 0, 7, DmaHandle::new(), Barrier::new(), Cycles(now));
+            assert_eq!(read.1, crate::ctrl::IssueOutcome::Issued);
+        };
         // One warp of two: its rotation visits CQs 0 and 2.
         let factory = AgileServiceKernel::new(Arc::clone(&service), 2, 2);
         let mut warp = factory.create_warp(0, 0);
         let backoff = ctrl.idle_backoff_cell().load();
-        let (retry_after, sleeper) = match warp.step(&ctx_at(0)) {
-            WarpStep::Stall { retry_after, wait } => {
-                assert_eq!(wait.reason, WaitReason::ServiceIdle);
-                (retry_after, wait.sleeper.expect("every CQ is empty"))
-            }
-            other => panic!("expected an idle stall, got {other:?}"),
-        };
-        assert_eq!(retry_after, Cycles(backoff), "the grid is the backoff");
         let mut fired = Vec::new();
 
-        // 1. A write to the backoff cell: the grid changes, so the warp is
-        //    woken to pick the new interval up at its next grid point.
-        hub.park(sleeper);
+        // 1. Nothing in flight: it sleeps until a post, with no deadline.
+        let (retry_after, wait) = stall(warp.step(&ctx_at(0)));
+        assert_eq!(
+            (wait.reason, wait.until, retry_after),
+            (WaitReason::ServiceIdle, None, Cycles(backoff)),
+            "the grid is the backoff"
+        );
+        let idle = wait.sleeper.expect("every CQ is empty");
+
+        // A write to the backoff cell: the grid changes, so the warp is
+        // woken to pick the new interval up at its next grid point.
+        hub.park(idle);
         ctrl.idle_backoff_cell().store(4 * backoff);
         hub.drain(&mut fired, &mut Vec::new());
-        assert_eq!(fired, [sleeper]);
+        assert_eq!(fired, [idle]);
         // The engine steps it on its grid, four intervals on; the rotation
         // moves with the three sweeps it slept through, which count nowhere.
-        match warp.step(&ctx_at(4 * backoff)) {
-            WarpStep::Stall { retry_after, wait } => {
-                assert_eq!(retry_after, Cycles(4 * backoff), "the new interval");
-                assert_eq!(wait.sleeper, Some(sleeper));
-            }
-            other => panic!("expected an idle stall, got {other:?}"),
-        }
+        let (retry_after, wait) = stall(warp.step(&ctx_at(4 * backoff)));
+        assert_eq!(
+            (retry_after, wait.sleeper),
+            (Cycles(4 * backoff), Some(idle))
+        );
         assert_eq!(service.stats().idle_rounds, 2, "the sweeps made");
 
-        // 2. A completion posted to a CQ of its rotation (queue 2: warp 2
-        //    homes there), not to one of the other warp's (queue 1).
-        hub.park(sleeper);
-        let issue = |warp: u64| {
-            let (_, o) = ctrl.raw_read(warp, 0, 7, DmaHandle::new(), Barrier::new(), Cycles(0));
-            assert_eq!(o, crate::ctrl::IssueOutcome::Issued);
-        };
-        issue(1);
-        let mut now = Cycles(0);
-        let posted = |q: usize| ctrl.io().device_queues(0)[q].queue_pair().cq.total_posted();
-        while posted(1) == 0 {
-            now += Cycles(10_000);
-            dev.advance_to(now);
+        // A completion posted to a CQ of its rotation (queue 2: warp 2 homes
+        // there) wakes it, one posted to the other warp's (queue 1) does not.
+        hub.park(idle);
+        let mut now = 4 * backoff;
+        issue(1, now);
+        while cq(1).total_posted() == 0 {
+            now += 10_000;
+            topology.advance_to(Cycles(now));
         }
         assert!(!hub.has_fired(), "queue 1 is the other warp's");
-        issue(2);
-        while posted(2) == 0 {
-            now += Cycles(10_000);
-            dev.advance_to(now);
+        issue(2, now);
+        while cq(2).total_posted() == 0 {
+            now += 10_000;
+            topology.advance_to(Cycles(now));
         }
         hub.drain(&mut fired, &mut Vec::new());
-        assert_eq!(fired, [sleeper]);
-        // With a completion waiting in its rotation the warp keeps sweeping.
-        let woke_at = (now.raw() / (4 * backoff) + 1) * 4 * backoff;
-        assert!(matches!(warp.step(&ctx_at(woke_at)), WarpStep::Busy(_)));
+        assert_eq!(fired, [idle]);
+        // Woken on its grid (multiples of the interval), it sweeps to the
+        // completion. The sweep that retires it was busy, and the rotation
+        // holds nothing more: it sleeps until a post again, its grid
+        // starting where that sweep's cost is spent.
+        let woke_at = (now / (4 * backoff) + 1) * 4 * backoff;
+        let (step, at) = step_until(&mut *warp, &service, 1, woke_at);
+        let (retry_after, wait) = stall(step);
+        assert_eq!(
+            (wait.reason, wait.sleeper),
+            (WaitReason::ServiceIdle, Some(idle))
+        );
+        assert_eq!(retry_after, Cycles(4 * backoff));
+        let poll_round = ctrl.config().costs.api.agile_service_poll_round;
+        assert_eq!(wait.busy_until, Some(Cycles(at + poll_round)));
+        let grid = at + poll_round;
 
-        // 3. A stop request.
-        hub.park(sleeper);
+        // 2. A completion the device has scheduled within the lookahead: the
+        //    warp reads when it posts off its CQ and sleeps, on a second
+        //    sleeper, to the first sweep that will find it.
+        issue(0, grid);
+        now = grid;
+        while cq(0).next_post() == u64::MAX {
+            now += 1_000;
+            topology.advance_to(Cycles(now));
+        }
+        let post = cq(0).next_post();
+        let every = 4 * backoff;
+        // Polled on its grid more than the lookahead before the post: a
+        // command not fetched yet could post before it, so the warp does
+        // not sleep to it but until a post.
+        let early = grid + (post - lookahead - 1 - grid) / every * every;
+        assert!(early + 2 * lookahead > post, "within twice the lookahead");
+        topology.advance_to(Cycles(early));
+        let (_, wait) = stall(warp.step(&ctx_at(early)));
+        assert_eq!((wait.reason, wait.until), (WaitReason::ServiceIdle, None));
+        // Polled on its grid a little before the post: the sweep there finds
+        // nothing, and so would the next; the one after the post visiting
+        // CQ 0 will find it.
+        let poll = grid + (post - every - grid) / every * every - every;
+        topology.advance_to(Cycles(poll));
+        assert_eq!(cq(0).total_posted(), 0);
+        let (retry_after, wait) = stall(warp.step(&ctx_at(poll)));
+        assert_eq!(
+            (wait.reason, retry_after),
+            (WaitReason::ServiceAhead, Cycles(every))
+        );
+        let ahead = wait.sleeper.expect("parkable");
+        assert_ne!(ahead, idle, "a sleeper that no post wakes");
+        let until = wait.until.expect("a deadline").raw();
+        assert!(
+            until >= post && until < poll + lookahead,
+            "{poll} {post} {until}"
+        );
+        assert!([poll + 3 * every, poll + 4 * every].contains(&until));
+        assert_eq!(wait.busy_until, None, "an idle sweep");
+        // The post itself does not wake it …
+        hub.park(ahead);
+        topology.advance_to(Cycles(until));
+        assert_eq!(cq(0).total_posted(), 1);
+        assert!(!hub.has_fired(), "the deadline is the wake");
+        hub.unpark(ahead);
+        // … its deadline does, and the sweep there retires the completion.
+        let (step, at) = step_until(&mut *warp, &service, 2, until);
+        assert_eq!(at, until, "the sweep at the deadline finds it");
+        assert_eq!(stall(step).1.reason, WaitReason::ServiceIdle);
+
+        // 3. The backoff cell and a stop request wake either sleeper.
+        hub.park(ahead);
+        ctrl.idle_backoff_cell().store(backoff);
+        hub.drain(&mut fired, &mut Vec::new());
+        assert_eq!(fired, [ahead]);
+        hub.park(idle);
         ctrl.request_service_stop();
         hub.drain(&mut fired, &mut Vec::new());
-        assert_eq!(fired, [sleeper]);
-        assert!(matches!(
-            warp.step(&ctx_at(woke_at + 4 * backoff)),
-            WarpStep::Done
-        ));
+        assert_eq!(fired, [idle]);
+        assert!(matches!(warp.step(&ctx_at(until + every)), WarpStep::Done));
     }
 
     #[test]

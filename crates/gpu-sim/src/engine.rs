@@ -69,10 +69,25 @@
 //! back to idle in the hub; a waiter woken by its own sleeper leaves the
 //! queue first. The index is rebuilt where the sleepers' positions are (run
 //! start, after compaction) and emptied when `FullScan` unparks everything.
+//! A parked wait may also carry a **deadline** (`Wait::until`, a point of the
+//! warp's grid): the engine keeps a ready-queue entry there and wakes the
+//! warp at it with no producer, booking the stall of the polls before it. A
+//! notification that ends the sleep first leaves that entry **stale** — the
+//! warp is no longer parked, or parked with another deadline, and its
+//! `ready_at` is elsewhere — and a stale entry is skipped without a round of
+//! its own; a batch holding a deadline and a wake at the same point steps the
+//! warp once. A stall may also start with a **busy prefix**
+//! (`Wait::after_busy(t)`): the time up to `t` is booked as busy and the
+//! grid starts at `t` itself, where it otherwise starts one interval after
+//! the step; a polling scheduler steps the warp at `t`. A service warp uses
+//! both: it reads off the devices' schedule which sweep will find a
+//! completion and sleeps to it, also after a sweep that found some.
+//!
 //! Two things follow for the loop itself: while a warp sleeps on a wait only
-//! a *device* can end (an idle service warp), rounds also visit shard-device
-//! event times — its wake point is the first of its grid after the
-//! completion, so the clock may not jump past that; and a warp placed in
+//! a *device* can end (a service warp asleep until a post, with nothing in
+//! flight for it), rounds also visit shard-device event times — its wake
+//! point is the first of its grid after the completion, so the clock may not
+//! jump past that (a deadline needs no such visits); and a warp placed in
 //! mid-run steps at the next time a polling scheduler would have run a
 //! round, sleepers' polls included.
 //!
@@ -172,11 +187,13 @@ pub struct KernelReport {
     pub id: u32,
     /// Total warps executed.
     pub warps: u64,
-    /// Sum of busy cycles across warps.
+    /// Sum of busy cycles across warps (including the busy prefixes of
+    /// stalls, [`Wait::after_busy`]).
     pub busy_cycles: u64,
     /// Sum of stall cycles across warps — simulated time, so the polls a
     /// sleeping warp skipped count as if they had been made, and both
-    /// schedulers report the same value.
+    /// schedulers report the same value. The AGILE service's idle sweeps
+    /// are stall time: a sweep that finds nothing and sleeps on stalls.
     pub stall_cycles: u64,
     /// `step` invocations executed: the polls a sleeping warp skipped are
     /// not among them, so this depends on the scheduler, as `rounds` does.
@@ -645,24 +662,45 @@ impl Engine {
         now: Cycles,
         notifier: Option<(usize, usize)>,
     ) {
-        let w = &mut self.sms[sm_idx].warps[widx];
         let every = p.every.raw();
-        let mut k = (now - p.since).raw().div_ceil(every).max(1);
-        let on_grid = p.since.raw() + k * every == now.raw();
+        let mut k = now.saturating_sub(p.next).raw().div_ceil(every);
+        let on_grid = p.next.raw() + k * every == now.raw();
         if on_grid && notifier.is_some_and(|n| (sm_idx, widx) < n) {
             k += 1;
         }
-        self.kernels[w.kernel_idx].stall += p.every * (k - 1);
-        let on_devices = w.wait.is_some_and(|w| w.reason.ends_on_device_event());
-        w.parked = None;
-        w.ready_at = p.since + p.every * k;
+        let at = p.next + p.every * k;
+        self.unpark(sm_idx, widx, p, at);
         self.woke = true;
-        self.parked -= 1;
-        self.parked_on_devices -= on_devices as usize;
-        if w.ready_at == now && notifier.is_some() {
+        if at == now && notifier.is_some() {
             self.woken_now.push(Reverse((sm_idx, widx)));
         } else {
-            self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx)));
+            self.ready.push(Reverse((at.raw(), sm_idx, widx)));
+        }
+    }
+
+    /// Take the parked warp `(sm_idx, widx)` off the books of the parked,
+    /// due at `at`, a point of its grid: book the stall time of the polls
+    /// before it.
+    fn unpark(&mut self, sm_idx: usize, widx: usize, p: Parked, at: Cycles) {
+        let w = &mut self.sms[sm_idx].warps[widx];
+        let polls = at.saturating_sub(p.next).raw() / p.every.raw();
+        self.kernels[w.kernel_idx].stall += p.every * polls;
+        let on_devices = w.wait.is_some_and(|w| w.reason.ends_on_device_event());
+        w.parked = None;
+        w.ready_at = at;
+        self.parked -= 1;
+        self.parked_on_devices -= on_devices as usize;
+    }
+
+    /// True when the ready-queue entry `(at, sm_idx, widx)` still stands: the
+    /// warp's own wake time, or the deadline ([`Wait::until`]) of the sleep
+    /// it is in. The deadline of a sleep a notification ended early is
+    /// stale.
+    fn live_entry(&self, at: u64, sm_idx: usize, widx: usize) -> bool {
+        let w = &self.sms[sm_idx].warps[widx];
+        match w.parked {
+            Some(p) => p.until == Some(Cycles(at)),
+            None => w.done || w.ready_at.raw() == at,
         }
     }
 
@@ -675,24 +713,30 @@ impl Engine {
         let waiters = self.queues[queue.0 as usize]
             .as_mut()
             .expect("a queue somebody waits in");
-        waiters.remove(p.since, sm_idx, widx);
+        waiters.remove(p.since(), sm_idx, widx);
         waiters.handle.leave();
     }
 
     /// The end of a run: a warp still asleep would have been polled at every
     /// point of its grid up to and including `now` (the last round steps
-    /// every warp that is due). Book their stall time and move the grid's
-    /// origin to the last point booked, so that a wake in a later run books
-    /// only what follows it.
+    /// every warp that is due). Book their stall time and move the grid on
+    /// past the last point booked, so that a wake in a later run books only
+    /// what follows it.
     fn book_sleeping_stall(&mut self, now: Cycles) {
         for sm in &mut self.sms {
             for w in &mut sm.warps {
                 let Some(p) = &mut w.parked else {
                     continue;
                 };
-                let polls = (now - p.since).raw() / p.every.raw();
+                if now < p.next {
+                    continue;
+                }
+                let polls = (now - p.next).raw() / p.every.raw() + 1;
                 self.kernels[w.kernel_idx].stall += p.every * polls;
-                p.since += p.every * polls;
+                p.next += p.every * polls;
+                // A run cut short (deadlock, cycle limit) may end past a
+                // deadline it never reached: it falls on the next poll.
+                p.until = p.until.map(|at| at.max(p.next));
             }
         }
     }
@@ -707,7 +751,13 @@ impl Engine {
             .iter()
             .flat_map(|sm| sm.warps.iter())
             .filter_map(|w| w.parked)
-            .map(|p| p.since + p.every * ((now - p.since).raw() / p.every.raw() + 1))
+            .map(|p| {
+                if now < p.next {
+                    p.next
+                } else {
+                    p.next + p.every * ((now - p.next).raw() / p.every.raw() + 1)
+                }
+            })
             .min()
     }
 
@@ -719,9 +769,9 @@ impl Engine {
                 let Some(p) = w.parked.take() else {
                     continue;
                 };
-                let k = (now - p.since).raw().div_ceil(p.every.raw()).max(1);
-                self.kernels[w.kernel_idx].stall += p.every * (k - 1);
-                w.ready_at = p.since + p.every * k;
+                let k = now.saturating_sub(p.next).raw().div_ceil(p.every.raw());
+                self.kernels[w.kernel_idx].stall += p.every * k;
+                w.ready_at = p.next + p.every * k;
                 if let Some(hub) = &self.hub {
                     hub.unpark(p.sleeper);
                 }
@@ -795,13 +845,26 @@ impl Engine {
             }
             WarpStep::Stall { retry_after, wait } => {
                 let r = retry_after.max(Cycles(1));
-                self.kernels[w.kernel_idx].stall += r;
+                // The grid starts where a busy prefix ends, else one
+                // interval on.
+                let busy_until = wait.busy_until.filter(|&t| t > now);
+                let next = match busy_until {
+                    Some(t) => {
+                        self.kernels[w.kernel_idx].busy += t - now;
+                        t
+                    }
+                    None => {
+                        self.kernels[w.kernel_idx].stall += r;
+                        now + r
+                    }
+                };
                 w.wait = Some(wait);
-                w.ready_at = now + r;
-                if self.parking && self.park(sm_idx, widx, wait, now, r) {
-                    (None, false)
+                w.ready_at = next;
+                let progress = busy_until.is_some();
+                if self.parking && self.park(sm_idx, widx, wait, next, r) {
+                    (None, progress)
                 } else {
-                    (Some(now + r), false)
+                    (Some(next), progress)
                 }
             }
             WarpStep::Done => {
@@ -820,13 +883,21 @@ impl Engine {
         }
     }
 
-    /// Park the warp `(sm_idx, widx)`, which stalled at `now` with `wait`
-    /// asking to be retried every `every`, if `wait` is parkable: off the
+    /// Park the warp `(sm_idx, widx)`, whose stall with `wait` asks to be
+    /// retried at `next`, `next + every`, …, if `wait` is parkable: off the
     /// ready queue until its sleeper is notified (or, for a queued wait, a
-    /// unit of its queue is handed to it). False when it has to be polled
-    /// instead — no sleeper, or a queue whose waiters retry on another
-    /// interval (the queue's order of waiters holds for one interval only).
-    fn park(&mut self, sm_idx: usize, widx: usize, wait: Wait, now: Cycles, every: Cycles) -> bool {
+    /// unit of its queue is handed to it, or its deadline comes). False when
+    /// it has to be polled instead — no sleeper, or a queue whose waiters
+    /// retry on another interval (the queue's order of waiters holds for one
+    /// interval only) or that it would join after a busy prefix.
+    fn park(
+        &mut self,
+        sm_idx: usize,
+        widx: usize,
+        wait: Wait,
+        next: Cycles,
+        every: Cycles,
+    ) -> bool {
         let (Some(id), Some(hub)) = (wait.sleeper, &self.hub) else {
             return false;
         };
@@ -837,18 +908,27 @@ impl Engine {
             }
             let waiters =
                 self.queues[slot].get_or_insert_with(|| QueueWaiters::new(hub.queue(queue)));
-            if !waiters.accepts(every.raw()) {
+            if wait.busy_until.is_some() || !waiters.accepts(every.raw()) {
                 return false;
             }
-            waiters.insert(now, sm_idx, widx);
+            waiters.insert(next - every, sm_idx, widx);
             waiters.handle.join();
+        }
+        // The deadline, on the grid: woken there through the ready queue.
+        let until = wait.until.map(|at| {
+            let polls = at.saturating_sub(next).raw().div_ceil(every.raw());
+            next + every * polls
+        });
+        if let Some(at) = until {
+            self.ready.push(Reverse((at.raw(), sm_idx, widx)));
         }
         // Pure retries: off the ready queue until notified.
         self.sms[sm_idx].warps[widx].parked = Some(Parked {
-            since: now,
+            next,
             every,
             sleeper: id,
             queue: wait.queue,
+            until,
         });
         if self.sleeper_warp.len() <= id.0 as usize {
             self.sleeper_warp.resize(id.0 as usize + 1, (0, 0));
@@ -895,8 +975,11 @@ impl Engine {
                         self.sleeper_warp[p.sleeper.0 as usize] = (sm_idx, widx);
                         if let Some(queue) = p.queue {
                             if let Some(waiters) = &mut self.queues[queue.0 as usize] {
-                                waiters.insert(p.since, sm_idx, widx);
+                                waiters.insert(p.since(), sm_idx, widx);
                             }
+                        }
+                        if let Some(at) = p.until {
+                            self.ready.push(Reverse((at.raw(), sm_idx, widx)));
                         }
                     }
                     None if !w.done => self.ready.push(Reverse((w.ready_at.raw(), sm_idx, widx))),
@@ -931,19 +1014,34 @@ impl Engine {
             // 2. Pop every warp that is due and step the batch in SM/slot
             //    order — the exact order the scan scheduler visits warps, so
             //    equal-time steps interleave identically.
+            //    A warp whose sleep ends at its deadline wakes here; the
+            //    deadline of a sleep that already ended is stale.
             batch.clear();
+            let (mut steps, mut stale) = (0u64, 0u64);
             while let Some(&Reverse((t, sm_idx, widx))) = self.ready.peek() {
                 if t > now.raw() {
                     break;
                 }
                 self.ready.pop();
+                if !self.live_entry(t, sm_idx, widx) {
+                    stale += 1;
+                    continue;
+                }
+                if let Some(p) = self.sms[sm_idx].warps[widx].parked {
+                    self.leave_queue(p, sm_idx, widx);
+                    if let Some(hub) = &self.hub {
+                        hub.unpark(p.sleeper);
+                    }
+                    self.unpark(sm_idx, widx, p, Cycles(t));
+                }
                 batch.push((sm_idx, widx));
             }
             batch.sort_unstable();
+            // A deadline and a wake at the same point are one step.
+            batch.dedup();
 
             let mut progressed = false;
             retired_blocks.clear();
-            let (mut steps, mut stale) = (0u64, 0u64);
             let mut due = batch.iter().copied().peekable();
             loop {
                 // The next warp in (sm, slot) order: from the batch, or one a
@@ -1018,7 +1116,17 @@ impl Engine {
                 self.ready.pop();
                 placed_now.push(e);
             }
-            let next_warp = self.ready.peek().map(|Reverse((t, _, _))| Cycles(*t));
+            // A stale deadline must not call a round of its own.
+            let next_warp = loop {
+                let Some(&Reverse((t, sm_idx, widx))) = self.ready.peek() else {
+                    break None;
+                };
+                if self.live_entry(t, sm_idx, widx) {
+                    break Some(Cycles(t));
+                }
+                self.ready.pop();
+                self.m_stale += 1;
+            };
             let nothing_scheduled = placed_now.is_empty() && next_warp.is_none();
             let need_dev_wake =
                 !placed_now.is_empty() || next_warp.is_none() || self.parked_on_devices > 0;
@@ -2040,6 +2148,190 @@ mod tests {
             // Raised at 1 400: the sleeper's grid (…, 1 200, 1 500) says 1 500.
             assert_eq!(*rig.woke.lock().unwrap(), [(0, 1_500)], "{sched:?}");
             assert_eq!(second.kernels[0].stall_cycles, 1_500, "{sched:?}");
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Deadlines and busy prefixes
+    // ------------------------------------------------------------------
+
+    /// Parks on its first step with a deadline `polls` grid points on — its
+    /// grid `every` apart, from the end of a `busy` prefix when that is
+    /// non-zero — re-polls purely until the flag is up or the deadline has
+    /// come, then logs `(sleeper, now)` to `rig.woke`, is busy for 1 000
+    /// cycles and ends.
+    struct Napper {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        id: SleeperId,
+        every: u64,
+        busy: u64,
+        polls: u64,
+        deadline: Option<u64>,
+        woke: bool,
+    }
+
+    impl crate::kernel::WarpKernel for Napper {
+        fn step(&mut self, ctx: &WarpCtx) -> WarpStep {
+            let now = ctx.now.raw();
+            if self.woke {
+                return WarpStep::Done;
+            }
+            let deadline = match self.deadline {
+                Some(at) if now >= at || self.rig.flag.load(Ordering::SeqCst) != 0 => {
+                    self.woke = true;
+                    self.rig.woke.lock().unwrap().push((self.id.0, now));
+                    return WarpStep::Busy(Cycles(1_000));
+                }
+                Some(at) => at,
+                None => {
+                    self.rig.watchers.watch(&self.hub, self.id);
+                    let first = now + if self.busy > 0 { self.busy } else { self.every };
+                    *self.deadline.insert(first + self.polls * self.every)
+                }
+            };
+            let mut wait = Wait::parked(WaitReason::ServiceAhead, self.id).until(Cycles(deadline));
+            if self.busy > 0 && now + self.busy < deadline {
+                wait = wait.after_busy(ctx.now + Cycles(self.busy));
+                self.busy = 0; // only the parking step is busy first
+            }
+            WarpStep::Stall {
+                retry_after: Cycles(self.every),
+                wait,
+            }
+        }
+    }
+
+    struct Nappers {
+        rig: Arc<Rig>,
+        hub: Arc<WakeHub>,
+        every: u64,
+        busy: u64,
+        polls: u64,
+    }
+
+    impl KernelFactory for Nappers {
+        fn create_warp(&self, _b: u32, _w: u32) -> Box<dyn crate::kernel::WarpKernel> {
+            Box::new(Napper {
+                rig: Arc::clone(&self.rig),
+                hub: Arc::clone(&self.hub),
+                id: self.hub.register(),
+                every: self.every,
+                busy: self.busy,
+                polls: self.polls,
+                deadline: None,
+                woke: false,
+            })
+        }
+        fn name(&self) -> &str {
+            "nappers"
+        }
+    }
+
+    /// One napper (grid 100 from the end of a 30-cycle busy prefix, deadline
+    /// at 330) and, when `raise_at` is set, a raiser on the next SM. Returns
+    /// the wake times, the napper kernel's `(busy, stall, steps)`, the end
+    /// of the run and its rounds.
+    fn nap_case(
+        sched: EngineSched,
+        raise_at: Option<u64>,
+    ) -> (Vec<(u32, u64)>, [u64; 3], u64, u64) {
+        let rig = Arc::new(Rig::default());
+        let hub = WakeHub::new();
+        let mut eng = Engine::new(GpuConfig::tiny(2));
+        eng.set_scheduler(sched);
+        eng.set_wake_hub(Arc::clone(&hub));
+        let one_block = LaunchConfig::new(1, 32).with_registers(16);
+        eng.launch(
+            one_block.clone(),
+            Box::new(Nappers {
+                rig: Arc::clone(&rig),
+                hub,
+                every: 100,
+                busy: 30,
+                polls: 3,
+            }),
+        );
+        if let Some(after) = raise_at {
+            eng.launch(
+                one_block,
+                Box::new(Raiser {
+                    rig: Arc::clone(&rig),
+                    after,
+                }),
+            );
+        }
+        let report = eng.run();
+        assert!(!report.deadlocked);
+        let k = report.kernel("nappers").unwrap();
+        let woke = rig.woke.lock().unwrap().clone();
+        let books = [k.busy_cycles, k.stall_cycles, k.steps];
+        (woke, books, report.elapsed.raw(), report.rounds)
+    }
+
+    #[test]
+    fn a_parked_warp_wakes_at_its_deadline_with_no_notification() {
+        let (woke, [busy, stall, steps], end, rounds) = nap_case(EngineSched::EventQueue, None);
+        assert_eq!((&woke[..], end), (&[(0, 330)][..], 1_330), "the deadline");
+        // Busy 0..30 (the prefix) and 330..1 330; stalled 30..330, the polls
+        // at 30, 130 and 230 never made.
+        assert_eq!((busy, stall, steps), (1_030, 300, 3));
+        assert_eq!(rounds, 3, "t = 0, the deadline, the end");
+        // The scan polls at every grid point and books the same time.
+        let (polled, [p_busy, p_stall, p_steps], p_end, _) = nap_case(EngineSched::FullScan, None);
+        assert_eq!((polled, p_busy, p_stall, p_end), (woke, busy, stall, end));
+        assert_eq!(p_steps, 3 + 3);
+    }
+
+    #[test]
+    fn a_notification_before_the_deadline_wakes_on_the_grid_and_the_deadline_goes_stale() {
+        // Raised at 150: the grid from 30 says 230. The deadline entry at
+        // 330 is stale by then; the warp, busy until 1 230, is not stepped
+        // there, and no round is spent on it.
+        let (woke, books, end, rounds) = nap_case(EngineSched::EventQueue, Some(150));
+        assert_eq!((&woke[..], end), (&[(0, 230)][..], 1_230));
+        assert_eq!(books, [1_030, 200, 3]);
+        assert_eq!(rounds, 4, "t = 0, the raise, the wake, the end");
+        let (polled, p_books, p_end, _) = nap_case(EngineSched::FullScan, Some(150));
+        assert_eq!((polled, &p_books[..2], p_end), (woke, &books[..2], end));
+    }
+
+    #[test]
+    fn a_deadline_survives_a_run_boundary() {
+        // A persistent napper (grid 300 from 300, deadline 1 800) sleeps
+        // through the end of a run at 1 000 and wakes at its deadline in
+        // the next one, its stall booked once.
+        for sched in [EngineSched::EventQueue, EngineSched::FullScan] {
+            let rig = Arc::new(Rig::default());
+            let hub = WakeHub::new();
+            let mut eng = Engine::new(GpuConfig::tiny(2));
+            eng.set_scheduler(sched);
+            eng.set_wake_hub(Arc::clone(&hub));
+            eng.launch(
+                LaunchConfig::new(1, 32).with_registers(16).persistent(),
+                Box::new(Nappers {
+                    rig: Arc::clone(&rig),
+                    hub,
+                    every: 300,
+                    busy: 0,
+                    polls: 5,
+                }),
+            );
+            let compute = |cycles| {
+                Box::new(ComputeOnlyKernel {
+                    cycles_per_warp: Cycles(cycles),
+                    steps: 1,
+                })
+            };
+            let one_block = LaunchConfig::new(1, 32).with_registers(16);
+            eng.launch(one_block.clone(), compute(1_000));
+            let first = eng.run();
+            assert_eq!(first.kernels[0].stall_cycles, 1_200, "{sched:?}");
+            eng.launch(one_block, compute(2_000));
+            let second = eng.run();
+            assert_eq!(*rig.woke.lock().unwrap(), [(0, 1_800)], "{sched:?}");
+            assert_eq!(second.kernels[0].stall_cycles, 1_800, "{sched:?}");
+            assert_eq!(second.kernels[0].busy_cycles, 1_000, "{sched:?}");
         }
     }
 

@@ -165,6 +165,12 @@ pub enum WarpStep {
     ///   full device): each granted unit wakes, by the same rule, the one
     ///   waiter whose grid reaches a poll first. A queue's waiters share one
     ///   grid interval; a warp on another one is polled.
+    /// * [`Wait::until`] on a parked wait — the retries are pure only up to
+    ///   a deadline on the grid, where the engine wakes the warp without a
+    ///   producer.
+    /// * [`Wait::after_busy`] — the step was busy until a time past `now`
+    ///   first: that is busy time, and the grid starts there instead of one
+    ///   `retry_after` on.
     ///
     /// A parked warp is indistinguishable in simulated time from one that
     /// was polled, and its poll counts are at most the polled ones —

@@ -13,19 +13,30 @@ use agile_sim::wake::{QueueId, SleeperId, Wait};
 use agile_sim::Cycles;
 
 /// A warp the engine keeps off the ready queue: it stalled with a parkable
-/// [`Wait`] and sleeps until its sleeper is notified. Its retry grid is
-/// `since + k · every`, `k ≥ 1`.
+/// [`Wait`] and sleeps until its sleeper is notified (or its deadline comes).
+/// Its retry grid is `next + k · every`, `k ≥ 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parked {
-    /// The last grid point whose stall time is booked: the poll that parked
-    /// the warp, or the end of a run it slept through.
-    pub since: Cycles,
+    /// The first grid point whose poll is not booked yet: one interval after
+    /// the poll that parked the warp (or where [`Wait::after_busy`] put
+    /// it), moved on past the end of a run it slept through.
+    pub next: Cycles,
     /// Grid spacing (the stall's `retry_after`).
     pub every: Cycles,
     /// The sleeper that wakes it.
     pub sleeper: SleeperId,
     /// The counting queue it also waits in ([`Wait::queued`]).
     pub queue: Option<QueueId>,
+    /// The grid point it wakes at without a notification ([`Wait::until`]).
+    pub until: Option<Cycles>,
+}
+
+impl Parked {
+    /// The parking poll of a queued wait (queued waits start their grid one
+    /// interval after it).
+    pub fn since(&self) -> Cycles {
+        self.next - self.every
+    }
 }
 
 /// One warp resident on an SM.

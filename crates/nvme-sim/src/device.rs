@@ -7,7 +7,10 @@
 //! 1. software writes commands into SQ slots and rings the SQ tail doorbell;
 //! 2. after a command-fetch latency the device pulls entries in ring order,
 //!    assigns each to the least-loaded flash channel and schedules its
-//!    completion at `max(fetch_done, channel_free) + service + overhead`;
+//!    completion at `max(fetch_done, channel_free) + service +`
+//!    [`SsdCosts::post_delay`] (the formula is in [`SsdCosts`]), publishing
+//!    each CQ's earliest scheduled completion
+//!    ([`crate::CompletionQueue::next_post`]);
 //! 3. at completion time the device performs the DMA (page token transfer)
 //!    and posts a CQE — with the correct phase tag — into the paired CQ,
 //!    *unless* the CQ is full, in which case the completion is parked until
@@ -215,6 +218,10 @@ struct CqCursor {
     phase: bool,
     /// Completions waiting for CQ space.
     parked: VecDeque<PendingCompletion>,
+    /// Completion times scheduled for this CQ and not yet fired, in order
+    /// (they come nearly in order, so inserting from the back and firing
+    /// from the front are cheap).
+    scheduled: VecDeque<u64>,
 }
 
 impl Default for CqCursor {
@@ -225,6 +232,18 @@ impl Default for CqCursor {
             // (phase 0) entries are never mistaken for valid completions.
             phase: true,
             parked: VecDeque::new(),
+            scheduled: VecDeque::new(),
+        }
+    }
+}
+
+impl CqCursor {
+    /// What [`crate::CompletionQueue::next_post`] publishes for this CQ.
+    fn next_post(&self) -> u64 {
+        if self.parked.is_empty() {
+            self.scheduled.front().copied().unwrap_or(u64::MAX)
+        } else {
+            0
         }
     }
 }
@@ -512,13 +531,17 @@ impl SsdDevice {
             .enumerate()
             .min_by_key(|(_, busy)| *busy)
             .expect("device has at least one channel");
-        let overhead = self.ns_to_cycles(costs.controller_overhead);
         let service = self.ns_to_cycles(service_ns);
         let start = at.max(ch_free);
         let flash_done = start + service;
         self.channels[ch_idx] = flash_done;
-        let completion_at = flash_done + overhead + self.ns_to_cycles(costs.completion_post);
+        let completion_at = flash_done + costs.post_delay(self.cfg.clock_ghz);
 
+        let cursor = &mut self.cq_cursors[qid as usize];
+        let at = completion_at.raw();
+        let after = cursor.scheduled.iter().rposition(|&t| t <= at);
+        cursor.scheduled.insert(after.map_or(0, |i| i + 1), at);
+        self.publish_next_post(qid as usize);
         let sq_head = self.qps[qid as usize].sq.head() as u16;
         self.events.schedule(
             completion_at,
@@ -551,7 +574,23 @@ impl SsdDevice {
     /// A command finished flash service: DMA its data and post the CQE.
     fn complete(&mut self, pending: PendingCompletion, at: Cycles) {
         self.stats.last_completion = at.raw();
+        let qid = pending.qid as usize;
+        // The first entry, unless a fetch fired in this same advance (the
+        // advance came that late) scheduled an earlier one, which waits for
+        // the next advance.
+        let scheduled = &mut self.cq_cursors[qid].scheduled;
+        let idx = scheduled.iter().position(|&t| t == at.raw());
+        scheduled.remove(idx.expect("a fired completion was scheduled"));
         self.try_post(pending);
+        self.publish_next_post(qid);
+    }
+
+    /// Tell CQ `qid`'s pollers its earliest scheduled completion (its
+    /// schedule just changed).
+    fn publish_next_post(&self, qid: usize) {
+        self.qps[qid]
+            .cq
+            .set_next_post(self.cq_cursors[qid].next_post());
     }
 
     /// Post `pending`, or park it behind a full CQ.
@@ -608,6 +647,9 @@ impl SsdDevice {
             return;
         }
         for qid in 0..self.qps.len() {
+            if self.cq_cursors[qid].parked.is_empty() {
+                continue;
+            }
             while !self.qps[qid].cq.is_full() {
                 let Some(pending) = self.cq_cursors[qid].parked.pop_front() else {
                     break;
@@ -615,6 +657,7 @@ impl SsdDevice {
                 self.parked_total -= 1;
                 self.post(pending);
             }
+            self.publish_next_post(qid);
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::doorbell::DoorbellRegister;
 use crate::spec::{NvmeCommand, NvmeCompletion, QueueId};
 use agile_sim::wake::WatchList;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A submission queue ring.
@@ -118,6 +118,8 @@ pub struct CompletionQueue {
     /// Pollers asleep until something is posted here (a service warp that
     /// found every CQ of its rotation empty).
     watchers: WatchList,
+    /// See [`CompletionQueue::next_post`]; written by the device.
+    next_post: AtomicU64,
 }
 
 impl CompletionQueue {
@@ -132,7 +134,23 @@ impl CompletionQueue {
             posted: AtomicU32::new(0),
             consumed: AtomicU32::new(0),
             watchers: WatchList::new(),
+            next_post: AtomicU64::new(u64::MAX),
         }
+    }
+
+    /// The earliest completion time the device has scheduled for this
+    /// queue, as of its last advance: `0` while a completion is parked
+    /// behind the full queue (it posts once software consumes entries),
+    /// `u64::MAX` when none is scheduled. A command the device has not
+    /// fetched yet is not counted; it posts no sooner than
+    /// [`agile_sim::costs::SsdCosts::post_delay`] after its fetch.
+    pub fn next_post(&self) -> u64 {
+        self.next_post.load(Ordering::Acquire)
+    }
+
+    /// Device side: publish [`CompletionQueue::next_post`].
+    pub(crate) fn set_next_post(&self, at: u64) {
+        self.next_post.store(at, Ordering::Release);
     }
 
     /// The sleepers notified by every [`CompletionQueue::post`]. A poller

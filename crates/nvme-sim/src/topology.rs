@@ -189,6 +189,20 @@ impl DeviceSet {
             .min()
             .unwrap_or(0)
     }
+
+    /// The least time any device takes from fetching a command to posting
+    /// its CQE ([`agile_sim::costs::SsdCosts::post_delay`]; zero for an
+    /// empty set).
+    pub fn min_post_latency(&self) -> Cycles {
+        self.devices
+            .iter()
+            .map(|d| {
+                let dev = d.lock();
+                dev.config().costs.post_delay(dev.config().clock_ghz)
+            })
+            .min()
+            .unwrap_or(Cycles::ZERO)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +319,7 @@ pub struct StorageTopology {
     /// sits on the per-op replay hot path.
     devices: usize,
     global_pages: u64,
+    min_post_latency: Cycles,
 }
 
 impl StorageTopology {
@@ -319,6 +334,7 @@ impl StorageTopology {
         StorageTopology {
             devices: set.len(),
             global_pages: set.len() as u64 * set.min_namespace_pages(),
+            min_post_latency: set.min_post_latency(),
             set,
             lock: TopologyLock::new(DEFAULT_LOCK_HOLD_CYCLES),
         }
@@ -399,6 +415,17 @@ impl StorageTopology {
     /// (`device_count × min(namespace_pages)`).
     pub fn global_pages(&self) -> u64 {
         self.global_pages
+    }
+
+    /// The lookahead bound of a CQ poller: a command whose completion is
+    /// not yet scheduled (not fetched by the last advance, at `t`) is
+    /// fetched at `t` at the earliest (after `t` when `command_fetch` is not
+    /// zero) and posts no sooner than this after its fetch, so every CQE
+    /// posting before `t +` this is already announced by
+    /// [`crate::CompletionQueue::next_post`]. See
+    /// [`DeviceSet::min_post_latency`].
+    pub fn min_post_latency(&self) -> Cycles {
+        self.min_post_latency
     }
 
     /// Map a global page index to its device and device-local page (the

@@ -69,6 +69,16 @@ impl Default for GpuCosts {
 /// paper measures in Figures 5 and 6 (≈3.7 GB/s 4 KiB random read and
 /// ≈2.2 GB/s 4 KiB random write per device); latency and queueing behaviour
 /// are modelled with a channel-parallel flash back-end.
+///
+/// A command rung at `ring` is timed as follows (each term converted to
+/// cycles on its own, rounding as [`Nanos::to_cycles`] does):
+///
+/// * fetch = `ring` + `command_fetch`;
+/// * post = max(fetch, channel free) + pages × page service +
+///   `controller_overhead` + `completion_post`.
+///
+/// So no command posts its CQE sooner than [`SsdCosts::post_delay`] after it
+/// is fetched: the bound a CQ poller may look ahead by.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SsdCosts {
     /// Number of independent flash channels (units of internal parallelism).
@@ -77,17 +87,25 @@ pub struct SsdCosts {
     pub read_page_service: Nanos,
     /// Time to service one 4 KiB write (program) on a channel.
     pub write_page_service: Nanos,
-    /// Fixed controller latency added to every command (command fetch over
-    /// PCIe, FTL lookup, completion DMA).
+    /// Fixed controller latency added to every command after its flash
+    /// service (FTL lookup, data DMA); the fetch is `command_fetch`.
     pub controller_overhead: Nanos,
-    /// Additional fixed latency for the SSD to observe a doorbell write and
-    /// DMA the SQE out of GPU HBM.
+    /// Latency for the SSD to observe a doorbell write and DMA the SQE out
+    /// of GPU HBM.
     pub command_fetch: Nanos,
     /// Time for the completion entry DMA into the CQ in GPU HBM.
     pub completion_post: Nanos,
-    /// Maximum number of commands the device keeps in flight internally;
-    /// beyond this, commands queue inside the controller.
-    pub max_outstanding: u32,
+}
+
+impl SsdCosts {
+    /// The fixed part of every command's time from fetch to CQE post,
+    /// `controller_overhead` + `completion_post`, in cycles at `clock_ghz`:
+    /// what the device adds after flash service, and so the least time any
+    /// command fetched at `t` takes to post (the formula is in the type
+    /// docs).
+    pub fn post_delay(&self, clock_ghz: f64) -> Cycles {
+        self.controller_overhead.to_cycles(clock_ghz) + self.completion_post.to_cycles(clock_ghz)
+    }
 }
 
 impl Default for SsdCosts {
@@ -101,7 +119,6 @@ impl Default for SsdCosts {
             controller_overhead: Nanos::new(6_000),
             command_fetch: Nanos::new(2_000),
             completion_post: Nanos::new(1_000),
-            max_outstanding: 1024,
         }
     }
 }
@@ -138,10 +155,12 @@ pub struct ApiCosts {
     /// (Algorithm 1) — paid by the service warps, not by user threads.
     pub agile_service_poll_round: u64,
     /// AGILE service: cycles a service warp backs off after a polling round
-    /// that found no completion. Purely an idle-loop pacing knob (the
-    /// simulation equivalent of a `__nanosleep` in the persistent kernel's
-    /// empty-poll path): it bounds how often idle service warps wake without
-    /// changing what they observe.
+    /// that found no completion (the simulation equivalent of a
+    /// `__nanosleep` in the persistent kernel's empty-poll path). It spaces
+    /// the warp's sweep grid in simulated time, so it moves pickup latency;
+    /// the idle sweeps on that grid are mostly not executed — a service warp
+    /// reads the devices' scheduled completions and sleeps to the first
+    /// sweep that will find one.
     pub agile_service_idle_backoff: u64,
 }
 

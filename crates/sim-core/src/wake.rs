@@ -19,7 +19,8 @@
 //!
 //! * [`Wait`] / [`WaitReason`] — the `Copy` descriptor a stall carries: why
 //!   the warp waits (also what a stall report prints) and, when it may be
-//!   parked, its sleeper;
+//!   parked, its sleeper — and a deadline on its grid that ends the sleep
+//!   with no producer ([`Wait::until`]);
 //! * [`WakeHub`] — one per simulated host: sleeper registration, the
 //!   parked/fired state machine and the fired list the engine drains;
 //! * [`WaitQueue`] — a *counting* wait queue of a hub, for waits that end
@@ -47,6 +48,7 @@
 //! then it simply parks again. Waking a superset of the warps polling would
 //! serve is always safe; waking fewer would not be.
 
+use crate::clock::Cycles;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -69,8 +71,13 @@ pub enum WaitReason {
     Submit,
     /// It polls a completion queue itself and found nothing.
     Completion,
-    /// A service warp whose completion queues are all empty.
+    /// A service warp whose completion queues are all empty and that sleeps
+    /// until a completion is posted to one of them.
     ServiceIdle,
+    /// A service warp that knows, from the completions the devices have
+    /// scheduled, that its next sweeps find nothing: it sleeps to a
+    /// deadline ([`Wait::until`]), not on a device event.
+    ServiceAhead,
 }
 
 impl WaitReason {
@@ -107,6 +114,12 @@ pub struct Wait {
     /// Set on a parked wait that a unit granted to this counting queue also
     /// ends (see [`Wait::queued`]).
     pub queue: Option<QueueId>,
+    /// Set on a parked wait that also ends at this point of its retry grid
+    /// (see [`Wait::until`]).
+    pub until: Option<Cycles>,
+    /// Set when the stalling step was busy until this time first: its cost
+    /// is busy time and its retry grid starts here (see [`Wait::after_busy`]).
+    pub busy_until: Option<Cycles>,
 }
 
 impl Wait {
@@ -116,6 +129,8 @@ impl Wait {
             reason,
             sleeper: None,
             queue: None,
+            until: None,
+            busy_until: None,
         }
     }
 
@@ -123,9 +138,35 @@ impl Wait {
     /// is notified.
     pub const fn parked(reason: WaitReason, sleeper: SleeperId) -> Self {
         Wait {
-            reason,
             sleeper: Some(sleeper),
-            queue: None,
+            ..Wait::polling(reason)
+        }
+    }
+
+    /// This parked wait, also ended at `at`, which must be a point of the
+    /// warp's retry grid: the re-polls are pure up to but not including the
+    /// one at `at` (unless the sleeper is notified first), so the engine
+    /// wakes the warp there without any producer. A deadline needs no
+    /// notification, so the warp may watch fewer producers — a service warp
+    /// that read off the devices' schedule when a completion will be there
+    /// for it.
+    pub const fn until(self, at: Cycles) -> Self {
+        Wait {
+            until: Some(at),
+            ..self
+        }
+    }
+
+    /// This wait, after a step that was busy until `at` (past the step's own
+    /// time): the engine books the time up to `at` as busy and starts the
+    /// retry grid there — `at`, `at + retry_after`, … — where a stall's grid
+    /// otherwise starts one interval after the step. A polling scheduler
+    /// steps the warp again at `at`, as after a busy step. Not for a queued
+    /// wait.
+    pub const fn after_busy(self, at: Cycles) -> Self {
+        Wait {
+            busy_until: Some(at),
+            ..self
         }
     }
 

@@ -51,13 +51,21 @@
 //! on the storage stack every such pin, and every reservation that is
 //! aborted or reinstated, begins and ends inside one warp step, so only a
 //! holder that keeps it across steps lets a sleeper see it. Counting every
-//! no-line lookup as a full set fails the held-lines tests too.
+//! no-line lookup as a full set fails the held-lines tests too. For the
+//! service lookahead (release build): ignoring `next_post` in the scan of a
+//! service warp's future sweeps fails the replays; moving the rotation on by
+//! one sweep fewer than a woken service warp slept through fails the
+//! replays, the accessor test and `the_service_sleeps_through_its_idle_
+//! sweeps`. Looking ahead twice `min_post_latency` passes here (flash
+//! service keeps every completion further off than that) and fails the
+//! service's own unit test; treating a stale deadline entry as live fails
+//! the engine's deadline tests.
 
 use agile_repro::agile::{AgileConfig, IoStats, ServiceStats};
 use agile_repro::bam::HostBuilder;
 use agile_repro::cache::CacheStats;
 use agile_repro::gpu::{EngineSched, GpuConfig, LaunchConfig};
-use agile_repro::sim::{TraceEvent, TraceEventKind};
+use agile_repro::sim::{Nanos, TraceEvent, TraceEventKind};
 use agile_repro::trace::{AddressPattern, MemorySink, TenantSpec, TraceSpec};
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay_with_sink, ReplayConfig, ReplayReport, ReplaySystem,
@@ -377,15 +385,54 @@ fn the_cases_reach_the_hard_paths() {
     );
 }
 
+/// A service warp reads off the devices' schedule which of its next sweeps
+/// find a completion and sleeps through the others: under load it executes
+/// almost no idle sweep, where a polling run makes several per completion.
+/// (On the write mix every service warp sweeps its one CQ: each wakes for
+/// every completion, and all but the first find it retired.)
+#[test]
+fn the_service_sleeps_through_its_idle_sweeps() {
+    for (shape, bound) in [(Shape::RawPressure, 0.1), (Shape::CachedWriteMix, 1.0)] {
+        let case = Case {
+            shape,
+            seed: 13,
+            ops: 768,
+            sink: false,
+        };
+        let (parked, _) = replay(case, EngineSched::EventQueue);
+        let (polled, _) = replay(case, EngineSched::FullScan);
+        assert_same_replay(case, &parked, &polled);
+        let per_completion = |r: &ReplayReport| {
+            r.service_stats.idle_rounds as f64 / r.service_stats.completions as f64
+        };
+        let (parked, polled) = (per_completion(&parked), per_completion(&polled));
+        assert!(
+            parked < bound,
+            "{case:?}: {parked} idle sweeps per completion"
+        );
+        assert!(
+            polled > 3.0,
+            "{case:?}: {polled} idle sweeps per completion polled"
+        );
+    }
+}
+
 /// An accessor kernel: its retry interval is `hint.max(cost)`, so it may only
-/// sleep from an attempt that cost what the retries will.
+/// sleep from an attempt that cost what the retries will. With no flash
+/// service time every command posts exactly `min_post_latency` after its
+/// fetch, so a service warp that looked further ahead than the devices'
+/// schedule reaches would sleep through a completion.
 #[test]
 fn parked_and_polled_accessor_kernels_are_indistinguishable() {
-    let run = |sched: EngineSched, asynchronous: bool| {
+    let run = |sched: EngineSched, asynchronous: bool, no_flash: bool| {
         let sink = Arc::new(MemorySink::new());
-        let config = AgileConfig::small_test()
+        let mut config = AgileConfig::small_test()
             .with_queue_pairs(4)
             .with_queue_depth(64);
+        if no_flash {
+            config.costs.ssd.read_page_service = Nanos::ZERO;
+            config.costs.ssd.write_page_service = Nanos::ZERO;
+        }
         let mut host = HostBuilder::agile(config)
             .gpu(GpuConfig::tiny(4))
             .devices(2, 1 << 16)
@@ -407,9 +454,14 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
         );
         assert!(!report.deadlocked);
         let ctrl = host.ctrl();
-        let kernel = &report.kernels[1];
+        let (service, kernel) = (&report.kernels[0], &report.kernels[1]);
         (
-            (report.elapsed, kernel.stall_cycles),
+            (
+                report.elapsed,
+                kernel.stall_cycles,
+                service.busy_cycles,
+                service.stall_cycles,
+            ),
             kernel.steps,
             (
                 io_polls(&ctrl.io().stats()),
@@ -420,11 +472,18 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
             keys(&sink.take_events()),
         )
     };
-    for asynchronous in [false, true] {
-        let parked = run(EngineSched::EventQueue, asynchronous);
-        let polled = run(EngineSched::FullScan, asynchronous);
-        assert_eq!(parked.0, polled.0, "elapsed and stall cycles");
-        assert!(parked.1 < polled.1, "steps count what ran");
+    for (asynchronous, no_flash) in [(false, false), (true, false), (true, true)] {
+        let parked = run(EngineSched::EventQueue, asynchronous, no_flash);
+        let polled = run(EngineSched::FullScan, asynchronous, no_flash);
+        assert_eq!(parked.0, polled.0, "elapsed, stall and service cycles");
+        // With no flash service every read is done by the kernel's first
+        // retry, so no wait takes a second poll and parking has none to
+        // save: there the step counts tie (212 each). Everywhere else
+        // parking must save kernel steps.
+        assert!(
+            parked.1 < polled.1 || (no_flash && parked.1 == polled.1),
+            "steps count what ran"
+        );
         let ((io, cache, service), polled_counts) = (parked.2, polled.2);
         assert_counts(asynchronous, io, polled_counts.0);
         assert_counts(asynchronous, cache, polled_counts.1);
