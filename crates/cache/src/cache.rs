@@ -25,18 +25,26 @@
 //! waiters make fewer lookups than pollers, the pressure signal a controller
 //! reads is [`SoftwareCache::full_sets`], which counts a full set once until
 //! one of its ways settles, not [`CacheStats::no_line`], which counts lookups.
+//!
+//! The lines are laid out flat: a [`Way`] is its state word and pin count
+//! (8 bytes), and the tag, owner and displaced owner are one array each,
+//! written under the set lock. Every line's page-token slot lives in one
+//! [`DmaSlab`]; a reservation hands out a handle that names the line's slot
+//! in it. A line costs 41.6 heap bytes with the clock policy (86.6 with a
+//! `Vec` of tags and owners per set and an `Arc` slot per line), and building
+//! a cache makes the same number of allocations whatever its size.
 
 use crate::line::{LineState, Way};
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, MAX_ASSOCIATIVITY};
 use crate::tenant::{TenantCacheStats, TenantTable, NO_TENANT};
 use crate::watch::LineWatchers;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::wake::{SleeperId, WakeHub};
-use nvme_sim::{DmaHandle, Lba, PageToken};
+use nvme_sim::{DmaHandle, DmaSlab, Lba, PageToken};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies one cache line (global way index).
@@ -171,29 +179,89 @@ pub enum CacheLookup {
     NoLineAvailable,
 }
 
-struct SetMeta {
-    /// Tag per way: `(device, lba)`; `None` when the way holds nothing.
-    tags: Vec<Option<(u32, Lba)>>,
-    /// Owner tenant per way ([`NO_TENANT`] when unowned): the tenant whose
-    /// lookup most recently filled the way. Accounting only — ownership
-    /// never gates a fill or a write-back.
-    owners: Vec<u32>,
-    /// Owner displaced by the in-flight reservation of each way, so
+/// Device half of the tag of a way that has never held a page. No page is
+/// looked up on this device.
+const NO_TAG: u32 = u32::MAX;
+
+/// The per-line metadata beside the [`Way`]s, one flat array per field,
+/// indexed by [`LineId`]. Read and written only under the line's set lock,
+/// which is what makes each field's `Relaxed` atomics a plain value.
+struct LineMeta {
+    /// Device of the page each line is tagged with; [`NO_TAG`] until the
+    /// line first holds a page.
+    dev: Box<[AtomicU32]>,
+    /// LBA of that page.
+    lba: Box<[AtomicU64]>,
+    /// Owner tenant per line ([`NO_TENANT`] when unowned): the tenant whose
+    /// lookup most recently filled it. Accounting only — ownership never
+    /// gates a fill or a write-back.
+    owner: Box<[AtomicU32]>,
+    /// Owner displaced by the in-flight reservation of each line, so
     /// [`SoftwareCache::reinstate_victim`] can return the line (and its
     /// occupancy accounting) to the evicted tenant when the victim's
     /// write-back could not issue.
-    displaced: Vec<u32>,
+    displaced: Box<[AtomicU32]>,
+}
+
+/// `n` values made by `new`, in one allocation.
+fn filled<T>(n: usize, new: impl Fn() -> T) -> Box<[T]> {
+    (0..n).map(|_| new()).collect()
+}
+
+impl LineMeta {
+    fn new(lines: usize) -> Self {
+        LineMeta {
+            dev: filled(lines, || AtomicU32::new(NO_TAG)),
+            lba: filled(lines, || AtomicU64::new(0)),
+            owner: filled(lines, || AtomicU32::new(NO_TENANT)),
+            displaced: filled(lines, || AtomicU32::new(NO_TENANT)),
+        }
+    }
+
+    fn holds(&self, line: usize, dev: u32, lba: Lba) -> bool {
+        self.dev[line].load(Ordering::Relaxed) == dev
+            && self.lba[line].load(Ordering::Relaxed) == lba
+    }
+
+    fn is_untagged(&self, line: usize) -> bool {
+        self.dev[line].load(Ordering::Relaxed) == NO_TAG
+    }
+
+    fn tag(&self, line: usize) -> (u32, Lba) {
+        (
+            self.dev[line].load(Ordering::Relaxed),
+            self.lba[line].load(Ordering::Relaxed),
+        )
+    }
+
+    fn retag(&self, line: usize, dev: u32, lba: Lba) {
+        self.dev[line].store(dev, Ordering::Relaxed);
+        self.lba[line].store(lba, Ordering::Relaxed);
+    }
+
+    fn owner(&self, line: usize) -> u32 {
+        self.owner[line].load(Ordering::Relaxed)
+    }
+
+    fn set_owner(&self, line: usize, tenant: u32) {
+        self.owner[line].store(tenant, Ordering::Relaxed);
+    }
 }
 
 /// The software cache: one set-associative cache with a lock per set, one
 /// replacement policy and one per-tenant accounting table.
 pub struct SoftwareCache {
     cfg: CacheConfig,
-    sets: Vec<Mutex<SetMeta>>,
+    /// One lock per set, guarding its lines' [`LineMeta`] and the
+    /// transitions a lookup makes.
+    sets: Box<[Mutex<()>]>,
     /// Per set: a lookup found it full since one of its ways last left
     /// `BUSY` (see [`SoftwareCache::full_sets`]).
-    found_full: Vec<AtomicBool>,
-    ways: Vec<Way>,
+    found_full: Box<[AtomicBool]>,
+    ways: Box<[Way]>,
+    meta: LineMeta,
+    /// Every line's page-token slot, slot `i` for line `i`.
+    slab: DmaSlab,
     assoc: usize,
     policy: Box<dyn CachePolicy>,
     stats: StatsCells,
@@ -214,7 +282,8 @@ pub struct SoftwareCache {
 }
 
 impl SoftwareCache {
-    /// Build a cache with the given geometry and replacement policy.
+    /// Build a cache with the given geometry and replacement policy. At most
+    /// [`MAX_ASSOCIATIVITY`] ways a set.
     pub fn new(cfg: CacheConfig, mut policy: Box<dyn CachePolicy>) -> Self {
         assert_eq!(
             cfg.line_size, SSD_PAGE_SIZE,
@@ -222,21 +291,20 @@ impl SoftwareCache {
         );
         assert!(cfg.associativity > 0, "associativity must be positive");
         let (num_sets, assoc) = (cfg.num_sets(), cfg.associativity as usize);
+        assert!(
+            assoc <= MAX_ASSOCIATIVITY,
+            "at most {MAX_ASSOCIATIVITY} ways a set"
+        );
+        let lines = num_sets * assoc;
         let tenants = Arc::new(TenantTable::new());
         policy.configure(num_sets, assoc);
         policy.bind_tenants(Arc::clone(&tenants));
         SoftwareCache {
-            sets: (0..num_sets)
-                .map(|_| {
-                    Mutex::new(SetMeta {
-                        tags: vec![None; assoc],
-                        owners: vec![NO_TENANT; assoc],
-                        displaced: vec![NO_TENANT; assoc],
-                    })
-                })
-                .collect(),
-            found_full: (0..num_sets).map(|_| AtomicBool::new(false)).collect(),
-            ways: (0..num_sets * assoc).map(|_| Way::new()).collect(),
+            sets: filled(num_sets, || Mutex::new(())),
+            found_full: filled(num_sets, || AtomicBool::new(false)),
+            ways: filled(lines, Way::new),
+            meta: LineMeta::new(lines),
+            slab: DmaSlab::new(lines),
             assoc,
             policy,
             stats: StatsCells::default(),
@@ -363,10 +431,6 @@ impl SoftwareCache {
         (z ^ (z >> 31)) as usize % self.sets.len()
     }
 
-    fn line_id(&self, set: usize, way: usize) -> LineId {
-        LineId((set * self.assoc + way) as u32)
-    }
-
     /// The way behind a line id.
     pub fn way(&self, line: LineId) -> &Way {
         &self.ways[line.0 as usize]
@@ -387,79 +451,73 @@ impl SoftwareCache {
     /// choice under a tenant-oblivious policy, and the fill/write-back I/O
     /// are bit-identical to the untenanted path.
     pub fn lookup_or_reserve_as(&self, dev: u32, lba: Lba, tenant: u32) -> CacheLookup {
+        assert_ne!(dev, NO_TAG, "device {NO_TAG} marks an untagged line");
         let set_idx = self.set_of(dev, lba);
-        let mut meta = self.sets[set_idx].lock();
+        let _set = self.sets[set_idx].lock();
+        let base = set_idx * self.assoc;
+        let ways = &self.ways[base..][..self.assoc];
 
         // 1. Tag scan.
-        for way_idx in 0..self.assoc {
-            if meta.tags[way_idx] == Some((dev, lba)) {
-                let way = &self.ways[set_idx * self.assoc + way_idx];
-                return match way.state() {
-                    LineState::Ready | LineState::Modified => {
-                        way.pin();
-                        self.policy.on_access(set_idx, way_idx);
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        self.tenants.record_hit(tenant);
-                        self.trace_lookup(TraceEventKind::CacheHit, dev, lba, tenant);
-                        CacheLookup::Hit {
-                            line: self.line_id(set_idx, way_idx),
-                            token: way.data.load(),
-                        }
+        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.holds(base + w, dev, lba)) {
+            let (line, way) = (base + way_idx, &ways[way_idx]);
+            return match way.state() {
+                LineState::Ready | LineState::Modified => {
+                    way.pin();
+                    self.policy.on_access(set_idx, way_idx);
+                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    self.tenants.record_hit(tenant);
+                    self.trace_lookup(TraceEventKind::CacheHit, dev, lba, tenant);
+                    CacheLookup::Hit {
+                        line: LineId(line as u32),
+                        token: self.slab.load(line as u32),
                     }
-                    LineState::Busy => {
-                        self.count_busy_hit(dev, lba, tenant);
-                        CacheLookup::Busy {
-                            line: self.line_id(set_idx, way_idx),
-                            generation: way.generation(),
-                        }
+                }
+                LineState::Busy => {
+                    self.count_busy_hit(dev, lba, tenant);
+                    CacheLookup::Busy {
+                        line: LineId(line as u32),
+                        generation: way.generation(),
                     }
-                    LineState::Invalid => {
-                        // Tag present but invalid (fill failed): re-reserve
-                        // it, transferring ownership to the new requester.
-                        let generation = way.set_state(LineState::Busy);
-                        way.pin();
-                        self.transfer_owner(&mut meta, way_idx, tenant);
-                        self.policy.on_fill(set_idx, way_idx);
-                        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                        self.tenants.record_miss_fill(tenant);
-                        self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-                        CacheLookup::Miss {
-                            line: self.line_id(set_idx, way_idx),
-                            dma: way.data.clone(),
-                            writeback: None,
-                            generation,
-                        }
-                    }
-                };
-            }
+                }
+                LineState::Invalid => {
+                    // Tag present but invalid (fill failed): re-reserve
+                    // it, transferring ownership to the new requester.
+                    let generation = way.set_state(LineState::Busy);
+                    way.pin();
+                    self.transfer_owner(line, tenant);
+                    self.policy.on_fill(set_idx, way_idx);
+                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                    self.tenants.record_miss_fill(tenant);
+                    self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
+                    self.reserved(line, None, generation)
+                }
+            };
         }
 
         // 2. Miss: prefer an empty (tag-less) way.
-        if let Some(way_idx) = (0..self.assoc).find(|&w| meta.tags[w].is_none()) {
-            let way = &self.ways[set_idx * self.assoc + way_idx];
-            meta.tags[way_idx] = Some((dev, lba));
-            meta.owners[way_idx] = tenant;
-            let generation = way.set_state(LineState::Busy);
-            way.pin();
+        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.is_untagged(base + w)) {
+            let line = base + way_idx;
+            self.meta.retag(line, dev, lba);
+            self.meta.set_owner(line, tenant);
+            let generation = ways[way_idx].set_state(LineState::Busy);
+            ways[way_idx].pin();
             self.policy.on_fill(set_idx, way_idx);
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             self.tenants.record_miss_fill_occupy(tenant);
             self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-            return CacheLookup::Miss {
-                line: self.line_id(set_idx, way_idx),
-                dma: way.data.clone(),
-                writeback: None,
-                generation,
-            };
+            return self.reserved(line, None, generation);
         }
 
         // 3. Miss with eviction: ask the policy for a victim among evictable
-        //    ways, handing it the per-way owner view (tenant-aware policies
-        //    use it to bound each tenant's occupancy to its share).
-        let evictable: Vec<bool> = (0..self.assoc)
-            .map(|w| self.ways[set_idx * self.assoc + w].evictable())
-            .collect();
-        let Some(victim) = self.policy.choose_victim(set_idx, &evictable, &meta.owners) else {
+        //    ways, handing it the set's owners (tenant-aware policies use
+        //    them to bound each tenant's occupancy to its share).
+        let evictable = ways
+            .iter()
+            .enumerate()
+            .filter(|(_, way)| way.evictable())
+            .fold(0u64, |mask, (way_idx, _)| mask | 1 << way_idx);
+        let owners = &self.meta.owner[base..][..self.assoc];
+        let Some(victim) = self.policy.choose_victim(set_idx, evictable, owners) else {
             // A transient resource stall (every way pinned/busy), not a data
             // miss: the caller retries and the retry is what gets counted.
             // Charging it per tenant would let retry churn drown the
@@ -472,33 +530,45 @@ impl SoftwareCache {
             self.trace_lookup(TraceEventKind::CacheNoLine, dev, lba, tenant);
             return CacheLookup::NoLineAvailable;
         };
-        debug_assert!(evictable[victim], "policy chose a non-evictable way");
-        let way = &self.ways[set_idx * self.assoc + victim];
-        let old_tag = meta.tags[victim];
+        debug_assert!(
+            evictable >> victim & 1 == 1,
+            "policy chose a non-evictable way"
+        );
+        let (line, way) = (base + victim, &ways[victim]);
+        let old_owner = self.meta.owner(line);
         let writeback = match way.state() {
             LineState::Modified => {
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-                if let Some((d, l)) = old_tag {
-                    self.trace_lookup(TraceEventKind::Writeback, d, l, meta.owners[victim]);
-                }
-                old_tag.map(|(d, l)| (d, l, way.data.load()))
+                let (d, l) = self.meta.tag(line);
+                self.trace_lookup(TraceEventKind::Writeback, d, l, old_owner);
+                Some((d, l, self.slab.load(line as u32)))
             }
             _ => None,
         };
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         self.tenants.record_miss_fill_occupy(tenant);
-        self.tenants.record_eviction(meta.owners[victim]);
-        meta.displaced[victim] = meta.owners[victim];
-        meta.owners[victim] = tenant;
+        self.tenants.record_eviction(old_owner);
+        self.meta.displaced[line].store(old_owner, Ordering::Relaxed);
+        self.meta.set_owner(line, tenant);
         self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-        meta.tags[victim] = Some((dev, lba));
+        self.meta.retag(line, dev, lba);
         let generation = way.set_state(LineState::Busy);
         way.pin();
         self.policy.on_fill(set_idx, victim);
+        self.reserved(line, writeback, generation)
+    }
+
+    /// The [`CacheLookup::Miss`] for a reservation of `line`.
+    fn reserved(
+        &self,
+        line: usize,
+        writeback: Option<(u32, Lba, PageToken)>,
+        generation: u32,
+    ) -> CacheLookup {
         CacheLookup::Miss {
-            line: self.line_id(set_idx, victim),
-            dma: way.data.clone(),
+            line: LineId(line as u32),
+            dma: self.slab.handle(line as u32),
             writeback,
             generation,
         }
@@ -562,16 +632,19 @@ impl SoftwareCache {
             return false;
         };
         let set_idx = self.set_of(dev, lba);
-        let meta = self.sets[set_idx].lock();
-        let ways = &self.ways[set_idx * self.assoc..][..self.assoc];
-        if meta.tags.contains(&Some((dev, lba)))
-            || ways.iter().any(|way| way.state() != LineState::Busy)
+        let _set = self.sets[set_idx].lock();
+        let lines = set_idx * self.assoc..(set_idx + 1) * self.assoc;
+        if lines.clone().any(|line| self.meta.holds(line, dev, lba))
+            || self.ways[lines.clone()]
+                .iter()
+                .any(|way| way.state() != LineState::Busy)
         {
             return false;
         }
-        ways.iter().enumerate().all(|(way_idx, way)| {
+        lines.into_iter().all(|line| {
+            let way = &self.ways[line];
             let ticket = BusyTicket {
-                line: self.line_id(set_idx, way_idx),
+                line: LineId(line as u32),
                 generation: way.generation(),
             };
             watchers.watch(ticket, sleeper, way)
@@ -597,14 +670,14 @@ impl SoftwareCache {
         }
     }
 
-    /// Move ownership of `way_idx` (whose set lock the caller holds via
-    /// `meta`) to `tenant`, keeping the occupancy gauges balanced.
-    fn transfer_owner(&self, meta: &mut SetMeta, way_idx: usize, tenant: u32) {
-        let old = meta.owners[way_idx];
+    /// Move ownership of `line` (whose set lock the caller holds) to
+    /// `tenant`, keeping the occupancy gauges balanced.
+    fn transfer_owner(&self, line: usize, tenant: u32) {
+        let old = self.meta.owner(line);
         if old != tenant {
             self.tenants.vacate(old);
             self.tenants.occupy(tenant);
-            meta.owners[way_idx] = tenant;
+            self.meta.set_owner(line, tenant);
         }
     }
 
@@ -612,17 +685,13 @@ impl SoftwareCache {
     /// valid. Does not pin, does not update policy metadata.
     pub fn peek(&self, dev: u32, lba: Lba) -> Option<PageToken> {
         let set_idx = self.set_of(dev, lba);
-        let meta = self.sets[set_idx].lock();
-        for way_idx in 0..self.assoc {
-            if meta.tags[way_idx] == Some((dev, lba)) {
-                let way = &self.ways[set_idx * self.assoc + way_idx];
-                if way.state().is_valid_data() {
-                    return Some(way.data.load());
-                }
-                return None;
-            }
-        }
-        None
+        let _set = self.sets[set_idx].lock();
+        let base = set_idx * self.assoc;
+        let line = (base..base + self.assoc).find(|&line| self.meta.holds(line, dev, lba))?;
+        self.ways[line]
+            .state()
+            .is_valid_data()
+            .then(|| self.slab.load(line as u32))
     }
 
     /// Mark a reserved (BUSY) line as filled: the NVMe read completed and the
@@ -668,44 +737,48 @@ impl SoftwareCache {
     /// the reservation pin is dropped, and the caller's own request simply
     /// misses again on its retry.
     pub fn reinstate_victim(&self, line: LineId, dev: u32, lba: Lba, token: PageToken) {
-        let set_idx = line.0 as usize / self.assoc;
-        let way_idx = line.0 as usize % self.assoc;
-        let mut meta = self.sets[set_idx].lock();
-        let way = &self.ways[line.0 as usize];
+        let idx = line.0 as usize;
+        let set = self.sets[idx / self.assoc].lock();
+        let way = &self.ways[idx];
         debug_assert_eq!(
             way.state(),
             LineState::Busy,
             "reinstate_victim on a line that was not reserved"
         );
-        meta.tags[way_idx] = Some((dev, lba));
+        self.meta.retag(idx, dev, lba);
         // Ownership (and its occupancy accounting) returns to the displaced
         // tenant; the requester's fill never happened. The victim's eviction
         // counter stays advanced — the displacement was real, it just could
         // not complete.
-        let displaced = meta.displaced[way_idx];
-        let requester = meta.owners[way_idx];
+        let displaced = self.meta.displaced[idx].load(Ordering::Relaxed);
+        let requester = self.meta.owner(idx);
         if displaced != requester {
             self.tenants.vacate(requester);
             self.tenants.occupy(displaced);
-            meta.owners[way_idx] = displaced;
+            self.meta.set_owner(idx, displaced);
         }
-        way.data.store(token);
+        self.slab.store(line.0, token);
         way.set_state(LineState::Modified);
         way.unpin();
-        drop(meta);
+        drop(set);
         self.line_settled(line);
     }
 
     /// Store `token` into the line and mark it dirty (`MODIFIED`).
     pub fn store(&self, line: LineId, token: PageToken) {
-        let way = self.way(line);
-        way.data.store(token);
-        way.set_state(LineState::Modified);
+        self.slab.store(line.0, token);
+        self.way(line).set_state(LineState::Modified);
     }
 
     /// Read the token currently held by a line.
     pub fn read(&self, line: LineId) -> PageToken {
-        self.way(line).data.load()
+        self.slab.load(line.0)
+    }
+
+    /// The handle an NVMe read DMAs `line`'s fill into — the one
+    /// [`CacheLookup::Miss`] hands out for it.
+    pub fn dma(&self, line: LineId) -> DmaHandle {
+        self.slab.handle(line.0)
     }
 
     /// Current state of a line.
@@ -731,7 +804,7 @@ impl SoftwareCache {
     pub fn preload(&self, dev: u32, lba: Lba, token: PageToken) -> bool {
         match self.lookup_or_reserve(dev, lba) {
             CacheLookup::Hit { line, .. } => {
-                self.way(line).data.store(token);
+                self.slab.store(line.0, token);
                 self.unpin(line);
                 true
             }
@@ -1386,8 +1459,8 @@ mod tests {
         fn choose_victim(
             &self,
             _set: usize,
-            _evictable: &[bool],
-            _owners: &[u32],
+            _evictable: u64,
+            _owners: &[AtomicU32],
         ) -> Option<usize> {
             None
         }

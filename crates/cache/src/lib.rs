@@ -18,13 +18,14 @@
 //!
 //! Modules:
 //!
-//! * [`line`] — line state words, pinning, and the per-line DMA slot;
+//! * [`line`](mod@line) — line state words and pinning;
 //! * [`policy`] — the [`policy::CachePolicy`] trait plus Clock / LRU / FIFO /
 //!   Random implementations and the tenant-aware [`policy::TenantShare`];
 //! * [`tenant`] — per-tenant accounting (hits/misses/fills/evictions and
 //!   live occupancy) shared between the cache and tenant-aware policies;
-//! * [`cache`] — the set-associative [`cache::SoftwareCache`], with the
-//!   table of sleepers waiting for its `BUSY` lines;
+//! * [`cache`] — the set-associative [`cache::SoftwareCache`]: flat
+//!   per-line tag and owner arrays, one DMA slab for every line's page
+//!   token, and the table of sleepers waiting for its `BUSY` lines;
 //! * [`sharded`] — [`sharded::ShardedCache`], the old name of that cache
 //!   the benchmark package still spells;
 //! * [`share_table`] — the MOESI-inspired [`share_table::ShareTable`].

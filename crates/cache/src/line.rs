@@ -10,8 +10,9 @@
 //!
 //! On top of the state word every line carries a pin (reference) count —
 //! a line with pinned readers cannot be evicted, which is how AGILE keeps
-//! cache-hit accesses atomic with respect to eviction (§2.3.2) — and the
-//! per-line DMA slot the SSD writes the page token into.
+//! cache-hit accesses atomic with respect to eviction (§2.3.2). Those two
+//! words are all a [`Way`] is: the line's tag, owner and DMA slot live in
+//! the cache's flat per-line arrays.
 //!
 //! The state shares its word with a **reservation generation**: the state
 //! sits in the low two bits and the generation above them, bumped on every
@@ -20,7 +21,6 @@
 //! word that the fill it is waiting on is still the one in flight
 //! ([`Way::busy_in`]) — without the set lock or a tag scan.
 
-use nvme_sim::DmaHandle;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -70,14 +70,12 @@ fn with_state(word: u32, to: LineState) -> u32 {
     }
 }
 
-/// One cache way (line): state word, pin count and DMA slot.
+/// One cache way (line): state word and pin count.
 #[derive(Debug)]
 pub struct Way {
     /// [`LineState`] in the low [`STATE_BITS`], reservation generation above.
     state: AtomicU32,
     pins: AtomicU32,
-    /// The 64-bit page-token slot NVMe reads DMA into (and writes DMA out of).
-    pub data: DmaHandle,
 }
 
 impl Default for Way {
@@ -92,7 +90,6 @@ impl Way {
         Way {
             state: AtomicU32::new(LineState::Invalid as u32),
             pins: AtomicU32::new(0),
-            data: DmaHandle::new(),
         }
     }
 
@@ -184,16 +181,6 @@ mod tests {
         assert!(w.transition(LineState::Busy, LineState::Ready));
         w.set_state(LineState::Modified);
         assert_eq!(w.state(), LineState::Modified);
-    }
-
-    #[test]
-    fn way_does_not_grow() {
-        // 524 288 of these back a 2 GiB cache: the generation lives in the
-        // state word so that a line stays 16 bytes.
-        assert_eq!(
-            std::mem::size_of::<Way>(),
-            2 * std::mem::size_of::<AtomicU32>() + std::mem::size_of::<DmaHandle>()
-        );
     }
 
     #[test]

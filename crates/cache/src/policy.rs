@@ -13,12 +13,31 @@
 //! metadata is kept in per-way atomics — and they ignore the per-way owner
 //! view entirely, so their victim choices are bit-identical to the
 //! pre-tenant-threading stack (asserted by the golden-trace suite).
+//!
+//! A victim choice allocates nothing: the evictable ways arrive as a bitmask
+//! (a set has at most [`MAX_ASSOCIATIVITY`] ways) and the owners as the set's
+//! slice of the cache's per-line owner array.
 
 use crate::tenant::{TenantTable, NO_TENANT};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Most ways a set may have: [`CachePolicy::choose_victim`] takes the
+/// evictable ways as the bits of a `u64`.
+pub const MAX_ASSOCIATIVITY: usize = 64;
+
+/// The ways named by the set bits of `mask`, lowest first.
+fn ways(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let way = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            way
+        })
+    })
+}
 
 /// Largest share weight an online update may install — the same bound the
 /// QoS layer's online weights use, keeping the `lines × weight` product
@@ -73,13 +92,15 @@ pub trait CachePolicy: Send + Sync {
     /// `(set, way)` was (re)filled with new contents.
     fn on_fill(&self, set: usize, way: usize);
 
-    /// Choose a victim among the ways of `set` for which `evictable[way]` is
-    /// true. `owners[way]` is the tenant currently owning the way's line
-    /// ([`NO_TENANT`] for unowned ways); tenant-oblivious policies ignore it.
-    /// Returns `None` when no way is evictable (all pinned or busy); the
-    /// cache then reports `NoLineAvailable` and the caller retries, which is
-    /// AGILE's answer to the eviction-deadlock scenario of §2.3.2.
-    fn choose_victim(&self, set: usize, evictable: &[bool], owners: &[u32]) -> Option<usize>;
+    /// Choose a victim among the ways of `set` whose bit is set in
+    /// `evictable` (bit `w` for way `w`). `owners[way]` is the tenant
+    /// currently owning the way's line ([`NO_TENANT`] for unowned ways),
+    /// read under the set lock the cache holds; tenant-oblivious policies
+    /// ignore it. Returns `None` when no way is evictable (all pinned or
+    /// busy); the cache then reports `NoLineAvailable` and the caller
+    /// retries, which is AGILE's answer to the eviction-deadlock scenario of
+    /// §2.3.2.
+    fn choose_victim(&self, set: usize, evictable: u64, owners: &[AtomicU32]) -> Option<usize>;
 
     /// Online share-weight update for `tenant` (the control plane's
     /// actuator). Returns the weight actually installed — values above
@@ -143,8 +164,8 @@ impl CachePolicy for ClockPolicy {
     fn on_fill(&self, set: usize, way: usize) {
         self.ref_bits[self.idx(set, way)].store(1, Ordering::Relaxed);
     }
-    fn choose_victim(&self, set: usize, evictable: &[bool], _owners: &[u32]) -> Option<usize> {
-        if !evictable.iter().any(|&e| e) {
+    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
+        if evictable == 0 {
             return None;
         }
         let hand = &self.hands[set];
@@ -152,7 +173,7 @@ impl CachePolicy for ClockPolicy {
         // guaranteed to find an evictable way with a cleared bit.
         for _ in 0..(2 * self.assoc) {
             let pos = (hand.fetch_add(1, Ordering::Relaxed) as usize) % self.assoc;
-            if !evictable[pos] {
+            if evictable >> pos & 1 == 0 {
                 continue;
             }
             let bit = &self.ref_bits[self.idx(set, pos)];
@@ -162,7 +183,7 @@ impl CachePolicy for ClockPolicy {
         }
         // Fall back to the first evictable way (all bits were set repeatedly
         // by concurrent hits).
-        evictable.iter().position(|&e| e)
+        ways(evictable).next()
     }
 }
 
@@ -213,13 +234,8 @@ impl CachePolicy for LruPolicy {
     fn on_fill(&self, set: usize, way: usize) {
         self.touch(set, way);
     }
-    fn choose_victim(&self, set: usize, evictable: &[bool], _owners: &[u32]) -> Option<usize> {
-        evictable
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e)
-            .min_by_key(|(way, _)| self.stamps[self.idx(set, *way)].load(Ordering::Relaxed))
-            .map(|(way, _)| way)
+    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
+        ways(evictable).min_by_key(|&way| self.stamps[self.idx(set, way)].load(Ordering::Relaxed))
     }
 }
 
@@ -265,13 +281,9 @@ impl CachePolicy for FifoPolicy {
         let t = self.tick.fetch_add(1, Ordering::Relaxed);
         self.filled_at[self.idx(set, way)].store(t, Ordering::Relaxed);
     }
-    fn choose_victim(&self, set: usize, evictable: &[bool], _owners: &[u32]) -> Option<usize> {
-        evictable
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e)
-            .min_by_key(|(way, _)| self.filled_at[self.idx(set, *way)].load(Ordering::Relaxed))
-            .map(|(way, _)| way)
+    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
+        ways(evictable)
+            .min_by_key(|&way| self.filled_at[self.idx(set, way)].load(Ordering::Relaxed))
     }
 }
 
@@ -304,17 +316,12 @@ impl CachePolicy for RandomPolicy {
     fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
     fn on_access(&self, _set: usize, _way: usize) {}
     fn on_fill(&self, _set: usize, _way: usize) {}
-    fn choose_victim(&self, _set: usize, evictable: &[bool], _owners: &[u32]) -> Option<usize> {
-        let candidates: Vec<usize> = evictable
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e)
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
+    fn choose_victim(&self, _set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
+        let candidates = evictable.count_ones() as u64;
+        if candidates == 0 {
             None
         } else {
-            Some(candidates[(self.next() % candidates.len() as u64) as usize])
+            ways(evictable).nth((self.next() % candidates) as usize)
         }
     }
 }
@@ -415,43 +422,38 @@ impl CachePolicy for TenantShare {
     fn on_fill(&self, set: usize, way: usize) {
         self.inner.on_fill(set, way);
     }
-    fn choose_victim(&self, set: usize, evictable: &[bool], owners: &[u32]) -> Option<usize> {
+    fn choose_victim(&self, set: usize, evictable: u64, owners: &[AtomicU32]) -> Option<usize> {
         let Some(table) = &self.tenants else {
             // No occupancy view bound (bare policy rigs): plain clock.
             return self.inner.choose_victim(set, evictable, owners);
         };
-        let active = table.active_occupancies();
-        // One shared acquisition per victim choice: the weights are read into
-        // the closure below under a consistent snapshot, so a concurrent
-        // online retune flips the quota view atomically between choices.
-        let weights = self.weights.read();
-        let active_weight: u64 = active
-            .iter()
-            .map(|&(t, _)| Self::weight_of(&weights, self.default_weight, t))
-            .sum();
-        if active_weight > 0 {
-            // Candidate ways owned by a tenant over its weighted share.
-            let over_quota = |tenant: u32| -> bool {
+        // Candidate ways owned by a tenant over its weighted share.
+        let over_quota = table.with_occupancies(|occupancies| {
+            // One shared acquisition per victim choice: the weights are read
+            // under a consistent snapshot, so a concurrent online retune
+            // flips the quota view atomically between choices.
+            let weights = self.weights.read();
+            let weight_of = |tenant| Self::weight_of(&weights, self.default_weight, tenant);
+            let active_weight: u64 = occupancies.active().map(|(t, _)| weight_of(t)).sum();
+            if active_weight == 0 {
+                return 0;
+            }
+            let over = |tenant: u32| -> bool {
                 if tenant == NO_TENANT {
                     return false;
                 }
-                let Some(&(_, occ)) = active.iter().find(|&&(t, _)| t == tenant) else {
-                    return false;
-                };
-                let weight = Self::weight_of(&weights, self.default_weight, tenant);
-                let share = ((self.total_lines as u128 * weight as u128) / active_weight as u128)
+                let share = ((self.total_lines as u128 * weight_of(tenant) as u128)
+                    / active_weight as u128)
                     .max(1) as u64;
-                occ > share
+                occupancies.of(tenant) > share
             };
-            let filtered: Vec<bool> = evictable
-                .iter()
-                .zip(owners)
-                .map(|(&e, &o)| e && over_quota(o))
-                .collect();
-            if filtered.iter().any(|&b| b) {
-                if let Some(victim) = self.inner.choose_victim(set, &filtered, owners) {
-                    return Some(victim);
-                }
+            ways(evictable)
+                .filter(|&way| over(owners[way].load(Ordering::Relaxed)))
+                .fold(0u64, |mask, way| mask | 1 << way)
+        });
+        if over_quota != 0 {
+            if let Some(victim) = self.inner.choose_victim(set, over_quota, owners) {
+                return Some(victim);
             }
         }
         // Work-conserving fallback: nobody (evictable) is over quota.
@@ -484,9 +486,14 @@ mod tests {
         p
     }
 
+    /// Owner view of a set whose way `w` is owned by `tenants[w]`.
+    fn owned(tenants: &[u32]) -> Vec<AtomicU32> {
+        tenants.iter().map(|&t| AtomicU32::new(t)).collect()
+    }
+
     /// Owner view of an all-unowned set.
-    fn unowned(n: usize) -> Vec<u32> {
-        vec![NO_TENANT; n]
+    fn unowned(n: usize) -> Vec<AtomicU32> {
+        owned(&vec![NO_TENANT; n])
     }
 
     #[test]
@@ -497,8 +504,8 @@ mod tests {
         }
         // Way 1 is hot (recently accessed every time); others decay.
         p.on_access(0, 1);
-        let evictable = vec![true; 4];
-        let v1 = p.choose_victim(0, &evictable, &unowned(4)).unwrap();
+        let evictable = 0b1111;
+        let v1 = p.choose_victim(0, evictable, &unowned(4)).unwrap();
         assert_ne!(v1, 1, "hot way should survive the first sweep");
     }
 
@@ -512,7 +519,7 @@ mod tests {
         p.on_access(0, 2);
         p.on_access(0, 3);
         // Way 1 is now the least recently used.
-        assert_eq!(p.choose_victim(0, [true; 4].as_ref(), &unowned(4)), Some(1));
+        assert_eq!(p.choose_victim(0, 0b1111, &unowned(4)), Some(1));
     }
 
     #[test]
@@ -524,38 +531,45 @@ mod tests {
         // Hits on way 0 must not save it: it was filled first.
         p.on_access(0, 0);
         p.on_access(0, 0);
-        assert_eq!(p.choose_victim(0, [true; 4].as_ref(), &unowned(4)), Some(0));
+        assert_eq!(p.choose_victim(0, 0b1111, &unowned(4)), Some(0));
+    }
+
+    #[test]
+    fn ways_lists_the_set_bits_lowest_first() {
+        assert_eq!(ways(0).count(), 0);
+        assert_eq!(ways(0b1010_0110).collect::<Vec<_>>(), [1, 2, 5, 7]);
+        assert_eq!(ways(1 << 63).collect::<Vec<_>>(), [63]);
     }
 
     #[test]
     fn random_only_picks_evictable() {
         let p = RandomPolicy::new(42);
-        let evictable = vec![false, true, false, true];
+        let evictable = 0b1010;
         for _ in 0..100 {
-            let v = p.choose_victim(0, &evictable, &unowned(4)).unwrap();
+            let v = p.choose_victim(0, evictable, &unowned(4)).unwrap();
             assert!(v == 1 || v == 3);
         }
     }
 
     #[test]
     fn all_policies_return_none_when_nothing_evictable() {
-        let none = vec![false; 4];
+        let none = 0;
         let owners = unowned(4);
         assert_eq!(
-            configured(ClockPolicy::new()).choose_victim(0, &none, &owners),
+            configured(ClockPolicy::new()).choose_victim(0, none, &owners),
             None
         );
         assert_eq!(
-            configured(LruPolicy::new()).choose_victim(0, &none, &owners),
+            configured(LruPolicy::new()).choose_victim(0, none, &owners),
             None
         );
         assert_eq!(
-            configured(FifoPolicy::new()).choose_victim(0, &none, &owners),
+            configured(FifoPolicy::new()).choose_victim(0, none, &owners),
             None
         );
-        assert_eq!(RandomPolicy::new(1).choose_victim(0, &none, &owners), None);
+        assert_eq!(RandomPolicy::new(1).choose_victim(0, none, &owners), None);
         assert_eq!(
-            configured(TenantShare::new()).choose_victim(0, &none, &owners),
+            configured(TenantShare::new()).choose_victim(0, none, &owners),
             None
         );
     }
@@ -567,8 +581,8 @@ mod tests {
             p.on_fill(1, w);
         }
         // Oldest way (0) is not evictable ⇒ next oldest (1) chosen.
-        let evictable = vec![false, true, true, true];
-        assert_eq!(p.choose_victim(1, &evictable, &unowned(4)), Some(1));
+        let evictable = 0b1110;
+        assert_eq!(p.choose_victim(1, evictable, &unowned(4)), Some(1));
     }
 
     /// A TenantShare over 16 lines with a bound occupancy table.
@@ -591,11 +605,11 @@ mod tests {
             table.occupy(1);
         }
         let p = tenant_share_with(&table, &[1, 1]);
-        let evictable = vec![true; 4];
+        let evictable = 0b1111;
         // Ways 0/2 owned by the hog, 1 by the victim, 3 unowned.
-        let owners = vec![0, 1, 0, NO_TENANT];
+        let owners = owned(&[0, 1, 0, NO_TENANT]);
         for _ in 0..20 {
-            let v = p.choose_victim(0, &evictable, &owners).unwrap();
+            let v = p.choose_victim(0, evictable, &owners).unwrap();
             assert!(
                 v == 0 || v == 2,
                 "victim must be one of the over-quota tenant's ways, got {v}"
@@ -612,9 +626,9 @@ mod tests {
             table.occupy(7);
         }
         let p = tenant_share_with(&table, &[]);
-        let evictable = vec![true; 4];
-        let owners = vec![7; 4];
-        assert!(p.choose_victim(0, &evictable, &owners).is_some());
+        let evictable = 0b1111;
+        let owners = owned(&[7; 4]);
+        assert!(p.choose_victim(0, evictable, &owners).is_some());
     }
 
     #[test]
@@ -629,10 +643,10 @@ mod tests {
             table.occupy(1);
         }
         let p = tenant_share_with(&table, &[3, 1]);
-        let evictable = vec![true; 4];
-        let owners = vec![0, 1, 0, 1];
+        let evictable = 0b1111;
+        let owners = owned(&[0, 1, 0, 1]);
         for _ in 0..20 {
-            let v = p.choose_victim(0, &evictable, &owners).unwrap();
+            let v = p.choose_victim(0, evictable, &owners).unwrap();
             assert!(v == 1 || v == 3, "only tenant 1 is over its share, got {v}");
         }
     }
@@ -648,15 +662,15 @@ mod tests {
             table.occupy(1);
         }
         let p = tenant_share_with(&table, &[1, 1]);
-        let evictable = vec![true; 4];
-        let owners = vec![0, 1, 0, 1];
-        let v = p.choose_victim(0, &evictable, &owners).unwrap();
+        let evictable = 0b1111;
+        let owners = owned(&[0, 1, 0, 1]);
+        let v = p.choose_victim(0, evictable, &owners).unwrap();
         assert!(v == 0 || v == 2, "tenant 0 starts over quota");
         // Retune online to 3:1 (shares 12/4): now tenant 1 is the one over.
         assert_eq!(p.set_share(0, 3), Ok(3));
         assert_eq!(p.share(0), Some(3));
         for _ in 0..20 {
-            let v = p.choose_victim(0, &evictable, &owners).unwrap();
+            let v = p.choose_victim(0, evictable, &owners).unwrap();
             assert!(v == 1 || v == 3, "after the retune only tenant 1 is over");
         }
     }
@@ -686,9 +700,9 @@ mod tests {
         let p = tenant_share_with(&table, &[1, 1]);
         // The over-quota tenant's only way is pinned: fall back to the
         // evictable rest instead of returning None.
-        let evictable = vec![false, true, true, true];
-        let owners = vec![0, 1, 1, NO_TENANT];
-        let v = p.choose_victim(0, &evictable, &owners).unwrap();
+        let evictable = 0b1110;
+        let owners = owned(&[0, 1, 1, NO_TENANT]);
+        let v = p.choose_victim(0, evictable, &owners).unwrap();
         assert_ne!(v, 0, "pinned way must never be chosen");
     }
 }

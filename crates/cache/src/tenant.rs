@@ -189,14 +189,13 @@ impl TenantTable {
     /// quotas over (tenants with nothing resident are not "active" and do
     /// not shrink anyone's share).
     pub fn active_occupancies(&self) -> Vec<(u32, u64)> {
-        self.tenants
-            .read()
-            .iter()
-            .filter_map(|(&t, c)| {
-                let occ = c.occupancy.load(Ordering::Relaxed);
-                (occ > 0).then_some((t, occ))
-            })
-            .collect()
+        self.with_occupancies(|view| view.active().collect())
+    }
+
+    /// Call `f` with a view of the live occupancies under one read lock, so
+    /// a victim choice reads them without collecting anything.
+    pub(crate) fn with_occupancies<R>(&self, f: impl FnOnce(&Occupancies<'_>) -> R) -> R {
+        f(&Occupancies(&self.tenants.read()))
     }
 
     /// Snapshot of every tenant's counters, ordered by tenant id.
@@ -223,6 +222,27 @@ impl TenantTable {
             .values()
             .map(|c| c.occupancy.load(Ordering::Relaxed))
             .sum()
+    }
+}
+
+/// The tenants' live occupancies, read without allocating; see
+/// [`TenantTable::with_occupancies`].
+pub(crate) struct Occupancies<'a>(&'a BTreeMap<u32, Arc<TenantCells>>);
+
+impl Occupancies<'_> {
+    /// `(tenant, occupancy)` of every tenant holding lines, by tenant id.
+    pub(crate) fn active(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.0.iter().filter_map(|(&t, c)| {
+            let occ = c.occupancy.load(Ordering::Relaxed);
+            (occ > 0).then_some((t, occ))
+        })
+    }
+
+    /// Current occupancy of `tenant` (0 when never seen).
+    pub(crate) fn of(&self, tenant: u32) -> u64 {
+        self.0
+            .get(&tenant)
+            .map_or(0, |c| c.occupancy.load(Ordering::Relaxed))
     }
 }
 

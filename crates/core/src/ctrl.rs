@@ -614,10 +614,7 @@ mod tests {
         for sq in ctrl.io().device_queues(0) {
             for cid in 0..sq.depth() as u16 {
                 if let Some(Transaction::CacheFill { line }) = sq.transactions().take(cid) {
-                    ctrl.cache()
-                        .way(line)
-                        .data
-                        .store(PageToken(100 + cid as u64));
+                    ctrl.cache().dma(line).store(PageToken(100 + cid as u64));
                     ctrl.cache().complete_fill(line);
                     ctrl.cache().unpin(line);
                     sq.release(cid);

@@ -38,7 +38,8 @@ pub use device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
 pub use doorbell::DoorbellRegister;
 pub use queue::{CompletionQueue, QueuePair, SubmissionQueue};
 pub use spec::{
-    CmdStatus, CommandId, DmaHandle, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken, QueueId,
+    CmdStatus, CommandId, DmaHandle, DmaSlab, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken,
+    QueueId,
 };
 pub use topology::{
     DeviceSet, PageLocation, StorageTopology, TopologyLock, DEFAULT_LOCK_HOLD_CYCLES,

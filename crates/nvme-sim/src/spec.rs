@@ -83,49 +83,140 @@ impl CmdStatus {
     }
 }
 
-/// A destination/source "PRP pointer": a shared 64-bit slot the device DMAs a
-/// page token into (reads) or out of (writes).
+/// A destination/source "PRP pointer": a 64-bit slot the device DMAs a page
+/// token into (reads) or out of (writes).
 ///
 /// In the real system the PRP entry in the SQE points at pinned GPU HBM
 /// (a software-cache line or a user buffer registered through GDRCopy). Here
-/// the handle wraps an `Arc<AtomicU64>` owned by whichever HBM structure the
-/// transfer targets; the device stores/loads the page token through it at
-/// completion time, giving the same "data is in place before the CQE is
-/// visible" ordering the hardware provides.
-#[derive(Debug, Clone, Default)]
+/// the handle names a slot of a shared block of cells: a buffer of its own
+/// ([`DmaHandle::new`], one allocation) or one line of a [`DmaSlab`]. The
+/// device stores/loads the page token through it at completion time, giving
+/// the same "data is in place before the CQE is visible" ordering the
+/// hardware provides.
+#[derive(Clone)]
 pub struct DmaHandle {
-    slot: Arc<AtomicU64>,
+    cells: Arc<Cells>,
+    slot: u32,
+}
+
+/// The cells behind [`DmaHandle`]s: one for a buffer of its own, a block for
+/// a [`DmaSlab`].
+enum Cells {
+    One(AtomicU64),
+    Many(Box<[AtomicU64]>),
+}
+
+impl Cells {
+    fn at(&self, slot: u32) -> &AtomicU64 {
+        match self {
+            Cells::One(cell) => cell,
+            Cells::Many(cells) => &cells[slot as usize],
+        }
+    }
 }
 
 impl DmaHandle {
     /// A fresh, zeroed DMA target.
     pub fn new() -> Self {
-        DmaHandle {
-            slot: Arc::new(AtomicU64::new(0)),
-        }
+        Self::with_token(PageToken(0))
     }
 
     /// A DMA region pre-filled with `token` (used as the source of writes).
     pub fn with_token(token: PageToken) -> Self {
         DmaHandle {
-            slot: Arc::new(AtomicU64::new(token.0)),
+            cells: Arc::new(Cells::One(AtomicU64::new(token.0))),
+            slot: 0,
         }
     }
 
     /// Read the token currently in the region.
     pub fn load(&self) -> PageToken {
-        PageToken(self.slot.load(Ordering::Acquire))
+        PageToken(self.cells.at(self.slot).load(Ordering::Acquire))
     }
 
     /// Store a token into the region (device-side DMA write, or host-side
     /// buffer fill before a write command).
     pub fn store(&self, token: PageToken) {
-        self.slot.store(token.0, Ordering::Release);
+        self.cells.at(self.slot).store(token.0, Ordering::Release);
     }
 
-    /// Two handles alias iff they wrap the same underlying slot.
+    /// Two handles alias iff they name the same slot of the same cells.
     pub fn ptr_eq(&self, other: &DmaHandle) -> bool {
-        Arc::ptr_eq(&self.slot, &other.slot)
+        Arc::ptr_eq(&self.cells, &other.cells) && self.slot == other.slot
+    }
+}
+
+impl Default for DmaHandle {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for DmaHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DmaHandle")
+            .field("slot", &self.slot)
+            .finish()
+    }
+}
+
+/// The DMA slots of every line of an HBM structure, taken as one block: the
+/// software cache keeps its lines' page tokens here, so a cache of any size
+/// costs 8 bytes a line and two allocations, not an allocation a line. A
+/// line's [`DmaHandle`] ([`DmaSlab::handle`]) shares the block and names the
+/// line's slot.
+pub struct DmaSlab(Arc<Cells>);
+
+impl DmaSlab {
+    /// `slots` zeroed slots.
+    pub fn new(slots: usize) -> Self {
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "a DMA slab holds at most 2^32 - 1 slots"
+        );
+        DmaSlab(Arc::new(Cells::Many(
+            (0..slots).map(|_| AtomicU64::new(0)).collect(),
+        )))
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        match &*self.0 {
+            Cells::One(_) => 1,
+            Cells::Many(cells) => cells.len(),
+        }
+    }
+
+    /// True for a slab of no slots.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The handle an NVMe command DMAs slot `slot` through.
+    pub fn handle(&self, slot: u32) -> DmaHandle {
+        assert!((slot as usize) < self.len(), "DMA slot {slot} out of range");
+        DmaHandle {
+            cells: Arc::clone(&self.0),
+            slot,
+        }
+    }
+
+    /// Read the token in slot `slot`.
+    pub fn load(&self, slot: u32) -> PageToken {
+        PageToken(self.0.at(slot).load(Ordering::Acquire))
+    }
+
+    /// Store `token` into slot `slot`.
+    pub fn store(&self, slot: u32, token: PageToken) {
+        self.0.at(slot).store(token.0, Ordering::Release);
+    }
+}
+
+impl fmt::Debug for DmaSlab {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DmaSlab")
+            .field("slots", &self.len())
+            .finish()
     }
 }
 
@@ -246,6 +337,36 @@ mod tests {
         assert_eq!(h.load(), PageToken(5));
         assert!(h.ptr_eq(&alias));
         assert!(!h.ptr_eq(&DmaHandle::new()));
+    }
+
+    #[test]
+    fn slab_handles_name_their_own_slot() {
+        let slab = DmaSlab::new(4);
+        assert_eq!(slab.len(), 4);
+        let (a, b) = (slab.handle(1), slab.handle(2));
+        a.store(PageToken(11));
+        b.store(PageToken(22));
+        assert_eq!(
+            (0..4).map(|slot| slab.load(slot)).collect::<Vec<_>>(),
+            [PageToken(0), PageToken(11), PageToken(22), PageToken(0)]
+        );
+        slab.store(1, PageToken(7));
+        assert_eq!(a.load(), PageToken(7));
+        assert!(a.ptr_eq(&slab.handle(1)));
+        assert!(!a.ptr_eq(&b));
+        assert_eq!(format!("{b:?}"), "DmaHandle { slot: 2 }");
+        assert_eq!(format!("{slab:?}"), "DmaSlab { slots: 4 }");
+    }
+
+    #[test]
+    fn a_handle_stays_two_words() {
+        assert!(std::mem::size_of::<DmaHandle>() <= 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slab_handles_are_bounds_checked() {
+        DmaSlab::new(2).handle(2);
     }
 
     #[test]
