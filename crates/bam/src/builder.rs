@@ -1,10 +1,9 @@
 //! One builder for both hosts.
 //!
-//! The paper's Listing-1 flow (`new` → `add_nvme_dev*` → `init_nvme` →
-//! `start`) on the generic [`agile_core::host::Host`] is order-sensitive.
-//! [`HostBuilder`] is a declarative construction API whose invalid orders
-//! are unrepresentable — `build()` runs the flow in the only valid order and
-//! returns a started host:
+//! A host exists only started: [`agile_core::host::Host::build`] brings it
+//! up from one [`HostSpec`] in the only valid order (Listing 1's
+//! `addNvmeDev` → `initNvme` → `startAgile`). [`HostBuilder`] fills that
+//! spec declaratively and `build()` hands it over:
 //!
 //! ```
 //! use bam_baseline::HostBuilder;
@@ -28,32 +27,17 @@ use crate::ctrl::BamConfig;
 use crate::host::BamSystem;
 use agile_control::{ControlPolicy, SloSpec};
 use agile_core::config::AgileConfig;
-use agile_core::host::{AgileSystem, Host, HostSystem};
+use agile_core::host::{AgileSystem, Host, HostSpec, HostSystem};
 use agile_core::qos::QosPolicy;
-use agile_metrics::{MetricsRegistry, WindowedSampler, DEFAULT_WINDOW_CYCLES};
+use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::trace::TraceSink;
 use gpu_sim::{EngineSched, GpuConfig};
 use nvme_sim::PageBacking;
 use std::sync::Arc;
 
-/// One device to be created at build time.
-struct DeviceSpec {
-    pages: u64,
-    backing: Option<Arc<dyn PageBacking>>,
-}
-
 /// Declarative construction of an AGILE or BaM host (see the module docs).
 pub struct HostBuilder<S: HostSystem> {
-    gpu: GpuConfig,
-    config: S::Config,
-    devices: Vec<DeviceSpec>,
-    engine_sched: EngineSched,
-    sink: Option<Arc<dyn TraceSink>>,
-    qos: Option<Arc<dyn QosPolicy>>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    sampler: Option<Arc<WindowedSampler>>,
-    control: Option<ControlPolicy>,
-    slos: Vec<SloSpec>,
+    spec: HostSpec<S>,
 }
 
 impl HostBuilder<AgileSystem> {
@@ -70,7 +54,7 @@ impl HostBuilder<AgileSystem> {
     /// bounds. AGILE only — the BaM baseline hard-codes one policy, which is
     /// exactly the flexibility gap the paper calls out.
     pub fn cache_policy(mut self, policy: agile_core::config::CachePolicyKind) -> Self {
-        self.config.cache_policy = policy;
+        self.spec.config.cache_policy = policy;
         self
     }
 
@@ -78,7 +62,7 @@ impl HostBuilder<AgileSystem> {
     /// the `TenantShare` eviction policy (tenants beyond the slice weigh 1;
     /// empty = equal shares).
     pub fn cache_shares(mut self, shares: Vec<u64>) -> Self {
-        self.config.cache_shares = shares;
+        self.spec.config.cache_shares = shares;
         self
     }
 }
@@ -93,44 +77,29 @@ impl HostBuilder<BamSystem> {
 impl<S: HostSystem> HostBuilder<S> {
     fn new(config: S::Config) -> Self {
         HostBuilder {
-            gpu: GpuConfig::rtx_5000_ada(),
-            config,
-            devices: Vec::new(),
-            engine_sched: EngineSched::default(),
-            sink: None,
-            qos: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            slos: Vec::new(),
+            spec: HostSpec::new(GpuConfig::rtx_5000_ada(), config),
         }
     }
 
     /// Simulated GPU to run on (default: the paper's RTX 5000 Ada).
     pub fn gpu(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = gpu;
+        self.spec.gpu = gpu;
         self
     }
 
     /// Add `count` SSDs of `pages` 4 KiB pages each with default in-memory
     /// backings. May be called repeatedly; devices accumulate.
     pub fn devices(mut self, count: usize, pages: u64) -> Self {
-        for _ in 0..count {
-            self.devices.push(DeviceSpec {
-                pages,
-                backing: None,
-            });
-        }
+        self.spec
+            .devices
+            .extend(std::iter::repeat_n((pages, None), count));
         self
     }
 
     /// Add one SSD of `pages` pages with a caller-supplied page backing
     /// (synthetic content, payload-carrying, …).
     pub fn backing(mut self, pages: u64, backing: Arc<dyn PageBacking>) -> Self {
-        self.devices.push(DeviceSpec {
-            pages,
-            backing: Some(backing),
-        });
+        self.spec.devices.push((pages, Some(backing)));
         self
     }
 
@@ -139,14 +108,14 @@ impl<S: HostSystem> HostBuilder<S> {
     /// execute bit-identically; the scan exists for equivalence tests and
     /// wall-time comparisons.
     pub fn engine_sched(mut self, sched: EngineSched) -> Self {
-        self.engine_sched = sched;
+        self.spec.engine_sched = sched;
         self
     }
 
     /// Install a trace sink across the whole stack before the first kernel
     /// runs, so capture covers every event from time zero.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
+        self.spec.trace_sink = Some(sink);
         self
     }
 
@@ -154,7 +123,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// tenant-attributed SQ admission, before the first kernel runs. Without
     /// this call the stack schedules FIFO (pre-QoS behaviour, bit-for-bit).
     pub fn qos(mut self, policy: Arc<dyn QosPolicy>) -> Self {
-        self.qos = Some(policy);
+        self.spec.qos = Some(policy);
         self
     }
 
@@ -165,7 +134,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// is a no-op and replay output is byte-identical to an uninstrumented
     /// build.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.spec.metrics = Some(registry);
         self
     }
 
@@ -173,70 +142,34 @@ impl<S: HostSystem> HostBuilder<S> {
     /// by the simulated clock; pair with [`HostBuilder::metrics`] over the
     /// same registry to get per-window time series out of a run.
     pub fn metrics_sampler(mut self, sampler: Arc<WindowedSampler>) -> Self {
-        self.sampler = Some(sampler);
+        self.spec.sampler = Some(sampler);
         self
     }
 
     /// Enable the closed-loop control plane ([`agile_control::Controller`])
     /// under `policy`. Implies metrics: when no registry / sampler was
-    /// supplied, a registry and a [`DEFAULT_WINDOW_CYCLES`]-cycle sampler
-    /// are created automatically at build time. Pair with
-    /// [`HostBuilder::slos`] to enforce per-tenant objectives.
+    /// supplied, a registry and a
+    /// [`DEFAULT_WINDOW_CYCLES`](agile_metrics::DEFAULT_WINDOW_CYCLES)-cycle
+    /// sampler are created at build time. Pair with [`HostBuilder::slos`]
+    /// to enforce per-tenant objectives.
     pub fn control(mut self, policy: ControlPolicy) -> Self {
-        self.control = Some(policy);
+        self.spec.control = Some(policy);
         self
     }
 
     /// Declare per-tenant SLOs ([`agile_control::SloSpec`]) for the control
     /// plane's AIMD loop. Only meaningful with [`HostBuilder::control`].
     pub fn slos(mut self, slos: Vec<SloSpec>) -> Self {
-        self.slos = slos;
+        self.spec.slos = slos;
         self
     }
 
-    /// Construct, initialise and start the host: devices + queues built,
-    /// controller created, trace sink / QoS / metrics / control plane
-    /// installed, engine ready and (on AGILE) the service launched.
+    /// Construct, initialise and start the host ([`Host::build`]): devices +
+    /// queues built, controller created, trace sink / QoS / metrics /
+    /// control plane installed, engine ready and (on AGILE) the service
+    /// launched. Panics without devices.
     pub fn build(self) -> Host<S> {
-        assert!(
-            !self.devices.is_empty(),
-            "HostBuilder needs at least one device — call .devices(n, pages)"
-        );
-        let mut host = Host::<S>::new(self.gpu, self.config);
-        for dev in self.devices {
-            match dev.backing {
-                Some(backing) => host.add_nvme_dev_with_backing(dev.pages, backing),
-                None => host.add_nvme_dev(dev.pages),
-            };
-        }
-        host.set_engine_sched(self.engine_sched);
-        host.init_nvme();
-        if let Some(sink) = self.sink {
-            host.set_trace_sink(sink);
-        }
-        if let Some(qos) = self.qos {
-            host.set_qos_policy(qos);
-        }
-        // The control plane consumes sampler windows: create the registry /
-        // sampler pair when it was requested without explicit instruments.
-        let (mut metrics, mut sampler) = (self.metrics, self.sampler);
-        if self.control.is_some() {
-            let registry = metrics.get_or_insert_with(Default::default);
-            sampler.get_or_insert_with(|| {
-                WindowedSampler::new(Arc::clone(registry), DEFAULT_WINDOW_CYCLES)
-            });
-        }
-        if let Some(registry) = metrics {
-            host.set_metrics(registry);
-        }
-        if let Some(sampler) = sampler {
-            host.set_metrics_sampler(sampler);
-        }
-        if let Some(policy) = self.control {
-            host.set_control(policy, self.slos);
-        }
-        host.start();
-        host
+        Host::build(self.spec)
     }
 }
 
@@ -265,7 +198,7 @@ mod tests {
             .build();
         assert_eq!(host.ctrl().io().device_count(), 2);
         assert_eq!(host.topology().device_count(), 2);
-        // start_agile already ran: the engine exists and reports time.
+        // The host is started: the engine exists and reports time.
         assert_eq!(host.now().raw(), 0);
     }
 

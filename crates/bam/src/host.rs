@@ -2,12 +2,13 @@
 //!
 //! [`BamHost`] is the same generic [`agile_core::host::Host`] the AGILE host
 //! is — identical topology, queue, trace, metrics and control wiring — over
-//! the [`BamSystem`] marker: BaM has no background kernel, so `start()`
+//! the [`BamSystem`] marker: BaM has no background kernel, so `build()`
 //! launches nothing, and its control plane sees only the WFQ weight knob
 //! (no prefetch pipeline, no service, a fixed clock cache).
 
 use crate::ctrl::{BamConfig, BamCtrl};
 use agile_core::host::{Host, HostSystem};
+use agile_metrics::MetricsRegistry;
 use agile_sim::costs::SsdCosts;
 use gpu_sim::Engine;
 use nvme_sim::{QueuePair, StorageTopology};
@@ -38,7 +39,13 @@ impl HostSystem for BamSystem {
         BamCtrl::with_topology(config, queues, topology)
     }
 
-    fn launch_services(_host: &BamHost, _engine: &mut Engine) {}
+    fn launch_services(
+        _ctrl: &Arc<BamCtrl>,
+        _config: &BamConfig,
+        _metrics: Option<&Arc<MetricsRegistry>>,
+        _engine: &mut Engine,
+    ) {
+    }
 }
 
 /// Host-side owner of the BaM testbed.
@@ -48,14 +55,15 @@ pub type BamHost = Host<BamSystem>;
 mod tests {
     use super::*;
     use crate::kernels::SyncReadComputeKernel;
+    use crate::HostBuilder;
     use gpu_sim::{GpuConfig, LaunchConfig};
 
     #[test]
     fn bam_host_runs_a_sync_kernel() {
-        let mut host = BamHost::new(GpuConfig::tiny(4), BamConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start();
+        let mut host = HostBuilder::bam(BamConfig::small_test())
+            .gpu(GpuConfig::tiny(4))
+            .devices(1, 1 << 16)
+            .build();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(56),

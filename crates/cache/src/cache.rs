@@ -364,11 +364,6 @@ impl SoftwareCache {
         &self.cfg
     }
 
-    /// Replacement policy name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
     /// Online share-weight update for `tenant`, forwarded to the replacement
     /// policy (the control plane's cache actuator). Tenant-oblivious
     /// policies return [`crate::policy::ShareError::Unsupported`].
@@ -1450,9 +1445,6 @@ mod tests {
     struct Refuse;
 
     impl CachePolicy for Refuse {
-        fn name(&self) -> &str {
-            "refuse"
-        }
         fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
         fn on_access(&self, _set: usize, _way: usize) {}
         fn on_fill(&self, _set: usize, _way: usize) {}

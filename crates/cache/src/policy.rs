@@ -72,9 +72,6 @@ impl std::error::Error for ShareError {}
 /// associativity` and `set < num_sets` (both fixed at construction through
 /// [`CachePolicy::configure`]).
 pub trait CachePolicy: Send + Sync {
-    /// Name used in reports.
-    fn name(&self) -> &str;
-
     /// Called once by the cache with its geometry before use.
     fn configure(&mut self, num_sets: usize, associativity: usize);
 
@@ -148,9 +145,6 @@ impl Default for ClockPolicy {
 }
 
 impl CachePolicy for ClockPolicy {
-    fn name(&self) -> &str {
-        "clock"
-    }
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.assoc = associativity;
         self.ref_bits = (0..num_sets * associativity)
@@ -219,9 +213,6 @@ impl Default for LruPolicy {
 }
 
 impl CachePolicy for LruPolicy {
-    fn name(&self) -> &str {
-        "lru"
-    }
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.assoc = associativity;
         self.stamps = (0..num_sets * associativity)
@@ -267,9 +258,6 @@ impl Default for FifoPolicy {
 }
 
 impl CachePolicy for FifoPolicy {
-    fn name(&self) -> &str {
-        "fifo"
-    }
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.assoc = associativity;
         self.filled_at = (0..num_sets * associativity)
@@ -310,9 +298,6 @@ impl RandomPolicy {
 }
 
 impl CachePolicy for RandomPolicy {
-    fn name(&self) -> &str {
-        "random"
-    }
     fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
     fn on_access(&self, _set: usize, _way: usize) {}
     fn on_fill(&self, _set: usize, _way: usize) {}
@@ -406,9 +391,6 @@ impl Default for TenantShare {
 }
 
 impl CachePolicy for TenantShare {
-    fn name(&self) -> &str {
-        "tenant-share"
-    }
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.inner.configure(num_sets, associativity);
         self.total_lines = (num_sets * associativity) as u64;

@@ -161,23 +161,14 @@ pub enum ReleaseOutcome {
 pub struct ShareTable {
     map: Mutex<HashMap<(u32, Lba), Arc<SharedBuf>>>,
     stats: StatCells,
-    /// Maximum number of tracked buffers (0 = unbounded).
-    capacity: usize,
 }
 
 impl ShareTable {
-    /// An unbounded Share Table.
+    /// An empty, unbounded Share Table.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// A Share Table that refuses registrations beyond `capacity` entries
-    /// (0 = unbounded). Registration failures fall back to the software cache.
-    pub fn with_capacity(capacity: usize) -> Self {
         ShareTable {
             map: Mutex::new(HashMap::new()),
             stats: StatCells::default(),
-            capacity,
         }
     }
 
@@ -208,8 +199,9 @@ impl ShareTable {
     /// Returns the tracked entry (state `Exclusive`, one reference). If the
     /// source is already tracked, the existing buffer is returned instead —
     /// the caller should use that pointer rather than its own copy (pointer
-    /// sharing instead of duplication). Returns `None` when the table is at
-    /// capacity and the source is untracked.
+    /// sharing instead of duplication). The table is unbounded, so this is
+    /// always `Some`; the `Option` stays because the benchmark package
+    /// spells it.
     pub fn register(
         &self,
         dev: u32,
@@ -234,9 +226,6 @@ impl ShareTable {
             );
             self.stats.shared_hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(existing));
-        }
-        if self.capacity != 0 && map.len() >= self.capacity {
-            return None;
         }
         let buf = Arc::new(SharedBuf {
             dev,
@@ -415,15 +404,6 @@ mod tests {
         // The original buffer's data wins; the second thread's private copy is unused.
         assert_eq!(a.token(), PageToken(9));
         assert_eq!(a.refs(), 2);
-    }
-
-    #[test]
-    fn capacity_limit_rejects_new_sources() {
-        let st = ShareTable::with_capacity(1);
-        assert!(st.register(0, 1, DmaHandle::new(), 0).is_some());
-        assert!(st.register(0, 2, DmaHandle::new(), 0).is_none());
-        // Existing source still shareable.
-        assert!(st.register(0, 1, DmaHandle::new(), 0).is_some());
     }
 
     #[test]

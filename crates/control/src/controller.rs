@@ -14,6 +14,26 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
+/// Windows with fewer cache lookups than this carry no prefetch signal and
+/// neither vote nor reset votes.
+const MIN_LOOKUPS: u64 = 64;
+/// Demand hit-rate (`(hits − misses) / hits`: the fraction of accesses
+/// served without triggering any fetch — raw `hits / (hits + misses)` would
+/// be inflated by the consuming re-read that every fill produces on the
+/// cached path) below this votes the prefetch depth *down* (thrash).
+const HIT_RATE_LOW: f64 = 0.35;
+/// Demand hit-rate above this (with low pressure) votes the depth *up*.
+const HIT_RATE_HIGH: f64 = 0.55;
+/// Full sets per lookup (`agile_cache_full_sets_total`: a set found with no
+/// line to reserve, counted once until one of its ways settles, so retries
+/// do not inflate it) above this votes the depth *down* regardless of hit
+/// rate (speculation is starving demand fills of lines).
+const PRESSURE_HIGH: f64 = 0.10;
+/// Full sets per lookup must be below this for an *up* vote.
+const PRESSURE_LOW: f64 = 0.02;
+/// Maximum number of idle-backoff doublings over the installed base.
+const MAX_BACKOFF_DOUBLINGS: u32 = 4;
+
 /// `agile_ctrl_*` instruments, present when a registry was supplied.
 struct Instruments {
     decisions: Counter,
@@ -239,7 +259,7 @@ impl Controller {
             .deltas
             .counter("agile_cache_full_sets_total", Labels::NONE);
         let lookups = hits + misses;
-        if lookups < self.policy.min_lookups {
+        if lookups < MIN_LOOKUPS {
             return; // no signal this window; hold votes
         }
         // Demand coverage, not raw lookup ratio: a missed access still ends
@@ -251,10 +271,10 @@ impl Controller {
         // prefetcher cannot game.
         let hit_rate = hits.saturating_sub(misses) as f64 / hits.max(1) as f64;
         let pressure = full_sets as f64 / lookups as f64;
-        if hit_rate < self.policy.hit_rate_low || pressure > self.policy.pressure_high {
+        if hit_rate < HIT_RATE_LOW || pressure > PRESSURE_HIGH {
             state.down_votes += 1;
             state.up_votes = 0;
-        } else if hit_rate > self.policy.hit_rate_high && pressure < self.policy.pressure_low {
+        } else if hit_rate > HIT_RATE_HIGH && pressure < PRESSURE_LOW {
             state.up_votes += 1;
             state.down_votes = 0;
         } else {
@@ -447,7 +467,7 @@ impl Controller {
         let cell = self.knobs.idle_backoff.as_ref().unwrap();
         let current = cell.load();
         let (new, reason) = if completions == 0 {
-            if state.idle_streak < self.policy.max_backoff_doublings {
+            if state.idle_streak < MAX_BACKOFF_DOUBLINGS {
                 state.idle_streak += 1;
             }
             let scaled = state.backoff_base.saturating_shl(state.idle_streak);
@@ -681,7 +701,7 @@ mod tests {
             1.0,
             None,
         );
-        // Below min_lookups: windows close but carry no signal.
+        // Below MIN_LOOKUPS: windows close but carry no signal.
         for i in 1..=4u64 {
             reg.counter("agile_cache_misses_total", Labels::NONE).add(8);
             ctrl.poll(i * 1_000);

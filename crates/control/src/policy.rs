@@ -38,7 +38,8 @@ impl SloSpec {
 
 /// Which loops the controller runs and the thresholds they act on. The
 /// defaults are the tuned values the convergence gate runs with; every field
-/// is public so experiments can deviate.
+/// is public so experiments can deviate. The prefetch loop's signal
+/// thresholds and the backoff cap are constants in `controller.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPolicy {
     /// Run the adaptive-prefetch loop (needs the prefetch-depth knob).
@@ -48,25 +49,6 @@ pub struct ControlPolicy {
     /// Run the idle-backoff loop (needs the idle-backoff knob).
     pub backoff: bool,
 
-    /// Windows with fewer cache lookups than this carry no prefetch signal
-    /// and neither vote nor reset votes.
-    pub min_lookups: u64,
-    /// Demand hit-rate (`(hits − misses) / hits`: the fraction of accesses
-    /// served without triggering any fetch — raw `hits / (hits + misses)`
-    /// would be inflated by the consuming re-read that every fill produces
-    /// on the cached path) below this votes the prefetch depth *down*
-    /// (thrash).
-    pub hit_rate_low: f64,
-    /// Demand hit-rate above this (with low pressure) votes the depth *up*.
-    pub hit_rate_high: f64,
-    /// Full sets per lookup (`agile_cache_full_sets_total`: a set found with
-    /// no line to reserve, counted once until one of its ways settles, so
-    /// retries do not inflate it) above this votes the depth *down*
-    /// regardless of hit rate (speculation is starving demand fills of
-    /// lines).
-    pub pressure_high: f64,
-    /// Full sets per lookup must be below this for an *up* vote.
-    pub pressure_low: f64,
     /// Consecutive agreeing windows required before a knob moves
     /// (hysteresis).
     pub vote_windows: u32,
@@ -84,9 +66,6 @@ pub struct ControlPolicy {
     /// Consecutive in-SLO windows before a boosted weight decays
     /// (multiplicatively, by 3/4) back toward its base.
     pub settle_windows: u32,
-
-    /// Maximum number of idle-backoff doublings over the installed base.
-    pub max_backoff_doublings: u32,
 }
 
 impl Default for ControlPolicy {
@@ -95,18 +74,12 @@ impl Default for ControlPolicy {
             prefetch: true,
             slo: true,
             backoff: true,
-            min_lookups: 64,
-            hit_rate_low: 0.35,
-            hit_rate_high: 0.55,
-            pressure_high: 0.10,
-            pressure_low: 0.02,
             vote_windows: 2,
             cooldown_windows: 2,
             max_prefetch_depth: 8,
             min_ops_per_window: 16,
             weight_step: 1,
             settle_windows: 4,
-            max_backoff_doublings: 4,
         }
     }
 }

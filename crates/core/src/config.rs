@@ -2,8 +2,9 @@
 //!
 //! Collects everything the host-side code of Listing 1 configures before
 //! starting the service: NVMe queue topology, software-cache geometry and
-//! policy, Share Table, the number of service warps, and the cost model used
-//! by the simulation substrate.
+//! policy, the number of service warps, and the cost model used by the
+//! simulation substrate. The Share Table (§3.4.1) is always on and
+//! unbounded.
 
 use agile_cache::CacheConfig;
 use agile_sim::costs::CostModel;
@@ -13,8 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Which built-in replacement policy the software cache uses.
 ///
 /// The paper keeps the clock policy for its evaluation but makes the policy
-/// pluggable; custom policies can be supplied directly to
-/// [`crate::host::AgileHost::set_gpu_cache_policy`].
+/// pluggable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CachePolicyKind {
     /// Clock / second-chance (the paper's default).
@@ -47,16 +47,10 @@ pub struct AgileConfig {
     /// [`CachePolicyKind::TenantShare`] (tenants beyond the slice weigh 1;
     /// empty = equal shares). Ignored by the tenant-oblivious policies.
     pub cache_shares: Vec<u64>,
-    /// Enable the Share Table (coherent user buffers, §3.4.1).
-    pub share_table_enabled: bool,
-    /// Maximum entries the Share Table tracks (0 = unbounded).
-    pub share_table_capacity: usize,
     /// Warps dedicated to the AGILE service kernel.
     pub service_warps: u32,
     /// Thread blocks used by the service kernel (warps are split across them).
     pub service_blocks: u32,
-    /// Enable the lock-chain deadlock-debug option (§3.5).
-    pub debug_lock_chain: bool,
     /// The cost model shared by all simulators.
     pub costs: CostModel,
 }
@@ -71,11 +65,8 @@ impl AgileConfig {
             cache: CacheConfig::with_capacity(2 * GIB),
             cache_policy: CachePolicyKind::Clock,
             cache_shares: Vec::new(),
-            share_table_enabled: true,
-            share_table_capacity: 0,
             service_warps: 8,
             service_blocks: 2,
-            debug_lock_chain: false,
             costs: CostModel::default(),
         }
     }
@@ -89,11 +80,8 @@ impl AgileConfig {
             cache: CacheConfig::with_capacity(4 * MIB),
             cache_policy: CachePolicyKind::Clock,
             cache_shares: Vec::new(),
-            share_table_enabled: true,
-            share_table_capacity: 0,
             service_warps: 2,
             service_blocks: 1,
-            debug_lock_chain: false,
             costs: CostModel::default(),
         }
     }
@@ -119,37 +107,6 @@ impl AgileConfig {
     /// Select a built-in cache policy.
     pub fn with_cache_policy(mut self, policy: CachePolicyKind) -> Self {
         self.cache_policy = policy;
-        self
-    }
-
-    /// Set the per-tenant cache-occupancy weights for
-    /// [`CachePolicyKind::TenantShare`] (indexed by tenant id).
-    pub fn with_cache_shares(mut self, shares: Vec<u64>) -> Self {
-        self.cache_shares = shares;
-        self
-    }
-
-    /// Enable or disable the Share Table.
-    pub fn with_share_table(mut self, enabled: bool) -> Self {
-        self.share_table_enabled = enabled;
-        self
-    }
-
-    /// Enable the lock-chain deadlock detector.
-    pub fn with_lock_chain_debug(mut self, enabled: bool) -> Self {
-        self.debug_lock_chain = enabled;
-        self
-    }
-
-    /// Override the number of service warps.
-    pub fn with_service_warps(mut self, warps: u32) -> Self {
-        self.service_warps = warps.max(1);
-        self
-    }
-
-    /// Override the cost model.
-    pub fn with_costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
         self
     }
 }
@@ -179,17 +136,11 @@ mod tests {
             .with_queue_pairs(2)
             .with_queue_depth(32)
             .with_cache_bytes(MIB)
-            .with_cache_policy(CachePolicyKind::Lru)
-            .with_share_table(false)
-            .with_lock_chain_debug(true)
-            .with_service_warps(0);
+            .with_cache_policy(CachePolicyKind::Lru);
         assert_eq!(c.queue_pairs_per_ssd, 2);
         assert_eq!(c.queue_depth, 32);
         assert_eq!(c.cache.capacity_bytes, MIB);
         assert_eq!(c.cache_policy, CachePolicyKind::Lru);
-        assert!(!c.share_table_enabled);
-        assert!(c.debug_lock_chain);
-        assert_eq!(c.service_warps, 1, "service warps are clamped to ≥ 1");
     }
 
     #[test]

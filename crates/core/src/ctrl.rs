@@ -28,7 +28,6 @@
 
 use crate::config::{AgileConfig, CachePolicyKind};
 use crate::io_path::{IoPath, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait};
-use crate::lockchain::LockRegistry;
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
     CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShardedCache, ShareTable,
@@ -103,8 +102,7 @@ pub struct ApiStats {
 pub struct AgileCtrl {
     cfg: AgileConfig,
     io: IoPath,
-    share_table: Option<ShareTable>,
-    lock_registry: Option<LockRegistry>,
+    share_table: ShareTable,
     stop_service: AtomicBool,
     /// Service warps asleep on empty CQs: a stop request has to reach them.
     stop_watchers: WatchList,
@@ -143,7 +141,7 @@ impl AgileCtrl {
     /// Build a controller whose submissions are charged the topology's array
     /// lock and whose striped page space is resolvable through
     /// [`IoPath::resolve_page`]. Normally constructed by
-    /// [`crate::host::AgileHost::init_nvme`].
+    /// [`crate::host::Host::build`].
     pub fn with_topology(
         cfg: AgileConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
@@ -164,16 +162,11 @@ impl AgileCtrl {
             device_queues,
             topology,
         );
-        let share_table = cfg
-            .share_table_enabled
-            .then(|| ShareTable::with_capacity(cfg.share_table_capacity));
-        let lock_registry = cfg.debug_lock_chain.then(LockRegistry::new);
         let idle_backoff = cfg.costs.api.agile_service_idle_backoff.max(1);
         AgileCtrl {
             cfg,
             io,
-            share_table,
-            lock_registry,
+            share_table: ShareTable::new(),
             stop_service: AtomicBool::new(false),
             stop_watchers: WatchList::new(),
             prefetch_calls: AtomicU64::new(0),
@@ -227,14 +220,9 @@ impl AgileCtrl {
         Arc::clone(&self.idle_backoff)
     }
 
-    /// The Share Table, when enabled.
-    pub fn share_table(&self) -> Option<&ShareTable> {
-        self.share_table.as_ref()
-    }
-
-    /// The lock registry of the deadlock-debug option, when enabled.
-    pub fn lock_registry(&self) -> Option<&LockRegistry> {
-        self.lock_registry.as_ref()
+    /// The Share Table.
+    pub fn share_table(&self) -> &ShareTable {
+        &self.share_table
     }
 
     /// Snapshot of the API statistics.
@@ -369,22 +357,21 @@ impl AgileCtrl {
         let mut cost = Cycles(api.agile_barrier_probe);
 
         // 1. Share Table has the highest priority in the hierarchy (§3.4.1).
-        if let Some(st) = &self.share_table {
-            if let Some(shared) = st.acquire(dev, lba) {
-                cost += Cycles(api.agile_cache_hit);
-                if shared.is_ready() {
-                    buf.store(shared.token());
-                    buf.barrier.complete(self.io.wake_hub());
-                    // We only needed a copy of the data; drop our reference.
-                    let _ = st.release(dev, lba);
-                    self.io.charge_cache(cost);
-                    return (cost, IssueOutcome::AlreadyAvailable);
-                }
-                // The owner's transfer is still in flight; retry later.
+        let st = &self.share_table;
+        if let Some(shared) = st.acquire(dev, lba) {
+            cost += Cycles(api.agile_cache_hit);
+            if shared.is_ready() {
+                buf.store(shared.token());
+                buf.barrier.complete(self.io.wake_hub());
+                // We only needed a copy of the data; drop our reference.
                 let _ = st.release(dev, lba);
                 self.io.charge_cache(cost);
-                return (cost, IssueOutcome::Retry);
+                return (cost, IssueOutcome::AlreadyAvailable);
             }
+            // The owner's transfer is still in flight; retry later.
+            let _ = st.release(dev, lba);
+            self.io.charge_cache(cost);
+            return (cost, IssueOutcome::Retry);
         }
 
         // 2. Software cache.
@@ -399,10 +386,7 @@ impl AgileCtrl {
 
         // 3. Issue the NVMe read straight into the user buffer and register
         //    it with the Share Table so other threads can reuse it.
-        let shared = self
-            .share_table
-            .as_ref()
-            .and_then(|st| st.register(dev, lba, buf.dma.clone(), warp));
+        let shared = st.register(dev, lba, buf.dma.clone(), warp);
         let txn = Transaction::UserRead {
             barrier: buf.barrier.clone(),
             shared: shared.clone(),
@@ -419,11 +403,7 @@ impl AgileCtrl {
         if ok {
             (cost, IssueOutcome::Issued)
         } else {
-            if let Some(st) = &self.share_table {
-                if shared.is_some() {
-                    let _ = st.release(dev, lba);
-                }
-            }
+            let _ = st.release(dev, lba);
             (cost, IssueOutcome::Retry)
         }
     }
@@ -470,9 +450,7 @@ impl AgileCtrl {
 
         // If the Share Table tracks this source, record the modification so
         // the owner propagates it when the sharing drains.
-        if let Some(st) = &self.share_table {
-            let _ = st.mark_modified(dev, lba, token, warp);
-        }
+        let _ = self.share_table.mark_modified(dev, lba, token, warp);
         (cost, IssueOutcome::Issued)
     }
 

@@ -5,29 +5,28 @@
 //! queue registration, trace-sink fan-out, metrics / sampler / control
 //! bridging and the GPU engine. What differs between systems — how the
 //! controller is built, which control knobs it exposes and what background
-//! work `start` launches — is the [`HostSystem`] trait. [`AgileHost`] is
+//! work is launched — is the [`HostSystem`] trait. [`AgileHost`] is
 //! `Host<AgileSystem>`; the BaM baseline's `BamHost` is the same struct over
 //! its own marker, so AGILE-vs-BaM comparisons share every line of wiring.
 //!
-//! [`AgileHost`] mirrors the paper's host API:
+//! A [`Host`] exists only started: [`Host::build`] takes everything the
+//! bring-up needs as one [`HostSpec`] and runs Listing 1's order-sensitive
+//! `addNvmeDev` → `initNvme` → `startAgile` sequence in the only valid order.
+//! `bam_baseline::HostBuilder` fills the spec for either system:
 //!
-//! | Listing 1 call | `AgileHost` method |
+//! | Listing 1 call | here |
 //! |---|---|
-//! | `AGILE_HOST host(...)` | [`Host::new`] |
-//! | `host.setGPUCache(...)` / `setShareTable(...)` | fields of [`crate::config::AgileConfig`] |
-//! | `host.addNvmeDev(...)` | [`Host::add_nvme_dev`] / [`Host::add_nvme_dev_with_backing`] |
-//! | `host.initNvme()` | [`Host::init_nvme`] |
-//! | `host.initializeAgile(...)` | part of [`Host::init_nvme`] (controller construction) |
+//! | `AGILE_HOST host(...)` | [`HostSpec::new`] (`HostBuilder::agile`) |
+//! | `host.setGPUCache(...)` | fields of [`crate::config::AgileConfig`] |
+//! | `host.addNvmeDev(...)` | [`HostSpec::devices`] (`HostBuilder::devices` / `backing`) |
+//! | `host.initNvme()` / `initializeAgile(...)` / `startAgile()` | [`Host::build`] |
 //! | `host.configKernelParallelism(...)` / `queryOccupancy(...)` | [`Host::query_occupancy`] |
-//! | `host.startAgile()` | [`Host::start_agile`] |
 //! | `host.runKernel(kernel, args...)` | [`Host::run_kernel`] |
 //! | `host.stopAgile()` | [`Host::stop_agile`] |
 //! | `host.closeNvme()` | [`Host::close_nvme`] |
 //!
-//! New code should not drive this order-sensitive sequence by hand: build
-//! hosts through `bam_baseline::HostBuilder`, which runs the flow in the
-//! only valid order and returns a started host. The surface a started host
-//! exposes to harness code is the [`GpuStorageHost`] trait.
+//! The surface a started host exposes to harness code is the
+//! [`GpuStorageHost`] trait.
 //!
 //! The host also owns the co-simulation plumbing: it builds the one
 //! [`StorageTopology`] (every device behind one modeled array lock) and
@@ -41,7 +40,7 @@ use crate::qos::QosPolicy;
 use crate::service::{AgileService, AgileServiceKernel};
 use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
 use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
-use agile_metrics::{MetricsRegistry, WindowedSampler};
+use agile_metrics::{MetricsRegistry, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 use agile_sim::costs::SsdCosts;
 use agile_sim::trace::TraceSink;
 use agile_sim::Cycles;
@@ -93,7 +92,7 @@ pub trait GpuStorageHost {
     fn stop(&mut self);
 }
 
-/// Bridges the whole storage topology into the engine as its one shard
+/// Bridges the whole storage topology into the engine as its one storage
 /// device. [`StorageTopology::advance_to`] visits the devices in device
 /// order, the golden-gated order, and the engine wakes the sleepers they
 /// notified only after all of them — as it did with one bridge per device.
@@ -161,8 +160,14 @@ pub trait HostSystem: Sized {
     }
 
     /// Launch the system's background kernels on the freshly built `engine`
-    /// (called last in [`Host::start`]).
-    fn launch_services(host: &Host<Self>, engine: &mut Engine) -> Self::Services;
+    /// (called last in [`Host::build`]), registering their collectors with
+    /// `metrics` when the host is instrumented.
+    fn launch_services(
+        ctrl: &Arc<Self::Ctrl>,
+        config: &Self::Config,
+        metrics: Option<&Arc<MetricsRegistry>>,
+        engine: &mut Engine,
+    ) -> Self::Services;
 
     /// Ask the background kernels to wind down.
     fn stop_services(_ctrl: &Self::Ctrl) {}
@@ -207,16 +212,20 @@ impl HostSystem for AgileSystem {
 
     /// The one persistent service kernel, in the configured
     /// `service_blocks` × `service_warps` geometry.
-    fn launch_services(host: &AgileHost, engine: &mut Engine) -> Arc<AgileService> {
-        let ctrl = host.ctrl();
+    fn launch_services(
+        ctrl: &Arc<AgileCtrl>,
+        config: &AgileConfig,
+        metrics: Option<&Arc<MetricsRegistry>>,
+        engine: &mut Engine,
+    ) -> Arc<AgileService> {
         ctrl.reset_service_stop();
-        let service = AgileService::new(ctrl);
-        if let Some(registry) = &host.metrics {
+        let service = AgileService::new(Arc::clone(ctrl));
+        if let Some(registry) = metrics {
             registry.register_collector(Box::new(ServiceCollector::new(Arc::clone(&service))));
         }
-        let blocks = host.config.service_blocks.max(1);
-        let warps_per_block = host.config.service_warps.max(1).div_ceil(blocks);
-        let launch = LaunchConfig::new(blocks, warps_per_block * host.gpu.warp_size)
+        let blocks = config.service_blocks.max(1);
+        let warps_per_block = config.service_warps.max(1).div_ceil(blocks);
+        let launch = LaunchConfig::new(blocks, warps_per_block * engine.gpu().warp_size)
             .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
             .persistent();
         engine.launch(
@@ -238,63 +247,193 @@ impl HostSystem for AgileSystem {
 /// The AGILE host: [`Host`] with the Listing-1 method names.
 pub type AgileHost = Host<AgileSystem>;
 
+/// Everything [`Host::build`] brings a host up from: the GPU, the system
+/// configuration, the devices and the optional trace, QoS, metrics and
+/// control wiring. `bam_baseline::HostBuilder` fills one declaratively.
+pub struct HostSpec<S: HostSystem> {
+    /// The simulated GPU.
+    pub gpu: GpuConfig,
+    /// The system configuration.
+    pub config: S::Config,
+    /// The SSDs in add order (device `i` is the `i`-th entry): namespace
+    /// size in 4 KiB pages, and a page backing — `None` for an in-memory
+    /// [`MemBacking`] keyed by the device index.
+    pub devices: Vec<(u64, Option<Arc<dyn PageBacking>>)>,
+    /// Scheduling loop of the engine (event-driven ready-queue by default).
+    pub engine_sched: EngineSched,
+    /// One trace sink across the whole stack: the controller's submit /
+    /// doorbell path, the software cache's lookup path, every SSD's
+    /// completion path and the control plane's decisions.
+    pub trace_sink: Option<Arc<dyn TraceSink>>,
+    /// QoS policy arbitrating tenant-attributed SQ admission (FIFO without).
+    pub qos: Option<Arc<dyn QosPolicy>>,
+    /// Metrics registry instrumenting the whole stack (every hook a no-op
+    /// without).
+    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Windowed sampler, bridged into the engine as a passive device.
+    pub sampler: Option<Arc<WindowedSampler>>,
+    /// Closed-loop control plane under this policy.
+    pub control: Option<ControlPolicy>,
+    /// Per-tenant objectives for the control plane's SLO loop.
+    pub slos: Vec<SloSpec>,
+}
+
+impl<S: HostSystem> HostSpec<S> {
+    /// A spec with no devices and nothing optional installed.
+    pub fn new(gpu: GpuConfig, config: S::Config) -> Self {
+        HostSpec {
+            gpu,
+            config,
+            devices: Vec::new(),
+            engine_sched: EngineSched::default(),
+            trace_sink: None,
+            qos: None,
+            metrics: None,
+            sampler: None,
+            control: None,
+            slos: Vec::new(),
+        }
+    }
+}
+
 /// Owns the GPU engine, the storage topology and the controller of one
-/// system under test.
+/// started system under test.
 pub struct Host<S: HostSystem> {
     gpu: GpuConfig,
     config: S::Config,
-    pending_devices: Vec<(SsdConfig, Arc<dyn PageBacking>)>,
-    /// Scheduling loop of the engine (event-driven ready-queue by default).
-    engine_sched: EngineSched,
-    topology: Option<Arc<StorageTopology>>,
-    ctrl: Option<Arc<S::Ctrl>>,
-    services: Option<S::Services>,
-    /// Present from [`Host::start`] on.
-    engine: Option<Engine>,
-    /// Optional metrics registry instrumenting the whole stack.
+    topology: Arc<StorageTopology>,
+    ctrl: Arc<S::Ctrl>,
+    services: S::Services,
+    engine: Engine,
+    /// The metrics registry instrumenting the whole stack, if any.
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Optional windowed sampler, bridged into the engine at start.
-    sampler: Option<Arc<WindowedSampler>>,
-    /// Pending control-plane request, consumed at [`Host::start`].
-    control: Option<(ControlPolicy, Vec<SloSpec>)>,
-    /// The live controller, once started with a control plane.
+    /// The live controller, when the host was built with a control plane.
     controller: Option<Arc<Controller>>,
 }
 
 impl<S: HostSystem> Host<S> {
-    /// Create a host for the given GPU and system configuration.
-    pub fn new(gpu: GpuConfig, config: S::Config) -> Self {
+    /// Bring a host up from `spec` and return it started — Listing 1's
+    /// `addNvmeDev` → `initNvme` / `initializeAgile` → `startAgile`.
+    ///
+    /// The order is part of the determinism contract:
+    /// 1. the devices, in add order;
+    /// 2. the storage topology and its queue pairs (pinned GPU memory);
+    /// 3. the controller;
+    /// 4. the trace sink on the controller's path;
+    /// 5. the QoS policy;
+    /// 6. the metrics binding, then the cache and topology collectors;
+    /// 7. the sampler — when control was requested without a registry and
+    ///    sampler, a registry and a [`DEFAULT_WINDOW_CYCLES`]-cycle sampler
+    ///    are created;
+    /// 8. the engine: scheduler, wake hub, topology sink, storage bridge,
+    ///    engine metrics, sampler bridge, then the control bridge;
+    /// 9. the system's services (AGILE's persistent service kernel; nothing
+    ///    for BaM) and their collector.
+    ///
+    /// Panics on a spec without devices and on a configuration the system
+    /// rejects (AGILE: a queue depth that is not a power of two ≥ 32).
+    pub fn build(spec: HostSpec<S>) -> Self {
+        let HostSpec {
+            gpu,
+            config,
+            devices,
+            engine_sched,
+            trace_sink,
+            qos,
+            mut metrics,
+            mut sampler,
+            control,
+            slos,
+        } = spec;
+        assert!(
+            !devices.is_empty(),
+            "a host needs at least one device — HostBuilder::devices(n, pages)"
+        );
         S::validate(&config);
+        let (costs, queue_pairs, queue_depth) = S::storage_params(&config);
+        let parts = devices
+            .into_iter()
+            .enumerate()
+            .map(|(id, (namespace_pages, backing))| {
+                let id = id as u32;
+                let cfg = SsdConfig {
+                    id,
+                    costs: costs.clone(),
+                    namespace_pages,
+                    clock_ghz: gpu.clock_ghz,
+                };
+                let backing = backing.unwrap_or_else(|| Arc::new(MemBacking::new(id)));
+                (cfg, backing)
+            })
+            .collect();
+        let topology = Arc::new(StorageTopology::from_parts(parts));
+        let queues = topology.register_queues(queue_pairs, queue_depth);
+        let ctrl = Arc::new(S::new_ctrl(config.clone(), queues, Arc::clone(&topology)));
+
+        if let Some(sink) = trace_sink {
+            ctrl.io().set_trace_sink(sink);
+        }
+        if let Some(qos) = qos {
+            ctrl.io().set_qos_policy(qos);
+        }
+        // The control plane consumes sampler windows.
+        if control.is_some() {
+            let registry = metrics.get_or_insert_with(Default::default);
+            sampler.get_or_insert_with(|| {
+                WindowedSampler::new(Arc::clone(registry), DEFAULT_WINDOW_CYCLES)
+            });
+        }
+        if let Some(registry) = &metrics {
+            ctrl.io().bind_metrics(registry);
+            registry.register_collector(Box::new(CacheCollector::new(ctrl.clone())));
+            registry.register_collector(Box::new(TopologyCollector::new(Arc::clone(&topology))));
+        }
+
+        let mut engine = Engine::new(gpu.clone());
+        engine.set_scheduler(engine_sched);
+        // Warps waiting on this stack sleep in its hub; the engine wakes them.
+        engine.set_wake_hub(Arc::clone(ctrl.io().wake_hub()));
+        let sink = ctrl.io().trace_sink();
+        if let Some(sink) = sink {
+            topology.set_trace_sink(sink);
+        }
+        engine.add_storage_device(Box::new(TopologyBridge {
+            topology: Arc::clone(&topology),
+            now: Cycles::ZERO,
+        }));
+        if let Some(registry) = &metrics {
+            engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
+        }
+        if let Some(sampler) = &sampler {
+            engine.add_device(Box::new(MetricsBridge::new(Arc::clone(sampler))));
+        }
+        // `sampler` is present whenever `control` is (created above).
+        let controller = control.zip(sampler).map(|(policy, sampler)| {
+            let controller = Controller::new(
+                policy,
+                slos,
+                S::knobs(&ctrl),
+                sampler,
+                gpu.clock_ghz,
+                metrics.as_ref(),
+            );
+            if let Some(sink) = sink {
+                controller.set_trace_sink(Arc::clone(sink));
+            }
+            engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
+            controller
+        });
+        let services = S::launch_services(&ctrl, &config, metrics.as_ref(), &mut engine);
         Host {
             gpu,
             config,
-            pending_devices: Vec::new(),
-            engine_sched: EngineSched::default(),
-            topology: None,
-            ctrl: None,
-            services: None,
-            engine: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            controller: None,
+            topology,
+            ctrl,
+            services,
+            engine,
+            metrics,
+            controller,
         }
-    }
-
-    /// Panic unless `setter` is being called before [`Host::init_nvme`].
-    fn assert_before_init(&self, setter: &str) {
-        assert!(
-            self.topology.is_none(),
-            "{setter} must be called before init_nvme"
-        );
-    }
-
-    /// Panic unless `setter` is being called before [`Host::start`].
-    fn assert_before_start(&self, setter: &str) {
-        assert!(
-            self.engine.is_none(),
-            "{setter} must be called before start"
-        );
     }
 
     /// The GPU configuration.
@@ -307,140 +446,44 @@ impl<S: HostSystem> Host<S> {
         &self.config
     }
 
-    /// Select the engine's scheduling loop (default: the event-driven
-    /// ready-queue). Must be called before [`Host::start`].
-    pub fn set_engine_sched(&mut self, sched: EngineSched) {
-        self.assert_before_start("set_engine_sched");
-        self.engine_sched = sched;
-    }
-
-    /// Register an SSD with `namespace_pages` 4 KiB pages and a default
-    /// in-memory backing. Returns the device index.
-    pub fn add_nvme_dev(&mut self, namespace_pages: u64) -> usize {
-        let id = self.pending_devices.len() as u32;
-        self.add_nvme_dev_with_backing(namespace_pages, Arc::new(MemBacking::new(id)))
-    }
-
-    /// Register an SSD with a caller-supplied backing (synthetic content,
-    /// payload-carrying, …). Returns the device index.
-    pub fn add_nvme_dev_with_backing(
-        &mut self,
-        namespace_pages: u64,
-        backing: Arc<dyn PageBacking>,
-    ) -> usize {
-        self.assert_before_init("add_nvme_dev");
-        let id = self.pending_devices.len() as u32;
-        let cfg = SsdConfig {
-            id,
-            costs: S::storage_params(&self.config).0.clone(),
-            namespace_pages,
-            clock_ghz: self.gpu.clock_ghz,
-        };
-        self.pending_devices.push((cfg, backing));
-        id as usize
-    }
-
-    /// Build the storage topology, create and register the I/O queue pairs
-    /// in (simulated) pinned GPU memory, and construct the controller —
-    /// `initNvme()` + `initializeAgile()` of Listing 1.
-    pub fn init_nvme(&mut self) {
-        assert!(!self.pending_devices.is_empty(), "no NVMe devices added");
-        assert!(self.topology.is_none(), "init_nvme called twice");
-        let parts = std::mem::take(&mut self.pending_devices);
-        let topology = Arc::new(StorageTopology::from_parts(parts));
-        let (_, queue_pairs, queue_depth) = S::storage_params(&self.config);
-        let queues = topology.register_queues(queue_pairs, queue_depth);
-        self.ctrl = Some(Arc::new(S::new_ctrl(
-            self.config.clone(),
-            queues,
-            Arc::clone(&topology),
-        )));
-        self.topology = Some(topology);
-    }
-
-    /// The controller (available after [`Host::init_nvme`]).
+    /// The controller.
     pub fn ctrl(&self) -> Arc<S::Ctrl> {
-        Arc::clone(self.ctrl.as_ref().expect("init_nvme not called"))
-    }
-
-    /// Install one trace sink across the whole stack: the controller's
-    /// submit/doorbell path and the software cache's lookup path now, every
-    /// SSD's completion path at [`Host::start`]. Call after
-    /// [`Host::init_nvme`] and before `start`; the first sink installed wins
-    /// (returns `false` if one was already present). Recording costs one
-    /// atomic load per hook when enabled-but-absent.
-    pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        self.assert_before_start("set_trace_sink");
-        self.ctrl().io().set_trace_sink(sink)
+        Arc::clone(&self.ctrl)
     }
 
     /// Install a QoS policy on the controller's tenant-attributed submission
-    /// path. Call after [`Host::init_nvme`]; the first policy installed
-    /// wins (returns `false` otherwise). See [`crate::qos`].
+    /// path; the first policy installed wins (returns `false` otherwise).
+    /// See [`crate::qos`].
     pub fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        self.ctrl().io().set_qos_policy(policy)
+        self.ctrl.io().set_qos_policy(policy)
     }
 
-    /// Instrument the stack with `registry`: the controller's submit path
-    /// gains direct counters, and the cache / topology / device statistics
-    /// are exported through snapshot-time collectors (zero hot-path cost —
-    /// see [`crate::telemetry`]). Call after [`Host::init_nvme`] and before
-    /// [`Host::start`] (the engine and services bind at start). Without a
-    /// registry every metrics hook is a no-op.
-    pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        assert!(
-            self.ctrl.is_some(),
-            "set_metrics must be called after init_nvme"
-        );
-        self.assert_before_start("set_metrics");
-        let ctrl = self.ctrl();
-        ctrl.io().bind_metrics(&registry);
-        registry.register_collector(Box::new(CacheCollector::new(ctrl)));
-        registry.register_collector(Box::new(TopologyCollector::new(self.topology())));
-        self.metrics = Some(registry);
-    }
-
-    /// Attach a windowed sampler, bridged into the engine as a passive
-    /// device at [`Host::start`]: the engine visits every window boundary
-    /// and the window closes exactly there (the extra rounds step no warp).
-    /// Call before `start`.
-    pub fn set_metrics_sampler(&mut self, sampler: Arc<WindowedSampler>) {
-        self.assert_before_start("set_metrics_sampler");
-        self.sampler = Some(sampler);
-    }
-
-    /// The installed metrics registry, if any.
+    /// The installed metrics registry, if any: the controller's submit path
+    /// counts directly, and the cache / topology / device / service
+    /// statistics are exported through snapshot-time collectors (zero
+    /// hot-path cost — see [`crate::telemetry`]).
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref()
     }
 
-    /// Request the closed-loop control plane: at [`Host::start`] a
-    /// deterministic [`Controller`] is built over the installed sampler's
-    /// window stream (a sampler is required — install one with
-    /// [`Host::set_metrics_sampler`]), actuating the system's
-    /// [`HostSystem::knobs`] for the declared `slos`, and bridged into the
-    /// engine as a passive device. AGILE wires prefetch depth, idle backoff,
-    /// WFQ weights and cache shares; BaM has no prefetch pipeline, no
-    /// service and a fixed clock cache, so only its WFQ loop runs. Call
-    /// after any [`Host::set_qos_policy`] so the WFQ knob is picked up.
-    pub fn set_control(&mut self, policy: ControlPolicy, slos: Vec<SloSpec>) {
-        self.assert_before_start("set_control");
-        self.control = Some((policy, slos));
-    }
-
-    /// The live controller, when the host was started with a control plane.
+    /// The live controller, when the host was built with a control plane: a
+    /// deterministic [`Controller`] over the sampler's window stream,
+    /// actuating the system's [`HostSystem::knobs`] for the declared SLOs.
+    /// AGILE wires prefetch depth, idle backoff, WFQ weights and cache
+    /// shares; BaM has no prefetch pipeline, no service and a fixed clock
+    /// cache, so only its WFQ loop runs.
     pub fn controller(&self) -> Option<&Arc<Controller>> {
         self.controller.as_ref()
     }
 
     /// The shared storage topology (for workload setup and statistics).
     pub fn topology(&self) -> Arc<StorageTopology> {
-        Arc::clone(self.topology.as_ref().expect("init_nvme not called"))
+        Arc::clone(&self.topology)
     }
 
     /// The page backing of device `dev` (for pre-populating datasets).
     pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
-        self.topology().backing(dev)
+        self.topology.backing(dev)
     }
 
     /// `queryOccupancy`: maximum resident blocks per SM for a launch.
@@ -448,60 +491,10 @@ impl<S: HostSystem> Host<S> {
         occupancy(&self.gpu, launch)
     }
 
-    /// Create the GPU engine, bridge every storage device, the trace sink,
-    /// the metrics sampler and the control plane into it, then launch the
-    /// system's background services (AGILE's persistent service kernel;
-    /// nothing for BaM).
-    pub fn start(&mut self) {
-        assert!(self.ctrl.is_some(), "init_nvme must run before start");
-        assert!(self.engine.is_none(), "start called twice");
-        let mut engine = Engine::new(self.gpu.clone());
-        engine.set_scheduler(self.engine_sched);
-        let topology = self.topology();
-        let ctrl = self.ctrl();
-        // Warps waiting on this stack sleep in its hub; the engine wakes them.
-        engine.set_wake_hub(Arc::clone(ctrl.io().wake_hub()));
-        let sink = ctrl.io().trace_sink();
-        if let Some(sink) = sink {
-            topology.set_trace_sink(sink);
-        }
-        engine.add_shard_device(Box::new(TopologyBridge {
-            topology: Arc::clone(&topology),
-            now: Cycles::ZERO,
-        }));
-        if let Some(registry) = &self.metrics {
-            engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
-        }
-        if let Some(sampler) = &self.sampler {
-            engine.add_device(Box::new(MetricsBridge::new(Arc::clone(sampler))));
-        }
-        if let Some((policy, slos)) = self.control.take() {
-            let sampler = self
-                .sampler
-                .as_ref()
-                .expect("set_control requires a windowed sampler (set_metrics_sampler)");
-            let controller = Controller::new(
-                policy,
-                slos,
-                S::knobs(&ctrl),
-                Arc::clone(sampler),
-                self.gpu.clock_ghz,
-                self.metrics.as_ref(),
-            );
-            if let Some(sink) = sink {
-                controller.set_trace_sink(Arc::clone(sink));
-            }
-            engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
-            self.controller = Some(controller);
-        }
-        self.services = Some(S::launch_services(self, &mut engine));
-        self.engine = Some(engine);
-    }
-
     /// Access the engine (advanced use: launching extra kernels directly,
     /// deadlock-window tuning in tests).
     pub fn engine_mut(&mut self) -> &mut Engine {
-        self.engine.as_mut().expect("start not called")
+        &mut self.engine
     }
 
     /// Launch a user kernel and run the co-simulation until it (and any other
@@ -513,52 +506,38 @@ impl<S: HostSystem> Host<S> {
         launch: LaunchConfig,
         factory: Box<dyn KernelFactory>,
     ) -> ExecutionReport {
-        let engine = self.engine_mut();
-        engine.launch(launch, factory);
-        engine.run()
+        self.engine.launch(launch, factory);
+        self.engine.run()
     }
 
     /// Ask the system's background services to stop (no-op for BaM).
     pub fn stop(&mut self) {
-        if let Some(ctrl) = &self.ctrl {
-            S::stop_services(ctrl);
-        }
+        S::stop_services(&self.ctrl);
     }
 
-    /// Current simulated time of the engine (zero before [`Host::start`]).
+    /// Current simulated time of the engine.
     pub fn now(&self) -> Cycles {
-        self.engine
-            .as_ref()
-            .map(|e| e.now())
-            .unwrap_or(Cycles::ZERO)
+        self.engine.now()
     }
 }
 
-/// The Listing-1 names and the service accessors only AGILE has.
+/// The Listing-1 names and the service accessor only AGILE has.
 impl Host<AgileSystem> {
-    /// `startAgile()` — [`Host::start`].
-    pub fn start_agile(&mut self) {
-        self.start();
-    }
-
     /// `stopAgile()` — [`Host::stop`].
     pub fn stop_agile(&mut self) {
         self.stop();
     }
 
-    /// Tear down the NVMe state — `closeNvme()`. (The simulated equivalents
-    /// of unbinding the driver: the queues and devices are dropped.)
-    pub fn close_nvme(&mut self) {
+    /// Tear down the NVMe state — `closeNvme()`: stop the service and drop
+    /// the engine, queues and devices (the simulated equivalent of unbinding
+    /// the driver).
+    pub fn close_nvme(mut self) {
         self.stop();
-        self.engine = None;
-        self.services = None;
-        self.ctrl = None;
-        self.topology = None;
     }
 
-    /// The AGILE service (available after [`Host::start_agile`]).
+    /// The AGILE service.
     pub fn service(&self) -> Arc<AgileService> {
-        Arc::clone(self.services.as_ref().expect("start_agile not called"))
+        Arc::clone(&self.services)
     }
 }
 
@@ -597,14 +576,17 @@ mod tests {
     use super::*;
     use crate::kernels::PrefetchComputeKernel;
 
+    /// A started AGILE host on `gpu` over `devices` SSDs of `pages` pages.
+    fn agile_host(gpu: GpuConfig, devices: usize, pages: u64) -> AgileHost {
+        let mut spec = HostSpec::new(gpu, AgileConfig::small_test());
+        spec.devices = vec![(pages, None); devices];
+        AgileHost::build(spec)
+    }
+
     #[test]
     fn full_listing1_flow_runs_a_kernel() {
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
+        let mut host = agile_host(GpuConfig::tiny(4), 2, 1 << 16);
         assert_eq!(host.ctrl().io().device_count(), 2);
-        host.start_agile();
         let ctrl = host.ctrl();
         let launch = LaunchConfig::new(2, 64).with_registers(32);
         assert!(host.query_occupancy(&launch) >= 1);
@@ -628,11 +610,10 @@ mod tests {
         // instruments come from the registry; that loop must not be made of
         // strong references, or every metered host is leaked whole.
         let registry = MetricsRegistry::new();
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.set_metrics(Arc::clone(&registry));
-        host.start_agile();
+        let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
+        spec.devices = vec![(1 << 16, None)];
+        spec.metrics = Some(Arc::clone(&registry));
+        let mut host = AgileHost::build(spec);
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(32),
@@ -676,10 +657,7 @@ mod tests {
 
         // The default `EventQueue`: `FullScan` never parks, so it would wait
         // out the window instead.
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
+        let mut host = agile_host(GpuConfig::tiny(4), 1, 1 << 16);
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(1, 32).with_registers(32),
@@ -702,27 +680,28 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "before init_nvme")]
-    fn adding_devices_after_init_panics() {
-        let mut host = AgileHost::new(GpuConfig::tiny(1), AgileConfig::small_test());
-        host.add_nvme_dev(1024);
-        host.init_nvme();
-        host.add_nvme_dev(1024);
+    /// A spec of `config` over one small SSD.
+    fn one_device(config: AgileConfig) -> HostSpec<AgileSystem> {
+        let mut spec = HostSpec::new(GpuConfig::tiny(1), config);
+        spec.devices = vec![(1024, None)];
+        spec
     }
 
     #[test]
     #[should_panic(expected = "queue depth")]
     fn rejects_non_power_of_two_queue_depth() {
-        let _ = AgileHost::new(
-            GpuConfig::tiny(1),
-            AgileConfig::small_test().with_queue_depth(48),
-        );
+        let _ = AgileHost::build(one_device(AgileConfig::small_test().with_queue_depth(48)));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue depth")]
+    fn rejects_a_power_of_two_queue_depth_below_32() {
+        let _ = AgileHost::build(one_device(AgileConfig::small_test().with_queue_depth(16)));
     }
 
     #[test]
     fn occupancy_query_matches_gpu_sim() {
-        let host = AgileHost::new(GpuConfig::rtx_5000_ada(), AgileConfig::small_test());
+        let host = agile_host(GpuConfig::rtx_5000_ada(), 1, 1024);
         let launch = LaunchConfig::new(1, 1024).with_registers(32);
         assert_eq!(host.query_occupancy(&launch), 1);
     }

@@ -294,15 +294,19 @@ impl KernelFactory for AsyncReadModifyWriteKernel {
 mod tests {
     use super::*;
     use crate::config::AgileConfig;
-    use crate::host::AgileHost;
+    use crate::host::{AgileHost, HostSpec};
     use gpu_sim::{GpuConfig, LaunchConfig};
+
+    /// A started AGILE host over one SSD of 2^16 pages.
+    fn started_host() -> AgileHost {
+        let mut spec = HostSpec::new(GpuConfig::tiny(2), AgileConfig::small_test());
+        spec.devices = vec![(1 << 16, None)];
+        AgileHost::build(spec)
+    }
 
     #[test]
     fn pipeline_kernel_completes_and_moves_data() {
-        let mut host = AgileHost::new(GpuConfig::tiny(2), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
+        let mut host = started_host();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(40),
@@ -320,10 +324,7 @@ mod tests {
 
     #[test]
     fn rmw_kernel_round_trips_user_buffers() {
-        let mut host = AgileHost::new(GpuConfig::tiny(2), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
+        let mut host = started_host();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(1, 64).with_registers(40),

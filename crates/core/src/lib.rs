@@ -26,8 +26,9 @@
 //! * [`ctrl`] — AGILE's device-side API (`prefetch`, `asyncRead`,
 //!   `asyncWrite`, the array-like accessor wrappers, the Share Table and
 //!   the service's knobs) exposed to warp kernels (§3.5);
-//! * [`lockchain`] — the compile-time debug option that tracks per-thread
-//!   lock chains and reports circular dependencies (§3.5);
+//! * [`lockchain`] — the lock-chain deadlock checker of §3.5, which tracks
+//!   per-thread lock chains and reports circular dependencies; a standalone
+//!   library that no lock in the stack goes through;
 //! * [`qos`] — QoS-aware submission scheduling across tenants: a pluggable
 //!   [`qos::QosPolicy`] ([`qos::Fifo`] or deficit-round-robin
 //!   [`qos::WeightedFair`]) that arbitrates SQ-slot admission ahead of the
@@ -39,18 +40,15 @@
 //! ## Example
 //!
 //! ```
-//! use agile_core::host::AgileHost;
+//! use agile_core::host::{AgileHost, HostSpec};
 //! use agile_core::config::AgileConfig;
 //! use agile_core::kernels::PrefetchComputeKernel;
 //! use gpu_sim::{GpuConfig, LaunchConfig};
 //!
 //! // Two small SSDs, a 4 MiB cache, 4 queue pairs of depth 64 per SSD.
-//! let config = AgileConfig::small_test();
-//! let mut host = AgileHost::new(GpuConfig::tiny(4), config);
-//! host.add_nvme_dev(1 << 16); // pages
-//! host.add_nvme_dev(1 << 16);
-//! host.init_nvme();
-//! host.start_agile();
+//! let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
+//! spec.devices = vec![(1 << 16, None); 2]; // pages, default backing
+//! let mut host = AgileHost::build(spec); // started
 //! let ctrl = host.ctrl();
 //! let report = host.run_kernel(
 //!     LaunchConfig::new(2, 64).with_registers(32),
@@ -81,7 +79,7 @@ pub mod transaction;
 pub use config::AgileConfig;
 pub use control::{knob_set, CacheShares, QosWeights};
 pub use ctrl::{AgileCtrl, ApiStats, IssueOutcome};
-pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSystem, StorageCtrl};
+pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSpec, HostSystem, StorageCtrl};
 pub use io_path::{
     IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
 };

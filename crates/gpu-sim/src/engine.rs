@@ -15,7 +15,7 @@
 //! warps live in a min-heap ready-queue keyed on `ready_at`, re-enqueued on
 //! every `Busy` and every polled `Stall`, so a round costs O(ready warps ·
 //! log W) instead of a scan over every resident warp, and rounds fire only
-//! at warp wake times: shard-device events (`next_event_time`) do not force
+//! at warp wake times: storage-device events (`next_event_time`) do not force
 //! empty rounds, because a discrete-event device advanced straight to the
 //! next warp wake produces the same completions it would have produced
 //! stepwise. (Passive devices — observers with a schedule of their own, such
@@ -85,7 +85,7 @@
 //!
 //! Two things follow for the loop itself: while a warp sleeps on a wait only
 //! a *device* can end (a service warp asleep until a post, with nothing in
-//! flight for it), rounds also visit shard-device event times — its wake
+//! flight for it), rounds also visit storage-device event times — its wake
 //! point is the first of its grid after the completion, so the clock may not
 //! jump past that (a deadline needs no such visits); and a warp placed in
 //! mid-run steps at the next time a polling scheduler would have run a
@@ -93,16 +93,17 @@
 //!
 //! # Determinism contract: device order
 //!
-//! External devices come in two tiers. **Shard devices**
-//! ([`Engine::add_shard_device`]) are the storage devices themselves.
-//! **Passive devices** ([`Engine::add_device`]) observe state the shard
-//! devices and warps produce (metrics samplers, feedback controllers). Every
-//! scheduler advances shard devices first, in the order they were added, then
+//! External devices come in two tiers. **Storage devices**
+//! ([`Engine::add_storage_device`]) model the storage itself (the host
+//! bridges its whole array in as one). **Passive devices**
+//! ([`Engine::add_device`]) observe state the storage devices and warps
+//! produce (metrics samplers, feedback controllers). Every scheduler
+//! advances storage devices first, in the order they were added, then
 //! passive devices in the order *they* were added. That combined order is
 //! part of the determinism contract — reordering either list reorders device
 //! side effects (trace records, metric windows, control decisions) and breaks
 //! bit-identity with the golden traces. The two tiers are kept in separate
-//! lists, so how `add_shard_device` and `add_device` calls interleave is
+//! lists, so how `add_storage_device` and `add_device` calls interleave is
 //! immaterial.
 //!
 //! The engine also watches for livelock: if no warp makes forward progress
@@ -279,8 +280,8 @@ pub struct Engine {
     sms: Vec<SmState>,
     kernels: Vec<KernelInstance>,
     /// The storage devices, advanced first each round, in add order.
-    shard_devices: Vec<Box<dyn ExternalDevice>>,
-    /// Passive observers (metrics/control bridges), advanced after the shard
+    storage_devices: Vec<Box<dyn ExternalDevice>>,
+    /// Passive observers (metrics/control bridges), advanced after the storage
     /// devices.
     devices: Vec<Box<dyn ExternalDevice>>,
     /// Pending (kernel_idx, block_idx) waiting for SM space, FIFO.
@@ -347,7 +348,7 @@ impl Engine {
             clock,
             sms,
             kernels: Vec::new(),
-            shard_devices: Vec::new(),
+            storage_devices: Vec::new(),
             devices: Vec::new(),
             dispatch_queue: std::collections::VecDeque::new(),
             deadlock_window: Cycles(50_000_000),
@@ -437,17 +438,17 @@ impl Engine {
     }
 
     /// Attach a passive external device (metrics/control bridges). Passive
-    /// devices are advanced after the shard devices, in the order they were
+    /// devices are advanced after the storage devices, in the order they were
     /// added — that order is part of the determinism contract (see the module
     /// docs).
     pub fn add_device(&mut self, dev: Box<dyn ExternalDevice>) {
         self.devices.push(dev);
     }
 
-    /// Attach a storage device. Shard devices are advanced before every
+    /// Attach a storage device. Storage devices are advanced before every
     /// passive device, in the order they were added.
-    pub fn add_shard_device(&mut self, dev: Box<dyn ExternalDevice>) {
-        self.shard_devices.push(dev);
+    pub fn add_storage_device(&mut self, dev: Box<dyn ExternalDevice>) {
+        self.storage_devices.push(dev);
     }
 
     /// Launch a kernel; its blocks enter the dispatch queue immediately.
@@ -569,13 +570,13 @@ impl Engine {
         }
     }
 
-    /// The device phase of a round: shard devices to `now`, then the passive
+    /// The device phase of a round: storage devices to `now`, then the passive
     /// observers. Sleepers the devices notified (completions they posted) are
     /// woken before the observers run, sleepers an observer notified (a knob
     /// it wrote) last. All of them may still be stepped in this round:
     /// devices come before every warp.
     fn advance_devices(&mut self, now: Cycles) {
-        for dev in &mut self.shard_devices {
+        for dev in &mut self.storage_devices {
             dev.advance_to(now);
         }
         self.wake_fired(now, None);
@@ -795,9 +796,9 @@ impl Engine {
             .min()
     }
 
-    /// Earliest pending shard-device event strictly after `now`.
-    fn next_shard_event(&mut self, now: Cycles) -> Option<Cycles> {
-        Self::next_event_after(&mut self.shard_devices, now)
+    /// Earliest pending storage-device event strictly after `now`.
+    fn next_storage_event(&mut self, now: Cycles) -> Option<Cycles> {
+        Self::next_event_after(&mut self.storage_devices, now)
     }
 
     /// Earliest pending passive-device event strictly after `now`. Passive
@@ -810,9 +811,9 @@ impl Engine {
 
     /// Earliest pending device event strictly after `now` across both tiers.
     fn next_device_event(&mut self, now: Cycles) -> Option<Cycles> {
-        let shard = self.next_shard_event(now);
+        let storage = self.next_storage_event(now);
         let passive = self.next_passive_event(now);
-        shard.into_iter().chain(passive).min()
+        storage.into_iter().chain(passive).min()
     }
 
     /// Step one warp at `now`, updating warp/kernel accounting. Returns the
@@ -1133,12 +1134,12 @@ impl Engine {
             for &e in placed_now.iter() {
                 self.ready.push(Reverse(e));
             }
-            let next_shard = if need_dev_wake {
-                self.next_shard_event(now)
+            let next_storage = if need_dev_wake {
+                self.next_storage_event(now)
             } else {
                 None
             };
-            if nothing_scheduled && self.parked > 0 && next_shard.is_none() {
+            if nothing_scheduled && self.parked > 0 && next_storage.is_none() {
                 // Every live warp sleeps and the storage is quiet: nothing
                 // will ever notify anyone. No need to wait out the window.
                 deadlocked = true;
@@ -1153,7 +1154,7 @@ impl Engine {
                 self.next_parked_poll(now)
             };
             let next_passive = self.next_passive_event(now);
-            let scheduling = [next_warp, next_shard, parked_poll];
+            let scheduling = [next_warp, next_storage, parked_poll];
             let next = scheduling
                 .into_iter()
                 .chain([next_passive])
@@ -1197,7 +1198,7 @@ impl Engine {
     /// warp waiting on it (and the service asleep until the completion
     /// posts) is slow, not stuck.
     fn no_progress_is_deadlock(&mut self, now: Cycles) -> bool {
-        self.next_shard_event(now).is_none()
+        self.next_storage_event(now).is_none()
     }
 
     /// Move the clock from `now` to `next`, by at least one cycle so the run
@@ -1589,7 +1590,7 @@ mod tests {
             let flag = Arc::new(AtomicU64::new(0));
             let mut eng = Engine::new(GpuConfig::tiny(2));
             eng.set_scheduler(sched);
-            eng.add_shard_device(Box::new(Ticker::new(Arc::clone(&flag), 100, 313, 100)));
+            eng.add_storage_device(Box::new(Ticker::new(Arc::clone(&flag), 100, 313, 100)));
             eng.launch(
                 LaunchConfig::new(2, 64).with_registers(16),
                 Box::new(WaitingKernel { flag }),
@@ -1636,7 +1637,7 @@ mod tests {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let flag = Arc::new(AtomicU64::new(0));
             let mut eng = Engine::new(GpuConfig::tiny(1));
-            eng.add_shard_device(Box::new(FlagDevice {
+            eng.add_storage_device(Box::new(FlagDevice {
                 flag: Arc::clone(&flag),
                 at: Cycles(1_030),
                 fired: false,
@@ -1685,12 +1686,12 @@ mod tests {
 
     #[test]
     fn device_advance_order_is_shard_then_passive() {
-        // The determinism contract: shard devices in add order, then passive
+        // The determinism contract: storage devices in add order, then passive
         // devices in add order — every round.
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut eng = Engine::new(GpuConfig::tiny(1));
         for id in [0u32, 1] {
-            eng.add_shard_device(Box::new(OrderProbe {
+            eng.add_storage_device(Box::new(OrderProbe {
                 id,
                 log: Arc::clone(&log),
                 last: None,
@@ -1716,14 +1717,14 @@ mod tests {
         assert_eq!(
             &log[..4],
             &[0, 1, 10, 11],
-            "advance order must be shard devices, then passive devices"
+            "advance order must be storage devices, then passive devices"
         );
     }
 
     #[test]
     fn registration_interleaving_does_not_reorder_advancement() {
-        // Shard and passive devices live in separate lists: registering
-        // passive, then shard, then passive still advances shard devices
+        // Storage and passive devices live in separate lists: registering
+        // passive, then storage, then passive still advances storage devices
         // first, then passive devices.
         let log = Arc::new(Mutex::new(Vec::new()));
         let probe = |id: u32| {
@@ -1735,8 +1736,8 @@ mod tests {
         };
         let mut eng = Engine::new(GpuConfig::tiny(1));
         eng.add_device(probe(10));
-        eng.add_shard_device(probe(0));
-        eng.add_shard_device(probe(1));
+        eng.add_storage_device(probe(0));
+        eng.add_storage_device(probe(1));
         eng.add_device(probe(11));
         eng.launch(
             LaunchConfig::new(1, 32).with_registers(16),
@@ -2079,7 +2080,7 @@ mod tests {
             eng.set_scheduler(sched);
             eng.set_wake_hub(Arc::clone(&hub));
             eng.set_deadlock_window(Cycles(10_000));
-            eng.add_shard_device(Box::new(SlowDevice {
+            eng.add_storage_device(Box::new(SlowDevice {
                 rig: Arc::clone(&rig),
                 at: Cycles(100_050),
                 done: false,

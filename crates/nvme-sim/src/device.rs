@@ -67,12 +67,6 @@ impl SsdConfig {
         self.namespace_pages = pages;
         self
     }
-
-    /// Override the timing model.
-    pub fn with_costs(mut self, costs: SsdCosts) -> Self {
-        self.costs = costs;
-        self
-    }
 }
 
 /// Aggregate statistics kept by the device.

@@ -7,7 +7,8 @@
 //! modelled value chosen to match the paper's qualitative behaviour.
 //!
 //! The constants are grouped into a [`CostModel`] struct so experiments can
-//! run with perturbed models (e.g. the sensitivity/ablation benches), while
+//! run with perturbed models (the one-at-a-time sensitivity sweep ROADMAP
+//! item 2 (c) plans; no such sweep exists yet), while
 //! [`CostModel::default`] gives the calibrated values used to regenerate the
 //! paper's figures.
 
@@ -20,6 +21,11 @@ use serde::{Deserialize, Serialize};
 /// kernel's poll loop, AGILE and BaM alike, so measured latencies stay
 /// comparable.
 pub const POLL_RETRY_CYCLES: u64 = 2_000;
+
+/// The retry grid of a warp whose submission every SQ of its device refused
+/// (the raw replay and random-I/O kernels): the service has to recycle an
+/// entry first, so it backs off longer than [`POLL_RETRY_CYCLES`].
+pub const SUBMIT_RETRY_CYCLES: u64 = 3_000;
 
 /// GPU-side micro-operation costs, in core cycles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,8 +49,6 @@ pub struct GpuCosts {
     pub poll_iteration: u64,
     /// Fixed per-kernel-launch overhead in cycles (driver + scheduler).
     pub kernel_launch: u64,
-    /// Cycles per scheduler decision slot on an SM (one warp-issue round).
-    pub scheduler_slot: u64,
 }
 
 impl Default for GpuCosts {
@@ -58,7 +62,6 @@ impl Default for GpuCosts {
             doorbell_write: 700,
             poll_iteration: 80,
             kernel_launch: 5_000,
-            scheduler_slot: 4,
         }
     }
 }

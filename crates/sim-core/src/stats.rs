@@ -210,11 +210,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample (None if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

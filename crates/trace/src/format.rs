@@ -393,15 +393,6 @@ pub struct TraceOpReader<'a> {
 }
 
 impl<'a> TraceOpReader<'a> {
-    /// Read ops from a raw record region (already past the header/meta).
-    /// Use [`Trace::from_bytes`] for whole-buffer decoding.
-    pub fn from_records(body: &'a [u8], count: u64) -> Self {
-        TraceOpReader {
-            body,
-            remaining: count,
-        }
-    }
-
     /// Records left to read.
     pub fn remaining(&self) -> u64 {
         self.remaining

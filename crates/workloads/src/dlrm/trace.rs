@@ -20,8 +20,6 @@ use nvme_sim::Lba;
 pub struct DlrmTrace {
     /// Page requests per epoch.
     epochs: Vec<Vec<(u32, Lba)>>,
-    /// Row-level indices per epoch (kept for tests / verification).
-    rows: Vec<Vec<u64>>,
 }
 
 impl DlrmTrace {
@@ -37,10 +35,8 @@ impl DlrmTrace {
             .collect();
         let mut rng = SimRng::new(seed);
         let mut epochs = Vec::with_capacity(cfg.epochs as usize);
-        let mut rows_all = Vec::with_capacity(cfg.epochs as usize);
         for _e in 0..cfg.epochs {
             let mut reqs = Vec::with_capacity(cfg.lookups_per_epoch() as usize);
-            let mut rows = Vec::with_capacity(cfg.lookups_per_epoch() as usize);
             for _s in 0..cfg.batch_size {
                 for (t, layout) in layouts.iter().enumerate() {
                     let row = if rng.gen_bool(cfg.cold_fraction) {
@@ -48,17 +44,12 @@ impl DlrmTrace {
                     } else {
                         samplers[t].sample(&mut rng)
                     };
-                    rows.push(row);
                     reqs.push(layout.page_of(row));
                 }
             }
             epochs.push(reqs);
-            rows_all.push(rows);
         }
-        DlrmTrace {
-            epochs,
-            rows: rows_all,
-        }
+        DlrmTrace { epochs }
     }
 
     /// Number of epochs in the trace.
@@ -69,11 +60,6 @@ impl DlrmTrace {
     /// The page requests of epoch `e`.
     pub fn epoch_requests(&self, e: usize) -> &[(u32, Lba)] {
         &self.epochs[e]
-    }
-
-    /// The row indices of epoch `e` (for verification).
-    pub fn epoch_rows(&self, e: usize) -> &[u64] {
-        &self.rows[e]
     }
 
     /// Total page requests across all epochs.

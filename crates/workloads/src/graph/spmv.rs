@@ -50,9 +50,6 @@ pub struct SpmvKernel {
     total_warps: u64,
     /// ALU cycles per non-zero (multiply-add plus x gather).
     cycles_per_nnz: u64,
-    /// Whether value pages are also streamed (weighted SpMV) or only the
-    /// column indices (pattern-only, used by some ablations).
-    stream_values: bool,
 }
 
 impl SpmvKernel {
@@ -63,14 +60,7 @@ impl SpmvKernel {
             accessor,
             total_warps: total_warps.max(1),
             cycles_per_nnz: 6,
-            stream_values: true,
         }
-    }
-
-    /// Disable streaming of the value array (pattern-only SpMV).
-    pub fn pattern_only(mut self) -> Self {
-        self.stream_values = false;
-        self
     }
 }
 
@@ -80,7 +70,6 @@ struct SpmvWarp {
     warp_flat: u64,
     total_warps: u64,
     cycles_per_nnz: u64,
-    stream_values: bool,
     /// Next row (in this warp's strided sequence) to process.
     next_row: u64,
     /// The batch starting at row `batch_of`: its rows and the pages they
@@ -110,9 +99,7 @@ impl WarpKernel for SpmvWarp {
             }
             for &row in &self.rows {
                 self.pages.extend(self.state.graph.col_pages_of(row));
-                if self.stream_values {
-                    self.pages.extend(self.state.graph.val_pages_of(row));
-                }
+                self.pages.extend(self.state.graph.val_pages_of(row));
             }
         }
         let (rows, pages) = (&self.rows, &self.pages);
@@ -162,7 +149,6 @@ impl KernelFactory for SpmvKernel {
             warp_flat,
             total_warps: self.total_warps,
             cycles_per_nnz: self.cycles_per_nnz,
-            stream_values: self.stream_values,
             next_row: warp_flat,
             batch_of: None,
             rows: Vec::with_capacity(32),

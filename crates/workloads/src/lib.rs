@@ -12,7 +12,6 @@
 //!   by Figures 7–10, with the three model configurations of §4.4;
 //! * [`graph`] — CSR graphs (uniform and Kronecker generators), BFS and SpMV
 //!   kernels, and the three-step API-overhead measurement of Figure 11;
-//! * [`vector_mean`] — the Vector Mean kernel of Figure 12;
 //! * [`accessor`] — the [`accessor::PageAccessor`] abstraction that lets the
 //!   same application kernels run over AGILE, BaM, or plain HBM (the
 //!   "Kernel time" baseline of §4.5);
@@ -36,4 +35,3 @@ pub mod microbench;
 pub mod randio;
 pub mod registers;
 pub mod trace_replay;
-pub mod vector_mean;

@@ -9,7 +9,7 @@
 
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IssueOutcome};
-use agile_sim::costs::POLL_RETRY_CYCLES;
+use agile_sim::costs::{POLL_RETRY_CYCLES, SUBMIT_RETRY_CYCLES};
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::{Cycles, SimRng};
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
@@ -162,7 +162,7 @@ impl WarpKernel for RandIoWarp {
             // entries (this is where the synchronous model would deadlock if
             // nothing processed completions).
             WarpStep::Stall {
-                retry_after: Cycles(3_000),
+                retry_after: Cycles(SUBMIT_RETRY_CYCLES),
                 wait: Wait::polling(WaitReason::Submit),
             }
         } else {

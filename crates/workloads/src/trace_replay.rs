@@ -34,7 +34,7 @@
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
 use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
-use agile_sim::costs::POLL_RETRY_CYCLES;
+use agile_sim::costs::{POLL_RETRY_CYCLES, SUBMIT_RETRY_CYCLES};
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
 use agile_trace::{LatencyHistogram, Trace, TraceOp};
@@ -556,7 +556,7 @@ impl WarpKernel for AgileReplayWarp {
         // of that device frees up or a request completes.
         let barriers = self.outstanding.iter().map(|inflight| &inflight.barrier);
         WarpStep::Stall {
-            retry_after: Cycles(3_000),
+            retry_after: Cycles(SUBMIT_RETRY_CYCLES),
             wait: self
                 .ctrl
                 .io()

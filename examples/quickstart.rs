@@ -15,8 +15,8 @@ use agile_repro::gpu::{GpuConfig, LaunchConfig};
 
 fn main() {
     // --- Host-side configuration (Listing 1, lines 22-40) ---------------
-    // HostBuilder runs the order-sensitive new → add_nvme_dev → init_nvme →
-    // start_agile sequence internally and returns a started host.
+    // HostBuilder runs the order-sensitive addNvmeDev → initNvme → startAgile
+    // sequence internally and returns a started host.
     let config = AgileConfig::paper_default()
         .with_queue_pairs(8)
         .with_queue_depth(64)
