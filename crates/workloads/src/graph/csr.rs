@@ -38,6 +38,16 @@ impl Default for GraphLayout {
     }
 }
 
+/// Deterministic, non-trivial edge weight in `[0.5, 1.5)` for SpMV
+/// verification: `((31·src + 17·dst) mod 97) / 97 + 0.5`, with the sum taken
+/// in `f32`. Every `u32` converts to an integer-valued `f32`, and an `f32` at
+/// or above 2²⁴ is an integer, so the rounded products and their sum are
+/// non-negative integers below 2⁶⁴. Their `u64` remainder therefore equals
+/// the exact `f32` remainder `% 97.0` bit for bit, without a `fmodf` call.
+fn edge_weight(src: u32, dst: u32) -> f32 {
+    ((src as f32 * 31.0 + dst as f32 * 17.0) as u64 % 97) as f32 / 97.0 + 0.5
+}
+
 /// A CSR graph with single-precision edge values.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
@@ -54,13 +64,14 @@ pub struct CsrGraph {
 impl CsrGraph {
     /// Build from an edge list (directed; duplicates allowed and preserved).
     pub fn from_edges(num_vertices: usize, edges: &[(u32, u32)], layout: GraphLayout) -> Self {
-        let mut degree = vec![0u64; num_vertices];
-        for &(src, _) in edges {
-            degree[src as usize] += 1;
-        }
+        // Degrees are counted one slot up, so the prefix sum turns them into
+        // the row offsets in place.
         let mut row_ptr = vec![0u64; num_vertices + 1];
+        for &(src, _) in edges {
+            row_ptr[src as usize + 1] += 1;
+        }
         for v in 0..num_vertices {
-            row_ptr[v + 1] = row_ptr[v] + degree[v];
+            row_ptr[v + 1] += row_ptr[v];
         }
         let mut cursor = row_ptr.clone();
         let mut col_idx = vec![0u32; edges.len()];
@@ -68,8 +79,7 @@ impl CsrGraph {
         for &(src, dst) in edges {
             let pos = cursor[src as usize] as usize;
             col_idx[pos] = dst;
-            // Deterministic, non-trivial edge weight for SpMV verification.
-            values[pos] = ((src as f32 * 31.0 + dst as f32 * 17.0) % 97.0) / 97.0 + 0.5;
+            values[pos] = edge_weight(src, dst);
             cursor[src as usize] += 1;
         }
         CsrGraph {
@@ -180,6 +190,53 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The weight as first written, with the `f32` remainder: the oracle.
+    fn fmod_weight(src: u32, dst: u32) -> f32 {
+        ((src as f32 * 31.0 + dst as f32 * 17.0) % 97.0) / 97.0 + 0.5
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn integer_remainder_weight_is_the_fmod_weight(src in any::<u32>(), dst in any::<u32>()) {
+            prop_assert_eq!(edge_weight(src, dst).to_bits(), fmod_weight(src, dst).to_bits());
+        }
+
+        #[test]
+        fn integer_remainder_weight_is_the_fmod_weight_on_small_ids(
+            src in 0u32..1 << 26,
+            dst in 0u32..1 << 26,
+        ) {
+            prop_assert_eq!(edge_weight(src, dst).to_bits(), fmod_weight(src, dst).to_bits());
+        }
+    }
+
+    #[test]
+    fn integer_remainder_weight_is_the_fmod_weight_at_the_edges() {
+        let ids = [
+            0,
+            1,
+            96,
+            97,
+            (1 << 24) - 1,
+            1 << 24,
+            (1 << 24) + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for src in ids {
+            for dst in ids {
+                assert_eq!(
+                    edge_weight(src, dst).to_bits(),
+                    fmod_weight(src, dst).to_bits(),
+                    "({src}, {dst})"
+                );
+            }
+        }
+    }
 
     fn diamond() -> CsrGraph {
         // 0 → 1, 0 → 2, 1 → 3, 2 → 3
