@@ -32,7 +32,6 @@ use agile_core::qos::QosPolicy;
 use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::trace::TraceSink;
 use gpu_sim::{EngineSched, GpuConfig};
-use nvme_sim::PageBacking;
 use std::sync::Arc;
 
 /// Declarative construction of an AGILE or BaM host (see the module docs).
@@ -90,16 +89,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// Add `count` SSDs of `pages` 4 KiB pages each with default in-memory
     /// backings. May be called repeatedly; devices accumulate.
     pub fn devices(mut self, count: usize, pages: u64) -> Self {
-        self.spec
-            .devices
-            .extend(std::iter::repeat_n((pages, None), count));
-        self
-    }
-
-    /// Add one SSD of `pages` pages with a caller-supplied page backing
-    /// (synthetic content, payload-carrying, …).
-    pub fn backing(mut self, pages: u64, backing: Arc<dyn PageBacking>) -> Self {
-        self.spec.devices.push((pages, Some(backing)));
+        self.spec.devices.extend(std::iter::repeat_n(pages, count));
         self
     }
 
@@ -223,17 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn mixed_backings_accumulate_in_order() {
-        use nvme_sim::{MemBacking, PageToken};
-        let custom = Arc::new(MemBacking::new(7));
-        custom.write(3, PageToken(0xC0FFEE));
+    fn devices_accumulate_in_order() {
         let host = HostBuilder::agile(AgileConfig::small_test())
             .gpu(GpuConfig::tiny(1))
             .devices(1, 1 << 12)
-            .backing(1 << 12, custom)
+            .devices(1, 1 << 13)
             .build();
-        assert_eq!(host.ctrl().io().device_count(), 2);
-        assert_eq!(host.backing(1).read(3), PageToken(0xC0FFEE));
+        let topology = host.topology();
+        assert_eq!(topology.device_count(), 2);
+        let pages: Vec<u64> = (0..2)
+            .map(|d| topology.with_set(|set| set.device(d).config().namespace_pages))
+            .collect();
+        assert_eq!(pages, [1 << 12, 1 << 13]);
     }
 
     #[test]

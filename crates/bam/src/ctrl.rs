@@ -17,12 +17,11 @@ use agile_sim::costs::CostModel;
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, QueuePair, StorageTopology};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// BaM system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BamConfig {
     /// I/O queue pairs per SSD.
     pub queue_pairs_per_ssd: usize,
@@ -81,7 +80,7 @@ impl BamConfig {
 /// (`HostBuilder::metrics` + `agile_metrics::MetricsRegistry::snapshot`),
 /// which exports these under `agile_*` names with exporters and windowed
 /// series; this struct stays for direct programmatic access.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BamStats {
     /// Synchronous warp reads.
     pub read_calls: u64,
@@ -286,13 +285,10 @@ impl agile_core::host::StorageCtrl for BamCtrl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvme_sim::{MemBacking, PageToken, SsdConfig, SsdDevice};
+    use nvme_sim::{PageToken, SsdConfig, SsdDevice};
 
     fn rig(qps: usize, depth: u32) -> (BamCtrl, SsdDevice) {
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(1 << 20),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         let queues: Vec<Arc<QueuePair>> = (0..qps)
             .map(|q| {
                 let qp = QueuePair::new(q as u16, depth);

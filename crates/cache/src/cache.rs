@@ -43,12 +43,11 @@ use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{DmaHandle, DmaSlab, Lba, PageToken};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies one cache line (global way index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineId(pub u32);
 
 /// A waiter's claim on an in-flight reservation: `line` was `BUSY` in
@@ -70,7 +69,7 @@ pub struct BusyTicket {
 }
 
 /// Cache geometry and sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes (rounded down to whole lines).
     pub capacity_bytes: u64,
@@ -110,7 +109,7 @@ impl CacheConfig {
 /// Note: for cross-layer observability prefer the unified registry, which
 /// exports these as `agile_cache_*` (snapshot-time collector, exporters,
 /// windowed series); this struct stays for direct programmatic access.
-#[derive(Debug, Default, Serialize, Deserialize, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hits on valid data.
     pub hits: u64,
@@ -389,11 +388,6 @@ impl SoftwareCache {
     /// tenant-attributed lookup arrives).
     pub fn tenant_stats(&self) -> Vec<TenantCacheStats> {
         self.tenants.snapshot()
-    }
-
-    /// The shared per-tenant accounting table (live occupancy gauges).
-    pub fn tenant_table(&self) -> &Arc<TenantTable> {
-        &self.tenants
     }
 
     /// Snapshot of the counters.
@@ -1125,7 +1119,7 @@ mod tests {
         assert_eq!(stats[0].evictions, 1, "tenant 0 lost a line");
         assert_eq!(stats[0].occupancy, 2);
         assert_eq!(stats[1].occupancy, 2, "tenant 1 gained the way");
-        assert_eq!(c.tenant_table().total_occupancy(), 4);
+        assert_eq!(c.tenants.total_occupancy(), 4);
     }
 
     #[test]
@@ -1308,7 +1302,7 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(
             stats.iter().map(|t| t.occupancy).sum::<u64>(),
-            c.tenant_table().total_occupancy()
+            c.tenants.total_occupancy()
         );
         assert_eq!(stats[0].fills + stats[1].fills, 24);
         // A share update reaches the policy and reads back.

@@ -31,6 +31,7 @@
 //! * [`share_table`] — the MOESI-inspired [`share_table::ShareTable`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

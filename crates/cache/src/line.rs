@@ -21,11 +21,10 @@
 //! word that the fill it is waiting on is still the one in flight
 //! ([`Way::busy_in`]) — without the set lock or a tag scan.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The four line states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum LineState {
     /// No valid data.

@@ -23,14 +23,13 @@
 
 use nvme_sim::{DmaHandle, Lba, PageToken};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Coherency state of a registered buffer (MOESI minus Invalid — invalid
 /// entries are simply removed from the table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufState {
     /// Single clean owner.
     Exclusive,
@@ -112,7 +111,7 @@ impl SharedBuf {
 }
 
 /// Counters maintained by the Share Table.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ShareTableStats {
     /// Buffers registered (distinct sources claimed).
     pub registrations: u64,

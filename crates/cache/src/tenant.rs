@@ -25,7 +25,6 @@
 //! atomics to plain cells.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,7 +38,7 @@ pub const NO_TENANT: u32 = u32::MAX;
 ///
 /// Note: the unified registry exports these as `agile_cache_tenant_*`
 /// labelled by tenant; this struct stays for direct programmatic access.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantCacheStats {
     /// Tenant id.
     pub tenant: u32,
@@ -109,13 +108,6 @@ impl TenantTable {
         }
     }
 
-    /// A lookup by `tenant` missed.
-    pub fn record_miss(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            self.cell(tenant).misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// A lookup by `tenant` missed and reserved a line for a fill
     /// (miss + fill in one cell resolution — the set mutex is held across
     /// this call, so every map search saved matters).
@@ -182,14 +174,6 @@ impl TenantTable {
             .get(&tenant)
             .map(|c| c.occupancy.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// `(tenant, occupancy)` of every tenant currently holding lines,
-    /// ordered by tenant id — the view a share-bounding policy sizes its
-    /// quotas over (tenants with nothing resident are not "active" and do
-    /// not shrink anyone's share).
-    pub fn active_occupancies(&self) -> Vec<(u32, u64)> {
-        self.with_occupancies(|view| view.active().collect())
     }
 
     /// Call `f` with a view of the live occupancies under one read lock, so
@@ -294,7 +278,6 @@ mod tests {
     fn no_tenant_sentinel_is_never_tracked() {
         let t = TenantTable::new();
         t.record_hit(NO_TENANT);
-        t.record_miss(NO_TENANT);
         t.record_miss_fill(NO_TENANT);
         t.record_miss_fill_occupy(NO_TENANT);
         t.occupy(NO_TENANT);
@@ -311,7 +294,8 @@ mod tests {
         t.occupy(1);
         t.occupy(2);
         t.vacate(2);
-        assert_eq!(t.active_occupancies(), vec![(1, 2)]);
+        let active: Vec<(u32, u64)> = t.with_occupancies(|view| view.active().collect());
+        assert_eq!(active, vec![(1, 2)]);
     }
 
     #[test]

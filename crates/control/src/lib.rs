@@ -41,6 +41,7 @@
 //! `agile-core` supplies the adapters.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

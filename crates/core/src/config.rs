@@ -9,13 +9,12 @@
 use agile_cache::CacheConfig;
 use agile_sim::costs::CostModel;
 use agile_sim::units::{GIB, MIB};
-use serde::{Deserialize, Serialize};
 
 /// Which built-in replacement policy the software cache uses.
 ///
 /// The paper keeps the clock policy for its evaluation but makes the policy
 /// pluggable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicyKind {
     /// Clock / second-chance (the paper's default).
     Clock,
@@ -32,7 +31,7 @@ pub enum CachePolicyKind {
 }
 
 /// Complete AGILE configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AgileConfig {
     /// I/O queue pairs created per SSD.
     pub queue_pairs_per_ssd: usize,

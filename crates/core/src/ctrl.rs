@@ -36,7 +36,6 @@ use agile_cache::{
 use agile_sim::wake::{WatchList, WatchedU64};
 use agile_sim::Cycles;
 use nvme_sim::{DmaHandle, Lba, NvmeCommand, PageToken, QueuePair, StorageTopology};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,7 +67,7 @@ impl IssueOutcome {
 /// Note: for cross-layer observability prefer the unified registry
 /// (`agile_submit_*` and friends via `HostBuilder::metrics`); this struct
 /// stays for direct programmatic access.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ApiStats {
     /// prefetch_warp invocations.
     pub prefetch_calls: u64,

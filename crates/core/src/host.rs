@@ -18,7 +18,7 @@
 //! |---|---|
 //! | `AGILE_HOST host(...)` | [`HostSpec::new`] (`HostBuilder::agile`) |
 //! | `host.setGPUCache(...)` | fields of [`crate::config::AgileConfig`] |
-//! | `host.addNvmeDev(...)` | [`HostSpec::devices`] (`HostBuilder::devices` / `backing`) |
+//! | `host.addNvmeDev(...)` | [`HostSpec::devices`] (`HostBuilder::devices`) |
 //! | `host.initNvme()` / `initializeAgile(...)` / `startAgile()` | [`Host::build`] |
 //! | `host.configKernelParallelism(...)` / `queryOccupancy(...)` | [`Host::query_occupancy`] |
 //! | `host.runKernel(kernel, args...)` | [`Host::run_kernel`] |
@@ -49,7 +49,7 @@ use gpu_sim::{
     occupancy, Engine, EngineSched, ExecutionReport, ExternalDevice, GpuConfig, KernelFactory,
     LaunchConfig,
 };
-use nvme_sim::{MemBacking, PageBacking, QueuePair, SsdConfig, StorageTopology};
+use nvme_sim::{MemBacking, QueuePair, SsdConfig, StorageTopology};
 use std::sync::Arc;
 
 /// The surface a started host exposes to harness code: controller access,
@@ -69,11 +69,6 @@ pub trait GpuStorageHost {
 
     /// The storage topology (striping map, device statistics, lock model).
     fn topology(&self) -> Arc<StorageTopology>;
-
-    /// The page backing of device `dev` (for pre-populating datasets).
-    fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
-        self.topology().backing(dev)
-    }
 
     /// Maximum resident blocks per SM for a launch (`queryOccupancy`).
     fn query_occupancy(&self, launch: &LaunchConfig) -> u32;
@@ -256,9 +251,8 @@ pub struct HostSpec<S: HostSystem> {
     /// The system configuration.
     pub config: S::Config,
     /// The SSDs in add order (device `i` is the `i`-th entry): namespace
-    /// size in 4 KiB pages, and a page backing — `None` for an in-memory
-    /// [`MemBacking`] keyed by the device index.
-    pub devices: Vec<(u64, Option<Arc<dyn PageBacking>>)>,
+    /// size in 4 KiB pages. Each device gets an empty [`MemBacking`].
+    pub devices: Vec<u64>,
     /// Scheduling loop of the engine (event-driven ready-queue by default).
     pub engine_sched: EngineSched,
     /// One trace sink across the whole stack: the controller's submit /
@@ -351,22 +345,17 @@ impl<S: HostSystem> Host<S> {
         );
         S::validate(&config);
         let (costs, queue_pairs, queue_depth) = S::storage_params(&config);
-        let parts = devices
+        let configs = devices
             .into_iter()
             .enumerate()
-            .map(|(id, (namespace_pages, backing))| {
-                let id = id as u32;
-                let cfg = SsdConfig {
-                    id,
-                    costs: costs.clone(),
-                    namespace_pages,
-                    clock_ghz: gpu.clock_ghz,
-                };
-                let backing = backing.unwrap_or_else(|| Arc::new(MemBacking::new(id)));
-                (cfg, backing)
+            .map(|(id, namespace_pages)| SsdConfig {
+                id: id as u32,
+                costs: costs.clone(),
+                namespace_pages,
+                clock_ghz: gpu.clock_ghz,
             })
             .collect();
-        let topology = Arc::new(StorageTopology::from_parts(parts));
+        let topology = Arc::new(StorageTopology::from_configs(configs));
         let queues = topology.register_queues(queue_pairs, queue_depth);
         let ctrl = Arc::new(S::new_ctrl(config.clone(), queues, Arc::clone(&topology)));
 
@@ -482,7 +471,7 @@ impl<S: HostSystem> Host<S> {
     }
 
     /// The page backing of device `dev` (for pre-populating datasets).
-    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
+    pub fn backing(&self, dev: usize) -> Arc<MemBacking> {
         self.topology.backing(dev)
     }
 
@@ -579,7 +568,7 @@ mod tests {
     /// A started AGILE host on `gpu` over `devices` SSDs of `pages` pages.
     fn agile_host(gpu: GpuConfig, devices: usize, pages: u64) -> AgileHost {
         let mut spec = HostSpec::new(gpu, AgileConfig::small_test());
-        spec.devices = vec![(pages, None); devices];
+        spec.devices = vec![pages; devices];
         AgileHost::build(spec)
     }
 
@@ -611,7 +600,7 @@ mod tests {
         // strong references, or every metered host is leaked whole.
         let registry = MetricsRegistry::new();
         let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        spec.devices = vec![(1 << 16, None)];
+        spec.devices = vec![1 << 16];
         spec.metrics = Some(Arc::clone(&registry));
         let mut host = AgileHost::build(spec);
         let ctrl = host.ctrl();
@@ -683,7 +672,7 @@ mod tests {
     /// A spec of `config` over one small SSD.
     fn one_device(config: AgileConfig) -> HostSpec<AgileSystem> {
         let mut spec = HostSpec::new(GpuConfig::tiny(1), config);
-        spec.devices = vec![(1024, None)];
+        spec.devices = vec![1024];
         spec
     }
 

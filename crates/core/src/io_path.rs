@@ -1151,14 +1151,11 @@ mod tests {
     use super::*;
     use crate::qos::{Fifo, WeightedFair};
     use agile_cache::{CacheConfig, ClockPolicy, NO_TENANT};
-    use nvme_sim::{MemBacking, SsdConfig, SsdDevice};
+    use nvme_sim::{SsdConfig, SsdDevice};
 
     /// A bare-queue path (no topology) at AGILE's costs over one device.
     fn rig(qps: usize, depth: u32) -> (IoPath, SsdDevice) {
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(1 << 20),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         let queues: Vec<Arc<QueuePair>> = (0..qps)
             .map(|q| {
                 let qp = QueuePair::new(q as u16, depth);

@@ -300,7 +300,7 @@ mod tests {
     /// A started AGILE host over one SSD of 2^16 pages.
     fn started_host() -> AgileHost {
         let mut spec = HostSpec::new(GpuConfig::tiny(2), AgileConfig::small_test());
-        spec.devices = vec![(1 << 16, None)];
+        spec.devices = vec![1 << 16];
         AgileHost::build(spec)
     }
 

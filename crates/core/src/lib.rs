@@ -26,9 +26,6 @@
 //! * [`ctrl`] — AGILE's device-side API (`prefetch`, `asyncRead`,
 //!   `asyncWrite`, the array-like accessor wrappers, the Share Table and
 //!   the service's knobs) exposed to warp kernels (§3.5);
-//! * [`lockchain`] — the lock-chain deadlock checker of §3.5, which tracks
-//!   per-thread lock chains and reports circular dependencies; a standalone
-//!   library that no lock in the stack goes through;
 //! * [`qos`] — QoS-aware submission scheduling across tenants: a pluggable
 //!   [`qos::QosPolicy`] ([`qos::Fifo`] or deficit-round-robin
 //!   [`qos::WeightedFair`]) that arbitrates SQ-slot admission ahead of the
@@ -47,7 +44,7 @@
 //!
 //! // Two small SSDs, a 4 MiB cache, 4 queue pairs of depth 64 per SSD.
 //! let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
-//! spec.devices = vec![(1 << 16, None); 2]; // pages, default backing
+//! spec.devices = vec![1 << 16; 2]; // pages per SSD
 //! let mut host = AgileHost::build(spec); // started
 //! let ctrl = host.ctrl();
 //! let report = host.run_kernel(
@@ -59,6 +56,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -69,7 +67,6 @@ pub mod ctrl;
 pub mod host;
 pub mod io_path;
 pub mod kernels;
-pub mod lockchain;
 pub mod qos;
 pub mod service;
 pub mod sq_protocol;
@@ -83,7 +80,6 @@ pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSpec, HostSyste
 pub use io_path::{
     IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
 };
-pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, WeightError, WeightedFair, MAX_ONLINE_WEIGHT,
 };

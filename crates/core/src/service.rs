@@ -510,19 +510,14 @@ mod tests {
     use super::*;
     use crate::config::AgileConfig;
     use crate::transaction::{AgileBuf, Barrier};
-    use nvme_sim::{
-        DmaHandle, MemBacking, PageToken, QueuePair, SsdConfig, SsdDevice, StorageTopology,
-    };
+    use nvme_sim::{DmaHandle, PageToken, QueuePair, SsdConfig, SsdDevice, StorageTopology};
 
     /// Build a ctrl + device pair wired through real queue pairs.
     fn rig(qps: usize, depth: u32) -> (Arc<AgileCtrl>, SsdDevice) {
         let cfg = AgileConfig::small_test()
             .with_queue_pairs(qps)
             .with_queue_depth(depth);
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(1 << 20),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         let queues: Vec<Arc<QueuePair>> = (0..qps)
             .map(|q| {
                 let qp = QueuePair::new(q as u16, depth);

@@ -186,6 +186,11 @@ impl AgileSq {
             let cur = self.alloc_cursor.load(Ordering::Acquire);
             let slot = (cur % self.depth as u64) as u32;
             if self.states[slot as usize].load(Ordering::Acquire) != SqeState::Empty as u32 {
+                // An issuer that claimed this slot after our cursor read has
+                // already moved the cursor: retry at the new one.
+                if self.alloc_cursor.load(Ordering::Acquire) != cur {
+                    continue;
+                }
                 // check_full(): the entry at the tail has not been recycled yet.
                 return None;
             }
@@ -485,12 +490,9 @@ mod tests {
     fn device_interoperation_end_to_end() {
         // The AgileSq protocol must produce command streams a real device
         // model can consume.
-        use nvme_sim::{MemBacking, SsdConfig, SsdDevice};
+        use nvme_sim::{SsdConfig, SsdDevice};
         let qp = QueuePair::new(0, 32);
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(1 << 20),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         dev.register_queue_pair(Arc::clone(&qp));
         let q = AgileSq::new(qp);
         let dmas: Vec<DmaHandle> = (0..8).map(|_| DmaHandle::new()).collect();

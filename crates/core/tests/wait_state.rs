@@ -19,7 +19,7 @@ use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
-use nvme_sim::{Lba, MemBacking, PageToken, QueuePair, SsdConfig, SsdDevice};
+use nvme_sim::{Lba, PageToken, QueuePair, SsdConfig, SsdDevice};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,10 +110,7 @@ impl Rig {
         let mut devices = Vec::new();
         let mut queues = Vec::new();
         for id in 0..DEVICES {
-            let mut dev = SsdDevice::new(
-                SsdConfig::new(id as u32).with_capacity_pages(PAGES),
-                Arc::new(MemBacking::new(id as u32)),
-            );
+            let mut dev = SsdDevice::new(SsdConfig::new(id as u32).with_capacity_pages(PAGES));
             let qps: Vec<Arc<QueuePair>> = (0..QUEUES)
                 .map(|q| {
                     let qp = QueuePair::new(q as u16, DEPTH);

@@ -1,7 +1,6 @@
 //! GPU device configuration.
 
 use agile_sim::units::{GIB, KIB};
-use serde::{Deserialize, Serialize};
 
 /// Static description of the simulated GPU.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// SM count (parallelism), per-SM register file and warp/block limits
 /// (occupancy, hence latency-hiding capacity), warp size, clock, and HBM
 /// capacity (bounds the software cache).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Human-readable device name.
     pub name: String,
@@ -73,11 +72,6 @@ impl GpuConfig {
     pub fn total_warp_slots(&self) -> u32 {
         self.num_sms * self.max_warps_per_sm
     }
-
-    /// Total concurrent thread capacity of the device.
-    pub fn total_thread_slots(&self) -> u64 {
-        self.total_warp_slots() as u64 * self.warp_size as u64
-    }
 }
 
 impl Default for GpuConfig {
@@ -96,7 +90,6 @@ mod tests {
         assert_eq!(g.warp_size, 32);
         assert_eq!(g.num_sms, 100);
         assert_eq!(g.total_warp_slots(), 4800);
-        assert_eq!(g.total_thread_slots(), 4800 * 32);
         assert!(g.hbm_bytes >= 16 * GIB);
     }
 

@@ -124,12 +124,11 @@ use crate::queue_index::QueueWaiters;
 use crate::sm::{Parked, ResidentWarp, SmState};
 use agile_sim::wake::{QueueId, SleeperId, Wait, WaitReason, WakeHub};
 use agile_sim::{Cycles, SimClock};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Which scheduling loop [`Engine::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineSched {
     /// Min-heap ready-queue on `ready_at`: rounds fire only at warp wake
     /// times and step only the warps that are due. The default.
@@ -180,7 +179,7 @@ pub trait ExternalDevice: Send {
 }
 
 /// Per-kernel execution summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Kernel name (from the factory).
     pub name: String,
@@ -207,7 +206,7 @@ pub struct KernelReport {
 }
 
 /// Result of an [`Engine::run`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Simulated end-to-end time (cycles) from launch to completion of all
     /// non-persistent kernels.

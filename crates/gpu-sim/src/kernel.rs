@@ -10,14 +10,13 @@
 use crate::config::GpuConfig;
 use agile_sim::wake::Wait;
 use agile_sim::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a launched kernel within an [`crate::engine::Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelId(pub u32);
 
 /// Identity of one warp of one launched kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WarpId {
     /// Which kernel launch this warp belongs to.
     pub kernel: KernelId,
@@ -39,7 +38,7 @@ impl WarpId {
 
 /// Kernel launch configuration (the `<<<gridDim, blockDim>>>` analogue plus
 /// the static per-thread resource footprint the compiler would report).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid.
     pub grid_dim: u32,

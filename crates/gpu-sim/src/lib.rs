@@ -26,6 +26,7 @@
 //! non-blocking APIs that fit this model naturally.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -27,13 +27,11 @@
 //! spmv it is within 4 %. Every kernel keeps the paper's ordering, AGILE
 //! below BaM.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware limit on registers per thread (NVIDIA parts).
 pub const MAX_REGISTERS_PER_THREAD: u32 = 255;
 
 /// A named register contribution of one device-side API routine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterFootprint {
     /// Routine name (for reports).
     pub name: String,
@@ -97,7 +95,7 @@ pub mod bam_footprints {
 }
 
 /// The register model of one kernel variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelRegisterModel {
     /// Kernel name.
     pub kernel: String,

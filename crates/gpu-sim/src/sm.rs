@@ -177,11 +177,6 @@ impl SmState {
         self.warps
             .retain(|w| !(w.done && blocks[w.block_slot].retired));
     }
-
-    /// Number of warps that still have work (not done).
-    pub fn live_warps(&self) -> usize {
-        self.warps.iter().filter(|w| !w.done).count()
-    }
 }
 
 #[cfg(test)]
@@ -267,6 +262,5 @@ mod tests {
         sm.compact();
         assert_eq!(sm.warps.len(), 1);
         assert_eq!(sm.warps[0].id.block, 1);
-        assert_eq!(sm.live_warps(), 0);
     }
 }

@@ -349,6 +349,10 @@ fn parse_ident(ident: &str) -> Result<(String, Labels, Option<String>), String> 
 /// A minimal JSON reader covering exactly what [`MetricsSnapshot::to_json`]
 /// emits: objects, arrays, strings without escapes, unsigned integers.
 mod json {
+    /// Deepest nesting of objects and arrays accepted; `to_json` nests 5
+    /// deep, and a bound keeps hostile input from overflowing the stack.
+    pub const MAX_DEPTH: usize = 16;
+
     pub enum Value {
         Num(u64),
         Str(String),
@@ -396,7 +400,7 @@ mod json {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -420,8 +424,12 @@ mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parse the value at `pos`, inside `depth` open objects and arrays.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(bytes, pos);
+        if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+        }
         match bytes.get(*pos) {
             Some(b'{') => {
                 *pos += 1;
@@ -435,7 +443,7 @@ mod json {
                     skip_ws(bytes, pos);
                     let key = parse_string(bytes, pos)?;
                     expect(bytes, pos, b':')?;
-                    fields.push((key, parse_value(bytes, pos)?));
+                    fields.push((key, parse_value(bytes, pos, depth + 1)?));
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -456,7 +464,7 @@ mod json {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(bytes, pos)?);
+                    items.push(parse_value(bytes, pos, depth + 1)?);
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -545,5 +553,14 @@ mod tests {
         assert!(text.contains("agile_submit_qos_deferrals_total{tenant=\"1\"} 9"));
         let parsed = MetricsSnapshot::from_prometheus(&text).expect("parse back");
         assert_eq!(parsed, snap);
+    }
+
+    #[test]
+    fn json_nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let err = MetricsSnapshot::from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("at byte 16"), "{err}");
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_err());
     }
 }

@@ -47,6 +47,7 @@
 //! replay reports.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod export;
 pub mod registry;

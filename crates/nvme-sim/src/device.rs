@@ -1,7 +1,7 @@
 //! The SSD device model.
 //!
 //! One [`SsdDevice`] owns a set of registered I/O queue pairs (shared with the
-//! GPU-side libraries), a [`PageBacking`], and a channel-parallel flash
+//! GPU-side libraries), a [`MemBacking`], and a channel-parallel flash
 //! back-end. Its behaviour follows the NVMe flow the paper describes in §2.1:
 //!
 //! 1. software writes commands into SQ slots and rings the SQ tail doorbell;
@@ -27,19 +27,18 @@
 //! event has come due; the device keeps exactly that in its [`IdleGate`], so
 //! an idle advance is two atomic loads and changes no state.
 
-use crate::backing::PageBacking;
+use crate::backing::MemBacking;
 use crate::queue::QueuePair;
 use crate::spec::{CmdStatus, NvmeCommand, NvmeCompletion, Opcode, PageToken, QueueId};
 use agile_sim::costs::SsdCosts;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::{Cycles, EventWheel};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Static configuration of one simulated SSD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Device index (also used to derive pristine page tokens).
     pub id: u32,
@@ -73,7 +72,7 @@ impl SsdConfig {
 ///
 /// Note: the unified registry exports these as `agile_device_*` labelled by
 /// device index; this struct stays for direct programmatic access.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Read commands completed.
     pub reads_completed: u64,
@@ -274,7 +273,7 @@ pub struct SsdDevice {
     qps: Vec<Arc<QueuePair>>,
     sq_cursors: Vec<SqCursor>,
     cq_cursors: Vec<CqCursor>,
-    backing: Arc<dyn PageBacking>,
+    backing: Arc<MemBacking>,
     /// Busy-until time per flash channel.
     channels: Vec<Cycles>,
     events: EventWheel<DeviceEvent>,
@@ -291,10 +290,11 @@ pub struct SsdDevice {
 }
 
 impl SsdDevice {
-    /// Create a device with the given backing store.
-    pub fn new(cfg: SsdConfig, backing: Arc<dyn PageBacking>) -> Self {
+    /// Create a device over an empty in-memory backing keyed by `cfg.id`.
+    pub fn new(cfg: SsdConfig) -> Self {
         let channels = vec![Cycles::ZERO; cfg.costs.channels as usize];
         let fetch_delay = cfg.costs.command_fetch.to_cycles(cfg.clock_ghz);
+        let backing = Arc::new(MemBacking::new(cfg.id));
         SsdDevice {
             cfg,
             qps: Vec::new(),
@@ -335,7 +335,7 @@ impl SsdDevice {
     }
 
     /// The page backing (shared with workload setup code).
-    pub fn backing(&self) -> &Arc<dyn PageBacking> {
+    pub fn backing(&self) -> &Arc<MemBacking> {
         &self.backing
     }
 
@@ -659,12 +659,10 @@ impl SsdDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backing::MemBacking;
     use crate::spec::DmaHandle;
 
     fn make_device(qp_depth: u32) -> (SsdDevice, Arc<QueuePair>) {
-        let backing = Arc::new(MemBacking::new(0));
-        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20), backing);
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         let qp = QueuePair::new(0, qp_depth);
         dev.register_queue_pair(Arc::clone(&qp));
         (dev, qp)

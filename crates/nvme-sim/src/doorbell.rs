@@ -14,14 +14,15 @@
 
 use crate::device::IdleGate;
 use agile_sim::Cycles;
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A single 32-bit doorbell register with a ring log.
 pub struct DoorbellRegister {
     value: AtomicU32,
-    rings: SegQueue<(Cycles, u32)>,
+    rings: Mutex<VecDeque<(Cycles, u32)>>,
     ring_count: AtomicU32,
     /// Rings logged and not drained yet (counted before logging, like the
     /// gate's count), so draining a register nobody rang takes no lock.
@@ -41,7 +42,7 @@ impl DoorbellRegister {
     pub fn new() -> Self {
         DoorbellRegister {
             value: AtomicU32::new(0),
-            rings: SegQueue::new(),
+            rings: Mutex::new(VecDeque::new()),
             ring_count: AtomicU32::new(0),
             pending: AtomicU32::new(0),
             gate: OnceLock::new(),
@@ -54,9 +55,10 @@ impl DoorbellRegister {
     /// concurrently. Returns `false` if a gate was already attached.
     pub(crate) fn attach(&self, gate: &Arc<IdleGate>) -> bool {
         let fresh = self.gate.set(Arc::clone(gate)).is_ok();
-        if fresh && !self.rings.is_empty() {
+        let logged = self.rings.lock().len() as u64;
+        if fresh && logged > 0 {
             // Their times are in the log, not here: "as early as possible".
-            gate.add_pending_rings(self.rings.len() as u64, Cycles(0));
+            gate.add_pending_rings(logged, Cycles(0));
         }
         fresh
     }
@@ -71,7 +73,7 @@ impl DoorbellRegister {
             gate.add_pending_rings(1, now);
         }
         self.pending.fetch_add(1, Ordering::AcqRel);
-        self.rings.push((now, value));
+        self.rings.lock().push_back((now, value));
         self.ring_count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -81,16 +83,18 @@ impl DoorbellRegister {
     }
 
     /// Device side: hand every pending `(ring time, value)` to `sink` in
-    /// FIFO order.
+    /// FIFO order. The log stays locked while `sink` runs, so `sink` must not
+    /// ring this doorbell.
     pub fn drain(&self, mut sink: impl FnMut(Cycles, u32)) {
         if self.pending.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut drained = 0u64;
-        while let Some((at, value)) = self.rings.pop() {
+        let mut rings = self.rings.lock();
+        let drained = rings.len() as u64;
+        for (at, value) in rings.drain(..) {
             sink(at, value);
-            drained += 1;
         }
+        drop(rings);
         if drained > 0 {
             self.pending.fetch_sub(drained as u32, Ordering::AcqRel);
             if let Some(gate) = self.gate.get() {

@@ -12,9 +12,8 @@
 //!   through a discrete-event wheel ([`device`]),
 //! * the page *content* model: pages are represented by 64-bit
 //!   [`PageToken`]s so terabyte-scale address spaces can be simulated without
-//!   materialising 4 KiB buffers, while an optional byte-level backing
-//!   ([`backing::MemBacking`]) provides full-fidelity payloads for small
-//!   correctness tests ([`backing`]), and
+//!   materialising 4 KiB buffers; each device keeps the tokens written to
+//!   it in a sparse [`MemBacking`] ([`backing`]), and
 //! * the multi-SSD storage array ([`topology`]): [`StorageTopology`], every
 //!   device behind one modeled lock, with the page-striping layer.
 //!
@@ -23,6 +22,7 @@
 //! through GPU HBM exposed over PCIe BARs.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -33,7 +33,7 @@ pub mod queue;
 pub mod spec;
 pub mod topology;
 
-pub use backing::{MemBacking, PageBacking, SyntheticBacking, ZeroBacking};
+pub use backing::MemBacking;
 pub use device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
 pub use doorbell::DoorbellRegister;
 pub use queue::{CompletionQueue, QueuePair, SubmissionQueue};

@@ -7,7 +7,6 @@
 //! follow the specification (`slba`, `nlb`, `cid`, …) so the code reads like
 //! the driver it replaces.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,9 +27,8 @@ pub type QueueId = u16;
 /// Pages are represented by a 64-bit token rather than a byte buffer so the
 /// simulator can address terabyte-scale namespaces. A token is enough to
 /// detect every data-hazard class the paper worries about (RAW/WAR/WAW):
-/// stale data shows up as a stale token. Byte-accurate payloads are available
-/// through [`crate::backing::MemBacking`] for small tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// stale data shows up as a stale token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PageToken(pub u64);
 
 impl PageToken {
@@ -52,7 +50,7 @@ impl fmt::Display for PageToken {
 }
 
 /// I/O command opcodes (NVMe 1.4, figure 346).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
     /// Flush (modelled as a no-op with controller latency).
@@ -64,7 +62,7 @@ pub enum Opcode {
 }
 
 /// Completion status codes (generic command status subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmdStatus {
     /// Successful completion.
     Success,

@@ -21,7 +21,7 @@
 //!
 //! [`DeviceSet`] is the lock-free device list the array is made of.
 
-use crate::backing::{MemBacking, PageBacking};
+use crate::backing::MemBacking;
 use crate::device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
 use crate::queue::QueuePair;
 use crate::spec::{Lba, QueueId};
@@ -45,31 +45,23 @@ pub struct DeviceSet {
     gates: Vec<Arc<IdleGate>>,
 }
 
-/// `count` default-configured devices over token-only memory backings.
-fn default_parts(count: usize) -> Vec<(SsdConfig, Arc<dyn PageBacking>)> {
-    (0..count)
-        .map(|i| {
-            (
-                SsdConfig::new(i as u32),
-                Arc::new(MemBacking::new(i as u32)) as Arc<dyn PageBacking>,
-            )
-        })
-        .collect()
+/// `count` default-configured devices.
+fn default_configs(count: usize) -> Vec<SsdConfig> {
+    (0..count).map(|i| SsdConfig::new(i as u32)).collect()
 }
 
 impl DeviceSet {
-    /// Build `count` devices with default configuration and token-only memory
-    /// backings.
+    /// Build `count` devices with default configuration.
     pub fn new(count: usize) -> Self {
-        DeviceSet::from_parts(default_parts(count))
+        DeviceSet::from_configs(default_configs(count))
     }
 
-    /// Build from explicit (config, backing) pairs.
-    pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>) -> Self {
-        let (devices, gates) = parts
+    /// Build one device per configuration.
+    pub fn from_configs(configs: Vec<SsdConfig>) -> Self {
+        let (devices, gates) = configs
             .into_iter()
-            .map(|(cfg, backing)| {
-                let dev = SsdDevice::new(cfg, backing);
+            .map(|cfg| {
+                let dev = SsdDevice::new(cfg);
                 let gate = Arc::clone(dev.gate());
                 (Mutex::new(dev), gate)
             })
@@ -323,14 +315,14 @@ pub struct StorageTopology {
 }
 
 impl StorageTopology {
-    /// Build `count` devices with default configuration and backings.
+    /// Build `count` devices with default configuration.
     pub fn new(count: usize) -> Self {
-        StorageTopology::from_parts(default_parts(count))
+        StorageTopology::from_configs(default_configs(count))
     }
 
-    /// Build from explicit (config, backing) pairs.
-    pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>) -> Self {
-        let set = DeviceSet::from_parts(parts);
+    /// Build one device per configuration.
+    pub fn from_configs(configs: Vec<SsdConfig>) -> Self {
+        let set = DeviceSet::from_configs(configs);
         StorageTopology {
             devices: set.len(),
             global_pages: set.len() as u64 * set.min_namespace_pages(),
@@ -357,7 +349,7 @@ impl StorageTopology {
     }
 
     /// The page backing of device `dev` (for dataset setup).
-    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
+    pub fn backing(&self, dev: usize) -> Arc<MemBacking> {
         Arc::clone(self.set.device(dev).backing())
     }
 

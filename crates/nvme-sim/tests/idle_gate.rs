@@ -13,8 +13,8 @@
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::Cycles;
 use nvme_sim::{
-    DeviceSet, DeviceStats, DmaHandle, MemBacking, NvmeCommand, NvmeCompletion, PageToken,
-    QueuePair, SsdConfig, SsdDevice, StorageTopology,
+    DeviceSet, DeviceStats, DmaHandle, NvmeCommand, NvmeCompletion, PageToken, QueuePair,
+    SsdConfig, SsdDevice, StorageTopology,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -112,10 +112,7 @@ fn advance_between(dev: &mut SsdDevice, from: Cycles, to: Cycles, extra: &[Cycle
 }
 
 fn run(script: &[Step], with_extras: bool) -> Observed {
-    let mut dev = SsdDevice::new(
-        SsdConfig::new(0).with_capacity_pages(64),
-        Arc::new(MemBacking::new(0)),
-    );
+    let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(64));
     let log = Arc::new(TraceLog::default());
     assert!(dev.set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>));
     let mut sw: Vec<Software> = (0..QUEUES)
@@ -240,10 +237,7 @@ proptest! {
     fn the_gate_reads_the_devices_next_event_time(
         script in collection::vec((0u64..20_000, any::<u8>(), any::<u8>()), 1..150),
     ) {
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(64),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(64));
         let mut sw: Vec<Software> = (0..QUEUES)
             .map(|q| {
                 let qp = QueuePair::new(q as u16, DEPTH);

@@ -20,9 +20,7 @@
 
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::Cycles;
-use nvme_sim::{
-    DmaHandle, MemBacking, NvmeCommand, QueuePair, SsdConfig, SsdDevice, StorageTopology,
-};
+use nvme_sim::{DmaHandle, NvmeCommand, QueuePair, SsdConfig, SsdDevice, StorageTopology};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -81,7 +79,7 @@ impl Rig {
         let cfg = SsdConfig::new(0).with_capacity_pages(64);
         let fetch_delay = cfg.costs.command_fetch.to_cycles(cfg.clock_ghz).raw();
         let lookahead = cfg.costs.post_delay(cfg.clock_ghz).raw();
-        let mut dev = SsdDevice::new(cfg, Arc::new(MemBacking::new(0)));
+        let mut dev = SsdDevice::new(cfg);
         let log = Arc::new(Log::default());
         assert!(dev.set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>));
         let qps: Vec<Arc<QueuePair>> = (0..QUEUES)

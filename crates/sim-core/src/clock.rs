@@ -8,7 +8,6 @@
 //! A cycle count is a plain `u64` wrapped in a newtype so that cycle and
 //! nanosecond quantities cannot be mixed up silently.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,15 +20,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 pub const DEFAULT_GPU_CLOCK_GHZ: f64 = 2.5;
 
 /// A duration or point in simulated time, measured in GPU core cycles.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 /// A duration in nanoseconds of simulated wall time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Cycles {
@@ -48,12 +43,6 @@ impl Cycles {
     #[inline]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Convert to nanoseconds under the given clock frequency (GHz).
-    #[inline]
-    pub fn to_nanos(self, clock_ghz: f64) -> Nanos {
-        Nanos((self.0 as f64 / clock_ghz).round() as u64)
     }
 
     /// Convert to seconds under the given clock frequency (GHz).
@@ -101,12 +90,6 @@ impl Nanos {
     #[inline]
     pub const fn new(ns: u64) -> Self {
         Nanos(ns)
-    }
-
-    /// Construct from microseconds.
-    #[inline]
-    pub const fn from_micros(us: u64) -> Self {
-        Nanos(us * 1_000)
     }
 
     /// Construct from milliseconds.
@@ -197,7 +180,7 @@ impl_arith!(Nanos);
 ///
 /// The clock only ever moves forward. Components read `now()` and schedule
 /// future events; the engine advances it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimClock {
     now: Cycles,
     clock_ghz: f64,
@@ -249,12 +232,6 @@ impl SimClock {
     pub fn ns(&self, nanos: Nanos) -> Cycles {
         nanos.to_cycles(self.clock_ghz)
     }
-
-    /// Current simulated time expressed in seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.now.to_secs(self.clock_ghz)
-    }
 }
 
 #[cfg(test)]
@@ -263,15 +240,13 @@ mod tests {
 
     #[test]
     fn cycles_nanos_roundtrip() {
-        let c = Cycles(25_000);
-        let ns = c.to_nanos(2.5);
-        assert_eq!(ns, Nanos(10_000));
-        assert_eq!(ns.to_cycles(2.5), c);
+        let c = Nanos(10_000).to_cycles(2.5);
+        assert_eq!(c, Cycles(25_000));
+        assert!((c.to_secs(2.5) - Nanos(10_000).to_secs()).abs() < 1e-15);
     }
 
     #[test]
     fn nanos_constructors() {
-        assert_eq!(Nanos::from_micros(3), Nanos(3_000));
         assert_eq!(Nanos::from_millis(2), Nanos(2_000_000));
     }
 
@@ -319,8 +294,5 @@ mod tests {
     fn seconds_conversion() {
         let c = Cycles(2_500_000_000);
         assert!((c.to_secs(2.5) - 1.0).abs() < 1e-12);
-        let mut clk = SimClock::new(2.5);
-        clk.advance(c);
-        assert!((clk.now_secs() - 1.0).abs() < 1e-12);
     }
 }

@@ -13,7 +13,6 @@
 //! paper's figures.
 
 use crate::clock::{Cycles, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Cycles a warp with nothing to do but wait backs off before it polls again
 /// (its retry grid: flash is tens of µs away, so re-probing every few hundred
@@ -28,7 +27,7 @@ pub const POLL_RETRY_CYCLES: u64 = 2_000;
 pub const SUBMIT_RETRY_CYCLES: u64 = 3_000;
 
 /// GPU-side micro-operation costs, in core cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCosts {
     /// Cost of an L2/HBM global-memory access issued by a warp
     /// (~400–600 cycles on Ada-class parts; we use the midpoint).
@@ -82,7 +81,7 @@ impl Default for GpuCosts {
 ///
 /// So no command posts its CQE sooner than [`SsdCosts::post_delay`] after it
 /// is fetched: the bound a CQ poller may look ahead by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdCosts {
     /// Number of independent flash channels (units of internal parallelism).
     pub channels: u32,
@@ -133,7 +132,7 @@ impl Default for SsdCosts {
 /// attributes its API-overhead reductions to (§4.5): AGILE's state-word cache
 /// protocol vs BaM's lock-held critical sections, and AGILE's offloaded CQ
 /// polling vs BaM's per-thread polling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiCosts {
     /// AGILE: software-cache lookup on the hit path (hash + state check +
     /// reference pin via one CAS).
@@ -186,7 +185,7 @@ impl Default for ApiCosts {
 
 /// Compute-throughput model used for the DLRM MLP (cuBLAS substitute) and the
 /// graph kernels' arithmetic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeCosts {
     /// Peak FP32 multiply-add throughput per cycle across the whole GPU
     /// (#CUDA cores × 2 flops). RTX 5000 Ada: 12 800 cores.
@@ -209,7 +208,7 @@ impl Default for ComputeCosts {
 }
 
 /// The complete cost model: one value threaded through every simulator.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostModel {
     /// GPU micro-operation costs.
     pub gpu: GpuCosts,

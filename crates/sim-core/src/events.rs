@@ -83,11 +83,6 @@ impl<E> EventWheel<E> {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// Pop the next event regardless of time. Returns `(time, payload)`.
-    pub fn pop_next(&mut self) -> Option<(Cycles, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
-    }
-
     /// Pop every event with timestamp ≤ `now` onto the end of `out`, in
     /// timestamp order. Events scheduled while the caller works through
     /// `out` stay queued until the next call, even when already due.
@@ -110,10 +105,12 @@ mod tests {
         w.schedule(Cycles(10), "a");
         w.schedule(Cycles(20), "b");
         assert_eq!(w.len(), 3);
-        assert_eq!(w.pop_next(), Some((Cycles(10), "a")));
-        assert_eq!(w.pop_next(), Some((Cycles(20), "b")));
-        assert_eq!(w.pop_next(), Some((Cycles(30), "c")));
-        assert_eq!(w.pop_next(), None);
+        let mut ready = Vec::new();
+        w.pop_ready_into(Cycles::MAX, &mut ready);
+        assert_eq!(
+            ready,
+            vec![(Cycles(10), "a"), (Cycles(20), "b"), (Cycles(30), "c")]
+        );
         assert!(w.is_empty());
     }
 
@@ -123,7 +120,9 @@ mod tests {
         w.schedule(Cycles(5), 1u32);
         w.schedule(Cycles(5), 2u32);
         w.schedule(Cycles(5), 3u32);
-        let popped: Vec<u32> = std::iter::from_fn(|| w.pop_next().map(|(_, p)| p)).collect();
+        let mut ready = Vec::new();
+        w.pop_ready_into(Cycles(5), &mut ready);
+        let popped: Vec<u32> = ready.into_iter().map(|(_, p)| p).collect();
         assert_eq!(popped, vec![1, 2, 3]);
     }
 
@@ -151,8 +150,11 @@ mod tests {
             let t = (i * 7919) % 10_007;
             w.schedule(Cycles(t), t);
         }
+        let mut ready = Vec::new();
+        w.pop_ready_into(Cycles::MAX, &mut ready);
+        assert_eq!(ready.len(), 10_000);
         let mut last = 0;
-        while let Some((t, p)) = w.pop_next() {
+        for (t, p) in ready {
             assert_eq!(t.raw(), p);
             assert!(t.raw() >= last);
             last = t.raw();

@@ -9,8 +9,6 @@
 //!   ([`events`]),
 //! * deterministic, seedable random number generation plus a Zipf sampler used
 //!   by the synthetic workload generators ([`rng`]),
-//! * lightweight statistics containers used by the benchmark harnesses
-//!   ([`stats`]),
 //! * the single, documented table of cost-model constants used by the GPU and
 //!   SSD simulators ([`costs`]),
 //! * size/time unit helpers ([`units`]), and
@@ -23,6 +21,7 @@
 //! reproducible as tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -30,7 +29,6 @@ pub mod clock;
 pub mod costs;
 pub mod events;
 pub mod rng;
-pub mod stats;
 pub mod trace;
 pub mod units;
 pub mod wake;
@@ -38,6 +36,5 @@ pub mod wake;
 pub use clock::{Cycles, Nanos, SimClock, DEFAULT_GPU_CLOCK_GHZ};
 pub use events::EventWheel;
 pub use rng::{SimRng, ZipfSampler};
-pub use stats::{Counter, Histogram, RunningStats};
-pub use trace::{NullSink, TraceEvent, TraceEventKind, TraceSink};
+pub use trace::{TraceEvent, TraceEventKind, TraceSink};
 pub use wake::{QueueId, SleeperId, Wait, WaitQueue, WaitReason, WakeHub, WatchList, WatchedU64};

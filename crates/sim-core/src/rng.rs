@@ -4,11 +4,8 @@
 //! experiments, Zipf-distributed embedding indices for DLRM, edge generation
 //! for the uniform and Kronecker graph generators) flows through [`SimRng`],
 //! a splitmix64-seeded xoshiro256** generator. The generator is written out
-//! here rather than pulled from `rand` distributions so that the exact bit
-//! streams are stable across `rand` releases; `rand`'s traits are implemented
-//! so the generator still composes with the wider ecosystem (and proptest).
-
-use rand::RngCore;
+//! here rather than taken from a crate so that the exact bit streams can
+//! never change under a dependency update.
 
 /// splitmix64 step, used to expand a single `u64` seed into the xoshiro state.
 #[inline]
@@ -103,30 +100,6 @@ impl SimRng {
             let j = self.gen_range((i + 1) as u64) as usize;
             slice.swap(i, j);
         }
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&SimRng::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = SimRng::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -315,13 +288,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(zipf.sample(&mut rng), 0);
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = SimRng::new(13);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -175,14 +175,6 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, ev: TraceEvent);
 }
 
-/// A sink that discards everything (useful as an explicit default).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: TraceEvent) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,11 +201,5 @@ mod tests {
         assert_eq!(ev.tenant, 5);
         assert!(ev.write);
         assert_eq!(ev.kind, TraceEventKind::Submit);
-    }
-
-    #[test]
-    fn null_sink_accepts_events() {
-        let sink = NullSink;
-        sink.record(TraceEvent::new(TraceEventKind::CacheHit, 0));
     }
 }

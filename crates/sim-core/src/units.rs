@@ -11,12 +11,6 @@ pub const GIB: u64 = 1024 * MIB;
 /// "data is managed at a coarse-grained page level, typically 4KB per page").
 pub const SSD_PAGE_SIZE: u64 = 4 * KIB;
 
-/// Number of bytes `n` expressed in GiB as a float (for reporting).
-#[inline]
-pub fn bytes_to_gib(n: u64) -> f64 {
-    n as f64 / GIB as f64
-}
-
 /// Bandwidth in GB/s (decimal gigabytes, as the paper reports) given bytes
 /// moved and elapsed seconds.
 #[inline]
@@ -31,12 +25,6 @@ pub fn gb_per_sec(bytes: u64, secs: f64) -> f64 {
 #[inline]
 pub const fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
-}
-
-/// Round `a` up to the next multiple of `b`.
-#[inline]
-pub const fn round_up(a: u64, b: u64) -> u64 {
-    div_ceil(a, b) * b
 }
 
 /// True when `x` is a power of two (and non-zero).
@@ -59,7 +47,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert!((bytes_to_gib(GIB) - 1.0).abs() < 1e-12);
         assert!((gb_per_sec(1_000_000_000, 1.0) - 1.0).abs() < 1e-12);
         assert_eq!(gb_per_sec(123, 0.0), 0.0);
     }
@@ -68,8 +55,6 @@ mod tests {
     fn integer_helpers() {
         assert_eq!(div_ceil(10, 4), 3);
         assert_eq!(div_ceil(8, 4), 2);
-        assert_eq!(round_up(10, 4), 12);
-        assert_eq!(round_up(8, 4), 8);
         assert!(is_power_of_two(4096));
         assert!(!is_power_of_two(0));
         assert!(!is_power_of_two(12));

@@ -49,13 +49,12 @@
 //! serve is always safe; waking fewer would not be.
 
 use crate::clock::Cycles;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Why a warp stalled. Carried by every stall so a stall report can say what
 /// each stuck warp was waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WaitReason {
     /// The kernel did not say.
     #[default]

@@ -251,11 +251,6 @@ impl Trace {
         self.ops.iter().filter(|o| o.write).count() as u64
     }
 
-    /// Sum of inter-op gaps (a lower bound on the trace's virtual duration).
-    pub fn total_gap_cycles(&self) -> u64 {
-        self.ops.iter().map(|o| o.gap as u64).sum()
-    }
-
     /// Serialize to the compact binary form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let name = self.meta.name.as_bytes();
@@ -528,7 +523,6 @@ mod tests {
         assert_eq!(Trace::from_bytes(&bytes).unwrap(), trace);
         assert_eq!(trace.reads(), 1);
         assert_eq!(trace.writes(), 1);
-        assert_eq!(trace.total_gap_cycles(), u32::MAX as u64);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -49,7 +50,7 @@ pub mod sink;
 pub mod stats;
 pub mod synth;
 
-pub use agile_sim::trace::{NullSink, TraceEvent, TraceEventKind, TraceSink};
+pub use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 pub use format::{
     decode_events, encode_events, events_to_json_lines, EventReader, Trace, TraceFormatError,
     TraceMeta, TraceOp, TraceOpReader,

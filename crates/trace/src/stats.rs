@@ -1,11 +1,10 @@
 //! Latency telemetry: a log-linear histogram with tight percentiles.
 //!
-//! `agile_sim::stats::Histogram` buckets by powers of two, which is fine for
-//! size distributions but too coarse for latency percentiles (a p99 answer
-//! that may be 2× off is useless for tail-latency work). [`LatencyHistogram`]
-//! subdivides every octave into 32 linear sub-buckets, bounding the relative
-//! quantile error to ≤ 1/32 ≈ 3 % while staying a fixed-size array — the
-//! same trade HdrHistogram makes.
+//! Power-of-two buckets are fine for size distributions but too coarse for
+//! latency percentiles (a p99 answer that may be 2× off is useless for
+//! tail-latency work). [`LatencyHistogram`] subdivides every octave into 32
+//! linear sub-buckets, bounding the relative quantile error to ≤ 1/32 ≈ 3 %
+//! while staying a fixed-size array — the same trade HdrHistogram makes.
 
 const SUB_BUCKET_BITS: u32 = 5; // 32 sub-buckets per octave
 const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;

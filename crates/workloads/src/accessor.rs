@@ -251,12 +251,9 @@ mod tests {
         use agile_sim::trace::TraceEventKind;
         use agile_trace::MemorySink;
         use bam_baseline::BamConfig;
-        use nvme_sim::{MemBacking, QueuePair, SsdConfig, SsdDevice};
+        use nvme_sim::{QueuePair, SsdConfig, SsdDevice};
 
-        let mut dev = SsdDevice::new(
-            SsdConfig::new(0).with_capacity_pages(1 << 16),
-            Arc::new(MemBacking::new(0)),
-        );
+        let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 16));
         let qp = QueuePair::new(0, 64);
         dev.register_queue_pair(Arc::clone(&qp));
         let cfg = BamConfig::small_test().with_queue_pairs(1);

@@ -20,13 +20,12 @@ use agile_sim::costs::CostModel;
 use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::Cycles;
 use nvme_sim::Lba;
-use serde::{Deserialize, Serialize};
 
 /// Number of categorical features (tables) in the Criteo dataset.
 pub const CRITEO_NUM_TABLES: usize = 26;
 
 /// One embedding table's placement on the SSD array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmbeddingLayout {
     /// Which SSD holds the table.
     pub dev: u32,
@@ -57,7 +56,7 @@ impl EmbeddingLayout {
 }
 
 /// A DLRM model variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DlrmConfig {
     /// Configuration name ("config-1", …).
     pub name: String,
@@ -207,11 +206,6 @@ impl DlrmConfig {
             .collect()
     }
 
-    /// Total embedding footprint in bytes.
-    pub fn embedding_bytes(&self) -> u64 {
-        self.table_rows.iter().sum::<u64>() * self.embedding_dim as u64 * 4
-    }
-
     /// Pages each SSD must provide for this model.
     pub fn pages_needed_per_ssd(&self, ssd_count: usize) -> u64 {
         let layouts = self.layout(ssd_count);
@@ -285,7 +279,8 @@ mod tests {
     #[test]
     fn embedding_footprint_exceeds_default_cache() {
         let cfg = DlrmConfig::config1(2048, 1);
-        assert!(cfg.embedding_bytes() > 2 * agile_sim::units::GIB);
+        let embedding_bytes = cfg.table_rows.iter().sum::<u64>() * cfg.embedding_dim as u64 * 4;
+        assert!(embedding_bytes > 2 * agile_sim::units::GIB);
         assert_eq!(cfg.lookups_per_epoch(), 2048 * 26);
     }
 

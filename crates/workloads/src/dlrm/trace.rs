@@ -66,16 +66,6 @@ impl DlrmTrace {
     pub fn total_requests(&self) -> usize {
         self.epochs.iter().map(|e| e.len()).sum()
     }
-
-    /// Number of *distinct* pages touched across the whole trace — an upper
-    /// bound on the resident working set.
-    pub fn distinct_pages(&self) -> usize {
-        let mut set = std::collections::HashSet::new();
-        for e in &self.epochs {
-            set.extend(e.iter().copied());
-        }
-        set.len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +108,10 @@ mod tests {
         // A strongly skewed trace revisits far fewer distinct pages than the
         // total number of requests.
         let total = trace.total_requests();
-        let distinct = trace.distinct_pages();
+        let distinct = (0..trace.epochs())
+            .flat_map(|e| trace.epoch_requests(e).iter().copied())
+            .collect::<std::collections::HashSet<_>>()
+            .len();
         assert!(distinct * 3 < total, "distinct {distinct} vs total {total}");
     }
 }

@@ -14,11 +14,10 @@ use agile_core::AgileConfig;
 use agile_sim::units::{GIB, MIB};
 use bam_baseline::BamConfig;
 use gpu_sim::LaunchConfig;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One (sweep point, execution mode) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DlrmRow {
     /// The sweep label ("config-1", "batch=16", "qp=4", "cache=256MiB", …).
     pub point: String,

@@ -13,10 +13,9 @@ use crate::microbench::{ideal_speedup, MicrobenchKernel, MicrobenchParams};
 use agile_core::AgileConfig;
 use agile_sim::units::MIB;
 use gpu_sim::LaunchConfig;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Figure 4 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CtcRow {
     /// Target computation-to-communication ratio.
     pub ctc: f64,

@@ -5,10 +5,9 @@ use crate::randio::{IoDirection, RandIoKernel, RandIoParams};
 use agile_core::AgileConfig;
 use agile_sim::units::{gb_per_sec, MIB, SSD_PAGE_SIZE};
 use gpu_sim::LaunchConfig;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of the bandwidth sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthRow {
     /// Read or write.
     pub direction: String,

@@ -24,7 +24,6 @@ use agile_sim::units::MIB;
 use bam_baseline::BamConfig;
 use gpu_sim::{Engine, LaunchConfig};
 use nvme_sim::PageToken;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sizing of the Figure 11 graphs.
@@ -54,7 +53,7 @@ impl GraphScale {
 }
 
 /// One bar of Figure 11.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     /// "bfs" or "spmv".
     pub app: String,

@@ -9,13 +9,12 @@
 
 use agile_sim::units::SSD_PAGE_SIZE;
 use nvme_sim::Lba;
-use serde::{Deserialize, Serialize};
 
 /// Elements (u32 indices or f32 values) per 4 KiB page.
 pub const ELEMS_PER_PAGE: u64 = SSD_PAGE_SIZE / 4;
 
 /// Where a graph's arrays live on the SSD array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphLayout {
     /// Device holding the column-index array.
     pub col_dev: u32,

@@ -24,6 +24,7 @@
 //!   examples.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -12,10 +12,9 @@
 //! a test holds it within 35 %.
 
 use gpu_sim::registers::{agile_footprints, bam_footprints, KernelRegisterModel};
-use serde::{Deserialize, Serialize};
 
 /// One row of the Figure 12 table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterRow {
     /// Kernel name.
     pub kernel: String,

@@ -22,6 +22,7 @@
 //! See `README.md` for a quickstart and the system inventory.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub use agile_cache as cache;

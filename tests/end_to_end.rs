@@ -115,22 +115,6 @@ fn naive_async_deadlocks_on_bam_but_agile_completes_the_same_load() {
 }
 
 #[test]
-fn lock_chain_debug_reports_cycles() {
-    use agile_repro::agile::{AgileLockChain, LockRegistry};
-    let registry = LockRegistry::new();
-    let a = registry.register_lock();
-    let b = registry.register_lock();
-    let t1 = AgileLockChain::new(&registry, 1);
-    let t2 = AgileLockChain::new(&registry, 2);
-    t1.acquired(a);
-    t2.acquired(b);
-    assert!(t1.blocked_on(b).is_none());
-    let report = t2.blocked_on(a).expect("AB/BA cycle must be reported");
-    assert_eq!(report.thread, 2);
-    assert_eq!(registry.reports().len(), 1);
-}
-
-#[test]
 fn multi_kernel_sequential_launches_share_the_cache() {
     let mut host = small_host(1);
     let ctrl = host.ctrl();

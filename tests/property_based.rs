@@ -1,13 +1,19 @@
-//! Property-based tests (proptest) over the core data structures' invariants:
-//! the software cache, the Share Table and the SQE lock protocol.
+//! Property-based tests (proptest) over the core data structures' invariants
+//! (the software cache, the Share Table and the SQE lock protocol) and over
+//! the decoders of the trace and metrics formats, which must reject damaged
+//! input with an error rather than panic.
 
 use agile_repro::agile::sq_protocol::{AgileSq, SqeState};
 use agile_repro::agile::transaction::Transaction;
 use agile_repro::cache::{
     CacheConfig, CacheLookup, ClockPolicy, LruPolicy, ShareTable, SoftwareCache,
 };
+use agile_repro::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
 use agile_repro::nvme::{DmaHandle, NvmeCommand, PageToken, QueuePair};
 use agile_repro::sim::Cycles;
+use agile_repro::trace::{
+    decode_events, encode_events, Trace, TraceEvent, TraceEventKind, TraceMeta, TraceOp,
+};
 use proptest::prelude::*;
 
 /// Drive an arbitrary sequence of lookups/fills/unpins against a small cache
@@ -63,8 +69,90 @@ fn cache_invariants(ops: Vec<(u8, u64)>, lru: bool) {
     assert!(s.hits + s.misses + s.busy_hits + s.no_line > 0 || s.writebacks == 0);
 }
 
+/// Valid encodings of every decoded format: an event log, a replayable
+/// trace, and one metrics snapshot as JSON and as Prometheus text.
+fn valid_encodings() -> [Vec<u8>; 4] {
+    let events: Vec<TraceEvent> = (0..4u64)
+        .map(|i| {
+            TraceEvent::new(TraceEventKind::ALL[i as usize], 100 * i)
+                .target(i as u32, 7 * i)
+                .queue(1, i as u16)
+                .tenant(2)
+                .write(i % 2 == 1)
+        })
+        .collect();
+    let trace = Trace {
+        meta: TraceMeta {
+            name: "robustness".into(),
+            seed: 9,
+            lba_space: 1 << 20,
+            devices: 2,
+            tenants: 3,
+        },
+        ops: (0..4u64)
+            .map(|i| TraceOp {
+                lba: 1000 * i,
+                gap: 17 * i as u32,
+                tenant: i as u32 % 3,
+                dev: i as u32 % 2,
+                write: i == 3,
+            })
+            .collect(),
+    };
+    let reg = MetricsRegistry::new();
+    reg.counter("agile_submit_admissions_total", Labels::NONE)
+        .add(42);
+    reg.gauge("agile_engine_ready_queue_high_water", Labels::NONE)
+        .set(17);
+    let h = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
+    for v in [5u64, 70, 4_000, 1 << 22] {
+        h.record(v);
+    }
+    let snap = reg.snapshot();
+    [
+        encode_events(&events),
+        trace.to_bytes(),
+        snap.to_json().into_bytes(),
+        snap.to_prometheus().into_bytes(),
+    ]
+}
+
+/// Feed `bytes` to every decoder; each returns `Ok` or `Err`, and a panic
+/// fails the test.
+fn decode_all(bytes: &[u8]) {
+    let _ = decode_events(bytes);
+    let _ = Trace::from_bytes(bytes);
+    let text = String::from_utf8_lossy(bytes);
+    let _ = MetricsSnapshot::from_json(&text);
+    let _ = MetricsSnapshot::from_prometheus(&text);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, and single-byte edits of valid encodings, make every
+    /// decoder return an error or a value, never panic.
+    #[test]
+    fn decoders_never_panic_on_damaged_input(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        edits in proptest::collection::vec((any::<u32>(), any::<u8>()), 64..65),
+    ) {
+        decode_all(&noise);
+        let valid = valid_encodings();
+        prop_assert!(decode_events(&valid[0]).is_ok());
+        prop_assert!(Trace::from_bytes(&valid[1]).is_ok());
+        prop_assert!(MetricsSnapshot::from_json(std::str::from_utf8(&valid[2]).unwrap()).is_ok());
+        prop_assert!(
+            MetricsSnapshot::from_prometheus(std::str::from_utf8(&valid[3]).unwrap()).is_ok()
+        );
+        for encoding in &valid {
+            for &(at, byte) in &edits {
+                let mut damaged = encoding.clone();
+                damaged[at as usize % encoding.len()] = byte;
+                decode_all(&damaged);
+            }
+        }
+    }
 
     #[test]
     fn cache_never_leaks_pins_clock(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200)) {
