@@ -222,7 +222,7 @@ mod tests {
         let topology = host.topology();
         assert_eq!(topology.device_count(), 2);
         let pages: Vec<u64> = (0..2)
-            .map(|d| topology.with_set(|set| set.device(d).config().namespace_pages))
+            .map(|d| topology.device(d).config().namespace_pages)
             .collect();
         assert_eq!(pages, [1 << 12, 1 << 13]);
     }

@@ -41,6 +41,4 @@ pub use spec::{
     CmdStatus, CommandId, DmaHandle, DmaSlab, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken,
     QueueId,
 };
-pub use topology::{
-    DeviceSet, PageLocation, StorageTopology, TopologyLock, DEFAULT_LOCK_HOLD_CYCLES,
-};
+pub use topology::{PageLocation, StorageTopology, TopologyLock, DEFAULT_LOCK_HOLD_CYCLES};

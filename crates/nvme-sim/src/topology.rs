@@ -18,8 +18,6 @@
 //! at clock ÷ [`DEFAULT_LOCK_HOLD_CYCLES`] submissions per second (≈ 4.17M
 //! at 2.5 GHz), which binds from about five SSDs on — beyond the paper's
 //! device counts.
-//!
-//! [`DeviceSet`] is the lock-free device list the array is made of.
 
 use crate::backing::MemBacking;
 use crate::device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
@@ -29,173 +27,6 @@ use agile_sim::trace::TraceSink;
 use agile_sim::Cycles;
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// A set of SSDs addressed by device index, each behind its **own** mutex —
-/// the device list [`StorageTopology`] is made of.
-///
-/// The mutex is what lets one topology be shared (`Arc`, `&self` methods)
-/// between the engine's topology bridge and the controllers' submit paths; the
-/// array lock is a submission-cost *model* (see [`TopologyLock`]), not a
-/// concurrency primitive. Methods lock only the devices they touch — and
-/// advancing a device whose [`IdleGate`] says nothing can happen touches
-/// nothing at all.
-pub struct DeviceSet {
-    devices: Vec<Mutex<SsdDevice>>,
-    /// Each device's gate, so an idle advance never takes the device lock.
-    gates: Vec<Arc<IdleGate>>,
-}
-
-/// `count` default-configured devices.
-fn default_configs(count: usize) -> Vec<SsdConfig> {
-    (0..count).map(|i| SsdConfig::new(i as u32)).collect()
-}
-
-impl DeviceSet {
-    /// Build `count` devices with default configuration.
-    pub fn new(count: usize) -> Self {
-        DeviceSet::from_configs(default_configs(count))
-    }
-
-    /// Build one device per configuration.
-    pub fn from_configs(configs: Vec<SsdConfig>) -> Self {
-        let (devices, gates) = configs
-            .into_iter()
-            .map(|cfg| {
-                let dev = SsdDevice::new(cfg);
-                let gate = Arc::clone(dev.gate());
-                (Mutex::new(dev), gate)
-            })
-            .unzip();
-        DeviceSet { devices, gates }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// True when the set holds no devices.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Lock and access a device (registration, advancing, stats).
-    pub fn device(&self, idx: usize) -> parking_lot::MutexGuard<'_, SsdDevice> {
-        self.devices[idx].lock()
-    }
-
-    /// Register `queues_per_device` queue pairs of `depth` entries on every
-    /// device and return them grouped by device.
-    pub fn register_queues(
-        &self,
-        queues_per_device: usize,
-        depth: u32,
-    ) -> Vec<Vec<Arc<QueuePair>>> {
-        self.devices
-            .iter()
-            .map(|dev| {
-                let mut dev = dev.lock();
-                (0..queues_per_device)
-                    .map(|q| {
-                        let qp = QueuePair::new(q as QueueId, depth);
-                        dev.register_queue_pair(Arc::clone(&qp));
-                        qp
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Install a trace sink on every device's completion path (see
-    /// [`SsdDevice::set_trace_sink`]). Returns `false` if any device already
-    /// had a sink.
-    pub fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
-        let mut all_fresh = true;
-        for dev in &self.devices {
-            all_fresh &= dev.lock().set_trace_sink(Arc::clone(sink));
-        }
-        all_fresh
-    }
-
-    /// Advance every device to `now`, in device order.
-    pub fn advance_to(&self, now: Cycles) {
-        for idx in 0..self.devices.len() {
-            self.advance_device_to(idx, now);
-        }
-    }
-
-    /// Advance only device `idx` to `now`. Devices are mutually independent
-    /// between advancement boundaries, so callers may advance different
-    /// devices concurrently. An idle device (see [`IdleGate::idle_at`]) is
-    /// left untouched and unlocked.
-    pub fn advance_device_to(&self, idx: usize, now: Cycles) {
-        if !self.gates[idx].idle_at(now) {
-            self.devices[idx].lock().advance_to(now);
-        }
-    }
-
-    /// Earliest pending event across all devices. Like every next-event
-    /// query here it reads the devices' [`IdleGate`]s and takes no lock.
-    pub fn next_event_time(&self) -> Option<Cycles> {
-        self.gates.iter().filter_map(|g| g.next_event_time()).min()
-    }
-
-    /// Earliest pending event strictly after `now`, device by device: a
-    /// device whose next event is at or before `now` (one fired events
-    /// scheduled while firing) does not hide another device's later one.
-    pub fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
-        self.gates
-            .iter()
-            .filter_map(|g| g.next_event_time())
-            .filter(|&t| t > now)
-            .min()
-    }
-
-    /// True when every device is idle.
-    pub fn quiescent(&self) -> bool {
-        self.devices.iter().all(|d| d.lock().quiescent())
-    }
-
-    /// Sum of bytes read across devices.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.lock().stats().bytes_read)
-            .sum()
-    }
-
-    /// Sum of bytes written across devices.
-    pub fn total_bytes_written(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.lock().stats().bytes_written)
-            .sum()
-    }
-
-    /// Smallest namespace capacity across devices (0 for an empty set) —
-    /// the per-device extent of the striped global page space.
-    pub fn min_namespace_pages(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.lock().config().namespace_pages)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// The least time any device takes from fetching a command to posting
-    /// its CQE ([`agile_sim::costs::SsdCosts::post_delay`]; zero for an
-    /// empty set).
-    pub fn min_post_latency(&self) -> Cycles {
-        self.devices
-            .iter()
-            .map(|d| {
-                let dev = d.lock();
-                dev.config().costs.post_delay(dev.config().clock_ghz)
-            })
-            .min()
-            .unwrap_or(Cycles::ZERO)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Striping
@@ -300,16 +131,21 @@ impl TopologyLock {
 // ---------------------------------------------------------------------------
 
 /// The storage array: every device behind **one** *modeled* lock, plus the
-/// page-striping layer. The devices themselves sit behind per-device mutexes
-/// (see [`DeviceSet`]). All methods take `&self`, so hosts share the array
+/// page-striping layer. All methods take `&self`, so hosts share the array
 /// as an `Arc` between the co-simulation bridge, the controller and workload
 /// setup code.
+///
+/// Each device sits behind its **own** mutex. That is what lets the engine's
+/// topology bridge and the controllers' submit paths share one array; the
+/// array lock is a submission-cost *model* (see [`TopologyLock`]), not a
+/// concurrency primitive. Methods lock only the devices they touch, and
+/// advancing a device whose [`IdleGate`] says nothing can happen touches
+/// nothing at all.
 pub struct StorageTopology {
-    set: DeviceSet,
+    devices: Vec<Mutex<SsdDevice>>,
+    /// Each device's gate, so an idle advance never takes the device lock.
+    gates: Vec<Arc<IdleGate>>,
     lock: TopologyLock,
-    /// Cached: the device count is fixed at construction, and `map_page`
-    /// sits on the per-op replay hot path.
-    devices: usize,
     global_pages: u64,
     min_post_latency: Cycles,
 }
@@ -317,90 +153,148 @@ pub struct StorageTopology {
 impl StorageTopology {
     /// Build `count` devices with default configuration.
     pub fn new(count: usize) -> Self {
-        StorageTopology::from_configs(default_configs(count))
+        StorageTopology::from_configs((0..count).map(|i| SsdConfig::new(i as u32)).collect())
     }
 
     /// Build one device per configuration.
     pub fn from_configs(configs: Vec<SsdConfig>) -> Self {
-        let set = DeviceSet::from_configs(configs);
+        // The smallest namespace is the per-device extent of the striped
+        // page space.
+        let min_pages = configs.iter().map(|c| c.namespace_pages).min();
+        let global_pages = configs.len() as u64 * min_pages.unwrap_or(0);
+        let min_post_latency = configs
+            .iter()
+            .map(|c| c.costs.post_delay(c.clock_ghz))
+            .min()
+            .unwrap_or(Cycles::ZERO);
+        let (devices, gates) = configs
+            .into_iter()
+            .map(|cfg| {
+                let dev = SsdDevice::new(cfg);
+                let gate = Arc::clone(dev.gate());
+                (Mutex::new(dev), gate)
+            })
+            .unzip();
         StorageTopology {
-            devices: set.len(),
-            global_pages: set.len() as u64 * set.min_namespace_pages(),
-            min_post_latency: set.min_post_latency(),
-            set,
+            devices,
+            gates,
             lock: TopologyLock::new(DEFAULT_LOCK_HOLD_CYCLES),
+            global_pages,
+            min_post_latency,
         }
-    }
-
-    /// Run `f` with the underlying device set (tests, direct access).
-    pub fn with_set<R>(&self, f: impl FnOnce(&DeviceSet) -> R) -> R {
-        f(&self.set)
     }
 
     /// Number of devices.
     pub fn device_count(&self) -> usize {
-        self.devices
+        self.devices.len()
+    }
+
+    /// Lock and access device `idx` (registration, configuration, stats).
+    pub fn device(&self, idx: usize) -> parking_lot::MutexGuard<'_, SsdDevice> {
+        self.devices[idx].lock()
     }
 
     /// Register `per_device` queue pairs of `depth` entries on every device;
     /// returned grouped by device index.
     pub fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>> {
-        self.set.register_queues(per_device, depth)
+        self.devices
+            .iter()
+            .map(|dev| {
+                let mut dev = dev.lock();
+                (0..per_device)
+                    .map(|q| {
+                        let qp = QueuePair::new(q as QueueId, depth);
+                        dev.register_queue_pair(Arc::clone(&qp));
+                        qp
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// The page backing of device `dev` (for dataset setup).
     pub fn backing(&self, dev: usize) -> Arc<MemBacking> {
-        Arc::clone(self.set.device(dev).backing())
+        Arc::clone(self.device(dev).backing())
     }
 
-    /// Install a trace sink on every device's completion path. Returns
-    /// `false` if any device already had one.
+    /// Install a trace sink on every device's completion path (see
+    /// [`SsdDevice::set_trace_sink`]). Returns `false` if any device already
+    /// had one.
     pub fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_trace_sink(sink)
+        let mut all_fresh = true;
+        for dev in &self.devices {
+            all_fresh &= dev.lock().set_trace_sink(Arc::clone(sink));
+        }
+        all_fresh
     }
 
     /// Advance every device to `now` (co-simulation), in device order — the
     /// order that is part of what keeps the golden traces green.
     pub fn advance_to(&self, now: Cycles) {
-        self.set.advance_to(now);
+        for idx in 0..self.devices.len() {
+            self.advance_device_to(idx, now);
+        }
     }
 
-    /// Earliest pending event across all devices.
+    /// Advance only device `idx` to `now`. Devices are mutually independent
+    /// between advancement boundaries, so callers may advance different
+    /// devices concurrently. An idle device (see [`IdleGate::idle_at`]) is
+    /// left untouched and unlocked.
+    pub fn advance_device_to(&self, idx: usize, now: Cycles) {
+        if !self.gates[idx].idle_at(now) {
+            self.devices[idx].lock().advance_to(now);
+        }
+    }
+
+    /// Earliest pending event across all devices. Like every next-event
+    /// query here it reads the devices' [`IdleGate`]s and takes no lock.
     pub fn next_event_time(&self) -> Option<Cycles> {
-        self.set.next_event_time()
+        self.gates.iter().filter_map(|g| g.next_event_time()).min()
     }
 
-    /// Earliest pending event strictly after `now`, taken device by device
-    /// (what an engine advancing the array to `now` waits for next).
+    /// Earliest pending event strictly after `now`, device by device (what an
+    /// engine advancing the array to `now` waits for next): a device whose
+    /// next event is at or before `now` (one fired events scheduled while
+    /// firing) does not hide another device's later one.
     pub fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
-        self.set.next_event_after(now)
+        self.gates
+            .iter()
+            .filter_map(|g| g.next_event_time())
+            .filter(|&t| t > now)
+            .min()
     }
 
     /// True when every device is idle.
     pub fn quiescent(&self) -> bool {
-        self.set.quiescent()
+        self.devices.iter().all(|d| d.lock().quiescent())
     }
 
     /// Sum of bytes read across devices.
     pub fn total_bytes_read(&self) -> u64 {
-        self.set.total_bytes_read()
+        self.devices
+            .iter()
+            .map(|d| d.lock().stats().bytes_read)
+            .sum()
     }
 
     /// Sum of bytes written across devices.
     pub fn total_bytes_written(&self) -> u64 {
-        self.set.total_bytes_written()
+        self.devices
+            .iter()
+            .map(|d| d.lock().stats().bytes_written)
+            .sum()
     }
 
     /// Statistics snapshot of device `dev`.
     pub fn device_stats(&self, dev: usize) -> DeviceStats {
-        self.set.device(dev).stats().clone()
+        self.device(dev).stats().clone()
     }
 
     /// Commands currently in flight on device `dev` (scheduled completions
     /// plus completions parked on a full CQ) — the per-device queue-depth
     /// gauge.
     pub fn device_inflight(&self, dev: usize) -> u64 {
-        self.set.device(dev).inflight()
+        self.device(dev).inflight()
     }
 
     /// Extent of the striped global page space
@@ -414,8 +308,9 @@ impl StorageTopology {
     /// fetched at `t` at the earliest (after `t` when `command_fetch` is not
     /// zero) and posts no sooner than this after its fetch, so every CQE
     /// posting before `t +` this is already announced by
-    /// [`crate::CompletionQueue::next_post`]. See
-    /// [`DeviceSet::min_post_latency`].
+    /// [`crate::CompletionQueue::next_post`]. It is the least
+    /// [`agile_sim::costs::SsdCosts::post_delay`] across devices (zero for
+    /// an empty array).
     pub fn min_post_latency(&self) -> Cycles {
         self.min_post_latency
     }
@@ -423,7 +318,7 @@ impl StorageTopology {
     /// Map a global page index to its device and device-local page (the
     /// paper's interleave).
     pub fn map_page(&self, global: u64) -> PageLocation {
-        let (device, page) = stripe(global, self.devices as u64);
+        let (device, page) = stripe(global, self.devices.len() as u64);
         PageLocation { device, page }
     }
 
@@ -452,9 +347,8 @@ mod tests {
 
     #[test]
     fn construction_and_registration() {
-        let arr = DeviceSet::new(3);
-        assert_eq!(arr.len(), 3);
-        assert!(!arr.is_empty());
+        let arr = StorageTopology::new(3);
+        assert_eq!(arr.device_count(), 3);
         let qps = arr.register_queues(4, 64);
         assert_eq!(qps.len(), 3);
         assert_eq!(qps[0].len(), 4);
@@ -465,7 +359,7 @@ mod tests {
 
     #[test]
     fn totals_start_at_zero() {
-        let arr = DeviceSet::new(2);
+        let arr = StorageTopology::new(2);
         assert_eq!(arr.total_bytes_read(), 0);
         assert_eq!(arr.total_bytes_written(), 0);
     }
@@ -510,7 +404,7 @@ mod tests {
             }
             if per_device {
                 for dev in (0..3).rev() {
-                    topo.set.advance_device_to(dev, Cycles(4_000_000));
+                    topo.advance_device_to(dev, Cycles(4_000_000));
                 }
             } else {
                 topo.advance_to(Cycles(4_000_000));

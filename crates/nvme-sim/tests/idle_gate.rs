@@ -13,8 +13,8 @@
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::Cycles;
 use nvme_sim::{
-    DeviceSet, DeviceStats, DmaHandle, NvmeCommand, NvmeCompletion, PageToken, QueuePair,
-    SsdConfig, SsdDevice, StorageTopology,
+    DeviceStats, DmaHandle, NvmeCommand, NvmeCompletion, PageToken, QueuePair, SsdConfig,
+    SsdDevice, StorageTopology,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -229,10 +229,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The gate's lock-free `next_event_time` — what `DeviceSet` reports to
-    /// the engine — is the device's own, after every software action and
-    /// every advance, including rings the device has not drained yet and
-    /// advances that leave events due.
+    /// The gate's lock-free `next_event_time` — what `StorageTopology`
+    /// reports to the engine — is the device's own, after every software
+    /// action and every advance, including rings the device has not drained
+    /// yet and advances that leave events due.
     #[test]
     fn the_gate_reads_the_devices_next_event_time(
         script in collection::vec((0u64..20_000, any::<u8>(), any::<u8>()), 1..150),
@@ -346,7 +346,7 @@ fn idle_advance_allocates_nothing() {
     for _ in 0..10_000 {
         now += Cycles(1_000);
         topology.advance_to(now);
-        topology.with_set(|set| (0..3).for_each(|dev| set.advance_device_to(dev, now)));
+        (0..3).for_each(|dev| topology.advance_device_to(dev, now));
     }
     assert_eq!(allocations() - before, 0);
 
@@ -362,18 +362,18 @@ fn idle_advance_allocates_nothing() {
 
 #[test]
 fn idle_advance_takes_no_device_lock() {
-    let set = DeviceSet::new(2);
-    let queues = set.register_queues(2, 16);
+    let topology = StorageTopology::new(2);
+    let queues = topology.register_queues(2, 16);
     let now = Cycles(5_000);
-    set.advance_to(now);
+    topology.advance_to(now);
 
     // Hold device 0's lock while another thread advances it: an idle advance
     // returns without ever wanting the lock.
     let (tx, rx) = std::sync::mpsc::channel();
     let idle_returned = std::thread::scope(|scope| {
-        let guard = set.device(0);
+        let guard = topology.device(0);
         scope.spawn(|| {
-            set.advance_device_to(0, now);
+            topology.advance_device_to(0, now);
             tx.send(()).unwrap();
         });
         let returned = rx.recv_timeout(std::time::Duration::from_secs(20));
@@ -388,6 +388,6 @@ fn idle_advance_takes_no_device_lock() {
 
     // A ring reopens the gate, and the next advance does the work.
     queues[0][1].sq_doorbell.ring(0, now);
-    set.advance_device_to(0, now);
-    assert_eq!(set.device(0).stats().doorbells, 1);
+    topology.advance_device_to(0, now);
+    assert_eq!(topology.device(0).stats().doorbells, 1);
 }

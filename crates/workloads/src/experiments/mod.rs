@@ -1,10 +1,9 @@
 //! Experiment runners — one per figure of the paper's evaluation.
 //!
 //! Each submodule exposes a `run_*` function returning plain row structs so
-//! the same code serves three consumers: the `cargo bench` harness targets in
-//! `crates/bench` (which print the tables), the cross-crate integration tests
-//! (which run scaled-down versions and assert on the qualitative shape), and
-//! the examples.
+//! the same code serves three consumers: the `figures` example (which prints
+//! the tables), the cross-crate integration tests (which run scaled-down
+//! versions and assert on the qualitative shape), and the other examples.
 //!
 //! | Paper artefact | Runner |
 //! |---|---|

@@ -99,6 +99,43 @@ fn main() {
         ceiling
     );
 
+    // --- 3d. Prefetch depth × eviction policy ---------------------------
+    // A uniform flood beside a Zipf hot-set reader through the cache: AGILE's
+    // batch-ahead depth {0,1,2,4} under clock and TenantShare eviction vs the
+    // demand-fill BaM baseline. The AGILE-vs-BaM cached-replay gap is this
+    // pipeline-depth / cache-pressure trade.
+    let noisy =
+        TraceSpec::cached_noisy_neighbor("cached-noisy", 0xA61E, 1, 1 << 13, 6_144).generate();
+    let contended = ReplayConfig {
+        queue_pairs: 8,
+        queue_depth: 128,
+        ..ReplayConfig::quick()
+    }
+    .cached()
+    .tenant_partitioned();
+    println!("prefetch depth x eviction policy, cached noisy neighbour:");
+    let mut runs = Vec::new();
+    for depth in [0u32, 1, 2, 4] {
+        for policy in ["clock", "tenant-share"] {
+            let mut depth_cfg = contended.clone().with_prefetch_depth(depth);
+            if policy == "tenant-share" {
+                depth_cfg = depth_cfg.tenant_share(vec![1, 1]);
+            }
+            let r = run_trace_replay(&noisy, ReplaySystem::Agile, &depth_cfg);
+            runs.push((r, depth.to_string(), policy));
+        }
+    }
+    // The synchronous baseline: no prefetch by construction, clock fixed.
+    let baseline = run_trace_replay(&noisy, ReplaySystem::Bam, &contended);
+    runs.push((baseline, "-".to_string(), "clock"));
+    for (r, depth, policy) in &runs {
+        assert!(!r.deadlocked);
+        println!(
+            "  system={}  depth={depth}  policy={policy}  ops={}  p50_us={:.2}  p99_us={:.2}  iops={:.0}  deadlocked={}",
+            r.system, r.ops, r.p50_us, r.p99_us, r.iops, r.deadlocked
+        );
+    }
+
     // --- 4. Determinism: same trace + same seed ⇒ byte-identical stats ---
     let again = run_trace_replay(&trace, ReplaySystem::Agile, &cfg);
     assert_eq!(
