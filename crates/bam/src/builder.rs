@@ -22,6 +22,9 @@
 //! the result of either constructor implements
 //! [`agile_core::host::GpuStorageHost`], so harness code compares the two
 //! systems without duplicating setup.
+//!
+//! The engine's scheduling loop is not a build setting: switch it between
+//! runs with `host.engine_mut().set_scheduler(..)` ([`gpu_sim::Engine`]).
 
 use crate::ctrl::BamConfig;
 use crate::host::BamSystem;
@@ -31,7 +34,7 @@ use agile_core::host::{AgileSystem, Host, HostSpec, HostSystem};
 use agile_core::qos::QosPolicy;
 use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::trace::TraceSink;
-use gpu_sim::{EngineSched, GpuConfig};
+use gpu_sim::GpuConfig;
 use std::sync::Arc;
 
 /// Declarative construction of an AGILE or BaM host (see the module docs).
@@ -90,15 +93,6 @@ impl<S: HostSystem> HostBuilder<S> {
     /// backings. May be called repeatedly; devices accumulate.
     pub fn devices(mut self, count: usize, pages: u64) -> Self {
         self.spec.devices.extend(std::iter::repeat_n(pages, count));
-        self
-    }
-
-    /// Select the engine's scheduling loop: the event-driven ready-queue
-    /// (default) or the legacy full scan ([`gpu_sim::EngineSched`]). Both
-    /// execute bit-identically; the scan exists for equivalence tests and
-    /// wall-time comparisons.
-    pub fn engine_sched(mut self, sched: EngineSched) -> Self {
-        self.spec.engine_sched = sched;
         self
     }
 

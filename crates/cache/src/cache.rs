@@ -71,10 +71,9 @@ pub struct BusyTicket {
 /// Cache geometry and sizing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// Total capacity in bytes (rounded down to whole lines).
+    /// Total capacity in bytes, rounded down to whole lines. A line is one
+    /// SSD page (`SSD_PAGE_SIZE`, §2.3.3).
     pub capacity_bytes: u64,
-    /// Line size in bytes; must equal the SSD page size.
-    pub line_size: u64,
     /// Ways per set.
     pub associativity: u32,
 }
@@ -85,12 +84,11 @@ impl CacheConfig {
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         CacheConfig {
             capacity_bytes,
-            line_size: SSD_PAGE_SIZE,
             associativity: 8,
         }
     }
 
-    /// Number of lines, in whole-set units: `capacity_bytes / line_size`
+    /// Number of lines, in whole-set units: `capacity_bytes / SSD_PAGE_SIZE`
     /// rounded **down** to a multiple of the associativity, with a one-set
     /// floor — exactly what [`SoftwareCache::new`] allocates. (A capacity of
     /// 12 lines at 8-way is one set of 8 ways, not 12.)
@@ -100,7 +98,7 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        ((self.capacity_bytes / self.line_size) as usize / self.associativity as usize).max(1)
+        ((self.capacity_bytes / SSD_PAGE_SIZE) as usize / self.associativity as usize).max(1)
     }
 }
 
@@ -284,10 +282,6 @@ impl SoftwareCache {
     /// Build a cache with the given geometry and replacement policy. At most
     /// [`MAX_ASSOCIATIVITY`] ways a set.
     pub fn new(cfg: CacheConfig, mut policy: Box<dyn CachePolicy>) -> Self {
-        assert_eq!(
-            cfg.line_size, SSD_PAGE_SIZE,
-            "cache lines must match the SSD page size (§2.3.3)"
-        );
         assert!(cfg.associativity > 0, "associativity must be positive");
         let (num_sets, assoc) = (cfg.num_sets(), cfg.associativity as usize);
         assert!(
@@ -816,14 +810,13 @@ impl SoftwareCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ClockPolicy, LruPolicy};
+    use crate::policy::ClockPolicy;
 
     fn small_cache() -> SoftwareCache {
         // 16 lines, 4-way ⇒ 4 sets.
         SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: 16 * SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: 4,
             },
             Box::new(ClockPolicy::new()),
@@ -876,7 +869,6 @@ mod tests {
         SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: 1,
             },
             Box::new(ClockPolicy::new()),
@@ -970,10 +962,9 @@ mod tests {
         let c = SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: 4 * SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: 4,
             },
-            Box::new(LruPolicy::new()),
+            Box::new(ClockPolicy::new()),
         );
         assert_eq!(c.num_lines(), 4);
         // All LBAs map to the single set.
@@ -1006,7 +997,6 @@ mod tests {
         let c = SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: 2 * SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: 2,
             },
             Box::new(ClockPolicy::new()),
@@ -1077,10 +1067,9 @@ mod tests {
         let c = SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: 4 * SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: 4,
             },
-            Box::new(LruPolicy::new()),
+            Box::new(ClockPolicy::new()),
         );
         for lba in 0..3u64 {
             let CacheLookup::Miss { line, dma, .. } = c.lookup_or_reserve_as(0, lba, 0) else {
@@ -1109,7 +1098,8 @@ mod tests {
             (1, 1, 1)
         );
         // Fifth distinct LBA from tenant 1 evicts one of tenant 0's lines
-        // (LRU: lba 1 is the least recently used).
+        // (clock: every reference bit is set, so the hand clears them all
+        // and comes back to way 0, tenant 0's lba 0).
         let CacheLookup::Miss { line, .. } = c.lookup_or_reserve_as(0, 100, 1) else {
             panic!("expected eviction miss");
         };
@@ -1145,7 +1135,6 @@ mod tests {
             let c = SoftwareCache::new(
                 CacheConfig {
                     capacity_bytes: 16 * SSD_PAGE_SIZE,
-                    line_size: SSD_PAGE_SIZE,
                     associativity: 4,
                 },
                 policy,
@@ -1204,7 +1193,6 @@ mod tests {
         ] {
             let cfg = CacheConfig {
                 capacity_bytes: lines * SSD_PAGE_SIZE,
-                line_size: SSD_PAGE_SIZE,
                 associativity: assoc,
             };
             let c = SoftwareCache::new(cfg.clone(), Box::new(ClockPolicy::new()));
@@ -1222,7 +1210,6 @@ mod tests {
     fn cfg(lines: u64, assoc: u32) -> CacheConfig {
         CacheConfig {
             capacity_bytes: lines * SSD_PAGE_SIZE,
-            line_size: SSD_PAGE_SIZE,
             associativity: assoc,
         }
     }
@@ -1527,18 +1514,5 @@ mod tests {
             no_line(&cache, 10);
             assert_eq!((cache.stats().no_line, cache.full_sets()), (6, 2), "{exit}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "SSD page size")]
-    fn rejects_mismatched_line_size() {
-        let _ = SoftwareCache::new(
-            CacheConfig {
-                capacity_bytes: 1 << 20,
-                line_size: 512,
-                associativity: 4,
-            },
-            Box::new(ClockPolicy::new()),
-        );
     }
 }

@@ -19,8 +19,8 @@
 //! Modules:
 //!
 //! * [`line`](mod@line) — line state words and pinning;
-//! * [`policy`] — the [`policy::CachePolicy`] trait plus Clock / LRU / FIFO /
-//!   Random implementations and the tenant-aware [`policy::TenantShare`];
+//! * [`policy`] — the [`policy::CachePolicy`] trait plus the clock and the
+//!   tenant-aware [`policy::TenantShare`] implementations;
 //! * [`tenant`] — per-tenant accounting (hits/misses/fills/evictions and
 //!   live occupancy) shared between the cache and tenant-aware policies;
 //! * [`cache`] — the set-associative [`cache::SoftwareCache`]: flat
@@ -45,10 +45,7 @@ mod watch;
 
 pub use cache::{BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
 pub use line::LineState;
-pub use policy::{
-    CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShareError, TenantShare,
-    MAX_ONLINE_SHARE,
-};
+pub use policy::{CachePolicy, ClockPolicy, ShareError, TenantShare, MAX_ONLINE_SHARE};
 pub use sharded::ShardedCache;
 pub use share_table::{BufState, ShareTable, ShareTableStats, SharedBuf};
 pub use tenant::{TenantCacheStats, TenantTable, NO_TENANT};

@@ -7,12 +7,12 @@
 //! cache calls the policy on every access/fill and asks it to pick a victim
 //! among the evictable ways of a set.
 //!
-//! Five built-in policies are provided: [`ClockPolicy`] (the paper's default,
-//! second-chance), [`LruPolicy`], [`FifoPolicy`], [`RandomPolicy`], and the
-//! tenant-aware [`TenantShare`]. The tenant-oblivious four are lock-free:
-//! metadata is kept in per-way atomics — and they ignore the per-way owner
-//! view entirely, so their victim choices are bit-identical to the
-//! pre-tenant-threading stack (asserted by the golden-trace suite).
+//! Two built-in policies are provided: [`ClockPolicy`] (the paper's default,
+//! second-chance) and the tenant-aware [`TenantShare`], a choice BaM's
+//! hard-coded clock cannot express. The clock is lock-free — its metadata is
+//! kept in per-way atomics — and ignores the per-way owner view entirely, so
+//! its victim choices are bit-identical to the pre-tenant-threading stack
+//! (asserted by the golden-trace suite).
 //!
 //! A victim choice allocates nothing: the evictable ways arrive as a bitmask
 //! (a set has at most [`MAX_ASSOCIATIVITY`] ways) and the owners as the set's
@@ -21,7 +21,7 @@
 use crate::tenant::{TenantTable, NO_TENANT};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Most ways a set may have: [`CachePolicy::choose_victim`] takes the
@@ -51,7 +51,7 @@ pub enum ShareError {
     /// *online* update to zero is a controller bug — it could zero the
     /// active-weight denominator — so the update path refuses it.
     Zero,
-    /// The policy keeps no per-tenant shares (clock/LRU/FIFO/random).
+    /// The policy keeps no per-tenant shares (clock).
     Unsupported,
 }
 
@@ -178,136 +178,6 @@ impl CachePolicy for ClockPolicy {
         // Fall back to the first evictable way (all bits were set repeatedly
         // by concurrent hits).
         ways(evictable).next()
-    }
-}
-
-/// Least-recently-used, tracked with a global logical timestamp per way.
-pub struct LruPolicy {
-    assoc: usize,
-    stamps: Vec<AtomicU64>,
-    tick: AtomicU64,
-}
-
-impl LruPolicy {
-    /// An unconfigured LRU policy.
-    pub fn new() -> Self {
-        LruPolicy {
-            assoc: 0,
-            stamps: Vec::new(),
-            tick: AtomicU64::new(1),
-        }
-    }
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.assoc + way
-    }
-    fn touch(&self, set: usize, way: usize) {
-        let t = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.stamps[self.idx(set, way)].store(t, Ordering::Relaxed);
-    }
-}
-
-impl Default for LruPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CachePolicy for LruPolicy {
-    fn configure(&mut self, num_sets: usize, associativity: usize) {
-        self.assoc = associativity;
-        self.stamps = (0..num_sets * associativity)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-    }
-    fn on_access(&self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-    fn on_fill(&self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
-        ways(evictable).min_by_key(|&way| self.stamps[self.idx(set, way)].load(Ordering::Relaxed))
-    }
-}
-
-/// First-in-first-out: evicts the oldest fill regardless of hits.
-pub struct FifoPolicy {
-    assoc: usize,
-    filled_at: Vec<AtomicU64>,
-    tick: AtomicU64,
-}
-
-impl FifoPolicy {
-    /// An unconfigured FIFO policy.
-    pub fn new() -> Self {
-        FifoPolicy {
-            assoc: 0,
-            filled_at: Vec::new(),
-            tick: AtomicU64::new(1),
-        }
-    }
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.assoc + way
-    }
-}
-
-impl Default for FifoPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CachePolicy for FifoPolicy {
-    fn configure(&mut self, num_sets: usize, associativity: usize) {
-        self.assoc = associativity;
-        self.filled_at = (0..num_sets * associativity)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-    }
-    fn on_access(&self, _set: usize, _way: usize) {}
-    fn on_fill(&self, set: usize, way: usize) {
-        let t = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.filled_at[self.idx(set, way)].store(t, Ordering::Relaxed);
-    }
-    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
-        ways(evictable)
-            .min_by_key(|&way| self.filled_at[self.idx(set, way)].load(Ordering::Relaxed))
-    }
-}
-
-/// Uniform-random victim selection (xorshift over an atomic seed).
-pub struct RandomPolicy {
-    seed: AtomicU64,
-}
-
-impl RandomPolicy {
-    /// A random policy with a fixed seed (deterministic runs).
-    pub fn new(seed: u64) -> Self {
-        RandomPolicy {
-            seed: AtomicU64::new(seed | 1),
-        }
-    }
-    fn next(&self) -> u64 {
-        let mut x = self.seed.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.seed.store(x, Ordering::Relaxed);
-        x
-    }
-}
-
-impl CachePolicy for RandomPolicy {
-    fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
-    fn on_access(&self, _set: usize, _way: usize) {}
-    fn on_fill(&self, _set: usize, _way: usize) {}
-    fn choose_victim(&self, _set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
-        let candidates = evictable.count_ones() as u64;
-        if candidates == 0 {
-            None
-        } else {
-            ways(evictable).nth((self.next() % candidates) as usize)
-        }
     }
 }
 
@@ -492,45 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let p = configured(LruPolicy::new());
-        for w in 0..4 {
-            p.on_fill(0, w);
-        }
-        p.on_access(0, 0);
-        p.on_access(0, 2);
-        p.on_access(0, 3);
-        // Way 1 is now the least recently used.
-        assert_eq!(p.choose_victim(0, 0b1111, &unowned(4)), Some(1));
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        let p = configured(FifoPolicy::new());
-        for w in 0..4 {
-            p.on_fill(0, w);
-        }
-        // Hits on way 0 must not save it: it was filled first.
-        p.on_access(0, 0);
-        p.on_access(0, 0);
-        assert_eq!(p.choose_victim(0, 0b1111, &unowned(4)), Some(0));
-    }
-
-    #[test]
     fn ways_lists_the_set_bits_lowest_first() {
         assert_eq!(ways(0).count(), 0);
         assert_eq!(ways(0b1010_0110).collect::<Vec<_>>(), [1, 2, 5, 7]);
         assert_eq!(ways(1 << 63).collect::<Vec<_>>(), [63]);
-    }
-
-    #[test]
-    fn random_only_picks_evictable() {
-        let p = RandomPolicy::new(42);
-        let evictable = 0b1010;
-        for _ in 0..100 {
-            let v = p.choose_victim(0, evictable, &unowned(4)).unwrap();
-            assert!(v == 1 || v == 3);
-        }
     }
 
     #[test]
@@ -542,15 +377,6 @@ mod tests {
             None
         );
         assert_eq!(
-            configured(LruPolicy::new()).choose_victim(0, none, &owners),
-            None
-        );
-        assert_eq!(
-            configured(FifoPolicy::new()).choose_victim(0, none, &owners),
-            None
-        );
-        assert_eq!(RandomPolicy::new(1).choose_victim(0, none, &owners), None);
-        assert_eq!(
             configured(TenantShare::new()).choose_victim(0, none, &owners),
             None
         );
@@ -558,13 +384,17 @@ mod tests {
 
     #[test]
     fn policies_respect_partial_evictability() {
-        let p = configured(LruPolicy::new());
+        let p = configured(ClockPolicy::new());
         for w in 0..4 {
             p.on_fill(1, w);
         }
-        // Oldest way (0) is not evictable ⇒ next oldest (1) chosen.
+        // The hand starts at way 0, which is not evictable: the first sweep
+        // skips it and clears 1..3, the second takes way 1.
         let evictable = 0b1110;
         assert_eq!(p.choose_victim(1, evictable, &unowned(4)), Some(1));
+        for _ in 0..8 {
+            assert_ne!(p.choose_victim(1, evictable, &unowned(4)), Some(0));
+        }
     }
 
     /// A TenantShare over 16 lines with a bound occupancy table.
@@ -669,7 +499,7 @@ mod tests {
             configured(ClockPolicy::new()).set_share(0, 2),
             Err(ShareError::Unsupported)
         );
-        assert_eq!(configured(LruPolicy::new()).share(0), None);
+        assert_eq!(configured(ClockPolicy::new()).share(0), None);
     }
 
     #[test]

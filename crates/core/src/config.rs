@@ -13,17 +13,13 @@ use agile_sim::units::{GIB, MIB};
 /// Which built-in replacement policy the software cache uses.
 ///
 /// The paper keeps the clock policy for its evaluation but makes the policy
-/// pluggable.
+/// pluggable; the tenant-aware share policy is the choice BaM's hard-coded
+/// clock cannot make. Any other [`agile_cache::CachePolicy`] plugs in
+/// through `SoftwareCache::new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicyKind {
     /// Clock / second-chance (the paper's default).
     Clock,
-    /// Least recently used.
-    Lru,
-    /// First in, first out.
-    Fifo,
-    /// Uniform random.
-    Random,
     /// Tenant-aware weighted occupancy shares over an interior clock order
     /// ([`agile_cache::TenantShare`]); per-tenant weights come from
     /// [`AgileConfig::cache_shares`] (empty = equal shares).
@@ -44,7 +40,7 @@ pub struct AgileConfig {
     pub cache_policy: CachePolicyKind,
     /// Per-tenant cache-occupancy weights, indexed by tenant id, consumed by
     /// [`CachePolicyKind::TenantShare`] (tenants beyond the slice weigh 1;
-    /// empty = equal shares). Ignored by the tenant-oblivious policies.
+    /// empty = equal shares). Ignored by the clock.
     pub cache_shares: Vec<u64>,
     /// Warps dedicated to the AGILE service kernel.
     pub service_warps: u32,
@@ -135,11 +131,11 @@ mod tests {
             .with_queue_pairs(2)
             .with_queue_depth(32)
             .with_cache_bytes(MIB)
-            .with_cache_policy(CachePolicyKind::Lru);
+            .with_cache_policy(CachePolicyKind::TenantShare);
         assert_eq!(c.queue_pairs_per_ssd, 2);
         assert_eq!(c.queue_depth, 32);
         assert_eq!(c.cache.capacity_bytes, MIB);
-        assert_eq!(c.cache_policy, CachePolicyKind::Lru);
+        assert_eq!(c.cache_policy, CachePolicyKind::TenantShare);
     }
 
     #[test]

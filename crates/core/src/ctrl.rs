@@ -30,8 +30,7 @@ use crate::config::{AgileConfig, CachePolicyKind};
 use crate::io_path::{IoPath, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait};
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
-    CachePolicy, ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy, ShardedCache, ShareTable,
-    SoftwareCache, TenantShare, NO_TENANT,
+    CachePolicy, ClockPolicy, ShardedCache, ShareTable, SoftwareCache, TenantShare, NO_TENANT,
 };
 use agile_sim::wake::{WatchList, WatchedU64};
 use agile_sim::Cycles;
@@ -121,9 +120,6 @@ pub struct AgileCtrl {
 fn build_policy(cfg: &AgileConfig) -> Box<dyn CachePolicy> {
     match cfg.cache_policy {
         CachePolicyKind::Clock => Box::new(ClockPolicy::new()),
-        CachePolicyKind::Lru => Box::new(LruPolicy::new()),
-        CachePolicyKind::Fifo => Box::new(FifoPolicy::new()),
-        CachePolicyKind::Random => Box::new(RandomPolicy::new(0x5EED)),
         CachePolicyKind::TenantShare => Box::new(TenantShare::from_weights(&cfg.cache_shares)),
     }
 }

@@ -46,8 +46,7 @@ use agile_sim::trace::TraceSink;
 use agile_sim::Cycles;
 use gpu_sim::registers::agile_footprints;
 use gpu_sim::{
-    occupancy, Engine, EngineSched, ExecutionReport, ExternalDevice, GpuConfig, KernelFactory,
-    LaunchConfig,
+    occupancy, Engine, ExecutionReport, ExternalDevice, GpuConfig, KernelFactory, LaunchConfig,
 };
 use nvme_sim::{MemBacking, QueuePair, SsdConfig, StorageTopology};
 use std::sync::Arc;
@@ -253,8 +252,6 @@ pub struct HostSpec<S: HostSystem> {
     /// The SSDs in add order (device `i` is the `i`-th entry): namespace
     /// size in 4 KiB pages. Each device gets an empty [`MemBacking`].
     pub devices: Vec<u64>,
-    /// Scheduling loop of the engine (event-driven ready-queue by default).
-    pub engine_sched: EngineSched,
     /// One trace sink across the whole stack: the controller's submit /
     /// doorbell path, the software cache's lookup path, every SSD's
     /// completion path and the control plane's decisions.
@@ -279,7 +276,6 @@ impl<S: HostSystem> HostSpec<S> {
             gpu,
             config,
             devices: Vec::new(),
-            engine_sched: EngineSched::default(),
             trace_sink: None,
             qos: None,
             metrics: None,
@@ -319,7 +315,7 @@ impl<S: HostSystem> Host<S> {
     /// 7. the sampler — when control was requested without a registry and
     ///    sampler, a registry and a [`DEFAULT_WINDOW_CYCLES`]-cycle sampler
     ///    are created;
-    /// 8. the engine: scheduler, wake hub, topology sink, storage bridge,
+    /// 8. the engine: wake hub, topology sink, storage bridge,
     ///    engine metrics, sampler bridge, then the control bridge;
     /// 9. the system's services (AGILE's persistent service kernel; nothing
     ///    for BaM) and their collector.
@@ -331,7 +327,6 @@ impl<S: HostSystem> Host<S> {
             gpu,
             config,
             devices,
-            engine_sched,
             trace_sink,
             qos,
             mut metrics,
@@ -379,7 +374,6 @@ impl<S: HostSystem> Host<S> {
         }
 
         let mut engine = Engine::new(gpu.clone());
-        engine.set_scheduler(engine_sched);
         // Warps waiting on this stack sleep in its hub; the engine wakes them.
         engine.set_wake_hub(Arc::clone(ctrl.io().wake_hub()));
         let sink = ctrl.io().trace_sink();
@@ -481,7 +475,8 @@ impl<S: HostSystem> Host<S> {
     }
 
     /// Access the engine (advanced use: launching extra kernels directly,
-    /// deadlock-window tuning in tests).
+    /// switching the scheduling loop with [`Engine::set_scheduler`] between
+    /// runs, deadlock-window tuning in tests).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -262,13 +262,19 @@ impl WfTenant {
     }
 }
 
+/// How long a tenant counts toward [`WeightedFair`]'s share denominator after
+/// its last admission attempt: 200 000 cycles ≈ 80 µs at 2.5 GHz, a few
+/// flash-read latencies.
+const IDLE_WINDOW_CYCLES: u64 = 200_000;
+
 /// Deficit-round-robin weighted fair queueing over per-tenant virtual queues,
 /// realised on the in-flight SQ slots.
 ///
 /// The policy is told the total slot capacity at install time
 /// ([`QosPolicy::bind`]). Each tenant's round credit is its weighted share of
-/// that capacity, computed over the tenants *active* within `idle_window`
-/// cycles: `share(t) = capacity × weight(t) / Σ active weights` (at least 1).
+/// that capacity, computed over the tenants *active* within the idle window
+/// (`IDLE_WINDOW_CYCLES`): `share(t) = capacity × weight(t) / Σ active
+/// weights` (at least 1).
 /// An admission spends one credit, a completion returns it, so a tenant's
 /// spent credits are exactly its in-flight occupancy and the device queues
 /// can never fill beyond a tenant's entitlement while a competitor is active.
@@ -282,7 +288,7 @@ impl WfTenant {
 /// deleted N-service scale-out whose partitions fired the completion hook
 /// concurrently (nothing calls it concurrently now; ROADMAP 5.1 queues
 /// collapsing it to plain cells). Every hot counter lives in its
-/// tenant's [`WfTenant`] atomics, and the only lock is a registry `RwLock`
+/// tenant's `WfTenant` atomics, and the only lock is a registry `RwLock`
 /// taken shared on the hot paths (exclusive only to insert a never-seen
 /// tenant). Credit accounting stays linearizable — `in_flight` is spent
 /// through a bounded CAS and returned with saturating decrements — so
@@ -291,7 +297,6 @@ impl WfTenant {
 #[derive(Debug)]
 pub struct WeightedFair {
     default_weight: u64,
-    idle_window: u64,
     /// Total SQ slots; 0 = unbound (admit everything) until [`QosPolicy::bind`].
     capacity: AtomicU64,
     /// Tenant registry: append-only map of per-tenant atomic cells.
@@ -305,12 +310,10 @@ impl Default for WeightedFair {
 }
 
 impl WeightedFair {
-    /// Equal-weight WFQ with the default activity window (200 000 cycles ≈
-    /// 80 µs at 2.5 GHz, a few flash-read latencies).
+    /// Equal-weight WFQ.
     pub fn new() -> Self {
         WeightedFair {
             default_weight: 1,
-            idle_window: 200_000,
             capacity: AtomicU64::new(0),
             tenants: RwLock::new(BTreeMap::new()),
         }
@@ -354,13 +357,6 @@ impl WeightedFair {
                 .or_insert_with(|| Arc::new(WfTenant::with_weight(self.default_weight))),
         )
     }
-
-    /// Override the activity window (cycles since a tenant's last admission
-    /// attempt before it stops counting toward the share denominator).
-    pub fn with_idle_window(mut self, cycles: u64) -> Self {
-        self.idle_window = cycles.max(1);
-        self
-    }
 }
 
 impl QosPolicy for WeightedFair {
@@ -382,7 +378,7 @@ impl QosPolicy for WeightedFair {
             entry.admitted.fetch_add(1, Ordering::AcqRel);
             return QosDecision::Admit;
         }
-        let horizon = now.raw().saturating_sub(self.idle_window);
+        let horizon = now.raw().saturating_sub(IDLE_WINDOW_CYCLES);
         let active_weight: u64 = self
             .tenants
             .read()
@@ -544,7 +540,7 @@ mod tests {
 
     #[test]
     fn wfq_is_work_conserving_when_competitor_goes_idle() {
-        let p = WeightedFair::new().with_idle_window(100);
+        let p = WeightedFair::new();
         p.bind(64);
         // Tenant 1 is active early, then disappears (its ops complete).
         for i in 0..8u64 {
@@ -555,7 +551,8 @@ mod tests {
         }
         // Long after tenant 1's window expired, tenant 0 owns all 64 slots.
         let mut admitted = 0;
-        for i in 1_000..1_100u64 {
+        let late = IDLE_WINDOW_CYCLES + 1_000;
+        for i in late..late + 100 {
             if p.admit(0, Cycles(i)) == QosDecision::Admit {
                 admitted += 1;
             }

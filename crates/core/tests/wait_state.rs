@@ -104,7 +104,6 @@ impl Rig {
         // 16 lines, 2-way: eight sets.
         cfg.cache = CacheConfig {
             capacity_bytes: 16 * SSD_PAGE_SIZE,
-            line_size: SSD_PAGE_SIZE,
             associativity: 2,
         };
         let mut devices = Vec::new();

@@ -1,13 +1,13 @@
 //! GPU device configuration.
 
-use agile_sim::units::{GIB, KIB};
+use agile_sim::units::KIB;
 
 /// Static description of the simulated GPU.
 ///
 /// Only the resources that shape the paper's experiments are modelled:
 /// SM count (parallelism), per-SM register file and warp/block limits
-/// (occupancy, hence latency-hiding capacity), warp size, clock, and HBM
-/// capacity (bounds the software cache).
+/// (occupancy, hence latency-hiding capacity), warp size and clock. The
+/// software cache's HBM budget is its own setting (`CacheConfig`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Human-readable device name.
@@ -28,8 +28,6 @@ pub struct GpuConfig {
     pub max_threads_per_block: u32,
     /// Core clock in GHz.
     pub clock_ghz: f64,
-    /// HBM capacity in bytes.
-    pub hbm_bytes: u64,
 }
 
 impl GpuConfig {
@@ -47,7 +45,6 @@ impl GpuConfig {
             shared_mem_per_sm: 100 * KIB as u32,
             max_threads_per_block: 1024,
             clock_ghz: agile_sim::DEFAULT_GPU_CLOCK_GHZ,
-            hbm_bytes: 32 * GIB,
         }
     }
 
@@ -64,7 +61,6 @@ impl GpuConfig {
             shared_mem_per_sm: 48 * KIB as u32,
             max_threads_per_block: 256,
             clock_ghz: agile_sim::DEFAULT_GPU_CLOCK_GHZ,
-            hbm_bytes: GIB,
         }
     }
 
@@ -90,7 +86,6 @@ mod tests {
         assert_eq!(g.warp_size, 32);
         assert_eq!(g.num_sms, 100);
         assert_eq!(g.total_warp_slots(), 4800);
-        assert!(g.hbm_bytes >= 16 * GIB);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub enum EngineSched {
 
 /// Engine-level instruments (the `agile_engine_*` metric family), bound once
 /// from a registry. The scheduling loops accumulate into plain engine fields
-/// and flush to these atomics only every [`METRICS_FLUSH_ROUNDS`] rounds (and
+/// and flush to these atomics only every `METRICS_FLUSH_ROUNDS` rounds (and
 /// at run end), so the hot loop never touches the registry — windowed series
 /// see engine counters at that flush granularity.
 pub struct EngineMetrics {

@@ -153,7 +153,7 @@ impl CompletionQueue {
         self.next_post.store(at, Ordering::Release);
     }
 
-    /// The sleepers notified by every [`CompletionQueue::post`]. A poller
+    /// The sleepers notified by every CQE the device posts. A poller
     /// that registers here may stop polling while the queue holds nothing
     /// new for it (`total_posted` equals what it has retired).
     pub fn watchers(&self) -> &WatchList {

@@ -2,15 +2,47 @@
 //!
 //! All latency / throughput assumptions made by the GPU and SSD models are
 //! collected here so that they can be audited and re-calibrated in one place.
-//! Each constant documents its provenance: either a public
-//! datasheet number, a number reported in the AGILE paper, or an explicitly
-//! modelled value chosen to match the paper's qualitative behaviour.
 //!
 //! The constants are grouped into a [`CostModel`] struct so experiments can
 //! run with perturbed models (the one-at-a-time sensitivity sweep ROADMAP
 //! item 2 (c) plans; no such sweep exists yet), while
 //! [`CostModel::default`] gives the calibrated values used to regenerate the
 //! paper's figures.
+//!
+//! # Provenance
+//!
+//! One row per constant: its default, where the value comes from, and the
+//! function that charges it. "No source in the tree" means nothing in this
+//! repository says where the number was taken from; it is a modelling
+//! choice until a fidelity step calibrates it.
+//!
+//! | constant | value | source | charged by |
+//! | --- | --- | --- | --- |
+//! | `gpu.global_mem_access` | 500 cycles | midpoint of the 400–600-cycle Ada-class range its field doc states; no source in the tree for the range | `HbmAccessor::access`, `DlrmWarp::step` (per gathered lookup) |
+//! | `gpu.warp_primitive` | 20 cycles | no source in the tree | `IoPath::{lookup_warp, repoll_cost}` |
+//! | `gpu.doorbell_write` | 700 cycles | no source in the tree | `IoPath::place` |
+//! | `gpu.poll_iteration` | 80 cycles | no source in the tree | `IoPath::{submit, place, raw_refusal}` |
+//! | `gpu.kernel_launch` | 5 000 cycles | no source in the tree | [`CostModel::gemm_cycles`] |
+//! | `ssd.channels` | 16 | calibrated with the page service times to the paper's Figs 5/6 saturation (`default_ssd_bandwidth_matches_paper_saturation`) | `SsdDevice::schedule_command` |
+//! | `ssd.read_page_service` | 17 700 ns | calibrated to Fig 5: 16 × 4 KiB / 17.7 µs ≈ 3.7 GB/s per SSD | `SsdDevice::schedule_command` |
+//! | `ssd.write_page_service` | 29 800 ns | calibrated to Fig 6: 16 × 4 KiB / 29.8 µs ≈ 2.2 GB/s per SSD | `SsdDevice::schedule_command` |
+//! | `ssd.controller_overhead` | 6 000 ns | no source in the tree | [`SsdCosts::post_delay`] (from `SsdDevice::schedule_command`, `StorageTopology::from_configs`) |
+//! | `ssd.command_fetch` | 2 000 ns | no source in the tree | `SsdDevice::{advance_to, next_event_time}` |
+//! | `ssd.completion_post` | 1 000 ns | no source in the tree | [`SsdCosts::post_delay`] |
+//! | `api.agile_cache_hit` | 140 cycles | §4.5 gives the direction only (AGILE below BaM, `api_costs_favour_agile`); no source in the tree for the value | `PathCosts::agile` → `IoPath::{lookup_warp, write_warp, repoll_cost}`; `AgileCtrl::async_read` |
+//! | `api.agile_cache_miss` | 320 cycles | as `agile_cache_hit` | `PathCosts::agile` → `IoPath::{lookup_warp, write_warp, repoll_cost}` |
+//! | `api.agile_issue` | 380 cycles | as `agile_cache_hit` | `PathCosts::agile` → `IoPath::{place, raw_refusal}` |
+//! | `api.agile_barrier_probe` | 60 cycles | no source in the tree | `AgileCtrl::{async_read, async_write, poll_barrier}` |
+//! | `api.bam_cache_hit` | 300 cycles | §4.5 gives the direction only (BaM above AGILE); no source in the tree for the value | `PathCosts::bam` → `IoPath::{lookup_warp, write_warp, repoll_cost}` |
+//! | `api.bam_cache_miss` | 700 cycles | as `bam_cache_hit` | `PathCosts::bam` → `IoPath::{lookup_warp, write_warp, repoll_cost}` |
+//! | `api.bam_issue` | 520 cycles | as `bam_cache_hit` | `PathCosts::bam` → `IoPath::{place, raw_refusal}` |
+//! | `api.bam_cq_poll` | 160 cycles | no source in the tree | `BamCtrl::poll_once` |
+//! | `api.agile_service_poll_round` | 220 cycles | no source in the tree | `AgileService::{sweep, idle_cost}` |
+//! | `api.agile_service_idle_backoff` | 1 000 cycles | no source in the tree | seeds the backoff cell in `AgileCtrl::build`; read by `AgileService::{sweep, idle_cost}` |
+//! | `compute.peak_flops_per_cycle` | 25 600 | RTX 5000 Ada datasheet core count (12 800 CUDA cores) × 2 flops | [`CostModel::gemm_cycles`] ← `DlrmConfig::compute_cycles_per_epoch` |
+//! | `compute.gemm_efficiency` | 0.35 | no source in the tree (its field doc gives a 25–50 % range) | [`CostModel::gemm_cycles`] |
+//! | [`POLL_RETRY_CYCLES`] | 2 000 cycles | no source in the tree | the `step` of `NaiveWarp`, `RandIoWarp`, `AgileCachedReplayWarp`, `BamCachedReplayWarp`; `AgileReplayWarp::await_completion` |
+//! | [`SUBMIT_RETRY_CYCLES`] | 3 000 cycles | no source in the tree | `RandIoWarp::step`, `AgileReplayWarp::step` (every SQ refused) |
 
 use crate::clock::{Cycles, Nanos};
 
@@ -32,13 +64,6 @@ pub struct GpuCosts {
     /// Cost of an L2/HBM global-memory access issued by a warp
     /// (~400–600 cycles on Ada-class parts; we use the midpoint).
     pub global_mem_access: u64,
-    /// Cost of a global-memory atomic (CAS / fetch-add) without contention.
-    pub global_atomic: u64,
-    /// Extra cycles burned per retry when an atomic/CAS loses a race.
-    pub atomic_retry: u64,
-    /// Cost of copying one 4 KiB page within HBM with a full warp
-    /// (128 B/lane/iteration, bandwidth-limited).
-    pub hbm_page_copy: u64,
     /// Cost of a warp-level shuffle/ballot primitive (`__match_any_sync`-style).
     pub warp_primitive: u64,
     /// Cost of an uncached MMIO (PCIe BAR doorbell) write as seen by the
@@ -54,9 +79,6 @@ impl Default for GpuCosts {
     fn default() -> Self {
         GpuCosts {
             global_mem_access: 500,
-            global_atomic: 350,
-            atomic_retry: 120,
-            hbm_page_copy: 900,
             warp_primitive: 20,
             doorbell_write: 700,
             poll_iteration: 80,
@@ -183,8 +205,7 @@ impl Default for ApiCosts {
     }
 }
 
-/// Compute-throughput model used for the DLRM MLP (cuBLAS substitute) and the
-/// graph kernels' arithmetic.
+/// Compute-throughput model used for the DLRM MLP (cuBLAS substitute).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputeCosts {
     /// Peak FP32 multiply-add throughput per cycle across the whole GPU
@@ -193,8 +214,6 @@ pub struct ComputeCosts {
     /// Achieved fraction of peak for the DLRM GEMM sizes (cuBLAS on
     /// 512–2048-sized GEMMs typically reaches 25–50 % of peak).
     pub gemm_efficiency: f64,
-    /// Cycles per simple ALU op for scalar per-thread computation phases.
-    pub alu_op: u64,
 }
 
 impl Default for ComputeCosts {
@@ -202,7 +221,6 @@ impl Default for ComputeCosts {
         ComputeCosts {
             peak_flops_per_cycle: 25_600.0,
             gemm_efficiency: 0.35,
-            alu_op: 4,
         }
     }
 }
@@ -282,7 +300,7 @@ mod tests {
         let cloned = m.clone();
         assert_eq!(m, cloned);
         let mut perturbed = m.clone();
-        perturbed.gpu.global_atomic += 1;
+        perturbed.gpu.doorbell_write += 1;
         assert_ne!(m, perturbed);
     }
 }

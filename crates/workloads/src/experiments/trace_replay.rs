@@ -482,9 +482,6 @@ impl ReplayConfig {
     pub fn cache_policy_name(&self) -> &'static str {
         match self.cache_policy {
             CachePolicyKind::Clock => "clock",
-            CachePolicyKind::Lru => "lru",
-            CachePolicyKind::Fifo => "fifo",
-            CachePolicyKind::Random => "random",
             CachePolicyKind::TenantShare => "tenant-share",
         }
     }
@@ -579,7 +576,6 @@ fn build_host<S: HostSystem>(
             trace.meta.devices.max(1) as usize,
             trace.meta.lba_space.max(1),
         )
-        .engine_sched(cfg.engine_sched)
         .qos(cfg.qos.policy());
     if let Some(sink) = sink {
         builder = builder.trace_sink(sink);
@@ -592,7 +588,9 @@ fn build_host<S: HostSystem>(
     if let Some(policy) = &cfg.control {
         builder = builder.control(policy.clone()).slos(cfg.slos.clone());
     }
-    builder.build()
+    let mut host = builder.build();
+    host.engine_mut().set_scheduler(cfg.engine_sched);
+    host
 }
 
 /// Drive the replay kernel on a started host — the system-agnostic half of

@@ -46,7 +46,7 @@ const T_ABC: u64 = draw_threshold(A + B + C);
 /// Each edge takes one draw per bit, most significant first. The quadrant
 /// test compares the draw's 53 mantissa bits with the integer thresholds
 /// `T_A`, `T_AB`, `T_ABC` rather than the float with `A`, `A + B`,
-/// `A + B + C` — the same decision for every draw (see [`draw_threshold`]),
+/// `A + B + C` — the same decision for every draw (see `draw_threshold`),
 /// so the graph is bit-identical to the float comparison's — and turns it
 /// into the two coordinate bits without a branch. The number of thresholds
 /// `k` reaches is the quadrant index `2·sbit + dbit`: `sbit = k ≥ T_AB` is

@@ -198,7 +198,6 @@ proptest! {
         let cache = SoftwareCache::new(
             CacheConfig {
                 capacity_bytes: 512 * 4096,
-                line_size: 4096,
                 associativity: 8,
             },
             Box::new(TenantShare::from_weights(&[3, 1])),

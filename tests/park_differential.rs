@@ -436,9 +436,9 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
         let mut host = HostBuilder::agile(config)
             .gpu(GpuConfig::tiny(4))
             .devices(2, 1 << 16)
-            .engine_sched(sched)
             .trace_sink(sink.clone() as Arc<_>)
             .build();
+        host.engine_mut().set_scheduler(sched);
         let kernel = MicrobenchKernel::new(
             host.ctrl(),
             MicrobenchParams {
@@ -724,9 +724,9 @@ fn held_lines(seed: u64, sched: EngineSched) -> HeldRun {
     let mut host = HostBuilder::agile(config)
         .gpu(GpuConfig::tiny(4))
         .devices(1, held::PAGES)
-        .engine_sched(sched)
         .trace_sink(sink.clone() as Arc<_>)
         .build();
+    host.engine_mut().set_scheduler(sched);
     // A run that stops making progress ends here and fails below.
     host.engine_mut()
         .set_max_cycles(agile_repro::sim::Cycles(20_000_000));

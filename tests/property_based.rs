@@ -6,7 +6,7 @@
 use agile_repro::agile::sq_protocol::{AgileSq, SqeState};
 use agile_repro::agile::transaction::Transaction;
 use agile_repro::cache::{
-    CacheConfig, CacheLookup, ClockPolicy, LruPolicy, ShareTable, SoftwareCache,
+    CacheConfig, CacheLookup, ClockPolicy, ShareTable, SoftwareCache, TenantShare, NO_TENANT,
 };
 use agile_repro::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
 use agile_repro::nvme::{DmaHandle, NvmeCommand, PageToken, QueuePair};
@@ -17,26 +17,35 @@ use agile_repro::trace::{
 use proptest::prelude::*;
 
 /// Drive an arbitrary sequence of lookups/fills/unpins against a small cache
-/// and check the structural invariants after every step.
-fn cache_invariants(ops: Vec<(u8, u64)>, lru: bool) {
-    let policy: Box<dyn agile_repro::cache::CachePolicy> = if lru {
-        Box::new(LruPolicy::new())
+/// and check the structural invariants after every step. With
+/// `tenant_share` the cache evicts by 1:2 tenant shares and every lookup is
+/// made for tenant `lba % 2`, so victims are chosen while other tenants'
+/// reservations are still open (`BUSY`, pinned).
+fn cache_invariants(ops: Vec<(u8, u64)>, tenant_share: bool) {
+    let policy: Box<dyn agile_repro::cache::CachePolicy> = if tenant_share {
+        Box::new(TenantShare::from_weights(&[1, 2]))
     } else {
         Box::new(ClockPolicy::new())
     };
     let cache = SoftwareCache::new(
         CacheConfig {
             capacity_bytes: 32 * 4096,
-            line_size: 4096,
             associativity: 4,
         },
         policy,
     );
+    let tenant_of = |lba: u64| {
+        if tenant_share {
+            (lba % 2) as u32
+        } else {
+            NO_TENANT
+        }
+    };
     let mut reserved: Vec<agile_repro::cache::LineId> = Vec::new();
     for (op, lba) in ops {
         let lba = lba % 64;
         match op % 3 {
-            0 => match cache.lookup_or_reserve(0, lba) {
+            0 => match cache.lookup_or_reserve_as(0, lba, tenant_of(lba)) {
                 CacheLookup::Hit { line, .. } => cache.unpin(line),
                 CacheLookup::Miss { line, dma, .. } => {
                     dma.store(PageToken(lba));
@@ -58,6 +67,9 @@ fn cache_invariants(ops: Vec<(u8, u64)>, lru: bool) {
         // Invariant: pins never exceed reservations we still hold (each
         // outstanding reservation holds exactly one pin).
         assert!(cache.total_pins() as usize >= reserved.len());
+        // Invariant: tenants own no more lines than the cache has.
+        let owned: u64 = cache.tenant_stats().iter().map(|t| t.occupancy).sum();
+        assert!(owned <= cache.num_lines() as u64, "{owned} lines owned");
     }
     // Finish every outstanding fill; afterwards no pins may remain.
     for line in reserved.drain(..) {
@@ -160,7 +172,7 @@ proptest! {
     }
 
     #[test]
-    fn cache_never_leaks_pins_lru(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200)) {
+    fn cache_never_leaks_pins_tenant_share(ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200)) {
         cache_invariants(ops, true);
     }
 
