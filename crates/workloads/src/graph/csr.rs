@@ -1,11 +1,16 @@
 //! Compressed sparse row graphs and their SSD page layout.
 //!
-//! The algorithmic data (offsets, neighbour indices, edge values) lives in
-//! host memory — it is what the warp kernels traverse — while the *placement*
-//! of those arrays on the simulated SSD defines which pages each traversal
+//! The algorithmic data (offsets and neighbour indices) lives in host
+//! memory — it is what the warp kernels traverse — while the *placement* of
+//! the CSR arrays on the simulated SSD defines which pages each traversal
 //! step must pull through the storage stack. This mirrors how the real system
 //! works: the CSR arrays live on flash, and the kernels' access pattern over
 //! them is what stresses the cache and queue APIs.
+//!
+//! Edge weights are computed, not stored: [`CsrGraph::edge_values`] derives
+//! each from its `(src, dst)` pair, so a graph holds 4 bytes per edge plus its
+//! row offsets. The value array still has its pages on the SSD
+//! ([`CsrGraph::val_pages_of`]), so SpMV moves the same simulated traffic.
 
 use agile_sim::units::SSD_PAGE_SIZE;
 use nvme_sim::Lba;
@@ -47,44 +52,50 @@ fn edge_weight(src: u32, dst: u32) -> f32 {
     ((src as f32 * 31.0 + dst as f32 * 17.0) as u64 % 97) as f32 / 97.0 + 0.5
 }
 
-/// A CSR graph with single-precision edge values.
+/// A CSR graph whose single-precision edge values are computed on demand
+/// ([`CsrGraph::edge_values`]) rather than stored.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `row_ptr[v] .. row_ptr[v+1]` indexes `col_idx` for vertex `v`.
     pub row_ptr: Vec<u64>,
     /// Neighbour indices.
     pub col_idx: Vec<u32>,
-    /// Edge values (same length as `col_idx`).
-    pub values: Vec<f32>,
     /// SSD placement.
     pub layout: GraphLayout,
 }
 
 impl CsrGraph {
-    /// Build from an edge list (directed; duplicates allowed and preserved).
+    /// Build from an edge list (directed; duplicates allowed and preserved,
+    /// each row in edge-list order).
+    ///
+    /// # Panics
+    /// If an edge names a vertex `>= num_vertices`.
     pub fn from_edges(num_vertices: usize, edges: &[(u32, u32)], layout: GraphLayout) -> Self {
-        // Degrees are counted one slot up, so the prefix sum turns them into
-        // the row offsets in place.
-        let mut row_ptr = vec![0u64; num_vertices + 1];
-        for &(src, _) in edges {
-            row_ptr[src as usize + 1] += 1;
+        // Degrees are counted two slots up, so the prefix sum leaves
+        // `row_ptr[src + 1]` at the first slot of `src`'s row. The scatter
+        // advances it to the row's end, which is `row_ptr[src + 1]` of the
+        // finished offsets: no second array of cursors.
+        let mut row_ptr = vec![0u64; num_vertices + 2];
+        for (i, &(src, dst)) in edges.iter().enumerate() {
+            assert!(
+                (src.max(dst) as usize) < num_vertices,
+                "edge {i} ({src} -> {dst}) names a vertex outside the graph's {num_vertices}"
+            );
+            row_ptr[src as usize + 2] += 1;
         }
         for v in 0..num_vertices {
-            row_ptr[v + 1] += row_ptr[v];
+            row_ptr[v + 2] += row_ptr[v + 1];
         }
-        let mut cursor = row_ptr.clone();
         let mut col_idx = vec![0u32; edges.len()];
-        let mut values = vec![0f32; edges.len()];
         for &(src, dst) in edges {
-            let pos = cursor[src as usize] as usize;
-            col_idx[pos] = dst;
-            values[pos] = edge_weight(src, dst);
-            cursor[src as usize] += 1;
+            let slot = &mut row_ptr[src as usize + 1];
+            col_idx[*slot as usize] = dst;
+            *slot += 1;
         }
+        row_ptr.truncate(num_vertices + 1);
         CsrGraph {
             row_ptr,
             col_idx,
-            values,
             layout,
         }
     }
@@ -106,11 +117,12 @@ impl CsrGraph {
         &self.col_idx[lo..hi]
     }
 
-    /// Edge values of `v`'s adjacency list.
-    pub fn edge_values(&self, v: u32) -> &[f32] {
-        let lo = self.row_ptr[v as usize] as usize;
-        let hi = self.row_ptr[v as usize + 1] as usize;
-        &self.values[lo..hi]
+    /// Edge values of `v`'s adjacency list, in [`CsrGraph::neighbours`]
+    /// order: `edge_weight(v, dst)` for each neighbour `dst`.
+    pub fn edge_values(&self, v: u32) -> impl Iterator<Item = f32> + '_ {
+        self.neighbours(v)
+            .iter()
+            .map(move |&dst| edge_weight(v, dst))
     }
 
     /// The column-index pages vertex `v`'s adjacency list spans.
@@ -179,7 +191,7 @@ impl CsrGraph {
                 self.neighbours(v)
                     .iter()
                     .zip(self.edge_values(v))
-                    .map(|(&c, &w)| w * x[c as usize])
+                    .map(|(&c, w)| w * x[c as usize])
                     .sum()
             })
             .collect()
@@ -237,6 +249,58 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Duplicates, empty rows and edges from the last vertex all occur:
+        /// up to 300 edges over at most 40 vertices.
+        #[test]
+        fn from_edges_is_a_stable_sort_on_src(
+            num_vertices in 1u32..41,
+            raw in collection::vec((any::<u32>(), any::<u32>()), 0..301),
+        ) {
+            let edges: Vec<(u32, u32)> = raw
+                .iter()
+                .map(|&(s, d)| (s % num_vertices, d % num_vertices))
+                .collect();
+            let g = CsrGraph::from_edges(num_vertices as usize, &edges, GraphLayout::default());
+
+            let mut sorted = edges.clone();
+            sorted.sort_by_key(|&(src, _)| src);
+            let col_idx: Vec<u32> = sorted.iter().map(|&(_, dst)| dst).collect();
+            let row_ptr: Vec<u64> = (0..=num_vertices)
+                .map(|v| sorted.partition_point(|&(src, _)| src < v) as u64)
+                .collect();
+            prop_assert_eq!(&g.col_idx, &col_idx);
+            prop_assert_eq!(&g.row_ptr, &row_ptr);
+
+            prop_assert_eq!(g.row_ptr[0], 0);
+            prop_assert_eq!(g.row_ptr[num_vertices as usize], edges.len() as u64);
+            prop_assert!(g.row_ptr.windows(2).all(|w| w[0] <= w[1]));
+            for v in 0..num_vertices {
+                let got: Vec<u32> = g.edge_values(v).map(f32::to_bits).collect();
+                let want: Vec<u32> = g
+                    .neighbours(v)
+                    .iter()
+                    .map(|&n| edge_weight(v, n).to_bits())
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1 (1 -> 4) names a vertex outside the graph's 4")]
+    fn from_edges_refuses_a_destination_outside_the_graph() {
+        CsrGraph::from_edges(4, &[(0, 1), (1, 4), (2, 3)], GraphLayout::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 2 (4 -> 0) names a vertex outside the graph's 4")]
+    fn from_edges_refuses_a_source_outside_the_graph() {
+        CsrGraph::from_edges(4, &[(0, 1), (2, 3), (4, 0)], GraphLayout::default());
+    }
+
     fn diamond() -> CsrGraph {
         // 0 → 1, 0 → 2, 1 → 3, 2 → 3
         CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], GraphLayout::default())
@@ -288,8 +352,8 @@ mod tests {
         let g = diamond();
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let y = g.reference_spmv(&x);
-        let w01 = g.edge_values(0)[0];
-        let w02 = g.edge_values(0)[1];
+        let w: Vec<f32> = g.edge_values(0).collect();
+        let (w01, w02) = (w[0], w[1]);
         assert!((y[0] - (w01 * 2.0 + w02 * 3.0)).abs() < 1e-6);
         assert_eq!(y[3], 0.0);
     }

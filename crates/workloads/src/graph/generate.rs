@@ -55,7 +55,8 @@ const T_ABC: u64 = draw_threshold(A + B + C);
 ///
 /// Cost, scale 16 and edge factor 16 on a 2-core Intel Xeon (release): about
 /// 38 ns per edge to draw, of which the 16 `next_u64` calls take about 21,
-/// and about 53 ns per edge with the CSR build.
+/// and 55–80 ns per edge with the CSR build, the first touch of the fresh
+/// edge list and CSR arrays included.
 ///
 /// # Panics
 /// If `scale > 31` (vertex ids, and callers' vertex counts, are `u32`) or

@@ -118,7 +118,7 @@ impl WarpKernel for SpmvWarp {
                 let mut y = self.state.y.lock();
                 for &row in rows {
                     let mut acc = 0.0f32;
-                    for (&c, &w) in self
+                    for (&c, w) in self
                         .state
                         .graph
                         .neighbours(row)

@@ -1,9 +1,9 @@
 //! Bit-for-bit pins of the graph generators.
 //!
-//! Each case is fingerprinted with FNV-1a over the CSR arrays — `row_ptr`,
-//! `col_idx` and the bit patterns of `values` — and compared with constants
-//! recorded from the original branchy, float-comparing Kronecker generator
-//! and `% 97.0` edge weights. Any change to the RNG stream the generators
+//! Each case is fingerprinted with FNV-1a over `row_ptr`, over `col_idx` and
+//! over the bit patterns of the edge values (`edge_values(v)` for `v` in
+//! `0..V`), and compared with constants recorded from the original branchy,
+//! float-comparing Kronecker generator and `% 97.0` edge weights. Any change to the RNG stream the generators
 //! consume, to how a draw picks a quadrant, to the CSR fill order or to the
 //! edge weights moves a fingerprint. `(16, 16, 0xA61E)` is the size of the
 //! benchmark's `graph_bfs_kron` graph.
@@ -53,7 +53,11 @@ fn fingerprint(g: &CsrGraph) -> [u64; 3] {
     [
         fnv1a(g.row_ptr.iter().map(|v| v.to_le_bytes())),
         fnv1a(g.col_idx.iter().map(|v| v.to_le_bytes())),
-        fnv1a(g.values.iter().map(|v| v.to_bits().to_le_bytes())),
+        fnv1a(
+            (0..g.num_vertices() as u32)
+                .flat_map(|v| g.edge_values(v))
+                .map(|w| w.to_bits().to_le_bytes()),
+        ),
     ]
 }
 
