@@ -27,17 +27,17 @@ use gpu_sim::ExternalDevice;
 use nvme_sim::StorageTopology;
 use std::sync::Arc;
 
-fn counter(out: &mut Vec<Sample>, name: &str, labels: Labels, v: u64) {
+fn counter(out: &mut Vec<Sample>, name: &'static str, labels: Labels, v: u64) {
     out.push(Sample {
-        name: name.to_string(),
+        name,
         labels,
         value: MetricValue::Counter(v),
     });
 }
 
-fn gauge(out: &mut Vec<Sample>, name: &str, labels: Labels, v: u64) {
+fn gauge(out: &mut Vec<Sample>, name: &'static str, labels: Labels, v: u64) {
     out.push(Sample {
-        name: name.to_string(),
+        name,
         labels,
         value: MetricValue::Gauge(v),
     });

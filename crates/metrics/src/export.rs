@@ -1,19 +1,17 @@
 //! Snapshot exporters: JSON and Prometheus text exposition.
 //!
 //! Both formats are emitted deterministically (samples are already sorted by
-//! `(name, labels)`) and both parse back (`from_json` / `from_prometheus`),
-//! so a snapshot round-trips losslessly — the invariant the telemetry tests
-//! pin. Everything is integers by construction: counters, gauges, bucket
-//! counts and bucket indices are `u64`/`u32`, so no float formatting is
-//! involved and byte-identity across runs is structural.
+//! `(name, labels)`). Everything is integers by construction: counters,
+//! gauges, bucket counts and bucket indices are `u64`/`u32`, so no float
+//! formatting is involved and byte-identity across runs is structural.
 //!
 //! Prometheus histograms are the standard `_bucket{le=…}` cumulative form
-//! (upper bounds from the log-linear layout) plus `_sum`/`_count`, extended
-//! with `_min`/`_max` lines so the tracked extremes survive the round trip.
+//! (upper bounds from the log-linear layout) plus `_sum`/`_count`; the JSON
+//! form also carries each histogram's tracked `min` and `max`.
 
 use crate::registry::Labels;
-use crate::snapshot::{HistoSnapshot, MetricValue, MetricsSnapshot, Sample};
-use agile_trace::stats::{bucket_index, bucket_upper_bound};
+use crate::snapshot::{MetricValue, MetricsSnapshot};
+use agile_trace::stats::bucket_upper_bound;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -71,83 +69,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parse a snapshot back from [`MetricsSnapshot::to_json`] output.
-    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
-        let value = json::parse(text)?;
-        let samples_v = value
-            .field("samples")
-            .ok_or_else(|| "missing samples".to_string())?;
-        let mut samples = Vec::new();
-        for item in samples_v.array()? {
-            let name = item
-                .field("name")
-                .and_then(|v| v.string())
-                .ok_or_else(|| "sample missing name".to_string())?;
-            let mut labels = Labels::NONE;
-            if let Some(lv) = item.field("labels") {
-                for (k, v) in lv.object()? {
-                    let id = v.number()? as u32;
-                    match k.as_str() {
-                        "tenant" => labels.tenant = Some(id),
-                        "shard" => labels.shard = Some(id),
-                        "device" => labels.device = Some(id),
-                        "partition" => labels.partition = Some(id),
-                        other => return Err(format!("unknown label key {other}")),
-                    }
-                }
-            }
-            let kind = item
-                .field("type")
-                .and_then(|v| v.string())
-                .ok_or_else(|| "sample missing type".to_string())?;
-            let value = match kind.as_str() {
-                "counter" => MetricValue::Counter(
-                    item.field("value")
-                        .ok_or_else(|| "counter missing value".to_string())?
-                        .number()?,
-                ),
-                "gauge" => MetricValue::Gauge(
-                    item.field("value")
-                        .ok_or_else(|| "gauge missing value".to_string())?
-                        .number()?,
-                ),
-                "histo" => {
-                    let num = |key: &str| -> Result<u64, String> {
-                        item.field(key)
-                            .ok_or_else(|| format!("histo missing {key}"))?
-                            .number()
-                    };
-                    let mut buckets = Vec::new();
-                    for pair in item
-                        .field("buckets")
-                        .ok_or_else(|| "histo missing buckets".to_string())?
-                        .array()?
-                    {
-                        let pair = pair.array()?;
-                        if pair.len() != 2 {
-                            return Err("bucket pair must have two entries".into());
-                        }
-                        buckets.push((pair[0].number()? as u32, pair[1].number()?));
-                    }
-                    MetricValue::Histo(HistoSnapshot {
-                        buckets,
-                        count: num("count")?,
-                        sum: num("sum")?,
-                        min: num("min")?,
-                        max: num("max")?,
-                    })
-                }
-                other => return Err(format!("unknown sample type {other}")),
-            };
-            samples.push(Sample {
-                name,
-                labels,
-                value,
-            });
-        }
-        Ok(MetricsSnapshot { samples })
-    }
-
     /// Serialize as Prometheus text exposition.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -158,9 +79,9 @@ impl MetricsSnapshot {
                 MetricValue::Gauge(_) => "gauge",
                 MetricValue::Histo(_) => "histogram",
             };
-            if last_name != Some(s.name.as_str()) {
+            if last_name != Some(s.name) {
                 let _ = writeln!(out, "# TYPE {} {}", s.name, kind);
-                last_name = Some(s.name.as_str());
+                last_name = Some(s.name);
             }
             let base_labels: Vec<String> = s
                 .labels
@@ -197,330 +118,21 @@ impl MetricsSnapshot {
                     let _ = writeln!(out, "{}_bucket{} {}", s.name, with_le("+Inf"), h.count);
                     let _ = writeln!(out, "{}_sum{} {}", s.name, plain, h.sum);
                     let _ = writeln!(out, "{}_count{} {}", s.name, plain, h.count);
-                    // Non-standard: the tracked extremes, so snapshots
-                    // round-trip exactly through this format too.
-                    let _ = writeln!(out, "{}_min{} {}", s.name, plain, h.min);
-                    let _ = writeln!(out, "{}_max{} {}", s.name, plain, h.max);
                 }
             }
         }
         out
     }
-
-    /// Parse a snapshot back from [`MetricsSnapshot::to_prometheus`] output.
-    pub fn from_prometheus(text: &str) -> Result<MetricsSnapshot, String> {
-        use std::collections::BTreeMap;
-        let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-        // Histogram accumulation keyed by (base name, labels).
-        #[derive(Default)]
-        struct HistoAcc {
-            cumulative: Vec<(u64, u64)>, // (le, cumulative count) in order
-            count: u64,
-            sum: u64,
-            min: u64,
-            max: u64,
-        }
-        let mut plain: Vec<Sample> = Vec::new();
-        let mut histos: BTreeMap<(String, Labels), HistoAcc> = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().ok_or("bad TYPE line")?;
-                let kind = it.next().ok_or("bad TYPE line")?;
-                kinds.insert(name.to_string(), kind.to_string());
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let (ident, value) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("bad sample line: {line}"))?;
-            let (name, labels, le) = parse_ident(ident)?;
-            // Histogram series lines carry a suffix on the base name.
-            let histo_part = ["_bucket", "_sum", "_count", "_min", "_max"]
-                .iter()
-                .find_map(|suffix| {
-                    let base = name.strip_suffix(suffix)?;
-                    (kinds.get(base).map(String::as_str) == Some("histogram"))
-                        .then(|| (base.to_string(), *suffix))
-                });
-            if let Some((base, suffix)) = histo_part {
-                let acc = histos.entry((base, labels)).or_default();
-                let v: u64 = value.parse().map_err(|_| format!("bad value: {value}"))?;
-                match suffix {
-                    "_bucket" => match le.as_deref() {
-                        Some("+Inf") => {}
-                        Some(le) => {
-                            let le: u64 = le.parse().map_err(|_| format!("bad le: {le}"))?;
-                            acc.cumulative.push((le, v));
-                        }
-                        None => return Err("bucket line without le".into()),
-                    },
-                    "_sum" => acc.sum = v,
-                    "_count" => acc.count = v,
-                    "_min" => acc.min = v,
-                    "_max" => acc.max = v,
-                    _ => unreachable!(),
-                }
-                continue;
-            }
-            if le.is_some() {
-                return Err(format!("unexpected le label on {name}"));
-            }
-            let v: u64 = value.parse().map_err(|_| format!("bad value: {value}"))?;
-            let value = match kinds.get(&name).map(String::as_str) {
-                Some("counter") => MetricValue::Counter(v),
-                Some("gauge") => MetricValue::Gauge(v),
-                other => return Err(format!("unknown kind {other:?} for {name}")),
-            };
-            plain.push(Sample {
-                name,
-                labels,
-                value,
-            });
-        }
-        for ((name, labels), acc) in histos {
-            let mut buckets = Vec::with_capacity(acc.cumulative.len());
-            let mut prev = 0u64;
-            for (le, cum) in acc.cumulative {
-                let c = cum.saturating_sub(prev);
-                prev = cum;
-                if c > 0 {
-                    buckets.push((bucket_index(le) as u32, c));
-                }
-            }
-            plain.push(Sample {
-                name,
-                labels,
-                value: MetricValue::Histo(HistoSnapshot {
-                    buckets,
-                    count: acc.count,
-                    sum: acc.sum,
-                    min: acc.min,
-                    max: acc.max,
-                }),
-            });
-        }
-        plain.sort_by(|a, b| (&a.name, a.labels).cmp(&(&b.name, b.labels)));
-        Ok(MetricsSnapshot { samples: plain })
-    }
-}
-
-/// Parse `name{k="v",…}` into `(name, labels, le)`.
-fn parse_ident(ident: &str) -> Result<(String, Labels, Option<String>), String> {
-    let Some(brace) = ident.find('{') else {
-        return Ok((ident.to_string(), Labels::NONE, None));
-    };
-    let name = ident[..brace].to_string();
-    let body = ident[brace + 1..]
-        .strip_suffix('}')
-        .ok_or_else(|| format!("unterminated labels in {ident}"))?;
-    let mut labels = Labels::NONE;
-    let mut le = None;
-    for pair in body.split(',').filter(|p| !p.is_empty()) {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("bad label pair {pair}"))?;
-        let v = v
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| format!("unquoted label value {v}"))?;
-        if k == "le" {
-            le = Some(v.to_string());
-            continue;
-        }
-        let id: u32 = v.parse().map_err(|_| format!("bad label value {v}"))?;
-        match k {
-            "tenant" => labels.tenant = Some(id),
-            "shard" => labels.shard = Some(id),
-            "device" => labels.device = Some(id),
-            "partition" => labels.partition = Some(id),
-            other => return Err(format!("unknown label key {other}")),
-        }
-    }
-    Ok((name, labels, le))
-}
-
-/// A minimal JSON reader covering exactly what [`MetricsSnapshot::to_json`]
-/// emits: objects, arrays, strings without escapes, unsigned integers.
-mod json {
-    /// Deepest nesting of objects and arrays accepted; `to_json` nests 5
-    /// deep, and a bound keeps hostile input from overflowing the stack.
-    pub const MAX_DEPTH: usize = 16;
-
-    pub enum Value {
-        Num(u64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn field(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn object(&self) -> Result<&Vec<(String, Value)>, String> {
-            match self {
-                Value::Obj(fields) => Ok(fields),
-                _ => Err("expected object".into()),
-            }
-        }
-
-        pub fn array(&self) -> Result<&Vec<Value>, String> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err("expected array".into()),
-            }
-        }
-
-        pub fn string(&self) -> Option<String> {
-            match self {
-                Value::Str(s) => Some(s.clone()),
-                _ => None,
-            }
-        }
-
-        pub fn number(&self) -> Result<u64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err("expected number".into()),
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, pos))
-        }
-    }
-
-    /// Parse the value at `pos`, inside `depth` open objects and arrays.
-    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-        }
-        match bytes.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = parse_string(bytes, pos)?;
-                    expect(bytes, pos, b':')?;
-                    fields.push((key, parse_value(bytes, pos, depth + 1)?));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("bad object at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(bytes, pos, depth + 1)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("bad array at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b) if b.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|e| e.to_string())?
-                    .parse()
-                    .map(Value::Num)
-                    .map_err(|e| e.to_string())
-            }
-            _ => Err(format!("unexpected byte at {pos}")),
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let start = *pos;
-        while *pos < bytes.len() && bytes[*pos] != b'"' {
-            if bytes[*pos] == b'\\' {
-                return Err("escapes are not supported".into());
-            }
-            *pos += 1;
-        }
-        if *pos >= bytes.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|e| e.to_string())?
-            .to_string();
-        *pos += 1;
-        Ok(s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{LabelDim, MetricsRegistry};
+    use crate::{windows_to_json, LabelDim, Labels, MetricsRegistry, WindowedSampler};
+    use std::sync::Arc;
 
-    fn sample_registry() -> MetricsSnapshot {
+    /// A counter, a tenant family, a gauge, a multi-bucket histogram and an
+    /// empty one.
+    fn sample_registry() -> Arc<MetricsRegistry> {
         let reg = MetricsRegistry::new();
         reg.counter("agile_submit_admissions_total", Labels::NONE)
             .add(42);
@@ -533,34 +145,87 @@ mod tests {
         for v in [5u64, 5, 70, 4_000, 1 << 22] {
             h.record(v);
         }
-        // An empty histogram must round-trip too.
         let _ = reg.histo("agile_replay_latency_cycles", Labels::tenant(2));
-        reg.snapshot()
+        reg
     }
 
     #[test]
-    fn json_round_trips() {
-        let snap = sample_registry();
-        let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("parse back");
-        assert_eq!(parsed, snap);
+    fn json_output_is_pinned() {
+        let expected = concat!(
+            r#"{"samples":["#,
+            r#"{"name":"agile_engine_ready_queue_high_water","labels":{},"type":"gauge","value":17},"#,
+            r#"{"name":"agile_replay_latency_cycles","labels":{"tenant":1},"type":"histo","#,
+            r#""count":5,"sum":4198384,"min":5,"max":4194304,"#,
+            r#""buckets":[[5,2],[67,1],[254,1],[576,1]]},"#,
+            r#"{"name":"agile_replay_latency_cycles","labels":{"tenant":2},"type":"histo","#,
+            r#""count":0,"sum":0,"min":18446744073709551615,"max":0,"buckets":[]},"#,
+            r#"{"name":"agile_submit_admissions_total","labels":{},"type":"counter","value":42},"#,
+            r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":0},"type":"counter","value":3},"#,
+            r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":1},"type":"counter","value":9}"#,
+            r#"]}"#,
+        );
+        assert_eq!(sample_registry().snapshot().to_json(), expected);
     }
 
     #[test]
-    fn prometheus_round_trips() {
-        let snap = sample_registry();
-        let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE agile_replay_latency_cycles histogram"));
-        assert!(text.contains("agile_submit_qos_deferrals_total{tenant=\"1\"} 9"));
-        let parsed = MetricsSnapshot::from_prometheus(&text).expect("parse back");
-        assert_eq!(parsed, snap);
+    fn prometheus_output_is_pinned() {
+        // Standard exposition only: cumulative `_bucket`s ending in `+Inf`,
+        // then `_sum` and `_count`; one `# TYPE` line per family.
+        let expected = "\
+# TYPE agile_engine_ready_queue_high_water gauge
+agile_engine_ready_queue_high_water 17
+# TYPE agile_replay_latency_cycles histogram
+agile_replay_latency_cycles_bucket{tenant=\"1\",le=\"5\"} 2
+agile_replay_latency_cycles_bucket{tenant=\"1\",le=\"71\"} 3
+agile_replay_latency_cycles_bucket{tenant=\"1\",le=\"4031\"} 4
+agile_replay_latency_cycles_bucket{tenant=\"1\",le=\"4325375\"} 5
+agile_replay_latency_cycles_bucket{tenant=\"1\",le=\"+Inf\"} 5
+agile_replay_latency_cycles_sum{tenant=\"1\"} 4198384
+agile_replay_latency_cycles_count{tenant=\"1\"} 5
+agile_replay_latency_cycles_bucket{tenant=\"2\",le=\"+Inf\"} 0
+agile_replay_latency_cycles_sum{tenant=\"2\"} 0
+agile_replay_latency_cycles_count{tenant=\"2\"} 0
+# TYPE agile_submit_admissions_total counter
+agile_submit_admissions_total 42
+# TYPE agile_submit_qos_deferrals_total counter
+agile_submit_qos_deferrals_total{tenant=\"0\"} 3
+agile_submit_qos_deferrals_total{tenant=\"1\"} 9
+";
+        assert_eq!(sample_registry().snapshot().to_prometheus(), expected);
     }
 
     #[test]
-    fn json_nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
-        let err = MetricsSnapshot::from_json(&"[".repeat(1_000_000)).unwrap_err();
-        assert!(err.contains("at byte 16"), "{err}");
-        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
-        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_err());
+    fn window_json_is_pinned_and_sparse() {
+        let reg = sample_registry();
+        let sampler = WindowedSampler::new(Arc::clone(&reg), 100);
+        sampler.observe(100);
+        // Window 1: one tenant's deferrals and the latency histogram move;
+        // the admissions counter, the other tenant and the empty histogram
+        // do not, so they are absent. The gauge is always there.
+        reg.counter_family("agile_submit_qos_deferrals_total", LabelDim::Tenant)
+            .add(1, 2);
+        reg.histo("agile_replay_latency_cycles", Labels::tenant(1))
+            .record(70);
+        reg.gauge("agile_engine_ready_queue_high_water", Labels::NONE)
+            .set(20);
+        sampler.finish(150);
+        let expected = concat!(
+            r#"[{"index":0,"start":0,"end":100,"deltas":{"samples":["#,
+            r#"{"name":"agile_engine_ready_queue_high_water","labels":{},"type":"gauge","value":17},"#,
+            r#"{"name":"agile_replay_latency_cycles","labels":{"tenant":1},"type":"histo","#,
+            r#""count":5,"sum":4198384,"min":5,"max":4194304,"#,
+            r#""buckets":[[5,2],[67,1],[254,1],[576,1]]},"#,
+            r#"{"name":"agile_submit_admissions_total","labels":{},"type":"counter","value":42},"#,
+            r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":0},"type":"counter","value":3},"#,
+            r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":1},"type":"counter","value":9}"#,
+            r#"]}},"#,
+            r#"{"index":1,"start":100,"end":150,"deltas":{"samples":["#,
+            r#"{"name":"agile_engine_ready_queue_high_water","labels":{},"type":"gauge","value":20},"#,
+            r#"{"name":"agile_replay_latency_cycles","labels":{"tenant":1},"type":"histo","#,
+            r#""count":1,"sum":70,"min":70,"max":71,"buckets":[[67,1]]},"#,
+            r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":1},"type":"counter","value":2}"#,
+            r#"]}}]"#,
+        );
+        assert_eq!(windows_to_json(&sampler.windows()), expected);
     }
 }

@@ -18,12 +18,12 @@
 //!   export them with **zero** extra hot-path cost.
 //! * [`MetricsSnapshot`] — a point-in-time copy with delta/merge semantics,
 //!   exportable as JSON ([`MetricsSnapshot::to_json`]) and Prometheus text
-//!   ([`MetricsSnapshot::to_prometheus`]); both formats parse back for
-//!   round-trip tests.
+//!   ([`MetricsSnapshot::to_prometheus`]).
 //! * [`WindowedSampler`] — driven by the *simulated* clock, snapshots the
 //!   registry every N cycles and emits per-window deltas: windowed IOPS,
 //!   p50/p95/p99 via histogram deltas, occupancy gauges — time series
-//!   instead of end-of-run aggregates.
+//!   instead of end-of-run aggregates. A window stores only what changed
+//!   (counters that moved, histograms that recorded, every gauge).
 //!
 //! # Naming scheme
 //!

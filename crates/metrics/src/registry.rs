@@ -390,28 +390,30 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time snapshot of every instrument and collector, sorted by
-    /// `(name, labels)` for deterministic export order.
+    /// `(name, labels)` for deterministic export order. Names are the
+    /// registered `&'static str`s, so a counter or gauge sample allocates
+    /// nothing.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut samples: Vec<Sample> = Vec::new();
-        {
+        let mut samples: Vec<Sample> = {
             let inner = self.inner.read();
-            for e in &inner.entries {
-                let value = match &e.cell {
-                    Cell::Counter(c) => MetricValue::Counter(c.get()),
-                    Cell::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Cell::Histo(h) => MetricValue::Histo(h.snapshot()),
-                };
-                samples.push(Sample {
-                    name: e.name.to_string(),
+            inner
+                .entries
+                .iter()
+                .map(|e| Sample {
+                    name: e.name,
                     labels: e.labels,
-                    value,
-                });
-            }
-        }
+                    value: match &e.cell {
+                        Cell::Counter(c) => MetricValue::Counter(c.get()),
+                        Cell::Gauge(g) => MetricValue::Gauge(g.get()),
+                        Cell::Histo(h) => MetricValue::Histo(Box::new(h.snapshot())),
+                    },
+                })
+                .collect()
+        };
         for c in self.collectors.read().iter() {
             c.collect(&mut samples);
         }
-        samples.sort_by(|a, b| (&a.name, a.labels).cmp(&(&b.name, b.labels)));
+        samples.sort_by(|a, b| (a.name, a.labels).cmp(&(b.name, b.labels)));
         MetricsSnapshot { samples }
     }
 }

@@ -10,6 +10,11 @@
 //! histograms become the window's latency distribution (p50/p95/p99 via
 //! bucket deltas), gauges keep their end-of-window value.
 //!
+//! A window holds only what changed: a counter that did not move and a
+//! histogram that recorded nothing are absent from its deltas (reading as 0
+//! and `None`), while every gauge is present. The series is kept for the
+//! whole run, so its size is the activity of the run, not windows × metrics.
+//!
 //! A window therefore holds exactly what happened in `[start, end)` on the
 //! simulated clock, whichever scheduler ran the engine and however many
 //! rounds it took. A caller that observes late (a hand-driven test, say)
@@ -34,7 +39,8 @@ pub struct WindowSample {
     /// Window end (cycles; `start + window` except for a trailing partial
     /// window flushed at [`WindowedSampler::finish`]).
     pub end: u64,
-    /// Registry delta over the window (gauges: end-of-window values).
+    /// Registry delta over the window: the counters that moved, the
+    /// histograms that recorded, and every gauge's end-of-window value.
     pub deltas: MetricsSnapshot,
 }
 

@@ -4,6 +4,11 @@
 //! (`delta_since`) and add (`merge`) bucket-wise, which is what gives the
 //! [`crate::WindowedSampler`] its per-window percentiles — the delta of two
 //! cumulative histograms *is* the histogram of the window.
+//!
+//! A delta is sparse: it keeps only the counters and histograms that moved
+//! (and every gauge), so an absent sample reads as 0 / `None` — which is
+//! what [`MetricsSnapshot::counter`], [`MetricsSnapshot::histo`] and
+//! [`MetricsSnapshot::family`] sums return for it anyway.
 
 use agile_trace::stats::bucket_upper_bound;
 
@@ -152,6 +157,7 @@ impl HistoSnapshot {
                 buckets.push((i, d));
             }
         }
+        buckets.shrink_to_fit();
         let min = buckets
             .first()
             .map(|&(i, _)| lower_bound(i as usize))
@@ -187,8 +193,9 @@ pub enum MetricValue {
     Counter(u64),
     /// Point-in-time gauge value.
     Gauge(u64),
-    /// Histogram snapshot.
-    Histo(HistoSnapshot),
+    /// Histogram snapshot, boxed so a counter or gauge sample stays small
+    /// (most samples are counters).
+    Histo(Box<HistoSnapshot>),
 }
 
 impl MetricValue {
@@ -205,7 +212,7 @@ impl MetricValue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// Metric name (`agile_<layer>_<what>{_total}`).
-    pub name: String,
+    pub name: &'static str,
     /// Static label set.
     pub labels: crate::Labels,
     /// The value.
@@ -262,6 +269,10 @@ impl MetricsSnapshot {
     /// subtract, gauges keep their current (end-of-window) value. Samples
     /// absent from `earlier` are treated as zero there.
     ///
+    /// The result is sparse: a counter whose delta is 0 and a histogram that
+    /// recorded nothing in the interval are left out (an absent sample reads
+    /// as 0 / `None`); gauges always stay.
+    ///
     /// Both snapshots carry their samples in `(name, labels)` order (the
     /// registry invariant), so matching is a single merge walk — this runs
     /// on every sampler window crossing and a quadratic scan shows up in the
@@ -270,34 +281,38 @@ impl MetricsSnapshot {
         let mut prev = earlier.samples.iter().peekable();
         let mut samples = Vec::with_capacity(self.samples.len());
         for s in &self.samples {
-            let key = (s.name.as_str(), s.labels);
-            while prev
-                .peek()
-                .is_some_and(|p| (p.name.as_str(), p.labels) < key)
-            {
+            let key = (s.name, s.labels);
+            while prev.peek().is_some_and(|p| (p.name, p.labels) < key) {
                 prev.next();
             }
             let matched = prev
                 .peek()
-                .filter(|p| (p.name.as_str(), p.labels) == key)
+                .filter(|p| (p.name, p.labels) == key)
                 .map(|p| &p.value);
+            // Counters and histograms new this window delta against zero;
+            // those that did not move are left out.
             let value = match (&s.value, matched) {
-                (MetricValue::Counter(v), Some(MetricValue::Counter(e))) => {
-                    MetricValue::Counter(v.saturating_sub(*e))
+                (MetricValue::Counter(v), Some(MetricValue::Counter(e))) if v > e => {
+                    MetricValue::Counter(v - e)
                 }
-                (MetricValue::Histo(h), Some(MetricValue::Histo(e))) => {
-                    MetricValue::Histo(h.delta_since(e))
+                (MetricValue::Counter(v), None) if *v > 0 => MetricValue::Counter(*v),
+                (MetricValue::Counter(_), _) => continue,
+                (MetricValue::Histo(h), Some(MetricValue::Histo(e))) if h.count > e.count => {
+                    MetricValue::Histo(Box::new(h.delta_since(e)))
                 }
-                // Gauges are point-in-time; counters/histos new this
-                // window delta against zero.
-                (v, _) => v.clone(),
+                (MetricValue::Histo(h), None) if h.count > 0 => s.value.clone(),
+                (MetricValue::Histo(_), _) => continue,
+                // Gauges are point-in-time.
+                (MetricValue::Gauge(_), _) => s.value.clone(),
             };
             samples.push(Sample {
-                name: s.name.clone(),
+                name: s.name,
                 labels: s.labels,
                 value,
             });
         }
+        // Windows are kept for the whole run: hold only what moved.
+        samples.shrink_to_fit();
         MetricsSnapshot { samples }
     }
 }
@@ -357,5 +372,27 @@ mod tests {
         let delta = reg.snapshot().delta_since(&early);
         assert_eq!(delta.counter("agile_test_total", Labels::NONE), 7);
         assert_eq!(delta.gauge("agile_test_gauge", Labels::NONE), 11);
+    }
+
+    #[test]
+    fn delta_drops_what_did_not_move() {
+        use crate::{Labels, MetricsRegistry};
+        let reg = MetricsRegistry::new();
+        let moved = reg.counter("agile_test_moved_total", Labels::NONE);
+        let still = reg.counter("agile_test_still_total", Labels::NONE);
+        let idle = reg.histo("agile_test_idle_cycles", Labels::NONE);
+        let _zero_gauge = reg.gauge("agile_test_gauge", Labels::NONE);
+        still.add(4);
+        idle.record(9);
+        let early = reg.snapshot();
+        moved.inc();
+        let _new_and_zero = reg.counter("agile_test_new_total", Labels::NONE);
+        let delta = reg.snapshot().delta_since(&early);
+        let names: Vec<_> = delta.samples.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["agile_test_gauge", "agile_test_moved_total"]);
+        assert_eq!(delta.counter("agile_test_still_total", Labels::NONE), 0);
+        assert!(delta
+            .histo("agile_test_idle_cycles", Labels::NONE)
+            .is_none());
     }
 }

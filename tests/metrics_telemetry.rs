@@ -2,13 +2,13 @@
 //!
 //! These exercise the whole instrumented stack through the trace-replay
 //! runner: the registry wired into submit path / cache / topology / service /
-//! engine, the windowed sampler bridged into the engine, both exporter
-//! round-trips, and — most importantly — the zero-perturbation contract:
+//! engine, the windowed sampler bridged into the engine and its sparse
+//! windows, and — most importantly — the zero-perturbation contract:
 //! replaying with metrics on produces the byte-identical summary of the
 //! un-instrumented run.
 
 use agile_repro::control::{ControlPolicy, SloSpec};
-use agile_repro::metrics::{windows_to_json, Labels, MetricsSnapshot};
+use agile_repro::metrics::{windows_to_json, Labels, MetricValue};
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, QosSpec, ReplayConfig, ReplaySystem,
@@ -91,19 +91,47 @@ fn instrumented_replay_covers_every_layer() {
 }
 
 #[test]
-fn exporters_round_trip_a_real_snapshot() {
+fn sparse_windows_sum_back_to_a_real_snapshot() {
     let trace = TraceSpec::zipfian("metrics-zipf", 5, 1, 1 << 13, 384, 0.99).generate();
     let report = run_trace_replay(
         &trace,
         ReplaySystem::Agile,
-        &ReplayConfig::quick().with_metrics(),
+        &ReplayConfig::quick().with_metrics_window(100_000),
     );
-    let snap = report.metrics.expect("metrics captured").snapshot;
-    assert!(!snap.samples.is_empty());
-    let json = MetricsSnapshot::from_json(&snap.to_json()).expect("JSON parses back");
-    assert_eq!(json, snap, "JSON round-trip is exact");
-    let prom = MetricsSnapshot::from_prometheus(&snap.to_prometheus()).expect("text parses back");
-    assert_eq!(prom, snap, "Prometheus round-trip is exact");
+    let m = report.metrics.expect("metrics captured");
+    assert!(m.windows.len() >= 2, "run long enough for several windows");
+    let is_gauge = |v: &MetricValue| matches!(v, MetricValue::Gauge(_));
+    let gauges: Vec<_> = m
+        .snapshot
+        .samples
+        .iter()
+        .filter(|s| is_gauge(&s.value))
+        .map(|s| (s.name, s.labels))
+        .collect();
+    for w in &m.windows {
+        // A window holds what moved, and every gauge.
+        for s in &w.deltas.samples {
+            assert!(s.value.as_u64() > 0 || is_gauge(&s.value));
+        }
+        for &(name, labels) in &gauges {
+            assert!(
+                w.deltas.get(name, labels).is_some(),
+                "window {} lacks {name}",
+                w.index
+            );
+        }
+    }
+    // Leaving the zero deltas out loses nothing: every counter's windowed
+    // deltas and every histogram's windowed counts add up to its total.
+    for s in m.snapshot.samples.iter().filter(|s| !is_gauge(&s.value)) {
+        let windowed: u64 = m
+            .windows
+            .iter()
+            .filter_map(|w| w.deltas.get(s.name, s.labels))
+            .map(MetricValue::as_u64)
+            .sum();
+        assert_eq!(windowed, s.value.as_u64(), "{}{:?}", s.name, s.labels);
+    }
 }
 
 #[test]
@@ -254,7 +282,11 @@ fn readme_catalogue_and_registry_name_the_same_families() {
     let report = run_trace_replay(&trace, ReplaySystem::Agile, &cfg);
     assert!(!report.deadlocked);
     let snapshot = report.metrics.expect("metrics captured").snapshot;
-    let registered: BTreeSet<String> = snapshot.samples.iter().map(|s| s.name.clone()).collect();
+    let registered: BTreeSet<String> = snapshot
+        .samples
+        .iter()
+        .map(|s| s.name.to_string())
+        .collect();
 
     let uncatalogued: Vec<_> = registered.difference(&catalogue).collect();
     assert!(

@@ -1,14 +1,13 @@
 //! Property-based tests (proptest) over the core data structures' invariants
 //! (the software cache, the Share Table and the SQE lock protocol) and over
-//! the decoders of the trace and metrics formats, which must reject damaged
-//! input with an error rather than panic.
+//! the decoders of the trace formats, which must reject damaged input with
+//! an error rather than panic.
 
 use agile_repro::agile::sq_protocol::{AgileSq, SqeState};
 use agile_repro::agile::transaction::Transaction;
 use agile_repro::cache::{
     CacheConfig, CacheLookup, ClockPolicy, ShareTable, SoftwareCache, TenantShare, NO_TENANT,
 };
-use agile_repro::metrics::{Labels, MetricsRegistry, MetricsSnapshot};
 use agile_repro::nvme::{DmaHandle, NvmeCommand, PageToken, QueuePair};
 use agile_repro::sim::Cycles;
 use agile_repro::trace::{
@@ -81,9 +80,9 @@ fn cache_invariants(ops: Vec<(u8, u64)>, tenant_share: bool) {
     assert!(s.hits + s.misses + s.busy_hits + s.no_line > 0 || s.writebacks == 0);
 }
 
-/// Valid encodings of every decoded format: an event log, a replayable
-/// trace, and one metrics snapshot as JSON and as Prometheus text.
-fn valid_encodings() -> [Vec<u8>; 4] {
+/// Valid encodings of every decoded format: an event log and a replayable
+/// trace.
+fn valid_encodings() -> [Vec<u8>; 2] {
     let events: Vec<TraceEvent> = (0..4u64)
         .map(|i| {
             TraceEvent::new(TraceEventKind::ALL[i as usize], 100 * i)
@@ -111,22 +110,7 @@ fn valid_encodings() -> [Vec<u8>; 4] {
             })
             .collect(),
     };
-    let reg = MetricsRegistry::new();
-    reg.counter("agile_submit_admissions_total", Labels::NONE)
-        .add(42);
-    reg.gauge("agile_engine_ready_queue_high_water", Labels::NONE)
-        .set(17);
-    let h = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
-    for v in [5u64, 70, 4_000, 1 << 22] {
-        h.record(v);
-    }
-    let snap = reg.snapshot();
-    [
-        encode_events(&events),
-        trace.to_bytes(),
-        snap.to_json().into_bytes(),
-        snap.to_prometheus().into_bytes(),
-    ]
+    [encode_events(&events), trace.to_bytes()]
 }
 
 /// Feed `bytes` to every decoder; each returns `Ok` or `Err`, and a panic
@@ -134,9 +118,6 @@ fn valid_encodings() -> [Vec<u8>; 4] {
 fn decode_all(bytes: &[u8]) {
     let _ = decode_events(bytes);
     let _ = Trace::from_bytes(bytes);
-    let text = String::from_utf8_lossy(bytes);
-    let _ = MetricsSnapshot::from_json(&text);
-    let _ = MetricsSnapshot::from_prometheus(&text);
 }
 
 proptest! {
@@ -153,10 +134,6 @@ proptest! {
         let valid = valid_encodings();
         prop_assert!(decode_events(&valid[0]).is_ok());
         prop_assert!(Trace::from_bytes(&valid[1]).is_ok());
-        prop_assert!(MetricsSnapshot::from_json(std::str::from_utf8(&valid[2]).unwrap()).is_ok());
-        prop_assert!(
-            MetricsSnapshot::from_prometheus(std::str::from_utf8(&valid[3]).unwrap()).is_ok()
-        );
         for encoding in &valid {
             for &(at, byte) in &edits {
                 let mut damaged = encoding.clone();

@@ -188,7 +188,7 @@ mod engine_scheduler_equivalence {
             .iter()
             .filter(|s| !s.name.starts_with("agile_engine_"))
             .cloned()
-            .partition(|s| POLL_COUNTS.contains(&s.name.as_str()))
+            .partition(|s| POLL_COUNTS.contains(&s.name))
     }
 
     fn instrumented_config(sched: EngineSched) -> ReplayConfig {
