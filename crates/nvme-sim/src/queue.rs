@@ -5,13 +5,14 @@
 //! how the physical queues are allocated in pinned GPU memory and registered
 //! with the SSD over the admin queue (paper §3.1).
 //!
-//! Slot contents are protected with per-slot `parking_lot::Mutex`es and the
-//! ring pointers are atomics, so the structures are safe to drive from real
-//! host threads in the stress tests as well as from the single-threaded
+//! Submission slots are protected with per-slot `parking_lot::Mutex`es, each
+//! completion slot is one atomic word holding a packed CQE, and the ring
+//! pointers are atomics, so the structures are safe to drive from real host
+//! threads in the stress tests as well as from the single-threaded
 //! discrete-event engine.
 
 use crate::doorbell::DoorbellRegister;
-use crate::spec::{NvmeCommand, NvmeCompletion, QueueId};
+use crate::spec::{CmdStatus, NvmeCommand, NvmeCompletion, QueueId};
 use agile_sim::wake::WatchList;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -97,6 +98,51 @@ impl SubmissionQueue {
     }
 }
 
+/// A completion slot with no CQE in it.
+const EMPTY_SLOT: u64 = 0;
+/// Set in every slot that holds a CQE (so a posted CQE is never
+/// [`EMPTY_SLOT`]).
+const VALID_BIT: u64 = 1 << 51;
+const PHASE_BIT: u64 = 1 << 50;
+const STATUS_SHIFT: u32 = 48;
+
+/// A CQE as one slot word: `cid` in bits 0–15, `sq_id` in 16–31, `sq_head`
+/// in 32–47, the status in 48–49, the phase in 50 and [`VALID_BIT`].
+fn pack(cqe: NvmeCompletion) -> u64 {
+    let status: u64 = match cqe.status {
+        CmdStatus::Success => 0,
+        CmdStatus::LbaOutOfRange => 1,
+        CmdStatus::InvalidOpcode => 2,
+        CmdStatus::InternalError => 3,
+    };
+    VALID_BIT
+        | if cqe.phase { PHASE_BIT } else { 0 }
+        | status << STATUS_SHIFT
+        | (cqe.sq_head as u64) << 32
+        | (cqe.sq_id as u64) << 16
+        | cqe.cid as u64
+}
+
+/// The CQE a slot word holds, if any.
+fn unpack(word: u64) -> Option<NvmeCompletion> {
+    if word & VALID_BIT == 0 {
+        return None;
+    }
+    let status = match (word >> STATUS_SHIFT) & 3 {
+        0 => CmdStatus::Success,
+        1 => CmdStatus::LbaOutOfRange,
+        2 => CmdStatus::InvalidOpcode,
+        _ => CmdStatus::InternalError,
+    };
+    Some(NvmeCompletion {
+        cid: word as u16,
+        sq_id: (word >> 16) as u16,
+        sq_head: (word >> 32) as u16,
+        status,
+        phase: word & PHASE_BIT != 0,
+    })
+}
+
 /// A completion queue ring.
 ///
 /// The device posts entries with an alternating phase tag; software polls
@@ -106,7 +152,12 @@ impl SubmissionQueue {
 pub struct CompletionQueue {
     id: QueueId,
     depth: u32,
-    slots: Vec<Mutex<Option<NvmeCompletion>>>,
+    /// Packed CQEs (see [`pack`]); [`EMPTY_SLOT`] where none is posted.
+    /// `post` stores with Release and `poll_slot` loads with Acquire, so a
+    /// poller that sees a CQE also sees the data the device wrote before
+    /// posting it; `consume` clears with Release, which the device's next
+    /// `post` to the slot acquires.
+    slots: Box<[AtomicU64]>,
     /// Software-side head (ring index of the next entry software will consume),
     /// as communicated to the device through the CQ doorbell.
     head: AtomicU32,
@@ -129,7 +180,7 @@ impl CompletionQueue {
         CompletionQueue {
             id,
             depth,
-            slots: (0..depth).map(|_| Mutex::new(None)).collect(),
+            slots: (0..depth).map(|_| AtomicU64::new(EMPTY_SLOT)).collect(),
             head: AtomicU32::new(0),
             posted: AtomicU32::new(0),
             consumed: AtomicU32::new(0),
@@ -186,27 +237,27 @@ impl CompletionQueue {
     /// still occupied — the device must check [`CompletionQueue::is_full`]
     /// first (the real device stalls instead).
     pub(crate) fn post(&self, idx: u32, cqe: NvmeCompletion) {
-        let mut slot = self.slots[(idx % self.depth) as usize].lock();
+        let posted = self.slots[(idx % self.depth) as usize].compare_exchange(
+            EMPTY_SLOT,
+            pack(cqe),
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
         assert!(
-            slot.is_none(),
+            posted.is_ok(),
             "device overwrote an unconsumed CQE in CQ {} slot {}",
             self.id,
             idx
         );
-        *slot = Some(cqe);
         self.posted.fetch_add(1, Ordering::AcqRel);
-        drop(slot);
         self.watchers.notify_all();
     }
 
     /// Poller side: read the completion in slot `idx` if its phase matches
     /// `expected_phase`. Does not consume the entry.
     pub fn poll_slot(&self, idx: u32, expected_phase: bool) -> Option<NvmeCompletion> {
-        let slot = self.slots[(idx % self.depth) as usize].lock();
-        match &*slot {
-            Some(cqe) if cqe.phase == expected_phase => Some(*cqe),
-            _ => None,
-        }
+        unpack(self.slots[(idx % self.depth) as usize].load(Ordering::Acquire))
+            .filter(|cqe| cqe.phase == expected_phase)
     }
 
     /// Poller side: consume `count` entries starting at the current head and
@@ -215,9 +266,12 @@ impl CompletionQueue {
     pub fn consume(&self, count: u32) {
         let mut head = self.head.load(Ordering::Acquire);
         for _ in 0..count {
-            let mut slot = self.slots[(head % self.depth) as usize].lock();
-            debug_assert!(slot.is_some(), "consuming an empty CQE slot");
-            *slot = None;
+            let slot = &self.slots[(head % self.depth) as usize];
+            debug_assert!(
+                slot.load(Ordering::Relaxed) != EMPTY_SLOT,
+                "consuming an empty CQE slot"
+            );
+            slot.store(EMPTY_SLOT, Ordering::Release);
             head = (head + 1) % self.depth;
         }
         self.head.store(head, Ordering::Release);
@@ -273,7 +327,7 @@ impl QueuePair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CmdStatus, DmaHandle, NvmeCommand};
+    use crate::spec::{DmaHandle, NvmeCommand};
 
     fn cmd(cid: u16) -> NvmeCommand {
         NvmeCommand::read(cid, cid as u64, DmaHandle::new())
@@ -332,6 +386,38 @@ mod tests {
         assert_eq!(cq.occupancy(), 0);
         assert_eq!(cq.head(), 2);
         assert_eq!(cq.total_posted(), 2);
+    }
+
+    #[test]
+    fn a_cqe_round_trips_through_its_slot_word() {
+        let statuses = [
+            CmdStatus::Success,
+            CmdStatus::LbaOutOfRange,
+            CmdStatus::InvalidOpcode,
+            CmdStatus::InternalError,
+        ];
+        let extremes = [0, 1, 0x7FFF, 0x8000, u16::MAX];
+        for status in statuses {
+            for phase in [false, true] {
+                for (cid, sq_id, sq_head) in extremes
+                    .iter()
+                    .flat_map(|&a| extremes.iter().map(move |&b| (a, b)))
+                    .flat_map(|(a, b)| extremes.iter().map(move |&c| (a, b, c)))
+                {
+                    let cqe = NvmeCompletion {
+                        cid,
+                        sq_id,
+                        sq_head,
+                        status,
+                        phase,
+                    };
+                    let word = pack(cqe);
+                    assert_ne!(word, EMPTY_SLOT);
+                    assert_eq!(unpack(word), Some(cqe));
+                }
+            }
+        }
+        assert_eq!(unpack(EMPTY_SLOT), None);
     }
 
     #[test]

@@ -320,82 +320,48 @@ impl TraceSpec {
 
     /// Expand the spec into a replayable [`Trace`]. Deterministic: the same
     /// spec and seed always produce the identical trace.
+    ///
+    /// Each tenant is a stream of `(virtual time, op)` pairs drawn from its
+    /// own fork of the seeded RNG, in nondecreasing time. The streams are
+    /// merged by repeatedly taking the head with the smallest
+    /// `(time, tenant id)`: the trace is in time order, same-time ops of
+    /// different tenants go in tenant-id order, and a tenant's ops keep its
+    /// own order. Each op's `gap` is the time since the op before it. The
+    /// merge writes straight into the finished op vector, so generation holds
+    /// nothing per op beyond the trace itself.
     pub fn generate(&self) -> Trace {
         assert!(self.devices >= 1, "trace needs at least one device");
         assert!(self.lba_space >= 1, "trace needs a non-empty LBA space");
         let root = SimRng::new(self.seed);
-        // (absolute virtual time, tenant, op-with-zero-gap)
-        let mut timeline: Vec<(u64, u32, TraceOp)> = Vec::new();
-
-        for (tid, tenant) in self.tenants.iter().enumerate() {
-            let tid = tid as u32;
-            let mut rng = root.fork(0x7E4A_4E57 ^ tid as u64);
-            let sampler_for = |pattern: AddressPattern| match pattern {
-                AddressPattern::Zipf { theta } => Some(ZipfSampler::new(self.lba_space, theta)),
-                _ => None,
-            };
-            let zipf_base = sampler_for(tenant.pattern);
-            let zipf_alt = tenant.phase.and_then(|ph| sampler_for(ph.alternate));
-            let mut now = 0u64;
-            let mut in_burst = 0u32;
-            for k in 0..tenant.ops {
-                // Pacing: jittered think time in [0, 2*mean_gap], mean = mean_gap.
-                let gap = if tenant.mean_gap == 0 {
-                    0
-                } else {
-                    rng.gen_range(2 * tenant.mean_gap as u64 + 1)
-                };
-                now += gap;
-                if let Some(burst) = tenant.burst {
-                    if in_burst >= burst.on_ops {
-                        now += burst.idle_cycles as u64;
-                        in_burst = 0;
-                    }
-                    in_burst += 1;
-                }
-                // Phase selection: even phases run the base pattern, odd
-                // phases the alternate (no-op for unphased tenants).
-                let (pattern, zipf) = match tenant.phase {
-                    Some(ph) if (k / ph.period_ops) % 2 == 1 => (ph.alternate, zipf_alt.as_ref()),
-                    _ => (tenant.pattern, zipf_base.as_ref()),
-                };
-                let lba = match pattern {
-                    AddressPattern::Uniform => rng.gen_range(self.lba_space),
-                    AddressPattern::Zipf { .. } => {
-                        let rank = zipf.expect("zipf sampler").sample(&mut rng);
-                        scatter(rank, self.lba_space)
-                    }
-                    AddressPattern::Sequential { start } => (start + k) % self.lba_space,
-                };
-                let dev = if self.devices == 1 {
-                    0
-                } else {
-                    rng.gen_range(self.devices as u64) as u32
-                };
-                let write = tenant.write_fraction > 0.0 && rng.gen_bool(tenant.write_fraction);
-                timeline.push((
-                    now,
-                    tid,
-                    TraceOp {
-                        lba,
-                        gap: 0,
-                        tenant: tid,
-                        dev,
-                        write,
-                    },
-                ));
-            }
-        }
-
-        // Merge tenant streams into one deterministic order: by virtual time,
-        // tenant id breaking ties.
-        timeline.sort_by_key(|&(at, tid, _)| (at, tid));
-        let mut ops = Vec::with_capacity(timeline.len());
+        let mut streams: Vec<_> = (0..self.tenants.len() as u32)
+            .map(|tid| TenantStream::new(self, &root, tid).peekable())
+            .collect();
+        let total: u64 = self.tenants.iter().map(|t| t.ops).sum();
+        let mut ops = Vec::with_capacity(total as usize);
         let mut last_at = 0u64;
-        for (at, _, mut op) in timeline {
-            op.gap = (at - last_at).min(u32::MAX as u64) as u32;
-            last_at = at;
-            ops.push(op);
+        // A linear scan over the heads: specs have a handful of tenants.
+        while let Some((_, tid)) = streams
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(tid, s)| s.peek().map(|&(at, _)| (at, tid)))
+            .min()
+        {
+            // Take the winner's ops in a run, up to the next-smallest other
+            // head, so a lone tenant is one tight loop rather than a scan
+            // per op.
+            let limit = streams
+                .iter_mut()
+                .enumerate()
+                .filter(|&(other, _)| other != tid)
+                .filter_map(|(other, s)| s.peek().map(|&(at, _)| (at, other)))
+                .min()
+                .unwrap_or((u64::MAX, usize::MAX));
+            let stream = &mut streams[tid];
+            while let Some((at, mut op)) = stream.next_if(|&(at, _)| (at, tid) < limit) {
+                op.gap = (at - last_at).min(u32::MAX as u64) as u32;
+                last_at = at;
+                ops.push(op);
+            }
         }
 
         Trace {
@@ -408,6 +374,95 @@ impl TraceSpec {
             },
             ops,
         }
+    }
+}
+
+/// One tenant's request stream: its ops in issue order, each with the
+/// absolute virtual time it becomes eligible (nondecreasing) and `gap` 0.
+struct TenantStream<'a> {
+    spec: &'a TraceSpec,
+    tenant: &'a TenantSpec,
+    tid: u32,
+    rng: SimRng,
+    zipf_base: Option<ZipfSampler>,
+    zipf_alt: Option<ZipfSampler>,
+    now: u64,
+    in_burst: u32,
+    /// Ops yielded so far.
+    k: u64,
+}
+
+impl<'a> TenantStream<'a> {
+    fn new(spec: &'a TraceSpec, root: &SimRng, tid: u32) -> Self {
+        let tenant = &spec.tenants[tid as usize];
+        let sampler_for = |pattern: AddressPattern| match pattern {
+            AddressPattern::Zipf { theta } => Some(ZipfSampler::new(spec.lba_space, theta)),
+            _ => None,
+        };
+        TenantStream {
+            spec,
+            tenant,
+            tid,
+            rng: root.fork(0x7E4A_4E57 ^ tid as u64),
+            zipf_base: sampler_for(tenant.pattern),
+            zipf_alt: tenant.phase.and_then(|ph| sampler_for(ph.alternate)),
+            now: 0,
+            in_burst: 0,
+            k: 0,
+        }
+    }
+}
+
+impl Iterator for TenantStream<'_> {
+    type Item = (u64, TraceOp);
+
+    fn next(&mut self) -> Option<(u64, TraceOp)> {
+        let (tenant, k) = (self.tenant, self.k);
+        if k == tenant.ops {
+            return None;
+        }
+        self.k += 1;
+        let rng = &mut self.rng;
+        // Pacing: jittered think time in [0, 2*mean_gap], mean = mean_gap.
+        if tenant.mean_gap != 0 {
+            self.now += rng.gen_range(2 * tenant.mean_gap as u64 + 1);
+        }
+        if let Some(burst) = tenant.burst {
+            if self.in_burst >= burst.on_ops {
+                self.now += burst.idle_cycles as u64;
+                self.in_burst = 0;
+            }
+            self.in_burst += 1;
+        }
+        // Phase selection: even phases run the base pattern, odd phases the
+        // alternate (no-op for unphased tenants).
+        let (pattern, zipf) = match tenant.phase {
+            Some(ph) if (k / ph.period_ops) % 2 == 1 => (ph.alternate, self.zipf_alt.as_ref()),
+            _ => (tenant.pattern, self.zipf_base.as_ref()),
+        };
+        let lba_space = self.spec.lba_space;
+        let lba = match pattern {
+            AddressPattern::Uniform => rng.gen_range(lba_space),
+            AddressPattern::Zipf { .. } => {
+                let rank = zipf.expect("zipf sampler").sample(rng);
+                scatter(rank, lba_space)
+            }
+            AddressPattern::Sequential { start } => (start + k) % lba_space,
+        };
+        let dev = if self.spec.devices == 1 {
+            0
+        } else {
+            rng.gen_range(self.spec.devices as u64) as u32
+        };
+        let write = tenant.write_fraction > 0.0 && rng.gen_bool(tenant.write_fraction);
+        let op = TraceOp {
+            lba,
+            gap: 0,
+            tenant: self.tid,
+            dev,
+            write,
+        };
+        Some((self.now, op))
     }
 }
 
