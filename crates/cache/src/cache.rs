@@ -27,12 +27,16 @@
 //! one of its ways settles, not [`CacheStats::no_line`], which counts lookups.
 //!
 //! The lines are laid out flat: a [`Way`] is its state word and pin count
-//! (8 bytes), and the tag, owner and displaced owner are one array each,
-//! written under the set lock. Every line's page-token slot lives in one
+//! (8 bytes), and the tag and the owner are one array each, written under
+//! the set lock. A tag is one 8-byte key, `(dev + 1) << 48 | lba`, so an
+//! untagged line reads 0 and the array starts as zeroed memory. The owner a
+//! dirty victim is evicted from travels with its [`Writeback`], so a line
+//! keeps no record of it. Every line's page-token slot lives in one
 //! [`DmaSlab`]; a reservation hands out a handle that names the line's slot
-//! in it. A line costs 41.6 heap bytes with the clock policy (86.6 with a
-//! `Vec` of tags and owners per set and an `Arc` slot per line), and building
-//! a cache makes the same number of allocations whatever its size.
+//! in it. A line costs 30.25 heap bytes with the clock policy (41.6 with a
+//! split tag, a displaced-owner array and 32-bit clock state; 86.6 with a
+//! `Vec` of tags and owners per set and an `Arc` slot per line), and
+//! building a cache makes the same number of allocations whatever its size.
 
 use crate::line::{LineState, Way};
 use crate::policy::{CachePolicy, MAX_ASSOCIATIVITY};
@@ -165,9 +169,9 @@ pub enum CacheLookup {
         line: LineId,
         /// DMA slot to hand to the NVMe read command.
         dma: DmaHandle,
-        /// If the victim held dirty data, the caller must also write this
-        /// `(device, lba, token)` back to the SSD.
-        writeback: Option<(u32, Lba, PageToken)>,
+        /// If the victim held dirty data, the caller must also write it
+        /// back to the SSD.
+        writeback: Option<Writeback>,
         /// The reservation generation this lookup started (see
         /// [`BusyTicket`]).
         generation: u32,
@@ -176,28 +180,51 @@ pub enum CacheLookup {
     NoLineAvailable,
 }
 
-/// Device half of the tag of a way that has never held a page. No page is
-/// looked up on this device.
-const NO_TAG: u32 = u32::MAX;
+/// Bits of a tag key holding the LBA; the device sits above them.
+const LBA_BITS: u32 = 48;
+
+/// Tag key of `(dev, lba)`: `(dev + 1) << 48 | lba`, so key 0 is an untagged
+/// line. Devices run below `0xFFFF` and LBAs below 2^48.
+fn tag_key(dev: u32, lba: Lba) -> u64 {
+    assert!(
+        dev < 0xFFFF,
+        "device {dev} does not fit a tag (at most 0xFFFE)"
+    );
+    assert!(
+        lba >> LBA_BITS == 0,
+        "lba {lba:#x} does not fit a tag (below 2^{LBA_BITS})"
+    );
+    (dev as u64 + 1) << LBA_BITS | lba
+}
+
+/// A dirty victim's write-back, handed out by the lookup that evicted it
+/// ([`CacheLookup::Miss`]). Until it is issued it is the only copy of the
+/// modification; if it cannot be issued it goes back into the line through
+/// [`SoftwareCache::reinstate_victim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Writeback {
+    /// Device of the victim's page.
+    pub dev: u32,
+    /// LBA of the victim's page.
+    pub lba: Lba,
+    /// The victim's dirty data.
+    pub token: PageToken,
+    /// Tenant that owned the victim ([`NO_TENANT`] when unowned), to whom a
+    /// reinstated line returns.
+    pub owner: u32,
+}
 
 /// The per-line metadata beside the [`Way`]s, one flat array per field,
 /// indexed by [`LineId`]. Read and written only under the line's set lock,
 /// which is what makes each field's `Relaxed` atomics a plain value.
 struct LineMeta {
-    /// Device of the page each line is tagged with; [`NO_TAG`] until the
-    /// line first holds a page.
-    dev: Box<[AtomicU32]>,
-    /// LBA of that page.
-    lba: Box<[AtomicU64]>,
+    /// Tag key ([`tag_key`]) of the page each line holds; 0 until the line
+    /// first holds a page.
+    key: Box<[AtomicU64]>,
     /// Owner tenant per line ([`NO_TENANT`] when unowned): the tenant whose
     /// lookup most recently filled it. Accounting only — ownership never
     /// gates a fill or a write-back.
     owner: Box<[AtomicU32]>,
-    /// Owner displaced by the in-flight reservation of each line, so
-    /// [`SoftwareCache::reinstate_victim`] can return the line (and its
-    /// occupancy accounting) to the evicted tenant when the victim's
-    /// write-back could not issue.
-    displaced: Box<[AtomicU32]>,
 }
 
 /// `n` values made by `new`, in one allocation.
@@ -208,32 +235,26 @@ fn filled<T>(n: usize, new: impl Fn() -> T) -> Box<[T]> {
 impl LineMeta {
     fn new(lines: usize) -> Self {
         LineMeta {
-            dev: filled(lines, || AtomicU32::new(NO_TAG)),
-            lba: filled(lines, || AtomicU64::new(0)),
+            key: filled(lines, || AtomicU64::new(0)),
             owner: filled(lines, || AtomicU32::new(NO_TENANT)),
-            displaced: filled(lines, || AtomicU32::new(NO_TENANT)),
         }
     }
 
-    fn holds(&self, line: usize, dev: u32, lba: Lba) -> bool {
-        self.dev[line].load(Ordering::Relaxed) == dev
-            && self.lba[line].load(Ordering::Relaxed) == lba
+    fn holds(&self, line: usize, key: u64) -> bool {
+        self.key[line].load(Ordering::Relaxed) == key
     }
 
     fn is_untagged(&self, line: usize) -> bool {
-        self.dev[line].load(Ordering::Relaxed) == NO_TAG
+        self.holds(line, 0)
     }
 
     fn tag(&self, line: usize) -> (u32, Lba) {
-        (
-            self.dev[line].load(Ordering::Relaxed),
-            self.lba[line].load(Ordering::Relaxed),
-        )
+        let key = self.key[line].load(Ordering::Relaxed);
+        (((key >> LBA_BITS) - 1) as u32, key & ((1 << LBA_BITS) - 1))
     }
 
-    fn retag(&self, line: usize, dev: u32, lba: Lba) {
-        self.dev[line].store(dev, Ordering::Relaxed);
-        self.lba[line].store(lba, Ordering::Relaxed);
+    fn retag(&self, line: usize, key: u64) {
+        self.key[line].store(key, Ordering::Relaxed);
     }
 
     fn owner(&self, line: usize) -> u32 {
@@ -434,14 +455,14 @@ impl SoftwareCache {
     /// choice under a tenant-oblivious policy, and the fill/write-back I/O
     /// are bit-identical to the untenanted path.
     pub fn lookup_or_reserve_as(&self, dev: u32, lba: Lba, tenant: u32) -> CacheLookup {
-        assert_ne!(dev, NO_TAG, "device {NO_TAG} marks an untagged line");
+        let key = tag_key(dev, lba);
         let set_idx = self.set_of(dev, lba);
         let _set = self.sets[set_idx].lock();
         let base = set_idx * self.assoc;
         let ways = &self.ways[base..][..self.assoc];
 
         // 1. Tag scan.
-        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.holds(base + w, dev, lba)) {
+        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.holds(base + w, key)) {
             let (line, way) = (base + way_idx, &ways[way_idx]);
             return match way.state() {
                 LineState::Ready | LineState::Modified => {
@@ -480,7 +501,7 @@ impl SoftwareCache {
         // 2. Miss: prefer an empty (tag-less) way.
         if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.is_untagged(base + w)) {
             let line = base + way_idx;
-            self.meta.retag(line, dev, lba);
+            self.meta.retag(line, key);
             self.meta.set_owner(line, tenant);
             let generation = ways[way_idx].set_state(LineState::Busy);
             ways[way_idx].pin();
@@ -524,7 +545,12 @@ impl SoftwareCache {
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
                 let (d, l) = self.meta.tag(line);
                 self.trace_lookup(TraceEventKind::Writeback, d, l, old_owner);
-                Some((d, l, self.slab.load(line as u32)))
+                Some(Writeback {
+                    dev: d,
+                    lba: l,
+                    token: self.slab.load(line as u32),
+                    owner: old_owner,
+                })
             }
             _ => None,
         };
@@ -532,10 +558,9 @@ impl SoftwareCache {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         self.tenants.record_miss_fill_occupy(tenant);
         self.tenants.record_eviction(old_owner);
-        self.meta.displaced[line].store(old_owner, Ordering::Relaxed);
         self.meta.set_owner(line, tenant);
         self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-        self.meta.retag(line, dev, lba);
+        self.meta.retag(line, key);
         let generation = way.set_state(LineState::Busy);
         way.pin();
         self.policy.on_fill(set_idx, victim);
@@ -543,12 +568,7 @@ impl SoftwareCache {
     }
 
     /// The [`CacheLookup::Miss`] for a reservation of `line`.
-    fn reserved(
-        &self,
-        line: usize,
-        writeback: Option<(u32, Lba, PageToken)>,
-        generation: u32,
-    ) -> CacheLookup {
+    fn reserved(&self, line: usize, writeback: Option<Writeback>, generation: u32) -> CacheLookup {
         CacheLookup::Miss {
             line: LineId(line as u32),
             dma: self.slab.handle(line as u32),
@@ -614,10 +634,11 @@ impl SoftwareCache {
         let Some(watchers) = self.watchers() else {
             return false;
         };
+        let key = tag_key(dev, lba);
         let set_idx = self.set_of(dev, lba);
         let _set = self.sets[set_idx].lock();
         let lines = set_idx * self.assoc..(set_idx + 1) * self.assoc;
-        if lines.clone().any(|line| self.meta.holds(line, dev, lba))
+        if lines.clone().any(|line| self.meta.holds(line, key))
             || self.ways[lines.clone()]
                 .iter()
                 .any(|way| way.state() != LineState::Busy)
@@ -667,10 +688,11 @@ impl SoftwareCache {
     /// Probe without reserving: returns the token if the line is resident and
     /// valid. Does not pin, does not update policy metadata.
     pub fn peek(&self, dev: u32, lba: Lba) -> Option<PageToken> {
+        let key = tag_key(dev, lba);
         let set_idx = self.set_of(dev, lba);
         let _set = self.sets[set_idx].lock();
         let base = set_idx * self.assoc;
-        let line = (base..base + self.assoc).find(|&line| self.meta.holds(line, dev, lba))?;
+        let line = (base..base + self.assoc).find(|&line| self.meta.holds(line, key))?;
         self.ways[line]
             .state()
             .is_valid_data()
@@ -711,15 +733,14 @@ impl SoftwareCache {
     /// the line instead of dropping them.
     ///
     /// `lookup_or_reserve` reclaims a dirty way by handing the caller a
-    /// `(device, lba, token)` write-back snapshot and re-tagging the line for
-    /// the new request; until the write-back is issued, that snapshot is the
-    /// **only** copy of the modification. If the issue fails, the snapshot
-    /// must go back into the cache — otherwise a later read of the victim
-    /// page refills stale data from the backing (the ROADMAP's dirty-victim
-    /// lost-update). The line returns to `MODIFIED` under the victim's tag,
-    /// the reservation pin is dropped, and the caller's own request simply
-    /// misses again on its retry.
-    pub fn reinstate_victim(&self, line: LineId, dev: u32, lba: Lba, token: PageToken) {
+    /// [`Writeback`] snapshot and re-tagging the line for the new request;
+    /// until the write-back is issued, that snapshot is the **only** copy of
+    /// the modification. If the issue fails, the snapshot must go back into
+    /// the cache — otherwise a later read of the victim page refills stale
+    /// data from the backing (the ROADMAP's dirty-victim lost-update). The line returns to `MODIFIED` under the victim's tag
+    /// and to the victim's owner, the reservation pin is dropped, and the
+    /// caller's own request simply misses again on its retry.
+    pub fn reinstate_victim(&self, line: LineId, victim: Writeback) {
         let idx = line.0 as usize;
         let set = self.sets[idx / self.assoc].lock();
         let way = &self.ways[idx];
@@ -728,19 +749,13 @@ impl SoftwareCache {
             LineState::Busy,
             "reinstate_victim on a line that was not reserved"
         );
-        self.meta.retag(idx, dev, lba);
+        self.meta.retag(idx, tag_key(victim.dev, victim.lba));
         // Ownership (and its occupancy accounting) returns to the displaced
         // tenant; the requester's fill never happened. The victim's eviction
         // counter stays advanced — the displacement was real, it just could
         // not complete.
-        let displaced = self.meta.displaced[idx].load(Ordering::Relaxed);
-        let requester = self.meta.owner(idx);
-        if displaced != requester {
-            self.tenants.vacate(requester);
-            self.tenants.occupy(displaced);
-            self.meta.set_owner(idx, displaced);
-        }
-        self.slab.store(line.0, token);
+        self.transfer_owner(idx, victim.owner);
+        self.slab.store(line.0, victim.token);
         way.set_state(LineState::Modified);
         way.unpin();
         drop(set);
@@ -915,6 +930,89 @@ mod tests {
     }
 
     #[test]
+    fn a_reinstated_victim_returns_to_its_tenant() {
+        // Tenant 1 dirties the only line; tenant 2's lookup evicts it, and
+        // the victim's write-back cannot issue.
+        let c = one_line_cache();
+        let CacheLookup::Miss { line, dma, .. } = c.lookup_or_reserve_as(0, 1, 1) else {
+            panic!("expected miss");
+        };
+        dma.store(PageToken(1));
+        c.complete_fill(line);
+        c.store(line, PageToken(11));
+        c.unpin(line);
+        let CacheLookup::Miss {
+            line: reserved,
+            writeback: Some(writeback),
+            ..
+        } = c.lookup_or_reserve_as(0, 2, 2)
+        else {
+            panic!("expected a dirty eviction");
+        };
+        assert_eq!(reserved, line, "the only line there is");
+        assert_eq!(
+            writeback.owner, 1,
+            "the write-back carries the victim's owner"
+        );
+        c.reinstate_victim(line, writeback);
+        let stats = c.tenant_stats();
+        let occupancy: Vec<_> = stats.iter().map(|t| (t.tenant, t.occupancy)).collect();
+        assert_eq!(occupancy, [(1, 1), (2, 0)], "the line is tenant 1's again");
+        assert_eq!(stats[0].evictions, 1, "the displacement still counts");
+        let CacheLookup::Hit { line: hit, token } = c.lookup_or_reserve_as(0, 1, 1) else {
+            panic!("expected the victim's page to hit");
+        };
+        assert_eq!((hit, token), (line, PageToken(11)), "dirty data kept");
+        assert_eq!(c.state(line), LineState::Modified);
+    }
+
+    #[test]
+    fn tags_round_trip_at_the_corners_of_their_range() {
+        const MAX_LBA: Lba = (1 << 48) - 1;
+        let c = one_line_cache();
+        // Each page evicts the dirty one before it, whose write-back must
+        // name it exactly.
+        let mut previous = None;
+        let pages = [(0, 0), (0, MAX_LBA), (0xFFFE, 0), (0xFFFE, MAX_LBA), (1, 1)];
+        for (tenant, (dev, lba)) in (0u32..).zip(pages) {
+            let CacheLookup::Miss {
+                line,
+                dma,
+                writeback,
+                ..
+            } = c.lookup_or_reserve_as(dev, lba, tenant)
+            else {
+                panic!("expected a miss for ({dev:#x}, {lba:#x})");
+            };
+            assert_eq!(writeback, previous, "victim of ({dev:#x}, {lba:#x})");
+            let token = PageToken(100 + tenant as u64);
+            dma.store(PageToken(0));
+            c.complete_fill(line);
+            c.store(line, token);
+            c.unpin(line);
+            assert_eq!(c.peek(dev, lba), Some(token), "({dev:#x}, {lba:#x})");
+            previous = Some(Writeback {
+                dev,
+                lba,
+                token,
+                owner: tenant,
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "device 65535 does not fit a tag")]
+    fn a_device_beyond_the_tag_panics() {
+        one_line_cache().lookup_or_reserve(0xFFFF, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lba 0x1000000000000 does not fit a tag")]
+    fn an_lba_beyond_the_tag_panics() {
+        one_line_cache().lookup_or_reserve(0, 1 << 48);
+    }
+
+    #[test]
     fn a_ticket_misses_once_its_line_is_reserved_for_another_page() {
         // ABA: between two polls of a waiter the fill lands, the line is
         // evicted and reserved again — BUSY again, but for another page.
@@ -983,10 +1081,16 @@ mod tests {
         let CacheLookup::Miss { writeback, .. } = c.lookup_or_reserve(0, 100) else {
             panic!("expected miss with eviction");
         };
-        let (dev, lba, token) = writeback.expect("dirty victim must be written back");
+        let Writeback {
+            dev,
+            lba,
+            token,
+            owner,
+        } = writeback.expect("dirty victim must be written back");
         assert_eq!(dev, 0);
         assert!(lba < 4);
         assert_eq!(token, PageToken(1000 + lba));
+        assert_eq!(owner, NO_TENANT);
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.writebacks, 1);
@@ -1324,6 +1428,16 @@ mod tests {
         }
     }
 
+    /// An unowned dirty page `lba` of device 0, to reinstate.
+    fn victim(lba: Lba) -> Writeback {
+        Writeback {
+            dev: 0,
+            lba,
+            token: PageToken(lba),
+            owner: NO_TENANT,
+        }
+    }
+
     fn fired(hub: &WakeHub) -> Vec<SleeperId> {
         let mut out = Vec::new();
         hub.drain(&mut out, &mut Vec::new());
@@ -1343,7 +1457,7 @@ mod tests {
         assert_eq!(fired(&hub), [s[0]]);
         cache.abort_fill(tickets[1].line);
         assert_eq!(fired(&hub), [s[1]]);
-        cache.reinstate_victim(tickets[2].line, 0, 9, PageToken(9));
+        cache.reinstate_victim(tickets[2].line, victim(9));
         assert_eq!(fired(&hub), [s[2]]);
         // A reservation that has ended cannot be slept on.
         assert!(!cache.watch_line(tickets[0], s[0]));
@@ -1470,7 +1584,7 @@ mod tests {
                 match exit {
                     "complete" => cache.complete_fill(line),
                     "abort" => cache.abort_fill(line),
-                    _ => cache.reinstate_victim(line, 0, 50, PageToken(50)),
+                    _ => cache.reinstate_victim(line, victim(50)),
                 }
                 assert_eq!(fired(&hub), [s], "way {way}, {exit}");
                 // The other ways' entries leave with their own fills, which
@@ -1506,7 +1620,7 @@ mod tests {
                     cache.unpin(line);
                 }
                 "abort" => cache.abort_fill(line),
-                _ => cache.reinstate_victim(line, 0, 50, PageToken(50)),
+                _ => cache.reinstate_victim(line, victim(50)),
             }
             // The freed way is taken, and the set found full counts anew.
             reserve(&cache, 9);

@@ -24,7 +24,7 @@
 //! * [`tenant`] — per-tenant accounting (hits/misses/fills/evictions and
 //!   live occupancy) shared between the cache and tenant-aware policies;
 //! * [`cache`] — the set-associative [`cache::SoftwareCache`]: flat
-//!   per-line tag and owner arrays, one DMA slab for every line's page
+//!   per-line tag-key and owner arrays, one DMA slab for every line's page
 //!   token, and the table of sleepers waiting for its `BUSY` lines;
 //! * [`sharded`] — [`sharded::ShardedCache`], the old name of that cache
 //!   the benchmark package still spells;
@@ -43,7 +43,9 @@ pub mod share_table;
 pub mod tenant;
 mod watch;
 
-pub use cache::{BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache};
+pub use cache::{
+    BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache, Writeback,
+};
 pub use line::LineState;
 pub use policy::{CachePolicy, ClockPolicy, ShareError, TenantShare, MAX_ONLINE_SHARE};
 pub use sharded::ShardedCache;

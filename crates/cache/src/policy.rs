@@ -9,10 +9,11 @@
 //!
 //! Two built-in policies are provided: [`ClockPolicy`] (the paper's default,
 //! second-chance) and the tenant-aware [`TenantShare`], a choice BaM's
-//! hard-coded clock cannot express. The clock is lock-free — its metadata is
-//! kept in per-way atomics — and ignores the per-way owner view entirely, so
-//! its victim choices are bit-identical to the pre-tenant-threading stack
-//! (asserted by the golden-trace suite).
+//! hard-coded clock cannot express. The clock keeps a reference byte per way
+//! and, after a set's ways, the set's hand byte, moved under the cache's set
+//! lock (a victim choice reads one run of bytes). It ignores the per-way
+//! owner view entirely, so its victim choices are bit-identical to the
+//! pre-tenant-threading stack (asserted by the golden-trace suite).
 //!
 //! A victim choice allocates nothing: the evictable ways arrive as a bitmask
 //! (a set has at most [`MAX_ASSOCIATIVITY`] ways) and the owners as the set's
@@ -21,7 +22,7 @@
 use crate::tenant::{TenantTable, NO_TENANT};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Most ways a set may have: [`CachePolicy::choose_victim`] takes the
@@ -118,10 +119,10 @@ pub trait CachePolicy: Send + Sync {
 /// The clock (second-chance) policy used by the paper's DLRM evaluation.
 pub struct ClockPolicy {
     assoc: usize,
-    /// One reference bit per way.
-    ref_bits: Vec<AtomicU32>,
-    /// Clock hand per set.
-    hands: Vec<AtomicU32>,
+    /// `assoc + 1` bytes per set: a reference bit per way, a byte each, then
+    /// the set's hand — the way it points at next (below
+    /// [`MAX_ASSOCIATIVITY`], so a byte holds it).
+    state: Box<[AtomicU8]>,
 }
 
 impl ClockPolicy {
@@ -129,12 +130,15 @@ impl ClockPolicy {
     pub fn new() -> Self {
         ClockPolicy {
             assoc: 0,
-            ref_bits: Vec::new(),
-            hands: Vec::new(),
+            state: Box::default(),
         }
     }
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.assoc + way
+
+    /// The reference bits of `set`'s ways and its hand.
+    fn set_state(&self, set: usize) -> (&[AtomicU8], &AtomicU8) {
+        let start = set * (self.assoc + 1);
+        let (bits, hand) = self.state[start..=start + self.assoc].split_at(self.assoc);
+        (bits, &hand[0])
     }
 }
 
@@ -147,31 +151,32 @@ impl Default for ClockPolicy {
 impl CachePolicy for ClockPolicy {
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.assoc = associativity;
-        self.ref_bits = (0..num_sets * associativity)
-            .map(|_| AtomicU32::new(0))
+        self.state = (0..num_sets * (associativity + 1))
+            .map(|_| AtomicU8::new(0))
             .collect();
-        self.hands = (0..num_sets).map(|_| AtomicU32::new(0)).collect();
     }
     fn on_access(&self, set: usize, way: usize) {
-        self.ref_bits[self.idx(set, way)].store(1, Ordering::Relaxed);
+        self.set_state(set).0[way].store(1, Ordering::Relaxed);
     }
     fn on_fill(&self, set: usize, way: usize) {
-        self.ref_bits[self.idx(set, way)].store(1, Ordering::Relaxed);
+        self.set_state(set).0[way].store(1, Ordering::Relaxed);
     }
     fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
         if evictable == 0 {
             return None;
         }
-        let hand = &self.hands[set];
+        let (bits, hand) = self.set_state(set);
         // Two sweeps: the first clears reference bits, the second is
-        // guaranteed to find an evictable way with a cleared bit.
+        // guaranteed to find an evictable way with a cleared bit. The cache
+        // calls under the set lock, so reading the hand and moving it on
+        // need not be one atomic step.
         for _ in 0..(2 * self.assoc) {
-            let pos = (hand.fetch_add(1, Ordering::Relaxed) as usize) % self.assoc;
+            let pos = hand.load(Ordering::Relaxed) as usize;
+            hand.store(((pos + 1) % self.assoc) as u8, Ordering::Relaxed);
             if evictable >> pos & 1 == 0 {
                 continue;
             }
-            let bit = &self.ref_bits[self.idx(set, pos)];
-            if bit.swap(0, Ordering::Relaxed) == 0 {
+            if bits[pos].swap(0, Ordering::Relaxed) == 0 {
                 return Some(pos);
             }
         }
@@ -359,6 +364,41 @@ mod tests {
         let evictable = 0b1111;
         let v1 = p.choose_victim(0, evictable, &unowned(4)).unwrap();
         assert_ne!(v1, 1, "hot way should survive the first sweep");
+    }
+
+    #[test]
+    fn the_clock_hand_keeps_a_counters_order_past_256_steps() {
+        // The hand is a position, not a free-running counter: a byte-wide
+        // counter would wrap at 256 and skew the order of an associativity
+        // that does not divide 256. The reference is the clock over a u32
+        // counter taken modulo the associativity.
+        for assoc in [3, 5, 8, 64] {
+            let mut p = ClockPolicy::new();
+            p.configure(1, assoc);
+            let owners = unowned(assoc);
+            let (mut counter, mut bits) = (0u32, vec![false; assoc]);
+            for step in 0..2_000usize {
+                let hot = step * 7 % assoc;
+                p.on_access(0, hot);
+                bits[hot] = true;
+                let evictable = u64::MAX >> (64 - assoc) & !(1 << (step % assoc));
+                let mut expected = None;
+                for _ in 0..2 * assoc {
+                    let pos = counter as usize % assoc;
+                    counter += 1;
+                    if evictable >> pos & 1 == 1 && !std::mem::take(&mut bits[pos]) {
+                        expected = Some(pos);
+                        break;
+                    }
+                }
+                let expected = expected.or(ways(evictable).next());
+                assert_eq!(
+                    p.choose_victim(0, evictable, &owners),
+                    expected,
+                    "{assoc}-way, step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::coalesce::{coalesce_warp_into, CoalescedRequests};
 use crate::qos::{gate_admission, QosDecision, QosPolicy};
 use crate::sq_protocol::AgileSq;
 use crate::transaction::{Barrier, Transaction};
-use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache};
+use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache, Writeback};
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -792,24 +792,24 @@ impl IoPath {
         warp: u64,
         line: LineId,
         fill: Option<(u32, Lba, DmaHandle)>,
-        writeback: Option<(u32, Lba, PageToken)>,
+        writeback: Option<Writeback>,
         now: Cycles,
     ) -> (Cycles, bool) {
         let mut cost = Cycles::ZERO;
-        if let Some((wb_dev, wb_lba, wb_token)) = writeback {
+        if let Some(victim) = writeback {
             bump(&self.stats.writebacks, 1);
-            let snapshot = DmaHandle::with_token(wb_token);
+            let snapshot = DmaHandle::with_token(victim.token);
             let (wb_cost, ok) = self.submit(
-                wb_dev as usize,
+                victim.dev as usize,
                 warp,
                 Traffic::System,
-                |cid| NvmeCommand::write(cid, wb_lba, snapshot.clone()),
+                |cid| NvmeCommand::write(cid, victim.lba, snapshot.clone()),
                 Transaction::WriteBack,
                 now,
             );
             cost += wb_cost;
             if !ok {
-                self.cache.reinstate_victim(line, wb_dev, wb_lba, wb_token);
+                self.cache.reinstate_victim(line, victim);
                 return (cost, false);
             }
         }

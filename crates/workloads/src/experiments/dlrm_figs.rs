@@ -49,10 +49,11 @@ impl Default for DlrmStackParams {
         // bound simulation memory. Measured on 2 SSDs, 128 QPs would cost
         // only 4.4 MB more host memory. The 2 GiB cache is the large item:
         // 50.3 MB with a `Vec` of tags per set and an `Arc` DMA slot per
-        // line, and 21.8 MB (41.6 heap bytes a line) with flat per-line
-        // arrays and one DMA slab. The count stays at 32 because changing it
-        // moves DLRM's simulated numbers; running the paper's sizes is its
-        // own decision (ROADMAP item 3).
+        // line, 21.8 MB (41.6 heap bytes a line) with flat per-line arrays
+        // and one DMA slab, and 15.9 MB (30.25 bytes a line) with one tag
+        // key a line and byte-wide clock state. The count stays at 32
+        // because changing it moves DLRM's simulated numbers; running the
+        // paper's sizes is its own decision (ROADMAP item 5).
         DlrmStackParams {
             queue_pairs: 32,
             queue_depth: 256,

@@ -505,7 +505,7 @@ fn parked_and_polled_accessor_kernels_are_indistinguishable() {
 /// gives its reservation back, oversleeps, and the times differ.
 mod held {
     use agile_repro::agile::{AgileCtrl, LineWait, ReadOutcome, WarpWait};
-    use agile_repro::cache::{CacheLookup, LineId, NO_TENANT};
+    use agile_repro::cache::{CacheLookup, LineId, Writeback, NO_TENANT};
     use agile_repro::gpu::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
     use agile_repro::nvme::{Lba, PageToken};
     use agile_repro::sim::wake::SleeperId;
@@ -644,7 +644,7 @@ mod held {
         /// Pinned `READY` (or `MODIFIED`), or reserved `BUSY`.
         pinned: bool,
         /// For a reservation: the dirty victim it evicted.
-        victim: Option<(u32, Lba, PageToken)>,
+        victim: Option<Writeback>,
         steps_left: u64,
     }
 
@@ -663,8 +663,8 @@ mod held {
                         cache.unpin(held.line);
                         &self.log.pins
                     }
-                    (false, Some((dev, lba, token))) => {
-                        cache.reinstate_victim(held.line, dev, lba, token);
+                    (false, Some(victim)) => {
+                        cache.reinstate_victim(held.line, victim);
                         &self.log.reinstates
                     }
                     (false, None) => {
