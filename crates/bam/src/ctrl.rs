@@ -11,7 +11,7 @@
 //! constants model BaM's lock-held critical sections).
 
 use agile_cache::{CacheConfig, ClockPolicy, ShardedCache, SoftwareCache, NO_TENANT};
-use agile_core::io_path::{IoPath, PathCosts, ReadOutcome, WarpWait};
+use agile_core::io_path::{IoPath, IoStats, PathCosts, ReadOutcome, WarpWait};
 use agile_core::transaction::Barrier;
 use agile_sim::costs::CostModel;
 use agile_sim::Cycles;
@@ -74,34 +74,16 @@ impl BamConfig {
     }
 }
 
-/// Counters kept by the BaM controller.
-///
-/// Note: for cross-layer observability prefer the unified registry
-/// (`HostBuilder::metrics` + `agile_metrics::MetricsRegistry::snapshot`),
-/// which exports these under `agile_*` names with exporters and windowed
-/// series; this struct stays for direct programmatic access.
+/// Counters kept by the BaM controller: the shared I/O path's counters plus
+/// the user-thread CQ polling only BaM does.
 #[derive(Debug, Clone, Default)]
 pub struct BamStats {
-    /// Synchronous warp reads.
-    pub read_calls: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses that issued commands.
-    pub cache_misses: u64,
-    /// Requests coalesced onto in-flight fills.
-    pub cache_coalesced: u64,
+    /// The I/O path's counters.
+    pub io: IoStats,
     /// CQ polling iterations executed by user threads.
     pub poll_iterations: u64,
     /// Completions processed by user threads.
     pub completions: u64,
-    /// Times every targeted SQ was full.
-    pub sq_full_retries: u64,
-    /// Tenant submissions deferred by the QoS admission gate.
-    pub qos_deferrals: u64,
-    /// Cycles charged for cache work.
-    pub cache_cycles: u64,
-    /// Cycles charged for issue + polling work.
-    pub io_cycles: u64,
 }
 
 struct CqCursor {
@@ -195,18 +177,10 @@ impl BamCtrl {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> BamStats {
-        let io = self.io.stats();
         BamStats {
-            read_calls: io.read_calls,
-            cache_hits: io.cache_hits,
-            cache_misses: io.cache_misses,
-            cache_coalesced: io.cache_coalesced,
+            io: self.io.stats(),
             poll_iterations: self.poll_iterations.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
-            sq_full_retries: io.sq_full_retries,
-            qos_deferrals: io.qos_deferrals,
-            cache_cycles: io.cache_cycles,
-            io_cycles: io.io_cycles,
         }
     }
 
@@ -329,7 +303,7 @@ mod tests {
         }
         assert!(done, "data never arrived");
         let s = ctrl.stats();
-        assert_eq!(s.cache_misses, 2);
+        assert_eq!(s.io.cache_misses, 2);
         assert!(s.poll_iterations > 0);
         assert_eq!(s.completions, 2);
         assert_eq!(ctrl.cache().total_pins(), 0);

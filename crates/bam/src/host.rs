@@ -76,7 +76,7 @@ mod tests {
         );
         assert!(!report.deadlocked);
         let s = ctrl.stats();
-        assert!(s.read_calls > 0);
+        assert!(s.io.read_calls > 0);
         assert!(s.completions > 0, "user threads processed completions");
         assert!(host.topology().total_bytes_read() > 0);
     }

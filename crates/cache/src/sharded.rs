@@ -5,8 +5,8 @@
 //! This newtype over it stays only because the benchmark package, which is
 //! built against the public API and changed on its own schedule, still
 //! spells the type — `ShardedCache::new(cfg, 1, 0, …)` and the
-//! `&ShardedCache` that `ctrl.cache()` returns. ROADMAP item 4.3's
-//! coordinated benchmark change renames it away. It derefs to the cache, so
+//! `&ShardedCache` that `ctrl.cache()` returns. The roadmap's coordinated
+//! change to the benchmark's spelling of the frozen API renames it away. It derefs to the cache, so
 //! every method is [`SoftwareCache`]'s.
 
 use crate::cache::{CacheConfig, SoftwareCache};

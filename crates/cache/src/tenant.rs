@@ -21,8 +21,8 @@
 //! `agile_core::qos::WeightedFair`: per-tenant all-atomic cells behind an
 //! append-only `RwLock` registry. That layout was built for N service
 //! partitions updating it concurrently; the service scale-out is deleted and
-//! the engine runs on one thread, so ROADMAP 5.1 queues collapsing the
-//! atomics to plain cells.
+//! the engine runs on one thread, so the roadmap's "collapse the per-tenant
+//! atomics" decision queues turning them into plain cells.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;

@@ -27,7 +27,9 @@
 //! the background service.
 
 use crate::config::{AgileConfig, CachePolicyKind};
-use crate::io_path::{IoPath, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait};
+use crate::io_path::{
+    IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
+};
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
     CachePolicy, ClockPolicy, ShardedCache, ShareTable, SoftwareCache, TenantShare, NO_TENANT,
@@ -61,39 +63,16 @@ impl IssueOutcome {
     }
 }
 
-/// Per-category API statistics (used by tests and the Figure 11 breakdown).
-///
-/// Note: for cross-layer observability prefer the unified registry
-/// (`agile_submit_*` and friends via `HostBuilder::metrics`); this struct
-/// stays for direct programmatic access.
+/// Per-category API statistics (used by tests and the Figure 11 breakdown):
+/// the shared I/O path's counters plus the two calls only AGILE has.
 #[derive(Debug, Clone, Default)]
 pub struct ApiStats {
+    /// The I/O path's counters.
+    pub io: IoStats,
     /// prefetch_warp invocations.
     pub prefetch_calls: u64,
-    /// read_warp invocations.
-    pub read_calls: u64,
     /// asyncRead/asyncWrite invocations.
     pub async_calls: u64,
-    /// Raw (cache-bypassing) reads/writes issued.
-    pub raw_calls: u64,
-    /// Cache hits observed by API calls.
-    pub cache_hits: u64,
-    /// Cache misses that issued a fill.
-    pub cache_misses: u64,
-    /// Requests eliminated by warp-level coalescing.
-    pub warp_coalesced: u64,
-    /// Requests coalesced onto an in-flight fill (BUSY hit).
-    pub cache_coalesced: u64,
-    /// Times every targeted SQ was full and the caller had to retry.
-    pub sq_full_retries: u64,
-    /// Tenant submissions deferred by the QoS admission gate.
-    pub qos_deferrals: u64,
-    /// Write-backs of dirty evicted lines.
-    pub writebacks: u64,
-    /// Cycles charged for cache-management work.
-    pub cache_cycles: u64,
-    /// Cycles charged for NVMe issue / barrier work.
-    pub io_cycles: u64,
 }
 
 /// The AGILE controller shared by user kernels and the service kernel.
@@ -222,21 +201,10 @@ impl AgileCtrl {
 
     /// Snapshot of the API statistics.
     pub fn stats(&self) -> ApiStats {
-        let io = self.io.stats();
         ApiStats {
+            io: self.io.stats(),
             prefetch_calls: self.prefetch_calls.load(Ordering::Relaxed),
-            read_calls: io.read_calls,
             async_calls: self.async_calls.load(Ordering::Relaxed),
-            raw_calls: io.raw_calls,
-            cache_hits: io.cache_hits,
-            cache_misses: io.cache_misses,
-            warp_coalesced: io.warp_coalesced,
-            cache_coalesced: io.cache_coalesced,
-            sq_full_retries: io.sq_full_retries,
-            qos_deferrals: io.qos_deferrals,
-            writebacks: io.writebacks,
-            cache_cycles: io.cache_cycles,
-            io_cycles: io.io_cycles,
         }
     }
 
@@ -554,8 +522,8 @@ mod tests {
         assert!(retry.is_empty());
         assert!(cost.raw() > 0);
         let s = ctrl.stats();
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.warp_coalesced, 31);
+        assert_eq!(s.io.cache_misses, 1);
+        assert_eq!(s.io.warp_coalesced, 31);
         // The command reached an SQ ring.
         let total_inflight: usize = ctrl
             .io()
@@ -572,8 +540,8 @@ mod tests {
         ctrl.prefetch_warp(0, &[(0, 9)], Cycles(0));
         ctrl.prefetch_warp(1, &[(0, 9)], Cycles(0));
         let s = ctrl.stats();
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_coalesced, 1);
+        assert_eq!(s.io.cache_misses, 1);
+        assert_eq!(s.io.cache_coalesced, 1);
     }
 
     #[test]
@@ -627,7 +595,7 @@ mod tests {
         let (_, o) = ctrl.async_read(2, 0, 42, &b, Cycles(0));
         assert_eq!(o, IssueOutcome::AlreadyAvailable);
         assert_eq!(b.token(), PageToken(0xAA));
-        assert_eq!(ctrl.stats().raw_calls, 0);
+        assert_eq!(ctrl.stats().io.raw_calls, 0);
     }
 
     #[test]

@@ -38,7 +38,9 @@ use crate::ctrl::AgileCtrl;
 use crate::io_path::IoPath;
 use crate::qos::QosPolicy;
 use crate::service::{AgileService, AgileServiceKernel};
-use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
+use crate::telemetry::{
+    CacheCollector, MetricsBridge, ServiceCollector, SubmitCollector, TopologyCollector,
+};
 use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec, TenantWeights};
 use agile_metrics::{MetricsRegistry, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 use agile_sim::costs::SsdCosts;
@@ -368,7 +370,7 @@ impl<S: HostSystem> Host<S> {
             });
         }
         if let Some(registry) = &metrics {
-            ctrl.io().bind_metrics(registry);
+            registry.register_collector(Box::new(SubmitCollector::new(ctrl.clone())));
             registry.register_collector(Box::new(CacheCollector::new(ctrl.clone())));
             registry.register_collector(Box::new(TopologyCollector::new(Arc::clone(&topology))));
         }
@@ -582,7 +584,7 @@ mod tests {
         assert!(report.elapsed.raw() > 0);
         // The user kernel really moved data: cache has content and the SSDs
         // processed reads.
-        assert!(ctrl.stats().cache_misses > 0);
+        assert!(ctrl.stats().io.cache_misses > 0);
         assert!(host.topology().total_bytes_read() > 0);
         host.stop_agile();
         host.close_nvme();

@@ -4,7 +4,7 @@
 //! background service vs the issuing thread) and in *what each API call
 //! costs* — and in nothing else. [`IoPath`] is everything else, implemented
 //! once: the per-device [`AgileSq`] lists, the optional storage topology,
-//! the software cache, the install-once trace / QoS / metrics hooks and the
+//! the software cache, the install-once trace / QoS hooks and the
 //! statistics both systems report. On top of that state it provides
 //!
 //! * **submit** ([`IoPath::submit`]) — QoS gate → the "pick an SQ by thread
@@ -49,7 +49,6 @@ use crate::qos::{gate_admission, QosDecision, QosPolicy};
 use crate::sq_protocol::AgileSq;
 use crate::transaction::{Barrier, Transaction};
 use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache, Writeback};
-use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::wake::{SleeperId, Wait, WaitQueue, WaitReason, WakeHub};
@@ -253,7 +252,8 @@ pub struct IoStats {
     pub cache_coalesced: u64,
     /// Times every targeted SQ was full and the caller had to retry.
     pub sq_full_retries: u64,
-    /// Tenant submissions deferred by the QoS admission gate.
+    /// Tenant submissions deferred by the QoS admission gate (the policy's
+    /// per-tenant [`deferred`](crate::qos::QosTenantStats::deferred), summed).
     pub qos_deferrals: u64,
     /// Write-backs of dirty evicted lines.
     pub writebacks: u64,
@@ -272,7 +272,6 @@ struct IoStatCells {
     warp_coalesced: AtomicU64,
     cache_coalesced: AtomicU64,
     sq_full_retries: AtomicU64,
-    qos_deferrals: AtomicU64,
     writebacks: AtomicU64,
     cache_cycles: AtomicU64,
     io_cycles: AtomicU64,
@@ -280,15 +279,6 @@ struct IoStatCells {
 
 fn bump(cell: &AtomicU64, by: u64) {
     cell.fetch_add(by, Ordering::Relaxed);
-}
-
-/// Submit-path instruments (the `agile_submit_*` metric family), installed
-/// once via [`IoPath::bind_metrics`]. When absent every hook costs one
-/// atomic load (the `OnceLock` probe), preserving the uninstrumented path.
-struct SubmitMetrics {
-    admissions: Counter,
-    sq_full_retries: Counter,
-    qos_deferrals: CounterFamily,
 }
 
 /// The shared submit / retire / miss-service path (see the module docs).
@@ -316,8 +306,6 @@ pub struct IoPath {
     /// Optional QoS policy arbitrating tenant-attributed SQ admission.
     /// Absent ⇒ FIFO (pre-QoS behaviour, bit-for-bit).
     qos: OnceLock<Arc<dyn QosPolicy>>,
-    /// Optional submit-path instruments (`agile_submit_*`).
-    metrics: OnceLock<SubmitMetrics>,
 }
 
 impl IoPath {
@@ -354,27 +342,12 @@ impl IoPath {
             sq_waiters,
             trace: OnceLock::new(),
             qos: OnceLock::new(),
-            metrics: OnceLock::new(),
         }
     }
 
     // ------------------------------------------------------------------
     // Hooks and accessors
     // ------------------------------------------------------------------
-
-    /// Install submit-path instruments bound to `registry`. Returns `false`
-    /// if instruments were already installed (the first binding wins).
-    pub fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
-        self.metrics
-            .set(SubmitMetrics {
-                admissions: registry.counter("agile_submit_admissions_total", Labels::NONE),
-                sq_full_retries: registry
-                    .counter("agile_submit_sq_full_retries_total", Labels::NONE),
-                qos_deferrals: registry
-                    .counter_family("agile_submit_qos_deferrals_total", LabelDim::Tenant),
-            })
-            .is_ok()
-    }
 
     /// Install a QoS policy on tenant-attributed submissions
     /// ([`Traffic::Tenant`]). The policy is bound to the total SQ-slot
@@ -470,7 +443,10 @@ impl IoPath {
             warp_coalesced: get(&s.warp_coalesced),
             cache_coalesced: get(&s.cache_coalesced),
             sq_full_retries: get(&s.sq_full_retries),
-            qos_deferrals: get(&s.qos_deferrals),
+            qos_deferrals: self
+                .qos
+                .get()
+                .map_or(0, |qos| qos.tenant_stats().iter().map(|t| t.deferred).sum()),
             writebacks: get(&s.writebacks),
             cache_cycles: get(&s.cache_cycles),
             io_cycles: get(&s.io_cycles),
@@ -529,10 +505,6 @@ impl IoPath {
             == QosDecision::Defer
         {
             let cost = Cycles(self.gpu.poll_iteration);
-            bump(&self.stats.qos_deferrals, 1);
-            if let Some(m) = self.metrics.get() {
-                m.qos_deferrals.inc(tenant);
-            }
             self.charge_io(cost);
             return (cost, false);
         }
@@ -585,9 +557,6 @@ impl IoPath {
             // Extra serialization attempts burn polling cycles.
             cost += Cycles(gpu.poll_iteration) * (receipt.attempts.saturating_sub(1)) as u64;
             self.charge_io(cost);
-            if let Some(m) = self.metrics.get() {
-                m.admissions.inc();
-            }
             if let Some(sink) = self.trace.get() {
                 // Rebuild the command for its lba/opcode; `build` is a cheap
                 // constructor and this path only runs when tracing is enabled.
@@ -617,9 +586,6 @@ impl IoPath {
     /// Account a submission every SQ refused, after probes that cost `cost`.
     fn refuse(&self, cost: Cycles) -> (Cycles, bool) {
         bump(&self.stats.sq_full_retries, 1);
-        if let Some(m) = self.metrics.get() {
-            m.sq_full_retries.inc();
-        }
         self.charge_io(cost);
         (cost, false)
     }

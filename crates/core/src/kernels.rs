@@ -315,9 +315,9 @@ mod tests {
         assert!(!report.deadlocked);
         let stats = ctrl.stats();
         assert!(stats.prefetch_calls > 0);
-        assert!(stats.read_calls > 0);
+        assert!(stats.io.read_calls > 0);
         assert!(
-            stats.cache_hits > 0,
+            stats.io.cache_hits > 0,
             "prefetched data should be hit on read"
         );
     }

@@ -84,5 +84,7 @@ pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, WeightError, WeightedFair, MAX_ONLINE_WEIGHT,
 };
 pub use service::{AgileService, ServiceStats};
-pub use telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
+pub use telemetry::{
+    CacheCollector, MetricsBridge, ServiceCollector, SubmitCollector, TopologyCollector,
+};
 pub use transaction::{AgileBuf, Barrier};

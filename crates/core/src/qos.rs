@@ -114,7 +114,7 @@ pub struct QosTenantStats {
     pub weight: u64,
     /// Submissions admitted (net of refunds).
     pub admitted: u64,
-    /// Submissions deferred.
+    /// Submissions deferred (the one count; `IoStats::qos_deferrals` sums it).
     pub deferred: u64,
     /// Admissions not yet completed (occupancy-tracking policies only).
     pub in_flight: u64,
@@ -218,7 +218,8 @@ impl QosPolicy for Fifo {
 /// completion hook can return credits without touching the tenant registry
 /// lock. The atomics are left over from the deleted N-service design, whose
 /// partitions called [`QosPolicy::on_complete`] concurrently; the engine now
-/// runs one service on one thread (ROADMAP 5.1 follow-up: collapse them).
+/// runs one service on one thread (the roadmap's "collapse the per-tenant
+/// atomics" decision queues their removal).
 #[derive(Debug)]
 struct WfTenant {
     weight: AtomicU64,
@@ -286,8 +287,8 @@ const IDLE_WINDOW_CYCLES: u64 = 200_000;
 ///
 /// The interior state is sharded per tenant, a design left over from the
 /// deleted N-service scale-out whose partitions fired the completion hook
-/// concurrently (nothing calls it concurrently now; ROADMAP 5.1 queues
-/// collapsing it to plain cells). Every hot counter lives in its
+/// concurrently (nothing calls it concurrently now; the roadmap's "collapse
+/// the per-tenant atomics" decision queues turning it into plain cells). Every hot counter lives in its
 /// tenant's `WfTenant` atomics, and the only lock is a registry `RwLock`
 /// taken shared on the hot paths (exclusive only to insert a never-seen
 /// tenant). Credit accounting stays linearizable — `in_flight` is spent

@@ -638,7 +638,7 @@ mod tests {
         });
         assert_eq!(service.stats().completions, 32);
         assert!(
-            ctrl.stats().sq_full_retries > 0,
+            ctrl.stats().io.sq_full_retries > 0,
             "pressure should have been observed"
         );
     }

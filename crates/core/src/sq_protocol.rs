@@ -119,6 +119,12 @@ impl AgileSq {
         self.depth
     }
 
+    /// Commands issued on this SQ so far (the free-running allocation
+    /// cursor): its count of admissions.
+    pub fn issued(&self) -> u64 {
+        self.alloc_cursor.load(Ordering::Acquire)
+    }
+
     /// The transaction table for this SQ.
     pub fn transactions(&self) -> &TransactionTable {
         &self.transactions
@@ -341,6 +347,7 @@ mod tests {
         assert!(q
             .try_issue(read_cmd, Transaction::WriteBack, Cycles(0))
             .is_none());
+        assert_eq!(q.issued(), 5, "refused attempts are not issues");
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Bridges between the AGILE stack's existing statistics and the
 //! [`agile_metrics`] registry.
 //!
-//! Layers that already keep relaxed-atomic counters (the software cache, the
-//! storage topology's lock and devices, the service) are exported
-//! through [`agile_metrics::Collector`]s polled only at snapshot time — the
-//! hot paths are untouched, which is what keeps instrumented replays
-//! byte-identical to uninstrumented ones. Only events with no existing
-//! counter (SQ admissions, per-tenant QoS deferrals, engine rounds) carry
-//! direct instruments, installed behind `OnceLock`s so the disabled path is
-//! one atomic load.
+//! Each layer counts an event once, in its own relaxed-atomic cells (the
+//! submit path's `IoStats` and QoS policy, the software cache, the storage
+//! topology's lock and devices, the service), and is exported through an
+//! [`agile_metrics::Collector`] polled only at snapshot time — the hot paths
+//! are untouched, which is what keeps instrumented replays byte-identical to
+//! uninstrumented ones.
 //!
 //! [`MetricsBridge`] connects a [`agile_metrics::WindowedSampler`] to the
 //! engine as a **passive** external device whose one event is the sampler's
@@ -95,6 +93,52 @@ impl Collector for CacheCollector {
             counter(out, "agile_cache_tenant_fills_total", l, t.fills);
             counter(out, "agile_cache_tenant_evictions_total", l, t.evictions);
             gauge(out, "agile_cache_tenant_occupancy", l, t.occupancy);
+        }
+    }
+}
+
+/// Exports the submit path's counters from the cells that count them:
+/// `agile_submit_admissions_total` from the SQs' allocation cursors
+/// ([`AgileSq::issued`](crate::sq_protocol::AgileSq::issued)),
+/// `agile_submit_sq_full_retries_total` from the controller's `IoStats`, and
+/// `agile_submit_qos_deferrals_total{tenant}` from the installed QoS
+/// policy's per-tenant counts (a tenant once it was deferred).
+pub struct SubmitCollector {
+    ctrl: Arc<dyn StorageCtrl>,
+}
+
+impl SubmitCollector {
+    /// A collector over `ctrl`'s I/O path.
+    pub fn new(ctrl: Arc<dyn StorageCtrl>) -> Self {
+        SubmitCollector { ctrl }
+    }
+}
+
+impl Collector for SubmitCollector {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        let io = self.ctrl.io();
+        let admissions = (0..io.device_count())
+            .flat_map(|dev| io.device_queues(dev))
+            .map(|sq| sq.issued())
+            .sum();
+        counter(
+            out,
+            "agile_submit_admissions_total",
+            Labels::NONE,
+            admissions,
+        );
+        counter(
+            out,
+            "agile_submit_sq_full_retries_total",
+            Labels::NONE,
+            io.stats().sq_full_retries,
+        );
+        let policy = io.qos_policy();
+        for t in policy.map(|q| q.tenant_stats()).unwrap_or_default() {
+            if t.deferred > 0 {
+                let l = Labels::tenant(t.tenant);
+                counter(out, "agile_submit_qos_deferrals_total", l, t.deferred);
+            }
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Unified metrics and telemetry for the AGILE reproduction.
 //!
-//! Every layer of the stack counts things privately — `ApiStats` on the
-//! controllers, `TenantTable` in the cache, per-partition `ServiceStats`,
-//! `DeviceStats` on the simulated SSDs. This crate turns those scattered
-//! counters into one queryable surface:
+//! Every layer of the stack counts its events once, in its own cells —
+//! `IoStats` on the controllers' shared I/O path, `TenantTable` in the cache,
+//! the service's `ServiceStats`, `DeviceStats` on the simulated SSDs. This
+//! crate turns those scattered counters into one queryable surface:
 //!
 //! * [`MetricsRegistry`] — an append-only registry of typed, lock-free
 //!   instruments ([`Counter`], [`Gauge`], [`Histo`]) registered under
@@ -14,8 +14,8 @@
 //!   instrumented components pay a single atomic load (the disabled path is
 //!   a no-op — replay summaries stay byte-identical).
 //! * [`Collector`] — a bridge polled at snapshot time, so layers that
-//!   already keep atomic stats (cache, service, devices, topology lock)
-//!   export them with **zero** extra hot-path cost.
+//!   already keep their own stats (submit path, cache, service, devices,
+//!   topology lock, replay) export them with **zero** extra hot-path cost.
 //! * [`MetricsSnapshot`] — a point-in-time copy with delta/merge semantics,
 //!   exportable as JSON ([`MetricsSnapshot::to_json`]) and Prometheus text
 //!   ([`MetricsSnapshot::to_prometheus`]).

@@ -286,6 +286,8 @@ struct Inner {
 /// (the cache's `TenantTable`, per-partition `ServiceStats`, `DeviceStats`)
 /// implement this instead of double-counting on the hot path: registering a
 /// collector costs those layers nothing until someone takes a snapshot.
+/// Register each source once: two collectors over the same cells would emit
+/// every sample twice.
 pub trait Collector: Send + Sync {
     /// Append this layer's samples (names follow the crate naming scheme).
     fn collect(&self, out: &mut Vec<Sample>);
@@ -567,6 +569,7 @@ mod tests {
         assert_eq!(snap.p99(), live.p99());
         assert_eq!(snap.min_value(), live.min());
         assert_eq!(snap.max_value(), live.max());
+        assert_eq!(HistoSnapshot::of(&live), snap, "the conversion is exact");
     }
 
     #[test]

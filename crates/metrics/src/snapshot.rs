@@ -10,7 +10,7 @@
 //! what [`MetricsSnapshot::counter`], [`MetricsSnapshot::histo`] and
 //! [`MetricsSnapshot::family`] sums return for it anyway.
 
-use agile_trace::stats::bucket_upper_bound;
+use agile_trace::stats::{bucket_upper_bound, LatencyHistogram};
 
 /// Sparse snapshot of a [`crate::Histo`]: `(bucket index, count)` pairs in
 /// index order, plus the tracked aggregate cells.
@@ -42,6 +42,19 @@ impl Default for HistoSnapshot {
 }
 
 impl HistoSnapshot {
+    /// The snapshot a [`crate::Histo`] fed the same samples would take: the
+    /// two share one bucketing, and the sum wraps to `u64` as the atomic
+    /// cell's does.
+    pub fn of(h: &LatencyHistogram) -> Self {
+        HistoSnapshot {
+            buckets: h.buckets().map(|(i, n)| (i as u32, n)).collect(),
+            count: h.count(),
+            sum: h.sum() as u64,
+            min: h.min().unwrap_or(u64::MAX),
+            max: h.max().unwrap_or(0),
+        }
+    }
+
     /// Smallest recorded sample (`None` when empty).
     pub fn min_value(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)

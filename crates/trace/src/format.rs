@@ -5,7 +5,7 @@
 //! readers can validate, size and iterate without an allocation per record.
 //!
 //! * **Event logs** — raw [`TraceEvent`] telemetry captured from the
-//!   simulators ([`encode_events`] / [`EventReader`] / [`decode_events`]).
+//!   simulators ([`encode_events`] / [`decode_events`]).
 //!   Magic `AGEV`, 32-byte records.
 //! * **Replayable traces** — a [`Trace`]: metadata plus an ordered list of
 //!   [`TraceOp`] requests ([`Trace::to_bytes`] / [`Trace::from_bytes`] /
@@ -124,24 +124,19 @@ pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
 }
 
 /// Iterator-based reader over a serialized event log.
-pub struct EventReader<'a> {
+struct EventReader<'a> {
     body: &'a [u8],
     remaining: u64,
 }
 
 impl<'a> EventReader<'a> {
     /// Validate the header and position the reader at the first record.
-    pub fn new(buf: &'a [u8]) -> Result<Self, TraceFormatError> {
+    fn new(buf: &'a [u8]) -> Result<Self, TraceFormatError> {
         let (count, body) = read_header(buf, EVENT_LOG_MAGIC)?;
         Ok(EventReader {
             body,
             remaining: count,
         })
-    }
-
-    /// Records left to read.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
     }
 }
 
@@ -442,8 +437,6 @@ mod tests {
         let events = sample_events();
         let bytes = encode_events(&events);
         assert_eq!(decode_events(&bytes).unwrap(), events);
-        let reader = EventReader::new(&bytes).unwrap();
-        assert_eq!(reader.remaining(), 4);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!    [`CountingSink`] keeps only per-kind totals. Recording is effectively
 //!    free when no sink is installed (a single atomic load on the hot path).
 //! 2. **Format** ([`mod@format`]) — a versioned, compact binary encoding for
-//!    event logs and replayable traces ([`Trace`]), with iterator-based
-//!    readers ([`EventReader`], [`TraceOpReader`]) and a JSON-lines debug
-//!    dump. Round-trips are exact: `decode(encode(x)) == x`.
+//!    event logs and replayable traces ([`Trace`]), with an iterator-based
+//!    op reader ([`TraceOpReader`]) and a JSON-lines debug dump. Round-trips are exact: `decode(encode(x)) == x`.
 //! 3. **Synthesis** ([`synth`]) — deterministic generators driven by
 //!    `agile-sim`'s seeded RNG: uniform, Zipf(θ), bursty on/off, and
 //!    multi-tenant mixtures ([`TraceSpec`]). The same spec + seed always
@@ -52,8 +51,8 @@ pub mod synth;
 
 pub use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 pub use format::{
-    decode_events, encode_events, events_to_json_lines, EventReader, Trace, TraceFormatError,
-    TraceMeta, TraceOp, TraceOpReader,
+    decode_events, encode_events, events_to_json_lines, Trace, TraceFormatError, TraceMeta,
+    TraceOp, TraceOpReader,
 };
 pub use sink::{CountingSink, MemorySink};
 pub use stats::LatencyHistogram;

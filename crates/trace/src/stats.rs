@@ -89,6 +89,20 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Sum of recorded samples.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Non-empty buckets as `(index, count)`, ascending by index (indices of
+    /// [`bucket_index`]).
+    pub fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        // The extremes bound the populated range (empty when nothing was
+        // recorded: `min` is then above `max`).
+        let live = bucket_index(self.min)..bucket_index(self.max) + 1;
+        live.filter_map(|i| (self.buckets[i] > 0).then_some((i, self.buckets[i])))
+    }
+
     /// Mean of recorded samples (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -53,7 +53,7 @@ impl Default for DlrmStackParams {
         // and one DMA slab, and 15.9 MB (30.25 bytes a line) with one tag
         // key a line and byte-wide clock state. The count stays at 32
         // because changing it moves DLRM's simulated numbers; running the
-        // paper's sizes is its own decision (ROADMAP item 5).
+        // paper's sizes is its own decision (the roadmap's "paper scale").
         DlrmStackParams {
             queue_pairs: 32,
             queue_depth: 256,
@@ -88,7 +88,7 @@ fn warps_for(cfg: &DlrmConfig) -> u64 {
 /// communication the asynchronous mode gets to overlap. This is a deviation
 /// from the paper's method: it stands in for the 10 000 epochs the paper
 /// runs, and how far the prewarmed ratio matches a long cold run is untested
-/// (ROADMAP item 3).
+/// (the roadmap's "run-length question").
 fn prewarm(cache: &agile_cache::SoftwareCache, trace: &DlrmTrace) {
     use std::collections::HashMap;
     let mut freq: HashMap<(u32, u64), u64> = HashMap::new();

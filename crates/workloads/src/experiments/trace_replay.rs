@@ -198,12 +198,10 @@ pub struct ReplayReport {
     /// polls counted in `io_stats`, `cache_stats` and `service_stats`, are
     /// what differs).
     pub engine_rounds: u64,
-    /// Submissions the QoS scheduler deferred at least once (always 0 under
-    /// FIFO, which never defers).
-    pub qos_deferrals: u64,
     /// Total cycles warps spent queued on the topology's array lock.
     pub lock_wait_cycles: u64,
-    /// The I/O path's end-of-run counters (not part of the summary).
+    /// The I/O path's end-of-run counters (of them, the summary prints only
+    /// `qos_deferrals`, and only when non-zero: FIFO never defers).
     pub io_stats: IoStats,
     /// The software cache's end-of-run counters (not part of the summary).
     pub cache_stats: CacheStats,
@@ -249,8 +247,9 @@ impl ReplayReport {
         }
         // qos_deferrals appears only when the scheduler actually deferred —
         // FIFO never defers, so the pre-QoS goldens stay byte-identical.
-        if self.qos_deferrals > 0 {
-            s.push_str(&format!(" qos_deferrals={}", self.qos_deferrals));
+        let deferrals = self.io_stats.qos_deferrals;
+        if deferrals > 0 {
+            s.push_str(&format!(" qos_deferrals={deferrals}"));
         }
         for t in &self.tenants {
             s.push_str(&format!(
@@ -549,7 +548,6 @@ fn finish_report(
         tenant_cache: Vec::new(),
         service_stats: ServiceStats::default(),
         engine_rounds,
-        qos_deferrals: 0,
         lock_wait_cycles: 0,
         io_stats: IoStats::default(),
         cache_stats: CacheStats::default(),
@@ -630,7 +628,6 @@ fn fold_stack_state<S: HostSystem>(
     let ctrl = host.ctrl();
     let io = ctrl.io();
     report.io_stats = io.stats();
-    report.qos_deferrals = report.io_stats.qos_deferrals;
     report.cache_stats = io.cache().stats();
     if cfg.tenant_warps {
         report.tenant_cache = io.cache().tenant_stats();

@@ -33,7 +33,7 @@
 
 use agile_core::transaction::Barrier;
 use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
-use agile_metrics::{CounterFamily, HistoFamily, LabelDim, MetricsRegistry};
+use agile_metrics::{Collector, HistoSnapshot, Labels, MetricValue, MetricsRegistry, Sample};
 use agile_sim::costs::{POLL_RETRY_CYCLES, SUBMIT_RETRY_CYCLES};
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
@@ -43,30 +43,25 @@ use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
 use nvme_sim::{DmaHandle, PageToken};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Shared accumulator all replay warps record completions into: one
-/// aggregate latency histogram plus one histogram per tenant, so the replay
-/// reports per-tenant p50/p95/p99 next to the aggregate — the measurement a
-/// QoS scheduler will be judged against.
+/// latency histogram and read/write counts per tenant, so the replay reports
+/// per-tenant p50/p95/p99 next to the aggregate — the measurement a QoS
+/// scheduler will be judged against. The aggregate is the exact merge of the
+/// tenants'.
 #[derive(Default)]
 pub struct ReplayCollector {
-    latency: Mutex<LatencyHistogram>,
-    tenants: Mutex<BTreeMap<u32, LatencyHistogram>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    /// Optional registry instruments mirroring the accumulators above
-    /// (`agile_replay_*`), so the windowed sampler can slice replay
-    /// completions into per-window per-tenant IOPS and percentiles.
-    metrics: OnceLock<ReplayMetrics>,
+    tenants: Arc<Mutex<BTreeMap<u32, TenantCompletions>>>,
+    bound: AtomicBool,
 }
 
-struct ReplayMetrics {
-    ops: CounterFamily,
-    latency: HistoFamily,
-    reads: agile_metrics::Counter,
-    writes: agile_metrics::Counter,
+/// One tenant's completions; the ones that are not writes are reads.
+#[derive(Default)]
+struct TenantCompletions {
+    latency: LatencyHistogram,
+    writes: u64,
 }
 
 impl ReplayCollector {
@@ -75,60 +70,46 @@ impl ReplayCollector {
         ReplayCollector::default()
     }
 
-    /// Mirror every recorded completion into `registry` as
+    /// Export the recorded completions through `registry` as
     /// `agile_replay_ops_total{tenant}` / `agile_replay_latency_cycles{tenant}`
-    /// plus aggregate read/write counters. Returns `false` if instruments
-    /// were already installed (the first binding wins).
+    /// (a tenant once it completed an op) plus aggregate
+    /// `agile_replay_{reads,writes}_total`, read at snapshot time. Returns
+    /// `false` if the collector was already bound (the first binding wins).
     pub fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
-        use agile_metrics::Labels;
-        self.metrics
-            .set(ReplayMetrics {
-                ops: registry.counter_family("agile_replay_ops_total", LabelDim::Tenant),
-                latency: registry.histo_family("agile_replay_latency_cycles", LabelDim::Tenant),
-                reads: registry.counter("agile_replay_reads_total", Labels::NONE),
-                writes: registry.counter("agile_replay_writes_total", Labels::NONE),
-            })
-            .is_ok()
+        if self.bound.swap(true, Ordering::Relaxed) {
+            return false;
+        }
+        registry.register_collector(Box::new(ReplayExport(Arc::clone(&self.tenants))));
+        true
     }
 
     /// Record one completed op of `tenant` observed `latency_cycles` after
     /// its submit.
     pub fn record(&self, tenant: u32, latency_cycles: u64, write: bool) {
-        self.latency.lock().record(latency_cycles);
-        self.tenants
-            .lock()
-            .entry(tenant)
-            .or_default()
-            .record(latency_cycles);
-        if write {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(m) = self.metrics.get() {
-            m.ops.inc(tenant);
-            m.latency.record(tenant, latency_cycles);
-            if write {
-                m.writes.inc();
-            } else {
-                m.reads.inc();
-            }
-        }
+        let mut tenants = self.tenants.lock();
+        let t = tenants.entry(tenant).or_default();
+        t.latency.record(latency_cycles);
+        t.writes += write as u64;
     }
 
     /// Completed reads.
     pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
+        let tenants = self.tenants.lock();
+        tenants.values().map(|t| t.latency.count() - t.writes).sum()
     }
 
     /// Completed writes.
     pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.tenants.lock().values().map(|t| t.writes).sum()
     }
 
-    /// Snapshot of the aggregate latency histogram.
+    /// The aggregate latency histogram.
     pub fn latency(&self) -> LatencyHistogram {
-        self.latency.lock().clone()
+        let mut all = LatencyHistogram::new();
+        for t in self.tenants.lock().values() {
+            all.merge(&t.latency);
+        }
+        all
     }
 
     /// Snapshot of the per-tenant latency histograms, ordered by tenant id.
@@ -136,8 +117,39 @@ impl ReplayCollector {
         self.tenants
             .lock()
             .iter()
-            .map(|(&t, h)| (t, h.clone()))
+            .map(|(&t, c)| (t, c.latency.clone()))
             .collect()
+    }
+}
+
+/// The registry's view of a [`ReplayCollector`].
+struct ReplayExport(Arc<Mutex<BTreeMap<u32, TenantCompletions>>>);
+
+impl Collector for ReplayExport {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        use MetricValue::{Counter, Histo};
+        let mut push = |name, labels, value| {
+            out.push(Sample {
+                name,
+                labels,
+                value,
+            })
+        };
+        let (mut ops, mut writes) = (0, 0);
+        for (&tenant, t) in self.0.lock().iter() {
+            let labels = Labels::tenant(tenant);
+            push("agile_replay_ops_total", labels, Counter(t.latency.count()));
+            let histo = Histo(Box::new(HistoSnapshot::of(&t.latency)));
+            push("agile_replay_latency_cycles", labels, histo);
+            ops += t.latency.count();
+            writes += t.writes;
+        }
+        push(
+            "agile_replay_reads_total",
+            Labels::NONE,
+            Counter(ops - writes),
+        );
+        push("agile_replay_writes_total", Labels::NONE, Counter(writes));
     }
 }
 

@@ -54,6 +54,6 @@ fn main() {
         ctrl.cache().stats().hits,
         ctrl.cache().stats().misses
     );
-    println!("warp-coalesced reqs : {}", stats.warp_coalesced);
+    println!("warp-coalesced reqs : {}", stats.io.warp_coalesced);
     println!("result verified against host reference BFS ✓");
 }

@@ -45,7 +45,7 @@ fn main() {
     println!("simulated time      : {:.3} ms", report.elapsed_secs * 1e3);
     println!("prefetch calls      : {}", stats.prefetch_calls);
     println!("cache hits / misses : {} / {}", cache.hits, cache.misses);
-    println!("warp-coalesced reqs : {}", stats.warp_coalesced);
+    println!("warp-coalesced reqs : {}", stats.io.warp_coalesced);
     println!(
         "bytes read from SSDs: {} MiB",
         host.topology().total_bytes_read() >> 20

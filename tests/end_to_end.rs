@@ -29,7 +29,7 @@ fn prefetch_pipeline_runs_and_hits_cache() {
     let stats = ctrl.stats();
     assert!(stats.prefetch_calls > 0);
     assert!(
-        stats.cache_hits > 0,
+        stats.io.cache_hits > 0,
         "prefetched pages must be consumed as hits"
     );
     assert_eq!(ctrl.cache().total_pins(), 0, "no cache pins may leak");
@@ -111,7 +111,7 @@ fn naive_async_deadlocks_on_bam_but_agile_completes_the_same_load() {
         !report.deadlocked,
         "AGILE must survive the same queue pressure without deadlock"
     );
-    assert!(ctrl.stats().sq_full_retries > 0 || ctrl.stats().cache_misses > 0);
+    assert!(ctrl.stats().io.sq_full_retries > 0 || ctrl.stats().io.cache_misses > 0);
 }
 
 #[test]
@@ -123,13 +123,13 @@ fn multi_kernel_sequential_launches_share_the_cache() {
         LaunchConfig::new(2, 64).with_registers(40),
         Box::new(PrefetchComputeKernel::new(ctrl.clone(), 4, 1_000)),
     );
-    let misses_after_first = ctrl.stats().cache_misses;
+    let misses_after_first = ctrl.stats().io.cache_misses;
     let r2 = host.run_kernel(
         LaunchConfig::new(2, 64).with_registers(40),
         Box::new(PrefetchComputeKernel::new(ctrl.clone(), 4, 1_000)),
     );
     assert!(!r1.deadlocked && !r2.deadlocked);
-    let misses_after_second = ctrl.stats().cache_misses;
+    let misses_after_second = ctrl.stats().io.cache_misses;
     assert!(
         misses_after_second - misses_after_first < misses_after_first.max(1),
         "second launch should mostly hit the warmed cache"

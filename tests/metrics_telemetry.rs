@@ -8,11 +8,12 @@
 //! un-instrumented run.
 
 use agile_repro::control::{ControlPolicy, SloSpec};
-use agile_repro::metrics::{windows_to_json, Labels, MetricValue};
+use agile_repro::metrics::{windows_to_json, Labels, MetricValue, MetricsRegistry};
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
-    run_trace_replay, QosSpec, ReplayConfig, ReplaySystem,
+    run_trace_replay, MetricsReport, QosSpec, ReplayConfig, ReplaySystem,
 };
+use agile_repro::workloads::trace_replay::ReplayCollector;
 use std::collections::BTreeSet;
 
 fn noisy_cfg(qos: QosSpec) -> ReplayConfig {
@@ -194,24 +195,27 @@ fn noisy_neighbour_emits_per_tenant_windowed_series() {
 fn qos_deferrals_surface_in_the_summary() {
     let trace = TraceSpec::noisy_neighbor("metrics-nn", 21, 2, 1 << 12, 768).generate();
     let fifo = run_trace_replay(&trace, ReplaySystem::Agile, &noisy_cfg(QosSpec::Fifo));
-    assert_eq!(fifo.qos_deferrals, 0, "FIFO never defers");
+    assert_eq!(fifo.io_stats.qos_deferrals, 0, "FIFO never defers");
     assert!(!fifo.summary().contains("qos_deferrals="));
     let wfq = run_trace_replay(
         &trace,
         ReplaySystem::Agile,
         &noisy_cfg(QosSpec::WeightedFair(vec![1, 1])).with_metrics(),
     );
-    assert!(wfq.qos_deferrals > 0, "saturated WFQ defers the hog");
+    assert!(
+        wfq.io_stats.qos_deferrals > 0,
+        "saturated WFQ defers the hog"
+    );
     assert!(wfq
         .summary()
-        .contains(&format!(" qos_deferrals={}", wfq.qos_deferrals)));
+        .contains(&format!(" qos_deferrals={}", wfq.io_stats.qos_deferrals)));
     // The registry's per-tenant deferral family sums to the same total.
     let snap = wfq.metrics.expect("metrics captured").snapshot;
     let deferrals: u64 = snap
         .family("agile_submit_qos_deferrals_total")
         .map(|s| s.value.as_u64())
         .sum();
-    assert_eq!(deferrals, wfq.qos_deferrals);
+    assert_eq!(deferrals, wfq.io_stats.qos_deferrals);
 }
 
 #[test]
@@ -235,6 +239,32 @@ fn lock_wait_family_matches_the_reports_lock_wait() {
         .map(|s| (s.labels, s.value.as_u64()))
         .collect();
     assert_eq!(wait, [(Labels::shard(0), report.lock_wait_cycles)]);
+}
+
+#[test]
+fn a_replay_collector_binds_once_and_exports_each_sample_once() {
+    let registry = MetricsRegistry::new();
+    let collector = ReplayCollector::new();
+    assert!(collector.bind_metrics(&registry));
+    assert!(!collector.bind_metrics(&registry), "the first binding wins");
+    collector.record(0, 100, false);
+    collector.record(1, 200, true);
+    collector.record(1, 300, false);
+    let snap = registry.snapshot();
+    let keys: Vec<_> = snap.samples.iter().map(|s| (s.name, s.labels)).collect();
+    let unique: BTreeSet<_> = keys.iter().copied().collect();
+    assert_eq!(keys.len(), unique.len(), "one sample per (name, labels)");
+    // Per tenant ops and latency, then the aggregate reads and writes.
+    assert_eq!(keys.len(), 2 * 2 + 2);
+    assert_eq!(snap.counter("agile_replay_ops_total", Labels::tenant(1)), 2);
+    assert_eq!(snap.counter("agile_replay_reads_total", Labels::NONE), 2);
+    assert_eq!(snap.counter("agile_replay_writes_total", Labels::NONE), 1);
+    let h = snap
+        .histo("agile_replay_latency_cycles", Labels::tenant(1))
+        .expect("tenant 1 recorded");
+    assert_eq!((h.count, h.sum, h.min, h.max), (2, 500, 200, 300));
+    assert_eq!(collector.latency().count(), 3);
+    assert_eq!((collector.reads(), collector.writes()), (2, 1));
 }
 
 /// `a_{x,y}_b` → `a_x_b`, `a_y_b` (the catalogue's shorthand; one group).
@@ -307,5 +337,76 @@ fn readme_catalogue_and_registry_name_the_same_families() {
     assert!(
         dead.is_empty(),
         "README names engine metric families nothing registers: {dead:?}"
+    );
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// The FNV-1a hash of a metered replay's `MetricsReport::to_json()` (the
+/// final snapshot and every window), plus the report for further checks.
+fn metrics_fingerprint(system: ReplaySystem, cfg: &ReplayConfig) -> (u64, MetricsReport) {
+    let trace = TraceSpec::noisy_neighbor("metrics-golden", 31, 2, 1 << 12, 768).generate();
+    let report = run_trace_replay(&trace, system, cfg);
+    assert!(!report.deadlocked);
+    let m = report.metrics.expect("metrics captured");
+    (fnv1a(m.to_json().as_bytes()), m)
+}
+
+/// Pins what the registry reports, snapshot and windows byte for byte, on
+/// three metered replays. The constants were recorded while the submit path
+/// and the replay collector still mirrored every event into registry
+/// instruments; the layers' own cells, read at snapshot time, must give the
+/// same bytes. Cached-path submissions are system traffic, which the QoS
+/// gate never defers (and `run_trace_replay` refuses WFQ on the cached path),
+/// so the deferral family is pinned on a raw WFQ replay and the cached AGILE
+/// stack on a second, controlled one.
+#[test]
+fn metered_replays_report_pinned_metrics() {
+    let slos = vec![SloSpec::p99(0, 500.0)];
+    let (wfq, m) = metrics_fingerprint(
+        ReplaySystem::Agile,
+        &noisy_cfg(QosSpec::WeightedFair(vec![1, 1]))
+            .with_metrics_window(100_000)
+            .with_control(ControlPolicy::all())
+            .with_slos(slos.clone()),
+    );
+    for family in [
+        "agile_submit_qos_deferrals_total",
+        "agile_replay_latency_cycles",
+    ] {
+        assert!(
+            m.snapshot.family(family).next().is_some(),
+            "{family} is empty"
+        );
+    }
+    let (cached, _) = metrics_fingerprint(
+        ReplaySystem::Agile,
+        &noisy_cfg(QosSpec::Fifo)
+            .cached()
+            .tenant_share(vec![1, 1])
+            .with_metrics_window(100_000)
+            .with_control(ControlPolicy::all())
+            .with_slos(slos),
+    );
+    let (bam, _) = metrics_fingerprint(
+        ReplaySystem::Bam,
+        &ReplayConfig::quick().cached().with_metrics_window(100_000),
+    );
+    let got = [wfq, cached, bam];
+    let pinned = [
+        0xc020_1ae2_d2b4_dc9b,
+        0x0064_bf06_39b4_2877,
+        0xa1fa_9438_c938_1466,
+    ];
+    assert_eq!(
+        got, pinned,
+        "metrics fingerprints {got:#018x?} != pinned {pinned:#018x?} (WFQ, cached, BaM)"
     );
 }
