@@ -19,8 +19,8 @@
 //! (a set has at most [`MAX_ASSOCIATIVITY`] ways) and the owners as the set's
 //! slice of the cache's per-line owner array.
 
-use crate::tenant::{TenantTable, NO_TENANT};
-use parking_lot::RwLock;
+use crate::tenant::{weighted_share, TenantTable, NO_TENANT};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -191,8 +191,8 @@ impl CachePolicy for ClockPolicy {
 /// their quota.
 ///
 /// A tenant's quota is its weighted fraction of the total line count,
-/// computed over the tenants *currently holding lines*:
-/// `share(t) = lines × weight(t) / Σ active weights` (at least one line).
+/// computed over the tenants *currently holding lines* by
+/// [`weighted_share`].
 /// On eviction the policy first restricts the candidate ways to those owned
 /// by over-quota tenants and picks among them with an interior clock
 /// (second-chance) order; when no over-quota line is evictable it falls back
@@ -210,12 +210,10 @@ pub struct TenantShare {
     /// Interior recency order (second-chance) shared by the filtered and the
     /// fallback victim choice.
     inner: ClockPolicy,
-    /// Explicit per-tenant weights; tenants not listed get `default_weight`.
-    /// Behind a lock so the control plane can retune shares online
-    /// ([`CachePolicy::set_share`]) while warps evict concurrently; the
-    /// victim path takes it shared once per choice.
-    weights: RwLock<BTreeMap<u32, u64>>,
-    default_weight: u64,
+    /// Explicit per-tenant weights; tenants not listed get weight 1. Behind
+    /// a lock because the control plane retunes them through `&self`
+    /// ([`CachePolicy::set_share`]).
+    weights: Mutex<BTreeMap<u32, u64>>,
     /// Total lines quotas are computed over: the cache's sets ×
     /// associativity, from `configure`.
     total_lines: u64,
@@ -228,8 +226,7 @@ impl TenantShare {
     pub fn new() -> Self {
         TenantShare {
             inner: ClockPolicy::new(),
-            weights: RwLock::new(BTreeMap::new()),
-            default_weight: 1,
+            weights: Mutex::new(BTreeMap::new()),
             total_lines: 0,
             tenants: None,
         }
@@ -238,24 +235,17 @@ impl TenantShare {
     /// Shares from explicit weights indexed by tenant id (tenants beyond the
     /// slice fall back to weight 1; zero weights are clamped to 1).
     pub fn from_weights(weights: &[u64]) -> Self {
-        let policy = TenantShare::new();
-        {
-            let mut map = policy.weights.write();
-            for (tenant, &w) in weights.iter().enumerate() {
-                map.insert(tenant as u32, w.max(1));
-            }
+        let mut policy = TenantShare::new();
+        for (tenant, &w) in weights.iter().enumerate() {
+            policy = policy.with_weight(tenant as u32, w);
         }
         policy
     }
 
     /// Override one tenant's weight (builder-style).
-    pub fn with_weight(self, tenant: u32, weight: u64) -> Self {
-        self.weights.write().insert(tenant, weight.max(1));
+    pub fn with_weight(mut self, tenant: u32, weight: u64) -> Self {
+        self.weights.get_mut().insert(tenant, weight.max(1));
         self
-    }
-
-    fn weight_of(weights: &BTreeMap<u32, u64>, default_weight: u64, tenant: u32) -> u64 {
-        *weights.get(&tenant).unwrap_or(&default_weight)
     }
 }
 
@@ -286,23 +276,16 @@ impl CachePolicy for TenantShare {
         };
         // Candidate ways owned by a tenant over its weighted share.
         let over_quota = table.with_occupancies(|occupancies| {
-            // One shared acquisition per victim choice: the weights are read
-            // under a consistent snapshot, so a concurrent online retune
-            // flips the quota view atomically between choices.
-            let weights = self.weights.read();
-            let weight_of = |tenant| Self::weight_of(&weights, self.default_weight, tenant);
+            let weights = self.weights.lock();
+            let weight_of = |tenant| weights.get(&tenant).copied().unwrap_or(1);
             let active_weight: u64 = occupancies.active().map(|(t, _)| weight_of(t)).sum();
             if active_weight == 0 {
                 return 0;
             }
-            let over = |tenant: u32| -> bool {
-                if tenant == NO_TENANT {
-                    return false;
-                }
-                let share = ((self.total_lines as u128 * weight_of(tenant) as u128)
-                    / active_weight as u128)
-                    .max(1) as u64;
-                occupancies.of(tenant) > share
+            let over = |tenant: u32| {
+                tenant != NO_TENANT
+                    && occupancies.of(tenant)
+                        > weighted_share(self.total_lines, weight_of(tenant), active_weight)
             };
             ways(evictable)
                 .filter(|&way| over(owners[way].load(Ordering::Relaxed)))
@@ -317,20 +300,19 @@ impl CachePolicy for TenantShare {
         self.inner.choose_victim(set, evictable, owners)
     }
 
-    /// Rebind `tenant`'s occupancy share online: one write-lock store the
-    /// next victim choice observes (evictions are never blocked mid-choice —
-    /// the victim path holds the lock shared for the whole choice).
+    /// Rebind `tenant`'s occupancy share online; the next victim choice
+    /// sees it.
     fn set_share(&self, tenant: u32, weight: u64) -> Result<u64, ShareError> {
         if weight == 0 {
             return Err(ShareError::Zero);
         }
         let applied = weight.min(MAX_ONLINE_SHARE);
-        self.weights.write().insert(tenant, applied);
+        self.weights.lock().insert(tenant, applied);
         Ok(applied)
     }
 
     fn share(&self, tenant: u32) -> Option<u64> {
-        self.weights.read().get(&tenant).copied()
+        self.weights.lock().get(&tenant).copied()
     }
 }
 

@@ -17,22 +17,27 @@
 //! never waits behind tenant arbitration — the invariant the raw-path QoS
 //! work established.
 //!
-//! The table mirrors the interior-sharding discipline of
-//! `agile_core::qos::WeightedFair`: per-tenant all-atomic cells behind an
-//! append-only `RwLock` registry. That layout was built for N service
-//! partitions updating it concurrently; the service scale-out is deleted and
-//! the engine runs on one thread, so the roadmap's "collapse the per-tenant
-//! atomics" decision queues turning them into plain cells.
+//! The table keeps plain per-tenant records under one lock. The engine drives
+//! the cache from one host thread, so the lock is never contended; it is
+//! there because the cache and a tenant-aware policy share the table through
+//! an `Arc` and update it through `&self`.
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Sentinel for "no owning tenant": unowned ways, and lookups arriving
 /// through the untenanted legacy entry points (`preload`, bare-queue rigs).
-/// The table never creates a cell for it.
+/// The table never creates a record for it.
 pub const NO_TENANT: u32 = u32::MAX;
+
+/// A tenant's weighted share of `capacity` units (SQ slots, cache lines):
+/// `max(1, capacity × weight / active_weight)`, the product taken in u128,
+/// where `active_weight` (nonzero) sums the weights of the tenants currently
+/// competing. The one share rule of `agile_core::qos::WeightedFair` and
+/// [`TenantShare`](crate::policy::TenantShare).
+pub fn weighted_share(capacity: u64, weight: u64, active_weight: u64) -> u64 {
+    ((capacity as u128 * weight as u128) / active_weight as u128).max(1) as u64
+}
 
 /// Snapshot of one tenant's cache accounting.
 ///
@@ -66,21 +71,12 @@ impl TenantCacheStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct TenantCells {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fills: AtomicU64,
-    evictions: AtomicU64,
-    occupancy: AtomicU64,
-}
-
 /// Per-tenant cache counters, keyed by tenant id. Owned by the
 /// [`crate::cache::SoftwareCache`] and shared (as an `Arc`) with any
 /// tenant-aware replacement policy bound to it.
 #[derive(Debug, Default)]
 pub struct TenantTable {
-    tenants: RwLock<BTreeMap<u32, Arc<TenantCells>>>,
+    tenants: Mutex<BTreeMap<u32, TenantCacheStats>>,
 }
 
 impl TenantTable {
@@ -89,144 +85,104 @@ impl TenantTable {
         TenantTable::default()
     }
 
-    /// The cell of `tenant`, inserting it on first sight (the only
-    /// write-lock acquisition on the hot paths). Callers must filter
-    /// [`NO_TENANT`] before calling.
-    fn cell(&self, tenant: u32) -> Arc<TenantCells> {
-        debug_assert_ne!(tenant, NO_TENANT);
-        if let Some(cell) = self.tenants.read().get(&tenant) {
-            return Arc::clone(cell);
+    /// Apply `f` to `tenant`'s record, inserting it on first sight; nothing
+    /// is recorded for [`NO_TENANT`].
+    fn update(&self, tenant: u32, f: impl FnOnce(&mut TenantCacheStats)) {
+        if tenant != NO_TENANT {
+            f(self
+                .tenants
+                .lock()
+                .entry(tenant)
+                .or_insert_with(|| TenantCacheStats {
+                    tenant,
+                    ..TenantCacheStats::default()
+                }));
         }
-        let mut tenants = self.tenants.write();
-        Arc::clone(tenants.entry(tenant).or_default())
     }
 
     /// A lookup by `tenant` hit valid data.
     pub fn record_hit(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            self.cell(tenant).hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.update(tenant, |c| c.hits += 1);
     }
 
-    /// A lookup by `tenant` missed and reserved a line for a fill
-    /// (miss + fill in one cell resolution — the set mutex is held across
-    /// this call, so every map search saved matters).
+    /// A lookup by `tenant` missed and reserved a line for a fill.
     pub fn record_miss_fill(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            let cell = self.cell(tenant);
-            cell.misses.fetch_add(1, Ordering::Relaxed);
-            cell.fills.fetch_add(1, Ordering::Relaxed);
-        }
+        self.update(tenant, |c| {
+            c.misses += 1;
+            c.fills += 1;
+        });
     }
 
     /// A lookup by `tenant` missed, reserved a line, and acquired ownership
-    /// of a previously-unowned way (miss + fill + occupancy in one cell
-    /// resolution).
+    /// of a previously-unowned way.
     pub fn record_miss_fill_occupy(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            let cell = self.cell(tenant);
-            cell.misses.fetch_add(1, Ordering::Relaxed);
-            cell.fills.fetch_add(1, Ordering::Relaxed);
-            cell.occupancy.fetch_add(1, Ordering::Relaxed);
-        }
+        self.update(tenant, |c| {
+            c.misses += 1;
+            c.fills += 1;
+            c.occupancy += 1;
+        });
     }
 
     /// `tenant` acquired ownership of one line.
     pub fn occupy(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            self.cell(tenant).occupancy.fetch_add(1, Ordering::Relaxed);
-        }
+        self.update(tenant, |c| c.occupancy += 1);
     }
 
     /// `tenant` released ownership of one line (ownership transfer or
-    /// reinstatement; saturating, so racy release orders cannot wrap).
+    /// reinstatement; saturating at zero).
     pub fn vacate(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            let _ = self.cell(tenant).occupancy.fetch_update(
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                |v| Some(v.saturating_sub(1)),
-            );
-        }
+        self.update(tenant, |c| c.occupancy = c.occupancy.saturating_sub(1));
     }
 
-    /// One of `tenant`'s lines was evicted: occupancy drops and the
-    /// (monotone) eviction counter advances (one cell resolution).
+    /// One of `tenant`'s lines was evicted: occupancy drops (saturating at
+    /// zero) and the monotone eviction counter advances.
     pub fn record_eviction(&self, tenant: u32) {
-        if tenant != NO_TENANT {
-            let cell = self.cell(tenant);
-            cell.evictions.fetch_add(1, Ordering::Relaxed);
-            let _ = cell
-                .occupancy
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                    Some(v.saturating_sub(1))
-                });
-        }
+        self.update(tenant, |c| {
+            c.evictions += 1;
+            c.occupancy = c.occupancy.saturating_sub(1);
+        });
     }
 
     /// Current occupancy of `tenant` (0 when never seen).
     pub fn occupancy(&self, tenant: u32) -> u64 {
-        if tenant == NO_TENANT {
-            return 0;
-        }
-        self.tenants
-            .read()
-            .get(&tenant)
-            .map(|c| c.occupancy.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.tenants.lock().get(&tenant).map_or(0, |c| c.occupancy)
     }
 
-    /// Call `f` with a view of the live occupancies under one read lock, so
-    /// a victim choice reads them without collecting anything.
+    /// Call `f` with a view of the live occupancies under the table's lock,
+    /// so a victim choice reads them without collecting anything. `f` must
+    /// not call back into the table: the lock is not re-entrant.
     pub(crate) fn with_occupancies<R>(&self, f: impl FnOnce(&Occupancies<'_>) -> R) -> R {
-        f(&Occupancies(&self.tenants.read()))
+        f(&Occupancies(&self.tenants.lock()))
     }
 
     /// Snapshot of every tenant's counters, ordered by tenant id.
     pub fn snapshot(&self) -> Vec<TenantCacheStats> {
-        self.tenants
-            .read()
-            .iter()
-            .map(|(&tenant, c)| TenantCacheStats {
-                tenant,
-                hits: c.hits.load(Ordering::Relaxed),
-                misses: c.misses.load(Ordering::Relaxed),
-                fills: c.fills.load(Ordering::Relaxed),
-                evictions: c.evictions.load(Ordering::Relaxed),
-                occupancy: c.occupancy.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.tenants.lock().values().cloned().collect()
     }
 
     /// Sum of all tenants' occupancies (owned lines; unowned lines are not
     /// counted anywhere).
     pub fn total_occupancy(&self) -> u64 {
-        self.tenants
-            .read()
-            .values()
-            .map(|c| c.occupancy.load(Ordering::Relaxed))
-            .sum()
+        self.tenants.lock().values().map(|c| c.occupancy).sum()
     }
 }
 
 /// The tenants' live occupancies, read without allocating; see
 /// [`TenantTable::with_occupancies`].
-pub(crate) struct Occupancies<'a>(&'a BTreeMap<u32, Arc<TenantCells>>);
+pub(crate) struct Occupancies<'a>(&'a BTreeMap<u32, TenantCacheStats>);
 
 impl Occupancies<'_> {
     /// `(tenant, occupancy)` of every tenant holding lines, by tenant id.
     pub(crate) fn active(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.0.iter().filter_map(|(&t, c)| {
-            let occ = c.occupancy.load(Ordering::Relaxed);
-            (occ > 0).then_some((t, occ))
-        })
+        self.0
+            .iter()
+            .filter(|(_, c)| c.occupancy > 0)
+            .map(|(&t, c)| (t, c.occupancy))
     }
 
     /// Current occupancy of `tenant` (0 when never seen).
     pub(crate) fn of(&self, tenant: u32) -> u64 {
-        self.0
-            .get(&tenant)
-            .map_or(0, |c| c.occupancy.load(Ordering::Relaxed))
+        self.0.get(&tenant).map_or(0, |c| c.occupancy)
     }
 }
 
@@ -296,6 +252,51 @@ mod tests {
         t.vacate(2);
         let active: Vec<(u32, u64)> = t.with_occupancies(|view| view.active().collect());
         assert_eq!(active, vec![(1, 2)]);
+    }
+
+    /// A scripted sequence whose snapshot was recorded on the atomic-cell
+    /// implementation this one replaced: every call inserts its tenant on
+    /// first sight, and occupancy never wraps below zero.
+    #[test]
+    fn scripted_sequence_keeps_its_pinned_snapshot() {
+        let t = TenantTable::new();
+        t.record_hit(0);
+        for _ in 0..3 {
+            t.record_miss_fill_occupy(0);
+        }
+        t.record_miss_fill(1);
+        t.occupy(1);
+        t.vacate(2);
+        t.record_eviction(3);
+        t.record_eviction(0);
+        t.vacate(1);
+        t.vacate(1);
+        t.record_eviction(1);
+        t.occupy(4);
+        t.occupy(4);
+        t.record_hit(NO_TENANT);
+        t.record_eviction(NO_TENANT);
+        let row = |tenant, hits, misses, fills, evictions, occupancy| TenantCacheStats {
+            tenant,
+            hits,
+            misses,
+            fills,
+            evictions,
+            occupancy,
+        };
+        assert_eq!(
+            t.snapshot(),
+            vec![
+                row(0, 1, 3, 3, 1, 2),
+                row(1, 0, 1, 1, 1, 0),
+                row(2, 0, 0, 0, 0, 0),
+                row(3, 0, 0, 0, 1, 0),
+                row(4, 0, 0, 0, 0, 2),
+            ]
+        );
+        assert_eq!(t.total_occupancy(), 4);
+        let active: Vec<(u32, u64)> = t.with_occupancies(|view| view.active().collect());
+        assert_eq!(active, vec![(0, 2), (4, 2)]);
     }
 
     #[test]

@@ -255,8 +255,6 @@ pub struct IoStats {
     /// Tenant submissions deferred by the QoS admission gate (the policy's
     /// per-tenant [`deferred`](crate::qos::QosTenantStats::deferred), summed).
     pub qos_deferrals: u64,
-    /// Write-backs of dirty evicted lines.
-    pub writebacks: u64,
     /// Cycles charged for cache-management work.
     pub cache_cycles: u64,
     /// Cycles charged for NVMe issue / polling work.
@@ -272,7 +270,6 @@ struct IoStatCells {
     warp_coalesced: AtomicU64,
     cache_coalesced: AtomicU64,
     sq_full_retries: AtomicU64,
-    writebacks: AtomicU64,
     cache_cycles: AtomicU64,
     io_cycles: AtomicU64,
 }
@@ -447,7 +444,6 @@ impl IoPath {
                 .qos
                 .get()
                 .map_or(0, |qos| qos.tenant_stats().iter().map(|t| t.deferred).sum()),
-            writebacks: get(&s.writebacks),
             cache_cycles: get(&s.cache_cycles),
             io_cycles: get(&s.io_cycles),
         }
@@ -763,7 +759,6 @@ impl IoPath {
     ) -> (Cycles, bool) {
         let mut cost = Cycles::ZERO;
         if let Some(victim) = writeback {
-            bump(&self.stats.writebacks, 1);
             let snapshot = DmaHandle::with_token(victim.token);
             let (wb_cost, ok) = self.submit(
                 victim.dev as usize,

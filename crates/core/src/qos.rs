@@ -34,12 +34,12 @@
 //! and drop the dirty snapshot (the known lost-update hazard), so system ops
 //! must never wait behind tenant arbitration.
 
+use agile_cache::tenant::weighted_share;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::Cycles;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Run one admission check against `policy`, recording a
@@ -214,52 +214,45 @@ impl QosPolicy for Fifo {
 // Weighted fair (deficit round robin over in-flight slot shares)
 // ---------------------------------------------------------------------------
 
-/// Book-keeping of one tenant's virtual queue — all-atomic, so the
-/// completion hook can return credits without touching the tenant registry
-/// lock. The atomics are left over from the deleted N-service design, whose
-/// partitions called [`QosPolicy::on_complete`] concurrently; the engine now
-/// runs one service on one thread (the roadmap's "collapse the per-tenant
-/// atomics" decision queues their removal).
+/// Book-keeping of one tenant's virtual queue.
 #[derive(Debug)]
 struct WfTenant {
-    weight: AtomicU64,
-    /// Admitted-but-not-completed submissions (spent round credits). Bounded
-    /// by the tenant's share through a CAS loop on the admit path, so credit
-    /// accounting stays linearizable: occupancy can never exceed the share
-    /// observed at admission time, no matter how admissions, refunds and
-    /// completions interleave.
-    in_flight: AtomicU64,
+    weight: u64,
+    /// Admitted-but-not-completed submissions (spent round credits).
+    in_flight: u64,
     /// Sim time of the tenant's last admission attempt **plus one**; 0 until
     /// the first attempt, so a pre-configured tenant that never shows up
     /// does not count as active (and shrink everyone's share) at time zero.
-    last_seen: AtomicU64,
-    admitted: AtomicU64,
-    deferred: AtomicU64,
+    last_seen: u64,
+    admitted: u64,
+    deferred: u64,
 }
 
-impl WfTenant {
-    fn with_weight(weight: u64) -> Self {
+impl Default for WfTenant {
+    /// A tenant never seen before: weight 1, nothing spent.
+    fn default() -> Self {
         WfTenant {
-            weight: AtomicU64::new(weight.max(1)),
-            in_flight: AtomicU64::new(0),
-            last_seen: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            deferred: AtomicU64::new(0),
+            weight: 1,
+            in_flight: 0,
+            last_seen: 0,
+            admitted: 0,
+            deferred: 0,
         }
     }
+}
 
-    /// Active within the window ending at `horizon`?
-    fn active_since(&self, horizon: u64) -> bool {
-        let seen = self.last_seen.load(Ordering::Acquire);
-        // `seen` is (last attempt time + 1), so `seen > horizon` is
-        // "attempted at all, and no earlier than the horizon" (0 = never).
-        seen > horizon
-    }
+/// Everything [`WeightedFair`] keeps, under its one lock.
+#[derive(Debug, Default)]
+struct WfState {
+    /// Total SQ slots; 0 = unbound (admit everything) until [`QosPolicy::bind`].
+    capacity: u64,
+    tenants: BTreeMap<u32, WfTenant>,
+}
 
-    fn saturating_dec(counter: &AtomicU64) {
-        let _ = counter.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-            Some(v.saturating_sub(1))
-        });
+impl WfState {
+    /// `tenant`'s record, inserted on first sight.
+    fn tenant(&mut self, tenant: u32) -> &mut WfTenant {
+        self.tenants.entry(tenant).or_default()
     }
 }
 
@@ -274,8 +267,7 @@ const IDLE_WINDOW_CYCLES: u64 = 200_000;
 /// The policy is told the total slot capacity at install time
 /// ([`QosPolicy::bind`]). Each tenant's round credit is its weighted share of
 /// that capacity, computed over the tenants *active* within the idle window
-/// (`IDLE_WINDOW_CYCLES`): `share(t) = capacity × weight(t) / Σ active
-/// weights` (at least 1).
+/// (`IDLE_WINDOW_CYCLES`) by [`weighted_share`].
 /// An admission spends one credit, a completion returns it, so a tenant's
 /// spent credits are exactly its in-flight occupancy and the device queues
 /// can never fill beyond a tenant's entitlement while a competitor is active.
@@ -283,80 +275,34 @@ const IDLE_WINDOW_CYCLES: u64 = 200_000;
 /// share grows back to the full capacity — the scheduler is work-conserving
 /// and a noisy tenant loses nothing when it is alone.
 ///
-/// ## Interior sharding
-///
-/// The interior state is sharded per tenant, a design left over from the
-/// deleted N-service scale-out whose partitions fired the completion hook
-/// concurrently (nothing calls it concurrently now; the roadmap's "collapse
-/// the per-tenant atomics" decision queues turning it into plain cells). Every hot counter lives in its
-/// tenant's `WfTenant` atomics, and the only lock is a registry `RwLock`
-/// taken shared on the hot paths (exclusive only to insert a never-seen
-/// tenant). Credit accounting stays linearizable — `in_flight` is spent
-/// through a bounded CAS and returned with saturating decrements — so
-/// concurrent `admit`/`on_complete`/`refund` interleavings can neither
-/// overdraw a share nor leak a credit.
-#[derive(Debug)]
+/// The capacity and every tenant's record sit under one lock, which each
+/// call takes once: the engine drives the policy from one host thread, so
+/// the lock only keeps the policy `Sync` for its `Arc<dyn QosPolicy>` seam.
+#[derive(Debug, Default)]
 pub struct WeightedFair {
-    default_weight: u64,
-    /// Total SQ slots; 0 = unbound (admit everything) until [`QosPolicy::bind`].
-    capacity: AtomicU64,
-    /// Tenant registry: append-only map of per-tenant atomic cells.
-    tenants: RwLock<BTreeMap<u32, Arc<WfTenant>>>,
-}
-
-impl Default for WeightedFair {
-    fn default() -> Self {
-        WeightedFair::new()
-    }
+    state: Mutex<WfState>,
 }
 
 impl WeightedFair {
     /// Equal-weight WFQ.
     pub fn new() -> Self {
-        WeightedFair {
-            default_weight: 1,
-            capacity: AtomicU64::new(0),
-            tenants: RwLock::new(BTreeMap::new()),
-        }
+        WeightedFair::default()
     }
 
     /// WFQ with explicit per-tenant weights, indexed by tenant id (tenants
     /// beyond the slice fall back to weight 1). Zero weights are clamped to 1.
     pub fn from_weights(weights: &[u64]) -> Self {
-        let wf = WeightedFair::new();
-        {
-            let mut tenants = wf.tenants.write();
-            for (tenant, &w) in weights.iter().enumerate() {
-                tenants.insert(tenant as u32, Arc::new(WfTenant::with_weight(w)));
-            }
+        let mut wf = WeightedFair::new();
+        for (tenant, &w) in weights.iter().enumerate() {
+            wf = wf.with_weight(tenant as u32, w);
         }
         wf
     }
 
     /// Override one tenant's weight (builder-style).
-    pub fn with_weight(self, tenant: u32, weight: u64) -> Self {
-        {
-            let mut tenants = self.tenants.write();
-            tenants
-                .entry(tenant)
-                .and_modify(|t| t.weight.store(weight.max(1), Ordering::Release))
-                .or_insert_with(|| Arc::new(WfTenant::with_weight(weight)));
-        }
+    pub fn with_weight(mut self, tenant: u32, weight: u64) -> Self {
+        self.state.get_mut().tenant(tenant).weight = weight.max(1);
         self
-    }
-
-    /// The cell of `tenant`, inserting it with the default weight on first
-    /// sight (the only write-lock acquisition on the admit path).
-    fn cell(&self, tenant: u32) -> Arc<WfTenant> {
-        if let Some(cell) = self.tenants.read().get(&tenant) {
-            return Arc::clone(cell);
-        }
-        let mut tenants = self.tenants.write();
-        Arc::clone(
-            tenants
-                .entry(tenant)
-                .or_insert_with(|| Arc::new(WfTenant::with_weight(self.default_weight))),
-        )
     }
 }
 
@@ -366,90 +312,75 @@ impl QosPolicy for WeightedFair {
     }
 
     fn bind(&self, total_slots: u64) {
-        self.capacity.store(total_slots, Ordering::Release);
+        self.state.lock().capacity = total_slots;
     }
 
     fn admit(&self, tenant: u32, now: Cycles) -> QosDecision {
-        let capacity = self.capacity.load(Ordering::Acquire);
-        let entry = self.cell(tenant);
-        entry.last_seen.store(now.raw() + 1, Ordering::Release);
-        if capacity == 0 {
-            // Unbound (no controller installed the policy yet): never defer.
-            entry.in_flight.fetch_add(1, Ordering::AcqRel);
-            entry.admitted.fetch_add(1, Ordering::AcqRel);
-            return QosDecision::Admit;
-        }
-        let horizon = now.raw().saturating_sub(IDLE_WINDOW_CYCLES);
-        let active_weight: u64 = self
-            .tenants
-            .read()
-            .values()
-            .filter(|s| s.active_since(horizon))
-            .map(|s| s.weight.load(Ordering::Acquire))
-            .sum();
-        // The tenant's round credit: its weighted share of the slots,
-        // computed over currently-active tenants (u128 guards the product).
-        let weight = entry.weight.load(Ordering::Acquire);
-        let share =
-            ((capacity as u128 * weight as u128) / active_weight.max(1) as u128).max(1) as u64;
-        // Spend one credit iff occupancy stays under the share — a bounded
-        // CAS, so concurrent admissions cannot jointly overdraw it.
-        let spent = entry
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (cur < share).then_some(cur + 1)
-            });
-        if spent.is_ok() {
-            entry.admitted.fetch_add(1, Ordering::AcqRel);
+        let mut state = self.state.lock();
+        state.tenant(tenant).last_seen = now.raw() + 1;
+        // Unbound (no controller installed the policy yet): never defer.
+        let share = (state.capacity != 0).then(|| {
+            let horizon = now.raw().saturating_sub(IDLE_WINDOW_CYCLES);
+            // `last_seen` is (last attempt time + 1), so `> horizon` is
+            // "attempted at all, and no earlier than the horizon".
+            let active_weight: u64 = state
+                .tenants
+                .values()
+                .filter(|t| t.last_seen > horizon)
+                .map(|t| t.weight)
+                .sum();
+            let weight = state.tenants[&tenant].weight;
+            weighted_share(state.capacity, weight, active_weight.max(1))
+        });
+        let entry = state.tenant(tenant);
+        if share.is_none_or(|share| entry.in_flight < share) {
+            entry.in_flight += 1;
+            entry.admitted += 1;
             QosDecision::Admit
         } else {
-            entry.deferred.fetch_add(1, Ordering::AcqRel);
+            entry.deferred += 1;
             QosDecision::Defer
         }
     }
 
     fn refund(&self, tenant: u32) {
-        if let Some(s) = self.tenants.read().get(&tenant) {
-            WfTenant::saturating_dec(&s.in_flight);
-            WfTenant::saturating_dec(&s.admitted);
+        if let Some(t) = self.state.lock().tenants.get_mut(&tenant) {
+            t.in_flight = t.in_flight.saturating_sub(1);
+            t.admitted = t.admitted.saturating_sub(1);
         }
     }
 
     fn on_complete(&self, tenant: u32) {
-        if let Some(s) = self.tenants.read().get(&tenant) {
-            WfTenant::saturating_dec(&s.in_flight);
+        if let Some(t) = self.state.lock().tenants.get_mut(&tenant) {
+            t.in_flight = t.in_flight.saturating_sub(1);
         }
     }
 
-    /// Rebind `tenant`'s credit share online: the per-tenant cells are
-    /// all-atomic, so the update is one release store the next `admit` call
-    /// observes — no admission is ever blocked behind a retune.
+    /// Rebind `tenant`'s credit share online; the next `admit` sees it.
     fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
         if weight == 0 {
             return Err(WeightError::Zero);
         }
         let applied = weight.min(MAX_ONLINE_WEIGHT);
-        self.cell(tenant).weight.store(applied, Ordering::Release);
+        self.state.lock().tenant(tenant).weight = applied;
         Ok(applied)
     }
 
     fn weight(&self, tenant: u32) -> Option<u64> {
-        self.tenants
-            .read()
-            .get(&tenant)
-            .map(|s| s.weight.load(Ordering::Acquire))
+        self.state.lock().tenants.get(&tenant).map(|t| t.weight)
     }
 
     fn tenant_stats(&self) -> Vec<QosTenantStats> {
-        self.tenants
-            .read()
+        self.state
+            .lock()
+            .tenants
             .iter()
-            .map(|(&tenant, s)| QosTenantStats {
+            .map(|(&tenant, t)| QosTenantStats {
                 tenant,
-                weight: s.weight.load(Ordering::Acquire),
-                admitted: s.admitted.load(Ordering::Acquire),
-                deferred: s.deferred.load(Ordering::Acquire),
-                in_flight: s.in_flight.load(Ordering::Acquire),
+                weight: t.weight,
+                admitted: t.admitted,
+                deferred: t.deferred,
+                in_flight: t.in_flight,
             })
             .collect()
     }
@@ -619,6 +550,90 @@ mod tests {
         // Unknown tenants are inserted (weights survive until first admit).
         assert_eq!(p.set_weight(9, 5), Ok(5));
         assert_eq!(p.weight(9), Some(5));
+    }
+
+    /// A scripted sequence whose accounting was recorded on the atomic-cell
+    /// implementation this one replaced. It states the policy's invariants
+    /// as values: spent credits never exceed the share, no credit leaks
+    /// (in flight = admitted − completed), and no count wraps below zero.
+    #[test]
+    fn wfq_scripted_sequence_keeps_its_pinned_accounting() {
+        let p = WeightedFair::from_weights(&[2, 1]).with_weight(5, 3);
+        let admits = |t: u32, times: std::ops::Range<u64>| {
+            times
+                .filter(|&i| p.admit(t, Cycles(i)) == QosDecision::Admit)
+                .count()
+        };
+        let in_flight = |t: u32| {
+            p.tenant_stats()
+                .iter()
+                .find(|s| s.tenant == t)
+                .map(|s| s.in_flight)
+        };
+        // Unbound (capacity 0): everything is admitted.
+        assert_eq!(admits(0, 0..5), 5);
+        // A refund and a completion for a tenant never seen create nothing.
+        p.refund(9);
+        p.on_complete(9);
+        assert_eq!((p.weight(9), in_flight(9)), (None, None));
+        // 16 slots, tenants 0 (weight 2) and 1 (weight 1) active, tenant 5
+        // configured but silent: shares 16·2/3 = 10 and 16·1/3 = 5.
+        p.bind(16);
+        let (mut got0, mut got1) = (0, 0);
+        for i in 10..40 {
+            got1 += admits(1, i..i + 1);
+            got0 += admits(0, i..i + 1);
+        }
+        assert_eq!((got0, got1), (5, 5));
+        assert_eq!((in_flight(0), in_flight(1)), (Some(10), Some(5)));
+        // Online retune: zero refused, u64::MAX clamped, an unseen tenant
+        // inserted (but inactive). Shares become ⌊16·2³²/(2³² + 2)⌋ = 15
+        // and max(1, 0) = 1.
+        assert_eq!(p.set_weight(1, 0), Err(WeightError::Zero));
+        assert_eq!(p.set_weight(1, u64::MAX), Ok(MAX_ONLINE_WEIGHT));
+        assert_eq!(p.set_weight(3, 4), Ok(4));
+        assert_eq!(admits(1, 40..60), 10);
+        assert_eq!(admits(0, 60..70), 0);
+        // More completions than in flight saturate at zero; refunds net the
+        // admission out.
+        for _ in 0..12 {
+            p.on_complete(0);
+        }
+        p.refund(1);
+        p.refund(1);
+        assert_eq!((in_flight(0), in_flight(1)), (Some(0), Some(13)));
+        assert_eq!(admits(0, 70..75), 1);
+        // Past tenant 0's idle window tenant 1 owns all 16 slots.
+        let late = 100 + IDLE_WINDOW_CYCLES;
+        assert_eq!(admits(1, late..late + 10), 3);
+        let row = |tenant, weight, admitted, deferred, in_flight| QosTenantStats {
+            tenant,
+            weight,
+            admitted,
+            deferred,
+            in_flight,
+        };
+        assert_eq!(
+            p.tenant_stats(),
+            vec![
+                row(0, 2, 11, 39, 1),
+                row(1, MAX_ONLINE_WEIGHT, 16, 42, 16),
+                row(3, 4, 0, 0, 0),
+                row(5, 3, 0, 0, 0),
+            ]
+        );
+        let weights: Vec<_> = [0, 1, 3, 5, 7, 9].map(|t| p.weight(t)).into();
+        assert_eq!(
+            weights,
+            [
+                Some(2),
+                Some(MAX_ONLINE_WEIGHT),
+                Some(4),
+                Some(3),
+                None,
+                None
+            ]
+        );
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   instruments ([`Counter`], [`Gauge`], [`Histo`]) registered under
 //!   hierarchical names with a static label set ([`Labels`]: `tenant`,
 //!   `shard`, `device`, `partition`). Instruments are plain atomic cells
-//!   behind `Arc`s, in the same style as the cache's `TenantTable`: the hot
-//!   path pays one relaxed atomic op, and when no registry is installed the
-//!   instrumented components pay a single atomic load (the disabled path is
-//!   a no-op — replay summaries stay byte-identical).
+//!   behind `Arc`s: the hot path pays one relaxed atomic op, and when no
+//!   registry is installed the instrumented components pay a single atomic
+//!   load (the disabled path is a no-op — replay summaries stay
+//!   byte-identical).
 //! * [`Collector`] — a bridge polled at snapshot time, so layers that
 //!   already keep their own stats (submit path, cache, service, devices,
 //!   topology lock, replay) export them with **zero** extra hot-path cost.

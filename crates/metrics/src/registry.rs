@@ -3,9 +3,8 @@
 //! Instruments are `Arc`-shared atomic cells: recording is one (or, for
 //! histograms, a handful of) `Ordering::Relaxed` atomic ops with no locks on
 //! the hot path. The registry itself is an append-only map behind a
-//! `parking_lot::RwLock`, mirroring the cache's `TenantTable`: lookups take
-//! the read lock, the write lock is only ever taken the first time a
-//! (name, labels) pair is seen.
+//! `parking_lot::RwLock`: lookups take the read lock, the write lock is only
+//! ever taken the first time a (name, labels) pair is seen.
 
 use crate::snapshot::{HistoSnapshot, MetricValue, MetricsSnapshot, Sample};
 use agile_trace::stats::{bucket_count, bucket_index};

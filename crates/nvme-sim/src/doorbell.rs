@@ -51,8 +51,8 @@ impl DoorbellRegister {
 
     /// Count this doorbell's rings into `gate` from now on (rings already
     /// logged are carried over). Called once, when the owning device
-    /// registers the queue pair — before the simulation rings anything
-    /// concurrently. Returns `false` if a gate was already attached.
+    /// registers the queue pair, before the simulation rings anything.
+    /// Returns `false` if a gate was already attached.
     pub(crate) fn attach(&self, gate: &Arc<IdleGate>) -> bool {
         let fresh = self.gate.set(Arc::clone(gate)).is_ok();
         let logged = self.rings.lock().len() as u64;

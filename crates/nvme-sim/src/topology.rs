@@ -237,9 +237,8 @@ impl StorageTopology {
     }
 
     /// Advance only device `idx` to `now`. Devices are mutually independent
-    /// between advancement boundaries, so callers may advance different
-    /// devices concurrently. An idle device (see [`IdleGate::idle_at`]) is
-    /// left untouched and unlocked.
+    /// between advancement boundaries, so one may be advanced alone. An idle
+    /// device (see [`IdleGate::idle_at`]) is left untouched and unlocked.
     pub fn advance_device_to(&self, idx: usize, now: Cycles) {
         if !self.gates[idx].idle_at(now) {
             self.devices[idx].lock().advance_to(now);

@@ -163,9 +163,16 @@ fn dirty_victim_survives_write_back_issue_failure() {
 
         // The access must evict a dirty victim; its write-back cannot issue.
         assert!(!access(Cycles(0)), "{name}: the access is asked to retry");
-        let stats = io.stats();
-        assert_eq!(stats.writebacks, 1, "{name}: a write-back was attempted");
-        assert_eq!(stats.sq_full_retries, 1, "{name}: and found every SQ full");
+        assert_eq!(
+            cache.stats().writebacks,
+            1,
+            "{name}: a write-back was attempted"
+        );
+        assert_eq!(
+            io.stats().sq_full_retries,
+            1,
+            "{name}: and found every SQ full"
+        );
 
         // THE FIX: the victim's dirty token was reinstated — every one of
         // the eight modified pages is still served from the cache.
@@ -210,7 +217,7 @@ fn dirty_victim_survives_write_back_issue_failure() {
             access(Cycles(1)),
             "{name}: the retry starts once slots free"
         );
-        assert_eq!(io.stats().writebacks, 2, "{name}: the write-back re-ran");
+        assert_eq!(cache.stats().writebacks, 2, "{name}: the write-back re-ran");
         // The evicted victim's modification is now in flight as a write-back
         // command, not lost: exactly one of the 8 pages left the cache, and
         // a WriteBack transaction occupies the first freed slot.

@@ -365,7 +365,10 @@ fn the_cases_reach_the_hard_paths() {
     differential(writemix);
     let (report, events) = replay(writemix, EngineSched::EventQueue);
     let io = &report.io_stats;
-    assert!(io.writebacks > 0, "dirty victims are written back");
+    assert!(
+        report.cache_stats.writebacks > 0,
+        "dirty victims are written back"
+    );
     assert!(io.sq_full_retries > 0, "fills and write-backs are refused");
     assert!(report.cache_stats.busy_hits > 0, "waits on fills in flight");
     assert!(

@@ -123,9 +123,7 @@ proptest! {
 
     /// Policy level: completions return through four independent streams,
     /// interleaved in seeded order — the DRR shares must still converge to
-    /// the weight ratio and no credit may leak, exercising the sharded
-    /// per-tenant atomics of `WeightedFair` the way N concurrent
-    /// `on_complete` callers would.
+    /// the weight ratio and no credit may leak.
     #[test]
     fn drr_shares_converge_with_four_completion_streams(
         w0 in 1u64..=8,
