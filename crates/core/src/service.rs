@@ -729,6 +729,7 @@ mod tests {
                 warp: 0,
             },
             lanes: 32,
+            block_warps: 1,
             clock_ghz: 2.5,
         }
     }

@@ -239,6 +239,8 @@ struct KernelInstance {
     id: KernelId,
     name: String,
     launch: LaunchConfig,
+    /// Warps per block of `launch`, handed to every step in its `WarpCtx`.
+    block_warps: u32,
     factory: Box<dyn KernelFactory>,
     blocks_retired: u32,
     completed_at: Option<Cycles>,
@@ -465,6 +467,7 @@ impl Engine {
         self.kernels.push(KernelInstance {
             id,
             name: factory.name().to_string(),
+            block_warps: launch.warps_per_block(&self.gpu),
             launch,
             factory,
             blocks_retired: 0,
@@ -832,6 +835,7 @@ impl Engine {
             now,
             warp: w.id,
             lanes: self.gpu.warp_size,
+            block_warps: self.kernels[w.kernel_idx].block_warps,
             clock_ghz: self.gpu.clock_ghz,
         };
         self.kernels[w.kernel_idx].steps += 1;

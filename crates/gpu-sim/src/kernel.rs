@@ -197,6 +197,9 @@ pub struct WarpCtx {
     /// `block_dim` is not a warp multiple would have fewer; in this model it
     /// is always the full warp size).
     pub lanes: u32,
+    /// Warps in this warp's thread block (`block_dim / warp_size` of the
+    /// launch): how many warps a block-wide barrier waits for.
+    pub block_warps: u32,
     /// GPU core clock in GHz (for converting nanosecond latencies).
     pub clock_ghz: f64,
 }
@@ -378,6 +381,7 @@ mod tests {
                 warp: 0,
             },
             lanes: 32,
+            block_warps: 1,
             clock_ghz: 2.5,
         };
         let mut busy = Cycles::ZERO;

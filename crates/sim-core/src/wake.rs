@@ -66,6 +66,9 @@ pub enum WaitReason {
     CacheLine,
     /// I/O barriers of its own requests (window full, or draining).
     Barrier,
+    /// It waits at its block's barrier for the block's other warps (a
+    /// `__syncthreads`): another warp's arrival ends the wait.
+    BlockSync,
     /// A submission was refused: every SQ full, or deferred by the QoS gate.
     Submit,
     /// It polls a completion queue itself and found nothing.

@@ -7,6 +7,15 @@
 //! CTC ratio — sets the per-iteration compute time to `ctc ×
 //! per_iteration_communication` and measures both modes. The ideal-speedup
 //! column comes from Equation 1.
+//!
+//! The block's 32 warps meet at a barrier after every iteration's fetch, so
+//! they move in lockstep, as Equation 1 assumes (see
+//! [`crate::microbench`]); the asynchronous mode issues each iteration's
+//! reads before its compute. At the quick points (16 reads per thread) the
+//! sweep reads 1.00 / 1.50 / 1.68 / 1.44× at CTC 0 / 0.5 / 0.9 / 1.5,
+//! against Equation 1's 1.00 / 1.50 / 1.90 / 1.67× and the paper's peak of
+//! 1.88×. What is left of the gap near balance is the array lock: each
+//! iteration's 1024 submissions hold it one after another.
 
 use crate::experiments::testbed::agile_testbed;
 use crate::microbench::{ideal_speedup, MicrobenchKernel, MicrobenchParams};
@@ -36,8 +45,14 @@ fn microbench_config() -> AgileConfig {
         .with_cache_bytes(256 * MIB)
 }
 
-/// Run one micro-benchmark configuration and return its end-to-end cycles.
-fn run_once(requests_per_thread: u32, compute_cycles: u64, asynchronous: bool) -> u64 {
+/// Run one micro-benchmark configuration on one block of `threads` threads
+/// and return its end-to-end cycles.
+pub(crate) fn run_once(
+    threads: u32,
+    requests_per_thread: u32,
+    compute_cycles: u64,
+    asynchronous: bool,
+) -> u64 {
     let mut host = agile_testbed(microbench_config(), 1, 1 << 23);
     let ctrl = host.ctrl();
     let params = MicrobenchParams {
@@ -46,20 +61,22 @@ fn run_once(requests_per_thread: u32, compute_cycles: u64, asynchronous: bool) -
         pages_per_dev: 1 << 22,
         asynchronous,
     };
-    // 1024 threads in one block, as in the paper.
     let report = host.run_kernel(
-        LaunchConfig::new(1, 1024).with_registers(48),
+        LaunchConfig::new(1, threads).with_registers(48),
         Box::new(MicrobenchKernel::new(ctrl, params)),
     );
     assert!(!report.deadlocked, "micro-benchmark deadlocked");
     report.elapsed.raw()
 }
 
+/// Threads of the one block, as in the paper.
+const THREADS: u32 = 1024;
+
 /// Run the Figure 4 sweep over the given CTC ratios.
 pub fn run_ctc_sweep(ctc_points: &[f64], requests_per_thread: u32) -> Vec<CtcRow> {
     // Step 1: communication-only synchronous run to calibrate the
     // per-iteration communication time.
-    let comm_only = run_once(requests_per_thread, 0, false);
+    let comm_only = run_once(THREADS, requests_per_thread, 0, false);
     let per_iter_comm = (comm_only / requests_per_thread as u64).max(1);
 
     // Step 2: sweep.
@@ -67,8 +84,8 @@ pub fn run_ctc_sweep(ctc_points: &[f64], requests_per_thread: u32) -> Vec<CtcRow
         .iter()
         .map(|&ctc| {
             let compute = (ctc * per_iter_comm as f64).round() as u64;
-            let sync_cycles = run_once(requests_per_thread, compute, false);
-            let async_cycles = run_once(requests_per_thread, compute, true);
+            let sync_cycles = run_once(THREADS, requests_per_thread, compute, false);
+            let async_cycles = run_once(THREADS, requests_per_thread, compute, true);
             CtcRow {
                 ctc,
                 sync_cycles,

@@ -93,6 +93,15 @@ pub fn run_bandwidth_sweep(
     rows
 }
 
+/// The saturation bandwidth of `ssds` SSDs: the highest of a sweep's rows
+/// for that many SSDs (0 when there is none).
+pub fn saturation_gbps(rows: &[BandwidthRow], ssds: usize) -> f64 {
+    rows.iter()
+        .filter(|r| r.ssds == ssds)
+        .map(|r| r.gbps)
+        .fold(0.0f64, f64::max)
+}
+
 /// The request counts per SSD the paper sweeps (1 … 262 144), capped at
 /// `max_requests`.
 pub fn paper_request_counts(max_requests: u64) -> Vec<u64> {

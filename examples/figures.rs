@@ -14,7 +14,9 @@ use agile_repro::workloads::experiments::dlrm_figs::{
     run_fig10_cache_sweep, run_fig7_configs, run_fig8_batch_sweep, run_fig9_queue_sweep, DlrmRow,
 };
 use agile_repro::workloads::experiments::fig04::{paper_ctc_points, run_ctc_sweep};
-use agile_repro::workloads::experiments::fig05_06::{paper_request_counts, run_bandwidth_sweep};
+use agile_repro::workloads::experiments::fig05_06::{
+    paper_request_counts, run_bandwidth_sweep, saturation_gbps,
+};
 use agile_repro::workloads::experiments::fig11::{run_graph_breakdown, GraphScale};
 use agile_repro::workloads::experiments::fig12::run_register_table;
 use agile_repro::workloads::randio::IoDirection;
@@ -167,11 +169,7 @@ fn fig05_06(figure: &str, direction: IoDirection, full: bool) {
         ]);
     }
     for ssds in [1usize, 2, 3] {
-        let peak = rows
-            .iter()
-            .filter(|r| r.ssds == ssds)
-            .map(|r| r.gbps)
-            .fold(0.0f64, f64::max);
+        let peak = saturation_gbps(&rows, ssds);
         println!(
             "  -> {ssds} SSD(s) saturate at {} (paper: {})",
             fmt_gbps(peak),

@@ -12,13 +12,21 @@ use agile_repro::workloads::randio::IoDirection;
 
 #[test]
 fn fig4_async_beats_sync_at_balanced_ctc() {
-    // One CTC point near the paper's peak region, small request count.
-    let rows = run_ctc_sweep(&[0.9], 16);
-    assert_eq!(rows.len(), 1);
-    let row = &rows[0];
+    // Two CTC points of the paper's sweep, small request count.
+    let rows = run_ctc_sweep(&[0.5, 0.9], 16);
+    assert_eq!(rows.len(), 2);
+    // Below balance the block's warps, in lockstep, hide all of each
+    // iteration's compute: Equation 1's 1 + CTC.
+    let half = &rows[0];
     assert!(
-        row.speedup >= 1.0,
-        "async must not lose to sync at CTC≈0.9 (got {:.2})",
+        (half.speedup - 1.5).abs() <= 1.5 * 0.02,
+        "async/sync at CTC 0.5 must be within 2 % of 1.5x (got {:.3})",
+        half.speedup
+    );
+    let row = &rows[1];
+    assert!(
+        row.speedup >= 1.6,
+        "async must beat sync by at least 1.6x at CTC≈0.9 (got {:.2})",
         row.speedup
     );
     assert!(

@@ -22,7 +22,8 @@
 //! 32 SQ slots for 32 warps (blocked stores, `abort_fill`,
 //! `reinstate_victim`), a tenant-partitioned cached replay, an accessor
 //! kernel (the CTC micro-benchmark) whose retry interval depends on what the
-//! attempt cost, and a held-lines kernel (`held`) whose holders keep lines
+//! attempt cost and whose warps sleep at their block's barrier after every
+//! fetch, and a held-lines kernel (`held`) whose holders keep lines
 //! `READY` but pinned, or reserved, across warp steps — states the storage
 //! stack never leaves standing between two steps — beside readers and
 //! writers that sleep on fills and on the one set of an 8-line cache. A
@@ -59,7 +60,10 @@
 //! sweeps`. Looking ahead twice `min_post_latency` passes here (flash
 //! service keeps every completion further off than that) and fails the
 //! service's own unit test; treating a stale deadline entry as live fails
-//! the engine's deadline tests.
+//! the engine's deadline tests. For the block barrier (release build):
+//! dropping the last arrival's `notify_all` deadlocks the accessor test, and
+//! an impure re-poll (arriving again while the generation is unreleased)
+//! fails it on elapsed and stall cycles.
 
 use agile_repro::agile::{AgileConfig, IoStats, ServiceStats};
 use agile_repro::bam::HostBuilder;
