@@ -22,7 +22,7 @@
 use crate::tenant::{weighted_share, TenantTable, NO_TENANT};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Most ways a set may have: [`CachePolicy::choose_victim`] takes the
@@ -201,6 +201,13 @@ impl CachePolicy for ClockPolicy {
 /// capacity: the policy is **work-conserving**, exactly like the raw-path
 /// `WeightedFair` SQ scheduler it mirrors.
 ///
+/// Among the over-quota candidates, lines read since their fill go before
+/// lines filled and not read yet (a prefetch, or a fill whose reader has not
+/// polled since it landed). An over-quota tenant mostly reclaims its own
+/// lines, and evicting one it has not read yet wastes that line's fetch: the
+/// read that follows fetches it again. Only when every over-quota candidate
+/// is unread does the policy take one of those.
+///
 /// The live occupancy gauge comes from the cache's [`TenantTable`], bound at
 /// construction through [`CachePolicy::bind_tenants`]. Quota enforcement is
 /// eviction-side only: fills are never blocked (a fill is system traffic —
@@ -219,6 +226,9 @@ pub struct TenantShare {
     total_lines: u64,
     /// Live per-tenant occupancy view, bound by the owning cache.
     tenants: Option<Arc<TenantTable>>,
+    /// Per line (`set × associativity + way`): filled and not accessed
+    /// since. Set by `on_fill`, cleared by `on_access`, under the set lock.
+    unread: Box<[AtomicBool]>,
 }
 
 impl TenantShare {
@@ -229,6 +239,7 @@ impl TenantShare {
             weights: Mutex::new(BTreeMap::new()),
             total_lines: 0,
             tenants: None,
+            unread: Box::default(),
         }
     }
 
@@ -259,15 +270,20 @@ impl CachePolicy for TenantShare {
     fn configure(&mut self, num_sets: usize, associativity: usize) {
         self.inner.configure(num_sets, associativity);
         self.total_lines = (num_sets * associativity) as u64;
+        self.unread = (0..num_sets * associativity)
+            .map(|_| AtomicBool::new(false))
+            .collect();
     }
     fn bind_tenants(&mut self, tenants: Arc<TenantTable>) {
         self.tenants = Some(tenants);
     }
     fn on_access(&self, set: usize, way: usize) {
         self.inner.on_access(set, way);
+        self.unread[set * self.inner.assoc + way].store(false, Ordering::Relaxed);
     }
     fn on_fill(&self, set: usize, way: usize) {
         self.inner.on_fill(set, way);
+        self.unread[set * self.inner.assoc + way].store(true, Ordering::Relaxed);
     }
     fn choose_victim(&self, set: usize, evictable: u64, owners: &[AtomicU32]) -> Option<usize> {
         let Some(table) = &self.tenants else {
@@ -291,9 +307,17 @@ impl CachePolicy for TenantShare {
                 .filter(|&way| over(owners[way].load(Ordering::Relaxed)))
                 .fold(0u64, |mask, way| mask | 1 << way)
         });
-        if over_quota != 0 {
-            if let Some(victim) = self.inner.choose_victim(set, over_quota, owners) {
-                return Some(victim);
+        // Of those, the lines read since their fill first.
+        let assoc = self.inner.assoc;
+        let unread = &self.unread[set * assoc..(set + 1) * assoc];
+        let read = ways(over_quota)
+            .filter(|&way| !unread[way].load(Ordering::Relaxed))
+            .fold(0u64, |mask, way| mask | 1 << way);
+        for candidates in [read, over_quota] {
+            if candidates != 0 {
+                if let Some(victim) = self.inner.choose_victim(set, candidates, owners) {
+                    return Some(victim);
+                }
             }
         }
         // Work-conserving fallback: nobody (evictable) is over quota.
@@ -448,6 +472,35 @@ mod tests {
                 v == 0 || v == 2,
                 "victim must be one of the over-quota tenant's ways, got {v}"
             );
+        }
+    }
+
+    #[test]
+    fn tenant_share_reclaims_read_lines_before_unread_ones() {
+        let table = Arc::new(TenantTable::new());
+        // Tenant 0 holds 12 of 16 lines: over its share of 8.
+        for _ in 0..12 {
+            table.occupy(0);
+        }
+        for _ in 0..4 {
+            table.occupy(1);
+        }
+        let p = tenant_share_with(&table, &[1, 1]);
+        let owners = owned(&[0, 0, 0, 1]);
+        for way in 0..4 {
+            p.on_fill(0, way);
+        }
+        // Only way 1 of the hog's lines was read since its fill.
+        p.on_access(0, 1);
+        for _ in 0..4 {
+            assert_eq!(p.choose_victim(0, 0b1111, &owners), Some(1));
+        }
+        // Once every over-quota line is unread, one of them goes anyway,
+        // and never the protected tenant's.
+        p.on_fill(0, 1);
+        for _ in 0..8 {
+            let v = p.choose_victim(0, 0b1111, &owners).unwrap();
+            assert!(v < 3, "an over-quota line, got {v}");
         }
     }
 

@@ -29,8 +29,9 @@
 //! [`GpuStorageHost`] trait.
 //!
 //! The host also owns the co-simulation plumbing: it builds the one
-//! [`StorageTopology`] (every device behind one modeled array lock) and
-//! bridges it into the GPU engine as one [`gpu_sim::ExternalDevice`].
+//! [`StorageTopology`] (the devices, with a modeled submit lock per
+//! registered queue pair) and bridges it into the GPU engine as one
+//! [`gpu_sim::ExternalDevice`].
 
 use crate::config::AgileConfig;
 use crate::control::{knob_set, QosWeights};
@@ -68,7 +69,8 @@ pub trait GpuStorageHost {
     /// was already present. Without a policy the stack behaves as FIFO.
     fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
 
-    /// The storage topology (striping map, device statistics, lock model).
+    /// The storage topology (striping map, device statistics, per-SQ
+    /// submit-lock model).
     fn topology(&self) -> Arc<StorageTopology>;
 
     /// Maximum resident blocks per SM for a launch (`queryOccupancy`).

@@ -8,11 +8,11 @@
 //! statistics both systems report. On top of that state it provides
 //!
 //! * **submit** ([`IoPath::submit`]) — QoS gate → the "pick an SQ by thread
-//!   index, move to the next SQ when full" placement of §3.3.1 → array-lock
-//!   charge on the claimed slot → `Submit`/`Doorbell` trace stamping, or a
-//!   refund when every SQ was full. Only a submission that found a free
-//!   tail takes the lock, so a refused one costs its probes and moves
-//!   nothing else. [`Traffic`] says whether the command is tenant traffic
+//!   index, move to the next SQ when full" placement of §3.3.1 → the charge
+//!   of the accepting SQ's submit lock → `Submit`/`Doorbell` trace
+//!   stamping, or a refund when every SQ was full. Only a submission that
+//!   found a free tail takes a lock, so a refused one costs its probes and
+//!   moves nothing else. [`Traffic`] says whether the command is tenant traffic
 //!   (arbitrated) or system traffic (cache fills and write-backs, exempt);
 //! * **raw I/O** ([`IoPath::raw_read`] / [`IoPath::raw_write`]) — the
 //!   cache-bypassing path of the bandwidth experiments;
@@ -286,8 +286,9 @@ pub struct IoPath {
     /// Per device, per queue pair.
     devices: Vec<Vec<Arc<AgileSq>>>,
     /// The storage topology behind the queues: striping map plus the modeled
-    /// array lock charged on every submission that claims a slot. `None` in
-    /// bare-queue unit rigs, in which case submissions pay no lock cost.
+    /// per-SQ submit locks, one charged on every submission that claims a
+    /// slot. `None` in bare-queue unit rigs, in which case submissions pay no
+    /// lock cost.
     topology: Option<Arc<StorageTopology>>,
     stats: IoStatCells,
     /// Where warps waiting on this path sleep: notified by
@@ -308,8 +309,8 @@ pub struct IoPath {
 impl IoPath {
     /// Build the path over the queue pairs of each device (outer index =
     /// device id, inner = queue pair). With a `topology` submissions are
-    /// charged its array lock and the striped page space is resolvable
-    /// through [`IoPath::resolve_page`].
+    /// charged their SQ's submit lock and the striped page space is
+    /// resolvable through [`IoPath::resolve_page`].
     pub fn new(
         costs: PathCosts,
         gpu: GpuCosts,
@@ -479,8 +480,8 @@ impl IoPath {
     /// and reports failure exactly like an SQ-full outcome, so callers retry
     /// through their existing back-off paths; an admission that then finds
     /// every SQ full is refunded to the policy. [`Traffic::System`] skips
-    /// the gate. The array lock is charged only to a submission that claimed
-    /// a slot.
+    /// the gate. Only a submission that claimed a slot is charged, and only
+    /// the submit lock of the SQ that accepted it.
     pub fn submit(
         &self,
         dev: usize,
@@ -541,11 +542,12 @@ impl IoPath {
                 cost += Cycles(gpu.poll_iteration);
                 continue;
             };
-            // The array lock guarding SQ-slot allocation + doorbell update,
-            // taken by a submission that found a free tail and only then:
-            // FIFO wait behind earlier holders, then the hold.
+            // This SQ's lock guarding its slot allocation + doorbell update
+            // (Algorithm 2), taken by a submission that found a free tail and
+            // only then: FIFO wait behind the SQ's earlier holders, then the
+            // hold.
             if let Some(topology) = &self.topology {
-                cost += topology.lock_acquire(warp, now);
+                cost += topology.lock_acquire(dev, sq.queue_pair().id(), warp, now);
             }
             if receipt.rang_doorbell {
                 cost += Cycles(gpu.doorbell_write);

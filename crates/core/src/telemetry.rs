@@ -3,7 +3,7 @@
 //!
 //! Each layer counts an event once, in its own relaxed-atomic cells (the
 //! submit path's `IoStats` and QoS policy, the software cache, the storage
-//! topology's lock and devices, the service), and is exported through an
+//! topology's submit locks and devices, the service), and is exported through an
 //! [`agile_metrics::Collector`] polled only at snapshot time — the hot paths
 //! are untouched, which is what keeps instrumented replays byte-identical to
 //! uninstrumented ones.
@@ -143,9 +143,9 @@ impl Collector for SubmitCollector {
     }
 }
 
-/// Exports the storage topology's lock-contention counters
-/// (`agile_submit_lock_*`, labelled `shard=0`) and per-device completion
-/// statistics (`agile_device_*`).
+/// Exports the storage topology's lock-contention counters, summed over
+/// every SQ's submit lock (`agile_submit_lock_*`, labelled `shard=0`), and
+/// per-device completion statistics (`agile_device_*`).
 pub struct TopologyCollector {
     topology: Arc<StorageTopology>,
 }

@@ -142,8 +142,8 @@ pub enum WarpStep {
     /// would step it again. `wait` says what to do about them:
     ///
     /// * [`Wait::polling`] — step the warp at every grid point. Required
-    ///   whenever a retry is *impure*: it may submit a command, take the
-    ///   array lock, reserve or evict a cache line, consume a completion —
+    ///   whenever a retry is *impure*: it may submit a command, take an
+    ///   SQ's submit lock, reserve or evict a cache line, consume a completion —
     ///   anything another warp could observe.
     /// * [`Wait::parked`] — the retries are **pure** until one of the things
     ///   the warp registered its sleeper with happens: each would find the

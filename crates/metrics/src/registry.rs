@@ -99,7 +99,8 @@ impl Labels {
 pub enum LabelDim {
     /// Keyed by tenant id.
     Tenant,
-    /// Keyed by lock shard (the one array lock is `shard=0`).
+    /// Keyed by lock shard (the one array's per-SQ submit locks are summed
+    /// under `shard=0`).
     Shard,
     /// Keyed by device index.
     Device,

@@ -14,8 +14,9 @@
 //!   [`PageToken`]s so terabyte-scale address spaces can be simulated without
 //!   materialising 4 KiB buffers; each device keeps the tokens written to
 //!   it in a sparse [`MemBacking`] ([`backing`]), and
-//! * the multi-SSD storage array ([`topology`]): [`StorageTopology`], every
-//!   device behind one modeled lock, with the page-striping layer.
+//! * the multi-SSD storage array ([`topology`]): [`StorageTopology`], its
+//!   devices with a modeled submit lock per queue pair, and the
+//!   page-striping layer.
 //!
 //! The GPU-side libraries (`agile-core`, `bam-baseline`) share the queue rings
 //! with the device through `Arc`s, exactly as the real system shares them
@@ -41,4 +42,4 @@ pub use spec::{
     CmdStatus, CommandId, DmaHandle, DmaSlab, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken,
     QueueId,
 };
-pub use topology::{PageLocation, StorageTopology, TopologyLock, DEFAULT_LOCK_HOLD_CYCLES};
+pub use topology::{PageLocation, StorageTopology, DEFAULT_LOCK_HOLD_CYCLES};

@@ -3,21 +3,22 @@
 //! The paper's scaling experiments (Figures 5 and 6) attach up to three SSDs
 //! to the host and stripe requests across them in an interleaved fashion
 //! ("requests 0, 2, 4, … are issued to SSD1, while requests 1, 3, 5, … are
-//! directed to SSD2"). [`StorageTopology`] is that array: every device
-//! behind **one** modeled lock, plus the **page-striping layer** that maps a
-//! global page index to `(device, device-local page)` via
+//! directed to SSD2"). [`StorageTopology`] is that array: its devices, a
+//! modeled **submit lock per queue pair**, and the **page-striping layer**
+//! that maps a global page index to `(device, device-local page)` via
 //! [`StorageTopology::map_page`], so workloads address one linear page
 //! space.
 //!
-//! The lock itself is *modeled*: real GPU-side array implementations guard
-//! SQ-slot allocation and the doorbell update with a critical section, so
+//! The submit locks are *modeled*: Algorithm 2 claims an SQ slot with a CAS
+//! on that SQ's cursor and serialises that SQ's tail-doorbell update, so
 //! [`StorageTopology::lock_acquire`] charges each submission the FIFO wait
-//! behind earlier holders plus its own hold time (see [`TopologyLock`]).
-//! The simulation stays single-threaded and deterministic; the contention
-//! shows up as cycles charged to the issuing warp. One lock caps the array
-//! at clock ÷ [`DEFAULT_LOCK_HOLD_CYCLES`] submissions per second (≈ 4.17M
-//! at 2.5 GHz), which binds from about five SSDs on — beyond the paper's
-//! device counts.
+//! behind earlier holders *of the same SQ* plus its own hold time.
+//! Submissions to different SQs never wait for each other. The simulation
+//! stays single-threaded and deterministic; the contention shows up as
+//! cycles charged to the issuing warp. One SQ admits at most clock ÷
+//! [`DEFAULT_LOCK_HOLD_CYCLES`] submissions per second (≈ 4.17M at 2.5
+//! GHz), more than one SSD serves, so only submissions that arrive at one
+//! SQ together queue.
 
 use crate::backing::MemBacking;
 use crate::device::{DeviceStats, IdleGate, SsdConfig, SsdDevice};
@@ -51,19 +52,24 @@ fn stripe(global: u64, devices: u64) -> (u32, Lba) {
 }
 
 // ---------------------------------------------------------------------------
-// The modeled array lock
+// The modeled submit locks
 // ---------------------------------------------------------------------------
 
-/// Default cycles a submission holds the array lock: the critical section
-/// covers the SQ-slot claim and the serialized tail-doorbell update — an
-/// uncached MMIO write over PCIe, a few hundred nanoseconds — so ~600 GPU
-/// cycles at 2.5 GHz. This caps the array at clock ÷ hold ≈ 4.17M
-/// submissions/s: above NVMe saturation for the paper's 1–3 SSD experiments,
-/// binding for bursty many-warp submission from about 5 SSDs on.
+/// Default cycles a submission holds its SQ's submit lock: the critical
+/// section covers the SQ-slot claim and the serialized tail-doorbell update
+/// — an uncached MMIO write over PCIe, a few hundred nanoseconds — so ~600
+/// GPU cycles at 2.5 GHz. This caps one SQ at clock ÷ hold ≈ 4.17M
+/// submissions/s, above one NVMe device's saturation.
 pub const DEFAULT_LOCK_HOLD_CYCLES: u64 = 600;
 
+/// Deterministic FIFO model of one SQ's submit lock.
+///
+/// Each acquisition at simulated time `now` waits for every earlier holder
+/// (`busy_until - now`, if positive), then holds the lock for
+/// [`DEFAULT_LOCK_HOLD_CYCLES`]; the total is returned as cycles to charge
+/// the issuing warp.
 #[derive(Debug, Default, Clone, Copy)]
-struct LockState {
+struct SubmitLock {
     /// Simulated time until which the lock is held by queued acquirers.
     busy_until: u64,
     /// Last (warp, now) that acquired — consecutive acquires by the same
@@ -78,51 +84,22 @@ struct LockState {
     acquires: u64,
 }
 
-/// Deterministic FIFO model of the array lock.
-///
-/// Each acquisition at simulated time `now` waits for every earlier holder
-/// (`busy_until - now`, if positive), then holds the lock for `hold` cycles;
-/// the total is returned as cycles to charge the issuing warp.
-pub struct TopologyLock {
-    state: Mutex<LockState>,
-    hold: u64,
-}
-
-impl TopologyLock {
-    /// A lock whose every acquisition holds it for `hold` cycles.
-    pub fn new(hold: u64) -> Self {
-        TopologyLock {
-            state: Mutex::new(LockState::default()),
-            hold,
-        }
-    }
-
+impl SubmitLock {
     /// Acquire the lock on behalf of `warp` at time `now`; returns the
     /// cycles the acquisition costs (queue wait + hold).
-    pub fn acquire(&self, warp: u64, now: Cycles) -> Cycles {
-        let mut s = self.state.lock();
-        let now = now.raw();
-        s.acquires += 1;
-        if s.last == Some((warp, now)) {
+    fn acquire(&mut self, warp: u64, now: Cycles) -> Cycles {
+        let (now, hold) = (now.raw(), DEFAULT_LOCK_HOLD_CYCLES);
+        self.acquires += 1;
+        if self.last == Some((warp, now)) {
             // Same warp, same step: back-to-back re-acquire, no queue wait.
-            s.busy_until += self.hold;
-            return Cycles(self.hold);
+            self.busy_until += hold;
+            return Cycles(hold);
         }
-        let wait = s.busy_until.saturating_sub(now);
-        s.busy_until = s.busy_until.max(now) + self.hold;
-        s.last = Some((warp, now));
-        s.wait_cycles += wait;
-        Cycles(wait + self.hold)
-    }
-
-    /// Accumulated queue-wait cycles.
-    pub fn lock_wait_cycles(&self) -> u64 {
-        self.state.lock().wait_cycles
-    }
-
-    /// Total acquisitions.
-    pub fn lock_acquires(&self) -> u64 {
-        self.state.lock().acquires
+        let wait = self.busy_until.saturating_sub(now);
+        self.busy_until = self.busy_until.max(now) + hold;
+        self.last = Some((warp, now));
+        self.wait_cycles += wait;
+        Cycles(wait + hold)
     }
 }
 
@@ -130,22 +107,24 @@ impl TopologyLock {
 // The storage topology
 // ---------------------------------------------------------------------------
 
-/// The storage array: every device behind **one** *modeled* lock, plus the
-/// page-striping layer. All methods take `&self`, so hosts share the array
-/// as an `Arc` between the co-simulation bridge, the controller and workload
-/// setup code.
+/// The storage array: its devices, a *modeled* submit lock per registered
+/// queue pair, and the page-striping layer. All methods take `&self`, so
+/// hosts share the array as an `Arc` between the co-simulation bridge, the
+/// controller and workload setup code.
 ///
 /// Each device sits behind its **own** mutex. That is what lets the engine's
 /// topology bridge and the controllers' submit paths share one array; the
-/// array lock is a submission-cost *model* (see [`TopologyLock`]), not a
-/// concurrency primitive. Methods lock only the devices they touch, and
+/// submit locks are a submission-cost *model*, not a concurrency
+/// primitive. Methods lock only the devices they touch, and
 /// advancing a device whose [`IdleGate`] says nothing can happen touches
 /// nothing at all.
 pub struct StorageTopology {
     devices: Vec<Mutex<SsdDevice>>,
     /// Each device's gate, so an idle advance never takes the device lock.
     gates: Vec<Arc<IdleGate>>,
-    lock: TopologyLock,
+    /// The submit lock of each registered queue pair: outer index = device,
+    /// inner = queue id.
+    locks: Mutex<Vec<Vec<SubmitLock>>>,
     global_pages: u64,
     min_post_latency: Cycles,
 }
@@ -167,7 +146,7 @@ impl StorageTopology {
             .map(|c| c.costs.post_delay(c.clock_ghz))
             .min()
             .unwrap_or(Cycles::ZERO);
-        let (devices, gates) = configs
+        let (devices, gates): (Vec<_>, _) = configs
             .into_iter()
             .map(|cfg| {
                 let dev = SsdDevice::new(cfg);
@@ -176,9 +155,9 @@ impl StorageTopology {
             })
             .unzip();
         StorageTopology {
+            locks: Mutex::new(vec![Vec::new(); devices.len()]),
             devices,
             gates,
-            lock: TopologyLock::new(DEFAULT_LOCK_HOLD_CYCLES),
             global_pages,
             min_post_latency,
         }
@@ -194,9 +173,15 @@ impl StorageTopology {
         self.devices[idx].lock()
     }
 
-    /// Register `per_device` queue pairs of `depth` entries on every device;
-    /// returned grouped by device index.
+    /// Register `per_device` queue pairs of `depth` entries (ids `0 ..
+    /// per_device`) on every device, each with its submit lock; returned
+    /// grouped by device index.
     pub fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>> {
+        for locks in self.locks.lock().iter_mut() {
+            if locks.len() < per_device {
+                locks.resize(per_device, SubmitLock::default());
+            }
+        }
         self.devices
             .iter()
             .map(|dev| {
@@ -321,21 +306,27 @@ impl StorageTopology {
         PageLocation { device, page }
     }
 
-    /// Charge one submission's pass through the array lock: FIFO wait
-    /// behind earlier holders plus the hold itself.
-    pub fn lock_acquire(&self, warp: u64, now: Cycles) -> Cycles {
-        self.lock.acquire(warp, now)
+    /// Charge one submission's pass through the submit lock of queue pair
+    /// `qid` of device `dev` (one [`register_queues`](Self::register_queues)
+    /// made): FIFO wait behind that SQ's earlier holders plus the hold.
+    pub fn lock_acquire(&self, dev: usize, qid: QueueId, warp: u64, now: Cycles) -> Cycles {
+        self.locks.lock()[dev][qid as usize].acquire(warp, now)
     }
 
-    /// Accumulated FIFO queue-wait cycles on the array lock
+    /// Accumulated FIFO queue-wait cycles over every submit lock
     /// (`agile_submit_lock_wait_cycles_total`).
     pub fn lock_wait_cycles(&self) -> u64 {
-        self.lock.lock_wait_cycles()
+        self.locks
+            .lock()
+            .iter()
+            .flatten()
+            .map(|l| l.wait_cycles)
+            .sum()
     }
 
-    /// Total array-lock acquisitions (`agile_submit_lock_acquires_total`).
+    /// Total submit-lock acquisitions (`agile_submit_lock_acquires_total`).
     pub fn lock_acquires(&self) -> u64 {
-        self.lock.lock_acquires()
+        self.locks.lock().iter().flatten().map(|l| l.acquires).sum()
     }
 }
 
@@ -375,15 +366,30 @@ mod tests {
 
     #[test]
     fn lock_charges_fifo_wait() {
-        let lock = TopologyLock::new(10);
+        let hold = DEFAULT_LOCK_HOLD_CYCLES;
+        let mut lock = SubmitLock::default();
         // Two warps, same instant: the second waits for the first.
-        assert_eq!(lock.acquire(1, Cycles(100)), Cycles(10));
-        assert_eq!(lock.acquire(2, Cycles(100)), Cycles(20));
+        assert_eq!(lock.acquire(1, Cycles(100)), Cycles(hold));
+        assert_eq!(lock.acquire(2, Cycles(100)), Cycles(2 * hold));
         // Same warp re-acquiring within its step only extends the hold.
-        assert_eq!(lock.acquire(2, Cycles(100)), Cycles(10));
+        assert_eq!(lock.acquire(2, Cycles(100)), Cycles(hold));
         // Far in the future the queue has drained.
-        assert_eq!(lock.acquire(4, Cycles(10_000)), Cycles(10));
-        assert_eq!((lock.lock_wait_cycles(), lock.lock_acquires()), (10, 4));
+        assert_eq!(lock.acquire(4, Cycles(100_000)), Cycles(hold));
+        assert_eq!((lock.wait_cycles, lock.acquires), (hold, 4));
+    }
+
+    #[test]
+    fn each_queue_pair_has_its_own_submit_lock() {
+        let hold = Cycles(DEFAULT_LOCK_HOLD_CYCLES);
+        let arr = StorageTopology::new(2);
+        arr.register_queues(2, 16);
+        // Same instant, four different SQs: nobody waits.
+        for (warp, (dev, qid)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+            assert_eq!(arr.lock_acquire(dev, qid, warp as u64, Cycles(50)), hold);
+        }
+        // A second warp on a held SQ waits one hold.
+        assert_eq!(arr.lock_acquire(1, 1, 9, Cycles(50)), hold * 2);
+        assert_eq!((arr.lock_wait_cycles(), arr.lock_acquires()), (600, 5));
     }
 
     #[test]

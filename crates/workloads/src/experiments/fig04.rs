@@ -11,11 +11,12 @@
 //! The block's 32 warps meet at a barrier after every iteration's fetch, so
 //! they move in lockstep, as Equation 1 assumes (see
 //! [`crate::microbench`]); the asynchronous mode issues each iteration's
-//! reads before its compute. At the quick points (16 reads per thread) the
-//! sweep reads 1.00 / 1.50 / 1.68 / 1.44× at CTC 0 / 0.5 / 0.9 / 1.5,
-//! against Equation 1's 1.00 / 1.50 / 1.90 / 1.67× and the paper's peak of
-//! 1.88×. What is left of the gap near balance is the array lock: each
-//! iteration's 1024 submissions hold it one after another.
+//! reads before its compute. Each iteration's 1024 submissions spread over
+//! the 16 SQs and queue only behind their own SQ's earlier holders (a
+//! submit lock per SQ, as in Algorithm 2). At the quick points (16 reads per
+//! thread) the sweep reads 1.00 / 1.50 / 1.90 / 1.63× at CTC 0 / 0.5 / 0.9
+//! / 1.5, against Equation 1's 1.00 / 1.50 / 1.90 / 1.67× and the paper's
+//! peak of 1.88×.
 
 use crate::experiments::testbed::agile_testbed;
 use crate::microbench::{ideal_speedup, MicrobenchKernel, MicrobenchParams};
@@ -53,7 +54,37 @@ pub(crate) fn run_once(
     compute_cycles: u64,
     asynchronous: bool,
 ) -> u64 {
-    let mut host = agile_testbed(microbench_config(), 1, 1 << 23);
+    run_on(
+        microbench_config(),
+        threads,
+        requests_per_thread,
+        compute_cycles,
+        asynchronous,
+    )
+    .0
+}
+
+/// One synchronous iteration at zero compute of the 1024-thread block, on
+/// `queue_pairs` SQs of `queue_depth` entries: every warp submits its 32
+/// lanes' reads at the same instant. Returns the elapsed cycles and the
+/// cycles submissions spent queued on the SQs' submit locks.
+pub fn run_lockstep_burst(queue_pairs: usize, queue_depth: u32) -> (u64, u64) {
+    let config = microbench_config()
+        .with_queue_pairs(queue_pairs)
+        .with_queue_depth(queue_depth);
+    run_on(config, THREADS, 1, 0, false)
+}
+
+/// Run the micro-benchmark on `config`; returns elapsed cycles and submit
+/// lock wait.
+fn run_on(
+    config: AgileConfig,
+    threads: u32,
+    requests_per_thread: u32,
+    compute_cycles: u64,
+    asynchronous: bool,
+) -> (u64, u64) {
+    let mut host = agile_testbed(config, 1, 1 << 23);
     let ctrl = host.ctrl();
     let params = MicrobenchParams {
         requests_per_thread,
@@ -66,7 +97,7 @@ pub(crate) fn run_once(
         Box::new(MicrobenchKernel::new(ctrl, params)),
     );
     assert!(!report.deadlocked, "micro-benchmark deadlocked");
-    report.elapsed.raw()
+    (report.elapsed.raw(), host.topology().lock_wait_cycles())
 }
 
 /// Threads of the one block, as in the paper.

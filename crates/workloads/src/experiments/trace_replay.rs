@@ -198,7 +198,8 @@ pub struct ReplayReport {
     /// polls counted in `io_stats`, `cache_stats` and `service_stats`, are
     /// what differs).
     pub engine_rounds: u64,
-    /// Total cycles warps spent queued on the topology's array lock.
+    /// Total cycles warps spent queued on the topology's per-SQ submit
+    /// locks.
     pub lock_wait_cycles: u64,
     /// The I/O path's end-of-run counters (of them, the summary prints only
     /// `qos_deferrals`, and only when non-zero: FIFO never defers).
@@ -930,24 +931,78 @@ mod tests {
         assert!(report.summary().contains("tenant0 "));
     }
 
+    /// One burst of `k` single-read submissions at one instant through the
+    /// I/O path of a one-SSD host with `queue_pairs` SQs. The `i`-th comes
+    /// from warp `i` (whose first choice is SQ `i mod queue_pairs`), or from
+    /// warp 0 throughout when `one_warp`. Returns each submission's cycles
+    /// and the lock wait they added up to.
+    fn submit_burst(queue_pairs: usize, k: u64, one_warp: bool) -> (Vec<u64>, u64) {
+        let config = AgileConfig::paper_default()
+            .with_queue_pairs(queue_pairs)
+            .with_queue_depth(64);
+        let host = crate::experiments::testbed::agile_testbed(config, 1, 1 << 16);
+        let ctrl = host.ctrl();
+        let costs = (0..k)
+            .map(|i| {
+                let warp = if one_warp { 0 } else { i };
+                let (cost, ok) = ctrl.io().raw_read(
+                    warp,
+                    0,
+                    0,
+                    i,
+                    nvme_sim::DmaHandle::new(),
+                    agile_core::Barrier::new(),
+                    agile_sim::Cycles(1_000),
+                );
+                assert!(ok, "submission {i} refused");
+                cost.raw()
+            })
+            .collect();
+        (costs, host.topology().lock_wait_cycles())
+    }
+
     #[test]
-    fn the_array_lock_caps_throughput_at_clock_over_hold() {
-        // At 8 and 16 SSDs the devices could serve more than one array lock
-        // admits, so the replay runs at — and never above — the lock's
-        // ceiling of clock ÷ hold submissions per second.
-        let ceiling = experiment_gpu().clock_ghz * 1e9 / nvme_sim::DEFAULT_LOCK_HOLD_CYCLES as f64;
-        for devices in [8u32, 16] {
-            let trace =
-                TraceSpec::uniform("unit-lock-ceiling", 13, devices, 1 << 12, 2_048).generate();
-            let report = run_trace_replay(&trace, ReplaySystem::Agile, &ReplayConfig::quick());
-            assert!(!report.deadlocked);
-            assert_eq!(report.ops, 2_048);
-            assert!(
-                report.iops <= ceiling && report.iops >= 0.95 * ceiling,
-                "{devices} SSDs: {:.0} IOPS against a lock ceiling of {ceiling:.0}",
-                report.iops
-            );
+    fn the_submit_lock_queues_only_submissions_to_one_sq() {
+        let hold = nvme_sim::DEFAULT_LOCK_HOLD_CYCLES;
+        let k = 8;
+        // k warps at one instant on one SQ: the i-th waits (i − 1) holds.
+        let (one_sq, wait) = submit_burst(1, k, false);
+        let alone = one_sq[0];
+        assert!(alone >= hold, "a submission pays at least the hold");
+        for (i, &cost) in one_sq.iter().enumerate() {
+            assert_eq!(cost, alone + i as u64 * hold, "submission {}", i + 1);
         }
+        assert_eq!(wait, hold * k * (k - 1) / 2);
+        // The same burst spread over k SQs: nobody waits.
+        let (spread, wait) = submit_burst(k as usize, k, false);
+        assert!(spread.iter().all(|&cost| cost == alone), "{spread:?}");
+        assert_eq!(wait, 0);
+        // One warp back-to-back on one SQ: each submission pays the hold
+        // and no queue wait.
+        let (one_warp, wait) = submit_burst(1, k, true);
+        assert!(one_warp.iter().all(|&cost| cost == alone), "{one_warp:?}");
+        assert_eq!(wait, 0);
+    }
+
+    #[test]
+    fn a_lockstep_block_queues_per_sq_not_per_array() {
+        // The block's 32 warps each submit their 32 lanes' reads back to
+        // back at the same instant; each SQ has room for all of them. On one
+        // SQ the j-th warp to submit waits for j warps' 32 holds; on 16 SQs
+        // only the second warp of each SQ waits, for the first one's.
+        let hold = nvme_sim::DEFAULT_LOCK_HOLD_CYCLES;
+        use crate::experiments::fig04::run_lockstep_burst;
+        let (one_qp, one_qp_wait) = run_lockstep_burst(1, 2_048);
+        let (sixteen_qps, sixteen_qps_wait) = run_lockstep_burst(16, 128);
+        assert_eq!(one_qp_wait, 32 * hold * (0..32).sum::<u64>());
+        assert_eq!(sixteen_qps_wait, 16 * 32 * hold);
+        // One SQ admits clock ÷ hold ≈ 4.17M submissions/s, more than one
+        // SSD serves, so the burst is device-bound either way: its 1 024
+        // reads finish within 1 % of each other's time.
+        assert!(
+            one_qp.abs_diff(sixteen_qps) * 100 <= sixteen_qps,
+            "1 QP {one_qp} vs 16 QPs {sixteen_qps} cycles"
+        );
     }
 
     #[test]

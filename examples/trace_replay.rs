@@ -25,7 +25,7 @@
 
 use agile_repro::nvme::DEFAULT_LOCK_HOLD_CYCLES;
 use agile_repro::trace::{decode_events, encode_events, MemorySink, Trace, TraceSpec};
-use agile_repro::workloads::experiments::testbed::experiment_gpu;
+use agile_repro::workloads::experiments::fig04::run_lockstep_burst;
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, run_trace_replay_with_sink, ReplayConfig, ReplaySystem,
 };
@@ -84,20 +84,18 @@ fn main() {
         agile_cached.p50_us, bam_cached.p50_us, agile_cached.p99_us, bam_cached.p99_us
     );
 
-    // --- 3c. The array lock's ceiling -------------------------------------
-    // At 8 SSDs the aggregate NVMe rate exceeds what the one array lock can
-    // admit: throughput sits just under clock ÷ hold submissions per second.
-    let topo_trace = TraceSpec::uniform("topology-scaling", 42, 8, 1 << 14, 8_192).generate();
-    let capped = run_trace_replay(&topo_trace, ReplaySystem::Agile, &cfg.clone().striped());
-    assert!(!capped.deadlocked);
-    let ceiling = experiment_gpu().clock_ghz * 1e9 / DEFAULT_LOCK_HOLD_CYCLES as f64;
-    println!(
-        "array lock @8 SSDs: {:.0} IOPS (p99 {:.2}us) = {:.3} of the {:.0} IOPS clock/hold ceiling",
-        capped.iops,
-        capped.p99_us,
-        capped.iops / ceiling,
-        ceiling
-    );
+    // --- 3c. The per-SQ submit lock --------------------------------------
+    // A 1024-thread block in lockstep submits its 1 024 reads at one instant.
+    // On one SQ each warp queues behind the earlier warps' holds; spread over
+    // 16 SQs only the second warp of each SQ waits. One SSD serves the burst
+    // at the same pace either way.
+    for (queue_pairs, depth) in [(1, 2_048), (16, 128)] {
+        let (elapsed, wait) = run_lockstep_burst(queue_pairs, depth);
+        println!(
+            "submit lock, 1024-thread burst on {queue_pairs:>2} QP(s): {:.1} holds of queue wait per submission, {elapsed} cycles",
+            wait as f64 / 1_024.0 / DEFAULT_LOCK_HOLD_CYCLES as f64
+        );
+    }
 
     // --- 3d. Prefetch depth × eviction policy ---------------------------
     // A uniform flood beside a Zipf hot-set reader through the cache: AGILE's

@@ -16,26 +16,19 @@ fn fig4_async_beats_sync_at_balanced_ctc() {
     let rows = run_ctc_sweep(&[0.5, 0.9], 16);
     assert_eq!(rows.len(), 2);
     // Below balance the block's warps, in lockstep, hide all of each
-    // iteration's compute: Equation 1's 1 + CTC.
-    let half = &rows[0];
-    assert!(
-        (half.speedup - 1.5).abs() <= 1.5 * 0.02,
-        "async/sync at CTC 0.5 must be within 2 % of 1.5x (got {:.3})",
-        half.speedup
-    );
-    let row = &rows[1];
-    assert!(
-        row.speedup >= 1.6,
-        "async must beat sync by at least 1.6x at CTC≈0.9 (got {:.2})",
-        row.speedup
-    );
-    assert!(
-        row.speedup <= row.ideal + 0.25,
-        "measured speedup {:.2} cannot exceed the ideal {:.2} by a wide margin",
-        row.speedup,
-        row.ideal
-    );
+    // iteration's compute: Equation 1's 1 + CTC. Each SQ has its own submit
+    // lock, so near balance too the block's submissions no longer queue
+    // behind one array-wide lock.
     assert!((ideal_speedup(0.9) - 1.9).abs() < 1e-9);
+    for row in &rows {
+        assert!(
+            (row.speedup - row.ideal).abs() <= row.ideal * 0.02,
+            "async/sync at CTC {} must be within 2 % of {:.2}x (got {:.3})",
+            row.ctc,
+            row.ideal,
+            row.speedup
+        );
+    }
 }
 
 #[test]

@@ -360,10 +360,11 @@ fn metrics_fingerprint(system: ReplaySystem, cfg: &ReplayConfig) -> (u64, Metric
 }
 
 /// Pins what the registry reports, snapshot and windows byte for byte, on
-/// three metered replays. The constants were recorded while the submit path
-/// and the replay collector still mirrored every event into registry
-/// instruments; the layers' own cells, read at snapshot time, must give the
-/// same bytes. Cached-path submissions are system traffic, which the QoS
+/// three metered replays. A change to the simulation moves them too; they
+/// were last re-recorded when the submit lock became one per SQ (all three
+/// moved) and `TenantShare` began to reclaim an over-quota tenant's read
+/// lines before its unread ones (the cached tenant-share replay).
+/// Cached-path submissions are system traffic, which the QoS
 /// gate never defers (and `run_trace_replay` refuses WFQ on the cached path),
 /// so the deferral family is pinned on a raw WFQ replay and the cached AGILE
 /// stack on a second, controlled one.
@@ -401,9 +402,9 @@ fn metered_replays_report_pinned_metrics() {
     );
     let got = [wfq, cached, bam];
     let pinned = [
-        0xc020_1ae2_d2b4_dc9b,
-        0x0064_bf06_39b4_2877,
-        0xa1fa_9438_c938_1466,
+        0x759b_adba_d2c5_59c8,
+        0x34a0_02f5_530b_1d8d,
+        0x6c92_2115_7014_a53a,
     ];
     assert_eq!(
         got, pinned,

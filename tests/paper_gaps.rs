@@ -16,9 +16,11 @@
 //!
 //! The Figure 4 rows compare each CTC point with Equation 1's ideal, the
 //! curve the paper draws its measurements against, and the peak with the
-//! paper's 1.88×. Every value is simulated, so a debug and a release build
-//! measure the same rows (about 2 s and 0.3 s).
+//! paper's 1.88×. The Figure 7 rows compare AGILE's asynchronous speedup
+//! over BaM on each DLRM configuration with the paper's. Every value is
+//! simulated, so a debug and a release build measure the same rows.
 
+use agile_repro::workloads::experiments::dlrm_figs::run_fig7_configs;
 use agile_repro::workloads::experiments::fig04::run_ctc_sweep;
 use agile_repro::workloads::experiments::fig05_06::{
     paper_request_counts, run_bandwidth_sweep, saturation_gbps,
@@ -80,6 +82,16 @@ fn measure() -> Vec<(String, f64, f64)> {
     }
     let peak = ctc.iter().fold(0.0f64, |m, r| m.max(r.speedup));
     rows.push(("fig4.peak_speedup".to_string(), peak, 1.88));
+    // Fig 7 at the quick harness's batch 256 and 3 epochs.
+    let fig7 = run_fig7_configs(256, 3);
+    let asynchronous = fig7.iter().filter(|r| r.mode == "agile-async");
+    for (row, paper) in asynchronous.zip([1.48, 1.63, 1.32]) {
+        rows.push((
+            format!("fig7.async_speedup_{}", row.point),
+            row.speedup_vs_bam,
+            paper,
+        ));
+    }
     let counts = paper_request_counts(2_048);
     for (figure, direction, kind, paper) in [
         ("fig5", IoDirection::Read, "read", [3.7, 7.4, 11.1]),
