@@ -380,12 +380,12 @@ impl SoftwareCache {
 
     /// Online share-weight update for `tenant`, forwarded to the replacement
     /// policy (the control plane's cache actuator). Tenant-oblivious
-    /// policies return [`crate::policy::ShareError::Unsupported`].
+    /// policies return [`agile_sim::WeightError::Unsupported`].
     pub fn set_tenant_share(
         &self,
         tenant: u32,
         weight: u64,
-    ) -> Result<u64, crate::policy::ShareError> {
+    ) -> Result<u64, agile_sim::WeightError> {
         self.policy.set_share(tenant, weight)
     }
 
@@ -1406,7 +1406,7 @@ mod tests {
         let c = clock(64, 4);
         assert_eq!(
             c.set_tenant_share(0, 2),
-            Err(crate::policy::ShareError::Unsupported)
+            Err(agile_sim::WeightError::Unsupported)
         );
     }
 

@@ -47,7 +47,7 @@ pub use cache::{
     BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache, Writeback,
 };
 pub use line::LineState;
-pub use policy::{CachePolicy, ClockPolicy, ShareError, TenantShare, MAX_ONLINE_SHARE};
+pub use policy::{CachePolicy, ClockPolicy, TenantShare, MAX_ONLINE_SHARE};
 pub use sharded::ShardedCache;
 pub use share_table::{BufState, ShareTable, ShareTableStats, SharedBuf};
 pub use tenant::{TenantCacheStats, TenantTable, NO_TENANT};

@@ -20,6 +20,7 @@
 //! slice of the cache's per-line owner array.
 
 use crate::tenant::{weighted_share, TenantTable, NO_TENANT};
+use agile_sim::WeightError;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
@@ -44,28 +45,6 @@ fn ways(mut mask: u64) -> impl Iterator<Item = usize> {
 /// QoS layer's online weights use, keeping the `lines × weight` product
 /// (computed in u128 on the victim path) far from overflow.
 pub const MAX_ONLINE_SHARE: u64 = 1 << 32;
-
-/// Why an online share-weight update was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShareError {
-    /// A zero weight was requested. Constructors clamp zero to 1, but an
-    /// *online* update to zero is a controller bug — it could zero the
-    /// active-weight denominator — so the update path refuses it.
-    Zero,
-    /// The policy keeps no per-tenant shares (clock).
-    Unsupported,
-}
-
-impl std::fmt::Display for ShareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShareError::Zero => write!(f, "zero share weight rejected"),
-            ShareError::Unsupported => write!(f, "policy does not support online shares"),
-        }
-    }
-}
-
-impl std::error::Error for ShareError {}
 
 /// A pluggable replacement policy.
 ///
@@ -102,11 +81,11 @@ pub trait CachePolicy: Send + Sync {
 
     /// Online share-weight update for `tenant` (the control plane's
     /// actuator). Returns the weight actually installed — values above
-    /// [`MAX_ONLINE_SHARE`] are clamped to it — or [`ShareError::Zero`] for
-    /// zero weights and [`ShareError::Unsupported`] (the default) for
+    /// [`MAX_ONLINE_SHARE`] are clamped to it — or [`WeightError::Zero`] for
+    /// zero weights and [`WeightError::Unsupported`] (the default) for
     /// tenant-oblivious policies.
-    fn set_share(&self, _tenant: u32, _weight: u64) -> Result<u64, ShareError> {
-        Err(ShareError::Unsupported)
+    fn set_share(&self, _tenant: u32, _weight: u64) -> Result<u64, WeightError> {
+        Err(WeightError::Unsupported)
     }
 
     /// Current share weight of `tenant`; `None` when the policy keeps no
@@ -326,9 +305,9 @@ impl CachePolicy for TenantShare {
 
     /// Rebind `tenant`'s occupancy share online; the next victim choice
     /// sees it.
-    fn set_share(&self, tenant: u32, weight: u64) -> Result<u64, ShareError> {
+    fn set_share(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
         if weight == 0 {
-            return Err(ShareError::Zero);
+            return Err(WeightError::Zero);
         }
         let applied = weight.min(MAX_ONLINE_SHARE);
         self.weights.lock().insert(tenant, applied);
@@ -565,14 +544,14 @@ mod tests {
     #[test]
     fn share_updates_reject_zero_and_clamp_overflow() {
         let p = TenantShare::from_weights(&[2]);
-        assert_eq!(p.set_share(0, 0), Err(ShareError::Zero));
+        assert_eq!(p.set_share(0, 0), Err(WeightError::Zero));
         assert_eq!(p.share(0), Some(2), "rejected update must not apply");
         assert_eq!(p.set_share(0, u64::MAX), Ok(MAX_ONLINE_SHARE));
         assert_eq!(p.share(0), Some(MAX_ONLINE_SHARE));
         // Tenant-oblivious policies refuse online shares.
         assert_eq!(
             configured(ClockPolicy::new()).set_share(0, 2),
-            Err(ShareError::Unsupported)
+            Err(WeightError::Unsupported)
         );
         assert_eq!(configured(ClockPolicy::new()).share(0), None);
     }

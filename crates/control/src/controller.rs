@@ -5,8 +5,7 @@ use crate::knobs::{Knob, KnobSet};
 use crate::policy::{ControlPolicy, SloSpec};
 use crate::report::{ControlReport, CtrlDecision, KnobValues};
 use agile_metrics::{
-    Counter, CounterFamily, Gauge, GaugeFamily, LabelDim, Labels, MetricsRegistry, WindowSample,
-    WindowedSampler,
+    Collector, Labels, MetricValue, MetricsRegistry, Sample, WindowSample, WindowedSampler,
 };
 use agile_sim::{TraceEvent, TraceEventKind, TraceSink};
 use parking_lot::Mutex;
@@ -34,30 +33,6 @@ const PRESSURE_LOW: f64 = 0.02;
 /// Maximum number of idle-backoff doublings over the installed base.
 const MAX_BACKOFF_DOUBLINGS: u32 = 4;
 
-/// `agile_ctrl_*` instruments, present when a registry was supplied.
-struct Instruments {
-    decisions: Counter,
-    prefetch_depth: Gauge,
-    idle_backoff: Gauge,
-    wfq_weight: GaugeFamily,
-    cache_share: GaugeFamily,
-    slo_violations: CounterFamily,
-}
-
-impl Instruments {
-    fn bind(registry: &Arc<MetricsRegistry>) -> Self {
-        Instruments {
-            decisions: registry.counter("agile_ctrl_decisions_total", Labels::NONE),
-            prefetch_depth: registry.gauge("agile_ctrl_prefetch_depth", Labels::NONE),
-            idle_backoff: registry.gauge("agile_ctrl_idle_backoff_cycles", Labels::NONE),
-            wfq_weight: registry.gauge_family("agile_ctrl_wfq_weight", LabelDim::Tenant),
-            cache_share: registry.gauge_family("agile_ctrl_cache_share", LabelDim::Tenant),
-            slo_violations: registry
-                .counter_family("agile_ctrl_slo_violations_total", LabelDim::Tenant),
-        }
-    }
-}
-
 /// Per-SLO-tenant loop state.
 struct TenantCtl {
     spec: SloSpec,
@@ -68,6 +43,8 @@ struct TenantCtl {
     violate_votes: u32,
     ok_windows: u32,
     cooldown: u32,
+    /// Windows in which the tenant missed its objective.
+    violations: u64,
 }
 
 struct CtrlState {
@@ -83,31 +60,90 @@ struct CtrlState {
     tenants: BTreeMap<u32, TenantCtl>,
     decisions: Vec<CtrlDecision>,
     windows_seen: u64,
+    /// The prefetch depth and idle backoff found by [`Controller::new`] (0
+    /// for an absent knob): what their gauges read before any decision.
+    knobs_at_new: [u64; 2],
+}
+
+/// The `agile_ctrl_*` gauge a decision on `knob` moves.
+fn gauge_name(knob: Knob) -> &'static str {
+    match knob {
+        Knob::PrefetchDepth => "agile_ctrl_prefetch_depth",
+        Knob::IdleBackoff => "agile_ctrl_idle_backoff_cycles",
+        Knob::WfqWeight => "agile_ctrl_wfq_weight",
+        Knob::CacheShare => "agile_ctrl_cache_share",
+    }
+}
+
+/// Exports the `agile_ctrl_*` samples, derived at snapshot time from the
+/// decision log: `decisions_total` is its length, each gauge the `new` value
+/// of the last decision on its knob (and tenant), and
+/// `slo_violations_total{tenant}` a tenant's missed windows once it missed
+/// one. It shares the controller's state, never the controller: the
+/// controller holds the sampler, which holds the registry, which holds this.
+struct CtrlCollector(Arc<Mutex<CtrlState>>);
+
+impl Collector for CtrlCollector {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        let state = self.0.lock();
+        let [depth, backoff] = state.knobs_at_new;
+        let mut gauges = BTreeMap::from([
+            ((gauge_name(Knob::PrefetchDepth), None), depth),
+            ((gauge_name(Knob::IdleBackoff), None), backoff),
+        ]);
+        for d in &state.decisions {
+            gauges.insert((gauge_name(d.knob), d.tenant), d.new);
+        }
+        let mut push = |name, labels, value| {
+            out.push(Sample {
+                name,
+                labels,
+                value,
+            })
+        };
+        for ((name, tenant), v) in gauges {
+            let labels = tenant.map_or(Labels::NONE, Labels::tenant);
+            push(name, labels, MetricValue::Gauge(v));
+        }
+        let decisions = state.decisions.len() as u64;
+        push(
+            "agile_ctrl_decisions_total",
+            Labels::NONE,
+            MetricValue::Counter(decisions),
+        );
+        for (&t, tc) in state.tenants.iter().filter(|(_, tc)| tc.violations > 0) {
+            push(
+                "agile_ctrl_slo_violations_total",
+                Labels::tenant(t),
+                MetricValue::Counter(tc.violations),
+            );
+        }
+    }
 }
 
 /// The deterministic feedback controller. Construct with
 /// [`Controller::new`], bridge into the engine with
 /// [`crate::ControlBridge`], read the outcome with [`Controller::report`].
 ///
-/// All state lives behind one mutex taken only when a metric window closes —
-/// the hot paths never see the controller; they read the atomic knob cells
-/// it writes.
+/// All state lives behind one mutex taken only when a metric window closes
+/// or a snapshot reads the decision log — the hot paths never see the
+/// controller; they read the atomic knob cells it writes.
 pub struct Controller {
     policy: ControlPolicy,
     knobs: KnobSet,
     sampler: Arc<WindowedSampler>,
     clock_ghz: f64,
     trace: OnceLock<Arc<dyn TraceSink>>,
-    instruments: Option<Instruments>,
-    state: Mutex<CtrlState>,
+    state: Arc<Mutex<CtrlState>>,
 }
 
 impl Controller {
     /// A controller over `sampler`'s window stream, actuating `knobs` under
     /// `policy` for the declared `slos`. `clock_ghz` converts cycle windows
     /// to wall-clock rates (must match the replay's reporting clock).
-    /// Passing the metrics registry exports `agile_ctrl_*` instruments;
-    /// without one the controller still runs, just unobserved.
+    /// Passing the metrics registry exports the `agile_ctrl_*` samples
+    /// through a collector over the decision log; without one the
+    /// controller still runs, just unobserved.
     pub fn new(
         policy: ControlPolicy,
         slos: Vec<SloSpec>,
@@ -116,20 +152,18 @@ impl Controller {
         clock_ghz: f64,
         registry: Option<&Arc<MetricsRegistry>>,
     ) -> Arc<Self> {
-        let instruments = registry.map(Instruments::bind);
         let backoff_base = knobs
             .idle_backoff
             .as_ref()
             .map(|c| c.load().max(1))
             .unwrap_or(1);
-        if let Some(i) = &instruments {
-            if let Some(cell) = &knobs.prefetch_depth {
-                i.prefetch_depth.set(cell.load(Ordering::Relaxed) as u64);
-            }
-            if knobs.idle_backoff.is_some() {
-                i.idle_backoff.set(backoff_base);
-            }
-        }
+        let knobs_at_new = [
+            knobs
+                .prefetch_depth
+                .as_ref()
+                .map_or(0, |c| c.load(Ordering::Relaxed) as u64),
+            knobs.idle_backoff.as_ref().map_or(0, |_| backoff_base),
+        ];
         let tenants = slos
             .into_iter()
             .map(|spec| {
@@ -142,28 +176,33 @@ impl Controller {
                         violate_votes: 0,
                         ok_windows: 0,
                         cooldown: 0,
+                        violations: 0,
                     },
                 )
             })
             .collect();
+        let state = Arc::new(Mutex::new(CtrlState {
+            consumed: 0,
+            up_votes: 0,
+            down_votes: 0,
+            prefetch_cooldown: 0,
+            backoff_base,
+            idle_streak: 0,
+            tenants,
+            decisions: Vec::new(),
+            windows_seen: 0,
+            knobs_at_new,
+        }));
+        if let Some(registry) = registry {
+            registry.register_collector(Box::new(CtrlCollector(Arc::clone(&state))));
+        }
         Arc::new(Controller {
             policy,
             knobs,
             sampler,
             clock_ghz,
             trace: OnceLock::new(),
-            instruments,
-            state: Mutex::new(CtrlState {
-                consumed: 0,
-                up_votes: 0,
-                down_votes: 0,
-                prefetch_cooldown: 0,
-                backoff_base,
-                idle_streak: 0,
-                tenants,
-                decisions: Vec::new(),
-                windows_seen: 0,
-            }),
+            state,
         })
     }
 
@@ -303,9 +342,6 @@ impl Controller {
         }
         cell.store(new, Ordering::Relaxed);
         state.prefetch_cooldown = self.policy.cooldown_windows;
-        if let Some(i) = &self.instruments {
-            i.prefetch_depth.set(new as u64);
-        }
         self.decide(
             state,
             w,
@@ -355,9 +391,7 @@ impl Controller {
             if violated {
                 tc.ok_windows = 0;
                 tc.violate_votes += 1;
-                if let Some(i) = &self.instruments {
-                    i.slo_violations.inc(t);
-                }
+                tc.violations += 1;
                 if tc.violate_votes >= self.policy.vote_windows {
                     tc.violate_votes = 0;
                     tc.cooldown = self.policy.cooldown_windows;
@@ -391,9 +425,6 @@ impl Controller {
             let wanted = old.saturating_add(self.policy.weight_step.max(1));
             if let Ok(new) = wfq.set_weight(t, wanted) {
                 if new != old {
-                    if let Some(i) = &self.instruments {
-                        i.wfq_weight.with(t).set(new);
-                    }
                     self.decide(state, w, Knob::WfqWeight, Some(t), old, new, reason.into());
                 }
             }
@@ -404,9 +435,6 @@ impl Controller {
             let wanted = old.saturating_add(self.policy.weight_step.max(1));
             if let Ok(new) = shares.set_weight(t, wanted) {
                 if new != old {
-                    if let Some(i) = &self.instruments {
-                        i.cache_share.with(t).set(new);
-                    }
                     self.decide(state, w, Knob::CacheShare, Some(t), old, new, reason.into());
                 }
             }
@@ -420,9 +448,6 @@ impl Controller {
             if let Some(old) = wfq.weight(t) {
                 let new = (old * 3 / 4).max(base);
                 if new != old && wfq.set_weight(t, new).is_ok() {
-                    if let Some(i) = &self.instruments {
-                        i.wfq_weight.with(t).set(new);
-                    }
                     self.decide(
                         state,
                         w,
@@ -439,9 +464,6 @@ impl Controller {
             if let Some(old) = shares.weight(t) {
                 let new = (old * 3 / 4).max(base);
                 if new != old && shares.set_weight(t, new).is_ok() {
-                    if let Some(i) = &self.instruments {
-                        i.cache_share.with(t).set(new);
-                    }
                     self.decide(
                         state,
                         w,
@@ -483,9 +505,6 @@ impl Controller {
             return;
         }
         cell.store(new);
-        if let Some(i) = &self.instruments {
-            i.idle_backoff.set(new);
-        }
         self.decide(state, w, Knob::IdleBackoff, None, current, new, reason);
     }
 
@@ -502,9 +521,6 @@ impl Controller {
         new: u64,
         reason: String,
     ) {
-        if let Some(i) = &self.instruments {
-            i.decisions.inc();
-        }
         if let Some(sink) = self.trace.get() {
             sink.record(
                 TraceEvent::new(TraceEventKind::CtrlDecision, w.end)
@@ -538,8 +554,12 @@ impl SaturatingShl for u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knobs::{KnobError, TenantWeights};
+    use crate::knobs::TenantWeights;
+    use crate::report::ControlReport;
+    use agile_metrics::HistoSnapshot;
     use agile_sim::wake::WatchedU64;
+    use agile_sim::WeightError;
+    use agile_trace::stats::LatencyHistogram;
     use std::sync::atomic::AtomicU32;
 
     struct TestWeights(Mutex<BTreeMap<u32, u64>>);
@@ -551,15 +571,55 @@ mod tests {
     }
 
     impl TenantWeights for TestWeights {
-        fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, KnobError> {
+        fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
             if weight == 0 {
-                return Err(KnobError::Zero);
+                return Err(WeightError::Zero);
             }
             self.0.lock().insert(tenant, weight);
             Ok(weight)
         }
         fn weight(&self, tenant: u32) -> Option<u64> {
             self.0.lock().get(&tenant).copied()
+        }
+    }
+
+    /// Per-tenant replay latencies, exported as the replay's collector
+    /// exports them: `agile_replay_ops_total{tenant}` and
+    /// `agile_replay_latency_cycles{tenant}`, read at snapshot time.
+    #[derive(Clone, Default)]
+    struct Latencies(Arc<Mutex<BTreeMap<u32, LatencyHistogram>>>);
+
+    impl Latencies {
+        fn bind(reg: &MetricsRegistry) -> Self {
+            let latencies = Latencies::default();
+            reg.register_collector(Box::new(latencies.clone()));
+            latencies
+        }
+
+        /// `n` completed ops of `tenant`, each `cycles` long.
+        fn record(&self, tenant: u32, cycles: u64, n: u32) {
+            let mut tenants = self.0.lock();
+            let h = tenants.entry(tenant).or_default();
+            for _ in 0..n {
+                h.record(cycles);
+            }
+        }
+    }
+
+    impl Collector for Latencies {
+        fn collect(&self, out: &mut Vec<Sample>) {
+            for (&t, h) in self.0.lock().iter() {
+                out.push(Sample {
+                    name: "agile_replay_ops_total",
+                    labels: Labels::tenant(t),
+                    value: MetricValue::Counter(h.count()),
+                });
+                out.push(Sample {
+                    name: "agile_replay_latency_cycles",
+                    labels: Labels::tenant(t),
+                    value: MetricValue::Histo(Box::new(HistoSnapshot::of(h))),
+                });
+            }
         }
     }
 
@@ -713,8 +773,7 @@ mod tests {
     #[test]
     fn slo_loop_boosts_on_violation_and_decays_after_settle() {
         let reg = MetricsRegistry::new();
-        let ops = reg.counter("agile_replay_ops_total", Labels::tenant(1));
-        let lat = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
+        let lat = Latencies::bind(&reg);
         let sampler = WindowedSampler::new(Arc::clone(&reg), 1000);
         let wfq = TestWeights::new(&[(1, 4)]);
         let shares = TestWeights::new(&[(1, 4)]);
@@ -738,10 +797,7 @@ mod tests {
         );
         // Two violating windows: p99 = 50_000 cycles = 50us > 10us target.
         for i in 1..=2u64 {
-            for _ in 0..32 {
-                ops.inc();
-                lat.record(50_000);
-            }
+            lat.record(1, 50_000, 32);
             ctrl.poll(i * 1_000);
         }
         assert!(wfq.weight(1).unwrap() > 4, "weight boosted under violation");
@@ -749,15 +805,162 @@ mod tests {
         let boosted = wfq.weight(1).unwrap();
         // Four healthy windows: two settle periods of multiplicative decay.
         for i in 3..=6u64 {
-            for _ in 0..32 {
-                ops.inc();
-                lat.record(1_000); // 1us, well inside target
-            }
+            lat.record(1, 1_000, 32); // 1us, well inside target
             ctrl.poll(i * 1_000);
         }
         let decayed = wfq.weight(1).unwrap();
         assert!(decayed < boosted, "weight decays once the SLO holds");
         assert!(decayed >= 4, "never below the base weight");
+    }
+
+    /// The `agile_ctrl_*` samples of a snapshot.
+    fn ctrl_samples(reg: &MetricsRegistry) -> Vec<Sample> {
+        let snap = reg.snapshot();
+        let ctrl = snap.samples.into_iter();
+        ctrl.filter(|s| s.name.starts_with("agile_ctrl_")).collect()
+    }
+
+    /// The `agile_ctrl_*` samples `report`'s decision log implies: its
+    /// length, the last `new` per knob and tenant (`at_new` for the two
+    /// untenanted knobs before their first decision, no member for a tenant
+    /// without one) and the given per-tenant violation counts.
+    fn implied_samples(
+        report: &ControlReport,
+        at_new: [u64; 2],
+        violated: &[(u32, u64)],
+    ) -> Vec<Sample> {
+        let last = |knob, tenant| {
+            let mut log = report.decisions.iter().rev();
+            log.find(|d| d.knob == knob && d.tenant == tenant)
+                .map(|d| d.new)
+        };
+        let sample = |name, labels, value| Sample {
+            name,
+            labels,
+            value,
+        };
+        let gauge = |name, labels, v| sample(name, labels, MetricValue::Gauge(v));
+        let (depth, backoff) = (Knob::PrefetchDepth, Knob::IdleBackoff);
+        let mut out = vec![
+            gauge(
+                "agile_ctrl_prefetch_depth",
+                Labels::NONE,
+                last(depth, None).unwrap_or(at_new[0]),
+            ),
+            gauge(
+                "agile_ctrl_idle_backoff_cycles",
+                Labels::NONE,
+                last(backoff, None).unwrap_or(at_new[1]),
+            ),
+            sample(
+                "agile_ctrl_decisions_total",
+                Labels::NONE,
+                MetricValue::Counter(report.decisions.len() as u64),
+            ),
+        ];
+        for (knob, name) in [
+            (Knob::WfqWeight, "agile_ctrl_wfq_weight"),
+            (Knob::CacheShare, "agile_ctrl_cache_share"),
+        ] {
+            for t in [1, 2] {
+                if let Some(v) = last(knob, Some(t)) {
+                    out.push(gauge(name, Labels::tenant(t), v));
+                }
+            }
+        }
+        for &(t, n) in violated {
+            let labels = Labels::tenant(t);
+            out.push(sample(
+                "agile_ctrl_slo_violations_total",
+                labels,
+                MetricValue::Counter(n),
+            ));
+        }
+        out.sort_by(|a, b| (a.name, a.labels).cmp(&(b.name, b.labels)));
+        out
+    }
+
+    #[test]
+    fn ctrl_samples_are_what_the_decision_log_implies() {
+        let reg = registry_with_cache_counters(0, 0, 0);
+        let lat = Latencies::bind(&reg);
+        let sampler = WindowedSampler::new(Arc::clone(&reg), 1000);
+        let depth = Arc::new(AtomicU32::new(4));
+        let wfq = TestWeights::new(&[(1, 4), (2, 4)]);
+        let shares = TestWeights::new(&[(1, 4), (2, 4)]);
+        let mut policy = ControlPolicy::all();
+        policy.vote_windows = 1;
+        policy.cooldown_windows = 0;
+        policy.min_ops_per_window = 1;
+        let ctrl = Controller::new(
+            policy,
+            vec![SloSpec::p99(1, 10.0), SloSpec::p99(2, 10.0)],
+            KnobSet {
+                prefetch_depth: Some(Arc::clone(&depth)),
+                idle_backoff: Some(Arc::new(WatchedU64::new(500))),
+                wfq: Some(wfq as Arc<dyn TenantWeights>),
+                cache_shares: Some(shares as Arc<dyn TenantWeights>),
+            },
+            sampler,
+            1.0,
+            Some(&reg),
+        );
+        // The replay kernel re-seeds the depth cell after the host is built:
+        // the gauge reads what `new` found until the first decision.
+        depth.store(6, Ordering::Relaxed);
+        assert_eq!(
+            reg.snapshot()
+                .get("agile_ctrl_prefetch_depth", Labels::NONE),
+            Some(&MetricValue::Gauge(4))
+        );
+        assert_eq!(
+            ctrl_samples(&reg),
+            implied_samples(&ctrl.report(), [4, 500], &[])
+        );
+        let hits = reg.counter("agile_cache_hits_total", Labels::NONE);
+        let misses = reg.counter("agile_cache_misses_total", Labels::NONE);
+        for i in 1..=4u64 {
+            // Thrash (the depth halves), no completion (the backoff
+            // doubles), tenant 1 at 50us against its 10us target (both of
+            // its weights boost), tenant 2 inside its target (no decision).
+            hits.add(10);
+            misses.add(90);
+            lat.record(1, 50_000, 32);
+            lat.record(2, 1_000, 32);
+            ctrl.poll(i * 1_000);
+            let report = ctrl.report();
+            assert_eq!(
+                ctrl_samples(&reg),
+                implied_samples(&report, [4, 500], &[(1, i)]),
+                "after window {i}: {:?}",
+                report.decision_log()
+            );
+        }
+        let report = ctrl.report();
+        for knob in [
+            Knob::PrefetchDepth,
+            Knob::IdleBackoff,
+            Knob::WfqWeight,
+            Knob::CacheShare,
+        ] {
+            assert!(!report.decisions_for(knob).is_empty(), "{knob} never moved");
+        }
+        assert_eq!(
+            report.decisions_for(Knob::PrefetchDepth)[0].old,
+            6,
+            "the live cell"
+        );
+        let snap = reg.snapshot();
+        for name in [
+            "agile_ctrl_wfq_weight",
+            "agile_ctrl_cache_share",
+            "agile_ctrl_slo_violations_total",
+        ] {
+            assert!(
+                snap.get(name, Labels::tenant(2)).is_none(),
+                "{name}{{tenant=2}}"
+            );
+        }
     }
 
     #[test]

@@ -2,38 +2,19 @@
 //! depending on the layers that own the knobs.
 
 use agile_sim::wake::WatchedU64;
+use agile_sim::WeightError;
 use std::fmt;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
-/// Why an online knob update was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnobError {
-    /// A zero weight/share was requested (would starve or divide by zero).
-    Zero,
-    /// The installed policy does not support online updates.
-    Unsupported,
-}
-
-impl fmt::Display for KnobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KnobError::Zero => write!(f, "zero weight rejected"),
-            KnobError::Unsupported => write!(f, "online weight updates unsupported"),
-        }
-    }
-}
-
-impl std::error::Error for KnobError {}
-
 /// An online-mutable per-tenant weight table — the controller-facing shape
 /// of both `WeightedFair::set_weight` and `TenantShare::set_share`.
 /// Implementations clamp overflowing weights to their documented range and
-/// refuse zero with [`KnobError::Zero`].
+/// refuse zero with [`WeightError::Zero`].
 pub trait TenantWeights: Send + Sync {
     /// Set tenant `tenant`'s weight, returning the value actually applied
     /// (after clamping).
-    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, KnobError>;
+    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError>;
     /// Tenant `tenant`'s current weight, if it is known to the table.
     fn weight(&self, tenant: u32) -> Option<u64>;
 }

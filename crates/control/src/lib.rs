@@ -34,11 +34,11 @@
 //! byte-identical to one without the crate present, and a run with it
 //! *enabled* is deterministic — same seed, same decision log.
 //!
-//! Dependency shape: this crate knows only `agile-sim` (trace events),
-//! `gpu-sim` (the engine's `ExternalDevice`) and `agile-metrics`. The
-//! actuation targets live in higher layers and reach the controller through
-//! the [`TenantWeights`] trait and raw atomic cells in a [`KnobSet`] —
-//! `agile-core` supplies the adapters.
+//! Dependency shape: this crate knows only `agile-sim` (trace events, the
+//! shared `WeightError`), `gpu-sim` (the engine's `ExternalDevice`) and
+//! `agile-metrics`. The actuation targets live in higher layers and reach
+//! the controller through the [`TenantWeights`] trait and raw atomic cells
+//! in a [`KnobSet`] — `agile-core` supplies the adapters.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
@@ -53,6 +53,6 @@ pub mod report;
 
 pub use bridge::ControlBridge;
 pub use controller::Controller;
-pub use knobs::{Knob, KnobError, KnobSet, TenantWeights};
+pub use knobs::{Knob, KnobSet, TenantWeights};
 pub use policy::{ControlPolicy, SloSpec};
 pub use report::{ControlReport, CtrlDecision, KnobValues};

@@ -10,9 +10,9 @@
 //! shares) from a controller.
 
 use crate::ctrl::AgileCtrl;
-use crate::qos::{QosPolicy, WeightError};
-use agile_cache::ShareError;
-use agile_control::{KnobError, KnobSet, TenantWeights};
+use crate::qos::QosPolicy;
+use agile_control::{KnobSet, TenantWeights};
+use agile_sim::WeightError;
 use std::sync::Arc;
 
 /// A [`QosPolicy`]'s online weight surface as [`TenantWeights`].
@@ -28,11 +28,8 @@ impl QosWeights {
 }
 
 impl TenantWeights for QosWeights {
-    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, KnobError> {
-        self.policy.set_weight(tenant, weight).map_err(|e| match e {
-            WeightError::Zero => KnobError::Zero,
-            WeightError::Unsupported => KnobError::Unsupported,
-        })
+    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
+        self.policy.set_weight(tenant, weight)
     }
     fn weight(&self, tenant: u32) -> Option<u64> {
         self.policy.weight(tenant)
@@ -52,14 +49,8 @@ impl CacheShares {
 }
 
 impl TenantWeights for CacheShares {
-    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, KnobError> {
-        self.ctrl
-            .cache()
-            .set_tenant_share(tenant, weight)
-            .map_err(|e| match e {
-                ShareError::Zero => KnobError::Zero,
-                ShareError::Unsupported => KnobError::Unsupported,
-            })
+    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
+        self.ctrl.cache().set_tenant_share(tenant, weight)
     }
     fn weight(&self, tenant: u32) -> Option<u64> {
         self.ctrl.cache().tenant_share(tenant)
@@ -104,7 +95,7 @@ mod tests {
         let wfq: Arc<dyn QosPolicy> = Arc::new(WeightedFair::new().with_weight(1, 2));
         wfq.bind(64);
         let adapter = QosWeights::new(Arc::clone(&wfq));
-        assert_eq!(adapter.set_weight(1, 0), Err(KnobError::Zero));
+        assert_eq!(adapter.set_weight(1, 0), Err(WeightError::Zero));
         assert_eq!(adapter.set_weight(1, 5), Ok(5));
         assert_eq!(adapter.weight(1), Some(5));
     }
@@ -114,7 +105,7 @@ mod tests {
         let ctrl = test_ctrl();
         let adapter = CacheShares::new(Arc::clone(&ctrl));
         // The default cache policy is plain clock: no tenant shares.
-        assert_eq!(adapter.set_weight(1, 2), Err(KnobError::Unsupported));
+        assert_eq!(adapter.set_weight(1, 2), Err(WeightError::Unsupported));
         assert_eq!(adapter.weight(1), None);
     }
 

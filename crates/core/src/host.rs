@@ -445,10 +445,10 @@ impl<S: HostSystem> Host<S> {
         self.ctrl.io().set_qos_policy(policy)
     }
 
-    /// The installed metrics registry, if any: the controller's submit path
-    /// counts directly, and the cache / topology / device / service
-    /// statistics are exported through snapshot-time collectors (zero
-    /// hot-path cost — see [`crate::telemetry`]).
+    /// The installed metrics registry, if any: every layer's statistics
+    /// (submit path, cache, topology, devices, service, engine, controller)
+    /// are exported through snapshot-time collectors (zero hot-path cost —
+    /// see [`crate::telemetry`]).
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref()
     }
@@ -594,9 +594,8 @@ mod tests {
 
     #[test]
     fn dropping_a_metered_host_frees_the_registry() {
-        // The registry's collectors hold the controller and the controller's
-        // instruments come from the registry; that loop must not be made of
-        // strong references, or every metered host is leaked whole.
+        // The registry's collectors hold the controller; nothing they hold
+        // may hold the registry back, or every metered host is leaked whole.
         let registry = MetricsRegistry::new();
         let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
         spec.devices = vec![1 << 16];
@@ -612,6 +611,41 @@ mod tests {
         drop((host, registry, ctrl));
         assert!(registry_alive.upgrade().is_none(), "registry leaked");
         assert!(ctrl_alive.upgrade().is_none(), "controller leaked");
+    }
+
+    #[test]
+    fn dropping_a_controlled_host_frees_the_control_plane() {
+        // The control plane's edges run controller → sampler → registry →
+        // collectors, so the controller's collector may share its state but
+        // never hold the controller, or every controlled host is leaked whole.
+        let registry = MetricsRegistry::new();
+        let sampler = WindowedSampler::new(Arc::clone(&registry), 2_000);
+        let mut spec = HostSpec::new(GpuConfig::tiny(4), AgileConfig::small_test());
+        spec.devices = vec![1 << 16];
+        spec.metrics = Some(Arc::clone(&registry));
+        spec.sampler = Some(Arc::clone(&sampler));
+        spec.control = Some(ControlPolicy::all());
+        spec.slos = vec![SloSpec::p99(0, 10.0)];
+        let mut host = AgileHost::build(spec);
+        let ctrl = host.ctrl();
+        let controller = Arc::clone(host.controller().expect("built with a control plane"));
+        let report = host.run_kernel(
+            LaunchConfig::new(2, 64).with_registers(32),
+            Box::new(PrefetchComputeKernel::new(ctrl.clone(), 4, 3_000)),
+        );
+        assert!(!report.deadlocked);
+        assert!(controller.report().windows_seen > 0, "the loops ran");
+        let alive = (
+            Arc::downgrade(&registry),
+            Arc::downgrade(&sampler),
+            Arc::downgrade(&controller),
+            Arc::downgrade(&ctrl),
+        );
+        drop((host, registry, sampler, controller, ctrl));
+        assert!(alive.0.upgrade().is_none(), "registry leaked");
+        assert!(alive.1.upgrade().is_none(), "sampler leaked");
+        assert!(alive.2.upgrade().is_none(), "control plane leaked");
+        assert!(alive.3.upgrade().is_none(), "storage controller leaked");
     }
 
     #[test]

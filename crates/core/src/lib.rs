@@ -80,9 +80,7 @@ pub use host::{AgileHost, AgileSystem, GpuStorageHost, Host, HostSpec, HostSyste
 pub use io_path::{
     IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
 };
-pub use qos::{
-    Fifo, QosDecision, QosPolicy, QosTenantStats, WeightError, WeightedFair, MAX_ONLINE_WEIGHT,
-};
+pub use qos::{Fifo, QosDecision, QosPolicy, QosTenantStats, WeightedFair, MAX_ONLINE_WEIGHT};
 pub use service::{AgileService, ServiceStats};
 pub use telemetry::{
     CacheCollector, MetricsBridge, ServiceCollector, SubmitCollector, TopologyCollector,

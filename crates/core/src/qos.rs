@@ -36,10 +36,9 @@
 
 use agile_cache::tenant::weighted_share;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
-use agile_sim::Cycles;
+use agile_sim::{Cycles, WeightError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// Run one admission check against `policy`, recording a
@@ -71,29 +70,6 @@ pub fn gate_admission(
 /// overflow even with thousands of tenants at the maximum weight, and bounds
 /// how hard a runaway controller can skew the schedule in one step.
 pub const MAX_ONLINE_WEIGHT: u64 = 1 << 32;
-
-/// Why an online weight/share update was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightError {
-    /// A zero weight was requested. Constructors clamp zero to 1 (a declared
-    /// config is best-effort), but an *online* update to zero is always a
-    /// controller bug — it could zero the active-weight denominator — so the
-    /// update path refuses it outright instead of guessing.
-    Zero,
-    /// The policy keeps no per-tenant weights (`Fifo`).
-    Unsupported,
-}
-
-impl fmt::Display for WeightError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightError::Zero => write!(f, "zero weight rejected (would empty the active set)"),
-            WeightError::Unsupported => write!(f, "policy does not support online weights"),
-        }
-    }
-}
-
-impl std::error::Error for WeightError {}
 
 /// Verdict of a QoS admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -126,6 +126,7 @@ use agile_sim::wake::{QueueId, SleeperId, Wait, WaitReason, WakeHub};
 use agile_sim::{Cycles, SimClock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Which scheduling loop [`Engine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,27 +143,42 @@ pub enum EngineSched {
     FullScan,
 }
 
-/// Engine-level instruments (the `agile_engine_*` metric family), bound once
-/// from a registry. The scheduling loops accumulate into plain engine fields
-/// and flush to these atomics only every `METRICS_FLUSH_ROUNDS` rounds (and
-/// at run end), so the hot loop never touches the registry — windowed series
-/// see engine counters at that flush granularity.
-pub struct EngineMetrics {
-    rounds: agile_metrics::Counter,
-    warp_steps: agile_metrics::Counter,
-    stale_wakes: agile_metrics::Counter,
-    ready_high_water: agile_metrics::Gauge,
-}
+/// The engine's totals as the registry sees them (the `agile_engine_*`
+/// metric family): rounds, warp steps, stale wakes and the ready-queue high
+/// water. The scheduling loops count in plain engine fields and store them
+/// here only every `METRICS_FLUSH_ROUNDS` rounds (and at run end), so the
+/// hot loop never touches an atomic — windowed series see engine counters
+/// at that flush granularity.
+#[derive(Clone)]
+pub struct EngineMetrics(
+    /// Rounds, warp steps, stale wakes, ready-queue high water.
+    std::sync::Arc<[AtomicU64; 4]>,
+);
 
 impl EngineMetrics {
-    /// Register (or reuse) the engine instruments in `registry`.
+    /// Register the collector that reads the engine's totals in `registry`.
     pub fn bind(registry: &std::sync::Arc<agile_metrics::MetricsRegistry>) -> Self {
-        use agile_metrics::Labels;
-        EngineMetrics {
-            rounds: registry.counter("agile_engine_rounds_total", Labels::NONE),
-            warp_steps: registry.counter("agile_engine_warp_steps_total", Labels::NONE),
-            stale_wakes: registry.counter("agile_engine_stale_wakes_total", Labels::NONE),
-            ready_high_water: registry.gauge("agile_engine_ready_queue_high_water", Labels::NONE),
+        let metrics = EngineMetrics(std::sync::Arc::default());
+        registry.register_collector(Box::new(metrics.clone()));
+        metrics
+    }
+}
+
+impl agile_metrics::Collector for EngineMetrics {
+    fn collect(&self, out: &mut Vec<agile_metrics::Sample>) {
+        use agile_metrics::MetricValue::{Counter, Gauge};
+        let [rounds, steps, stale, high_water] = self.0.each_ref().map(|v| v.load(Relaxed));
+        for (name, value) in [
+            ("agile_engine_rounds_total", Counter(rounds)),
+            ("agile_engine_warp_steps_total", Counter(steps)),
+            ("agile_engine_stale_wakes_total", Counter(stale)),
+            ("agile_engine_ready_queue_high_water", Gauge(high_water)),
+        ] {
+            out.push(agile_metrics::Sample {
+                name,
+                labels: agile_metrics::Labels::NONE,
+                value,
+            });
         }
     }
 }
@@ -257,7 +273,7 @@ impl KernelInstance {
     }
 }
 
-/// Rounds between flushes of the engine's plain counters into the bound
+/// Rounds between stores of the engine's plain counters into the bound
 /// [`EngineMetrics`]; [`Engine::run`] always flushes the final partial
 /// interval before it reports, so totals do not depend on it.
 const METRICS_FLUSH_ROUNDS: u64 = 4096;
@@ -299,16 +315,14 @@ pub struct Engine {
     /// Rebuilt at the start of every event-driven run (warp slots are stable
     /// within a run because the event loop never compacts the SM warp lists).
     ready: BinaryHeap<Reverse<(u64, usize, usize)>>,
-    /// Optional engine instruments (`agile_engine_*`).
+    /// The totals the registry reads (`agile_engine_*`), when bound.
     metrics: Option<EngineMetrics>,
     /// Warp steps / stale wakes / ready-queue high water accumulated in
-    /// plain fields; [`Engine::flush_metrics`] mirrors them into the
-    /// registry on a coarse cadence.
+    /// plain fields; [`Engine::flush_metrics`] stores them, with `rounds`,
+    /// into [`EngineMetrics`] on a coarse cadence.
     m_steps: u64,
     m_stale: u64,
     m_ready_hw: u64,
-    /// (rounds, steps, stale) already flushed to the instruments.
-    m_flushed: (u64, u64, u64),
     /// Reused per-round buffers of the event loop.
     bufs: RoundBufs,
     /// The wake hub of the storage stack, when one is attached: warps whose
@@ -361,7 +375,6 @@ impl Engine {
             m_steps: 0,
             m_stale: 0,
             m_ready_hw: 0,
-            m_flushed: (0, 0, 0),
             bufs: RoundBufs::default(),
             hub: None,
             parking: false,
@@ -376,22 +389,20 @@ impl Engine {
         }
     }
 
-    /// Mirror the accumulated engine counts into the bound instruments
-    /// (no-op without metrics). Called every [`METRICS_FLUSH_ROUNDS`] rounds
-    /// and at run end — the scheduling hot loops never touch an atomic.
-    fn flush_metrics(&mut self) {
+    /// Store the engine's totals into the bound [`EngineMetrics`] (no-op
+    /// without metrics). Called every [`METRICS_FLUSH_ROUNDS`] rounds and at
+    /// run end — the scheduling hot loops never touch an atomic.
+    fn flush_metrics(&self) {
         if let Some(m) = &self.metrics {
-            let (rounds, steps, stale) = self.m_flushed;
-            m.rounds.add(self.rounds - rounds);
-            m.warp_steps.add(self.m_steps - steps);
-            m.stale_wakes.add(self.m_stale - stale);
-            m.ready_high_water.record_max(self.m_ready_hw);
-            self.m_flushed = (self.rounds, self.m_steps, self.m_stale);
+            let totals = [self.rounds, self.m_steps, self.m_stale, self.m_ready_hw];
+            for (cell, v) in m.0.iter().zip(totals) {
+                cell.store(v, Relaxed);
+            }
         }
     }
 
-    /// Bind engine instruments. Scheduling is unaffected — the loops only
-    /// mirror counts they already track into the registry.
+    /// Bind the engine's metrics. Scheduling is unaffected — the loops only
+    /// publish totals they already keep.
     pub fn set_metrics(&mut self, metrics: EngineMetrics) {
         self.metrics = Some(metrics);
     }

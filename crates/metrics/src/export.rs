@@ -127,26 +127,60 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::{windows_to_json, LabelDim, Labels, MetricsRegistry, WindowedSampler};
-    use std::sync::Arc;
+    use crate::{
+        windows_to_json, Collector, HistoSnapshot, LabelDim, Labels, MetricValue, MetricsRegistry,
+        Sample, WindowedSampler,
+    };
+    use agile_trace::stats::LatencyHistogram;
+    use std::sync::{Arc, Mutex};
+
+    /// A gauge and two latency histograms, read at snapshot time like any
+    /// layer's stats.
+    #[derive(Default)]
+    struct Layer {
+        high_water: u64,
+        latency: [LatencyHistogram; 2],
+    }
+
+    struct LayerCollector(Arc<Mutex<Layer>>);
+
+    impl Collector for LayerCollector {
+        fn collect(&self, out: &mut Vec<Sample>) {
+            let layer = self.0.lock().unwrap();
+            out.push(Sample {
+                name: "agile_engine_ready_queue_high_water",
+                labels: Labels::NONE,
+                value: MetricValue::Gauge(layer.high_water),
+            });
+            for (tenant, h) in (1..).zip(&layer.latency) {
+                out.push(Sample {
+                    name: "agile_replay_latency_cycles",
+                    labels: Labels::tenant(tenant),
+                    value: MetricValue::Histo(Box::new(HistoSnapshot::of(h))),
+                });
+            }
+        }
+    }
 
     /// A counter, a tenant family, a gauge, a multi-bucket histogram and an
     /// empty one.
-    fn sample_registry() -> Arc<MetricsRegistry> {
+    fn sample_registry() -> (Arc<MetricsRegistry>, Arc<Mutex<Layer>>) {
         let reg = MetricsRegistry::new();
         reg.counter("agile_submit_admissions_total", Labels::NONE)
             .add(42);
         let fam = reg.counter_family("agile_submit_qos_deferrals_total", LabelDim::Tenant);
         fam.add(0, 3);
         fam.add(1, 9);
-        reg.gauge("agile_engine_ready_queue_high_water", Labels::NONE)
-            .set(17);
-        let h = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
-        for v in [5u64, 5, 70, 4_000, 1 << 22] {
-            h.record(v);
+        let layer = Arc::new(Mutex::new(Layer::default()));
+        {
+            let mut l = layer.lock().unwrap();
+            l.high_water = 17;
+            for v in [5u64, 5, 70, 4_000, 1 << 22] {
+                l.latency[0].record(v);
+            }
         }
-        let _ = reg.histo("agile_replay_latency_cycles", Labels::tenant(2));
-        reg
+        reg.register_collector(Box::new(LayerCollector(Arc::clone(&layer))));
+        (reg, layer)
     }
 
     #[test]
@@ -164,7 +198,7 @@ mod tests {
             r#"{"name":"agile_submit_qos_deferrals_total","labels":{"tenant":1},"type":"counter","value":9}"#,
             r#"]}"#,
         );
-        assert_eq!(sample_registry().snapshot().to_json(), expected);
+        assert_eq!(sample_registry().0.snapshot().to_json(), expected);
     }
 
     #[test]
@@ -191,12 +225,12 @@ agile_submit_admissions_total 42
 agile_submit_qos_deferrals_total{tenant=\"0\"} 3
 agile_submit_qos_deferrals_total{tenant=\"1\"} 9
 ";
-        assert_eq!(sample_registry().snapshot().to_prometheus(), expected);
+        assert_eq!(sample_registry().0.snapshot().to_prometheus(), expected);
     }
 
     #[test]
     fn window_json_is_pinned_and_sparse() {
-        let reg = sample_registry();
+        let (reg, layer) = sample_registry();
         let sampler = WindowedSampler::new(Arc::clone(&reg), 100);
         sampler.observe(100);
         // Window 1: one tenant's deferrals and the latency histogram move;
@@ -204,10 +238,11 @@ agile_submit_qos_deferrals_total{tenant=\"1\"} 9
         // do not, so they are absent. The gauge is always there.
         reg.counter_family("agile_submit_qos_deferrals_total", LabelDim::Tenant)
             .add(1, 2);
-        reg.histo("agile_replay_latency_cycles", Labels::tenant(1))
-            .record(70);
-        reg.gauge("agile_engine_ready_queue_high_water", Labels::NONE)
-            .set(20);
+        {
+            let mut l = layer.lock().unwrap();
+            l.latency[0].record(70);
+            l.high_water = 20;
+        }
         sampler.finish(150);
         let expected = concat!(
             r#"[{"index":0,"start":0,"end":100,"deltas":{"samples":["#,

@@ -5,17 +5,14 @@
 //! the service's `ServiceStats`, `DeviceStats` on the simulated SSDs. This
 //! crate turns those scattered counters into one queryable surface:
 //!
-//! * [`MetricsRegistry`] — an append-only registry of typed, lock-free
-//!   instruments ([`Counter`], [`Gauge`], [`Histo`]) registered under
-//!   hierarchical names with a static label set ([`Labels`]: `tenant`,
-//!   `shard`, `device`, `partition`). Instruments are plain atomic cells
-//!   behind `Arc`s: the hot path pays one relaxed atomic op, and when no
-//!   registry is installed the instrumented components pay a single atomic
-//!   load (the disabled path is a no-op — replay summaries stay
-//!   byte-identical).
-//! * [`Collector`] — a bridge polled at snapshot time, so layers that
-//!   already keep their own stats (submit path, cache, service, devices,
-//!   topology lock, replay) export them with **zero** extra hot-path cost.
+//! * [`MetricsRegistry`] — an append-only registry of [`Collector`]s, each
+//!   a layer's bridge polled at snapshot time, so the layers that already
+//!   keep their own stats (submit path, cache, service, devices, topology
+//!   lock, engine, controller, replay) export them with **zero** extra
+//!   hot-path cost, and a host without a registry reads nothing at all.
+//!   Samples carry hierarchical names and a static label set ([`Labels`]:
+//!   `tenant`, `shard`, `device`, `partition`). The registry's
+//!   own [`Counter`] cells stay only for the benchmark package's spelling.
 //! * [`MetricsSnapshot`] — a point-in-time copy with delta/merge semantics,
 //!   exportable as JSON ([`MetricsSnapshot::to_json`]) and Prometheus text
 //!   ([`MetricsSnapshot::to_prometheus`]).
@@ -40,11 +37,11 @@
 //! | `device`  | `agile_device_reads_completed_total{device}`, `agile_device_inflight{device}` |
 //! | `replay`  | `agile_replay_ops_total{tenant}`, `agile_replay_latency_cycles{tenant}` |
 //!
-//! Histograms carry their unit as the trailing noun (`_cycles`). The
-//! `Histo` instrument reuses `agile_trace::stats::LatencyHistogram`'s
-//! log-linear bucketing (32 sub-buckets per octave, relative quantile error
-//! ≤ 1/32), so percentiles computed from registry snapshots agree with the
-//! replay reports.
+//! Histograms carry their unit as the trailing noun (`_cycles`). A
+//! [`HistoSnapshot`] is taken of an `agile_trace::stats::LatencyHistogram`
+//! ([`HistoSnapshot::of`]) and keeps its log-linear bucketing (32
+//! sub-buckets per octave, relative quantile error ≤ 1/32), so percentiles
+//! computed from registry snapshots agree with the replay reports.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
@@ -54,9 +51,6 @@ pub mod registry;
 pub mod sampler;
 pub mod snapshot;
 
-pub use registry::{
-    Collector, Counter, CounterFamily, Gauge, GaugeFamily, Histo, HistoFamily, LabelDim, Labels,
-    MetricsRegistry,
-};
+pub use registry::{Collector, Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 pub use sampler::{windows_to_json, WindowSample, WindowedSampler, DEFAULT_WINDOW_CYCLES};
 pub use snapshot::{HistoSnapshot, MetricValue, MetricsSnapshot, Sample};

@@ -12,8 +12,8 @@
 
 use agile_trace::stats::{bucket_upper_bound, LatencyHistogram};
 
-/// Sparse snapshot of a [`crate::Histo`]: `(bucket index, count)` pairs in
-/// index order, plus the tracked aggregate cells.
+/// Sparse snapshot of a `LatencyHistogram` ([`HistoSnapshot::of`]):
+/// `(bucket index, count)` pairs in index order, plus the aggregates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoSnapshot {
     /// Non-empty buckets as `(index, count)`, ascending by index.
@@ -42,9 +42,8 @@ impl Default for HistoSnapshot {
 }
 
 impl HistoSnapshot {
-    /// The snapshot a [`crate::Histo`] fed the same samples would take: the
-    /// two share one bucketing, and the sum wraps to `u64` as the atomic
-    /// cell's does.
+    /// The snapshot of `h`: the same bucketing, with the sum wrapped to `u64`
+    /// (latency sums over a replay stay far below 2^64).
     pub fn of(h: &LatencyHistogram) -> Self {
         HistoSnapshot {
             buckets: h.buckets().map(|(i, n)| (i as u32, n)).collect(),
@@ -151,7 +150,7 @@ impl HistoSnapshot {
     }
 
     /// The histogram of the interval between `earlier` and `self` (both
-    /// cumulative snapshots of the same instrument): buckets, count and sum
+    /// cumulative snapshots of the same histogram): buckets, count and sum
     /// subtract; `min`/`max` are reconstructed from the surviving buckets at
     /// bucket resolution (the exact extremes of an interval are not
     /// recoverable from cumulative cells).
@@ -333,13 +332,22 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Labels;
 
     fn histo_of(values: &[u64]) -> HistoSnapshot {
-        let h = crate::Histo::default();
+        let mut h = LatencyHistogram::new();
         for &v in values {
             h.record(v);
         }
-        h.snapshot()
+        HistoSnapshot::of(&h)
+    }
+
+    fn sample(name: &'static str, value: MetricValue) -> Sample {
+        Sample {
+            name,
+            labels: Labels::NONE,
+            value,
+        }
     }
 
     #[test]
@@ -354,15 +362,15 @@ mod tests {
 
     #[test]
     fn delta_recovers_the_interval() {
-        let h = crate::Histo::default();
+        let mut h = LatencyHistogram::new();
         for v in [10u64, 20, 30] {
             h.record(v);
         }
-        let early = h.snapshot();
+        let early = HistoSnapshot::of(&h);
         for v in [100u64, 200] {
             h.record(v);
         }
-        let late = h.snapshot();
+        let late = HistoSnapshot::of(&h);
         let delta = late.delta_since(&early);
         assert_eq!(delta.count, 2);
         assert_eq!(delta.sum, 300);
@@ -373,34 +381,38 @@ mod tests {
 
     #[test]
     fn snapshot_delta_subtracts_counters_keeps_gauges() {
-        use crate::{Labels, MetricsRegistry};
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("agile_test_total", Labels::NONE);
-        let g = reg.gauge("agile_test_gauge", Labels::NONE);
-        c.add(5);
-        g.set(3);
-        let early = reg.snapshot();
-        c.add(7);
-        g.set(11);
-        let delta = reg.snapshot().delta_since(&early);
+        let snap = |c, g| MetricsSnapshot {
+            samples: vec![
+                sample("agile_test_gauge", MetricValue::Gauge(g)),
+                sample("agile_test_total", MetricValue::Counter(c)),
+            ],
+        };
+        let delta = snap(12, 11).delta_since(&snap(5, 3));
         assert_eq!(delta.counter("agile_test_total", Labels::NONE), 7);
         assert_eq!(delta.gauge("agile_test_gauge", Labels::NONE), 11);
     }
 
     #[test]
     fn delta_drops_what_did_not_move() {
-        use crate::{Labels, MetricsRegistry};
-        let reg = MetricsRegistry::new();
-        let moved = reg.counter("agile_test_moved_total", Labels::NONE);
-        let still = reg.counter("agile_test_still_total", Labels::NONE);
-        let idle = reg.histo("agile_test_idle_cycles", Labels::NONE);
-        let _zero_gauge = reg.gauge("agile_test_gauge", Labels::NONE);
-        still.add(4);
-        idle.record(9);
-        let early = reg.snapshot();
-        moved.inc();
-        let _new_and_zero = reg.counter("agile_test_new_total", Labels::NONE);
-        let delta = reg.snapshot().delta_since(&early);
+        let idle = || MetricValue::Histo(Box::new(histo_of(&[9])));
+        let early = MetricsSnapshot {
+            samples: vec![
+                sample("agile_test_gauge", MetricValue::Gauge(0)),
+                sample("agile_test_idle_cycles", idle()),
+                sample("agile_test_moved_total", MetricValue::Counter(0)),
+                sample("agile_test_still_total", MetricValue::Counter(4)),
+            ],
+        };
+        let late = MetricsSnapshot {
+            samples: vec![
+                sample("agile_test_gauge", MetricValue::Gauge(0)),
+                sample("agile_test_idle_cycles", idle()),
+                sample("agile_test_moved_total", MetricValue::Counter(1)),
+                sample("agile_test_new_total", MetricValue::Counter(0)),
+                sample("agile_test_still_total", MetricValue::Counter(4)),
+            ],
+        };
+        let delta = late.delta_since(&early);
         let names: Vec<_> = delta.samples.iter().map(|s| s.name).collect();
         assert_eq!(names, ["agile_test_gauge", "agile_test_moved_total"]);
         assert_eq!(delta.counter("agile_test_still_total", Labels::NONE), 0);

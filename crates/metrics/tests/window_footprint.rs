@@ -15,12 +15,14 @@
 //! prints the measured bytes and allocation counts.
 
 use agile_metrics::{
-    HistoSnapshot, LabelDim, Labels, MetricsRegistry, Sample, WindowSample, WindowedSampler,
+    Collector, HistoSnapshot, LabelDim, Labels, MetricValue, MetricsRegistry, Sample, WindowSample,
+    WindowedSampler,
 };
+use agile_trace::stats::LatencyHistogram;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Heap bytes one stored sample may cost (inline, no heap of its own).
 const SAMPLE_BYTES: u64 = 64;
@@ -92,11 +94,32 @@ const GAUGES: u32 = 4;
 /// Latencies recorded into the one histogram in every window: three buckets.
 const LATENCIES: [u64; 3] = [100, 1_000, 10_000];
 
+/// The rig's [`GAUGES`] gauges and one histogram, read at snapshot time as
+/// a layer's collector reads its own stats.
+struct GaugesAndHisto(Arc<Mutex<LatencyHistogram>>);
+
+impl Collector for GaugesAndHisto {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        for t in 0..GAUGES {
+            out.push(Sample {
+                name: "agile_test_occupancy",
+                labels: Labels::tenant(t),
+                value: MetricValue::Gauge(u64::from(t) + 1),
+            });
+        }
+        out.push(Sample {
+            name: "agile_test_latency_cycles",
+            labels: Labels::NONE,
+            value: MetricValue::Histo(Box::new(HistoSnapshot::of(&self.0.lock().unwrap()))),
+        });
+    }
+}
+
 /// A registry of [`COUNTERS`] counters, [`GAUGES`] gauges and one histogram.
 struct Rig {
     reg: Arc<MetricsRegistry>,
     counters: Vec<agile_metrics::Counter>,
-    histo: agile_metrics::Histo,
+    histo: Arc<Mutex<LatencyHistogram>>,
 }
 
 impl Rig {
@@ -104,11 +127,8 @@ impl Rig {
         let reg = MetricsRegistry::new();
         let family = reg.counter_family("agile_test_ops_total", LabelDim::Tenant);
         let counters = (0..COUNTERS).map(|t| family.with(t)).collect();
-        let gauges = reg.gauge_family("agile_test_occupancy", LabelDim::Tenant);
-        for t in 0..GAUGES {
-            gauges.with(t).set(u64::from(t) + 1);
-        }
-        let histo = reg.histo("agile_test_latency_cycles", Labels::NONE);
+        let histo = Arc::new(Mutex::new(LatencyHistogram::new()));
+        reg.register_collector(Box::new(GaugesAndHisto(Arc::clone(&histo))));
         Rig {
             reg,
             counters,
@@ -121,8 +141,9 @@ impl Rig {
         for c in &self.counters[..moved as usize] {
             c.add(3);
         }
+        let mut histo = self.histo.lock().unwrap();
         for v in LATENCIES {
-            self.histo.record(v);
+            histo.record(v);
         }
     }
 }

@@ -29,15 +29,10 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Number of buckets in the log-linear layout. Shared with `agile-metrics`,
-/// whose atomic `Histo` reuses this exact bucketing so snapshots convert
-/// losslessly between the two.
-pub const fn bucket_count() -> usize {
-    NUM_BUCKETS
-}
-
 /// Bucket index of `value` in the log-linear layout (exact unit buckets below
-/// 32, then 32 linear sub-buckets per octave).
+/// 32, then 32 linear sub-buckets per octave). `HistoSnapshot::of` in
+/// `agile-metrics` keeps these indices, so a histogram's registry sample is
+/// lossless.
 pub fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS {
         value as usize

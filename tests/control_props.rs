@@ -3,14 +3,15 @@
 //! the prefetch hysteresis loop, and AIMD decay back to the installed base.
 //!
 //! These drive the [`Controller`] directly with synthetic window streams (a
-//! registry + sampler pair polled on a fake clock) rather than full replays,
-//! so hundreds of cases stay cheap; the end-to-end controller behaviour is
-//! covered by `tests/slo_convergence.rs`.
+//! registry + sampler pair polled on a fake clock, latencies fed through the
+//! replay's own collector) rather than full replays, so hundreds of cases
+//! stay cheap; the end-to-end controller behaviour is covered by
+//! `tests/slo_convergence.rs`.
 
-use agile_repro::control::{
-    ControlPolicy, Controller, Knob, KnobError, KnobSet, SloSpec, TenantWeights,
-};
+use agile_repro::control::{ControlPolicy, Controller, Knob, KnobSet, SloSpec, TenantWeights};
 use agile_repro::metrics::{Labels, MetricsRegistry, WindowedSampler};
+use agile_repro::sim::WeightError;
+use agile_repro::workloads::trace_replay::ReplayCollector;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -27,9 +28,9 @@ impl TestWeights {
 }
 
 impl TenantWeights for TestWeights {
-    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, KnobError> {
+    fn set_weight(&self, tenant: u32, weight: u64) -> Result<u64, WeightError> {
         if weight == 0 {
-            return Err(KnobError::Zero);
+            return Err(WeightError::Zero);
         }
         self.0.lock().unwrap().insert(tenant, weight);
         Ok(weight)
@@ -77,15 +78,14 @@ fn drive(policy: &ControlPolicy, depth0: u32, stream: &[Win]) -> (String, u32, u
     let hits = reg.counter("agile_cache_hits_total", Labels::NONE);
     let misses = reg.counter("agile_cache_misses_total", Labels::NONE);
     let full_sets = reg.counter("agile_cache_full_sets_total", Labels::NONE);
-    let ops = reg.counter("agile_replay_ops_total", Labels::tenant(1));
-    let lat = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
+    let completions = ReplayCollector::new();
+    completions.bind_metrics(&reg);
     for (i, &(h, m, n, o, l)) in stream.iter().enumerate() {
         hits.add(h);
         misses.add(m);
         full_sets.add(n);
         for _ in 0..o {
-            ops.inc();
-            lat.record(l);
+            completions.record(1, l, false);
         }
         ctrl.poll((i as u64 + 1) * 1_000);
     }
@@ -194,13 +194,12 @@ proptest! {
             1.0,
             None,
         );
-        let ops = reg.counter("agile_replay_ops_total", Labels::tenant(1));
-        let lat = reg.histo("agile_replay_latency_cycles", Labels::tenant(1));
+        let completions = ReplayCollector::new();
+        completions.bind_metrics(&reg);
         let mut prev = base;
         for i in 0..violating {
             for _ in 0..16 {
-                ops.inc();
-                lat.record(50_000); // 50us >> 10us target
+                completions.record(1, 50_000, false); // 50us >> 10us target
             }
             ctrl.poll((i as u64 + 1) * 1_000);
             let now = wfq.weight(1).unwrap();
@@ -211,8 +210,7 @@ proptest! {
         prop_assert_eq!(prev, base + violating as u64 * step);
         for i in 0..HEALTHY {
             for _ in 0..16 {
-                ops.inc();
-                lat.record(1_000); // 1us, well inside target
+                completions.record(1, 1_000, false); // 1us, well inside target
             }
             ctrl.poll((violating as u64 + i as u64 + 1) * 1_000);
             let now = wfq.weight(1).unwrap();

@@ -3,22 +3,21 @@
 //! the windowed sampler's partition invariant.
 
 use agile_repro::metrics::{HistoSnapshot, Labels, MetricsRegistry, WindowedSampler};
-use agile_repro::trace::stats::bucket_index;
+use agile_repro::trace::stats::{bucket_index, LatencyHistogram};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Record `values` into a fresh atomic histogram and snapshot it.
+/// Record `values` into a fresh histogram and snapshot it.
 fn histo_of(values: &[u64]) -> HistoSnapshot {
-    let reg = MetricsRegistry::new();
-    let h = reg.histo("agile_prop_cycles", Labels::NONE);
+    let mut h = LatencyHistogram::new();
     for &v in values {
         h.record(v);
     }
-    h.snapshot()
+    HistoSnapshot::of(&h)
 }
 
-// Realistic magnitudes (simulated cycle counts): the histogram's cumulative
-// `sum` cell is a u64, so hundreds of near-`u64::MAX` samples would wrap it.
+// Realistic magnitudes (simulated cycle counts): a snapshot's cumulative
+// `sum` is a u64, so hundreds of near-`u64::MAX` samples would wrap it.
 fn samples() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0..(1u64 << 50), 0..100)
 }

@@ -55,7 +55,7 @@ fn instrumented_replay_covers_every_layer() {
         &ReplayConfig::quick().cached().with_metrics(),
     );
     let snap = report.metrics.expect("metrics captured").snapshot;
-    // Submit path (direct instruments on the controller). On the cached
+    // Submit path (collector over the SQ cursors and `IoStats`). On the cached
     // path only misses and write-backs reach the SQs, so admissions is
     // positive but below the replayed op count.
     let admissions = snap.counter("agile_submit_admissions_total", Labels::NONE);
@@ -76,7 +76,7 @@ fn instrumented_replay_covers_every_layer() {
         snap.counter("agile_service_completions_total", Labels::partition(0)) > 0,
         "the service recycled completions"
     );
-    // Engine (direct instruments in the scheduling loop).
+    // Engine (collector over the totals the scheduling loop stores).
     assert_eq!(
         snap.counter("agile_engine_rounds_total", Labels::NONE),
         report.engine_rounds,
