@@ -26,7 +26,10 @@
 //!   such a call carries its [`WarpWait`] / [`LineWait`] from one attempt to
 //!   the next: pages it found `BUSY` are then re-checked by ticket — one load
 //!   of the line's state word each, accounted exactly like the lookup — and
-//!   only the rest go through the cache again;
+//!   only the rest go through the cache again. A warp that serves lanes as
+//!   their pages arrive retires them from the attempt's own page states
+//!   ([`IoPath::retire_resident`]) and keeps the rest of its wait state,
+//!   tickets included, for the lanes left;
 //! * **sleeping on a wait** ([`IoPath::park_on_fills`] /
 //!   [`IoPath::park_on_barriers`] / [`IoPath::park_on_submit`]) — when such
 //!   a retry would find every page it wants still in flight or still
@@ -131,16 +134,22 @@ pub enum PageState {
 ///
 /// Purely a cache: the next attempt re-checks each ticket against the line's
 /// state word and falls back to a real lookup for any page whose ticket is
-/// dead or that had none, and a different request starts over. A fresh value on
-/// every call is therefore always correct, just slower; a carried one makes
-/// a retry whose pages are all still in flight free of set locks, tag scans,
-/// coalescing and allocation.
+/// dead or that had none. A different request starts over, unless it is
+/// the last one with the lanes [`IoPath::retire_resident`] retired taken
+/// out: that narrows the state to the lanes left, tickets and all. A fresh
+/// value on every call is therefore always correct, just slower; a carried
+/// one makes a retry whose pages are all still in flight free of set locks,
+/// tag scans, coalescing and allocation.
 #[derive(Debug, Default)]
 pub struct WarpWait {
     /// The request of the last attempt, as it coalesced.
     coalesced: CoalescedRequests,
     /// Per unique request: what the last attempt found or started.
     pages: Vec<PageState>,
+    /// The index of the last page whose lookup in the last attempt reserved
+    /// a line (0 when none did): a page before it that the attempt found
+    /// resident may have lost its line to that miss.
+    unsure_below: usize,
 }
 
 impl WarpWait {
@@ -159,6 +168,7 @@ impl WarpWait {
                 eliminated: 0,
             },
             pages: Vec::with_capacity(lanes),
+            unsure_below: 0,
         }
     }
 
@@ -199,6 +209,12 @@ impl WarpWait {
     /// found none, no lane of the request can be served yet.
     pub fn any_ready(&self) -> bool {
         self.pages.iter().any(|p| matches!(p, PageState::Ready(_)))
+    }
+
+    /// The unique page lane `lane` of the last attempt asked for: an index
+    /// into [`WarpWait::unique`] and [`WarpWait::pages`].
+    fn lane_page(&self, lane: usize) -> usize {
+        self.coalesced.lane_to_unique[lane]
     }
 
     /// Per-lane tokens of the last attempt, if every page was resident.
@@ -815,6 +831,7 @@ impl IoPath {
     ) -> Cycles {
         self.cache.set_time_hint(now.raw());
         wait.aim(requests);
+        wait.unsure_below = 0;
         bump(&self.stats.warp_coalesced, wait.coalesced.eliminated as u64);
         let mut cost = Cycles(self.gpu.warp_primitive);
         let mut coalesced_onto = 0;
@@ -846,6 +863,7 @@ impl IoPath {
                 } => {
                     cost += Cycles(self.costs.cache_miss);
                     bump(&self.stats.cache_misses, 1);
+                    wait.unsure_below = i;
                     let (io_cost, started) =
                         self.service_miss(warp, line, Some((dev, lba, dma)), writeback, now);
                     cost += io_cost;
@@ -885,6 +903,69 @@ impl IoPath {
             .lane_tokens()
             .map_or(ReadOutcome::Pending, ReadOutcome::Ready);
         (cost, outcome)
+    }
+
+    /// Whether the last attempt of `wait` left its unique page `u` resident:
+    /// it found the page resident, and no later miss of the same attempt
+    /// reserved its line. A miss may evict a page the attempt hit before it
+    /// (or reinstate it, when the victim's write-back is refused), so a page
+    /// found resident before the attempt's last miss is looked up again.
+    fn page_resident(&self, wait: &WarpWait, u: usize) -> bool {
+        matches!(wait.pages[u], PageState::Ready(_)) && {
+            let (dev, lba) = wait.coalesced.unique[u];
+            u >= wait.unsure_below || self.cache.peek(dev, lba).is_some()
+        }
+    }
+
+    /// Retire the lanes whose pages the last attempt of `wait` left resident
+    /// (per-lane predication: a warp need not wait for all of its lanes) and
+    /// narrow `wait` to the lanes left. `requests` is what that attempt asked
+    /// for; `lane(i, resident)` sees each of its lanes in order, and the
+    /// lanes it was told are resident are taken out of `requests`, in place.
+    /// Returns how many lanes retired; when the attempt found no page
+    /// resident that is 0, and nothing is looked at or changed.
+    ///
+    /// A page's lanes share its residency, so the lanes left ask for whole
+    /// pages of the attempt: `wait` keeps those pages' states and tickets,
+    /// in order, and the next attempt with `requests` re-checks their
+    /// tickets instead of starting over. Allocates nothing.
+    pub fn retire_resident(
+        &self,
+        wait: &mut WarpWait,
+        requests: &mut Vec<(u32, Lba)>,
+        mut lane: impl FnMut(usize, bool),
+    ) -> usize {
+        debug_assert_eq!(requests.len(), wait.coalesced.lane_to_unique.len());
+        if !wait.any_ready() {
+            return 0;
+        }
+        let mut kept = 0;
+        for i in 0..requests.len() {
+            let resident = self.page_resident(wait, wait.lane_page(i));
+            lane(i, resident);
+            if !resident {
+                requests[kept] = requests[i];
+                kept += 1;
+            }
+        }
+        let retired = requests.len() - kept;
+        requests.truncate(kept);
+        // The pages left, in order; the ones the attempt found resident but
+        // lost again stay unsure.
+        let (mut pages_kept, mut unsure) = (0, 0);
+        for u in 0..wait.pages.len() {
+            if !self.page_resident(wait, u) {
+                wait.pages[pages_kept] = wait.pages[u];
+                unsure += (u < wait.unsure_below) as usize;
+                pages_kept += 1;
+            }
+        }
+        wait.pages.truncate(pages_kept);
+        wait.unsure_below = unsure;
+        // The lanes left name those pages in the same first-appearance order.
+        coalesce_warp_into(requests, &mut wait.coalesced);
+        debug_assert_eq!(wait.coalesced.unique.len(), pages_kept);
+        retired
     }
 
     /// Store one page through the software cache (array-like write): the

@@ -6,20 +6,25 @@
 //!   state on every call *is* the plain path — no ticket, every page looked
 //!   up — so the property below runs one random script on two identical
 //!   rigs, one carrying and one not, and demands the same costs, outcomes,
-//!   counters and trace records from both.
+//!   counters and trace records from both. That includes reads that retire
+//!   their resident lanes (`IoPath::retire_resident`): the carried state is
+//!   narrowed to the lanes left and keeps their tickets, the fresh one is
+//!   not used again. Every such retirement also checks that the per-lane
+//!   residency it goes by is what `cache.peek` says and that narrowing
+//!   allocates nothing.
 //! * **Waiting costs nothing.** A retry whose pages are all still in flight
 //!   allocates nothing and takes no set lock.
 
 use agile_cache::{CacheConfig, CacheStats, NO_TENANT};
 use agile_core::{
-    AgileConfig, AgileCtrl, AgileService, IoPath, IoStats, LineWait, PageState, ReadOutcome,
-    WarpWait,
+    AgileConfig, AgileCtrl, AgileService, Barrier, IoPath, IoStats, LineWait, PageState,
+    ReadOutcome, WarpWait,
 };
 use agile_sim::trace::{TraceEvent, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
 use agile_sim::Cycles;
-use nvme_sim::{Lba, PageToken, QueuePair, SsdConfig, SsdDevice};
+use nvme_sim::{DmaHandle, Lba, PageToken, QueuePair, SsdConfig, SsdDevice};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,6 +66,8 @@ struct Observed {
     cache: CacheStats,
     pins: u64,
     trace: Vec<TraceEvent>,
+    /// Retirements that left a page in flight in the narrowed wait state.
+    narrowed_in_flight: u64,
 }
 
 /// The request set `arg` names: 1–6 lanes over both devices, with repeats.
@@ -90,22 +97,34 @@ struct Rig {
     log: Arc<TraceLog>,
     /// Carry wait state from one attempt to the next (else: fresh each call).
     carry: bool,
-    /// Per warp: the request it last read and what it remembers of it.
+    /// Per warp: the request it last read and what it remembers of it (when
+    /// not carrying: what its last attempt found, and nothing older).
     reads: Vec<(Vec<(u32, Lba)>, WarpWait)>,
     /// Per pending store `(warp, dev, lba)`.
     stores: HashMap<(usize, u32, Lba), LineWait>,
+    /// What `IoPath::retire_resident` told about each lane, with room for
+    /// the widest request so that recording it allocates nothing.
+    lanes_seen: Vec<bool>,
+    narrowed_in_flight: u64,
 }
 
 impl Rig {
     fn new(carry: bool) -> Self {
+        // 16 lines, 2-way: eight sets.
+        Rig::with_cache(
+            carry,
+            CacheConfig {
+                capacity_bytes: 16 * SSD_PAGE_SIZE,
+                associativity: 2,
+            },
+        )
+    }
+
+    fn with_cache(carry: bool, cache: CacheConfig) -> Self {
         let mut cfg = AgileConfig::small_test()
             .with_queue_pairs(QUEUES)
             .with_queue_depth(DEPTH);
-        // 16 lines, 2-way: eight sets.
-        cfg.cache = CacheConfig {
-            capacity_bytes: 16 * SSD_PAGE_SIZE,
-            associativity: 2,
-        };
+        cfg.cache = cache;
         let mut devices = Vec::new();
         let mut queues = Vec::new();
         for id in 0..DEVICES {
@@ -133,13 +152,16 @@ impl Rig {
             carry,
             reads: (0..WARPS).map(|_| (Vec::new(), WarpWait::new())).collect(),
             stores: HashMap::new(),
+            lanes_seen: Vec::with_capacity(8),
+            narrowed_in_flight: 0,
         }
     }
 
     fn read(&mut self, warp: usize, tenant: u32, now: Cycles) -> (u64, String) {
-        let (requests, carried) = &mut self.reads[warp];
-        let mut fresh = WarpWait::new();
-        let wait = if self.carry { carried } else { &mut fresh };
+        let (requests, wait) = &mut self.reads[warp];
+        if !self.carry {
+            *wait = WarpWait::new();
+        }
         let (cost, outcome) = self
             .ctrl
             .io()
@@ -150,6 +172,46 @@ impl Rig {
             ReadOutcome::Pending => format!("pending, any ready: {}", wait.any_ready()),
         };
         (cost.raw(), result)
+    }
+
+    /// Retire the lanes of `warp`'s last read that it left resident, as a
+    /// cached replay warp does right after the read.
+    fn retire(&mut self, warp: usize) -> String {
+        let (requests, wait) = &mut self.reads[warp];
+        let io = self.ctrl.io();
+        let peeked: Vec<bool> = requests
+            .iter()
+            .map(|&(dev, lba)| io.cache().peek(dev, lba).is_some())
+            .collect();
+        let (lanes, any_ready) = (requests.len(), wait.any_ready());
+        let seen = &mut self.lanes_seen;
+        seen.clear();
+        let before = allocations();
+        let retired = io.retire_resident(wait, requests, |lane, resident| {
+            assert_eq!(lane, seen.len());
+            seen.push(resident);
+        });
+        assert_eq!(allocations() - before, 0, "narrowing allocated");
+        if any_ready {
+            assert_eq!(*seen, peeked, "per-lane residency");
+        } else {
+            assert!(
+                seen.is_empty(),
+                "an attempt that hit nothing is not looked at"
+            );
+            assert!(!peeked.contains(&true), "a lane it missed is resident");
+        }
+        assert_eq!(retired, peeked.iter().filter(|&&r| r).count());
+        assert_eq!(wait.unique().len(), wait.pages().len());
+        if retired > 0
+            && wait
+                .pages()
+                .iter()
+                .any(|p| matches!(p, PageState::InFlight(_)))
+        {
+            self.narrowed_in_flight += 1;
+        }
+        format!("retired {retired} of {lanes}, left {requests:?}")
     }
 
     fn write(&mut self, warp: usize, arg: u8, now: Cycles) -> (u64, String) {
@@ -177,8 +239,13 @@ impl Rig {
                 self.reads[warp].0 = request_set(arg);
                 self.read(warp, tenant_of(arg), now)
             }
-            // … and, as in a stalled warp, mostly retries of the last one.
-            1..=3 => self.read(warp, tenant_of(arg), now),
+            // … and, as in a stalled warp, mostly retries of the last one …
+            1 | 2 => self.read(warp, tenant_of(arg), now),
+            // … some of which retire the lanes they found resident.
+            3 => {
+                let (cost, result) = self.read(warp, tenant_of(arg), now);
+                (cost, format!("{result}; {}", self.retire(warp)))
+            }
             4 => self.write(warp, arg, now),
             5 => {
                 let (cost, retry) =
@@ -219,6 +286,7 @@ fn run(script: &[Step], carry: bool) -> Observed {
         cache: cache.stats(),
         pins: cache.total_pins(),
         trace,
+        narrowed_in_flight: rig.narrowed_in_flight,
     }
 }
 
@@ -246,7 +314,9 @@ fn generated_scripts_do_reach_the_hard_paths() {
             let action = match (i % 23, i % 7) {
                 (22, _) => 6,
                 (_, 0) => 0,
-                (_, 1 | 2) => 1,
+                (_, 1) => 1,
+                (_, 2) if i % 3 > 0 => 1,
+                (_, 2) => 3,
                 (_, 3 | 4) => 4,
                 _ => 5,
             };
@@ -265,7 +335,96 @@ fn generated_scripts_do_reach_the_hard_paths() {
     assert!(carried.cache.writebacks > 0, "dirty evictions");
     assert!(carried.cache.no_line > 0, "NoLineAvailable");
     assert!(carried.cache.hits > 0, "hits");
+    assert!(
+        carried.narrowed_in_flight > 0,
+        "retirements that kept tickets"
+    );
     assert_eq!(carried, run(&script, false));
+}
+
+// ---------------------------------------------------------------------------
+// Residency after a miss that took a line the attempt hit
+// ---------------------------------------------------------------------------
+
+/// A rig whose cache is one direct-mapped line: every page shares it.
+fn one_line_rig() -> Rig {
+    Rig::with_cache(
+        true,
+        CacheConfig {
+            capacity_bytes: SSD_PAGE_SIZE,
+            associativity: 1,
+        },
+    )
+}
+
+const HIT: (u32, Lba) = (0, 1);
+const MISS: (u32, Lba) = (0, 2);
+
+#[test]
+fn a_page_hit_then_evicted_by_a_later_miss_is_not_resident() {
+    let rig = one_line_rig();
+    let io = rig.ctrl.io();
+    assert!(io.cache().preload(HIT.0, HIT.1, PageToken(5)));
+    let mut requests = vec![HIT, MISS, HIT];
+    let mut wait = WarpWait::new();
+    let (_, outcome) = io.read_warp(0, NO_TENANT, &requests, Cycles(0), &mut wait);
+    assert_eq!(outcome, ReadOutcome::Pending);
+    // The attempt hit the first page, then the second one's miss took its
+    // line and issued the fill.
+    assert_eq!(wait.pages()[0], PageState::Ready(PageToken(5)));
+    assert!(matches!(wait.pages()[1], PageState::InFlight(_)));
+    assert_eq!(io.cache().peek(HIT.0, HIT.1), None);
+    let mut resident = Vec::new();
+    let retired = io.retire_resident(&mut wait, &mut requests, |_, r| resident.push(r));
+    assert_eq!(resident, [false; 3]);
+    assert_eq!((retired, requests.len()), (0, 3));
+    assert_eq!(wait.unique(), [HIT, MISS]);
+}
+
+#[test]
+fn a_page_hit_then_reinstated_by_a_refused_write_back_is_resident() {
+    let rig = one_line_rig();
+    let io = rig.ctrl.io();
+    // The line holds the first page, dirty.
+    let (_, stored) = io.write_warp(
+        0,
+        NO_TENANT,
+        HIT.0,
+        HIT.1,
+        PageToken(5),
+        Cycles(0),
+        &mut LineWait::default(),
+    );
+    assert!(stored);
+    // Every SQ of its device full: the victim's write-back will be refused.
+    let full = || {
+        let (_, issued) = io.raw_read(
+            1,
+            NO_TENANT,
+            HIT.0,
+            9,
+            DmaHandle::new(),
+            Barrier::new(),
+            Cycles(0),
+        );
+        !issued
+    };
+    while !full() {}
+    // The attempt hits the first page, then the second one's miss evicts it
+    // and puts it back when the write-back is refused.
+    let mut requests = vec![HIT, MISS, HIT];
+    let mut wait = WarpWait::new();
+    io.read_warp(0, NO_TENANT, &requests, Cycles(0), &mut wait);
+    assert_eq!(wait.pages()[0], PageState::Ready(PageToken(5)));
+    assert_eq!(wait.pages()[1], PageState::NotStarted, "write-back refused");
+    assert_eq!(io.cache().peek(HIT.0, HIT.1), Some(PageToken(5)));
+    let mut resident = Vec::new();
+    let retired = io.retire_resident(&mut wait, &mut requests, |_, r| resident.push(r));
+    assert_eq!(resident, [true, false, true]);
+    assert_eq!(retired, 2);
+    assert_eq!(requests, [MISS]);
+    assert_eq!(wait.unique(), [MISS]);
+    assert_eq!(wait.pages(), [PageState::NotStarted]);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@
 //! bit-identical latency histograms and therefore byte-identical reports.
 
 use agile_core::transaction::Barrier;
-use agile_core::{AgileCtrl, IoPath, LineWait, ReadOutcome, WarpWait};
+use agile_core::{AgileCtrl, IoPath, LineWait, WarpWait};
 use agile_metrics::{Collector, HistoSnapshot, Labels, MetricValue, MetricsRegistry, Sample};
 use agile_sim::costs::{POLL_RETRY_CYCLES, SUBMIT_RETRY_CYCLES};
 use agile_sim::wake::{SleeperId, Wait, WaitReason};
@@ -770,7 +770,10 @@ impl CachedBatch {
     }
 
     /// One attempt at everything still pending: returns the cycles it cost
-    /// and whether any op retired.
+    /// and whether any op retired. Reads retire by lane, from what the
+    /// attempt itself found resident; the pending reads' wait state is left
+    /// narrowed to the lanes still out, so [`CachedBatch::wait`] and the
+    /// next attempt see their tickets.
     fn poll(&mut self, io: &IoPath, now: Cycles) -> (Cycles, bool) {
         let (warp, tenant) = (self.warp_flat, self.cache_tenant());
         let (trace, stripe, collector) = (&self.trace, self.stripe, &self.collector);
@@ -792,29 +795,23 @@ impl CachedBatch {
         // Retire reads: array-like warp access, retried until the lanes hit.
         let reads_before = self.reads.len();
         if reads_before > 0 {
-            let (c, outcome) = io.read_warp(warp, tenant, &self.reads, now, &mut self.read_wait);
+            let (c, _) = io.read_warp(warp, tenant, &self.reads, now, &mut self.read_wait);
             cost += c;
-            // Retire lanes whose pages are already resident (per-lane
+            // Retire lanes whose pages the attempt left resident (per-lane
             // predication). Without this, a working set far larger than the
             // cache can thrash forever: concurrent warps evict each other's
             // lines before any warp sees all of its lanes resident at once.
-            // When the attempt found no page resident there is no such lane.
-            let all = outcome != ReadOutcome::Pending;
-            if all || self.read_wait.any_ready() {
-                let mut kept = 0;
-                for lane in 0..reads_before {
-                    let (dev, lba) = self.reads[lane];
-                    if all || io.cache().peek(dev, lba).is_some() {
-                        collector.record(self.read_tenants[lane], latency, false);
-                    } else {
-                        self.reads[kept] = (dev, lba);
-                        self.read_tenants[kept] = self.read_tenants[lane];
-                        kept += 1;
-                    }
+            // The wait state narrows to the lanes left, tickets and all.
+            let (tenants, mut kept) = (&mut self.read_tenants, 0);
+            io.retire_resident(&mut self.read_wait, &mut self.reads, |lane, resident| {
+                if resident {
+                    collector.record(tenants[lane], latency, false);
+                } else {
+                    tenants[kept] = tenants[lane];
+                    kept += 1;
                 }
-                self.reads.truncate(kept);
-                self.read_tenants.truncate(kept);
-            }
+            });
+            tenants.truncate(self.reads.len());
         }
         let retired_any = self.writes.len() < writes_before || self.reads.len() < reads_before;
         (cost, retired_any)
@@ -822,10 +819,12 @@ impl CachedBatch {
 }
 
 impl CachedBatch {
-    /// The wait of a warp whose [`CachedBatch::poll`] just retired nothing:
+    /// The wait of a warp whose [`CachedBatch::poll`] left ops pending:
     /// parkable when every pending read page and every pending store is
     /// behind a fill in flight or found no line in a set whose every way is
-    /// being filled (see [`IoPath::park_on_fills`]).
+    /// being filled (see [`IoPath::park_on_fills`]). After a poll that
+    /// retired some ops it is asked about the ops left: the read's wait
+    /// state was narrowed to them.
     fn wait(&mut self, io: &IoPath) -> Wait {
         let writes = self.writes.iter().map(|w| &w.wait);
         let reads = (!self.reads.is_empty()).then_some(&self.read_wait);
@@ -870,9 +869,7 @@ impl WarpKernel for AgileCachedReplayWarp {
             return WarpStep::Busy(cost.max(Cycles(1)));
         }
         let (cost, retired_any) = self.batch.poll(io, ctx.now);
-        if retired_any {
-            WarpStep::Busy(cost.max(Cycles(1)))
-        } else {
+        if !retired_any {
             // Fills in flight (tens of µs away): back off instead of
             // re-probing every few hundred cycles, so the engine advances in
             // device-latency-sized strides. The service keeps working; the
@@ -880,10 +877,26 @@ impl WarpKernel for AgileCachedReplayWarp {
             // latencies stay comparable. With everything pending in flight,
             // or waiting for a line of a set that is all in flight, the
             // re-probes would all find that again: sleep through them.
-            WarpStep::Stall {
+            return WarpStep::Stall {
                 retry_after: Cycles(POLL_RETRY_CYCLES),
                 wait: self.batch.wait(io),
+            };
+        }
+        let cost = cost.max(Cycles(1));
+        if self.batch.is_empty() {
+            return WarpStep::Busy(cost);
+        }
+        // Some ops retired. When the rest wait as above, the step after this
+        // busy one would only find that and back off: sleep from here, on a
+        // grid that starts where the busy time ends.
+        let wait = self.batch.wait(io);
+        if wait.sleeper.is_some() {
+            WarpStep::Stall {
+                retry_after: Cycles(POLL_RETRY_CYCLES),
+                wait: wait.after_busy(ctx.now + cost),
             }
+        } else {
+            WarpStep::Busy(cost)
         }
     }
 }

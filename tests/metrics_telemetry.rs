@@ -8,7 +8,7 @@
 //! un-instrumented run.
 
 use agile_repro::control::{ControlPolicy, SloSpec};
-use agile_repro::metrics::{windows_to_json, Labels, MetricValue, MetricsRegistry};
+use agile_repro::metrics::{windows_to_json, Labels, MetricValue, MetricsRegistry, Sample};
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, MetricsReport, QosSpec, ReplayConfig, ReplaySystem,
@@ -349,21 +349,50 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// The FNV-1a hash of a metered replay's `MetricsReport::to_json()` (the
-/// final snapshot and every window), plus the report for further checks.
-fn metrics_fingerprint(system: ReplaySystem, cfg: &ReplayConfig) -> (u64, MetricsReport) {
+/// The families that count executed polls: a warp asleep on a wait makes
+/// none of them, so how often its scheduler looks moves them while every
+/// simulated time and outcome stays put.
+const POLL_COUNT_FAMILIES: [&str; 6] = [
+    "agile_engine_rounds_total",
+    "agile_engine_warp_steps_total",
+    "agile_cache_busy_hits_total",
+    "agile_cache_no_line_total",
+    "agile_submit_sq_full_retries_total",
+    "agile_service_idle_rounds_total",
+];
+
+/// The FNV-1a hashes of a metered replay's `MetricsReport::to_json()` (the
+/// final snapshot and every window): of all of it, and of everything but
+/// the [`POLL_COUNT_FAMILIES`] (the simulated-only hash). Plus the report
+/// for further checks.
+fn metrics_fingerprint(system: ReplaySystem, cfg: &ReplayConfig) -> ((u64, u64), MetricsReport) {
     let trace = TraceSpec::noisy_neighbor("metrics-golden", 31, 2, 1 << 12, 768).generate();
     let report = run_trace_replay(&trace, system, cfg);
     assert!(!report.deadlocked);
     let m = report.metrics.expect("metrics captured");
-    (fnv1a(m.to_json().as_bytes()), m)
+    let mut simulated = m.clone();
+    let keep = |s: &Sample| !POLL_COUNT_FAMILIES.contains(&s.name);
+    simulated.snapshot.samples.retain(keep);
+    for window in &mut simulated.windows {
+        window.deltas.samples.retain(keep);
+    }
+    let hashes = (
+        fnv1a(m.to_json().as_bytes()),
+        fnv1a(simulated.to_json().as_bytes()),
+    );
+    (hashes, m)
 }
 
 /// Pins what the registry reports, snapshot and windows byte for byte, on
 /// three metered replays. A change to the simulation moves them too; they
 /// were last re-recorded when the submit lock became one per SQ (all three
 /// moved) and `TenantShare` began to reclaim an over-quota tenant's read
-/// lines before its unread ones (the cached tenant-share replay).
+/// lines before its unread ones (the cached tenant-share replay). A second
+/// hash per replay leaves out the families that count executed polls
+/// ([`POLL_COUNT_FAMILIES`]): a change that only makes warps poll less —
+/// as when a cached replay warp began to sleep from the step that retires
+/// lanes, which moved the cached replay's full hash through its busy hits,
+/// engine rounds and warp steps alone — keeps it.
 /// Cached-path submissions are system traffic, which the QoS
 /// gate never defers (and `run_trace_replay` refuses WFQ on the cached path),
 /// so the deferral family is pinned on a raw WFQ replay and the cached AGILE
@@ -400,14 +429,24 @@ fn metered_replays_report_pinned_metrics() {
         ReplaySystem::Bam,
         &ReplayConfig::quick().cached().with_metrics_window(100_000),
     );
-    let got = [wfq, cached, bam];
+    let got = [wfq.0, cached.0, bam.0];
     let pinned = [
         0x759b_adba_d2c5_59c8,
-        0x34a0_02f5_530b_1d8d,
+        0x278b_1976_6c3a_1682,
         0x6c92_2115_7014_a53a,
     ];
+    // A change that only makes warps poll less moves the full hashes but
+    // not these.
+    let simulated = [wfq.1, cached.1, bam.1];
+    let pinned_simulated = [
+        0xbc68_ed5c_6cf6_b94f,
+        0x0dde_87e1_0336_0efb,
+        0xfcb9_3d5d_8c43_84e5,
+    ];
     assert_eq!(
-        got, pinned,
-        "metrics fingerprints {got:#018x?} != pinned {pinned:#018x?} (WFQ, cached, BaM)"
+        (got, simulated),
+        (pinned, pinned_simulated),
+        "metrics fingerprints (full, simulated-only) {got:#018x?} {simulated:#018x?} != \
+         pinned {pinned:#018x?} {pinned_simulated:#018x?} (WFQ, cached, BaM)"
     );
 }
