@@ -14,26 +14,41 @@
 //!
 //! The caller never blocks inside the cache: on `Busy`/`NoLineAvailable` the
 //! warp state machine retries later, which is what eliminates the
-//! cache-eviction deadlock of §2.3.2. A successful `Hit`/`Miss` pins the line
-//! for the caller; the caller unpins when it has consumed the data.
+//! cache-eviction deadlock of §2.3.2. A `Miss` pins the line it reserved,
+//! and a `Hit` of [`SoftwareCache::lookup_or_reserve`] pins its line, for
+//! the caller, which unpins when it has consumed the data.
+//!
+//! **One lock.** Everything about the lines but their state words and their
+//! DMA slots is plain data behind one mutex: the tags, the owners, the pin
+//! counts, the per-set "found full" flags, the counters and the table of
+//! sleepers. [`SoftwareCache::lock`] takes it and returns a [`CacheGuard`],
+//! on which every operation is implemented once; a caller that looks up a
+//! whole warp's pages holds one guard for all of them. The one-shot methods
+//! of [`SoftwareCache`] take the lock for one operation each. The paper's
+//! per-set lock (§3.4) is a device-side cost, modeled by the `cache_hit` /
+//! `cache_miss` charges of the cost model, not a host lock. A line's state
+//! word is written only under the lock but read without it: a waiter
+//! holding a [`BusyTicket`] re-checks its fill with one load
+//! ([`SoftwareCache::lookup_busy`]), so a poll whose pages are all in flight
+//! takes no lock at all.
 //!
 //! A waiter that would only find its page `BUSY` again can sleep instead:
-//! [`SoftwareCache::watch_line`] registers it on the line, and the first
-//! fill, abort or reinstatement of that reservation wakes it. One that would
-//! only find no line again — every way of its set `BUSY` —
-//! sleeps on all of them ([`SoftwareCache::watch_full_set`]). Because such
-//! waiters make fewer lookups than pollers, the pressure signal a controller
-//! reads is [`SoftwareCache::full_sets`], which counts a full set once until
-//! one of its ways settles, not [`CacheStats::no_line`], which counts lookups.
+//! [`CacheGuard::watch_line`] registers it on the line, and the first fill,
+//! abort or reinstatement of that reservation wakes it. One that would only
+//! find no line again — every way of its set `BUSY` — sleeps on all of them
+//! ([`CacheGuard::watch_full_set`]). Because such waiters make fewer lookups
+//! than pollers, the pressure signal a controller reads is
+//! [`SoftwareCache::full_sets`], which counts a full set once until one of
+//! its ways settles, not [`CacheStats::no_line`], which counts lookups.
 //!
-//! The lines are laid out flat: a [`Way`] is its state word and pin count
-//! (8 bytes), and the tag and the owner are one array each, written under
-//! the set lock. A tag is one 8-byte key, `(dev + 1) << 48 | lba`, so an
-//! untagged line reads 0 and the array starts as zeroed memory. The owner a
-//! dirty victim is evicted from travels with its [`Writeback`], so a line
-//! keeps no record of it. Every line's page-token slot lives in one
-//! [`DmaSlab`]; a reservation hands out a handle that names the line's slot
-//! in it. A line costs 30.25 heap bytes with the clock policy (41.6 with a
+//! The lines are laid out flat: a [`Way`] is its 4-byte state word, and the
+//! tag, the owner and the pin count are one array each. A tag is one 8-byte
+//! key, `(dev + 1) << 48 | lba`, so an untagged line reads 0 and the array
+//! starts as zeroed memory. The owner a dirty victim is evicted from travels
+//! with its [`Writeback`], so a line keeps no record of it. Every line's
+//! page-token slot lives in one [`DmaSlab`]; a reservation hands out a handle
+//! that names the line's slot in it. A line costs 29.25 heap bytes with the
+//! clock policy (30.25 with a lock and an atomic flag per set; 41.6 with a
 //! split tag, a displaced-owner array and 32-bit clock state; 86.6 with a
 //! `Vec` of tags and owners per set and an `Arc` slot per line), and
 //! building a cache makes the same number of allocations whatever its size.
@@ -46,8 +61,8 @@ use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::units::SSD_PAGE_SIZE;
 use agile_sim::wake::{SleeperId, WakeHub};
 use nvme_sim::{DmaHandle, DmaSlab, Lba, PageToken};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies one cache line (global way index).
@@ -131,22 +146,13 @@ pub struct CacheStats {
     pub no_line: u64,
 }
 
-#[derive(Default)]
-struct StatsCells {
-    hits: AtomicU64,
-    busy_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    writebacks: AtomicU64,
-    no_line: AtomicU64,
-    full_sets: AtomicU64,
-}
-
 /// Result of a non-blocking cache lookup.
 #[derive(Debug, Clone)]
 pub enum CacheLookup {
-    /// The data is resident and valid. The line has been pinned for the
-    /// caller, which must call [`SoftwareCache::unpin`] when done.
+    /// The data is resident and valid. [`SoftwareCache::lookup_or_reserve`]
+    /// pins the line for the caller, which must call
+    /// [`SoftwareCache::unpin`] when done; [`CacheGuard::lookup`] does not
+    /// (the line cannot go while the guard is held).
     Hit {
         /// The line holding the data.
         line: LineId,
@@ -163,7 +169,7 @@ pub enum CacheLookup {
         generation: u32,
     },
     /// The caller now owns a BUSY, pinned line and must issue the NVMe read
-    /// that fills it (then call [`SoftwareCache::complete_fill`]).
+    /// that fills it (then call [`CacheGuard::complete_fill`]).
     Miss {
         /// The reserved line.
         line: LineId,
@@ -200,7 +206,7 @@ fn tag_key(dev: u32, lba: Lba) -> u64 {
 /// A dirty victim's write-back, handed out by the lookup that evicted it
 /// ([`CacheLookup::Miss`]). Until it is issued it is the only copy of the
 /// modification; if it cannot be issued it goes back into the line through
-/// [`SoftwareCache::reinstate_victim`].
+/// [`CacheGuard::reinstate_victim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Writeback {
     /// Device of the victim's page.
@@ -214,89 +220,104 @@ pub struct Writeback {
     pub owner: u32,
 }
 
-/// The per-line metadata beside the [`Way`]s, one flat array per field,
-/// indexed by [`LineId`]. Read and written only under the line's set lock,
-/// which is what makes each field's `Relaxed` atomics a plain value.
-struct LineMeta {
+/// The counters the lock guards (busy hits are counted without it).
+#[derive(Default)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    writebacks: u64,
+    no_line: u64,
+    full_sets: u64,
+}
+
+/// Everything about the lines that only the lock's holder reads or writes:
+/// one flat array per field, indexed by [`LineId`] (or by set).
+struct Lines {
     /// Tag key ([`tag_key`]) of the page each line holds; 0 until the line
     /// first holds a page.
-    key: Box<[AtomicU64]>,
+    key: Box<[u64]>,
     /// Owner tenant per line ([`NO_TENANT`] when unowned): the tenant whose
     /// lookup most recently filled it. Accounting only — ownership never
     /// gates a fill or a write-back.
-    owner: Box<[AtomicU32]>,
+    owner: Box<[u32]>,
+    /// Pins per line: a pinned line is never evicted.
+    pins: Box<[u32]>,
+    /// Per set: a lookup found it full since one of its ways last left
+    /// `BUSY` (see [`SoftwareCache::full_sets`]).
+    found_full: Box<[bool]>,
+    counts: Counts,
+    /// The sleepers waiting for `BUSY` lines, built on the installed hub by
+    /// the first watch of a line or a full set, so a cache nobody sleeps on
+    /// (the BaM side, whose warps poll their own CQs) carries no table.
+    watchers: Option<LineWatchers>,
 }
 
-/// `n` values made by `new`, in one allocation.
-fn filled<T>(n: usize, new: impl Fn() -> T) -> Box<[T]> {
-    (0..n).map(|_| new()).collect()
+/// `n` copies of `value`, in one allocation.
+fn filled<T: Clone>(n: usize, value: T) -> Box<[T]> {
+    vec![value; n].into_boxed_slice()
 }
 
-impl LineMeta {
-    fn new(lines: usize) -> Self {
-        LineMeta {
-            key: filled(lines, || AtomicU64::new(0)),
-            owner: filled(lines, || AtomicU32::new(NO_TENANT)),
+impl Lines {
+    fn new(lines: usize, sets: usize) -> Self {
+        Lines {
+            key: filled(lines, 0),
+            owner: filled(lines, NO_TENANT),
+            pins: filled(lines, 0),
+            found_full: filled(sets, false),
+            counts: Counts::default(),
+            watchers: None,
         }
     }
 
-    fn holds(&self, line: usize, key: u64) -> bool {
-        self.key[line].load(Ordering::Relaxed) == key
-    }
-
-    fn is_untagged(&self, line: usize) -> bool {
-        self.holds(line, 0)
-    }
-
     fn tag(&self, line: usize) -> (u32, Lba) {
-        let key = self.key[line].load(Ordering::Relaxed);
+        let key = self.key[line];
         (((key >> LBA_BITS) - 1) as u32, key & ((1 << LBA_BITS) - 1))
     }
 
-    fn retag(&self, line: usize, key: u64) {
-        self.key[line].store(key, Ordering::Relaxed);
-    }
-
-    fn owner(&self, line: usize) -> u32 {
-        self.owner[line].load(Ordering::Relaxed)
-    }
-
-    fn set_owner(&self, line: usize, tenant: u32) {
-        self.owner[line].store(tenant, Ordering::Relaxed);
+    /// Move ownership of `line` to `tenant`, keeping the occupancy gauges
+    /// balanced.
+    fn transfer_owner(&mut self, tenants: &TenantTable, line: usize, tenant: u32) {
+        let old = self.owner[line];
+        if old != tenant {
+            tenants.vacate(old);
+            tenants.occupy(tenant);
+            self.owner[line] = tenant;
+        }
     }
 }
 
-/// The software cache: one set-associative cache with a lock per set, one
+/// The software cache: one set-associative cache behind one lock, one
 /// replacement policy and one per-tenant accounting table.
 pub struct SoftwareCache {
     cfg: CacheConfig,
-    /// One lock per set, guarding its lines' [`LineMeta`] and the
-    /// transitions a lookup makes.
-    sets: Box<[Mutex<()>]>,
-    /// Per set: a lookup found it full since one of its ways last left
-    /// `BUSY` (see [`SoftwareCache::full_sets`]).
-    found_full: Box<[AtomicBool]>,
+    /// Each line's state word: written under the lock, read without it by
+    /// [`SoftwareCache::lookup_busy`].
     ways: Box<[Way]>,
-    meta: LineMeta,
-    /// Every line's page-token slot, slot `i` for line `i`.
+    /// Every line's page-token slot, slot `i` for line `i`; the devices DMA
+    /// into it.
     slab: DmaSlab,
     assoc: usize,
+    num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two: a set index is
+    /// then a mask, not a division.
+    set_mask: Option<usize>,
     policy: Box<dyn CachePolicy>,
-    stats: StatsCells,
     /// Per-tenant accounting (hits/misses/fills/evictions + live occupancy),
     /// shared with tenant-aware policies via `CachePolicy::bind_tenants`.
     tenants: Arc<TenantTable>,
+    lines: Mutex<Lines>,
+    /// [`CacheStats::busy_hits`]: counted by [`SoftwareCache::lookup_busy`],
+    /// which takes no lock.
+    busy_hits: AtomicU64,
     /// Optional trace recorder; one atomic load when disabled.
     trace: OnceLock<Arc<dyn TraceSink>>,
     /// Latest sim time reported by a caller (the cache's lookup API carries
     /// no clock, so controllers publish it before lookups — see
     /// [`SoftwareCache::set_time_hint`]).
     trace_now: AtomicU64,
-    /// Installed by [`SoftwareCache::set_wake_hub`]; built on it by the first
-    /// watch of a line or a full set, so a cache nobody sleeps on (the BaM
-    /// side, whose warps poll their own CQs) carries no table.
+    /// Installed by [`SoftwareCache::set_wake_hub`].
     wake_hub: OnceLock<Arc<WakeHub>>,
-    watchers: OnceLock<LineWatchers>,
 }
 
 impl SoftwareCache {
@@ -314,21 +335,36 @@ impl SoftwareCache {
         policy.configure(num_sets, assoc);
         policy.bind_tenants(Arc::clone(&tenants));
         SoftwareCache {
-            sets: filled(num_sets, || Mutex::new(())),
-            found_full: filled(num_sets, || AtomicBool::new(false)),
-            ways: filled(lines, Way::new),
-            meta: LineMeta::new(lines),
+            ways: (0..lines).map(|_| Way::new()).collect(),
             slab: DmaSlab::new(lines),
             assoc,
+            num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             policy,
-            stats: StatsCells::default(),
             tenants,
+            lines: Mutex::new(Lines::new(lines, num_sets)),
+            busy_hits: AtomicU64::new(0),
             cfg,
             trace: OnceLock::new(),
             trace_now: AtomicU64::new(0),
             wake_hub: OnceLock::new(),
-            watchers: OnceLock::new(),
         }
+    }
+
+    /// Take the cache lock: every lookup and every change of a line goes
+    /// through the returned guard, which releases the lock when dropped.
+    pub fn lock(&self) -> CacheGuard<'_> {
+        CacheGuard {
+            cache: self,
+            lines: self.lines.lock(),
+        }
+    }
+
+    /// Hold the cache lock until the returned guard drops. Test seam: lets
+    /// a test show that a code path never wants the lock.
+    #[doc(hidden)]
+    pub fn lock_all_sets(&self) -> impl Sized + '_ {
+        self.lines.lock()
     }
 
     /// Install a trace sink recording every lookup outcome. Returns `false`
@@ -336,13 +372,6 @@ impl SoftwareCache {
     /// effectively free when no sink is installed.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
         self.trace.set(sink).is_ok()
-    }
-
-    /// Hold every set lock until the returned guards drop. Test seam: lets a
-    /// test show that a code path never wants a set lock.
-    #[doc(hidden)]
-    pub fn lock_all_sets(&self) -> impl Sized + '_ {
-        self.sets.iter().map(|set| set.lock()).collect::<Vec<_>>()
     }
 
     /// True once a trace sink is installed — the only time anything reads
@@ -407,13 +436,15 @@ impl SoftwareCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
+        let lines = self.lines.lock();
+        let c = &lines.counts;
         CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            busy_hits: self.stats.busy_hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            writebacks: self.stats.writebacks.load(Ordering::Relaxed),
-            no_line: self.stats.no_line.load(Ordering::Relaxed),
+            hits: c.hits,
+            busy_hits: self.busy_hits.load(Ordering::Relaxed),
+            misses: c.misses,
+            evictions: c.evictions,
+            writebacks: c.writebacks,
+            no_line: c.no_line,
         }
     }
 
@@ -423,7 +454,7 @@ impl SoftwareCache {
     /// waiter asleep on a full set and one polling it count the same — unlike
     /// [`CacheStats::no_line`], which counts every lookup that ran.
     pub fn full_sets(&self) -> u64 {
-        self.stats.full_sets.load(Ordering::Relaxed)
+        self.lines.lock().counts.full_sets
     }
 
     /// Set index of `(dev, lba)`. Mixes device and LBA so multi-SSD striping
@@ -432,11 +463,15 @@ impl SoftwareCache {
         let mut z = (dev as u64) << 56 ^ lba ^ 0x9E37_79B9_7F4A_7C15;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize % self.sets.len()
+        let hash = (z ^ (z >> 31)) as usize;
+        match self.set_mask {
+            Some(mask) => hash & mask,
+            None => hash % self.num_sets,
+        }
     }
 
     /// The way behind a line id.
-    pub fn way(&self, line: LineId) -> &Way {
+    fn way(&self, line: LineId) -> &Way {
         &self.ways[line.0 as usize]
     }
 
@@ -447,124 +482,15 @@ impl SoftwareCache {
         self.lookup_or_reserve_as(dev, lba, NO_TENANT)
     }
 
-    /// [`SoftwareCache::lookup_or_reserve`] with an explicit requesting
-    /// tenant. Attribution is **accounting only**: hits/misses are counted
-    /// against `tenant`, a reserved line becomes owned by `tenant` (fills
-    /// are attributed to the requester), and an evicted line's previous
-    /// owner is charged the eviction — but the lookup outcome, the victim
-    /// choice under a tenant-oblivious policy, and the fill/write-back I/O
-    /// are bit-identical to the untenanted path.
+    /// [`CacheGuard::lookup`] under a lock of its own, pinning a hit for
+    /// the caller, who unpins it when done ([`SoftwareCache::unpin`]).
     pub fn lookup_or_reserve_as(&self, dev: u32, lba: Lba, tenant: u32) -> CacheLookup {
-        let key = tag_key(dev, lba);
-        let set_idx = self.set_of(dev, lba);
-        let _set = self.sets[set_idx].lock();
-        let base = set_idx * self.assoc;
-        let ways = &self.ways[base..][..self.assoc];
-
-        // 1. Tag scan.
-        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.holds(base + w, key)) {
-            let (line, way) = (base + way_idx, &ways[way_idx]);
-            return match way.state() {
-                LineState::Ready | LineState::Modified => {
-                    way.pin();
-                    self.policy.on_access(set_idx, way_idx);
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    self.tenants.record_hit(tenant);
-                    self.trace_lookup(TraceEventKind::CacheHit, dev, lba, tenant);
-                    CacheLookup::Hit {
-                        line: LineId(line as u32),
-                        token: self.slab.load(line as u32),
-                    }
-                }
-                LineState::Busy => {
-                    self.count_busy_hit(dev, lba, tenant);
-                    CacheLookup::Busy {
-                        line: LineId(line as u32),
-                        generation: way.generation(),
-                    }
-                }
-                LineState::Invalid => {
-                    // Tag present but invalid (fill failed): re-reserve
-                    // it, transferring ownership to the new requester.
-                    let generation = way.set_state(LineState::Busy);
-                    way.pin();
-                    self.transfer_owner(line, tenant);
-                    self.policy.on_fill(set_idx, way_idx);
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    self.tenants.record_miss_fill(tenant);
-                    self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-                    self.reserved(line, None, generation)
-                }
-            };
+        let mut cache = self.lock();
+        let lookup = cache.lookup(dev, lba, tenant);
+        if let CacheLookup::Hit { line, .. } = lookup {
+            cache.pin(line);
         }
-
-        // 2. Miss: prefer an empty (tag-less) way.
-        if let Some(way_idx) = (0..self.assoc).find(|&w| self.meta.is_untagged(base + w)) {
-            let line = base + way_idx;
-            self.meta.retag(line, key);
-            self.meta.set_owner(line, tenant);
-            let generation = ways[way_idx].set_state(LineState::Busy);
-            ways[way_idx].pin();
-            self.policy.on_fill(set_idx, way_idx);
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            self.tenants.record_miss_fill_occupy(tenant);
-            self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-            return self.reserved(line, None, generation);
-        }
-
-        // 3. Miss with eviction: ask the policy for a victim among evictable
-        //    ways, handing it the set's owners (tenant-aware policies use
-        //    them to bound each tenant's occupancy to its share).
-        let evictable = ways
-            .iter()
-            .enumerate()
-            .filter(|(_, way)| way.evictable())
-            .fold(0u64, |mask, (way_idx, _)| mask | 1 << way_idx);
-        let owners = &self.meta.owner[base..][..self.assoc];
-        let Some(victim) = self.policy.choose_victim(set_idx, evictable, owners) else {
-            // A transient resource stall (every way pinned/busy), not a data
-            // miss: the caller retries and the retry is what gets counted.
-            // Charging it per tenant would let retry churn drown the
-            // hit-rate signal the per-tenant stats exist for; the aggregate
-            // `no_line` counter still records every occurrence.
-            self.stats.no_line.fetch_add(1, Ordering::Relaxed);
-            if !self.found_full[set_idx].swap(true, Ordering::Relaxed) {
-                self.stats.full_sets.fetch_add(1, Ordering::Relaxed);
-            }
-            self.trace_lookup(TraceEventKind::CacheNoLine, dev, lba, tenant);
-            return CacheLookup::NoLineAvailable;
-        };
-        debug_assert!(
-            evictable >> victim & 1 == 1,
-            "policy chose a non-evictable way"
-        );
-        let (line, way) = (base + victim, &ways[victim]);
-        let old_owner = self.meta.owner(line);
-        let writeback = match way.state() {
-            LineState::Modified => {
-                self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-                let (d, l) = self.meta.tag(line);
-                self.trace_lookup(TraceEventKind::Writeback, d, l, old_owner);
-                Some(Writeback {
-                    dev: d,
-                    lba: l,
-                    token: self.slab.load(line as u32),
-                    owner: old_owner,
-                })
-            }
-            _ => None,
-        };
-        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        self.tenants.record_miss_fill_occupy(tenant);
-        self.tenants.record_eviction(old_owner);
-        self.meta.set_owner(line, tenant);
-        self.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
-        self.meta.retag(line, key);
-        let generation = way.set_state(LineState::Busy);
-        way.pin();
-        self.policy.on_fill(set_idx, victim);
-        self.reserved(line, writeback, generation)
+        lookup
     }
 
     /// The [`CacheLookup::Miss`] for a reservation of `line`.
@@ -580,17 +506,17 @@ impl SoftwareCache {
     /// Everything a lookup that finds its page `BUSY` does: count the
     /// coalesced request and trace it.
     fn count_busy_hit(&self, dev: u32, lba: Lba, tenant: u32) {
-        self.stats.busy_hits.fetch_add(1, Ordering::Relaxed);
+        self.busy_hits.fetch_add(1, Ordering::Relaxed);
         self.trace_lookup(TraceEventKind::CacheBusy, dev, lba, tenant);
     }
 
-    /// [`SoftwareCache::lookup_or_reserve_as`] for a waiter that holds a
-    /// ticket for `(dev, lba)`: if the ticketed reservation is still in
-    /// flight the lookup would find the page `BUSY` again, so account exactly
-    /// that — same counter, same trace record — and return `true`, from one
-    /// load of the line's state word: no set lock, no tag scan. Returns
-    /// `false`, having done nothing, once the ticket is dead; the caller then
-    /// makes the real lookup.
+    /// [`CacheGuard::lookup`] for a waiter that holds a ticket for
+    /// `(dev, lba)`: if the ticketed reservation is still in flight the
+    /// lookup would find the page `BUSY` again, so account exactly that —
+    /// same counter, same trace record — and return `true`, from one load of
+    /// the line's state word: no lock, no tag scan. Returns `false`, having
+    /// done nothing, once the ticket is dead; the caller then makes the real
+    /// lookup.
     pub fn lookup_busy(&self, ticket: BusyTicket, dev: u32, lba: Lba, tenant: u32) -> bool {
         let waiting = self.way(ticket.line).busy_in(ticket.generation);
         if waiting {
@@ -600,172 +526,36 @@ impl SoftwareCache {
     }
 
     /// Let waiters sleep on `BUSY` lines: from now on
-    /// [`SoftwareCache::watch_line`] and [`SoftwareCache::watch_full_set`]
+    /// [`CacheGuard::watch_line`] and [`CacheGuard::watch_full_set`]
     /// register sleepers of `hub`. Returns
     /// `false` if a hub was already installed (the first one wins).
     pub fn set_wake_hub(&self, hub: Arc<WakeHub>) -> bool {
         self.wake_hub.set(hub).is_ok()
     }
 
-    /// Notify `sleeper` when the reservation `ticket` names ends — its fill
-    /// completes or is aborted, or the dirty victim is reinstated. Returns
-    /// `false`, having registered nothing, when it already has ended (or no
-    /// hub is installed): the caller must then look the page up, not sleep.
-    /// Registering the same `(ticket, sleeper)` again is a no-op.
-    pub fn watch_line(&self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
-        self.watchers()
-            .is_some_and(|watchers| watchers.watch(ticket, sleeper, self.way(ticket.line)))
-    }
-
-    /// Notify `sleeper` when any way of `(dev, lba)`'s set leaves `BUSY`, for
-    /// a waiter whose lookup of that page found no line. While every way of
-    /// the set is `BUSY` and none holds the page, a lookup of it finds
-    /// [`CacheLookup::NoLineAvailable`] again: a `BUSY` way is neither
-    /// evictable nor re-tagged, and it leaves `BUSY` only through
-    /// [`SoftwareCache::complete_fill`], [`SoftwareCache::abort_fill`] or
-    /// [`SoftwareCache::reinstate_victim`], which wake its watchers.
-    ///
-    /// Returns `false`, having registered nothing, when the page is tagged,
-    /// when some way is not `BUSY` (a pinned `READY` way frees up on an
-    /// unpin that notifies nobody, and a policy that refused an evictable
-    /// way may accept it later), or when no hub is installed: the caller
-    /// must then look the page up, not sleep.
-    pub fn watch_full_set(&self, dev: u32, lba: Lba, sleeper: SleeperId) -> bool {
-        let Some(watchers) = self.watchers() else {
-            return false;
-        };
-        let key = tag_key(dev, lba);
-        let set_idx = self.set_of(dev, lba);
-        let _set = self.sets[set_idx].lock();
-        let lines = set_idx * self.assoc..(set_idx + 1) * self.assoc;
-        if lines.clone().any(|line| self.meta.holds(line, key))
-            || self.ways[lines.clone()]
-                .iter()
-                .any(|way| way.state() != LineState::Busy)
-        {
-            return false;
-        }
-        lines.into_iter().all(|line| {
-            let way = &self.ways[line];
-            let ticket = BusyTicket {
-                line: LineId(line as u32),
-                generation: way.generation(),
-            };
-            watchers.watch(ticket, sleeper, way)
-        })
-    }
-
-    /// The watcher table, built on the installed hub the first time anybody
-    /// sleeps; `None` without a hub.
-    fn watchers(&self) -> Option<&LineWatchers> {
-        let hub = self.wake_hub.get()?;
-        Some(
-            self.watchers
-                .get_or_init(|| LineWatchers::new(Arc::clone(hub))),
-        )
-    }
-
-    /// `line` just left `BUSY`: wake whoever waited for that, and let the
-    /// next lookup that finds its set full count again.
-    fn line_settled(&self, line: LineId) {
-        self.found_full[line.0 as usize / self.assoc].store(false, Ordering::Relaxed);
-        if let Some(watchers) = self.watchers.get() {
-            watchers.settled(line);
-        }
-    }
-
-    /// Move ownership of `line` (whose set lock the caller holds) to
-    /// `tenant`, keeping the occupancy gauges balanced.
-    fn transfer_owner(&self, line: usize, tenant: u32) {
-        let old = self.meta.owner(line);
-        if old != tenant {
-            self.tenants.vacate(old);
-            self.tenants.occupy(tenant);
-            self.meta.set_owner(line, tenant);
-        }
-    }
-
-    /// Probe without reserving: returns the token if the line is resident and
-    /// valid. Does not pin, does not update policy metadata.
+    /// [`CacheGuard::peek`] under a lock of its own.
     pub fn peek(&self, dev: u32, lba: Lba) -> Option<PageToken> {
-        let key = tag_key(dev, lba);
-        let set_idx = self.set_of(dev, lba);
-        let _set = self.sets[set_idx].lock();
-        let base = set_idx * self.assoc;
-        let line = (base..base + self.assoc).find(|&line| self.meta.holds(line, key))?;
-        self.ways[line]
-            .state()
-            .is_valid_data()
-            .then(|| self.slab.load(line as u32))
+        self.lock().peek(dev, lba)
     }
 
-    /// Mark a reserved (BUSY) line as filled: the NVMe read completed and the
-    /// DMA slot now holds the page token. `BUSY → READY`. Sleepers watching
-    /// the line ([`SoftwareCache::watch_line`], or its whole set through
-    /// [`SoftwareCache::watch_full_set`]) are notified — here and in the two
-    /// ways a reservation can be abandoned.
+    /// [`CacheGuard::complete_fill`] under a lock of its own.
     pub fn complete_fill(&self, line: LineId) {
-        let way = self.way(line);
-        let ok = way.transition(LineState::Busy, LineState::Ready);
-        debug_assert!(ok, "complete_fill on a line that was not BUSY");
-        self.line_settled(line);
+        self.lock().complete_fill(line);
     }
 
-    /// Abandon a reservation made by [`SoftwareCache::lookup_or_reserve`]
-    /// when the NVMe command could not be issued (every SQ full): the line
-    /// returns to `INVALID` and the reservation pin is dropped, so other
-    /// threads are not blocked behind a fill that will never happen.
-    ///
-    /// When the reservation evicted a **dirty** victim whose write-back then
-    /// failed to issue, use [`SoftwareCache::reinstate_victim`] instead —
-    /// plain `abort_fill` would drop the only copy of the victim's modified
-    /// data.
+    /// [`CacheGuard::abort_fill`] under a lock of its own.
     pub fn abort_fill(&self, line: LineId) {
-        let way = self.way(line);
-        let ok = way.transition(LineState::Busy, LineState::Invalid);
-        debug_assert!(ok, "abort_fill on a line that was not BUSY");
-        way.unpin();
-        self.line_settled(line);
+        self.lock().abort_fill(line);
     }
 
-    /// Abandon a reservation whose dirty victim's write-back could not be
-    /// issued (every SQ full), re-installing the victim's tag and token in
-    /// the line instead of dropping them.
-    ///
-    /// `lookup_or_reserve` reclaims a dirty way by handing the caller a
-    /// [`Writeback`] snapshot and re-tagging the line for the new request;
-    /// until the write-back is issued, that snapshot is the **only** copy of
-    /// the modification. If the issue fails, the snapshot must go back into
-    /// the cache — otherwise a later read of the victim page refills stale
-    /// data from the backing (the ROADMAP's dirty-victim lost-update). The line returns to `MODIFIED` under the victim's tag
-    /// and to the victim's owner, the reservation pin is dropped, and the
-    /// caller's own request simply misses again on its retry.
+    /// [`CacheGuard::reinstate_victim`] under a lock of its own.
     pub fn reinstate_victim(&self, line: LineId, victim: Writeback) {
-        let idx = line.0 as usize;
-        let set = self.sets[idx / self.assoc].lock();
-        let way = &self.ways[idx];
-        debug_assert_eq!(
-            way.state(),
-            LineState::Busy,
-            "reinstate_victim on a line that was not reserved"
-        );
-        self.meta.retag(idx, tag_key(victim.dev, victim.lba));
-        // Ownership (and its occupancy accounting) returns to the displaced
-        // tenant; the requester's fill never happened. The victim's eviction
-        // counter stays advanced — the displacement was real, it just could
-        // not complete.
-        self.transfer_owner(idx, victim.owner);
-        self.slab.store(line.0, victim.token);
-        way.set_state(LineState::Modified);
-        way.unpin();
-        drop(set);
-        self.line_settled(line);
+        self.lock().reinstate_victim(line, victim);
     }
 
-    /// Store `token` into the line and mark it dirty (`MODIFIED`).
+    /// [`CacheGuard::store`] under a lock of its own.
     pub fn store(&self, line: LineId, token: PageToken) {
-        self.slab.store(line.0, token);
-        self.way(line).set_state(LineState::Modified);
+        self.lock().store(line, token);
     }
 
     /// Read the token currently held by a line.
@@ -784,32 +574,31 @@ impl SoftwareCache {
         self.way(line).state()
     }
 
-    /// Pin a line (additional reader).
+    /// [`CacheGuard::pin`] under a lock of its own.
     pub fn pin(&self, line: LineId) {
-        self.way(line).pin();
+        self.lock().pin(line);
     }
 
-    /// Release a pin taken by [`SoftwareCache::lookup_or_reserve`] /
-    /// [`SoftwareCache::pin`].
+    /// [`CacheGuard::unpin`] under a lock of its own.
     pub fn unpin(&self, line: LineId) {
-        self.way(line).unpin();
+        self.lock().unpin(line);
     }
 
-    /// Preload `(dev, lba) → token` as clean data, bypassing the NVMe path.
-    /// Used by tests and by the graph experiments' "Cache API time" step,
-    /// which measures cache overhead with all data preloaded (§4.5 step 3).
-    /// Returns false when no line could be reserved.
+    /// Preload `(dev, lba) → token` as clean data, bypassing the NVMe path,
+    /// under one lock. Used by tests and by the graph experiments' "Cache
+    /// API time" step, which measures cache overhead with all data preloaded
+    /// (§4.5 step 3). Returns false when no line could be reserved.
     pub fn preload(&self, dev: u32, lba: Lba, token: PageToken) -> bool {
-        match self.lookup_or_reserve(dev, lba) {
+        let mut cache = self.lock();
+        match cache.lookup(dev, lba, NO_TENANT) {
             CacheLookup::Hit { line, .. } => {
                 self.slab.store(line.0, token);
-                self.unpin(line);
                 true
             }
             CacheLookup::Miss { line, dma, .. } => {
                 dma.store(token);
-                self.complete_fill(line);
-                self.unpin(line);
+                cache.complete_fill(line);
+                cache.unpin(line);
                 true
             }
             CacheLookup::Busy { .. } | CacheLookup::NoLineAvailable => false,
@@ -818,7 +607,311 @@ impl SoftwareCache {
 
     /// Total pinned lines (diagnostic; should return to zero after a kernel).
     pub fn total_pins(&self) -> u64 {
-        self.ways.iter().map(|w| w.pins() as u64).sum()
+        self.lines.lock().pins.iter().map(|&pins| pins as u64).sum()
+    }
+}
+
+/// The cache lock, held ([`SoftwareCache::lock`]). Every operation that
+/// reads or moves a line's tag, owner, pins or state is implemented here,
+/// once; the lock is released when the guard drops.
+pub struct CacheGuard<'a> {
+    cache: &'a SoftwareCache,
+    lines: MutexGuard<'a, Lines>,
+}
+
+impl CacheGuard<'_> {
+    /// Non-blocking lookup of `(dev, lba)` on behalf of `tenant`; see the
+    /// module docs for the case mapping. A hit is not pinned: it stays
+    /// resident while the guard is held, and [`CacheGuard::pin`] keeps it
+    /// past that. A miss pins the line it reserves.
+    ///
+    /// Attribution is **accounting only**: hits/misses are counted against
+    /// `tenant` ([`NO_TENANT`] skips the per-tenant table), a reserved line
+    /// becomes owned by `tenant` (fills are attributed to the requester),
+    /// and an evicted line's previous owner is charged the eviction — but
+    /// the lookup outcome, the victim choice under a tenant-oblivious
+    /// policy, and the fill/write-back I/O are bit-identical to the
+    /// untenanted path.
+    pub fn lookup(&mut self, dev: u32, lba: Lba, tenant: u32) -> CacheLookup {
+        let cache = self.cache;
+        let lines = &mut *self.lines;
+        let key = tag_key(dev, lba);
+        let set_idx = cache.set_of(dev, lba);
+        let base = set_idx * cache.assoc;
+        let ways = &cache.ways[base..][..cache.assoc];
+        let keys = &lines.key[base..][..cache.assoc];
+
+        // 1. Tag scan.
+        if let Some(way_idx) = keys.iter().position(|&k| k == key) {
+            let (line, way) = (base + way_idx, &ways[way_idx]);
+            return match way.state() {
+                LineState::Ready | LineState::Modified => {
+                    cache.policy.on_access(set_idx, way_idx);
+                    lines.counts.hits += 1;
+                    cache.tenants.record_hit(tenant);
+                    cache.trace_lookup(TraceEventKind::CacheHit, dev, lba, tenant);
+                    CacheLookup::Hit {
+                        line: LineId(line as u32),
+                        token: cache.slab.load(line as u32),
+                    }
+                }
+                LineState::Busy => {
+                    cache.count_busy_hit(dev, lba, tenant);
+                    CacheLookup::Busy {
+                        line: LineId(line as u32),
+                        generation: way.generation(),
+                    }
+                }
+                LineState::Invalid => {
+                    // Tag present but invalid (fill failed): re-reserve
+                    // it, transferring ownership to the new requester.
+                    let generation = way.set_state(LineState::Busy);
+                    lines.pins[line] += 1;
+                    lines.transfer_owner(&cache.tenants, line, tenant);
+                    cache.policy.on_fill(set_idx, way_idx);
+                    lines.counts.misses += 1;
+                    cache.tenants.record_miss_fill(tenant);
+                    cache.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
+                    cache.reserved(line, None, generation)
+                }
+            };
+        }
+
+        // 2. Miss: prefer an empty (tag-less) way.
+        if let Some(way_idx) = keys.iter().position(|&k| k == 0) {
+            let line = base + way_idx;
+            lines.key[line] = key;
+            lines.owner[line] = tenant;
+            let generation = ways[way_idx].set_state(LineState::Busy);
+            lines.pins[line] += 1;
+            cache.policy.on_fill(set_idx, way_idx);
+            lines.counts.misses += 1;
+            cache.tenants.record_miss_fill_occupy(tenant);
+            cache.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
+            return cache.reserved(line, None, generation);
+        }
+
+        // 3. Miss with eviction: ask the policy for a victim among evictable
+        //    ways, handing it the set's owners (tenant-aware policies use
+        //    them to bound each tenant's occupancy to its share).
+        let pins = &lines.pins[base..][..cache.assoc];
+        let evictable = ways
+            .iter()
+            .zip(pins)
+            .enumerate()
+            .filter(|(_, (way, &pins))| pins == 0 && way.state() != LineState::Busy)
+            .fold(0u64, |mask, (way_idx, _)| mask | 1 << way_idx);
+        let owners = &lines.owner[base..][..cache.assoc];
+        let Some(victim) = cache.policy.choose_victim(set_idx, evictable, owners) else {
+            // A transient resource stall (every way pinned/busy), not a data
+            // miss: the caller retries and the retry is what gets counted.
+            // Charging it per tenant would let retry churn drown the
+            // hit-rate signal the per-tenant stats exist for; the aggregate
+            // `no_line` counter still records every occurrence.
+            lines.counts.no_line += 1;
+            if !std::mem::replace(&mut lines.found_full[set_idx], true) {
+                lines.counts.full_sets += 1;
+            }
+            cache.trace_lookup(TraceEventKind::CacheNoLine, dev, lba, tenant);
+            return CacheLookup::NoLineAvailable;
+        };
+        debug_assert!(
+            evictable >> victim & 1 == 1,
+            "policy chose a non-evictable way"
+        );
+        let (line, way) = (base + victim, &ways[victim]);
+        let old_owner = lines.owner[line];
+        let writeback = match way.state() {
+            LineState::Modified => {
+                lines.counts.writebacks += 1;
+                let (d, l) = lines.tag(line);
+                cache.trace_lookup(TraceEventKind::Writeback, d, l, old_owner);
+                Some(Writeback {
+                    dev: d,
+                    lba: l,
+                    token: cache.slab.load(line as u32),
+                    owner: old_owner,
+                })
+            }
+            _ => None,
+        };
+        lines.counts.evictions += 1;
+        lines.counts.misses += 1;
+        cache.tenants.record_miss_fill_occupy(tenant);
+        cache.tenants.record_eviction(old_owner);
+        lines.owner[line] = tenant;
+        cache.trace_lookup(TraceEventKind::CacheMiss, dev, lba, tenant);
+        lines.key[line] = key;
+        let generation = way.set_state(LineState::Busy);
+        lines.pins[line] += 1;
+        cache.policy.on_fill(set_idx, victim);
+        cache.reserved(line, writeback, generation)
+    }
+
+    /// Notify `sleeper` when the reservation `ticket` names ends — its fill
+    /// completes or is aborted, or the dirty victim is reinstated. Returns
+    /// `false`, having registered nothing, when it already has ended (or no
+    /// hub is installed): the caller must then look the page up, not sleep.
+    /// Registering the same `(ticket, sleeper)` again is a no-op.
+    pub fn watch_line(&mut self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
+        let cache = self.cache;
+        let way = cache.way(ticket.line);
+        self.watchers()
+            .is_some_and(|watchers| watchers.watch(ticket, sleeper, way))
+    }
+
+    /// Notify `sleeper` when any way of `(dev, lba)`'s set leaves `BUSY`, for
+    /// a waiter whose lookup of that page found no line. While every way of
+    /// the set is `BUSY` and none holds the page, a lookup of it finds
+    /// [`CacheLookup::NoLineAvailable`] again: a `BUSY` way is neither
+    /// evictable nor re-tagged, and it leaves `BUSY` only through
+    /// [`CacheGuard::complete_fill`], [`CacheGuard::abort_fill`] or
+    /// [`CacheGuard::reinstate_victim`], which wake its watchers.
+    ///
+    /// Returns `false`, having registered nothing, when the page is tagged,
+    /// when some way is not `BUSY` (a pinned `READY` way frees up on an
+    /// unpin that notifies nobody, and a policy that refused an evictable
+    /// way may accept it later), or when no hub is installed: the caller
+    /// must then look the page up, not sleep.
+    pub fn watch_full_set(&mut self, dev: u32, lba: Lba, sleeper: SleeperId) -> bool {
+        let cache = self.cache;
+        let key = tag_key(dev, lba);
+        let base = cache.set_of(dev, lba) * cache.assoc;
+        let lines = base..base + cache.assoc;
+        let full = !self.lines.key[lines.clone()].contains(&key)
+            && cache.ways[lines.clone()]
+                .iter()
+                .all(|way| way.state() == LineState::Busy);
+        let Some(watchers) = self.watchers() else {
+            return false;
+        };
+        full && lines.into_iter().all(|line| {
+            let way = &cache.ways[line];
+            let ticket = BusyTicket {
+                line: LineId(line as u32),
+                generation: way.generation(),
+            };
+            watchers.watch(ticket, sleeper, way)
+        })
+    }
+
+    /// The watcher table, built on the installed hub the first time anybody
+    /// sleeps; `None` without a hub.
+    fn watchers(&mut self) -> Option<&mut LineWatchers> {
+        let hub = self.cache.wake_hub.get()?;
+        Some(
+            self.lines
+                .watchers
+                .get_or_insert_with(|| LineWatchers::new(Arc::clone(hub))),
+        )
+    }
+
+    /// `line` just left `BUSY`: wake whoever waited for that, and let the
+    /// next lookup that finds its set full count again.
+    fn settled(&mut self, line: LineId) {
+        self.lines.found_full[line.0 as usize / self.cache.assoc] = false;
+        if let Some(watchers) = &mut self.lines.watchers {
+            watchers.settled(line);
+        }
+    }
+
+    /// Probe without reserving: returns the token if the line is resident and
+    /// valid. Does not pin, does not update policy metadata.
+    pub fn peek(&self, dev: u32, lba: Lba) -> Option<PageToken> {
+        let cache = self.cache;
+        let key = tag_key(dev, lba);
+        let base = cache.set_of(dev, lba) * cache.assoc;
+        let line = (base..base + cache.assoc).find(|&line| self.lines.key[line] == key)?;
+        cache.ways[line]
+            .state()
+            .is_valid_data()
+            .then(|| cache.slab.load(line as u32))
+    }
+
+    /// Mark a reserved (BUSY) line as filled: the NVMe read completed and the
+    /// DMA slot now holds the page token. `BUSY → READY`. Sleepers watching
+    /// the line ([`CacheGuard::watch_line`], or its whole set through
+    /// [`CacheGuard::watch_full_set`]) are notified — here and in the two
+    /// ways a reservation can be abandoned.
+    pub fn complete_fill(&mut self, line: LineId) {
+        let ok = self
+            .cache
+            .way(line)
+            .transition(LineState::Busy, LineState::Ready);
+        debug_assert!(ok, "complete_fill on a line that was not BUSY");
+        self.settled(line);
+    }
+
+    /// Abandon a reservation made by [`CacheGuard::lookup`] when the NVMe
+    /// command could not be issued (every SQ full): the line returns to
+    /// `INVALID` and the reservation pin is dropped, so other warps are not
+    /// blocked behind a fill that will never happen.
+    ///
+    /// When the reservation evicted a **dirty** victim whose write-back then
+    /// failed to issue, use [`CacheGuard::reinstate_victim`] instead —
+    /// plain `abort_fill` would drop the only copy of the victim's modified
+    /// data.
+    pub fn abort_fill(&mut self, line: LineId) {
+        let ok = self
+            .cache
+            .way(line)
+            .transition(LineState::Busy, LineState::Invalid);
+        debug_assert!(ok, "abort_fill on a line that was not BUSY");
+        self.unpin(line);
+        self.settled(line);
+    }
+
+    /// Abandon a reservation whose dirty victim's write-back could not be
+    /// issued (every SQ full), re-installing the victim's tag and token in
+    /// the line instead of dropping them.
+    ///
+    /// A lookup reclaims a dirty way by handing the caller a [`Writeback`]
+    /// snapshot and re-tagging the line for the new request; until the
+    /// write-back is issued, that snapshot is the **only** copy of the
+    /// modification. If the issue fails, the snapshot must go back into the
+    /// cache — otherwise a later read of the victim page refills stale data
+    /// from the backing (the ROADMAP's dirty-victim lost-update). The line
+    /// returns to `MODIFIED` under the victim's tag and to the victim's
+    /// owner, the reservation pin is dropped, and the caller's own request
+    /// simply misses again on its retry.
+    pub fn reinstate_victim(&mut self, line: LineId, victim: Writeback) {
+        let cache = self.cache;
+        let idx = line.0 as usize;
+        let way = cache.way(line);
+        debug_assert_eq!(
+            way.state(),
+            LineState::Busy,
+            "reinstate_victim on a line that was not reserved"
+        );
+        self.lines.key[idx] = tag_key(victim.dev, victim.lba);
+        // Ownership (and its occupancy accounting) returns to the displaced
+        // tenant; the requester's fill never happened. The victim's eviction
+        // counter stays advanced — the displacement was real, it just could
+        // not complete.
+        self.lines.transfer_owner(&cache.tenants, idx, victim.owner);
+        cache.slab.store(line.0, victim.token);
+        way.set_state(LineState::Modified);
+        self.unpin(line);
+        self.settled(line);
+    }
+
+    /// Store `token` into the line and mark it dirty (`MODIFIED`).
+    pub fn store(&mut self, line: LineId, token: PageToken) {
+        self.cache.slab.store(line.0, token);
+        self.cache.way(line).set_state(LineState::Modified);
+    }
+
+    /// Pin a line (an additional reader): it is not evicted until unpinned.
+    pub fn pin(&mut self, line: LineId) {
+        self.lines.pins[line.0 as usize] += 1;
+    }
+
+    /// Release a pin taken by [`CacheGuard::pin`] or by the lookup that
+    /// reserved the line. Panics in debug builds on underflow.
+    pub fn unpin(&mut self, line: LineId) {
+        let pins = &mut self.lines.pins[line.0 as usize];
+        debug_assert!(*pins > 0, "unpin on a line with zero pins");
+        *pins -= 1;
     }
 }
 
@@ -888,6 +981,34 @@ mod tests {
             },
             Box::new(ClockPolicy::new()),
         )
+    }
+
+    #[test]
+    fn pinning_controls_evictability() {
+        // The one line is evictable only while it is neither pinned nor
+        // BUSY.
+        let c = one_line_cache();
+        assert!(c.preload(0, 1, PageToken(1)));
+        let CacheLookup::Hit { line, .. } = c.lookup_or_reserve(0, 1) else {
+            panic!("expected hit");
+        };
+        assert_eq!(c.total_pins(), 1, "the hit is pinned for its caller");
+        assert!(matches!(
+            c.lookup_or_reserve(0, 2),
+            CacheLookup::NoLineAvailable
+        ));
+        c.unpin(line);
+        let CacheLookup::Miss { line: taken, .. } = c.lookup_or_reserve(0, 2) else {
+            panic!("expected the unpinned line to be taken");
+        };
+        assert_eq!(taken, line);
+        // BUSY, it stays out of reach even without its reservation pin.
+        c.unpin(line);
+        assert_eq!(c.total_pins(), 0);
+        assert!(matches!(
+            c.lookup_or_reserve(0, 3),
+            CacheLookup::NoLineAvailable
+        ));
     }
 
     #[test]
@@ -1449,8 +1570,8 @@ mod tests {
         let (cache, hub, s) = watched_cache(3);
         let tickets = [reserve(&cache, 1), reserve(&cache, 2), reserve(&cache, 3)];
         for (ticket, &sleeper) in tickets.iter().zip(&s) {
-            assert!(cache.watch_line(*ticket, sleeper));
-            assert!(cache.watch_line(*ticket, sleeper), "idempotent");
+            assert!(cache.lock().watch_line(*ticket, sleeper));
+            assert!(cache.lock().watch_line(*ticket, sleeper), "idempotent");
             hub.park(sleeper);
         }
         cache.complete_fill(tickets[0].line);
@@ -1460,7 +1581,7 @@ mod tests {
         cache.reinstate_victim(tickets[2].line, victim(9));
         assert_eq!(fired(&hub), [s[2]]);
         // A reservation that has ended cannot be slept on.
-        assert!(!cache.watch_line(tickets[0], s[0]));
+        assert!(!cache.lock().watch_line(tickets[0], s[0]));
     }
 
     #[test]
@@ -1474,7 +1595,7 @@ mod tests {
         cache.set_wake_hub(Arc::clone(&hub));
         let (old, new) = (hub.register(), hub.register());
         let first = reserve(&cache, 1);
-        assert!(cache.watch_line(first, old));
+        assert!(cache.lock().watch_line(first, old));
         hub.park(old);
         cache.complete_fill(first.line);
         cache.unpin(first.line);
@@ -1483,8 +1604,11 @@ mod tests {
         let second = reserve(&cache, 2);
         assert_eq!(second.line, first.line, "the one line, re-reserved");
         assert_ne!(second.generation, first.generation);
-        assert!(!cache.watch_line(first, old), "the old ticket is dead");
-        assert!(cache.watch_line(second, new));
+        assert!(
+            !cache.lock().watch_line(first, old),
+            "the old ticket is dead"
+        );
+        assert!(cache.lock().watch_line(second, new));
         hub.park(old);
         hub.park(new);
         cache.complete_fill(second.line);
@@ -1507,7 +1631,12 @@ mod tests {
     }
 
     fn watcher_count(cache: &SoftwareCache) -> usize {
-        cache.watchers.get().map_or(0, LineWatchers::len)
+        cache
+            .lines
+            .lock()
+            .watchers
+            .as_ref()
+            .map_or(0, LineWatchers::len)
     }
 
     #[test]
@@ -1517,11 +1646,11 @@ mod tests {
         for lba in 1..=4 {
             reserve(&bare, lba);
         }
-        assert!(!bare.watch_full_set(0, 9, SleeperId(0)));
+        assert!(!bare.lock().watch_full_set(0, 9, SleeperId(0)));
 
         let (cache, _hub, s, tickets) = full_set();
         // The page is tagged: its lookup finds its own fill, not a full set.
-        assert!(!cache.watch_full_set(0, 1, s));
+        assert!(!cache.lock().watch_full_set(0, 1, s));
         // A way is READY but still pinned by its filler: still no line for
         // page 9, but the unpin that frees the way notifies nobody.
         cache.complete_fill(tickets[0].line);
@@ -1529,10 +1658,10 @@ mod tests {
             cache.lookup_or_reserve(0, 9),
             CacheLookup::NoLineAvailable
         ));
-        assert!(!cache.watch_full_set(0, 9, s));
+        assert!(!cache.lock().watch_full_set(0, 9, s));
         // Unpinned, the way is evictable.
         cache.unpin(tickets[0].line);
-        assert!(!cache.watch_full_set(0, 9, s));
+        assert!(!cache.lock().watch_full_set(0, 9, s));
         assert_eq!(watcher_count(&cache), 0, "nothing was registered");
     }
 
@@ -1543,12 +1672,7 @@ mod tests {
         fn configure(&mut self, _num_sets: usize, _associativity: usize) {}
         fn on_access(&self, _set: usize, _way: usize) {}
         fn on_fill(&self, _set: usize, _way: usize) {}
-        fn choose_victim(
-            &self,
-            _set: usize,
-            _evictable: u64,
-            _owners: &[AtomicU32],
-        ) -> Option<usize> {
+        fn choose_victim(&self, _set: usize, _evictable: u64, _owners: &[u32]) -> Option<usize> {
             None
         }
     }
@@ -1567,7 +1691,7 @@ mod tests {
             CacheLookup::NoLineAvailable
         ));
         // Policy state, not a way leaving BUSY, decides the next lookup.
-        assert!(!cache.watch_full_set(0, 9, sleeper));
+        assert!(!cache.lock().watch_full_set(0, 9, sleeper));
         assert_eq!(watcher_count(&cache), 0);
     }
 
@@ -1576,8 +1700,8 @@ mod tests {
         for way in 0..4 {
             for exit in ["complete", "abort", "reinstate"] {
                 let (cache, hub, s, tickets) = full_set();
-                assert!(cache.watch_full_set(0, 9, s));
-                assert!(cache.watch_full_set(0, 9, s), "idempotent");
+                assert!(cache.lock().watch_full_set(0, 9, s));
+                assert!(cache.lock().watch_full_set(0, 9, s), "idempotent");
                 assert_eq!(watcher_count(&cache), 4, "one entry per way");
                 hub.park(s);
                 let line = tickets[way].line;

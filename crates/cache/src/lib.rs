@@ -9,23 +9,24 @@
 //! protocol so `async_issue(src, dst)` into private buffers cannot introduce
 //! RAW/WAR/WAW hazards against the cache.
 //!
-//! This crate implements both structures with the same concurrency discipline
-//! a device-side implementation would use: per-line atomic state words and
-//! reference counts, short per-set critical sections for tag manipulation,
-//! and non-blocking lookups that report `Busy`/`NoLineAvailable` instead of
-//! waiting — the caller (a warp state machine) decides whether to retry,
-//! which is exactly what makes the asynchronous model deadlock-free.
+//! Lookups are non-blocking: they report `Busy`/`NoLineAvailable` instead of
+//! waiting, and the caller (a warp state machine) decides whether to retry,
+//! which is exactly what makes the asynchronous model deadlock-free. On the
+//! host the cache is plain per-line state behind one lock, taken once per
+//! warp call; the device-side cost of the paper's per-set critical sections
+//! is charged by the cost model, not paid in host locks.
 //!
 //! Modules:
 //!
-//! * [`line`](mod@line) — line state words and pinning;
+//! * [`line`](mod@line) — line state words and reservation generations;
 //! * [`policy`] — the [`policy::CachePolicy`] trait plus the clock and the
 //!   tenant-aware [`policy::TenantShare`] implementations;
 //! * [`tenant`] — per-tenant accounting (hits/misses/fills/evictions and
 //!   live occupancy) shared between the cache and tenant-aware policies;
-//! * [`cache`] — the set-associative [`cache::SoftwareCache`]: flat
-//!   per-line tag-key and owner arrays, one DMA slab for every line's page
-//!   token, and the table of sleepers waiting for its `BUSY` lines;
+//! * [`cache`] — the set-associative [`cache::SoftwareCache`] and its held
+//!   lock, [`cache::CacheGuard`]: flat per-line tag-key, owner and pin
+//!   arrays, one DMA slab for every line's page token, and the table of
+//!   sleepers waiting for its `BUSY` lines;
 //! * [`sharded`] — [`sharded::ShardedCache`], the old name of that cache
 //!   the benchmark package still spells;
 //! * [`share_table`] — the MOESI-inspired [`share_table::ShareTable`].
@@ -44,7 +45,7 @@ pub mod tenant;
 mod watch;
 
 pub use cache::{
-    BusyTicket, CacheConfig, CacheLookup, CacheStats, LineId, SoftwareCache, Writeback,
+    BusyTicket, CacheConfig, CacheGuard, CacheLookup, CacheStats, LineId, SoftwareCache, Writeback,
 };
 pub use line::LineState;
 pub use policy::{CachePolicy, ClockPolicy, TenantShare, MAX_ONLINE_SHARE};

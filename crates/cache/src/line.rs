@@ -8,18 +8,17 @@
 //! * `MODIFIED` — the line holds dirty data that must be written back on
 //!   eviction.
 //!
-//! On top of the state word every line carries a pin (reference) count —
-//! a line with pinned readers cannot be evicted, which is how AGILE keeps
-//! cache-hit accesses atomic with respect to eviction (§2.3.2). Those two
-//! words are all a [`Way`] is: the line's tag, owner and DMA slot live in
-//! the cache's flat per-line arrays.
+//! A [`Way`] is that state word and nothing else: the line's tag, owner,
+//! pin count and DMA slot live in the cache's flat per-line arrays, and all
+//! but the DMA slot are plain values under the cache lock.
 //!
 //! The state shares its word with a **reservation generation**: the state
 //! sits in the low two bits and the generation above them, bumped on every
-//! entry into `BUSY`. A BUSY line can be neither evicted nor re-tagged, so a
+//! entry into `BUSY`. The word is written only under the cache lock but read
+//! without it: a BUSY line can be neither evicted nor re-tagged, so a
 //! waiter that remembers the generation it saw can tell from one load of the
 //! word that the fill it is waiting on is still the one in flight
-//! ([`Way::busy_in`]) — without the set lock or a tag scan.
+//! ([`Way::busy_in`]) — without the lock or a tag scan.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -69,12 +68,11 @@ fn with_state(word: u32, to: LineState) -> u32 {
     }
 }
 
-/// One cache way (line): state word and pin count.
+/// One cache way (line): its state word.
 #[derive(Debug)]
 pub struct Way {
     /// [`LineState`] in the low [`STATE_BITS`], reservation generation above.
     state: AtomicU32,
-    pins: AtomicU32,
 }
 
 impl Default for Way {
@@ -84,11 +82,10 @@ impl Default for Way {
 }
 
 impl Way {
-    /// A fresh, invalid, unpinned line.
+    /// A fresh, invalid line.
     pub fn new() -> Self {
         Way {
             state: AtomicU32::new(LineState::Invalid as u32),
-            pins: AtomicU32::new(0),
         }
     }
 
@@ -97,23 +94,25 @@ impl Way {
         LineState::from_u32(self.state.load(Ordering::Acquire) & STATE_MASK)
     }
 
-    /// Unconditionally set the state (caller must hold the set lock or be the
-    /// unique owner of the in-flight transition). Returns the line's
-    /// reservation generation, which setting `BUSY` has just advanced.
+    /// Unconditionally set the state (the caller holds the cache lock).
+    /// Returns the line's reservation generation, which setting `BUSY` has
+    /// just advanced.
     pub fn set_state(&self, s: LineState) -> u32 {
         let word = with_state(self.state.load(Ordering::Relaxed), s);
         self.state.store(word, Ordering::Release);
         word >> STATE_BITS
     }
 
-    /// Atomically transition `from → to`. Returns false if the current state
-    /// was not `from`.
+    /// Transition `from → to` (the caller holds the cache lock, so nothing
+    /// writes the word in between). Returns false, changing nothing, if the
+    /// current state was not `from`.
     pub fn transition(&self, from: LineState, to: LineState) -> bool {
-        self.state
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
-                (word & STATE_MASK == from as u32).then(|| with_state(word, to))
-            })
-            .is_ok()
+        let word = self.state.load(Ordering::Relaxed);
+        let ok = word & STATE_MASK == from as u32;
+        if ok {
+            self.state.store(with_state(word, to), Ordering::Release);
+        }
+        ok
     }
 
     /// The current reservation generation: how many times the line has
@@ -127,27 +126,6 @@ impl Way {
     /// been abandoned, so the line still holds the same tag. One load.
     pub fn busy_in(&self, generation: u32) -> bool {
         self.state.load(Ordering::Acquire) == generation << STATE_BITS | LineState::Busy as u32
-    }
-
-    /// Current pin count.
-    pub fn pins(&self) -> u32 {
-        self.pins.load(Ordering::Acquire)
-    }
-
-    /// Pin the line (prevents eviction).
-    pub fn pin(&self) {
-        self.pins.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Unpin the line. Panics in debug builds on underflow.
-    pub fn unpin(&self) {
-        let prev = self.pins.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "unpin on a line with zero pins");
-    }
-
-    /// A line is evictable when it is not pinned and no fill is in flight.
-    pub fn evictable(&self) -> bool {
-        self.pins() == 0 && self.state() != LineState::Busy
     }
 }
 
@@ -211,37 +189,5 @@ mod tests {
         assert_eq!(w.set_state(LineState::Busy), 0);
         assert_eq!(w.state(), LineState::Busy);
         assert!(w.busy_in(0));
-    }
-
-    #[test]
-    fn pinning_controls_evictability() {
-        let w = Way::new();
-        w.set_state(LineState::Ready);
-        assert!(w.evictable());
-        w.pin();
-        assert!(!w.evictable());
-        assert_eq!(w.pins(), 1);
-        w.unpin();
-        assert!(w.evictable());
-        w.set_state(LineState::Busy);
-        assert!(!w.evictable());
-    }
-
-    #[test]
-    fn concurrent_transitions_one_winner() {
-        use std::sync::Arc;
-        use std::thread;
-        let w = Arc::new(Way::new());
-        let winners: u32 = (0..8)
-            .map(|_| {
-                let w = Arc::clone(&w);
-                thread::spawn(move || w.transition(LineState::Invalid, LineState::Busy) as u32)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .sum();
-        assert_eq!(winners, 1, "exactly one thread may claim the fill");
-        assert_eq!(w.state(), LineState::Busy);
     }
 }

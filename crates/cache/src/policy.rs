@@ -10,8 +10,8 @@
 //! Two built-in policies are provided: [`ClockPolicy`] (the paper's default,
 //! second-chance) and the tenant-aware [`TenantShare`], a choice BaM's
 //! hard-coded clock cannot express. The clock keeps a reference byte per way
-//! and, after a set's ways, the set's hand byte, moved under the cache's set
-//! lock (a victim choice reads one run of bytes). It ignores the per-way
+//! and, after a set's ways, the set's hand byte, moved under the cache lock (a
+//! victim choice reads one run of bytes). It ignores the per-way
 //! owner view entirely, so its victim choices are bit-identical to the
 //! pre-tenant-threading stack (asserted by the golden-trace suite).
 //!
@@ -23,7 +23,7 @@ use crate::tenant::{weighted_share, TenantTable, NO_TENANT};
 use agile_sim::WeightError;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Most ways a set may have: [`CachePolicy::choose_victim`] takes the
@@ -71,13 +71,13 @@ pub trait CachePolicy: Send + Sync {
 
     /// Choose a victim among the ways of `set` whose bit is set in
     /// `evictable` (bit `w` for way `w`). `owners[way]` is the tenant
-    /// currently owning the way's line ([`NO_TENANT`] for unowned ways),
-    /// read under the set lock the cache holds; tenant-oblivious policies
-    /// ignore it. Returns `None` when no way is evictable (all pinned or
+    /// currently owning the way's line ([`NO_TENANT`] for unowned ways);
+    /// the cache calls under its lock. Tenant-oblivious policies ignore
+    /// it. Returns `None` when no way is evictable (all pinned or
     /// busy); the cache then reports `NoLineAvailable` and the caller
     /// retries, which is AGILE's answer to the eviction-deadlock scenario of
     /// §2.3.2.
-    fn choose_victim(&self, set: usize, evictable: u64, owners: &[AtomicU32]) -> Option<usize>;
+    fn choose_victim(&self, set: usize, evictable: u64, owners: &[u32]) -> Option<usize>;
 
     /// Online share-weight update for `tenant` (the control plane's
     /// actuator). Returns the weight actually installed — values above
@@ -140,15 +140,15 @@ impl CachePolicy for ClockPolicy {
     fn on_fill(&self, set: usize, way: usize) {
         self.set_state(set).0[way].store(1, Ordering::Relaxed);
     }
-    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[AtomicU32]) -> Option<usize> {
+    fn choose_victim(&self, set: usize, evictable: u64, _owners: &[u32]) -> Option<usize> {
         if evictable == 0 {
             return None;
         }
         let (bits, hand) = self.set_state(set);
         // Two sweeps: the first clears reference bits, the second is
         // guaranteed to find an evictable way with a cleared bit. The cache
-        // calls under the set lock, so reading the hand and moving it on
-        // need not be one atomic step.
+        // calls under its lock, so reading the hand and moving it on need
+        // not be one atomic step.
         for _ in 0..(2 * self.assoc) {
             let pos = hand.load(Ordering::Relaxed) as usize;
             hand.store(((pos + 1) % self.assoc) as u8, Ordering::Relaxed);
@@ -206,7 +206,8 @@ pub struct TenantShare {
     /// Live per-tenant occupancy view, bound by the owning cache.
     tenants: Option<Arc<TenantTable>>,
     /// Per line (`set × associativity + way`): filled and not accessed
-    /// since. Set by `on_fill`, cleared by `on_access`, under the set lock.
+    /// since. Set by `on_fill`, cleared by `on_access`, under the cache
+    /// lock.
     unread: Box<[AtomicBool]>,
 }
 
@@ -264,7 +265,7 @@ impl CachePolicy for TenantShare {
         self.inner.on_fill(set, way);
         self.unread[set * self.inner.assoc + way].store(true, Ordering::Relaxed);
     }
-    fn choose_victim(&self, set: usize, evictable: u64, owners: &[AtomicU32]) -> Option<usize> {
+    fn choose_victim(&self, set: usize, evictable: u64, owners: &[u32]) -> Option<usize> {
         let Some(table) = &self.tenants else {
             // No occupancy view bound (bare policy rigs): plain clock.
             return self.inner.choose_victim(set, evictable, owners);
@@ -283,7 +284,7 @@ impl CachePolicy for TenantShare {
                         > weighted_share(self.total_lines, weight_of(tenant), active_weight)
             };
             ways(evictable)
-                .filter(|&way| over(owners[way].load(Ordering::Relaxed)))
+                .filter(|&way| over(owners[way]))
                 .fold(0u64, |mask, way| mask | 1 << way)
         });
         // Of those, the lines read since their fill first.
@@ -329,12 +330,12 @@ mod tests {
     }
 
     /// Owner view of a set whose way `w` is owned by `tenants[w]`.
-    fn owned(tenants: &[u32]) -> Vec<AtomicU32> {
-        tenants.iter().map(|&t| AtomicU32::new(t)).collect()
+    fn owned(tenants: &[u32]) -> Vec<u32> {
+        tenants.to_vec()
     }
 
     /// Owner view of an all-unowned set.
-    fn unowned(n: usize) -> Vec<AtomicU32> {
+    fn unowned(n: usize) -> Vec<u32> {
         owned(&vec![NO_TENANT; n])
     }
 

@@ -1,7 +1,8 @@
 //! [`ShardedCache`]: an old name for the one [`SoftwareCache`] a controller
 //! owns.
 //!
-//! The cache is one set-associative cache with a lock per set (paper §3.4).
+//! The cache is one set-associative cache behind one lock (the paper's
+//! per-set lock, §3.4, is a modeled device-side cost).
 //! This newtype over it stays only because the benchmark package, which is
 //! built against the public API and changed on its own schedule, still
 //! spells the type — `ShardedCache::new(cfg, 1, 0, …)` and the

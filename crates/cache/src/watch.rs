@@ -3,64 +3,59 @@
 use crate::cache::{BusyTicket, LineId};
 use crate::line::Way;
 use agile_sim::wake::{SleeperId, WakeHub};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// `(ticket, sleeper)` entries chained by line into a fixed set of buckets,
 /// each entry removed — and its sleeper notified — by the first
-/// [`SoftwareCache::complete_fill`](crate::SoftwareCache::complete_fill) /
-/// [`abort_fill`](crate::SoftwareCache::abort_fill) /
-/// [`reinstate_victim`](crate::SoftwareCache::reinstate_victim) of its line.
+/// [`CacheGuard::complete_fill`](crate::CacheGuard::complete_fill) /
+/// [`abort_fill`](crate::CacheGuard::abort_fill) /
+/// [`reinstate_victim`](crate::CacheGuard::reinstate_victim) of its line.
 /// Several warps may wait on one line; an entry whose sleeper was woken by
 /// something else in the meantime just notifies nobody.
+///
+/// Plain state under the cache lock, like the line states it watches: a
+/// registration checks its ticket and a fill changes the state word under
+/// that one lock, so either the fill finds the entry or the watcher finds
+/// the dead ticket.
 pub(crate) struct LineWatchers {
     hub: Arc<WakeHub>,
-    /// Live entries, so the fill path of a cache nobody sleeps on pays one
-    /// load. Raised *before* a watcher checks its ticket and read *after* a
-    /// fill changes the state word (both `SeqCst`): either the fill sees
-    /// the entry or the watcher sees the dead ticket.
-    len: AtomicUsize,
-    table: Mutex<WatchTable>,
+    table: WatchTable,
 }
 
 impl LineWatchers {
     pub(crate) fn new(hub: Arc<WakeHub>) -> Self {
         LineWatchers {
             hub,
-            len: AtomicUsize::new(0),
-            table: Mutex::new(WatchTable::new()),
+            table: WatchTable::new(),
         }
     }
 
     /// Register `(ticket, sleeper)` if `way`, the ticket's line, is still
     /// `BUSY` in the ticket's reservation; returns whether it is.
-    pub(crate) fn watch(&self, ticket: BusyTicket, sleeper: SleeperId, way: &Way) -> bool {
-        self.len.fetch_add(1, Ordering::SeqCst);
-        let mut table = self.table.lock();
+    pub(crate) fn watch(&mut self, ticket: BusyTicket, sleeper: SleeperId, way: &Way) -> bool {
         let live = way.busy_in(ticket.generation);
-        if !(live && table.insert(ticket, sleeper)) {
-            self.len.fetch_sub(1, Ordering::SeqCst);
+        if live {
+            self.table.insert(ticket, sleeper);
         }
         live
     }
 
     /// `line` just left `BUSY`: wake whoever waited for that.
-    pub(crate) fn settled(&self, line: LineId) {
-        if self.len.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let taken = self
-            .table
-            .lock()
-            .take_line(line, |sleeper| self.hub.notify(sleeper));
-        self.len.fetch_sub(taken, Ordering::SeqCst);
+    pub(crate) fn settled(&mut self, line: LineId) {
+        let hub = &self.hub;
+        self.table.take_line(line, |sleeper| hub.notify(sleeper));
     }
 
     /// Live entries.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        let mut free = 0;
+        let mut at = self.table.free;
+        while at != WatchTable::NIL {
+            free += 1;
+            at = self.table.entries[at as usize].next;
+        }
+        self.table.entries.len() - free
     }
 }
 
@@ -102,14 +97,14 @@ impl WatchTable {
         line.0 as usize % Self::BUCKETS
     }
 
-    /// Add `(ticket, sleeper)`; `false` if it was there already.
-    fn insert(&mut self, ticket: BusyTicket, sleeper: SleeperId) -> bool {
+    /// Add `(ticket, sleeper)` unless it is there already.
+    fn insert(&mut self, ticket: BusyTicket, sleeper: SleeperId) {
         let bucket = Self::bucket(ticket.line);
         let mut at = self.heads[bucket];
         while at != Self::NIL {
             let entry = &self.entries[at as usize];
             if entry.ticket == ticket && entry.sleeper == sleeper {
-                return false;
+                return;
             }
             at = entry.next;
         }
@@ -127,14 +122,12 @@ impl WatchTable {
             self.entries[slot as usize] = entry;
             self.heads[bucket] = slot;
         }
-        true
     }
 
-    /// Remove every entry of `line`, handing its sleeper to `woken`;
-    /// returns how many there were.
-    fn take_line(&mut self, line: LineId, mut woken: impl FnMut(SleeperId)) -> usize {
+    /// Remove every entry of `line`, handing its sleeper to `woken`.
+    fn take_line(&mut self, line: LineId, mut woken: impl FnMut(SleeperId)) {
         let bucket = Self::bucket(line);
-        let (mut taken, mut prev, mut at) = (0, Self::NIL, self.heads[bucket]);
+        let (mut prev, mut at) = (Self::NIL, self.heads[bucket]);
         while at != Self::NIL {
             let WatchEntry {
                 ticket,
@@ -143,7 +136,6 @@ impl WatchTable {
             } = self.entries[at as usize];
             if ticket.line == line {
                 woken(sleeper);
-                taken += 1;
                 match prev {
                     Self::NIL => self.heads[bucket] = next,
                     prev => self.entries[prev as usize].next = next,
@@ -155,6 +147,5 @@ impl WatchTable {
             }
             at = next;
         }
-        taken
     }
 }

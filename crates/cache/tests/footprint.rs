@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Heap bytes a clock-cache line may cost.
-const BYTES_PER_LINE: f64 = 32.0;
+const BYTES_PER_LINE: f64 = 30.0;
 
 /// Counts this thread's allocation calls and live bytes (other tests run on
 /// other threads).

@@ -33,8 +33,9 @@ pub struct AgileConfig {
     pub queue_pairs_per_ssd: usize,
     /// Depth (entries) of each SQ/CQ.
     pub queue_depth: u32,
-    /// Geometry of the software cache: one set-associative cache with a
-    /// lock per set (§3.4).
+    /// Geometry of the software cache: one set-associative cache. Its
+    /// per-set lock (§3.4) is modeled by the `cache_hit` / `cache_miss`
+    /// costs; on the host a warp call takes one lock.
     pub cache: CacheConfig,
     /// Replacement policy.
     pub cache_policy: CachePolicyKind,

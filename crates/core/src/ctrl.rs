@@ -27,9 +27,7 @@
 //! the background service.
 
 use crate::config::{AgileConfig, CachePolicyKind};
-use crate::io_path::{
-    IoPath, IoStats, LineWait, PageState, PathCosts, ReadOutcome, Traffic, WarpWait,
-};
+use crate::io_path::{IoPath, IoStats, LineWait, PathCosts, ReadOutcome, Traffic, WarpWait};
 use crate::transaction::{AgileBuf, Barrier, Transaction};
 use agile_cache::{
     CachePolicy, ClockPolicy, ShardedCache, ShareTable, SoftwareCache, TenantShare, NO_TENANT,
@@ -215,12 +213,15 @@ impl AgileCtrl {
     /// Asynchronously prefetch the given `(device, LBA)` pages into the
     /// software cache on behalf of one warp.
     ///
-    /// Returns the cycle cost of the call and the subset of requests that
-    /// could not even be *started* (no cache line available or every SQ
-    /// full); the caller retries those later. Requests that hit, are already
-    /// in flight, or were issued successfully need no further action — the
-    /// data will be readable through [`AgileCtrl::read_warp`] once the AGILE
-    /// service processes the completions.
+    /// Returns the cycle cost of the call. The requests that could not even
+    /// be *started* (no cache line available or every SQ full) are left in
+    /// `scratch` ([`WarpWait::not_started`]); the caller retries those
+    /// later. Requests that hit, are already in flight, or were issued
+    /// successfully need no further action — the data will be readable
+    /// through [`AgileCtrl::read_warp`] once the AGILE service processes the
+    /// completions. Nothing waits on a prefetch, so it keeps no state from
+    /// one call to the next: `scratch` only lends its room, so that a warp
+    /// that prefetches on every step allocates nothing.
     ///
     /// Untenanted: cache accounting is skipped and trace events carry the
     /// `NO_TENANT` sentinel (`u32::MAX`); multi-tenant workloads use
@@ -230,8 +231,9 @@ impl AgileCtrl {
         warp: u64,
         requests: &[(u32, Lba)],
         now: Cycles,
-    ) -> (Cycles, Vec<(u32, Lba)>) {
-        self.prefetch_warp_as(warp, NO_TENANT, requests, now)
+        scratch: &mut WarpWait,
+    ) -> Cycles {
+        self.prefetch_warp_as(warp, NO_TENANT, requests, now, scratch)
     }
 
     /// [`AgileCtrl::prefetch_warp`] with an explicit tenant identity: cache
@@ -246,19 +248,11 @@ impl AgileCtrl {
         tenant: u32,
         requests: &[(u32, Lba)],
         now: Cycles,
-    ) -> (Cycles, Vec<(u32, Lba)>) {
+        scratch: &mut WarpWait,
+    ) -> Cycles {
         self.prefetch_calls.fetch_add(1, Ordering::Relaxed);
-        // Fire and forget: nothing waits on a prefetch, so no state is kept.
-        let mut wait = WarpWait::new();
-        let cost = self.io.lookup_warp(warp, tenant, requests, now, &mut wait);
-        let retry = wait
-            .unique()
-            .iter()
-            .zip(wait.pages())
-            .filter(|&(_, &state)| state == PageState::NotStarted)
-            .map(|(&req, _)| req)
-            .collect();
-        (cost, retry)
+        scratch.clear();
+        self.io.lookup_warp(warp, tenant, requests, now, scratch)
     }
 
     // ------------------------------------------------------------------
@@ -518,8 +512,9 @@ mod tests {
         let ctrl = ctrl_with_queues(1, 2, 64);
         // 32 lanes all asking for the same page → one unique request.
         let reqs = vec![(0u32, 7u64); 32];
-        let (cost, retry) = ctrl.prefetch_warp(0, &reqs, Cycles(0));
-        assert!(retry.is_empty());
+        let mut scratch = WarpWait::new();
+        let cost = ctrl.prefetch_warp(0, &reqs, Cycles(0), &mut scratch);
+        assert_eq!(scratch.not_started().count(), 0);
         assert!(cost.raw() > 0);
         let s = ctrl.stats();
         assert_eq!(s.io.cache_misses, 1);
@@ -537,8 +532,9 @@ mod tests {
     #[test]
     fn second_prefetch_of_same_page_is_coalesced_at_cache_level() {
         let ctrl = ctrl_with_queues(1, 2, 64);
-        ctrl.prefetch_warp(0, &[(0, 9)], Cycles(0));
-        ctrl.prefetch_warp(1, &[(0, 9)], Cycles(0));
+        let mut scratch = WarpWait::new();
+        ctrl.prefetch_warp(0, &[(0, 9)], Cycles(0), &mut scratch);
+        ctrl.prefetch_warp(1, &[(0, 9)], Cycles(0), &mut scratch);
         let s = ctrl.stats();
         assert_eq!(s.io.cache_misses, 1);
         assert_eq!(s.io.cache_coalesced, 1);

@@ -26,7 +26,8 @@
 //!   such a call carries its [`WarpWait`] / [`LineWait`] from one attempt to
 //!   the next: pages it found `BUSY` are then re-checked by ticket — one load
 //!   of the line's state word each, accounted exactly like the lookup — and
-//!   only the rest go through the cache again. A warp that serves lanes as
+//!   only the rest go through the cache again, under one cache lock taken at
+//!   the first of them ([`SoftwareCache::lock`]). A warp that serves lanes as
 //!   their pages arrive retires them from the attempt's own page states
 //!   ([`IoPath::retire_resident`]) and keeps the rest of its wait state,
 //!   tickets included, for the lanes left;
@@ -51,7 +52,9 @@ use crate::coalesce::{coalesce_warp_into, CoalescedRequests};
 use crate::qos::{gate_admission, QosDecision, QosPolicy};
 use crate::sq_protocol::AgileSq;
 use crate::transaction::{Barrier, Transaction};
-use agile_cache::{BusyTicket, CacheLookup, LineId, ShardedCache, SoftwareCache, Writeback};
+use agile_cache::{
+    BusyTicket, CacheGuard, CacheLookup, LineId, ShardedCache, SoftwareCache, Writeback,
+};
 use agile_sim::costs::{ApiCosts, GpuCosts};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::wake::{SleeperId, Wait, WaitQueue, WaitReason, WakeHub};
@@ -138,8 +141,8 @@ pub enum PageState {
 /// the last one with the lanes [`IoPath::retire_resident`] retired taken
 /// out: that narrows the state to the lanes left, tickets and all. A fresh
 /// value on every call is therefore always correct, just slower; a carried
-/// one makes a retry whose pages are all still in flight free of set locks,
-/// tag scans, coalescing and allocation.
+/// one makes a retry whose pages are all still in flight free of the cache
+/// lock, tag scans, coalescing and allocation.
 #[derive(Debug, Default)]
 pub struct WarpWait {
     /// The request of the last attempt, as it coalesced.
@@ -192,6 +195,27 @@ impl WarpWait {
             self.pages
                 .resize(self.coalesced.unique.len(), PageState::NotStarted);
         }
+    }
+
+    /// Forget the last attempt but keep the room it took: the next call
+    /// looks every page up, exactly as with a fresh [`WarpWait`].
+    pub(crate) fn clear(&mut self) {
+        self.coalesced.unique.clear();
+        self.coalesced.lane_to_unique.clear();
+        self.coalesced.eliminated = 0;
+        self.pages.clear();
+        self.unsure_below = 0;
+    }
+
+    /// The requests of the last attempt that it could not even start (no
+    /// cache line, or every SQ full), in first-appearance order.
+    pub fn not_started(&self) -> impl Iterator<Item = (u32, Lba)> + '_ {
+        self.coalesced
+            .unique
+            .iter()
+            .zip(&self.pages)
+            .filter(|&(_, &page)| page == PageState::NotStarted)
+            .map(|(&request, _)| request)
     }
 
     /// The unique `(device, LBA)` pairs of the last attempt, in
@@ -291,7 +315,9 @@ struct IoStatCells {
 }
 
 fn bump(cell: &AtomicU64, by: u64) {
-    cell.fetch_add(by, Ordering::Relaxed);
+    if by > 0 {
+        cell.fetch_add(by, Ordering::Relaxed);
+    }
 }
 
 /// The shared submit / retire / miss-service path (see the module docs).
@@ -727,8 +753,9 @@ impl IoPath {
         }
         match txn {
             Transaction::CacheFill { line } => {
-                self.cache.complete_fill(line);
-                self.cache.unpin(line);
+                let mut cache = self.cache.lock();
+                cache.complete_fill(line);
+                cache.unpin(line);
             }
             Transaction::WriteBack => {}
             Transaction::UserRead { barrier, shared } => {
@@ -766,9 +793,11 @@ impl IoPath {
     /// Both commands are system traffic. When the write-back cannot issue
     /// the victim's dirty data is reinstated in the line — the snapshot is
     /// its only copy; when the fill cannot issue the reservation is aborted.
-    /// Either way nothing is left BUSY and the caller retries later.
+    /// Either way nothing is left BUSY and the caller retries later. Runs
+    /// under the caller's hold of the cache lock, `cache`.
     fn service_miss(
         &self,
+        cache: &mut CacheGuard<'_>,
         warp: u64,
         line: LineId,
         fill: Option<(u32, Lba, DmaHandle)>,
@@ -788,7 +817,7 @@ impl IoPath {
             );
             cost += wb_cost;
             if !ok {
-                self.cache.reinstate_victim(line, victim);
+                cache.reinstate_victim(line, victim);
                 return (cost, false);
             }
         }
@@ -803,7 +832,7 @@ impl IoPath {
             );
             cost += io_cost;
             if !ok {
-                self.cache.abort_fill(line);
+                cache.abort_fill(line);
                 return (cost, false);
             }
         }
@@ -820,7 +849,10 @@ impl IoPath {
     ///
     /// `wait` carries the previous attempt of the same request, if there was
     /// one: a page whose ticketed fill is still in flight is accounted as the
-    /// BUSY lookup it would be without being looked up.
+    /// BUSY lookup it would be without being looked up. The cache lock is
+    /// taken at the first page that no live ticket covers and held for the
+    /// rest of the call, so an attempt whose pages are all still in flight
+    /// takes none. A hit is consumed under it and so is not pinned.
     pub fn lookup_warp(
         &self,
         warp: u64,
@@ -834,7 +866,8 @@ impl IoPath {
         wait.unsure_below = 0;
         bump(&self.stats.warp_coalesced, wait.coalesced.eliminated as u64);
         let mut cost = Cycles(self.gpu.warp_primitive);
-        let mut coalesced_onto = 0;
+        let (mut hits, mut misses, mut coalesced_onto) = (0, 0, 0);
+        let mut held = None;
         for (i, &(dev, lba)) in wait.coalesced.unique.iter().enumerate() {
             if let PageState::InFlight(ticket) = wait.pages[i] {
                 if self.cache.lookup_busy(ticket, dev, lba, tenant) {
@@ -843,11 +876,11 @@ impl IoPath {
                     continue;
                 }
             }
-            wait.pages[i] = match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
-                CacheLookup::Hit { line, token } => {
+            let cache = held.get_or_insert_with(|| self.cache.lock());
+            wait.pages[i] = match cache.lookup(dev, lba, tenant) {
+                CacheLookup::Hit { token, .. } => {
                     cost += Cycles(self.costs.cache_hit);
-                    bump(&self.stats.cache_hits, 1);
-                    self.cache.unpin(line);
+                    hits += 1;
                     PageState::Ready(token)
                 }
                 CacheLookup::Busy { line, generation } => {
@@ -862,10 +895,11 @@ impl IoPath {
                     generation,
                 } => {
                     cost += Cycles(self.costs.cache_miss);
-                    bump(&self.stats.cache_misses, 1);
+                    misses += 1;
                     wait.unsure_below = i;
+                    let fill = Some((dev, lba, dma));
                     let (io_cost, started) =
-                        self.service_miss(warp, line, Some((dev, lba, dma)), writeback, now);
+                        self.service_miss(cache, warp, line, fill, writeback, now);
                     cost += io_cost;
                     if started {
                         PageState::InFlight(BusyTicket { line, generation })
@@ -879,6 +913,9 @@ impl IoPath {
                 }
             };
         }
+        drop(held);
+        bump(&self.stats.cache_hits, hits);
+        bump(&self.stats.cache_misses, misses);
         bump(&self.stats.cache_coalesced, coalesced_onto);
         self.charge_cache(cost);
         cost
@@ -909,11 +946,21 @@ impl IoPath {
     /// it found the page resident, and no later miss of the same attempt
     /// reserved its line. A miss may evict a page the attempt hit before it
     /// (or reinstate it, when the victim's write-back is refused), so a page
-    /// found resident before the attempt's last miss is looked up again.
-    fn page_resident(&self, wait: &WarpWait, u: usize) -> bool {
+    /// found resident before the attempt's last miss is looked up again —
+    /// under `cache`, the cache lock, taken by the first such look.
+    fn page_resident<'c>(
+        &'c self,
+        wait: &WarpWait,
+        u: usize,
+        cache: &mut Option<CacheGuard<'c>>,
+    ) -> bool {
         matches!(wait.pages[u], PageState::Ready(_)) && {
             let (dev, lba) = wait.coalesced.unique[u];
-            u >= wait.unsure_below || self.cache.peek(dev, lba).is_some()
+            u >= wait.unsure_below
+                || cache
+                    .get_or_insert_with(|| self.cache.lock())
+                    .peek(dev, lba)
+                    .is_some()
         }
     }
 
@@ -928,7 +975,9 @@ impl IoPath {
     /// A page's lanes share its residency, so the lanes left ask for whole
     /// pages of the attempt: `wait` keeps those pages' states and tickets,
     /// in order, and the next attempt with `requests` re-checks their
-    /// tickets instead of starting over. Allocates nothing.
+    /// tickets instead of starting over. Allocates nothing, and takes the
+    /// cache lock at most once: `lane` may be called with it held, so it
+    /// must not call into the cache.
     pub fn retire_resident(
         &self,
         wait: &mut WarpWait,
@@ -939,9 +988,10 @@ impl IoPath {
         if !wait.any_ready() {
             return 0;
         }
+        let mut cache = None;
         let mut kept = 0;
         for i in 0..requests.len() {
-            let resident = self.page_resident(wait, wait.lane_page(i));
+            let resident = self.page_resident(wait, wait.lane_page(i), &mut cache);
             lane(i, resident);
             if !resident {
                 requests[kept] = requests[i];
@@ -954,12 +1004,13 @@ impl IoPath {
         // lost again stay unsure.
         let (mut pages_kept, mut unsure) = (0, 0);
         for u in 0..wait.pages.len() {
-            if !self.page_resident(wait, u) {
+            if !self.page_resident(wait, u, &mut cache) {
                 wait.pages[pages_kept] = wait.pages[u];
                 unsure += (u < wait.unsure_below) as usize;
                 pages_kept += 1;
             }
         }
+        drop(cache);
         wait.pages.truncate(pages_kept);
         wait.unsure_below = unsure;
         // The lanes left name those pages in the same first-appearance order.
@@ -974,8 +1025,9 @@ impl IoPath {
     /// dirty victim issues its write-back first, exactly like the read path.
     /// Returns the cost and whether the store landed (false = retry later,
     /// with the same `wait`: a store blocked behind a fill that is still in
-    /// flight is then re-accounted without a lookup). Tenant attribution as
-    /// in [`IoPath::lookup_warp`].
+    /// flight is then re-accounted without a lookup, and without the cache
+    /// lock, which anything else takes once). Tenant attribution as in
+    /// [`IoPath::lookup_warp`].
     #[allow(clippy::too_many_arguments)]
     pub fn write_warp(
         &self,
@@ -988,50 +1040,49 @@ impl IoPath {
         wait: &mut LineWait,
     ) -> (Cycles, bool) {
         self.cache.set_time_hint(now.raw());
+        if let WaitsFor::Fill(ticket) = wait.0 {
+            if self.cache.lookup_busy(ticket, dev, lba, tenant) {
+                let cost = Cycles(self.costs.cache_miss);
+                self.charge_cache(cost);
+                return (cost, false);
+            }
+        }
+        wait.0 = WaitsFor::Nothing;
+        let mut cache = self.cache.lock();
         let mut cost = Cycles::ZERO;
-        let blocked = match wait.0 {
-            WaitsFor::Fill(ticket) => self.cache.lookup_busy(ticket, dev, lba, tenant),
-            _ => false,
-        };
-        let stored = if blocked {
-            cost += Cycles(self.costs.cache_miss);
-            None
-        } else {
-            wait.0 = WaitsFor::Nothing;
-            match self.cache.lookup_or_reserve_as(dev, lba, tenant) {
-                CacheLookup::Hit { line, .. } => {
-                    cost += Cycles(self.costs.cache_hit);
-                    Some(line)
+        let stored = match cache.lookup(dev, lba, tenant) {
+            CacheLookup::Hit { line, .. } => {
+                cost += Cycles(self.costs.cache_hit);
+                cache.store(line, token);
+                true
+            }
+            CacheLookup::Miss {
+                line, writeback, ..
+            } => {
+                cost += Cycles(self.costs.cache_miss);
+                let (wb_cost, ok) = self.service_miss(&mut cache, warp, line, None, writeback, now);
+                cost += wb_cost;
+                if ok {
+                    cache.complete_fill(line);
+                    cache.store(line, token);
+                    cache.unpin(line);
                 }
-                CacheLookup::Miss {
-                    line, writeback, ..
-                } => {
-                    cost += Cycles(self.costs.cache_miss);
-                    let (wb_cost, ok) = self.service_miss(warp, line, None, writeback, now);
-                    cost += wb_cost;
-                    ok.then(|| {
-                        self.cache.complete_fill(line);
-                        line
-                    })
-                }
-                CacheLookup::Busy { line, generation } => {
-                    cost += Cycles(self.costs.cache_miss);
-                    wait.0 = WaitsFor::Fill(BusyTicket { line, generation });
-                    None
-                }
-                CacheLookup::NoLineAvailable => {
-                    cost += Cycles(self.costs.cache_miss);
-                    wait.0 = WaitsFor::Line(dev, lba);
-                    None
-                }
+                ok
+            }
+            CacheLookup::Busy { line, generation } => {
+                cost += Cycles(self.costs.cache_miss);
+                wait.0 = WaitsFor::Fill(BusyTicket { line, generation });
+                false
+            }
+            CacheLookup::NoLineAvailable => {
+                cost += Cycles(self.costs.cache_miss);
+                wait.0 = WaitsFor::Line(dev, lba);
+                false
             }
         };
-        if let Some(line) = stored {
-            self.cache.store(line, token);
-            self.cache.unpin(line);
-        }
+        drop(cache);
         self.charge_cache(cost);
-        (cost, stored.is_some())
+        (cost, stored)
     }
 }
 
@@ -1069,7 +1120,7 @@ impl IoPath {
     /// Each pending page either holds a live ticket — a read page
     /// [`PageState::InFlight`], a store blocked behind a fill — or found no
     /// line in a set whose ways are all `BUSY`
-    /// ([`SoftwareCache::watch_full_set`]). When every one does, the next
+    /// ([`CacheGuard::watch_full_set`]). When every one does, the next
     /// attempt, and every one after it until one of those reservations ends,
     /// would only find the same again at a known cost. The result is then a
     /// **parkable** wait: `sleeper` (registered on first use, one per warp)
@@ -1117,12 +1168,15 @@ impl IoPath {
         };
         // A registration fails when its reservation ended (or its set got a
         // way that is not BUSY) since the attempt looked: the next attempt
-        // has real work to do.
+        // has real work to do. All of them are made under one hold of the
+        // cache lock.
+        let mut cache = self.cache.lock();
         let watched = waits.all(|wait| match wait {
-            WaitsFor::Fill(ticket) => self.cache.watch_line(ticket, id),
-            WaitsFor::Line(dev, lba) => self.cache.watch_full_set(dev, lba, id),
+            WaitsFor::Fill(ticket) => cache.watch_line(ticket, id),
+            WaitsFor::Line(dev, lba) => cache.watch_full_set(dev, lba, id),
             WaitsFor::Nothing => false,
         });
+        drop(cache);
         if watched {
             Wait::parked(reason, id)
         } else {
@@ -1199,6 +1253,15 @@ mod tests {
 
     /// A bare-queue path (no topology) at AGILE's costs over one device.
     fn rig(qps: usize, depth: u32) -> (IoPath, SsdDevice) {
+        rig_with(
+            qps,
+            depth,
+            CacheConfig::with_capacity(4 * agile_sim::units::MIB),
+        )
+    }
+
+    /// [`rig`] over a cache of geometry `cache`.
+    fn rig_with(qps: usize, depth: u32, cache: CacheConfig) -> (IoPath, SsdDevice) {
         let mut dev = SsdDevice::new(SsdConfig::new(0).with_capacity_pages(1 << 20));
         let queues: Vec<Arc<QueuePair>> = (0..qps)
             .map(|q| {
@@ -1207,10 +1270,7 @@ mod tests {
                 qp
             })
             .collect();
-        let cache = SoftwareCache::new(
-            CacheConfig::with_capacity(4 * agile_sim::units::MIB),
-            Box::new(ClockPolicy::new()),
-        );
+        let cache = SoftwareCache::new(cache, Box::new(ClockPolicy::new()));
         let io = IoPath::new(
             PathCosts::agile(&ApiCosts::default()),
             GpuCosts::default(),
@@ -1412,5 +1472,170 @@ mod tests {
         );
         assert_eq!(io.cache().total_pins(), 0);
         assert_eq!(io.device_queues(0)[0].free_slots(), 64, "SQEs released");
+    }
+
+    #[derive(Default)]
+    struct Log(std::sync::Mutex<Vec<TraceEvent>>);
+
+    impl TraceSink for Log {
+        fn record(&self, ev: TraceEvent) {
+            self.0.lock().unwrap().push(ev);
+        }
+    }
+
+    const DIRTY: Lba = 1;
+    const CLEAN: Lba = 2;
+    const HIT: Lba = 3;
+    const BUSY: Lba = 4;
+
+    /// One set of four ways holding, in this order, a dirty page, a clean
+    /// one, a resident page pinned by somebody else (so never a victim) and
+    /// a page whose fill is in flight; then the one SQ is filled up, so
+    /// every further submission is refused.
+    fn one_full_set() -> (IoPath, SsdDevice, Arc<Log>) {
+        let (io, dev) = rig_with(
+            1,
+            2,
+            CacheConfig {
+                capacity_bytes: 4 * agile_sim::units::SSD_PAGE_SIZE,
+                associativity: 4,
+            },
+        );
+        let log = Arc::new(Log::default());
+        assert!(io.set_trace_sink(Arc::clone(&log) as Arc<dyn TraceSink>));
+        let cache = io.cache();
+        for lba in [DIRTY, CLEAN, HIT] {
+            assert!(cache.preload(0, lba, PageToken(lba)));
+        }
+        let hit = |lba| match cache.lookup_or_reserve(0, lba) {
+            CacheLookup::Hit { line, .. } => line,
+            other => panic!("expected a hit, got {other:?}"),
+        };
+        let dirty = hit(DIRTY);
+        cache.store(dirty, PageToken(0xD));
+        cache.unpin(dirty);
+        hit(HIT);
+        let mut wait = WarpWait::new();
+        io.lookup_warp(0, NO_TENANT, &[(0, BUSY)], Cycles(0), &mut wait);
+        assert!(matches!(wait.pages(), [PageState::InFlight(_)]));
+        assert!(raw(&io, 0, 100, 0));
+        assert!(io.all_full(0));
+        (io, dev, log)
+    }
+
+    /// What [`IoPath::lookup_warp`] of `pages` does, page by page through
+    /// the cache's one-shot methods, each of which locks for itself.
+    fn one_by_one(io: &IoPath, tenant: u32, pages: &[(u32, Lba)]) -> (Cycles, Vec<PageState>) {
+        let (cache, now) = (io.cache(), Cycles(10));
+        cache.set_time_hint(now.raw());
+        let mut cost = Cycles(io.gpu.warp_primitive);
+        let mut states = Vec::new();
+        for &(dev, lba) in pages {
+            let system = |build: &dyn Fn(u16) -> NvmeCommand, txn| {
+                io.submit(dev as usize, 0, Traffic::System, build, txn, now)
+            };
+            states.push(match cache.lookup_or_reserve_as(dev, lba, tenant) {
+                CacheLookup::Hit { line, token } => {
+                    cost += Cycles(io.costs.cache_hit);
+                    bump(&io.stats.cache_hits, 1);
+                    cache.unpin(line);
+                    PageState::Ready(token)
+                }
+                CacheLookup::Busy { line, generation } => {
+                    cost += Cycles(io.costs.cache_hit);
+                    bump(&io.stats.cache_coalesced, 1);
+                    PageState::InFlight(BusyTicket { line, generation })
+                }
+                CacheLookup::Miss {
+                    line,
+                    dma,
+                    writeback,
+                    generation,
+                } => {
+                    cost += Cycles(io.costs.cache_miss);
+                    bump(&io.stats.cache_misses, 1);
+                    let refused = writeback.is_some_and(|victim| {
+                        let snapshot = DmaHandle::with_token(victim.token);
+                        let write = |cid| NvmeCommand::write(cid, victim.lba, snapshot.clone());
+                        let (c, ok) = system(&write, Transaction::WriteBack);
+                        cost += c;
+                        if !ok {
+                            cache.reinstate_victim(line, victim);
+                        }
+                        !ok
+                    });
+                    if refused {
+                        PageState::NotStarted
+                    } else {
+                        let read = |cid| NvmeCommand::read(cid, lba, dma.clone());
+                        let (c, ok) = system(&read, Transaction::CacheFill { line });
+                        cost += c;
+                        if ok {
+                            PageState::InFlight(BusyTicket { line, generation })
+                        } else {
+                            cache.abort_fill(line);
+                            PageState::NotStarted
+                        }
+                    }
+                }
+                CacheLookup::NoLineAvailable => {
+                    cost += Cycles(io.costs.cache_miss);
+                    PageState::NotStarted
+                }
+            });
+        }
+        io.charge_cache(cost);
+        (cost, states)
+    }
+
+    #[test]
+    fn a_warp_call_under_one_lock_equals_its_pages_locked_one_by_one() {
+        // A hit, a page in flight, a miss whose dirty victim's write-back is
+        // refused (the victim is reinstated) and a miss whose fill is
+        // refused (the reservation is aborted), in one warp call.
+        const TENANT: u32 = 1;
+        let pages = [(0, HIT), (0, BUSY), (0, 20), (0, 21)];
+        let observe = |io: &IoPath, log: &Log, (cost, states): (Cycles, Vec<PageState>)| {
+            let cache = io.cache();
+            let resident: Vec<_> = [DIRTY, CLEAN, HIT, BUSY, 20, 21]
+                .map(|lba| cache.peek(0, lba))
+                .to_vec();
+            (
+                cost,
+                states,
+                io.stats(),
+                cache.stats(),
+                cache.tenant_stats(),
+                cache.total_pins(),
+                resident,
+                log.0.lock().unwrap().clone(),
+            )
+        };
+        let (held, _dev, held_log) = one_full_set();
+        let mut wait = WarpWait::new();
+        let cost = held.lookup_warp(0, TENANT, &pages, Cycles(10), &mut wait);
+        let held = observe(&held, &held_log, (cost, wait.pages().to_vec()));
+        let (each, _dev, each_log) = one_full_set();
+        let result = one_by_one(&each, TENANT, &pages);
+        let each = observe(&each, &each_log, result);
+        assert_eq!(held, each);
+
+        // Not vacuous: every case happened.
+        let (_, states, io, cache, ..) = &held;
+        assert!(matches!(
+            states[..],
+            [
+                PageState::Ready(PageToken(HIT)),
+                PageState::InFlight(_),
+                PageState::NotStarted,
+                PageState::NotStarted
+            ]
+        ));
+        assert_eq!((cache.writebacks, cache.evictions), (1, 2));
+        assert_eq!((io.cache_hits, io.cache_misses), (1, 3), "one miss set up");
+        assert_eq!(io.sq_full_retries, 2, "the write-back and the fill");
+        let resident = &held.6;
+        assert_eq!(resident[0], Some(PageToken(0xD)), "the victim reinstated");
+        assert_eq!(resident[1], None, "the clean victim's line was aborted");
     }
 }

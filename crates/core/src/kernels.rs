@@ -54,6 +54,8 @@ struct PipelineWarp {
     iter: u32,
     phase: PipelinePhase,
     pending_prefetch: Vec<(u32, Lba)>,
+    /// The room each prefetch works in (see `AgileCtrl::prefetch_warp`).
+    prefetch: WarpWait,
     /// Carried across the polls of one read (see `IoPath::read_warp`).
     wait: WarpWait,
     /// What the warp sleeps on while all its pages are in flight.
@@ -96,10 +98,15 @@ impl WarpKernel for PipelineWarp {
                     self.phase = PipelinePhase::Compute;
                     return WarpStep::Busy(Cycles(1));
                 }
-                let (cost, retry) =
-                    self.parent
-                        .prefetch_warp(self.ctx_data.warp_flat, &reqs, ctx.now);
-                self.pending_prefetch = retry;
+                let cost = self.parent.prefetch_warp(
+                    self.ctx_data.warp_flat,
+                    &reqs,
+                    ctx.now,
+                    &mut self.prefetch,
+                );
+                reqs.clear();
+                reqs.extend(self.prefetch.not_started());
+                self.pending_prefetch = reqs;
                 if self.pending_prefetch.is_empty() {
                     self.phase = PipelinePhase::Compute;
                 }
@@ -151,6 +158,7 @@ impl KernelFactory for PrefetchComputeKernel {
             iter: 0,
             phase: PipelinePhase::PrefetchNext,
             pending_prefetch: Vec::new(),
+            prefetch: WarpWait::new(),
             wait: WarpWait::new(),
             sleeper: None,
         })

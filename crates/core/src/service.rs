@@ -509,6 +509,7 @@ impl KernelFactory for AgileServiceKernel {
 mod tests {
     use super::*;
     use crate::config::AgileConfig;
+    use crate::io_path::WarpWait;
     use crate::transaction::{AgileBuf, Barrier};
     use nvme_sim::{DmaHandle, PageToken, QueuePair, SsdConfig, SsdDevice, StorageTopology};
 
@@ -564,8 +565,9 @@ mod tests {
         let (ctrl, mut dev) = rig(2, 64);
         let service = AgileService::new(Arc::clone(&ctrl));
         assert_eq!(service.target_count(), 2);
-        let (_, retry) = ctrl.prefetch_warp(0, &[(0, 11), (0, 12), (0, 13)], Cycles(0));
-        assert!(retry.is_empty());
+        let mut scratch = WarpWait::new();
+        ctrl.prefetch_warp(0, &[(0, 11), (0, 12), (0, 13)], Cycles(0), &mut scratch);
+        assert_eq!(scratch.not_started().count(), 0);
         let c = Arc::clone(&ctrl);
         drive_until(&mut dev, &service, move || {
             c.cache().peek(0, 11).is_some()

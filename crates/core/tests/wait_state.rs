@@ -102,6 +102,8 @@ struct Rig {
     reads: Vec<(Vec<(u32, Lba)>, WarpWait)>,
     /// Per pending store `(warp, dev, lba)`.
     stores: HashMap<(usize, u32, Lba), LineWait>,
+    /// The room prefetches work in (when not carrying: a fresh one each).
+    prefetch: WarpWait,
     /// What `IoPath::retire_resident` told about each lane, with room for
     /// the widest request so that recording it allocates nothing.
     lanes_seen: Vec<bool>,
@@ -152,6 +154,7 @@ impl Rig {
             carry,
             reads: (0..WARPS).map(|_| (Vec::new(), WarpWait::new())).collect(),
             stores: HashMap::new(),
+            prefetch: WarpWait::new(),
             lanes_seen: Vec::with_capacity(8),
             narrowed_in_flight: 0,
         }
@@ -248,9 +251,18 @@ impl Rig {
             }
             4 => self.write(warp, arg, now),
             5 => {
-                let (cost, retry) =
-                    self.ctrl
-                        .prefetch_warp_as(warp as u64, tenant_of(arg), &request_set(arg), now);
+                if !self.carry {
+                    self.prefetch = WarpWait::new();
+                }
+                let scratch = &mut self.prefetch;
+                let cost = self.ctrl.prefetch_warp_as(
+                    warp as u64,
+                    tenant_of(arg),
+                    &request_set(arg),
+                    now,
+                    scratch,
+                );
+                let retry: Vec<_> = scratch.not_started().collect();
                 (cost.raw(), format!("prefetch, retry {retry:?}"))
             }
             // The AGILE service: retire what the devices have posted.
@@ -543,6 +555,52 @@ fn a_ticketed_stalled_poll_allocates_nothing() {
         io.stats().cache_cycles - cycles,
         io.repoll_cost(&read_wait).raw()
     );
+}
+
+#[test]
+fn a_prefetch_allocates_nothing_once_its_scratch_has_room() {
+    // 64 lines for the 48 pages. The warm-up's fills take every SQ slot and
+    // no service retires them, so the calls measured hit preloaded pages,
+    // coalesce onto fills in flight and miss into refused fills: the arms
+    // of the lookup a prefetch takes.
+    let rig = Rig::with_cache(
+        true,
+        CacheConfig {
+            capacity_bytes: 64 * SSD_PAGE_SIZE,
+            associativity: 2,
+        },
+    );
+    let ctrl = &rig.ctrl;
+    let requests: Vec<Vec<(u32, Lba)>> = (0..48).map(request_set).collect();
+    let widest: Vec<(u32, Lba)> = (0..32).map(|lane| (lane % 2, lane as Lba / 2)).collect();
+    let mut scratch = WarpWait::new();
+    let mut prefetch = |arg: usize, now: u64| {
+        let requests = requests.get(arg).unwrap_or(&widest);
+        let tenant = tenant_of(arg as u8);
+        ctrl.prefetch_warp_as(0, tenant, requests, Cycles(now), &mut scratch);
+    };
+    // Warm-up: room for the widest request, and every tenant seen once.
+    prefetch(usize::MAX, 0);
+    for arg in 0..48 {
+        prefetch(arg, 0);
+    }
+    // A third of the pages not in flight become resident.
+    let preloaded = (0..48)
+        .flat_map(request_set)
+        .filter(|&(dev, lba)| lba % 3 == 0 && ctrl.cache().preload(dev, lba, PageToken(lba)))
+        .count();
+    assert!(preloaded > 0);
+    rig.log.0.lock().unwrap().reserve(64 * POLLS as usize);
+    let before_stats = ctrl.stats().io;
+    let before = allocations();
+    for poll in 1..=POLLS {
+        prefetch(poll as usize % 48, poll * 2_000);
+    }
+    assert_eq!(allocations() - before, 0, "a prefetch allocated");
+    let io = ctrl.stats().io;
+    assert!(io.cache_hits > before_stats.cache_hits);
+    assert!(io.cache_coalesced > before_stats.cache_coalesced);
+    assert!(io.sq_full_retries > before_stats.sq_full_retries);
 }
 
 #[test]

@@ -95,11 +95,13 @@ impl PageAccessor for HbmAccessor {
 }
 
 /// What one warp carries from an attempt to its retry: the [`WarpWait`] of
-/// its read and the sleeper it parks on.
+/// its read and the sleeper it parks on — and the room its prefetches work
+/// in.
 #[derive(Default)]
 struct WarpSlot {
     wait: WarpWait,
     sleeper: Option<SleeperId>,
+    prefetch: WarpWait,
 }
 
 /// The [`WarpSlot`] of every warp behind one shared accessor.
@@ -166,8 +168,10 @@ impl PageAccessor for AgileAccessor {
         })
     }
     fn prefetch(&self, warp: u64, requests: &[(u32, Lba)], now: Cycles) -> Cycles {
-        let (cost, _retry) = self.ctrl.prefetch_warp(warp, requests, now);
-        cost
+        self.waits.with(warp, |slot| {
+            self.ctrl
+                .prefetch_warp(warp, requests, now, &mut slot.prefetch)
+        })
     }
     fn name(&self) -> &'static str {
         "agile"

@@ -636,6 +636,8 @@ impl KernelFactory for AgileTraceReplayKernel {
                     self.params.stripe,
                 ),
                 prefetch_depth: self.ctrl.prefetch_depth_cell(),
+                lookahead: Vec::with_capacity(BATCH_LANES),
+                prefetch: WarpWait::with_lanes(BATCH_LANES),
             }),
         }
     }
@@ -753,14 +755,17 @@ impl CachedBatch {
         Some(cost)
     }
 
-    /// Read targets of the up-to-`lanes` ops ahead of the cursor (prefetch).
-    fn lookahead_reads(&self, io: &IoPath, lanes: u32) -> Vec<(u32, u64)> {
-        (0..lanes as usize)
-            .map_while(|k| self.cursor.peek_ahead(k))
-            .map(|idx| self.trace.ops[idx])
-            .filter(|op| !op.write)
-            .map(|op| target(io, &self.trace, self.stripe, &op))
-            .collect()
+    /// Read targets of the up-to-`lanes` ops ahead of the cursor (prefetch),
+    /// into `targets` (cleared first).
+    fn lookahead_reads(&self, io: &IoPath, lanes: u32, targets: &mut Vec<(u32, u64)>) {
+        targets.clear();
+        targets.extend(
+            (0..lanes as usize)
+                .map_while(|k| self.cursor.peek_ahead(k))
+                .map(|idx| self.trace.ops[idx])
+                .filter(|op| !op.write)
+                .map(|op| target(io, &self.trace, self.stripe, &op)),
+        );
     }
 
     /// The device the oldest pending store targets.
@@ -843,6 +848,10 @@ struct AgileCachedReplayWarp {
     /// every batch boundary, so an online control plane retunes the
     /// pipeline mid-run; without one the cell simply never changes.
     prefetch_depth: Arc<AtomicU32>,
+    /// The lookahead's targets and the room its prefetch works in, reused
+    /// from one batch to the next.
+    lookahead: Vec<(u32, u64)>,
+    prefetch: WarpWait,
 }
 
 impl WarpKernel for AgileCachedReplayWarp {
@@ -856,15 +865,16 @@ impl WarpKernel for AgileCachedReplayWarp {
             // Prefetch the following `prefetch_depth` batches so their fills
             // overlap this batch's consumption (depth 0 = demand fills only).
             let depth = self.prefetch_depth.load(Ordering::Relaxed);
-            let lookahead = self.batch.lookahead_reads(io, ctx.lanes * depth);
-            if !lookahead.is_empty() {
-                let (c, _retry) = self.ctrl.prefetch_warp_as(
+            self.batch
+                .lookahead_reads(io, ctx.lanes * depth, &mut self.lookahead);
+            if !self.lookahead.is_empty() {
+                cost += self.ctrl.prefetch_warp_as(
                     self.batch.warp_flat,
                     self.batch.cache_tenant(),
-                    &lookahead,
+                    &self.lookahead,
                     ctx.now,
+                    &mut self.prefetch,
                 );
-                cost += c;
             }
             return WarpStep::Busy(cost.max(Cycles(1)));
         }

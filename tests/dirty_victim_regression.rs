@@ -73,7 +73,12 @@ fn rows() -> Vec<Row> {
     let (b1, b2) = (pressured_bam(), pressured_bam());
     vec![
         row("AGILE prefetch_warp", a1.clone(), {
-            Box::new(move |now| a1.prefetch_warp(0, &[NEW], now).1.is_empty())
+            Box::new(move |now| {
+                let mut scratch = WarpWait::new();
+                a1.prefetch_warp(0, &[NEW], now, &mut scratch);
+                let started = scratch.not_started().next().is_none();
+                started
+            })
         }),
         row("AGILE read_warp", a2.clone(), {
             Box::new(move |now| {
